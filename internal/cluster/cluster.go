@@ -94,7 +94,8 @@ type Algorithm interface {
 	// Name identifies the algorithm in experiment output.
 	Name() string
 	// Decide returns the node's new state given its own view, its live
-	// neighbors, and its current state.
+	// neighbors, and its current state. neighbors is the Runner's
+	// scratch, overwritten on its next tick: Decide must not retain it.
 	Decide(self NodeView, neighbors []NeighborView, cur State) State
 }
 
@@ -335,6 +336,10 @@ type Runner struct {
 	ticker  *sim.Ticker
 	// onChange observers run after each state change.
 	onChange []func(old, new State)
+	// raw and views are tick's scratch, reused so a steady-state
+	// re-decision does not allocate.
+	raw   []vnet.Neighbor
+	views []NeighborView
 }
 
 // NewRunner wires algo onto node. tracker may be nil.
@@ -383,9 +388,9 @@ func (r *Runner) tick() {
 		Speed:   r.node.Speed(),
 		Heading: r.node.Heading(),
 	}
-	raw := r.node.Neighbors(nil)
-	views := make([]NeighborView, 0, len(raw))
-	for _, nb := range raw {
+	r.raw = r.node.Neighbors(r.raw[:0])
+	r.views = r.views[:0]
+	for _, nb := range r.raw {
 		v := NeighborView{
 			NodeView: NodeView{Addr: nb.Addr, Pos: nb.Pos, Speed: nb.Speed, Heading: nb.Heading},
 		}
@@ -393,9 +398,9 @@ func (r *Runner) tick() {
 			v.State = ext.State
 			v.HasState = true
 		}
-		views = append(views, v)
+		r.views = append(r.views, v)
 	}
-	next := r.algo.Decide(self, views, r.state)
+	next := r.algo.Decide(self, r.views, r.state)
 	if next != r.state {
 		old := r.state
 		r.state = next

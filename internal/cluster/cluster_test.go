@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"testing"
+	"time"
 
 	"vcloud/internal/geo"
+	"vcloud/internal/radio"
+	"vcloud/internal/sim"
 	"vcloud/internal/vnet"
 )
 
@@ -246,5 +249,47 @@ func TestTrackerEmptyMean(t *testing.T) {
 	tr := NewTracker()
 	if tr.MeanClusteredSeconds() != 0 {
 		t.Error("empty tracker mean should be 0")
+	}
+}
+
+// TestRunnerTickAllocFree: a steady-state re-decision copies the neighbor
+// table and its views into the runner's own scratch and allocates nothing.
+func TestRunnerTickAllocFree(t *testing.T) {
+	k := sim.NewKernel(1)
+	m, err := radio.NewMedium(k, geo.NewRect(geo.Point{X: -100, Y: -100}, geo.Point{X: 400, Y: 100}), radio.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runners []*Runner
+	for i := 0; i < 6; i++ {
+		addr, pos := vnet.Addr(i), geo.Point{X: float64(i) * 40}
+		m.UpdatePosition(addr, pos)
+		node, err := vnet.NewNode(k, m, addr, vnet.Config{BeaconPeriod: 200 * time.Millisecond},
+			func() (geo.Point, float64, float64) { return pos, 10, 0 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRunner(node, MobilitySimilarity{}, time.Second, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := node.Start(); err != nil {
+			t.Fatal(err)
+		}
+		runners = append(runners, r)
+	}
+	if err := k.Run(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	r := runners[3]
+	if n := r.node.NumNeighbors(); n != 5 {
+		t.Fatalf("runner hears %d neighbors, want 5", n)
+	}
+	settled := r.state
+	if allocs := testing.AllocsPerRun(100, r.tick); allocs != 0 {
+		t.Errorf("steady-state tick: %v allocs/op, want 0", allocs)
+	}
+	if r.state != settled || len(r.views) != 5 || !r.views[0].HasState {
+		t.Errorf("tick read %d views (state %+v, was %+v), want 5 with advertised state", len(r.views), r.state, settled)
 	}
 }

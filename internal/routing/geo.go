@@ -44,6 +44,9 @@ type Greedy struct {
 	buffer  []carried
 	ticker  *sim.Ticker
 	stopped bool
+	// nbrs is nextHop's scratch copy of the neighbor table, reused so a
+	// forwarding decision does not allocate.
+	nbrs []vnet.Neighbor
 
 	// zone support (nil for plain greedy): set by MoZo.
 	clusterState func() cluster.State
@@ -182,7 +185,7 @@ func (g *Greedy) isHead() bool {
 // falls back to its cluster head for fresher zone knowledge).
 func (g *Greedy) nextHop(msg vnet.Message) (vnet.Addr, bool) {
 	pkt, _ := msg.Payload.(Packet)
-	nbrs := g.node.Neighbors(nil)
+	g.nbrs = g.node.Neighbors(g.nbrs[:0])
 	self := g.node.Position()
 	myDist := self.Dist(pkt.DestPos)
 	// Only forward over links inside the reliable reception radius (with
@@ -194,7 +197,7 @@ func (g *Greedy) nextHop(msg vnet.Message) (vnet.Addr, bool) {
 	best := vnet.Addr(-1)
 	bestDist := myDist
 	myHeading := g.node.Heading()
-	for _, nb := range nbrs {
+	for _, nb := range g.nbrs {
 		if self.Dist(nb.Pos) > maxLink {
 			continue
 		}

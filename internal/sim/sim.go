@@ -13,7 +13,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -51,33 +50,90 @@ func (id EventID) Pending() bool {
 	return id.ev != nil && id.ev.gen == id.gen && id.ev.index >= 0
 }
 
-// eventQueue implements heap.Interface ordered by (at, seq).
+// before reports whether ev fires ahead of o: earlier time first, FIFO
+// (lower seq) among equal timestamps. seq is unique, so the order is
+// total and the pop sequence does not depend on the heap's shape.
+func (ev *event) before(o *event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
+	}
+	return ev.seq < o.seq
+}
+
+// eventQueue is a binary min-heap of events ordered by before, with each
+// event's position kept in its index field so Cancel can remove from the
+// middle. It is typed on *event rather than built on container/heap: the
+// queue sits under every scheduled and fired event, and the interface
+// dispatch and any-boxing of heap.Interface cost more there than the
+// sifting itself. Sifts move a hole instead of swapping.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// up places ev at hole i or above, shifting later ancestors down.
+func (q eventQueue) up(i int, ev *event) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		q[i].index = i
+		i = parent
 	}
-	return q[i].seq < q[j].seq
+	q[i] = ev
+	ev.index = i
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+
+// down places ev at hole i or below, shifting earlier children up.
+func (q eventQueue) down(i int, ev *event) {
+	for {
+		child := 2*i + 1
+		if child >= len(q) {
+			break
+		}
+		if r := child + 1; r < len(q) && q[r].before(q[child]) {
+			child = r
+		}
+		if !q[child].before(ev) {
+			break
+		}
+		q[i] = q[child]
+		q[i].index = i
+		i = child
+	}
+	q[i] = ev
+	ev.index = i
 }
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
+
+// push adds ev to the queue.
+//
+//vcloudlint:hotpath once per scheduled event; growth of the backing array is amortized by the receiver-owned slice
+func (q *eventQueue) push(ev *event) {
 	*q = append(*q, ev)
+	q.up(len(*q)-1, ev)
 }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+
+// remove takes the event at position i out of the queue (i == 0 pops the
+// earliest) and returns it with index -1.
+//
+//vcloudlint:hotpath once per fired or cancelled event
+func (q *eventQueue) remove(i int) *event {
+	h := *q
+	ev := h[i]
 	ev.index = -1
-	*q = old[:n-1]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	*q = h
+	if i < n {
+		// Refill the hole with the former last leaf: it belongs below i
+		// unless it came from another subtree and precedes i's parent.
+		if i > 0 && last.before(h[(i-1)/2]) {
+			h.up(i, last)
+		} else {
+			h.down(i, last)
+		}
+	}
 	return ev
 }
 
@@ -210,7 +266,7 @@ func (k *Kernel) schedule(t Time, fn func(), argFn func(any), arg any) EventID {
 		t = k.now
 	}
 	ev := k.alloc(t, fn, argFn, arg)
-	heap.Push(&k.queue, ev)
+	k.queue.push(ev)
 	return EventID{ev: ev, gen: ev.gen}
 }
 
@@ -310,8 +366,7 @@ func (k *Kernel) Cancel(id EventID) bool {
 	if !id.Pending() {
 		return false
 	}
-	heap.Remove(&k.queue, id.ev.index)
-	k.recycle(id.ev)
+	k.recycle(k.queue.remove(id.ev.index))
 	return true
 }
 
@@ -351,7 +406,7 @@ func (k *Kernel) Run(horizon Time) error {
 			k.now = horizon
 			return nil
 		}
-		heap.Pop(&k.queue)
+		k.queue.remove(0)
 		k.fire(next)
 	}
 	if horizon > 0 && k.now < horizon {
@@ -378,7 +433,7 @@ func (k *Kernel) RunBefore(limit Time) error {
 		if next.at >= limit {
 			break
 		}
-		heap.Pop(&k.queue)
+		k.queue.remove(0)
 		k.fire(next)
 	}
 	if k.now < limit {
@@ -403,8 +458,7 @@ func (k *Kernel) Step() bool {
 		return false
 	}
 	start := time.Now()
-	next := heap.Pop(&k.queue).(*event)
-	k.fire(next)
+	k.fire(k.queue.remove(0))
 	k.runWall += time.Since(start)
 	return true
 }

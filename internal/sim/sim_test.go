@@ -296,36 +296,76 @@ func TestNewStreamStableAndDecorrelated(t *testing.T) {
 	}
 }
 
-// TestHeapOrderProperty: random batches of events must always fire in
-// nondecreasing time order.
+// TestHeapOrderProperty: random batches of events, many sharing a
+// timestamp, with random pending events cancelled between schedules, must
+// fire exactly the survivors in (time, schedule order) — a stable sort by
+// time of the schedule sequence — and every queued event's index must
+// name its heap slot after each schedule, cancel and pop.
 func TestHeapOrderProperty(t *testing.T) {
 	f := func(seed int64, raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
 		if len(raw) > 300 {
 			raw = raw[:300]
 		}
 		k := NewKernel(seed)
-		var fired []Time
-		for _, r := range raw {
-			at := Time(r) * time.Millisecond
-			k.At(at, func() { fired = append(fired, k.Now()) })
+		rng := rand.New(rand.NewSource(seed))
+		indexed := func() bool {
+			for i, ev := range k.queue {
+				if ev.index != i {
+					return false
+				}
+			}
+			return true
 		}
-		if err := k.Run(0); err != nil {
+		type scheduled struct {
+			at    Time
+			label int
+		}
+		var (
+			ids       []EventID
+			all       []scheduled
+			fired     []int
+			cancelled = make(map[int]bool)
+			ok        = true
+		)
+		for label, r := range raw {
+			at := Time(r%16) * time.Millisecond
+			ids = append(ids, k.At(at, func() {
+				fired = append(fired, label)
+				ok = ok && k.Now() == at && indexed()
+			}))
+			all = append(all, scheduled{at, label})
+			if !indexed() {
+				return false
+			}
+			if r%3 == 0 {
+				victim := rng.Intn(len(ids))
+				if k.Cancel(ids[victim]) == cancelled[victim] {
+					return false // must remove a pending event, and only once
+				}
+				cancelled[victim] = true
+				if ids[victim].Pending() || !indexed() {
+					return false
+				}
+			}
+		}
+		var want []scheduled
+		for _, s := range all {
+			if !cancelled[s.label] {
+				want = append(want, s)
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if err := k.Run(0); err != nil || !ok || k.Pending() != 0 || len(fired) != len(want) {
 			return false
 		}
-		if len(fired) != len(raw) {
-			return false
-		}
-		for i := 1; i < len(fired); i++ {
-			if fired[i] < fired[i-1] {
+		for i, s := range want {
+			if fired[i] != s.label {
 				return false
 			}
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(5))}
+	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(5))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
@@ -495,5 +535,32 @@ func BenchmarkKernelHotLoop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k.After(time.Millisecond, fn)
 		k.Step()
+	}
+}
+
+// BenchmarkKernelHold is the hold model: a standing population of pending
+// events, each of which reschedules itself at a random later time when it
+// fires, so one op is one pop and one push at depth — the event queue's
+// cost with the freelist and the callback factored out.
+func BenchmarkKernelHold(b *testing.B) {
+	const pending = 2000
+	k := NewKernel(1)
+	rng := k.NewStream("hold")
+	fired := 0
+	var hold func(any)
+	hold = func(any) {
+		if fired++; fired == b.N {
+			k.Stop()
+			return
+		}
+		k.AfterArg(Time(1+rng.Intn(1_000_000))*time.Microsecond, hold, nil)
+	}
+	for i := 0; i < pending; i++ {
+		k.AfterArg(Time(1+rng.Intn(1_000_000))*time.Microsecond, hold, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(0); !errors.Is(err, ErrStopped) {
+		b.Fatalf("Run = %v, want ErrStopped after b.N fires", err)
 	}
 }

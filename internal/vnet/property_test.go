@@ -2,6 +2,7 @@ package vnet
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -92,5 +93,172 @@ func TestNeighborTableNeverReturnsExpiredProperty(t *testing.T) {
 				t.Fatalf("expired neighbor %d visible (age %v)", nb.Addr, k.Now()-nb.LastSeen)
 			}
 		}
+	}
+}
+
+// TestNeighborTableMatchesMapModel drives random beacon arrivals, clock
+// advances and reads against the plain map-plus-sort table the sorted
+// array replaced. The clock moves in steps that divide the TTL, so rows
+// sit exactly at the TTL edge (age == TTL is live, one step more is gone)
+// and senders come back after expiring.
+func TestNeighborTableMatchesMapModel(t *testing.T) {
+	const (
+		ttl  = 2 * time.Second
+		step = 500 * time.Millisecond
+	)
+	for seed := int64(1); seed <= 20; seed++ {
+		r := newRig(t, seed)
+		k, n := r.k, r.staticNode(t, 1, geo.Point{}, Config{NeighborTTL: ttl})
+		rng := rand.New(rand.NewSource(seed))
+		model := make(map[Addr]Neighbor)
+		live := func() []Neighbor {
+			var rows []Neighbor
+			for _, nb := range model {
+				if k.Now()-nb.LastSeen <= ttl {
+					rows = append(rows, nb)
+				}
+			}
+			sort.Slice(rows, func(i, j int) bool { return rows[i].Addr < rows[j].Addr })
+			return rows
+		}
+		sentinel := Neighbor{Addr: -7}
+		scratch := []Neighbor{sentinel}
+		for op := 0; op < 2000; op++ {
+			switch rng.Intn(6) {
+			case 0, 1, 2:
+				b := Beacon{
+					From:    Addr(rng.Intn(24) + 100),
+					Pos:     geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100},
+					Speed:   rng.Float64() * 30,
+					Heading: rng.Float64() * 6,
+				}
+				if rng.Intn(3) > 0 {
+					b.Ext = rng.Intn(1000)
+				}
+				n.receive(radio.Frame{From: b.From, Payload: b})
+				model[b.From] = Neighbor{Addr: b.From, Pos: b.Pos, Speed: b.Speed,
+					Heading: b.Heading, Ext: b.Ext, LastSeen: k.Now()}
+			case 3:
+				if err := k.Run(k.Now() + sim.Time(rng.Intn(6))*step); err != nil {
+					t.Fatal(err)
+				}
+			case 4:
+				addr := Addr(rng.Intn(24) + 100)
+				want, wantOK := model[addr]
+				if wantOK = wantOK && k.Now()-want.LastSeen <= ttl; !wantOK {
+					want = Neighbor{}
+				}
+				if got, ok := n.Neighbor(addr); ok != wantOK || got != want {
+					t.Fatalf("seed %d op %d: Neighbor(%d) = %+v, %v; model %+v, %v", seed, op, addr, got, ok, want, wantOK)
+				}
+			case 5:
+				want := live()
+				if got := n.NumNeighbors(); got != len(want) {
+					t.Fatalf("seed %d op %d: NumNeighbors = %d, model %d", seed, op, got, len(want))
+				}
+				scratch = n.Neighbors(scratch[:1])
+				if scratch[0] != sentinel {
+					t.Fatalf("seed %d op %d: Neighbors overwrote dst's prefix", seed, op)
+				}
+				got := scratch[1:]
+				if len(got) != len(want) {
+					t.Fatalf("seed %d op %d: Neighbors returned %d rows, model %d", seed, op, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d op %d: row %d = %+v, model %+v", seed, op, i, got[i], want[i])
+					}
+					// Rows are copies: scribbling on one must not reach the table.
+					got[i].Pos.X = -1
+				}
+			}
+		}
+	}
+}
+
+// TestSeenEvictsZeroKey: (origin 0, seq 0) is a legitimate key and is
+// evicted like any other once capacity newer keys have arrived.
+func TestSeenEvictsZeroKey(t *testing.T) {
+	r := newRig(t, 1)
+	a := r.staticNode(t, 1, geo.Point{X: 1000, Y: 1000}, Config{DedupCapacity: 4})
+	if a.Seen(Message{}) {
+		t.Fatal("zero key seen before it was recorded")
+	}
+	for seq := uint32(1); seq <= 4; seq++ {
+		a.Seen(Message{Origin: 9, Seq: seq})
+	}
+	if a.Seen(Message{}) {
+		t.Error("zero key survived capacity newer keys")
+	}
+	if len(a.seen) > 4 {
+		t.Errorf("dedup table grew to %d, cap 4", len(a.seen))
+	}
+}
+
+// tableRig returns a node whose table holds live rows from addresses
+// 100..100+neighbors-1, and a frame carrying a fresh beacon from one of
+// them. The node beacons nothing itself and the clock stands still, so
+// every row stays live.
+func tableRig(t testing.TB, neighbors int) (*Node, radio.Frame) {
+	r := newRig(t, 1)
+	n := r.staticNode(t, 1, geo.Point{X: 1000, Y: 1000}, Config{})
+	for i := 0; i < neighbors; i++ {
+		from := Addr(100 + i)
+		n.receive(radio.Frame{From: from, Payload: Beacon{From: from, Pos: geo.Point{X: float64(i)}, Ext: i}})
+	}
+	from := Addr(100 + neighbors/2)
+	return n, radio.Frame{From: from, Payload: Beacon{From: from, Speed: 3, Ext: 7}}
+}
+
+// TestNeighborTableAllocFree pins the zero-allocation contract of the
+// reception write and of every read given caller-owned scratch.
+func TestNeighborTableAllocFree(t *testing.T) {
+	n, known := tableRig(t, 50)
+	scratch := n.Neighbors(nil)
+	var rows, count int
+	var found bool
+	for name, fn := range map[string]func(){
+		"receive known neighbor": func() { n.receive(known) },
+		"Neighbors(scratch)":     func() { scratch = n.Neighbors(scratch[:0]); rows = len(scratch) },
+		"NumNeighbors":           func() { count = n.NumNeighbors() },
+		"Neighbor":               func() { _, found = n.Neighbor(known.From) },
+	} {
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
+		}
+	}
+	if rows != 50 || count != 50 || !found {
+		t.Errorf("reads saw rows=%d count=%d found=%v, want 50, 50, true", rows, count, found)
+	}
+}
+
+var benchSink int
+
+func BenchmarkReceiveBeacon(b *testing.B) {
+	n, known := tableRig(b, 50)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.receive(known)
+	}
+}
+
+func BenchmarkNeighborsScratch(b *testing.B) {
+	n, _ := tableRig(b, 50)
+	scratch := n.Neighbors(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scratch = n.Neighbors(scratch[:0])
+	}
+	benchSink = len(scratch)
+}
+
+func BenchmarkNumNeighbors(b *testing.B) {
+	n, _ := tableRig(b, 50)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = n.NumNeighbors()
 	}
 }

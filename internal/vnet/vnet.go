@@ -16,7 +16,6 @@ package vnet
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"vcloud/internal/geo"
@@ -95,7 +94,12 @@ type Node struct {
 	medium *radio.Medium
 	cfg    Config
 
-	neighbors map[Addr]Neighbor
+	// neighbors is the neighbor table: one row per address heard from,
+	// sorted by Addr. It is written once per received beacon and changes
+	// membership rarely, so a sorted array (binary search, overwrite in
+	// place) beats a map that every read must walk, copy out and re-sort.
+	// Rows past NeighborTTL linger until a read compacts them away.
+	neighbors []Neighbor
 	handlers  map[string]Handler
 	onBeacon  []BeaconFunc
 	// beaconExt is called to fill Beacon.Ext on each transmission.
@@ -103,7 +107,10 @@ type Node struct {
 	// stateFn supplies this node's own kinematics for beacons.
 	stateFn func() (pos geo.Point, speed, heading float64)
 
-	seq      uint32
+	seq uint32
+	// seen is the duplicate-suppression set, seenRing its keys in arrival
+	// order. Both stay empty until the first Seen (most nodes never call
+	// it); the ring grows to DedupCapacity and then wraps at seenHead.
 	seen     map[dedupKey]struct{}
 	seenRing []dedupKey
 	seenHead int
@@ -137,15 +144,12 @@ func NewNode(kernel *sim.Kernel, medium *radio.Medium, addr Addr, cfg Config, st
 		cfg.DedupCapacity = 4096
 	}
 	n := &Node{
-		addr:      addr,
-		kernel:    kernel,
-		medium:    medium,
-		cfg:       cfg,
-		neighbors: make(map[Addr]Neighbor),
-		handlers:  make(map[string]Handler),
-		stateFn:   stateFn,
-		seen:      make(map[dedupKey]struct{}, cfg.DedupCapacity),
-		seenRing:  make([]dedupKey, cfg.DedupCapacity),
+		addr:     addr,
+		kernel:   kernel,
+		medium:   medium,
+		cfg:      cfg,
+		handlers: make(map[string]Handler),
+		stateFn:  stateFn,
 	}
 	medium.Register(addr, n.receive)
 	return n, nil
@@ -264,13 +268,17 @@ func (n *Node) Seen(msg Message) bool {
 	if _, ok := n.seen[k]; ok {
 		return true
 	}
-	// Evict the slot this write will occupy (ring overwrite).
-	old := n.seenRing[n.seenHead]
-	if old != (dedupKey{}) {
-		delete(n.seen, old)
+	if n.seen == nil {
+		n.seen = make(map[dedupKey]struct{})
 	}
-	n.seenRing[n.seenHead] = k
-	n.seenHead = (n.seenHead + 1) % len(n.seenRing)
+	if len(n.seenRing) < n.cfg.DedupCapacity {
+		n.seenRing = append(n.seenRing, k)
+	} else {
+		// Full: evict the oldest key, whose slot this write takes.
+		delete(n.seen, n.seenRing[n.seenHead])
+		n.seenRing[n.seenHead] = k
+		n.seenHead = (n.seenHead + 1) % len(n.seenRing)
+	}
 	n.seen[k] = struct{}{}
 	return false
 }
@@ -281,14 +289,7 @@ func (n *Node) receive(f radio.Frame) {
 	}
 	switch p := f.Payload.(type) {
 	case Beacon:
-		n.neighbors[p.From] = Neighbor{
-			Addr:     p.From,
-			Pos:      p.Pos,
-			Speed:    p.Speed,
-			Heading:  p.Heading,
-			Ext:      p.Ext,
-			LastSeen: n.kernel.Now(),
-		}
+		n.hear(p)
 		for _, fn := range n.onBeacon {
 			fn(p)
 		}
@@ -299,42 +300,92 @@ func (n *Node) receive(f radio.Frame) {
 	}
 }
 
+// find returns the table position of addr: the index of its row when
+// present, else the index a new row must be inserted at to keep the
+// table sorted.
+func (n *Node) find(addr Addr) (int, bool) {
+	lo, hi := 0, len(n.neighbors)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if n.neighbors[mid].Addr < addr {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(n.neighbors) && n.neighbors[lo].Addr == addr
+}
+
+// hear records a received beacon: a known sender's row is overwritten in
+// place, a first-seen sender's row is inserted at its sorted position.
+//
+//vcloudlint:hotpath runs once per beacon reception, the most frequent event of every beaconing scenario
+func (n *Node) hear(b Beacon) {
+	i, known := n.find(b.From)
+	if !known {
+		// The one growing append: receiver-owned, amortized over receptions.
+		n.neighbors = append(n.neighbors, Neighbor{})
+		copy(n.neighbors[i+1:], n.neighbors[i:])
+	}
+	n.neighbors[i] = Neighbor{
+		Addr:     b.From,
+		Pos:      b.Pos,
+		Speed:    b.Speed,
+		Heading:  b.Heading,
+		Ext:      b.Ext,
+		LastSeen: n.kernel.Now(),
+	}
+}
+
+// expire compacts rows older than NeighborTTL out of the table in place,
+// keeping its order, and clears the vacated tail so dropped Ext values
+// are not pinned.
+func (n *Node) expire() {
+	now := n.kernel.Now()
+	live := 0
+	for i := range n.neighbors {
+		if now-n.neighbors[i].LastSeen > n.cfg.NeighborTTL {
+			continue
+		}
+		if live != i {
+			n.neighbors[live] = n.neighbors[i]
+		}
+		live++
+	}
+	clear(n.neighbors[live:])
+	n.neighbors = n.neighbors[:live]
+}
+
 // Neighbors appends live (non-expired) neighbor rows to dst in ascending
 // address order and returns it. The ordering is load-bearing: protocol
 // code iterates this slice to pick next hops and cluster heads, and
-// tie-breaks must not depend on map iteration for runs to reproduce.
-// Rows are copies; mutation is safe.
+// tie-breaks must not depend on arrival order for runs to reproduce.
+// Rows are copies; mutation is safe. A caller that passes its own scratch
+// slice back in reads the table without allocating.
+//
+//vcloudlint:hotpath read on every cluster decision and every routed hop
 func (n *Node) Neighbors(dst []Neighbor) []Neighbor {
-	now := n.kernel.Now()
-	start := len(dst)
-	for addr, nb := range n.neighbors {
-		if now-nb.LastSeen > n.cfg.NeighborTTL {
-			delete(n.neighbors, addr)
-			continue
-		}
-		dst = append(dst, nb)
-	}
-	added := dst[start:]
-	sort.Slice(added, func(i, j int) bool { return added[i].Addr < added[j].Addr })
-	return dst
+	n.expire()
+	return append(dst, n.neighbors...)
 }
 
 // Neighbor returns the live entry for addr.
+//
+//vcloudlint:hotpath per-hop liveness check in the routing protocols
 func (n *Node) Neighbor(addr Addr) (Neighbor, bool) {
-	nb, ok := n.neighbors[addr]
-	if !ok {
+	i, ok := n.find(addr)
+	if !ok || n.kernel.Now()-n.neighbors[i].LastSeen > n.cfg.NeighborTTL {
 		return Neighbor{}, false
 	}
-	if n.kernel.Now()-nb.LastSeen > n.cfg.NeighborTTL {
-		delete(n.neighbors, addr)
-		return Neighbor{}, false
-	}
-	return nb, true
+	return n.neighbors[i], true
 }
 
 // NumNeighbors returns the live neighbor count.
+//
+//vcloudlint:hotpath sampled per node by density probes; must not materialise the table
 func (n *Node) NumNeighbors() int {
-	return len(n.Neighbors(nil))
+	n.expire()
+	return len(n.neighbors)
 }
 
 // Kernel returns the simulation kernel (for protocol timers).
