@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"vcloud/internal/geo"
@@ -202,12 +202,11 @@ type Injector struct {
 	// dead holds radio-silenced node addresses (crashed vehicles and
 	// downed RSUs).
 	dead map[radio.NodeID]bool
-	// partitions holds active region isolations keyed by install order.
-	partitions map[int]partitionRegion
-	nextPart   int
-	// isolations holds active node-set isolations keyed by install order.
-	isolations map[int]map[radio.NodeID]bool
-	nextIso    int
+	// partitions and isolations hold the active region and node-set
+	// isolations in install order; a heal removes its entry by id.
+	partitions []partitionRegion
+	isolations []isolation
+	nextID     int
 	lossProb   float64
 
 	killCtl func(idx int)
@@ -218,8 +217,14 @@ type Injector struct {
 }
 
 type partitionRegion struct {
+	id     int
 	center geo.Point
 	radius float64
+}
+
+type isolation struct {
+	id  int
+	set map[radio.NodeID]bool
 }
 
 // NewInjector creates an injector over the scenario and installs its
@@ -229,11 +234,9 @@ func NewInjector(s *scenario.Scenario) (*Injector, error) {
 		return nil, fmt.Errorf("faults: scenario must not be nil")
 	}
 	in := &Injector{
-		s:          s,
-		rng:        s.Kernel.NewStream("faults"),
-		dead:       make(map[radio.NodeID]bool),
-		partitions: make(map[int]partitionRegion),
-		isolations: make(map[int]map[radio.NodeID]bool),
+		s:    s,
+		rng:  s.Kernel.NewStream("faults"),
+		dead: make(map[radio.NodeID]bool),
 	}
 	in.remove = s.Medium.AddBlocker(in.blocked)
 	return in, nil
@@ -406,10 +409,12 @@ func (in *Injector) SetLoss(p float64) { in.lossProb = p }
 // StartPartition isolates a circular region immediately and returns a
 // heal function (programmatic form of Partition).
 func (in *Injector) StartPartition(center geo.Point, radius float64) (heal func()) {
-	id := in.nextPart
-	in.nextPart++
-	in.partitions[id] = partitionRegion{center: center, radius: radius}
-	return func() { delete(in.partitions, id) }
+	id := in.nextID
+	in.nextID++
+	in.partitions = append(in.partitions, partitionRegion{id: id, center: center, radius: radius})
+	return func() {
+		in.partitions = slices.DeleteFunc(in.partitions, func(r partitionRegion) bool { return r.id == id })
+	}
 }
 
 // StartIsolation cuts the node set {center} ∪ keep off from every other
@@ -421,10 +426,12 @@ func (in *Injector) StartIsolation(center radio.NodeID, keep []radio.NodeID) (he
 	for _, k := range keep {
 		set[k] = true
 	}
-	id := in.nextIso
-	in.nextIso++
-	in.isolations[id] = set
-	return func() { delete(in.isolations, id) }
+	id := in.nextID
+	in.nextID++
+	in.isolations = append(in.isolations, isolation{id: id, set: set})
+	return func() {
+		in.isolations = slices.DeleteFunc(in.isolations, func(iso isolation) bool { return iso.id == id })
+	}
 }
 
 // Cut reports whether frames between from and to are currently severed
@@ -433,6 +440,8 @@ func (in *Injector) StartIsolation(center radio.NodeID, keep []radio.NodeID) (he
 // draws from the loss stream, so layers above (the storage service's
 // membership view, invariant checkers) can probe reachability without
 // perturbing the reproducible loss sequence.
+//
+//vcloudlint:hotpath the storage views probe it once per member per placement, read and repaired key
 func (in *Injector) Cut(from, to radio.NodeID) bool {
 	if in.dead[from] || in.dead[to] {
 		return true
@@ -449,6 +458,8 @@ func (in *Injector) Cut(from, to radio.NodeID) bool {
 // blocked is the frame filter: crash silences, isolations and partitions
 // cut boundary crossings, loss bursts drop at random. Checks run in a
 // fixed order so the loss stream's draws stay reproducible.
+//
+//vcloudlint:hotpath the medium asks it once per frame and receiver
 func (in *Injector) blocked(from, to radio.NodeID) bool {
 	if len(in.dead) > 0 && (in.dead[from] || in.dead[to]) {
 		in.stats.DroppedFrames++
@@ -470,15 +481,8 @@ func (in *Injector) blocked(from, to radio.NodeID) bool {
 }
 
 func (in *Injector) isolationCut(from, to radio.NodeID) bool {
-	// Evaluate sets in install order for reproducibility.
-	ids := make([]int, 0, len(in.isolations))
-	for id := range in.isolations {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		set := in.isolations[id]
-		if set[from] != set[to] {
+	for _, iso := range in.isolations {
+		if iso.set[from] != iso.set[to] {
 			return true
 		}
 	}
@@ -491,14 +495,7 @@ func (in *Injector) partitionCut(from, to radio.NodeID) bool {
 	if !fok || !tok {
 		return false
 	}
-	// Evaluate regions in install order for reproducibility.
-	ids := make([]int, 0, len(in.partitions))
-	for id := range in.partitions {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		r := in.partitions[id]
+	for _, r := range in.partitions {
 		if (fp.Dist(r.center) <= r.radius) != (tp.Dist(r.center) <= r.radius) {
 			return true
 		}

@@ -368,3 +368,114 @@ func TestCutDoesNotPerturbLossStream(t *testing.T) {
 		t.Error("Cut probes changed the loss stream's drop sequence")
 	}
 }
+
+// TestCutAllocFree: with every kind of deterministic fault active, a Cut
+// probe and a frame-filter call must not allocate — the storage views
+// probe Cut per member per operation, the medium asks blocked per frame.
+func TestCutAllocFree(t *testing.T) {
+	s := testScenario(t, 13, 6)
+	in, err := NewInjector(s)
+	if err != nil {
+		t.Fatalf("injector: %v", err)
+	}
+	ids := s.VehicleIDs()
+	a, _ := s.Node(ids[0])
+	b, _ := s.Node(ids[1])
+	c, _ := s.Node(ids[2])
+	in.CrashNode(c.Addr())
+	in.StartIsolation(c.Addr(), []vnet.Addr{vnet.Addr(ids[3])})
+	in.StartIsolation(vnet.Addr(ids[4]), nil)
+	in.StartPartition(c.Position(), 0.5)
+	in.StartPartition(geo.Point{X: 1e6, Y: 1e6}, 1)
+	in.SetLoss(0.5)
+	// a–b crosses no boundary, so both walk every check to the end.
+	if in.Cut(a.Addr(), b.Addr()) {
+		t.Fatal("uninvolved pair reported cut")
+	}
+	if n := testing.AllocsPerRun(200, func() { in.Cut(a.Addr(), b.Addr()) }); n != 0 {
+		t.Errorf("Cut allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { in.blocked(a.Addr(), b.Addr()) }); n != 0 {
+		t.Errorf("blocked allocates %v times per call, want 0", n)
+	}
+}
+
+// TestInstallHealInterleaving drives random installs and heals of
+// partitions and isolations (heals in any order, some twice) and checks
+// every pair's Cut verdict against a plain set of the unhealed faults:
+// a boundary is cut while any of them crosses it, whatever the order.
+func TestInstallHealInterleaving(t *testing.T) {
+	s := testScenario(t, 14, 8)
+	in, err := NewInjector(s)
+	if err != nil {
+		t.Fatalf("injector: %v", err)
+	}
+	var addrs []vnet.Addr
+	pos := map[vnet.Addr]geo.Point{}
+	for _, id := range s.VehicleIDs() {
+		n, _ := s.Node(id)
+		addrs = append(addrs, n.Addr())
+		pos[n.Addr()] = n.Position()
+	}
+	type model struct {
+		iso  map[vnet.Addr]bool
+		part *partitionRegion
+		heal func()
+	}
+	var active []model // the reference: just the set of unhealed faults
+	var healed []func()
+	rng := s.Kernel.NewStream("interleave")
+	for step := 0; step < 400; step++ {
+		switch op := rng.Intn(5); {
+		case op == 0:
+			center := addrs[rng.Intn(len(addrs))]
+			set := map[vnet.Addr]bool{center: true}
+			var keep []vnet.Addr
+			for i := rng.Intn(3); i > 0; i-- {
+				k := addrs[rng.Intn(len(addrs))]
+				keep = append(keep, k)
+				set[k] = true
+			}
+			active = append(active, model{iso: set, heal: in.StartIsolation(center, keep)})
+		case op == 1:
+			r := partitionRegion{center: pos[addrs[rng.Intn(len(addrs))]], radius: 1 + 40*rng.Float64()}
+			active = append(active, model{part: &r, heal: in.StartPartition(r.center, r.radius)})
+		case op == 2 && len(healed) > 0:
+			healed[rng.Intn(len(healed))]() // a second heal must be a no-op
+		case len(active) > 0:
+			i := rng.Intn(len(active)) // heals come in any order, not install order
+			active[i].heal()
+			healed = append(healed, active[i].heal)
+			active = append(active[:i], active[i+1:]...)
+		}
+		if len(in.isolations)+len(in.partitions) != len(active) {
+			t.Fatalf("step %d: %d isolations + %d partitions active, model has %d", step, len(in.isolations), len(in.partitions), len(active))
+		}
+		for _, from := range addrs {
+			for _, to := range addrs {
+				want := false
+				for _, m := range active {
+					if m.iso != nil && m.iso[from] != m.iso[to] {
+						want = true
+					}
+					if m.part != nil && (pos[from].Dist(m.part.center) <= m.part.radius) != (pos[to].Dist(m.part.center) <= m.part.radius) {
+						want = true
+					}
+				}
+				if got := in.Cut(from, to); got != want {
+					t.Fatalf("step %d: Cut(%d,%d) = %v, model says %v", step, from, to, got, want)
+				}
+			}
+		}
+	}
+	for i := 1; i < len(in.isolations); i++ {
+		if in.isolations[i-1].id >= in.isolations[i].id {
+			t.Fatalf("isolations out of install order: %d before %d", in.isolations[i-1].id, in.isolations[i].id)
+		}
+	}
+	for i := 1; i < len(in.partitions); i++ {
+		if in.partitions[i-1].id >= in.partitions[i].id {
+			t.Fatalf("partitions out of install order: %d before %d", in.partitions[i-1].id, in.partitions[i].id)
+		}
+	}
+}

@@ -7,25 +7,64 @@ import (
 	"vcloud/internal/vnet"
 )
 
-// frag is one erasure-code fragment held by a member: shard index plus
-// the version it belongs to.
+// frag is one erasure-code fragment held by a member: shard index, the
+// version it belongs to and that version's sizes. The sizes ride on
+// the fragment, not the object, because a read served below the newest
+// write must reassemble and price the version it serves.
 type frag struct {
 	version Version
 	index   int
+	size    int // modeled object bytes
+	length  int // exact payload length for Join (when Data was given)
 	data    []byte
+}
+
+// holder is one row of an object's fragment table: a member and the
+// fragments it holds (one per version it took part in; more when the
+// fleet is smaller than K+M).
+type holder struct {
+	addr  vnet.Addr
+	frags []frag
 }
 
 // ecobj is the coordinator's record of one erasure-coded object.
 type ecobj struct {
-	size    int // modeled object bytes
-	length  int // exact payload length for Join (when Data was given)
 	version Version
 	acked   Version // highest version that reached FragAck members
 	epoch   uint64
-	// frags maps member -> fragments held (normally one; more when the
-	// fleet is smaller than K+M).
-	frags map[vnet.Addr][]frag
+	// holders is the fragment table: one row per member holding at least
+	// one fragment, ascending by address, so every sweep over it runs in
+	// the deterministic order by construction.
+	holders []holder
 }
+
+// find returns the table position of a: the index of its row when
+// present, else the index a new row must be inserted at to keep the
+// table sorted.
+//
+//vcloudlint:hotpath per placed fragment, per repair candidate and per departing member of every key
+func (o *ecobj) find(a vnet.Addr) (int, bool) {
+	lo, hi := 0, len(o.holders)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if o.holders[mid].addr < a {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(o.holders) && o.holders[lo].addr == a
+}
+
+// tally counts the distinct fragment indices seen of one version.
+type tally struct {
+	version      Version
+	size, length int       // the version's sizes, from its first fragment seen
+	n            int       // distinct indices
+	seen         [4]uint64 // bit i set: index i seen (K+M <= 255)
+}
+
+func (t *tally) has(index int) bool { return t.seen[index>>6]&(1<<(index&63)) != 0 }
 
 // ErasureCoded is the (K, M) Reed–Solomon backend: each object becomes
 // K data + M parity fragments spread over distinct members,
@@ -43,10 +82,10 @@ type ErasureCoded struct {
 	highWater uint64
 	load      map[vnet.Addr]int
 
-	rankScratch   []rankEntry
-	keyScratch    []Key
-	holderScratch []vnet.Addr
-	rttScratch    []float64
+	rankScratch []rankEntry
+	keyScratch  []Key
+	liveScratch []holder
+	rttScratch  []float64
 }
 
 // NewErasureCoded creates the erasure-coded backend over the view.
@@ -76,9 +115,9 @@ func (e *ErasureCoded) View() View { return e.view }
 // Stats implements Backend.
 func (e *ErasureCoded) Stats() *Stats { return e.stats }
 
-// fragSize is the modeled byte size of one fragment of the object.
-func (e *ErasureCoded) fragSize(o *ecobj) int {
-	return (o.size + e.cfg.K - 1) / e.cfg.K
+// fragSize is the modeled byte size of one fragment of a size-byte object.
+func (e *ErasureCoded) fragSize(size int) int {
+	return (size + e.cfg.K - 1) / e.cfg.K
 }
 
 // accept fences against the global high-water, like Replicated.Accept.
@@ -110,6 +149,77 @@ func (e *ErasureCoded) acceptKey(o *ecobj, epoch uint64, read bool) bool {
 	return true
 }
 
+// hold returns a's row of o's table, opening one at its sorted position
+// (and counting the key against a's load) when a holds nothing of o yet.
+// The pointer is valid until the table next changes.
+func (e *ErasureCoded) hold(o *ecobj, a vnet.Addr) *holder {
+	i, ok := o.find(a)
+	if !ok {
+		o.holders = append(o.holders, holder{})
+		copy(o.holders[i+1:], o.holders[i:])
+		o.holders[i] = holder{addr: a}
+		e.load[a]++
+	}
+	return &o.holders[i]
+}
+
+// drop closes row i of o's table in place and undoes hold's load count.
+// slices.Delete clears the vacated tail slot, so the dropped fragments'
+// shard bytes are not pinned.
+func (e *ErasureCoded) drop(o *ecobj, i int) {
+	if a := o.holders[i].addr; e.load[a] > 0 {
+		e.load[a]--
+	}
+	o.holders = slices.Delete(o.holders, i, i+1)
+}
+
+// online copies o's rows whose member is reachable right now into shared
+// scratch, in table order: the one Online sweep a read or a repair makes
+// per object. The result is valid until the next call.
+func (e *ErasureCoded) online(o *ecobj) []holder {
+	live := e.liveScratch[:0]
+	for _, h := range o.holders {
+		if e.view.Online(h.addr) {
+			live = append(live, h)
+		}
+	}
+	e.liveScratch = live
+	return live
+}
+
+// bestVersion returns the tally of the highest version with at least K
+// distinct fragment indices among the rows (the zero tally when there
+// is none). Each pass tallies the highest version below the ceiling;
+// the newest version present nearly always reconstructs, so one pass
+// over the fragments is the norm however many stale versions linger.
+//
+//vcloudlint:hotpath every read, every Durable audit and every key of every repair pass
+func (e *ErasureCoded) bestVersion(rows []holder) tally {
+	ceiling := ^Version(0)
+	for {
+		var t tally
+		for _, h := range rows {
+			for i := range h.frags {
+				f := &h.frags[i]
+				if f.version >= ceiling || f.version < t.version {
+					continue
+				}
+				if f.version > t.version {
+					t = tally{version: f.version, size: f.size, length: f.length}
+				}
+				if !t.has(f.index) {
+					t.seen[f.index>>6] |= 1 << (f.index & 63)
+					t.n++
+				}
+			}
+		}
+		if t.n >= e.cfg.K || t.version == 0 {
+			return t
+		}
+		ceiling = t.version
+	}
+}
+
 // Write implements Backend: encode into K+M fragments, assign fragment
 // i to the i%len(ranked)'th dwell-ranked online member (so with enough
 // members each holds at most one fragment and short-dwell vehicles
@@ -121,7 +231,7 @@ func (e *ErasureCoded) Write(req WriteReq) WriteAck {
 	}
 	o := e.objects[req.Key]
 	if o == nil {
-		o = &ecobj{frags: make(map[vnet.Addr][]frag)}
+		o = &ecobj{}
 		e.objects[req.Key] = o
 	}
 	if !e.acceptKey(o, req.Epoch, false) {
@@ -131,8 +241,6 @@ func (e *ErasureCoded) Write(req WriteReq) WriteAck {
 	if size == 0 {
 		size = len(req.Data)
 	}
-	o.size = size
-	o.length = len(req.Data)
 	o.version++
 	var shards [][]byte
 	if req.Data != nil {
@@ -148,41 +256,28 @@ func (e *ErasureCoded) Write(req WriteReq) WriteAck {
 		return WriteAck{Version: o.version}
 	}
 	total := e.cfg.K + e.cfg.M
-	fsz := e.fragSize(o)
-	assigned := make(map[vnet.Addr][]frag, min(total, len(ranked)))
-	for i := 0; i < total; i++ {
-		// Round-robin over the dwell ranking: distinct members hold
-		// disjoint index sets, and with enough members each holds one.
-		a := ranked[i%len(ranked)].addr
-		f := frag{version: o.version, index: i}
-		if shards != nil {
-			f.data = shards[i]
-		}
-		assigned[a] = append(assigned[a], f)
-		e.stats.BytesMoved.Add(fsz)
-	}
-	placed := make([]vnet.Addr, 0, len(assigned))
-	for a := range assigned {
-		placed = append(placed, a)
-	}
-	slices.Sort(placed)
-	for _, a := range placed {
-		if _, had := o.frags[a]; !had {
-			e.load[a]++
-		}
+	e.stats.BytesMoved.Add(total * e.fragSize(size))
+	placed := make([]vnet.Addr, min(total, len(ranked)))
+	for j := range placed {
+		placed[j] = ranked[j].addr
+		h := e.hold(o, placed[j])
 		// Replace the member's stale fragments, but keep its fragments of
 		// the last acked version: until the new write reaches its own
 		// quorum, destroying them could drop the acked version below K
 		// surviving fragments — an acknowledged write must never lose
 		// durability to an unacknowledged overwrite.
-		kept := assigned[a]
-		for _, f := range o.frags[a] {
-			if f.version == o.acked {
-				kept = append(kept, f)
+		h.frags = slices.DeleteFunc(h.frags, func(f frag) bool { return f.version != o.acked })
+		// Round-robin over the dwell ranking: distinct members hold
+		// disjoint index sets, and with enough members each holds one.
+		for i := j; i < total; i += len(ranked) {
+			f := frag{version: o.version, index: i, size: size, length: len(req.Data)}
+			if shards != nil {
+				f.data = shards[i]
 			}
+			h.frags = append(h.frags, f)
 		}
-		o.frags[a] = kept
 	}
+	slices.Sort(placed)
 	ack := WriteAck{Version: o.version, Placed: placed, Acked: len(placed) >= e.cfg.FragAck}
 	if ack.Acked {
 		o.acked = o.version
@@ -205,102 +300,55 @@ func (e *ErasureCoded) Read(req ReadReq) (ReadResult, bool) {
 	if !e.acceptKey(o, req.Epoch, true) {
 		return ReadResult{}, false
 	}
-	best, contributors := e.bestVersion(o, true)
-	if best == 0 {
+	live := e.online(o)
+	best := e.bestVersion(live)
+	if best.version == 0 {
 		return ReadResult{}, false
 	}
-	if !e.cfg.Sloppy && best < o.acked {
+	if !e.cfg.Sloppy && best.version < o.acked {
 		// The reachable fragments only reconstruct a version older than
 		// the last acked write: refuse rather than regress.
 		e.stats.QuorumStale.Inc()
 		return ReadResult{}, false
 	}
-	if e.cfg.Consistency >= Session && best < e.sess.watermark(req.Client, req.Key) {
+	if e.cfg.Consistency >= Session && best.version < e.sess.watermark(req.Client, req.Key) {
 		e.stats.SessionStale.Inc()
 		return ReadResult{}, false
 	}
-	fsz := e.fragSize(o)
+	fsz := e.fragSize(best.size)
 	rtts := e.rttScratch[:0]
-	for _, a := range contributors {
-		rtts = append(rtts, e.cfg.RTT(a, fsz))
+	var shards [][]byte
+	if best.length > 0 {
+		shards = make([][]byte, e.cfg.K+e.cfg.M)
+	}
+	for _, h := range live {
+		contributes := false
+		for _, f := range h.frags {
+			if f.version != best.version {
+				continue
+			}
+			contributes = true
+			if shards != nil && f.data != nil {
+				shards[f.index] = f.data
+			}
+		}
+		if contributes {
+			rtts = append(rtts, e.cfg.RTT(h.addr, fsz))
+		}
 	}
 	e.rttScratch = rtts
 	var data []byte
-	if best == o.version && o.length > 0 {
-		shards := make([][]byte, e.cfg.K+e.cfg.M)
-		for _, a := range contributors {
-			for _, f := range o.frags[a] {
-				if f.version == best && f.data != nil {
-					shards[f.index] = f.data
-				}
-			}
-		}
-		if err := Decode(e.cfg.K, e.cfg.M, shards); err == nil {
-			data, _ = Join(e.cfg.K, shards, o.length)
-		}
+	if shards != nil && Decode(e.cfg.K, e.cfg.M, shards) == nil {
+		data, _ = Join(e.cfg.K, shards, best.length)
 	}
 	e.stats.ReadsOK.Inc()
-	e.sess.advance(req.Client, req.Key, best)
+	e.sess.advance(req.Client, req.Key, best.version)
 	return ReadResult{
 		Data:    data,
-		Version: best,
+		Version: best.version,
 		Latency: quantile(rtts, min(e.cfg.K, len(rtts))),
 		Replies: len(rtts),
 	}, true
-}
-
-// hasData reports whether any fragment of version v carries payload.
-func (e *ErasureCoded) hasData(o *ecobj, v Version) bool {
-	for _, a := range e.holdersOf(o) {
-		for _, f := range o.frags[a] {
-			if f.version == v && f.data != nil {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// bestVersion finds the highest version with >= K distinct fragment
-// indices among holders (liveOnly restricts to online members) and the
-// ascending member list contributing to it.
-func (e *ErasureCoded) bestVersion(o *ecobj, liveOnly bool) (Version, []vnet.Addr) {
-	byVersion := make(map[Version]map[int]bool)
-	for _, a := range e.holdersOf(o) {
-		if liveOnly && !e.view.Online(a) {
-			continue
-		}
-		for _, f := range o.frags[a] {
-			m := byVersion[f.version]
-			if m == nil {
-				m = make(map[int]bool)
-				byVersion[f.version] = m
-			}
-			m[f.index] = true
-		}
-	}
-	best := Version(0)
-	for v, idx := range byVersion {
-		if len(idx) >= e.cfg.K && v > best {
-			best = v
-		}
-	}
-	if best == 0 {
-		return 0, nil
-	}
-	var contributors []vnet.Addr
-	for _, a := range e.holdersOf(o) {
-		if liveOnly && !e.view.Online(a) {
-			continue
-		}
-		for _, f := range o.frags[a] {
-			if f.version == best {
-				contributors = append(contributors, a)
-				break
-			}
-		}
-	}
-	return best, contributors
 }
 
 // Repair implements Backend: for each key (sorted), when the best live
@@ -312,80 +360,63 @@ func (e *ErasureCoded) Repair(req RepairReq) int {
 		return 0
 	}
 	created := 0
+	total := e.cfg.K + e.cfg.M
 	for _, k := range e.sortedKeys() {
 		o := e.objects[k]
-		if !e.cfg.RetainOffline {
-			for _, a := range e.holdersOf(o) {
-				if !e.view.Online(a) {
-					e.dropFrags(o, a)
+		var live []holder
+		if e.cfg.RetainOffline {
+			live = e.online(o)
+		} else {
+			// Departure model: an offline holder's fragments are gone, so
+			// every row that stays is live. Placement below only starts once
+			// the reads of live are done.
+			for i := len(o.holders) - 1; i >= 0; i-- {
+				if !e.view.Online(o.holders[i].addr) {
+					e.drop(o, i)
 				}
 			}
+			live = o.holders
 		}
-		best, _ := e.bestVersion(o, true)
-		if best == 0 {
-			continue // not reconstructible from live members
+		best := e.bestVersion(live)
+		if best.version == 0 || best.n >= total {
+			continue // not reconstructible from live members, or whole
 		}
-		liveIdx := make(map[int]bool)
-		for _, a := range e.holdersOf(o) {
-			if !e.view.Online(a) {
-				continue
-			}
-			for _, f := range o.frags[a] {
-				if f.version == best {
-					liveIdx[f.index] = true
-				}
-			}
-		}
-		total := e.cfg.K + e.cfg.M
-		if len(liveIdx) >= total {
-			continue
-		}
-		// Regenerate payload shards when the object carries data.
+		// Regenerate payload shards when the version carries data.
 		var shards [][]byte
-		if e.hasData(o, best) {
-			shards = make([][]byte, total)
-			for _, a := range e.holdersOf(o) {
-				if !e.view.Online(a) {
-					continue
-				}
-				for _, f := range o.frags[a] {
-					if f.version == best && f.data != nil {
-						shards[f.index] = f.data
+		for _, h := range live {
+			for _, f := range h.frags {
+				if f.version == best.version && f.data != nil {
+					if shards == nil {
+						shards = make([][]byte, total)
 					}
+					shards[f.index] = f.data
 				}
 			}
-			if err := Decode(e.cfg.K, e.cfg.M, shards); err != nil {
-				shards = nil
-			}
+		}
+		if shards != nil && Decode(e.cfg.K, e.cfg.M, shards) != nil {
+			shards = nil
 		}
 		holdsKey := func(a vnet.Addr) bool {
-			for _, f := range o.frags[a] {
-				if f.version == best {
-					return true
-				}
-			}
-			return false
+			i, ok := o.find(a)
+			return ok && slices.ContainsFunc(o.holders[i].frags, func(f frag) bool { return f.version == best.version })
 		}
 		ranked := rankOnline(&e.rankScratch, e.view, e.cfg.Placement, e.load, holdsKey)
-		fsz := e.fragSize(o)
+		fsz := e.fragSize(best.size)
 		next := 0
 		for i := 0; i < total; i++ {
-			if liveIdx[i] {
+			if best.has(i) {
 				continue
 			}
 			if next >= len(ranked) {
 				break // every eligible member already holds the key
 			}
-			a := ranked[next].addr
-			next++
-			f := frag{version: best, index: i}
+			f := frag{version: best.version, index: i, size: best.size, length: best.length}
 			if shards != nil {
 				f.data = shards[i]
 			}
-			if _, had := o.frags[a]; !had {
-				e.load[a]++
-			}
-			o.frags[a] = append(o.frags[a], f)
+			h := e.hold(o, ranked[next].addr)
+			next++
+			h.frags = append(h.frags, f)
 			created++
 			e.stats.ReReplicas.Inc()
 			e.stats.BytesMoved.Add(fsz)
@@ -399,9 +430,9 @@ func (e *ErasureCoded) Forget(a vnet.Addr) int {
 	dropped := 0
 	for _, k := range e.sortedKeys() {
 		o := e.objects[k]
-		if fs, has := o.frags[a]; has {
-			dropped += len(fs)
-			e.dropFrags(o, a)
+		if i, has := o.find(a); has {
+			dropped += len(o.holders[i].frags)
+			e.drop(o, i)
 		}
 	}
 	return dropped
@@ -413,7 +444,11 @@ func (e *ErasureCoded) Holders(k Key) []vnet.Addr {
 	if o == nil {
 		return nil
 	}
-	return slices.Clone(e.holdersOf(o))
+	hs := make([]vnet.Addr, len(o.holders))
+	for i, h := range o.holders {
+		hs[i] = h.addr
+	}
+	return hs
 }
 
 // Durable implements Backend: the best version reconstructible from
@@ -423,25 +458,8 @@ func (e *ErasureCoded) Durable(k Key) (Version, bool) {
 	if o == nil {
 		return 0, false
 	}
-	best, _ := e.bestVersion(o, false)
+	best := e.bestVersion(o.holders).version
 	return best, best != 0
-}
-
-func (e *ErasureCoded) dropFrags(o *ecobj, a vnet.Addr) {
-	delete(o.frags, a)
-	if e.load[a] > 0 {
-		e.load[a]--
-	}
-}
-
-func (e *ErasureCoded) holdersOf(o *ecobj) []vnet.Addr {
-	hs := e.holderScratch[:0]
-	for a := range o.frags {
-		hs = append(hs, a)
-	}
-	slices.Sort(hs)
-	e.holderScratch = hs
-	return hs
 }
 
 func (e *ErasureCoded) sortedKeys() []Key {

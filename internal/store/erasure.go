@@ -5,23 +5,31 @@
 // the same (K, M, data) always yields the same shards.
 //
 // The field is GF(2^8) with the AES-adjacent primitive polynomial
-// x^8+x^4+x^3+x^2+1 (0x11d) and generator 2; multiplication goes
-// through exp/log tables built once at init. The encode matrix is the
-// identity stacked on the Cauchy block C[i][j] = 1/(x_i ⊕ y_j) with
-// x_i = K+i and y_j = j — all x distinct from all y, so every square
-// submatrix of the Cauchy block is invertible, which is exactly the
-// MDS property the "any K shards" guarantee needs. Decoding picks the
-// first K surviving rows, inverts that K×K submatrix with Gaussian
-// elimination, and multiplies back.
+// x^8+x^4+x^3+x^2+1 (0x11d) and generator 2. Exp/log tables built once
+// at init serve the scalar arithmetic (matrix rows and inversion) and
+// seed a 256×256 product table; every loop over shard bytes is the one
+// kernel mulAdd, which reads the 256-byte table row of its coefficient.
+// The encode matrix is the identity stacked on the Cauchy block
+// C[i][j] = 1/(x_i ⊕ y_j) with x_i = K+i and y_j = j — all x distinct
+// from all y, so every square submatrix of the Cauchy block is
+// invertible, which is exactly the MDS property the "any K shards"
+// guarantee needs. Decoding picks the first K surviving rows, inverts
+// that K×K submatrix with Gaussian elimination, and multiplies back.
 package store
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // gfExp and gfLog are the GF(2^8) exponent/log tables for generator 2
 // modulo 0x11d. gfExp is doubled so gfMul can skip the mod-255 fold.
+// gfProd[c][x] is c·x: 64 KB in all, but one mulAdd call reads a single
+// 256-byte row, which stays in L1 beside the shard bytes streaming by.
 var (
-	gfExp [510]byte
-	gfLog [256]byte
+	gfExp  [510]byte
+	gfLog  [256]byte
+	gfProd [256][256]byte
 )
 
 func init() {
@@ -33,6 +41,11 @@ func init() {
 		x <<= 1
 		if x&0x100 != 0 {
 			x ^= 0x11d
+		}
+	}
+	for c := range gfProd {
+		for x := range gfProd[c] {
+			gfProd[c][x] = gfMul(byte(c), byte(x))
 		}
 	}
 }
@@ -47,9 +60,35 @@ func gfMul(a, b byte) byte {
 // gfInv inverts a nonzero field element.
 func gfInv(a byte) byte { return gfExp[255-int(gfLog[a])] }
 
+// mulAdd adds c·src to dst bytewise over GF(2^8): dst[i] ^= c·src[i].
+// src must be at least as long as dst.
+//
+//vcloudlint:hotpath the only loop over shard bytes: K·M calls per encode, K per rebuilt shard
+func mulAdd(dst, src []byte, c byte) {
+	if c == 0 {
+		return
+	}
+	row := &gfProd[c]
+	src = src[:len(dst)]
+	for i, s := range src {
+		dst[i] ^= row[s]
+	}
+}
+
+// combine accumulates Σ coef[j]·srcs[j] into dst, which must start zeroed.
+func combine(dst, coef []byte, srcs [][]byte) {
+	for j, c := range coef {
+		mulAdd(dst, srcs[j], c)
+	}
+}
+
 // encodeRow returns row r (0 <= r < k+m) of the systematic encode
-// matrix into dst: identity for the first k rows, Cauchy below.
+// matrix in dst's storage (a fresh slice when dst is too small):
+// identity for the first k rows, Cauchy below.
 func encodeRow(dst []byte, k, r int) []byte {
+	if cap(dst) < k {
+		dst = make([]byte, 0, k)
+	}
 	dst = dst[:0]
 	for j := 0; j < k; j++ {
 		switch {
@@ -77,33 +116,24 @@ func validateKM(k, m int) error {
 
 // Encode splits data into k data shards plus m parity shards, each
 // ceil(len(data)/k) bytes (data is zero-padded). Reassemble with Join;
-// reconstruct missing shards with Decode.
+// reconstruct missing shards with Decode. The shards are carved out of
+// one backing array, each capped at its own length.
 func Encode(k, m int, data []byte) ([][]byte, error) {
 	if err := validateKM(k, m); err != nil {
 		return nil, err
 	}
 	shardLen := (len(data) + k - 1) / k
 	shards := make([][]byte, k+m)
-	for i := 0; i < k; i++ {
-		s := make([]byte, shardLen)
-		copy(s, data[min(i*shardLen, len(data)):])
-		shards[i] = s
+	for i := range shards {
+		shards[i] = make([]byte, shardLen)
+		if i < k {
+			copy(shards[i], data[min(i*shardLen, len(data)):])
+		}
 	}
-	row := make([]byte, 0, k)
+	var row []byte
 	for i := 0; i < m; i++ {
 		row = encodeRow(row, k, k+i)
-		p := make([]byte, shardLen)
-		for j := 0; j < k; j++ {
-			c := row[j]
-			if c == 0 {
-				continue
-			}
-			src := shards[j]
-			for b := range p {
-				p[b] ^= gfMul(c, src[b])
-			}
-		}
-		shards[k+i] = p
+		combine(shards[k+i], row, shards[:k])
 	}
 	return shards, nil
 }
@@ -117,8 +147,7 @@ func Decode(k, m int, shards [][]byte) error {
 	if len(shards) != k+m {
 		return fmt.Errorf("store: Decode needs %d shard slots, got %d", k+m, len(shards))
 	}
-	present := make([]int, 0, k)
-	shardLen := -1
+	have, shardLen := 0, -1
 	for i, s := range shards {
 		if s == nil {
 			continue
@@ -128,72 +157,41 @@ func Decode(k, m int, shards [][]byte) error {
 		} else if len(s) != shardLen {
 			return fmt.Errorf("store: shard %d has length %d, want %d", i, len(s), shardLen)
 		}
-		if len(present) < k {
-			present = append(present, i)
-		}
+		have++
 	}
-	if len(present) < k {
-		return fmt.Errorf("store: only %d of %d shards survive, need %d", len(present), k+m, k)
+	if have < k {
+		return fmt.Errorf("store: only %d of %d shards survive, need %d", have, k+m, k)
 	}
-	// Fast path: all data shards present — only parity can be missing.
-	dataIntact := true
-	for i := 0; i < k; i++ {
-		if shards[i] == nil {
-			dataIntact = false
-			break
-		}
-	}
-	if !dataIntact {
-		// Invert the submatrix of encode rows for the surviving shards,
-		// then data = inv × survivors.
-		sub := make([][]byte, k)
-		for t, r := range present {
-			sub[t] = encodeRow(make([]byte, 0, k), k, r)
+	// When all data shards are present only parity can be missing.
+	if slices.ContainsFunc(shards[:k], func(s []byte) bool { return s == nil }) {
+		// Invert the submatrix of encode rows for the first k surviving
+		// shards, then data = inv × survivors.
+		sub, survivors := make([][]byte, 0, k), make([][]byte, 0, k)
+		for r, s := range shards {
+			if s != nil && len(sub) < k {
+				sub = append(sub, encodeRow(nil, k, r))
+				survivors = append(survivors, s)
+			}
 		}
 		inv, err := invertMatrix(sub)
 		if err != nil {
 			return err
 		}
-		rebuilt := make([][]byte, k)
 		for i := 0; i < k; i++ {
-			if shards[i] != nil {
-				rebuilt[i] = shards[i]
-				continue
+			if shards[i] == nil {
+				shards[i] = make([]byte, shardLen)
+				combine(shards[i], inv[i], survivors)
 			}
-			out := make([]byte, shardLen)
-			for t, r := range present {
-				c := inv[i][t]
-				if c == 0 {
-					continue
-				}
-				src := shards[r]
-				for b := range out {
-					out[b] ^= gfMul(c, src[b])
-				}
-			}
-			rebuilt[i] = out
 		}
-		copy(shards, rebuilt)
 	}
 	// Re-derive any missing parity from the (now complete) data shards.
-	row := make([]byte, 0, k)
+	var row []byte
 	for i := 0; i < m; i++ {
-		if shards[k+i] != nil {
-			continue
+		if shards[k+i] == nil {
+			row = encodeRow(row, k, k+i)
+			shards[k+i] = make([]byte, shardLen)
+			combine(shards[k+i], row, shards[:k])
 		}
-		row = encodeRow(row, k, k+i)
-		p := make([]byte, shardLen)
-		for j := 0; j < k; j++ {
-			c := row[j]
-			if c == 0 {
-				continue
-			}
-			src := shards[j]
-			for b := range p {
-				p[b] ^= gfMul(c, src[b])
-			}
-		}
-		shards[k+i] = p
 	}
 	return nil
 }
@@ -235,10 +233,8 @@ func invertMatrix(a [][]byte) ([][]byte, error) {
 				continue
 			}
 			c := a[r][col]
-			for j := 0; j < n; j++ {
-				a[r][j] ^= gfMul(c, a[col][j])
-				inv[r][j] ^= gfMul(c, inv[col][j])
-			}
+			mulAdd(a[r], a[col], c)
+			mulAdd(inv[r], inv[col], c)
 		}
 	}
 	return inv, nil

@@ -2,8 +2,23 @@ package store
 
 import (
 	"bytes"
+	"hash/fnv"
 	"testing"
 )
+
+// testPayload returns n deterministic pseudo-random bytes (xorshift32).
+// The golden digests below are pinned to this exact generator.
+func testPayload(n int) []byte {
+	data := make([]byte, n)
+	x := uint32(2463534242)
+	for i := range data {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		data[i] = byte(x >> 11)
+	}
+	return data
+}
 
 func mustEncode(t *testing.T, k, m int, data []byte) [][]byte {
 	t.Helper()
@@ -122,5 +137,81 @@ func TestGFTables(t *testing.T) {
 	x, y, z := byte(0x53), byte(0xca), byte(0x11)
 	if gfMul(x, y^z) != gfMul(x, y)^gfMul(x, z) {
 		t.Error("multiplication does not distribute over addition")
+	}
+}
+
+// TestMulAddMatchesGfMul checks the table kernel against the scalar
+// log/exp multiply for every coefficient and every byte value, and at
+// ragged lengths around the word and page sizes.
+func TestMulAddMatchesGfMul(t *testing.T) {
+	all := make([]byte, 256)
+	for i := range all {
+		all[i] = byte(i)
+	}
+	for c := 0; c < 256; c++ {
+		dst := make([]byte, 256)
+		for i := range dst {
+			dst[i] = byte(i * 7)
+		}
+		mulAdd(dst, all, byte(c))
+		for x := range all {
+			if want := byte(x*7) ^ gfMul(byte(c), byte(x)); dst[x] != want {
+				t.Fatalf("mulAdd c=%d x=%d: got %d, want %d", c, x, dst[x], want)
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 7, 8, 9, 4097} {
+		src := testPayload(n + 3) // longer than dst: the excess must be ignored
+		for _, c := range []byte{0, 1, 2, 0x1d, 0xff} {
+			dst := bytes.Repeat([]byte{0xa5}, n)
+			mulAdd(dst, src, c)
+			for i := range dst {
+				if want := 0xa5 ^ gfMul(c, src[i]); dst[i] != want {
+					t.Fatalf("mulAdd len=%d c=%d byte %d: got %d, want %d", n, c, i, dst[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestEncodeGoldenDigests pins Encode's output to FNV-1a digests taken
+// from the byte-at-a-time log/exp implementation this kernel replaced:
+// "same (K, M, data) ⇒ same shards" has to hold across rewrites of the
+// arithmetic, not only between two calls of one build.
+func TestEncodeGoldenDigests(t *testing.T) {
+	golden := []struct {
+		k, m, n int
+		want    uint64
+	}{
+		{4, 2, 0, 0x77e875b1c7b6a32d},
+		{4, 2, 1, 0x76f77bccf52f5365},
+		{4, 2, 37, 0x3a2f4a9227bc6289},
+		{4, 2, 4097, 0x9ad94dec856250a3},
+		{4, 2, 32771, 0x0db08a84716d381b},
+		{10, 4, 0, 0x2a3129a9c3cff60d},
+		{10, 4, 1, 0x6e682018a3493a36},
+		{10, 4, 37, 0x9d2657a3ac3f088b},
+		{10, 4, 4097, 0xbb8de27b10d2102f},
+		{10, 4, 32771, 0x1798241712f22ddd},
+		{1, 0, 0, 0xd94d12186c0f2fb7},
+		{1, 0, 1, 0xad2ba3774799c81f},
+		{1, 0, 37, 0xd51a1b18719514ff},
+		{1, 0, 4097, 0xaa9deae1c51bba2f},
+		{1, 0, 32771, 0xf5734cc3a89f8a68},
+		{200, 55, 0, 0xd7987437f26a596f},
+		{200, 55, 1, 0x2022675078021a54},
+		{200, 55, 37, 0x8d99b1863a9c012f},
+		{200, 55, 4097, 0x49e4a27c0f64195c},
+		{200, 55, 32771, 0xb70744110bf0b574},
+	}
+	for _, g := range golden {
+		h := fnv.New64a()
+		for _, s := range mustEncode(t, g.k, g.m, testPayload(g.n)) {
+			h.Write([]byte{byte(len(s)), byte(len(s) >> 8), byte(len(s) >> 16)})
+			h.Write(s)
+		}
+		if got := h.Sum64(); got != g.want {
+			t.Errorf("Encode(%d,%d) of %d bytes: digest %#016x, want %#016x", g.k, g.m, g.n, got, g.want)
+		}
 	}
 }
