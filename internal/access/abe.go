@@ -81,6 +81,9 @@ func (a *Authority) Revoke(attr AttributeID) {
 // multiple authorities.
 type Keyring struct {
 	keys map[AttributeID]AttrKey
+	// opened remembers the packages whose owner signature this subject
+	// has verified over exactly the bytes it is about to decrypt.
+	opened cryptoprim.VerifyMemo
 }
 
 // NewKeyring returns an empty keyring.

@@ -306,6 +306,88 @@ func TestPackageIntegrity(t *testing.T) {
 	}
 }
 
+// A relay must not be able to widen the owner's context constraint: each
+// of the three context fields is under the owner signature.
+func TestContextRuleIsSigned(t *testing.T) {
+	authority, _ := NewAuthority("traffic", detRand(1))
+	owner, _ := cryptoprim.GenerateKey(detRand(2))
+	lookup := func(id AttributeID) (AttrKey, bool) { return authority.Grant(id), true }
+	ring := NewKeyring()
+	ring.Add(authority.Grant(attrHead))
+	area := geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 100, Y: 100})
+	wide := geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 1000, Y: 1000})
+	// Each request breaks exactly the constraint its relay then relaxes.
+	inside, outside := geo.Point{X: 50, Y: 50}, geo.Point{X: 500, Y: 500}
+	for name, tc := range map[string]struct {
+		ctx   Context
+		relax func(c *ContextRule)
+	}{
+		"emergency cleared": {Context{Pos: inside, Speed: 10}, func(c *ContextRule) { c.EmergencyOnly = false }},
+		"max speed raised":  {Context{Pos: inside, Speed: 25, Emergency: true}, func(c *ContextRule) { c.MaxSpeed = 90 }},
+		"max speed dropped": {Context{Pos: inside, Speed: 25, Emergency: true}, func(c *ContextRule) { c.MaxSpeed = 0 }},
+		"area dropped":      {Context{Pos: outside, Speed: 10, Emergency: true}, func(c *ContextRule) { c.Area = nil }},
+		"area widened":      {Context{Pos: outside, Speed: 10, Emergency: true}, func(c *ContextRule) { c.Area = &wide }},
+	} {
+		ctx, relax := tc.ctx, tc.relax
+		policy := Policy{Resource: "r", Rules: []Rule{{
+			Action:  Read,
+			AnyOf:   []Clause{{attrHead}},
+			Context: ContextRule{Area: &area, MaxSpeed: 15, EmergencyOnly: true},
+		}}}
+		pkg, err := Seal("r", []byte("d"), policy, 1, owner, lookup, detRand(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pkg.VerifyIntegrity(); err != nil {
+			t.Fatalf("%s: intact package rejected: %v", name, err)
+		}
+		if _, d, err := pkg.Open(ring, ctx, [32]byte{1}); err == nil || d.Allowed {
+			t.Fatalf("%s: the sealed context rule should deny this request", name)
+		}
+		relax(&pkg.Policy.Rules[0].Context)
+		if err := pkg.VerifyIntegrity(); err == nil {
+			t.Errorf("%s: VerifyIntegrity passes on the relaxed rule", name)
+		}
+		if _, d, err := pkg.Open(ring, ctx, [32]byte{2}); err == nil || d.Allowed {
+			t.Errorf("%s: Open enforced the relay's rule, not the owner's", name)
+		}
+	}
+}
+
+// The keyring remembers a package it has verified; that must not carry
+// over to different bytes under the same signature.
+func TestTamperAfterOpenIsCaught(t *testing.T) {
+	r := newSealRig(t)
+	ring := NewKeyring()
+	ring.Add(r.traffic.Grant(attrHead))
+	ring.Add(r.city.Grant(attrMed))
+	ring.Add(r.traffic.Grant(attrBuffer))
+	for i := 0; i < 2; i++ { // verified, then remembered
+		if _, _, err := r.pkg.Open(ring, Context{}, [32]byte{1}); err != nil {
+			t.Fatalf("open %d of the intact package: %v", i, err)
+		}
+	}
+	for name, tamper := range map[string]func(p *Package){
+		"ciphertext": func(p *Package) { p.Cipher[3] ^= 1 },
+		"policy":     func(p *Package) { p.Policy.Rules[0].AnyOf = []Clause{{attrBuffer}} },
+		"resource":   func(p *Package) { p.Resource = "road-conditionz" },
+		"signature":  func(p *Package) { p.OwnerSig[0] ^= 1 },
+		"owner":      func(p *Package) { p.OwnerPub, p.OwnerSig = r.owner.Public[:31], p.OwnerSig[:63] },
+	} {
+		bad := *r.pkg
+		bad.Cipher = append([]byte(nil), r.pkg.Cipher...)
+		bad.OwnerSig = append([]byte(nil), r.pkg.OwnerSig...)
+		bad.Policy.Rules = append([]Rule(nil), r.pkg.Policy.Rules...)
+		tamper(&bad)
+		if _, d, err := bad.Open(ring, Context{}, [32]byte{2}); err == nil || d.Allowed {
+			t.Errorf("tampered %s opened by a keyring that had opened the original", name)
+		}
+	}
+	if _, _, err := r.pkg.Open(ring, Context{}, [32]byte{3}); err != nil {
+		t.Errorf("the original no longer opens: %v", err)
+	}
+}
+
 func TestAuditChain(t *testing.T) {
 	r := newSealRig(t)
 	ring := NewKeyring()

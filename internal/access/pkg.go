@@ -35,8 +35,9 @@ type Package struct {
 	Wraps map[string][32]byte
 	// Audit is the append-only access log.
 	Audit []AuditEntry
-	// OwnerSig binds resource+policy+cipher under the owner's (pseudonym)
-	// key so relays cannot swap policies.
+	// OwnerSig binds resource, ciphertext and every rule's action, context
+	// constraint and clauses under the owner's (pseudonym) key, so relays
+	// can neither swap policies nor relax when one applies.
 	OwnerSig []byte
 	OwnerPub []byte
 }
@@ -94,6 +95,7 @@ func (p *Package) signedBytes() []byte {
 	buf.Write(p.Cipher)
 	for _, r := range p.Policy.Rules {
 		buf.WriteString(string(r.Action))
+		buf.Write(r.Context.appendSigned(buf.AvailableBuffer()))
 		for _, c := range r.AnyOf {
 			buf.WriteString(clauseKey(c))
 			buf.WriteByte(';')
@@ -104,8 +106,11 @@ func (p *Package) signedBytes() []byte {
 
 // VerifyIntegrity checks the owner signature over resource, policy and
 // ciphertext. Relying parties call this before trusting the policy.
-func (p *Package) VerifyIntegrity() error {
-	if !cryptoprim.Verify(p.OwnerPub, p.signedBytes(), p.OwnerSig) {
+func (p *Package) VerifyIntegrity() error { return p.verify(nil) }
+
+// verify is VerifyIntegrity through the relying party's memo (nil: none).
+func (p *Package) verify(memo *cryptoprim.VerifyMemo) error {
+	if !memo.Verify(p.OwnerPub, p.signedBytes(), p.OwnerSig) {
 		return fmt.Errorf("access: package integrity check failed (policy or data tampered)")
 	}
 	return nil
@@ -117,7 +122,7 @@ func (p *Package) VerifyIntegrity() error {
 // allowed or denied — appends a hash-chained audit entry. The returned
 // Decision carries the evaluation work counters.
 func (p *Package) Open(ring *Keyring, ctx Context, accessorToken [32]byte) ([]byte, Decision, error) {
-	if err := p.VerifyIntegrity(); err != nil {
+	if err := p.verify(&ring.opened); err != nil {
 		return nil, Decision{}, err
 	}
 	d := Evaluate(&p.Policy, ring.Attrs(), Read, ctx)

@@ -17,7 +17,9 @@
 package access
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"vcloud/internal/geo"
@@ -72,6 +74,27 @@ func (r ContextRule) Satisfied(ctx Context) bool {
 		return false
 	}
 	return true
+}
+
+// appendSigned appends the rule's encoding inside a package's signed
+// bytes. Fixed width, so a relay cannot shift bytes between fields: flags
+// (emergency-only, area present), MaxSpeed, the area's corners (zero when
+// absent).
+func (r ContextRule) appendSigned(b []byte) []byte {
+	var flags byte
+	var area geo.Rect
+	if r.EmergencyOnly {
+		flags |= 1
+	}
+	if r.Area != nil {
+		flags |= 2
+		area = *r.Area
+	}
+	b = append(b, flags)
+	for _, f := range [...]float64{r.MaxSpeed, area.Min.X, area.Min.Y, area.Max.X, area.Max.Y} {
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	return b
 }
 
 // Rule grants an action when any clause is satisfied under the context

@@ -48,7 +48,7 @@ func loopLocal(m map[int][]int) {
 }
 
 // loopLocalWriter writes through a hash constructed inside the body — one
-// MAC per member, the cryptoprim.GroupManager.Open idiom.
+// MAC per member, returning the one whose tag matches.
 func loopLocalWriter(m map[string][]byte, nonce, tag []byte) string {
 	for id, secret := range m {
 		mac := hmac.New(sha256.New, secret)

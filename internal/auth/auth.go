@@ -161,6 +161,11 @@ type Authenticator struct {
 	scheme  Scheme
 	cost    CostModel
 	met     *Metrics
+	// certs remembers peer certificates whose issuer signature this node
+	// has verified; expiry and revocation are still checked per handshake,
+	// and cost.Verify / VerifyOps still charged: the modelled OBU has no
+	// such memory.
+	certs cryptoprim.VerifyMemo
 
 	nonce   uint64
 	pending map[uint64]*pendingHS
@@ -276,7 +281,7 @@ func (a *Authenticator) verifyProof(p proof, ch []byte, now sim.Time) (bool, str
 	switch p.Scheme {
 	case Pseudonym:
 		cost := a.cost.Verify // certificate check
-		if err := cryptoprim.CheckCert(&p.Cert, a.anchors.RootKey, time.Duration(now)); err != nil {
+		if err := a.certs.CheckCert(&p.Cert, a.anchors.RootKey, time.Duration(now)); err != nil {
 			a.met.VerifyOps.Inc()
 			return false, "bad certificate", cost
 		}

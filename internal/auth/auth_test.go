@@ -254,6 +254,66 @@ func TestRevokedPseudonymRejected(t *testing.T) {
 	}
 }
 
+// The rig's pseudonym pools hold ten certificates, so after ten handshakes
+// each side has verified — and remembers — every certificate the other
+// owns, and the eleventh is answered from the memo. Revocation and expiry
+// are not the memo's business: a handshake after either must still fail,
+// and the modelled verification count must not notice the memo at all.
+func TestRememberedCertStillRevokedOrExpired(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		at      sim.Time // when the twelfth handshake starts
+		revoke  pki.VehicleIdentity
+		reason  string
+		timeout uint64
+	}{
+		// The initiator verifies the responder's proof and reports why it failed.
+		{name: "responder revoked", at: 20 * time.Second, revoke: "veh-1", reason: "revoked pseudonym"},
+		// The responder drops a revoked or expired initiator silently.
+		{name: "initiator revoked", at: 20 * time.Second, revoke: "veh-0", reason: "timeout", timeout: 1},
+		{name: "expired", at: 25 * time.Hour, reason: "timeout", timeout: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 2)
+			met := &Metrics{}
+			a, _ := r.authPair(t, Pseudonym, met)
+			var last Result
+			shake := func() {
+				if err := a.Authenticate(1, func(rr Result) { last = rr }); err != nil {
+					t.Error(err)
+				}
+			}
+			for i := 0; i < 11; i++ {
+				r.k.At(sim.Time(i)*time.Second, shake)
+			}
+			if err := r.k.Run(15 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if met.Successes.Value() != 11 || !last.OK {
+				t.Fatalf("warm-up: %d of 11 handshakes succeeded", met.Successes.Value())
+			}
+			if got := met.VerifyOps.Value(); got != 11*4 {
+				t.Errorf("VerifyOps = %d, want 44: every modelled verification is still counted", got)
+			}
+			if tc.revoke != "" {
+				if err := r.ta.RevokeVehicle(tc.revoke); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r.k.At(tc.at, shake)
+			if err := r.k.Run(tc.at + 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if last.OK || last.Reason != tc.reason {
+				t.Errorf("handshake after the change: OK=%v reason=%q, want rejection with %q", last.OK, last.Reason, tc.reason)
+			}
+			if met.Successes.Value() != 11 || met.Failures.Value() != 1 || met.Timeouts.Value() != tc.timeout {
+				t.Errorf("successes=%d failures=%d timeouts=%d, want 11, 1, %d", met.Successes.Value(), met.Failures.Value(), met.Timeouts.Value(), tc.timeout)
+			}
+		})
+	}
+}
+
 func TestRevokedGroupMemberRejected(t *testing.T) {
 	r := newRig(t, 2)
 	met := &Metrics{}

@@ -91,13 +91,20 @@ func (ca *CA) Issue(subject []byte, pub ed25519.PublicKey, notAfter time.Duratio
 // CheckCert verifies the certificate's signature under the issuer key and
 // its validity at virtual time now.
 func CheckCert(c *Certificate, issuerPub ed25519.PublicKey, now time.Duration) error {
+	return (*VerifyMemo)(nil).CheckCert(c, issuerPub, now)
+}
+
+// CheckCert is the package-level CheckCert for a relying party that meets
+// the same certificates again: expiry is tested on every call, the issuer
+// signature through the memo.
+func (m *VerifyMemo) CheckCert(c *Certificate, issuerPub ed25519.PublicKey, now time.Duration) error {
 	if c == nil {
 		return fmt.Errorf("cryptoprim: nil certificate")
 	}
 	if now > c.NotAfter {
 		return fmt.Errorf("cryptoprim: certificate expired at %v (now %v)", c.NotAfter, now)
 	}
-	if !Verify(issuerPub, c.tbs(), c.Signature) {
+	if !m.Verify(issuerPub, c.tbs(), c.Signature) {
 		return fmt.Errorf("cryptoprim: certificate signature invalid")
 	}
 	return nil

@@ -17,7 +17,10 @@ type CRL struct {
 }
 
 // NewCRL returns an empty revocation list sized for the expected number
-// of entries (the bloom filter is dimensioned at ~10 bits/entry).
+// of entries: the bloom filter gets 10 bits per *expected* entry and never
+// grows, so its false-positive rate (and with it the share of lookups that
+// fall through to the exact index) climbs once Len passes expected. The TA
+// passes 4096.
 func NewCRL(expected int) *CRL {
 	if expected < 64 {
 		expected = 64

@@ -3,8 +3,10 @@ package cryptoprim
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // GroupManager realizes the group-signature scheme of the group-based
@@ -15,24 +17,39 @@ import (
 // attributes to group-based protocols).
 //
 // Construction: the manager distributes a shared group signing key to
-// enrolled members (so one ed25519 verify suffices), plus a per-member
-// secret. A signature carries an opening tag HMAC(memberSecret, nonce)
-// that is pseudorandom to outsiders but lets the manager identify the
-// member by recomputation. Revoked members' tags are rejected via the
-// manager-distributed revocation tokens, mirroring verifier-local
-// revocation in real schemes.
+// enrolled members (so one ed25519 verify suffices), plus a 32-byte
+// per-member secret. A signature carries an opening tag
+// HMAC-SHA256(memberSecret, nonce) that is pseudorandom to outsiders but
+// lets the manager identify the member by recomputing it for each row of
+// its member roll until one matches. Revoked members' tags are rejected
+// via the manager-distributed revocation tokens, mirroring
+// verifier-local revocation in real schemes.
+//
+// The roll is self-organising: Open moves the row it matched to the
+// front, because the signers a verifier meets are a small recurring
+// subset of everyone enrolled and a trial costs four SHA-256 compressions
+// (move-to-front stays within twice the best fixed order whatever the
+// pattern). The order never changes an answer — at most one secret
+// matches a tag, and a foreign tag is still tried against every row — but
+// it does mean Open (and so CheckNotRevoked and pki.TA.TraceGroupSig)
+// writes: a GroupManager is single-goroutine, like the rest of the TA.
 type GroupManager struct {
 	groupID  string
 	groupKey KeyPair
-	members  map[string][]byte // member id -> member secret
+	roll     []member // one row per enrolled member, in Open's scan order
 	revoked  map[string]struct{}
+}
+
+type member struct {
+	id     string
+	secret [32]byte
 }
 
 // GroupCred is a member's signing credential.
 type GroupCred struct {
 	GroupID  string
 	MemberID string
-	secret   []byte
+	secret   [32]byte
 	groupKey KeyPair
 }
 
@@ -60,7 +77,6 @@ func NewGroupManager(groupID string, rand io.Reader) (*GroupManager, error) {
 	return &GroupManager{
 		groupID:  groupID,
 		groupKey: key,
-		members:  make(map[string][]byte),
 		revoked:  make(map[string]struct{}),
 	}, nil
 }
@@ -73,19 +89,24 @@ func (gm *GroupManager) PublicKey() []byte { return gm.groupKey.Public }
 
 // NumMembers returns the enrolled member count (the outsider anonymity
 // set size).
-func (gm *GroupManager) NumMembers() int { return len(gm.members) }
+func (gm *GroupManager) NumMembers() int { return len(gm.roll) }
 
 // Enroll admits a member and returns its credential. Re-enrolling an
-// existing member returns a fresh secret (key rotation).
+// existing member returns a fresh secret (key rotation): signatures under
+// the old one no longer open.
 func (gm *GroupManager) Enroll(memberID string, rand io.Reader) (GroupCred, error) {
 	if memberID == "" {
 		return GroupCred{}, fmt.Errorf("cryptoprim: member id must not be empty")
 	}
-	secret := make([]byte, 32)
-	if _, err := io.ReadFull(rand, secret); err != nil {
+	var secret [32]byte
+	if _, err := io.ReadFull(rand, secret[:]); err != nil {
 		return GroupCred{}, fmt.Errorf("cryptoprim: generating member secret: %w", err)
 	}
-	gm.members[memberID] = secret
+	if i := slices.IndexFunc(gm.roll, func(m member) bool { return m.id == memberID }); i >= 0 {
+		gm.roll[i].secret = secret
+	} else {
+		gm.roll = append(gm.roll, member{memberID, secret})
+	}
 	delete(gm.revoked, memberID)
 	return GroupCred{
 		GroupID:  gm.groupID,
@@ -112,10 +133,7 @@ func (gm *GroupManager) IsRevoked(memberID string) bool {
 // must not repeat per member (the caller uses a counter or timestamp);
 // distinct nonces make tags unlinkable to outsiders.
 func (c *GroupCred) Sign(msg []byte, nonce uint64) GroupSig {
-	mac := hmac.New(sha256.New, c.secret)
-	mac.Write(uint64Bytes(nonce))
-	var tag [32]byte
-	copy(tag[:], mac.Sum(nil))
+	tag := openingTag(&c.secret, nonce)
 	signed := Digest(msg, []byte(c.GroupID), uint64Bytes(nonce), tag[:])
 	return GroupSig{
 		GroupID: c.GroupID,
@@ -132,15 +150,36 @@ func VerifyGroupSig(groupPub []byte, msg []byte, sig GroupSig) bool {
 	return Verify(groupPub, signed[:], sig.Sig)
 }
 
+// openingTag is HMAC-SHA256(secret, nonce) (RFC 2104) specialised to the
+// 32-byte member secrets and 8-byte nonces, so it runs on the stack: Open
+// computes it once per roll row tried.
+func openingTag(secret *[32]byte, nonce uint64) [32]byte {
+	var inner [sha256.BlockSize + 8]byte
+	var outer [sha256.BlockSize + sha256.Size]byte
+	for i := 0; i < sha256.BlockSize; i++ { // ipad and opad over the zero-padded key
+		inner[i], outer[i] = 0x36, 0x5c
+	}
+	for i, k := range secret {
+		inner[i] ^= k
+		outer[i] ^= k
+	}
+	binary.BigEndian.PutUint64(inner[sha256.BlockSize:], nonce)
+	sum := sha256.Sum256(inner[:])
+	copy(outer[sha256.BlockSize:], sum[:])
+	return sha256.Sum256(outer[:])
+}
+
 // Open identifies the member that produced sig, or "" when no enrolled
 // member matches (forged or foreign signature). Only the manager can do
 // this — the "conditional privacy" property.
 func (gm *GroupManager) Open(sig GroupSig) string {
-	for id, secret := range gm.members {
-		mac := hmac.New(sha256.New, secret)
-		mac.Write(uint64Bytes(sig.Nonce))
-		if hmac.Equal(mac.Sum(nil), sig.Tag[:]) {
-			return id
+	for i := range gm.roll {
+		tag := openingTag(&gm.roll[i].secret, sig.Nonce)
+		if hmac.Equal(tag[:], sig.Tag[:]) {
+			m := gm.roll[i]
+			copy(gm.roll[1:i+1], gm.roll[:i])
+			gm.roll[0] = m
+			return m.id
 		}
 	}
 	return ""
