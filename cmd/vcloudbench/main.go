@@ -8,29 +8,18 @@
 //	vcloudbench -only E4,E5     # a subset
 //	vcloudbench -seed 7         # different seed (results reproduce per seed)
 //	vcloudbench -parallel 8     # worker-pool width (default: GOMAXPROCS)
-//	vcloudbench -benchjson BENCH.json      # machine-readable perf report
-//	vcloudbench -compare BENCH_seed.json   # fail on >25% normalized events/sec regression
-//	vcloudbench -shards 8       # add the geo-sharded kernel scaling sweep (1,2,4,8 shards)
 //	vcloudbench -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Experiments and their per-configuration sweep points run across a
 // bounded worker pool; every sweep point builds its own kernel, and
 // tables are assembled in sweep order, so stdout is byte-identical at
 // any -parallel value (run timing goes to stderr). Per-seed results
-// reproduce exactly.
-//
-// -shards N runs a large-fleet beaconing scenario on the geo-sharded
-// kernel at every power-of-two shard count up to N, verifies the model
-// output is bit-for-bit identical at every count, and emits a
-// ShardScaling section (wall events/sec, busy wall, critical-path wall
-// and speedup, cross-shard traffic) into the -benchjson report — the
-// committed BENCH_shard.json. The sweep prints to stderr only, so
-// stdout stays byte-identical with and without -shards. A -compare
-// baseline carrying a ShardScaling section gates these points too.
+// reproduce exactly, so `vcloudbench | diff - experiments_output.txt`
+// is the byte-level regression check. Host time is not measured here:
+// that is `go run ./benchmark`.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -42,51 +31,7 @@ import (
 	"time"
 
 	"vcloud/internal/experiments"
-	"vcloud/internal/shardworld"
 )
-
-// benchExperiment is one experiment's entry in the -benchjson report.
-type benchExperiment struct {
-	ID           string             `json:"id"`
-	Title        string             `json:"title"`
-	WallMs       float64            `json:"wall_ms"`
-	KernelEvents uint64             `json:"kernel_events"`
-	KernelWallMs float64            `json:"kernel_wall_ms"`
-	EventsPerSec float64            `json:"events_per_sec"`
-	Values       map[string]float64 `json:"values,omitempty"`
-	Error        string             `json:"error,omitempty"`
-}
-
-// shardPoint is one shard count's entry in the -shards scaling sweep.
-// EventsPerSec is measured wall throughput (core-count dependent);
-// CritPathSpeedup is the parallelism the decomposition exposes — busy
-// wall over critical-path wall, the speedup realized when one core per
-// shard exists. Checksum must be identical across every point.
-type shardPoint struct {
-	Shards          int     `json:"shards"`
-	Vehicles        int     `json:"vehicles"`
-	Ticks           int     `json:"ticks"`
-	WallMs          float64 `json:"wall_ms"`
-	Events          uint64  `json:"events"`
-	EventsPerSec    float64 `json:"events_per_sec"`
-	BusyWallMs      float64 `json:"busy_wall_ms"`
-	CritPathWallMs  float64 `json:"crit_path_wall_ms"`
-	CritPathSpeedup float64 `json:"crit_path_speedup"`
-	CrossEvents     uint64  `json:"cross_events"`
-	Handoffs        int64   `json:"handoffs"`
-	Checksum        string  `json:"checksum"`
-	Identical       bool    `json:"identical"`
-}
-
-// benchReport is the top-level -benchjson document.
-type benchReport struct {
-	Seed         int64             `json:"seed"`
-	Quick        bool              `json:"quick"`
-	Parallel     int               `json:"parallel"`
-	TotalWallMs  float64           `json:"total_wall_ms"`
-	Experiments  []benchExperiment `json:"experiments"`
-	ShardScaling []shardPoint      `json:"shard_scaling,omitempty"`
-}
 
 func main() {
 	os.Exit(run())
@@ -100,9 +45,6 @@ func run() (code int) {
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool width for experiments and sweep points (1 = serial)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		benchjson  = flag.String("benchjson", "", "write a JSON perf report (wall time, kernel events/sec, headline metrics) to this file")
-		compare    = flag.String("compare", "", "compare this run's kernel events/sec against a baseline -benchjson report; fail on a >25% normalized regression")
-		shards     = flag.Int("shards", 0, "run the geo-sharded kernel scaling sweep at power-of-two shard counts up to N (0 = off); fails unless output is bit-for-bit identical at every count")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -112,10 +54,6 @@ func run() (code int) {
 	}
 	if *parallel < 1 {
 		fmt.Fprintf(os.Stderr, "vcloudbench: -parallel must be at least 1, got %d\n", *parallel)
-		return 2
-	}
-	if *shards < 0 || *shards == 1 {
-		fmt.Fprintln(os.Stderr, "vcloudbench: -shards must be 0 (off) or at least 2")
 		return 2
 	}
 
@@ -185,9 +123,6 @@ func run() (code int) {
 		done[i] = make(chan struct{})
 	}
 	workers := *parallel
-	if workers < 1 {
-		workers = 1
-	}
 	if workers > len(runners) {
 		workers = len(runners)
 	}
@@ -208,66 +143,25 @@ func run() (code int) {
 		}()
 	}
 
-	report := benchReport{Seed: *seed, Quick: *quick, Parallel: *parallel}
 	failed := 0
 	for i, r := range runners {
 		<-done[i]
 		o := outs[i]
 		fmt.Printf("== %s: %s (seed=%d quick=%v)\n", r.ID, r.Name, *seed, *quick)
-		entry := benchExperiment{ID: r.ID, Title: r.Name, WallMs: float64(o.wall.Microseconds()) / 1000}
 		if o.err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", r.ID, o.err)
-			entry.Error = o.err.Error()
-			report.Experiments = append(report.Experiments, entry)
 			failed++
 			continue
 		}
 		fmt.Println(o.res.Table.String())
 		fmt.Println()
-		fmt.Fprintf(os.Stderr, "(%s wall time: %v, %d kernel events, %.0f events/sec)\n",
-			r.ID, o.wall.Round(time.Millisecond), o.res.KernelEvents, o.res.EventsPerSec())
-		entry.KernelEvents = o.res.KernelEvents
-		entry.KernelWallMs = float64(o.res.KernelWall.Microseconds()) / 1000
-		entry.EventsPerSec = o.res.EventsPerSec()
-		entry.Values = o.res.Values
-		report.Experiments = append(report.Experiments, entry)
+		fmt.Fprintf(os.Stderr, "(%s wall time: %v)\n", r.ID, o.wall.Round(time.Millisecond))
 	}
-	if *shards >= 2 {
-		points, err := runShardScaling(*seed, *quick, *shards)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vcloudbench:", err)
-			return 1
-		}
-		report.ShardScaling = points
-		for _, p := range points {
-			if !p.Identical {
-				failed++
-			}
-		}
-	}
-	report.TotalWallMs = float64(time.Since(totalStart).Microseconds()) / 1000
 	fmt.Fprintf(os.Stderr, "(total wall time: %v, parallel=%d)\n",
 		time.Since(totalStart).Round(time.Millisecond), *parallel)
 
-	if *benchjson != "" {
-		buf, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vcloudbench:", err)
-			return 1
-		}
-		if err := os.WriteFile(*benchjson, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "vcloudbench:", err)
-			return 1
-		}
-	}
 	if *memprofile != "" {
 		if err := writeMemProfile(*memprofile); err != nil {
-			fmt.Fprintln(os.Stderr, "vcloudbench:", err)
-			return 1
-		}
-	}
-	if *compare != "" {
-		if err := compareBaseline(*compare, &report); err != nil {
 			fmt.Fprintln(os.Stderr, "vcloudbench:", err)
 			return 1
 		}
@@ -276,163 +170,6 @@ func run() (code int) {
 		return 1
 	}
 	return 0
-}
-
-// runShardScaling runs the -shards sweep: one large-fleet beaconing
-// scenario on the geo-sharded kernel at shard counts 1, 2, 4, ... up to
-// maxShards (maxShards itself included even when not a power of two).
-// Every count must reproduce the serial model output bit-for-bit; a
-// divergent point is marked Identical=false and fails the run. All
-// output goes to stderr so stdout stays the experiment tables alone.
-func runShardScaling(seed int64, quick bool, maxShards int) ([]shardPoint, error) {
-	var counts []int
-	for n := 1; n <= maxShards; n *= 2 {
-		counts = append(counts, n)
-	}
-	if counts[len(counts)-1] != maxShards {
-		counts = append(counts, maxShards)
-	}
-
-	base := shardworld.DefaultConfig(seed, 1)
-	if quick {
-		base.Vehicles, base.Ticks, base.SampleEvery, base.WorldSize = 160, 64, 16, 3000
-	} else {
-		base.Vehicles, base.Ticks, base.SampleEvery, base.WorldSize = 600, 160, 32, 6000
-	}
-
-	var points []shardPoint
-	var serial string
-	fmt.Fprintf(os.Stderr, "shard scaling: %d vehicles, %d ticks, seed=%d\n", base.Vehicles, base.Ticks, seed)
-	for _, n := range counts {
-		cfg := base
-		cfg.Shards = n
-		res, err := shardworld.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("shard scaling at %d shards: %w", n, err)
-		}
-		if n == 1 {
-			serial = res.Comparable()
-		}
-		p := shardPoint{
-			Shards:          n,
-			Vehicles:        res.Vehicles,
-			Ticks:           res.Ticks,
-			WallMs:          float64(res.Wall.Microseconds()) / 1000,
-			Events:          res.Processed,
-			EventsPerSec:    res.EventsPerSec(),
-			BusyWallMs:      float64(res.BusyWall.Microseconds()) / 1000,
-			CritPathWallMs:  float64(res.CritPath.Microseconds()) / 1000,
-			CritPathSpeedup: res.CritPathSpeedup(),
-			CrossEvents:     res.CrossEvents,
-			Handoffs:        res.Handoffs,
-			Checksum:        fmt.Sprintf("%016x", res.Checksum),
-			Identical:       res.Comparable() == serial,
-		}
-		points = append(points, p)
-		verdict := "identical"
-		if !p.Identical {
-			verdict = "DIVERGED"
-		}
-		fmt.Fprintf(os.Stderr,
-			"shards=%-2d events/sec %9.0f  critpath speedup %.2fx  cross=%d handoffs=%d checksum=%s %s\n",
-			n, p.EventsPerSec, p.CritPathSpeedup, p.CrossEvents, p.Handoffs, p.Checksum, verdict)
-	}
-	return points, nil
-}
-
-// regressionTolerance is how far below the fleet-normalized baseline an
-// experiment's kernel events/sec may fall before -compare fails.
-const regressionTolerance = 0.25
-
-// minCompareWallMs is the least measured kernel wall time (baseline and
-// current both) an experiment needs before its events/sec is worth
-// comparing: below this, scheduler noise dwarfs any real regression.
-const minCompareWallMs = 50
-
-// withShardPoints returns a report's experiment entries plus one
-// pseudo-experiment per shard-scaling point, so a baseline carrying a
-// ShardScaling section gates sharded throughput through the same
-// normalized-ratio flow. The key carries the shard and vehicle counts:
-// points from differently-sized sweeps never compare. Busy wall stands
-// in for kernel wall (it is the sweep's actual compute time).
-func withShardPoints(r *benchReport) []benchExperiment {
-	out := make([]benchExperiment, 0, len(r.Experiments)+len(r.ShardScaling))
-	out = append(out, r.Experiments...)
-	for _, p := range r.ShardScaling {
-		out = append(out, benchExperiment{
-			ID:           fmt.Sprintf("SHARD%d/v%d", p.Shards, p.Vehicles),
-			KernelEvents: p.Events,
-			KernelWallMs: p.BusyWallMs,
-			EventsPerSec: p.EventsPerSec,
-		})
-	}
-	return out
-}
-
-// compareBaseline checks this run's per-experiment kernel throughput
-// against a baseline -benchjson report. Absolute events/sec depends on
-// the machine, so each experiment's current/baseline ratio is divided by
-// the fleet-wide mean ratio first: a uniformly slower box cancels out,
-// while one experiment regressing relative to the rest does not. A
-// normalized ratio below 1 - regressionTolerance fails the run.
-func compareBaseline(path string, cur *benchReport) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base benchReport
-	if err := json.Unmarshal(buf, &base); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	baseEntries := withShardPoints(&base)
-	baseline := make(map[string]benchExperiment, len(baseEntries))
-	for _, e := range baseEntries {
-		if e.Error == "" && e.EventsPerSec > 0 {
-			baseline[e.ID] = e
-		}
-	}
-	type pair struct {
-		id    string
-		ratio float64
-	}
-	var pairs []pair
-	mean := 0.0
-	for _, e := range withShardPoints(cur) {
-		b, ok := baseline[e.ID]
-		if !ok || e.Error != "" || e.EventsPerSec <= 0 {
-			continue
-		}
-		if e.KernelWallMs < minCompareWallMs || b.KernelWallMs < minCompareWallMs {
-			fmt.Fprintf(os.Stderr, "compare %-4s skipped (kernel wall %.0fms vs %.0fms: too short to time)\n",
-				e.ID, e.KernelWallMs, b.KernelWallMs)
-			continue
-		}
-		r := e.EventsPerSec / b.EventsPerSec
-		pairs = append(pairs, pair{e.ID, r})
-		mean += r
-	}
-	if len(pairs) == 0 {
-		return fmt.Errorf("no experiments in common with baseline %s", path)
-	}
-	mean /= float64(len(pairs))
-	regressed := 0
-	for _, p := range pairs {
-		norm := p.ratio / mean
-		status := "ok"
-		if norm < 1-regressionTolerance {
-			status = "REGRESSED"
-			regressed++
-		}
-		fmt.Fprintf(os.Stderr, "compare %-4s events/sec ratio %.2f (normalized %.2f) %s\n",
-			p.id, p.ratio, norm, status)
-	}
-	if regressed > 0 {
-		return fmt.Errorf("%d experiment(s) regressed >%.0f%% vs %s (normalized by fleet mean ratio %.2f)",
-			regressed, regressionTolerance*100, path, mean)
-	}
-	fmt.Fprintf(os.Stderr, "compare: all %d experiments within %.0f%% of %s (fleet mean ratio %.2f)\n",
-		len(pairs), regressionTolerance*100, path, mean)
-	return nil
 }
 
 // writeMemProfile snapshots the heap to path, reporting write and close

@@ -75,6 +75,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime/pprof"
 	"time"
@@ -204,13 +205,13 @@ func validateFlags(vehicles, tasks int, duration float64, replicas, retries int,
 		return fmt.Errorf("-vehicles must be positive, got %d", vehicles)
 	case tasks < 0:
 		return fmt.Errorf("-tasks must be non-negative, got %d", tasks)
-	case duration <= 0:
-		return fmt.Errorf("-duration must be positive, got %g", duration)
+	case !(duration > 0) || math.IsInf(duration, 1): // negated so NaN is rejected too
+		return fmt.Errorf("-duration must be positive and finite, got %g", duration)
 	case replicas < 0:
 		return fmt.Errorf("-replicas must be non-negative, got %d", replicas)
 	case retries < 0:
 		return fmt.Errorf("-retries must be non-negative, got %d", retries)
-	case byz < 0 || byz > 1:
+	case !(byz >= 0 && byz <= 1): // negated so NaN is rejected too
 		return fmt.Errorf("-byz must be in [0, 1], got %g", byz)
 	}
 	return nil

@@ -200,7 +200,8 @@ func (c SoakConfig) withDefaults() SoakConfig {
 
 // Validate checks config sanity.
 func (c SoakConfig) Validate() error {
-	if c.Vehicles < 0 || c.ByzFraction < 0 || c.ByzFraction > 1 {
+	// The range check is negated so a NaN fraction fails it.
+	if c.Vehicles < 0 || !(c.ByzFraction >= 0 && c.ByzFraction <= 1) {
 		return fmt.Errorf("chaos: vehicles must be >= 0 and byz fraction in [0,1]")
 	}
 	if c.Duration < 0 || c.Warmup < 0 || c.Drain < 0 || c.TaskEvery < 0 ||

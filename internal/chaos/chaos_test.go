@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -155,6 +156,7 @@ func TestSplitBrainSoakReproducible(t *testing.T) {
 func TestSoakConfigValidate(t *testing.T) {
 	bad := []SoakConfig{
 		{Seed: 1, ByzFraction: 1.5},
+		{Seed: 1, ByzFraction: math.NaN()},
 		{Seed: 1, Vehicles: -1},
 		{Seed: 1, Duration: -time.Second},
 		{Seed: 1, TaskOps: -5},

@@ -40,7 +40,7 @@ func E11Failover(cfg Config) (*Result, error) {
 		failover bool
 	}
 	arms := []arm{{"baseline", false}, {"failover", true}}
-	events, wall, err := assemble(cfg, table, values, len(arms), func(ai int, p *point) error {
+	err := assemble(cfg, table, values, len(arms), func(ai int, p *point) error {
 		a := arms[ai]
 		net, err := roadnet.ParkingLot(roadnet.ParkingLotSpec{Aisles: 4, AisleLenM: 150, AisleGapM: 40})
 		if err != nil {
@@ -135,12 +135,10 @@ func E11Failover(cfg Config) (*Result, error) {
 			recovery = horizon.Seconds()
 		}
 		p.set(a.name+"/recovery_s", recovery)
-		p.tally(s.Kernel)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E11", Title: "controller failover", Table: table, Values: values,
-		KernelEvents: events, KernelWall: wall}, nil
+	return &Result{ID: "E11", Title: "controller failover", Table: table, Values: values}, nil
 }

@@ -75,7 +75,7 @@ func E12Dependability(cfg Config) (*Result, error) {
 			sweeps = append(sweeps, sweep{a, frac})
 		}
 	}
-	events, wall, err := assemble(cfg, table, values, len(sweeps), func(si int, p *point) error {
+	err := assemble(cfg, table, values, len(sweeps), func(si int, p *point) error {
 		a, frac := sweeps[si].a, sweeps[si].frac
 		net, err := roadnet.ParkingLot(roadnet.ParkingLotSpec{Aisles: 4, AisleLenM: 150, AisleGapM: 40})
 		if err != nil {
@@ -166,12 +166,10 @@ func E12Dependability(cfg Config) (*Result, error) {
 		p.set(key+"/correct", correctRate)
 		p.set(key+"/wrong", float64(wrong))
 		p.set(key+"/failed", float64(failed))
-		p.tally(s.Kernel)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E12", Title: "dependable execution", Table: table, Values: values,
-		KernelEvents: events, KernelWall: wall}, nil
+	return &Result{ID: "E12", Title: "dependable execution", Table: table, Values: values}, nil
 }

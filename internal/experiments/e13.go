@@ -50,7 +50,7 @@ func E13SplitBrain(cfg Config) (*Result, error) {
 		fencing bool
 	}
 	arms := []arm{{"baseline", false}, {"fenced", true}}
-	events, wall, err := assemble(cfg, table, values, len(arms), func(ai int, p *point) error {
+	err := assemble(cfg, table, values, len(arms), func(ai int, p *point) error {
 		a := arms[ai]
 		net, err := roadnet.ParkingLot(roadnet.ParkingLotSpec{Aisles: 4, AisleLenM: 150, AisleGapM: 40})
 		if err != nil {
@@ -183,12 +183,10 @@ func E13SplitBrain(cfg Config) (*Result, error) {
 			reconcile = horizon.Seconds()
 		}
 		p.set(a.name+"/reconcile_s", reconcile)
-		p.tally(s.Kernel)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E13", Title: "split-brain fencing", Table: table, Values: values,
-		KernelEvents: events, KernelWall: wall}, nil
+	return &Result{ID: "E13", Title: "split-brain fencing", Table: table, Values: values}, nil
 }

@@ -78,7 +78,7 @@ func E14Storage(cfg Config) (*Result, error) {
 	values := map[string]float64{}
 
 	n := len(arms) * len(churns)
-	events, wall, err := assemble(cfg, table, values, n, func(i int, p *point) error {
+	err := assemble(cfg, table, values, n, func(i int, p *point) error {
 		a := arms[i/len(churns)]
 		churn := churns[i%len(churns)]
 		churnLabel := fmt.Sprintf("%gs", churn.Seconds())
@@ -246,14 +246,12 @@ func E14Storage(cfg Config) (*Result, error) {
 		p.set(prefix+"avail", avail)
 		p.set(prefix+"p50ms", p50*1000)
 		p.set(prefix+"amplification", amp)
-		p.tally(s.Kernel)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E14", Title: "storage durability under churn", Table: table, Values: values,
-		KernelEvents: events, KernelWall: wall}, nil
+	return &Result{ID: "E14", Title: "storage durability under churn", Table: table, Values: values}, nil
 }
 
 // sortedStoreKeys returns the map's keys in ascending order, so the

@@ -128,7 +128,7 @@ func E15DAGExecution(cfg Config) (*Result, error) {
 	values := map[string]float64{}
 
 	n := len(arms) * len(churns)
-	events, wall, err := assemble(cfg, table, values, n, func(i int, p *point) error {
+	err := assemble(cfg, table, values, n, func(i int, p *point) error {
 		a := arms[i/len(churns)]
 		churn := churns[i%len(churns)]
 
@@ -271,12 +271,10 @@ func E15DAGExecution(cfg Config) (*Result, error) {
 		p.set(prefix+"rate", rate)
 		p.set(prefix+"wasted", wasted)
 		p.set(prefix+"p50s", p50)
-		p.tally(s.Kernel)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E15", Title: "DAG execution under churn", Table: table, Values: values,
-		KernelEvents: events, KernelWall: wall}, nil
+	return &Result{ID: "E15", Title: "DAG execution under churn", Table: table, Values: values}, nil
 }

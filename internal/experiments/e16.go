@@ -65,7 +65,7 @@ func E16CongestionPlacement(cfg Config) (*Result, error) {
 	)
 	values := map[string]float64{}
 
-	events, wall, err := assemble(cfg, table, values, len(arms), func(i int, p *point) error {
+	err := assemble(cfg, table, values, len(arms), func(i int, p *point) error {
 		a := arms[i]
 		net, err := roadnet.ParkingLot(roadnet.ParkingLotSpec{Aisles: 4, AisleLenM: 150, AisleGapM: 40})
 		if err != nil {
@@ -232,12 +232,10 @@ func E16CongestionPlacement(cfg Config) (*Result, error) {
 		p.set(a.name+"/hitrate", hitRate)
 		p.set(a.name+"/shed", float64(shed))
 		p.set(a.name+"/rejected", float64(rejected))
-		p.tally(s.Kernel)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E16", Title: "congestion-aware offload placement", Table: table, Values: values,
-		KernelEvents: events, KernelWall: wall}, nil
+	return &Result{ID: "E16", Title: "congestion-aware offload placement", Table: table, Values: values}, nil
 }

@@ -14,10 +14,9 @@ import (
 // runs at 1, 2, 4 and 8 geographic shards, and the experiment verifies
 // the tentpole contract directly: the model output (sampled fleet
 // counters, radio totals, FNV checksum) is byte-for-byte identical at
-// every shard count. The table reports only deterministic quantities;
-// wall-derived throughput and the critical-path speedup (the parallelism
-// the decomposition exposes, realized when one core per shard exists) go
-// to Values for vcloudbench's BENCH.json.
+// every shard count. Table and Values carry only deterministic
+// quantities; how the sharded stack scales in host time is the
+// shard_metro workload of `go run ./benchmark`.
 func E17ShardedKernel(cfg Config) (*Result, error) {
 	shardCounts := []int{1, 2, 4, 8}
 
@@ -41,7 +40,7 @@ func E17ShardedKernel(cfg Config) (*Result, error) {
 	values := map[string]float64{}
 
 	results := make([]*shardworld.Result, len(shardCounts))
-	events, wall, err := assemble(cfg, table, values, len(shardCounts), func(i int, p *point) error {
+	err := assemble(cfg, table, values, len(shardCounts), func(i int, p *point) error {
 		wcfg := base
 		wcfg.Shards = shardCounts[i]
 		res, err := shardworld.Run(wcfg)
@@ -59,11 +58,8 @@ func E17ShardedKernel(cfg Config) (*Result, error) {
 			fmt.Sprintf("%016x", res.Checksum),
 		)
 		key := fmt.Sprintf("s%d", res.Shards)
-		p.set(key+"/events_per_sec", res.EventsPerSec())
-		p.set(key+"/critpath_speedup", res.CritPathSpeedup())
 		p.set(key+"/cross_events", float64(res.CrossEvents))
 		p.set(key+"/handoffs", float64(res.Handoffs))
-		p.tallyRaw(res.Processed, res.Wall)
 		return nil
 	})
 	if err != nil {
@@ -82,8 +78,7 @@ func E17ShardedKernel(cfg Config) (*Result, error) {
 	table.AddRow("all", "-", "-", "-", "-", verdict)
 	values["identical"] = identical
 
-	return &Result{ID: "E17", Title: "geo-sharded parallel kernel determinism", Table: table, Values: values,
-		KernelEvents: events, KernelWall: wall}, nil
+	return &Result{ID: "E17", Title: "geo-sharded parallel kernel determinism", Table: table, Values: values}, nil
 }
 
 // outageRect is the world-center region the E17 outage silences.

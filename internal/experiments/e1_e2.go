@@ -58,7 +58,7 @@ func E1CloudComparison(cfg Config) (*Result, error) {
 	)
 	values := map[string]float64{}
 
-	events, wall, err := assemble(cfg, table, values, len(arms), func(i int, p *point) error {
+	err := assemble(cfg, table, values, len(arms), func(i int, p *point) error {
 		a := arms[i]
 		net, err := roadnet.Highway(roadnet.HighwaySpec{LengthM: 3000, Segments: 3, SpeedLimit: 25, Lanes: 2})
 		if err != nil {
@@ -130,14 +130,12 @@ func E1CloudComparison(cfg Config) (*Result, error) {
 		p.set(a.name+"/healthy", healthyRate)
 		p.set(a.name+"/outage", outageRate)
 		p.set(a.name+"/p50ms", healthyP50)
-		p.tally(s.Kernel)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E1", Title: "cloud comparison", Table: table, Values: values,
-		KernelEvents: events, KernelWall: wall}, nil
+	return &Result{ID: "E1", Title: "cloud comparison", Table: table, Values: values}, nil
 }
 
 // E2Architectures reproduces Fig. 4: the three vehicular-cloud
@@ -163,7 +161,7 @@ func E2Architectures(cfg Config) (*Result, error) {
 		{"infrastructure", vcloud.Infrastructure},
 		{"dynamic", vcloud.Dynamic},
 	}
-	events, wall, err := assemble(cfg, table, values, len(arms), func(i int, p *point) error {
+	err := assemble(cfg, table, values, len(arms), func(i int, p *point) error {
 		a := arms[i]
 		var s *scenario.Scenario
 		var err error
@@ -252,12 +250,10 @@ func E2Architectures(cfg Config) (*Result, error) {
 		p.set(a.name+"/healthy", healthy)
 		p.set(a.name+"/disaster", disaster)
 		p.set(a.name+"/members", float64(members))
-		p.tally(s.Kernel)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E2", Title: "architectures", Table: table, Values: values,
-		KernelEvents: events, KernelWall: wall}, nil
+	return &Result{ID: "E2", Title: "architectures", Table: table, Values: values}, nil
 }

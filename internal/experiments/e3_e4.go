@@ -45,7 +45,7 @@ func E3ClusterStability(cfg Config) (*Result, error) {
 			sweeps = append(sweeps, sweep{algo, speed})
 		}
 	}
-	events, wall, err := assemble(cfg, table, values, len(sweeps), func(i int, p *point) error {
+	err := assemble(cfg, table, values, len(sweeps), func(i int, p *point) error {
 		algo, speed := sweeps[i].algo, sweeps[i].speed
 		net, err := roadnet.Highway(roadnet.HighwaySpec{LengthM: 3000, Segments: 3, SpeedLimit: speed, Lanes: 2})
 		if err != nil {
@@ -89,14 +89,12 @@ func E3ClusterStability(cfg Config) (*Result, error) {
 		key := fmt.Sprintf("%s/%.0f", algo.Name(), speed)
 		p.set(key+"/churn", churn)
 		p.set(key+"/clustered", clustered)
-		p.tally(s.Kernel)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E3", Title: "cluster stability", Table: table, Values: values,
-		KernelEvents: events, KernelWall: wall}, nil
+	return &Result{ID: "E3", Title: "cluster stability", Table: table, Values: values}, nil
 }
 
 // E4Routing compares MoZo against greedy-geographic, AODV and epidemic
@@ -156,7 +154,7 @@ func E4Routing(cfg Config) (*Result, error) {
 			sweeps = append(sweeps, sweep{m, density})
 		}
 	}
-	events, wall, err := assemble(cfg, table, values, len(sweeps), func(i int, p *point) error {
+	err := assemble(cfg, table, values, len(sweeps), func(i int, p *point) error {
 		m, density := sweeps[i].m, sweeps[i].density
 		net, err := roadnet.Highway(roadnet.HighwaySpec{LengthM: 3000, Segments: 3, SpeedLimit: 27, Lanes: 2})
 		if err != nil {
@@ -204,12 +202,10 @@ func E4Routing(cfg Config) (*Result, error) {
 		p.set(key+"/delivery", stats.DeliveryRatio())
 		p.set(key+"/overhead", stats.OverheadPerDelivery())
 		p.set(key+"/p50ms", stats.Latency.Percentile(50))
-		p.tally(s.Kernel)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E4", Title: "routing", Table: table, Values: values,
-		KernelEvents: events, KernelWall: wall}, nil
+	return &Result{ID: "E4", Title: "routing", Table: table, Values: values}, nil
 }

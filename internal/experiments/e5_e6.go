@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -56,7 +57,7 @@ func E5Authentication(cfg Config) (*Result, error) {
 			sweeps = append(sweeps, sweep{a, revoked})
 		}
 	}
-	events, wall, err := assemble(cfg, table, values, len(sweeps), func(idx int, p *point) error {
+	err := assemble(cfg, table, values, len(sweeps), func(idx int, p *point) error {
 		a, revoked := sweeps[idx].a, sweeps[idx].revoked
 		k := sim.NewKernel(cfg.Seed)
 		bounds := geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 1000, Y: 1000})
@@ -138,14 +139,12 @@ func E5Authentication(cfg Config) (*Result, error) {
 		p.set(key+"/p50ms", met.Latency.Percentile(50))
 		p.set(key+"/bytes", bytesPer)
 		p.set(key+"/scans", scansPer)
-		p.tally(k)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E5", Title: "authentication", Table: table, Values: values,
-		KernelEvents: events, KernelWall: wall}, nil
+	return &Result{ID: "E5", Title: "authentication", Table: table, Values: values}, nil
 }
 
 // privacyRow returns the analytic privacy characteristics of a scheme:
@@ -174,6 +173,25 @@ func latencyBand(ns float64) string {
 	}
 }
 
+// fastestNsPer calls fn(0..iters-1) in ten equal timed chunks and returns
+// the fastest chunk's nanoseconds per call. A worker descheduled mid-loop
+// (-parallel above the core count) inflates a whole-loop mean past a band
+// edge; the minimum over chunks ignores it.
+func fastestNsPer(iters int, fn func(i int)) float64 {
+	const chunks = 10
+	per := iters / chunks
+	best := math.Inf(1)
+	for c := 0; c < chunks; c++ {
+		start := time.Now() //vcloudlint:allow nowallclock E6 measures real decision cost: raw ns go to Values, the table prints stable bands
+		for i := c * per; i < (c+1)*per; i++ {
+			fn(i)
+		}
+		ns := float64(time.Since(start).Nanoseconds()) / float64(per) //vcloudlint:allow nowallclock E6 measures real decision cost: raw ns go to Values, the table prints stable bands
+		best = math.Min(best, ns)
+	}
+	return best
+}
+
 // E6AccessControl measures policy-decision latency against policy-set
 // size and the emergency-escalation path (§III.C's "milliseconds"
 // requirement). Decisions are real computations measured in wall-clock
@@ -192,7 +210,7 @@ func E6AccessControl(cfg Config) (*Result, error) {
 	)
 	values := map[string]float64{}
 
-	events, wall, err := assemble(cfg, table, values, len(policyCounts), func(idx int, p *point) error {
+	err := assemble(cfg, table, values, len(policyCounts), func(idx int, p *point) error {
 		n := policyCounts[idx]
 		// Per-point stream so the role draw is independent of sweep order
 		// (and of which worker runs the point).
@@ -229,25 +247,19 @@ func E6AccessControl(cfg Config) (*Result, error) {
 
 		// Normal decisions.
 		allowed := 0
-		start := time.Now() //vcloudlint:allow nowallclock profiling telemetry: raw ns go to Values/BENCH.json, the table prints stable bands
-		for i := 0; i < iters; i++ {
-			p := &policies[i%n]
-			if d := access.Evaluate(p, attrs, access.Read, ctx); d.Allowed {
+		perDecision := fastestNsPer(iters, func(i int) {
+			if d := access.Evaluate(&policies[i%n], attrs, access.Read, ctx); d.Allowed {
 				allowed++
 			}
-		}
-		perDecision := float64(time.Since(start).Nanoseconds()) / float64(iters) //vcloudlint:allow nowallclock profiling telemetry: raw ns go to Values/BENCH.json, the table prints stable bands
+		})
 
 		// Emergency escalations.
 		emAllowed := 0
-		start = time.Now() //vcloudlint:allow nowallclock profiling telemetry: raw ns go to Values/BENCH.json, the table prints stable bands
-		for i := 0; i < iters; i++ {
-			p := &policies[i%n]
-			if d := access.Evaluate(p, emergencyAttrs, access.Read, emCtx); d.Allowed {
+		emPer := fastestNsPer(iters, func(i int) {
+			if d := access.Evaluate(&policies[i%n], emergencyAttrs, access.Read, emCtx); d.Allowed {
 				emAllowed++
 			}
-		}
-		emPer := float64(time.Since(start).Nanoseconds()) / float64(iters) //vcloudlint:allow nowallclock profiling telemetry: raw ns go to Values/BENCH.json, the table prints stable bands
+		})
 		if emAllowed == 0 {
 			return fmt.Errorf("E6: emergency escalation never granted")
 		}
@@ -255,7 +267,7 @@ func E6AccessControl(cfg Config) (*Result, error) {
 		// The table prints the order-of-magnitude band against §III.C's
 		// milliseconds budget, not the raw sample: bands are stable
 		// run-to-run, so vcloudbench stdout is byte-identical at any
-		// parallelism. Raw measured ns stay in Values (and BENCH.json).
+		// parallelism. Raw measured ns stay in Values.
 		p.addRow(fmt.Sprintf("%d", n),
 			latencyBand(perDecision),
 			metrics.Pct(float64(allowed)/float64(iters)),
@@ -267,6 +279,5 @@ func E6AccessControl(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E6", Title: "access control", Table: table, Values: values,
-		KernelEvents: events, KernelWall: wall}, nil
+	return &Result{ID: "E6", Title: "access control", Table: table, Values: values}, nil
 }

@@ -43,7 +43,7 @@ func E7TaskHandover(cfg Config) (*Result, error) {
 		{"handover(route)", true, mobility.DwellRouteAware},
 		{"handover(speed)", true, mobility.DwellSpeedOnly},
 	}
-	events, wall, err := assemble(cfg, table, values, len(arms), func(i int, p *point) error {
+	err := assemble(cfg, table, values, len(arms), func(i int, p *point) error {
 		a := arms[i]
 		net, err := roadnet.Highway(roadnet.HighwaySpec{LengthM: 3000, Segments: 3, SpeedLimit: 25, Lanes: 2})
 		if err != nil {
@@ -93,14 +93,12 @@ func E7TaskHandover(cfg Config) (*Result, error) {
 		p.set(a.name+"/completion", completion)
 		p.set(a.name+"/wasted", stats.WastedOps)
 		p.set(a.name+"/handovers", float64(stats.Handovers.Value()))
-		p.tally(s.Kernel)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E7", Title: "task handover", Table: table, Values: values,
-		KernelEvents: events, KernelWall: wall}, nil
+	return &Result{ID: "E7", Title: "task handover", Table: table, Values: values}, nil
 }
 
 // E8Replication sweeps the replication factor against member churn and
@@ -138,7 +136,7 @@ func E8Replication(cfg Config) (*Result, error) {
 			}
 		}
 	}
-	events, wall, err := assemble(cfg, table, values, len(sweeps), func(i int, p *point) error {
+	err := assemble(cfg, table, values, len(sweeps), func(i int, p *point) error {
 		k, churn, retain := sweeps[i].k, sweeps[i].churn, sweeps[i].retain
 		kern := sim.NewKernel(cfg.Seed)
 		rng := kern.NewStream("churn")
@@ -195,12 +193,10 @@ func E8Replication(cfg Config) (*Result, error) {
 			fmt.Sprintf("%.0f", float64(stats.BytesMoved.Value())/(1<<20)))
 		p.set(key+"/availability", avail)
 		p.set(key+"/rereplicas", float64(stats.ReReplicas.Value()))
-		p.tally(kern)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E8", Title: "replication", Table: table, Values: values,
-		KernelEvents: events, KernelWall: wall}, nil
+	return &Result{ID: "E8", Title: "replication", Table: table, Values: values}, nil
 }

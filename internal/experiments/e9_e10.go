@@ -61,7 +61,7 @@ func E9Trust(cfg Config) (*Result, error) {
 			sweeps = append(sweeps, sweep{a, frac})
 		}
 	}
-	kernelEvents, wall, err := assemble(cfg, table, values, len(sweeps), func(idx int, p *point) error {
+	err := assemble(cfg, table, values, len(sweeps), func(idx int, p *point) error {
 		a, frac := sweeps[idx].a, sweeps[idx].frac
 		{
 			rng := rand.New(rand.NewSource(cfg.Seed))
@@ -150,8 +150,7 @@ func E9Trust(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E9", Title: "trust", Table: table, Values: values,
-		KernelEvents: kernelEvents, KernelWall: wall}, nil
+	return &Result{ID: "E9", Title: "trust", Table: table, Values: values}, nil
 }
 
 // E10Attacks is the security drill: each §III network-layer attack runs
@@ -168,7 +167,7 @@ func E10Attacks(cfg Config) (*Result, error) {
 	values := map[string]float64{}
 
 	// --- Eavesdropping / tracking: beacon rate is the defense knob.
-	track := func(p *point, beaconPeriod sim.Time) float64 {
+	track := func(beaconPeriod sim.Time) float64 {
 		net, err := roadnet.Highway(roadnet.HighwaySpec{LengthM: 2000, Segments: 2, SpeedLimit: 25, Lanes: 2})
 		if err != nil {
 			return -1
@@ -190,7 +189,6 @@ func E10Attacks(cfg Config) (*Result, error) {
 		if err := s.RunFor(sim.Time(pick(cfg, 30, 90)) * time.Second); err != nil {
 			return -1
 		}
-		p.tally(s.Kernel)
 		acc, links := spy.TrackingAccuracy(30, 3*time.Second)
 		if links == 0 {
 			return 0
@@ -199,7 +197,7 @@ func E10Attacks(cfg Config) (*Result, error) {
 	}
 
 	// --- DoS flood: channel delivery share with and without the flood.
-	dos := func(p *point, flood bool) float64 {
+	dos := func(flood bool) float64 {
 		net, err := roadnet.Highway(roadnet.HighwaySpec{LengthM: 2000, Segments: 2, SpeedLimit: 25, Lanes: 2})
 		if err != nil {
 			return -1
@@ -219,7 +217,6 @@ func E10Attacks(cfg Config) (*Result, error) {
 		if err := s.RunFor(sim.Time(pick(cfg, 20, 60)) * time.Second); err != nil {
 			return -1
 		}
-		p.tally(s.Kernel)
 		st := s.Medium.Stats()
 		total := st.Delivered + st.LostLoad
 		if total == 0 {
@@ -229,7 +226,7 @@ func E10Attacks(cfg Config) (*Result, error) {
 	}
 
 	// --- Suppression: delivery through an honest vs compromised relay.
-	supp := func(p *point, compromised bool) float64 {
+	supp := func(compromised bool) float64 {
 		k := sim.NewKernel(cfg.Seed)
 		bounds := geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 1000, Y: 1000})
 		m, err := radio.NewMedium(k, bounds, radio.DefaultParams())
@@ -264,7 +261,6 @@ func E10Attacks(cfg Config) (*Result, error) {
 		if err := k.Run(time.Minute); err != nil {
 			return -1
 		}
-		p.tally(k)
 		return float64(got) / n
 	}
 
@@ -307,22 +303,21 @@ func E10Attacks(cfg Config) (*Result, error) {
 	}
 
 	// Eight independent runs, indexed in drill order.
-	jobs := []func(p *point) float64{
-		func(p *point) float64 { return track(p, 200*time.Millisecond) }, // aggressive beaconing
-		func(p *point) float64 { return track(p, 2*time.Second) },        // sparse beaconing (defense)
-		func(p *point) float64 { return dos(p, false) },
-		func(p *point) float64 { return dos(p, true) },
-		func(p *point) float64 { return supp(p, false) },
-		func(p *point) float64 { return supp(p, true) },
-		func(p *point) float64 { return sybil(false) },
-		func(p *point) float64 { return sybil(true) },
+	jobs := []func() float64{
+		func() float64 { return track(200 * time.Millisecond) }, // aggressive beaconing
+		func() float64 { return track(2 * time.Second) },        // sparse beaconing (defense)
+		func() float64 { return dos(false) },
+		func() float64 { return dos(true) },
+		func() float64 { return supp(false) },
+		func() float64 { return supp(true) },
+		func() float64 { return sybil(false) },
+		func() float64 { return sybil(true) },
 	}
 	res := make([]float64, len(jobs))
-	kernelEvents, wall, err := assemble(cfg, table, values, len(jobs), func(i int, p *point) error {
-		res[i] = jobs[i](p)
+	if err := forEachPar(cfg, len(jobs), func(i int) error {
+		res[i] = jobs[i]()
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	trackFast, trackSlow := res[0], res[1]
@@ -344,6 +339,5 @@ func E10Attacks(cfg Config) (*Result, error) {
 	values["sybil/voting"] = sybVote
 	values["sybil/diverse"] = sybDiverse
 
-	return &Result{ID: "E10", Title: "attacks", Table: table, Values: values,
-		KernelEvents: kernelEvents, KernelWall: wall}, nil
+	return &Result{ID: "E10", Title: "attacks", Table: table, Values: values}, nil
 }

@@ -3,7 +3,7 @@
 // DESIGN.md for the mapping). Each experiment builds its scenario from
 // the substrate packages, runs it on the deterministic kernel, and
 // returns both a printable table (the paper-style rows) and a map of
-// named values that tests and benchmarks assert the *shape* of.
+// named values that the TestE*Shape tests assert the *shape* of.
 //
 // The paper is a survey with no quantitative evaluation of its own; the
 // expected shapes come from its qualitative figures (Fig. 2, Fig. 4,
@@ -15,18 +15,16 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"vcloud/internal/metrics"
-	"vcloud/internal/sim"
 )
 
 // Config tunes an experiment run.
 type Config struct {
 	// Seed drives all randomness; equal seeds reproduce runs exactly.
 	Seed int64
-	// Quick shrinks populations and durations for tests and benchmarks;
-	// the full-size runs back EXPERIMENTS.md.
+	// Quick shrinks populations and durations for tests; the full-size
+	// runs back EXPERIMENTS.md.
 	Quick bool
 	// Parallel bounds how many of an experiment's sweep points run
 	// concurrently; zero or one means serial. Every sweep point builds
@@ -42,29 +40,14 @@ type Result struct {
 	Title  string
 	Table  *metrics.Table
 	Values map[string]float64
-	// KernelEvents and KernelWall aggregate the event count and the
-	// wall-clock dispatch time over every kernel the experiment built —
-	// the perf-telemetry feed for vcloudbench's BENCH.json.
-	KernelEvents uint64
-	KernelWall   time.Duration
 }
 
-// EventsPerSec is the experiment's aggregate kernel throughput.
-func (r *Result) EventsPerSec() float64 {
-	if r.KernelWall <= 0 {
-		return 0
-	}
-	return float64(r.KernelEvents) / r.KernelWall.Seconds()
-}
-
-// point collects one sweep point's finished output: its table rows, its
-// contribution to Values, and its kernel telemetry. Each point is written
-// by exactly one worker goroutine and read only after all workers join.
+// point collects one sweep point's finished output: its table rows and
+// its contribution to Values. Each point is written by exactly one worker
+// goroutine and read only after all workers join.
 type point struct {
 	rows   [][]string
 	values map[string]float64
-	events uint64
-	wall   time.Duration
 }
 
 // addRow buffers one table row.
@@ -78,19 +61,6 @@ func (p *point) set(key string, v float64) {
 		p.values = make(map[string]float64)
 	}
 	p.values[key] = v
-}
-
-// tally accumulates a finished kernel's telemetry into the point.
-func (p *point) tally(k *sim.Kernel) {
-	p.events += k.Processed()
-	p.wall += k.WallTime()
-}
-
-// tallyRaw accumulates telemetry the point does not own a kernel for
-// (e.g. a sharded-kernel run reporting aggregated counters).
-func (p *point) tallyRaw(events uint64, wall time.Duration) {
-	p.events += events
-	p.wall += wall
 }
 
 // forEachPar runs fn(0..n-1), spreading the calls over up to cfg.Parallel
@@ -152,17 +122,15 @@ func forEachPar(cfg Config, n int, fn func(i int) error) error {
 
 // assemble is the deterministic fan-out/fan-in at the heart of every
 // experiment: run n independent sweep points (in parallel when configured),
-// then fold their buffered rows, values and kernel tallies into the table
-// and value map in sweep order. Because each point owns its kernel and the
-// fold is serial and index-ordered, the assembled table is byte-identical
-// at any parallelism.
-func assemble(cfg Config, table *metrics.Table, values map[string]float64, n int, run func(i int, p *point) error) (uint64, time.Duration, error) {
+// then fold their buffered rows and values into the table and value map
+// in sweep order. Because each point owns its kernel and the fold is
+// serial and index-ordered, the assembled table is byte-identical at any
+// parallelism.
+func assemble(cfg Config, table *metrics.Table, values map[string]float64, n int, run func(i int, p *point) error) error {
 	pts := make([]point, n)
 	if err := forEachPar(cfg, n, func(i int) error { return run(i, &pts[i]) }); err != nil {
-		return 0, 0, err
+		return err
 	}
-	var events uint64
-	var wall time.Duration
 	for i := range pts {
 		for _, row := range pts[i].rows {
 			table.AddRow(row...)
@@ -170,10 +138,8 @@ func assemble(cfg Config, table *metrics.Table, values map[string]float64, n int
 		for k, v := range pts[i].values {
 			values[k] = v
 		}
-		events += pts[i].events
-		wall += pts[i].wall
 	}
-	return events, wall, nil
+	return nil
 }
 
 // String renders the result table.

@@ -428,3 +428,16 @@ func TestE16Shape(t *testing.T) {
 			v["static/shed"], v["static/rejected"])
 	}
 }
+
+func TestE17Shape(t *testing.T) {
+	v := quick(t, E17ShardedKernel).Values
+	if v["identical"] != 1 {
+		t.Errorf("identical = %v, want 1: some shard count diverged from the serial output", v["identical"])
+	}
+	// The sweep really sharded the world: one shard has no border to
+	// cross, eight shards cross more of it than two.
+	if v["s1/cross_events"] != 0 || v["s2/cross_events"] <= 0 || v["s8/cross_events"] <= v["s2/cross_events"] {
+		t.Errorf("cross-shard events at 1/2/8 shards = %.0f/%.0f/%.0f, want 0 < s2 < s8",
+			v["s1/cross_events"], v["s2/cross_events"], v["s8/cross_events"])
+	}
+}

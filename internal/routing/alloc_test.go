@@ -10,31 +10,40 @@ import (
 	"vcloud/internal/vnet"
 )
 
-// TestGreedyNextHopAllocFree: a forwarding decision copies the neighbor
-// table into the router's own scratch and allocates nothing.
-func TestGreedyNextHopAllocFree(t *testing.T) {
+// beaconedLine puts n static nodes on a line, spacing meters apart, and
+// beacons for two seconds so every node knows its in-range neighbors.
+func beaconedLine(tb testing.TB, n int, spacing float64) (*radio.Medium, []*vnet.Node) {
+	tb.Helper()
 	k := sim.NewKernel(1)
-	m, err := radio.NewMedium(k, geo.NewRect(geo.Point{X: -100, Y: -100}, geo.Point{X: 900, Y: 100}), radio.DefaultParams())
+	bounds := geo.NewRect(geo.Point{X: -100, Y: -100}, geo.Point{X: float64(n)*spacing + 100, Y: 100})
+	m, err := radio.NewMedium(k, bounds, radio.DefaultParams())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var nodes []*vnet.Node
-	for i := 0; i < 6; i++ {
-		addr, pos := vnet.Addr(i), geo.Point{X: float64(i) * 140}
+	for i := 0; i < n; i++ {
+		addr, pos := vnet.Addr(i), geo.Point{X: float64(i) * spacing}
 		m.UpdatePosition(addr, pos)
 		node, err := vnet.NewNode(k, m, addr, vnet.Config{BeaconPeriod: 200 * time.Millisecond},
 			func() (geo.Point, float64, float64) { return pos, 0, 0 })
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := node.Start(); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		nodes = append(nodes, node)
 	}
 	if err := k.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return m, nodes
+}
+
+// TestGreedyNextHopAllocFree: a forwarding decision copies the neighbor
+// table into the router's own scratch and allocates nothing.
+func TestGreedyNextHopAllocFree(t *testing.T) {
+	m, nodes := beaconedLine(t, 6, 140)
 	var stats Stats
 	g, err := NewGreedy(nodes[2], &stats, GeoConfig{Loc: OracleLoc{Positions: m}}, nil)
 	if err != nil {
@@ -48,5 +57,33 @@ func TestGreedyNextHopAllocFree(t *testing.T) {
 	}
 	if !ok || next != 3 {
 		t.Errorf("nextHop = %d, %v; want the neighbor one step closer (3)", next, ok)
+	}
+}
+
+var sinkHop vnet.Addr
+
+// BenchmarkGreedyNextHop times one forwarding decision over a 50-row
+// neighbor table: the table copy plus the closest-to-destination scan,
+// with a destination that is nobody's neighbor so the scan runs to the
+// end.
+func BenchmarkGreedyNextHop(b *testing.B) {
+	m, nodes := beaconedLine(b, 51, 3)
+	if got := len(nodes[0].Neighbors(nil)); got != 50 {
+		b.Fatalf("neighbor table has %d rows, want 50", got)
+	}
+	var stats Stats
+	g, err := NewGreedy(nodes[0], &stats, GeoConfig{Loc: OracleLoc{Positions: m}}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	msg := nodes[0].NewMessage(999, greedyKind, 100, geoTTL, Packet{DestPos: geo.Point{X: 1000}})
+	// The first decision also sizes the router's scratch table.
+	if _, ok := g.nextHop(msg); !ok {
+		b.Fatal("no neighbor makes progress")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkHop, _ = g.nextHop(msg)
 	}
 }

@@ -201,24 +201,6 @@ func (r *Result) Comparable() string {
 	return b.String()
 }
 
-// EventsPerSec returns processed kernel events per wall second.
-func (r *Result) EventsPerSec() float64 {
-	if r.Wall <= 0 {
-		return 0
-	}
-	return float64(r.Processed) / r.Wall.Seconds()
-}
-
-// CritPathSpeedup returns total busy work over critical-path work: the
-// parallel speedup the shard decomposition exposes, which wall clocks
-// realize when one core per shard is available.
-func (r *Result) CritPathSpeedup() float64 {
-	if r.CritPath <= 0 {
-		return 0
-	}
-	return float64(r.BusyWall) / float64(r.CritPath)
-}
-
 // ChurnSchedule returns the tick each vehicle id becomes active and the
 // tick it departs (math.MaxInt32 for never), as pure functions of the
 // config. Exposed so invariant checks can recompute the expected fleet.

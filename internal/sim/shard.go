@@ -201,14 +201,6 @@ func (sk *ShardedKernel) Windows() uint64 { return sk.windows }
 // CrossEvents returns how many cross-shard events have been merged.
 func (sk *ShardedKernel) CrossEvents() uint64 { return sk.crossSent }
 
-// Throughput returns aggregate events per wall-clock second.
-func (sk *ShardedKernel) Throughput() float64 {
-	if sk.wall <= 0 {
-		return 0
-	}
-	return float64(sk.Processed()) / sk.wall.Seconds()
-}
-
 // Inject schedules a cross-shard event: fn(arg) runs on shard dst at
 // virtual time at. The event is parked in shard src's outbox and merged at
 // the next barrier in (time, source shard, sequence) order, so injection

@@ -152,8 +152,8 @@ type Kernel struct {
 	stopped bool
 	// processed counts dispatched events, exposed for tests and reports.
 	processed uint64
-	// runWall accumulates real time spent inside Run/Step, so
-	// Throughput can report events per wall-clock second.
+	// runWall accumulates real time spent inside Run/Step; the sharded
+	// kernel reads it per window for its busy and critical-path walls.
 	runWall time.Duration
 }
 
@@ -180,16 +180,6 @@ func (k *Kernel) Pending() int { return len(k.queue) }
 // WallTime returns the cumulative real time spent dispatching events
 // inside Run and Step.
 func (k *Kernel) WallTime() time.Duration { return k.runWall }
-
-// Throughput returns the kernel's event dispatch rate in events per
-// wall-clock second, aggregated over every Run/Step call so far. It
-// returns 0 before any wall time has been spent.
-func (k *Kernel) Throughput() float64 {
-	if k.runWall <= 0 {
-		return 0
-	}
-	return float64(k.processed) / k.runWall.Seconds()
-}
 
 // RNG returns the kernel's random source. Model code must draw all
 // randomness from here (or from streams derived via NewStream) so runs are
