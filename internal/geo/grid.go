@@ -115,6 +115,7 @@ func cellRank(ids []int32, id int32) int {
 func (g *GridIndex) insertIntoCell(key int, id int32) {
 	ids := g.cells[key]
 	i := cellRank(ids, id)
+	//vcloudlint:allow hotalloc the cell's list is stored back below and keeps its capacity, so growth is amortized over cell crossings
 	ids = append(ids, 0)
 	copy(ids[i+1:], ids[i:])
 	ids[i] = id

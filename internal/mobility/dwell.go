@@ -60,11 +60,11 @@ func DwellTier(seconds float64) int {
 // vehicle never leaves (e.g. parked), and 0 when the vehicle is already
 // outside or unknown.
 func (m *Manager) EstimateDwell(id VehicleID, center geo.Point, radius float64, mode DwellMode) float64 {
-	v, ok := m.vehicles[id]
-	if !ok {
+	v := m.vehicle(id)
+	if v == nil {
 		return 0
 	}
-	pos := m.posOf(v)
+	pos := v.pos
 	if pos.Dist(center) > radius {
 		return 0
 	}

@@ -23,6 +23,8 @@ const (
 
 // maybeChangeLane evaluates a lane change for v and performs it when
 // warranted. dt ages the cooldown.
+//
+//vcloudlint:hotpath once per moving vehicle per tick, inside Step's first phase
 func (m *Manager) maybeChangeLane(v *vehicle, dt float64) {
 	if v.laneCooldown > 0 {
 		v.laneCooldown -= dt
@@ -40,7 +42,7 @@ func (m *Manager) maybeChangeLane(v *vehicle, dt float64) {
 	}
 	best := -1
 	bestGap := curGap * gapAdvantage
-	for _, lane := range []int{v.lane - 1, v.lane + 1} {
+	for lane := v.lane - 1; lane <= v.lane+1; lane += 2 {
 		if lane < 0 || lane >= edge.Lanes {
 			continue
 		}
@@ -55,36 +57,28 @@ func (m *Manager) maybeChangeLane(v *vehicle, dt float64) {
 	if best < 0 {
 		return
 	}
-	m.removeFromLane(v)
+	m.laneOf(v).remove(v)
 	v.lane = best
-	m.addToLane(v)
+	m.laneOf(v).insert(v)
 	v.laneCooldown = laneChangeCooldown
 }
 
 // laneGaps returns the forward gap to the nearest leader and the
-// backward gap to the nearest follower in the given lane of v's edge.
-// Open road returns +Inf gaps.
+// backward gap to the nearest follower in the given (adjacent) lane of
+// v's edge. Open road returns +Inf gaps.
 func (m *Manager) laneGaps(v *vehicle, lane int) (leader, follower float64) {
 	leader, follower = math.Inf(1), math.Inf(1)
-	lanes := m.perLane[v.edge]
-	if lane >= len(lanes) {
-		return leader, follower
+	l := &m.lanes[v.edge][lane]
+	vs := l.vs
+	// i is the first entry strictly ahead of v; the one before it is level
+	// with v or the nearest behind.
+	i := l.firstAfter(v.offset, math.MaxInt32)
+	if i < len(vs) {
+		leader = vs[i].offset - v.offset
 	}
-	for _, id := range lanes[lane] {
-		o := m.vehicles[id]
-		switch {
-		case o.offset > v.offset:
-			if g := o.offset - v.offset; g < leader {
-				leader = g
-			}
-		case o.offset < v.offset:
-			if g := v.offset - o.offset; g < follower {
-				follower = g
-			}
-		default:
-			// Exactly side by side: treat as zero follower gap (unsafe).
-			follower = 0
-		}
+	if i > 0 {
+		// Exactly side by side counts as a zero follower gap (unsafe).
+		follower = v.offset - vs[i-1].offset
 	}
 	return leader, follower
 }

@@ -42,6 +42,6 @@ func (m *Manager) AddLoopVehicle(route []roadnet.EdgeID, offset float64, profile
 
 // OnLoop reports whether the vehicle drives a fixed loop.
 func (m *Manager) OnLoop(id VehicleID) bool {
-	v, ok := m.vehicles[id]
-	return ok && v.loop != nil
+	v := m.vehicle(id)
+	return v != nil && v.loop != nil
 }

@@ -12,7 +12,7 @@ package mobility
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"vcloud/internal/geo"
 	"vcloud/internal/roadnet"
@@ -82,8 +82,12 @@ type vehicle struct {
 
 	edge   roadnet.EdgeID
 	lane   int
+	slot   int     // index in its lane's vs, maintained by lane.insert/remove/restore
 	offset float64 // meters from edge start
 	speed  float64
+	// pos is the map position of (edge, offset), refreshed wherever either
+	// changes (AddVehicle, Step) so readers never recompute it.
+	pos    geo.Point
 	parked bool
 	gone   bool // departed the simulation entirely
 
@@ -96,15 +100,105 @@ type vehicle struct {
 	loop []roadnet.EdgeID
 }
 
+// lane is one lane of one edge. Between Steps vs is sorted by (offset,
+// id): car-following reads its leader from the next slot and a lane
+// change finds its gaps with one binary search.
+type lane struct {
+	vs []*vehicle
+	// restored is the Manager.steps value at which Step last re-sorted vs;
+	// it keeps the restore pass to one visit per lane per tick.
+	restored uint64
+}
+
+// before is the lane order: ascending offset, equal offsets by id.
+func before(a, b *vehicle) bool {
+	return a.offset < b.offset || (a.offset == b.offset && a.id < b.id)
+}
+
+// firstAfter returns the index of the first entry ordered after
+// (offset, id), or len(l.vs) when there is none.
+func (l *lane) firstAfter(offset float64, id VehicleID) int {
+	lo, hi := 0, len(l.vs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if o := l.vs[mid]; o.offset < offset || (o.offset == offset && o.id <= id) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// insert places v at its sorted position. Inside Step's integrate phase
+// the lane may be momentarily out of order; the position is then only a
+// starting point that the restore pass corrects.
+func (l *lane) insert(v *vehicle) {
+	i := l.firstAfter(v.offset, v.id)
+	l.vs = append(l.vs, nil)
+	copy(l.vs[i+1:], l.vs[i:])
+	l.vs[i] = v
+	l.renumber(i)
+}
+
+// remove takes v out of the lane, keeping the others in order.
+func (l *lane) remove(v *vehicle) {
+	i := v.slot
+	copy(l.vs[i:], l.vs[i+1:])
+	l.vs[len(l.vs)-1] = nil
+	l.vs = l.vs[:len(l.vs)-1]
+	l.renumber(i)
+}
+
+func (l *lane) renumber(from int) {
+	for i := from; i < len(l.vs); i++ {
+		l.vs[i].slot = i
+	}
+}
+
+// restore re-sorts the lane after offsets moved. Car-following keeps a
+// lane almost sorted (an arrival from another edge or two cars overlapping
+// in a jam are the exceptions), so the insertion sort is one linear pass
+// that usually writes nothing.
+func (l *lane) restore() {
+	vs := l.vs
+	for i := 1; i < len(vs); i++ {
+		v, j := vs[i], i
+		for ; j > 0 && before(v, vs[j-1]); j-- {
+			vs[j] = vs[j-1]
+			vs[j].slot = j
+		}
+		if j != i {
+			vs[j] = v
+			v.slot = j
+		}
+	}
+}
+
+// update is one vehicle's acceleration, computed in Step's first phase
+// and applied in its second.
+type update struct {
+	v     *vehicle
+	accel float64
+}
+
 // Manager owns all vehicles and advances them in lock-step.
 type Manager struct {
-	net      *roadnet.Network
-	index    *geo.GridIndex
-	vehicles map[VehicleID]*vehicle
-	// perLane[edge][lane] lists vehicle ids on that lane, unordered; the
-	// leader scan is linear, which is fine at realistic per-lane counts.
-	perLane map[roadnet.EdgeID][][]VehicleID
-	nextID  VehicleID
+	net   *roadnet.Network
+	index *geo.GridIndex
+	// vehicles is indexed by VehicleID (ids are handed out sequentially
+	// from 0); nil marks a departed vehicle.
+	vehicles []*vehicle
+	// ids lists the live vehicles in ascending order. Step, IDs and every
+	// downstream consumer follow it, so creation order, RNG draw sequences
+	// and tie-breaks never depend on how vehicles are stored.
+	ids []VehicleID
+	// lanes[edge][lane] holds the vehicles on that lane (parked ones
+	// included: they are obstacles) in (offset, id) order.
+	lanes [][]lane
+	// updates is Step's scratch, reused every tick.
+	updates []update
+	steps   uint64
 	// tripRNG drives random destination choice; injected so runs are
 	// deterministic.
 	randFn func(n int) int
@@ -127,12 +221,15 @@ func NewManager(net *roadnet.Network, cellSize float64, randFn func(n int) int) 
 	if err != nil {
 		return nil, fmt.Errorf("mobility: %w", err)
 	}
+	lanes := make([][]lane, net.NumEdges())
+	for e := range lanes {
+		lanes[e] = make([]lane, net.Edge(roadnet.EdgeID(e)).Lanes)
+	}
 	return &Manager{
-		net:      net,
-		index:    idx,
-		vehicles: make(map[VehicleID]*vehicle),
-		perLane:  make(map[roadnet.EdgeID][][]VehicleID),
-		randFn:   randFn,
+		net:    net,
+		index:  idx,
+		lanes:  lanes,
+		randFn: randFn,
 	}, nil
 }
 
@@ -162,8 +259,7 @@ func (m *Manager) AddVehicle(e roadnet.EdgeID, offset float64, profile Profile) 
 		return 0, fmt.Errorf("mobility: offset %v outside edge length %v", offset, edge.Length)
 	}
 	normalizeProfile(&profile)
-	id := m.nextID
-	m.nextID++
+	id := VehicleID(len(m.vehicles))
 	v := &vehicle{
 		id:      id,
 		profile: profile,
@@ -172,9 +268,11 @@ func (m *Manager) AddVehicle(e roadnet.EdgeID, offset float64, profile Profile) 
 		offset:  offset,
 		speed:   0,
 	}
-	m.vehicles[id] = v
-	m.addToLane(v)
-	m.index.Update(int32(id), m.posOf(v))
+	v.pos = m.posOf(v)
+	m.vehicles = append(m.vehicles, v)
+	m.ids = append(m.ids, id)
+	m.laneOf(v).insert(v)
+	m.index.Update(int32(id), v.pos)
 	m.pickNewDestination(v)
 	return id, nil
 }
@@ -185,8 +283,7 @@ func (m *Manager) AddParkedVehicle(e roadnet.EdgeID, offset float64, profile Pro
 	if err != nil {
 		return 0, err
 	}
-	v := m.vehicles[id]
-	v.parked = true
+	m.vehicles[id].parked = true
 	return id, nil
 }
 
@@ -218,31 +315,53 @@ func normalizeProfile(p *Profile) {
 // Remove departs a vehicle from the simulation (e.g. it parked and turned
 // off, or drove out of the modeled area).
 func (m *Manager) Remove(id VehicleID) {
-	v, ok := m.vehicles[id]
-	if !ok {
+	v := m.vehicle(id)
+	if v == nil {
 		return
 	}
 	v.gone = true
-	m.removeFromLane(v)
+	m.laneOf(v).remove(v)
 	m.index.Remove(int32(id))
-	delete(m.vehicles, id)
+	m.vehicles[id] = nil
+	if i, ok := slices.BinarySearch(m.ids, id); ok {
+		m.ids = slices.Delete(m.ids, i, i+1)
+	}
 	for _, fn := range m.departures {
 		fn(id)
 	}
 }
 
+// vehicle returns the live record of id, or nil when id was never issued
+// or has departed.
+func (m *Manager) vehicle(id VehicleID) *vehicle {
+	if id < 0 || int(id) >= len(m.vehicles) {
+		return nil
+	}
+	return m.vehicles[id]
+}
+
 // NumVehicles returns the live vehicle count.
-func (m *Manager) NumVehicles() int { return len(m.vehicles) }
+func (m *Manager) NumVehicles() int { return len(m.ids) }
+
+// Pos returns the position of a vehicle — the cheap read for callers that
+// need neither speed nor heading (the per-tick push into the radio medium).
+func (m *Manager) Pos(id VehicleID) (geo.Point, bool) {
+	v := m.vehicle(id)
+	if v == nil {
+		return geo.Point{}, false
+	}
+	return v.pos, true
+}
 
 // State returns the kinematic state of a vehicle.
 func (m *Manager) State(id VehicleID) (State, bool) {
-	v, ok := m.vehicles[id]
-	if !ok {
+	v := m.vehicle(id)
+	if v == nil {
 		return State{}, false
 	}
 	return State{
 		ID:      id,
-		Pos:     m.posOf(v),
+		Pos:     v.pos,
 		Speed:   v.speed,
 		Heading: m.net.EdgeHeading(v.edge),
 		Edge:    v.edge,
@@ -253,25 +372,17 @@ func (m *Manager) State(id VehicleID) (State, bool) {
 
 // Profile returns the vehicle's profile.
 func (m *Manager) Profile(id VehicleID) (Profile, bool) {
-	v, ok := m.vehicles[id]
-	if !ok {
+	v := m.vehicle(id)
+	if v == nil {
 		return Profile{}, false
 	}
 	return v.profile, true
 }
 
 // IDs appends all live vehicle IDs to dst in ascending order and returns
-// it. Sorting here (rather than at each caller) keeps map iteration order
-// out of every downstream consumer: creation order, RNG draw sequences
-// and tie-breaks all follow this slice.
+// it.
 func (m *Manager) IDs(dst []VehicleID) []VehicleID {
-	start := len(dst)
-	for id := range m.vehicles {
-		dst = append(dst, id)
-	}
-	added := dst[start:]
-	sort.Slice(added, func(i, j int) bool { return added[i] < added[j] })
-	return dst
+	return append(dst, m.ids...)
 }
 
 func (m *Manager) posOf(v *vehicle) geo.Point {
@@ -283,58 +394,23 @@ func (m *Manager) posOf(v *vehicle) geo.Point {
 	return m.net.PosAlong(v.edge, t)
 }
 
-func (m *Manager) addToLane(v *vehicle) {
-	lanes := m.perLane[v.edge]
-	if lanes == nil {
-		lanes = make([][]VehicleID, m.net.Edge(v.edge).Lanes)
-		m.perLane[v.edge] = lanes
-	}
-	if v.lane >= len(lanes) {
-		v.lane = len(lanes) - 1
-	}
-	lanes[v.lane] = append(lanes[v.lane], v.id)
-}
+func (m *Manager) laneOf(v *vehicle) *lane { return &m.lanes[v.edge][v.lane] }
 
-func (m *Manager) removeFromLane(v *vehicle) {
-	lanes := m.perLane[v.edge]
-	if v.lane >= len(lanes) {
-		return
-	}
-	ids := lanes[v.lane]
-	for i, id := range ids {
-		if id == v.id {
-			ids[i] = ids[len(ids)-1]
-			lanes[v.lane] = ids[:len(ids)-1]
-			return
-		}
-	}
-}
-
-// leaderGap returns the bumper gap and speed of the nearest vehicle ahead
-// on the same edge+lane, or (inf, 0, false) when the lane ahead is clear.
+// leaderGap returns the bumper gap and speed of the nearest vehicle
+// strictly ahead on the same edge+lane, or (inf, 0, false) when the lane
+// ahead is clear. With the lane in (offset, id) order that is the next
+// slot, past any vehicles level with v; when several share the nearest
+// offset ahead, the lowest id is the leader — a function of the state,
+// not of the order in which they entered the lane.
+//
+//vcloudlint:hotpath twice per moving vehicle per tick; must not rescan the lane
 func (m *Manager) leaderGap(v *vehicle) (gap, leaderSpeed float64, ok bool) {
-	gap = math.Inf(1)
-	for _, id := range m.laneMates(v) {
-		if id == v.id {
-			continue
-		}
-		o := m.vehicles[id]
-		if o.offset <= v.offset {
-			continue
-		}
-		if g := o.offset - v.offset; g < gap {
-			gap, leaderSpeed, ok = g, o.speed, true
+	for _, o := range m.laneOf(v).vs[v.slot+1:] {
+		if o.offset > v.offset {
+			return o.offset - v.offset, o.speed, true
 		}
 	}
-	return gap, leaderSpeed, ok
-}
-
-func (m *Manager) laneMates(v *vehicle) []VehicleID {
-	lanes := m.perLane[v.edge]
-	if v.lane >= len(lanes) {
-		return nil
-	}
-	return lanes[v.lane]
+	return math.Inf(1), 0, false
 }
 
 // idmAccel computes the Intelligent Driver Model acceleration.
@@ -357,22 +433,20 @@ func idmAccel(p Profile, speed, desired, gap, leaderSpeed float64, hasLeader boo
 
 // Step advances all vehicles by dt seconds. It is called from a sim
 // kernel ticker.
+//
+//vcloudlint:hotpath the per-tick kernel under every moving scenario; no sort, make or literal per tick
 func (m *Manager) Step(dt float64) {
 	if dt <= 0 {
 		return
 	}
-	// Two phases: compute accelerations against the current snapshot,
-	// then integrate, so update order does not leak into dynamics.
-	type upd struct {
-		v     *vehicle
-		accel float64
-	}
-	// Iterate in ID order: map order would perturb RNG draw sequences
-	// downstream and break run reproducibility.
-	ids := m.IDs(nil)
-	sortVehicleIDs(ids)
-	updates := make([]upd, 0, len(ids))
-	for _, id := range ids {
+	// Phase one computes every acceleration before any offset or speed
+	// moves, so car-following reads one consistent snapshot. Lane changes
+	// are the exception: maybeChangeLane runs inside this phase, in id
+	// order, so a later vehicle does see an earlier vehicle's change of
+	// lane made this tick. Ascending id order is therefore part of the
+	// model (as is the order of randFn draws in phase two).
+	m.updates = m.updates[:0]
+	for _, id := range m.ids {
 		v := m.vehicles[id]
 		if v.parked {
 			continue
@@ -382,9 +456,11 @@ func (m *Manager) Step(dt float64) {
 		desired := edge.SpeedLimit * v.profile.DesiredSpeedFactor
 		gap, ls, hasLeader := m.leaderGap(v)
 		a := idmAccel(v.profile, v.speed, desired, gap, ls, hasLeader)
-		updates = append(updates, upd{v, a})
+		m.updates = append(m.updates, update{v, a})
 	}
-	for _, u := range updates {
+	// Phase two integrates. Nothing reads lane order here, so lanes may
+	// fall out of order until phase three.
+	for _, u := range m.updates {
 		v := u.v
 		v.speed += u.accel * dt
 		if v.speed < 0 {
@@ -397,7 +473,17 @@ func (m *Manager) Step(dt float64) {
 			}
 		}
 		if !v.gone {
-			m.index.Update(int32(v.id), m.posOf(v))
+			v.pos = m.posOf(v)
+			m.index.Update(int32(v.id), v.pos)
+		}
+	}
+	// Phase three restores (offset, id) order in every lane a moving
+	// vehicle ended the tick on, once per lane.
+	m.steps++
+	for _, u := range m.updates {
+		if l := m.laneOf(u.v); l.restored != m.steps {
+			l.restored = m.steps
+			l.restore()
 		}
 	}
 }
@@ -420,12 +506,12 @@ func (m *Manager) advanceEdge(v *vehicle) bool {
 	}
 	next := v.route[v.routeIdx]
 	v.routeIdx++
-	m.removeFromLane(v)
+	m.laneOf(v).remove(v)
 	v.edge = next
 	nextLanes := m.net.Edge(next).Lanes
 	v.lane = int(v.id) % nextLanes
 	v.offset = leftover
-	m.addToLane(v)
+	m.laneOf(v).insert(v)
 	return true
 }
 
@@ -441,6 +527,7 @@ func (m *Manager) pickNewDestination(v *vehicle) {
 	}
 	from := m.net.Edge(v.edge).To
 	for attempt := 0; attempt < 8; attempt++ {
+		//vcloudlint:allow hotalloc trip ends are rare (once per vehicle per route, not per tick); the draw goes through the injected stream
 		dst := roadnet.NodeID(m.randFn(m.net.NumNodes()))
 		if dst == from {
 			continue
@@ -458,15 +545,11 @@ func (m *Manager) pickNewDestination(v *vehicle) {
 	v.routeIdx = 0
 }
 
-func sortVehicleIDs(ids []VehicleID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
 // RemainingRoute returns the edges the vehicle will traverse after its
 // current edge. The slice is a copy.
 func (m *Manager) RemainingRoute(id VehicleID) []roadnet.EdgeID {
-	v, ok := m.vehicles[id]
-	if !ok || v.routeIdx >= len(v.route) {
+	v := m.vehicle(id)
+	if v == nil || v.routeIdx >= len(v.route) {
 		return nil
 	}
 	out := make([]roadnet.EdgeID, len(v.route)-v.routeIdx)

@@ -200,8 +200,13 @@ func (q *pathQueue) Pop() any {
 // free-flow travel time) from src to dst, using A* with a straight-line
 // travel-time heuristic. It returns an error when dst is unreachable.
 // A path from a node to itself is the empty path.
+//
+// Route planning allocates its search state per call. The one hot path
+// that reaches it, mobility.Manager.Step, does so once per vehicle per
+// trip end rather than per tick, hence the hotalloc directives below.
 func (n *Network) ShortestPath(src, dst NodeID) ([]EdgeID, error) {
 	if int(src) >= len(n.nodes) || int(dst) >= len(n.nodes) || src < 0 || dst < 0 {
+		//vcloudlint:allow hotalloc per-trip planning, not per-tick work (see the function comment)
 		return nil, fmt.Errorf("roadnet: path endpoints %d->%d out of range", src, dst)
 	}
 	if src == dst {
@@ -218,10 +223,12 @@ func (n *Network) ShortestPath(src, dst NodeID) ([]EdgeID, error) {
 	if maxSpeed == 0 {
 		return nil, fmt.Errorf("roadnet: network has no edges")
 	}
+	//vcloudlint:allow hotalloc per-trip planning, not per-tick work (see the function comment)
 	h := func(a NodeID) float64 {
 		return n.nodes[a].Pos.Dist(n.nodes[dst].Pos) / maxSpeed
 	}
 
+	//vcloudlint:allow hotalloc per-trip planning, not per-tick work (see the function comment)
 	dist := make(map[NodeID]float64, len(n.nodes))
 	prevEdge := make(map[NodeID]EdgeID, len(n.nodes))
 	done := make(map[NodeID]bool, len(n.nodes))

@@ -196,12 +196,16 @@ func (s *Scenario) Start() error {
 	}
 	s.started = true
 	dt := s.spec.MobilityTick.Seconds()
+	var fleet []mobility.VehicleID
 	if _, err := s.Kernel.Every(s.spec.MobilityTick, func() {
 		s.Mobility.Step(dt)
-		// Push fresh positions into the radio medium.
-		for id := range s.Nodes {
-			if st, ok := s.Mobility.State(id); ok {
-				s.Medium.UpdatePosition(vnet.Addr(id), st.Pos)
+		// Push fresh positions into the radio medium. Every live vehicle
+		// has a node: attachNode and the departure hook keep Nodes and the
+		// manager's fleet in step.
+		fleet = s.Mobility.IDs(fleet[:0])
+		for _, id := range fleet {
+			if p, ok := s.Mobility.Pos(id); ok {
+				s.Medium.UpdatePosition(vnet.Addr(id), p)
 			}
 		}
 	}); err != nil {
@@ -248,9 +252,7 @@ func (s *Scenario) RunFor(d sim.Time) error {
 // creation order decides event ordering at equal timestamps — it must
 // not depend on map iteration for runs to reproduce.
 func (s *Scenario) VehicleIDs() []mobility.VehicleID {
-	ids := s.Mobility.IDs(nil)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return s.Mobility.IDs(nil)
 }
 
 // Node returns the vnet node of a vehicle.

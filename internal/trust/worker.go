@@ -59,6 +59,7 @@ func NewWorkerSet(now func() sim.Time, halflife sim.Time) (*WorkerSet, error) {
 func (ws *WorkerSet) rec(a vnet.Addr) *workerRec {
 	r, ok := ws.recs[a]
 	if !ok {
+		//vcloudlint:allow hotalloc one record per worker, created the first time it is scored; every later read finds it
 		r = &workerRec{last: ws.now()}
 		ws.recs[a] = r
 		return r

@@ -675,12 +675,7 @@ func (c *Controller) SubmitFor(client vnet.Addr, task Task, done func(TaskResult
 // completion. Returns false when no member exists at all.
 func (c *Controller) pickMember(ts *taskState) (vnet.Addr, bool) {
 	now := c.node.Kernel().Now()
-	type cand struct {
-		addr     vnet.Addr
-		finish   float64 // seconds until it would finish this task
-		hasDwell bool
-	}
-	var ok, short []cand
+	var p placement
 	for a, m := range c.members {
 		if now-m.lastSeen > c.cfg.MemberTTL {
 			continue
@@ -694,37 +689,14 @@ func (c *Controller) pickMember(ts *taskState) (vnet.Addr, bool) {
 			continue
 		}
 		runtime := (m.queuedOps + ts.remainingOps) / m.res.CPU
-		cd := cand{addr: a, finish: runtime + m.delay.Seconds()}
+		// Edge servers are fixed infrastructure: dwell always suffices.
+		hasDwell := true
 		if c.cfg.Dwell != nil && !m.edge {
-			d := c.cfg.Dwell(a)
-			cd.hasDwell = d >= runtime*c.cfg.DwellMargin
-		} else {
-			// Edge servers are fixed infrastructure: dwell always
-			// suffices.
-			cd.hasDwell = true
+			hasDwell = c.cfg.Dwell(a) >= runtime*c.cfg.DwellMargin
 		}
-		if cd.hasDwell {
-			//vcloudlint:allow nomaporder pool order is immaterial: the best-pick below totally orders on (finish, addr)
-			ok = append(ok, cd)
-		} else {
-			//vcloudlint:allow nomaporder pool order is immaterial: the best-pick below totally orders on (finish, addr)
-			short = append(short, cd)
-		}
+		p.offer(placeCand{addr: a, finish: runtime + m.delay.Seconds()}, hasDwell)
 	}
-	pool := ok
-	if len(pool) == 0 {
-		pool = short // nobody qualifies on dwell: best effort
-	}
-	if len(pool) == 0 {
-		return 0, false
-	}
-	best := pool[0]
-	for _, cd := range pool[1:] {
-		if cd.finish < best.finish || (cd.finish == best.finish && cd.addr < best.addr) {
-			best = cd
-		}
-	}
-	return best.addr, true
+	return p.pick()
 }
 
 func (c *Controller) assign(ts *taskState) {

@@ -145,11 +145,58 @@ func (c *Controller) trustEligible(p *DependabilityPolicy, addr vnet.Addr) bool 
 	return c.cfg.Workers.Score(addr) >= p.TrustThreshold
 }
 
+// placeCand is one member weighed for a task or replica.
+type placeCand struct {
+	addr   vnet.Addr
+	finish float64 // seconds until it would finish the work
+	tier   int     // dwell tier; 0 outside DAG stage placement
+}
+
+// betterThan is the placement order: earliest finish, then the higher
+// dwell tier, then the lower address. It is total, so the pick does not
+// depend on the order members are visited in.
+func (a placeCand) betterThan(b placeCand) bool {
+	if a.finish != b.finish {
+		return a.finish < b.finish
+	}
+	if a.tier != b.tier {
+		return a.tier > b.tier
+	}
+	return a.addr < b.addr
+}
+
+// placement is the running pick of both schedulers: the best candidate
+// offered so far among members whose dwell covers the run and, apart,
+// among the dwell-short ones, who are picked only when nobody's dwell
+// suffices (best effort).
+type placement struct {
+	best, bestShort   placeCand
+	found, foundShort bool
+}
+
+func (p *placement) offer(cd placeCand, hasDwell bool) {
+	switch {
+	case hasDwell && (!p.found || cd.betterThan(p.best)):
+		p.best, p.found = cd, true
+	case !hasDwell && (!p.foundShort || cd.betterThan(p.bestShort)):
+		p.bestShort, p.foundShort = cd, true
+	}
+}
+
+func (p *placement) pick() (vnet.Addr, bool) {
+	if p.found {
+		return p.best.addr, true
+	}
+	return p.bestShort.addr, p.foundShort
+}
+
 // pickReplicaMember chooses a worker for one replica: fresh, sensor-
 // capable, above the trust threshold, and not in the exclude set
 // (members already holding a copy of this task — disjointness). Among
 // the eligible it prefers dwell-sufficient members and earliest finish,
 // like the plain scheduler. Returns false when nobody qualifies.
+//
+//vcloudlint:hotpath once per replica of every task and DAG stage; keeps a running pick instead of building candidate pools
 func (c *Controller) pickReplicaMember(ts *taskState, exclude map[vnet.Addr]bool, remaining float64) (vnet.Addr, bool) {
 	now := c.node.Kernel().Now()
 	// DAG stage placement layers two reliability weights on top of the
@@ -159,13 +206,7 @@ func (c *Controller) pickReplicaMember(ts *taskState, exclude map[vnet.Addr]bool
 	// finish ties break toward the higher dwell tier before the address.
 	// Non-stage tasks keep the exact legacy ordering.
 	stage := ts.task.Stage != nil
-	type cand struct {
-		addr     vnet.Addr
-		finish   float64
-		tier     int
-		hasDwell bool
-	}
-	var ok, short []cand
+	var p placement
 	for a, m := range c.members {
 		if exclude[a] || now-m.lastSeen > c.cfg.MemberTTL {
 			continue
@@ -177,15 +218,13 @@ func (c *Controller) pickReplicaMember(ts *taskState, exclude map[vnet.Addr]bool
 			continue
 		}
 		runtime := (m.queuedOps + remaining) / m.res.CPU
-		cd := cand{addr: a, finish: runtime + m.delay.Seconds()}
-		dwell := math.Inf(1)
+		cd := placeCand{addr: a, finish: runtime + m.delay.Seconds()}
+		// Edge servers are fixed infrastructure: dwell always suffices.
+		dwell, hasDwell := math.Inf(1), true
 		if c.cfg.Dwell != nil && !m.edge {
+			//vcloudlint:allow hotalloc the deployment's estimator hook (arch.go wires mobility.EstimateDwell); TestPickReplicaAllocs holds the path at zero
 			dwell = c.cfg.Dwell(a)
-			cd.hasDwell = dwell >= runtime*c.cfg.DwellMargin
-		} else {
-			// Edge servers are fixed infrastructure: dwell always
-			// suffices.
-			cd.hasDwell = true
+			hasDwell = dwell >= runtime*c.cfg.DwellMargin
 		}
 		if stage {
 			cd.tier = mobility.DwellTier(dwell)
@@ -193,33 +232,9 @@ func (c *Controller) pickReplicaMember(ts *taskState, exclude map[vnet.Addr]bool
 				cd.finish /= c.cfg.Workers.Weight(a)
 			}
 		}
-		if cd.hasDwell {
-			//vcloudlint:allow nomaporder pool order is immaterial: the best-pick below totally orders on (finish, tier, addr)
-			ok = append(ok, cd)
-		} else {
-			//vcloudlint:allow nomaporder pool order is immaterial: the best-pick below totally orders on (finish, tier, addr)
-			short = append(short, cd)
-		}
+		p.offer(cd, hasDwell)
 	}
-	pool := ok
-	if len(pool) == 0 {
-		pool = short
-	}
-	if len(pool) == 0 {
-		return 0, false
-	}
-	best := pool[0]
-	for _, cd := range pool[1:] {
-		switch {
-		case cd.finish < best.finish:
-			best = cd
-		case cd.finish == best.finish && cd.tier > best.tier:
-			best = cd
-		case cd.finish == best.finish && cd.tier == best.tier && cd.addr < best.addr:
-			best = cd
-		}
-	}
-	return best.addr, true
+	return p.pick()
 }
 
 // launch routes a freshly submitted (or restored) task into either the
