@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -17,14 +18,44 @@ func mustGrid(t *testing.T, bounds Rect, cell float64) *GridIndex {
 
 func TestNewGridIndexValidation(t *testing.T) {
 	bounds := NewRect(Point{0, 0}, Point{100, 100})
-	if _, err := NewGridIndex(bounds, 0); err == nil {
-		t.Error("want error for zero cell size")
-	}
-	if _, err := NewGridIndex(bounds, -5); err == nil {
-		t.Error("want error for negative cell size")
-	}
-	if _, err := NewGridIndex(Rect{}, 10); err == nil {
-		t.Error("want error for empty bounds")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		bounds Rect
+		cell   float64
+		ok     bool
+	}{
+		{"plain", bounds, 10, true},
+		{"one cell", bounds, 1e300, true},
+		{"fractional quotient rounds up", bounds, 30, true},
+		{"zero cell size", bounds, 0, false},
+		{"negative cell size", bounds, -5, false},
+		{"NaN cell size", bounds, nan, false},
+		{"+Inf cell size", bounds, inf, false},
+		{"empty bounds", Rect{}, 10, false},
+		{"zero-height bounds", Rect{Min: Point{0, 0}, Max: Point{100, 0}}, 10, false},
+		{"NaN bound", Rect{Min: Point{0, 0}, Max: Point{nan, 100}}, 10, false},
+		{"infinite bound", Rect{Min: Point{0, 0}, Max: Point{inf, 100}}, 10, false},
+		{"both bounds infinite", Rect{Min: Point{-inf, -inf}, Max: Point{inf, inf}}, 10, false},
+		{"width overflows to +Inf", Rect{Min: Point{-1e308, 0}, Max: Point{1e308, 100}}, 10, false},
+		{"one past the cell ceiling", NewRect(Point{0, 0}, Point{2049, 2048}), 1, false},
+		{"cell size in the wrong unit", NewRect(Point{0, 0}, Point{30000, 30000}), 0.3, false},
+		{"quotient overflows int", bounds, 1e-300, false},
+		{"subnormal cell size", bounds, 5e-324, false},
+	} {
+		g, err := NewGridIndex(tc.bounds, tc.cell)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: NewGridIndex(%v, %v) error = %v, want ok=%v", tc.name, tc.bounds, tc.cell, err, tc.ok)
+			continue
+		}
+		if tc.ok {
+			// A fresh index of any accepted shape must take an entry and
+			// find it again, in bounds and out.
+			g.Update(1, Point{-7, 1e9})
+			if got := g.WithinRange(nil, Point{-7, 1e9}, 1, -1); len(got) != 1 || got[0] != 1 {
+				t.Errorf("%s: entry not found after Update: %v", tc.name, got)
+			}
+		}
 	}
 }
 
@@ -323,5 +354,29 @@ func BenchmarkGridWithinRange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q := Point{rng.Float64() * 5000, rng.Float64() * 5000}
 		buf = g.WithinRange(buf[:0], q, 300, -1)
+	}
+}
+
+// BenchmarkGridUpdate moves 2000 entries by a vehicle-step-sized hop per
+// iteration: mostly same-cell stores, with the occasional cell crossing.
+func BenchmarkGridUpdate(b *testing.B) {
+	bounds := NewRect(Point{0, 0}, Point{5000, 5000})
+	g, err := NewGridIndex(bounds, 300)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]Point, 2000)
+	for i := range pts {
+		pts[i] = Point{rng.Float64() * 5000, rng.Float64() * 5000}
+		g.Update(int32(i), pts[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := i % len(pts)
+		p := &pts[id]
+		p.X = math.Mod(p.X+6, 5000)
+		g.Update(int32(id), *p)
 	}
 }

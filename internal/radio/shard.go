@@ -65,27 +65,56 @@ func (c *ShardChannel) NoteSent(size int) {
 	c.stats.BytesOnAir += uint64(size)
 }
 
-// Receive decides whether the beacon transmitted at tick by from reaches
-// to over distance dist, with the sender seeing `density` neighbors, and
-// updates the Delivered/LostRange/LostLoad counters. The decision reads
-// nothing but its arguments and the channel seed: any shard computes the
-// same verdict for the same reception.
+// Beacon is one transmission's share of the reception verdict: everything
+// that depends on (tick, sender, density) but not on the receiver, computed
+// once so each candidate receiver costs one hash round per draw.
+type Beacon struct {
+	c *ShardChannel
+	// fade and collide are sim.Hash(seed, domain, tick, from): the chains
+	// behind the two draws, short of the final round that folds in `to`.
+	fade, collide uint64
+	pCollide      float64
+}
+
+// Beacon prepares the verdicts for the beacon transmitted at tick by from,
+// with the sender seeing `density` neighbors.
+func (c *ShardChannel) Beacon(tick uint64, from NodeID, density int) Beacon {
+	uf := uint64(uint32(from))
+	return Beacon{
+		c:        c,
+		fade:     sim.Hash(c.seed, drawFade, tick, uf),
+		collide:  sim.Hash(c.seed, drawCollide, tick, uf),
+		pCollide: c.CollisionProb(density),
+	}
+}
+
+// Reaches decides whether the beacon reaches to over distance dist and
+// updates the channel's Delivered/LostRange/LostLoad counters. The verdict
+// is sim.HashUnit(seed, domain, tick, from, to) against the fade and
+// collision probabilities, so it reads nothing but the beacon, its
+// arguments and the channel seed: any shard computes the same verdict for
+// the same reception. The fade draw lies in [0, 1) and cannot reach a
+// reception probability of 1, so it is skipped inside RangeReliable.
 //
 //vcloudlint:hotpath one verdict per candidate reception per tick in the sharded world
-func (c *ShardChannel) Receive(tick uint64, from, to NodeID, dist float64, density int) bool {
-	uf, ut := uint64(uint32(from)), uint64(uint32(to))
-	pRecv := c.params.ReceptionProb(dist)
-	if sim.HashUnit(c.seed, drawFade, tick, uf, ut) >= pRecv {
+func (b Beacon) Reaches(to NodeID, dist float64) bool {
+	ut := uint64(uint32(to))
+	c := b.c
+	if pRecv := c.params.ReceptionProb(dist); pRecv < 1 && hashUnit(b.fade^ut) >= pRecv {
 		c.stats.LostRange++
 		return false
 	}
-	if sim.HashUnit(c.seed, drawCollide, tick, uf, ut) < c.CollisionProb(density) {
+	if hashUnit(b.collide^ut) < b.pCollide {
 		c.stats.LostLoad++
 		return false
 	}
 	c.stats.Delivered++
 	return true
 }
+
+// hashUnit finishes a sim.HashUnit chain: one more mix round over the
+// folded-in last value, mapped onto [0, 1) with 53 bits of precision.
+func hashUnit(x uint64) float64 { return float64(sim.Mix64(x)>>11) / (1 << 53) }
 
 // Stats returns a copy of the channel counters.
 func (c *ShardChannel) Stats() Stats { return c.stats }

@@ -1,6 +1,10 @@
 package radio
 
-import "testing"
+import (
+	"testing"
+
+	"vcloud/internal/sim"
+)
 
 func newTestChannel(t *testing.T, seed uint64) *ShardChannel {
 	t.Helper()
@@ -9,6 +13,73 @@ func newTestChannel(t *testing.T, seed uint64) *ShardChannel {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// reaches is one whole verdict through the per-beacon API.
+func reaches(c *ShardChannel, tick uint64, from, to NodeID, dist float64, density int) bool {
+	return c.Beacon(tick, from, density).Reaches(to, dist)
+}
+
+// receiveModel is ShardChannel.Receive as it stood before Beacon/Reaches
+// replaced it, kept verbatim as the reference: two full five-round hash
+// chains per candidate, the fade draw always made.
+func receiveModel(c *ShardChannel, tick uint64, from, to NodeID, dist float64, density int) bool {
+	uf, ut := uint64(uint32(from)), uint64(uint32(to))
+	pRecv := c.params.ReceptionProb(dist)
+	if sim.HashUnit(c.seed, drawFade, tick, uf, ut) >= pRecv {
+		c.stats.LostRange++
+		return false
+	}
+	if sim.HashUnit(c.seed, drawCollide, tick, uf, ut) < c.CollisionProb(density) {
+		c.stats.LostLoad++
+		return false
+	}
+	c.stats.Delivered++
+	return true
+}
+
+// TestBeaconMatchesReceiveModel holds Beacon/Reaches to the old
+// per-candidate Receive: same verdict for every reception and the same
+// three counters, across both hard distance regimes, the fade zone and
+// the whole load range, with one beacon reused over many receivers the
+// way beaconPhase uses it.
+func TestBeaconMatchesReceiveModel(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 77, 1 << 63} {
+		got, want := newTestChannel(t, seed), newTestChannel(t, seed)
+		p := got.Params()
+		fade := p.RangeMax - p.RangeReliable
+		dists := []float64{0, p.RangeReliable / 2, p.RangeReliable,
+			p.RangeReliable + fade/1000, p.RangeReliable + fade/4, p.RangeReliable + fade/2, p.RangeMax - fade/1000,
+			p.RangeMax, p.RangeMax + 1}
+		froms := []NodeID{0, 1, 4999, 1 << 20, 1<<20 + 7, -1}
+		for tick := uint64(0); tick < 40; tick++ {
+			for _, density := range []int{0, 1, 5, 20, 50, 200} {
+				for _, from := range froms {
+					b := got.Beacon(tick*7919, from, density)
+					for i := 0; i < 12; i++ {
+						to := NodeID(i*37 + int(tick))
+						if i%4 == 3 {
+							to += 1 << 20
+						}
+						dist := dists[(i+int(tick))%len(dists)]
+						g := b.Reaches(to, dist)
+						w := receiveModel(want, tick*7919, from, to, dist, density)
+						if g != w {
+							t.Fatalf("seed %d tick %d from %d to %d dist %v density %d: Reaches = %v, Receive model = %v",
+								seed, tick*7919, from, to, dist, density, g, w)
+						}
+					}
+				}
+			}
+		}
+		gs, ws := got.Stats(), want.Stats()
+		if gs != ws {
+			t.Fatalf("seed %d: counters diverged: %+v, model %+v", seed, gs, ws)
+		}
+		if gs.Delivered == 0 || gs.LostRange == 0 || gs.LostLoad == 0 {
+			t.Fatalf("seed %d: an outcome never occurred, the comparison proves less than it claims: %+v", seed, gs)
+		}
+	}
 }
 
 // TestShardChannelPure checks the reception verdict is a pure function of
@@ -20,7 +91,7 @@ func TestShardChannelPure(t *testing.T) {
 	for tick := uint64(0); tick < 300; tick++ {
 		from, to := NodeID(tick%17), NodeID(tick%23+17)
 		dist := float64(tick%350) + 0.5
-		if a.Receive(tick, from, to, dist, int(tick%40)) != b.Receive(tick, from, to, dist, int(tick%40)) {
+		if reaches(a, tick, from, to, dist, int(tick%40)) != reaches(b, tick, from, to, dist, int(tick%40)) {
 			t.Fatalf("verdict diverged at tick %d", tick)
 		}
 	}
@@ -31,7 +102,7 @@ func TestShardChannelPure(t *testing.T) {
 	diff := 0
 	for tick := uint64(0); tick < 300; tick++ {
 		dist := 200.0
-		if a.Receive(tick, 1, 2, dist, 10) != c.Receive(tick, 1, 2, dist, 10) {
+		if reaches(a, tick, 1, 2, dist, 10) != reaches(c, tick, 1, 2, dist, 10) {
 			diff++
 		}
 	}
@@ -46,10 +117,10 @@ func TestShardChannelDistanceCutoff(t *testing.T) {
 	c := newTestChannel(t, 5)
 	p := c.Params()
 	for tick := uint64(0); tick < 200; tick++ {
-		if !c.Receive(tick, 1, 2, p.RangeReliable-1, 0) {
+		if !reaches(c, tick, 1, 2, p.RangeReliable-1, 0) {
 			t.Fatalf("reliable-range beacon lost at tick %d under zero load", tick)
 		}
-		if c.Receive(tick, 1, 2, p.RangeMax+1, 0) {
+		if reaches(c, tick, 1, 2, p.RangeMax+1, 0) {
 			t.Fatalf("out-of-range beacon delivered at tick %d", tick)
 		}
 	}
@@ -72,7 +143,7 @@ func TestShardChannelLoadLoss(t *testing.T) {
 	lossAt := func(density int) int {
 		ch := newTestChannel(t, 6)
 		for tick := uint64(0); tick < 2000; tick++ {
-			ch.Receive(tick, 1, 2, 50, density)
+			reaches(ch, tick, 1, 2, 50, density)
 		}
 		return int(ch.Stats().LostLoad)
 	}

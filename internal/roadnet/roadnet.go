@@ -264,6 +264,7 @@ func (n *Network) ShortestPath(src, dst NodeID) ([]EdgeID, error) {
 	var rev []EdgeID
 	for at := dst; at != src; {
 		e := prevEdge[at]
+		//vcloudlint:allow hotalloc per-trip planning, not per-tick work (see the function comment)
 		rev = append(rev, e)
 		at = n.edges[e].From
 	}

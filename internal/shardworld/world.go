@@ -29,7 +29,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -258,7 +258,10 @@ type wshard struct {
 	k       *sim.Kernel
 	index   *geo.ShardedIndex
 	channel *radio.ShardChannel
-	locals  map[int32]*mobility.ShardVehicle
+	// locals is the shard's fleet in ascending id order — the order every
+	// per-tick walk follows. It changes only at arrival and handoff-in
+	// (insertLocal) and at death and handoff-out (movePhase's compaction).
+	locals []mobility.ShardVehicle
 	// arrivals maps tick -> ids spawning on this shard, precomputed at
 	// setup from the churn schedule and the pure spawn position.
 	arrivals map[int][]int32
@@ -269,7 +272,6 @@ type wshard struct {
 	suppressed uint64
 	samples    []SampleRow
 
-	ids  []int32 // sorted-local-ids scratch
 	near []int
 	nids []int32
 	npos []geo.Point
@@ -299,9 +301,8 @@ type handoffMsg struct {
 
 func applyHandoff(a any) {
 	m := a.(handoffMsg)
-	v := m.v
-	m.s.locals[v.ID] = &v
-	m.s.index.UpdateLocal(v.ID, v.Pos)
+	m.s.insertLocal(m.v)
+	m.s.index.UpdateLocal(m.v.ID, m.v.Pos)
 }
 
 func applyDelivery(a any) { a.(*wshard).applied++ }
@@ -310,6 +311,15 @@ func clearGhostsFn(a any) { a.(*wshard).index.ClearGhosts() }
 
 // Run executes the scenario and returns its result.
 func Run(cfg Config) (*Result, error) {
+	w, err := run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return w.collect()
+}
+
+// run builds the world and drives it to the last tick.
+func run(cfg Config) (*world, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -339,7 +349,6 @@ func Run(cfg Config) (*Result, error) {
 			w:        w,
 			idx:      i,
 			k:        w.sk.Shard(i),
-			locals:   make(map[int32]*mobility.ShardVehicle),
 			arrivals: make(map[int][]int32),
 		}
 		// Every shard's channel carries the same seed: reception verdicts
@@ -363,7 +372,7 @@ func Run(cfg Config) (*Result, error) {
 		if b := w.birth[i]; b > 0 {
 			owner.arrivals[int(b)] = append(owner.arrivals[int(b)], id)
 		} else {
-			owner.locals[id] = &v
+			owner.locals = append(owner.locals, v) // ids ascend with i
 			owner.index.UpdateLocal(id, v.Pos)
 		}
 	}
@@ -375,18 +384,15 @@ func Run(cfg Config) (*Result, error) {
 	if err := w.sk.Run(sim.Time(cfg.Ticks) * cfg.TickEvery); err != nil {
 		return nil, err
 	}
-	return w.collect()
+	return w, nil
 }
 
-// sortedLocals rebuilds the shard's local id list in ascending order; all
-// per-tick iteration follows it so map order never reaches the model.
-func (s *wshard) sortedLocals() []int32 {
-	s.ids = s.ids[:0]
-	for id := range s.locals {
-		s.ids = append(s.ids, id)
-	}
-	sort.Slice(s.ids, func(i, j int) bool { return s.ids[i] < s.ids[j] })
-	return s.ids
+// insertLocal adds v to the id-ordered local table.
+func (s *wshard) insertLocal(v mobility.ShardVehicle) {
+	i, _ := slices.BinarySearchFunc(s.locals, v.ID, func(e mobility.ShardVehicle, id int32) int {
+		return int(e.ID) - int(id)
+	})
+	s.locals = slices.Insert(s.locals, i, v)
 }
 
 // movePhase is phase one of tick: arrivals, departures, one Step per
@@ -404,15 +410,17 @@ func (s *wshard) movePhase(tick int) {
 	s.k.AtArg(t+L, clearGhostsFn, s)
 
 	for _, id := range s.arrivals[tick] {
-		v := mobility.SpawnShardVehicle(w.mobSeed, id, w.bounds, cfg.SpeedMin, cfg.SpeedMax)
-		s.locals[id] = &v
+		s.insertLocal(mobility.SpawnShardVehicle(w.mobSeed, id, w.bounds, cfg.SpeedMin, cfg.SpeedMax))
 	}
 
-	for _, id := range s.sortedLocals() {
-		v := s.locals[id]
+	// Vehicles that die or cross out this tick are dropped by compacting
+	// the table in place as it is walked.
+	keep := s.locals[:0]
+	for i := range s.locals {
+		v := &s.locals[i]
+		id := v.ID
 		if w.death[id] == int32(tick) {
 			s.retiredOdo += v.OdoMM
-			delete(s.locals, id)
 			s.index.RemoveLocal(id)
 			continue
 		}
@@ -426,11 +434,11 @@ func (s *wshard) movePhase(tick int) {
 			s.hops++
 			cp := *v
 			cp.Hops++
-			delete(s.locals, id)
 			s.k.AtArg(t+L, applyDemote, ghostMsg{s: s, id: id, pos: v.Pos})
 			w.sk.Inject(s.idx, dst, t+L, applyHandoff, handoffMsg{s: w.shards[dst], v: cp})
 		} else {
 			s.index.UpdateLocal(id, v.Pos)
+			keep = append(keep, *v)
 		}
 		for _, g := range s.near {
 			if g != s.idx && g != dst {
@@ -438,6 +446,7 @@ func (s *wshard) movePhase(tick int) {
 			}
 		}
 	}
+	s.locals = keep
 
 	s.k.At(t+2*L, func() { s.beaconPhase(tick) })
 	if (tick+1)%cfg.SampleEvery == 0 || tick == cfg.Ticks-1 {
@@ -459,21 +468,21 @@ func (s *wshard) beaconPhase(tick int) {
 	L := w.lookahead
 	out := cfg.Outage
 
-	for _, id := range s.sortedLocals() {
-		v := s.locals[id]
+	for i := range s.locals {
+		v := &s.locals[i]
+		id := v.ID
 		if out != nil && tick >= out.FromTick && tick < out.ToTick && out.Rect.Contains(v.Pos) {
 			s.suppressed++
 			continue
 		}
 		s.channel.NoteSent(cfg.BeaconBytes)
 		s.nids, s.npos = s.index.WithinRangePos(s.nids[:0], s.npos[:0], v.Pos, cfg.Radio.RangeMax, id)
-		density := len(s.nids)
-		for i, nid := range s.nids {
-			d := v.Pos.Dist(s.npos[i])
-			if !s.channel.Receive(uint64(tick), radio.NodeID(id), radio.NodeID(nid), d, density) {
+		b := s.channel.Beacon(uint64(tick), radio.NodeID(id), len(s.nids))
+		for j, nid := range s.nids {
+			if !b.Reaches(radio.NodeID(nid), v.Pos.Dist(s.npos[j])) {
 				continue
 			}
-			if rs := w.smap.ShardOf(s.npos[i]); rs == s.idx {
+			if rs := w.smap.ShardOf(s.npos[j]); rs == s.idx {
 				s.k.AtArg(t+3*L, applyDelivery, s)
 			} else {
 				w.sk.Inject(s.idx, rs, t+3*L, applyDelivery, w.shards[rs])
@@ -487,8 +496,8 @@ func (s *wshard) beaconPhase(tick int) {
 // the tick, before anything of the next.
 func (s *wshard) sample(tick int) {
 	odo := s.retiredOdo
-	for _, v := range s.locals {
-		odo += v.OdoMM
+	for i := range s.locals {
+		odo += s.locals[i].OdoMM
 	}
 	st := s.channel.Stats()
 	s.samples = append(s.samples, SampleRow{

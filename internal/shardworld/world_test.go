@@ -197,3 +197,84 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestLocalsStaySorted checks the invariant every per-tick walk now leans
+// on instead of sorting: after a run with churn and handoffs each shard's
+// local table is strictly ascending by id, tables are disjoint, every
+// vehicle sits on the shard that owns its position, and the union is
+// exactly the churn schedule's live set at the last tick.
+func TestLocalsStaySorted(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		cfg := testConfig(17, shards)
+		cfg.Ticks = 80
+		cfg.ChurnFrac = 0.3
+		w, err := run(cfg)
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		res, err := w.collect()
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		if shards > 1 && res.Handoffs == 0 {
+			t.Fatalf("%d shards: no handoffs; insert and compaction across shards untested", shards)
+		}
+		owner := make(map[int32]int)
+		for _, s := range w.shards {
+			for i, v := range s.locals {
+				if i > 0 && s.locals[i-1].ID >= v.ID {
+					t.Fatalf("%d shards: shard %d table not strictly ascending at %d: %d then %d",
+						shards, s.idx, i, s.locals[i-1].ID, v.ID)
+				}
+				if prev, dup := owner[v.ID]; dup {
+					t.Fatalf("%d shards: vehicle %d local to shards %d and %d", shards, v.ID, prev, s.idx)
+				}
+				owner[v.ID] = s.idx
+				if got := w.smap.ShardOf(v.Pos); got != s.idx {
+					t.Fatalf("%d shards: vehicle %d at %v is local to shard %d, position belongs to %d", shards, v.ID, v.Pos, s.idx, got)
+				}
+			}
+		}
+		last := int32(cfg.Ticks - 1)
+		live, late, gone := 0, 0, 0
+		for id := range w.birth {
+			alive := w.birth[id] <= last && last < w.death[id]
+			if alive {
+				live++
+			}
+			if w.birth[id] > 0 {
+				late++
+			}
+			if !alive {
+				gone++
+			}
+			if _, ok := owner[int32(id)]; ok != alive {
+				t.Fatalf("%d shards: vehicle %d (born %d, dies %d) local=%v at tick %d", shards, id, w.birth[id], w.death[id], ok, last)
+			}
+		}
+		if len(owner) != live || late == 0 || gone == 0 {
+			t.Fatalf("%d shards: %d locals for %d live vehicles (%d late arrivals, %d departed)", shards, len(owner), live, late, gone)
+		}
+	}
+}
+
+// BenchmarkShardWorld runs the whole sharded stack — hash mobility, halo
+// ghosts, handoffs, per-beacon verdicts, delivery events — on a fleet
+// dense enough that the neighbor query and the verdict dominate.
+func BenchmarkShardWorld(b *testing.B) {
+	cfg := DefaultConfig(1, 2)
+	cfg.Vehicles = 1000
+	cfg.Ticks = 20
+	cfg.SampleEvery = 10
+	cfg.ChurnFrac = 0.1
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Radio.Delivered == 0 {
+			b.Fatal("nothing delivered")
+		}
+	}
+}
