@@ -27,9 +27,10 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -65,13 +66,11 @@ func HashUnit(seed uint64, vals ...uint64) float64 {
 	return float64(Hash(seed, vals...)>>11) / (1 << 53)
 }
 
-// crossEvent is one cross-shard event parked in a source shard's outbox
+// crossEvent is one cross-shard event parked in its source shard's outbox
 // until the next barrier.
 type crossEvent struct {
 	at  Time
-	src int
 	dst int
-	seq uint64 // per-source order of emission within the window
 	fn  func(any)
 	arg any
 }
@@ -219,8 +218,7 @@ func (sk *ShardedKernel) Inject(src, dst int, at Time, fn func(any), arg any) {
 	if at < sk.windowEnd {
 		panic(fmt.Sprintf("sim: conservative lookahead violated: cross event at %v lands inside the current window (ends %v); increase the model's cross-shard latency or shrink the lookahead", at, sk.windowEnd))
 	}
-	box := sk.outbox[src]
-	sk.outbox[src] = append(box, crossEvent{at: at, src: src, dst: dst, seq: uint64(len(box)), fn: fn, arg: arg})
+	sk.outbox[src] = append(sk.outbox[src], crossEvent{at: at, dst: dst, fn: fn, arg: arg})
 }
 
 // mergeCross drains every outbox and schedules the events on their
@@ -241,16 +239,12 @@ func (sk *ShardedKernel) mergeCross() {
 	if len(sk.merged) == 0 {
 		return
 	}
-	sort.Slice(sk.merged, func(i, j int) bool {
-		a, b := sk.merged[i], sk.merged[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
+	// merged is concatenated in source-shard order and each outbox is in
+	// emission order, so a stable sort on time alone is the (source shard,
+	// sequence) tie-break. Equal-time events therefore reach AtArg back to
+	// back, which lets a destination queue them as one run (a matter of
+	// speed only: its pop order is (at, seq) however they arrive).
+	slices.SortStableFunc(sk.merged, func(a, b crossEvent) int { return cmp.Compare(a.at, b.at) })
 	for i := range sk.merged {
 		ce := &sk.merged[i]
 		sk.shards[ce.dst].AtArg(ce.at, ce.fn, ce.arg)

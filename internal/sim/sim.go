@@ -25,29 +25,41 @@ type Time = time.Duration
 // Event is a scheduled callback. Events are recycled through the kernel's
 // freelist once fired or cancelled; gen disambiguates incarnations so a
 // stale EventID held across a recycle can never cancel the wrong event.
+// The layout is kept to 64 bytes (one cache line, one allocator size
+// class): the queue touches every event it orders.
 type event struct {
 	at    Time
 	seq   uint64 // tie-breaker: FIFO among equal timestamps
 	fn    func()
 	argFn func(any) // alternative callback form (AtArg); nil when fn is set
 	arg   any
-	index int    // heap index, -1 when popped/cancelled
-	gen   uint32 // incremented every time the event is recycled
+	next  *event // the event scheduled right after this one for the same instant, if it joined this run
+	index int32  // heap slot of a run's head, or one of the sentinels below
+	gen   uint32 // incremented every time the event leaves the schedule
 }
+
+// Values of event.index for an event that is not at the head of a run.
+const (
+	unqueued  int32 = -1 // fired, cancelled or never scheduled
+	chained   int32 = -2 // scheduled, linked behind the head of its run
+	tombstone int32 = -3 // cancelled while chained; recycled when its run reaches it
+)
 
 // EventID identifies a scheduled event so it can be cancelled. The
 // generation tag makes IDs safe to hold indefinitely: once the event fires
 // or is cancelled its slot may be reused for a new event, and the stale ID
-// simply stops matching.
+// simply stops matching. The owner makes an ID meaningless to any kernel
+// but the one that issued it.
 type EventID struct {
-	ev  *event
-	gen uint32
+	ev    *event
+	owner *Kernel
+	gen   uint32
 }
 
 // Pending reports whether the event is still scheduled (not yet fired
 // and not cancelled).
 func (id EventID) Pending() bool {
-	return id.ev != nil && id.ev.gen == id.gen && id.ev.index >= 0
+	return id.ev != nil && id.ev.gen == id.gen && id.ev.index != unqueued
 }
 
 // before reports whether ev fires ahead of o: earlier time first, FIFO
@@ -60,12 +72,15 @@ func (ev *event) before(o *event) bool {
 	return ev.seq < o.seq
 }
 
-// eventQueue is a binary min-heap of events ordered by before, with each
-// event's position kept in its index field so Cancel can remove from the
-// middle. It is typed on *event rather than built on container/heap: the
-// queue sits under every scheduled and fired event, and the interface
-// dispatch and any-boxing of heap.Interface cost more there than the
-// sifting itself. Sifts move a hole instead of swapping.
+// eventQueue is a binary min-heap of same-instant runs, ordered by their
+// heads under before, with each head's position kept in its index field so
+// Cancel can remove from the middle. A run is a chain (event.next) of
+// events that were scheduled back to back for one instant; Kernel.schedule
+// grows it and Kernel.unlink drains it, so only heads are ever sifted. The
+// heap is typed on *event rather than built on container/heap: the queue
+// sits under every scheduled and fired event, and the interface dispatch
+// and any-boxing of heap.Interface cost more there than the sifting
+// itself. Sifts move a hole instead of swapping.
 type eventQueue []*event
 
 // up places ev at hole i or above, shifting later ancestors down.
@@ -76,11 +91,11 @@ func (q eventQueue) up(i int, ev *event) {
 			break
 		}
 		q[i] = q[parent]
-		q[i].index = i
+		q[i].index = int32(i)
 		i = parent
 	}
 	q[i] = ev
-	ev.index = i
+	ev.index = int32(i)
 }
 
 // down places ev at hole i or below, shifting earlier children up.
@@ -97,29 +112,26 @@ func (q eventQueue) down(i int, ev *event) {
 			break
 		}
 		q[i] = q[child]
-		q[i].index = i
+		q[i].index = int32(i)
 		i = child
 	}
 	q[i] = ev
-	ev.index = i
+	ev.index = int32(i)
 }
 
-// push adds ev to the queue.
+// push adds ev to the queue as the head of a new run.
 //
-//vcloudlint:hotpath once per scheduled event; growth of the backing array is amortized by the receiver-owned slice
+//vcloudlint:hotpath once per scheduled run; growth of the backing array is amortized by the receiver-owned slice
 func (q *eventQueue) push(ev *event) {
 	*q = append(*q, ev)
 	q.up(len(*q)-1, ev)
 }
 
-// remove takes the event at position i out of the queue (i == 0 pops the
-// earliest) and returns it with index -1.
+// remove closes heap slot i (i == 0 is the earliest), whose run has ended.
 //
-//vcloudlint:hotpath once per fired or cancelled event
-func (q *eventQueue) remove(i int) *event {
+//vcloudlint:hotpath once per fired or cancelled run
+func (q *eventQueue) remove(i int) {
 	h := *q
-	ev := h[i]
-	ev.index = -1
 	n := len(h) - 1
 	last := h[n]
 	h[n] = nil
@@ -134,7 +146,6 @@ func (q *eventQueue) remove(i int) *event {
 			h.down(i, last)
 		}
 	}
-	return ev
 }
 
 // ErrStopped is returned by Run when the simulation was stopped explicitly
@@ -146,6 +157,8 @@ type Kernel struct {
 	now     Time
 	seq     uint64
 	queue   eventQueue
+	tail    *event   // the most recently scheduled event while it is still queued: the one run that can grow
+	pending int      // scheduled events, chained ones included
 	free    []*event // recycled events; bounds allocation to peak concurrency
 	rng     *rand.Rand
 	seed    int64
@@ -175,7 +188,7 @@ func (k *Kernel) Seed() int64 { return k.seed }
 func (k *Kernel) Processed() uint64 { return k.processed }
 
 // Pending returns the number of events currently scheduled.
-func (k *Kernel) Pending() int { return len(k.queue) }
+func (k *Kernel) Pending() int { return k.pending }
 
 // WallTime returns the cumulative real time spent dispatching events
 // inside Run and Step.
@@ -237,27 +250,77 @@ func (k *Kernel) alloc(t Time, fn func(), argFn func(any), arg any) *event {
 	return ev
 }
 
-// recycle returns a fired or cancelled event to the freelist. Bumping gen
-// invalidates every EventID issued for the previous incarnation; clearing
-// the callback fields drops references so recycled events never pin model
-// state for the GC.
-//
-//vcloudlint:hotpath runs once per fired event; feeds the freelist that keeps alloc allocation-free
-func (k *Kernel) recycle(ev *event) {
+// retire ends ev's incarnation. Bumping gen invalidates every EventID
+// issued for it; clearing the callback fields drops references so retired
+// events never pin model state for the GC.
+func (ev *event) retire() {
 	ev.gen++
 	ev.fn = nil
 	ev.argFn = nil
 	ev.arg = nil
+}
+
+// recycle returns a fired or cancelled event to the freelist.
+//
+//vcloudlint:hotpath runs once per fired event; feeds the freelist that keeps alloc allocation-free
+func (k *Kernel) recycle(ev *event) {
+	ev.retire()
 	k.free = append(k.free, ev)
 }
 
+// schedule queues one event. An event for exactly the instant of the most
+// recently scheduled, still-queued event (tail) is linked behind it and
+// never enters the heap. That keeps pop order exactly (at, seq): a run
+// only grows while it is the newest, so its members hold consecutive seq
+// and two runs at one instant hold disjoint seq ranges — a head's
+// successor therefore precedes every other queued event and can take over
+// the head's heap slot as it stands. One remembered event is the whole
+// lookup: no per-instant map, no bucket array.
 func (k *Kernel) schedule(t Time, fn func(), argFn func(any), arg any) EventID {
 	if t < k.now {
 		t = k.now
 	}
 	ev := k.alloc(t, fn, argFn, arg)
-	k.queue.push(ev)
-	return EventID{ev: ev, gen: ev.gen}
+	if tl := k.tail; tl != nil && tl.at == t {
+		tl.next = ev
+		ev.index = chained
+	} else {
+		k.queue.push(ev)
+	}
+	k.tail = ev
+	k.pending++
+	return EventID{ev: ev, owner: k, gen: ev.gen}
+}
+
+// unlink takes the run head in heap slot i off the schedule and returns
+// it. The next live member of its run inherits the slot with no sift (see
+// schedule); tombstones passed on the way are recycled; a run that has
+// ended gives the slot back to the heap.
+//
+//vcloudlint:hotpath once per fired event and per cancelled head; the O(1) path every same-instant run drains through
+func (k *Kernel) unlink(i int) *event {
+	ev := k.queue[i]
+	succ := ev.next
+	for succ != nil && succ.index == tombstone {
+		dead := succ
+		succ = dead.next
+		dead.next = nil
+		dead.index = unqueued
+		k.free = append(k.free, dead)
+	}
+	if succ != nil {
+		k.queue[i] = succ
+		succ.index = int32(i)
+	} else {
+		k.queue.remove(i)
+	}
+	ev.next = nil
+	ev.index = unqueued
+	if ev == k.tail {
+		k.tail = nil
+	}
+	k.pending--
+	return ev
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -350,13 +413,25 @@ func (t *Ticker) Stop() {
 }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op. It reports whether the event was
-// actually removed.
+// already-cancelled event, or one another kernel scheduled, is a no-op. It
+// reports whether the event was actually removed.
 func (k *Kernel) Cancel(id EventID) bool {
-	if !id.Pending() {
+	if id.owner != k || !id.Pending() {
 		return false
 	}
-	k.recycle(k.queue.remove(id.ev.index))
+	ev := id.ev
+	if ev.index >= 0 {
+		k.recycle(k.unlink(int(ev.index)))
+		return true
+	}
+	// Mid-run: the chain is singly linked, so the event stays in place as
+	// a tombstone for unlink to skip.
+	ev.retire()
+	ev.index = tombstone
+	if ev == k.tail {
+		k.tail = nil
+	}
+	k.pending--
 	return true
 }
 
@@ -364,7 +439,7 @@ func (k *Kernel) Cancel(id EventID) bool {
 func (k *Kernel) Stop() { k.stopped = true }
 
 // fire dispatches one popped event. The event is recycled before its
-// callback runs — it is already off the heap, the callback is copied out,
+// callback runs — it is already off the queue, the callback is copied out,
 // and recycling first keeps the freelist hot when callbacks schedule
 // follow-up events.
 func (k *Kernel) fire(ev *event) {
@@ -396,8 +471,7 @@ func (k *Kernel) Run(horizon Time) error {
 			k.now = horizon
 			return nil
 		}
-		k.queue.remove(0)
-		k.fire(next)
+		k.fire(k.unlink(0))
 	}
 	if horizon > 0 && k.now < horizon {
 		k.now = horizon
@@ -423,8 +497,7 @@ func (k *Kernel) RunBefore(limit Time) error {
 		if next.at >= limit {
 			break
 		}
-		k.queue.remove(0)
-		k.fire(next)
+		k.fire(k.unlink(0))
 	}
 	if k.now < limit {
 		k.now = limit
@@ -448,7 +521,7 @@ func (k *Kernel) Step() bool {
 		return false
 	}
 	start := time.Now()
-	k.fire(k.queue.remove(0))
+	k.fire(k.unlink(0))
 	k.runWall += time.Since(start)
 	return true
 }
