@@ -73,7 +73,7 @@ func (e *Eavesdropper) Stop() {
 
 func (e *Eavesdropper) onFrame(f radio.Frame) {
 	switch p := f.Payload.(type) {
-	case vnet.Beacon:
+	case *vnet.Beacon:
 		e.Captured["beacon"]++
 		e.observations = append(e.observations, observation{at: f.SentAt, pos: p.Pos, from: f.From})
 	case vnet.Message:

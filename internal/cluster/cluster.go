@@ -336,9 +336,8 @@ type Runner struct {
 	ticker  *sim.Ticker
 	// onChange observers run after each state change.
 	onChange []func(old, new State)
-	// raw and views are tick's scratch, reused so a steady-state
-	// re-decision does not allocate.
-	raw   []vnet.Neighbor
+	// views is tick's scratch, reused so a steady-state re-decision does
+	// not allocate.
 	views []NeighborView
 }
 
@@ -388,11 +387,11 @@ func (r *Runner) tick() {
 		Speed:   r.node.Speed(),
 		Heading: r.node.Heading(),
 	}
-	r.raw = r.node.Neighbors(r.raw[:0])
 	r.views = r.views[:0]
-	for _, nb := range r.raw {
+	for _, row := range r.node.Rows() {
+		nb := row.Beacon
 		v := NeighborView{
-			NodeView: NodeView{Addr: nb.Addr, Pos: nb.Pos, Speed: nb.Speed, Heading: nb.Heading},
+			NodeView: NodeView{Addr: nb.From, Pos: nb.Pos, Speed: nb.Speed, Heading: nb.Heading},
 		}
 		if ext, ok := nb.Ext.(Ext); ok {
 			v.State = ext.State

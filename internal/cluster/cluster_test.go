@@ -252,8 +252,9 @@ func TestTrackerEmptyMean(t *testing.T) {
 	}
 }
 
-// TestRunnerTickAllocFree: a steady-state re-decision copies the neighbor
-// table and its views into the runner's own scratch and allocates nothing.
+// TestRunnerTickAllocFree: a steady-state re-decision fills its views
+// straight from the neighbor table's rows into the runner's own scratch
+// and allocates nothing.
 func TestRunnerTickAllocFree(t *testing.T) {
 	k := sim.NewKernel(1)
 	m, err := radio.NewMedium(k, geo.NewRect(geo.Point{X: -100, Y: -100}, geo.Point{X: 400, Y: 100}), radio.DefaultParams())

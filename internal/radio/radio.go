@@ -103,11 +103,15 @@ type Stats struct {
 // Medium is the shared channel. It owns a spatial index over node
 // positions which callers keep current via UpdatePosition.
 type Medium struct {
-	kernel   *sim.Kernel
-	rng      *rand.Rand
-	params   Params
-	index    *geo.GridIndex
-	handlers map[NodeID]Handler
+	kernel *sim.Kernel
+	rng    *rand.Rand
+	params Params
+	index  *geo.GridIndex
+	// handlers is a two-level table: handlers[id>>pageBits] is the page
+	// holding id's handler, nil until an id on it registers. Ids are
+	// sparse but clustered (vehicles from 0, RSUs from 1<<20), so a few
+	// pages cover them where one dense slice would span the gap.
+	handlers []*handlerPage
 	// airtime is the decaying load accumulator, in seconds of channel
 	// time; lastDecay is when it was last aged.
 	airtime   float64
@@ -121,12 +125,11 @@ type Medium struct {
 	// SetBlocked filter an experiment already installed).
 	blockers    map[int]func(from, to NodeID) bool
 	nextBlocker int
-	// promiscuous nodes overhear every frame transmitted in their range,
-	// regardless of addressing — the §III eavesdropping threat model.
-	// spies mirrors the map's keys sorted by id, maintained at
-	// registration time so Send never sorts.
-	promiscuous map[NodeID]Handler
-	spies       []NodeID
+	// spies are the promiscuous nodes, which overhear every frame
+	// transmitted in their range regardless of addressing — the §III
+	// eavesdropping threat model. Sorted by id at registration time so
+	// Send never sorts.
+	spies []spy
 	// scratchIDs/scratchPos are the per-medium neighbor-query buffers
 	// reused across Send calls; together with the delivery freelist they
 	// make a broadcast to N neighbors cost O(N) work with O(1)
@@ -134,6 +137,16 @@ type Medium struct {
 	scratchIDs []int32
 	scratchPos []geo.Point
 	freeDeliv  []*delivery
+}
+
+// pageBits sizes a handler page: 1<<pageBits consecutive ids.
+const pageBits = 10
+
+type handlerPage [1 << pageBits]Handler
+
+type spy struct {
+	id NodeID
+	h  Handler
 }
 
 // delivery carries one scheduled frame reception through the kernel.
@@ -186,12 +199,10 @@ func NewMedium(kernel *sim.Kernel, bounds geo.Rect, params Params) (*Medium, err
 		return nil, fmt.Errorf("radio: %w", err)
 	}
 	return &Medium{
-		kernel:      kernel,
-		rng:         kernel.NewStream("radio"),
-		params:      params,
-		index:       idx,
-		handlers:    make(map[NodeID]Handler),
-		promiscuous: make(map[NodeID]Handler),
+		kernel: kernel,
+		rng:    kernel.NewStream("radio"),
+		params: params,
+		index:  idx,
 	}, nil
 }
 
@@ -200,38 +211,56 @@ func NewMedium(kernel *sim.Kernel, bounds geo.Rect, params Params) (*Medium, err
 // transmitter is within range, including unicasts addressed to others.
 // The node must have a position (UpdatePosition) to overhear anything.
 func (m *Medium) SetPromiscuous(id NodeID, h Handler) {
-	if h == nil {
-		if _, ok := m.promiscuous[id]; ok {
-			delete(m.promiscuous, id)
-			for i, s := range m.spies {
-				if s == id {
-					m.spies = append(m.spies[:i], m.spies[i+1:]...)
-					break
-				}
-			}
-		}
-		return
+	i := 0
+	for i < len(m.spies) && m.spies[i].id < id {
+		i++
 	}
-	if _, ok := m.promiscuous[id]; !ok {
-		m.spies = append(m.spies, id)
-		sortIDs(m.spies)
+	switch known := i < len(m.spies) && m.spies[i].id == id; {
+	case known && h == nil:
+		m.spies = append(m.spies[:i], m.spies[i+1:]...)
+	case known:
+		m.spies[i].h = h
+	case h != nil:
+		m.spies = append(m.spies, spy{})
+		copy(m.spies[i+1:], m.spies[i:])
+		m.spies[i] = spy{id, h}
 	}
-	m.promiscuous[id] = h
 }
 
 // Register attaches a node's receive handler. Re-registering replaces the
-// handler.
+// handler; a nil handler removes it. Negative ids (Broadcast among them)
+// are not endpoints: registering one is a no-op and nothing is ever
+// delivered to it. The table costs 8 bytes per 1024 ids below the largest
+// one registered, so ids are expected in a few dense runs.
 func (m *Medium) Register(id NodeID, h Handler) {
-	if h == nil {
-		delete(m.handlers, id)
-		return
+	if id < 0 || (h == nil && m.handler(id) == nil) {
+		return // not an endpoint, or nothing to remove
 	}
-	m.handlers[id] = h
+	p := int(id >> pageBits)
+	if p >= len(m.handlers) {
+		m.handlers = append(m.handlers, make([]*handlerPage, p+1-len(m.handlers))...)
+	}
+	if m.handlers[p] == nil {
+		m.handlers[p] = new(handlerPage)
+	}
+	m.handlers[p][id&(1<<pageBits-1)] = h
+}
+
+// handler returns id's registered handler, or nil. A negative id maps
+// past the end of any directory Register can have built.
+//
+//vcloudlint:hotpath looked up once per reception candidate
+func (m *Medium) handler(id NodeID) Handler {
+	p := uint32(id) >> pageBits
+	if int(p) >= len(m.handlers) || m.handlers[p] == nil {
+		return nil
+	}
+	return m.handlers[p][id&(1<<pageBits-1)]
 }
 
 // Unregister removes a node from the medium entirely.
 func (m *Medium) Unregister(id NodeID) {
-	delete(m.handlers, id)
+	m.Register(id, nil)
 	m.index.Remove(int32(id))
 }
 
@@ -360,8 +389,8 @@ func (m *Medium) deliver(from, to, dst NodeID, src, dstPos geo.Point, size int, 
 	if m.frameBlocked(from, dst) {
 		return
 	}
-	h, ok := m.handlers[dst]
-	if !ok {
+	h := m.handler(dst)
+	if h == nil {
 		return
 	}
 	d := src.Dist(dstPos)
@@ -369,7 +398,7 @@ func (m *Medium) deliver(from, to, dst NodeID, src, dstPos geo.Point, size int, 
 	// Link-layer ARQ: unicast frames get retries+1 attempts; each
 	// failed attempt costs one extra transmission slot of delay.
 	attempts := 0
-	ok = false
+	ok := false
 	var lossKind *uint64
 	for try := 0; try <= retries; try++ {
 		attempts++
@@ -442,11 +471,11 @@ func (m *Medium) Send(from, to NodeID, size int, payload any) {
 	// Eavesdroppers overhear whatever their radio can demodulate,
 	// without ARQ (they cannot request retransmissions). The spy list is
 	// kept sorted at registration time.
-	for _, id := range m.spies {
-		if id == from || id == to {
+	for _, sp := range m.spies {
+		if sp.id == from || sp.id == to {
 			continue // the sender and the addressed node already have it
 		}
-		p, ok := m.index.Position(int32(id))
+		p, ok := m.index.Position(int32(sp.id))
 		if !ok {
 			continue
 		}
@@ -455,19 +484,9 @@ func (m *Medium) Send(from, to NodeID, size int, payload any) {
 			continue
 		}
 		dl := m.getDelivery()
-		dl.h = m.promiscuous[id]
+		dl.h = sp.h
 		dl.f = Frame{From: from, To: to, Size: size, Payload: payload, SentAt: m.kernel.Now()}
 		dl.count = false
 		m.kernel.AfterArg(m.txDelay(size), runDelivery, dl)
-	}
-}
-
-// sortIDs is the one insertion sort shared by every small id list in this
-// package (such lists are short and usually nearly sorted).
-func sortIDs[T ~int32](ids []T) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
 	}
 }

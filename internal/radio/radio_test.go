@@ -1,6 +1,8 @@
 package radio
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -210,6 +212,130 @@ func TestUnregisterRemovesNode(t *testing.T) {
 	}
 }
 
+// rsuBase is where scenario numbers RSUs from: the second dense run of
+// ids the handler table is shaped for.
+const rsuBase NodeID = 1 << 20
+
+// TestHandlerTableMatchesMapModel drives random Register, Unregister,
+// re-register and lookup over every kind of id — the two dense runs, one
+// far outlier, negatives — against the plain map the paged table replaced.
+func TestHandlerTableMatchesMapModel(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		m := newTestMedium(t, sim.NewKernel(seed))
+		rng := rand.New(rand.NewSource(seed))
+		model := make(map[NodeID]int)
+		hit := 0
+		for op := 0; op < 4000; op++ {
+			var id NodeID
+			switch rng.Intn(8) {
+			case 0:
+				id = rsuBase + NodeID(rng.Intn(64))
+			case 1:
+				id = []NodeID{1 << 30, Broadcast, -2, -1 << 10, math.MinInt32}[rng.Intn(5)]
+			default:
+				id = NodeID(rng.Intn(2048))
+			}
+			switch rng.Intn(4) {
+			case 0, 1:
+				tag, pages := op+1, len(m.handlers)
+				m.Register(id, func(Frame) { hit = tag })
+				if id >= 0 {
+					model[id] = tag
+				} else if len(m.handlers) != pages {
+					t.Fatalf("seed %d op %d: Register(%d) grew the directory to %d pages", seed, op, id, len(m.handlers))
+				}
+			case 2:
+				if rng.Intn(2) == 0 {
+					m.Unregister(id)
+				} else {
+					m.Register(id, nil)
+				}
+				delete(model, id)
+			case 3:
+				h, want := m.handler(id), model[id]
+				if hit = 0; h != nil {
+					h(Frame{})
+				}
+				if hit != want {
+					t.Fatalf("seed %d op %d: handler(%d) is registration %d, model %d (0 = none)", seed, op, id, hit, want)
+				}
+			}
+		}
+	}
+}
+
+// TestUnregisterMidBroadcast: the first receiver to hear a broadcast
+// unregisters the others from inside its handler; their receptions were
+// already scheduled and still fire, and the next broadcast finds only the
+// survivor.
+func TestUnregisterMidBroadcast(t *testing.T) {
+	k := sim.NewKernel(1)
+	p := DefaultParams()
+	p.CollisionFactor = 0
+	m, err := NewMedium(k, testBounds(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.UpdatePosition(0, geo.Point{X: 1000, Y: 1000})
+	heard := make(map[NodeID]int)
+	for id := NodeID(1); id <= 3; id++ {
+		m.UpdatePosition(id, geo.Point{X: 1000 + 10*float64(id), Y: 1000})
+		m.Register(id, func(Frame) {
+			heard[id]++
+			if len(heard) == 1 {
+				for other := NodeID(1); other <= 3; other++ {
+					if other != id {
+						m.Unregister(other)
+					}
+				}
+			}
+		})
+	}
+	m.Send(0, Broadcast, 100, nil)
+	if err := k.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(heard) != 3 || m.Stats().Delivered != 3 {
+		t.Fatalf("first broadcast heard by %v, Delivered %d; want all three", heard, m.Stats().Delivered)
+	}
+	m.Send(0, Broadcast, 100, nil)
+	if err := k.Run(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if total := heard[1] + heard[2] + heard[3]; total != 4 || m.Stats().Delivered != 4 {
+		t.Errorf("second broadcast: heard %v, Delivered %d; want one more reception", heard, m.Stats().Delivered)
+	}
+}
+
+// TestNoHandlerNoDraw: a node needs both a position and a handler to be a
+// reception candidate. One with a handler but no position is never
+// reached; one with a position but no handler is passed over before any
+// random draw, so registering or not never shifts the radio stream under
+// the nodes that do receive.
+func TestNoHandlerNoDraw(t *testing.T) {
+	k := sim.NewKernel(1)
+	m := newTestMedium(t, k)
+	got := 0
+	m.UpdatePosition(1, geo.Point{X: 100, Y: 100})
+	m.Register(2, func(Frame) { got++ })           // registered, positionless
+	m.UpdatePosition(3, geo.Point{X: 150, Y: 100}) // positioned, unregistered
+	m.Register(-3, func(Frame) { got++ })
+	m.UpdatePosition(-3, geo.Point{X: 120, Y: 100}) // positioned, but no endpoint
+	m.Send(1, 2, 100, nil)
+	m.Send(1, 3, 100, nil)
+	m.Send(1, -3, 100, nil)
+	m.Send(1, Broadcast, 100, nil)
+	if err := k.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); got != 0 || st.Delivered+st.LostRange+st.LostLoad != 0 {
+		t.Errorf("%d frames handled, stats %+v; want no reception attempted", got, st)
+	}
+	if next, want := m.rng.Int63(), sim.NewKernel(1).NewStream("radio").Int63(); next != want {
+		t.Errorf("radio stream advanced: next value %d, a fresh stream's first is %d", next, want)
+	}
+}
+
 func TestHighLoadCausesCollisionLoss(t *testing.T) {
 	k := sim.NewKernel(3)
 	m := newTestMedium(t, k)
@@ -413,6 +539,28 @@ func TestBroadcastAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm broadcast allocated %.1f times per Send+Run, want 0", allocs)
+	}
+}
+
+var sinkHandler Handler
+
+// BenchmarkDeliverLookup is deliver's handler lookup alone, over the id
+// layout of a city run: 1000 vehicles from 0 and 16 RSUs from rsuBase.
+func BenchmarkDeliverLookup(b *testing.B) {
+	m := newTestMedium(b, sim.NewKernel(1))
+	ids := make([]NodeID, 0, 1016)
+	for i := 0; i < 1016; i++ {
+		id := NodeID(i)
+		if i >= 1000 {
+			id = rsuBase + NodeID(i-1000)
+		}
+		ids = append(ids, id)
+		m.Register(id, func(Frame) {})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkHandler = m.handler(ids[i%len(ids)])
 	}
 }
 

@@ -40,8 +40,8 @@ func beaconedLine(tb testing.TB, n int, spacing float64) (*radio.Medium, []*vnet
 	return m, nodes
 }
 
-// TestGreedyNextHopAllocFree: a forwarding decision copies the neighbor
-// table into the router's own scratch and allocates nothing.
+// TestGreedyNextHopAllocFree: a forwarding decision reads the neighbor
+// table in place and allocates nothing.
 func TestGreedyNextHopAllocFree(t *testing.T) {
 	m, nodes := beaconedLine(t, 6, 140)
 	var stats Stats
@@ -63,7 +63,7 @@ func TestGreedyNextHopAllocFree(t *testing.T) {
 var sinkHop vnet.Addr
 
 // BenchmarkGreedyNextHop times one forwarding decision over a 50-row
-// neighbor table: the table copy plus the closest-to-destination scan,
+// neighbor table: the closest-to-destination scan over the live rows,
 // with a destination that is nobody's neighbor so the scan runs to the
 // end.
 func BenchmarkGreedyNextHop(b *testing.B) {
@@ -77,7 +77,6 @@ func BenchmarkGreedyNextHop(b *testing.B) {
 		b.Fatal(err)
 	}
 	msg := nodes[0].NewMessage(999, greedyKind, 100, geoTTL, Packet{DestPos: geo.Point{X: 1000}})
-	// The first decision also sizes the router's scratch table.
 	if _, ok := g.nextHop(msg); !ok {
 		b.Fatal("no neighbor makes progress")
 	}

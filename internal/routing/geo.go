@@ -44,9 +44,6 @@ type Greedy struct {
 	buffer  []carried
 	ticker  *sim.Ticker
 	stopped bool
-	// nbrs is nextHop's scratch copy of the neighbor table, reused so a
-	// forwarding decision does not allocate.
-	nbrs []vnet.Neighbor
 
 	// zone support (nil for plain greedy): set by MoZo.
 	clusterState func() cluster.State
@@ -185,7 +182,6 @@ func (g *Greedy) isHead() bool {
 // falls back to its cluster head for fresher zone knowledge).
 func (g *Greedy) nextHop(msg vnet.Message) (vnet.Addr, bool) {
 	pkt, _ := msg.Payload.(Packet)
-	g.nbrs = g.node.Neighbors(g.nbrs[:0])
 	self := g.node.Position()
 	myDist := self.Dist(pkt.DestPos)
 	// Only forward over links inside the reliable reception radius (with
@@ -197,12 +193,13 @@ func (g *Greedy) nextHop(msg vnet.Message) (vnet.Addr, bool) {
 	best := vnet.Addr(-1)
 	bestDist := myDist
 	myHeading := g.node.Heading()
-	for _, nb := range g.nbrs {
+	for _, row := range g.node.Rows() {
+		nb := row.Beacon
 		if self.Dist(nb.Pos) > maxLink {
 			continue
 		}
-		if nb.Addr == msg.Dest {
-			return nb.Addr, true
+		if nb.From == msg.Dest {
+			return nb.From, true
 		}
 		d := nb.Pos.Dist(pkt.DestPos)
 		if d >= myDist {
@@ -218,7 +215,7 @@ func (g *Greedy) nextHop(msg vnet.Message) (vnet.Addr, bool) {
 			}
 		}
 		if d < bestDist {
-			best, bestDist = nb.Addr, d
+			best, bestDist = nb.From, d
 		}
 	}
 	if best >= 0 {

@@ -29,7 +29,8 @@ type Addr = radio.NodeID
 // BroadcastAddr addresses all nodes in radio range.
 const BroadcastAddr = radio.Broadcast
 
-// Beacon is the periodic hello payload.
+// Beacon is the periodic hello payload. It goes on air as a *Beacon that
+// every receiver's table points into, so it is immutable once sent.
 type Beacon struct {
 	From    Addr
 	Pos     geo.Point
@@ -51,6 +52,19 @@ type Neighbor struct {
 	Heading  float64
 	Ext      any
 	LastSeen sim.Time
+}
+
+// Row is a neighbor-table row as stored: the sender's latest beacon,
+// shared with every other receiver of that transmission, and when it was
+// heard here.
+type Row struct {
+	LastSeen sim.Time
+	Beacon   *Beacon
+}
+
+func (r Row) neighbor() Neighbor {
+	b := r.Beacon
+	return Neighbor{Addr: b.From, Pos: b.Pos, Speed: b.Speed, Heading: b.Heading, Ext: b.Ext, LastSeen: r.LastSeen}
 }
 
 // Message is a typed protocol message, possibly relayed over multiple
@@ -94,14 +108,17 @@ type Node struct {
 	medium *radio.Medium
 	cfg    Config
 
-	// neighbors is the neighbor table: one row per address heard from,
-	// sorted by Addr. It is written once per received beacon and changes
-	// membership rarely, so a sorted array (binary search, overwrite in
-	// place) beats a map that every read must walk, copy out and re-sort.
-	// Rows past NeighborTTL linger until a read compacts them away.
-	neighbors []Neighbor
-	handlers  map[string]Handler
-	onBeacon  []BeaconFunc
+	// keys and rows are the neighbor table: one row per address heard
+	// from, sorted by address, rows[i] belonging to keys[i]. It is written
+	// once per received beacon and changes membership rarely, so a sorted
+	// array (binary search, overwrite in place) beats a map that every
+	// read must walk, copy out and re-sort; the search touches only the
+	// packed 4-byte keys. Rows past NeighborTTL linger until a read, or an
+	// insert that would otherwise grow the table, compacts them away.
+	keys     []Addr
+	rows     []Row
+	handlers map[string]Handler
+	onBeacon []BeaconFunc
 	// beaconExt is called to fill Beacon.Ext on each transmission.
 	beaconExt func() any
 	// stateFn supplies this node's own kinematics for beacons.
@@ -211,7 +228,8 @@ func (n *Node) sendBeacon() {
 		return
 	}
 	pos, speed, heading := n.stateFn()
-	b := Beacon{From: n.addr, Pos: pos, Speed: speed, Heading: heading}
+	// One fresh Beacon per transmission: receivers keep the pointer.
+	b := &Beacon{From: n.addr, Pos: pos, Speed: speed, Heading: heading}
 	if n.beaconExt != nil {
 		b.Ext = n.beaconExt()
 	}
@@ -288,10 +306,10 @@ func (n *Node) receive(f radio.Frame) {
 		return
 	}
 	switch p := f.Payload.(type) {
-	case Beacon:
+	case *Beacon:
 		n.hear(p)
 		for _, fn := range n.onBeacon {
-			fn(p)
+			fn(*p)
 		}
 	case Message:
 		if h, ok := n.handlers[p.Kind]; ok {
@@ -304,56 +322,71 @@ func (n *Node) receive(f radio.Frame) {
 // present, else the index a new row must be inserted at to keep the
 // table sorted.
 func (n *Node) find(addr Addr) (int, bool) {
-	lo, hi := 0, len(n.neighbors)
+	lo, hi := 0, len(n.keys)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if n.neighbors[mid].Addr < addr {
+		if n.keys[mid] < addr {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(n.neighbors) && n.neighbors[lo].Addr == addr
+	return lo, lo < len(n.keys) && n.keys[lo] == addr
 }
 
 // hear records a received beacon: a known sender's row is overwritten in
 // place, a first-seen sender's row is inserted at its sorted position.
 //
 //vcloudlint:hotpath runs once per beacon reception, the most frequent event of every beaconing scenario
-func (n *Node) hear(b Beacon) {
+func (n *Node) hear(b *Beacon) {
 	i, known := n.find(b.From)
 	if !known {
-		// The one growing append: receiver-owned, amortized over receptions.
-		n.neighbors = append(n.neighbors, Neighbor{})
-		copy(n.neighbors[i+1:], n.neighbors[i:])
+		if len(n.rows) == cap(n.rows) {
+			// Compact before growing, so a table nobody reads stays within
+			// twice its live rows instead of keeping every sender ever heard.
+			n.expire()
+			i, _ = n.find(b.From)
+		}
+		// The growing appends: receiver-owned, amortized over receptions.
+		n.keys = append(n.keys, 0)
+		copy(n.keys[i+1:], n.keys[i:])
+		n.keys[i] = b.From
+		n.rows = append(n.rows, Row{})
+		copy(n.rows[i+1:], n.rows[i:])
 	}
-	n.neighbors[i] = Neighbor{
-		Addr:     b.From,
-		Pos:      b.Pos,
-		Speed:    b.Speed,
-		Heading:  b.Heading,
-		Ext:      b.Ext,
-		LastSeen: n.kernel.Now(),
-	}
+	n.rows[i] = Row{LastSeen: n.kernel.Now(), Beacon: b}
 }
 
 // expire compacts rows older than NeighborTTL out of the table in place,
-// keeping its order, and clears the vacated tail so dropped Ext values
-// are not pinned.
+// keeping its order, and clears the vacated tail so dropped beacons are
+// not pinned.
 func (n *Node) expire() {
 	now := n.kernel.Now()
 	live := 0
-	for i := range n.neighbors {
-		if now-n.neighbors[i].LastSeen > n.cfg.NeighborTTL {
+	for i := range n.rows {
+		if now-n.rows[i].LastSeen > n.cfg.NeighborTTL {
 			continue
 		}
 		if live != i {
-			n.neighbors[live] = n.neighbors[i]
+			n.keys[live] = n.keys[i]
+			n.rows[live] = n.rows[i]
 		}
 		live++
 	}
-	clear(n.neighbors[live:])
-	n.neighbors = n.neighbors[:live]
+	clear(n.rows[live:])
+	n.keys = n.keys[:live]
+	n.rows = n.rows[:live]
+}
+
+// Rows returns the live (non-expired) rows in ascending address order —
+// the order Neighbors documents — without copying them. The slice and the
+// beacons it points to are the node's own storage: valid until the next
+// kernel event, never to be written or retained.
+//
+//vcloudlint:hotpath read on every cluster decision and every routed hop
+func (n *Node) Rows() []Row {
+	n.expire()
+	return n.rows
 }
 
 // Neighbors appends live (non-expired) neighbor rows to dst in ascending
@@ -363,10 +396,12 @@ func (n *Node) expire() {
 // Rows are copies; mutation is safe. A caller that passes its own scratch
 // slice back in reads the table without allocating.
 //
-//vcloudlint:hotpath read on every cluster decision and every routed hop
+//vcloudlint:hotpath the copying read; per-event readers use Rows
 func (n *Node) Neighbors(dst []Neighbor) []Neighbor {
-	n.expire()
-	return append(dst, n.neighbors...)
+	for _, r := range n.Rows() {
+		dst = append(dst, r.neighbor())
+	}
+	return dst
 }
 
 // Neighbor returns the live entry for addr.
@@ -374,10 +409,10 @@ func (n *Node) Neighbors(dst []Neighbor) []Neighbor {
 //vcloudlint:hotpath per-hop liveness check in the routing protocols
 func (n *Node) Neighbor(addr Addr) (Neighbor, bool) {
 	i, ok := n.find(addr)
-	if !ok || n.kernel.Now()-n.neighbors[i].LastSeen > n.cfg.NeighborTTL {
+	if !ok || n.kernel.Now()-n.rows[i].LastSeen > n.cfg.NeighborTTL {
 		return Neighbor{}, false
 	}
-	return n.neighbors[i], true
+	return n.rows[i].neighbor(), true
 }
 
 // NumNeighbors returns the live neighbor count.
@@ -385,7 +420,7 @@ func (n *Node) Neighbor(addr Addr) (Neighbor, bool) {
 //vcloudlint:hotpath sampled per node by density probes; must not materialise the table
 func (n *Node) NumNeighbors() int {
 	n.expire()
-	return len(n.neighbors)
+	return len(n.rows)
 }
 
 // Kernel returns the simulation kernel (for protocol timers).
