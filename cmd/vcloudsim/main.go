@@ -39,8 +39,9 @@
 // session-consistent KV workload over the chosen backend (replicated =
 // 3-way strict quorums, ec = 4+2 erasure coding), a permanent-departure
 // churn clock (a vehicle drives away and its disk leaves with it), and
-// the two storage invariants — no acked write lost while a quorum of
-// its replicas survives, and no session client ever reads backwards:
+// the three storage invariants — no acked write lost while a quorum of
+// its replicas survives, no session client ever reads backwards, and a
+// served read returns exactly the bytes its version's write stored:
 //
 //	vcloudsim -soak -store replicated -duration 300 -vehicles 16 -seed 7
 //	vcloudsim -soak -store ec -splitbrain -duration 300 -seed 7

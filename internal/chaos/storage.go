@@ -1,4 +1,4 @@
-// Storage soak: the data-service workload and its two invariants
+// Storage soak: the data-service workload and its three invariants
 // (ISSUE 6). When SoakConfig.Storage selects a backend, a KV workload
 // of session clients flows alongside the task workload, the storm
 // gains a permanent-departure branch (a vehicle drives away and its
@@ -18,6 +18,15 @@
 //     any served read below it, independent of the backend's internal
 //     session tracking.
 //
+//   - byte fidelity: a served read returns exactly the bytes written by
+//     the version it names. Every write carries a 1 KB payload that is
+//     a pure function of its sequence number (the modelled size stays
+//     64 KB, so no byte count moves), and the harness remembers which
+//     write produced each (key, version) — acked or not, since a read
+//     may serve either. This is what drives real bytes through the
+//     erasure coder, its aliasing of the written object and its release
+//     of stale fragments under the storm.
+//
 // The backend's view is the fault injector's ground truth (reachable
 // means not cut from the coordinator RSU), not the controller's
 // membership table, so the invariants judge the storage service against
@@ -28,6 +37,8 @@
 package chaos
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -61,8 +72,36 @@ type storageState struct {
 	// key already counted as lost.
 	lostAt map[store.Key]store.Version
 	// marks is the external session watermark per (client, key).
-	marks             map[store.ClientID]map[store.Key]store.Version
+	marks map[store.ClientID]map[store.Key]store.Version
+	// wrote maps every version the backend allocated to the sequence
+	// number of the write that produced it (soakPayload regenerates its
+	// bytes).
+	wrote             map[versionKey]int
 	writeSeq, readSeq int
+}
+
+// versionKey names one version of one key.
+type versionKey struct {
+	key     store.Key
+	version store.Version
+}
+
+// soakPayloadBytes is the real payload each soak write carries under
+// its 64 KB modelled size: a multiple of K = 4, so intact erasure-coded
+// reads take the aliased path and degraded ones the rebuild.
+const soakPayloadBytes = 1 << 10
+
+// soakPayload returns the payload of write number seq: a pure function
+// of seq (and so of its client and key, which are seq modulo the pool
+// sizes), fresh storage on every call.
+func soakPayload(seq int) []byte {
+	data := make([]byte, soakPayloadBytes)
+	x := uint64(seq)
+	for i := 0; i < len(data); i += 8 {
+		x = sim.Mix64(x + 1)
+		binary.LittleEndian.PutUint64(data[i:], x)
+	}
+	return data
 }
 
 // setupStorage builds the backend over the injector-backed view and
@@ -79,6 +118,7 @@ func (sk *soak) setupStorage() error {
 		acked:    make(map[store.Key]ackedWrite),
 		lostAt:   make(map[store.Key]store.Version),
 		marks:    make(map[store.ClientID]map[store.Key]store.Version),
+		wrote:    make(map[versionKey]int),
 	}
 	for _, id := range sk.s.VehicleIDs() {
 		st.fleet = append(st.fleet, vnet.Addr(id))
@@ -150,8 +190,14 @@ func (sk *soak) storageTick() {
 	st := sk.st
 	wc := storageClients[st.writeSeq%len(storageClients)]
 	wk := sk.storageKey(st.writeSeq)
-	ack := store.PutSized(st.backend, wc, wk, 64<<10)
+	ack := st.backend.Write(store.WriteReq{
+		Client: wc, Key: wk, Data: soakPayload(st.writeSeq), Size: 64 << 10,
+		Epoch: st.backend.View().Epoch(),
+	})
 	sk.report.StorageWrites++
+	if ack.Version != 0 {
+		st.wrote[versionKey{wk, ack.Version}] = st.writeSeq
+	}
 	if ack.Acked {
 		sk.report.StorageAcked++
 		st.acked[wk] = ackedWrite{version: ack.Version, placed: slices.Clone(ack.Placed)}
@@ -170,6 +216,10 @@ func (sk *soak) storageTick() {
 				rc, rk, res.Version, st.mark(rc, rk))
 		}
 		st.advance(rc, rk, res.Version)
+		if seq, known := st.wrote[versionKey{rk, res.Version}]; !known || !bytes.Equal(res.Data, soakPayload(seq)) {
+			sk.violate("storage: read of %s served v%d with %d bytes that are not the bytes that version's write stored: a served read returns exactly what was written",
+				rk, res.Version, len(res.Data))
+		}
 		sk.event("get %s v=%d replies=%d", rk, res.Version, res.Replies)
 	} else {
 		sk.event("get %s refused", rk)

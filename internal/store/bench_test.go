@@ -17,6 +17,17 @@ var (
 	sinkInt    int
 )
 
+func BenchmarkMulAdd4(b *testing.B) {
+	const shard = benchObjBytes / 4
+	src := testPayload(benchObjBytes)
+	dst := make([]byte, shard)
+	b.SetBytes(benchObjBytes)
+	for i := 0; i < b.N; i++ {
+		mulAdd4(dst, src[:shard], src[shard:2*shard], src[2*shard:3*shard], src[3*shard:], 0x1d, 0x53, 0xca, 0xff)
+	}
+	sinkInt = int(dst[0])
+}
+
 func BenchmarkEncode(b *testing.B) {
 	data := testPayload(benchObjBytes)
 	b.SetBytes(benchObjBytes)
@@ -78,8 +89,12 @@ func BenchmarkECWrite(b *testing.B) {
 	}
 }
 
-func BenchmarkECRead(b *testing.B) {
-	e, _, keys := benchEC(b, 64)
+// benchECRead reads round-robin over 64 keys with the given members dark.
+func benchECRead(b *testing.B, dark ...vnet.Addr) {
+	e, v, keys := benchEC(b, 64)
+	for _, a := range dark {
+		v.offline[a] = true
+	}
 	b.SetBytes(benchObjBytes)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -87,6 +102,13 @@ func BenchmarkECRead(b *testing.B) {
 		sinkRead, _ = Get(e, "c", keys[i%len(keys)])
 	}
 }
+
+func BenchmarkECReadIntact(b *testing.B) { benchECRead(b) }
+
+// BenchmarkECReadDegraded reads with one member of twelve dark: the keys
+// whose data fragment it holds (a third of them) rebuild that shard and
+// join.
+func BenchmarkECReadDegraded(b *testing.B) { benchECRead(b, 0) }
 
 // BenchmarkECRepairPass times one repair pass over 256 keys after one
 // member departed for good: the pass audits every key and regenerates

@@ -11,12 +11,19 @@ import (
 // version it belongs to and that version's sizes. The sizes ride on
 // the fragment, not the object, because a read served below the newest
 // write must reassemble and price the version it serves.
+//
+// data is the shard; obj is the written object itself when data is a
+// window of it (Encode aliases whole data shards), nil for parity, a
+// copied ragged shard and anything a rebuild or a repair produced. Both
+// are nil for modeled-size objects and, unless the store is Sloppy, for
+// every fragment below the object's acked version (see release).
 type frag struct {
 	version Version
 	index   int
 	size    int // modeled object bytes
 	length  int // exact payload length for Join (when Data was given)
 	data    []byte
+	obj     []byte
 }
 
 // holder is one row of an object's fragment table: a member and the
@@ -66,6 +73,31 @@ type tally struct {
 
 func (t *tally) has(index int) bool { return t.seen[index>>6]&(1<<(index&63)) != 0 }
 
+// add counts index unless it was seen before.
+func (t *tally) add(index int) {
+	if !t.has(index) {
+		t.seen[index>>6] |= 1 << (index & 63)
+		t.n++
+	}
+}
+
+// release drops the shard bytes of every fragment below the acked
+// version: a strict store refuses to serve below acked, so no read can
+// return them, and an aliased data fragment would otherwise pin its
+// whole object for as long as its member is skipped by later writes.
+// The fragment keeps its row, version, index and sizes — all that
+// placement, bestVersion, Holders, Durable and Repair's counters read.
+// acked never decreases, so released bytes are never wanted back.
+func (o *ecobj) release() {
+	for _, h := range o.holders {
+		for i := range h.frags {
+			if f := &h.frags[i]; f.version < o.acked {
+				f.data, f.obj = nil, nil
+			}
+		}
+	}
+}
+
 // ErasureCoded is the (K, M) Reed–Solomon backend: each object becomes
 // K data + M parity fragments spread over distinct members,
 // dwell-weighted so long-staying vehicles attract fragments first. Any
@@ -82,10 +114,11 @@ type ErasureCoded struct {
 	highWater uint64
 	load      map[vnet.Addr]int
 
-	rankScratch []rankEntry
-	keyScratch  []Key
-	liveScratch []holder
-	rttScratch  []float64
+	rankScratch  []rankEntry
+	keyScratch   []Key
+	liveScratch  []holder
+	rttScratch   []float64
+	shardScratch [][]byte // K+M slots, all nil between reads
 }
 
 // NewErasureCoded creates the erasure-coded backend over the view.
@@ -106,6 +139,8 @@ func NewErasureCoded(cfg Config, view View, stats *Stats) (*ErasureCoded, error)
 		objects: make(map[Key]*ecobj),
 		sess:    make(sessions),
 		load:    make(map[vnet.Addr]int),
+
+		shardScratch: make([][]byte, cfg.K+cfg.M),
 	}, nil
 }
 
@@ -207,10 +242,7 @@ func (e *ErasureCoded) bestVersion(rows []holder) tally {
 				if f.version > t.version {
 					t = tally{version: f.version, size: f.size, length: f.length}
 				}
-				if !t.has(f.index) {
-					t.seen[f.index>>6] |= 1 << (f.index & 63)
-					t.n++
-				}
+				t.add(f.index)
 			}
 		}
 		if t.n >= e.cfg.K || t.version == 0 {
@@ -223,7 +255,9 @@ func (e *ErasureCoded) bestVersion(rows []holder) tally {
 // Write implements Backend: encode into K+M fragments, assign fragment
 // i to the i%len(ranked)'th dwell-ranked online member (so with enough
 // members each holds at most one fragment and short-dwell vehicles
-// hold none), ack at FragAck placements.
+// hold none), ack at FragAck placements. The fragments alias req.Data
+// (see WriteReq.Data); an acked write to a strict store releases the
+// bytes of every older version of the key.
 func (e *ErasureCoded) Write(req WriteReq) WriteAck {
 	e.stats.Writes.Inc()
 	if !e.accept(req.Epoch) {
@@ -243,6 +277,7 @@ func (e *ErasureCoded) Write(req WriteReq) WriteAck {
 	}
 	o.version++
 	var shards [][]byte
+	whole := 0 // data shards that are windows of req.Data
 	if req.Data != nil {
 		var err error
 		shards, err = Encode(e.cfg.K, e.cfg.M, req.Data)
@@ -250,6 +285,7 @@ func (e *ErasureCoded) Write(req WriteReq) WriteAck {
 			// cfg.Validate bounds K and M; unreachable in practice.
 			return WriteAck{}
 		}
+		whole = windows(e.cfg.K, len(req.Data))
 	}
 	ranked := rankOnline(&e.rankScratch, e.view, e.cfg.Placement, e.load, nil)
 	if len(ranked) == 0 {
@@ -273,6 +309,9 @@ func (e *ErasureCoded) Write(req WriteReq) WriteAck {
 			f := frag{version: o.version, index: i, size: size, length: len(req.Data)}
 			if shards != nil {
 				f.data = shards[i]
+				if i < whole {
+					f.obj = req.Data
+				}
 			}
 			h.frags = append(h.frags, f)
 		}
@@ -281,6 +320,9 @@ func (e *ErasureCoded) Write(req WriteReq) WriteAck {
 	ack := WriteAck{Version: o.version, Placed: placed, Acked: len(placed) >= e.cfg.FragAck}
 	if ack.Acked {
 		o.acked = o.version
+		if !e.cfg.Sloppy { // a sloppy read may still serve below acked
+			o.release()
+		}
 		e.stats.WriteAcks.Inc()
 		e.sess.advance(req.Client, req.Key, o.version)
 	}
@@ -290,7 +332,10 @@ func (e *ErasureCoded) Write(req WriteReq) WriteAck {
 // Read implements Backend: the best version with at least K distinct
 // fragment indices on online members is served; latency is the K'th
 // smallest RTT at fragment size among its contributors (fragments
-// transfer in parallel — the erasure-coding read advantage).
+// transfer in parallel — the erasure-coding read advantage). When all K
+// data fragments of that version are live as the writer's own windows
+// the written object is returned as is (see ReadResult.Data); otherwise
+// the missing data shards are rebuilt and the object joined afresh.
 func (e *ErasureCoded) Read(req ReadReq) (ReadResult, bool) {
 	e.stats.Reads.Inc()
 	o := e.objects[req.Key]
@@ -319,8 +364,10 @@ func (e *ErasureCoded) Read(req ReadReq) (ReadResult, bool) {
 	rtts := e.rttScratch[:0]
 	var shards [][]byte
 	if best.length > 0 {
-		shards = make([][]byte, e.cfg.K+e.cfg.M)
+		shards = e.shardScratch
 	}
+	var obj []byte
+	var intact tally // distinct data indices live as windows of obj
 	for _, h := range live {
 		contributes := false
 		for _, f := range h.frags {
@@ -330,6 +377,10 @@ func (e *ErasureCoded) Read(req ReadReq) (ReadResult, bool) {
 			contributes = true
 			if shards != nil && f.data != nil {
 				shards[f.index] = f.data
+				if f.obj != nil {
+					obj = f.obj
+					intact.add(f.index)
+				}
 			}
 		}
 		if contributes {
@@ -338,8 +389,13 @@ func (e *ErasureCoded) Read(req ReadReq) (ReadResult, bool) {
 	}
 	e.rttScratch = rtts
 	var data []byte
-	if shards != nil && Decode(e.cfg.K, e.cfg.M, shards) == nil {
-		data, _ = Join(e.cfg.K, shards, best.length)
+	if shards != nil {
+		if intact.n == e.cfg.K {
+			data = obj
+		} else if reconstruct(e.cfg.K, shards) == nil {
+			data, _ = Join(e.cfg.K, shards, best.length)
+		}
+		clear(shards) // the scratch must not pin shard bytes
 	}
 	e.stats.ReadsOK.Inc()
 	e.sess.advance(req.Client, req.Key, best.version)

@@ -286,18 +286,23 @@ func TestErasureReadBelowNewestWriteReturnsItsData(t *testing.T) {
 	})
 }
 
-// TestErasureAllocBudgets holds the read-side paths to their budgets:
-// auditing durability and tallying versions allocate nothing, and a read
-// with every data shard live allocates the shard-slot slice and Join's
-// copy, nothing per contributor.
+// TestErasureAllocBudgets holds the data path to its budgets: auditing
+// durability and tallying versions allocate nothing; a read with every
+// data window live returns the written object and allocates nothing (the
+// shard slots are store scratch); a read that lost data fragments pays
+// the K×K inversion, one allocation per rebuilt data shard and Join's
+// copy — no parity re-derivation; a write allocates the shard headers,
+// one backing array for parity (and any ragged or padding shard) and
+// Placed.
 func TestErasureAllocBudgets(t *testing.T) {
 	v := newTestView(8)
 	e, err := NewErasureCoded(Config{K: 4, M: 2, RetainOffline: true}, v, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var last WriteAck
 	for i := 0; i < 3; i++ { // overwrites leave stale and acked versions behind
-		Put(e, "c", "k", testPayload(4096))
+		last = Put(e, "c", "k", testPayload(4096))
 		v.offline[vnet.Addr(i)] = true
 	}
 	clear(v.offline)
@@ -308,12 +313,123 @@ func TestErasureAllocBudgets(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { e.bestVersion(o.holders) }); n != 0 {
 		t.Errorf("bestVersion allocates %v times per call, want 0", n)
 	}
-	Get(e, "c", "k") // grow the scratch slices once
-	if n := testing.AllocsPerRun(200, func() {
+	read := func() {
 		if res, ok := Get(e, "c", "k"); !ok || len(res.Data) != 4096 {
 			t.Fatalf("read: ok=%v, %d bytes", ok, len(res.Data))
 		}
-	}); n > 2 {
-		t.Errorf("Read allocates %v times per call, want <= 2 (shard slots + Join's copy)", n)
 	}
+	read() // grow the scratch slices once
+	if n := testing.AllocsPerRun(200, read); n != 0 {
+		t.Errorf("intact Read allocates %v times per call, want 0", n)
+	}
+	// Two data fragments dark: the inversion allocates its survivor lists
+	// (2), one encode row per survivor (4) and the inverse with its rows
+	// (1 + 4); then two rebuilt shards and Join's copy.
+	lost := 0
+	for _, h := range o.holders {
+		for _, f := range h.frags {
+			if f.version == last.Version && f.index < 2 {
+				v.offline[h.addr] = true
+				lost++
+			}
+		}
+	}
+	if lost != 2 {
+		t.Fatalf("took %d data fragments offline, want 2", lost)
+	}
+	const inversion = 2 + 4 + 1 + 4
+	if n := testing.AllocsPerRun(200, read); n != inversion+2+1 {
+		t.Errorf("degraded Read allocates %v times per call, want %d (inversion %d + 2 rebuilt shards + Join)", n, inversion+2+1, inversion)
+	}
+	clear(v.offline)
+	for _, size := range []int{4096, 4097, 3} { // aligned, ragged, shorter than K
+		data := testPayload(size)
+		if n := testing.AllocsPerRun(200, func() { Put(e, "c", "k", data) }); n != 3 {
+			t.Errorf("Write of %d bytes allocates %v times per call, want 3 (shard headers, one backing array, Placed)", size, n)
+		}
+	}
+}
+
+// TestErasureIntactReadNeedsEveryDataWindow: the written slice comes back
+// only while all K data indices are live as the writer's own windows.
+// Neither K fragments that are not K data indices (a member holding two,
+// parity standing in for data) nor a repaired copy of a data fragment
+// may pass for the object: those reads rebuild and join into fresh
+// storage, and return the same bytes.
+func TestErasureIntactReadNeedsEveryDataWindow(t *testing.T) {
+	sameSlice := func(a, b []byte) bool { return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0] }
+	read := func(t *testing.T, e *ErasureCoded, want []byte) []byte {
+		t.Helper()
+		res, ok := Get(e, "c", "k")
+		if !ok || !bytes.Equal(res.Data, want) {
+			t.Fatalf("read: ok=%v, %d bytes, want the %d written", ok, len(res.Data), len(want))
+		}
+		return res.Data
+	}
+	t.Run("members holding two fragments", func(t *testing.T) {
+		// Three members under (4, 2): member j holds indices j and j+3.
+		v := newTestView(3)
+		e, err := NewErasureCoded(Config{K: 4, M: 2, FragAck: 3, RetainOffline: true}, v, &Stats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := testPayload(4096)
+		if ack := Put(e, "c", "k", data); !ack.Acked {
+			t.Fatalf("write: %+v", ack)
+		}
+		if got := read(t, e, data); !sameSlice(got, data) {
+			t.Error("intact read did not return the written slice")
+		}
+		v.offline[2] = true // indices 2 and 5 gone: four fragments live, three of them data
+		if got := read(t, e, data); sameSlice(got, data) {
+			t.Error("read with data index 2 dark returned the written slice: four live fragments passed for four data windows")
+		}
+	})
+	t.Run("repaired data fragment", func(t *testing.T) {
+		v := newTestView(8)
+		e, err := NewErasureCoded(Config{K: 4, M: 2}, v, &Stats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := testPayload(4096)
+		ack := Put(e, "c", "k", data)
+		if !ack.Acked {
+			t.Fatalf("write: %+v", ack)
+		}
+		var gone vnet.Addr
+		for _, h := range e.objects["k"].holders {
+			if h.frags[0].index == 1 {
+				gone = h.addr
+			}
+		}
+		e.Forget(gone)
+		if created := Fix(e); created != 1 {
+			t.Fatalf("repair created %d fragments, want 1", created)
+		}
+		for _, h := range e.objects["k"].holders {
+			for _, f := range h.frags {
+				if f.index == 1 && (f.obj != nil || !bytes.Equal(f.data, data[1024:2048])) {
+					t.Fatalf("repaired data fragment: obj set = %v, bytes equal = %v; want no object reference and the shard's bytes",
+						f.obj != nil, bytes.Equal(f.data, data[1024:2048]))
+				}
+			}
+		}
+		if got := read(t, e, data); sameSlice(got, data) {
+			t.Error("read over a repaired data fragment returned the written slice")
+		}
+	})
+	t.Run("ragged object", func(t *testing.T) {
+		v := newTestView(6)
+		e, err := NewErasureCoded(Config{K: 4, M: 2}, v, &Stats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := testPayload(4097) // the last data shard is a padded copy
+		if ack := Put(e, "c", "k", data); !ack.Acked {
+			t.Fatalf("write: %+v", ack)
+		}
+		if got := read(t, e, data); sameSlice(got, data) {
+			t.Error("read of a ragged object returned the written slice though its last data shard is a copy")
+		}
+	})
 }

@@ -7,8 +7,9 @@
 // The field is GF(2^8) with the AES-adjacent primitive polynomial
 // x^8+x^4+x^3+x^2+1 (0x11d) and generator 2. Exp/log tables built once
 // at init serve the scalar arithmetic (matrix rows and inversion) and
-// seed a 256×256 product table; every loop over shard bytes is the one
-// kernel mulAdd, which reads the 256-byte table row of its coefficient.
+// seed a 256×256 product table; every loop over shard bytes is one of
+// the kernel pair mulAdd/mulAdd4, which read the 256-byte table row of
+// each coefficient.
 // The encode matrix is the identity stacked on the Cauchy block
 // C[i][j] = 1/(x_i ⊕ y_j) with x_i = K+i and y_j = j — all x distinct
 // from all y, so every square submatrix of the Cauchy block is
@@ -63,7 +64,7 @@ func gfInv(a byte) byte { return gfExp[255-int(gfLog[a])] }
 // mulAdd adds c·src to dst bytewise over GF(2^8): dst[i] ^= c·src[i].
 // src must be at least as long as dst.
 //
-//vcloudlint:hotpath the only loop over shard bytes: K·M calls per encode, K per rebuilt shard
+//vcloudlint:hotpath the loop over shard bytes for the K mod 4 sources mulAdd4 leaves, and the matrix inversion's row kernel
 func mulAdd(dst, src []byte, c byte) {
 	if c == 0 {
 		return
@@ -75,10 +76,29 @@ func mulAdd(dst, src []byte, c byte) {
 	}
 }
 
-// combine accumulates Σ coef[j]·srcs[j] into dst, which must start zeroed.
+// mulAdd4 is mulAdd fused over four sources: dst[i] ^= c0·s0[i] ^
+// c1·s1[i] ^ c2·s2[i] ^ c3·s3[i], reading and writing dst once for the
+// four instead of once each. The four table rows are 1 KB and stay in L1.
+// Every source must be at least as long as dst.
+//
+//vcloudlint:hotpath the loop over shard bytes: K/4 passes per parity row and per rebuilt shard
+func mulAdd4(dst, s0, s1, s2, s3 []byte, c0, c1, c2, c3 byte) {
+	r0, r1, r2, r3 := &gfProd[c0], &gfProd[c1], &gfProd[c2], &gfProd[c3]
+	s0, s1, s2, s3 = s0[:len(dst)], s1[:len(dst)], s2[:len(dst)], s3[:len(dst)]
+	for i := range dst {
+		dst[i] ^= r0[s0[i]] ^ r1[s1[i]] ^ r2[s2[i]] ^ r3[s3[i]]
+	}
+}
+
+// combine accumulates Σ coef[j]·srcs[j] into dst, which must start
+// zeroed: four sources a pass, the K mod 4 left over one at a time.
 func combine(dst, coef []byte, srcs [][]byte) {
-	for j, c := range coef {
-		mulAdd(dst, srcs[j], c)
+	j := 0
+	for ; j+4 <= len(coef); j += 4 {
+		mulAdd4(dst, srcs[j], srcs[j+1], srcs[j+2], srcs[j+3], coef[j], coef[j+1], coef[j+2], coef[j+3])
+	}
+	for ; j < len(coef); j++ {
+		mulAdd(dst, srcs[j], coef[j])
 	}
 }
 
@@ -114,26 +134,51 @@ func validateKM(k, m int) error {
 	return nil
 }
 
+// windows returns how many of the k data shards of an n-byte object are
+// whole windows of the object itself: all k when k divides n, else the
+// shards before the ragged one (none of an empty object).
+func windows(k, n int) int {
+	if n == 0 {
+		return 0
+	}
+	return n / ((n + k - 1) / k)
+}
+
 // Encode splits data into k data shards plus m parity shards, each
 // ceil(len(data)/k) bytes (data is zero-padded). Reassemble with Join;
-// reconstruct missing shards with Decode. The shards are carved out of
-// one backing array, each capped at its own length.
+// reconstruct missing shards with Decode.
+//
+// Encode copies as little as the padding allows: every data shard that
+// lies wholly inside data IS that window of data (shards[i] aliases
+// data[i*len:(i+1)*len]), so the caller must not modify data while the
+// shards are in use; only a ragged last shard and all-padding shards
+// are copies. Those and the m parity shards are carved out of one fresh
+// backing array. Every shard is capped at its own length, so an append
+// to one cannot spill into its neighbour, and all k+m are non-nil even
+// when zero-length (Decode reads nil as "missing"). Encode never writes
+// to data.
 func Encode(k, m int, data []byte) ([][]byte, error) {
 	if err := validateKM(k, m); err != nil {
 		return nil, err
 	}
 	shardLen := (len(data) + k - 1) / k
+	whole := windows(k, len(data))
 	shards := make([][]byte, k+m)
+	back := make([]byte, (k-whole+m)*shardLen)
 	for i := range shards {
-		shards[i] = make([]byte, shardLen)
+		if i < whole {
+			shards[i] = data[i*shardLen : (i+1)*shardLen : (i+1)*shardLen]
+			continue
+		}
+		lo := (i - whole) * shardLen
+		shards[i] = back[lo : lo+shardLen : lo+shardLen]
 		if i < k {
 			copy(shards[i], data[min(i*shardLen, len(data)):])
 		}
 	}
-	var row []byte
+	var row [255]byte // k <= 255: the matrix row stays on the stack
 	for i := 0; i < m; i++ {
-		row = encodeRow(row, k, k+i)
-		combine(shards[k+i], row, shards[:k])
+		combine(shards[k+i], encodeRow(row[:0], k, k+i), shards[:k])
 	}
 	return shards, nil
 }
@@ -147,6 +192,25 @@ func Decode(k, m int, shards [][]byte) error {
 	if len(shards) != k+m {
 		return fmt.Errorf("store: Decode needs %d shard slots, got %d", k+m, len(shards))
 	}
+	if err := reconstruct(k, shards); err != nil {
+		return err
+	}
+	// Re-derive any missing parity from the (now complete) data shards.
+	var row [255]byte // k <= 255: the matrix row stays on the stack
+	for i := k; i < len(shards); i++ {
+		if shards[i] == nil {
+			shards[i] = make([]byte, len(shards[0]))
+			combine(shards[i], encodeRow(row[:0], k, i), shards[:k])
+		}
+	}
+	return nil
+}
+
+// reconstruct rebuilds every nil data shard (the first k slots) in
+// place and leaves missing parity missing: all a read needs, and the
+// first half of Decode. At least k of the slots must be non-nil and
+// equally sized.
+func reconstruct(k int, shards [][]byte) error {
 	have, shardLen := 0, -1
 	for i, s := range shards {
 		if s == nil {
@@ -160,37 +224,28 @@ func Decode(k, m int, shards [][]byte) error {
 		have++
 	}
 	if have < k {
-		return fmt.Errorf("store: only %d of %d shards survive, need %d", have, k+m, k)
+		return fmt.Errorf("store: only %d of %d shards survive, need %d", have, len(shards), k)
 	}
-	// When all data shards are present only parity can be missing.
-	if slices.ContainsFunc(shards[:k], func(s []byte) bool { return s == nil }) {
-		// Invert the submatrix of encode rows for the first k surviving
-		// shards, then data = inv × survivors.
-		sub, survivors := make([][]byte, 0, k), make([][]byte, 0, k)
-		for r, s := range shards {
-			if s != nil && len(sub) < k {
-				sub = append(sub, encodeRow(nil, k, r))
-				survivors = append(survivors, s)
-			}
-		}
-		inv, err := invertMatrix(sub)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < k; i++ {
-			if shards[i] == nil {
-				shards[i] = make([]byte, shardLen)
-				combine(shards[i], inv[i], survivors)
-			}
+	if !slices.ContainsFunc(shards[:k], func(s []byte) bool { return s == nil }) {
+		return nil
+	}
+	// Invert the submatrix of encode rows for the first k surviving
+	// shards, then data = inv × survivors.
+	sub, survivors := make([][]byte, 0, k), make([][]byte, 0, k)
+	for r, s := range shards {
+		if s != nil && len(sub) < k {
+			sub = append(sub, encodeRow(nil, k, r))
+			survivors = append(survivors, s)
 		}
 	}
-	// Re-derive any missing parity from the (now complete) data shards.
-	var row []byte
-	for i := 0; i < m; i++ {
-		if shards[k+i] == nil {
-			row = encodeRow(row, k, k+i)
-			shards[k+i] = make([]byte, shardLen)
-			combine(shards[k+i], row, shards[:k])
+	inv, err := invertMatrix(sub)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < k; i++ {
+		if shards[i] == nil {
+			shards[i] = make([]byte, shardLen)
+			combine(shards[i], inv[i], survivors)
 		}
 	}
 	return nil

@@ -174,6 +174,85 @@ func TestMulAddMatchesGfMul(t *testing.T) {
 	}
 }
 
+// TestMulAdd4MatchesMulAdd checks the fused kernel against four calls of
+// the single-source one: every coefficient in each of the four positions,
+// ragged lengths around the word and page sizes, and sources longer than
+// dst, whose excess must be ignored.
+func TestMulAdd4MatchesMulAdd(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 8, 9, 4097} {
+		var srcs [4][]byte
+		for j := range srcs {
+			srcs[j] = testPayload(n + 3 + j)[j:] // four different streams, each longer than dst
+		}
+		coefs := [][4]byte{{0, 0, 0, 0}, {1, 2, 0x1d, 0xff}}
+		if n <= 9 {
+			for pos := 0; pos < 4; pos++ {
+				for c := 0; c < 256; c++ {
+					cs := [4]byte{3, 5, 7, 11}
+					cs[pos] = byte(c)
+					coefs = append(coefs, cs)
+				}
+			}
+		}
+		for _, cs := range coefs {
+			got, want := bytes.Repeat([]byte{0xa5}, n), bytes.Repeat([]byte{0xa5}, n)
+			mulAdd4(got, srcs[0], srcs[1], srcs[2], srcs[3], cs[0], cs[1], cs[2], cs[3])
+			for j, c := range cs {
+				mulAdd(want, srcs[j], c)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("mulAdd4 len=%d coefs=%v differs from four mulAdd calls", n, cs)
+			}
+		}
+	}
+}
+
+// TestEncodeAliasesExactlyTheWholeShards pins Encode's storage layout: a
+// data shard is a window of the input exactly when it lies wholly inside
+// it, every other shard is fresh storage, all are non-nil and capped at
+// their own length, and neither Encode nor a scribble on a shard it
+// allocated touches the input.
+func TestEncodeAliasesExactlyTheWholeShards(t *testing.T) {
+	for _, tc := range []struct{ k, m, n, whole int }{
+		{4, 2, 0, 0}, {4, 2, 1, 1}, {4, 2, 2, 2}, {4, 2, 3, 3}, {4, 2, 4, 4}, {4, 2, 5, 2},
+		{4, 2, 7, 3}, {4, 2, 8, 4}, {4, 2, 4096, 4}, {4, 2, 4097, 3}, {5, 3, 9, 4}, {5, 0, 10, 5},
+		{1, 3, 6, 1}, {3, 1, 1, 1},
+	} {
+		data := testPayload(tc.n)
+		orig := bytes.Clone(data)
+		shards := mustEncode(t, tc.k, tc.m, data)
+		shardLen := (tc.n + tc.k - 1) / tc.k
+		for i, s := range shards {
+			if s == nil || len(s) != shardLen || cap(s) != shardLen {
+				t.Fatalf("(%d,%d) of %d bytes: shard %d nil=%v len=%d cap=%d, want non-nil with len = cap = %d",
+					tc.k, tc.m, tc.n, i, s == nil, len(s), cap(s), shardLen)
+			}
+			aliases := shardLen > 0 && (i+1)*shardLen <= tc.n && &s[0] == &data[i*shardLen]
+			if aliases != (i < tc.whole) {
+				t.Errorf("(%d,%d) of %d bytes: shard %d aliases the input = %v, want %v", tc.k, tc.m, tc.n, i, aliases, i < tc.whole)
+			}
+		}
+		if !bytes.Equal(data, orig) {
+			t.Fatalf("(%d,%d) of %d bytes: Encode modified its input", tc.k, tc.m, tc.n)
+		}
+		for _, s := range shards[tc.whole:] { // ragged, padding and parity
+			for j := range s {
+				s[j] ^= 0xff
+			}
+			_ = append(s, 0xee)
+		}
+		if !bytes.Equal(data, orig) {
+			t.Fatalf("(%d,%d) of %d bytes: writing to a shard Encode allocated reached the input", tc.k, tc.m, tc.n)
+		}
+		for i := 0; i < tc.whole; i++ {
+			_ = append(shards[i], 0xee) // cap == len: must reallocate, not spill into shard i+1
+		}
+		if !bytes.Equal(data, orig) {
+			t.Fatalf("(%d,%d) of %d bytes: appending to a window shard spilled into its neighbour", tc.k, tc.m, tc.n)
+		}
+	}
+}
+
 // TestEncodeGoldenDigests pins Encode's output to FNV-1a digests taken
 // from the byte-at-a-time log/exp implementation this kernel replaced:
 // "same (K, M, data) ⇒ same shards" has to hold across rewrites of the

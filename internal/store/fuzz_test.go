@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"vcloud/internal/store"
@@ -10,7 +11,9 @@ import (
 // FuzzErasureRoundTrip: for any payload and any (k, m) inside GF(2^8)'s
 // reach, encoding then erasing any mask of at most m shards must decode
 // back to the exact original bytes — the MDS "any K of K+M" guarantee
-// the storage service's durability threshold is built on.
+// the storage service's durability threshold is built on. Encode aliases
+// its input, so the input must come through unmodified; and the
+// data-only rebuild a read uses must produce Decode's data shards.
 func FuzzErasureRoundTrip(f *testing.F) {
 	f.Add([]byte("vehicular cloud storage"), uint8(4), uint8(2), uint16(0b110000))
 	f.Add([]byte{}, uint8(1), uint8(0), uint16(0))
@@ -19,6 +22,7 @@ func FuzzErasureRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, k8, m8 uint8, mask uint16) {
 		k := int(k8)%16 + 1
 		m := int(m8) % 9
+		orig := bytes.Clone(data)
 		shards, err := store.Encode(k, m, data)
 		if err != nil {
 			t.Fatalf("Encode(%d,%d) failed: %v", k, m, err)
@@ -35,8 +39,20 @@ func FuzzErasureRoundTrip(f *testing.F) {
 				erased++
 			}
 		}
+		dataOnly := slices.Clone(shards)
+		if err := store.Reconstruct(k, dataOnly); err != nil {
+			t.Fatalf("reconstruct(%d) with %d erased failed: %v", k, erased, err)
+		}
 		if err := store.Decode(k, m, shards); err != nil {
 			t.Fatalf("Decode(%d,%d) with %d erased failed: %v", k, m, erased, err)
+		}
+		for i := 0; i < k; i++ {
+			if !bytes.Equal(dataOnly[i], shards[i]) {
+				t.Fatalf("data shard %d: reconstruct and Decode disagree", i)
+			}
+		}
+		if !bytes.Equal(data, orig) {
+			t.Fatal("Encode, reconstruct or Decode modified the input")
 		}
 		got, err := store.Join(k, shards, len(data))
 		if err != nil {

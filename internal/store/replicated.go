@@ -7,7 +7,8 @@ import (
 	"vcloud/internal/vnet"
 )
 
-// rcopy is one member's copy of an object.
+// rcopy is one member's copy of an object. data is the writer's own
+// slice (WriteReq.Data), shared by every copy and returned by Read.
 type rcopy struct {
 	version Version
 	data    []byte

@@ -154,6 +154,9 @@ type WriteReq struct {
 	Client ClientID
 	Key    Key
 	// Data is the object payload; may be nil for modeled-size objects.
+	// The store keeps Data without copying it — whole copies and data
+	// fragments are the caller's slice — so the caller must not modify
+	// it after Write.
 	Data []byte
 	// Size overrides len(Data) as the modeled byte size when non-zero.
 	Size int
@@ -191,7 +194,9 @@ type WriteAck struct {
 
 // ReadResult reports a successful read.
 type ReadResult struct {
-	// Data is the reconstructed payload (nil for modeled-size objects).
+	// Data is the payload (nil for modeled-size objects). It may alias
+	// stored bytes — an intact read returns the very slice that was
+	// written (WriteReq.Data) — so it must not be modified or appended to.
 	Data []byte
 	// Version is the version served.
 	Version Version
@@ -437,7 +442,8 @@ func quantile(rtts []float64, q int) float64 {
 }
 
 // Put writes data under key through b, stamped with b's current view
-// epoch — the everyday client call.
+// epoch — the everyday client call. The store keeps data without copying
+// it (WriteReq.Data): the caller must not modify it afterwards.
 func Put(b Backend, client ClientID, key Key, data []byte) WriteAck {
 	return b.Write(WriteReq{Client: client, Key: key, Data: data, Epoch: b.View().Epoch()})
 }
@@ -447,7 +453,9 @@ func PutSized(b Backend, client ClientID, key Key, size int) WriteAck {
 	return b.Write(WriteReq{Client: client, Key: key, Size: size, Epoch: b.View().Epoch()})
 }
 
-// Get reads key through b at b's current view epoch.
+// Get reads key through b at b's current view epoch. The result's Data
+// may alias stored bytes (ReadResult.Data) and must not be modified or
+// appended to.
 func Get(b Backend, client ClientID, key Key) (ReadResult, bool) {
 	return b.Read(ReadReq{Client: client, Key: key, Epoch: b.View().Epoch()})
 }

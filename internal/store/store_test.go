@@ -246,6 +246,57 @@ func TestErasureCodedBackend(t *testing.T) {
 	}
 }
 
+// TestBackendsShareDataOwnership pins the ownership contract of
+// WriteReq.Data and ReadResult.Data for both backends: the store keeps
+// the written slice without copying it and an intact read hands that very
+// slice back; an erasure-coded read that had to rebuild a data shard
+// returns equal bytes in storage of its own, so writing to it reaches
+// neither the written object nor the fragments still stored.
+func TestBackendsShareDataOwnership(t *testing.T) {
+	v := newTestView(8)
+	r, err := NewReplicated(Config{N: 3}, v, &Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewErasureCoded(Config{K: 4, M: 2, RetainOffline: true}, v, &Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := testPayload(4096)
+	orig := bytes.Clone(data)
+	for _, b := range []Backend{r, e} {
+		if ack := Put(b, "c", "k", data); !ack.Acked {
+			t.Fatalf("%T write: %+v", b, ack)
+		}
+		res, ok := Get(b, "c", "k")
+		if !ok || len(res.Data) != len(data) || &res.Data[0] != &data[0] {
+			t.Errorf("%T: intact read ok=%v did not return the written slice", b, ok)
+		}
+	}
+	if !bytes.Equal(data, orig) {
+		t.Fatal("a write or an intact read modified the caller's bytes")
+	}
+	for _, h := range e.objects["k"].holders {
+		if h.frags[0].index == 0 {
+			v.offline[h.addr] = true // data shard 0 must be rebuilt from parity
+		}
+	}
+	res, ok := Get(e, "c", "k")
+	if !ok || !bytes.Equal(res.Data, orig) {
+		t.Fatalf("degraded read: ok=%v, %d bytes", ok, len(res.Data))
+	}
+	for i := range res.Data {
+		res.Data[i] ^= 0xff
+	}
+	if !bytes.Equal(data, orig) {
+		t.Error("a degraded read returned storage shared with the written object")
+	}
+	clear(v.offline)
+	if res, ok := Get(e, "c", "k"); !ok || !bytes.Equal(res.Data, orig) {
+		t.Errorf("read after scribbling on a degraded read's result: ok=%v, bytes differ = %v", ok, !bytes.Equal(res.Data, orig))
+	}
+}
+
 func TestErasureDurableAcrossTotalOutage(t *testing.T) {
 	v := newTestView(6)
 	st := &Stats{}
