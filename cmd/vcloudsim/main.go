@@ -112,7 +112,7 @@ func cliMain() int {
 		replicas = flag.Int("replicas", 0, "redundant copies per task with majority voting (0 disables the dependability policy)")
 		retries  = flag.Int("retries", 0, "max backoff retry rounds per task (with -replicas)")
 		soak     = flag.Bool("soak", false, "run the chaos soak harness (uses -seed, -vehicles, -duration, -byz)")
-		byz      = flag.Float64("byz", 0, "fraction of workers returning wrong results (soak mode)")
+		byz      = flag.Float64("byz", 0.2, "fraction of workers returning wrong results (soak mode; 0 soaks honest workers)")
 		split    = flag.Bool("splitbrain", false, "with -soak: fence epochs and add controller-isolating split-brain storms")
 		dag      = flag.Bool("dag", false, "with -soak: run the DAG job workload with kill-member storms and the DAG invariants")
 		storeB   = flag.String("store", "", "with -soak: run the storage workload on this backend (replicated | ec)")

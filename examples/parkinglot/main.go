@@ -1,8 +1,8 @@
 // Parking-lot datacenter: the stationary vehicular cloud of Arif et
 // al. [4] — long-term parked vehicles at an airport pool their storage
 // into a datacenter. Files are replicated across vehicles; as owners
-// return and drive away (churn), the replica manager re-replicates to
-// keep data available.
+// return and drive away (churn), the store re-replicates to keep data
+// available.
 //
 //	go run ./examples/parkinglot
 package main
@@ -13,9 +13,11 @@ import (
 	"time"
 
 	vcloud "vcloud"
-	ivc "vcloud/internal/vcloud"
+	"vcloud/internal/store"
 	"vcloud/internal/vnet"
 )
+
+func flightKey(i int) store.Key { return store.Key(fmt.Sprintf("flight-%03d", i)) }
 
 func main() {
 	s, err := vcloud.NewParkingLotScenario(vcloud.ParkingLotOptions{Seed: 5, Vehicles: 30})
@@ -39,28 +41,30 @@ func main() {
 
 	// Store 20 "flight record" files at replication factor 3 across the
 	// parked fleet.
+	members := gate.Members()
 	online := map[vnet.Addr]bool{}
-	for _, a := range gate.Members() {
+	for _, a := range members {
 		online[a] = true
 	}
-	rstats := &ivc.ReplicaStats{}
-	rm, err := ivc.NewReplicaManager(3, func(a vnet.Addr) bool { return online[a] }, rstats)
+	rstats := &store.Stats{}
+	files, err := store.NewReplicated(store.Config{N: 3, W: 3, R: 1}, store.FuncView{
+		MembersFn: func() []vnet.Addr { return members },
+		OnlineFn:  func(a vnet.Addr) bool { return online[a] },
+	}, rstats)
 	if err != nil {
 		log.Fatal(err)
 	}
-	members := gate.Members()
 	for i := 0; i < 20; i++ {
-		rot := append(append([]vnet.Addr(nil), members[i%len(members):]...), members[:i%len(members)]...)
-		placed := rm.Store(ivc.FileID(fmt.Sprintf("flight-%03d", i)), 4<<20, rot)
-		if placed < 3 {
-			fmt.Printf("  file %d under-replicated: %d copies\n", i, placed)
+		ack := store.PutSized(files, "", flightKey(i), 4<<20)
+		if len(ack.Placed) < 3 {
+			fmt.Printf("  file %d under-replicated: %d copies\n", i, len(ack.Placed))
 		}
 	}
 	fmt.Println("stored 20 files × 3 replicas")
 
 	// Owners come back: every 10 simulated minutes a few vehicles leave;
 	// fresh arrivals replace them. We simulate the churn on the online
-	// set and let the manager repair.
+	// set and let the store repair.
 	rng := s.Kernel.NewStream("departures")
 	for round := 1; round <= 5; round++ {
 		// Three random members drive away.
@@ -68,10 +72,10 @@ func main() {
 			victim := members[rng.Intn(len(members))]
 			online[victim] = false
 		}
-		created := rm.Repair(members)
+		created := store.Fix(files)
 		served := 0
 		for i := 0; i < 20; i++ {
-			if rm.Read(ivc.FileID(fmt.Sprintf("flight-%03d", i))) {
+			if _, ok := store.Get(files, "", flightKey(i)); ok {
 				served++
 			}
 		}

@@ -64,33 +64,17 @@ import (
 	"vcloud/internal/vnet"
 )
 
-// SoakConfig tunes a soak run. Zero values take defaults.
+// SoakConfig tunes a soak run. Zero Vehicles and Duration take defaults.
 type SoakConfig struct {
 	// Seed drives everything; equal seeds replay equal soaks.
 	Seed int64
 	// Vehicles is the parked fleet size. Default 20.
 	Vehicles int
 	// ByzFraction of members lie about results (WrongProb 1 while
-	// active; "byz-flip" faults toggle them). Default 0.2.
+	// active; "byz-flip" faults toggle them). Zero soaks honest workers.
 	ByzFraction float64
 	// Duration is the soaked horizon after warm-up. Default 10 min.
 	Duration sim.Time
-	// Warmup lets the cloud form before the storm. Default 10 s.
-	Warmup sim.Time
-	// Drain lets in-flight tasks settle after the horizon before the
-	// final audit. Default 30 s.
-	Drain sim.Time
-	// TaskEvery is the workload submission period. Default 500 ms.
-	TaskEvery sim.Time
-	// TaskOps sizes each task. Default 1500.
-	TaskOps float64
-	// FaultEvery is the mean fault injection period. Default 5 s.
-	FaultEvery sim.Time
-	// CheckEvery is the invariant-check period. Default 1 s.
-	CheckEvery sim.Time
-	// Policy is the dependability policy under soak. Defaults to
-	// 3 replicas, 3 retries, trust weighting off (see package comment).
-	Policy *vcloud.DependabilityPolicy
 	// SplitBrain deploys the cloud with epoch fencing and adds a storm
 	// branch that isolates the active controller (with a random minority
 	// of its members, never its standby) so the standby promotes and the
@@ -103,19 +87,6 @@ type SoakConfig struct {
 	// erasure code). See storage.go for the workload, the departure
 	// storm branch, and the two storage invariants it arms.
 	Storage string
-	// StorageKeys is the rotating key-space size. Default 50.
-	StorageKeys int
-	// StorageEvery is the KV workload period (one write plus one read
-	// per beat). Default 500 ms.
-	StorageEvery sim.Time
-	// StorageRepairEvery is the harness's repair period (the controller
-	// adds churn-driven passes on top). Default 2 s.
-	StorageRepairEvery sim.Time
-	// StorageDepartEvery is the permanent-departure churn period: every
-	// beat one vehicle drives away for good, its disk with it (and the
-	// longest-departed returns wiped once a third of the fleet is out).
-	// Default 15 s.
-	StorageDepartEvery sim.Time
 	// DAG arms the dependent-stage job workload: a stream of randomly-
 	// shaped DAG jobs soaks alongside the task workload, the storm gains
 	// a kill-member branch (member-process death, not just radio
@@ -123,8 +94,6 @@ type SoakConfig struct {
 	// twice, completed job implies ancestor completeness, replica budget
 	// never exceeded. See dag.go.
 	DAG bool
-	// DAGEvery is the DAG job submission period. Default 3 s.
-	DAGEvery sim.Time
 	// Saturate arms the congestion workload (see saturate.go): a shared
 	// contended uplink to a conventional cloud, a placement governor
 	// routing a ramping task stream between the vehicle tier and the
@@ -134,66 +103,52 @@ type SoakConfig struct {
 	// optional, and the bandwidth estimate stays within the channel's
 	// configured capacity.
 	Saturate bool
-	// SaturateEvery is the congestion workload's submission beat; the
-	// per-beat batch size ramps over the horizon, so load climbs from
-	// under-subscribed to saturating. Default 250 ms.
-	SaturateEvery sim.Time
-	// SaturateDeadline is the relative deadline stamped on congestion-
-	// workload tasks. Default 8 s.
-	SaturateDeadline sim.Time
 }
+
+// Fixed cadences and sizes of a soak; the defaults every soak has run.
+const (
+	soakWarmup = 10 * time.Second // the cloud forms before the storm
+	// soakDrain lets in-flight tasks settle after the horizon before the
+	// final audit.
+	soakDrain      = 30 * time.Second
+	soakTaskEvery  = 500 * time.Millisecond // workload submission period
+	soakTaskOps    = 1500                   // size of each task
+	soakFaultEvery = 5 * time.Second        // mean fault injection period
+	soakCheckEvery = time.Second            // invariant-check period
+
+	storageKeys = 50 // rotating key-space size
+	// storageEvery is the KV workload period (one write plus one read
+	// per beat).
+	storageEvery = 500 * time.Millisecond
+	// storageRepairEvery is the harness's repair period (the controller
+	// adds churn-driven passes on top).
+	storageRepairEvery = 2 * time.Second
+	// storageDepartEvery is the permanent-departure churn period: every
+	// beat one vehicle drives away for good, its disk with it (and the
+	// longest-departed returns wiped once a third of the fleet is out).
+	storageDepartEvery = 15 * time.Second
+
+	dagEvery = 3 * time.Second // DAG job submission period
+
+	// saturateEvery is the congestion workload's submission beat; the
+	// per-beat batch size ramps over the horizon, so load climbs from
+	// under-subscribed to saturating.
+	saturateEvery = 250 * time.Millisecond
+	// saturateDeadline is the relative deadline stamped on congestion-
+	// workload tasks.
+	saturateDeadline = 8 * time.Second
+)
+
+// soakPolicy is the dependability policy under soak: 3 replicas,
+// 3 retries, trust weighting off (see package comment).
+var soakPolicy = vcloud.DependabilityPolicy{Replicas: 3, MaxRetries: 3}
 
 func (c SoakConfig) withDefaults() SoakConfig {
 	if c.Vehicles == 0 {
 		c.Vehicles = 20
 	}
-	if c.ByzFraction == 0 {
-		c.ByzFraction = 0.2
-	}
 	if c.Duration == 0 {
 		c.Duration = 10 * time.Minute
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 10 * time.Second
-	}
-	if c.Drain == 0 {
-		c.Drain = 30 * time.Second
-	}
-	if c.TaskEvery == 0 {
-		c.TaskEvery = 500 * time.Millisecond
-	}
-	if c.TaskOps == 0 {
-		c.TaskOps = 1500
-	}
-	if c.FaultEvery == 0 {
-		c.FaultEvery = 5 * time.Second
-	}
-	if c.CheckEvery == 0 {
-		c.CheckEvery = time.Second
-	}
-	if c.Policy == nil {
-		c.Policy = &vcloud.DependabilityPolicy{Replicas: 3, MaxRetries: 3}
-	}
-	if c.StorageKeys == 0 {
-		c.StorageKeys = 50
-	}
-	if c.StorageEvery == 0 {
-		c.StorageEvery = 500 * time.Millisecond
-	}
-	if c.StorageRepairEvery == 0 {
-		c.StorageRepairEvery = 2 * time.Second
-	}
-	if c.StorageDepartEvery == 0 {
-		c.StorageDepartEvery = 15 * time.Second
-	}
-	if c.DAGEvery == 0 {
-		c.DAGEvery = 3 * time.Second
-	}
-	if c.SaturateEvery == 0 {
-		c.SaturateEvery = 250 * time.Millisecond
-	}
-	if c.SaturateDeadline == 0 {
-		c.SaturateDeadline = 8 * time.Second
 	}
 	return c
 }
@@ -204,24 +159,13 @@ func (c SoakConfig) Validate() error {
 	if c.Vehicles < 0 || !(c.ByzFraction >= 0 && c.ByzFraction <= 1) {
 		return fmt.Errorf("chaos: vehicles must be >= 0 and byz fraction in [0,1]")
 	}
-	if c.Duration < 0 || c.Warmup < 0 || c.Drain < 0 || c.TaskEvery < 0 ||
-		c.FaultEvery < 0 || c.CheckEvery < 0 || c.StorageEvery < 0 || c.StorageRepairEvery < 0 ||
-		c.StorageDepartEvery < 0 || c.DAGEvery < 0 || c.SaturateEvery < 0 || c.SaturateDeadline < 0 {
-		return fmt.Errorf("chaos: durations must be >= 0")
+	if c.Duration < 0 {
+		return fmt.Errorf("chaos: duration must be >= 0")
 	}
 	switch c.Storage {
 	case "", "replicated", "ec":
 	default:
 		return fmt.Errorf(`chaos: storage must be "", "replicated" or "ec", got %q`, c.Storage)
-	}
-	if c.StorageKeys < 0 {
-		return fmt.Errorf("chaos: storage keys must be >= 0")
-	}
-	if c.TaskOps < 0 || math.IsNaN(c.TaskOps) || math.IsInf(c.TaskOps, 0) {
-		return fmt.Errorf("chaos: task ops must be finite and >= 0")
-	}
-	if c.Policy != nil {
-		return c.Policy.Validate()
 	}
 	return nil
 }
@@ -419,7 +363,7 @@ func Soak(cfg SoakConfig) (*Report, error) {
 	stats := &vcloud.Stats{}
 	dcfg := vcloud.DeployConfig{
 		Failover:   true,
-		Controller: vcloud.ControllerConfig{Depend: cfg.Policy},
+		Controller: vcloud.ControllerConfig{Depend: &soakPolicy},
 	}
 	if cfg.SplitBrain {
 		dcfg.Fencing = true
@@ -470,46 +414,46 @@ func Soak(cfg SoakConfig) (*Report, error) {
 	if err := s.Start(); err != nil {
 		return nil, err
 	}
-	if err := s.RunFor(cfg.Warmup); err != nil {
+	if err := s.RunFor(soakWarmup); err != nil {
 		return nil, err
 	}
 
-	taskT, err := s.Kernel.Every(cfg.TaskEvery, sk.submitOne)
+	taskT, err := s.Kernel.Every(soakTaskEvery, sk.submitOne)
 	if err != nil {
 		return nil, err
 	}
-	faultT, err := s.Kernel.Every(cfg.FaultEvery, sk.injectFault)
+	faultT, err := s.Kernel.Every(soakFaultEvery, sk.injectFault)
 	if err != nil {
 		return nil, err
 	}
-	checkT, err := s.Kernel.Every(cfg.CheckEvery, sk.check)
+	checkT, err := s.Kernel.Every(soakCheckEvery, sk.check)
 	if err != nil {
 		return nil, err
 	}
 	var dagT *sim.Ticker
 	if cfg.DAG {
-		if dagT, err = s.Kernel.Every(cfg.DAGEvery, sk.dagTick); err != nil {
+		if dagT, err = s.Kernel.Every(dagEvery, sk.dagTick); err != nil {
 			return nil, err
 		}
 	}
 	var satT *sim.Ticker
 	if cfg.Saturate {
-		if satT, err = s.Kernel.Every(cfg.SaturateEvery, sk.saturateTick); err != nil {
+		if satT, err = s.Kernel.Every(saturateEvery, sk.saturateTick); err != nil {
 			return nil, err
 		}
 	}
 	var storeT, repairT, departT *sim.Ticker
 	if cfg.Storage != "" {
-		if storeT, err = s.Kernel.Every(cfg.StorageEvery, sk.storageTick); err != nil {
+		if storeT, err = s.Kernel.Every(storageEvery, sk.storageTick); err != nil {
 			return nil, err
 		}
-		if repairT, err = s.Kernel.Every(cfg.StorageRepairEvery, sk.storageRepair); err != nil {
+		if repairT, err = s.Kernel.Every(storageRepairEvery, sk.storageRepair); err != nil {
 			return nil, err
 		}
 		// Departures are their own deterministic churn clock, not a storm
 		// roll: every soak exercises the loss-and-repair cycle the storage
 		// invariants exist to audit, at a controlled rate.
-		if departT, err = s.Kernel.Every(cfg.StorageDepartEvery, func() { sk.depart(s.Kernel.Now()) }); err != nil {
+		if departT, err = s.Kernel.Every(storageDepartEvery, func() { sk.depart(s.Kernel.Now()) }); err != nil {
 			return nil, err
 		}
 	}
@@ -531,7 +475,7 @@ func Soak(cfg SoakConfig) (*Report, error) {
 		repairT.Stop()
 		departT.Stop()
 	}
-	if err := s.RunFor(cfg.Drain); err != nil {
+	if err := s.RunFor(soakDrain); err != nil {
 		return nil, err
 	}
 	checkT.Stop()
@@ -597,7 +541,7 @@ func (sk *soak) possiblyByz(a vnet.Addr, t0, t1 sim.Time) bool {
 func (sk *soak) submitOne() {
 	seq := len(sk.tasks)
 	st := &soakTask{
-		task:      vcloud.Task{Ops: sk.cfg.TaskOps, InputBytes: 1000, OutputBytes: 500},
+		task:      vcloud.Task{Ops: soakTaskOps, InputBytes: 1000, OutputBytes: 500},
 		submitted: sk.s.Kernel.Now(),
 	}
 	sk.tasks = append(sk.tasks, st)

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -9,9 +10,10 @@ import (
 // shortCfg is the CI-sized soak: 60 simulated seconds of storm.
 func shortCfg(seed int64) SoakConfig {
 	return SoakConfig{
-		Seed:     seed,
-		Vehicles: 16,
-		Duration: 60 * time.Second,
+		Seed:        seed,
+		Vehicles:    16,
+		ByzFraction: 0.2,
+		Duration:    60 * time.Second,
 	}
 }
 
@@ -42,6 +44,29 @@ func TestSoakShortHoldsInvariants(t *testing.T) {
 	t.Logf("submitted=%d completed=%d failed=%d refused=%d correct=%d unchecked=%d faults=%d failovers=%d checksum=%x",
 		rep.Submitted, rep.Completed, rep.Failed, rep.Refused, rep.Correct, rep.Unchecked,
 		rep.FaultsInjected, rep.Failovers, rep.Checksum)
+}
+
+// TestSoakHonestWorkers: a zero ByzFraction means zero liars — the
+// storm runs over honest workers, so nothing can be voted in wrong and
+// there is nobody for a byz-flip to toggle.
+func TestSoakHonestWorkers(t *testing.T) {
+	cfg := shortCfg(1)
+	cfg.ByzFraction = 0
+	rep, err := Soak(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range rep.Violations {
+		t.Errorf("invariant violation: %s", v)
+	}
+	if rep.Completed == 0 || rep.Wrong != 0 {
+		t.Errorf("completed=%d wrong=%d, want work done and none of it wrong", rep.Completed, rep.Wrong)
+	}
+	for _, line := range rep.FaultLog {
+		if strings.Contains(line, "byz-flip") {
+			t.Errorf("byz-flip fault with no Byzantine member: %s", line)
+		}
+	}
 }
 
 func TestSoakReproducible(t *testing.T) {
@@ -79,10 +104,11 @@ func TestSoakReproducible(t *testing.T) {
 // isolations in the storm mix.
 func splitCfg(seed int64) SoakConfig {
 	return SoakConfig{
-		Seed:       seed,
-		Vehicles:   16,
-		Duration:   90 * time.Second,
-		SplitBrain: true,
+		Seed:        seed,
+		Vehicles:    16,
+		ByzFraction: 0.2,
+		Duration:    90 * time.Second,
+		SplitBrain:  true,
 	}
 }
 
@@ -159,7 +185,6 @@ func TestSoakConfigValidate(t *testing.T) {
 		{Seed: 1, ByzFraction: math.NaN()},
 		{Seed: 1, Vehicles: -1},
 		{Seed: 1, Duration: -time.Second},
-		{Seed: 1, TaskOps: -5},
 	}
 	for i, cfg := range bad {
 		if _, err := Soak(cfg); err == nil {
@@ -171,10 +196,11 @@ func TestSoakConfigValidate(t *testing.T) {
 // storageCfg is the CI-sized churn-storm soak over the data service.
 func storageCfg(seed int64, mode string) SoakConfig {
 	return SoakConfig{
-		Seed:     seed,
-		Vehicles: 16,
-		Duration: 90 * time.Second,
-		Storage:  mode,
+		Seed:        seed,
+		Vehicles:    16,
+		ByzFraction: 0.2,
+		Duration:    90 * time.Second,
+		Storage:     mode,
 	}
 }
 

@@ -9,10 +9,11 @@ import (
 // jobs have room to finish between storm fronts.
 func dagCfg(seed int64) SoakConfig {
 	return SoakConfig{
-		Seed:     seed,
-		Vehicles: 16,
-		Duration: 2 * time.Minute,
-		DAG:      true,
+		Seed:        seed,
+		Vehicles:    16,
+		ByzFraction: 0.2,
+		Duration:    2 * time.Minute,
+		DAG:         true,
 	}
 }
 

@@ -125,7 +125,7 @@ func (sk *soak) setupSaturate() error {
 func (sk *soak) saturateTick() {
 	sat := sk.sat
 	now := sk.s.Kernel.Now()
-	progress := float64(now-sk.cfg.Warmup) / float64(sk.cfg.Duration)
+	progress := float64(now-soakWarmup) / float64(sk.cfg.Duration)
 	if progress < 0 {
 		progress = 0
 	}
@@ -137,7 +137,7 @@ func (sk *soak) saturateTick() {
 		seq := len(sat.tasks)
 		st := &satTask{
 			optional: sat.rng.Float64() < satOptionalFrac,
-			deadline: now + sk.cfg.SaturateDeadline,
+			deadline: now + saturateDeadline,
 		}
 		sat.tasks = append(sat.tasks, st)
 		task := vcloud.Task{

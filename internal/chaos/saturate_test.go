@@ -9,10 +9,11 @@ import (
 // over 90 simulated seconds of storm.
 func satCfg(seed int64) SoakConfig {
 	return SoakConfig{
-		Seed:     seed,
-		Vehicles: 16,
-		Duration: 90 * time.Second,
-		Saturate: true,
+		Seed:        seed,
+		Vehicles:    16,
+		ByzFraction: 0.2,
+		Duration:    90 * time.Second,
+		Saturate:    true,
 	}
 }
 

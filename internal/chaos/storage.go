@@ -163,7 +163,7 @@ func (sk *soak) setupStorage() error {
 
 // storageKey maps a sequence number onto the rotating key space.
 func (sk *soak) storageKey(seq int) store.Key {
-	return store.Key(fmt.Sprintf("obj-%02d", seq%sk.cfg.StorageKeys))
+	return store.Key(fmt.Sprintf("obj-%02d", seq%storageKeys))
 }
 
 // mark returns the external watermark for (client, key).

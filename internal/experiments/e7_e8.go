@@ -10,6 +10,7 @@ import (
 	"vcloud/internal/roadnet"
 	"vcloud/internal/scenario"
 	"vcloud/internal/sim"
+	"vcloud/internal/store"
 	"vcloud/internal/vcloud"
 	"vcloud/internal/vnet"
 )
@@ -147,16 +148,18 @@ func E8Replication(cfg Config) (*Result, error) {
 			online[a] = true
 			cands = append(cands, a)
 		}
-		stats := &vcloud.ReplicaStats{}
-		rm, err := vcloud.NewReplicaManager(k, func(a vnet.Addr) bool { return online[a] }, stats)
+		stats := &store.Stats{}
+		// Write-all/read-one: the strict spelling of "k copies, serve from
+		// any survivor".
+		st, err := store.NewReplicated(store.Config{N: k, W: k, R: 1, RetainOffline: retain}, store.FuncView{
+			MembersFn: func() []vnet.Addr { return cands },
+			OnlineFn:  func(a vnet.Addr) bool { return online[a] },
+		}, stats)
 		if err != nil {
 			return err
 		}
-		rm.SetRetainOffline(retain)
 		for f := 0; f < files; f++ {
-			// Spread initial placement across members.
-			rot := append(append([]vnet.Addr(nil), cands[f%members:]...), cands[:f%members]...)
-			rm.Store(vcloud.FileID(fmt.Sprintf("f%d", f)), 1<<20, rot)
+			store.PutSized(st, "", store.Key(fmt.Sprintf("f%d", f)), 1<<20)
 		}
 		// Churn process: every second members flip offline/online;
 		// reads and repairs run each tick.
@@ -171,9 +174,9 @@ func E8Replication(cfg Config) (*Result, error) {
 				}
 			}
 			for f := 0; f < 5; f++ {
-				rm.Read(vcloud.FileID(fmt.Sprintf("f%d", rng.Intn(files))))
+				store.Get(st, "", store.Key(fmt.Sprintf("f%d", rng.Intn(files))))
 			}
-			rm.Repair(cands)
+			store.Fix(st)
 		}); err != nil {
 			return err
 		}

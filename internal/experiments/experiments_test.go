@@ -186,6 +186,24 @@ func TestE8Shape(t *testing.T) {
 	if v["k3/churn0.05/availability"] < 0.9 {
 		t.Errorf("k=3 at low churn should be highly available, got %.2f", v["k3/churn0.05/availability"])
 	}
+	// Files spread over the fleet fail one by one, so each extra copy
+	// shows: under heavy churn departed availability rises strictly with
+	// k, and repair never moves the whole file set in lockstep (quick
+	// mode stores 30 files).
+	lockstep := true
+	ks := []string{"k1", "k2", "k3"}
+	for i, k := range ks {
+		key := k + "/churn0.15"
+		if i > 0 && v[key+"/availability"] <= v[ks[i-1]+"/churn0.15/availability"] {
+			t.Errorf("churn 0.15: availability %.3f at %s not above %s", v[key+"/availability"], k, ks[i-1])
+		}
+		if int(v[key+"/rereplicas"])%30 != 0 || int(v[key+"/retain/rereplicas"])%30 != 0 {
+			lockstep = false
+		}
+	}
+	if lockstep {
+		t.Error("every re-replica count is a multiple of the file count: files are failing in lockstep")
+	}
 	// Battery-sleep retention dominates the departed model: sleepers
 	// keep their replicas.
 	for _, key := range []string{"k1/churn0.05", "k2/churn0.15"} {

@@ -36,13 +36,13 @@ type Enrollment struct {
 	Chain *cryptoprim.IDChain
 }
 
+// certLifetime is the validity of issued certificates, in virtual time.
+const certLifetime = 24 * time.Hour
+
 // Config tunes the TA.
 type Config struct {
 	// PoolSize is the pseudonym batch size per vehicle. Default 20.
 	PoolSize int
-	// CertLifetime is the validity of issued certificates. Default 24 h
-	// of virtual time.
-	CertLifetime time.Duration
 }
 
 // TA is the trusted authority.
@@ -72,9 +72,6 @@ func New(name string, rand io.Reader, cfg Config) (*TA, error) {
 	}
 	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = 20
-	}
-	if cfg.CertLifetime <= 0 {
-		cfg.CertLifetime = 24 * time.Hour
 	}
 	ca, err := cryptoprim.NewCA(name, rand)
 	if err != nil {
@@ -124,11 +121,11 @@ func (t *TA) Enroll(id VehicleIdentity) (*Enrollment, error) {
 	if err != nil {
 		return nil, err
 	}
-	longCert, err := t.ca.Issue([]byte(id), longKey.Public, t.cfg.CertLifetime)
+	longCert, err := t.ca.Issue([]byte(id), longKey.Public, certLifetime)
 	if err != nil {
 		return nil, err
 	}
-	pool, serials, err := cryptoprim.IssuePseudonyms(t.ca, t.cfg.PoolSize, t.cfg.CertLifetime, t.rand)
+	pool, serials, err := cryptoprim.IssuePseudonyms(t.ca, t.cfg.PoolSize, certLifetime, t.rand)
 	if err != nil {
 		return nil, err
 	}

@@ -193,7 +193,7 @@ func (t *TA) RefillPseudonyms(id VehicleIdentity) (*cryptoprim.PseudonymPool, er
 	if t.IsRevoked(id) {
 		return nil, fmt.Errorf("pki: vehicle %q is revoked", id)
 	}
-	pool, serials, err := cryptoprim.IssuePseudonyms(t.ca, t.cfg.PoolSize, t.cfg.CertLifetime, t.rand)
+	pool, serials, err := cryptoprim.IssuePseudonyms(t.ca, t.cfg.PoolSize, certLifetime, t.rand)
 	if err != nil {
 		return nil, err
 	}

@@ -36,36 +36,13 @@ import (
 	"vcloud/internal/sim"
 )
 
-// BWEConfig tunes a bandwidth estimator. Zero values take defaults.
+// BWEConfig bounds a bandwidth estimator. Zero values take defaults.
 type BWEConfig struct {
 	// MinBps / MaxBps clamp every rate the estimator publishes. MaxBps
 	// should be the channel's physical capacity; Sender wiring defaults
 	// it there. Defaults: 10 kbps / 100 Mbps.
 	MinBps float64
 	MaxBps float64
-	// StartBps seeds the controllers before any feedback. Default
-	// MaxBps/2.
-	StartBps float64
-	// BurstInterval coalesces messages sent within it into one arrival
-	// group. Default 5 ms.
-	BurstInterval sim.Time
-	// Window is the trendline regression window in delay samples.
-	// Default 20.
-	Window int
-	// Gain scales the regression slope into the overuse comparison.
-	// Default 4.0.
-	Gain float64
-	// Beta is the multiplicative decrease applied to the measured
-	// received rate on overuse. Default 0.85.
-	Beta float64
-	// SmoothAlpha is the EWMA weight of the newest target in the
-	// published estimate. Default 0.3.
-	SmoothAlpha float64
-	// FeedbackWindow is the loss-rate window in messages. Default 20.
-	FeedbackWindow int
-	// LossInterval rate-limits loss-controller updates so per-message
-	// multiplicative steps cannot compound unboundedly. Default 500 ms.
-	LossInterval sim.Time
 }
 
 func (c BWEConfig) withDefaults() BWEConfig {
@@ -75,32 +52,25 @@ func (c BWEConfig) withDefaults() BWEConfig {
 	if c.MaxBps <= 0 {
 		c.MaxBps = 100e6
 	}
-	if c.StartBps <= 0 {
-		c.StartBps = c.MaxBps / 2
-	}
-	if c.BurstInterval <= 0 {
-		c.BurstInterval = 5 * time.Millisecond
-	}
-	if c.Window <= 1 {
-		c.Window = 20
-	}
-	if c.Gain <= 0 {
-		c.Gain = 4.0
-	}
-	if c.Beta <= 0 || c.Beta >= 1 {
-		c.Beta = 0.85
-	}
-	if c.SmoothAlpha <= 0 || c.SmoothAlpha > 1 {
-		c.SmoothAlpha = 0.3
-	}
-	if c.FeedbackWindow <= 0 {
-		c.FeedbackWindow = 20
-	}
-	if c.LossInterval <= 0 {
-		c.LossInterval = 500 * time.Millisecond
-	}
 	return c
 }
+
+// Estimator tuning.
+const (
+	// burstInterval coalesces messages sent within it into one arrival
+	// group.
+	burstInterval = 5 * time.Millisecond
+	trendWindow   = 20  // trendline regression window in delay samples
+	trendGain     = 4.0 // scales the regression slope into the overuse comparison
+	// decreaseBeta is the multiplicative decrease applied to the measured
+	// received rate on overuse.
+	decreaseBeta   = 0.85
+	smoothAlpha    = 0.3 // EWMA weight of the newest target in the published estimate
+	feedbackWindow = 20  // loss-rate window in messages
+	// lossInterval rate-limits loss-controller updates so per-message
+	// multiplicative steps cannot compound unboundedly.
+	lossInterval = 500 * time.Millisecond
+)
 
 // Detector states.
 const (
@@ -150,7 +120,7 @@ type BWEstimator struct {
 	cfg BWEConfig
 
 	// Arrival grouping. A group is keyed by its first send time; it
-	// closes when a message sent more than BurstInterval later arrives.
+	// closes when a message sent more than burstInterval later arrives.
 	haveGroup                     bool
 	groupFirstSend, groupLastSend sim.Time
 	groupLastArrival              sim.Time
@@ -201,13 +171,14 @@ type BWEstimator struct {
 // NewBWEstimator builds an estimator with the given config.
 func NewBWEstimator(cfg BWEConfig) *BWEstimator {
 	cfg = cfg.withDefaults()
+	start := cfg.MaxBps / 2 // seeds the controllers before any feedback
 	return &BWEstimator{
 		cfg:         cfg,
 		thresholdMs: thresholdInitMs,
-		delayBps:    cfg.StartBps,
-		lossBps:     cfg.StartBps,
-		estimate:    cfg.StartBps,
-		outcomes:    make([]bool, cfg.FeedbackWindow),
+		delayBps:    start,
+		lossBps:     start,
+		estimate:    start,
+		outcomes:    make([]bool, feedbackWindow),
 	}
 }
 
@@ -239,7 +210,7 @@ func (e *BWEstimator) OnAck(sendTime, arrival sim.Time, bytes int) {
 		e.publish()
 		return
 	}
-	if sendTime-e.groupFirstSend <= e.cfg.BurstInterval {
+	if sendTime-e.groupFirstSend <= burstInterval {
 		// Same burst: extend the current group. Out-of-order arrivals
 		// keep the latest times.
 		if sendTime > e.groupLastSend {
@@ -285,7 +256,7 @@ func (e *BWEstimator) onDelayDelta(deltaMs float64, arrival sim.Time) {
 		tMs:     (arrival - e.firstArrival).Seconds() * 1e3,
 		delayMs: e.smoothDelayMs,
 	})
-	if len(e.window) > e.cfg.Window {
+	if len(e.window) > trendWindow {
 		e.window = e.window[1:]
 	}
 	slope, ok := e.slope()
@@ -297,7 +268,7 @@ func (e *BWEstimator) onDelayDelta(deltaMs float64, arrival sim.Time) {
 		n = maxDeltas
 	}
 	e.prevTrend = e.trend
-	e.trend = slope * float64(n) * e.cfg.Gain
+	e.trend = slope * float64(n) * trendGain
 	e.detect(arrival)
 	e.stepDelayController(arrival)
 }
@@ -378,9 +349,9 @@ func (e *BWEstimator) stepDelayController(now sim.Time) {
 		if e.rcState != rcDecrease {
 			e.rcState = rcDecrease
 			if received > 0 {
-				e.delayBps = e.cfg.Beta * received
+				e.delayBps = decreaseBeta * received
 			} else {
-				e.delayBps *= e.cfg.Beta
+				e.delayBps *= decreaseBeta
 			}
 			e.lastDecrease = e.delayBps
 		}
@@ -422,10 +393,10 @@ func (e *BWEstimator) clampDelay() {
 // updateLoss runs the loss-based controller at most once per
 // LossInterval: heavy loss multiplies down, negligible loss grows.
 func (e *BWEstimator) updateLoss(now sim.Time) {
-	if e.outcomeN < e.cfg.FeedbackWindow {
+	if e.outcomeN < feedbackWindow {
 		return // window not yet primed
 	}
-	if e.lastLossAt > 0 && now-e.lastLossAt < e.cfg.LossInterval {
+	if e.lastLossAt > 0 && now-e.lastLossAt < lossInterval {
 		return
 	}
 	e.lastLossAt = now
@@ -451,7 +422,7 @@ func (e *BWEstimator) publish() {
 	if e.lossBps < target {
 		target = e.lossBps
 	}
-	e.estimate += e.cfg.SmoothAlpha * (target - e.estimate)
+	e.estimate += smoothAlpha * (target - e.estimate)
 	if e.estimate > e.cfg.MaxBps {
 		e.estimate = e.cfg.MaxBps
 	}

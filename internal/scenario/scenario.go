@@ -24,6 +24,9 @@ const RSUBase vnet.Addr = 1 << 20
 // IsRSU reports whether an address belongs to a road-side unit.
 func IsRSU(a vnet.Addr) bool { return a >= RSUBase }
 
+// mobilityTick is the kinematics timestep.
+const mobilityTick = 100 * time.Millisecond
+
 // Spec configures a scenario.
 type Spec struct {
 	// Seed drives all randomness.
@@ -36,8 +39,6 @@ type Spec struct {
 	Radio radio.Params
 	// BeaconPeriod for all nodes; default 500 ms.
 	BeaconPeriod sim.Time
-	// MobilityTick is the kinematics timestep; default 100 ms.
-	MobilityTick sim.Time
 	// Profile returns the profile for the i-th vehicle; nil means
 	// mobility.DefaultProfile for all.
 	Profile func(i int) mobility.Profile
@@ -74,9 +75,6 @@ func New(spec Spec) (*Scenario, error) {
 	}
 	if spec.BeaconPeriod <= 0 {
 		spec.BeaconPeriod = 500 * time.Millisecond
-	}
-	if spec.MobilityTick <= 0 {
-		spec.MobilityTick = 100 * time.Millisecond
 	}
 
 	kernel := sim.NewKernel(spec.Seed)
@@ -195,9 +193,9 @@ func (s *Scenario) Start() error {
 		return fmt.Errorf("scenario: already started")
 	}
 	s.started = true
-	dt := s.spec.MobilityTick.Seconds()
+	dt := mobilityTick.Seconds()
 	var fleet []mobility.VehicleID
-	if _, err := s.Kernel.Every(s.spec.MobilityTick, func() {
+	if _, err := s.Kernel.Every(mobilityTick, func() {
 		s.Mobility.Step(dt)
 		// Push fresh positions into the radio medium. Every live vehicle
 		// has a node: attachNode and the departure hook keep Nodes and the

@@ -39,6 +39,15 @@ import (
 	"vcloud/internal/sim"
 )
 
+// Fixed scenario parameters.
+const (
+	speedMin, speedMax = 5.0, 30.0 // vehicle speed range, m/s
+	// densityHalf is the sender neighbor count at which collision loss
+	// reaches half its cap (see radio.ShardChannel).
+	densityHalf = 20.0
+	beaconBytes = 300
+)
+
 // Hash draw domains for the churn schedule.
 const (
 	drawBirthGate uint64 = 0x11
@@ -68,13 +77,8 @@ type Config struct {
 	// down to a multiple of 4ns.
 	TickEvery sim.Time
 	// WorldSize is the square world edge length in meters.
-	WorldSize          float64
-	SpeedMin, SpeedMax float64
-	Radio              radio.Params
-	// DensityHalf is the sender neighbor count at which collision loss
-	// reaches half its cap (see radio.ShardChannel).
-	DensityHalf float64
-	BeaconBytes int
+	WorldSize float64
+	Radio     radio.Params
 	// SampleEvery emits a fleet sample row every that many ticks.
 	SampleEvery int
 	// ChurnFrac is the fraction of ids gated into late arrival and the
@@ -93,11 +97,7 @@ func DefaultConfig(seed int64, shards int) Config {
 		Ticks:       96,
 		TickEvery:   200 * time.Millisecond,
 		WorldSize:   3000,
-		SpeedMin:    5,
-		SpeedMax:    30,
 		Radio:       radio.DefaultParams(),
-		DensityHalf: 20,
-		BeaconBytes: 300,
 		SampleEvery: 16,
 	}
 }
@@ -119,20 +119,11 @@ func (cfg *Config) normalize() error {
 	if cfg.WorldSize <= 0 {
 		return fmt.Errorf("shardworld: world size must be positive, got %v", cfg.WorldSize)
 	}
-	if cfg.SpeedMin < 0 || cfg.SpeedMax < cfg.SpeedMin {
-		return fmt.Errorf("shardworld: bad speed range [%v, %v]", cfg.SpeedMin, cfg.SpeedMax)
-	}
-	if cfg.BeaconBytes < 1 {
-		cfg.BeaconBytes = 1
-	}
 	if cfg.SampleEvery < 1 {
 		cfg.SampleEvery = 1
 	}
 	if cfg.ChurnFrac < 0 || cfg.ChurnFrac > 1 {
 		return fmt.Errorf("shardworld: churn fraction must be in [0, 1], got %v", cfg.ChurnFrac)
-	}
-	if cfg.DensityHalf <= 0 {
-		cfg.DensityHalf = 20
 	}
 	return nil
 }
@@ -330,7 +321,7 @@ func run(cfg Config) (*world, error) {
 		dt:        cfg.TickEvery.Seconds(),
 		lookahead: cfg.TickEvery / 4,
 	}
-	w.halo = cfg.Radio.RangeMax + mobility.MaxStep(cfg.SpeedMax, w.dt)
+	w.halo = cfg.Radio.RangeMax + mobility.MaxStep(speedMax, w.dt)
 
 	nx, ny := geo.FactorShards(cfg.Shards)
 	var err error
@@ -354,7 +345,7 @@ func run(cfg Config) (*world, error) {
 		// Every shard's channel carries the same seed: reception verdicts
 		// are pure in (tick, from, to), so the deciding shard is
 		// irrelevant by construction.
-		if s.channel, err = radio.NewShardChannel(radioSeed, cfg.Radio, cfg.DensityHalf); err != nil {
+		if s.channel, err = radio.NewShardChannel(radioSeed, cfg.Radio, densityHalf); err != nil {
 			return nil, err
 		}
 		if s.index, err = geo.NewShardedIndex(w.bounds, cfg.Radio.RangeMax); err != nil {
@@ -367,7 +358,7 @@ func run(cfg Config) (*world, error) {
 	w.birth, w.death = sched[:cfg.Vehicles], sched[cfg.Vehicles:]
 	for i := 0; i < cfg.Vehicles; i++ {
 		id := int32(i)
-		v := mobility.SpawnShardVehicle(w.mobSeed, id, w.bounds, cfg.SpeedMin, cfg.SpeedMax)
+		v := mobility.SpawnShardVehicle(w.mobSeed, id, w.bounds, speedMin, speedMax)
 		owner := w.shards[w.smap.ShardOf(v.Pos)]
 		if b := w.birth[i]; b > 0 {
 			owner.arrivals[int(b)] = append(owner.arrivals[int(b)], id)
@@ -410,7 +401,7 @@ func (s *wshard) movePhase(tick int) {
 	s.k.AtArg(t+L, clearGhostsFn, s)
 
 	for _, id := range s.arrivals[tick] {
-		s.insertLocal(mobility.SpawnShardVehicle(w.mobSeed, id, w.bounds, cfg.SpeedMin, cfg.SpeedMax))
+		s.insertLocal(mobility.SpawnShardVehicle(w.mobSeed, id, w.bounds, speedMin, speedMax))
 	}
 
 	// Vehicles that die or cross out this tick are dropped by compacting
@@ -424,7 +415,7 @@ func (s *wshard) movePhase(tick int) {
 			s.index.RemoveLocal(id)
 			continue
 		}
-		v.Step(w.mobSeed, uint64(tick), w.bounds, w.dt, cfg.SpeedMin, cfg.SpeedMax)
+		v.Step(w.mobSeed, uint64(tick), w.bounds, w.dt, speedMin, speedMax)
 		dst := w.smap.ShardOf(v.Pos)
 		s.near = w.smap.ShardsNear(s.near[:0], v.Pos, w.halo)
 		if dst != s.idx {
@@ -475,7 +466,7 @@ func (s *wshard) beaconPhase(tick int) {
 			s.suppressed++
 			continue
 		}
-		s.channel.NoteSent(cfg.BeaconBytes)
+		s.channel.NoteSent(beaconBytes)
 		s.nids, s.npos = s.index.WithinRangePos(s.nids[:0], s.npos[:0], v.Pos, cfg.Radio.RangeMax, id)
 		b := s.channel.Beacon(uint64(tick), radio.NodeID(id), len(s.nids))
 		for j, nid := range s.nids {

@@ -185,7 +185,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Vehicles = 0 },
 		func(c *Config) { c.Ticks = 1 },
 		func(c *Config) { c.WorldSize = 0 },
-		func(c *Config) { c.SpeedMax = c.SpeedMin - 1 },
 		func(c *Config) { c.ChurnFrac = 1.5 },
 		func(c *Config) { c.TickEvery = time.Duration(2) },
 	}

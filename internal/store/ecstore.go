@@ -15,8 +15,8 @@ import (
 // data is the shard; obj is the written object itself when data is a
 // window of it (Encode aliases whole data shards), nil for parity, a
 // copied ragged shard and anything a rebuild or a repair produced. Both
-// are nil for modeled-size objects and, unless the store is Sloppy, for
-// every fragment below the object's acked version (see release).
+// are nil for modeled-size objects and for every fragment below the
+// object's acked version (see release).
 type frag struct {
 	version Version
 	index   int
@@ -82,7 +82,7 @@ func (t *tally) add(index int) {
 }
 
 // release drops the shard bytes of every fragment below the acked
-// version: a strict store refuses to serve below acked, so no read can
+// version: the store refuses to serve below acked, so no read can
 // return them, and an aliased data fragment would otherwise pin its
 // whole object for as long as its member is skipped by later writes.
 // The fragment keeps its row, version, index and sizes — all that
@@ -287,7 +287,7 @@ func (e *ErasureCoded) Write(req WriteReq) WriteAck {
 		}
 		whole = windows(e.cfg.K, len(req.Data))
 	}
-	ranked := rankOnline(&e.rankScratch, e.view, e.cfg.Placement, e.load, nil)
+	ranked := rankOnline(&e.rankScratch, e.view, e.load, nil)
 	if len(ranked) == 0 {
 		return WriteAck{Version: o.version}
 	}
@@ -320,9 +320,7 @@ func (e *ErasureCoded) Write(req WriteReq) WriteAck {
 	ack := WriteAck{Version: o.version, Placed: placed, Acked: len(placed) >= e.cfg.FragAck}
 	if ack.Acked {
 		o.acked = o.version
-		if !e.cfg.Sloppy { // a sloppy read may still serve below acked
-			o.release()
-		}
+		o.release()
 		e.stats.WriteAcks.Inc()
 		e.sess.advance(req.Client, req.Key, o.version)
 	}
@@ -350,7 +348,7 @@ func (e *ErasureCoded) Read(req ReadReq) (ReadResult, bool) {
 	if best.version == 0 {
 		return ReadResult{}, false
 	}
-	if !e.cfg.Sloppy && best.version < o.acked {
+	if best.version < o.acked {
 		// The reachable fragments only reconstruct a version older than
 		// the last acked write: refuse rather than regress.
 		e.stats.QuorumStale.Inc()
@@ -456,7 +454,7 @@ func (e *ErasureCoded) Repair(req RepairReq) int {
 			i, ok := o.find(a)
 			return ok && slices.ContainsFunc(o.holders[i].frags, func(f frag) bool { return f.version == best.version })
 		}
-		ranked := rankOnline(&e.rankScratch, e.view, e.cfg.Placement, e.load, holdsKey)
+		ranked := rankOnline(&e.rankScratch, e.view, e.load, holdsKey)
 		fsz := e.fragSize(best.size)
 		next := 0
 		for i := 0; i < total; i++ {

@@ -111,7 +111,7 @@ func (e modelEC) Write(req WriteReq) WriteAck {
 	if req.Data != nil {
 		shards = modelEncode(e.cfg.K, e.cfg.M, req.Data)
 	}
-	ranked := rankOnline(&e.rankScratch, e.view, e.cfg.Placement, e.load, nil)
+	ranked := rankOnline(&e.rankScratch, e.view, e.load, nil)
 	if len(ranked) == 0 {
 		return WriteAck{Version: o.version}
 	}
@@ -154,7 +154,7 @@ func (e modelEC) Read(req ReadReq) (ReadResult, bool) {
 	if best.version == 0 {
 		return ReadResult{}, false
 	}
-	if !e.cfg.Sloppy && best.version < o.acked {
+	if best.version < o.acked {
 		e.stats.QuorumStale.Inc()
 		return ReadResult{}, false
 	}
@@ -197,15 +197,10 @@ func (e modelEC) Read(req ReadReq) (ReadResult, bool) {
 	}, true
 }
 
-// checkStrictRelease asserts the invariant release maintains: in a
-// strict store no fragment below its object's acked version holds bytes
-// (and a Sloppy store, which may serve below acked, released nothing the
-// model still holds — the differential's byte comparison covers that).
+// checkStrictRelease asserts the invariant release maintains: no
+// fragment below its object's acked version holds bytes.
 func checkStrictRelease(t *testing.T, e *ErasureCoded, what string) {
 	t.Helper()
-	if e.cfg.Sloppy {
-		return
-	}
 	for k, o := range e.objects {
 		for _, h := range o.holders {
 			for _, f := range h.frags {
@@ -228,9 +223,9 @@ func checkStrictRelease(t *testing.T, e *ErasureCoded, what string) {
 // are empty, shorter than K, ragged and aligned; one in six modeled-size),
 // reads, member outages and returns, repairs, departures and audits,
 // over every (K, M, FragAck) with K <= 5 and M <= 3, the three
-// consistency levels, RetainOffline and Sloppy on and off. Every ack,
-// read result, count and the final Stats must be equal, and the strict
-// release invariant must hold after every step.
+// consistency levels, RetainOffline on and off. Every ack, read result,
+// count and the final Stats must be equal, and the release invariant
+// must hold after every step.
 func TestErasureStoreMatchesCopyingModel(t *testing.T) {
 	t.Run("differential", func(t *testing.T) {
 		ops := 400
@@ -242,8 +237,8 @@ func TestErasureStoreMatchesCopyingModel(t *testing.T) {
 			for m := 0; m <= 3; m++ {
 				for ack := m + 1; ack <= k+m; ack++ {
 					for c := Eventual; c <= Linearizable; c++ {
-						for flags := 0; flags < 4; flags++ {
-							cfg := Config{K: k, M: m, FragAck: ack, Consistency: c, RetainOffline: flags&1 != 0, Sloppy: flags&2 != 0}
+						for _, retain := range []bool{false, true} {
+							cfg := Config{K: k, M: m, FragAck: ack, Consistency: c, RetainOffline: retain}
 							configs++
 							runModelDifferential(t, cfg, int64(configs), ops)
 						}
@@ -269,8 +264,8 @@ func runModelDifferential(t *testing.T, cfg Config, seed int64, ops int) {
 	}
 	model := modelEC{inner}
 	what := func(op int, s string) string {
-		return fmt.Sprintf("K=%d M=%d FragAck=%d %v retain=%v sloppy=%v fleet=%d op %d (%s)",
-			cfg.K, cfg.M, cfg.FragAck, cfg.Consistency, cfg.RetainOffline, cfg.Sloppy, len(view.members), op, s)
+		return fmt.Sprintf("K=%d M=%d FragAck=%d %v retain=%v fleet=%d op %d (%s)",
+			cfg.K, cfg.M, cfg.FragAck, cfg.Consistency, cfg.RetainOffline, len(view.members), op, s)
 	}
 	keys := []Key{"a", "b", "c"}
 	clients := []ClientID{"", "x", "y"}

@@ -24,7 +24,7 @@ type robj struct {
 	// placed is the key's current quorum set, ascending: the members the
 	// latest write landed on (or repair's rebuild of it). Every member of
 	// placed holds a version >= acked, so any R of them prove the last
-	// acked write — strict reads count replies against placed, never
+	// acked write — reads count replies against placed, never
 	// against stale ex-holders accumulated across partitions.
 	placed []vnet.Addr
 }
@@ -76,11 +76,6 @@ func NewReplicated(cfg Config, view View, stats *Stats) (*Replicated, error) {
 
 // View implements Backend.
 func (r *Replicated) View() View { return r.view }
-
-// SetRetainOffline switches the churn model at runtime: true means
-// offline holders are asleep and keep their copies (battery saving),
-// false means offline is departure and repair drops their copies.
-func (r *Replicated) SetRetainOffline(retain bool) { r.cfg.RetainOffline = retain }
 
 // Stats implements Backend.
 func (r *Replicated) Stats() *Stats { return r.stats }
@@ -156,7 +151,7 @@ func (r *Replicated) Write(req WriteReq) WriteAck {
 		for _, a := range placed {
 			held[a] = true
 		}
-		for _, e := range rankOnline(&r.rankScratch, r.view, r.cfg.Placement, r.load, func(a vnet.Addr) bool { return held[a] }) {
+		for _, e := range rankOnline(&r.rankScratch, r.view, r.load, func(a vnet.Addr) bool { return held[a] }) {
 			if len(placed) >= r.cfg.N {
 				break
 			}
@@ -188,13 +183,11 @@ func (r *Replicated) Write(req WriteReq) WriteAck {
 // of them, serve the highest version seen. Latency is the R'th
 // smallest holder RTT at the object size.
 //
-// Strict quorums (the default) count the R replies against the key's
-// current placed set only: members outside it may hold versions
-// predating the last acked write (sticky placement leaves stale copies
-// behind when it cannot reuse an unreachable holder), and counting
-// them would let a read quorum miss every acked copy. Sloppy mode
-// accepts any R reachable copies instead, trading that guarantee for
-// availability.
+// The R replies are counted against the key's current placed set only:
+// members outside it may hold versions predating the last acked write
+// (sticky placement leaves stale copies behind when it cannot reuse an
+// unreachable holder), and counting them would let a read quorum miss
+// every acked copy.
 func (r *Replicated) Read(req ReadReq) (ReadResult, bool) {
 	r.stats.Reads.Inc()
 	o := r.objects[req.Key]
@@ -221,17 +214,15 @@ func (r *Replicated) Read(req ReadReq) (ReadResult, bool) {
 	if len(rtts) < r.cfg.R {
 		return ReadResult{}, false
 	}
-	if !r.cfg.Sloppy {
-		quorum := 0
-		for _, a := range o.placed {
-			if _, has := o.copies[a]; has && r.view.Online(a) {
-				quorum++
-			}
+	quorum := 0
+	for _, a := range o.placed {
+		if _, has := o.copies[a]; has && r.view.Online(a) {
+			quorum++
 		}
-		if quorum < r.cfg.R {
-			r.stats.QuorumStale.Inc()
-			return ReadResult{}, false
-		}
+	}
+	if quorum < r.cfg.R {
+		r.stats.QuorumStale.Inc()
+		return ReadResult{}, false
 	}
 	if r.cfg.Consistency >= Session && best < r.sess.watermark(req.Client, req.Key) {
 		r.stats.SessionStale.Inc()
@@ -249,9 +240,7 @@ func (r *Replicated) Read(req ReadReq) (ReadResult, bool) {
 
 // Repair implements Backend: for every key (in sorted order), drop
 // offline holders (unless RetainOffline), copy the best live version
-// onto ranked online members until N live copies exist, then — with
-// TrimSurplus — trim returned sleepers' surplus back to N, never
-// discarding a copy newer than the best live one.
+// onto ranked online members until N live copies exist.
 func (r *Replicated) Repair(req RepairReq) int {
 	if !r.Accept(req.Epoch) {
 		return 0
@@ -283,7 +272,7 @@ func (r *Replicated) Repair(req RepairReq) int {
 				}
 			}
 			held := o.copies
-			for _, e := range rankOnline(&r.rankScratch, r.view, r.cfg.Placement, r.load, func(a vnet.Addr) bool { _, has := held[a]; return has }) {
+			for _, e := range rankOnline(&r.rankScratch, r.view, r.load, func(a vnet.Addr) bool { _, has := held[a]; return has }) {
 				if live >= r.cfg.N {
 					break
 				}
@@ -301,9 +290,6 @@ func (r *Replicated) Repair(req RepairReq) int {
 		// reads keep refusing until one of its holders returns.
 		if maxLive >= o.acked {
 			r.rebuildPlaced(o, maxLive)
-		}
-		if r.cfg.RetainOffline && r.cfg.TrimSurplus && len(o.copies) > r.cfg.N {
-			r.trim(o, live, maxLive)
 		}
 	}
 	return created
@@ -337,49 +323,6 @@ func (r *Replicated) rebuildPlaced(o *robj, v Version) {
 	o.placed = np
 }
 
-// trim drops surplus holders beyond N, offline holders first, then
-// highest addresses — but never a copy strictly newer than the best
-// live version (it may be the only survivor of an acked write).
-func (r *Replicated) trim(o *robj, live int, maxLive Version) {
-	holders := slices.Clone(r.holdersOf(o))
-	slices.SortFunc(holders, func(x, y vnet.Addr) int {
-		ox, oy := r.view.Online(x), r.view.Online(y)
-		if ox != oy {
-			if ox {
-				return 1 // offline first
-			}
-			return -1
-		}
-		switch {
-		case x > y:
-			return -1
-		case x < y:
-			return 1
-		}
-		return 0
-	})
-	for _, a := range holders {
-		if len(o.copies) <= r.cfg.N {
-			break
-		}
-		if o.copies[a].version > maxLive {
-			continue
-		}
-		// A strict quorum never trims its own placed set: reads count
-		// replies against it.
-		if !r.cfg.Sloppy && slices.Contains(o.placed, a) {
-			continue
-		}
-		on := r.view.Online(a)
-		if live > r.cfg.N || !on {
-			if on {
-				live--
-			}
-			r.dropCopy(o, a)
-		}
-	}
-}
-
 // Forget implements Backend: the member departed for good, its copies
 // are gone.
 func (r *Replicated) Forget(a vnet.Addr) int {
@@ -392,18 +335,6 @@ func (r *Replicated) Forget(a vnet.Addr) int {
 		}
 	}
 	return dropped
-}
-
-// Delete removes the key outright (the legacy Store overwrite path).
-func (r *Replicated) Delete(k Key) {
-	o := r.objects[k]
-	if o == nil {
-		return
-	}
-	for _, a := range r.holdersOf(o) {
-		r.dropCopy(o, a)
-	}
-	delete(r.objects, k)
 }
 
 // Holders implements Backend.

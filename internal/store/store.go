@@ -84,18 +84,15 @@ func (c Consistency) String() string {
 	}
 }
 
-// Placement selects how a backend ranks online members for new copies.
+// Placement names how a backend ranks online members for new copies.
+// One ranking is left; the type and constant stay only because
+// benchmark/layer_store.go spells them.
 type Placement int
 
-const (
-	// PlaceDwell ranks by dwell tier (longest-staying first), then by
-	// current load (fewest copies first), then by address — the
-	// Abdisarabshali-style reliability-weighted placement.
-	PlaceDwell Placement = iota
-	// PlaceLowestAddr is the legacy ReplicaManager order: lowest
-	// addresses first, regardless of dwell or load.
-	PlaceLowestAddr
-)
+// PlaceDwell ranks by dwell tier (longest-staying first), then by
+// current load (fewest copies first), then by address — the
+// Abdisarabshali-style reliability-weighted placement.
+const PlaceDwell Placement = 0
 
 // View is the backend's window onto the churning cluster: who the
 // members are, who is reachable right now, how long each is predicted
@@ -250,9 +247,8 @@ type Stats struct {
 	// a session client backwards.
 	SessionStale metrics.Counter
 	// QuorumStale counts reads refused because the reachable replies
-	// could not prove the last acknowledged version — strict quorums
-	// refuse rather than serve below an acked write (Sloppy forfeits
-	// this and serves whatever is reachable).
+	// could not prove the last acknowledged version — the store refuses
+	// rather than serve below an acked write.
 	QuorumStale metrics.Counter
 	// ReReplicas counts copies/fragments created by repair.
 	ReReplicas metrics.Counter
@@ -301,22 +297,12 @@ type Config struct {
 
 	// Consistency selects eventual / session / linearizable.
 	Consistency Consistency
-	// Sloppy forfeits quorum intersection for availability: W+R > N is
-	// not required, reads accept any R reachable copies (not R members
-	// of the last write's placement), and a read may serve below the
-	// last acknowledged version. This is the legacy ReplicaManager
-	// read-one model; leave it false for the quorum guarantees.
-	Sloppy bool
-	// Placement selects dwell-weighted or lowest-address ranking.
+	// Placement must be PlaceDwell, the one ranking there is.
 	Placement Placement
 	// RetainOffline keeps copies held by offline members (sleep model);
 	// when false an offline holder's copies are dropped at repair
-	// (departure model, the legacy ReplicaManager default).
+	// (departure model).
 	RetainOffline bool
-	// TrimSurplus lets repair trim over-replicated keys back to N when
-	// sleepers return (only meaningful with RetainOffline). Repair
-	// never trims a copy whose version exceeds the best live version.
-	TrimSurplus bool
 	// RTT models member fetch latency; nil means DefaultRTT.
 	RTT RTTFunc
 }
@@ -350,7 +336,7 @@ func (c *Config) Validate() error {
 	if c.W > c.N || c.R > c.N {
 		return fmt.Errorf("store: W and R cannot exceed N (N=%d W=%d R=%d)", c.N, c.W, c.R)
 	}
-	if !c.Sloppy && c.W+c.R <= c.N {
+	if c.W+c.R <= c.N {
 		return fmt.Errorf("store: W+R must exceed N for quorum intersection (N=%d W=%d R=%d)", c.N, c.W, c.R)
 	}
 	if c.K < 1 || c.M < 0 || c.K+c.M > 255 {
@@ -361,6 +347,9 @@ func (c *Config) Validate() error {
 	}
 	if c.Consistency < Eventual || c.Consistency > Linearizable {
 		return fmt.Errorf("store: unknown consistency level %d", c.Consistency)
+	}
+	if c.Placement != PlaceDwell {
+		return fmt.Errorf("store: unknown placement %d", c.Placement)
 	}
 	return nil
 }
@@ -399,21 +388,15 @@ type rankEntry struct {
 }
 
 // rankOnline returns the view's online members not in exclude, ordered
-// by the placement policy: PlaceDwell sorts by dwell tier descending,
-// then load ascending, then address; PlaceLowestAddr by address alone.
+// by dwell tier descending, then load ascending, then address.
 // The returned slice is valid until the next call (shared scratch).
-func rankOnline(scratch *[]rankEntry, v View, p Placement, load map[vnet.Addr]int, exclude func(vnet.Addr) bool) []rankEntry {
+func rankOnline(scratch *[]rankEntry, v View, load map[vnet.Addr]int, exclude func(vnet.Addr) bool) []rankEntry {
 	es := (*scratch)[:0]
 	for _, a := range v.Members() {
 		if !v.Online(a) || (exclude != nil && exclude(a)) {
 			continue
 		}
-		e := rankEntry{addr: a}
-		if p == PlaceDwell {
-			e.tier = mobility.DwellTier(v.Dwell(a))
-			e.load = load[a]
-		}
-		es = append(es, e)
+		es = append(es, rankEntry{addr: a, tier: mobility.DwellTier(v.Dwell(a)), load: load[a]})
 	}
 	slices.SortFunc(es, func(x, y rankEntry) int {
 		if x.tier != y.tier {

@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 
 	"vcloud/internal/vnet"
 )
@@ -47,11 +49,18 @@ func TestConfigValidate(t *testing.T) {
 		{N: 2, W: 3, R: 1},       // W > N
 		{K: 1, M: 300},           // k+m > 255
 		{K: 4, M: 2, FragAck: 2}, // FragAck <= M
+		{Placement: PlaceDwell + 1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted: %+v", i, c)
 		}
+	}
+	if _, err := NewReplicated(Config{}, nil, &Stats{}); err == nil {
+		t.Error("nil view accepted")
+	}
+	if _, err := NewReplicated(Config{}, newTestView(3), nil); err == nil {
+		t.Error("nil stats accepted")
 	}
 }
 
@@ -192,12 +201,6 @@ func TestDwellPlacementPrefersLongStayers(t *testing.T) {
 	want := []vnet.Addr{3, 4, 5}
 	if !slices.Equal(ack.Placed, want) {
 		t.Fatalf("placed %v, want the long-dwell members %v", ack.Placed, want)
-	}
-	// Legacy order ignores dwell entirely.
-	r2, _ := NewReplicated(Config{N: 3, W: 2, R: 2, Placement: PlaceLowestAddr}, v, st)
-	ack = Put(r2, "", "k", []byte("x"))
-	if !slices.Equal(ack.Placed, []vnet.Addr{0, 1, 2}) {
-		t.Fatalf("legacy placement %v, want [0 1 2]", ack.Placed)
 	}
 }
 
@@ -389,5 +392,206 @@ func TestErasureUnackedOverwriteKeepsAckedDurable(t *testing.T) {
 	e.Forget(ack.Placed[1])
 	if ver, ok := e.Durable("k"); !ok || ver < ack.Version {
 		t.Fatalf("acked v%d lost to unacked overwrite: durable=%d ok=%v", ack.Version, ver, ok)
+	}
+}
+
+// TestReplicatedWriteAllReadOne pins the W=N, R=1 configuration E8 runs —
+// "k copies, serve from any survivor": a read needs one live holder,
+// repair tops a lone survivor back up to N, and neither can bring back a
+// key whose every copy departed.
+func TestReplicatedWriteAllReadOne(t *testing.T) {
+	v := newTestView(4)
+	st := &Stats{}
+	r, err := NewReplicated(Config{N: 2, W: 2, R: 1}, v, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack := PutSized(r, "", "f1", 1000)
+	if !ack.Acked || len(ack.Placed) != 2 {
+		t.Fatalf("write: %+v", ack)
+	}
+	if _, ok := Get(r, "", "f1"); !ok {
+		t.Error("read with every copy online failed")
+	}
+	v.offline[ack.Placed[0]], v.offline[ack.Placed[1]] = true, true
+	if _, ok := Get(r, "", "f1"); ok {
+		t.Error("read served with every holder offline")
+	}
+	if created := Fix(r); created != 0 {
+		t.Errorf("repair resurrected a key with no live copy: %d", created)
+	}
+	clear(v.offline)
+	ack = PutSized(r, "", "f2", 500)
+	v.offline[ack.Placed[0]] = true
+	if created := Fix(r); created != 1 {
+		t.Errorf("repair from one survivor created %d copies, want N-1 = 1", created)
+	}
+	if n := len(r.Holders("f2")); n != 2 {
+		t.Errorf("holders after repair = %d, want 2", n)
+	}
+	if _, ok := Get(r, "", "f2"); !ok {
+		t.Error("read after repair failed")
+	}
+	if _, ok := Get(r, "", "ghost"); ok {
+		t.Error("read of an unknown key succeeded")
+	}
+	if a := st.Availability(); a <= 0 || a >= 1 {
+		t.Errorf("availability = %v, want a mixed-outcome fraction", a)
+	}
+	if st.ReReplicas.Value() != 1 {
+		t.Errorf("ReReplicas = %d, want 1", st.ReReplicas.Value())
+	}
+}
+
+// TestReplicatedEpochFence pins the store-wide write fence every
+// consistency level has: a superseded controller's writes and repairs
+// are refused and counted, epoch zero is never fenced.
+func TestReplicatedEpochFence(t *testing.T) {
+	st := &Stats{}
+	r, err := NewReplicated(Config{N: 2, W: 2, R: 1}, newTestView(3), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Accept(0) {
+		t.Error("epoch zero must always be accepted")
+	}
+	if ack := r.Write(WriteReq{Key: "f1", Size: 100, Epoch: 2}); len(ack.Placed) != 2 {
+		t.Fatalf("write at the high watermark placed %v, want 2 copies", ack.Placed)
+	}
+	if ack := r.Write(WriteReq{Key: "f2", Size: 100, Epoch: 1}); ack.Version != 0 || len(ack.Placed) != 0 {
+		t.Errorf("stale-epoch write went through: %+v", ack)
+	}
+	if n := r.Repair(RepairReq{Epoch: 1}); n != 0 {
+		t.Errorf("stale-epoch repair created %d copies", n)
+	}
+	if got := st.StaleWrites.Value(); got != 2 {
+		t.Errorf("StaleWrites = %d, want 2", got)
+	}
+	if len(r.Holders("f2")) != 0 {
+		t.Error("refused write still created placements")
+	}
+	if !r.Accept(0) {
+		t.Error("epoch zero refused after fenced writes raised the watermark")
+	}
+	if ack := r.Write(WriteReq{Key: "f3", Size: 100, Epoch: 3}); len(ack.Placed) != 2 {
+		t.Errorf("superseding-epoch write placed %v, want 2 copies", ack.Placed)
+	}
+	if r.Accept(2) {
+		t.Error("previous high watermark still accepted after supersession")
+	}
+}
+
+// TestReplicatedDepartureInvariantProperty: under the departure model a
+// key never has more than N holders after a repair, and a read-one read
+// is served exactly when an online member of the placed set holds it.
+func TestReplicatedDepartureInvariantProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	f := func(k8 uint8, flips []uint8) bool {
+		k := int(k8%4) + 1
+		v := newTestView(10)
+		r, err := NewReplicated(Config{N: k, W: k, R: 1}, v, &Stats{})
+		if err != nil {
+			return false
+		}
+		if ack := PutSized(r, "", "f", 100); len(ack.Placed) != k {
+			return false
+		}
+		o := r.objects["f"]
+		for _, fl := range flips {
+			v.offline[vnet.Addr(fl%10)] = fl%2 != 0
+			Fix(r)
+			if len(o.copies) > k {
+				return false
+			}
+			want := slices.ContainsFunc(o.placed, func(a vnet.Addr) bool {
+				_, has := o.copies[a]
+				return has && v.Online(a)
+			})
+			if _, got := Get(r, "", "f"); got != want {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rng}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestReplicatedRetentionModelsBatterySleep: with RetainOffline an
+// offline holder is asleep, not gone — its copy serves again when it
+// wakes, and nothing is copied in between.
+func TestReplicatedRetentionModelsBatterySleep(t *testing.T) {
+	v := newTestView(1)
+	st := &Stats{}
+	r, err := NewReplicated(Config{N: 1, W: 1, R: 1, RetainOffline: true}, v, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	PutSized(r, "", "f", 100)
+	if _, ok := Get(r, "", "f"); !ok {
+		t.Fatal("read with the holder online failed")
+	}
+	v.offline[0] = true
+	Fix(r)
+	if _, ok := Get(r, "", "f"); ok {
+		t.Error("read served while the only holder sleeps")
+	}
+	if n := len(r.Holders("f")); n != 1 {
+		t.Errorf("sleeping holder's copy dropped: %d holders", n)
+	}
+	v.offline[0] = false
+	if _, ok := Get(r, "", "f"); !ok {
+		t.Error("returned sleeper no longer serves its copy")
+	}
+	if created := Fix(r); created != 0 || st.BytesMoved.Value() != 100 {
+		t.Errorf("sleeper's return moved bytes: created=%d bytes=%d", created, st.BytesMoved.Value())
+	}
+}
+
+// TestReplicatedRepairWithRetentionDoesNotDoubleCount: a sleeping holder
+// keeps its copy, so repair tops the live copies up once, repeated
+// repairs add nothing, and the returned sleeper's copy is counted once
+// and reused before any new copy is made.
+func TestReplicatedRepairWithRetentionDoesNotDoubleCount(t *testing.T) {
+	v := newTestView(3)
+	st := &Stats{}
+	r, err := NewReplicated(Config{N: 2, W: 2, R: 1, RetainOffline: true}, v, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack := PutSized(r, "", "f", 100)
+	if st.BytesMoved.Value() != 200 {
+		t.Fatalf("bytes after write = %d, want 200", st.BytesMoved.Value())
+	}
+	moved := func(what string, rereplicas, bytes uint64) {
+		t.Helper()
+		if st.ReReplicas.Value() != rereplicas || st.BytesMoved.Value() != bytes {
+			t.Errorf("%s: re-replicas=%d bytes=%d, want %d/%d",
+				what, st.ReReplicas.Value(), st.BytesMoved.Value(), rereplicas, bytes)
+		}
+	}
+	sleeper := ack.Placed[0]
+	v.offline[sleeper] = true
+	Fix(r)
+	moved("first repair", 1, 300)
+	Fix(r)
+	Fix(r)
+	moved("repeated repair while the sleeper stays offline", 1, 300)
+	v.offline[sleeper] = false
+	if _, ok := Get(r, "", "f"); !ok {
+		t.Error("returned sleeper does not serve")
+	}
+	Fix(r)
+	moved("sleeper's return", 1, 300)
+	if n := len(r.Holders("f")); n != 3 {
+		t.Errorf("holders after the sleeper's return = %d, want its copy kept beside the 2 live ones", n)
+	}
+	// Another holder sleeps: the returned copy already makes N live.
+	v.offline[ack.Placed[1]] = true
+	Fix(r)
+	moved("repair with the sleeper's copy live", 1, 300)
+	if _, ok := Get(r, "", "f"); !ok {
+		t.Error("read failed with two live copies")
 	}
 }

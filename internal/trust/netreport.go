@@ -2,6 +2,7 @@ package trust
 
 import (
 	"fmt"
+	"time"
 
 	"vcloud/internal/cryptoprim"
 	"vcloud/internal/geo"
@@ -106,24 +107,21 @@ type Decision struct {
 	Elapsed sim.Time
 }
 
+// Event-classifier extent and the indifference band around 0.5.
+const (
+	classifyRadius = 150.0 // meters
+	classifyWindow = 30 * time.Second
+	decideMargin   = 0.05
+)
+
 // EvaluatorConfig tunes an evaluator.
 type EvaluatorConfig struct {
 	// Validator scores report groups. Required.
 	Validator Validator
-	// ClassifyRadius / ClassifyWindow configure the event classifier.
-	// Defaults: 150 m / 30 s.
-	ClassifyRadius float64
-	ClassifyWindow sim.Time
 	// Deadline is the §III.D stringent time constraint: the decision is
 	// made this long after a group's first report, with whatever
 	// evidence has arrived. Default 2 s.
 	Deadline sim.Time
-	// Margin is the indifference band around 0.5. Default 0.05.
-	Margin float64
-	// NoRelay disables re-broadcasting received reports; by default an
-	// evaluator relays (TTL permitting) so reports reach vehicles beyond
-	// one hop.
-	NoRelay bool
 	// GroupKey, when set, makes the evaluator require a valid group
 	// signature on every report and silently drop the rest — the
 	// authentication gate that blocks Sybil identities without
@@ -154,19 +152,10 @@ func NewEvaluator(node *vnet.Node, cfg EvaluatorConfig) (*Evaluator, error) {
 	if cfg.Validator == nil {
 		return nil, fmt.Errorf("trust: evaluator requires a validator")
 	}
-	if cfg.ClassifyRadius <= 0 {
-		cfg.ClassifyRadius = 150
-	}
-	if cfg.ClassifyWindow <= 0 {
-		cfg.ClassifyWindow = 30e9
-	}
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 2e9
 	}
-	if cfg.Margin <= 0 {
-		cfg.Margin = 0.05
-	}
-	cls, err := NewClassifier(cfg.ClassifyRadius, cfg.ClassifyWindow)
+	cls, err := NewClassifier(classifyRadius, classifyWindow)
 	if err != nil {
 		return nil, err
 	}
@@ -235,12 +224,11 @@ func (e *Evaluator) onReport(msg vnet.Message, relayer vnet.Addr) {
 		first := now
 		e.node.Kernel().After(e.cfg.Deadline, func() { e.decide(g, first) })
 	}
-	if !e.cfg.NoRelay {
-		fwd := msg
-		fwd.TTL--
-		if fwd.TTL > 0 {
-			e.node.BroadcastLocal(fwd)
-		}
+	// Relay (TTL permitting) so reports reach vehicles beyond one hop.
+	fwd := msg
+	fwd.TTL--
+	if fwd.TTL > 0 {
+		e.node.BroadcastLocal(fwd)
 	}
 }
 
@@ -252,7 +240,7 @@ func (e *Evaluator) decide(g *Group, first sim.Time) {
 	e.decided[g] = true
 	now := e.node.Kernel().Now()
 	score, n := DeadlineEvaluate(e.cfg.Validator, g, now)
-	real, unknown := Decide(score, e.cfg.Margin)
+	real, unknown := Decide(score, decideMargin)
 	d := Decision{
 		Group:     g,
 		Score:     score,

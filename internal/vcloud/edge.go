@@ -24,9 +24,12 @@ import (
 	"fmt"
 	"time"
 
-	"vcloud/internal/sim"
 	"vcloud/internal/vnet"
 )
+
+// edgeProcDelay is the fixed per-task offload overhead (backhaul +
+// startup), added before compute begins.
+const edgeProcDelay = 20 * time.Millisecond
 
 // EdgeConfig sizes one RSU edge server.
 type EdgeConfig struct {
@@ -34,9 +37,6 @@ type EdgeConfig struct {
 	CPU float64
 	// Storage is the edge server's storage capacity in MB.
 	Storage float64
-	// ProcDelay is the fixed per-task offload overhead (backhaul +
-	// startup), added before compute begins. Default 20ms.
-	ProcDelay sim.Time
 	// Sensors the RSU contributes (roadside cameras, induction loops).
 	Sensors []string
 }
@@ -51,16 +51,10 @@ func NewEdgeServer(node *vnet.Node, cfg EdgeConfig, stats *Stats) (*EdgeServer, 
 	if cfg.CPU <= 0 {
 		return nil, fmt.Errorf("vcloud: edge CPU must be positive, got %v", cfg.CPU)
 	}
-	if cfg.ProcDelay < 0 {
-		return nil, fmt.Errorf("vcloud: edge ProcDelay must be >= 0, got %v", cfg.ProcDelay)
-	}
-	if cfg.ProcDelay == 0 {
-		cfg.ProcDelay = 20 * time.Millisecond
-	}
 	m, err := NewMember(node, MemberConfig{
 		Resources:  Resources{CPU: cfg.CPU, Storage: cfg.Storage, Sensors: cfg.Sensors},
 		EdgeTier:   true,
-		StartDelay: cfg.ProcDelay,
+		StartDelay: edgeProcDelay,
 	}, stats)
 	if err != nil {
 		return nil, err

@@ -94,7 +94,7 @@ func (m *Member) AddEstimateFeed(f EstimateFeed) {
 // reportEstimates sends one report per configured feed to the currently
 // followed controller, stamped with the member's highest witnessed epoch
 // so a fenced controller can reject measurements aimed at a deposed
-// leader. Rides the member tick (CheckPeriod cadence).
+// leader. Rides the member tick (checkPeriod cadence).
 func (m *Member) reportEstimates() {
 	if m.controller < 0 || len(m.cfg.EstimateFeeds) == 0 {
 		return

@@ -204,53 +204,6 @@ func TestSplitBrainAbdicationAndMerge(t *testing.T) {
 	}
 }
 
-// TestReplicaEpochFence pins the replica manager's write fence: a
-// superseded controller must not mutate placements, while legacy
-// (counter-zero) writers stay unfenced.
-func TestReplicaEpochFence(t *testing.T) {
-	stats := &vcloud.ReplicaStats{}
-	rm, err := vcloud.NewReplicaManager(2, func(vnet.Addr) bool { return true }, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands := []vnet.Addr{1, 2, 3}
-
-	if !rm.Accept(0) {
-		t.Error("legacy counter-zero writer must always be accepted")
-	}
-	e2 := vcloud.NextEpoch(vcloud.NextEpoch(0, 1).Counter, 2)
-	if got := rm.StoreFenced(e2.Counter, "f1", 100, cands); got != 2 {
-		t.Fatalf("fenced store at the high watermark placed %d replicas, want 2", got)
-	}
-	// A stale-epoch rival: every fenced mutation refused, each counted.
-	e1 := vcloud.NextEpoch(0, 1)
-	if got := rm.StoreFenced(e1.Counter, "f2", 100, cands); got != 0 {
-		t.Errorf("stale-epoch store placed %d replicas, want refusal", got)
-	}
-	if got := rm.RepairFenced(e1.Counter, cands); got != 0 {
-		t.Errorf("stale-epoch repair placed %d replicas, want refusal", got)
-	}
-	if got := stats.StaleWrites.Value(); got != 2 {
-		t.Errorf("StaleWrites = %d, want 2", got)
-	}
-	if rm.Replicas("f2") != 0 {
-		t.Error("refused store still created placements")
-	}
-	// Counter zero stays unfenced even after fenced writes raised the
-	// watermark (legacy deployments never see refusals).
-	if !rm.Accept(0) {
-		t.Error("counter-zero writer refused after fenced writes")
-	}
-	// A higher epoch raises the watermark; the old high is now stale.
-	e3 := vcloud.NextEpoch(e2.Counter, 3)
-	if got := rm.StoreFenced(e3.Counter, "f3", 100, cands); got != 2 {
-		t.Errorf("superseding-epoch store placed %d replicas, want 2", got)
-	}
-	if rm.Accept(e2.Counter) {
-		t.Error("previous high watermark still accepted after supersession")
-	}
-}
-
 // TestStandbyLostSurfaced is the regression test for the refreshStandby
 // silent no-op: a single-worker cloud that loses its only eligible
 // member must surface the standby-less transition through

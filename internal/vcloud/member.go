@@ -9,6 +9,9 @@ import (
 	"vcloud/internal/vnet"
 )
 
+// checkPeriod is the member's departure-check interval.
+const checkPeriod = time.Second
+
 // MemberConfig tunes a member agent.
 type MemberConfig struct {
 	// Resources contributed to the pool.
@@ -21,8 +24,6 @@ type MemberConfig struct {
 	// needed to finish. Nil disables proactive handover (the member then
 	// only reacts to total controller loss).
 	DepartureWarning func() float64
-	// CheckPeriod is the departure-check interval. Default 1 s.
-	CheckPeriod sim.Time
 	// Authorize, when non-nil, gates joining a new controller: the
 	// member calls it once per controller and only sends its join after
 	// done(true) — secure v-cloud initialization (§V.A), typically a
@@ -125,9 +126,6 @@ func NewMember(node *vnet.Node, cfg MemberConfig, stats *Stats) (*Member, error)
 	if cfg.Resources.CPU <= 0 {
 		return nil, fmt.Errorf("vcloud: member CPU must be positive, got %v", cfg.Resources.CPU)
 	}
-	if cfg.CheckPeriod <= 0 {
-		cfg.CheckPeriod = time.Second
-	}
 	m := &Member{
 		node:        node,
 		cfg:         cfg,
@@ -144,7 +142,7 @@ func NewMember(node *vnet.Node, cfg MemberConfig, stats *Stats) (*Member, error)
 	node.Handle(kindCkpt, m.onCkpt)
 	node.Handle(kindStagePull, m.onStagePull)
 	node.Handle(kindStageData, m.onStageData)
-	t, err := node.Kernel().Every(cfg.CheckPeriod, m.tick)
+	t, err := node.Kernel().Every(checkPeriod, m.tick)
 	if err != nil {
 		return nil, err
 	}

@@ -43,37 +43,3 @@ func TestLedgerConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestReplicaInvariantProperty: the number of replicas never exceeds k,
-// and reads succeed exactly when at least one holder is online.
-func TestReplicaInvariantProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	f := func(k8 uint8, flips []uint8) bool {
-		k := int(k8%4) + 1
-		online := map[vnet.Addr]bool{}
-		var cands []vnet.Addr
-		for i := 0; i < 10; i++ {
-			online[vnet.Addr(i)] = true
-			cands = append(cands, vnet.Addr(i))
-		}
-		stats := &vcloud.ReplicaStats{}
-		rm, err := vcloud.NewReplicaManager(k, func(a vnet.Addr) bool { return online[a] }, stats)
-		if err != nil {
-			return false
-		}
-		if placed := rm.Store("f", 100, cands); placed != k {
-			return false
-		}
-		for _, fl := range flips {
-			online[vnet.Addr(fl%10)] = fl%2 == 0
-			rm.Repair(cands)
-			if rm.Replicas("f") > k {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rng}); err != nil {
-		t.Error(err)
-	}
-}

@@ -12,7 +12,6 @@ import (
 	"vcloud/internal/scenario"
 	"vcloud/internal/sim"
 	"vcloud/internal/vcloud"
-	"vcloud/internal/vnet"
 )
 
 func parkingScenario(t testing.TB, vehicles int) *scenario.Scenario {
@@ -398,68 +397,6 @@ func TestRemoteCloudValidation(t *testing.T) {
 	}
 }
 
-func TestReplicaManager(t *testing.T) {
-	online := map[vnet.Addr]bool{1: true, 2: true, 3: true, 4: true}
-	stats := &vcloud.ReplicaStats{}
-	rm, err := vcloud.NewReplicaManager(2, func(a vnet.Addr) bool { return online[a] }, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands := []vnet.Addr{1, 2, 3, 4}
-	if got := rm.Store("f1", 1000, cands); got != 2 {
-		t.Fatalf("replicas placed = %d, want 2", got)
-	}
-	if !rm.Read("f1") {
-		t.Error("read with all replicas online failed")
-	}
-	// Lowest addresses hold the replicas (1 and 2): kill them both.
-	online[1] = false
-	online[2] = false
-	if rm.Read("f1") {
-		t.Error("read served with all holders offline")
-	}
-	// Repair cannot help: zero live replicas.
-	if created := rm.Repair(cands); created != 0 {
-		t.Errorf("repair resurrected lost data: %d", created)
-	}
-	// Second file: lose one holder, repair onto a live candidate.
-	online[1], online[2] = true, true
-	rm.Store("f2", 500, cands)
-	online[1] = false
-	if created := rm.Repair(cands); created != 1 {
-		t.Errorf("repair created %d replicas, want 1", created)
-	}
-	if rm.Replicas("f2") != 2 {
-		t.Errorf("replicas after repair = %d", rm.Replicas("f2"))
-	}
-	if !rm.Read("f2") {
-		t.Error("read after repair failed")
-	}
-	if rm.Read("ghost") {
-		t.Error("read of unknown file succeeded")
-	}
-	if stats.Availability() <= 0 || stats.Availability() >= 1 {
-		t.Errorf("availability = %v, want mixed outcome fraction", stats.Availability())
-	}
-	if stats.ReReplicas.Value() != 1 {
-		t.Errorf("re-replicas = %d", stats.ReReplicas.Value())
-	}
-}
-
-func TestReplicaManagerValidation(t *testing.T) {
-	stats := &vcloud.ReplicaStats{}
-	on := func(vnet.Addr) bool { return true }
-	if _, err := vcloud.NewReplicaManager(0, on, stats); err == nil {
-		t.Error("zero k")
-	}
-	if _, err := vcloud.NewReplicaManager(2, nil, stats); err == nil {
-		t.Error("nil online")
-	}
-	if _, err := vcloud.NewReplicaManager(2, on, nil); err == nil {
-		t.Error("nil stats")
-	}
-}
-
 func TestHandoverBeatsDropUnderChurn(t *testing.T) {
 	// E7 in miniature: an RSU mid-highway coordinates moving vehicles.
 	// Long tasks outlive each vehicle's transit through RSU range, so
@@ -566,101 +503,6 @@ func TestBatteryBudgetDepletesMembers(t *testing.T) {
 		t.Error("all tasks completed: battery budget had no effect")
 	}
 	t.Logf("completed=%d/30 depleted=%d/%d totalSpent=%.0f", completed, depleted, len(d.Members), totalSpent)
-}
-
-func TestReplicaRetentionModelsBatterySleep(t *testing.T) {
-	// Battery-saving model [9]: an offline holder is asleep, not gone —
-	// its replica serves again when it wakes.
-	online := map[vnet.Addr]bool{1: true}
-	stats := &vcloud.ReplicaStats{}
-	rm, err := vcloud.NewReplicaManager(1, func(a vnet.Addr) bool { return online[a] }, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm.SetRetainOffline(true)
-	rm.Store("f", 100, []vnet.Addr{1})
-	if !rm.Read("f") {
-		t.Fatal("read with holder online failed")
-	}
-	online[1] = false
-	rm.Repair([]vnet.Addr{1})
-	if rm.Read("f") {
-		t.Error("read served while the only holder sleeps")
-	}
-	if rm.Replicas("f") != 1 {
-		t.Errorf("sleeping holder's replica dropped: %d", rm.Replicas("f"))
-	}
-	online[1] = true
-	if !rm.Read("f") {
-		t.Error("returned sleeper no longer serves its replica")
-	}
-	// Trim check: a sleeper returning after a repair must not leave the
-	// file over-replicated.
-	online[2] = true
-	rm2, err := vcloud.NewReplicaManager(1, func(a vnet.Addr) bool { return online[a] }, &vcloud.ReplicaStats{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm2.SetRetainOffline(true)
-	rm2.Store("g", 100, []vnet.Addr{1, 2})
-	online[1] = false
-	rm2.Repair([]vnet.Addr{1, 2}) // re-replicates onto 2
-	online[1] = true
-	rm2.Repair([]vnet.Addr{1, 2}) // sleeper returns: trim to k=1
-	if got := rm2.Replicas("g"); got != 1 {
-		t.Errorf("replicas after sleeper return = %d, want trimmed to 1", got)
-	}
-	if !rm2.Read("g") {
-		t.Error("file unreadable after trim")
-	}
-}
-
-func TestReplicaRepairWithRetentionDoesNotDoubleCount(t *testing.T) {
-	// With retention on, a sleeping holder keeps its replica: repair tops
-	// live copies up once, repeated repairs add nothing, and the
-	// sleeper's return costs no extra movement — the counters must
-	// reflect exactly one re-replication.
-	online := map[vnet.Addr]bool{1: true, 2: true, 3: true}
-	stats := &vcloud.ReplicaStats{}
-	rm, err := vcloud.NewReplicaManager(2, func(a vnet.Addr) bool { return online[a] }, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm.SetRetainOffline(true)
-	rm.Store("f", 100, []vnet.Addr{1, 2, 3}) // placed on 1 and 2
-	if stats.BytesMoved.Value() != 200 {
-		t.Fatalf("bytes after store = %d, want 200", stats.BytesMoved.Value())
-	}
-	online[1] = false // member 1 sleeps
-	rm.Repair([]vnet.Addr{1, 2, 3})
-	if stats.ReReplicas.Value() != 1 || stats.BytesMoved.Value() != 300 {
-		t.Fatalf("after first repair: re-replicas=%d bytes=%d, want 1/300",
-			stats.ReReplicas.Value(), stats.BytesMoved.Value())
-	}
-	// Repeated repairs while the sleeper stays offline must not re-copy.
-	rm.Repair([]vnet.Addr{1, 2, 3})
-	rm.Repair([]vnet.Addr{1, 2, 3})
-	if stats.ReReplicas.Value() != 1 || stats.BytesMoved.Value() != 300 {
-		t.Errorf("repeated repair double-counted: re-replicas=%d bytes=%d, want 1/300",
-			stats.ReReplicas.Value(), stats.BytesMoved.Value())
-	}
-	// The sleeper returns: it serves again without any new movement, and
-	// the surplus trim costs nothing either.
-	online[1] = true
-	if !rm.Read("f") {
-		t.Error("returned sleeper does not serve")
-	}
-	rm.Repair([]vnet.Addr{1, 2, 3})
-	if got := rm.Replicas("f"); got != 2 {
-		t.Errorf("replicas after trim = %d, want k=2", got)
-	}
-	if stats.ReReplicas.Value() != 1 || stats.BytesMoved.Value() != 300 {
-		t.Errorf("sleeper return moved bytes: re-replicas=%d bytes=%d, want 1/300",
-			stats.ReReplicas.Value(), stats.BytesMoved.Value())
-	}
-	if !rm.Read("f") {
-		t.Error("file unreadable after trim")
-	}
 }
 
 func TestTaskDeadlineMissedFails(t *testing.T) {

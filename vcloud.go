@@ -301,7 +301,7 @@ type (
 	// erasure-coded objects over cluster members.
 	StorageBackend = store.Backend
 	// StorageConfig tunes replication/erasure factors, quorum sizes,
-	// consistency level and placement policy.
+	// consistency level and churn model.
 	StorageConfig = store.Config
 	// StorageView is the membership/reachability view a backend places
 	// against (wire a controller's StorageView or a FuncView).
@@ -311,7 +311,7 @@ type (
 )
 
 // NewReplicatedStore builds a whole-copy quorum backend (W+R>N strict
-// intersection unless cfg.Sloppy).
+// intersection).
 func NewReplicatedStore(cfg StorageConfig, v StorageView, st *StorageStats) (StorageBackend, error) {
 	return store.NewReplicated(cfg, v, st)
 }
@@ -369,12 +369,14 @@ func NewHighwayScenario(opts HighwayOptions) (*Scenario, error) {
 	return scenario.New(scenario.Spec{Seed: opts.Seed, Network: net, NumVehicles: opts.Vehicles})
 }
 
+// cityBlockM is the city grid's intersection spacing in meters.
+const cityBlockM = 200
+
 // CityOptions configures NewCityScenario.
 type CityOptions struct {
 	Seed     int64
-	Blocks   int     // grid is Blocks×Blocks intersections (default 5)
-	BlockM   float64 // intersection spacing (default 200 m)
-	Vehicles int     // default 50
+	Blocks   int // grid is Blocks×Blocks intersections (default 5)
+	Vehicles int // default 50
 }
 
 // NewCityScenario builds a Manhattan-grid urban scenario.
@@ -385,14 +387,11 @@ func NewCityScenario(opts CityOptions) (*Scenario, error) {
 	if opts.Blocks < 2 {
 		opts.Blocks = 5
 	}
-	if opts.BlockM <= 0 {
-		opts.BlockM = 200
-	}
 	if opts.Vehicles <= 0 {
 		opts.Vehicles = 50
 	}
 	net, err := roadnet.Grid(roadnet.GridSpec{
-		Rows: opts.Blocks, Cols: opts.Blocks, Spacing: opts.BlockM, SpeedLimit: 13.9, Lanes: 1,
+		Rows: opts.Blocks, Cols: opts.Blocks, Spacing: cityBlockM, SpeedLimit: 13.9, Lanes: 1,
 	})
 	if err != nil {
 		return nil, err
