@@ -216,6 +216,16 @@ func (g *GridIndex) withinRange(ids []int32, pos []Point, withPos bool, p Point,
 	return ids, pos
 }
 
+// radius caches the per-radius query geometry: r², and ceil(r/cellSize),
+// the cell span a radius-r disk can reach from its center cell.
+func (g *GridIndex) radius(r float64) {
+	if r != g.qR {
+		g.qR = r
+		g.qR2 = r * r
+		g.qSpan = int(math.Ceil(r / g.cellSize))
+	}
+}
+
 // block returns the inclusive, clamped cell range a radius-r query around
 // p must visit, caching the per-radius geometry. Center-cell ± span covers
 // every cell a per-call (p±r)/cellSize derivation would (trunc(a±d) lies
@@ -223,16 +233,101 @@ func (g *GridIndex) withinRange(ids []int32, pos []Point, withPos bool, p Point,
 // and the callers' exact distance filter decides the result; cells beyond
 // the disk cost one empty slice header each.
 func (g *GridIndex) block(p Point, r float64) (minCX, maxCX, minCY, maxCY int) {
-	if r != g.qR {
-		g.qR = r
-		g.qR2 = r * r
-		g.qSpan = int(math.Ceil(r / g.cellSize))
-	}
+	g.radius(r)
 	cx := int((p.X - g.bounds.Min.X) / g.cellSize)
 	cy := int((p.Y - g.bounds.Min.Y) / g.cellSize)
 	minCX, maxCX = clampRange(cx-g.qSpan, cx+g.qSpan, g.cols)
 	minCY, maxCY = clampRange(cy-g.qSpan, cy+g.qSpan, g.rows)
 	return minCX, maxCX, minCY, maxCY
+}
+
+// Pair is one unordered pair of indexed entries within a sweep radius. A
+// lies in the swept row; B lies in that row or in one of the RowSpan rows
+// after it.
+type Pair struct {
+	A, B int32
+	D2   float64 // squared distance between their indexed positions
+}
+
+// Rows returns the number of cell rows, the range of RowPairs' cy.
+func (g *GridIndex) Rows() int { return g.rows }
+
+// RowSpan returns how many rows past cy a RowPairs(cy, r) segment can
+// reach: ceil(r/cellSize), capped at the larger grid dimension, beyond
+// which a segment already reaches every cell.
+func (g *GridIndex) RowSpan(r float64) int {
+	g.radius(r)
+	if lim := max(g.rows, g.cols); g.qSpan < 0 || g.qSpan > lim {
+		return lim
+	}
+	return g.qSpan
+}
+
+// RowPairs appends to dst every unordered pair of entries within radius r
+// of each other whose lower-row endpoint lies in cell row cy, and returns
+// the extended slice. Over cy = 0 … Rows()-1 it emits every in-range pair
+// of the index exactly once, each with its DistSq.
+//
+// Each cell of the row is paired with itself (ids in ascending order, so
+// i < j) and with its forward half-shell: the span cells to its right in
+// the row, then the 2·span+1 cells centred under it in each of the next
+// span rows, span = RowSpan(r). Two entries within r of each other sit at
+// most span cells apart on each axis: truncating coordinates d ≤ r apart
+// yields cell indices at most ceil(d/cellSize) apart, and clamping into the
+// grid never moves two indices further apart, |clamp(a)−clamp(b)| ≤ |a−b|.
+// Border-cell clamping of out-of-bounds entries therefore cannot separate
+// an in-range pair, and the cell pair holding it is visited from exactly
+// one side.
+//
+//vcloudlint:hotpath one sweep per row per beacon phase in the sharded world; only the caller-owned buffer may grow
+func (g *GridIndex) RowPairs(dst []Pair, cy int, r float64) []Pair {
+	if !(r > 0) || cy < 0 || cy >= g.rows {
+		return dst
+	}
+	span := g.RowSpan(r)
+	r2 := g.qR2
+	lastY := min(cy+span, g.rows-1)
+	row := g.cells[cy*g.cols : (cy+1)*g.cols]
+	for cx := range row {
+		c := &row[cx]
+		if len(c.ids) == 0 {
+			continue
+		}
+		pts := c.pts[:len(c.ids)]
+		for i, a := range c.ids {
+			p := pts[i]
+			for j := i + 1; j < len(pts); j++ {
+				if d := p.DistSq(pts[j]); d <= r2 {
+					dst = append(dst, Pair{A: a, B: c.ids[j], D2: d})
+				}
+			}
+		}
+		dst = c.pairsWith(dst, row[cx+1:min(cx+span, g.cols-1)+1], r2)
+		lo, hi := max(cx-span, 0), min(cx+span, g.cols-1)
+		for y := cy + 1; y <= lastY; y++ {
+			dst = c.pairsWith(dst, g.cells[y*g.cols+lo:y*g.cols+hi+1], r2)
+		}
+	}
+	return dst
+}
+
+// pairsWith appends every pair of one entry of c and one of others that
+// lies within sqrt(r2), with c's entry as A.
+func (c *cell) pairsWith(dst []Pair, others []cell, r2 float64) []Pair {
+	pts := c.pts[:len(c.ids)]
+	for k := range others {
+		o := &others[k]
+		opts := o.pts[:len(o.ids)]
+		for i, a := range c.ids {
+			p := pts[i]
+			for j, q := range opts {
+				if d := p.DistSq(q); d <= r2 {
+					dst = append(dst, Pair{A: a, B: o.ids[j], D2: d})
+				}
+			}
+		}
+	}
+	return dst
 }
 
 // clampRange clamps an inclusive cell range into [0, n-1]. Out-of-bounds

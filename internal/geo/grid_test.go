@@ -1,6 +1,9 @@
 package geo
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -323,6 +326,179 @@ func TestWithinRangeAllocFree(t *testing.T) {
 	}
 }
 
+// sweepPairs runs a RowPairs sweep over every cell row.
+func sweepPairs(rows int, rowPairs func([]Pair, int, float64) []Pair, r float64) []Pair {
+	var out []Pair
+	for cy := 0; cy < rows; cy++ {
+		out = rowPairs(out, cy, r)
+	}
+	return out
+}
+
+// checkPairs holds a full sweep to the O(n²) model over pts: each pair of
+// distinct entries within r appears exactly once, with D2 bit-equal to
+// DistSq, and no emitted pair lies beyond r.
+func checkPairs(pts map[int32]Point, got []Pair, r float64) error {
+	type key struct{ a, b int32 }
+	r2 := r * r
+	seen := make(map[key]bool, len(got))
+	for _, p := range got {
+		k := key{min(p.A, p.B), max(p.A, p.B)}
+		if seen[k] {
+			return fmt.Errorf("pair %v emitted twice", k)
+		}
+		seen[k] = true
+		pa, okA := pts[p.A]
+		pb, okB := pts[p.B]
+		if !okA || !okB || p.A == p.B {
+			return fmt.Errorf("pair %+v names an absent or repeated entry", p)
+		}
+		if d := pa.DistSq(pb); math.Float64bits(d) != math.Float64bits(p.D2) {
+			return fmt.Errorf("pair %+v: D2 %v, DistSq %v", p, p.D2, d)
+		}
+		if p.D2 > r2 {
+			return fmt.Errorf("pair %+v lies beyond r = %v", p, r)
+		}
+	}
+	ids := make([]int32, 0, len(pts))
+	for id := range pts {
+		ids = append(ids, id)
+	}
+	sortInt32(ids)
+	for i, a := range ids {
+		for _, b := range ids[i+1:] {
+			if pts[a].DistSq(pts[b]) <= r2 && !seen[key{a, b}] {
+				return fmt.Errorf("pair (%d at %v, %d at %v) within %v is missing", a, pts[a], b, pts[b], r)
+			}
+		}
+	}
+	return nil
+}
+
+// TestRowPairsMatchesBruteForce sweeps seeded indexes with dense cells,
+// empty rows and clamped out-of-bounds points at radii below, at and
+// beyond the cell size (span 1, 1 and 2) and at +Inf (span capped at the
+// grid), after moves and removals, and holds every sweep to the
+// brute-force model.
+func TestRowPairsMatchesBruteForce(t *testing.T) {
+	bounds := NewRect(Point{0, 0}, Point{1000, 600}) // 10×6 cells of 100 m
+	const cell = 100.0
+	shapes := map[string]func(rng *rand.Rand) Point{
+		// A few hot cells holding most of the fleet.
+		"dense cells": func(rng *rand.Rand) Point {
+			c := Point{float64(100 + 300*rng.Intn(3)), float64(100 + 200*rng.Intn(2))}
+			return Point{c.X + rng.Float64()*120, c.Y + rng.Float64()*120}
+		},
+		// Only rows 0, 1 and 5 are populated; rows 2–4 stay empty.
+		"empty rows": func(rng *rand.Rand) Point {
+			y := []float64{0, 100, 500}[rng.Intn(3)] + rng.Float64()*100
+			return Point{rng.Float64() * 1000, y}
+		},
+		// Up to 300 m outside the bounds on every side, clamped into the
+		// border cells.
+		"out of bounds": func(rng *rand.Rand) Point {
+			return Point{rng.Float64()*1600 - 300, rng.Float64()*1200 - 300}
+		},
+	}
+	for name, draw := range shapes {
+		for _, r := range []float64{0.6 * cell, cell, 1.5 * cell, math.Inf(1)} {
+			for seed := int64(1); seed <= 8; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				g := mustGrid(t, bounds, cell)
+				pts := make(map[int32]Point)
+				for i := 0; i < 150; i++ {
+					id := int32(i)
+					if i%10 == 9 {
+						id += 1 << 20 // sparse ids beside dense ones
+					}
+					pts[id] = draw(rng)
+					g.Update(id, pts[id])
+				}
+				for id := range pts {
+					switch rng.Intn(4) {
+					case 0:
+						pts[id] = draw(rng)
+						g.Update(id, pts[id])
+					case 1:
+						delete(pts, id)
+						g.Remove(id)
+					}
+				}
+				if err := checkPairs(pts, sweepPairs(g.Rows(), g.RowPairs, r), r); err != nil {
+					t.Fatalf("%s, r=%v, seed %d: %v", name, r, seed, err)
+				}
+			}
+		}
+	}
+	g := mustGrid(t, bounds, cell)
+	for r, want := range map[float64]int{0.6 * cell: 1, cell: 1, 1.5 * cell: 2, math.Inf(1): 10} {
+		if got := g.RowSpan(r); got != want {
+			t.Errorf("RowSpan(%v) = %d, want %d", r, got, want)
+		}
+	}
+}
+
+// FuzzRowPairs drives the same model with fuzzer-chosen operations: each
+// five-byte chunk moves (or, with its id byte's high bit set, removes) one
+// of 128 ids anywhere within 300 m of the 1000×600 m bounds, and r runs
+// from 0 to 6.5 cells.
+func FuzzRowPairs(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 0, 0, 2, 255, 255, 255, 255}, uint16(10000))
+	f.Add([]byte{1, 10, 100, 10, 100, 2, 12, 100, 12, 100, 3, 14, 100, 14, 100, 129, 0, 0, 0, 0}, uint16(3000))
+	f.Add(bytes.Repeat([]byte{7, 40, 40, 40, 40, 8, 41, 40, 40, 40}, 20), uint16(15000))
+	f.Fuzz(func(t *testing.T, ops []byte, rc uint16) {
+		bounds := NewRect(Point{0, 0}, Point{1000, 600})
+		g, err := NewGridIndex(bounds, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts := make(map[int32]Point)
+		for ; len(ops) >= 5; ops = ops[5:] {
+			id := int32(ops[0] & 0x7f)
+			if ops[0]&0x80 != 0 {
+				delete(pts, id)
+				g.Remove(id)
+				continue
+			}
+			x := float64(binary.LittleEndian.Uint16(ops[1:]))/65535*1600 - 300
+			y := float64(binary.LittleEndian.Uint16(ops[3:]))/65535*1200 - 300
+			pts[id] = Point{x, y}
+			g.Update(id, pts[id])
+		}
+		r := float64(rc) / 100
+		got := sweepPairs(g.Rows(), g.RowPairs, r)
+		if r == 0 {
+			if len(got) != 0 {
+				t.Fatalf("r = 0 emitted %v", got)
+			}
+			return
+		}
+		if err := checkPairs(pts, got, r); err != nil {
+			t.Fatalf("r=%v: %v", r, err)
+		}
+	})
+}
+
+// TestRowPairsAllocFree: with a warm caller-owned buffer a full sweep
+// must not allocate.
+func TestRowPairsAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	g := mustGrid(t, NewRect(Point{0, 0}, Point{2000, 2000}), 300)
+	for i := 0; i < 500; i++ {
+		g.Update(int32(i), Point{rng.Float64() * 2000, rng.Float64() * 2000})
+	}
+	buf := make([]Pair, 0, 4096)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = buf[:0]
+		for cy := 0; cy < g.Rows(); cy++ {
+			buf = g.RowPairs(buf, cy, 300)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a RowPairs sweep allocated %.1f times, want 0", allocs)
+	}
+}
+
 func sortInt32(s []int32) {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
@@ -355,6 +531,31 @@ func BenchmarkGridWithinRange(b *testing.B) {
 		q := Point{rng.Float64() * 5000, rng.Float64() * 5000}
 		buf = g.WithinRange(buf[:0], q, 300, -1)
 	}
+}
+
+// BenchmarkGridRowPairs sweeps the index of BenchmarkGridWithinRange once
+// per op: every in-range pair once, the work 2000 WithinRange queries (one
+// per entry) do twice over.
+func BenchmarkGridRowPairs(b *testing.B) {
+	bounds := NewRect(Point{0, 0}, Point{5000, 5000})
+	g, err := NewGridIndex(bounds, 300)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		g.Update(int32(i), Point{rng.Float64() * 5000, rng.Float64() * 5000})
+	}
+	buf := make([]Pair, 0, 1<<15)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = buf[:0]
+		for cy := 0; cy < g.Rows(); cy++ {
+			buf = g.RowPairs(buf, cy, 300)
+		}
+	}
+	b.ReportMetric(float64(len(buf)), "pairs/op")
 }
 
 // BenchmarkGridUpdate moves 2000 entries by a vehicle-step-sized hop per

@@ -136,11 +136,12 @@ func (m *ShardMap) ShardsNear(dst []int, p Point, halo float64) []int {
 
 // ShardedIndex is one shard's view of the world: a spatial index holding
 // the shard's own (local) entries plus ghost copies of remote entries
-// pushed in by neighboring shards each tick. Queries see locals and ghosts
-// uniformly — the boundary-halo query path — so range queries near a shard
-// border return exactly what a single global index would, provided the
-// ghost set covers the query radius (the sharded world refreshes ghosts
-// every tick with a halo of radio range plus a speed margin).
+// pushed in by neighboring shards each tick. The pair sweep sees locals
+// and ghosts uniformly — the boundary-halo path — so near a shard border
+// it finds every in-range pair with a local endpoint that a single global
+// index would, provided the ghost set covers the sweep radius (the sharded
+// world refreshes ghosts every tick with a halo of radio range plus a
+// speed margin).
 type ShardedIndex struct {
 	idx    *GridIndex
 	local  map[int32]bool
@@ -207,11 +208,17 @@ func (s *ShardedIndex) NumGhosts() int { return len(s.ghosts) }
 // Position returns the indexed position of id (local or ghost).
 func (s *ShardedIndex) Position(id int32) (Point, bool) { return s.idx.Position(id) }
 
-// WithinRangePos appends the ids and positions of all indexed entries
-// (local and ghost) within radius r of p, excluding `exclude`, in the
-// underlying grid's stable cell-major, id-minor order.
+// Rows returns the underlying grid's cell row count.
+func (s *ShardedIndex) Rows() int { return s.idx.Rows() }
+
+// RowSpan returns how many rows past its own a RowPairs segment reaches.
+func (s *ShardedIndex) RowSpan(r float64) int { return s.idx.RowSpan(r) }
+
+// RowPairs appends every in-range pair of indexed entries (local and
+// ghost) whose lower-row endpoint lies in cell row cy; see
+// GridIndex.RowPairs.
 //
-//vcloudlint:hotpath per-tick neighbor queries inside every shard worker
-func (s *ShardedIndex) WithinRangePos(ids []int32, pos []Point, p Point, r float64, exclude int32) ([]int32, []Point) {
-	return s.idx.WithinRangePos(ids, pos, p, r, exclude)
+//vcloudlint:hotpath the pair sweep of every shard worker's beacon phase
+func (s *ShardedIndex) RowPairs(dst []Pair, cy int, r float64) []Pair {
+	return s.idx.RowPairs(dst, cy, r)
 }

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -85,9 +86,8 @@ func TestShardedIndexGhostLifecycle(t *testing.T) {
 	if s.NumLocal() != 1 || s.NumGhosts() != 1 {
 		t.Fatalf("counts = (%d local, %d ghost), want (1, 1)", s.NumLocal(), s.NumGhosts())
 	}
-	ids, _ := s.WithinRangePos(nil, nil, Point{100, 100}, 200, -1)
-	if len(ids) != 2 {
-		t.Fatalf("query over local+ghost returned %v, want both", ids)
+	if got := sweepPairs(s.Rows(), s.RowPairs, 200); len(got) != 1 || got[0].A+got[0].B != 3 {
+		t.Fatalf("sweep over local+ghost = %v, want the one pair of 1 and 2", got)
 	}
 	// A ghost push for an entry the shard owns must not corrupt it.
 	s.UpdateGhost(1, Point{900, 900})
@@ -118,9 +118,10 @@ func TestShardedIndexGhostLifecycle(t *testing.T) {
 }
 
 // TestShardedIndexMatchesGlobal builds a global index and per-shard views
-// (locals plus halo ghosts) and checks range queries from any local
-// position agree exactly with the global answer — the boundary-halo query
-// path returns what a single world-wide index would.
+// (locals plus halo ghosts) and checks the boundary-halo pair sweep: on
+// every shard, the swept pairs with at least one local endpoint are
+// exactly the global index's pairs with an endpoint that shard owns, at
+// bit-equal distances — what a single world-wide index would find.
 func TestShardedIndexMatchesGlobal(t *testing.T) {
 	bounds := NewRect(Point{0, 0}, Point{2000, 2000})
 	const r = 250.0
@@ -150,17 +151,34 @@ func TestShardedIndexMatchesGlobal(t *testing.T) {
 			}
 		}
 	}
-	for id, p := range pts {
-		owner := m.ShardOf(p)
-		gotIDs, _ := shards[owner].WithinRangePos(nil, nil, p, r, id)
-		wantIDs := global.WithinRange(nil, p, r, id)
-		if len(gotIDs) != len(wantIDs) {
-			t.Fatalf("id %d: sharded query %v != global %v", id, gotIDs, wantIDs)
-		}
-		for i := range gotIDs {
-			if gotIDs[i] != wantIDs[i] {
-				t.Fatalf("id %d: sharded query %v != global %v", id, gotIDs, wantIDs)
+	type key struct{ a, b int32 }
+	pairSet := func(pairs []Pair, keep func(id int32) bool) map[key]float64 {
+		set := make(map[key]float64)
+		for _, p := range pairs {
+			if keep(p.A) || keep(p.B) {
+				set[key{min(p.A, p.B), max(p.A, p.B)}] = p.D2
 			}
 		}
+		return set
+	}
+	globalPairs := sweepPairs(global.Rows(), global.RowPairs, r)
+	cross := 0
+	for i, s := range shards {
+		got := pairSet(sweepPairs(s.Rows(), s.RowPairs, r), s.IsLocal)
+		want := pairSet(globalPairs, func(id int32) bool { return m.ShardOf(pts[id]) == i })
+		if len(got) != len(want) {
+			t.Fatalf("shard %d: %d pairs with a local endpoint, global index has %d", i, len(got), len(want))
+		}
+		for k, d2 := range want {
+			if g, ok := got[k]; !ok || math.Float64bits(g) != math.Float64bits(d2) {
+				t.Fatalf("shard %d: pair %v has D2 %v (present %v), global %v", i, k, g, ok, d2)
+			}
+			if m.ShardOf(pts[k.a]) != m.ShardOf(pts[k.b]) {
+				cross++
+			}
+		}
+	}
+	if cross == 0 {
+		t.Fatal("no pair crosses a shard border; the halo path is untested")
 	}
 }

@@ -24,7 +24,7 @@ const (
 //
 // Contention is modeled from the sender's neighbor density (receivers per
 // beacon), which the halo-complete shard indexes reproduce exactly; each
-// reception is evaluated by exactly one shard (the receiver's owner), so
+// reception is evaluated by exactly one shard (the sender's owner), so
 // the integer counters sum across shards to the serial totals.
 type ShardChannel struct {
 	seed   uint64
@@ -88,8 +88,10 @@ func (c *ShardChannel) Beacon(tick uint64, from NodeID, density int) Beacon {
 	}
 }
 
-// Reaches decides whether the beacon reaches to over distance dist and
-// updates the channel's Delivered/LostRange/LostLoad counters. The verdict
+// Reaches decides whether the beacon reaches to, whose distance from the
+// sender has reception probability pRecv = Params.ReceptionProb(dist), and
+// updates the channel's Delivered/LostRange/LostLoad counters. The caller
+// computes pRecv, so the two directions of one pair share it. The verdict
 // is sim.HashUnit(seed, domain, tick, from, to) against the fade and
 // collision probabilities, so it reads nothing but the beacon, its
 // arguments and the channel seed: any shard computes the same verdict for
@@ -97,10 +99,10 @@ func (c *ShardChannel) Beacon(tick uint64, from NodeID, density int) Beacon {
 // reception probability of 1, so it is skipped inside RangeReliable.
 //
 //vcloudlint:hotpath one verdict per candidate reception per tick in the sharded world
-func (b Beacon) Reaches(to NodeID, dist float64) bool {
+func (b Beacon) Reaches(to NodeID, pRecv float64) bool {
 	ut := uint64(uint32(to))
 	c := b.c
-	if pRecv := c.params.ReceptionProb(dist); pRecv < 1 && hashUnit(b.fade^ut) >= pRecv {
+	if pRecv < 1 && hashUnit(b.fade^ut) >= pRecv {
 		c.stats.LostRange++
 		return false
 	}

@@ -17,7 +17,7 @@ func newTestChannel(t *testing.T, seed uint64) *ShardChannel {
 
 // reaches is one whole verdict through the per-beacon API.
 func reaches(c *ShardChannel, tick uint64, from, to NodeID, dist float64, density int) bool {
-	return c.Beacon(tick, from, density).Reaches(to, dist)
+	return c.Beacon(tick, from, density).Reaches(to, c.params.ReceptionProb(dist))
 }
 
 // receiveModel is ShardChannel.Receive as it stood before Beacon/Reaches
@@ -62,7 +62,7 @@ func TestBeaconMatchesReceiveModel(t *testing.T) {
 							to += 1 << 20
 						}
 						dist := dists[(i+int(tick))%len(dists)]
-						g := b.Reaches(to, dist)
+						g := b.Reaches(to, p.ReceptionProb(dist))
 						w := receiveModel(want, tick*7919, from, to, dist, density)
 						if g != w {
 							t.Fatalf("seed %d tick %d from %d to %d dist %v density %d: Reaches = %v, Receive model = %v",

@@ -15,8 +15,9 @@
 //     cross-shard event travels exactly L ahead, meeting the conservative
 //     contract with zero slack.
 //   - Ghosts are pushed fresh every tick (positions as of move@t) with a
-//     halo of radio range plus one step, so a border query over
-//     locals+ghosts returns exactly what one global index would.
+//     halo of radio range plus one step, so the pair sweep over
+//     locals+ghosts finds every in-range pair with a local endpoint that
+//     one global index would.
 //   - Sampled rows contain only integer counters whose per-shard
 //     subtotals sum exactly (no float accumulation order), taken at
 //     t+3L+L/2 when every delivery of the tick has been applied.
@@ -235,10 +236,26 @@ type world struct {
 	shards []*wshard
 	// birth/death are read-only during the run (shared across workers).
 	birth, death []int32
-	mobSeed      uint64
-	halo         float64
-	dt           float64 // tick period in seconds
-	lookahead    sim.Time
+	// owner and tx are indexed by vehicle id and partitioned by ownership:
+	// entry id is written only by the shard owning vehicle id in the tick
+	// in flight — owner[id] by that shard's movePhase (the shard keeping
+	// the vehicle, or the one it hands it to), tx[id] by its beaconPhase —
+	// and read by other shards only across a window barrier. Sized to the
+	// id universe once, so they never regrow.
+	owner     []int32
+	tx        []sender
+	mobSeed   uint64
+	halo      float64
+	dt        float64 // tick period in seconds
+	lookahead sim.Time
+}
+
+// sender is one local vehicle's beacon in the tick in flight.
+type sender struct {
+	deg   int32 // in-range neighbours swept so far: the collision density once final
+	muted bool  // inside the outage: no beacon this tick
+	built bool  // b holds this tick's verdict prefix
+	b     radio.Beacon
 }
 
 // wshard is one shard's model state, owned by that shard's worker during
@@ -256,6 +273,9 @@ type wshard struct {
 	// arrivals maps tick -> ids spawning on this shard, precomputed at
 	// setup from the churn schedule and the pure spawn position.
 	arrivals map[int][]int32
+	// tick is the tick in flight: movePhase sets it, and the beacon and
+	// sample phases it schedules read it before the next movePhase.
+	tick int
 
 	retiredOdo int64
 	applied    int64
@@ -264,8 +284,17 @@ type wshard struct {
 	samples    []SampleRow
 
 	near []int
-	nids []int32
-	npos []geo.Point
+	// ghosts and handoffs are this tick's outgoing messages; events carry
+	// pointers into them, which box into `any` without allocating. They
+	// are consumed at t+L and rewritten only from the next movePhase at
+	// t+T, with a window barrier in between. A slab that regrows mid-tick
+	// leaves the earlier pointers on its old array, which is never written
+	// again.
+	ghosts   []ghostMsg
+	handoffs []handoffMsg
+	// band holds the pair segments of the last span+1 swept rows, span
+	// being how far a segment reaches; see beaconPhase.
+	band [][]geo.Pair
 }
 
 type ghostMsg struct {
@@ -275,12 +304,12 @@ type ghostMsg struct {
 }
 
 func applyGhost(a any) {
-	m := a.(ghostMsg)
+	m := a.(*ghostMsg)
 	m.s.index.UpdateGhost(m.id, m.pos)
 }
 
 func applyDemote(a any) {
-	m := a.(ghostMsg)
+	m := a.(*ghostMsg)
 	m.s.index.RemoveLocal(m.id)
 	m.s.index.UpdateGhost(m.id, m.pos)
 }
@@ -291,7 +320,7 @@ type handoffMsg struct {
 }
 
 func applyHandoff(a any) {
-	m := a.(handoffMsg)
+	m := a.(*handoffMsg)
 	m.s.insertLocal(m.v)
 	m.s.index.UpdateLocal(m.v.ID, m.v.Pos)
 }
@@ -299,6 +328,15 @@ func applyHandoff(a any) {
 func applyDelivery(a any) { a.(*wshard).applied++ }
 
 func clearGhostsFn(a any) { a.(*wshard).index.ClearGhosts() }
+
+func moveFn(a any) {
+	s := a.(*wshard)
+	s.movePhase(s.tick + 1)
+}
+
+func beaconFn(a any) { a.(*wshard).beaconPhase() }
+
+func sampleFn(a any) { a.(*wshard).sample() }
 
 // Run executes the scenario and returns its result.
 func Run(cfg Config) (*Result, error) {
@@ -311,6 +349,19 @@ func Run(cfg Config) (*Result, error) {
 
 // run builds the world and drives it to the last tick.
 func run(cfg Config) (*world, error) {
+	w, err := newWorld(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer w.sk.Close()
+	if err := w.sk.Run(sim.Time(w.cfg.Ticks) * w.cfg.TickEvery); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// newWorld builds the world with every shard's tick 0 scheduled.
+func newWorld(cfg Config) (*world, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -320,6 +371,8 @@ func run(cfg Config) (*world, error) {
 		mobSeed:   uint64(sim.SubSeed(cfg.Seed, "shardworld/mob")),
 		dt:        cfg.TickEvery.Seconds(),
 		lookahead: cfg.TickEvery / 4,
+		owner:     make([]int32, cfg.Vehicles),
+		tx:        make([]sender, cfg.Vehicles),
 	}
 	w.halo = cfg.Radio.RangeMax + mobility.MaxStep(speedMax, w.dt)
 
@@ -331,7 +384,6 @@ func run(cfg Config) (*world, error) {
 	if w.sk, err = sim.NewShardedKernel(cfg.Seed, cfg.Shards, w.lookahead); err != nil {
 		return nil, err
 	}
-	defer w.sk.Close()
 
 	radioSeed := uint64(sim.SubSeed(cfg.Seed, "shardworld/radio"))
 	w.shards = make([]*wshard, cfg.Shards)
@@ -341,6 +393,8 @@ func run(cfg Config) (*world, error) {
 			idx:      i,
 			k:        w.sk.Shard(i),
 			arrivals: make(map[int][]int32),
+			tick:     -1,
+			samples:  make([]SampleRow, 0, cfg.Ticks/cfg.SampleEvery+1),
 		}
 		// Every shard's channel carries the same seed: reception verdicts
 		// are pure in (tick, from, to), so the deciding shard is
@@ -351,6 +405,7 @@ func run(cfg Config) (*world, error) {
 		if s.index, err = geo.NewShardedIndex(w.bounds, cfg.Radio.RangeMax); err != nil {
 			return nil, err
 		}
+		s.band = make([][]geo.Pair, s.index.RowSpan(cfg.Radio.RangeMax)+1)
 		w.shards[i] = s
 	}
 
@@ -369,11 +424,7 @@ func run(cfg Config) (*world, error) {
 	}
 
 	for _, s := range w.shards {
-		s := s
-		s.k.At(0, func() { s.movePhase(0) })
-	}
-	if err := w.sk.Run(sim.Time(cfg.Ticks) * cfg.TickEvery); err != nil {
-		return nil, err
+		s.k.AtArg(0, moveFn, s)
 	}
 	return w, nil
 }
@@ -394,6 +445,8 @@ func (s *wshard) movePhase(tick int) {
 	cfg := &w.cfg
 	t := sim.Time(tick) * cfg.TickEvery
 	L := w.lookahead
+	s.tick = tick
+	s.ghosts, s.handoffs = s.ghosts[:0], s.handoffs[:0]
 
 	// Scheduled first so it carries the lowest sequence number at t+L:
 	// last tick's ghosts vanish before this tick's pushes and handoffs
@@ -417,6 +470,7 @@ func (s *wshard) movePhase(tick int) {
 		}
 		v.Step(w.mobSeed, uint64(tick), w.bounds, w.dt, speedMin, speedMax)
 		dst := w.smap.ShardOf(v.Pos)
+		w.owner[id] = int32(dst)
 		s.near = w.smap.ShardsNear(s.near[:0], v.Pos, w.halo)
 		if dst != s.idx {
 			// Border crossing: the struct copy travels one lookahead
@@ -425,67 +479,142 @@ func (s *wshard) movePhase(tick int) {
 			s.hops++
 			cp := *v
 			cp.Hops++
-			s.k.AtArg(t+L, applyDemote, ghostMsg{s: s, id: id, pos: v.Pos})
-			w.sk.Inject(s.idx, dst, t+L, applyHandoff, handoffMsg{s: w.shards[dst], v: cp})
+			s.k.AtArg(t+L, applyDemote, s.pushGhost(s, id, v.Pos))
+			s.handoffs = append(s.handoffs, handoffMsg{s: w.shards[dst], v: cp})
+			w.sk.Inject(s.idx, dst, t+L, applyHandoff, &s.handoffs[len(s.handoffs)-1])
 		} else {
 			s.index.UpdateLocal(id, v.Pos)
 			keep = append(keep, *v)
 		}
 		for _, g := range s.near {
 			if g != s.idx && g != dst {
-				w.sk.Inject(s.idx, g, t+L, applyGhost, ghostMsg{s: w.shards[g], id: id, pos: v.Pos})
+				w.sk.Inject(s.idx, g, t+L, applyGhost, s.pushGhost(w.shards[g], id, v.Pos))
 			}
 		}
 	}
 	s.locals = keep
 
-	s.k.At(t+2*L, func() { s.beaconPhase(tick) })
+	s.k.AtArg(t+2*L, beaconFn, s)
 	if (tick+1)%cfg.SampleEvery == 0 || tick == cfg.Ticks-1 {
-		s.k.At(t+3*L+L/2, func() { s.sample(tick) })
+		s.k.AtArg(t+3*L+L/2, sampleFn, s)
 	}
 	if tick+1 < cfg.Ticks {
-		s.k.At(t+cfg.TickEvery, func() { s.movePhase(tick + 1) })
+		s.k.AtArg(t+cfg.TickEvery, moveFn, s)
 	}
 }
 
-// beaconPhase evaluates every local sender's broadcast against the
-// halo-complete neighbor set. Each (sender, receiver) reception is judged
-// exactly once fleet-wide — by the sender's owner — with a pure verdict,
-// and successful deliveries land at t+3L on the receiver's owner.
-func (s *wshard) beaconPhase(tick int) {
+// pushGhost parks this tick's message installing a ghost of id at pos on
+// shard to, and returns the event argument.
+func (s *wshard) pushGhost(to *wshard, id int32, pos geo.Point) *ghostMsg {
+	s.ghosts = append(s.ghosts, ghostMsg{s: to, id: id, pos: pos})
+	return &s.ghosts[len(s.ghosts)-1]
+}
+
+// beaconPhase decides every local sender's broadcast at every receiver in
+// range, each (sender, receiver) reception exactly once fleet-wide — by
+// the sender's owner — with a pure verdict; successful deliveries land at
+// t+3L on the receiver's owner.
+//
+// One half-shell sweep over the halo-complete index (locals and ghosts)
+// emits each in-range pair once, row by row. A pair adds to the degree of
+// its local endpoints, and a local's degree is the density its beacon is
+// judged under. The segment emitted at row cy pairs entries of row cy
+// with entries of rows up to cy+span, and an entry of row y has all its
+// pairs once row y has been swept. So when row cy+span is done, both
+// endpoints of every pair of segment cy are final, and the pair is decided
+// in both directions, for each endpoint that is a local, unmuted sender.
+// The band therefore holds span+1 segments. The verdicts are pure counter
+// hashes and the counters commute, so the decision order is free.
+func (s *wshard) beaconPhase() {
 	w := s.w
 	cfg := &w.cfg
-	t := sim.Time(tick) * cfg.TickEvery
-	L := w.lookahead
+	tick := s.tick
 	out := cfg.Outage
-
+	dark := out != nil && tick >= out.FromTick && tick < out.ToTick
 	for i := range s.locals {
 		v := &s.locals[i]
-		id := v.ID
-		if out != nil && tick >= out.FromTick && tick < out.ToTick && out.Rect.Contains(v.Pos) {
+		muted := dark && out.Rect.Contains(v.Pos)
+		w.tx[v.ID] = sender{muted: muted}
+		if muted {
 			s.suppressed++
-			continue
-		}
-		s.channel.NoteSent(beaconBytes)
-		s.nids, s.npos = s.index.WithinRangePos(s.nids[:0], s.npos[:0], v.Pos, cfg.Radio.RangeMax, id)
-		b := s.channel.Beacon(uint64(tick), radio.NodeID(id), len(s.nids))
-		for j, nid := range s.nids {
-			if !b.Reaches(radio.NodeID(nid), v.Pos.Dist(s.npos[j])) {
-				continue
-			}
-			if rs := w.smap.ShardOf(s.npos[j]); rs == s.idx {
-				s.k.AtArg(t+3*L, applyDelivery, s)
-			} else {
-				w.sk.Inject(s.idx, rs, t+3*L, applyDelivery, w.shards[rs])
-			}
+		} else {
+			s.channel.NoteSent(beaconBytes)
 		}
 	}
+
+	me := int32(s.idx)
+	at := sim.Time(tick)*cfg.TickEvery + 3*w.lookahead
+	n := len(s.band)
+	span := n - 1
+	rows := s.index.Rows()
+	for cy := 0; cy < rows; cy++ {
+		seg := s.index.RowPairs(s.band[cy%n][:0], cy, cfg.Radio.RangeMax)
+		s.band[cy%n] = seg
+		for _, p := range seg {
+			if w.owner[p.A] == me {
+				w.tx[p.A].deg++
+			}
+			if w.owner[p.B] == me {
+				w.tx[p.B].deg++
+			}
+		}
+		if cy >= span {
+			s.decide(s.band[(cy-span)%n], at)
+		}
+	}
+	for cy := max(rows-span, 0); cy < rows; cy++ {
+		s.decide(s.band[cy%n], at)
+	}
+}
+
+// decide judges both directions of every pair in seg, whose endpoints'
+// degrees are final. The distance and its reception probability are
+// computed once per pair.
+func (s *wshard) decide(seg []geo.Pair, at sim.Time) {
+	w := s.w
+	me := int32(s.idx)
+	params := &w.cfg.Radio
+	for _, p := range seg {
+		oa, ob := w.owner[p.A], w.owner[p.B]
+		fromA := oa == me && !w.tx[p.A].muted
+		fromB := ob == me && !w.tx[p.B].muted
+		if !fromA && !fromB {
+			continue
+		}
+		pRecv := params.ReceptionProb(math.Sqrt(p.D2))
+		if fromA {
+			s.send(p.A, p.B, ob, pRecv, at)
+		}
+		if fromB {
+			s.send(p.B, p.A, oa, pRecv, at)
+		}
+	}
+}
+
+// send judges local sender from's beacon at receiver to and, on success,
+// schedules the delivery on the receiver's owner: a local receiver on
+// this shard, a ghost on the shard owning it.
+func (s *wshard) send(from, to, toOwner int32, pRecv float64, at sim.Time) {
+	tx := &s.w.tx[from]
+	if !tx.built {
+		tx.b = s.channel.Beacon(uint64(s.tick), radio.NodeID(from), int(tx.deg))
+		tx.built = true
+	}
+	if !tx.b.Reaches(radio.NodeID(to), pRecv) {
+		return
+	}
+	if int(toOwner) == s.idx {
+		s.k.AtArg(at, applyDelivery, s)
+		return
+	}
+	s.w.sk.Inject(s.idx, int(toOwner), at, applyDelivery, s.w.shards[toOwner])
 }
 
 // sample snapshots this shard's counters; fleet rows are the exact sums
 // of these across shards. It runs at t+3L+L/2: after every delivery of
 // the tick, before anything of the next.
-func (s *wshard) sample(tick int) {
+func (s *wshard) sample() {
+	tick := s.tick
 	odo := s.retiredOdo
 	for i := range s.locals {
 		odo += s.locals[i].OdoMM

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"vcloud/internal/geo"
+	"vcloud/internal/radio"
+	"vcloud/internal/sim"
 )
 
 func testConfig(seed int64, shards int) Config {
@@ -254,6 +256,159 @@ func TestLocalsStaySorted(t *testing.T) {
 		if len(owner) != live || late == 0 || gone == 0 {
 			t.Fatalf("%d shards: %d locals for %d live vehicles (%d late arrivals, %d departed)", shards, len(owner), live, late, gone)
 		}
+	}
+}
+
+// refBeaconPhase is the per-sender beacon loop the pair sweep replaced,
+// kept as the model: one range query per unmuted local sender over a
+// mirror of the shard's index (locals and ghosts), the sender's own
+// Beacon under the query's hit count, one verdict per candidate, and the
+// receiver's owner found by ShardOf. It decides on ch, adds each delivery
+// to perDst[receiver's owner] and returns the senders it muted.
+func refBeaconPhase(t *testing.T, s *wshard, ch *radio.ShardChannel, perDst []int64) (suppressed uint64) {
+	t.Helper()
+	w := s.w
+	cfg := &w.cfg
+	tick := s.tick
+	out := cfg.Outage
+	mirror, err := geo.NewGridIndex(w.bounds, cfg.Radio.RangeMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := int32(0); id < int32(cfg.Vehicles); id++ {
+		if p, ok := s.index.Position(id); ok {
+			mirror.Update(id, p)
+		}
+	}
+	var nids []int32
+	var npos []geo.Point
+	for i := range s.locals {
+		v := &s.locals[i]
+		id := v.ID
+		if out != nil && tick >= out.FromTick && tick < out.ToTick && out.Rect.Contains(v.Pos) {
+			suppressed++
+			continue
+		}
+		ch.NoteSent(beaconBytes)
+		nids, npos = mirror.WithinRangePos(nids[:0], npos[:0], v.Pos, cfg.Radio.RangeMax, id)
+		b := ch.Beacon(uint64(tick), radio.NodeID(id), len(nids))
+		for j, nid := range nids {
+			if b.Reaches(radio.NodeID(nid), cfg.Radio.ReceptionProb(v.Pos.Dist(npos[j]))) {
+				perDst[w.smap.ShardOf(npos[j])]++
+			}
+		}
+	}
+	return suppressed
+}
+
+// TestBeaconPhaseMatchesPerSenderModel steps worlds at 1, 2 and 4 shards
+// tick by tick, under churn and an outage that straddles the shard
+// borders, and holds every beaconPhase to refBeaconPhase run on the same
+// index state: per tick, equal channel Stats on every shard, equal
+// suppression counts, and equal deliveries landing on every destination
+// shard.
+func TestBeaconPhaseMatchesPerSenderModel(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		cfg := testConfig(23, shards)
+		cfg.Ticks = 36
+		cfg.ChurnFrac = 0.25
+		cfg.Outage = &Outage{
+			Rect:     geo.NewRect(geo.Point{X: 900, Y: 700}, geo.Point{X: 1500, Y: 1700}),
+			FromTick: 8,
+			ToTick:   24,
+		}
+		w, err := newWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.sk.Close()
+		seed := uint64(sim.SubSeed(cfg.Seed, "shardworld/radio"))
+		refs := make([]*radio.ShardChannel, shards)
+		for i := range refs {
+			if refs[i], err = radio.NewShardChannel(seed, cfg.Radio, densityHalf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		T, L := w.cfg.TickEvery, w.lookahead
+		var refSuppressed uint64
+		var crossed int64
+		for tick := 0; tick < cfg.Ticks; tick++ {
+			if err := w.sk.Run(sim.Time(tick)*T + 2*L - 1); err != nil {
+				t.Fatal(err)
+			}
+			// sent[i][j] counts deliveries shard i decides for receivers
+			// owned by shard j.
+			sent := make([][]int64, shards)
+			applied := make([]int64, shards)
+			for i, s := range w.shards {
+				sent[i] = make([]int64, shards)
+				refSuppressed += refBeaconPhase(t, s, refs[i], sent[i])
+				applied[i] = s.applied
+			}
+			if err := w.sk.Run(sim.Time(tick)*T + 3*L); err != nil {
+				t.Fatal(err)
+			}
+			var suppressed uint64
+			for j, s := range w.shards {
+				if got, want := s.channel.Stats(), refs[j].Stats(); got != want {
+					t.Fatalf("%d shards, tick %d, shard %d: channel %+v, per-sender model %+v", shards, tick, j, got, want)
+				}
+				suppressed += s.suppressed
+				var want int64
+				for i := range sent {
+					want += sent[i][j]
+					if i != j {
+						crossed += sent[i][j]
+					}
+				}
+				if got := s.applied - applied[j]; got != want {
+					t.Fatalf("%d shards, tick %d: %d deliveries landed on shard %d, per-sender model sends %d", shards, tick, got, j, want)
+				}
+			}
+			if suppressed != refSuppressed {
+				t.Fatalf("%d shards, tick %d: %d beacons suppressed, per-sender model %d", shards, tick, suppressed, refSuppressed)
+			}
+		}
+		if _, err := w.collect(); err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		if refSuppressed == 0 || (shards > 1 && crossed == 0) {
+			t.Fatalf("%d shards: %d beacons suppressed, %d deliveries across a border; the comparison proves less than it claims", shards, refSuppressed, crossed)
+		}
+	}
+}
+
+// TestWarmTickAllocFree runs a two-shard world past its warm-up and then
+// requires a whole tick — moves, ghost pushes, handoffs, the pair sweep,
+// verdicts, deliveries — to allocate less than once on average (what
+// AllocsPerRun's integer mean reads as 0): messages ride in slabs, phases
+// are scheduled with AtArg, and every table is sized at setup. What is
+// left is amortized growth outside the tick's own code, a grid cell
+// reaching a new peak occupancy now and then.
+func TestWarmTickAllocFree(t *testing.T) {
+	cfg := testConfig(29, 2)
+	cfg.Ticks = 300
+	w, err := newWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.sk.Close()
+	tick := 0
+	step := func() {
+		tick++
+		if err := w.sk.Run(sim.Time(tick) * w.cfg.TickEvery); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tick < 250 {
+		step()
+	}
+	hops, cross := w.shards[0].hops+w.shards[1].hops, w.sk.CrossEvents()
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Errorf("a warm tick allocated %.1f times, want 0", allocs)
+	}
+	if w.shards[0].hops+w.shards[1].hops == hops || w.sk.CrossEvents() == cross {
+		t.Fatal("no handoff or cross event in the measured ticks; the slabs went unexercised")
 	}
 }
 
