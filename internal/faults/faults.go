@@ -10,17 +10,14 @@
 // mid-run. Making that claim measurable requires failures that are (a)
 // scripted, so the same disaster replays exactly, and (b) seeded, so any
 // probabilistic element (loss bursts) draws from the kernel's
-// reproducible streams. Every fault here acts through the radio medium's
-// stackable frame filters (radio.Medium.AddBlocker), so a "crashed" node
-// is radio-silent yet recoverable, and fault injection composes with
-// whatever SetBlocked filter an attack experiment already installed.
+// reproducible streams. Every fault here is an entry in the radio
+// medium's fault table (radio.FaultTable), which the medium reads on
+// every frame, so a "crashed" node is radio-silent yet recoverable.
 package faults
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"slices"
 	"strings"
 
 	"vcloud/internal/geo"
@@ -192,54 +189,26 @@ type Stats struct {
 	DroppedFrames uint64
 }
 
-// Injector binds fault plans to a scenario: it installs one stackable
-// frame filter on the radio medium and schedules plan events on the
-// kernel. One injector serves any number of Schedule calls.
+// Injector binds fault plans to a scenario: it writes the radio medium's
+// fault table and schedules plan events on the kernel. One injector
+// serves any number of Schedule calls.
 type Injector struct {
-	s   *scenario.Scenario
-	rng *rand.Rand
-
-	// dead holds radio-silenced node addresses (crashed vehicles and
-	// downed RSUs).
-	dead map[radio.NodeID]bool
-	// partitions and isolations hold the active region and node-set
-	// isolations in install order; a heal removes its entry by id.
-	partitions []partitionRegion
-	isolations []isolation
-	nextID     int
-	lossProb   float64
+	s     *scenario.Scenario
+	table *radio.FaultTable
 
 	killCtl func(idx int)
 	killMem func(id int)
-	remove  func()
 	log     []string
-	stats   Stats
+	applied int
 }
 
-type partitionRegion struct {
-	id     int
-	center geo.Point
-	radius float64
-}
-
-type isolation struct {
-	id  int
-	set map[radio.NodeID]bool
-}
-
-// NewInjector creates an injector over the scenario and installs its
-// frame filter on the medium.
+// NewInjector creates an injector over the scenario's medium. The fault
+// table belongs to the medium, so injectors over one scenario share it.
 func NewInjector(s *scenario.Scenario) (*Injector, error) {
 	if s == nil {
 		return nil, fmt.Errorf("faults: scenario must not be nil")
 	}
-	in := &Injector{
-		s:    s,
-		rng:  s.Kernel.NewStream("faults"),
-		dead: make(map[radio.NodeID]bool),
-	}
-	in.remove = s.Medium.AddBlocker(in.blocked)
-	return in, nil
+	return &Injector{s: s, table: s.Medium.Faults()}, nil
 }
 
 // OnControllerKill installs the hook KillController events invoke. The
@@ -253,16 +222,13 @@ func (in *Injector) OnControllerKill(fn func(idx int)) { in.killCtl = fn }
 // member agent.
 func (in *Injector) OnMemberKill(fn func(id int)) { in.killMem = fn }
 
-// Close removes the injector's frame filter; active faults stop applying.
-func (in *Injector) Close() {
-	if in.remove != nil {
-		in.remove()
-		in.remove = nil
-	}
-}
+// Close clears the medium's fault table; active faults stop applying.
+func (in *Injector) Close() { in.table.Reset() }
 
 // Stats returns a copy of the injector counters.
-func (in *Injector) Stats() Stats { return in.stats }
+func (in *Injector) Stats() Stats {
+	return Stats{Applied: in.applied, DroppedFrames: in.table.Dropped()}
+}
 
 // Log returns the applied-fault log, one line per fired event.
 func (in *Injector) Log() []string {
@@ -291,7 +257,7 @@ func (in *Injector) Schedule(p Plan) error {
 }
 
 func (in *Injector) apply(e Event) {
-	in.stats.Applied++
+	in.applied++
 	in.log = append(in.log, fmt.Sprintf("%s %s", in.s.Kernel.Now(), e.describe()))
 	switch e.Kind {
 	case Crash:
@@ -310,7 +276,7 @@ func (in *Injector) apply(e Event) {
 		heal := in.StartPartition(e.Center, e.Radius)
 		if e.Dur > 0 {
 			in.s.Kernel.After(e.Dur, func() {
-				in.stats.Applied++
+				in.applied++
 				in.log = append(in.log, fmt.Sprintf("%s partition healed at %g,%g", in.s.Kernel.Now(), e.Center.X, e.Center.Y))
 				heal()
 			})
@@ -323,7 +289,7 @@ func (in *Injector) apply(e Event) {
 		heal := in.StartIsolation(radio.NodeID(e.Target), keep)
 		if e.Dur > 0 {
 			in.s.Kernel.After(e.Dur, func() {
-				in.stats.Applied++
+				in.applied++
 				in.log = append(in.log, fmt.Sprintf("%s isolation healed around %d", in.s.Kernel.Now(), e.Target))
 				heal()
 			})
@@ -332,7 +298,7 @@ func (in *Injector) apply(e Event) {
 		in.SetLoss(e.Prob)
 		if e.Dur > 0 {
 			in.s.Kernel.After(e.Dur, func() {
-				in.stats.Applied++
+				in.applied++
 				in.log = append(in.log, fmt.Sprintf("%s loss burst ended", in.s.Kernel.Now()))
 				in.SetLoss(0)
 			})
@@ -384,7 +350,7 @@ func (in *Injector) rsuAddr(idx int) (radio.NodeID, bool) {
 
 // CrashNode silences a node immediately (programmatic form of Crash /
 // RSUDown).
-func (in *Injector) CrashNode(addr radio.NodeID) { in.dead[addr] = true }
+func (in *Injector) CrashNode(addr radio.NodeID) { in.table.Crash(addr) }
 
 // KillMember kills a vehicle's member process immediately (programmatic
 // form of the KillMember event): radio silence plus the member-kill
@@ -398,23 +364,18 @@ func (in *Injector) KillMember(id int) {
 }
 
 // RecoverNode restores a silenced node.
-func (in *Injector) RecoverNode(addr radio.NodeID) { delete(in.dead, addr) }
+func (in *Injector) RecoverNode(addr radio.NodeID) { in.table.Recover(addr) }
 
 // Crashed reports whether a node is currently radio-silenced.
-func (in *Injector) Crashed(addr radio.NodeID) bool { return in.dead[addr] }
+func (in *Injector) Crashed(addr radio.NodeID) bool { return in.table.Crashed(addr) }
 
 // SetLoss sets the global frame-drop probability (0 disables).
-func (in *Injector) SetLoss(p float64) { in.lossProb = p }
+func (in *Injector) SetLoss(p float64) { in.table.SetLoss(p) }
 
 // StartPartition isolates a circular region immediately and returns a
 // heal function (programmatic form of Partition).
 func (in *Injector) StartPartition(center geo.Point, radius float64) (heal func()) {
-	id := in.nextID
-	in.nextID++
-	in.partitions = append(in.partitions, partitionRegion{id: id, center: center, radius: radius})
-	return func() {
-		in.partitions = slices.DeleteFunc(in.partitions, func(r partitionRegion) bool { return r.id == id })
-	}
+	return in.table.Partition(center, radius)
 }
 
 // StartIsolation cuts the node set {center} ∪ keep off from every other
@@ -426,79 +387,14 @@ func (in *Injector) StartIsolation(center radio.NodeID, keep []radio.NodeID) (he
 	for _, k := range keep {
 		set[k] = true
 	}
-	id := in.nextID
-	in.nextID++
-	in.isolations = append(in.isolations, isolation{id: id, set: set})
-	return func() {
-		in.isolations = slices.DeleteFunc(in.isolations, func(iso isolation) bool { return iso.id == id })
-	}
+	return in.table.Isolate(set)
 }
 
 // Cut reports whether frames between from and to are currently severed
 // by a deterministic fault — a crash on either end, an isolation or a
-// partition boundary between them. Unlike the frame filter it never
-// draws from the loss stream, so layers above (the storage service's
-// membership view, invariant checkers) can probe reachability without
-// perturbing the reproducible loss sequence.
-//
-//vcloudlint:hotpath the storage views probe it once per member per placement, read and repaired key
-func (in *Injector) Cut(from, to radio.NodeID) bool {
-	if in.dead[from] || in.dead[to] {
-		return true
-	}
-	if len(in.isolations) > 0 && in.isolationCut(from, to) {
-		return true
-	}
-	if len(in.partitions) > 0 && in.partitionCut(from, to) {
-		return true
-	}
-	return false
-}
-
-// blocked is the frame filter: crash silences, isolations and partitions
-// cut boundary crossings, loss bursts drop at random. Checks run in a
-// fixed order so the loss stream's draws stay reproducible.
-//
-//vcloudlint:hotpath the medium asks it once per frame and receiver
-func (in *Injector) blocked(from, to radio.NodeID) bool {
-	if len(in.dead) > 0 && (in.dead[from] || in.dead[to]) {
-		in.stats.DroppedFrames++
-		return true
-	}
-	if len(in.isolations) > 0 && in.isolationCut(from, to) {
-		in.stats.DroppedFrames++
-		return true
-	}
-	if len(in.partitions) > 0 && in.partitionCut(from, to) {
-		in.stats.DroppedFrames++
-		return true
-	}
-	if in.lossProb > 0 && in.rng.Float64() < in.lossProb {
-		in.stats.DroppedFrames++
-		return true
-	}
-	return false
-}
-
-func (in *Injector) isolationCut(from, to radio.NodeID) bool {
-	for _, iso := range in.isolations {
-		if iso.set[from] != iso.set[to] {
-			return true
-		}
-	}
-	return false
-}
-
-func (in *Injector) partitionCut(from, to radio.NodeID) bool {
-	fp, fok := in.s.Medium.Position(from)
-	tp, tok := in.s.Medium.Position(to)
-	if !fok || !tok {
-		return false
-	}
-	for _, r := range in.partitions {
-		if (fp.Dist(r.center) <= r.radius) != (tp.Dist(r.center) <= r.radius) {
-			return true
-		}
-	}
-	return false
-}
+// partition boundary between them. It is the medium's own frame-path
+// predicate (radio.Medium.Cut), so it cannot drift from what frames
+// see, and it never draws from the loss stream, so layers above (the
+// storage service's membership view, invariant checkers) can probe
+// reachability without perturbing the reproducible loss sequence.
+func (in *Injector) Cut(from, to radio.NodeID) bool { return in.s.Medium.Cut(from, to) }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"time"
 
 	"vcloud/internal/geo"
@@ -118,30 +117,25 @@ type Medium struct {
 	airtime   float64
 	lastDecay sim.Time
 	stats     Stats
-	// partition optionally drops frames between groups (used to model
-	// obstacles or jamming zones in attack experiments).
-	blocked func(from, to NodeID) bool
-	// blockers are additional, stackable frame filters (fault injection
-	// composes outages, partitions and loss bursts without disturbing a
-	// SetBlocked filter an experiment already installed), in insertion
-	// order. Each is held by pointer so its removal func can find it.
-	blockers []*func(from, to NodeID) bool
+	// faults holds the crashes, isolations, partitions and loss the fault
+	// injector installs; Send judges every reception against it.
+	faults FaultTable
 	// spies are the promiscuous nodes, which overhear every frame
 	// transmitted in their range regardless of addressing — the §III
 	// eavesdropping threat model. Sorted by id at registration time so
 	// Send never sorts them.
 	spies []spy
 	// scratchIDs/scratchPos are the per-medium neighbor-query buffers
-	// reused across Send calls, rx collects one frame's receptions until
-	// they are scheduled, and rxSorted/rxCount are sortReceptions'
-	// scratch; together with the delivery freelist they make a broadcast
-	// to N neighbors cost O(N) work with O(1) steady-state allocations.
+	// reused across Send calls, rx collects one frame's receptions in
+	// receiver order until they are sorted into a frame run, and rxCount
+	// is sortReceptions' scratch; together with the frame-run freelists
+	// they make a broadcast to N neighbors cost O(N) work with O(1)
+	// steady-state allocations.
 	scratchIDs []int32
 	scratchPos []geo.Point
 	rx         []reception
-	rxSorted   []reception
 	rxCount    []int
-	freeDeliv  []*delivery
+	freeRuns   [2][]*frameRun // small runs, then large ones (see smallRun)
 }
 
 // pageBits sizes a handler page: 1<<pageBits consecutive ids.
@@ -154,48 +148,86 @@ type spy struct {
 	h  Handler
 }
 
-// delivery carries one scheduled frame reception through the kernel.
-// Instances are pooled on the medium and scheduled via the kernel's
-// AfterArg, so a reception costs no closure or event allocation once the
-// pools are warm.
-type delivery struct {
-	m     *Medium
-	h     Handler
-	f     Frame
-	count bool // increment Stats.Delivered (false for promiscuous overhears)
-}
-
-// reception is one decided frame reception waiting for Send to schedule
-// it: the pooled delivery and its delay from now.
+// reception is one decided frame reception: its delay from the frame's
+// transmission, the handler it runs and whether it counts as Delivered
+// (promiscuous overhears do not).
 type reception struct {
 	delay sim.Time
-	d     *delivery
+	h     Handler
+	count bool
 }
 
-// runDelivery is the single callback behind every scheduled reception.
-// The delivery is recycled before the handler runs: its fields are copied
-// out first, so a handler that immediately transmits reuses the slot.
-func runDelivery(a any) {
-	d := a.(*delivery)
-	m, h, f, count := d.m, d.h, d.f, d.count
-	d.h = nil
-	d.f = Frame{}
-	m.freeDeliv = append(m.freeDeliv, d)
-	if count {
+// frameRun is one transmitted frame in flight: the frame once, and its
+// receptions sorted by delay, scheduled as one kernel series whose member
+// times parallel rx. Runs are pooled on the medium, so a frame costs no
+// event or closure allocation once the pool is warm.
+type frameRun struct {
+	m  *Medium
+	f  Frame
+	rx []reception
+	s  sim.Series
+}
+
+// smallRun bounds a small frame: a unicast's reception and a few
+// overhearing spies. Small and larger frames pool their runs apart, so
+// the many unicasts in flight never each hold a run a broadcast has grown
+// to its neighbourhood's size. A run's receptions grow by append, so a
+// run only small frames have used keeps a capacity of at most smallRun.
+const smallRun = 4
+
+// runClass is the freelist a run of capacity c, or a frame of c
+// receptions, belongs to.
+func runClass(c int) int {
+	if c > smallRun {
+		return 1
+	}
+	return 0
+}
+
+// fireReception is the series callback behind every reception. The
+// member's fields are copied out first, and the last member recycles the
+// run before its handler runs, so a handler that transmits reuses it.
+func fireReception(a any, i int) {
+	r := a.(*frameRun)
+	m, f, rx := r.m, r.f, r.rx[i]
+	if i == len(r.rx)-1 {
+		clear(r.rx)
+		r.rx = r.rx[:0]
+		r.s.At = r.s.At[:0]
+		r.f = Frame{}
+		free := &m.freeRuns[runClass(cap(r.rx))]
+		*free = append(*free, r)
+	}
+	if rx.count {
 		m.stats.Delivered++
 	}
-	h(f)
+	rx.h(f)
 }
 
-func (m *Medium) getDelivery() *delivery {
-	if n := len(m.freeDeliv); n > 0 {
-		d := m.freeDeliv[n-1]
-		m.freeDeliv[n-1] = nil
-		m.freeDeliv = m.freeDeliv[:n-1]
-		return d
+// getRun takes a run for a frame of n receptions from its class's pool.
+//
+//vcloudlint:hotpath once per transmitted frame that anyone receives
+func (m *Medium) getRun(n int) *frameRun {
+	class := runClass(n)
+	free := &m.freeRuns[class]
+	if k := len(*free); k > 0 {
+		r := (*free)[k-1]
+		(*free)[k-1] = nil
+		*free = (*free)[:k-1]
+		return r
 	}
-	//vcloudlint:allow hotalloc delivery pool cold start; recycled in runDelivery so steady state is allocation-free
-	return &delivery{m: m}
+	//vcloudlint:allow hotalloc frame-run pool cold start; recycled by its last reception so steady state is allocation-free
+	r := &frameRun{m: m}
+	r.s.Fn, r.s.Arg = fireReception, r
+	return r
+}
+
+// stamp gives every sorted reception its series member time, now plus its
+// delay.
+func (r *frameRun) stamp(now sim.Time) {
+	for _, rx := range r.rx {
+		r.s.At = append(r.s.At, now+rx.delay)
+	}
 }
 
 // NewMedium creates a medium over the given bounds.
@@ -215,6 +247,7 @@ func NewMedium(kernel *sim.Kernel, bounds geo.Rect, params Params) (*Medium, err
 		rng:    kernel.NewStream("radio"),
 		params: params,
 		index:  idx,
+		faults: FaultTable{rng: kernel.NewStream("faults")},
 	}, nil
 }
 
@@ -287,44 +320,6 @@ func (m *Medium) Position(id NodeID) (geo.Point, bool) {
 	return m.index.Position(int32(id))
 }
 
-// SetBlocked installs a frame filter; frames for which fn returns true are
-// silently dropped. Pass nil to clear. Attack experiments use this for
-// jamming / partition injection.
-func (m *Medium) SetBlocked(fn func(from, to NodeID) bool) { m.blocked = fn }
-
-// AddBlocker installs an additional frame filter alongside SetBlocked and
-// any other blockers; a frame is dropped when any filter returns true.
-// It returns a removal function (safe to call more than once). The fault
-// injector stacks outages, partitions and loss bursts through this.
-func (m *Medium) AddBlocker(fn func(from, to NodeID) bool) (remove func()) {
-	if fn == nil {
-		return func() {}
-	}
-	p := &fn
-	m.blockers = append(m.blockers, p)
-	return func() {
-		if i := slices.Index(m.blockers, p); i >= 0 {
-			m.blockers = slices.Delete(m.blockers, i, i+1)
-		}
-	}
-}
-
-// frameBlocked reports whether any installed filter drops the frame.
-func (m *Medium) frameBlocked(from, to NodeID) bool {
-	//vcloudlint:allow hotalloc blocker predicates are test/model configuration; the common path has none installed
-	if m.blocked != nil && m.blocked(from, to) {
-		return true
-	}
-	// Evaluate in insertion order so any blocker-side randomness draws in
-	// a reproducible sequence.
-	for _, fn := range m.blockers {
-		if (*fn)(from, to) {
-			return true
-		}
-	}
-	return false
-}
-
 // Stats returns a copy of the medium counters.
 func (m *Medium) Stats() Stats { return m.stats }
 
@@ -390,18 +385,18 @@ func (p Params) ReceptionProb(d float64) float64 {
 	return (1 - x) * (1 - x)
 }
 
-// deliver runs the reception decision for one destination and, on
-// success, returns the pooled delivery and its delay for Send to
-// schedule (nil when the frame is not received). Shared by the unicast
-// and broadcast arms of Send; broadcasts pass retries == 0 (no ARQ on a
-// real MAC).
-func (m *Medium) deliver(from, to, dst NodeID, src, dstPos geo.Point, size int, payload any, retries int, pCollide float64) (*delivery, sim.Time) {
-	if m.frameBlocked(from, dst) {
-		return nil, 0
+// deliver runs the reception decision for one destination at dstPos and,
+// on success, collects the reception for Send to schedule. Shared by the
+// unicast and broadcast arms of Send; broadcasts pass retries == 0 (no
+// ARQ on a real MAC). tx is the frame's on-air time; faulty says whether
+// Send took the sender's side of an installed fault table.
+func (m *Medium) deliver(dst NodeID, src, dstPos geo.Point, tx sim.Time, retries int, pCollide float64, faulty bool) {
+	if faulty && m.faults.drops(dst, dstPos) {
+		return
 	}
 	h := m.handler(dst)
 	if h == nil {
-		return nil, 0
+		return
 	}
 	d := src.Dist(dstPos)
 	pRecv := m.receptionProb(d)
@@ -425,56 +420,48 @@ func (m *Medium) deliver(from, to, dst NodeID, src, dstPos geo.Point, size int, 
 	}
 	if !ok {
 		*lossKind++
-		return nil, 0
+		return
 	}
-	dl := m.getDelivery()
-	dl.h = h
-	dl.f = Frame{From: from, To: to, Size: size, Payload: payload, SentAt: m.kernel.Now()}
-	dl.count = true
 	// Transmission delay (per attempt) plus a small MAC access jitter.
 	jitter := sim.Time(m.rng.Int63n(int64(500 * time.Microsecond)))
-	return dl, sim.Time(attempts)*m.txDelay(size) + jitter
+	m.rx = append(m.rx, reception{sim.Time(attempts)*tx + jitter, h, true})
 }
 
-// collect queues a decided reception for scheduleReceptions.
-func (m *Medium) collect(dl *delivery, delay sim.Time) {
-	if dl != nil {
-		m.rx = append(m.rx, reception{delay, dl})
-	}
-}
-
-// scheduleReceptions schedules the frame's receptions in rising delay,
-// so the kernel queues the frame as one sorted run in one heap slot
-// instead of one heap entry per receiver. They were decided — and drew
-// from the radio stream — in receiver order; a stable sort keeps each
-// equal-delay group in that order, and the frame's receptions still take
-// one contiguous block of kernel seq, so the (at, seq) order every trace
-// follows is exactly what scheduling each on the spot gave.
+// scheduleReceptions sorts the frame's receptions by delay into a frame
+// run and schedules it as one kernel series. They were decided — and drew
+// from the radio stream — in receiver order; the stable sort keeps each
+// equal-delay group in that order, and the series takes one contiguous
+// block of kernel seq, so the (at, seq) order every trace follows is
+// exactly what scheduling each reception on the spot gave.
 //
-//vcloudlint:hotpath once per transmitted frame; the schedule loop behind every reception
-func (m *Medium) scheduleReceptions() {
-	rx := m.sortReceptions()
-	for _, r := range rx {
-		m.kernel.AfterArg(r.delay, runDelivery, r.d)
+//vcloudlint:hotpath once per transmitted frame; the schedule behind every reception
+func (m *Medium) scheduleReceptions(f Frame) {
+	if len(m.rx) == 0 {
+		return
 	}
-	// The kernel holds the deliveries now; the scratch must not pin them.
-	clear(rx)
+	r := m.getRun(len(m.rx))
+	r.f = f
+	r.rx = m.sortReceptions(r.rx)
+	r.stamp(m.kernel.Now())
+	m.kernel.AtSeries(&r.s)
+	// The run holds the handlers now; the scratch must not pin them.
 	clear(m.rx)
 	m.rx = m.rx[:0]
 }
 
-// sortReceptions returns the frame's receptions stably sorted by delay. A
-// counting pass deals them, in order, into len(rx) equal-width buckets
-// over the frame's delay span, and an insertion pass finishes inside each
-// bucket. The MAC jitter is uniform over that span, so a bucket holds
-// O(1) receptions and a frame sorts in expected linear time, where a
-// plain insertion sort is quadratic and a convoy frame reaches a hundred
-// receivers (slices.SortStableFunc is slower than either at that size).
-func (m *Medium) sortReceptions() []reception {
+// sortReceptions appends the frame's receptions to dst, stably sorted by
+// delay, and returns it. A counting pass deals them, in order, into
+// len(rx) equal-width buckets over the frame's delay span, and an
+// insertion pass finishes inside each bucket. The MAC jitter is uniform
+// over that span, so a bucket holds O(1) receptions and a frame sorts in
+// expected linear time, where a plain insertion sort is quadratic and a
+// convoy frame reaches a hundred receivers (slices.SortStableFunc is
+// slower than either at that size).
+func (m *Medium) sortReceptions(dst []reception) []reception {
 	rx := m.rx
 	n := len(rx)
 	if n < 2 {
-		return rx
+		return append(dst, rx...)
 	}
 	lo, hi := rx[0].delay, rx[0].delay
 	for _, r := range rx[1:] {
@@ -486,16 +473,18 @@ func (m *Medium) sortReceptions() []reception {
 	for len(m.rxCount) <= n {
 		m.rxCount = append(m.rxCount, 0)
 	}
-	for len(m.rxSorted) < n {
-		m.rxSorted = append(m.rxSorted, reception{})
+	base := len(dst)
+	for len(dst) < base+n {
+		dst = append(dst, reception{})
 	}
-	count, out := m.rxCount[:n+1], m.rxSorted[:n]
+	count, out := m.rxCount[:n+1], dst[base:]
 	clear(count)
 	for _, r := range rx {
 		count[uint64(r.delay-lo)*scale>>32+1]++
 	}
-	for b := 1; b < n; b++ {
-		count[b] += count[b-1]
+	for b, sum := 0, 0; b < n; b++ {
+		sum += count[b]
+		count[b] = sum
 	}
 	for _, r := range rx {
 		b := uint64(r.delay-lo) * scale >> 32
@@ -509,7 +498,7 @@ func (m *Medium) sortReceptions() []reception {
 		}
 		out[j] = r
 	}
-	return out
+	return dst
 }
 
 // Send transmits a frame. to == Broadcast delivers to every node in range;
@@ -530,11 +519,20 @@ func (m *Medium) Send(from, to NodeID, size int, payload any) {
 
 	// Account airtime for the collision model.
 	load := m.loadFraction()
-	m.airtime += float64(m.txDelay(size)) / float64(time.Second)
+	tx := m.txDelay(size)
+	m.airtime += float64(tx) / float64(time.Second)
 
 	pCollide := m.params.CollisionFactor * load
 	if pCollide > m.params.MaxCollisionLoss {
 		pCollide = m.params.MaxCollisionLoss
+	}
+
+	// The sender's side of every installed fault is taken once per frame;
+	// deliver then judges each receiver at the position the range query
+	// (or the unicast lookup) returned.
+	faulty := m.faults.active()
+	if faulty {
+		m.faults.from(from, src, true)
 	}
 
 	if to == Broadcast {
@@ -544,14 +542,14 @@ func (m *Medium) Send(from, to NodeID, size int, payload any) {
 		m.scratchIDs, m.scratchPos = m.index.WithinRangePos(
 			m.scratchIDs[:0], m.scratchPos[:0], src, m.params.RangeMax, int32(from))
 		for i, raw := range m.scratchIDs {
-			m.collect(m.deliver(from, to, NodeID(raw), src, m.scratchPos[i], size, payload, 0, pCollide))
+			m.deliver(NodeID(raw), src, m.scratchPos[i], tx, 0, pCollide, faulty)
 		}
 	} else if p, ok := m.index.Position(int32(to)); ok {
 		retries := m.params.UnicastRetries
 		if retries < 0 {
 			retries = 0
 		}
-		m.collect(m.deliver(from, to, to, src, p, size, payload, retries, pCollide))
+		m.deliver(to, src, p, tx, retries, pCollide, faulty)
 	}
 
 	// Eavesdroppers overhear whatever their radio can demodulate,
@@ -569,11 +567,7 @@ func (m *Medium) Send(from, to NodeID, size int, payload any) {
 		if m.rng.Float64() >= m.receptionProb(d) {
 			continue
 		}
-		dl := m.getDelivery()
-		dl.h = sp.h
-		dl.f = Frame{From: from, To: to, Size: size, Payload: payload, SentAt: m.kernel.Now()}
-		dl.count = false
-		m.collect(dl, m.txDelay(size))
+		m.rx = append(m.rx, reception{tx, sp.h, false})
 	}
-	m.scheduleReceptions()
+	m.scheduleReceptions(Frame{From: from, To: to, Size: size, Payload: payload, SentAt: m.kernel.Now()})
 }

@@ -390,21 +390,58 @@ func TestBlockedFilter(t *testing.T) {
 	m.UpdatePosition(2, geo.Point{X: 150, Y: 100})
 	got := 0
 	m.Register(2, func(Frame) { got++ })
-	m.SetBlocked(func(from, to NodeID) bool { return from == 1 })
+	m.Faults().Crash(1)
 	m.Send(1, 2, 100, nil)
 	if err := k.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got != 0 {
-		t.Error("blocked frame delivered")
+	if got != 0 || m.Faults().Dropped() != 1 {
+		t.Errorf("crashed sender: %d delivered, %d dropped; want 0 and 1", got, m.Faults().Dropped())
 	}
-	m.SetBlocked(nil)
+	m.Faults().Recover(1)
 	m.Send(1, 2, 100, nil)
 	if err := k.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if got != 1 {
-		t.Error("frame after unblock not delivered")
+		t.Error("frame after recover not delivered")
+	}
+}
+
+// TestFaultTableHeals: isolations and partitions stay in install order
+// whatever order they heal in, a second heal is a no-op, and Reset clears
+// every fault but keeps the drop count.
+func TestFaultTableHeals(t *testing.T) {
+	var ft FaultTable
+	var heals []func()
+	for i := 0; i < 6; i++ {
+		if i%2 == 0 {
+			heals = append(heals, ft.Isolate(map[NodeID]bool{NodeID(i): true}))
+		} else {
+			heals = append(heals, ft.Partition(geo.Point{X: float64(i)}, 1))
+		}
+	}
+	for _, i := range []int{3, 0, 3, 4} {
+		heals[i]()
+	}
+	ids := func() (iso, part []int) {
+		for _, x := range ft.isolations {
+			iso = append(iso, x.id)
+		}
+		for _, p := range ft.partitions {
+			part = append(part, p.id)
+		}
+		return iso, part
+	}
+	if iso, part := ids(); !slices.Equal(iso, []int{3}) || !slices.Equal(part, []int{2, 6}) {
+		t.Errorf("after heals: isolations %v, partitions %v; want [3] and [2 6]", iso, part)
+	}
+	ft.Crash(7)
+	ft.SetLoss(0.5)
+	ft.dropped = 9
+	ft.Reset()
+	if ft.active() || ft.Crashed(7) || ft.Dropped() != 9 {
+		t.Errorf("after Reset: active %v, crashed %v, dropped %d; want false, false, 9", ft.active(), ft.Crashed(7), ft.Dropped())
 	}
 }
 
@@ -519,8 +556,9 @@ func TestUplinkLoss(t *testing.T) {
 }
 
 // TestBroadcastAllocs guards the zero-allocation broadcast path: once the
-// medium's scratch buffers and delivery freelist are warm, a broadcast to
-// N registered neighbors must not allocate at all.
+// medium's scratch buffers and frame-run pool are warm, a broadcast to N
+// registered neighbors must not allocate at all, with or without faults
+// installed.
 func TestBroadcastAllocs(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := newTestMedium(t, k)
@@ -529,19 +567,53 @@ func TestBroadcastAllocs(t *testing.T) {
 		m.UpdatePosition(id, geo.Point{X: float64(1000 + i*10), Y: 1000})
 		m.Register(id, func(Frame) {})
 	}
-	// Warm the scratch buffers, delivery freelist and kernel event pool.
-	for i := 0; i < 10; i++ {
-		m.Send(0, Broadcast, 100, nil)
+	for faults := range 2 {
+		if faults == 1 {
+			ft := m.Faults()
+			ft.Crash(19)
+			ft.Isolate(map[NodeID]bool{18: true})
+			ft.Partition(geo.Point{X: 1170, Y: 1000}, 5)
+			ft.Partition(geo.Point{X: 1000, Y: 1000}, 1)
+			ft.SetLoss(0.2)
+		}
+		// Warm the scratch buffers, frame-run pool and kernel event pool.
+		for i := 0; i < 10; i++ {
+			m.Send(0, Broadcast, 100, nil)
+			if err := k.Run(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			m.Send(0, Broadcast, 100, nil)
+			k.Run(0)
+		})
+		if allocs != 0 {
+			t.Errorf("faults %v: warm broadcast allocated %.1f times per Send+Run, want 0", faults == 1, allocs)
+		}
+	}
+}
+
+// TestRunsPoolBySize: a unicast after a broadcast takes a small run, not
+// the broadcast's, and each class's runs go back to their own pool.
+func TestRunsPoolBySize(t *testing.T) {
+	k := sim.NewKernel(1)
+	m := newTestMedium(t, k)
+	for i := 0; i < 20; i++ {
+		m.UpdatePosition(NodeID(i), geo.Point{X: float64(1000 + i*10), Y: 1000})
+		m.Register(NodeID(i), func(Frame) {})
+	}
+	for _, to := range []NodeID{Broadcast, 1, Broadcast, 2} {
+		m.Send(0, to, 100, nil)
 		if err := k.Run(0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		m.Send(0, Broadcast, 100, nil)
-		k.Run(0)
-	})
-	if allocs != 0 {
-		t.Errorf("warm broadcast allocated %.1f times per Send+Run, want 0", allocs)
+	small, large := m.freeRuns[0], m.freeRuns[1]
+	if len(small) != 1 || len(large) != 1 {
+		t.Fatalf("pools hold %d small and %d large runs, want one of each", len(small), len(large))
+	}
+	if cap(small[0].rx) > smallRun || cap(large[0].rx) < 19 {
+		t.Errorf("run capacities %d and %d, want at most %d and at least 19", cap(small[0].rx), cap(large[0].rx), smallRun)
 	}
 }
 
@@ -567,6 +639,23 @@ func BenchmarkDeliverLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkSortReceptions sorts a convoy frame's 100 receptions, their
+// delays one transmission time plus uniform MAC jitter.
+func BenchmarkSortReceptions(b *testing.B) {
+	m := newTestMedium(b, sim.NewKernel(1))
+	rng := rand.New(rand.NewSource(1))
+	h := func(Frame) {}
+	for i := 0; i < 100; i++ {
+		m.rx = append(m.rx, reception{m.txDelay(300) + sim.Time(rng.Int63n(int64(500*time.Microsecond))), h, true})
+	}
+	var dst []reception
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = m.sortReceptions(dst[:0])
+	}
+}
+
 func BenchmarkBroadcast100Nodes(b *testing.B) {
 	k := sim.NewKernel(1)
 	m, err := NewMedium(k, testBounds(), DefaultParams())
@@ -588,10 +677,49 @@ func BenchmarkBroadcast100Nodes(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // Reference model: Medium.Send as it was before a frame's receptions were
-// collected and sorted — each reception scheduled the moment deliver
-// decides it, in receiver order, the spies' after them.
+// queued as one kernel series and before the fault verdicts were taken
+// per frame — each reception its own kernel event, scheduled the moment it
+// is decided, in receiver order, the spies' after them, and every
+// (sender, receiver) pair judged by the per-pair fault filter the fault
+// injector used to install, positions looked up for both ends.
 // TestSendMatchesPerReceiverModel drives it and Send from one seed and
 // requires the same observable history.
+
+// refReception is one reception as the model schedules it.
+type refReception struct {
+	m     *Medium
+	h     Handler
+	f     Frame
+	count bool
+}
+
+func refFire(a any) {
+	r := a.(*refReception)
+	if r.count {
+		r.m.stats.Delivered++
+	}
+	r.h(r.f)
+}
+
+// refBlocked is the per-pair fault filter: crash, isolation, partition,
+// then a loss draw, every drop counted.
+func refBlocked(m *Medium, from, to NodeID) bool {
+	t := &m.faults
+	cut := t.dead[from] || t.dead[to]
+	for _, iso := range t.isolations {
+		cut = cut || iso.set[from] != iso.set[to]
+	}
+	fp, fok := m.index.Position(int32(from))
+	tp, tok := m.index.Position(int32(to))
+	for _, p := range t.partitions {
+		cut = cut || (fok && tok && (fp.Dist(p.center) <= p.radius) != (tp.Dist(p.center) <= p.radius))
+	}
+	if cut || (t.loss > 0 && t.rng.Float64() < t.loss) {
+		t.dropped++
+		return true
+	}
+	return false
+}
 
 func refSend(m *Medium, from, to NodeID, size int, payload any) {
 	src, ok := m.index.Position(int32(from))
@@ -609,19 +737,29 @@ func refSend(m *Medium, from, to NodeID, size int, payload any) {
 	if pCollide > m.params.MaxCollisionLoss {
 		pCollide = m.params.MaxCollisionLoss
 	}
-	scheduleNow := func(dl *delivery, delay sim.Time) {
-		if dl != nil {
-			m.kernel.AfterArg(delay, runDelivery, dl)
+	f := Frame{From: from, To: to, Size: size, Payload: payload, SentAt: m.kernel.Now()}
+	// scheduleNow schedules whatever deliver (with the faults already
+	// judged here) or a spy collected, one event per reception.
+	scheduleNow := func() {
+		for _, r := range m.rx {
+			m.kernel.AfterArg(r.delay, refFire, &refReception{m, r.h, f, r.count})
+		}
+		m.rx = m.rx[:0]
+	}
+	decide := func(dst NodeID, p geo.Point, retries int) {
+		if !refBlocked(m, from, dst) {
+			m.deliver(dst, src, p, m.txDelay(size), retries, pCollide, false)
+			scheduleNow()
 		}
 	}
 	if to == Broadcast {
 		m.scratchIDs, m.scratchPos = m.index.WithinRangePos(
 			m.scratchIDs[:0], m.scratchPos[:0], src, m.params.RangeMax, int32(from))
 		for i, raw := range m.scratchIDs {
-			scheduleNow(m.deliver(from, to, NodeID(raw), src, m.scratchPos[i], size, payload, 0, pCollide))
+			decide(NodeID(raw), m.scratchPos[i], 0)
 		}
 	} else if p, ok := m.index.Position(int32(to)); ok {
-		scheduleNow(m.deliver(from, to, to, src, p, size, payload, max(m.params.UnicastRetries, 0), pCollide))
+		decide(to, p, max(m.params.UnicastRetries, 0))
 	}
 	for _, sp := range m.spies {
 		if sp.id == from || sp.id == to {
@@ -634,11 +772,8 @@ func refSend(m *Medium, from, to NodeID, size int, payload any) {
 		if m.rng.Float64() >= m.receptionProb(src.Dist(p)) {
 			continue
 		}
-		dl := m.getDelivery()
-		dl.h = sp.h
-		dl.f = Frame{From: from, To: to, Size: size, Payload: payload, SentAt: m.kernel.Now()}
-		dl.count = false
-		m.kernel.AfterArg(m.txDelay(size), runDelivery, dl)
+		m.rx = append(m.rx, reception{m.txDelay(size), sp.h, false})
+		scheduleNow()
 	}
 }
 
@@ -659,7 +794,6 @@ type radioSide struct {
 	k    *sim.Kernel
 	m    *Medium
 	send func(from, to NodeID, size int, payload any)
-	loss *rand.Rand // the fault blocker's own stream
 	log  []heard
 }
 
@@ -692,9 +826,10 @@ func (s *radioSide) spy(id NodeID) Handler {
 }
 
 // run replays the program seed generates: a dense neighbourhood with
-// some nodes in the fade zone, three spies, a lossy fault blocker and a
-// deterministic one, then timed broadcasts and unicasts, moves,
-// re-registrations and blocker removals.
+// some nodes in the fade zone, three spies, and a fault table with two
+// crashed nodes, one isolation, two partitions and loss; then timed
+// broadcasts and unicasts, moves, re-registrations, crashes, recoveries,
+// heals and loss changes.
 func (s *radioSide) run(t *testing.T, seed int64) {
 	prog := rand.New(rand.NewSource(seed))
 	for id := NodeID(0); id < diffNodes; id++ {
@@ -706,9 +841,13 @@ func (s *radioSide) run(t *testing.T, seed int64) {
 	for _, id := range []NodeID{3, 11, 29} {
 		s.m.SetPromiscuous(id, s.spy(id))
 	}
-	s.m.SetBlocked(func(from, to NodeID) bool { return from == 5 && to%2 == 0 })
-	removeLoss := s.m.AddBlocker(func(NodeID, NodeID) bool { return s.loss.Float64() < 0.1 })
-	removeCut := s.m.AddBlocker(func(from, to NodeID) bool { return from+to == 30 })
+	ft := s.m.Faults()
+	ft.Crash(5)
+	ft.Crash(21)
+	healIso := ft.Isolate(map[NodeID]bool{2: true, 9: true, 33: true})
+	healA := ft.Partition(geo.Point{X: 1150, Y: 1050}, 70)
+	ft.Partition(geo.Point{X: 1400, Y: 1100}, 50)
+	ft.SetLoss(0.1)
 	for op := 0; op < 300; op++ {
 		at := sim.Time(prog.Intn(3000)) * time.Millisecond
 		from := NodeID(prog.Intn(diffNodes))
@@ -725,10 +864,17 @@ func (s *radioSide) run(t *testing.T, seed int64) {
 			case 8:
 				s.m.Register(from, s.handler(from))
 			case 9:
-				if op%2 == 0 {
-					removeLoss()
-				} else {
-					removeCut()
+				switch op % 5 {
+				case 0:
+					ft.Crash(NodeID(arg))
+				case 1:
+					ft.Recover(NodeID(arg))
+				case 2:
+					healA()
+				case 3:
+					healIso()
+				case 4:
+					ft.SetLoss(float64(arg%3) / 10)
 				}
 			}
 		})
@@ -738,20 +884,21 @@ func (s *radioSide) run(t *testing.T, seed int64) {
 	}
 }
 
-// TestSendMatchesPerReceiverModel: Send, which collects a frame's
-// receptions and schedules them sorted by delay, must be
-// indistinguishable from scheduling each reception as it is decided —
-// the same (Now, receiver, frame) handler sequence, the same Stats() and
-// the same next radio-stream value — through broadcasts, unicasts with
-// ARQ in the fade zone and under load, spies overhearing at one shared
-// instant, blockers installed and removed, and handlers that transmit
-// or unregister other nodes mid-broadcast.
+// TestSendMatchesPerReceiverModel: Send, which takes the sender's fault
+// verdicts once per frame and queues the frame's receptions as one sorted
+// kernel series, must be indistinguishable from judging every pair and
+// scheduling each reception as it is decided — the same (Now, receiver,
+// frame) handler sequence, the same Stats(), the same drop count and the
+// same next radio- and faults-stream values — through broadcasts,
+// unicasts with ARQ in the fade zone and under load, spies overhearing at
+// one shared instant, faults installed and healed, and handlers that
+// transmit or unregister other nodes mid-broadcast.
 func TestSendMatchesPerReceiverModel(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		sides := [2]*radioSide{}
 		for i := range sides {
 			k := sim.NewKernel(seed)
-			s := &radioSide{k: k, m: newTestMedium(t, k), loss: rand.New(rand.NewSource(seed))}
+			s := &radioSide{k: k, m: newTestMedium(t, k)}
 			s.send = s.m.Send
 			if i == 1 {
 				s.send = func(from, to NodeID, size int, payload any) { refSend(s.m, from, to, size, payload) }
@@ -777,29 +924,50 @@ func TestSendMatchesPerReceiverModel(t *testing.T) {
 		if g, w := got.m.rng.Int63(), want.m.rng.Int63(); g != w {
 			t.Errorf("seed %d: next radio-stream value %d, model %d", seed, g, w)
 		}
+		if g, w := got.m.faults.Dropped(), want.m.faults.Dropped(); g != w || g == 0 {
+			t.Errorf("seed %d: %d receptions dropped by faults, model %d (want equal and nonzero)", seed, g, w)
+		}
+		if g, w := got.m.faults.rng.Int63(), want.m.faults.rng.Int63(); g != w {
+			t.Errorf("seed %d: next faults-stream value %d, model %d", seed, g, w)
+		}
 	}
 }
 
 // TestSortReceptionsIsStableSort: the bucket sort must equal a stable
 // sort by delay — ties among receivers kept in collection order — over
 // frame sizes from empty to larger than any convoy, delay spans from all
-// equal to far wider than the MAC jitter, and scratch left over from
-// larger frames.
+// equal to far wider than the MAC jitter, and a destination left over
+// from larger frames.
 func TestSortReceptionsIsStableSort(t *testing.T) {
 	m := newTestMedium(t, sim.NewKernel(1))
 	rng := rand.New(rand.NewSource(1))
-	tags := make([]delivery, 400)
+	tags := make([]Handler, 400)
+	hit := -1
+	for i := range tags {
+		tags[i] = func(Frame) { hit = i }
+	}
+	tag := func(r reception) int {
+		r.h(Frame{})
+		return hit
+	}
+	var dst []reception
 	for trial := 0; trial < 500; trial++ {
 		n := rng.Intn(len(tags))
 		span := []int64{1, 3, 50, int64(500 * time.Microsecond), int64(time.Hour)}[rng.Intn(5)]
 		m.rx = m.rx[:0]
 		for i := 0; i < n; i++ {
-			m.rx = append(m.rx, reception{sim.Time(rng.Int63n(span)), &tags[i]})
+			m.rx = append(m.rx, reception{sim.Time(rng.Int63n(span)), tags[i], i%3 == 0})
 		}
 		want := slices.Clone(m.rx)
 		slices.SortStableFunc(want, func(a, b reception) int { return cmp.Compare(a.delay, b.delay) })
-		if got := m.sortReceptions(); !slices.Equal(got, want) {
-			t.Fatalf("trial %d (n %d, span %d): not the stable sort by delay", trial, n, span)
+		dst = m.sortReceptions(dst[:0])
+		if len(dst) != n {
+			t.Fatalf("trial %d: sorted %d receptions, want %d", trial, len(dst), n)
+		}
+		for i := range want {
+			if g, w := dst[i], want[i]; g.delay != w.delay || g.count != w.count || tag(g) != tag(w) {
+				t.Fatalf("trial %d (n %d, span %d): position %d is not the stable sort by delay", trial, n, span, i)
+			}
 		}
 	}
 }

@@ -3,6 +3,8 @@
 // clock and a priority queue of scheduled events; entities schedule
 // callbacks at future virtual times and the kernel dispatches them in
 // (time, sequence) order, so a run with a fixed seed is fully reproducible.
+// A Series queues many members — a radio frame's receptions — as one
+// event that fires each of them in turn at its own (time, sequence).
 //
 // The kernel is intentionally single-goroutine: all model code executes in
 // the caller's goroutine and no locking is required inside models. This is
@@ -32,10 +34,10 @@ type event struct {
 	seq   uint64 // tie-breaker: FIFO among equal timestamps
 	fn    func()
 	argFn func(any) // alternative callback form (AtArg); nil when fn is set
-	arg   any
-	next  *event // the event scheduled right after this one, if it joined this run
-	index int32  // heap slot of a run's head, or one of the sentinels below
-	gen   uint32 // incremented every time the event leaves the schedule
+	arg   any       // argFn's argument; the *Series of a series event, which has neither callback
+	next  *event    // the event scheduled right after this one, if it joined this run
+	index int32     // heap slot of a run's head, or one of the sentinels below
+	gen   uint32    // incremented every time the event leaves the schedule
 }
 
 // Values of event.index for an event that is not at the head of a run.
@@ -158,7 +160,8 @@ type Kernel struct {
 	seq     uint64
 	queue   eventQueue
 	tail    *event   // the most recently scheduled event while it is still queued: the one run that can grow
-	pending int      // scheduled events, chained ones included
+	tailAt  Time     // when tail's last member fires: its own time, or a series' last member's
+	pending int      // scheduled events, chained ones and series members included
 	free    []*event // recycled events; bounds allocation to peak concurrency
 	rng     *rand.Rand
 	seed    int64
@@ -273,24 +276,64 @@ func (k *Kernel) recycle(ev *event) {
 // it and never enters the heap. seq rises with every call, so each run is
 // strictly increasing in (at, seq) and the heap of run heads is an exact
 // k-way merge: pop order is (at, seq) whatever the runs look like. A
-// schedule sequence in rising time — a frame's sorted receptions, a
-// pre-generated op stream, a tick's deliveries — is one run and one heap
-// slot. One remembered event is the whole lookup: no per-instant map, no
-// bucket array.
+// schedule sequence in rising time — a pre-generated op stream, a tick's
+// deliveries — is one run and one heap slot. One remembered event is the
+// whole lookup: no per-instant map, no bucket array.
 func (k *Kernel) schedule(t Time, fn func(), argFn func(any), arg any) EventID {
 	if t < k.now {
 		t = k.now
 	}
 	ev := k.alloc(t, fn, argFn, arg)
-	if tl := k.tail; tl != nil && tl.at <= t {
-		tl.next = ev
+	k.enqueue(ev, t)
+	k.pending++
+	return EventID{ev: ev, owner: k, gen: ev.gen}
+}
+
+// enqueue links ev behind the tail when its time is at or after the
+// tail's last member, or pushes it as the head of a new run, and makes it
+// the tail; last is when ev's own last member fires.
+func (k *Kernel) enqueue(ev *event, last Time) {
+	if k.tail != nil && k.tailAt <= ev.at {
+		k.tail.next = ev
 		ev.index = chained
 	} else {
 		k.queue.push(ev)
 	}
 	k.tail = ev
-	k.pending++
-	return EventID{ev: ev, owner: k, gen: ev.gen}
+	k.tailAt = last
+}
+
+// Series is a caller-owned schedule of members that AtSeries queues as one
+// event: member i fires Fn(Arg, i) at At[i], in index order. The kernel
+// reads At as the members come due, so the caller must leave the Series
+// untouched until its last member has started — from then on it is the
+// caller's again, and the last member's own callback may reuse it.
+type Series struct {
+	At   []Time // member times, non-decreasing
+	Fn   func(arg any, i int)
+	Arg  any
+	next int // the member that fires next
+}
+
+// AtSeries schedules the members of s. The series takes len(s.At)
+// consecutive seqs, so members pop exactly where as many AtArg calls in
+// index order would have put them — times before Now clamp to Now the
+// same way — while the queue holds one event: after a member fires the
+// event takes the next member's time and seq and sifts down from the
+// root, and only the last member leaves the queue. Pending and Processed
+// count members. A series cannot be cancelled.
+//
+//vcloudlint:hotpath one call schedules every reception of a radio frame
+func (k *Kernel) AtSeries(s *Series) {
+	n := len(s.At)
+	if n == 0 || s.Fn == nil {
+		return
+	}
+	s.next = 0
+	ev := k.alloc(max(s.At[0], k.now), nil, nil, s)
+	k.seq += uint64(n - 1)
+	k.enqueue(ev, max(s.At[n-1], ev.at))
+	k.pending += n
 }
 
 // unlink takes the run head in heap slot i off the schedule and returns
@@ -456,6 +499,34 @@ func (k *Kernel) fire(ev *event) {
 	}
 }
 
+// dispatch fires the earliest scheduled event, or the due member of the
+// earliest series. A series event carries neither callback form — At and
+// AtArg refuse nil callbacks — and its *Series in arg. Before the member
+// runs, the event either takes the next member's time and seq, which
+// follow the fired member's and so can only sift down from the root, or,
+// after the last member, leaves the queue like any other event.
+func (k *Kernel) dispatch() {
+	ev := k.queue[0]
+	if ev.fn != nil || ev.argFn != nil {
+		k.fire(k.unlink(0))
+		return
+	}
+	s := ev.arg.(*Series)
+	i := s.next
+	k.now = ev.at
+	k.processed++
+	fn, arg := s.Fn, s.Arg
+	if s.next = i + 1; s.next < len(s.At) {
+		ev.at = max(s.At[s.next], ev.at)
+		ev.seq++
+		k.queue.down(0, ev)
+		k.pending--
+	} else {
+		k.recycle(k.unlink(0))
+	}
+	fn(arg, i)
+}
+
 // Run dispatches events until the queue is empty or the horizon is reached.
 // The clock is left at the time of the last dispatched event (or at horizon
 // if the horizon cut the run short). A zero or negative horizon means "run
@@ -473,7 +544,7 @@ func (k *Kernel) Run(horizon Time) error {
 			k.now = horizon
 			return nil
 		}
-		k.fire(k.unlink(0))
+		k.dispatch()
 	}
 	if horizon > 0 && k.now < horizon {
 		k.now = horizon
@@ -499,7 +570,7 @@ func (k *Kernel) RunBefore(limit Time) error {
 		if next.at >= limit {
 			break
 		}
-		k.fire(k.unlink(0))
+		k.dispatch()
 	}
 	if k.now < limit {
 		k.now = limit
@@ -523,7 +594,7 @@ func (k *Kernel) Step() bool {
 		return false
 	}
 	start := time.Now()
-	k.fire(k.unlink(0))
+	k.dispatch()
 	k.runWall += time.Since(start)
 	return true
 }

@@ -310,6 +310,7 @@ func TestNewStreamStableAndDecorrelated(t *testing.T) {
 func liveEvents(k *Kernel) (map[*event]bool, error) {
 	live := make(map[*event]bool)
 	seen := make(map[*event]bool)
+	members := 0
 	for i, head := range k.queue {
 		if head.index != int32(i) {
 			return nil, fmt.Errorf("head in slot %d has index %d", i, head.index)
@@ -323,8 +324,8 @@ func liveEvents(k *Kernel) (map[*event]bool, error) {
 			}
 			seen[ev] = true
 			if prev != nil {
-				if !prev.before(ev) {
-					return nil, fmt.Errorf("run in slot %d out of order: (%v, %d) behind (%v, %d)", i, ev.at, ev.seq, prev.at, prev.seq)
+				if at, seq := lastKey(prev); at > ev.at || (at == ev.at && seq >= ev.seq) {
+					return nil, fmt.Errorf("run in slot %d out of order: (%v, %d) behind (%v, %d)", i, ev.at, ev.seq, at, seq)
 				}
 				if ev.index != chained && ev.index != tombstone {
 					return nil, fmt.Errorf("chained event seq %d has index %d", ev.seq, ev.index)
@@ -332,16 +333,47 @@ func liveEvents(k *Kernel) (map[*event]bool, error) {
 			}
 			if ev.index != tombstone {
 				live[ev] = true
+				members += memberCount(ev)
 			}
 		}
 	}
-	if len(live) != k.Pending() {
-		return nil, fmt.Errorf("Pending() = %d, %d live events reachable", k.Pending(), len(live))
+	if members != k.Pending() {
+		return nil, fmt.Errorf("Pending() = %d, %d live members reachable", k.Pending(), members)
 	}
 	if tl := k.tail; tl != nil && (!live[tl] || tl.next != nil) {
 		return nil, fmt.Errorf("tail (seq %d) is not the live end of a run", tl.seq)
 	}
+	if tl := k.tail; tl != nil {
+		if at, _ := lastKey(tl); at != k.tailAt {
+			return nil, fmt.Errorf("tailAt %v, tail's last member at %v", k.tailAt, at)
+		}
+	}
 	return live, nil
+}
+
+// seriesOf returns the Series behind a series event, or nil.
+func seriesOf(ev *event) *Series {
+	if ev.fn != nil || ev.argFn != nil {
+		return nil
+	}
+	s, _ := ev.arg.(*Series)
+	return s
+}
+
+// memberCount is how many members a queued event still has to fire.
+func memberCount(ev *event) int {
+	if s := seriesOf(ev); s != nil {
+		return len(s.At) - s.next
+	}
+	return 1
+}
+
+// lastKey is the (at, seq) of ev's last member: its own, or a series'.
+func lastKey(ev *event) (Time, uint64) {
+	if s := seriesOf(ev); s != nil {
+		return max(s.At[len(s.At)-1], ev.at), ev.seq + uint64(len(s.At)-1-s.next)
+	}
+	return ev.at, ev.seq
 }
 
 // checkQueue asserts liveEvents' invariants plus: an EventID reports
@@ -631,6 +663,20 @@ func TestScheduleFireCancelAllocFree(t *testing.T) {
 	if allocs != 0 || k.Pending() != 0 {
 		t.Errorf("chained schedule/cancel/fire allocated %.1f times per run with %d left pending, want 0 and 0", allocs, k.Pending())
 	}
+	// And a warm series: eight members over three instants, scheduled as
+	// one event and drained member by member.
+	sr := &Series{At: make([]Time, 8), Fn: func(any, int) {}}
+	allocs = testing.AllocsPerRun(1000, func() {
+		for i := range sr.At {
+			sr.At[i] = k.Now() + Time(i/3)*time.Microsecond
+		}
+		k.AtSeries(sr)
+		for k.Step() {
+		}
+	})
+	if allocs != 0 || k.Pending() != 0 {
+		t.Errorf("series schedule/drain allocated %.1f times per run with %d left pending, want 0 and 0", allocs, k.Pending())
+	}
 }
 
 // TestEventStaysOneCacheLine: the queue dereferences every event it orders,
@@ -780,6 +826,50 @@ func BenchmarkKernelFrameBursts(b *testing.B) {
 	}
 	if k.Pending() != held {
 		b.Fatalf("Pending() = %d after the bursts drained, want the %d held events", k.Pending(), held)
+	}
+}
+
+// BenchmarkKernelSeries is BenchmarkKernelFrameBursts with each frame's
+// receptions queued as one series, the way radio.Medium schedules them:
+// one heap entry per frame instead of one event per reception.
+func BenchmarkKernelSeries(b *testing.B) {
+	const (
+		held   = 3600
+		burst  = 37
+		window = 500 * time.Microsecond
+	)
+	k := NewKernel(1)
+	rng := k.NewStream("bursts")
+	fn := func(any) {}
+	for i := 0; i < held; i++ {
+		k.AtArg(100*time.Hour+Time(rng.Int63n(int64(time.Hour))), fn, nil)
+	}
+	var offsets [64][burst]Time
+	for i := range offsets {
+		for j := range offsets[i] {
+			offsets[i][j] = 1 + Time(rng.Int63n(int64(window)))
+		}
+		slices.Sort(offsets[i][:])
+	}
+	s := &Series{At: make([]Time, burst), Fn: func(any, int) {}}
+	frame := func(i int) {
+		now := k.Now()
+		for j, d := range offsets[i%len(offsets)] {
+			s.At[j] = now + d
+		}
+		k.AtSeries(s)
+		if err := k.Run(now + window); err != nil {
+			b.Fatal(err)
+		}
+	}
+	frame(0) // fill the freelist
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame(i)
+	}
+	if k.Pending() != held {
+		b.Fatalf("Pending() = %d after the frames drained, want the %d held events", k.Pending(), held)
 	}
 }
 
@@ -937,6 +1027,17 @@ func (k *heapKernel) AtArg(t Time, fn func(any), arg any) heapEventID {
 	return k.schedule(t, nil, fn, arg)
 }
 
+// AtSeries is the series as the model knows it: each member its own
+// event, scheduled by AtArg in index order.
+func (k *heapKernel) AtSeries(s *Series) {
+	if s.Fn == nil {
+		return
+	}
+	for i, at := range s.At {
+		k.AtArg(at, func(a any) { s.Fn(a, i) }, s.Arg)
+	}
+}
+
 func (k *heapKernel) After(d Time, fn func()) heapEventID { return k.At(k.now+d, fn) }
 
 func (k *heapKernel) AfterArg(d Time, fn func(any), arg any) heapEventID {
@@ -1051,6 +1152,7 @@ func (k *heapKernel) Step() bool {
 type orderedKernel[ID any] interface {
 	At(Time, func()) ID
 	AtArg(Time, func(any), any) ID
+	AtSeries(*Series)
 	After(Time, func()) ID
 	Cancel(ID) bool
 	Step() bool
@@ -1167,7 +1269,7 @@ func (s *side[ID]) apply(op, a, b byte) {
 	now := s.k.Now()
 	near := nearInstants[a%3]
 	wide := Time(int(a)<<8|int(b)) * time.Microsecond
-	switch op % 14 {
+	switch op % 16 {
 	case 0, 1:
 		s.ids = append(s.ids, s.k.At(now+near, s.handler(b, 0)))
 	case 2:
@@ -1215,7 +1317,34 @@ func (s *side[ID]) apply(op, a, b byte) {
 		if b%2 == 1 {
 			s.cancel(k - 1)
 		}
+	case 14: // a series 0-300 µs apart, for odd a an event chained at its last member's instant
+		k, step := 1+int(a)%6, Time(b%4)*100*time.Microsecond
+		last := s.series(now+near, step, k, b)
+		if a%2 == 1 {
+			s.ids = append(s.ids, s.k.At(last, s.handler(b>>1, 0)))
+		}
+	case 15: // a series at Now(), for odd b starting in the past and clamped
+		start := now
+		if b%2 == 1 {
+			start -= time.Millisecond
+		}
+		s.series(start, Time(a%3)*time.Millisecond, 1+int(a)%5, b)
 	}
+}
+
+// series schedules k members j·step after start as one Series, each a
+// labelled handler with its own follow-up, and returns the last member's
+// time.
+func (s *side[ID]) series(start, step Time, k int, b byte) Time {
+	sr := &Series{At: make([]Time, k), Fn: func(a any, i int) { a.([]func())[i]() }}
+	fns := make([]func(), k)
+	for j := range sr.At {
+		sr.At[j] = start + Time(j)*step
+		fns[j] = s.handler(b>>j, 0)
+	}
+	sr.Arg = fns
+	s.k.AtSeries(sr)
+	return sr.At[k-1]
 }
 
 // drain stops every ticker and runs the queue dry.
@@ -1251,7 +1380,7 @@ func checkProgram(t testing.TB, prog []byte) {
 	for i := 0; i+2 < len(prog); i += 3 {
 		got.apply(prog[i], prog[i+1], prog[i+2])
 		want.apply(prog[i], prog[i+1], prog[i+2])
-		check(fmt.Sprintf("instruction %d (%d %d %d)", i/3, prog[i]%14, prog[i+1], prog[i+2]))
+		check(fmt.Sprintf("instruction %d (%d %d %d)", i/3, prog[i]%16, prog[i+1], prog[i+2]))
 	}
 	got.drain()
 	want.drain()
@@ -1266,7 +1395,10 @@ func checkProgram(t testing.TB, prog []byte) {
 // clock, counts, next-event time and id liveness after every operation of
 // seeded random programs that schedule through every entry point, mostly
 // onto three near instants or in ascending bursts across distinct ones,
-// cancel heads, mid-run members, tails, fired and recycled ids, stop
+// queue series (at Now(), clamped from the past, chained behind the tail
+// or with events chained behind them, their members scheduling at their
+// own instant), cancel heads, mid-run members, tails, fired and recycled
+// ids, stop
 // tickers from inside their own tick, and interleave Step, Run and
 // RunBefore.
 func TestRunQueueMatchesHeapModel(t *testing.T) {
@@ -1283,6 +1415,7 @@ func FuzzKernelOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 1, 3, 0, 1, 4, 6, 1, 0, 9, 1, 0})
 	f.Add([]byte{5, 0, 1, 3, 0, 24, 3, 0, 2, 8, 0, 0, 10, 2, 0, 7, 0, 3})
 	f.Add([]byte{12, 4, 9, 13, 6, 3, 13, 1, 6, 8, 0, 0, 6, 2, 0, 10, 1, 0, 12, 5, 2, 9, 0, 0})
+	f.Add([]byte{12, 3, 1, 14, 5, 0, 14, 3, 2, 0, 2, 0, 15, 1, 3, 15, 4, 8, 8, 0, 0, 9, 1, 0, 14, 7, 6, 10, 2, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 3*400 {
 			prog = prog[:3*400]

@@ -145,6 +145,95 @@ func (r *ckptReader) count(what string, max int) int {
 	return n
 }
 
+// Wire sizes, in bytes, of the checkpoint's parts with every string and
+// nested collection empty — each record's fixed fields plus the length
+// prefixes. The decoder presizes slices by them; encodedSize adds the
+// variable parts to them.
+const (
+	wireAddr        = 8
+	wireString      = 2
+	wireHeader      = 4 + 5*8 + 1 + 3*8 + wireConfig + 6*4 // magic … epoch, the config, six collection counts
+	wireConfig      = 4*8 + 1 + 8 + 1 + 2*8 + 1 + 1        // the controller config, its policy's presence byte last
+	wirePolicy      = 8 + 8 + 8 + 8 + 8 + 8 + 1            // behind a presence byte
+	wireEstimate    = 8 + 8 + 8 + 8 + 8
+	wireMember      = 8 + 8 + 8 + 2
+	wireTask        = 8 + 8 + 8 + 8 + 8 + 2 + 1 + 1 + 1
+	wireStage       = 8 + 8 + 8 + 4 // a task's stage binding, behind a presence byte
+	wireTaskCkpt    = wireTask + 8 + 8 + 8 + 8 + 8
+	wireStageInput  = 8 + 8 + 4
+	wireApplied     = 8 + 8
+	wireParked      = wireTask + 8 + 1 + 2 + 8 + 4 + 8 + 8 + 8 + 8
+	wireJob         = 8 + 8 + 8 + 8 + 8 + 4 + 8 + 1 + 8 + 8 + 8 + 8 + 1 + 8 + 4
+	wireStageSpec   = 2 + 8 + 8 + 8 + 2 + 4 + 1
+	wireDep         = 8
+	wireStageRecord = 1 + 8 + 8 + 8 + 4
+)
+
+// encodedSize is the exact length of ck's encoding, so EncodeCheckpoint
+// allocates its buffer once; TestEncodedSizeIsExact and the fuzz round
+// trip hold it to the writer.
+func encodedSize(ck *Checkpoint) int {
+	n := wireHeader + policySize(ck.Cfg.Depend) + int(NumTiers)*wireEstimate
+	for _, m := range ck.Members {
+		n += wireMember
+		for _, s := range m.Res.Sensors {
+			n += wireString + len(s)
+		}
+	}
+	for i := range ck.Tasks {
+		n += wireTaskCkpt + taskSize(&ck.Tasks[i].Task)
+	}
+	n += wireApplied * len(ck.Applied)
+	for i := range ck.Parked {
+		p := &ck.Parked[i]
+		n += wireParked + taskSize(&p.Task) + len(p.Reason) + wireAddr*len(p.Voters)
+	}
+	n += wireAddr * len(ck.Armed)
+	for i := range ck.Jobs {
+		jc := &ck.Jobs[i]
+		n += wireJob
+		for _, st := range jc.Spec.Stages {
+			n += wireStageSpec + len(st.Name) + len(st.NeedsSensor) + wireDep*len(st.Deps)
+		}
+		for _, sc := range jc.Stages {
+			n += wireStageRecord + wireAddr*len(sc.Holders)
+		}
+	}
+	return n
+}
+
+// policySize is the wire size of an optional policy beyond its presence
+// byte.
+func policySize(p *DependabilityPolicy) int {
+	if p == nil {
+		return 0
+	}
+	return wirePolicy
+}
+
+// taskSize is the wire size of t's variable parts beyond wireTask.
+func taskSize(t *Task) int {
+	n := len(t.NeedsSensor) + policySize(t.Depend)
+	if b := t.Stage; b != nil {
+		n += wireStage
+		for _, in := range b.Inputs {
+			n += wireStageInput + wireAddr*len(in.Sources)
+		}
+	}
+	return n
+}
+
+// presize returns an empty slice with room for n records of at least
+// minWire bytes each, capped by the bytes left to read so a hostile count
+// cannot force a large allocation, or nil when there is nothing to hold
+// (a decoded empty collection stays nil, as it was encoded).
+func presize[T any](r *ckptReader, n, minWire int) []T {
+	if c := min(n, (len(r.buf)-r.off)/minWire); c > 0 {
+		return make([]T, 0, c)
+	}
+	return nil
+}
+
 func writePolicy(w *ckptWriter, p *DependabilityPolicy) {
 	if p == nil {
 		w.bool(false)
@@ -226,9 +315,13 @@ func readTask(r *ckptReader) Task {
 			Stage:       int(r.i64()),
 			OutputBytes: int(r.i64()),
 		}
-		for i, n := 0, r.count("stage input", ckptMaxStages); i < n && r.err == nil; i++ {
+		n := r.count("stage input", ckptMaxStages)
+		b.Inputs = presize[StageInput](r, n, wireStageInput)
+		for i := 0; i < n && r.err == nil; i++ {
 			in := StageInput{Stage: int(r.i64()), Bytes: int(r.i64())}
-			for j, ns := 0, r.count("input source", ckptMaxVoters); j < ns && r.err == nil; j++ {
+			ns := r.count("input source", ckptMaxVoters)
+			in.Sources = presize[vnet.Addr](r, ns, wireAddr)
+			for j := 0; j < ns && r.err == nil; j++ {
 				in.Sources = append(in.Sources, r.addr())
 			}
 			b.Inputs = append(b.Inputs, in)
@@ -295,7 +388,9 @@ func readJob(r *ckptReader) JobCheckpoint {
 	if r.err == nil && !quantity(jc.Wasted) {
 		r.fail("job %d wasted ops %v", jc.ID, jc.Wasted)
 	}
-	for i, n := 0, r.count("job stage", ckptMaxStages); i < n && r.err == nil; i++ {
+	n := r.count("job stage", ckptMaxStages)
+	jc.Spec.Stages = presize[StageSpec](r, n, wireStageSpec)
+	for i := 0; i < n && r.err == nil; i++ {
 		st := StageSpec{
 			Name:        r.str(),
 			Ops:         r.f64(),
@@ -303,7 +398,9 @@ func readJob(r *ckptReader) JobCheckpoint {
 			OutputBytes: int(r.i64()),
 			NeedsSensor: r.str(),
 		}
-		for j, nd := 0, r.count("stage dep", ckptMaxStages); j < nd && r.err == nil; j++ {
+		nd := r.count("stage dep", ckptMaxStages)
+		st.Deps = presize[int](r, nd, wireDep)
+		for j := 0; j < nd && r.err == nil; j++ {
 			st.Deps = append(st.Deps, int(r.i64()))
 		}
 		st.Optional = r.bool()
@@ -322,7 +419,9 @@ func readJob(r *ckptReader) JobCheckpoint {
 			r.fail("invalid job %d spec: %v", jc.ID, err)
 		}
 	}
-	for i, n := 0, r.count("stage row", ckptMaxStages); i < n && r.err == nil; i++ {
+	n = r.count("stage row", ckptMaxStages)
+	jc.Stages = presize[StageCheckpoint](r, n, wireStageRecord)
+	for i := 0; i < n && r.err == nil; i++ {
 		sc := StageCheckpoint{
 			Status:  StageStatus(r.u8()),
 			Value:   r.u64(),
@@ -333,7 +432,9 @@ func readJob(r *ckptReader) JobCheckpoint {
 			r.fail("job %d stage %d: bad status %d", jc.ID, i, sc.Status)
 			break
 		}
-		for j, nh := 0, r.count("holder", ckptMaxVoters); j < nh && r.err == nil; j++ {
+		nh := r.count("holder", ckptMaxVoters)
+		sc.Holders = presize[vnet.Addr](r, nh, wireAddr)
+		for j := 0; j < nh && r.err == nil; j++ {
 			sc.Holders = append(sc.Holders, r.addr())
 		}
 		jc.Stages = append(jc.Stages, sc)
@@ -342,9 +443,10 @@ func readJob(r *ckptReader) JobCheckpoint {
 }
 
 // EncodeCheckpoint serializes a checkpoint for replication. The
-// encoding is deterministic: equal checkpoints encode to equal bytes.
+// encoding is deterministic: equal checkpoints encode to equal bytes. The
+// buffer is allocated once, at the encoding's exact size.
 func EncodeCheckpoint(ck Checkpoint) []byte {
-	w := &ckptWriter{buf: make([]byte, 0, 256+48*len(ck.Members)+128*len(ck.Tasks))}
+	w := &ckptWriter{buf: make([]byte, 0, encodedSize(&ck))}
 	w.buf = append(w.buf, ckptMagic[:]...)
 	w.addr(ck.Controller)
 	w.addr(ck.Standby)
@@ -461,7 +563,9 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 	}
 	ck.Cfg.Depend = readPolicy(r)
 
-	for i, n := 0, r.count("member", ckptMaxMembers); i < n && r.err == nil; i++ {
+	n := r.count("member", ckptMaxMembers)
+	ck.Members = presize[MemberSnapshot](r, n, wireMember)
+	for i := 0; i < n && r.err == nil; i++ {
 		ms := MemberSnapshot{Addr: r.addr()}
 		ms.Res.CPU = r.f64()
 		ms.Res.Storage = r.f64()
@@ -473,12 +577,15 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 			r.fail("sensor count %d exceeds cap", ns)
 			break
 		}
+		ms.Res.Sensors = presize[string](r, ns, wireString)
 		for j := 0; j < ns && r.err == nil; j++ {
 			ms.Res.Sensors = append(ms.Res.Sensors, r.str())
 		}
 		ck.Members = append(ck.Members, ms)
 	}
-	for i, n := 0, r.count("task", ckptMaxTasks); i < n && r.err == nil; i++ {
+	n = r.count("task", ckptMaxTasks)
+	ck.Tasks = presize[TaskCheckpoint](r, n, wireTaskCkpt)
+	for i := 0; i < n && r.err == nil; i++ {
 		tc := TaskCheckpoint{Task: readTask(r)}
 		tc.Client = r.addr()
 		tc.RemainingOps = r.f64()
@@ -490,16 +597,21 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 		}
 		ck.Tasks = append(ck.Tasks, tc)
 	}
-	for i, n := 0, r.count("ledger", ckptMaxLedger); i < n && r.err == nil; i++ {
+	n = r.count("ledger", ckptMaxLedger)
+	ck.Applied = presize[AppliedRecord](r, n, wireApplied)
+	for i := 0; i < n && r.err == nil; i++ {
 		ck.Applied = append(ck.Applied, AppliedRecord{ID: TaskID(r.u64()), Epoch: r.u64()})
 	}
-	for i, n := 0, r.count("parked", ckptMaxLedger); i < n && r.err == nil; i++ {
+	n = r.count("parked", ckptMaxLedger)
+	ck.Parked = presize[ParkedOutcome](r, n, wireParked)
+	for i := 0; i < n && r.err == nil; i++ {
 		p := ParkedOutcome{Task: readTask(r)}
 		p.Client = r.addr()
 		p.OK = r.bool()
 		p.Reason = FailReason(r.str())
 		p.Value = r.u64()
 		nv := r.count("voter", ckptMaxVoters)
+		p.Voters = presize[vnet.Addr](r, nv, wireAddr)
 		for j := 0; j < nv && r.err == nil; j++ {
 			p.Voters = append(p.Voters, r.addr())
 		}
@@ -509,10 +621,14 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 		p.Seq = r.u64()
 		ck.Parked = append(ck.Parked, p)
 	}
-	for i, n := 0, r.count("armed", ckptMaxMembers); i < n && r.err == nil; i++ {
+	n = r.count("armed", ckptMaxMembers)
+	ck.Armed = presize[vnet.Addr](r, n, wireAddr)
+	for i := 0; i < n && r.err == nil; i++ {
 		ck.Armed = append(ck.Armed, r.addr())
 	}
-	for i, n := 0, r.count("job", ckptMaxJobs); i < n && r.err == nil; i++ {
+	n = r.count("job", ckptMaxJobs)
+	ck.Jobs = presize[JobCheckpoint](r, n, wireJob)
+	for i := 0; i < n && r.err == nil; i++ {
 		ck.Jobs = append(ck.Jobs, readJob(r))
 	}
 	for t := Tier(0); t < NumTiers && r.err == nil; t++ {

@@ -160,7 +160,7 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 // bytes: it never panics, and anything it does accept survives a
 // re-encode/re-decode round trip (no partially-filled garbage escapes —
 // the property that keeps a standby from promoting into a corrupt
-// state).
+// state), its re-encoding sized exactly.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	valid := vcloud.EncodeCheckpoint(fixtureCheckpoint())
 	f.Add(valid)
@@ -173,6 +173,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			return
 		}
 		re := vcloud.EncodeCheckpoint(ck)
+		if len(re) != cap(re) {
+			t.Fatalf("re-encode wrote %d bytes into a buffer sized %d", len(re), cap(re))
+		}
 		ck2, err := vcloud.DecodeCheckpoint(re)
 		if err != nil {
 			t.Fatalf("re-encode of an accepted checkpoint does not decode: %v", err)
@@ -181,4 +184,64 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			t.Fatalf("accepted checkpoint is not a codec fixed point:\n first: %+v\nsecond: %+v", ck, ck2)
 		}
 	})
+}
+
+// busyCheckpoint is fixtureCheckpoint grown to a busy controller's size:
+// a hundred members, sixty tasks in flight, a long applied ledger and
+// parked outcomes.
+func busyCheckpoint() vcloud.Checkpoint {
+	ck := fixtureCheckpoint()
+	for i := 0; i < 100; i++ {
+		ck.Members = append(ck.Members, vcloud.MemberSnapshot{Addr: vnet.Addr(100 + i), Res: vcloud.Resources{CPU: 800, Storage: 2048}})
+		ck.Applied = append(ck.Applied, vcloud.AppliedRecord{ID: vcloud.TaskID(1000 + i), Epoch: 65543})
+	}
+	for i := 0; i < 60; i++ {
+		tc := ck.Tasks[0]
+		tc.Task.ID = vcloud.TaskID(2000 + i)
+		ck.Tasks = append(ck.Tasks, tc)
+		if i%4 == 0 {
+			p := ck.Parked[0]
+			p.Task.ID = vcloud.TaskID(3000 + i)
+			ck.Parked = append(ck.Parked, p)
+		}
+	}
+	return ck
+}
+
+// BenchmarkCheckpointCodec encodes and decodes busyCheckpoint, the
+// round trip every checkpoint a standby receives pays.
+func BenchmarkCheckpointCodec(b *testing.B) {
+	ck := busyCheckpoint()
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			vcloud.EncodeCheckpoint(ck)
+		}
+	})
+	data := vcloud.EncodeCheckpoint(ck)
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := vcloud.DecodeCheckpoint(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestEncodedSizeIsExact: the encoder sizes its buffer once, so the
+// buffer it returns must be full — for the fixture, for the busy
+// checkpoint and for the empty one.
+func TestEncodedSizeIsExact(t *testing.T) {
+	staged := fixtureCheckpoint()
+	staged.Tasks[0].Task.Stage = &vcloud.StageBinding{Job: 4, Stage: 1, OutputBytes: 8,
+		Inputs: []vcloud.StageInput{{Stage: 0, Bytes: 64, Sources: []vnet.Addr{3, 5}}, {Stage: 2}}}
+	staged.Parked[0].Reason = "timeout"
+	staged.Jobs[0].Spec.Stages[0].Deps = []int{0}
+	staged.Jobs[0].Spec.Stages[0].NeedsSensor = "cam"
+	for name, ck := range map[string]vcloud.Checkpoint{"fixture": fixtureCheckpoint(), "busy": busyCheckpoint(), "staged": staged, "empty": {}} {
+		if data := vcloud.EncodeCheckpoint(ck); len(data) != cap(data) {
+			t.Errorf("%s: encoded %d bytes into a buffer sized %d", name, len(data), cap(data))
+		}
+	}
 }

@@ -270,7 +270,7 @@ func TestBeaconsAreNotSharedAcrossTransmissions(t *testing.T) {
 		t.Fatalf("a after the first beacon: %+v, %v; want %+v", got, ok, first)
 	}
 
-	r.m.SetBlocked(func(_, to radio.NodeID) bool { return to == 1 })
+	r.m.Faults().Crash(1)
 	pos, ext = geo.Point{X: 1010, Y: 1000}, 2
 	send()
 	if got, _ := a.Neighbor(9); got != first {
