@@ -1,11 +1,9 @@
 package vcloud_test
 
-// End-to-end integration: the complete secure vehicular cloud of the
-// paper's Fig. 3 assembled on one highway — PKI-enrolled vehicles form a
-// dynamic cloud through authenticated joins, offload tasks with
-// incentive settlement, disseminate and validate hazard reports under a
-// coordinated liar, while an eavesdropper and a revoked vehicle probe
-// the security boundary.
+// End-to-end integration: the secure vehicular cloud of the paper's
+// Fig. 3 assembled on one highway — PKI-enrolled vehicles form a dynamic
+// cloud through authenticated joins and offload tasks, while an
+// eavesdropper and a revoked vehicle probe the security boundary.
 
 import (
 	"math/rand"
@@ -20,7 +18,6 @@ import (
 	"vcloud/internal/radio"
 	"vcloud/internal/roadnet"
 	"vcloud/internal/scenario"
-	"vcloud/internal/trust"
 	"vcloud/internal/vcloud"
 )
 
@@ -41,43 +38,16 @@ func TestEndToEndSecureVehicularCloud(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// --- Secure dynamic cloud with incentives.
+	// --- Secure dynamic cloud.
 	stats := &vcloud.Stats{}
 	met := &auth.Metrics{}
-	ledger := vcloud.NewLedger()
 	sd, err := vcloud.DeploySecure(s, vcloud.Dynamic, vcloud.DeployConfig{
-		Handover:  true,
-		DwellMode: mobility.DwellRouteAware,
-		Controller: vcloud.ControllerConfig{
-			Ledger:     ledger,
-			RetryLimit: 5,
-		},
+		Handover:   true,
+		DwellMode:  mobility.DwellRouteAware,
+		Controller: vcloud.ControllerConfig{RetryLimit: 5},
 	}, vcloud.Security{TA: ta, Scheme: auth.Hybrid, Metrics: met}, stats)
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	// --- Trust layer: every vehicle reports and evaluates hazards.
-	evaluators := make(map[mobility.VehicleID]*trust.Evaluator)
-	reporters := make(map[mobility.VehicleID]*trust.Reporter)
-	decisions := make(map[mobility.VehicleID][]trust.Decision)
-	for _, id := range s.VehicleIDs() {
-		node, _ := s.Node(id)
-		ev, err := trust.NewEvaluator(node, trust.EvaluatorConfig{
-			Validator: trust.PathDiverse{Inner: trust.DistanceWeighted{}},
-			Deadline:  2 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		vid := id
-		ev.OnDecision(func(d trust.Decision) { decisions[vid] = append(decisions[vid], d) })
-		evaluators[id] = ev
-		rep, err := trust.NewReporter(node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reporters[id] = rep
 	}
 
 	// --- Adversaries: an eavesdropper and, later, a revoked insider.
@@ -110,7 +80,7 @@ func TestEndToEndSecureVehicularCloud(t *testing.T) {
 	t.Logf("formation: %d controllers, %d members, %d successful handshakes",
 		len(ctls), totalMembers, met.Successes.Value())
 
-	// --- Workload with incentive settlement.
+	// --- Workload.
 	client := s.VehicleIDs()[0]
 	clientAddr := vcloudAddr(client)
 	submitted := 0
@@ -137,69 +107,11 @@ func TestEndToEndSecureVehicularCloud(t *testing.T) {
 	if stats.Completed.Value() == 0 {
 		t.Fatalf("no tasks completed (failed=%d)", stats.Failed.Value())
 	}
-	if ledger.TotalVolume() == 0 {
-		t.Error("incentive ledger recorded no settlements")
-	}
-	if ledger.Verify() != -1 {
-		t.Error("ledger chain broken")
-	}
-	t.Logf("workload: %d/%d tasks completed, %d credits settled",
-		stats.Completed.Value(), submitted, ledger.TotalVolume())
-
-	// --- Hazard: an icy patch at x=1500. Vehicles near it report truth;
-	// a coordinated liar (3 Sybil-ish echoes on one path) denies it.
-	hazard := geo.Point{X: 1500, Y: 0}
-	eventAt := s.Kernel.Now()
-	reported := 0
-	for _, id := range s.VehicleIDs() {
-		st, ok := s.Mobility.State(id)
-		if !ok || st.Pos.Dist(hazard) > 400 {
-			continue
-		}
-		var tok trust.Token
-		tok[0] = byte(id)
-		claim := true
-		if reported == 0 {
-			// The first reporter is the liar, repeating its denial.
-			claim = false
-			for k := 0; k < 3; k++ {
-				reporters[id].Report("ice", hazard, eventAt, claim, tok)
-			}
-		} else {
-			reporters[id].Report("ice", hazard, eventAt, claim, tok)
-		}
-		reported++
-	}
-	if reported < 4 {
-		t.Fatalf("only %d vehicles near the hazard; scenario too sparse", reported)
-	}
-	if err := s.RunFor(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	correct, wrong := 0, 0
-	for _, ds := range decisions {
-		for _, d := range ds {
-			if d.Unknown {
-				continue
-			}
-			if d.EventReal {
-				correct++
-			} else {
-				wrong++
-			}
-		}
-	}
-	if correct == 0 {
-		t.Fatal("no vehicle validated the hazard")
-	}
-	if wrong > correct {
-		t.Errorf("liar won: %d wrong vs %d correct decisions", wrong, correct)
-	}
-	t.Logf("trust: %d correct / %d wrong hazard decisions across the fleet", correct, wrong)
+	t.Logf("workload: %d/%d tasks completed", stats.Completed.Value(), submitted)
 
 	// --- The eavesdropper saw plenty but learned only ciphertext-grade
 	// content: beacons and protocol envelopes.
-	if spy.TotalCaptured() == 0 {
+	if len(spy.Captured) == 0 {
 		t.Error("eavesdropper heard nothing despite sitting mid-corridor")
 	}
 

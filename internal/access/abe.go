@@ -46,13 +46,6 @@ func NewAuthority(name string, rand io.Reader) (*Authority, error) {
 	return &Authority{name: name, master: master, epochs: make(map[AttributeID]uint64)}, nil
 }
 
-// Name returns the authority name. Attribute IDs issued here should be
-// prefixed "<name>/".
-func (a *Authority) Name() string { return a.name }
-
-// Epoch returns the current epoch of an attribute.
-func (a *Authority) Epoch(attr AttributeID) uint64 { return a.epochs[attr] }
-
 // secretAt derives the attribute secret at a given epoch.
 func (a *Authority) secretAt(attr AttributeID, epoch uint64) [32]byte {
 	mac := hmac.New(sha256.New, a.master)
@@ -99,12 +92,6 @@ func (k *Keyring) Attrs() AttrSet {
 		out[id] = key.Epoch
 	}
 	return out
-}
-
-// Has reports whether the keyring holds attr.
-func (k *Keyring) Has(attr AttributeID) bool {
-	_, ok := k.keys[attr]
-	return ok
 }
 
 // kek derives the clause key-encryption-key from the subject's secrets

@@ -104,10 +104,6 @@ func (p *Package) signedBytes() []byte {
 	return buf.Bytes()
 }
 
-// VerifyIntegrity checks the owner signature over resource, policy and
-// ciphertext. Relying parties call this before trusting the policy.
-func (p *Package) VerifyIntegrity() error { return p.verify(nil) }
-
 // verify is VerifyIntegrity through the relying party's memo (nil: none).
 func (p *Package) verify(memo *cryptoprim.VerifyMemo) error {
 	if !memo.Verify(p.OwnerPub, p.signedBytes(), p.OwnerSig) {

@@ -120,9 +120,8 @@ func fine(e Epoch) []any {
 	}
 }
 
-// The congestion-estimate feed (internal/vcloud/estimates.go) publishes
-// per-tier capacity reports as fenced cluster messages; these stand-ins
-// pin that the analyzer covers the estimate tier too.
+// A per-tier capacity report published as a fenced cluster message;
+// these stand-ins pin that the analyzer covers such reports too.
 type estimateMsg struct {
 	Tier  int
 	Bps   float64

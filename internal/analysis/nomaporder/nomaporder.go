@@ -10,11 +10,14 @@
 // is fine when the same slice is sorted after the loop (sort.Slice,
 // slices.Sort, ...) and before the function returns. Channel sends and
 // direct writes inside the loop body have no such repair point and are
-// always flagged.
+// always flagged, and so is folding into a float that outlives the loop:
+// float arithmetic is not associative, so the sum's last bits follow the
+// map order.
 package nomaporder
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"vcloud/internal/analysis"
@@ -23,7 +26,7 @@ import (
 // Analyzer is the nomaporder check.
 var Analyzer = &analysis.Analyzer{
 	Name: "nomaporder",
-	Doc:  "flag range-over-map loops that append/send/write in iteration order without a subsequent sort",
+	Doc:  "flag range-over-map loops that append/send/write in iteration order without a subsequent sort, or fold into an outer float",
 	Run:  run,
 }
 
@@ -93,6 +96,7 @@ func checkBody(pass *analysis.Pass, rng *ast.RangeStmt, fn *ast.FuncDecl) {
 			return true
 		case *ast.AssignStmt:
 			checkAppend(pass, n, rng, fn)
+			checkFloatFold(pass, n, rng)
 		case *ast.CallExpr:
 			checkWriterCall(pass, n, rng)
 		}
@@ -119,6 +123,29 @@ func checkAppend(pass *analysis.Pass, as *ast.AssignStmt, rng *ast.RangeStmt, fn
 		}
 		pass.Reportf(as.Pos(), "append to %s inside range over map leaks map iteration order; sort %s after the loop or iterate sorted keys", dst, dst)
 	}
+}
+
+// checkFloatFold flags `x op= v` inside a map range when x is a float or
+// complex that outlives the loop. Integer folds are exact and
+// order-insensitive; a float sum's last bits follow the map order, which
+// is enough to move a scheduled event by a nanosecond and reorder
+// same-instant outcomes.
+func checkFloatFold(pass *analysis.Pass, as *ast.AssignStmt, rng *ast.RangeStmt) {
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+	default:
+		return
+	}
+	t := pass.TypeOf(as.Lhs[0])
+	if t == nil {
+		return
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	if !ok || b.Info()&(types.IsFloat|types.IsComplex) == 0 || declaredInside(pass, rng, as.Lhs[0]) {
+		return
+	}
+	dst := types.ExprString(as.Lhs[0])
+	pass.Reportf(as.Pos(), "float accumulation into %s inside range over map depends on map iteration order; sum over sorted keys", dst)
 }
 
 // declaredInside reports whether the variable at the root of expr is

@@ -45,3 +45,13 @@ func sortTooEarly(m map[int]string) []int {
 }
 
 func sortInts(s []int) {}
+
+// floatSum folds into a float that outlives the loop: its last bits
+// depend on the order the map yields the values in.
+func floatSum(m map[int]float64) float64 {
+	var sum float64
+	for _, v := range m {
+		sum += v // want `float accumulation into sum inside range over map`
+	}
+	return sum
+}

@@ -17,3 +17,12 @@ func bestPick(m map[int]float64) int {
 	}
 	return best
 }
+
+func floatSum(m map[int]float64) float64 {
+	var sum float64
+	for _, v := range m {
+		//vcloudlint:allow nomaporder callers compare the sum with a tolerance
+		sum += v
+	}
+	return sum
+}

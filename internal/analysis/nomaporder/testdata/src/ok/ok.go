@@ -67,11 +67,38 @@ func mapToMap(src, dst map[string]float64) {
 	}
 }
 
-// accumulate folds into an order-insensitive scalar.
-func accumulate(m map[string]float64) float64 {
-	var sum float64
+// accumulate folds into an integer: exact, so order-insensitive.
+func accumulate(m map[string]int) int {
+	var sum int
 	for _, v := range m {
 		sum += v
+	}
+	return sum
+}
+
+// loopLocalFloat folds into a float declared inside the body — a fresh
+// accumulator per map entry.
+func loopLocalFloat(m map[string][]float64, out map[string]float64) {
+	for k, vs := range m {
+		var sum float64
+		for _, v := range vs {
+			sum += v
+		}
+		out[k] = sum
+	}
+}
+
+// sortedKeysFloat sums a float over sorted keys: the range over the map
+// only collects, the fold ranges over a slice.
+func sortedKeysFloat(m map[int]float64) float64 {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	var sum float64
+	for _, k := range keys {
+		sum += m[k]
 	}
 	return sum
 }

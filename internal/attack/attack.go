@@ -4,24 +4,18 @@
 //   - Eavesdropper: promiscuous radio capture, plus the movement-
 //     tracking analysis (§III "privacy breach: tracking movements of
 //     vehicles") that links rotating pseudonyms via position continuity;
-//   - Replayer: captures frames and re-transmits them later (replay
-//     attack);
-//   - Impersonator: crafts messages claiming a victim's origin address;
 //   - Flooder: denial-of-service channel saturation;
 //   - Suppressor: a malicious relay that silently drops or delays the
 //     messages it should forward (message delay/suppression attack);
-//   - Sybil: one physical attacker operating many fabricated identities
-//     (the false-data amplification E9/E10 measure);
-//   - FalseReporter: injects fabricated event reports (data
-//     "disruption").
+//   - Byzantify: cloud members that return wrong results (byzantine.go).
 //
 // Experiment E10 wires these against the corresponding defenses and
-// reports detection/prevention rates.
+// reports detection/prevention rates; the replay and impersonation
+// drills against auth's challenge binding live in attack_test.go.
 package attack
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -83,15 +77,6 @@ func (e *Eavesdropper) onFrame(f radio.Frame) {
 	}
 }
 
-// TotalCaptured returns the total overheard frame count.
-func (e *Eavesdropper) TotalCaptured() uint64 {
-	var total uint64
-	for _, v := range e.Captured {
-		total += v
-	}
-	return total
-}
-
 // TrackingAccuracy measures how well position-continuity linking works
 // against the captured beacon stream: consecutive observations are
 // linked when they are within maxStep meters and maxGap time; the
@@ -128,85 +113,6 @@ func (e *Eavesdropper) TrackingAccuracy(maxStep float64, maxGap sim.Time) (float
 		return 0, 0
 	}
 	return float64(correct) / float64(links), links
-}
-
-// Replayer captures frames promiscuously and can re-transmit the last
-// captured message of a given kind from its own radio.
-type Replayer struct {
-	medium   *radio.Medium
-	addr     radio.NodeID
-	captured map[string]vnet.Message
-	Replayed uint64
-}
-
-// NewReplayer plants a replay attacker at pos.
-func NewReplayer(medium *radio.Medium, addr radio.NodeID, pos geo.Point) (*Replayer, error) {
-	if medium == nil {
-		return nil, fmt.Errorf("attack: medium must not be nil")
-	}
-	r := &Replayer{medium: medium, addr: addr, captured: make(map[string]vnet.Message)}
-	medium.UpdatePosition(addr, pos)
-	medium.SetPromiscuous(addr, func(f radio.Frame) {
-		if m, ok := f.Payload.(vnet.Message); ok {
-			r.captured[m.Kind] = m
-		}
-	})
-	return r, nil
-}
-
-// Stop removes the attacker.
-func (r *Replayer) Stop() {
-	r.medium.SetPromiscuous(r.addr, nil)
-	r.medium.Unregister(r.addr)
-}
-
-// Has reports whether a message of the kind has been captured.
-func (r *Replayer) Has(kind string) bool {
-	_, ok := r.captured[kind]
-	return ok
-}
-
-// Replay re-transmits the captured message of the kind to the target (or
-// broadcast). It reports whether anything was captured to replay.
-func (r *Replayer) Replay(kind string, to vnet.Addr) bool {
-	m, ok := r.captured[kind]
-	if !ok {
-		return false
-	}
-	r.Replayed++
-	r.medium.Send(r.addr, to, m.Size, m)
-	return true
-}
-
-// Impersonator sends protocol messages with a forged origin.
-type Impersonator struct {
-	medium *radio.Medium
-	addr   radio.NodeID
-	Sent   uint64
-}
-
-// NewImpersonator plants an impersonation attacker at pos.
-func NewImpersonator(medium *radio.Medium, addr radio.NodeID, pos geo.Point) (*Impersonator, error) {
-	if medium == nil {
-		return nil, fmt.Errorf("attack: medium must not be nil")
-	}
-	medium.UpdatePosition(addr, pos)
-	return &Impersonator{medium: medium, addr: addr}, nil
-}
-
-// SendAs transmits a message whose Origin claims to be victim.
-func (i *Impersonator) SendAs(victim, to vnet.Addr, kind string, size int, payload any) {
-	i.Sent++
-	msg := vnet.Message{
-		Origin:  victim,
-		Seq:     uint32(0xFFFF0000) + uint32(i.Sent),
-		Dest:    to,
-		Kind:    kind,
-		TTL:     1,
-		Size:    size,
-		Payload: payload,
-	}
-	i.medium.Send(i.addr, to, size, msg)
 }
 
 // Flooder saturates the channel with junk traffic (DoS).
@@ -303,54 +209,4 @@ func (s *Suppressor) handle(msg vnet.Message, relayer vnet.Addr) {
 		return
 	}
 	s.inner(msg, relayer)
-}
-
-// Sybil is one physical transmitter operating many fabricated
-// identities from (approximately) one position.
-type Sybil struct {
-	medium *radio.Medium
-	ids    []radio.NodeID
-}
-
-// NewSybil fabricates n identities at positions jittered around pos.
-func NewSybil(medium *radio.Medium, baseAddr radio.NodeID, n int, pos geo.Point, jitter float64) (*Sybil, error) {
-	if medium == nil {
-		return nil, fmt.Errorf("attack: medium must not be nil")
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("attack: sybil needs at least one identity, got %d", n)
-	}
-	s := &Sybil{medium: medium}
-	for i := 0; i < n; i++ {
-		id := baseAddr + radio.NodeID(i)
-		ang := float64(i) * 2 * math.Pi / float64(n)
-		p := geo.Point{X: pos.X + jitter*math.Cos(ang), Y: pos.Y + jitter*math.Sin(ang)}
-		medium.UpdatePosition(id, p)
-		s.ids = append(s.ids, id)
-	}
-	return s, nil
-}
-
-// IDs returns the fabricated identities.
-func (s *Sybil) IDs() []radio.NodeID {
-	return append([]radio.NodeID(nil), s.ids...)
-}
-
-// BroadcastAll sends the same payload once per fabricated identity —
-// fake consensus amplification.
-func (s *Sybil) BroadcastAll(kind string, size int, mkPayload func(id radio.NodeID) any) {
-	for _, id := range s.ids {
-		msg := vnet.Message{
-			Origin: vnet.Addr(id), Seq: 1, Dest: vnet.BroadcastAddr,
-			Kind: kind, TTL: 1, Size: size, Payload: mkPayload(id),
-		}
-		s.medium.Send(id, radio.Broadcast, size, msg)
-	}
-}
-
-// Stop removes all fabricated identities.
-func (s *Sybil) Stop() {
-	for _, id := range s.ids {
-		s.medium.Unregister(id)
-	}
 }

@@ -220,9 +220,6 @@ func (a *Authenticator) Stop() {
 	a.node.Handle(respKind, nil)
 }
 
-// Scheme returns the protocol in use.
-func (a *Authenticator) Scheme() Scheme { return a.scheme }
-
 // OnPeerVerified registers an observer that fires whenever this node,
 // acting as responder, successfully verifies an initiator's credentials.
 // Secure v-cloud formation (§V.A) uses this to gate cloud membership.

@@ -453,19 +453,3 @@ func TestRevokedHybridRejectedViaTrapdoor(t *testing.T) {
 		t.Error("revoked vehicle authenticated via hybrid scheme")
 	}
 }
-
-func TestTraceabilityPaths(t *testing.T) {
-	r := newRig(t, 2)
-	// TA traces a pseudonym to its owner.
-	serial := r.enrs[0].Pseudonyms.Current().Cert.SerialOf()
-	owner, ok := r.ta.TracePseudonym(serial)
-	if !ok || owner != "veh-0" {
-		t.Errorf("TracePseudonym = %q, %v", owner, ok)
-	}
-	// TA traces group signatures.
-	sig := r.enrs[1].Group.Sign([]byte("m"), 42)
-	who, ok := r.ta.TraceGroupSig(sig)
-	if !ok || who != "veh-1" {
-		t.Errorf("TraceGroupSig = %q, %v", who, ok)
-	}
-}

@@ -2,13 +2,10 @@ package auth
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
-	"vcloud/internal/cryptoprim"
 	"vcloud/internal/pki"
-	"vcloud/internal/sim"
 )
 
 // BenchmarkHandshake times one mutual handshake between two nodes under
@@ -66,53 +63,4 @@ func BenchmarkHandshake(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkBatchVerification regenerates the DESIGN.md batch-verification
-// ablation ([21]/[44]): amortized batch checks vs individual signature
-// verification, in real CPU time and saved virtual time.
-func BenchmarkBatchVerification(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	gm, err := cryptoprim.NewGroupManager("g", rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cred, err := gm.Enroll("m", rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msgs := make([][]byte, 64)
-	sigs := make([]cryptoprim.GroupSig, 64)
-	for i := range msgs {
-		msgs[i] = []byte{byte(i)}
-		sigs[i] = cred.Sign(msgs[i], uint64(i))
-	}
-	b.Run("individual", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := range msgs {
-				if !cryptoprim.VerifyGroupSig(gm.PublicKey(), msgs[j], sigs[j]) {
-					b.Fatal("verify failed")
-				}
-			}
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		var saved sim.Time
-		for i := 0; i < b.N; i++ {
-			k := sim.NewKernel(1)
-			bv, err := NewBatchVerifier(k, CostModel{}, DefaultBatchWindow)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j := range msgs {
-				bv.Submit(gm.PublicKey(), msgs[j], sigs[j], nil)
-			}
-			bv.Flush()
-			if err := k.Run(0); err != nil {
-				b.Fatal(err)
-			}
-			saved = bv.SavedTime
-		}
-		b.ReportMetric(float64(saved)/1e6, "saved-virtual-ms")
-	})
 }

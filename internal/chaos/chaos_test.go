@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -97,6 +98,28 @@ func TestSoakReproducible(t *testing.T) {
 	}
 	if c.Checksum == a.Checksum {
 		t.Error("different seeds produced identical event logs: storm is not seeded")
+	}
+}
+
+// TestPlainSoakReplaysItsEventLog runs the plain soak `vcloudsim -soak
+// -seed 7 -vehicles 14 -duration 300` prints four times and requires one
+// event log. Members used to sum their queued work in map order: float
+// addition is not associative, so a task could start a nanosecond apart
+// between runs of one seed and same-instant outcomes reordered.
+func TestPlainSoakReplaysItsEventLog(t *testing.T) {
+	cfg := SoakConfig{Seed: 7, Vehicles: 14, ByzFraction: 0.2, Duration: 300 * time.Second}
+	first, err := Soak(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 2; run <= 4; run++ {
+		rep, err := Soak(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(rep.Events, first.Events) {
+			t.Fatalf("run %d: event log differs from run 1 (checksums %x vs %x)", run, rep.Checksum, first.Checksum)
+		}
 	}
 }
 

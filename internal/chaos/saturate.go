@@ -231,8 +231,8 @@ func (sk *soak) checkSaturate() {
 	sat := sk.sat
 	for i := 0; i < sat.gov.NumTiersConfigured(); i++ {
 		if out, lim := sat.gov.Outstanding(i), sat.gov.QueueLimit(i); out > lim {
-			sk.violate("saturation: tier %s outstanding %d exceeds queue bound %d (queues must stay bounded)",
-				sat.gov.TierLabel(i), out, lim)
+			sk.violate("saturation: tier %d outstanding %d exceeds queue bound %d (queues must stay bounded)",
+				i, out, lim)
 		}
 	}
 	// The FIFO backlog is bounded by tail drop: at most the queue cap

@@ -370,9 +370,6 @@ func (r *Runner) Stop() { r.ticker.Stop() }
 // State returns the current cluster state.
 func (r *Runner) State() State { return r.state }
 
-// Node returns the underlying vnet node.
-func (r *Runner) Node() *vnet.Node { return r.node }
-
 // OnChange registers an observer of state transitions.
 func (r *Runner) OnChange(fn func(old, new State)) {
 	if fn != nil {

@@ -65,12 +65,6 @@ func (t *Tracker) Finish(now sim.Time) {
 // HeadChanges returns the number of head re-affiliations observed.
 func (t *Tracker) HeadChanges() uint64 { return t.headChanges }
 
-// RoleChanges returns the total number of state transitions.
-func (t *Tracker) RoleChanges() uint64 { return t.roleChanges }
-
-// BecameHead returns how many head promotions occurred.
-func (t *Tracker) BecameHead() uint64 { return t.becameHead }
-
 // MeanClusteredSeconds returns the average per-node clustered time in
 // seconds across all nodes that were ever clustered.
 func (t *Tracker) MeanClusteredSeconds() float64 {

@@ -63,9 +63,6 @@ func NewCA(name string, rand io.Reader) (*CA, error) {
 	return &CA{name: name, key: key}, nil
 }
 
-// Name returns the authority name.
-func (ca *CA) Name() string { return ca.name }
-
 // PublicKey returns the authority's verification key, which relying
 // parties pin.
 func (ca *CA) PublicKey() ed25519.PublicKey { return ca.key.Public }
@@ -86,12 +83,6 @@ func (ca *CA) Issue(subject []byte, pub ed25519.PublicKey, notAfter time.Duratio
 	}
 	c.Signature = ca.key.Sign(c.tbs())
 	return c, nil
-}
-
-// CheckCert verifies the certificate's signature under the issuer key and
-// its validity at virtual time now.
-func CheckCert(c *Certificate, issuerPub ed25519.PublicKey, now time.Duration) error {
-	return (*VerifyMemo)(nil).CheckCert(c, issuerPub, now)
 }
 
 // CheckCert is the package-level CheckCert for a relying party that meets

@@ -82,10 +82,3 @@ func (c *CRL) ContainsBloom(s Serial) (revoked bool, scanned int) {
 	_, ok := c.index[s]
 	return ok, 1
 }
-
-// Serials returns a copy of the revoked serials (for CRL distribution).
-func (c *CRL) Serials() []Serial {
-	out := make([]Serial, len(c.serials))
-	copy(out, c.serials)
-	return out
-}

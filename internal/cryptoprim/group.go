@@ -81,9 +81,6 @@ func NewGroupManager(groupID string, rand io.Reader) (*GroupManager, error) {
 	}, nil
 }
 
-// GroupID returns the group identifier.
-func (gm *GroupManager) GroupID() string { return gm.groupID }
-
 // PublicKey returns the group verification key.
 func (gm *GroupManager) PublicKey() []byte { return gm.groupKey.Public }
 

@@ -37,9 +37,6 @@ func GenerateKey(rand io.Reader) (KeyPair, error) {
 	return KeyPair{Public: pub, private: priv}, nil
 }
 
-// CanSign reports whether the pair holds the private half.
-func (k KeyPair) CanSign() bool { return len(k.private) == ed25519.PrivateKeySize }
-
 // Sign signs msg. It panics if the key pair has no private half; use
 // CanSign to check first when the key may be public-only.
 func (k KeyPair) Sign(msg []byte) []byte {

@@ -64,12 +64,6 @@ func (p *PseudonymPool) Rotate() {
 	p.used++
 }
 
-// Size returns the pool size.
-func (p *PseudonymPool) Size() int { return len(p.entries) }
-
-// UsedCount returns how many rotations have occurred.
-func (p *PseudonymPool) UsedCount() int { return p.used }
-
 // IDChain is the hash-chain one-time identity of randomized
 // authentication schemes ([14], [16]): id_i = H(id_{i-1}), revealed in
 // reverse so each identity is used once and outsiders cannot link
@@ -93,12 +87,6 @@ func (c *IDChain) Next() [32]byte {
 	id := Digest(c.seed[:], uint64Bytes(c.next))
 	c.next++
 	return id
-}
-
-// VerifyChainID lets a party holding the seed confirm that id is the k-th
-// identity of the chain (the TA-side traceability path).
-func VerifyChainID(seed [32]byte, k uint64, id [32]byte) bool {
-	return ChainIDAt(seed, k) == id
 }
 
 // ChainIDAt derives the k-th one-time identity of a chain from its seed

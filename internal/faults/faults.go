@@ -366,9 +366,6 @@ func (in *Injector) KillMember(id int) {
 // RecoverNode restores a silenced node.
 func (in *Injector) RecoverNode(addr radio.NodeID) { in.table.Recover(addr) }
 
-// Crashed reports whether a node is currently radio-silenced.
-func (in *Injector) Crashed(addr radio.NodeID) bool { return in.table.Crashed(addr) }
-
 // SetLoss sets the global frame-drop probability (0 disables).
 func (in *Injector) SetLoss(p float64) { in.table.SetLoss(p) }
 

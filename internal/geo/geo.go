@@ -22,9 +22,6 @@ type Vector struct {
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.1f, %.1f)", p.X, p.Y) }
 
-// Add returns p displaced by v.
-func (p Point) Add(v Vector) Point { return Point{p.X + v.X, p.Y + v.Y} }
-
 // Sub returns the vector from q to p.
 func (p Point) Sub(q Point) Vector { return Vector{p.X - q.X, p.Y - q.Y} }
 
@@ -49,24 +46,8 @@ func (p Point) Lerp(q Point, t float64) Point {
 // Scale returns v scaled by s.
 func (v Vector) Scale(s float64) Vector { return Vector{v.X * s, v.Y * s} }
 
-// Add returns the component-wise sum of v and w.
-func (v Vector) Add(w Vector) Vector { return Vector{v.X + w.X, v.Y + w.Y} }
-
 // Dot returns the dot product of v and w.
 func (v Vector) Dot(w Vector) float64 { return v.X*w.X + v.Y*w.Y }
-
-// Len returns the magnitude of v.
-func (v Vector) Len() float64 { return math.Sqrt(v.X*v.X + v.Y*v.Y) }
-
-// Norm returns the unit vector in the direction of v. The zero vector
-// normalizes to itself.
-func (v Vector) Norm() Vector {
-	l := v.Len()
-	if l == 0 {
-		return Vector{}
-	}
-	return Vector{v.X / l, v.Y / l}
-}
 
 // Heading returns the direction of v in radians in [0, 2π), measured
 // counterclockwise from the +X axis. The zero vector has heading 0.
@@ -122,36 +103,4 @@ func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 // Center returns the midpoint of r.
 func (r Rect) Center() Point {
 	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
-
-// Clamp returns p moved to the nearest point inside r.
-func (r Rect) Clamp(p Point) Point {
-	return Point{
-		X: math.Max(r.Min.X, math.Min(r.Max.X, p.X)),
-		Y: math.Max(r.Min.Y, math.Min(r.Max.Y, p.Y)),
-	}
-}
-
-// SegmentDist returns the distance from point p to the segment ab.
-func SegmentDist(p, a, b Point) float64 {
-	ab := b.Sub(a)
-	l2 := ab.Dot(ab)
-	if l2 == 0 {
-		return p.Dist(a)
-	}
-	t := p.Sub(a).Dot(ab) / l2
-	t = math.Max(0, math.Min(1, t))
-	return p.Dist(a.Lerp(b, t))
-}
-
-// ProjectOnSegment returns the parameter t in [0,1] of the point on segment
-// ab closest to p. Callers combine it with Lerp to get the projection.
-func ProjectOnSegment(p, a, b Point) float64 {
-	ab := b.Sub(a)
-	l2 := ab.Dot(ab)
-	if l2 == 0 {
-		return 0
-	}
-	t := p.Sub(a).Dot(ab) / l2
-	return math.Max(0, math.Min(1, t))
 }

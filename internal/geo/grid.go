@@ -166,9 +166,6 @@ func (g *GridIndex) Position(id int32) (Point, bool) {
 	return c.pts[cellRank(c.ids, id)], true
 }
 
-// Len returns the number of indexed entries.
-func (g *GridIndex) Len() int { return len(g.where) }
-
 // WithinRange appends to dst the ids of all entries within radius r of p
 // (excluding the id `exclude`, pass a negative value to exclude nothing)
 // and returns the extended slice. Results come out in the stable
@@ -345,32 +342,4 @@ func clampRange(lo, hi, n int) (int, int) {
 		hi = 0
 	}
 	return lo, hi
-}
-
-// Nearest returns the id of the entry closest to p within radius r, or
-// (-1, false) if none exists. The entry `exclude` is skipped.
-func (g *GridIndex) Nearest(p Point, r float64, exclude int32) (int32, bool) {
-	best := int32(-1)
-	minCX, maxCX, minCY, maxCY := g.block(p, r)
-	bestD := g.qR2
-	for cy := minCY; cy <= maxCY; cy++ {
-		for cx := minCX; cx <= maxCX; cx++ {
-			c := &g.cells[cy*g.cols+cx]
-			for i, id := range c.ids {
-				if id == exclude {
-					continue
-				}
-				d := c.pts[i].DistSq(p)
-				if d > bestD {
-					continue
-				}
-				// Tie-break on id so the result does not depend on which
-				// cell is visited first.
-				if best < 0 || d < bestD || (d == bestD && id < best) {
-					best, bestD = id, d
-				}
-			}
-		}
-	}
-	return best, best >= 0
 }

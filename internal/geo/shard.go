@@ -54,18 +54,6 @@ func FactorShards(n int) (nx, ny int) {
 	return n / ny, ny
 }
 
-// NumShards returns nx*ny.
-func (m *ShardMap) NumShards() int { return m.nx * m.ny }
-
-// Grid returns the (nx, ny) shard grid dimensions.
-func (m *ShardMap) Grid() (nx, ny int) { return m.nx, m.ny }
-
-// Bounds returns the world bounds.
-func (m *ShardMap) Bounds() Rect { return m.bounds }
-
-// CellSize returns one shard region's width and height in meters.
-func (m *ShardMap) CellSize() (w, h float64) { return m.cw, m.ch }
-
 // ShardOf returns the shard owning position p. Points outside the bounds
 // clamp to the nearest border shard, so ownership is total.
 func (m *ShardMap) ShardOf(p Point) int {
@@ -171,12 +159,6 @@ func (s *ShardedIndex) RemoveLocal(id int32) {
 	s.idx.Remove(id)
 }
 
-// IsLocal reports whether id is owned by this shard.
-func (s *ShardedIndex) IsLocal(id int32) bool { return s.local[id] }
-
-// NumLocal returns the number of locally-owned entries.
-func (s *ShardedIndex) NumLocal() int { return len(s.local) }
-
 // UpdateGhost inserts or moves a ghost copy of a remote entry. Ghosts are
 // transient: ClearGhosts drops the whole set at the start of each tick,
 // before the fresh halo pushes apply.
@@ -201,9 +183,6 @@ func (s *ShardedIndex) ClearGhosts() {
 	}
 	s.ghosts = s.ghosts[:0]
 }
-
-// NumGhosts returns the current ghost count.
-func (s *ShardedIndex) NumGhosts() int { return len(s.ghosts) }
 
 // Position returns the indexed position of id (local or ghost).
 func (s *ShardedIndex) Position(id int32) (Point, bool) { return s.idx.Position(id) }

@@ -68,35 +68,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() int { return len(h.samples) }
 
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Mean returns the arithmetic mean, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.sum / float64(len(h.samples))
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.ensureSorted()
-	return h.samples[0]
-}
-
-// Max returns the largest sample, or 0 with no samples.
-func (h *Histogram) Max() float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.ensureSorted()
-	return h.samples[len(h.samples)-1]
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) using linear
 // interpolation between closest ranks. With no samples it returns 0.
 func (h *Histogram) Percentile(p float64) float64 {
@@ -121,29 +92,6 @@ func (h *Histogram) Percentile(p float64) float64 {
 	return h.samples[lo]*(1-frac) + h.samples[hi]*frac
 }
 
-// Stddev returns the population standard deviation, or 0 with fewer than
-// two samples.
-func (h *Histogram) Stddev() float64 {
-	n := len(h.samples)
-	if n < 2 {
-		return 0
-	}
-	mean := h.Mean()
-	var ss float64
-	for _, v := range h.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Reset discards all samples but keeps capacity.
-func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.sum = 0
-	h.sorted = false
-}
-
 func (h *Histogram) ensureSorted() {
 	if !h.sorted {
 		sort.Float64s(h.samples)
@@ -157,19 +105,6 @@ type Summary struct {
 	Count          int
 	Mean, P50, P95 float64
 	P99, Min, Max  float64
-}
-
-// Summarize returns the digest of h.
-func (h *Histogram) Summarize() Summary {
-	return Summary{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		P50:   h.Percentile(50),
-		P95:   h.Percentile(95),
-		P99:   h.Percentile(99),
-		Min:   h.Min(),
-		Max:   h.Max(),
-	}
 }
 
 // String implements fmt.Stringer.

@@ -29,23 +29,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row formatting each value with %v, floats with %.2f
-// and percentages via the Pct helper.
-func (t *Table) AddRowf(cells ...any) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row = append(row, fmt.Sprintf("%.2f", v))
-		case string:
-			row = append(row, v)
-		default:
-			row = append(row, fmt.Sprintf("%v", v))
-		}
-	}
-	t.AddRow(row...)
-}
-
 // Pct formats a fraction in [0,1] as a percentage string.
 func Pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
 

@@ -11,7 +11,6 @@ import (
 type fleet interface {
 	AddVehicle(e roadnet.EdgeID, offset float64, profile Profile) (VehicleID, error)
 	AddParkedVehicle(e roadnet.EdgeID, offset float64, profile Profile) (VehicleID, error)
-	AddLoopVehicle(route []roadnet.EdgeID, offset float64, profile Profile) (VehicleID, error)
 	Remove(id VehicleID)
 	OnDeparture(fn func(VehicleID))
 	Step(dt float64)
@@ -70,36 +69,6 @@ func twoLaneGrid(t testing.TB) *roadnet.Network {
 	return n
 }
 
-// blockLoop returns a closed route of four edges around one grid block.
-func blockLoop(t *testing.T, net *roadnet.Network) []roadnet.EdgeID {
-	t.Helper()
-	var extend func(route []roadnet.EdgeID) []roadnet.EdgeID
-	extend = func(route []roadnet.EdgeID) []roadnet.EdgeID {
-		first, last := net.Edge(route[0]), net.Edge(route[len(route)-1])
-		if len(route) == 4 {
-			if last.To == first.From {
-				return route
-			}
-			return nil
-		}
-		for e := 0; e < net.NumEdges(); e++ {
-			// The next edge leaves where the last one ends and does not
-			// double back.
-			if c := net.Edge(roadnet.EdgeID(e)); c.From == last.To && c.To != last.From {
-				if loop := extend(append(route[:len(route):len(route)], c.ID)); loop != nil {
-					return loop
-				}
-			}
-		}
-		return nil
-	}
-	loop := extend([]roadnet.EdgeID{0})
-	if loop == nil {
-		t.Fatal("no block loop through edge 0")
-	}
-	return loop
-}
-
 var fleetScripts = map[string]struct {
 	net    func(testing.TB) *roadnet.Network
 	script fleetScript
@@ -126,8 +95,8 @@ var fleetScripts = map[string]struct {
 		}
 		return func(int) {}
 	}},
-	// Everything at once: parked obstacles in the lanes, a bus loop,
-	// arrivals and departures mid-run.
+	// Everything at once: parked obstacles in the lanes, arrivals and
+	// departures mid-run.
 	"mix": {twoLaneGrid, func(t *testing.T, f fleet, net *roadnet.Network, rng *rand.Rand) func(int) {
 		must := mustAdd(t)
 		place := func() (roadnet.EdgeID, float64) {
@@ -138,7 +107,6 @@ var fleetScripts = map[string]struct {
 			e, off := place()
 			must(f.AddParkedVehicle(e, off, DefaultProfile()))
 		}
-		must(f.AddLoopVehicle(blockLoop(t, net), 20, crawlProfile(0.7)))
 		for i := 0; i < 40; i++ {
 			e, off := place()
 			must(f.AddVehicle(e, off, crawlProfile(0.4+0.8*rng.Float64())))

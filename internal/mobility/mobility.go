@@ -12,7 +12,6 @@ package mobility
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"vcloud/internal/geo"
 	"vcloud/internal/roadnet"
@@ -70,11 +69,6 @@ type State struct {
 	Parked  bool
 }
 
-// Velocity returns the velocity vector of the state.
-func (s State) Velocity() geo.Vector {
-	return geo.HeadingVector(s.Heading).Scale(s.Speed)
-}
-
 // vehicle is the internal mutable record.
 type vehicle struct {
 	id      VehicleID
@@ -96,8 +90,6 @@ type vehicle struct {
 	dest     roadnet.NodeID
 	// laneCooldown throttles lane changes (seconds remaining).
 	laneCooldown float64
-	// loop, when non-nil, is a closed route driven forever (bus line).
-	loop []roadnet.EdgeID
 }
 
 // lane is one lane of one edge. Between Steps vs is sorted by (offset,
@@ -233,21 +225,6 @@ func NewManager(net *roadnet.Network, cellSize float64, randFn func(n int) int) 
 	}, nil
 }
 
-// Network returns the underlying road network.
-func (m *Manager) Network() *roadnet.Network { return m.net }
-
-// Index returns the spatial index over vehicle positions. Callers must
-// treat it as read-only.
-func (m *Manager) Index() *geo.GridIndex { return m.index }
-
-// OnDeparture registers fn to be called when a vehicle leaves the
-// simulation.
-func (m *Manager) OnDeparture(fn func(VehicleID)) {
-	if fn != nil {
-		m.departures = append(m.departures, fn)
-	}
-}
-
 // AddVehicle places a vehicle at the start of edge e with the given
 // profile, driving random trips. It returns the new vehicle's ID.
 func (m *Manager) AddVehicle(e roadnet.EdgeID, offset float64, profile Profile) (VehicleID, error) {
@@ -309,25 +286,6 @@ func normalizeProfile(p *Profile) {
 	}
 	if p.Storage <= 0 {
 		p.Storage = d.Storage
-	}
-}
-
-// Remove departs a vehicle from the simulation (e.g. it parked and turned
-// off, or drove out of the modeled area).
-func (m *Manager) Remove(id VehicleID) {
-	v := m.vehicle(id)
-	if v == nil {
-		return
-	}
-	v.gone = true
-	m.laneOf(v).remove(v)
-	m.index.Remove(int32(id))
-	m.vehicles[id] = nil
-	if i, ok := slices.BinarySearch(m.ids, id); ok {
-		m.ids = slices.Delete(m.ids, i, i+1)
-	}
-	for _, fn := range m.departures {
-		fn(id)
 	}
 }
 
@@ -515,16 +473,9 @@ func (m *Manager) advanceEdge(v *vehicle) bool {
 	return true
 }
 
-// pickNewDestination assigns the vehicle's next route: loop vehicles
-// restart their loop; others draw a fresh random destination reachable
-// from the end of the current edge.
+// pickNewDestination assigns the vehicle's next route: a fresh random
+// destination reachable from the end of the current edge.
 func (m *Manager) pickNewDestination(v *vehicle) {
-	if v.loop != nil {
-		// The current edge is the last loop edge; continue from the top.
-		v.route = v.loop
-		v.routeIdx = 0
-		return
-	}
 	from := m.net.Edge(v.edge).To
 	for attempt := 0; attempt < 8; attempt++ {
 		//vcloudlint:allow hotalloc trip ends are rare (once per vehicle per route, not per tick); the draw goes through the injected stream
@@ -543,16 +494,4 @@ func (m *Manager) pickNewDestination(v *vehicle) {
 	}
 	v.route = nil
 	v.routeIdx = 0
-}
-
-// RemainingRoute returns the edges the vehicle will traverse after its
-// current edge. The slice is a copy.
-func (m *Manager) RemainingRoute(id VehicleID) []roadnet.EdgeID {
-	v := m.vehicle(id)
-	if v == nil || v.routeIdx >= len(v.route) {
-		return nil
-	}
-	out := make([]roadnet.EdgeID, len(v.route)-v.routeIdx)
-	copy(out, v.route[v.routeIdx:])
-	return out
 }

@@ -534,80 +534,3 @@ func TestSingleLaneNeverChanges(t *testing.T) {
 		}
 	}
 }
-
-func TestLoopVehicleStaysOnRoute(t *testing.T) {
-	net := gridNet(t)
-	m := newTestManager(t, net, 13)
-	// Build a closed 4-edge loop around one block: find it by walking.
-	start := roadnet.EdgeID(0)
-	loop := []roadnet.EdgeID{start}
-	cur := start
-	for len(loop) < 8 {
-		var next roadnet.EdgeID = -1
-		for _, cand := range net.Node(net.Edge(cur).To).Out() {
-			// Avoid immediate U-turns; close the loop when possible.
-			if net.Edge(cand).To == net.Edge(start).From && len(loop) >= 3 {
-				next = cand
-				break
-			}
-			if net.Edge(cand).To != net.Edge(cur).From && next < 0 {
-				next = cand
-			}
-		}
-		if next < 0 {
-			t.Fatal("could not build a loop on the grid")
-		}
-		loop = append(loop, next)
-		cur = next
-		if net.Edge(cur).To == net.Edge(start).From {
-			break
-		}
-	}
-	id, err := m.AddLoopVehicle(loop, 0, DefaultProfile())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.OnLoop(id) {
-		t.Error("OnLoop should report true")
-	}
-	onLoop := map[roadnet.EdgeID]bool{}
-	for _, e := range loop {
-		onLoop[e] = true
-	}
-	visits := map[roadnet.EdgeID]int{}
-	for i := 0; i < 6000; i++ { // 10 minutes
-		m.Step(0.1)
-		st, ok := m.State(id)
-		if !ok {
-			t.Fatal("loop vehicle lost")
-		}
-		if !onLoop[st.Edge] {
-			t.Fatalf("loop vehicle strayed to edge %d at step %d", st.Edge, i)
-		}
-		visits[st.Edge]++
-	}
-	// Every loop edge must have been visited repeatedly (periodicity).
-	for _, e := range loop {
-		if visits[e] == 0 {
-			t.Errorf("loop edge %d never visited", e)
-		}
-	}
-}
-
-func TestLoopValidation(t *testing.T) {
-	net := gridNet(t)
-	m := newTestManager(t, net, 14)
-	if _, err := m.AddLoopVehicle(nil, 0, DefaultProfile()); err == nil {
-		t.Error("empty loop should error")
-	}
-	if _, err := m.AddLoopVehicle([]roadnet.EdgeID{0}, 0, DefaultProfile()); err == nil {
-		t.Error("single-edge loop should error")
-	}
-	// Discontiguous pair.
-	if _, err := m.AddLoopVehicle([]roadnet.EdgeID{0, 0}, 0, DefaultProfile()); err == nil {
-		t.Error("discontiguous loop should error")
-	}
-	if _, err := m.AddLoopVehicle([]roadnet.EdgeID{0, 9999}, 0, DefaultProfile()); err == nil {
-		t.Error("out-of-range loop edge should error")
-	}
-}

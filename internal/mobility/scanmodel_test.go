@@ -61,15 +61,6 @@ func (m *scanManager) AddParkedVehicle(e roadnet.EdgeID, offset float64, profile
 	return id, nil
 }
 
-func (m *scanManager) AddLoopVehicle(route []roadnet.EdgeID, offset float64, profile Profile) (VehicleID, error) {
-	id, _ := m.AddVehicle(route[0], offset, profile)
-	v := m.vehicles[id]
-	v.loop = append([]roadnet.EdgeID(nil), route...)
-	v.route = v.loop[1:]
-	v.routeIdx = 0
-	return id, nil
-}
-
 func (m *scanManager) Remove(id VehicleID) {
 	v, ok := m.vehicles[id]
 	if !ok {
@@ -229,11 +220,6 @@ func (m *scanManager) advanceEdge(v *vehicle) bool {
 }
 
 func (m *scanManager) pickNewDestination(v *vehicle) {
-	if v.loop != nil {
-		v.route = v.loop
-		v.routeIdx = 0
-		return
-	}
 	from := m.net.Edge(v.edge).To
 	for attempt := 0; attempt < 8; attempt++ {
 		dst := roadnet.NodeID(m.randFn(m.net.NumNodes()))

@@ -36,15 +36,12 @@ func TestEnrollProducesWorkingCredentials(t *testing.T) {
 		t.Errorf("NumEnrolled = %d", ta.NumEnrolled())
 	}
 	// Long-term cert verifies under the root.
-	if err := cryptoprim.CheckCert(&e.LongTerm, ta.RootKey(), 0); err != nil {
+	if err := (*cryptoprim.VerifyMemo)(nil).CheckCert(&e.LongTerm, ta.RootKey(), 0); err != nil {
 		t.Errorf("long-term cert invalid: %v", err)
 	}
 	// Pseudonyms verify and the TA can trace them.
-	if e.Pseudonyms.Size() != 5 {
-		t.Errorf("pool size = %d", e.Pseudonyms.Size())
-	}
 	p := e.Pseudonyms.Current()
-	if err := cryptoprim.CheckCert(&p.Cert, ta.RootKey(), 0); err != nil {
+	if err := (*cryptoprim.VerifyMemo)(nil).CheckCert(&p.Cert, ta.RootKey(), 0); err != nil {
 		t.Errorf("pseudonym cert invalid: %v", err)
 	}
 	owner, ok := ta.TracePseudonym(p.Cert.SerialOf())
@@ -90,8 +87,12 @@ func TestDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Pseudonyms.Size() != 20 {
-		t.Errorf("default pool size = %d, want 20", e.Pseudonyms.Size())
+	// Revocation lists every pseudonym of the pool.
+	if err := ta.RevokeVehicle("v"); err != nil {
+		t.Fatal(err)
+	}
+	if n := ta.CRL().Len(); n != 20 {
+		t.Errorf("default pool size = %d, want 20", n)
 	}
 	if e.LongTerm.NotAfter != 24*time.Hour {
 		t.Errorf("default lifetime = %v", e.LongTerm.NotAfter)
@@ -211,18 +212,24 @@ func TestTraceGroupSigUnknown(t *testing.T) {
 	}
 }
 
-func TestRefillPseudonymsValidation(t *testing.T) {
+func TestTraceabilityPaths(t *testing.T) {
 	ta := newTA(t, Config{PoolSize: 2})
-	if _, err := ta.RefillPseudonyms("ghost"); err == nil {
-		t.Error("refill for unknown vehicle should error")
+	var enrs []*Enrollment
+	for _, id := range []VehicleIdentity{"veh-0", "veh-1"} {
+		e, err := ta.Enroll(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enrs = append(enrs, e)
 	}
-	if _, err := ta.Enroll("veh-r"); err != nil {
-		t.Fatal(err)
+	// TA traces a pseudonym to its owner.
+	owner, ok := ta.TracePseudonym(enrs[0].Pseudonyms.Current().Cert.SerialOf())
+	if !ok || owner != "veh-0" {
+		t.Errorf("TracePseudonym = %q, %v", owner, ok)
 	}
-	if err := ta.RevokeVehicle("veh-r"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ta.RefillPseudonyms("veh-r"); err == nil {
-		t.Error("refill for revoked vehicle should error")
+	// TA traces group signatures.
+	who, ok := ta.TraceGroupSig(enrs[1].Group.Sign([]byte("m"), 42))
+	if !ok || who != "veh-1" {
+		t.Errorf("TraceGroupSig = %q, %v", who, ok)
 	}
 }

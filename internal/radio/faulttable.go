@@ -60,9 +60,6 @@ func (t *FaultTable) Crash(id NodeID) {
 // Recover undoes Crash.
 func (t *FaultTable) Recover(id NodeID) { delete(t.dead, id) }
 
-// Crashed reports whether a node is silenced.
-func (t *FaultTable) Crashed(id NodeID) bool { return t.dead[id] }
-
 // Isolate cuts every frame crossing the boundary of set and returns the
 // heal function (safe to call more than once).
 func (t *FaultTable) Isolate(set map[NodeID]bool) (heal func()) {

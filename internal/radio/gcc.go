@@ -486,27 +486,3 @@ func (e *BWEstimator) LossRate() float64 {
 	}
 	return float64(fails) / float64(e.outcomeN)
 }
-
-// Trend returns the latest modified trendline value (ms): positive under
-// queue growth, negative while draining.
-func (e *BWEstimator) Trend() float64 { return e.trend }
-
-// ThresholdMs returns the current adaptive overuse threshold.
-func (e *BWEstimator) ThresholdMs() float64 { return e.thresholdMs }
-
-// State returns the detector state: "normal", "overuse" or "underuse".
-func (e *BWEstimator) State() string {
-	switch e.state {
-	case stateOveruse:
-		return "overuse"
-	case stateUnderuse:
-		return "underuse"
-	default:
-		return "normal"
-	}
-}
-
-// Counters returns (sent, acked, lost) message totals.
-func (e *BWEstimator) Counters() (sent, acked, lost uint64) {
-	return e.sent, e.acked, e.lost
-}

@@ -326,21 +326,6 @@ func (m *Medium) Stats() Stats { return m.stats }
 // Params returns the medium configuration.
 func (m *Medium) Params() Params { return m.params }
 
-// Neighbors appends the IDs of nodes within range of node id (excluding
-// itself) and returns the slice. It reflects true geometry, not beacons;
-// protocol code should normally use vnet neighbor tables instead.
-func (m *Medium) Neighbors(dst []NodeID, id NodeID) []NodeID {
-	p, ok := m.index.Position(int32(id))
-	if !ok {
-		return dst
-	}
-	m.scratchIDs = m.index.WithinRange(m.scratchIDs[:0], p, m.params.RangeMax, int32(id))
-	for _, r := range m.scratchIDs {
-		dst = append(dst, NodeID(r))
-	}
-	return dst
-}
-
 // txDelay returns the on-air time of size bytes.
 func (m *Medium) txDelay(size int) sim.Time {
 	bits := float64(size * 8)

@@ -48,9 +48,6 @@ func NewShardChannel(seed uint64, params Params, densityHalf float64) (*ShardCha
 	return &ShardChannel{seed: seed, params: params, densityHalf: densityHalf}, nil
 }
 
-// Params returns the channel configuration.
-func (c *ShardChannel) Params() Params { return c.params }
-
 // CollisionProb returns the load-dependent loss probability for a sender
 // with the given neighbor density.
 func (c *ShardChannel) CollisionProb(density int) float64 {

@@ -266,12 +266,5 @@ func (s *Sender) QueueDelay() sim.Time { return s.u.QueueDelay() }
 // channel (zero before any feedback).
 func (s *Sender) LastFeedback() sim.Time { return s.est.LastFeedback() }
 
-// BaseRTT returns the underlying link's healthy round-trip latency.
-func (s *Sender) BaseRTT() sim.Time { return s.u.params.BaseRTT }
-
-// Estimator exposes the underlying estimator (tests and invariant
-// checks).
-func (s *Sender) Estimator() *BWEstimator { return s.est }
-
 // Uplink returns the shared channel this sender transmits on.
 func (s *Sender) Uplink() *Uplink { return s.u }

@@ -32,10 +32,6 @@ type Node struct {
 	out []EdgeID
 }
 
-// Out returns the IDs of edges leaving the node. The returned slice must
-// not be modified.
-func (n *Node) Out() []EdgeID { return n.out }
-
 // Edge is a one-way road segment from From to To. Two-way roads are two
 // edges.
 type Edge struct {
@@ -141,9 +137,6 @@ func (n *Network) NumNodes() int { return len(n.nodes) }
 // NumEdges returns the edge count.
 func (n *Network) NumEdges() int { return len(n.edges) }
 
-// Node returns the node with the given ID.
-func (n *Network) Node(id NodeID) *Node { return &n.nodes[id] }
-
 // Edge returns the edge with the given ID.
 func (n *Network) Edge(id EdgeID) *Edge { return &n.edges[id] }
 
@@ -160,18 +153,6 @@ func (n *Network) PosAlong(e EdgeID, t float64) geo.Point {
 func (n *Network) EdgeHeading(e EdgeID) float64 {
 	ed := &n.edges[e]
 	return n.nodes[ed.To].Pos.Sub(n.nodes[ed.From].Pos).Heading()
-}
-
-// NearestNode returns the node closest to p.
-func (n *Network) NearestNode(p geo.Point) NodeID {
-	best := NodeID(0)
-	bestD := math.Inf(1)
-	for i := range n.nodes {
-		if d := n.nodes[i].Pos.DistSq(p); d < bestD {
-			best, bestD = n.nodes[i].ID, d
-		}
-	}
-	return best
 }
 
 // pathItem is a priority-queue entry for Dijkstra/A*.
@@ -273,22 +254,4 @@ func (n *Network) ShortestPath(src, dst NodeID) ([]EdgeID, error) {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev, nil
-}
-
-// PathLength returns the total length in meters of a path of edges.
-func (n *Network) PathLength(path []EdgeID) float64 {
-	var total float64
-	for _, e := range path {
-		total += n.edges[e].Length
-	}
-	return total
-}
-
-// PathTime returns the free-flow travel time in seconds of a path.
-func (n *Network) PathTime(path []EdgeID) float64 {
-	var total float64
-	for _, e := range path {
-		total += n.edges[e].Length / n.edges[e].SpeedLimit
-	}
-	return total
 }

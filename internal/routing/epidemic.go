@@ -81,9 +81,6 @@ func (e *Epidemic) Stop() {
 	e.node.Handle(epidemicKind, nil)
 }
 
-// BufferLen reports the number of stored copies.
-func (e *Epidemic) BufferLen() int { return len(e.buffer) }
-
 // Send implements Router.
 func (e *Epidemic) Send(dest vnet.Addr, size int, data any) error {
 	if e.stopped {

@@ -265,8 +265,4 @@ func (g *Greedy) drainBuffer() {
 	g.buffer = keep
 }
 
-// BufferLen reports how many packets are waiting for a forwarding
-// opportunity (exposed for tests and experiments).
-func (g *Greedy) BufferLen() int { return len(g.buffer) }
-
 var _ Router = (*Greedy)(nil)

@@ -119,13 +119,6 @@ func New(spec Spec) (*Scenario, error) {
 		}
 	}
 
-	// Vehicles that depart must leave the radio medium too.
-	mob.OnDeparture(func(id mobility.VehicleID) {
-		if n, ok := s.Nodes[id]; ok {
-			n.Stop()
-			delete(s.Nodes, id)
-		}
-	})
 	return s, nil
 }
 
@@ -197,9 +190,8 @@ func (s *Scenario) Start() error {
 	var fleet []mobility.VehicleID
 	if _, err := s.Kernel.Every(mobilityTick, func() {
 		s.Mobility.Step(dt)
-		// Push fresh positions into the radio medium. Every live vehicle
-		// has a node: attachNode and the departure hook keep Nodes and the
-		// manager's fleet in step.
+		// Push fresh positions into the radio medium. Every vehicle has a
+		// node: attachNode keeps Nodes and the manager's fleet in step.
 		fleet = s.Mobility.IDs(fleet[:0])
 		for _, id := range fleet {
 			if p, ok := s.Mobility.Pos(id); ok {

@@ -74,21 +74,6 @@ func TestScenarioWiring(t *testing.T) {
 	}
 }
 
-func TestDepartureDetachesNode(t *testing.T) {
-	s, err := New(gridSpec(t, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := s.VehicleIDs()
-	s.Mobility.Remove(ids[0])
-	if _, ok := s.Node(ids[0]); ok {
-		t.Error("departed vehicle still has a node")
-	}
-	if len(s.Nodes) != 4 {
-		t.Errorf("nodes = %d, want 4", len(s.Nodes))
-	}
-}
-
 func TestAddRSUAndMidRunVehicle(t *testing.T) {
 	s, err := New(gridSpec(t, 2))
 	if err != nil {

@@ -193,17 +193,6 @@ func (r *Result) Comparable() string {
 	return b.String()
 }
 
-// ChurnSchedule returns the tick each vehicle id becomes active and the
-// tick it departs (math.MaxInt32 for never), as pure functions of the
-// config. Exposed so invariant checks can recompute the expected fleet.
-func ChurnSchedule(cfg Config) (birth, death []int32, err error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, nil, err
-	}
-	sched := churnSchedule(&cfg)
-	return sched[:cfg.Vehicles], sched[cfg.Vehicles:], nil
-}
-
 func churnSchedule(cfg *Config) []int32 {
 	seed := uint64(sim.SubSeed(cfg.Seed, "shardworld/churn"))
 	sched := make([]int32, 2*cfg.Vehicles)

@@ -143,39 +143,16 @@ func NewShardedKernel(seed int64, n int, lookahead Time) (*ShardedKernel, error)
 	return sk, nil
 }
 
-// NumShards returns the shard count.
-func (sk *ShardedKernel) NumShards() int { return len(sk.shards) }
-
 // Shard returns shard i's kernel. Model code running on shard i schedules
 // its local events here; scheduling on another shard's kernel from inside
 // a window is a data race — cross-shard work must go through Inject.
 func (sk *ShardedKernel) Shard(i int) *Kernel { return sk.shards[i] }
-
-// Seed returns the coordinator seed.
-func (sk *ShardedKernel) Seed() int64 { return sk.seed }
-
-// Lookahead returns the conservative window length.
-func (sk *ShardedKernel) Lookahead() Time { return sk.lookahead }
-
-// Now returns the coordinator's virtual time: the start of the next
-// unprocessed window (every shard has dispatched all events before it).
-func (sk *ShardedKernel) Now() Time { return sk.now }
 
 // Processed returns the total number of events dispatched across shards.
 func (sk *ShardedKernel) Processed() uint64 {
 	var n uint64
 	for _, k := range sk.shards {
 		n += k.Processed()
-	}
-	return n
-}
-
-// Pending returns the total number of scheduled events across shards,
-// excluding cross events parked in outboxes.
-func (sk *ShardedKernel) Pending() int {
-	n := 0
-	for _, k := range sk.shards {
-		n += k.Pending()
 	}
 	return n
 }

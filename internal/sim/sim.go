@@ -184,9 +184,6 @@ func NewKernel(seed int64) *Kernel {
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Seed returns the seed the kernel was created with.
-func (k *Kernel) Seed() int64 { return k.seed }
-
 // Processed returns the number of events dispatched so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
 
@@ -196,11 +193,6 @@ func (k *Kernel) Pending() int { return k.pending }
 // WallTime returns the cumulative real time spent dispatching events
 // inside Run and Step.
 func (k *Kernel) WallTime() time.Duration { return k.runWall }
-
-// RNG returns the kernel's random source. Model code must draw all
-// randomness from here (or from streams derived via NewStream) so runs are
-// reproducible.
-func (k *Kernel) RNG() *rand.Rand { return k.rng }
 
 // NewStream returns an independent random stream labelled by name. Distinct
 // names yield decorrelated streams that are stable across runs with the

@@ -71,12 +71,11 @@ func runQuorumSchedules(t *testing.T, s *scenario.Scenario, inj *faults.Injector
 		OnlineFn:  func(a vnet.Addr) bool { return !inj.Cut(rsu, a) },
 	}
 	f := func(raw []uint16) bool {
+		crashed := map[vnet.Addr]bool{}
 		// Each schedule starts from a clean radio: no faults carry over.
 		defer func() {
 			for _, a := range fleet {
-				if inj.Crashed(a) {
-					inj.RecoverNode(a)
-				}
+				inj.RecoverNode(a)
 			}
 		}()
 		b, err := store.NewReplicated(store.Config{
@@ -111,11 +110,12 @@ func runQuorumSchedules(t *testing.T, s *scenario.Scenario, inj *faults.Injector
 					return false
 				}
 			case 4: // crash / recover toggles one member
-				if inj.Crashed(member) {
+				if crashed[member] {
 					inj.RecoverNode(member)
 				} else {
 					inj.CrashNode(member)
 				}
+				crashed[member] = !crashed[member]
 			case 5: // geometric partition around a pseudo-random point
 				c := geo.Point{
 					X: bounds.Min.X + bounds.Width()*float64(op%97)/97,

@@ -1,8 +1,7 @@
 // Package trust implements the real-time message-content validation the
-// paper designs in §V.D: a message classifier that groups reports into
-// events by space–time proximity, and a set of content validators that
-// score an event's trustworthiness from possibly-conflicting reports
-// under stringent time constraints.
+// paper designs in §V.D: a set of content validators that score an
+// event's trustworthiness from possibly-conflicting reports, grouped by
+// event, under stringent time constraints.
 //
 // Validators follow the survey's taxonomy:
 //
@@ -19,7 +18,6 @@
 package trust
 
 import (
-	"fmt"
 	"math"
 
 	"vcloud/internal/geo"
@@ -53,72 +51,6 @@ type Event struct {
 type Group struct {
 	Event   Event
 	Reports []Report
-}
-
-// Classifier clusters incoming reports into event groups by type and
-// space–time proximity (§V.D "identify messages belonging to the same
-// event").
-type Classifier struct {
-	radius float64
-	window sim.Time
-	groups []*Group
-}
-
-// NewClassifier creates a classifier. Reports within radius meters and
-// window of an existing group's event join it; otherwise they seed a new
-// group.
-func NewClassifier(radius float64, window sim.Time) (*Classifier, error) {
-	if radius <= 0 {
-		return nil, fmt.Errorf("trust: radius must be positive, got %v", radius)
-	}
-	if window <= 0 {
-		return nil, fmt.Errorf("trust: window must be positive, got %v", window)
-	}
-	return &Classifier{radius: radius, window: window}, nil
-}
-
-// Assign routes a report about (eventType, eventPos, at) into its group,
-// creating one as needed, and returns the group.
-func (c *Classifier) Assign(eventType string, eventPos geo.Point, at sim.Time, r Report) *Group {
-	for _, g := range c.groups {
-		if g.Event.Type != eventType {
-			continue
-		}
-		if g.Event.Pos.Dist(eventPos) > c.radius {
-			continue
-		}
-		dt := at - g.Event.At
-		if dt < 0 {
-			dt = -dt
-		}
-		if dt > c.window {
-			continue
-		}
-		g.Reports = append(g.Reports, r)
-		return g
-	}
-	g := &Group{Event: Event{Type: eventType, Pos: eventPos, At: at}, Reports: []Report{r}}
-	c.groups = append(c.groups, g)
-	return g
-}
-
-// Groups returns all current groups.
-func (c *Classifier) Groups() []*Group { return c.groups }
-
-// Expire drops groups older than the window relative to now, returning
-// how many were removed (kept memory bounded on long runs).
-func (c *Classifier) Expire(now sim.Time) int {
-	keep := c.groups[:0]
-	removed := 0
-	for _, g := range c.groups {
-		if now-g.Event.At > 2*c.window {
-			removed++
-			continue
-		}
-		keep = append(keep, g)
-	}
-	c.groups = keep
-	return removed
 }
 
 // Validator scores an event group's trustworthiness.
@@ -283,9 +215,6 @@ func (rs *Reputation) Feedback(t Token, correct bool) {
 	rs.scores[t] = cur*0.7 + target*0.3
 }
 
-// Known returns how many reporters have accumulated reputation.
-func (rs *Reputation) Known() int { return len(rs.scores) }
-
 // Decide converts a score into a decision with an indifference band:
 // scores within margin of 0.5 return unknown=true.
 func Decide(score, margin float64) (eventReal, unknown bool) {
@@ -296,17 +225,4 @@ func Decide(score, margin float64) (eventReal, unknown bool) {
 		return false, false
 	}
 	return false, true
-}
-
-// DeadlineEvaluate scores a group using only reports received by the
-// deadline — the paper's stringent-time-constraint evaluation. It
-// returns the score and how many reports made the cut.
-func DeadlineEvaluate(v Validator, g *Group, deadline sim.Time) (float64, int) {
-	cut := &Group{Event: g.Event}
-	for _, r := range g.Reports {
-		if r.At <= deadline {
-			cut.Reports = append(cut.Reports, r)
-		}
-	}
-	return v.Score(cut), len(cut.Reports)
 }

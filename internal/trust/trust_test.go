@@ -3,7 +3,6 @@ package trust
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"vcloud/internal/geo"
 	"vcloud/internal/sim"
@@ -18,62 +17,6 @@ func report(claim bool, x, y float64, path uint64, at sim.Time) Report {
 		ReporterPos: geo.Point{X: x, Y: y},
 		PathID:      path,
 		At:          at,
-	}
-}
-
-func TestClassifierValidation(t *testing.T) {
-	if _, err := NewClassifier(0, time.Second); err == nil {
-		t.Error("zero radius should error")
-	}
-	if _, err := NewClassifier(100, 0); err == nil {
-		t.Error("zero window should error")
-	}
-}
-
-func TestClassifierGroupsBySpaceTimeAndType(t *testing.T) {
-	c, err := NewClassifier(100, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := geo.Point{X: 500, Y: 500}
-	g1 := c.Assign("ice", base, 0, report(true, 490, 500, 1, 0))
-	// Same event: nearby, in window.
-	g2 := c.Assign("ice", geo.Point{X: 550, Y: 500}, 5*time.Second, report(true, 560, 500, 2, 5e9))
-	if g1 != g2 {
-		t.Error("nearby same-type reports split into different groups")
-	}
-	// Different type.
-	g3 := c.Assign("crash", base, 0, report(true, 500, 500, 3, 0))
-	if g3 == g1 {
-		t.Error("different event types merged")
-	}
-	// Too far.
-	g4 := c.Assign("ice", geo.Point{X: 2000, Y: 500}, 0, report(true, 2000, 500, 4, 0))
-	if g4 == g1 {
-		t.Error("distant event merged")
-	}
-	// Too late.
-	g5 := c.Assign("ice", base, time.Minute, report(true, 500, 500, 5, 6e10))
-	if g5 == g1 {
-		t.Error("stale event merged")
-	}
-	if len(c.Groups()) != 4 {
-		t.Errorf("groups = %d, want 4", len(c.Groups()))
-	}
-	if len(g1.Reports) != 2 {
-		t.Errorf("g1 reports = %d, want 2", len(g1.Reports))
-	}
-}
-
-func TestClassifierExpire(t *testing.T) {
-	c, _ := NewClassifier(100, 10*time.Second)
-	c.Assign("ice", geo.Point{}, 0, report(true, 0, 0, 1, 0))
-	c.Assign("ice", geo.Point{X: 5000}, 0, report(true, 5000, 0, 2, 0))
-	if removed := c.Expire(time.Minute); removed != 2 {
-		t.Errorf("removed = %d, want 2", removed)
-	}
-	if len(c.Groups()) != 0 {
-		t.Error("groups remain after expiry")
 	}
 }
 
@@ -214,26 +157,6 @@ func TestDecide(t *testing.T) {
 	}
 	if _, unk := Decide(0.55, 0.1); !unk {
 		t.Error("band score should be unknown")
-	}
-}
-
-func TestDeadlineEvaluate(t *testing.T) {
-	g := &Group{Event: Event{Pos: geo.Point{}}}
-	g.Reports = append(g.Reports,
-		report(true, 0, 0, 1, 1*time.Second),
-		report(true, 0, 0, 2, 2*time.Second),
-		report(false, 0, 0, 3, 10*time.Second), // arrives too late
-	)
-	score, n := DeadlineEvaluate(MajorityVote{}, g, 5*time.Second)
-	if n != 2 {
-		t.Errorf("reports within deadline = %d, want 2", n)
-	}
-	if score != 1.0 {
-		t.Errorf("score = %v, want 1.0 (late dissent excluded)", score)
-	}
-	score, n = DeadlineEvaluate(MajorityVote{}, g, 20*time.Second)
-	if n != 3 || score >= 1.0 {
-		t.Errorf("full-window eval wrong: score=%v n=%d", score, n)
 	}
 }
 

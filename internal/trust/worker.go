@@ -113,19 +113,6 @@ func (ws *WorkerSet) Weight(a vnet.Addr) float64 {
 	return 0.5 + ws.Score(a)
 }
 
-// Known returns how many workers have accumulated evidence.
-func (ws *WorkerSet) Known() int { return len(ws.recs) }
-
-// Snapshot returns current scores keyed by worker, for reports. Decay is
-// applied as of now.
-func (ws *WorkerSet) Snapshot() map[vnet.Addr]float64 {
-	out := make(map[vnet.Addr]float64, len(ws.recs))
-	for a := range ws.recs {
-		out[a] = ws.Score(a)
-	}
-	return out
-}
-
 // Below returns the workers currently scoring under the threshold, in
 // ascending address order — the placement exclusion set.
 func (ws *WorkerSet) Below(threshold float64) []vnet.Addr {

@@ -68,9 +68,6 @@ type DeployConfig struct {
 	// ClusterAlgo is the clustering algorithm for Dynamic deployments;
 	// nil means cluster.MobilitySimilarity{}.
 	ClusterAlgo cluster.Algorithm
-	// BatteryOps bounds each member's total executed ops (parked-vehicle
-	// battery budget, [9]); zero = unlimited.
-	BatteryOps float64
 	// Failover enables controller checkpoint replication and standby
 	// self-promotion on every controller, and tracks promoted successors
 	// in Controllers so SubmitAnywhere finds them.
@@ -214,9 +211,8 @@ func (d *Deployment) attachMember(id mobility.VehicleID) error {
 	}
 	profile, _ := d.s.Mobility.Profile(id)
 	mc := MemberConfig{
-		Resources:  d.cfg.MemberResources(profile),
-		Handover:   d.cfg.Handover,
-		BatteryOps: d.cfg.BatteryOps,
+		Resources: d.cfg.MemberResources(profile),
+		Handover:  d.cfg.Handover,
 	}
 	vid := id
 	mc.OnAccept = d.cfg.OnAccept
@@ -462,9 +458,4 @@ func sortIDs(ids []mobility.VehicleID) {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
-}
-
-// MemberNode returns the vnet node of a member vehicle.
-func (d *Deployment) MemberNode(id mobility.VehicleID) (*vnet.Node, bool) {
-	return d.s.Node(id)
 }

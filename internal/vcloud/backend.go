@@ -111,20 +111,6 @@ func (r *RemoteCloud) Submit(task Task, done func(TaskResult)) error {
 	return nil
 }
 
-// VehicularBackend adapts a Controller to the Backend interface.
-type VehicularBackend struct {
-	C *Controller
-}
-
-// Name implements Backend.
-func (v VehicularBackend) Name() string { return "vehicular" }
-
-// Submit implements Backend.
-func (v VehicularBackend) Submit(task Task, done func(TaskResult)) error {
-	_, err := v.C.Submit(task, done)
-	return err
-}
-
 // DeploymentBackend adapts a whole Deployment to the Backend interface:
 // submissions route to the most-members-first active controller, so the
 // backend keeps working across controller failover — the vehicle-tier
@@ -143,6 +129,5 @@ func (b DeploymentBackend) Submit(task Task, done func(TaskResult)) error {
 
 var (
 	_ Backend = (*RemoteCloud)(nil)
-	_ Backend = VehicularBackend{}
 	_ Backend = DeploymentBackend{}
 )

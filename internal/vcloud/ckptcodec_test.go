@@ -30,7 +30,6 @@ func fixtureCheckpoint() vcloud.Checkpoint {
 			DwellMargin:      1.5,
 			RetryLimit:       4,
 			Handover:         true,
-			PricePerKOps:     2,
 			Failover:         true,
 			CheckpointPeriod: 2 * time.Second,
 			FailoverTTL:      4 * time.Second,
@@ -77,10 +76,6 @@ func fixtureCheckpoint() vcloud.Checkpoint {
 			Spec:      vcloud.JobSpec{Stages: []vcloud.StageSpec{{Name: "detect", Ops: 2500, OutputBytes: 64}}},
 			Stages:    []vcloud.StageCheckpoint{{Status: vcloud.StageDone, Value: 7, TaskID: 13, Holders: []vnet.Addr{3}}},
 		}},
-		Estimates: [vcloud.NumTiers]vcloud.TierEstimate{
-			vcloud.TierVehicle: {Bps: 4e6, Loss: 0.01, QueueDelay: 30 * time.Millisecond, Seq: 12, Updated: 9 * time.Second},
-			vcloud.TierCloud:   {Bps: 1.5e6, Loss: 0.12, QueueDelay: 900 * time.Millisecond, Seq: 15, Updated: 10 * time.Second},
-		},
 	}
 }
 
@@ -227,6 +222,33 @@ func BenchmarkCheckpointCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestReservedBlockHoldsTheWireLength: the encoding ends in a block of
+// zero bytes that keeps a checkpoint's frame as long as it was before the
+// price and estimate fields went (the length is part of the radio model),
+// and the decoder accepts nothing but zeros there.
+func TestReservedBlockHoldsTheWireLength(t *testing.T) {
+	for name, tc := range map[string]struct {
+		ck   vcloud.Checkpoint
+		want int
+	}{"fixture": {fixtureCheckpoint(), 871}, "empty": {vcloud.Checkpoint{}, 273}, "busy": {busyCheckpoint(), 15271}} {
+		if got := len(vcloud.EncodeCheckpoint(tc.ck)); got != tc.want {
+			t.Errorf("%s: encoded %d bytes, want %d", name, got, tc.want)
+		}
+	}
+	data := vcloud.EncodeCheckpoint(fixtureCheckpoint())
+	tail := data[len(data)-128:]
+	if !bytes.Equal(tail, make([]byte, 128)) {
+		t.Fatalf("reserved block is not zero: %x", tail)
+	}
+	for _, at := range []int{0, 64, 127} {
+		bad := append([]byte(nil), data...)
+		bad[len(bad)-128+at] = 1
+		if _, err := vcloud.DecodeCheckpoint(bad); err == nil {
+			t.Errorf("non-zero reserved byte %d accepted", at)
+		}
+	}
 }
 
 // TestEncodedSizeIsExact: the encoder sizes its buffer once, so the

@@ -17,7 +17,6 @@ import (
 const (
 	kindAdv      = "vc.adv"
 	kindJoin     = "vc.join"
-	kindLeave    = "vc.leave"
 	kindTask     = "vc.task"
 	kindResult   = "vc.result"
 	kindHandover = "vc.handover"
@@ -141,25 +140,16 @@ type Stats struct {
 	// dispatches, retries, redundant replicas, handover re-dispatches) —
 	// the denominator of E15's wasted-work accounting.
 	OpsDispatched float64
-	// Congestion-aware placement counters (PR 8). EstimateReports counts
-	// accepted tier-condition reports; EstimateStale counts reports
-	// fenced out for carrying a deposed leader's epoch; Admitted /
+	// Congestion-aware placement counters (PR 8). Admitted /
 	// AdmissionRejects split governor admission decisions; Backpressured
 	// counts submissions bounced off full tier queues; Shed counts
 	// optional work dropped under overload; TierSwitches counts the
 	// governor changing its preferred tier (hysteresis keeps this low).
-	EstimateReports  metrics.Counter
-	EstimateStale    metrics.Counter
 	Admitted         metrics.Counter
 	AdmissionRejects metrics.Counter
 	Backpressured    metrics.Counter
 	Shed             metrics.Counter
 	TierSwitches     metrics.Counter
-}
-
-// JobCompletionRate returns completed/submitted for DAG jobs.
-func (s *Stats) JobCompletionRate() float64 {
-	return metrics.Ratio(s.JobsCompleted.Value(), s.JobsSubmitted.Value())
 }
 
 // CompletionRate returns completed/submitted.
@@ -192,12 +182,6 @@ type ControllerConfig struct {
 	// which it returns false are ignored. Secure clouds wire this to the
 	// authenticator's verified-peer set (§V.A).
 	AcceptJoin func(member vnet.Addr) bool
-	// Ledger, when non-nil, enables the incentive mechanism: on task
-	// completion the submitter's account pays the final worker
-	// PricePerKOps credits per 1000 ops.
-	Ledger *Ledger
-	// PricePerKOps is the task price in credits per kOp. Default 1.
-	PricePerKOps int64
 	// Trace, when non-nil, records task lifecycle events for post-run
 	// debugging (nil-safe; see internal/trace).
 	Trace *trace.Recorder
@@ -300,9 +284,6 @@ type Controller struct {
 	// storage is the attached data-service backend (nil when none); see
 	// storage.go for the churn-driven repair wiring.
 	storage storageBackend
-	// estimates is the per-tier congestion table fed by member reports
-	// (estimates.go); checkpointed, so a promoted standby inherits it.
-	estimates [NumTiers]TierEstimate
 
 	// standby is the designated failover successor (-1 when none).
 	standby  vnet.Addr
@@ -344,9 +325,6 @@ func NewController(node *vnet.Node, cfg ControllerConfig, stats *Stats) (*Contro
 	if cfg.RetryLimit <= 0 {
 		cfg.RetryLimit = 3
 	}
-	if cfg.Ledger != nil && cfg.PricePerKOps <= 0 {
-		cfg.PricePerKOps = 1
-	}
 	if cfg.CheckpointPeriod <= 0 {
 		cfg.CheckpointPeriod = 2 * cfg.AdvPeriod
 	}
@@ -369,11 +347,9 @@ func NewController(node *vnet.Node, cfg ControllerConfig, stats *Stats) (*Contro
 		rng:     node.Kernel().NewStream(fmt.Sprintf("vcloud.depend.%d", node.Addr())),
 	}
 	node.Handle(kindJoin, c.onJoin)
-	node.Handle(kindLeave, c.onLeave)
 	node.Handle(kindResult, c.onResult)
 	node.Handle(kindHandover, c.onHandover)
 	node.Handle(kindStageRelay, c.onStageRelay)
-	node.Handle(kindEstimate, c.onEstimate)
 	if cfg.Fencing {
 		c.epoch = NextEpoch(0, node.Addr())
 		c.armed = make(map[vnet.Addr]armedStandby)
@@ -437,11 +413,9 @@ func (c *Controller) halt() {
 	c.stopped = true
 	c.ticker.Stop()
 	c.node.Handle(kindJoin, nil)
-	c.node.Handle(kindLeave, nil)
 	c.node.Handle(kindResult, nil)
 	c.node.Handle(kindHandover, nil)
 	c.node.Handle(kindStageRelay, nil)
-	c.node.Handle(kindEstimate, nil)
 	if c.cfg.Fencing {
 		c.node.Handle(kindAdv, nil)
 		c.node.Handle(kindMerge, nil)
@@ -473,19 +447,6 @@ func (c *Controller) Members() []vnet.Addr {
 // advertisements (§V.A: the authority switches an area into emergency
 // mode).
 func (c *Controller) SetEmergency(on bool) { c.emergency = on }
-
-// Emergency reports the management-plane emergency flag.
-func (c *Controller) Emergency() bool { return c.emergency }
-
-// Snapshot returns the controller's current membership view — the §V.A
-// "recover the snapshot of the topology" management operation.
-func (c *Controller) Snapshot() map[vnet.Addr]Resources {
-	out := make(map[vnet.Addr]Resources, len(c.members))
-	for a, m := range c.members {
-		out[a] = m.res
-	}
-	return out
-}
 
 func (c *Controller) tick() {
 	if c.stopped {
@@ -607,24 +568,13 @@ func (c *Controller) onJoin(msg vnet.Message, _ vnet.Addr) {
 	m.lastSeen = c.node.Kernel().Now()
 }
 
-func (c *Controller) onLeave(msg vnet.Message, _ vnet.Addr) {
-	if c.stopped {
-		return
-	}
-	delete(c.members, msg.Origin)
-	// A graceful leave is permanent departure: the leaver's storage goes
-	// with it — forget its copies and repair from the survivors.
-	c.forgetStorage(msg.Origin)
-}
-
 // Submit enters a task into the cloud on the controller's own account.
 // done fires exactly once.
 func (c *Controller) Submit(task Task, done func(TaskResult)) (TaskID, error) {
 	return c.SubmitFor(c.node.Addr(), task, done)
 }
 
-// SubmitFor enters a task charged to the given client account (the
-// incentive mechanism's payer when a ledger is configured).
+// SubmitFor enters a task on behalf of the given client address.
 func (c *Controller) SubmitFor(client vnet.Addr, task Task, done func(TaskResult)) (TaskID, error) {
 	if c.stopped {
 		return 0, fmt.Errorf("vcloud: controller stopped")
@@ -855,10 +805,8 @@ func (c *Controller) finish(id TaskID, ts *taskState, ok bool, reason FailReason
 			Handovers: ts.handovers,
 			Submitted: ts.submitted,
 		},
-		done:      ts.done,
-		replicas:  replicas,
-		assignee:  ts.assignee,
-		hasPolicy: ts.policy != nil,
+		done:     ts.done,
+		replicas: replicas,
 	}
 	// Apply-after-ack (fenced failover only): while any standby holds an
 	// unacknowledged checkpoint copy of our state, applying immediately
@@ -876,6 +824,3 @@ func (c *Controller) finish(id TaskID, ts *taskState, ok bool, reason FailReason
 	}
 	c.applyEntry(e)
 }
-
-// PendingTasks returns how many tasks are in flight.
-func (c *Controller) PendingTasks() int { return len(c.tasks) }

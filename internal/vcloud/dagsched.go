@@ -117,9 +117,6 @@ func (c *Controller) buildJob(id JobID, spec JobSpec, client vnet.Addr, submitte
 	return j
 }
 
-// PendingJobs returns how many DAG jobs are in flight.
-func (c *Controller) PendingJobs() int { return len(c.jobs) }
-
 // dispatchReady launches every stage whose dependencies have resolved,
 // in topological order (deterministic: the order is a pure function of
 // the spec). A stage whose dependency was abandoned is abandoned too —

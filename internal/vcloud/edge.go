@@ -15,8 +15,8 @@
 //     nearby vehicle still wins short tasks;
 //   - its own CPU/storage capacity, typically larger than a vehicle's.
 //
-// Everything else — joins, dispatch, voting, stage handoff, battery
-// (unlimited: zero BatteryOps) — is inherited unchanged, so edge
+// Everything else — joins, dispatch, voting, stage handoff — is
+// inherited unchanged, so edge
 // placement composes with replication, fencing and failover for free.
 package vcloud
 

@@ -1,0 +1,106 @@
+package vcloud
+
+import (
+	"math"
+
+	"vcloud/internal/metrics"
+	"vcloud/internal/mobility"
+	"vcloud/internal/store"
+	"vcloud/internal/vnet"
+)
+
+// Accessors only the tests read. The execution census keeps the
+// program to what a run executes; these stay here for the tests.
+
+// PendingJobs returns how many DAG jobs are in flight.
+func (c *Controller) PendingJobs() int { return len(c.jobs) }
+
+// StorageView returns the controller's cluster view for a storage
+// backend: members are the live membership table, online means heard
+// from within MemberTTL, dwell comes from the scheduler's estimator,
+// and the epoch is the controller's fencing counter.
+func (c *Controller) StorageView() store.View {
+	return store.FuncView{
+		MembersFn: c.Members,
+		OnlineFn: func(a vnet.Addr) bool {
+			m, ok := c.members[a]
+			if !ok {
+				return false
+			}
+			return c.node.Kernel().Now()-m.lastSeen <= c.cfg.MemberTTL
+		},
+		DwellFn: func(a vnet.Addr) float64 {
+			if c.cfg.Dwell == nil {
+				return math.Inf(1)
+			}
+			return c.cfg.Dwell(a)
+		},
+		EpochFn: func() uint64 { return c.epoch.Counter },
+	}
+}
+
+// CurrentEpoch returns the controller's epoch (zero when unfenced).
+func (c *Controller) CurrentEpoch() Epoch { return c.epoch }
+
+// ParkedOutcomes returns how many finished outcomes await standby
+// acknowledgement before applying.
+func (c *Controller) ParkedOutcomes() int { return len(c.parked) }
+
+// JobCompletionRate returns completed/submitted for DAG jobs.
+func (s *Stats) JobCompletionRate() float64 {
+	return metrics.Ratio(s.JobsCompleted.Value(), s.JobsSubmitted.Value())
+}
+
+// Emergency reports the management-plane emergency flag.
+func (c *Controller) Emergency() bool { return c.emergency }
+
+// Snapshot returns the controller's current membership view — the §V.A
+// "recover the snapshot of the topology" management operation.
+func (c *Controller) Snapshot() map[vnet.Addr]Resources {
+	out := make(map[vnet.Addr]Resources, len(c.members))
+	for a, m := range c.members {
+		out[a] = m.res
+	}
+	return out
+}
+
+// PendingTasks returns how many tasks are in flight.
+func (c *Controller) PendingTasks() int { return len(c.tasks) }
+
+// TierLabel returns the Tier label of the tier at index i.
+func (g *Governor) TierLabel(i int) Tier {
+	if i < 0 || i >= len(g.tiers) {
+		return -1
+	}
+	return g.tiers[i].cfg.Tier
+}
+
+// PreferredTier returns the hysteresis-stable current choice (-1 before
+// any placement).
+func (g *Governor) PreferredTier() int { return g.preferred }
+
+// MemberNode returns the vnet node of a member vehicle.
+func (d *Deployment) MemberNode(id mobility.VehicleID) (*vnet.Node, bool) {
+	return d.s.Node(id)
+}
+
+// Running returns the number of tasks executing locally.
+func (m *Member) Running() int { return len(m.current) }
+
+// Standby reports whether this member currently holds a checkpoint as
+// the designated failover successor.
+func (m *Member) Standby() bool { return m.standbyCkpt != nil }
+
+// VehicularBackend adapts a Controller to the Backend interface.
+type VehicularBackend struct {
+	C *Controller
+}
+
+// Name implements Backend.
+func (v VehicularBackend) Name() string { return "vehicular" }
+
+// Submit implements Backend.
+func (v VehicularBackend) Submit(task Task, done func(TaskResult)) error {
+	_, err := v.C.Submit(task, done)
+	return err
+}

@@ -118,10 +118,6 @@ type Checkpoint struct {
 	// Jobs is the in-flight DAG job table in ascending job-ID order; a
 	// successor resumes each job from its checkpointed stage progress.
 	Jobs []JobCheckpoint
-	// Estimates is the per-tier congestion table (estimates.go); a
-	// successor inherits the live bandwidth view instead of placing
-	// blind until the next report cycle.
-	Estimates [NumTiers]TierEstimate
 }
 
 // ckptMsg replicates a checkpoint to the standby as encoded bytes: the
@@ -142,7 +138,6 @@ func (c *Controller) Checkpoint() Checkpoint {
 	// data and survives, so restored tasks stay replicated.
 	cfg.Dwell = nil
 	cfg.AcceptJoin = nil
-	cfg.Ledger = nil
 	cfg.Trace = nil
 	cfg.Workers = nil
 	cfg.OnApply = nil
@@ -161,7 +156,6 @@ func (c *Controller) Checkpoint() Checkpoint {
 		Parked:      c.exportParked(),
 		Armed:       c.exportArmed(),
 		Jobs:        c.exportJobs(),
-		Estimates:   c.estimates,
 	}
 	for _, a := range c.Members() {
 		ck.Members = append(ck.Members, MemberSnapshot{Addr: a, Res: c.members[a].res})
@@ -263,7 +257,6 @@ func RestoreController(node *vnet.Node, ckpt Checkpoint, stats *Stats) (*Control
 	c.nextID = ckpt.NextID
 	c.nextJobID = ckpt.NextJobID
 	c.emergency = ckpt.Emergency
-	c.estimates = ckpt.Estimates
 	if cfg.Fencing {
 		// Promote at a strictly higher counter than any epoch this node
 		// has witnessed, so the predecessor's dispatches are fenced off.

@@ -8,6 +8,7 @@ import (
 	"vcloud/internal/mobility"
 	"vcloud/internal/sim"
 	"vcloud/internal/vcloud"
+	"vcloud/internal/vnet"
 )
 
 // TestCheckpointContents checks the replicated state: membership and the
@@ -55,7 +56,7 @@ func TestCheckpointContents(t *testing.T) {
 	if tk.RemainingOps <= 0 || tk.RemainingOps > 50_000 {
 		t.Errorf("checkpointed RemainingOps = %v", tk.RemainingOps)
 	}
-	if ck.Cfg.Dwell != nil || ck.Cfg.AcceptJoin != nil || ck.Cfg.Ledger != nil || ck.Cfg.Trace != nil {
+	if ck.Cfg.Dwell != nil || ck.Cfg.AcceptJoin != nil || ck.Cfg.Trace != nil {
 		t.Error("checkpoint carries function hooks; closures cannot cross the wire")
 	}
 	if ck.FailoverTTL <= 0 {
@@ -366,17 +367,20 @@ func TestTaskTimeoutReassigns(t *testing.T) {
 }
 
 // TestTaskTimeoutExhaustsRetries pins the failure end of the timeout
-// path: when every member silently declines (battery budget), the task
-// times out RetryLimit times and fails.
+// path: when every member silently swallows its dispatch, the task times
+// out RetryLimit times and fails.
 func TestTaskTimeoutExhaustsRetries(t *testing.T) {
 	s := parkingScenario(t, 3)
 	stats := &vcloud.Stats{}
 	d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{
-		BatteryOps: 500, // every member declines a 1000-ops task outright
 		Controller: vcloud.ControllerConfig{RetryLimit: 2},
 	}, stats)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, id := range s.VehicleIDs() {
+		node, _ := s.Node(id)
+		node.Handle("vc.task", func(vnet.Message, vnet.Addr) {})
 	}
 	if err := s.Start(); err != nil {
 		t.Fatal(err)

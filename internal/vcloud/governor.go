@@ -13,11 +13,37 @@ import (
 // comparison — vehicle cluster, RSU edge, conventional cloud — as one
 // Backend, and routes each submission to the tier whose *estimated*
 // completion time is best given live bandwidth, loss and queue-delay
-// feedback (estimates.go, internal/radio/gcc.go). Around that choice it
-// wraps the overload machinery: deadline-aware admission control,
-// bounded per-tier queues with structured rejection instead of unbounded
-// buffering, shedding of optional work first, and hysteresis so
-// placement does not flap between near-equal tiers.
+// feedback (internal/radio/gcc.go). Around that choice it wraps the
+// overload machinery: deadline-aware admission control, bounded per-tier
+// queues with structured rejection instead of unbounded buffering,
+// shedding of optional work first, and hysteresis so placement does not
+// flap between near-equal tiers.
+
+// Tier identifies an offload destination class — the three columns of the
+// paper's Fig. 2 comparison.
+type Tier int
+
+// Offload tiers.
+const (
+	TierVehicle Tier = iota // the vehicular cloud itself (V2V)
+	TierEdge                // RSU edge servers (ETSI-MEC style)
+	TierCloud               // conventional cloud over the uplink
+	NumTiers
+)
+
+// String implements fmt.Stringer.
+func (t Tier) String() string {
+	switch t {
+	case TierVehicle:
+		return "vehicle"
+	case TierEdge:
+		return "edge"
+	case TierCloud:
+		return "cloud"
+	default:
+		return "unknown"
+	}
+}
 
 // GovernorTier describes one offload destination available to the
 // governor.
@@ -40,11 +66,6 @@ type GovernorTier struct {
 	// Sender, when non-nil, is a co-located live estimate source: the
 	// governor reads its bandwidth/loss/queue view directly.
 	Sender *radio.Sender
-	// Estimates, when non-nil, is the controller-fed estimate table
-	// lookup (Controller.TierEstimateFor) — the path that survives
-	// failover. A fresh table entry wins over NominalBps; Sender, being
-	// strictly fresher, wins over both.
-	Estimates func() (TierEstimate, bool)
 	// QueueLimit bounds outstanding submissions on this tier; a full
 	// tier backpressures instead of buffering without bound. Default 32.
 	QueueLimit int
@@ -159,11 +180,6 @@ func (g *Governor) eta(t *tierState, task Task) sim.Time {
 	loss := 0.0
 	var queue sim.Time
 	if !g.cfg.Blind {
-		if t.cfg.Estimates != nil {
-			if e, ok := t.cfg.Estimates(); ok {
-				bps, loss, queue = e.Bps, e.Loss, e.QueueDelay
-			}
-		}
 		if s := t.cfg.Sender; s != nil {
 			bps, loss, queue = s.EstimateBps(), s.LossRate(), s.QueueDelay()
 			// Trust decays with feedback age: weight the live view by how
@@ -375,19 +391,4 @@ func (g *Governor) Placed(i int) uint64 {
 // NumTiersConfigured returns the governor's tier count.
 func (g *Governor) NumTiersConfigured() int { return len(g.tiers) }
 
-// TierLabel returns the Tier label of the tier at index i.
-func (g *Governor) TierLabel(i int) Tier {
-	if i < 0 || i >= len(g.tiers) {
-		return -1
-	}
-	return g.tiers[i].cfg.Tier
-}
-
-// PreferredTier returns the hysteresis-stable current choice (-1 before
-// any placement).
-func (g *Governor) PreferredTier() int { return g.preferred }
-
-var (
-	_ Backend        = (*Governor)(nil)
-	_ EstimateSource = (*radio.Sender)(nil)
-)
+var _ Backend = (*Governor)(nil)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"vcloud/internal/radio"
 	"vcloud/internal/sim"
 	"vcloud/internal/vcloud"
 )
@@ -39,17 +40,6 @@ func (b *blackHoleBackend) Submit(vcloud.Task, func(vcloud.TaskResult)) error {
 	return nil
 }
 
-// estSource is a settable EstimateSource.
-type estSource struct {
-	bps   float64
-	loss  float64
-	queue sim.Time
-}
-
-func (s *estSource) EstimateBps() float64 { return s.bps }
-func (s *estSource) LossRate() float64    { return s.loss }
-func (s *estSource) QueueDelay() sim.Time { return s.queue }
-
 func newGovernor(t *testing.T, k *sim.Kernel, stats *vcloud.Stats, cfg vcloud.GovernorConfig) *vcloud.Governor {
 	t.Helper()
 	g, err := vcloud.NewGovernor(k, cfg, stats)
@@ -60,20 +50,21 @@ func newGovernor(t *testing.T, k *sim.Kernel, stats *vcloud.Stats, cfg vcloud.Go
 }
 
 // The governor routes around a congested tier: when the cloud tier's
-// live estimate collapses, work moves to the vehicle tier even though
-// the cloud's nameplate figures look better.
+// uplink backs up, work moves to the vehicle tier even though the
+// cloud's nameplate figures look better.
 func TestGovernorAdaptsToCongestion(t *testing.T) {
 	k := sim.NewKernel(1)
 	stats := &vcloud.Stats{}
 	cloud := &fakeBackend{name: "cloud", kernel: k, latency: 50 * time.Millisecond}
 	veh := &fakeBackend{name: "vehicle", kernel: k, latency: 200 * time.Millisecond}
-	src := &estSource{bps: 20e6} // healthy uplink
+	up, err := radio.NewUplink(k, radio.UplinkParams{BaseRTT: 60 * time.Millisecond, BandwidthMbps: 40, Contended: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := newGovernor(t, k, stats, vcloud.GovernorConfig{
 		Tiers: []vcloud.GovernorTier{
 			// Cloud: huge CPU, network-bound. Vehicle: modest CPU, free net.
-			{Tier: vcloud.TierCloud, Backend: cloud, CPU: 1e6, NominalBps: 20e6, BaseRTT: 60 * time.Millisecond, Sender: nil, Estimates: func() (vcloud.TierEstimate, bool) {
-				return vcloud.TierEstimate{Bps: src.bps, Loss: src.loss, QueueDelay: src.queue, Seq: 1}, true
-			}},
+			{Tier: vcloud.TierCloud, Backend: cloud, CPU: 1e6, NominalBps: 40e6, BaseRTT: 60 * time.Millisecond, Sender: up.NewSender(radio.BWEConfig{})},
 			{Tier: vcloud.TierVehicle, Backend: veh, CPU: 5e4},
 		},
 	})
@@ -84,10 +75,9 @@ func TestGovernorAdaptsToCongestion(t *testing.T) {
 	if cloud.taken != 1 {
 		t.Fatalf("healthy uplink: cloud took %d, want 1", cloud.taken)
 	}
-	// Congestion collapse: 100 kbps, heavy loss, deep queue. 2 Mbit of
-	// payload now takes ~25 s over the uplink vs 0.2 s locally — far
-	// past any hysteresis band.
-	src.bps, src.loss, src.queue = 100e3, 0.3, 2*time.Second
+	// Congestion: a 10 MB transfer ahead in the FIFO holds the channel
+	// for 2 s against 0.2 s locally, far past any hysteresis band.
+	up.RoundTrip(10_000_000, 0, nil)
 	if err := g.Submit(task, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -223,56 +213,5 @@ func TestGovernorBackpressureAndShedding(t *testing.T) {
 	}
 	if g.Outstanding(0) != 0 {
 		t.Errorf("outstanding = %d after guard window, want 0", g.Outstanding(0))
-	}
-}
-
-// The estimate plane end-to-end: a member with an attached feed reports
-// live channel conditions up to its controller, and the estimate table
-// rides checkpoints so a successor inherits the congestion view.
-func TestEstimateFeedAndCheckpoint(t *testing.T) {
-	s := parkingScenario(t, 5)
-	stats := &vcloud.Stats{}
-	d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{}, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunFor(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	src := &estSource{bps: 3.5e6, loss: 0.07, queue: 400 * time.Millisecond}
-	attached := 0
-	for _, m := range d.Members {
-		m.AddEstimateFeed(vcloud.EstimateFeed{Tier: vcloud.TierCloud, Source: src})
-		attached++
-		break
-	}
-	if attached == 0 {
-		t.Fatal("no member to attach a feed to")
-	}
-	if err := s.RunFor(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	gate := d.Controllers[0]
-	e, ok := gate.TierEstimateFor(vcloud.TierCloud)
-	if !ok {
-		t.Fatal("controller has no cloud-tier estimate after feed reports")
-	}
-	if e.Bps != src.bps || e.Loss != src.loss || e.QueueDelay != src.queue {
-		t.Errorf("estimate = %+v, want feed values %+v", e, *src)
-	}
-	if stats.EstimateReports.Value() == 0 {
-		t.Error("EstimateReports counter not incremented")
-	}
-	// The congestion view replicates: a checkpoint carries the table.
-	ck := gate.Checkpoint()
-	if ck.Estimates[vcloud.TierCloud].Bps != src.bps {
-		t.Errorf("checkpoint cloud estimate Bps = %v, want %v", ck.Estimates[vcloud.TierCloud].Bps, src.bps)
-	}
-	// And the unreported tiers stay empty.
-	if _, ok := gate.TierEstimateFor(vcloud.TierEdge); ok {
-		t.Error("edge tier reports an estimate no feed produced")
 	}
 }

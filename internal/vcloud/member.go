@@ -2,7 +2,7 @@ package vcloud
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"vcloud/internal/sim"
@@ -29,13 +29,6 @@ type MemberConfig struct {
 	// done(true) — secure v-cloud initialization (§V.A), typically a
 	// mutual authentication handshake.
 	Authorize func(controller vnet.Addr, done func(ok bool))
-	// BatteryOps bounds the total ops a parked-and-off vehicle can
-	// execute before its battery budget is spent (Hou et al. [9]:
-	// "to save the battery run time, the computing power and the time
-	// length of providing services must be limited"). Zero means
-	// unlimited (engine running / plugged in). When the budget is
-	// exhausted the member leaves the cloud and stops accepting work.
-	BatteryOps float64
 	// OnPromote, when non-nil, is called after this member promotes
 	// itself to controller from a replicated checkpoint (failover). The
 	// deployment wires this to track the successor controller.
@@ -52,11 +45,6 @@ type MemberConfig struct {
 	// offload round-trip an edge server pays per task. Zero for
 	// ordinary vehicular members.
 	StartDelay sim.Time
-	// EstimateFeeds, when non-empty, makes this member a congestion
-	// scout: each tick it reports every feed's live channel conditions
-	// to its controller, feeding the placement governor's per-tier
-	// estimate table (estimates.go).
-	EstimateFeeds []EstimateFeed
 }
 
 // runningTask is a task being executed locally.
@@ -85,6 +73,8 @@ type Member struct {
 	cfg     MemberConfig
 	stats   *Stats
 	current map[TaskID]*runningTask
+	// ids is sortedIDs' reused buffer.
+	ids []TaskID
 	// controller is the most recently heard coordinator.
 	controller    vnet.Addr
 	controllerAt  sim.Time
@@ -94,9 +84,6 @@ type Member struct {
 	// authz tracks per-controller authorization: absent = not attempted,
 	// false = pending or denied, true = authorized.
 	authz map[vnet.Addr]bool
-	// spentOps accumulates executed work against the battery budget.
-	spentOps float64
-	depleted bool
 	// standbyCkpt is the latest replicated checkpoint when this member is
 	// the designated failover standby; standbyFrom is the controller that
 	// sent it (-1 when not a standby).
@@ -114,8 +101,6 @@ type Member struct {
 	cache *stageCache
 	// fetches tracks stage tasks still gathering their inputs.
 	fetches map[TaskID]*stageFetch
-	// estimateSeq orders this member's channel-condition reports.
-	estimateSeq uint64
 }
 
 // NewMember creates and starts a member agent on node.
@@ -166,11 +151,37 @@ func (m *Member) Stop() {
 		m.node.Kernel().Cancel(f.timeout)
 	}
 	m.fetches = make(map[TaskID]*stageFetch)
-	for _, rt := range m.current {
+	for _, id := range m.sortedIDs() {
+		rt := m.current[id]
 		m.node.Kernel().Cancel(rt.doneEv)
 		m.stats.WastedOps += m.executedOps(rt)
 	}
 	m.current = make(map[TaskID]*runningTask)
+}
+
+// sortedIDs lists the running tasks in ascending ID order, in a buffer
+// the member reuses. Float sums over m.current run in this order: float
+// addition is not associative, and a map-ordered sum could start a task
+// a nanosecond apart between two runs of one seed.
+func (m *Member) sortedIDs() []TaskID {
+	m.ids = m.ids[:0]
+	for id := range m.current {
+		m.ids = append(m.ids, id)
+	}
+	slices.Sort(m.ids)
+	return m.ids
+}
+
+// queuedOps is the unexecuted work of every running task but skip — what
+// a newly started task waits behind.
+func (m *Member) queuedOps(skip *runningTask) float64 {
+	var queued float64
+	for _, id := range m.sortedIDs() {
+		if rt := m.current[id]; rt != skip {
+			queued += rt.ops - m.executedOps(rt)
+		}
+	}
+	return queued
 }
 
 // Controller returns the currently followed controller address (-1 when
@@ -181,11 +192,8 @@ func (m *Member) Controller() vnet.Addr { return m.controller }
 // flag.
 func (m *Member) Emergency() bool { return m.emergencyMode }
 
-// Running returns the number of tasks executing locally.
-func (m *Member) Running() int { return len(m.current) }
-
 func (m *Member) onAdv(msg vnet.Message, _ vnet.Addr) {
-	if m.stopped || m.depleted {
+	if m.stopped {
 		return
 	}
 	adv, ok := msg.Payload.(advMsg)
@@ -299,15 +307,6 @@ func (m *Member) sendJoin(ctl vnet.Addr) {
 	m.node.SendTo(ctl, msg)
 }
 
-// Leave tells the controller this member is gone (graceful departure).
-func (m *Member) Leave() {
-	if m.controller < 0 {
-		return
-	}
-	msg := m.node.NewMessage(m.controller, kindLeave, 32, 1, nil)
-	m.node.SendTo(m.controller, msg)
-}
-
 func (m *Member) executedOps(rt *runningTask) float64 {
 	if rt.fetching {
 		return 0 // still gathering inputs: no compute spent yet
@@ -324,7 +323,7 @@ func (m *Member) executedOps(rt *runningTask) float64 {
 }
 
 func (m *Member) onTask(msg vnet.Message, _ vnet.Addr) {
-	if m.stopped || m.depleted {
+	if m.stopped {
 		return
 	}
 	tm, ok := msg.Payload.(taskMsg)
@@ -343,23 +342,9 @@ func (m *Member) onTask(msg vnet.Message, _ vnet.Addr) {
 			m.highestEpoch = tm.Epoch
 		}
 	}
-	if m.cfg.BatteryOps > 0 {
-		committed := m.spentOps
-		for _, rt := range m.current {
-			committed += rt.ops
-		}
-		if committed+tm.RemainingOps > m.cfg.BatteryOps {
-			// Not enough battery to finish: decline silently; the
-			// controller times out and reassigns elsewhere.
-			return
-		}
-	}
 	// Queue behind current work: start when all current tasks finish.
 	// The controller's load view approximates the same queue.
-	var queued float64
-	for _, rt := range m.current {
-		queued += rt.ops - m.executedOps(rt)
-	}
+	queued := m.queuedOps(nil)
 	rt := &runningTask{
 		task:       tm.Task,
 		attempt:    tm.Attempt,
@@ -392,7 +377,6 @@ func (m *Member) complete(rt *runningTask) {
 		return
 	}
 	delete(m.current, rt.task.ID)
-	m.spentOps += rt.ops
 	var value uint64
 	if b := rt.task.Stage; b != nil {
 		// Stage result: digest of the stage identity and pulled inputs,
@@ -418,9 +402,6 @@ func (m *Member) complete(rt *runningTask) {
 		Epoch:   rt.epoch,
 	})
 	m.node.SendTo(rt.controller, msg)
-	if m.cfg.BatteryOps > 0 && m.spentOps >= m.cfg.BatteryOps {
-		m.deplete()
-	}
 }
 
 // SetResultTamper installs (or clears, with nil) a hook that rewrites
@@ -438,7 +419,7 @@ func (m *Member) Addr() vnet.Addr { return m.node.Addr() }
 // is alive, refreshing the silence clock, and (under fencing) is
 // acknowledged so the controller may apply the outcomes it carries.
 func (m *Member) onCkpt(msg vnet.Message, _ vnet.Addr) {
-	if m.stopped || m.depleted {
+	if m.stopped {
 		return
 	}
 	cm, ok := msg.Payload.(ckptMsg)
@@ -491,16 +472,12 @@ func (m *Member) onCkpt(msg vnet.Message, _ vnet.Addr) {
 	}
 }
 
-// Standby reports whether this member currently holds a checkpoint as
-// the designated failover successor.
-func (m *Member) Standby() bool { return m.standbyCkpt != nil }
-
 // maybePromote checks the failover condition — we hold a checkpoint and
 // the controller that sent it has been silent past its FailoverTTL —
 // and promotes this member to controller when it holds. Reports whether
 // a promotion happened (the member is stopped afterwards).
 func (m *Member) maybePromote() bool {
-	if m.standbyCkpt == nil || m.depleted || m.controller != m.standbyFrom {
+	if m.standbyCkpt == nil || m.controller != m.standbyFrom {
 		return false
 	}
 	if m.node.Kernel().Now()-m.controllerAt <= m.standbyCkpt.FailoverTTL {
@@ -536,23 +513,6 @@ func (m *Member) promote() {
 	}
 }
 
-// deplete powers the member down for cloud purposes: it leaves the
-// controller and ignores further work, preserving battery for the
-// owner's return.
-func (m *Member) deplete() {
-	if m.depleted {
-		return
-	}
-	m.depleted = true
-	m.Leave()
-}
-
-// Depleted reports whether the battery budget is spent.
-func (m *Member) Depleted() bool { return m.depleted }
-
-// SpentOps returns the executed work counted against the battery.
-func (m *Member) SpentOps() float64 { return m.spentOps }
-
 // tick checks the failover condition first, then for imminent departure,
 // handing work over when the remaining contact window cannot cover the
 // remaining compute.
@@ -563,19 +523,13 @@ func (m *Member) tick() {
 	if m.maybePromote() {
 		return
 	}
-	m.reportEstimates()
 	if !m.cfg.Handover || m.cfg.DepartureWarning == nil || len(m.current) == 0 {
 		return
 	}
 	window := m.cfg.DepartureWarning()
 	// Iterate in task-ID order: handover message order must not depend
 	// on map iteration, or runs stop reproducing.
-	ids := make([]TaskID, 0, len(m.current))
-	for id := range m.current {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range m.sortedIDs() {
 		rt := m.current[id]
 		if rt.fetching {
 			// No compute spent yet: let the controller's attempt timeout

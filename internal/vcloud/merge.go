@@ -95,27 +95,18 @@ type mergeMsg struct {
 }
 
 // parkedEntry is a parked outcome plus the local-only context needed to
-// apply it faithfully (callback, ledger settlement target).
+// apply it faithfully (callback, replica count).
 type parkedEntry struct {
-	po        ParkedOutcome
-	done      func(TaskResult)
-	replicas  int
-	assignee  vnet.Addr
-	hasPolicy bool
+	po       ParkedOutcome
+	done     func(TaskResult)
+	replicas int
 }
 
 // Fenced reports whether epoch fencing is active.
 func (c *Controller) Fenced() bool { return c.cfg.Fencing }
 
-// CurrentEpoch returns the controller's epoch (zero when unfenced).
-func (c *Controller) CurrentEpoch() Epoch { return c.epoch }
-
 // StandbyAddr returns the designated failover standby (-1 when none).
 func (c *Controller) StandbyAddr() vnet.Addr { return c.standby }
-
-// ParkedOutcomes returns how many finished outcomes await standby
-// acknowledgement before applying.
-func (c *Controller) ParkedOutcomes() int { return len(c.parked) }
 
 // armedStandby is the controller's book-keeping for one standby it has
 // replicated a checkpoint to: the highest sequence the standby
@@ -205,8 +196,8 @@ func (c *Controller) exportParked() []ParkedOutcome {
 	return out
 }
 
-// applyEntry makes an outcome permanent: ledger entry, stats, incentive
-// settlement, the OnApply hook, and the submitter callback. Exactly-once
+// applyEntry makes an outcome permanent: ledger entry, stats, the
+// OnApply hook, and the submitter callback. Exactly-once
 // is enforced here — a duplicate id is counted and dropped.
 func (c *Controller) applyEntry(e *parkedEntry) {
 	id := e.po.Task.ID
@@ -223,32 +214,6 @@ func (c *Controller) applyEntry(e *parkedEntry) {
 	if e.po.OK {
 		c.stats.Completed.Inc()
 		c.stats.Latency.ObserveDuration(lat)
-		// Incentive settlement: the client pays the worker(s). On the
-		// plain path the final worker collects the full price (a
-		// production split would apportion handover chains by executed
-		// ops, which the controller cannot observe directly); under a
-		// dependability policy the price splits evenly across the voters
-		// — redundancy is paid for, which is exactly the overhead E12
-		// prices out.
-		if c.cfg.Ledger != nil {
-			price := int64(e.po.Task.Ops/1000) * c.cfg.PricePerKOps
-			if price < 1 {
-				price = 1
-			}
-			if e.hasPolicy && len(e.po.Voters) > 0 {
-				share := price / int64(len(e.po.Voters))
-				if share < 1 {
-					share = 1
-				}
-				for _, v := range e.po.Voters {
-					if v != e.po.Client {
-						_ = c.cfg.Ledger.Transfer(c.node.Kernel().Now(), id, e.po.Client, v, share)
-					}
-				}
-			} else if e.assignee != e.po.Client {
-				_ = c.cfg.Ledger.Transfer(c.node.Kernel().Now(), id, e.po.Client, e.assignee, price)
-			}
-		}
 	} else {
 		c.stats.Failed.Inc()
 	}
@@ -493,7 +458,7 @@ func (c *Controller) onMerge(msg vnet.Message, _ vnet.Addr) {
 			c.releaseQueue(ts)
 			delete(c.tasks, id)
 		}
-		e := &parkedEntry{po: po, replicas: len(po.Voters), hasPolicy: po.Task.Depend != nil}
+		e := &parkedEntry{po: po, replicas: len(po.Voters)}
 		e.po.Seq = c.ckptSeq + 1
 		if c.cfg.Failover && len(c.armed) > 0 {
 			c.parked = append(c.parked, e)

@@ -210,13 +210,7 @@ func (m *Member) finishStageFetch(f *stageFetch) {
 	rt := f.rt
 	delete(m.fetches, rt.task.ID)
 	rt.fetching = false
-	var queued float64
-	for _, o := range m.current {
-		if o == rt {
-			continue
-		}
-		queued += o.ops - m.executedOps(o)
-	}
+	queued := m.queuedOps(rt)
 	now := m.node.Kernel().Now()
 	wait := m.cfg.StartDelay + sim.Time(queued/m.cfg.Resources.CPU*float64(time.Second))
 	rt.startedAt = now + wait

@@ -2,28 +2,20 @@
 // (ISSUE 6). The vehicular data-storage service of internal/store needs
 // a window onto the churning cluster — who the members are, who is
 // reachable, how long each is predicted to stay, and the fencing epoch
-// — and a driver for churn-triggered repair. Both live here:
-//
-//   - StorageView adapts the controller's membership table, dwell
-//     estimator and epoch into a store.View, so a backend built over it
-//     places copies on live members, dwell-weighted, and fences every
-//     operation with the controller's epoch.
-//
-//   - AttachStorage registers a backend for churn-driven repair: member
-//     expiry (silent past MemberTTL) and graceful leave trigger a repair
-//     pass, and a partition-heal merge (the PR 3 anti-entropy path)
-//     repairs under the merged epoch — the moment two clusters reunite
-//     is exactly when placements are most skewed.
+// — and a driver for churn-triggered repair. Callers build the view over
+// their own membership source (store.FuncView); the repair driver lives
+// here: AttachStorage registers a
+// backend for churn-driven repair, where member expiry (silent past
+// MemberTTL) triggers a repair pass and a partition-heal merge (the PR 3
+// anti-entropy path) repairs under the merged epoch — the moment two
+// clusters reunite is exactly when placements are most skewed.
 //
 // The deployment (DeployConfig.Storage) re-attaches the backend on
 // standby promotion, so the service keeps repairing across failovers.
 package vcloud
 
 import (
-	"math"
-
 	"vcloud/internal/store"
-	"vcloud/internal/vnet"
 )
 
 // storageBackend is the attached data-service contract (an alias keeps
@@ -31,35 +23,9 @@ import (
 type storageBackend = store.Backend
 
 // AttachStorage registers the storage backend this controller drives:
-// membership churn (expiry, leave) and partition-heal merges trigger
-// repair passes fenced at the controller's epoch, and a graceful leave
-// forgets the leaver's copies (it departed for good, taking its disk
-// with it). Pass nil to detach.
+// membership churn (expiry) and partition-heal merges trigger repair
+// passes fenced at the controller's epoch. Pass nil to detach.
 func (c *Controller) AttachStorage(b store.Backend) { c.storage = b }
-
-// StorageView returns the controller's cluster view for a storage
-// backend: members are the live membership table, online means heard
-// from within MemberTTL, dwell comes from the scheduler's estimator,
-// and the epoch is the controller's fencing counter.
-func (c *Controller) StorageView() store.View {
-	return store.FuncView{
-		MembersFn: c.Members,
-		OnlineFn: func(a vnet.Addr) bool {
-			m, ok := c.members[a]
-			if !ok {
-				return false
-			}
-			return c.node.Kernel().Now()-m.lastSeen <= c.cfg.MemberTTL
-		},
-		DwellFn: func(a vnet.Addr) float64 {
-			if c.cfg.Dwell == nil {
-				return math.Inf(1)
-			}
-			return c.cfg.Dwell(a)
-		},
-		EpochFn: func() uint64 { return c.epoch.Counter },
-	}
-}
 
 // repairStorage runs one fenced repair pass on the attached backend.
 func (c *Controller) repairStorage() {
@@ -67,13 +33,4 @@ func (c *Controller) repairStorage() {
 		return
 	}
 	c.storage.Repair(store.RepairReq{Epoch: c.epoch.Counter})
-}
-
-// forgetStorage drops a departed member's copies and re-replicates.
-func (c *Controller) forgetStorage(a vnet.Addr) {
-	if c.storage == nil {
-		return
-	}
-	c.storage.Forget(a)
-	c.repairStorage()
 }

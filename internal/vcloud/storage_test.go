@@ -98,48 +98,6 @@ func TestStorageChurnRepair(t *testing.T) {
 	}
 }
 
-// TestStorageLeaveForgets: a graceful leave is a permanent departure —
-// the controller must forget the leaver's copies (its disk left with it)
-// and re-replicate in the same breath.
-func TestStorageLeaveForgets(t *testing.T) {
-	h := attachStore(t, 12)
-	ack := store.PutSized(h.b, "writer", "cargo", 32<<10)
-	if !ack.Acked {
-		t.Fatal("write not acked")
-	}
-	var leaver *vcloud.Member
-	for _, m := range h.d.Members {
-		if slices.Contains(h.b.Holders("cargo"), m.Addr()) {
-			leaver = m
-			break
-		}
-	}
-	if leaver == nil {
-		t.Fatal("no member object found among holders")
-	}
-	leaver.Leave()
-	leaver.Stop() // stop advertising, or it would immediately rejoin
-	if err := h.s.RunFor(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if slices.Contains(h.ctl.Members(), leaver.Addr()) {
-		t.Fatal("leaver still in membership")
-	}
-	hs := h.b.Holders("cargo")
-	if slices.Contains(hs, leaver.Addr()) {
-		t.Errorf("holders still list leaver %d after graceful leave", leaver.Addr())
-	}
-	if len(hs) != 3 {
-		t.Errorf("holders = %d after leave repair, want 3", len(hs))
-	}
-	if _, ok := store.Get(h.b, "reader", "cargo"); !ok {
-		t.Error("read failed after leave repair")
-	}
-	if h.sstats.ReReplicas.Value() == 0 {
-		t.Error("leave did not trigger re-replication")
-	}
-}
-
 // TestStorageViewTracksController pins the view adapter: members mirror
 // the membership table, all live members are online, and dwell is finite
 // for vehicles when an estimator is wired (stationary deploys wire one).

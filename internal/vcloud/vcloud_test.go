@@ -122,7 +122,7 @@ func TestStationaryCloudCompletesTasks(t *testing.T) {
 	if stats.CompletionRate() < 0.9 {
 		t.Errorf("completion rate %v", stats.CompletionRate())
 	}
-	if stats.Latency.Count() == 0 || stats.Latency.Mean() <= 0 {
+	if stats.Latency.Count() == 0 || stats.Latency.Percentile(50) <= 0 {
 		t.Error("latency histogram empty")
 	}
 }
@@ -446,65 +446,6 @@ func TestHandoverBeatsDropUnderChurn(t *testing.T) {
 	}
 }
 
-func TestBatteryBudgetDepletesMembers(t *testing.T) {
-	// A parked cloud with tiny battery budgets: members serve a few
-	// tasks, deplete, and leave; the controller loses workers and later
-	// tasks fail — the Hou et al. [9] battery constraint.
-	s := parkingScenario(t, 6)
-	stats := &vcloud.Stats{}
-	d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{
-		BatteryOps: 2000, // budget for exactly 2 tasks of 1000 ops each
-	}, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunFor(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	gate := d.Controllers[0]
-	before := gate.NumMembers()
-	if before < 4 {
-		t.Fatalf("members = %d", before)
-	}
-	// Enough work to exhaust every battery: 6 members × 2000 ops = 12000
-	// total budget; submit 30 × 1000 ops.
-	completed := 0
-	for i := 0; i < 30; i++ {
-		_ = d.SubmitAnywhere(vcloud.Task{Ops: 1000}, func(r vcloud.TaskResult) {
-			if r.OK {
-				completed++
-			}
-		})
-	}
-	if err := s.RunFor(3 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	depleted := 0
-	var totalSpent float64
-	for _, m := range d.Members {
-		if m.Depleted() {
-			depleted++
-		}
-		totalSpent += m.SpentOps()
-		if m.SpentOps() > 2000 {
-			t.Errorf("member exceeded battery budget: %v ops", m.SpentOps())
-		}
-	}
-	if depleted == 0 {
-		t.Error("no member depleted despite overload")
-	}
-	if completed == 0 {
-		t.Error("nothing completed before depletion")
-	}
-	if completed == 30 {
-		t.Error("all tasks completed: battery budget had no effect")
-	}
-	t.Logf("completed=%d/30 depleted=%d/%d totalSpent=%.0f", completed, depleted, len(d.Members), totalSpent)
-}
-
 func TestTaskDeadlineMissedFails(t *testing.T) {
 	// A deadline that looks feasible at submit (the fast member could
 	// make it) but is missed mid-flight: the fast member dies silently,
@@ -647,40 +588,5 @@ func TestSubmitWithNoMembersRetriesThenFails(t *testing.T) {
 	}
 	if stats.Retries.Value() != 2 {
 		t.Errorf("retries = %d, want 2", stats.Retries.Value())
-	}
-}
-
-func TestMemberLeaveRemovesMembership(t *testing.T) {
-	s := parkingScenario(t, 4)
-	stats := &vcloud.Stats{}
-	d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{}, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunFor(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	gate := d.Controllers[0]
-	before := gate.NumMembers()
-	if before == 0 {
-		t.Fatal("no members")
-	}
-	// One member leaves gracefully; stop its agent first so it cannot
-	// rejoin on the next advertisement.
-	var left *vcloud.Member
-	for _, m := range d.Members {
-		left = m
-		break
-	}
-	left.Leave()
-	left.Stop()
-	if err := s.RunFor(500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if gate.NumMembers() >= before {
-		t.Errorf("members = %d, want < %d after leave", gate.NumMembers(), before)
 	}
 }

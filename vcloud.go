@@ -48,7 +48,6 @@ import (
 	"vcloud/internal/auth"
 	"vcloud/internal/chaos"
 	"vcloud/internal/cluster"
-	"vcloud/internal/experiments"
 	"vcloud/internal/faults"
 	"vcloud/internal/geo"
 	"vcloud/internal/mobility"
@@ -79,8 +78,6 @@ type (
 	Node = vnet.Node
 	// VehicleID identifies a vehicle.
 	VehicleID = mobility.VehicleID
-	// Profile describes a vehicle's driving and equipment profile.
-	Profile = mobility.Profile
 )
 
 // Vehicular-cloud types.
@@ -119,45 +116,12 @@ type (
 	JobSpec = vcloud.JobSpec
 	// StageSpec is one stage of a job DAG.
 	StageSpec = vcloud.StageSpec
-	// JobID identifies a submitted job.
-	JobID = vcloud.JobID
 	// JobResult reports a finished job with per-stage outcomes.
 	JobResult = vcloud.JobResult
-	// StageOutcome records one stage's final status and holders.
-	StageOutcome = vcloud.StageOutcome
-	// StageStatus is a stage's lifecycle state.
-	StageStatus = vcloud.StageStatus
-	// FailReason is the structured cause attached to failed tasks and
-	// jobs (deadline, retries-exhausted, no-eligible-member, …).
-	FailReason = vcloud.FailReason
 	// EdgeConfig sizes an RSU-hosted ETSI-MEC edge server.
 	EdgeConfig = vcloud.EdgeConfig
 	// EdgeServer is a fixed-infrastructure cloud member hosted on an RSU.
 	EdgeServer = vcloud.EdgeServer
-)
-
-// Stage lifecycle states.
-const (
-	StageWaiting   = vcloud.StageWaiting
-	StageRunning   = vcloud.StageRunning
-	StageDone      = vcloud.StageDone
-	StageAbandoned = vcloud.StageAbandoned
-	StageFailed    = vcloud.StageFailed
-)
-
-// Structured failure reasons.
-const (
-	ReasonNone              = vcloud.ReasonNone
-	ReasonRetriesExhausted  = vcloud.ReasonRetriesExhausted
-	ReasonDeadline          = vcloud.ReasonDeadline
-	ReasonNoEligibleMember  = vcloud.ReasonNoEligibleMember
-	ReasonNoQuorum          = vcloud.ReasonNoQuorum
-	ReasonControllerStopped = vcloud.ReasonControllerStopped
-	ReasonUplinkDown        = vcloud.ReasonUplinkDown
-	ReasonStageFailed       = vcloud.ReasonStageFailed
-	ReasonAdmission         = vcloud.ReasonAdmission
-	ReasonBackpressure      = vcloud.ReasonBackpressure
-	ReasonShed              = vcloud.ReasonShed
 )
 
 // NewEdgeServer attaches an ETSI-MEC edge server to an RSU node; it
@@ -182,9 +146,6 @@ type (
 	UplinkSender = radio.Sender
 	// BWEConfig tunes a bandwidth estimator.
 	BWEConfig = radio.BWEConfig
-	// BWEstimator is the delay-gradient (trendline + adaptive threshold
-	// + AIMD) bandwidth estimator.
-	BWEstimator = radio.BWEstimator
 )
 
 // NewUplink creates a healthy uplink on the scenario's kernel.
@@ -212,18 +173,6 @@ type (
 	// capacity model, and (optionally) the live congestion-feedback
 	// sender riding its uplink.
 	GovernorTier = vcloud.GovernorTier
-	// ExecTier identifies an execution tier (vehicle / RSU edge / cloud).
-	ExecTier = vcloud.Tier
-	// TierEstimate is one tier's live capacity estimate as published on
-	// the epoch-fenced estimate feed.
-	TierEstimate = vcloud.TierEstimate
-	// EstimateFeed periodically publishes a tier's estimates as fenced
-	// cluster messages (see EstimateSource).
-	EstimateFeed = vcloud.EstimateFeed
-	// EstimateSource is anything that can be polled for a TierEstimate.
-	EstimateSource = vcloud.EstimateSource
-	// CloudBackend is the governor's execution-tier contract.
-	CloudBackend = vcloud.Backend
 	// RemoteCloud executes tasks across an uplink on a remote
 	// datacenter.
 	RemoteCloud = vcloud.RemoteCloud
@@ -235,9 +184,7 @@ type (
 // The governor's execution tiers.
 const (
 	TierVehicle = vcloud.TierVehicle
-	TierEdge    = vcloud.TierEdge
 	TierCloud   = vcloud.TierCloud
-	NumTiers    = vcloud.NumTiers
 )
 
 // NewGovernor builds a placement governor over the given tiers. Tiers
@@ -246,12 +193,6 @@ const (
 // the governor's own backlog.
 func NewGovernor(s *Scenario, cfg GovernorConfig, stats *CloudStats) (*Governor, error) {
 	return vcloud.NewGovernor(s.Kernel, cfg, stats)
-}
-
-// NewRemoteCloud builds a conventional-cloud backend behind the uplink
-// (no congestion feedback — the legacy infinite-pipe model).
-func NewRemoteCloud(name string, s *Scenario, uplink *Uplink, cpu float64, stats *CloudStats) (*RemoteCloud, error) {
-	return vcloud.NewRemoteCloud(name, s.Kernel, uplink, cpu, stats)
 }
 
 // NewRemoteCloudSender builds a conventional-cloud backend whose
@@ -263,16 +204,10 @@ func NewRemoteCloudSender(name string, s *Scenario, sender *UplinkSender, cpu fl
 
 // Security types (the §V.A secure v-cloud architecture).
 type (
-	// Security configures authenticated cloud formation.
-	Security = vcloud.Security
-	// SecureCloud is a deployment whose membership is authentication-gated.
-	SecureCloud = vcloud.SecureDeployment
 	// AuthMetrics aggregates handshake telemetry.
 	AuthMetrics = auth.Metrics
 	// TrustedAuthority is the PKI root all vehicles enroll with.
 	TrustedAuthority = pki.TA
-	// Ledger is the incentive credit ledger.
-	Ledger = vcloud.Ledger
 )
 
 // Fault-injection types (the dependability drill subsystem; see
@@ -280,8 +215,6 @@ type (
 type (
 	// FaultPlan is an ordered, deterministic fault schedule.
 	FaultPlan = faults.Plan
-	// FaultEvent is one scheduled fault.
-	FaultEvent = faults.Event
 	// FaultInjector binds fault plans to a scenario.
 	FaultInjector = faults.Injector
 )
@@ -321,14 +254,6 @@ func NewReplicatedStore(cfg StorageConfig, v StorageView, st *StorageStats) (Sto
 func NewErasureCodedStore(cfg StorageConfig, v StorageView, st *StorageStats) (StorageBackend, error) {
 	return store.NewErasureCoded(cfg, v, st)
 }
-
-// Experiment types.
-type (
-	// ExperimentConfig tunes an experiment run.
-	ExperimentConfig = experiments.Config
-	// ExperimentResult is one experiment's table and named values.
-	ExperimentResult = experiments.Result
-)
 
 // HighwayOptions configures NewHighwayScenario.
 type HighwayOptions struct {
@@ -453,37 +378,10 @@ func NewTrustedAuthority(name string, seed int64) (*TrustedAuthority, error) {
 	return pki.New(name, mrand.New(mrand.NewSource(seed)), pki.Config{})
 }
 
-// DeploySecureCloud assembles an authentication-gated vehicular cloud
-// (§V.A): vehicles enroll with the TA, mutually authenticate with
-// controllers before joining, and revoked vehicles are excluded.
-func DeploySecureCloud(s *Scenario, arch Architecture, ta *TrustedAuthority, met *AuthMetrics, stats *CloudStats) (*SecureCloud, error) {
-	return vcloud.DeploySecure(s, arch, vcloud.DeployConfig{
-		Handover:    true,
-		DwellMode:   mobility.DwellRouteAware,
-		ClusterAlgo: cluster.MobilitySimilarity{},
-	}, vcloud.Security{TA: ta, Metrics: met}, stats)
-}
-
-// RunExperiment executes one of the paper-reproduction experiments
-// (E1–E17) and returns its table and named values.
-func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentResult, error) {
-	for _, r := range experiments.All() {
-		if r.ID == id {
-			return r.Run(cfg)
-		}
-	}
-	return nil, fmt.Errorf("vcloud: unknown experiment %q (valid: E1..E17)", id)
-}
-
 // Geo-sharded parallel kernel types (see internal/sim/shard.go for the
 // conservative-lookahead coordinator and internal/shardworld for the
 // composed scenario).
 type (
-	// ShardedKernel runs one simulation across N geographic shards — one
-	// event kernel per shard, synchronized in conservative lookahead
-	// windows with a fixed cross-shard merge order, so results are
-	// bit-for-bit identical to a serial kernel at any shard count.
-	ShardedKernel = sim.ShardedKernel
 	// ShardWorldConfig parameterizes a geo-sharded beaconing scenario.
 	ShardWorldConfig = shardworld.Config
 	// ShardWorldResult is a finished sharded run: shard-invariant sampled
@@ -494,12 +392,6 @@ type (
 	// ShardSampleRow is one fleet-wide counter sample.
 	ShardSampleRow = shardworld.SampleRow
 )
-
-// NewShardedKernel creates a sharded kernel: n shards, conservative
-// lookahead L. Cross-shard events must be injected at least L ahead.
-func NewShardedKernel(seed int64, n int, lookahead Duration) (*ShardedKernel, error) {
-	return sim.NewShardedKernel(seed, n, lookahead)
-}
 
 // DefaultShardWorldConfig returns the standard sharded-world scenario.
 func DefaultShardWorldConfig(seed int64, shards int) ShardWorldConfig {
@@ -541,15 +433,6 @@ type (
 
 // RunShardSoak executes the sharded-kernel storm soak.
 func RunShardSoak(cfg ShardSoakConfig) (*ShardSoakReport, error) { return chaos.RunShardSoak(cfg) }
-
-// Experiments lists the available experiment IDs with their titles.
-func Experiments() map[string]string {
-	out := make(map[string]string)
-	for _, r := range experiments.All() {
-		out[r.ID] = r.Name
-	}
-	return out
-}
 
 // Seconds converts a float seconds count to virtual time.
 func Seconds(s float64) Duration { return Duration(s * float64(time.Second)) }

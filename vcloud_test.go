@@ -81,53 +81,8 @@ func TestDeployCloudAndRunTasks(t *testing.T) {
 	}
 }
 
-func TestRunExperimentFacade(t *testing.T) {
-	r, err := root.RunExperiment("E6", root.ExperimentConfig{Seed: 1, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ID != "E6" || len(r.Values) == 0 {
-		t.Errorf("unexpected result: %+v", r)
-	}
-	if _, err := root.RunExperiment("E99", root.ExperimentConfig{}); err == nil {
-		t.Error("unknown experiment should error")
-	}
-	if got := len(root.Experiments()); got != 17 {
-		t.Errorf("experiments = %d, want 17", got)
-	}
-}
-
 func TestSeconds(t *testing.T) {
 	if root.Seconds(1.5) != 1500*time.Millisecond {
 		t.Error("Seconds conversion wrong")
-	}
-}
-
-func TestDeploySecureCloudFacade(t *testing.T) {
-	s, err := root.NewParkingLotScenario(root.ParkingLotOptions{Seed: 9, Vehicles: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ta, err := root.NewTrustedAuthority("TA", 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	met := &root.AuthMetrics{}
-	stats := &root.CloudStats{}
-	cloud, err := root.DeploySecureCloud(s, root.Stationary, ta, met, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunFor(15 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if cloud.Controllers[0].NumMembers() < 5 {
-		t.Errorf("members = %d", cloud.Controllers[0].NumMembers())
-	}
-	if met.Successes.Value() == 0 {
-		t.Error("no handshakes recorded")
 	}
 }
