@@ -6,12 +6,17 @@
 # module prefix; the root package is "vcloud").
 #
 #   scripts/census.sh          # print the never-executed list
-#   scripts/census.sh -check   # also diff it against census.txt; exit 1
-#                              # on a missing, stale or unreasoned line
+#   scripts/census.sh -check   # also diff it against census.txt and the
+#                              # run set's stdout against runset_output.txt;
+#                              # exit 1 on a missing, stale or unreasoned
+#                              # line or on any byte of drift
 #
-# Run it from the repository root. CENSUS_DIR keeps the binaries and the
-# merged profile (default: a fresh temporary directory). The run set takes
-# about two minutes on two cores.
+# Run it from the repository root. CENSUS_DIR keeps the binaries, the
+# merged profile and runset.txt, the stdout of every soak, scenario and
+# example run under a "### <command>" header (vcloudbench has its own diff
+# against experiments_output.txt; the benchmark prints host time). Copying
+# runset.txt over runset_output.txt is a deliberate re-baseline. The run
+# set takes about two minutes on two cores.
 set -eu
 
 check=0
@@ -32,21 +37,30 @@ for e in $examples; do
 done
 
 export GOCOVERDIR=$cov
+runset=$dir/runset.txt
+: > "$runset"
 run() { "$@" > /dev/null || { echo "census: run failed: $*" >&2; exit 1; }; }
+# keep runs one binary of $bin and appends its stdout to the run set.
+keep() {
+	name=$1
+	shift
+	echo "### $name $*" >> "$runset"
+	"$bin/$name" "$@" >> "$runset" || { echo "census: run failed: $name $*" >&2; exit 1; }
+}
 
 run "$bin/vcloudbench"
 for e in $examples; do
-	run "$bin/$e"
+	keep "$e"
 done
 for mode in "" "-splitbrain" "-store replicated" "-store ec" "-dag" "-saturate" "-shards 4"; do
 	# shellcheck disable=SC2086 # $mode is zero, one or two words
-	run "$bin/vcloudsim" -soak $mode -seed 7 -vehicles 14 -duration 300
+	keep vcloudsim -soak $mode -seed 7 -vehicles 14 -duration 300
 done
 plan='20s crash 3; 25s recover 3; 30s rsu-down 0; 40s rsu-up 0; 45s partition 1500,0 400 20s; 50s isolate 4 10s; 60s loss 0.3 10s; 70s kill-controller 0; 80s kill-member 5'
 for scen in highway city parkinglot; do
 	for arch in stationary infrastructure dynamic; do
-		run "$bin/vcloudsim" -scenario $scen -arch $arch -trace 20
-		run "$bin/vcloudsim" -scenario $scen -arch $arch -secure -replicas 3 -retries 2 -faults "$plan"
+		keep vcloudsim -scenario $scen -arch $arch -trace 20
+		keep vcloudsim -scenario $scen -arch $arch -secure -replicas 3 -retries 2 -faults "$plan"
 	done
 done
 run "$bin/benchmark" -seconds 1
@@ -76,6 +90,11 @@ if [ $check -eq 0 ]; then
 fi
 
 fail=0
+if ! diff runset_output.txt "$runset" > "$dir/runset.diff"; then
+	echo "runset_output.txt: the run set's stdout drifted (see $dir/runset.diff):" >&2
+	head -40 "$dir/runset.diff" >&2
+	fail=1
+fi
 reasons='fmt.Stringer or interface method|Stop of a type whose start runs|named by the frozen benchmark|pinned by the checkpoint wire length|CLI/profiling plumbing|read by tests in another package'
 grep -v '^#' census.txt | grep -v '^$' > "$dir/census.lines" || true
 if grep -vE "^[^ ]+ +# ($reasons)\$" "$dir/census.lines" > "$dir/bad.txt"; then
