@@ -1,79 +1,38 @@
 // Command vcloudsim runs a single vehicular-cloud scenario and prints a
 // summary: cloud formation, task outcomes and radio statistics.
 //
-// Usage:
-//
 //	vcloudsim -scenario highway -arch dynamic -vehicles 40 -tasks 30 -duration 120
-//	vcloudsim -scenario parkinglot -arch stationary
 //	vcloudsim -scenario city -arch dynamic -seed 7
 //
 // A scripted fault plan (see internal/faults) injects deterministic
 // failures at absolute virtual times — the run starts at 0s, warm-up
-// lasts 10s:
+// lasts 10s; -replicas enables the dependable-execution policy and a
+// per-task table of retry and replica counts:
 //
 //	vcloudsim -scenario highway -arch infrastructure \
 //	  -faults '30s rsu-down 0; 45s partition 1500,0 400 20s; 60s loss 0.3 10s; 80s rsu-up 0'
-//	vcloudsim -scenario parkinglot -arch stationary -faults '40s kill-controller 0'
-//
-// -replicas enables the dependable-execution policy (redundant copies,
-// majority voting, backoff retries) and prints a per-task table of
-// retry and replica counts:
-//
 //	vcloudsim -scenario parkinglot -arch stationary -replicas 3 -retries 3
 //
-// -soak runs the chaos soak harness instead of a plain scenario: a
-// seeded randomized storm of crashes, partitions, loss bursts,
-// controller kills and Byzantine flips, with dependability invariants
-// asserted continuously. The exit code reports violations:
+// -soak runs the chaos soak harness (see internal/chaos) instead: a
+// seeded storm of crashes, partitions, loss bursts, controller kills and
+// Byzantine flips with the dependability invariants asserted
+// continuously; the exit code reports violations. -splitbrain adds epoch
+// fencing and controller isolations, -store replicated|ec the storage
+// service over permanent departures, -dag the DAG job workload with
+// member kills, -saturate the congestion workload over a contended
+// uplink, and -shards N the geo-sharded kernel storm soak, sharded
+// output checked against serial bit for bit:
 //
 //	vcloudsim -soak -duration 600 -vehicles 20 -byz 0.25 -seed 7
-//
-// -splitbrain extends the soak with epoch fencing and controller
-// isolations that split the cloud into two live controllers, plus the
-// fencing invariants (one controller accepted per epoch, no outcome
-// applied twice) and the epoch/abdication/merge counters:
-//
-//	vcloudsim -soak -splitbrain -duration 300 -vehicles 16 -seed 7
-//
-// -store runs the soak with the vehicular data-storage service: a
-// session-consistent KV workload over the chosen backend (replicated =
-// 3-way strict quorums, ec = 4+2 erasure coding), a permanent-departure
-// churn clock (a vehicle drives away and its disk leaves with it), and
-// the three storage invariants — no acked write lost while a quorum of
-// its replicas survives, no session client ever reads backwards, and a
-// served read returns exactly the bytes its version's write stored:
-//
-//	vcloudsim -soak -store replicated -duration 300 -vehicles 16 -seed 7
-//	vcloudsim -soak -store ec -splitbrain -duration 300 -seed 7
-//
-// -dag runs the soak with the dependent-stage job workload: randomly
-// shaped DAG jobs with critical-path replication flow alongside the
-// task storm, the storm gains kill-member process deaths, and the DAG
-// invariants arm (no stage outcome applied twice, completed job implies
-// ancestor completeness, replica budget never exceeded):
-//
-//	vcloudsim -soak -dag -duration 300 -vehicles 16 -seed 7
-//
-// -saturate runs the soak with the congestion workload: a ramped
-// deadline-task stream offloaded through the placement governor over a
-// contended, lossy shared uplink, saturation storms (loss bursts and
-// uplink outages), and the overload invariants — bounded queues, only
-// optional work shed, and a bandwidth estimate that never exceeds the
-// channel's physical capacity:
-//
-//	vcloudsim -soak -saturate -duration 300 -vehicles 16 -seed 7
-//
-// -shards adds the geo-sharded kernel storm soak to any soak mode: a
-// sequence of seeded storm episodes (fleet churn plus a roaming
-// regional beacon outage), each run on N geographic shards and again on
-// the serial kernel, with bit-for-bit output equality as the armed
-// invariant — a divergence or a conservation breach is a violation like
-// any other:
-//
+//	vcloudsim -soak -store ec -splitbrain -duration 300 -vehicles 16 -seed 7
 //	vcloudsim -soak -saturate -shards 4 -duration 300 -vehicles 16 -seed 7
+//
+// The whole command line is checked before anything simulates: a bad
+// value, or a flag the chosen mode would ignore, exits 2.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -82,100 +41,75 @@ import (
 	"time"
 
 	root "vcloud"
-	"vcloud/internal/cluster"
+	"vcloud/internal/chaos"
 	"vcloud/internal/geo"
 	"vcloud/internal/metrics"
-	"vcloud/internal/mobility"
 	"vcloud/internal/trace"
 	ivc "vcloud/internal/vcloud"
+	"vcloud/internal/world"
 )
 
 func main() {
-	os.Exit(cliMain())
+	os.Exit(cliMain(os.Args[1:]))
 }
+
+// options is the parsed command line.
+type options struct {
+	scen, arch        string
+	vehicles, tasks   int
+	duration          float64
+	seed              int64
+	secure            bool
+	traceN            int
+	faults            string
+	replicas, retries int
+	soak              bool
+	byz               float64
+	split, dag, sat   bool
+	store             string
+	shards            int
+	cpuprof           string
+}
+
+// Flags that only one mode reads: a flag given to the other mode would
+// be silently dropped, so it is rejected instead.
+var (
+	soakOnly = []string{"byz", "splitbrain", "dag", "store", "saturate", "shards"}
+	runOnly  = []string{"scenario", "arch", "tasks", "secure", "trace", "faults", "replicas", "retries"}
+)
 
 // cliMain returns the process exit code instead of calling os.Exit, so
 // the CPU-profile teardown below always runs and its errors are
 // reported — the earlier os.Exit error paths silently truncated the
 // profile file.
-func cliMain() int {
-	var (
-		scen     = flag.String("scenario", "highway", "highway | city | parkinglot")
-		arch     = flag.String("arch", "dynamic", "stationary | infrastructure | dynamic")
-		vehicles = flag.Int("vehicles", 40, "vehicle count")
-		tasks    = flag.Int("tasks", 30, "tasks to submit")
-		duration = flag.Float64("duration", 120, "simulated seconds after warm-up")
-		seed     = flag.Int64("seed", 1, "random seed")
-		secure   = flag.Bool("secure", false, "gate cloud membership behind mutual authentication (§V.A)")
-		traceN   = flag.Int("trace", 0, "dump the last N task-lifecycle trace events")
-		faultStr = flag.String("faults", "", "fault plan, e.g. '30s rsu-down 0; 45s partition 1500,0 400 20s' (times are absolute virtual times)")
-		replicas = flag.Int("replicas", 0, "redundant copies per task with majority voting (0 disables the dependability policy)")
-		retries  = flag.Int("retries", 0, "max backoff retry rounds per task (with -replicas)")
-		soak     = flag.Bool("soak", false, "run the chaos soak harness (uses -seed, -vehicles, -duration, -byz)")
-		byz      = flag.Float64("byz", 0.2, "fraction of workers returning wrong results (soak mode; 0 soaks honest workers)")
-		split    = flag.Bool("splitbrain", false, "with -soak: fence epochs and add controller-isolating split-brain storms")
-		dag      = flag.Bool("dag", false, "with -soak: run the DAG job workload with kill-member storms and the DAG invariants")
-		storeB   = flag.String("store", "", "with -soak: run the storage workload on this backend (replicated | ec)")
-		sat      = flag.Bool("saturate", false, "with -soak: run the congestion workload with saturation storms and the overload invariants")
-		shards   = flag.Int("shards", 0, "with -soak: also storm-soak the geo-sharded kernel at this shard count, checking sharded output == serial bit-for-bit")
-		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "vcloudsim: unexpected positional arguments: %v\n", flag.Args())
-		flag.Usage()
-		return 2
+func cliMain(args []string) int {
+	o, spec, err := parseFlags(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
 	}
-	if err := validateFlags(*vehicles, *tasks, *duration, *replicas, *retries, *byz); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "vcloudsim:", err)
-		return 2
-	}
-	switch *storeB {
-	case "", "replicated", "ec":
-	default:
-		fmt.Fprintf(os.Stderr, "vcloudsim: -store must be replicated or ec, got %q\n", *storeB)
-		return 2
-	}
-	if *storeB != "" && !*soak {
-		fmt.Fprintln(os.Stderr, "vcloudsim: -store requires -soak")
-		return 2
-	}
-	if *dag && !*soak {
-		fmt.Fprintln(os.Stderr, "vcloudsim: -dag requires -soak")
-		return 2
-	}
-	if *sat && !*soak {
-		fmt.Fprintln(os.Stderr, "vcloudsim: -saturate requires -soak")
-		return 2
-	}
-	if *shards != 0 && !*soak {
-		fmt.Fprintln(os.Stderr, "vcloudsim: -shards requires -soak")
-		return 2
-	}
-	if *shards < 0 || *shards == 1 {
-		fmt.Fprintln(os.Stderr, "vcloudsim: -shards must be 0 (off) or at least 2")
 		return 2
 	}
 
 	body := func() int {
-		if *soak {
-			if err := runSoak(*seed, *vehicles, *duration, *byz, *split, *storeB, *dag, *sat, *shards); err != nil {
-				fmt.Fprintln(os.Stderr, "vcloudsim:", err)
-				return 1
-			}
-			return 0
+		var err error
+		if o.soak {
+			err = runSoak(o)
+		} else {
+			err = run(o, spec)
 		}
-		if err := run(*scen, *arch, *vehicles, *tasks, *duration, *seed, *secure, *traceN, *faultStr, *replicas, *retries); err != nil {
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "vcloudsim:", err)
 			return 1
 		}
 		return 0
 	}
-	if *cpuprof == "" {
+	if o.cpuprof == "" {
 		return body()
 	}
 
-	f, err := os.Create(*cpuprof)
+	f, err := os.Create(o.cpuprof)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vcloudsim:", err)
 		return 1
@@ -198,54 +132,174 @@ func cliMain() int {
 	return code
 }
 
-// validateFlags rejects flag values that would otherwise fail deep inside
-// a run (or silently distort it, like a negative task count).
-func validateFlags(vehicles, tasks int, duration float64, replicas, retries int, byz float64) error {
-	switch {
-	case vehicles <= 0:
-		return fmt.Errorf("-vehicles must be positive, got %d", vehicles)
-	case tasks < 0:
-		return fmt.Errorf("-tasks must be non-negative, got %d", tasks)
-	case !(duration > 0) || math.IsInf(duration, 1): // negated so NaN is rejected too
-		return fmt.Errorf("-duration must be positive and finite, got %g", duration)
-	case replicas < 0:
-		return fmt.Errorf("-replicas must be non-negative, got %d", replicas)
-	case retries < 0:
-		return fmt.Errorf("-retries must be non-negative, got %d", retries)
-	case !(byz >= 0 && byz <= 1): // negated so NaN is rejected too
-		return fmt.Errorf("-byz must be in [0, 1], got %g", byz)
+// parseFlags parses and checks the whole command line before anything
+// simulates: the range checks of the world (fleet, Byzantine fraction,
+// dependability policy, fault plan) are world.Spec's, the soak's are
+// chaos's, and a flag the chosen mode would ignore is an error. In
+// scenario mode it returns the world spec the flags map onto.
+func parseFlags(args []string) (options, world.Spec, error) {
+	var o options
+	fs := flag.NewFlagSet("vcloudsim", flag.ContinueOnError)
+	fs.StringVar(&o.scen, "scenario", "highway", "highway | city | parkinglot")
+	fs.StringVar(&o.arch, "arch", "dynamic", "stationary | infrastructure | dynamic")
+	fs.IntVar(&o.vehicles, "vehicles", 40, "vehicle count")
+	fs.IntVar(&o.tasks, "tasks", 30, "tasks to submit")
+	fs.Float64Var(&o.duration, "duration", 120, "simulated seconds after warm-up")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.BoolVar(&o.secure, "secure", false, "gate cloud membership behind mutual authentication (§V.A)")
+	fs.IntVar(&o.traceN, "trace", 0, "dump the last N task-lifecycle trace events")
+	fs.StringVar(&o.faults, "faults", "", "fault plan, e.g. '30s rsu-down 0; 45s partition 1500,0 400 20s' (times are absolute virtual times)")
+	fs.IntVar(&o.replicas, "replicas", 0, "redundant copies per task with majority voting (0 disables the dependability policy)")
+	fs.IntVar(&o.retries, "retries", 0, "max backoff retry rounds per task (with -replicas)")
+	fs.BoolVar(&o.soak, "soak", false, "run the chaos soak harness (uses -seed, -vehicles, -duration, -byz)")
+	fs.Float64Var(&o.byz, "byz", 0.2, "fraction of workers returning wrong results (soak mode; 0 soaks honest workers)")
+	fs.BoolVar(&o.split, "splitbrain", false, "with -soak: fence epochs and add controller-isolating split-brain storms")
+	fs.BoolVar(&o.dag, "dag", false, "with -soak: run the DAG job workload with kill-member storms and the DAG invariants")
+	fs.StringVar(&o.store, "store", "", "with -soak: run the storage workload on this backend (replicated | ec)")
+	fs.BoolVar(&o.sat, "saturate", false, "with -soak: run the congestion workload with saturation storms and the overload invariants")
+	fs.IntVar(&o.shards, "shards", 0, "with -soak: also storm-soak the geo-sharded kernel at this shard count (at least 2), checking sharded output == serial bit-for-bit")
+	fs.StringVar(&o.cpuprof, "cpuprofile", "", "write a CPU profile of the run to this file")
+	if err := fs.Parse(args); err != nil {
+		return o, world.Spec{}, err
 	}
-	return nil
+	if fs.NArg() > 0 {
+		return o, world.Spec{}, fmt.Errorf("unexpected positional arguments: %v", fs.Args())
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if !(o.duration > 0) || math.IsInf(o.duration, 1) { // negated so NaN is rejected too
+		return o, world.Spec{}, fmt.Errorf("-duration must be positive and finite, got %g", o.duration)
+	}
+	if o.soak {
+		for _, name := range runOnly {
+			if set[name] {
+				return o, world.Spec{}, fmt.Errorf("-%s has no effect with -soak", name)
+			}
+		}
+		if err := soakConfig(o).Validate(); err != nil {
+			return o, world.Spec{}, err
+		}
+		if o.shards != 0 {
+			return o, world.Spec{}, shardSoakConfig(o).Validate()
+		}
+		return o, world.Spec{}, nil
+	}
+	for _, name := range soakOnly {
+		if set[name] {
+			return o, world.Spec{}, fmt.Errorf("-%s requires -soak", name)
+		}
+	}
+	if o.tasks < 0 {
+		return o, world.Spec{}, fmt.Errorf("-tasks must be non-negative, got %d", o.tasks)
+	}
+	if o.retries < 0 {
+		return o, world.Spec{}, fmt.Errorf("-retries must be non-negative, got %d", o.retries)
+	}
+	spec, err := runSpec(o)
+	if err != nil {
+		return o, world.Spec{}, err
+	}
+	return o, spec, spec.Validate()
+}
+
+// runSpec maps the scenario-mode flags onto a world spec.
+func runSpec(o options) (world.Spec, error) {
+	spec := world.Spec{Seed: o.seed, Vehicles: o.vehicles}
+	switch o.scen {
+	case "highway":
+		spec.Road = world.Highway(3000, 27)
+	case "city":
+		spec.Road = world.City()
+	case "parkinglot":
+		spec.Road, spec.RSUs = world.ParkingLot(200), []geo.Point{world.Gate}
+	default:
+		return spec, fmt.Errorf("-scenario must be highway, city or parkinglot, got %q", o.scen)
+	}
+	arch, ok := map[string]ivc.Architecture{"stationary": ivc.Stationary, "infrastructure": ivc.Infrastructure, "dynamic": ivc.Dynamic}[o.arch]
+	if !ok {
+		return spec, fmt.Errorf("-arch must be stationary, infrastructure or dynamic, got %q", o.arch)
+	}
+	spec.Cloud = world.Default(arch)
+	if arch == ivc.Infrastructure {
+		// Infrastructure needs RSUs; place three across the map.
+		sites, err := spec.Road.Across(3)
+		if err != nil {
+			return spec, err
+		}
+		spec.RSUs = append(spec.RSUs, sites...)
+	}
+	cloud := spec.Cloud
+	if o.replicas != 0 {
+		cloud.Config.Controller.Depend = &ivc.DependabilityPolicy{Replicas: o.replicas, MaxRetries: o.retries}
+	}
+	if o.traceN > 0 {
+		rec, err := trace.NewRecorder(o.traceN)
+		if err != nil {
+			return spec, err
+		}
+		cloud.Config.Controller.Trace = rec
+	}
+	if o.secure {
+		ta, err := root.NewTrustedAuthority("TA", o.seed)
+		if err != nil {
+			return spec, err
+		}
+		cloud.Security = &ivc.Security{TA: ta, Metrics: &root.AuthMetrics{}}
+	}
+	if o.faults != "" {
+		plan, err := root.ParseFaultPlan(o.faults)
+		if err != nil {
+			return spec, err
+		}
+		spec.Faults = plan
+	}
+	return spec, nil
+}
+
+// soakConfig maps the soak-mode flags onto the chaos soak.
+func soakConfig(o options) chaos.SoakConfig {
+	return chaos.SoakConfig{
+		Seed:        o.seed,
+		Vehicles:    o.vehicles,
+		Duration:    root.Seconds(o.duration),
+		ByzFraction: o.byz,
+		SplitBrain:  o.split,
+		Storage:     o.store,
+		DAG:         o.dag,
+		Saturate:    o.sat,
+	}
+}
+
+// shardSoakConfig is the storm soak -shards adds: one episode per
+// simulated minute, at least two, at most eight, on six times the fleet.
+func shardSoakConfig(o options) chaos.ShardSoakConfig {
+	return chaos.ShardSoakConfig{
+		Seed:     o.seed,
+		Shards:   o.shards,
+		Episodes: min(max(int(o.duration/60), 2), 8),
+		Vehicles: o.vehicles * 6,
+	}
 }
 
 // runSoak executes the chaos soak harness and prints its report. A
 // non-empty violation list is a process failure: the soak is the
-// executable form of the dependability invariants. With shards >= 2 the
+// executable form of the dependability invariants. With -shards the
 // geo-sharded kernel storm soak runs after the main soak, and its
 // violations (sharded output diverging from serial) fail the process
 // the same way.
-func runSoak(seed int64, vehicles int, duration float64, byz float64, split bool, storeB string, dag bool, sat bool, shards int) error {
-	rep, err := root.RunSoak(root.SoakConfig{
-		Seed:        seed,
-		Vehicles:    vehicles,
-		Duration:    root.Seconds(duration),
-		ByzFraction: byz,
-		SplitBrain:  split,
-		Storage:     storeB,
-		DAG:         dag,
-		Saturate:    sat,
-	})
+func runSoak(o options) error {
+	rep, err := chaos.Soak(soakConfig(o))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("soak: seed=%d vehicles=%d duration=%.0fs byz=%.2f splitbrain=%v", seed, vehicles, duration, byz, split)
-	if storeB != "" {
-		fmt.Printf(" store=%s", storeB)
+	fmt.Printf("soak: seed=%d vehicles=%d duration=%.0fs byz=%.2f splitbrain=%v", o.seed, o.vehicles, o.duration, o.byz, o.split)
+	if o.store != "" {
+		fmt.Printf(" store=%s", o.store)
 	}
-	if dag {
+	if o.dag {
 		fmt.Printf(" dag=on")
 	}
-	if sat {
+	if o.sat {
 		fmt.Printf(" saturate=on")
 	}
 	fmt.Println()
@@ -253,22 +307,22 @@ func runSoak(seed int64, vehicles int, duration float64, byz float64, split bool
 		rep.Submitted, rep.Completed, rep.Failed, rep.Refused, rep.Correct, rep.Wrong, rep.Unchecked)
 	fmt.Printf("storm: %d fault(s) injected, %d failover(s), %d invariant sweep(s)\n",
 		rep.FaultsInjected, rep.Failovers, rep.Checks)
-	if split {
+	if o.split {
 		fmt.Printf("fencing: %d split(s), highest epoch %d, %d abdication(s), %d merge(s), %d task(s) adopted, %d outcome(s) deduped, %d stale msg(s) rejected\n",
 			rep.SplitBrains, rep.Epochs, rep.Abdications, rep.Merges, rep.Adopted, rep.Deduped, rep.StaleRejected)
 	}
-	if storeB != "" {
+	if o.store != "" {
 		fmt.Printf("storage: writes=%d acked=%d reads=%d served=%d lost=%d repaired=%d departures=%d\n",
 			rep.StorageWrites, rep.StorageAcked, rep.StorageReads, rep.StorageReadsOK,
 			rep.StorageLost, rep.StorageRepaired, rep.Departures)
 	}
-	if dag {
+	if o.dag {
 		fmt.Printf("jobs: submitted=%d completed=%d partial=%d failed=%d refused=%d resumed=%d\n",
 			rep.JobsSubmitted, rep.JobsCompleted, rep.JobsPartial, rep.JobsFailed, rep.JobsRefused, rep.JobsResumed)
 		fmt.Printf("stages: retries=%d relays=%d handoffs=%d member-kills=%d\n",
 			rep.StageRetries, rep.StageRelays, rep.StageHandoffs, rep.MemberKills)
 	}
-	if sat {
+	if o.sat {
 		fmt.Printf("congestion: submitted=%d (required=%d) completed=%d failed=%d shed=%d admission=%d backpressured=%d\n",
 			rep.SatSubmitted, rep.SatRequired, rep.SatCompleted, rep.SatFailed,
 			rep.SatShed, rep.SatAdmission, rep.SatBackpressured)
@@ -283,22 +337,8 @@ func runSoak(seed int64, vehicles int, duration float64, byz float64, split bool
 	}
 	fmt.Printf("checksum: %016x (same seed reproduces bit-for-bit)\n", rep.Checksum)
 	violations := rep.Violations
-	if shards >= 2 {
-		// Scale the episode count with the soaked horizon: one storm
-		// episode per simulated minute, at least two, at most eight.
-		episodes := int(duration / 60)
-		if episodes < 2 {
-			episodes = 2
-		}
-		if episodes > 8 {
-			episodes = 8
-		}
-		srep, err := root.RunShardSoak(root.ShardSoakConfig{
-			Seed:     seed,
-			Shards:   shards,
-			Episodes: episodes,
-			Vehicles: vehicles * 6,
-		})
+	if o.shards != 0 {
+		srep, err := chaos.RunShardSoak(shardSoakConfig(o))
 		if err != nil {
 			return err
 		}
@@ -317,108 +357,15 @@ func runSoak(seed int64, vehicles int, duration float64, byz float64, split bool
 	return nil
 }
 
-func run(scen, archName string, vehicles, tasks int, duration float64, seed int64, secure bool, traceN int, faultStr string, replicas, retries int) error {
-	var policy *root.DependabilityPolicy
-	if replicas > 0 {
-		policy = &root.DependabilityPolicy{Replicas: replicas, MaxRetries: retries}
-	}
-	var s *root.Scenario
-	var err error
-	switch scen {
-	case "highway":
-		s, err = root.NewHighwayScenario(root.HighwayOptions{Seed: seed, Vehicles: vehicles})
-	case "city":
-		s, err = root.NewCityScenario(root.CityOptions{Seed: seed, Vehicles: vehicles})
-	case "parkinglot":
-		s, err = root.NewParkingLotScenario(root.ParkingLotOptions{Seed: seed, Vehicles: vehicles})
-	default:
-		return fmt.Errorf("unknown scenario %q", scen)
-	}
+// run builds the spec's world, warms it up, submits the task batch and
+// prints the summary.
+func run(o options, spec world.Spec) error {
+	w, err := world.Build(spec)
 	if err != nil {
 		return err
 	}
-
-	var arch root.Architecture
-	switch archName {
-	case "stationary":
-		arch = root.Stationary
-	case "infrastructure":
-		arch = root.Infrastructure
-		// Infrastructure needs RSUs; place three across the map.
-		b := s.Network.Bounds()
-		for i := 1; i <= 3; i++ {
-			x := b.Min.X + b.Width()*float64(i)/4
-			if _, err := s.AddRSU(geo.Point{X: x, Y: b.Center().Y}); err != nil {
-				return err
-			}
-		}
-	case "dynamic":
-		arch = root.Dynamic
-	default:
-		return fmt.Errorf("unknown architecture %q", archName)
-	}
-
-	stats := &root.CloudStats{}
-	var rec *trace.Recorder
-	if traceN > 0 {
-		var err error
-		if rec, err = trace.NewRecorder(traceN); err != nil {
-			return err
-		}
-	}
-	var cloud *root.Cloud
-	var authMet *root.AuthMetrics
-	if secure {
-		ta, err := root.NewTrustedAuthority("TA", seed)
-		if err != nil {
-			return err
-		}
-		authMet = &root.AuthMetrics{}
-		sd, err := ivc.DeploySecure(s, arch, deployCfg(rec, policy), ivc.Security{TA: ta, Metrics: authMet}, stats)
-		if err != nil {
-			return err
-		}
-		cloud = sd.Deployment
-	} else {
-		var err error
-		cloud, err = ivc.Deploy(s, arch, deployCfg(rec, policy), stats)
-		if err != nil {
-			return err
-		}
-	}
-	// Scripted fault injection: schedule the plan before the clock moves
-	// so every event lands at its absolute virtual time.
-	var inj *root.FaultInjector
-	if faultStr != "" {
-		plan, err := root.ParseFaultPlan(faultStr)
-		if err != nil {
-			return err
-		}
-		if inj, err = root.NewFaultInjector(s); err != nil {
-			return err
-		}
-		c := cloud
-		inj.OnControllerKill(func(idx int) {
-			ctls := c.ActiveControllers()
-			if idx >= 0 && idx < len(ctls) {
-				ctls[idx].Crash()
-			}
-		})
-		inj.OnMemberKill(func(id int) {
-			if m, ok := c.Members[root.VehicleID(id)]; ok {
-				m.Stop()
-				delete(c.Members, root.VehicleID(id))
-			}
-		})
-		if err := inj.Schedule(plan); err != nil {
-			return err
-		}
-	}
-
-	if err := s.Start(); err != nil {
-		return err
-	}
-	if err := s.RunFor(10 * time.Second); err != nil {
+	s, cloud, stats := w.Scenario, w.Cloud, w.Stats
+	if err := w.Start(10 * time.Second); err != nil {
 		return err
 	}
 
@@ -427,24 +374,24 @@ func run(scen, archName string, vehicles, tasks int, duration float64, seed int6
 		members += c.NumMembers()
 	}
 	fmt.Printf("scenario=%s arch=%s vehicles=%d: %d controller(s), %d member(s) after warm-up\n",
-		scen, archName, len(s.VehicleIDs()), len(cloud.ActiveControllers()), members)
+		o.scen, o.arch, len(s.VehicleIDs()), len(cloud.ActiveControllers()), members)
 
-	results := make([]root.TaskResult, 0, tasks)
-	for i := 0; i < tasks; i++ {
+	results := make([]root.TaskResult, 0, o.tasks)
+	for i := 0; i < o.tasks; i++ {
 		err := cloud.SubmitAnywhere(root.Task{Ops: 2000, InputBytes: 2000, OutputBytes: 1000},
 			func(r root.TaskResult) { results = append(results, r) })
 		if err != nil {
 			fmt.Printf("  submit %d refused: %v\n", i, err)
 		}
 	}
-	if err := s.RunFor(root.Seconds(duration)); err != nil {
+	if err := s.RunFor(root.Seconds(o.duration)); err != nil {
 		return err
 	}
 
 	fmt.Printf("tasks: submitted=%d completed=%d failed=%d retries=%d handovers=%d\n",
 		stats.Submitted.Value(), stats.Completed.Value(), stats.Failed.Value(),
 		stats.Retries.Value(), stats.Handovers.Value())
-	if policy != nil {
+	if spec.Cloud.Config.Controller.Depend != nil {
 		fmt.Printf("dependability: replicas dispatched=%d wrong votes=%d no-quorum rounds=%d\n",
 			stats.ReplicaDispatches.Value(), stats.WrongVotes.Value(), stats.NoQuorum.Value())
 		tbl := metrics.NewTable("per-task dependability",
@@ -464,7 +411,8 @@ func run(scen, archName string, vehicles, tasks int, duration float64, seed int6
 		fmt.Printf("latency: p50=%.1fms p95=%.1fms\n",
 			stats.Latency.Percentile(50), stats.Latency.Percentile(95))
 	}
-	if authMet != nil {
+	if sec := spec.Cloud.Security; sec != nil {
+		authMet := sec.Metrics
 		fmt.Printf("auth: %d handshakes ok, %d failures, %d timeouts, p50 %.1fms\n",
 			authMet.Successes.Value(), authMet.Failures.Value(), authMet.Timeouts.Value(),
 			authMet.Latency.Percentile(50))
@@ -472,29 +420,18 @@ func run(scen, archName string, vehicles, tasks int, duration float64, seed int6
 	rs := s.Medium.Stats()
 	fmt.Printf("radio: sent=%d delivered=%d lost(range)=%d lost(load)=%d, %.1f MB on air\n",
 		rs.Sent, rs.Delivered, rs.LostRange, rs.LostLoad, float64(rs.BytesOnAir)/(1<<20))
-	if inj != nil {
-		fs := inj.Stats()
+	if o.faults != "" {
+		fs := w.Injector.Stats()
 		fmt.Printf("faults: %d event(s) applied, %d frame(s) suppressed\n", fs.Applied, fs.DroppedFrames)
-		for _, line := range inj.Log() {
+		for _, line := range w.Injector.Log() {
 			fmt.Printf("  %s\n", line)
 		}
 	}
-	if rec != nil {
+	if rec := spec.Cloud.Config.Controller.Trace; rec != nil {
 		fmt.Printf("trace: %d events recorded (%s); tail follows\n", rec.Count(), rec.Summary())
 		if err := rec.Dump(os.Stdout, "", 0); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// deployCfg builds the default deployment config with optional tracing
-// and dependability policy.
-func deployCfg(rec *trace.Recorder, policy *root.DependabilityPolicy) ivc.DeployConfig {
-	return ivc.DeployConfig{
-		Handover:    true,
-		DwellMode:   mobility.DwellRouteAware,
-		ClusterAlgo: cluster.MobilitySimilarity{},
-		Controller:  ivc.ControllerConfig{Trace: rec, Depend: policy},
-	}
 }

@@ -1,35 +1,75 @@
 package main
 
 import (
-	"math"
+	"strings"
 	"testing"
 )
 
+// TestValidateFlags runs the command-line check on one command line per
+// case: everything it rejects exits 2 before the kernel starts.
 func TestValidateFlags(t *testing.T) {
 	for _, tc := range []struct {
-		name              string
-		vehicles, tasks   int
-		duration          float64
-		replicas, retries int
-		byz               float64
-		wantErr           bool
+		name    string
+		args    string
+		wantErr string // "" accepts
 	}{
-		{"defaults", 40, 30, 120, 0, 0, 0, false},
-		{"policy and byz at their bounds", 1, 0, 0.5, 3, 2, 1, false},
-		{"no vehicles", 0, 30, 120, 0, 0, 0, true},
-		{"negative tasks", 40, -1, 120, 0, 0, 0, true},
-		{"zero duration", 40, 30, 0, 0, 0, 0, true},
-		{"NaN duration", 40, 30, math.NaN(), 0, 0, 0, true},
-		{"+Inf duration", 40, 30, math.Inf(1), 0, 0, 0, true},
-		{"negative replicas", 40, 30, 120, -1, 0, 0, true},
-		{"negative retries", 40, 30, 120, 0, -1, 0, true},
-		{"byz above one", 40, 30, 120, 0, 0, 1.5, true},
-		{"negative byz", 40, 30, 120, 0, 0, -0.1, true},
-		{"NaN byz", 40, 30, 120, 0, 0, math.NaN(), true},
+		{"defaults", "", ""},
+		{"policy and fleet at their bounds", "-vehicles 1 -tasks 0 -duration 0.5 -replicas 3 -retries 2", ""},
+		{"census scenario run", "-scenario parkinglot -arch infrastructure -secure -replicas 3 -retries 2 -faults '20s crash 3; 70s kill-controller 0'", ""},
+		{"soak with its own flags", "-soak -byz 1 -splitbrain -store ec -dag -saturate -shards 4 -vehicles 14 -duration 300", ""},
+		{"no vehicles", "-vehicles 0", "Vehicles"},
+		{"no soak vehicles", "-soak -vehicles 0", "Vehicles"},
+		{"negative tasks", "-tasks -1", "-tasks"},
+		{"zero duration", "-duration 0", "-duration"},
+		{"NaN duration", "-duration NaN", "-duration"},
+		{"+Inf duration", "-duration +Inf", "-duration"},
+		{"negative replicas", "-replicas -1", "replicas"},
+		{"negative retries", "-retries -1", "-retries"},
+		{"byz above one", "-soak -byz 1.5", "Byzantine"},
+		{"negative byz", "-soak -byz -0.1", "Byzantine"},
+		{"NaN byz", "-soak -byz NaN", "Byzantine"},
+		{"unknown scenario", "-scenario moon", "-scenario"},
+		{"unknown architecture", "-arch cloud", "-arch"},
+		{"bad fault plan", "-faults '10s explode 3'", "explode"},
+		{"bad storage backend", "-soak -store tape", "storage"},
+		{"one shard", "-soak -shards 1", "shards"},
+		{"shard soak too small", "-soak -vehicles 1 -duration 30 -shards 2", "too small"},
+		{"positional argument", "-soak extra", "positional"},
+		{"byz without soak", "-byz 0.3", "-byz requires -soak"},
+		{"splitbrain without soak", "-splitbrain", "-splitbrain requires -soak"},
+		{"dag without soak", "-dag", "-dag requires -soak"},
+		{"store without soak", "-store ec", "-store requires -soak"},
+		{"saturate without soak", "-saturate", "-saturate requires -soak"},
+		{"shards without soak", "-shards 2", "-shards requires -soak"},
+		{"faults under soak", "-soak -faults '30s rsu-down 0'", "-faults has no effect with -soak"},
+		{"secure under soak", "-soak -secure", "-secure has no effect with -soak"},
+		{"replicas under soak", "-soak -replicas 3", "-replicas has no effect with -soak"},
+		{"retries under soak", "-soak -retries 2", "-retries has no effect with -soak"},
+		{"trace under soak", "-soak -trace 20", "-trace has no effect with -soak"},
+		{"tasks under soak", "-soak -tasks 5", "-tasks has no effect with -soak"},
+		{"scenario under soak", "-soak -scenario city", "-scenario has no effect with -soak"},
+		{"arch under soak", "-soak -arch stationary", "-arch has no effect with -soak"},
 	} {
-		err := validateFlags(tc.vehicles, tc.tasks, tc.duration, tc.replicas, tc.retries, tc.byz)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("%s: validateFlags = %v, want error %v", tc.name, err, tc.wantErr)
+		_, _, err := parseFlags(splitArgs(tc.args))
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: parseFlags(%s) = %v, want accepted", tc.name, tc.args, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: parseFlags(%s) = %v, want an error naming %q", tc.name, tc.args, err, tc.wantErr)
 		}
 	}
+}
+
+// splitArgs splits a command line on spaces, keeping single-quoted
+// words whole.
+func splitArgs(line string) []string {
+	var args []string
+	for i, part := range strings.Split(line, "'") {
+		if i%2 == 1 {
+			args = append(args, part)
+			continue
+		}
+		args = append(args, strings.Fields(part)...)
+	}
+	return args
 }

@@ -20,41 +20,14 @@ import (
 	"vcloud/internal/sim"
 	ivc "vcloud/internal/vcloud"
 	"vcloud/internal/vnet"
+	"vcloud/internal/world"
 )
 
 func main() {
-	s, err := vcloud.NewHighwayScenario(vcloud.HighwayOptions{Seed: 3, Vehicles: 50})
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Roadside infrastructure: three RSUs along the corridor.
-	for _, x := range []float64{500, 1500, 2500} {
-		if _, err := s.AddRSU(geo.Point{X: x, Y: 15}); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	// Phase 1: an infrastructure-based cloud coordinated by the RSUs.
-	infraStats := &vcloud.CloudStats{}
-	infra, err := vcloud.DeployCloud(s, vcloud.Infrastructure, infraStats)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// The earthquake, scripted before the clock starts: at t=75s every
 	// RSU radio goes dark and the controller processes die with the
 	// hardware. Descending kill indices: each kill removes one live
 	// controller, so the remaining ones shift down.
-	inj, err := vcloud.NewFaultInjector(s)
-	if err != nil {
-		log.Fatal(err)
-	}
-	inj.OnControllerKill(func(idx int) {
-		ctls := infra.ActiveControllers()
-		if idx >= 0 && idx < len(ctls) {
-			ctls[idx].Crash()
-		}
-	})
 	quake, err := vcloud.ParseFaultPlan(`
 		75s rsu-down 0; 75s rsu-down 1; 75s rsu-down 2
 		75s kill-controller 2; 75s kill-controller 1; 75s kill-controller 0
@@ -62,14 +35,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := inj.Schedule(quake); err != nil {
+	// Phase 1: an infrastructure-based cloud coordinated by three RSUs
+	// along the corridor.
+	w, err := world.Build(world.Spec{
+		Seed: 3, Road: world.Highway(3000, 27), Vehicles: 50,
+		RSUs:   []geo.Point{{X: 500, Y: 15}, {X: 1500, Y: 15}, {X: 2500, Y: 15}},
+		Cloud:  world.Default(vcloud.Infrastructure),
+		Faults: quake,
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
+	s, infra, infraStats, inj := w.Scenario, w.Cloud, w.Stats, w.Injector
 
-	if err := s.Start(); err != nil {
-		log.Fatal(err)
-	}
-	if err := s.RunFor(10 * time.Second); err != nil {
+	if err := w.Start(10 * time.Second); err != nil {
 		log.Fatal(err)
 	}
 

@@ -13,26 +13,24 @@ import (
 	"time"
 
 	vcloud "vcloud"
+	"vcloud/internal/geo"
 	"vcloud/internal/store"
 	"vcloud/internal/vnet"
+	"vcloud/internal/world"
 )
 
 func flightKey(i int) store.Key { return store.Key(fmt.Sprintf("flight-%03d", i)) }
 
 func main() {
-	s, err := vcloud.NewParkingLotScenario(vcloud.ParkingLotOptions{Seed: 5, Vehicles: 30})
+	w, err := world.Build(world.Spec{
+		Seed: 5, Road: world.ParkingLot(200), Vehicles: 30,
+		RSUs: []geo.Point{world.Gate}, Cloud: world.Default(vcloud.Stationary),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	stats := &vcloud.CloudStats{}
-	cloud, err := vcloud.DeployCloud(s, vcloud.Stationary, stats)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := s.Start(); err != nil {
-		log.Fatal(err)
-	}
-	if err := s.RunFor(5 * time.Second); err != nil {
+	s, cloud := w.Scenario, w.Cloud
+	if err := w.Start(5 * time.Second); err != nil {
 		log.Fatal(err)
 	}
 	gate := cloud.Controllers[0]

@@ -11,31 +11,27 @@ import (
 	"time"
 
 	vcloud "vcloud"
+	"vcloud/internal/world"
 )
 
 func main() {
 	// 1. A 3 km two-direction highway with 40 vehicles driving IDM
 	//    car-following dynamics. Everything is seeded: re-running
 	//    reproduces the exact same virtual world.
-	s, err := vcloud.NewHighwayScenario(vcloud.HighwayOptions{Seed: 7, Vehicles: 40})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// 2. Deploy a *dynamic* vehicular cloud: vehicles cluster by
+	// 2. Deploy a *dynamic* vehicular cloud on it: vehicles cluster by
 	//    mobility similarity, cluster heads become cloud controllers,
 	//    members pool their CPU/storage/sensors.
-	stats := &vcloud.CloudStats{}
-	cloud, err := vcloud.DeployCloud(s, vcloud.Dynamic, stats)
+	w, err := world.Build(world.Spec{
+		Seed: 7, Road: world.Highway(3000, 27), Vehicles: 40,
+		Cloud: world.Default(vcloud.Dynamic),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	s, cloud, stats := w.Scenario, w.Cloud, w.Stats
 
 	// 3. Start the world and give clustering a few seconds to converge.
-	if err := s.Start(); err != nil {
-		log.Fatal(err)
-	}
-	if err := s.RunFor(10 * time.Second); err != nil {
+	if err := w.Start(10 * time.Second); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("after 10s: %d cloud controller(s) elected\n", len(cloud.ActiveControllers()))

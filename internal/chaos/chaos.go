@@ -47,33 +47,29 @@ package chaos
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"time"
 
-	"vcloud/internal/attack"
-	"vcloud/internal/faults"
 	"vcloud/internal/geo"
-	"vcloud/internal/mobility"
 	"vcloud/internal/radio"
-	"vcloud/internal/roadnet"
 	"vcloud/internal/scenario"
 	"vcloud/internal/sim"
 	"vcloud/internal/vcloud"
 	"vcloud/internal/vnet"
+	"vcloud/internal/world"
 )
 
-// SoakConfig tunes a soak run. Zero Vehicles and Duration take defaults.
+// SoakConfig tunes a soak run.
 type SoakConfig struct {
 	// Seed drives everything; equal seeds replay equal soaks.
 	Seed int64
-	// Vehicles is the parked fleet size. Default 20.
+	// Vehicles is the parked fleet size.
 	Vehicles int
 	// ByzFraction of members lie about results (WrongProb 1 while
 	// active; "byz-flip" faults toggle them). Zero soaks honest workers.
 	ByzFraction float64
-	// Duration is the soaked horizon after warm-up. Default 10 min.
+	// Duration is the soaked horizon after warm-up.
 	Duration sim.Time
 	// SplitBrain deploys the cloud with epoch fencing and adds a storm
 	// branch that isolates the active controller (with a random minority
@@ -143,31 +139,28 @@ const (
 // 3 retries, trust weighting off (see package comment).
 var soakPolicy = vcloud.DependabilityPolicy{Replicas: 3, MaxRetries: 3}
 
-func (c SoakConfig) withDefaults() SoakConfig {
-	if c.Vehicles == 0 {
-		c.Vehicles = 20
-	}
-	if c.Duration == 0 {
-		c.Duration = 10 * time.Minute
-	}
-	return c
-}
-
-// Validate checks config sanity.
+// Validate checks config sanity; the fleet and Byzantine-fraction range
+// checks are the world spec's.
 func (c SoakConfig) Validate() error {
-	// The range check is negated so a NaN fraction fails it.
-	if c.Vehicles < 0 || !(c.ByzFraction >= 0 && c.ByzFraction <= 1) {
-		return fmt.Errorf("chaos: vehicles must be >= 0 and byz fraction in [0,1]")
-	}
-	if c.Duration < 0 {
-		return fmt.Errorf("chaos: duration must be >= 0")
+	if c.Duration <= 0 {
+		return fmt.Errorf("chaos: duration must be > 0")
 	}
 	switch c.Storage {
 	case "", "replicated", "ec":
 	default:
 		return fmt.Errorf(`chaos: storage must be "", "replicated" or "ec", got %q`, c.Storage)
 	}
-	return nil
+	return c.spec().Validate()
+}
+
+// spec is the soaked world: the parked fleet around the gate RSU, the
+// lowest-ID ByzFraction of it lying. The cloud deploys in Soak, once the
+// storage backend it drives exists.
+func (c SoakConfig) spec() world.Spec {
+	return world.Spec{
+		Seed: c.Seed, Road: world.ParkingLot(200), Vehicles: c.Vehicles,
+		RSUs: []geo.Point{world.Gate}, Byzantine: c.ByzFraction,
+	}
 }
 
 // Report is the outcome of a soak run.
@@ -281,20 +274,15 @@ type soakTask struct {
 }
 
 type soak struct {
-	cfg   SoakConfig
-	s     *scenario.Scenario
-	d     *vcloud.Deployment
-	stats *vcloud.Stats
-	inj   *faults.Injector
-	rng   *rand.Rand // "chaos.plan" stream: fault mix and targets
+	cfg SoakConfig
+	w   *world.World
+	s   *scenario.Scenario
+	rng *rand.Rand // "chaos.plan" stream: fault mix and targets
 
-	byz        map[vnet.Addr]*attack.ByzantineWorker
 	byzWindows map[vnet.Addr][]byzWindow
 
-	// st is the storage workload state (nil unless cfg.Storage is set);
-	// rsu is the coordinator vantage its reachability view probes from.
-	st  *storageState
-	rsu vnet.Addr
+	// st is the storage workload state (nil unless cfg.Storage is set).
+	st *storageState
 	// dg is the DAG workload state (nil unless cfg.DAG is on).
 	dg *dagState
 	// sat is the congestion workload state (nil unless cfg.Saturate is
@@ -334,33 +322,25 @@ const killSpacing = 20 * time.Second
 // Soak runs one full soak and returns its report. The report's
 // Violations being empty is the pass criterion.
 func Soak(cfg SoakConfig) (*Report, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	net, err := roadnet.ParkingLot(roadnet.ParkingLotSpec{Aisles: 4, AisleLenM: 200, AisleGapM: 40})
+	w, err := world.Build(cfg.spec())
 	if err != nil {
 		return nil, err
 	}
-	s, err := scenario.New(scenario.Spec{Seed: cfg.Seed, Network: net, NumVehicles: cfg.Vehicles, Parked: true})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := s.AddRSU(geo.Point{X: 0, Y: 0}); err != nil {
-		return nil, err
-	}
+	s := w.Scenario
 	sk := &soak{
 		cfg:        cfg,
+		w:          w,
 		s:          s,
 		rng:        s.Kernel.NewStream("chaos.plan"),
-		byz:        make(map[vnet.Addr]*attack.ByzantineWorker),
 		byzWindows: make(map[vnet.Addr][]byzWindow),
 		report:     &Report{},
 		violations: make(map[string]bool),
 		epochClaim: make(map[uint64]vnet.Addr),
 		applies:    make(map[vcloud.TaskID]applyRecord),
 	}
-	stats := &vcloud.Stats{}
 	dcfg := vcloud.DeployConfig{
 		Failover:   true,
 		Controller: vcloud.ControllerConfig{Depend: &soakPolicy},
@@ -378,83 +358,56 @@ func Soak(cfg SoakConfig) (*Report, error) {
 		// partition-heal merges add fenced repair passes to the storm.
 		dcfg.Storage = sk.st.backend
 	}
-	d, err := vcloud.Deploy(s, vcloud.Stationary, dcfg, stats)
-	if err != nil {
+	if err := w.Deploy(world.Cloud{Arch: vcloud.Stationary, Config: dcfg}); err != nil {
 		return nil, err
 	}
-	inj, err := faults.NewInjector(s)
-	if err != nil {
-		return nil, err
-	}
-	inj.OnControllerKill(func(idx int) {
-		ctls := d.ActiveControllers()
-		if idx >= 0 && idx < len(ctls) {
-			ctls[idx].Crash()
-		}
-	})
-	inj.OnMemberKill(func(id int) {
-		if m, ok := d.Members[mobility.VehicleID(id)]; ok {
-			m.Stop()
-			delete(d.Members, mobility.VehicleID(id))
-		}
-	})
-	sk.d, sk.stats, sk.inj = d, stats, inj
-	sk.rsu = d.Controllers[0].Addr()
 	if cfg.DAG {
-		sk.setupDAG()
+		sk.dg = &dagState{rng: s.Kernel.NewStream("chaos.dag")}
 	}
 	if cfg.Saturate {
 		if err := sk.setupSaturate(); err != nil {
 			return nil, err
 		}
 	}
-	if err := sk.byzantify(); err != nil {
-		return nil, err
+	for _, a := range sk.byzAddrs() {
+		sk.byzWindows[a] = []byzWindow{{from: 0, to: -1}} // open
 	}
-	if err := s.Start(); err != nil {
-		return nil, err
-	}
-	if err := s.RunFor(soakWarmup); err != nil {
+	if err := w.Start(soakWarmup); err != nil {
 		return nil, err
 	}
 
-	taskT, err := s.Kernel.Every(soakTaskEvery, sk.submitOne)
-	if err != nil {
-		return nil, err
+	// The storm's clocks, created in this order (it breaks timestamp
+	// ties). Departures are their own deterministic churn clock, not a
+	// storm roll: every storage soak exercises the loss-and-repair cycle
+	// the storage invariants exist to audit, at a controlled rate.
+	clocks := []struct {
+		every sim.Time
+		fn    func()
+		on    bool
+	}{
+		{soakTaskEvery, sk.submitOne, true},
+		{soakFaultEvery, sk.injectFault, true},
+		{soakCheckEvery, sk.check, true},
+		{dagEvery, sk.dagTick, cfg.DAG},
+		{saturateEvery, sk.saturateTick, cfg.Saturate},
+		{storageEvery, sk.storageTick, cfg.Storage != ""},
+		{storageRepairEvery, sk.storageRepair, cfg.Storage != ""},
+		{storageDepartEvery, func() { sk.depart(s.Kernel.Now()) }, cfg.Storage != ""},
 	}
-	faultT, err := s.Kernel.Every(soakFaultEvery, sk.injectFault)
-	if err != nil {
-		return nil, err
-	}
-	checkT, err := s.Kernel.Every(soakCheckEvery, sk.check)
-	if err != nil {
-		return nil, err
-	}
-	var dagT *sim.Ticker
-	if cfg.DAG {
-		if dagT, err = s.Kernel.Every(dagEvery, sk.dagTick); err != nil {
+	var storm []*sim.Ticker
+	var checkT *sim.Ticker
+	for i, c := range clocks {
+		if !c.on {
+			continue
+		}
+		t, err := s.Kernel.Every(c.every, c.fn)
+		if err != nil {
 			return nil, err
 		}
-	}
-	var satT *sim.Ticker
-	if cfg.Saturate {
-		if satT, err = s.Kernel.Every(saturateEvery, sk.saturateTick); err != nil {
-			return nil, err
-		}
-	}
-	var storeT, repairT, departT *sim.Ticker
-	if cfg.Storage != "" {
-		if storeT, err = s.Kernel.Every(storageEvery, sk.storageTick); err != nil {
-			return nil, err
-		}
-		if repairT, err = s.Kernel.Every(storageRepairEvery, sk.storageRepair); err != nil {
-			return nil, err
-		}
-		// Departures are their own deterministic churn clock, not a storm
-		// roll: every soak exercises the loss-and-repair cycle the storage
-		// invariants exist to audit, at a controlled rate.
-		if departT, err = s.Kernel.Every(storageDepartEvery, func() { sk.depart(s.Kernel.Now()) }); err != nil {
-			return nil, err
+		if i == 2 { // the invariant sweep runs on through the drain
+			checkT = t
+		} else {
+			storm = append(storm, t)
 		}
 	}
 	if err := s.RunFor(cfg.Duration); err != nil {
@@ -462,18 +415,8 @@ func Soak(cfg SoakConfig) (*Report, error) {
 	}
 	// Storm over: stop injecting and submitting, let in-flight work
 	// settle, then audit one last time.
-	taskT.Stop()
-	faultT.Stop()
-	if dagT != nil {
-		dagT.Stop()
-	}
-	if satT != nil {
-		satT.Stop()
-	}
-	if storeT != nil {
-		storeT.Stop()
-		repairT.Stop()
-		departT.Stop()
+	for _, t := range storm {
+		t.Stop()
 	}
 	if err := s.RunFor(soakDrain); err != nil {
 		return nil, err
@@ -484,31 +427,19 @@ func Soak(cfg SoakConfig) (*Report, error) {
 	return sk.report, nil
 }
 
-// byzantify turns the configured fraction of members Byzantine, lowest
-// vehicle IDs first (deterministic; which IDs are low is arbitrary with
-// respect to the parking layout).
-func (sk *soak) byzantify() error {
-	ids := make([]mobility.VehicleID, 0, len(sk.d.Members))
-	for id := range sk.d.Members {
-		ids = append(ids, id)
+// byzAddrs lists the Byzantine workers' addresses in ascending order.
+func (sk *soak) byzAddrs() []vnet.Addr {
+	addrs := make([]vnet.Addr, 0, len(sk.w.Byzantine))
+	for a := range sk.w.Byzantine {
+		addrs = append(addrs, a)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	n := int(math.Round(sk.cfg.ByzFraction * float64(len(ids))))
-	for _, id := range ids[:n] {
-		m := sk.d.Members[id]
-		b, err := attack.Byzantify(m, 1, nil)
-		if err != nil {
-			return err
-		}
-		sk.byz[m.Addr()] = b
-		sk.byzWindows[m.Addr()] = []byzWindow{{from: 0, to: -1}} // open
-	}
-	return nil
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	return addrs
 }
 
 // setByz flips a worker's lying state, closing or opening its window.
 func (sk *soak) setByz(a vnet.Addr, on bool) {
-	b := sk.byz[a]
+	b := sk.w.Byzantine[a]
 	if b == nil || b.Active() == on {
 		return
 	}
@@ -545,7 +476,7 @@ func (sk *soak) submitOne() {
 		submitted: sk.s.Kernel.Now(),
 	}
 	sk.tasks = append(sk.tasks, st)
-	err := sk.d.SubmitAnywhere(st.task, func(r vcloud.TaskResult) {
+	err := sk.w.Cloud.SubmitAnywhere(st.task, func(r vcloud.TaskResult) {
 		sk.onOutcome(seq, r)
 	})
 	if err != nil {
@@ -636,8 +567,8 @@ func (sk *soak) injectFault() {
 		}
 		id := ids[sk.rng.Intn(len(ids))]
 		dur := sim.Time(5+sk.rng.Float64()*15) * time.Second
-		sk.inj.CrashNode(vnet.Addr(id))
-		sk.s.Kernel.After(dur, func() { sk.inj.RecoverNode(vnet.Addr(id)) })
+		sk.w.Injector.CrashNode(vnet.Addr(id))
+		sk.s.Kernel.After(dur, func() { sk.w.Injector.RecoverNode(vnet.Addr(id)) })
 		sk.fault("%s crash vehicle %d for %s", now, id, dur)
 	case roll < 0.55:
 		// Partition a circular region for 5–15 s.
@@ -648,22 +579,22 @@ func (sk *soak) injectFault() {
 		}
 		radius := 50 + sk.rng.Float64()*150
 		dur := sim.Time(5+sk.rng.Float64()*10) * time.Second
-		heal := sk.inj.StartPartition(c, radius)
+		heal := sk.w.Injector.StartPartition(c, radius)
 		sk.s.Kernel.After(dur, heal)
 		sk.fault("%s partition r=%.0fm at %.0f,%.0f for %s", now, radius, c.X, c.Y, dur)
 	case roll < 0.75:
 		// Loss burst 10–40% for 3–10 s.
 		p := 0.1 + sk.rng.Float64()*0.3
 		dur := sim.Time(3+sk.rng.Float64()*7) * time.Second
-		sk.inj.SetLoss(p)
-		sk.s.Kernel.After(dur, func() { sk.inj.SetLoss(0) })
+		sk.w.Injector.SetLoss(p)
+		sk.s.Kernel.After(dur, func() { sk.w.Injector.SetLoss(0) })
 		sk.fault("%s loss p=%.2f for %s", now, p, dur)
 	case roll < 0.85:
 		// Kill the busiest controller; failover must take over. Keep a
 		// kill budget so a long storm cannot consume the whole fleet
 		// (every promotion costs one worker).
-		ctls := sk.d.ActiveControllers()
-		if len(ctls) == 0 || len(sk.d.Members) <= sk.cfg.Vehicles/2 ||
+		ctls := sk.w.Cloud.ActiveControllers()
+		if len(ctls) == 0 || len(sk.w.Cloud.Members) <= sk.cfg.Vehicles/2 ||
 			(sk.lastKill > 0 && now-sk.lastKill < killSpacing) {
 			return
 		}
@@ -672,17 +603,14 @@ func (sk *soak) injectFault() {
 		sk.fault("%s kill-controller", now)
 	default:
 		// Flip a random Byzantine worker honest, or back.
-		if len(sk.byz) == 0 {
+		addrs := sk.byzAddrs()
+		if len(addrs) == 0 {
 			return
 		}
-		addrs := make([]vnet.Addr, 0, len(sk.byz))
-		for a := range sk.byz {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 		a := addrs[sk.rng.Intn(len(addrs))]
-		sk.setByz(a, !sk.byz[a].Active())
-		sk.fault("%s byz-flip worker %d -> %v", now, a, sk.byz[a].Active())
+		b := sk.w.Byzantine[a]
+		sk.setByz(a, !b.Active())
+		sk.fault("%s byz-flip worker %d -> %v", now, a, b.Active())
 	}
 }
 
@@ -695,7 +623,7 @@ func (sk *soak) splitBrain(now sim.Time) {
 	if sk.lastSplit > 0 && now-sk.lastSplit < killSpacing {
 		return
 	}
-	ctls := sk.d.ActiveControllers()
+	ctls := sk.w.Cloud.ActiveControllers()
 	if len(ctls) == 0 {
 		return
 	}
@@ -716,7 +644,7 @@ func (sk *soak) splitBrain(now sim.Time) {
 		n = sk.rng.Intn(len(pool)/2 + 1)
 	}
 	dur := sim.Time(10+sk.rng.Float64()*10) * time.Second
-	heal := sk.inj.StartIsolation(radio.NodeID(c.Addr()), pool[:n])
+	heal := sk.w.Injector.StartIsolation(radio.NodeID(c.Addr()), pool[:n])
 	sk.s.Kernel.After(dur, heal)
 	sk.lastSplit = now
 	sk.report.SplitBrains++
@@ -775,7 +703,7 @@ func (sk *soak) check() {
 	if sk.sat != nil {
 		sk.checkSaturate()
 	}
-	for _, c := range sk.d.Controllers {
+	for _, c := range sk.w.Cloud.Controllers {
 		if c.Stopped() {
 			continue // a crashed controller's task table is dead, not stuck
 		}
@@ -783,8 +711,8 @@ func (sk *soak) check() {
 			sk.violate("controller %d: %s", c.Addr(), v)
 		}
 	}
-	sub, comp, fail := sk.stats.Submitted.Value(), sk.stats.Completed.Value(), sk.stats.Failed.Value()
-	fo := sk.stats.Failovers.Value()
+	sub, comp, fail := sk.w.Stats.Submitted.Value(), sk.w.Stats.Completed.Value(), sk.w.Stats.Failed.Value()
+	fo := sk.w.Stats.Failovers.Value()
 	// Accounting uses the soak's own callback counts, not the global
 	// stats: a stale-checkpoint promotion may re-execute a task its dead
 	// predecessor already finished, so the per-controller counters are
@@ -831,20 +759,20 @@ func (sk *soak) event(format string, args ...interface{}) {
 
 // finalize computes the checksum and closing counters.
 func (sk *soak) finalize() {
-	sk.report.Failovers = sk.stats.Failovers.Value()
-	sk.report.Abdications = sk.stats.Abdications.Value()
-	sk.report.Merges = sk.stats.Merges.Value()
-	sk.report.Adopted = sk.stats.Adopted.Value()
-	sk.report.Deduped = sk.stats.Deduped.Value()
-	sk.report.StaleRejected = sk.stats.StaleRejected.Value()
+	sk.report.Failovers = sk.w.Stats.Failovers.Value()
+	sk.report.Abdications = sk.w.Stats.Abdications.Value()
+	sk.report.Merges = sk.w.Stats.Merges.Value()
+	sk.report.Adopted = sk.w.Stats.Adopted.Value()
+	sk.report.Deduped = sk.w.Stats.Deduped.Value()
+	sk.report.StaleRejected = sk.w.Stats.StaleRejected.Value()
 	if sk.st != nil {
 		sk.report.StorageRepaired = sk.st.backend.Stats().ReReplicas.Value()
 	}
 	if sk.dg != nil {
-		sk.report.JobsResumed = sk.stats.JobsResumed.Value()
-		sk.report.StageRetries = sk.stats.StageRetries.Value()
-		sk.report.StageRelays = sk.stats.StageRelays.Value()
-		sk.report.StageHandoffs = sk.stats.StageHandoffs.Value()
+		sk.report.JobsResumed = sk.w.Stats.JobsResumed.Value()
+		sk.report.StageRetries = sk.w.Stats.StageRetries.Value()
+		sk.report.StageRelays = sk.w.Stats.StageRelays.Value()
+		sk.report.StageHandoffs = sk.w.Stats.StageHandoffs.Value()
 	}
 	if sk.sat != nil {
 		sk.finalizeSaturate()

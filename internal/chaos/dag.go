@@ -35,7 +35,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"vcloud/internal/mobility"
 	"vcloud/internal/sim"
 	"vcloud/internal/vcloud"
 )
@@ -56,11 +55,6 @@ type dagState struct {
 	// kills counts member-process kills injected (bounded by the same
 	// half-fleet budget as controller kills).
 	kills int
-}
-
-// setupDAG arms the DAG workload state.
-func (sk *soak) setupDAG() {
-	sk.dg = &dagState{rng: sk.s.Kernel.NewStream("chaos.dag")}
 }
 
 // randomSpec draws one random-but-seeded job shape: 3–5 required stages
@@ -111,7 +105,7 @@ func (sk *soak) dagTick() {
 	seq := len(dg.jobs)
 	sj := &soakJob{spec: dg.randomSpec(), submitted: sk.s.Kernel.Now()}
 	dg.jobs = append(dg.jobs, sj)
-	err := sk.d.SubmitJobAnywhere(sj.spec, func(r vcloud.JobResult) {
+	err := sk.w.Cloud.SubmitJobAnywhere(sj.spec, func(r vcloud.JobResult) {
 		sk.onJobOutcome(seq, r)
 	})
 	if err != nil {
@@ -183,23 +177,17 @@ func (sk *soak) onJobOutcome(seq int, r vcloud.JobResult) {
 	sk.event("job %d ok partial=%v extra=%d stages=%d latency=%s", seq, r.Partial, r.ExtraReplicas, len(r.Stages), r.Latency)
 }
 
-// killMember is the DAG storm branch: kill a random member's process —
-// radio silence plus agent stop, so its running stage work and cached
-// stage outputs die with it (downstream pulls must fall back to other
-// holders or the controller relay). The half-fleet budget mirrors the
-// controller-kill budget: a storm that consumes the whole fleet tests
-// nothing.
+// killMember is the DAG storm branch: the world's member-kill drill —
+// radio silence plus agent stop, so the member's running stage work and
+// cached stage outputs die with it (downstream pulls must fall back to
+// other holders or the controller relay), no rejoin. The drill's
+// half-fleet floor mirrors the controller-kill budget: a storm that
+// consumes the whole fleet tests nothing.
 func (sk *soak) killMember(now sim.Time) {
-	if len(sk.d.Members) <= sk.cfg.Vehicles/2 {
+	id, ok := sk.w.KillMember(sk.rng, 0)
+	if !ok {
 		return
 	}
-	ids := make([]mobility.VehicleID, 0, len(sk.d.Members))
-	for id := range sk.d.Members {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	id := ids[sk.rng.Intn(len(ids))]
-	sk.inj.KillMember(int(id))
 	sk.dg.kills++
 	sk.report.MemberKills++
 	sk.fault("%s kill-member vehicle %d", now, id)

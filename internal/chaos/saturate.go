@@ -89,14 +89,14 @@ func (sk *soak) setupSaturate() error {
 		return err
 	}
 	sender := up.NewSender(radio.BWEConfig{})
-	cloud, err := vcloud.NewRemoteCloudSender("soak-cloud", k, sender, satCloudCPU, sk.stats)
+	cloud, err := vcloud.NewRemoteCloudSender("soak-cloud", k, sender, satCloudCPU, sk.w.Stats)
 	if err != nil {
 		return err
 	}
 	gov, err := vcloud.NewGovernor(k, vcloud.GovernorConfig{
 		Tiers: []vcloud.GovernorTier{
 			// Index 0: the vehicular cloud — network-free, modest compute.
-			{Tier: vcloud.TierVehicle, Backend: vcloud.DeploymentBackend{D: sk.d},
+			{Tier: vcloud.TierVehicle, Backend: vcloud.DeploymentBackend{D: sk.w.Cloud},
 				CPU: float64(sk.cfg.Vehicles) * satVehicleCPU},
 			// Index 1: the conventional cloud behind the contended uplink,
 			// with the sender as its live congestion feed.
@@ -104,7 +104,7 @@ func (sk *soak) setupSaturate() error {
 				NominalBps: satUplinkMbps * 1e6, BaseRTT: 60 * time.Millisecond,
 				Sender: sender},
 		},
-	}, sk.stats)
+	}, sk.w.Stats)
 	if err != nil {
 		return err
 	}
@@ -254,11 +254,11 @@ func (sk *soak) checkSaturate() {
 // report.
 func (sk *soak) finalizeSaturate() {
 	sat := sk.sat
-	sk.report.SatShed = int(sk.stats.Shed.Value())
-	sk.report.SatAdmission = int(sk.stats.AdmissionRejects.Value())
-	sk.report.SatBackpressured = int(sk.stats.Backpressured.Value())
+	sk.report.SatShed = int(sk.w.Stats.Shed.Value())
+	sk.report.SatAdmission = int(sk.w.Stats.AdmissionRejects.Value())
+	sk.report.SatBackpressured = int(sk.w.Stats.Backpressured.Value())
 	sk.report.SatPlacedVehicle = sat.gov.Placed(0)
 	sk.report.SatPlacedCloud = sat.gov.Placed(1)
-	sk.report.TierSwitches = sk.stats.TierSwitches.Value()
+	sk.report.TierSwitches = sk.w.Stats.TierSwitches.Value()
 	sk.report.UplinkSent, sk.report.UplinkDelivered, sk.report.UplinkLost, sk.report.UplinkDropped = sat.uplink.Counters()
 }

@@ -76,6 +76,20 @@ func (c *ShardSoakConfig) defaults() {
 	}
 }
 
+// Validate checks the config with its defaults applied: a sharded arm
+// to compare, and storms big enough to cross shard borders.
+func (c ShardSoakConfig) Validate() error {
+	c.defaults()
+	if c.Shards < 2 {
+		return fmt.Errorf("chaos: shard soak needs at least 2 shards, got %d", c.Shards)
+	}
+	if c.Episodes < 1 || c.Vehicles < 8 || c.Ticks < 8 {
+		return fmt.Errorf("chaos: shard soak config too small: episodes=%d vehicles=%d ticks=%d",
+			c.Episodes, c.Vehicles, c.Ticks)
+	}
+	return nil
+}
+
 // RunShardSoak runs the sharded-kernel storm soak: each episode draws a
 // storm shape (fleet size, churn fraction, outage region and window)
 // from named hash streams, runs the shardworld scenario at cfg.Shards
@@ -85,14 +99,10 @@ func (c *ShardSoakConfig) defaults() {
 // arm on every run; an invariant error is recorded, not fatal, so one
 // bad episode cannot mask later ones.
 func RunShardSoak(cfg ShardSoakConfig) (*ShardSoakReport, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg.defaults()
-	if cfg.Shards < 2 {
-		return nil, fmt.Errorf("chaos: shard soak needs at least 2 shards, got %d", cfg.Shards)
-	}
-	if cfg.Episodes < 1 || cfg.Vehicles < 8 || cfg.Ticks < 8 {
-		return nil, fmt.Errorf("chaos: shard soak config too small: episodes=%d vehicles=%d ticks=%d",
-			cfg.Episodes, cfg.Vehicles, cfg.Ticks)
-	}
 
 	useed := uint64(sim.SubSeed(cfg.Seed, "chaos/shardsoak"))
 	rep := &ShardSoakReport{Episodes: cfg.Episodes, Shards: cfg.Shards}

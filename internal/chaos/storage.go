@@ -27,10 +27,11 @@
 //     erasure coder, its aliasing of the written object and its release
 //     of stale fragments under the storm.
 //
-// The backend's view is the fault injector's ground truth (reachable
-// means not cut from the coordinator RSU), not the controller's
-// membership table, so the invariants judge the storage service against
-// what actually happened on the radio — and the same backend is wired
+// The backend's view is the world's departure drill over the fault
+// injector's ground truth (reachable means not cut from the coordinator
+// RSU), not the controller's membership table, so the invariants judge
+// the storage service against what actually happened on the radio — and
+// the same backend is wired
 // into the deployment (DeployConfig.Storage), so controller expiry,
 // leave, and partition-heal merges drive extra fenced repair passes on
 // top of the harness's periodic one.
@@ -45,6 +46,7 @@ import (
 	"vcloud/internal/sim"
 	"vcloud/internal/store"
 	"vcloud/internal/vnet"
+	"vcloud/internal/world"
 )
 
 // storageClients is the session-client pool of the KV workload.
@@ -63,11 +65,9 @@ type storageState struct {
 	// threshold is the surviving-placed-member count that guarantees
 	// durability: 1 for whole copies, K for a (K, M) erasure code.
 	threshold int
-	fleet     []vnet.Addr
-	// departed maps permanently-departed members to their departure
-	// time (revival order: longest-departed first, returning wiped).
-	departed map[vnet.Addr]sim.Time
-	acked    map[store.Key]ackedWrite
+	// deps is the permanent-departure churn the backend's view follows.
+	deps  *world.Departures
+	acked map[store.Key]ackedWrite
 	// lostAt dedupes loss counting: the highest acked version of each
 	// key already counted as lost.
 	lostAt map[store.Key]store.Version
@@ -104,9 +104,9 @@ func soakPayload(seq int) []byte {
 	return data
 }
 
-// setupStorage builds the backend over the injector-backed view and
-// arms the workload state. Called before Deploy so the deployment can
-// wire the backend into its controllers.
+// setupStorage builds the backend over the departure drill's view from
+// the gate RSU and arms the workload state. Called before Deploy so the
+// deployment can wire the backend into its controllers.
 func (sk *soak) setupStorage() error {
 	scfg := store.Config{
 		Consistency:   store.Session,
@@ -114,35 +114,13 @@ func (sk *soak) setupStorage() error {
 		RetainOffline: true, // crashed holders keep their disks; only departures lose them
 	}
 	st := &storageState{
-		departed: make(map[vnet.Addr]sim.Time),
-		acked:    make(map[store.Key]ackedWrite),
-		lostAt:   make(map[store.Key]store.Version),
-		marks:    make(map[store.ClientID]map[store.Key]store.Version),
-		wrote:    make(map[versionKey]int),
+		deps:   sk.w.Departures(sk.s.RSUs[0].Addr()),
+		acked:  make(map[store.Key]ackedWrite),
+		lostAt: make(map[store.Key]store.Version),
+		marks:  make(map[store.ClientID]map[store.Key]store.Version),
+		wrote:  make(map[versionKey]int),
 	}
-	for _, id := range sk.s.VehicleIDs() {
-		st.fleet = append(st.fleet, vnet.Addr(id))
-	}
-	slices.Sort(st.fleet)
-	view := store.FuncView{
-		MembersFn: func() []vnet.Addr {
-			ms := make([]vnet.Addr, 0, len(st.fleet))
-			for _, a := range st.fleet {
-				if _, gone := st.departed[a]; !gone {
-					ms = append(ms, a)
-				}
-			}
-			return ms
-		},
-		// Reachability from the coordinator RSU's vantage, straight from
-		// the injector: crashes, isolations and partitions all count.
-		OnlineFn: func(a vnet.Addr) bool {
-			if _, gone := st.departed[a]; gone {
-				return false
-			}
-			return !sk.inj.Cut(sk.rsu, a)
-		},
-	}
+	view := st.deps.View()
 	var err error
 	switch sk.cfg.Storage {
 	case "replicated":
@@ -235,58 +213,16 @@ func (sk *soak) storageRepair() {
 	}
 }
 
-// depart permanently removes one vehicle: radio dead, disk forgotten.
-// When too many are out, the longest-departed vehicle first returns to
-// the fleet — wiped, as a fresh node (its old address, no data).
+// depart is one beat of the departure drill, logged to the storm.
 func (sk *soak) depart(now sim.Time) {
-	st := sk.st
-	if len(st.departed) > sk.cfg.Vehicles/3 {
-		sk.revive(now)
+	revived, departed, dropped := sk.st.deps.Step(sk.rng, sk.st.backend)
+	if revived >= 0 {
+		sk.fault("%s revive vehicle %d (wiped)", now, revived)
 	}
-	// Never depart an active controller: that is the kill-controller
-	// branch's job, and it keeps its own survivability budget.
-	ctl := make(map[vnet.Addr]bool)
-	for _, c := range sk.d.ActiveControllers() {
-		ctl[c.Addr()] = true
+	if departed >= 0 {
+		sk.report.Departures++
+		sk.fault("%s departure vehicle %d (%d copies left with it)", now, departed, dropped)
 	}
-	var pool []vnet.Addr
-	for _, a := range st.fleet {
-		if _, gone := st.departed[a]; !gone && !ctl[a] {
-			pool = append(pool, a)
-		}
-	}
-	if len(pool) == 0 {
-		return
-	}
-	a := pool[sk.rng.Intn(len(pool))]
-	st.departed[a] = now
-	sk.inj.CrashNode(a)
-	dropped := st.backend.Forget(a)
-	sk.report.Departures++
-	sk.fault("%s departure vehicle %d (%d copies left with it)", now, a, dropped)
-}
-
-// revive returns the longest-departed vehicle (lowest address on ties)
-// to the fleet as a wiped node.
-func (sk *soak) revive(now sim.Time) {
-	st := sk.st
-	var pick vnet.Addr = -1
-	var when sim.Time
-	for _, a := range st.fleet {
-		t, gone := st.departed[a]
-		if !gone {
-			continue
-		}
-		if pick < 0 || t < when || (t == when && a < pick) {
-			pick, when = a, t
-		}
-	}
-	if pick < 0 {
-		return
-	}
-	delete(st.departed, pick)
-	sk.inj.RecoverNode(pick)
-	sk.fault("%s revive vehicle %d (wiped)", now, pick)
 }
 
 // checkStorage is the storage half of an invariant sweep: for every
@@ -303,7 +239,7 @@ func (sk *soak) checkStorage() {
 		aw := st.acked[k]
 		survivors := 0
 		for _, a := range aw.placed {
-			if _, gone := st.departed[a]; !gone {
+			if !st.deps.Gone(a) {
 				survivors++
 			}
 		}

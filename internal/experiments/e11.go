@@ -7,10 +7,9 @@ import (
 	"vcloud/internal/faults"
 	"vcloud/internal/geo"
 	"vcloud/internal/metrics"
-	"vcloud/internal/roadnet"
-	"vcloud/internal/scenario"
 	"vcloud/internal/sim"
 	"vcloud/internal/vcloud"
+	"vcloud/internal/world"
 )
 
 // E11Failover measures the dependability claim of §V.A: a vehicular
@@ -42,41 +41,17 @@ func E11Failover(cfg Config) (*Result, error) {
 	arms := []arm{{"baseline", false}, {"failover", true}}
 	err := assemble(cfg, table, values, len(arms), func(ai int, p *point) error {
 		a := arms[ai]
-		net, err := roadnet.ParkingLot(roadnet.ParkingLotSpec{Aisles: 4, AisleLenM: 150, AisleGapM: 40})
-		if err != nil {
-			return err
-		}
-		s, err := scenario.New(scenario.Spec{Seed: cfg.Seed, Network: net, NumVehicles: vehicles, Parked: true})
-		if err != nil {
-			return err
-		}
-		if _, err := s.AddRSU(geo.Point{X: 0, Y: 0}); err != nil {
-			return err
-		}
-		stats := &vcloud.Stats{}
-		dep, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{Failover: a.failover}, stats)
-		if err != nil {
-			return err
-		}
-
-		// The same seeded controller-crash schedule for both arms.
-		inj, err := faults.NewInjector(s)
-		if err != nil {
-			return err
-		}
-		inj.OnControllerKill(func(idx int) {
-			ctls := dep.ActiveControllers()
-			if idx >= 0 && idx < len(ctls) {
-				ctls[idx].Crash()
-			}
+		// The same scripted controller crash for both arms.
+		w, err := world.Build(world.Spec{
+			Seed: cfg.Seed, Road: world.ParkingLot(150), Vehicles: vehicles,
+			RSUs:   []geo.Point{world.Gate},
+			Cloud:  &world.Cloud{Arch: vcloud.Stationary, Config: vcloud.DeployConfig{Failover: a.failover}},
+			Faults: faults.Plan{{At: crashAt, Kind: faults.KillController}},
 		})
-		plan, err := faults.Parse(fmt.Sprintf("%s kill-controller 0", crashAt))
 		if err != nil {
 			return err
 		}
-		if err := inj.Schedule(plan); err != nil {
-			return err
-		}
+		s, stats, dep := w.Scenario, w.Stats, w.Cloud
 
 		// Sample completions after the crash to time recovery: the first
 		// completion past the crash instant marks the cloud working again.
@@ -96,10 +71,7 @@ func E11Failover(cfg Config) (*Result, error) {
 			return err
 		}
 
-		if err := s.Start(); err != nil {
-			return err
-		}
-		if err := s.RunFor(10 * time.Second); err != nil {
+		if err := w.Start(10 * time.Second); err != nil {
 			return err
 		}
 

@@ -2,19 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"time"
 
-	"vcloud/internal/attack"
 	"vcloud/internal/geo"
 	"vcloud/internal/metrics"
-	"vcloud/internal/mobility"
-	"vcloud/internal/roadnet"
-	"vcloud/internal/scenario"
 	"vcloud/internal/sim"
 	"vcloud/internal/trust"
 	"vcloud/internal/vcloud"
+	"vcloud/internal/world"
 )
 
 // E12Dependability measures the §V dependable-execution claim: result
@@ -77,18 +72,17 @@ func E12Dependability(cfg Config) (*Result, error) {
 	}
 	err := assemble(cfg, table, values, len(sweeps), func(si int, p *point) error {
 		a, frac := sweeps[si].a, sweeps[si].frac
-		net, err := roadnet.ParkingLot(roadnet.ParkingLotSpec{Aisles: 4, AisleLenM: 150, AisleGapM: 40})
+		// The same lowest-ID fraction of members lies on every result,
+		// deterministically across arms. The cloud deploys once the trust
+		// set, which reads the kernel's clock, exists.
+		w, err := world.Build(world.Spec{
+			Seed: cfg.Seed, Road: world.ParkingLot(150), Vehicles: vehicles,
+			RSUs: []geo.Point{world.Gate}, Byzantine: frac,
+		})
 		if err != nil {
 			return err
 		}
-		s, err := scenario.New(scenario.Spec{Seed: cfg.Seed, Network: net, NumVehicles: vehicles, Parked: true})
-		if err != nil {
-			return err
-		}
-		if _, err := s.AddRSU(geo.Point{X: 0, Y: 0}); err != nil {
-			return err
-		}
-		stats := &vcloud.Stats{}
+		s, stats := w.Scenario, w.Stats
 		ctlCfg := vcloud.ControllerConfig{Depend: a.policy}
 		if a.trusted {
 			ws, err := trust.NewWorkerSet(s.Kernel.Now, 0)
@@ -97,29 +91,12 @@ func E12Dependability(cfg Config) (*Result, error) {
 			}
 			ctlCfg.Workers = ws
 		}
-		dep, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{Controller: ctlCfg}, stats)
-		if err != nil {
+		if err := w.Deploy(world.Cloud{Arch: vcloud.Stationary, Config: vcloud.DeployConfig{Controller: ctlCfg}}); err != nil {
 			return err
 		}
+		dep := w.Cloud
 
-		// The same lowest-ID fraction of members lies on every result,
-		// deterministically across arms.
-		ids := make([]mobility.VehicleID, 0, len(dep.Members))
-		for id := range dep.Members {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		nByz := int(math.Round(frac * float64(len(ids))))
-		for _, id := range ids[:nByz] {
-			if _, err := attack.Byzantify(dep.Members[id], 1, nil); err != nil {
-				return err
-			}
-		}
-
-		if err := s.Start(); err != nil {
-			return err
-		}
-		if err := s.RunFor(10 * time.Second); err != nil {
+		if err := w.Start(10 * time.Second); err != nil {
 			return err
 		}
 

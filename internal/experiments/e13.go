@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"vcloud/internal/faults"
 	"vcloud/internal/geo"
 	"vcloud/internal/metrics"
 	"vcloud/internal/radio"
-	"vcloud/internal/roadnet"
-	"vcloud/internal/scenario"
 	"vcloud/internal/sim"
 	"vcloud/internal/vcloud"
+	"vcloud/internal/world"
 )
 
 // E13SplitBrain measures the split-brain claim of §V.A: when a network
@@ -52,17 +50,6 @@ func E13SplitBrain(cfg Config) (*Result, error) {
 	arms := []arm{{"baseline", false}, {"fenced", true}}
 	err := assemble(cfg, table, values, len(arms), func(ai int, p *point) error {
 		a := arms[ai]
-		net, err := roadnet.ParkingLot(roadnet.ParkingLotSpec{Aisles: 4, AisleLenM: 150, AisleGapM: 40})
-		if err != nil {
-			return err
-		}
-		s, err := scenario.New(scenario.Spec{Seed: cfg.Seed, Network: net, NumVehicles: vehicles, Parked: true})
-		if err != nil {
-			return err
-		}
-		if _, err := s.AddRSU(geo.Point{X: 0, Y: 0}); err != nil {
-			return err
-		}
 
 		// Count every applied outcome by task ID across all controllers —
 		// the probe both arms share. Fenced IDs are epoch-prefixed and
@@ -70,24 +57,24 @@ func E13SplitBrain(cfg Config) (*Result, error) {
 		// duplicated-effect defect this experiment quantifies.
 		applies := map[vcloud.TaskID]int{}
 		duplicates := 0
-		stats := &vcloud.Stats{}
-		dep, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{
-			Failover: true,
-			Fencing:  a.fencing,
-			OnApply: func(id vcloud.TaskID, epoch uint64, ok bool) {
-				applies[id]++
-				if applies[id] > 1 {
-					duplicates++
-				}
-			},
-		}, stats)
+		w, err := world.Build(world.Spec{
+			Seed: cfg.Seed, Road: world.ParkingLot(150), Vehicles: vehicles,
+			RSUs: []geo.Point{world.Gate},
+			Cloud: &world.Cloud{Arch: vcloud.Stationary, Config: vcloud.DeployConfig{
+				Failover: true,
+				Fencing:  a.fencing,
+				OnApply: func(id vcloud.TaskID, epoch uint64, ok bool) {
+					applies[id]++
+					if applies[id] > 1 {
+						duplicates++
+					}
+				},
+			}},
+		})
 		if err != nil {
 			return err
 		}
-		inj, err := faults.NewInjector(s)
-		if err != nil {
-			return err
-		}
+		s, stats, dep, inj := w.Scenario, w.Stats, w.Cloud, w.Injector
 
 		// The same scripted split-brain for both arms: at isolateAt, cut
 		// the active controller plus its three lowest-addressed workers
@@ -130,10 +117,7 @@ func E13SplitBrain(cfg Config) (*Result, error) {
 			return err
 		}
 
-		if err := s.Start(); err != nil {
-			return err
-		}
-		if err := s.RunFor(10 * time.Second); err != nil {
+		if err := w.Start(10 * time.Second); err != nil {
 			return err
 		}
 

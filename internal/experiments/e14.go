@@ -5,14 +5,11 @@ import (
 	"slices"
 	"time"
 
-	"vcloud/internal/faults"
 	"vcloud/internal/geo"
 	"vcloud/internal/metrics"
-	"vcloud/internal/roadnet"
-	"vcloud/internal/scenario"
 	"vcloud/internal/sim"
 	"vcloud/internal/store"
-	"vcloud/internal/vnet"
+	"vcloud/internal/world"
 )
 
 // E14Storage measures the §III.A data-storage claim: vehicles are the
@@ -83,50 +80,19 @@ func E14Storage(cfg Config) (*Result, error) {
 		churn := churns[i%len(churns)]
 		churnLabel := fmt.Sprintf("%gs", churn.Seconds())
 
-		net, err := roadnet.ParkingLot(roadnet.ParkingLotSpec{Aisles: 4, AisleLenM: 200, AisleGapM: 40})
+		w, err := world.Build(world.Spec{
+			Seed: cfg.Seed, Road: world.ParkingLot(200), Vehicles: vehicles, RSUs: []geo.Point{world.Gate},
+		})
 		if err != nil {
 			return err
 		}
-		s, err := scenario.New(scenario.Spec{Seed: cfg.Seed, Network: net, NumVehicles: vehicles, Parked: true})
-		if err != nil {
-			return err
-		}
-		rsu, err := s.AddRSU(geo.Point{X: 0, Y: 0})
-		if err != nil {
-			return err
-		}
-		inj, err := faults.NewInjector(s)
-		if err != nil {
-			return err
-		}
-		defer inj.Close()
-
+		s := w.Scenario
+		defer w.Injector.Close()
 		// The fleet is the storage membership; departures remove members
 		// permanently (their copies go with them) until revived wiped.
-		fleet := make([]vnet.Addr, 0, vehicles)
-		for _, id := range s.VehicleIDs() {
-			fleet = append(fleet, vnet.Addr(id))
-		}
-		departed := map[vnet.Addr]sim.Time{}
-		view := store.FuncView{
-			MembersFn: func() []vnet.Addr {
-				ms := make([]vnet.Addr, 0, len(fleet))
-				for _, a := range fleet {
-					if _, gone := departed[a]; !gone {
-						ms = append(ms, a)
-					}
-				}
-				return ms
-			},
-			OnlineFn: func(a vnet.Addr) bool {
-				if _, gone := departed[a]; gone {
-					return false
-				}
-				return !inj.Cut(rsu.Addr(), a)
-			},
-		}
+		deps := w.Departures(s.RSUs[0].Addr())
 		st := &store.Stats{}
-		b, err := a.build(view, st)
+		b, err := a.build(deps.View(), st)
 		if err != nil {
 			return err
 		}
@@ -169,33 +135,7 @@ func E14Storage(cfg Config) (*Result, error) {
 		// Churn clock: one permanent departure per period, drawn from the
 		// kernel's named stream so the schedule replays under the seed.
 		rng := s.Kernel.NewStream("e14.churn")
-		if _, err := s.Kernel.Every(churn, func() {
-			if len(departed) > vehicles/3 {
-				// Revive the longest-departed vehicle, wiped.
-				var pick vnet.Addr = -1
-				var when sim.Time
-				for _, a := range fleet {
-					if t, gone := departed[a]; gone && (pick < 0 || t < when) {
-						pick, when = a, t
-					}
-				}
-				delete(departed, pick)
-				inj.RecoverNode(pick)
-			}
-			var pool []vnet.Addr
-			for _, a := range fleet {
-				if _, gone := departed[a]; !gone {
-					pool = append(pool, a)
-				}
-			}
-			if len(pool) == 0 {
-				return
-			}
-			v := pool[rng.Intn(len(pool))]
-			departed[v] = s.Kernel.Now()
-			inj.CrashNode(v)
-			b.Forget(v)
-		}); err != nil {
+		if _, err := s.Kernel.Every(churn, func() { deps.Step(rng, b) }); err != nil {
 			return err
 		}
 

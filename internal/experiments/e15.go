@@ -2,18 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"vcloud/internal/faults"
 	"vcloud/internal/geo"
 	"vcloud/internal/metrics"
-	"vcloud/internal/mobility"
-	"vcloud/internal/roadnet"
-	"vcloud/internal/scenario"
 	"vcloud/internal/sim"
 	"vcloud/internal/vcloud"
-	"vcloud/internal/vnet"
+	"vcloud/internal/world"
 )
 
 // E15DAGExecution measures the §V dependable-execution claim at the job
@@ -132,36 +127,21 @@ func E15DAGExecution(cfg Config) (*Result, error) {
 		a := arms[i/len(churns)]
 		churn := churns[i%len(churns)]
 
-		net, err := roadnet.ParkingLot(roadnet.ParkingLotSpec{Aisles: 4, AisleLenM: 150, AisleGapM: 40})
-		if err != nil {
-			return err
-		}
-		s, err := scenario.New(scenario.Spec{Seed: cfg.Seed, Network: net, NumVehicles: vehicles, Parked: true})
-		if err != nil {
-			return err
-		}
-		if _, err := s.AddRSU(geo.Point{X: 0, Y: 0}); err != nil {
-			return err
-		}
-		var edgeNode *vnet.Node
-		if a.edge {
-			if edgeNode, err = s.AddRSU(geo.Point{X: 60, Y: 0}); err != nil {
-				return err
-			}
-		}
-		inj, err := faults.NewInjector(s)
-		if err != nil {
-			return err
-		}
-		defer inj.Close()
-
-		stats := &vcloud.Stats{}
-		dep, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{}, stats)
-		if err != nil {
-			return err
+		spec := world.Spec{
+			Seed: cfg.Seed, Road: world.ParkingLot(150), Vehicles: vehicles,
+			RSUs: []geo.Point{world.Gate}, Cloud: &world.Cloud{Arch: vcloud.Stationary},
 		}
 		if a.edge {
-			if _, err := vcloud.NewEdgeServer(edgeNode, vcloud.EdgeConfig{CPU: 3000, Storage: 2048}, stats); err != nil {
+			spec.RSUs = append(spec.RSUs, geo.Point{X: 60, Y: 0})
+		}
+		w, err := world.Build(spec)
+		if err != nil {
+			return err
+		}
+		s, stats, dep := w.Scenario, w.Stats, w.Cloud
+		defer w.Injector.Close()
+		if a.edge {
+			if _, err := vcloud.NewEdgeServer(s.RSUs[1], vcloud.EdgeConfig{CPU: 3000, Storage: 2048}, stats); err != nil {
 				return err
 			}
 		}
@@ -194,41 +174,16 @@ func E15DAGExecution(cfg Config) (*Result, error) {
 		}
 		defer jobT.Stop()
 
-		// Churn clock: every period a burst of members' processes die
-		// (radio silence plus agent stop — running stages and cached
-		// stage outputs go with them); wiped replacements rejoin
-		// reviveAfter later. A half-fleet floor keeps the cloud viable.
-		// The schedule replays under the seed via the named stream.
+		// Churn clock: every period a burst of member kills (running stages
+		// and cached outputs die too), wiped replacements rejoining
+		// reviveAfter later; the schedule replays via the named stream.
 		if churn.period > 0 {
 			rng := s.Kernel.NewStream("e15.churn")
 			kill, err := s.Kernel.Every(churn.period, func() {
 				for k := 0; k < churn.burst; k++ {
-					if len(dep.Members) <= vehicles/2 {
+					if _, ok := w.KillMember(rng, reviveAfter); !ok {
 						return
 					}
-					ids := make([]mobility.VehicleID, 0, len(dep.Members))
-					for id := range dep.Members {
-						ids = append(ids, id)
-					}
-					sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-					id := ids[rng.Intn(len(ids))]
-					dep.Members[id].Stop()
-					delete(dep.Members, id)
-					inj.CrashNode(vnet.Addr(id))
-					s.Kernel.After(reviveAfter, func() {
-						inj.RecoverNode(vnet.Addr(id))
-						node, ok := s.Node(id)
-						if !ok {
-							return
-						}
-						prof, _ := s.Mobility.Profile(id)
-						m, err := vcloud.NewMember(node, vcloud.MemberConfig{
-							Resources: vcloud.Resources{CPU: prof.CPU, Storage: prof.Storage, Sensors: prof.Sensors},
-						}, stats)
-						if err == nil {
-							dep.Members[id] = m
-						}
-					})
 				}
 			})
 			if err != nil {

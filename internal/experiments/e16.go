@@ -6,10 +6,9 @@ import (
 
 	"vcloud/internal/metrics"
 	"vcloud/internal/radio"
-	"vcloud/internal/roadnet"
-	"vcloud/internal/scenario"
 	"vcloud/internal/sim"
 	"vcloud/internal/vcloud"
+	"vcloud/internal/world"
 )
 
 // E16CongestionPlacement measures the value of congestion *feedback* in
@@ -67,19 +66,14 @@ func E16CongestionPlacement(cfg Config) (*Result, error) {
 
 	err := assemble(cfg, table, values, len(arms), func(i int, p *point) error {
 		a := arms[i]
-		net, err := roadnet.ParkingLot(roadnet.ParkingLotSpec{Aisles: 4, AisleLenM: 150, AisleGapM: 40})
+		w, err := world.Build(world.Spec{
+			Seed: cfg.Seed, Road: world.ParkingLot(150), Vehicles: vehicles,
+			Cloud: &world.Cloud{Arch: vcloud.Stationary},
+		})
 		if err != nil {
 			return err
 		}
-		s, err := scenario.New(scenario.Spec{Seed: cfg.Seed, Network: net, NumVehicles: vehicles, Parked: true})
-		if err != nil {
-			return err
-		}
-		stats := &vcloud.Stats{}
-		dep, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{}, stats)
-		if err != nil {
-			return err
-		}
+		s, stats, dep := w.Scenario, w.Stats, w.Cloud
 
 		// The shared cloud uplink: contended, so concurrent transfers
 		// queue and tail-drop — the channel the estimator instruments.
@@ -141,10 +135,7 @@ func E16CongestionPlacement(cfg Config) (*Result, error) {
 			}
 		}
 
-		if err := s.Start(); err != nil {
-			return err
-		}
-		if err := s.RunFor(5 * time.Second); err != nil {
+		if err := w.Start(5 * time.Second); err != nil {
 			return err
 		}
 

@@ -7,10 +7,10 @@ import (
 	"vcloud/internal/geo"
 	"vcloud/internal/metrics"
 	"vcloud/internal/radio"
-	"vcloud/internal/roadnet"
 	"vcloud/internal/scenario"
 	"vcloud/internal/sim"
 	"vcloud/internal/vcloud"
+	"vcloud/internal/world"
 )
 
 // E1CloudComparison reproduces Fig. 2's qualitative comparison as a
@@ -24,32 +24,17 @@ func E1CloudComparison(cfg Config) (*Result, error) {
 	tasks := pick(cfg, 20, 80)
 	phase := sim.Time(pick(cfg, 60, 180)) * time.Second
 
+	// The remote arms' uplinks and datacenter CPUs; the vehicular arm
+	// has neither.
 	type arm struct {
-		name   string
-		mkBack func(s *scenario.Scenario, stats *vcloud.Stats) (vcloud.Backend, *radio.Uplink, error)
+		name string
+		up   *radio.UplinkParams
+		cpu  float64
 	}
 	arms := []arm{
-		{"conventional", func(s *scenario.Scenario, stats *vcloud.Stats) (vcloud.Backend, *radio.Uplink, error) {
-			up, err := radio.NewUplink(s.Kernel, radio.UplinkParams{
-				BaseRTT: 60 * time.Millisecond, BandwidthMbps: 20, LossProb: 0.01, JitterFrac: 0.2,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			b, err := vcloud.NewRemoteCloud("conventional", s.Kernel, up, 50_000, stats)
-			return b, up, err
-		}},
-		{"mobile", func(s *scenario.Scenario, stats *vcloud.Stats) (vcloud.Backend, *radio.Uplink, error) {
-			up, err := radio.NewUplink(s.Kernel, radio.UplinkParams{
-				BaseRTT: 90 * time.Millisecond, BandwidthMbps: 5, LossProb: 0.03, JitterFrac: 0.3,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			b, err := vcloud.NewRemoteCloud("mobile", s.Kernel, up, 5_000, stats)
-			return b, up, err
-		}},
-		{"vehicular", nil},
+		{"conventional", &radio.UplinkParams{BaseRTT: 60 * time.Millisecond, BandwidthMbps: 20, LossProb: 0.01, JitterFrac: 0.2}, 50_000},
+		{"mobile", &radio.UplinkParams{BaseRTT: 90 * time.Millisecond, BandwidthMbps: 5, LossProb: 0.03, JitterFrac: 0.3}, 5_000},
+		{"vehicular", nil, 0},
 	}
 
 	table := metrics.NewTable(
@@ -60,33 +45,26 @@ func E1CloudComparison(cfg Config) (*Result, error) {
 
 	err := assemble(cfg, table, values, len(arms), func(i int, p *point) error {
 		a := arms[i]
-		net, err := roadnet.Highway(roadnet.HighwaySpec{LengthM: 3000, Segments: 3, SpeedLimit: 25, Lanes: 2})
+		spec := world.Spec{Seed: cfg.Seed, Road: world.Highway(3000, 25), Vehicles: vehicles}
+		if a.up == nil {
+			spec.Cloud = &world.Cloud{Arch: vcloud.Dynamic}
+		}
+		w, err := world.Build(spec)
 		if err != nil {
 			return err
 		}
-		s, err := scenario.New(scenario.Spec{Seed: cfg.Seed, Network: net, NumVehicles: vehicles})
-		if err != nil {
-			return err
-		}
-		stats := &vcloud.Stats{}
+		s, stats, dep := w.Scenario, w.Stats, w.Cloud
 		var backend vcloud.Backend
 		var uplink *radio.Uplink
-		var dep *vcloud.Deployment
-		if a.mkBack != nil {
-			backend, uplink, err = a.mkBack(s, stats)
-			if err != nil {
+		if a.up != nil {
+			if uplink, err = radio.NewUplink(s.Kernel, *a.up); err != nil {
 				return err
 			}
-		} else {
-			dep, err = vcloud.Deploy(s, vcloud.Dynamic, vcloud.DeployConfig{}, stats)
-			if err != nil {
+			if backend, err = vcloud.NewRemoteCloud(a.name, s.Kernel, uplink, a.cpu, stats); err != nil {
 				return err
 			}
 		}
-		if err := s.Start(); err != nil {
-			return err
-		}
-		if err := s.RunFor(10 * time.Second); err != nil {
+		if err := w.Start(10 * time.Second); err != nil {
 			return err
 		}
 
@@ -163,47 +141,21 @@ func E2Architectures(cfg Config) (*Result, error) {
 	}
 	err := assemble(cfg, table, values, len(arms), func(i int, p *point) error {
 		a := arms[i]
-		var s *scenario.Scenario
-		var err error
+		spec := world.Spec{Seed: cfg.Seed, Road: world.Highway(3000, 25), Vehicles: pick(cfg, 25, 60),
+			Cloud: &world.Cloud{Arch: a.arch}}
 		switch a.arch {
 		case vcloud.Stationary:
-			net, nerr := roadnet.ParkingLot(roadnet.ParkingLotSpec{Aisles: 4, AisleLenM: 150, AisleGapM: 40})
-			if nerr != nil {
-				return nerr
-			}
-			s, err = scenario.New(scenario.Spec{Seed: cfg.Seed, Network: net, NumVehicles: pick(cfg, 15, 40), Parked: true})
-			if err != nil {
-				return err
-			}
-			if _, err := s.AddRSU(geo.Point{X: 0, Y: 0}); err != nil {
-				return err
-			}
-		default:
-			net, nerr := roadnet.Highway(roadnet.HighwaySpec{LengthM: 3000, Segments: 3, SpeedLimit: 25, Lanes: 2})
-			if nerr != nil {
-				return nerr
-			}
-			s, err = scenario.New(scenario.Spec{Seed: cfg.Seed, Network: net, NumVehicles: pick(cfg, 25, 60)})
-			if err != nil {
-				return err
-			}
-			if a.arch == vcloud.Infrastructure {
-				for _, x := range []float64{500, 1500, 2500} {
-					if _, err := s.AddRSU(geo.Point{X: x, Y: 15}); err != nil {
-						return err
-					}
-				}
-			}
+			spec.Road, spec.Vehicles, spec.RSUs = world.ParkingLot(150), pick(cfg, 15, 40), []geo.Point{world.Gate}
+		case vcloud.Infrastructure:
+			spec.RSUs = []geo.Point{{X: 500, Y: 15}, {X: 1500, Y: 15}, {X: 2500, Y: 15}}
+		case vcloud.Dynamic: // the bare highway
 		}
-		stats := &vcloud.Stats{}
-		dep, err := vcloud.Deploy(s, a.arch, vcloud.DeployConfig{}, stats)
+		w, err := world.Build(spec)
 		if err != nil {
 			return err
 		}
-		if err := s.Start(); err != nil {
-			return err
-		}
-		if err := s.RunFor(10 * time.Second); err != nil {
+		s, stats, dep := w.Scenario, w.Stats, w.Cloud
+		if err := w.Start(10 * time.Second); err != nil {
 			return err
 		}
 

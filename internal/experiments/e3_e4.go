@@ -6,11 +6,11 @@ import (
 
 	"vcloud/internal/cluster"
 	"vcloud/internal/metrics"
-	"vcloud/internal/roadnet"
 	"vcloud/internal/routing"
 	"vcloud/internal/scenario"
 	"vcloud/internal/sim"
 	"vcloud/internal/vnet"
+	"vcloud/internal/world"
 )
 
 // E3ClusterStability measures cluster-head churn and clustered time for
@@ -47,14 +47,11 @@ func E3ClusterStability(cfg Config) (*Result, error) {
 	}
 	err := assemble(cfg, table, values, len(sweeps), func(i int, p *point) error {
 		algo, speed := sweeps[i].algo, sweeps[i].speed
-		net, err := roadnet.Highway(roadnet.HighwaySpec{LengthM: 3000, Segments: 3, SpeedLimit: speed, Lanes: 2})
+		w, err := world.Build(world.Spec{Seed: cfg.Seed, Road: world.Highway(3000, speed), Vehicles: vehicles})
 		if err != nil {
 			return err
 		}
-		s, err := scenario.New(scenario.Spec{Seed: cfg.Seed, Network: net, NumVehicles: vehicles})
-		if err != nil {
-			return err
-		}
+		s := w.Scenario
 		tracker := cluster.NewTracker()
 		runners := make([]*cluster.Runner, 0, vehicles)
 		for _, id := range s.VehicleIDs() {
@@ -65,10 +62,7 @@ func E3ClusterStability(cfg Config) (*Result, error) {
 			}
 			runners = append(runners, r)
 		}
-		if err := s.Start(); err != nil {
-			return err
-		}
-		if err := s.RunFor(runFor); err != nil {
+		if err := w.Start(runFor); err != nil {
 			return err
 		}
 		tracker.Finish(s.Kernel.Now())
@@ -156,14 +150,11 @@ func E4Routing(cfg Config) (*Result, error) {
 	}
 	err := assemble(cfg, table, values, len(sweeps), func(i int, p *point) error {
 		m, density := sweeps[i].m, sweeps[i].density
-		net, err := roadnet.Highway(roadnet.HighwaySpec{LengthM: 3000, Segments: 3, SpeedLimit: 27, Lanes: 2})
+		w, err := world.Build(world.Spec{Seed: cfg.Seed, Road: world.Highway(3000, 27), Vehicles: density})
 		if err != nil {
 			return err
 		}
-		s, err := scenario.New(scenario.Spec{Seed: cfg.Seed, Network: net, NumVehicles: density})
-		if err != nil {
-			return err
-		}
+		s := w.Scenario
 		loc := routing.NewStaleLoc(routing.OracleLoc{Positions: s.Medium}, s.Kernel.Now, 20*time.Second)
 		stats := &routing.Stats{}
 		var routers []routing.Router
@@ -175,10 +166,7 @@ func E4Routing(cfg Config) (*Result, error) {
 			}
 			routers = append(routers, rt)
 		}
-		if err := s.Start(); err != nil {
-			return err
-		}
-		if err := s.RunFor(warm); err != nil {
+		if err := w.Start(warm); err != nil {
 			return err
 		}
 		rng := s.Kernel.NewStream("traffic")

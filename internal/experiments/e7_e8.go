@@ -7,12 +7,11 @@ import (
 	"vcloud/internal/geo"
 	"vcloud/internal/metrics"
 	"vcloud/internal/mobility"
-	"vcloud/internal/roadnet"
-	"vcloud/internal/scenario"
 	"vcloud/internal/sim"
 	"vcloud/internal/store"
 	"vcloud/internal/vcloud"
 	"vcloud/internal/vnet"
+	"vcloud/internal/world"
 )
 
 // E7TaskHandover quantifies §III.A's argument: dropping unfinished tasks
@@ -46,30 +45,20 @@ func E7TaskHandover(cfg Config) (*Result, error) {
 	}
 	err := assemble(cfg, table, values, len(arms), func(i int, p *point) error {
 		a := arms[i]
-		net, err := roadnet.Highway(roadnet.HighwaySpec{LengthM: 3000, Segments: 3, SpeedLimit: 25, Lanes: 2})
+		w, err := world.Build(world.Spec{
+			Seed: cfg.Seed, Road: world.Highway(3000, 25), Vehicles: vehicles,
+			RSUs: []geo.Point{{X: 1500, Y: 15}},
+			Cloud: &world.Cloud{Arch: vcloud.Infrastructure, Config: vcloud.DeployConfig{
+				Handover:   a.handover,
+				DwellMode:  a.dwell,
+				Controller: vcloud.ControllerConfig{RetryLimit: 5},
+			}},
+		})
 		if err != nil {
 			return err
 		}
-		s, err := scenario.New(scenario.Spec{Seed: cfg.Seed, Network: net, NumVehicles: vehicles})
-		if err != nil {
-			return err
-		}
-		if _, err := s.AddRSU(geo.Point{X: 1500, Y: 15}); err != nil {
-			return err
-		}
-		stats := &vcloud.Stats{}
-		dep, err := vcloud.Deploy(s, vcloud.Infrastructure, vcloud.DeployConfig{
-			Handover:   a.handover,
-			DwellMode:  a.dwell,
-			Controller: vcloud.ControllerConfig{RetryLimit: 5},
-		}, stats)
-		if err != nil {
-			return err
-		}
-		if err := s.Start(); err != nil {
-			return err
-		}
-		if err := s.RunFor(10 * time.Second); err != nil {
+		s, stats, dep := w.Scenario, w.Stats, w.Cloud
+		if err := w.Start(10 * time.Second); err != nil {
 			return err
 		}
 		// Tasks of ~15 s compute against a ~24 s transit through RSU

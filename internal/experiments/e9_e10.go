@@ -9,11 +9,10 @@ import (
 	"vcloud/internal/geo"
 	"vcloud/internal/metrics"
 	"vcloud/internal/radio"
-	"vcloud/internal/roadnet"
-	"vcloud/internal/scenario"
 	"vcloud/internal/sim"
 	"vcloud/internal/trust"
 	"vcloud/internal/vnet"
+	"vcloud/internal/world"
 )
 
 // E9Trust measures message-content validation accuracy against the
@@ -168,25 +167,19 @@ func E10Attacks(cfg Config) (*Result, error) {
 
 	// --- Eavesdropping / tracking: beacon rate is the defense knob.
 	track := func(beaconPeriod sim.Time) float64 {
-		net, err := roadnet.Highway(roadnet.HighwaySpec{LengthM: 2000, Segments: 2, SpeedLimit: 25, Lanes: 2})
-		if err != nil {
-			return -1
-		}
-		s, err := scenario.New(scenario.Spec{
-			Seed: cfg.Seed, Network: net,
-			NumVehicles: pick(cfg, 15, 30), BeaconPeriod: beaconPeriod,
+		w, err := world.Build(world.Spec{
+			Seed: cfg.Seed, Road: world.Highway(2000, 25),
+			Vehicles: pick(cfg, 15, 30), BeaconPeriod: beaconPeriod,
 		})
 		if err != nil {
 			return -1
 		}
+		s := w.Scenario
 		spy, err := attack.NewEavesdropper(s.Medium, radio.NodeID(1<<24), geo.Point{X: 1000, Y: 15})
 		if err != nil {
 			return -1
 		}
-		if err := s.Start(); err != nil {
-			return -1
-		}
-		if err := s.RunFor(sim.Time(pick(cfg, 30, 90)) * time.Second); err != nil {
+		if err := w.Start(sim.Time(pick(cfg, 30, 90)) * time.Second); err != nil {
 			return -1
 		}
 		acc, links := spy.TrackingAccuracy(30, 3*time.Second)
@@ -198,23 +191,17 @@ func E10Attacks(cfg Config) (*Result, error) {
 
 	// --- DoS flood: channel delivery share with and without the flood.
 	dos := func(flood bool) float64 {
-		net, err := roadnet.Highway(roadnet.HighwaySpec{LengthM: 2000, Segments: 2, SpeedLimit: 25, Lanes: 2})
+		w, err := world.Build(world.Spec{Seed: cfg.Seed, Road: world.Highway(2000, 25), Vehicles: pick(cfg, 15, 30)})
 		if err != nil {
 			return -1
 		}
-		s, err := scenario.New(scenario.Spec{Seed: cfg.Seed, Network: net, NumVehicles: pick(cfg, 15, 30)})
-		if err != nil {
-			return -1
-		}
+		s := w.Scenario
 		if flood {
 			if _, err := attack.NewFlooder(s.Kernel, s.Medium, radio.NodeID(1<<24), geo.Point{X: 1000, Y: 15}, 2000, 1500); err != nil {
 				return -1
 			}
 		}
-		if err := s.Start(); err != nil {
-			return -1
-		}
-		if err := s.RunFor(sim.Time(pick(cfg, 20, 60)) * time.Second); err != nil {
+		if err := w.Start(sim.Time(pick(cfg, 20, 60)) * time.Second); err != nil {
 			return -1
 		}
 		st := s.Medium.Stats()

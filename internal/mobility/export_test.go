@@ -18,10 +18,6 @@ func (s State) Velocity() geo.Vector {
 // Network returns the underlying road network.
 func (m *Manager) Network() *roadnet.Network { return m.net }
 
-// Index returns the spatial index over vehicle positions. Callers must
-// treat it as read-only.
-func (m *Manager) Index() *geo.GridIndex { return m.index }
-
 // Remove departs a vehicle from the simulation (e.g. it parked and turned
 // off, or drove out of the modeled area).
 func (m *Manager) Remove(id VehicleID) {
@@ -31,7 +27,6 @@ func (m *Manager) Remove(id VehicleID) {
 	}
 	v.gone = true
 	m.laneOf(v).remove(v)
-	m.index.Remove(int32(id))
 	m.vehicles[id] = nil
 	if i, ok := slices.BinarySearch(m.ids, id); ok {
 		m.ids = slices.Delete(m.ids, i, i+1)

@@ -169,7 +169,7 @@ func TestStepMatchesScanModel(t *testing.T) {
 			net := fx.net(t)
 			var draws, modelDraws int
 			tripRNG, modelTripRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-			m, err := NewManager(net, 300, func(n int) int { draws++; return tripRNG.Intn(n) })
+			m, err := NewManager(net, func(n int) int { draws++; return tripRNG.Intn(n) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,9 +205,6 @@ func TestStepMatchesScanModel(t *testing.T) {
 					}
 					if p, ok := m.Pos(id); !ok || p != want.Pos {
 						t.Fatalf("%s seed %d tick %d: Pos(%d) = %v, %v; State says %v", name, seed, tick, id, p, ok, want.Pos)
-					}
-					if p, ok := m.Index().Position(int32(id)); !ok || p != want.Pos {
-						t.Fatalf("%s seed %d tick %d: index has %d at %v, %v; want %v", name, seed, tick, id, p, ok, want.Pos)
 					}
 				}
 				if draws != modelDraws {
@@ -314,7 +311,7 @@ func TestStepAllocsSteadyState(t *testing.T) {
 // over 120 grid edges and never sees a lane longer than two.)
 func BenchmarkStepConvoy(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	m, err := NewManager(convoyNet(b), 300, rng.Intn)
+	m, err := NewManager(convoyNet(b), rng.Intn)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,8 +5,8 @@
 // task scheduler (both an oracle and realistic estimators).
 //
 // The Manager advances all vehicles on a fixed tick driven by the sim
-// kernel, maintaining per-lane ordering for leader lookup and a spatial
-// index for radio-range neighbor queries.
+// kernel, maintaining per-lane ordering for leader lookup. Radio-range
+// neighbor queries belong to the radio medium's own spatial index.
 package mobility
 
 import (
@@ -176,8 +176,7 @@ type update struct {
 
 // Manager owns all vehicles and advances them in lock-step.
 type Manager struct {
-	net   *roadnet.Network
-	index *geo.GridIndex
+	net *roadnet.Network
 	// vehicles is indexed by VehicleID (ids are handed out sequentially
 	// from 0); nil marks a departed vehicle.
 	vehicles []*vehicle
@@ -199,19 +198,14 @@ type Manager struct {
 	departures []func(VehicleID)
 }
 
-// NewManager creates a mobility manager on the given network. cellSize
-// configures the spatial index and should match the radio range. randFn
+// NewManager creates a mobility manager on the given network. randFn
 // must return a uniform int in [0,n); pass rng.Intn.
-func NewManager(net *roadnet.Network, cellSize float64, randFn func(n int) int) (*Manager, error) {
+func NewManager(net *roadnet.Network, randFn func(n int) int) (*Manager, error) {
 	if net == nil {
 		return nil, fmt.Errorf("mobility: network must not be nil")
 	}
 	if randFn == nil {
 		return nil, fmt.Errorf("mobility: randFn must not be nil")
-	}
-	idx, err := geo.NewGridIndex(net.Bounds(), cellSize)
-	if err != nil {
-		return nil, fmt.Errorf("mobility: %w", err)
 	}
 	lanes := make([][]lane, net.NumEdges())
 	for e := range lanes {
@@ -219,7 +213,6 @@ func NewManager(net *roadnet.Network, cellSize float64, randFn func(n int) int) 
 	}
 	return &Manager{
 		net:    net,
-		index:  idx,
 		lanes:  lanes,
 		randFn: randFn,
 	}, nil
@@ -249,7 +242,6 @@ func (m *Manager) AddVehicle(e roadnet.EdgeID, offset float64, profile Profile) 
 	m.vehicles = append(m.vehicles, v)
 	m.ids = append(m.ids, id)
 	m.laneOf(v).insert(v)
-	m.index.Update(int32(id), v.pos)
 	m.pickNewDestination(v)
 	return id, nil
 }
@@ -432,7 +424,6 @@ func (m *Manager) Step(dt float64) {
 		}
 		if !v.gone {
 			v.pos = m.posOf(v)
-			m.index.Update(int32(v.id), v.pos)
 		}
 	}
 	// Phase three restores (offset, id) order in every lane a moving

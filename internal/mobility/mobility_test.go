@@ -12,7 +12,7 @@ import (
 func newTestManager(t testing.TB, net *roadnet.Network, seed int64) *Manager {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	m, err := NewManager(net, 300, rng.Intn)
+	m, err := NewManager(net, rng.Intn)
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -38,10 +38,10 @@ func highwayNet(t testing.TB) *roadnet.Network {
 }
 
 func TestNewManagerValidation(t *testing.T) {
-	if _, err := NewManager(nil, 300, rand.New(rand.NewSource(1)).Intn); err == nil {
+	if _, err := NewManager(nil, rand.New(rand.NewSource(1)).Intn); err == nil {
 		t.Error("nil network should error")
 	}
-	if _, err := NewManager(gridNet(t), 300, nil); err == nil {
+	if _, err := NewManager(gridNet(t), nil); err == nil {
 		t.Error("nil randFn should error")
 	}
 }
@@ -221,12 +221,12 @@ func TestSpatialIndexTracksVehicles(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		m.Step(0.1)
 		st, _ := m.State(id)
-		p, ok := m.Index().Position(int32(id))
+		p, ok := m.Pos(id)
 		if !ok {
-			t.Fatal("vehicle missing from index")
+			t.Fatal("vehicle missing from Pos")
 		}
 		if p.Dist(st.Pos) > 1e-9 {
-			t.Fatalf("index position %v != state position %v", p, st.Pos)
+			t.Fatalf("Pos %v != state position %v", p, st.Pos)
 		}
 	}
 }
@@ -446,7 +446,7 @@ func BenchmarkStep200Vehicles(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	m, err := NewManager(net, 300, rng.Intn)
+	m, err := NewManager(net, rng.Intn)
 	if err != nil {
 		b.Fatal(err)
 	}

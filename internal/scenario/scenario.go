@@ -83,7 +83,7 @@ func New(spec Spec) (*Scenario, error) {
 		return nil, err
 	}
 	mobRNG := kernel.NewStream("mobility")
-	mob, err := mobility.NewManager(spec.Network, spec.Radio.RangeMax, mobRNG.Intn)
+	mob, err := mobility.NewManager(spec.Network, mobRNG.Intn)
 	if err != nil {
 		return nil, err
 	}

@@ -34,26 +34,22 @@
 //     claim (see DESIGN.md and EXPERIMENTS.md).
 //
 // This root package is the public facade: it re-exports the library's
-// main types under one import and offers high-level constructors for
-// the common scenarios. The examples/ directory shows complete
-// programs; internal packages remain importable inside this module for
-// advanced composition.
+// main types under one import. Worlds — road preset, fleet, RSUs, cloud,
+// adversaries and faults — are composed from one validated spec by
+// internal/world; the examples/ directory shows complete programs, and
+// internal packages remain importable inside this module.
 package vcloud
 
 import (
-	"fmt"
 	mrand "math/rand"
 	"time"
 
 	"vcloud/internal/auth"
-	"vcloud/internal/chaos"
-	"vcloud/internal/cluster"
 	"vcloud/internal/faults"
 	"vcloud/internal/geo"
 	"vcloud/internal/mobility"
 	"vcloud/internal/pki"
 	"vcloud/internal/radio"
-	"vcloud/internal/roadnet"
 	"vcloud/internal/scenario"
 	"vcloud/internal/shardworld"
 	"vcloud/internal/sim"
@@ -255,123 +251,6 @@ func NewErasureCodedStore(cfg StorageConfig, v StorageView, st *StorageStats) (S
 	return store.NewErasureCoded(cfg, v, st)
 }
 
-// HighwayOptions configures NewHighwayScenario.
-type HighwayOptions struct {
-	// Seed drives all randomness (default 1).
-	Seed int64
-	// LengthM is the corridor length (default 3000 m).
-	LengthM float64
-	// SpeedLimit in m/s (default 27 ≈ 100 km/h).
-	SpeedLimit float64
-	// Vehicles is the population (default 40).
-	Vehicles int
-}
-
-// NewHighwayScenario builds the standard two-direction highway corridor
-// used by most experiments.
-func NewHighwayScenario(opts HighwayOptions) (*Scenario, error) {
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	if opts.LengthM <= 0 {
-		opts.LengthM = 3000
-	}
-	if opts.SpeedLimit <= 0 {
-		opts.SpeedLimit = 27
-	}
-	if opts.Vehicles <= 0 {
-		opts.Vehicles = 40
-	}
-	net, err := roadnet.Highway(roadnet.HighwaySpec{
-		LengthM:    opts.LengthM,
-		Segments:   3,
-		SpeedLimit: opts.SpeedLimit,
-		Lanes:      2,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return scenario.New(scenario.Spec{Seed: opts.Seed, Network: net, NumVehicles: opts.Vehicles})
-}
-
-// cityBlockM is the city grid's intersection spacing in meters.
-const cityBlockM = 200
-
-// CityOptions configures NewCityScenario.
-type CityOptions struct {
-	Seed     int64
-	Blocks   int // grid is Blocks×Blocks intersections (default 5)
-	Vehicles int // default 50
-}
-
-// NewCityScenario builds a Manhattan-grid urban scenario.
-func NewCityScenario(opts CityOptions) (*Scenario, error) {
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	if opts.Blocks < 2 {
-		opts.Blocks = 5
-	}
-	if opts.Vehicles <= 0 {
-		opts.Vehicles = 50
-	}
-	net, err := roadnet.Grid(roadnet.GridSpec{
-		Rows: opts.Blocks, Cols: opts.Blocks, Spacing: cityBlockM, SpeedLimit: 13.9, Lanes: 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return scenario.New(scenario.Spec{Seed: opts.Seed, Network: net, NumVehicles: opts.Vehicles})
-}
-
-// ParkingLotOptions configures NewParkingLotScenario.
-type ParkingLotOptions struct {
-	Seed     int64
-	Aisles   int // default 4
-	Vehicles int // parked vehicles, default 30
-}
-
-// NewParkingLotScenario builds the stationary-cloud scenario: parked
-// vehicles plus a gate RSU acting as the coordinator ([4]'s airport
-// datacenter).
-func NewParkingLotScenario(opts ParkingLotOptions) (*Scenario, error) {
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	if opts.Aisles < 1 {
-		opts.Aisles = 4
-	}
-	if opts.Vehicles <= 0 {
-		opts.Vehicles = 30
-	}
-	net, err := roadnet.ParkingLot(roadnet.ParkingLotSpec{Aisles: opts.Aisles, AisleLenM: 200, AisleGapM: 40})
-	if err != nil {
-		return nil, err
-	}
-	s, err := scenario.New(scenario.Spec{Seed: opts.Seed, Network: net, NumVehicles: opts.Vehicles, Parked: true})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := s.AddRSU(geo.Point{X: 0, Y: 0}); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// DeployCloud assembles a vehicular cloud of the given architecture over
-// the scenario with sensible defaults: mobility clustering for dynamic
-// clouds, route-aware dwell estimation and handover enabled.
-func DeployCloud(s *Scenario, arch Architecture, stats *CloudStats) (*Cloud, error) {
-	if stats == nil {
-		return nil, fmt.Errorf("vcloud: stats must not be nil")
-	}
-	return vcloud.Deploy(s, arch, vcloud.DeployConfig{
-		Handover:    true,
-		DwellMode:   mobility.DwellRouteAware,
-		ClusterAlgo: cluster.MobilitySimilarity{},
-	}, stats)
-}
-
 // NewTrustedAuthority creates a PKI trusted authority with a
 // deterministic key derived from seed.
 func NewTrustedAuthority(name string, seed int64) (*TrustedAuthority, error) {
@@ -402,37 +281,6 @@ func DefaultShardWorldConfig(seed int64, shards int) ShardWorldConfig {
 // its result; equal configs (including shard count changes) reproduce
 // the model output bit-for-bit — compare ShardWorldResult.Checksum.
 func RunShardWorld(cfg ShardWorldConfig) (*ShardWorldResult, error) { return shardworld.Run(cfg) }
-
-// Chaos-soak types (the long-horizon invariant harness; see
-// internal/chaos).
-type (
-	// SoakConfig tunes a chaos soak run.
-	SoakConfig = chaos.SoakConfig
-	// SoakReport is a finished soak's counters, violations and
-	// reproducibility checksum.
-	SoakReport = chaos.Report
-)
-
-// RunSoak executes a seeded chaos soak: randomized crashes, partitions,
-// loss bursts, controller kills and Byzantine flips over a long horizon,
-// with dependability invariants asserted continuously. An empty
-// Violations slice in the report is the pass criterion; equal configs
-// reproduce runs bit-for-bit (compare Checksum).
-func RunSoak(cfg SoakConfig) (*SoakReport, error) { return chaos.Soak(cfg) }
-
-// Sharded-kernel storm-soak types (see internal/chaos/shard.go).
-type (
-	// ShardSoakConfig tunes the sharded-kernel storm soak: seeded storm
-	// episodes (churn + roaming beacon outages), each run sharded and
-	// serial with bit-for-bit output equality as the armed invariant.
-	ShardSoakConfig = chaos.ShardSoakConfig
-	// ShardSoakReport is the storm soak's outcome; empty Violations is
-	// the pass criterion.
-	ShardSoakReport = chaos.ShardSoakReport
-)
-
-// RunShardSoak executes the sharded-kernel storm soak.
-func RunShardSoak(cfg ShardSoakConfig) (*ShardSoakReport, error) { return chaos.RunShardSoak(cfg) }
 
 // Seconds converts a float seconds count to virtual time.
 func Seconds(s float64) Duration { return Duration(s * float64(time.Second)) }
