@@ -47,21 +47,31 @@ var Gate = geo.Point{X: 0, Y: 0}
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-func (r Road) network() (*roadnet.Network, error) {
-	switch {
-	case r.kind == 1 && finite(r.lengthM) && r.lengthM > 0 && finite(r.speed) && r.speed > 0:
-		return roadnet.Highway(roadnet.HighwaySpec{LengthM: r.lengthM, Segments: int(r.lengthM / 1000), SpeedLimit: r.speed, Lanes: 2})
-	case r.kind == 2 && finite(r.lengthM) && r.lengthM > 0:
-		return roadnet.ParkingLot(roadnet.ParkingLotSpec{Aisles: 4, AisleLenM: r.lengthM, AisleGapM: 40})
-	case r.kind == 3:
-		return roadnet.Grid(roadnet.GridSpec{Rows: 5, Cols: 5, Spacing: 200, SpeedLimit: 13.9, Lanes: 1})
+func (r Road) check() error {
+	size := finite(r.lengthM) && r.lengthM > 0
+	if r.kind == 1 && size && finite(r.speed) && r.speed > 0 || r.kind == 2 && size || r.kind == 3 {
+		return nil
 	}
-	return nil, fmt.Errorf("world: Road must be a Highway, ParkingLot or City preset with positive, finite sizes, got %+v", r)
+	return fmt.Errorf("world: Road must be a Highway, ParkingLot or City preset with positive, finite sizes, got %+v", r)
+}
+
+// network builds the road graph of a checked preset.
+func (r Road) network() (*roadnet.Network, error) {
+	switch r.kind {
+	case 1:
+		return roadnet.Highway(roadnet.HighwaySpec{LengthM: r.lengthM, Segments: int(r.lengthM / 1000), SpeedLimit: r.speed, Lanes: 2})
+	case 2:
+		return roadnet.ParkingLot(roadnet.ParkingLotSpec{Aisles: 4, AisleLenM: r.lengthM, AisleGapM: 40})
+	}
+	return roadnet.Grid(roadnet.GridSpec{Rows: 5, Cols: 5, Spacing: 200, SpeedLimit: 13.9, Lanes: 1})
 }
 
 // Across returns n RSU sites evenly spaced along the horizontal centre
 // line of the road's bounds, ends excluded.
 func (r Road) Across(n int) ([]geo.Point, error) {
+	if err := r.check(); err != nil {
+		return nil, err
+	}
 	net, err := r.network()
 	if err != nil {
 		return nil, err
@@ -121,7 +131,7 @@ type Spec struct {
 
 // Validate checks the spec; an error names the offending field.
 func (s Spec) Validate() error {
-	if _, err := s.Road.network(); err != nil {
+	if err := s.Road.check(); err != nil {
 		return err
 	}
 	switch {
