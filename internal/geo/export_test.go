@@ -8,7 +8,7 @@ import (
 // program to what a run executes; these stay here for the tests.
 
 // Len returns the number of indexed entries.
-func (g *GridIndex) Len() int { return len(g.where) }
+func (g *GridIndex) Len() int { return g.where.count() }
 
 // Nearest returns the id of the entry closest to p within radius r, or
 // (-1, false) if none exists. The entry `exclude` is skipped.
@@ -102,10 +102,37 @@ func (m *ShardMap) Bounds() Rect { return m.bounds }
 func (m *ShardMap) CellSize() (w, h float64) { return m.cw, m.ch }
 
 // IsLocal reports whether id is owned by this shard.
-func (s *ShardedIndex) IsLocal(id int32) bool { return s.local[id] }
+func (s *ShardedIndex) IsLocal(id int32) bool { return s.local.get(id) }
 
 // NumLocal returns the number of locally-owned entries.
-func (s *ShardedIndex) NumLocal() int { return len(s.local) }
+func (s *ShardedIndex) NumLocal() int { return s.local.count() }
+
+// count returns how many ids hold a non-zero value.
+func (t *idTable[V]) count() int {
+	var zero V
+	n := 0
+	for _, pg := range t.dir {
+		if pg == nil {
+			continue
+		}
+		for _, v := range pg {
+			if v != zero {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// pages returns the directory length and how many pages it holds.
+func (t *idTable[V]) pages() (dir, allocated int) {
+	for _, pg := range t.dir {
+		if pg != nil {
+			allocated++
+		}
+	}
+	return len(t.dir), allocated
+}
 
 // NumGhosts returns the current ghost count.
 func (s *ShardedIndex) NumGhosts() int { return len(s.ghosts) }

@@ -25,11 +25,12 @@ type cell struct {
 //
 // Cells form one dense row-major table and an entry's position lives in
 // its cell and nowhere else, so a range query streams over contiguous
-// arrays without a map lookup per cell or per candidate. Cell membership
-// is kept sorted by id, so range queries yield ids in a stable
-// (cell-major, id-minor) order that is independent of insertion and
-// removal history. Hot paths can therefore consume query results directly,
-// without re-sorting for determinism.
+// arrays without a map lookup per cell or per candidate. Only
+// non-negative ids are indexed. Cell membership is kept sorted by id, so
+// range queries yield ids in a stable (cell-major, id-minor) order that
+// is independent of insertion and removal history. Hot paths can
+// therefore consume query results directly, without re-sorting for
+// determinism.
 //
 // GridIndex is not safe for concurrent use; the simulation kernel is
 // single-goroutine by design (see internal/sim).
@@ -39,10 +40,10 @@ type GridIndex struct {
 	cols     int
 	rows     int
 	cells    []cell // cols×rows, row-major
-	// where maps id -> cell key. Ids are sparse (scenario.RSUBase is
-	// 1<<20), so this stays a map; only Update, Remove and Position read
-	// it, never a query.
-	where map[int32]int32
+	// where maps id -> cell key + 1, zero for an id not indexed. Ids are
+	// sparse (scenario.RSUBase is 1<<20), so it is paged; only Update,
+	// Remove and Position read it, never a query.
+	where idTable[int32]
 	// qR/qR2/qSpan cache the per-radius query geometry. Almost every
 	// query uses the one fixed radio range, so the squared radius and the
 	// cell span are computed once per radius instead of once per call.
@@ -75,7 +76,6 @@ func NewGridIndex(bounds Rect, cellSize float64) (*GridIndex, error) {
 		cols:     int(cols),
 		rows:     int(rows),
 		cells:    make([]cell, int(cols)*int(rows)),
-		where:    make(map[int32]int32),
 	}, nil
 }
 
@@ -95,12 +95,16 @@ func (g *GridIndex) cellKey(p Point) int32 {
 	return int32(cy*g.cols + cx)
 }
 
-// Update inserts id at p, or moves it there if already present.
+// Update inserts id at p, or moves it there if already present. A
+// negative id is not an entry: updating one is a no-op.
 //
 //vcloudlint:hotpath one call per vehicle per mobility tick; only a cell crossing may grow a cell
 func (g *GridIndex) Update(id int32, p Point) {
+	if id < 0 {
+		return
+	}
 	key := g.cellKey(p)
-	if old, ok := g.where[id]; ok {
+	if old := g.where.get(id) - 1; old >= 0 {
 		c := &g.cells[old]
 		i := cellRank(c.ids, id)
 		if old == key {
@@ -110,18 +114,18 @@ func (g *GridIndex) Update(id int32, p Point) {
 		c.remove(i)
 	}
 	g.cells[key].insert(id, p)
-	g.where[id] = key
+	g.where.set(id, key+1)
 }
 
 // Remove deletes id from the index. Removing an absent id is a no-op.
 func (g *GridIndex) Remove(id int32) {
-	key, ok := g.where[id]
-	if !ok {
+	key := g.where.get(id) - 1
+	if key < 0 {
 		return
 	}
 	c := &g.cells[key]
 	c.remove(cellRank(c.ids, id))
-	delete(g.where, id)
+	g.where.set(id, 0)
 }
 
 // cellRank returns the position of id in the sorted cell list (or where
@@ -157,9 +161,11 @@ func (c *cell) remove(i int) {
 }
 
 // Position returns the last indexed position of id.
+//
+//vcloudlint:hotpath read per frame by the radio's sender lookup and fault verdicts
 func (g *GridIndex) Position(id int32) (Point, bool) {
-	key, ok := g.where[id]
-	if !ok {
+	key := g.where.get(id) - 1
+	if key < 0 {
 		return Point{}, false
 	}
 	c := &g.cells[key]

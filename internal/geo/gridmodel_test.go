@@ -248,7 +248,10 @@ func (g *mapGrid) Nearest(p Point, r float64, exclude int32) (int32, bool) {
 // map-backed one through the same seeded operation sequences and requires
 // equal answers in equal order after every operation: the query order is
 // what radio.Medium's RNG draw order, and with it every committed digest,
-// hangs on.
+// hangs on. The ids include both edges of the id table's pages, and
+// interleaved probes of ids that were never indexed — negative ones and
+// ones past the page directory — must find nothing and allocate no page:
+// after each sequence exactly the pages of the ids ever inserted exist.
 func TestGridMatchesMapModel(t *testing.T) {
 	bounds := NewRect(Point{-300, 100}, Point{1500, 1300})
 	const cellSize = 150
@@ -259,14 +262,20 @@ func TestGridMatchesMapModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Dense vehicle ids and sparse RSU-style ids share the index.
-		ids := make([]int32, 0, 90)
+		// Dense vehicle ids and sparse RSU-style ids share the index,
+		// with the first and last id of a page on each side of a page
+		// boundary (1<<20 is i = 0 below).
+		ids := make([]int32, 0, 93)
 		for i := int32(0); i < 60; i++ {
 			ids = append(ids, i)
 		}
 		for i := int32(0); i < 30; i++ {
 			ids = append(ids, 1<<20+i*1000)
 		}
+		ids = append(ids, 1023, 1024, 1<<20+1023)
+		// Never indexed: negative, and past the directory of every id above.
+		absent := []int32{-1, -1024, math.MinInt32, 1 << 21, 1 << 24, math.MaxInt32}
+		inserted := make(map[int32]bool) // pages an id was ever inserted on
 		point := func() Point {
 			p := Point{bounds.Min.X + rng.Float64()*bounds.Width(), bounds.Min.Y + rng.Float64()*bounds.Height()}
 			switch rng.Intn(8) {
@@ -301,6 +310,7 @@ func TestGridMatchesMapModel(t *testing.T) {
 				}
 				g.Update(id, p)
 				m.Update(id, p)
+				inserted[id>>idPageBits] = true
 			case k < 6:
 				if _, ok := m.Position(id); !ok {
 					absentRemoves++
@@ -308,6 +318,20 @@ func TestGridMatchesMapModel(t *testing.T) {
 				removed[id] = true
 				g.Remove(id)
 				m.Remove(id)
+			case k == 6:
+				a := absent[rng.Intn(len(absent))]
+				dir, pages := g.where.pages()
+				if p, ok := g.Position(a); ok {
+					t.Fatalf("seed %d op %d: never-indexed id %d found at %v", seed, op, a, p)
+				}
+				g.Remove(a)
+				if a < 0 {
+					// Not an entry: the update is dropped.
+					g.Update(a, point())
+				}
+				if d, n := g.where.pages(); d != dir || n != pages {
+					t.Fatalf("seed %d op %d: probing id %d changed the id table from %d pages in a %d directory to %d in %d", seed, op, a, pages, dir, n, d)
+				}
 			}
 			if g.Len() != m.Len() {
 				t.Fatalf("seed %d op %d: Len = %d, model %d", seed, op, g.Len(), m.Len())
@@ -347,6 +371,13 @@ func TestGridMatchesMapModel(t *testing.T) {
 			if gn != mn || gnok != mnok {
 				t.Fatalf("seed %d op %d: Nearest(%v, %v, %d) = %d,%v, model %d,%v", seed, op, q, r, exclude, gn, gnok, mn, mnok)
 			}
+		}
+		maxPage := int32(-1)
+		for pg := range inserted {
+			maxPage = max(maxPage, pg)
+		}
+		if dir, n := g.where.pages(); dir != int(maxPage)+1 || n != len(inserted) {
+			t.Fatalf("seed %d: id table has %d pages in a %d directory, inserts touched %d pages up to %d", seed, n, dir, len(inserted), maxPage)
 		}
 		if sameCell == 0 || crossed == 0 || readded == 0 || absentRemoves == 0 {
 			t.Fatalf("seed %d: a case never occurred: %d same-cell moves, %d crossings, %d re-adds, %d removes of an absent id",

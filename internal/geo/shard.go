@@ -132,7 +132,7 @@ func (m *ShardMap) ShardsNear(dst []int, p Point, halo float64) []int {
 // speed margin).
 type ShardedIndex struct {
 	idx    *GridIndex
-	local  map[int32]bool
+	local  idTable[bool]
 	ghosts []int32 // ghost ids in insertion order, for the per-tick sweep
 }
 
@@ -144,18 +144,20 @@ func NewShardedIndex(bounds Rect, cellSize float64) (*ShardedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedIndex{idx: idx, local: make(map[int32]bool)}, nil
+	return &ShardedIndex{idx: idx}, nil
 }
 
 // UpdateLocal inserts or moves a locally-owned entry.
+//
+//vcloudlint:hotpath one call per local vehicle per tick in the sharded world
 func (s *ShardedIndex) UpdateLocal(id int32, p Point) {
-	s.local[id] = true
+	s.local.set(id, true)
 	s.idx.Update(id, p)
 }
 
 // RemoveLocal removes a locally-owned entry (handoff departure or churn).
 func (s *ShardedIndex) RemoveLocal(id int32) {
-	delete(s.local, id)
+	s.local.set(id, false)
 	s.idx.Remove(id)
 }
 
@@ -163,7 +165,7 @@ func (s *ShardedIndex) RemoveLocal(id int32) {
 // transient: ClearGhosts drops the whole set at the start of each tick,
 // before the fresh halo pushes apply.
 func (s *ShardedIndex) UpdateGhost(id int32, p Point) {
-	if s.local[id] {
+	if s.local.get(id) {
 		// A stale ghost push for an entry this shard now owns must not
 		// demote it; the local position is already current.
 		return
@@ -177,7 +179,7 @@ func (s *ShardedIndex) UpdateGhost(id int32, p Point) {
 // ClearGhosts removes every ghost entry, leaving locals untouched.
 func (s *ShardedIndex) ClearGhosts() {
 	for _, id := range s.ghosts {
-		if !s.local[id] {
+		if !s.local.get(id) {
 			s.idx.Remove(id)
 		}
 	}

@@ -115,6 +115,66 @@ func TestShardedIndexGhostLifecycle(t *testing.T) {
 	if _, ok := s.Position(3); ok {
 		t.Fatal("RemoveLocal left the entry indexed")
 	}
+
+	// Page edges of both id tables, counted exactly through inserts,
+	// removes, promotions and ghost clears.
+	counts := func(step string, locals, ghosts, indexed int) {
+		t.Helper()
+		if s.NumLocal() != locals || s.NumGhosts() != ghosts || s.idx.Len() != indexed {
+			t.Fatalf("%s: (%d local, %d ghost, %d indexed), want (%d, %d, %d)",
+				step, s.NumLocal(), s.NumGhosts(), s.idx.Len(), locals, ghosts, indexed)
+		}
+	}
+	counts("after the lifecycle", 1, 0, 1)
+	for i, id := range []int32{0, 1023, 1024, 1 << 20, 1<<20 + 1023} {
+		s.UpdateLocal(id, Point{float64(100 + 150*i), 300})
+	}
+	counts("page-edge locals", 6, 0, 6)
+	// 1023 is a local, so its push is ignored; 1<<20+1024 opens a page
+	// of the cell table only.
+	for i, id := range []int32{1023, 1025, 1<<20 + 1, 1<<20 + 1024} {
+		s.UpdateGhost(id, Point{float64(110 + 150*i), 300})
+	}
+	counts("page-edge ghosts", 6, 3, 9)
+	if !s.IsLocal(1023) || s.IsLocal(1025) || s.IsLocal(1<<20+1024) {
+		t.Fatal("locality wrong at a page edge")
+	}
+	s.UpdateLocal(1025, Point{260, 300}) // promoted, still on the ghost list
+	s.RemoveLocal(1023)
+	counts("promote and remove", 6, 3, 8)
+	s.ClearGhosts()
+	counts("ghosts cleared", 6, 0, 6)
+	for _, id := range []int32{0, 1, 2, 1023, 1024, 1025, 1 << 20, 1<<20 + 1, 1<<20 + 1023, 1<<20 + 1024} {
+		_, ok := s.Position(id)
+		if want := id != 2 && id != 1023 && id != 1<<20+1 && id != 1<<20+1024; ok != want || s.IsLocal(id) != want {
+			t.Fatalf("after the clear, id %d indexed = %v, local = %v, want %v", id, ok, s.IsLocal(id), want)
+		}
+	}
+
+	// Negative ids and ids past the directory: nothing found, nothing
+	// allocated, nothing counted.
+	dir, pages := s.local.pages()
+	gdir, gpages := s.idx.where.pages()
+	for _, id := range []int32{-1, -1024, math.MinInt32, 1 << 22, math.MaxInt32} {
+		if _, ok := s.Position(id); ok || s.IsLocal(id) {
+			t.Fatalf("never-indexed id %d found", id)
+		}
+		s.RemoveLocal(id)
+	}
+	s.UpdateLocal(-5, Point{500, 500})
+	s.UpdateGhost(-6, Point{500, 500})
+	s.ClearGhosts()
+	counts("negative ids", 6, 0, 6)
+	if d, n := s.local.pages(); d != dir || n != pages {
+		t.Fatalf("locality table grew from %d pages in %d to %d in %d", pages, dir, n, d)
+	}
+	if d, n := s.idx.where.pages(); d != gdir || n != gpages {
+		t.Fatalf("cell table grew from %d pages in %d to %d in %d", gpages, gdir, n, d)
+	}
+	if dir != 1<<20>>idPageBits+1 || pages != 3 || gdir != dir+1 || gpages != 4 {
+		t.Fatalf("id tables hold %d pages in a %d directory (locality) and %d in %d (cells), want 3 in %d and 4 in %d",
+			pages, dir, gpages, gdir, 1<<20>>idPageBits+1, 1<<20>>idPageBits+2)
+	}
 }
 
 // TestShardedIndexMatchesGlobal builds a global index and per-shard views

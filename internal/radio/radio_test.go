@@ -323,7 +323,7 @@ func TestNoHandlerNoDraw(t *testing.T) {
 	m.Register(2, func(Frame) { got++ })           // registered, positionless
 	m.UpdatePosition(3, geo.Point{X: 150, Y: 100}) // positioned, unregistered
 	m.Register(-3, func(Frame) { got++ })
-	m.UpdatePosition(-3, geo.Point{X: 120, Y: 100}) // positioned, but no endpoint
+	m.UpdatePosition(-3, geo.Point{X: 120, Y: 100}) // not an entry: the index drops it
 	m.Send(1, 2, 100, nil)
 	m.Send(1, 3, 100, nil)
 	m.Send(1, -3, 100, nil)

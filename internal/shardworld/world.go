@@ -13,7 +13,9 @@
 //   - Each tick T is split into four phases at lookahead L = T/4: move@t,
 //     ghost/handoff apply@t+L, beacon@t+2L, deliver@t+3L. Every
 //     cross-shard event travels exactly L ahead, meeting the conservative
-//     contract with zero slack.
+//     contract with zero slack. A tick's deliveries travel as one batch
+//     per (sender shard, receiving shard), so the kernel's event count
+//     follows the shard count, not the reception count.
 //   - Ghosts are pushed fresh every tick (positions as of move@t) with a
 //     halo of radio range plus one step, so the pair sweep over
 //     locals+ghosts finds every in-range pair with a local endpoint that
@@ -281,6 +283,12 @@ type wshard struct {
 	// again.
 	ghosts   []ghostMsg
 	handoffs []handoffMsg
+	// batches[j] counts this tick's deliveries to receivers shard j owns.
+	// One slot per shard, sized at setup and never regrown: flush parks a
+	// pointer to each non-empty slot in an event consumed at t+3L, and the
+	// counts are reset only by the next beaconPhase at t+T+2L, with a
+	// window barrier in between.
+	batches []batchMsg
 	// band holds the pair segments of the last span+1 swept rows, span
 	// being how far a segment reaches; see beaconPhase.
 	band [][]geo.Pair
@@ -314,7 +322,19 @@ func applyHandoff(a any) {
 	m.s.index.UpdateLocal(m.v.ID, m.v.Pos)
 }
 
-func applyDelivery(a any) { a.(*wshard).applied++ }
+// batchMsg carries one tick's deliveries from one shard to the receivers
+// one shard owns. sent is the running total flushed to that shard, which
+// collect holds against what the receiving shard applied.
+type batchMsg struct {
+	to   *wshard
+	n    int64
+	sent int64
+}
+
+func applyDelivery(a any) {
+	m := a.(*batchMsg)
+	m.to.applied += m.n
+}
 
 func clearGhostsFn(a any) { a.(*wshard).index.ClearGhosts() }
 
@@ -396,6 +416,12 @@ func newWorld(cfg Config) (*world, error) {
 		}
 		s.band = make([][]geo.Pair, s.index.RowSpan(cfg.Radio.RangeMax)+1)
 		w.shards[i] = s
+	}
+	for _, s := range w.shards {
+		s.batches = make([]batchMsg, cfg.Shards)
+		for j := range s.batches {
+			s.batches[j].to = w.shards[j]
+		}
 	}
 
 	sched := churnSchedule(&cfg)
@@ -502,7 +528,7 @@ func (s *wshard) pushGhost(to *wshard, id int32, pos geo.Point) *ghostMsg {
 // beaconPhase decides every local sender's broadcast at every receiver in
 // range, each (sender, receiver) reception exactly once fleet-wide — by
 // the sender's owner — with a pure verdict; successful deliveries land at
-// t+3L on the receiver's owner.
+// t+3L on the receiver's owner, one batch per receiving shard.
 //
 // One half-shell sweep over the halo-complete index (locals and ghosts)
 // emits each in-range pair once, row by row. A pair adds to the degree of
@@ -520,6 +546,9 @@ func (s *wshard) beaconPhase() {
 	tick := s.tick
 	out := cfg.Outage
 	dark := out != nil && tick >= out.FromTick && tick < out.ToTick
+	for j := range s.batches {
+		s.batches[j].n = 0
+	}
 	for i := range s.locals {
 		v := &s.locals[i]
 		muted := dark && out.Rect.Contains(v.Pos)
@@ -532,7 +561,6 @@ func (s *wshard) beaconPhase() {
 	}
 
 	me := int32(s.idx)
-	at := sim.Time(tick)*cfg.TickEvery + 3*w.lookahead
 	n := len(s.band)
 	span := n - 1
 	rows := s.index.Rows()
@@ -548,18 +576,19 @@ func (s *wshard) beaconPhase() {
 			}
 		}
 		if cy >= span {
-			s.decide(s.band[(cy-span)%n], at)
+			s.decide(s.band[(cy-span)%n])
 		}
 	}
 	for cy := max(rows-span, 0); cy < rows; cy++ {
-		s.decide(s.band[cy%n], at)
+		s.decide(s.band[cy%n])
 	}
+	s.flush(sim.Time(tick)*cfg.TickEvery + 3*w.lookahead)
 }
 
 // decide judges both directions of every pair in seg, whose endpoints'
 // degrees are final. The distance and its reception probability are
 // computed once per pair.
-func (s *wshard) decide(seg []geo.Pair, at sim.Time) {
+func (s *wshard) decide(seg []geo.Pair) {
 	w := s.w
 	me := int32(s.idx)
 	params := &w.cfg.Radio
@@ -572,31 +601,46 @@ func (s *wshard) decide(seg []geo.Pair, at sim.Time) {
 		}
 		pRecv := params.ReceptionProb(math.Sqrt(p.D2))
 		if fromA {
-			s.send(p.A, p.B, ob, pRecv, at)
+			s.send(p.A, p.B, ob, pRecv)
 		}
 		if fromB {
-			s.send(p.B, p.A, oa, pRecv, at)
+			s.send(p.B, p.A, oa, pRecv)
 		}
 	}
 }
 
 // send judges local sender from's beacon at receiver to and, on success,
-// schedules the delivery on the receiver's owner: a local receiver on
-// this shard, a ghost on the shard owning it.
-func (s *wshard) send(from, to, toOwner int32, pRecv float64, at sim.Time) {
+// counts the delivery into the batch for the receiver's owner: this shard
+// for a local receiver, the shard owning it for a ghost.
+func (s *wshard) send(from, to, toOwner int32, pRecv float64) {
 	tx := &s.w.tx[from]
 	if !tx.built {
 		tx.b = s.channel.Beacon(uint64(s.tick), radio.NodeID(from), int(tx.deg))
 		tx.built = true
 	}
-	if !tx.b.Reaches(radio.NodeID(to), pRecv) {
-		return
+	if tx.b.Reaches(radio.NodeID(to), pRecv) {
+		s.batches[toOwner].n++
 	}
-	if int(toOwner) == s.idx {
-		s.k.AtArg(at, applyDelivery, s)
-		return
+}
+
+// flush turns this tick's non-empty batches into one applyDelivery event
+// each at at: a local event for this shard's own receivers, a cross-shard
+// one for every other shard's.
+//
+//vcloudlint:hotpath once per shard per tick; events point into the batch slab sized at setup
+func (s *wshard) flush(at sim.Time) {
+	for j := range s.batches {
+		b := &s.batches[j]
+		if b.n == 0 {
+			continue
+		}
+		b.sent += b.n
+		if j == s.idx {
+			s.k.AtArg(at, applyDelivery, b)
+		} else {
+			s.w.sk.Inject(s.idx, j, at, applyDelivery, b)
+		}
 	}
-	s.w.sk.Inject(s.idx, int(toOwner), at, applyDelivery, s.w.shards[toOwner])
 }
 
 // sample snapshots this shard's counters; fleet rows are the exact sums
@@ -667,6 +711,18 @@ func (w *world) collect() (*Result, error) {
 		// Every sender-side verdict must have been applied receiver-side.
 		if row.Applied != int64(row.Delivered) {
 			return nil, fmt.Errorf("shardworld: tick %d applied %d deliveries, channel delivered %d", row.Tick, row.Applied, row.Delivered)
+		}
+	}
+	// Every receiving shard applied exactly what the senders flushed to
+	// it: a batch landing on the wrong shard shows here even where the
+	// fleet sums above agree.
+	for j, rx := range w.shards {
+		var sent int64
+		for _, s := range w.shards {
+			sent += s.batches[j].sent
+		}
+		if rx.applied != sent {
+			return nil, fmt.Errorf("shardworld: shard %d applied %d deliveries, senders flushed %d to it", j, rx.applied, sent)
 		}
 	}
 	h := fnv.New64a()

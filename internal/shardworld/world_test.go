@@ -378,6 +378,131 @@ func TestBeaconPhaseMatchesPerSenderModel(t *testing.T) {
 	}
 }
 
+// TestCollectCatchesBrokenTransport steps a two-shard world to the first
+// beacon phase that flushes deliveries both ways, local and across the
+// border, breaks the transport one way per case before the batches apply
+// at t+3L (or a counter after the run), and requires collect to refuse
+// the run: the conservation checks must still see a lost, duplicated or
+// misrouted batch now that one event carries a whole tick's deliveries
+// to a shard.
+func TestCollectCatchesBrokenTransport(t *testing.T) {
+	cases := []struct {
+		name string
+		// mid gets the flushing shard, its batch to the other shard and
+		// the delivery time, after the flush and before delivery; end
+		// runs after the last tick.
+		mid  func(s *wshard, cross *batchMsg, at sim.Time)
+		end  func(w *world)
+		want string // in collect's error; empty for the untouched run
+	}{
+		{name: "untouched"},
+		{
+			name: "batch dropped",
+			mid:  func(_ *wshard, cross *batchMsg, _ sim.Time) { cross.n = 0 },
+			want: "channel delivered",
+		},
+		{
+			name: "batch duplicated",
+			mid: func(s *wshard, _ *batchMsg, at sim.Time) {
+				s.k.AtArg(at, applyDelivery, &s.batches[s.idx])
+			},
+			want: "channel delivered",
+		},
+		{
+			// The fleet sums still agree; only the per-shard check sees it.
+			name: "delivery misrouted",
+			mid: func(s *wshard, cross *batchMsg, _ sim.Time) {
+				cross.n--
+				s.batches[s.idx].n++
+			},
+			want: "senders flushed",
+		},
+		{
+			name: "sampled applied count perturbed",
+			end:  func(w *world) { w.shards[1].samples[0].Applied++ },
+			want: "channel delivered",
+		},
+		{
+			name: "shard applied count perturbed",
+			end:  func(w *world) { w.shards[1].applied-- },
+			want: "senders flushed",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(31, 2)
+			cfg.Ticks = 24
+			w, err := newWorld(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.sk.Close()
+			T, L := w.cfg.TickEvery, w.lookahead
+			tampered := false
+			for tick := 0; tick < cfg.Ticks && !tampered; tick++ {
+				at := sim.Time(tick)*T + 3*L
+				if err := w.sk.Run(at - L); err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range w.shards {
+					cross := &s.batches[1-s.idx]
+					if cross.n > 0 && s.batches[s.idx].n > 0 {
+						if tc.mid != nil {
+							tc.mid(s, cross, at)
+						}
+						tampered = true
+						break
+					}
+				}
+			}
+			if !tampered {
+				t.Fatal("no tick flushed deliveries both local and across the border")
+			}
+			if err := w.sk.Run(sim.Time(cfg.Ticks) * T); err != nil {
+				t.Fatal(err)
+			}
+			if tc.end != nil {
+				tc.end(w)
+			}
+			_, err = w.collect()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("untouched run refused: %v", err)
+			case tc.want != "" && err == nil:
+				t.Fatal("collect accepted the broken run")
+			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+				t.Fatalf("collect refused with %q, want the check naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestEventBudget holds the kernel's event count to what the phases and
+// the shard count allow, whatever the number of deliveries: per shard and
+// tick, four phase events (move, ghost clear, beacon, sample) and one
+// delivery batch to its own receivers; every other message — ghost
+// pushes, handoffs, batches to other shards — is a cross event, and each
+// handoff adds one local demotion. One event per delivery would exceed
+// the budget by the local deliveries, which at one shard are all of them.
+func TestEventBudget(t *testing.T) {
+	const phases = 4
+	for _, shards := range []int{1, 2, 4} {
+		cfg := testConfig(37, shards)
+		cfg.ChurnFrac = 0.2
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		budget := uint64(cfg.Ticks*shards*(phases+1)) + res.CrossEvents + uint64(res.Handoffs)
+		if res.Processed > budget {
+			t.Errorf("%d shards: %d kernel events for %d deliveries, budget %d", shards, res.Processed, res.Radio.Delivered, budget)
+		}
+		if res.Radio.Delivered <= budget {
+			t.Fatalf("%d shards: %d deliveries within the budget of %d; one event per delivery would pass too", shards, res.Radio.Delivered, budget)
+		}
+	}
+}
+
 // TestWarmTickAllocFree runs a two-shard world past its warm-up and then
 // requires a whole tick — moves, ghost pushes, handoffs, the pair sweep,
 // verdicts, deliveries — to allocate less than once on average (what
@@ -413,7 +538,7 @@ func TestWarmTickAllocFree(t *testing.T) {
 }
 
 // BenchmarkShardWorld runs the whole sharded stack — hash mobility, halo
-// ghosts, handoffs, per-beacon verdicts, delivery events — on a fleet
+// ghosts, handoffs, per-beacon verdicts, delivery batches — on a fleet
 // dense enough that the neighbor query and the verdict dominate.
 func BenchmarkShardWorld(b *testing.B) {
 	cfg := DefaultConfig(1, 2)

@@ -187,6 +187,7 @@ func (sk *ShardedKernel) CrossEvents() uint64 { return sk.crossSent }
 // declared), and proceeding would silently break determinism.
 func (sk *ShardedKernel) Inject(src, dst int, at Time, fn func(any), arg any) {
 	if src < 0 || src >= len(sk.shards) || dst < 0 || dst >= len(sk.shards) {
+		//vcloudlint:allow hotalloc the message is built only on a model bug, as the run panics
 		panic(fmt.Sprintf("sim: Inject shard out of range: src=%d dst=%d of %d", src, dst, len(sk.shards)))
 	}
 	if fn == nil {
