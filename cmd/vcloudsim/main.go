@@ -6,8 +6,9 @@
 //
 // A scripted fault plan (see internal/faults) injects deterministic
 // failures at absolute virtual times — the run starts at 0s, warm-up
-// lasts 10s; -replicas enables the dependable-execution policy and a
-// per-task table of retry and replica counts:
+// lasts 10s; -replicas and -retries tune the dependability policy every
+// task runs under (0 keeps the default: one copy, three retries) and add
+// a per-task table of retry and replica counts:
 //
 //	vcloudsim -scenario highway -arch infrastructure \
 //	  -faults '30s rsu-down 0; 45s partition 1500,0 400 20s; 60s loss 0.3 10s; 80s rsu-up 0'
@@ -149,8 +150,8 @@ func parseFlags(args []string) (options, world.Spec, error) {
 	fs.BoolVar(&o.secure, "secure", false, "gate cloud membership behind mutual authentication (§V.A)")
 	fs.IntVar(&o.traceN, "trace", 0, "dump the last N task-lifecycle trace events")
 	fs.StringVar(&o.faults, "faults", "", "fault plan, e.g. '30s rsu-down 0; 45s partition 1500,0 400 20s' (times are absolute virtual times)")
-	fs.IntVar(&o.replicas, "replicas", 0, "redundant copies per task with majority voting (0 disables the dependability policy)")
-	fs.IntVar(&o.retries, "retries", 0, "max backoff retry rounds per task (with -replicas)")
+	fs.IntVar(&o.replicas, "replicas", 0, "redundant copies per task with majority voting (0 means the default single copy)")
+	fs.IntVar(&o.retries, "retries", 0, "max backoff retry rounds per task (0 means the default, 3)")
 	fs.BoolVar(&o.soak, "soak", false, "run the chaos soak harness (uses -seed, -vehicles, -duration, -byz)")
 	fs.Float64Var(&o.byz, "byz", 0.2, "fraction of workers returning wrong results (soak mode; 0 soaks honest workers)")
 	fs.BoolVar(&o.split, "splitbrain", false, "with -soak: fence epochs and add controller-isolating split-brain storms")
@@ -229,7 +230,7 @@ func runSpec(o options) (world.Spec, error) {
 		spec.RSUs = append(spec.RSUs, sites...)
 	}
 	cloud := spec.Cloud
-	if o.replicas != 0 {
+	if o.replicas != 0 || o.retries != 0 {
 		cloud.Config.Controller.Depend = &ivc.DependabilityPolicy{Replicas: o.replicas, MaxRetries: o.retries}
 	}
 	if o.traceN > 0 {

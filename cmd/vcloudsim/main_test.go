@@ -15,6 +15,7 @@ func TestValidateFlags(t *testing.T) {
 	}{
 		{"defaults", "", ""},
 		{"policy and fleet at their bounds", "-vehicles 1 -tasks 0 -duration 0.5 -replicas 3 -retries 2", ""},
+		{"default single copy", "-replicas 0 -retries 1", ""},
 		{"census scenario run", "-scenario parkinglot -arch infrastructure -secure -replicas 3 -retries 2 -faults '20s crash 3; 70s kill-controller 0'", ""},
 		{"soak with its own flags", "-soak -byz 1 -splitbrain -store ec -dag -saturate -shards 4 -vehicles 14 -duration 300", ""},
 		{"no vehicles", "-vehicles 0", "Vehicles"},
@@ -72,4 +73,17 @@ func splitArgs(line string) []string {
 		args = append(args, strings.Fields(part)...)
 	}
 	return args
+}
+
+// TestRetriesAloneTuneThePolicy: -retries has an effect without
+// -replicas — it sets the retry budget of the default single copy.
+func TestRetriesAloneTuneThePolicy(t *testing.T) {
+	_, spec, err := parseFlags(splitArgs("-retries 5"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := spec.Cloud.Config.Controller.Depend
+	if p == nil || p.MaxRetries != 5 || p.Replicas != 0 {
+		t.Errorf("policy = %+v, want the default single copy with 5 retries", p)
+	}
 }

@@ -44,7 +44,7 @@ func TestEndToEndSecureVehicularCloud(t *testing.T) {
 	sd, err := vcloud.DeploySecure(s, vcloud.Dynamic, vcloud.DeployConfig{
 		Handover:   true,
 		DwellMode:  mobility.DwellRouteAware,
-		Controller: vcloud.ControllerConfig{RetryLimit: 5},
+		Controller: vcloud.ControllerConfig{Depend: &vcloud.DependabilityPolicy{MaxRetries: 5}},
 	}, vcloud.Security{TA: ta, Scheme: auth.Hybrid, Metrics: met}, stats)
 	if err != nil {
 		t.Fatal(err)

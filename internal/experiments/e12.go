@@ -13,14 +13,13 @@ import (
 )
 
 // E12Dependability measures the §V dependable-execution claim: result
-// correctness under Byzantine workers that return wrong values. Four
+// correctness under Byzantine workers that return wrong values. Three
 // policies face rising Byzantine fractions on the same seeded
 // stationary cloud and workload:
 //
-//   - baseline: single copy, no retries — whatever one worker returns
-//     is the answer;
-//   - retry: single copy with backoff retries — helps against crashes,
-//     not lies (a retry may land on another liar, and a lie is
+//   - retry: the default policy, a single copy with backoff retries —
+//     whatever one worker returns is the answer; retries help against
+//     crashes, not lies (a retry may land on another liar, and a lie is
 //     indistinguishable from a result without redundancy);
 //   - redundant: K=3 disjoint replicas with majority voting — lies are
 //     outvoted while honest workers form a quorum;
@@ -52,7 +51,6 @@ func E12Dependability(cfg Config) (*Result, error) {
 		trusted bool
 	}
 	arms := []arm{
-		{"baseline", nil, false},
 		{"retry", &vcloud.DependabilityPolicy{Replicas: 1, MaxRetries: 3}, false},
 		{"redundant", &vcloud.DependabilityPolicy{Replicas: 3, MaxRetries: 3}, false},
 		{"trustgated", &vcloud.DependabilityPolicy{

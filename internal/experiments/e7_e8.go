@@ -51,7 +51,7 @@ func E7TaskHandover(cfg Config) (*Result, error) {
 			Cloud: &world.Cloud{Arch: vcloud.Infrastructure, Config: vcloud.DeployConfig{
 				Handover:   a.handover,
 				DwellMode:  a.dwell,
-				Controller: vcloud.ControllerConfig{RetryLimit: 5},
+				Controller: vcloud.ControllerConfig{Depend: &vcloud.DependabilityPolicy{MaxRetries: 5}},
 			}},
 		})
 		if err != nil {

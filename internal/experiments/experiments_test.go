@@ -287,26 +287,20 @@ func TestE12Shape(t *testing.T) {
 	r := quick(t, E12Dependability)
 	v := r.Values
 	// The issue's acceptance criterion: at a Byzantine fraction where the
-	// no-redundancy baseline returns <50% correct results, trust-gated
-	// redundancy+voting stays >=90% correct.
-	if v["baseline/byz0.6/correct"] >= 0.5 {
-		t.Errorf("baseline at 60%% Byzantine = %.2f correct, want <0.5", v["baseline/byz0.6/correct"])
+	// single-copy default (retries, no redundancy) returns <50% correct
+	// results, trust-gated redundancy+voting stays >=90% correct.
+	if v["retry/byz0.6/correct"] >= 0.5 {
+		t.Errorf("retry at 60%% Byzantine = %.2f correct, want <0.5", v["retry/byz0.6/correct"])
 	}
 	if v["trustgated/byz0.6/correct"] < 0.9 {
 		t.Errorf("trust-gated at 60%% Byzantine = %.2f correct, want >=0.9", v["trustgated/byz0.6/correct"])
-	}
-	// Retries without redundancy cannot detect lies: the retry arm must
-	// not beat the baseline by more than noise.
-	if v["retry/byz0.6/correct"] > v["baseline/byz0.6/correct"]+0.2 {
-		t.Errorf("retry-only %.2f should not materially beat baseline %.2f against lies",
-			v["retry/byz0.6/correct"], v["baseline/byz0.6/correct"])
 	}
 	// Voting keeps wrong results out entirely at the tolerable fraction.
 	if v["redundant/byz0.2/wrong"] != 0 {
 		t.Errorf("redundancy accepted %v wrong results at 20%% Byzantine", v["redundant/byz0.2/wrong"])
 	}
-	if v["baseline/byz0.2/wrong"] == 0 {
-		t.Error("baseline accepted no wrong results at 20% Byzantine: attack not wired")
+	if v["retry/byz0.2/wrong"] == 0 {
+		t.Error("retry accepted no wrong results at 20% Byzantine: attack not wired")
 	}
 }
 

@@ -181,7 +181,6 @@ func (d *Deployment) onAbdicate(c *Controller) {
 
 func (d *Deployment) newController(node *vnet.Node) (*Controller, error) {
 	cc := d.cfg.Controller
-	cc.Handover = d.cfg.Handover
 	cc.Failover = cc.Failover || d.cfg.Failover
 	cc.Fencing = cc.Fencing || d.cfg.Fencing
 	if cc.OnApply == nil {

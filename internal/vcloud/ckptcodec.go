@@ -19,16 +19,17 @@ import (
 
 // ckptMagic identifies encoded checkpoints; the trailing byte is the
 // format version.
-var ckptMagic = [4]byte{'V', 'C', 'P', 4}
+var ckptMagic = [4]byte{'V', 'C', 'P', 5}
 
 // ckptReserved is the length of the zero block that ends every encoding.
-// It keeps the place of two deleted fields, a task price (8 bytes) and a
-// per-tier estimate table (120), which were always zero on the wire. A
-// checkpoint's radio frame is as long as its encoding, so the length is
-// part of the model: without the block, cloud_storm's p99 latency moves
-// and every soak mode's outcomes change. It goes with the next deliberate
-// re-baseline.
-const ckptReserved = 128
+// It keeps the place of four deleted fields: a task price (8 bytes), a
+// per-tier estimate table (120), the controller's retry limit (8) and
+// its never-read handover flag (1). A checkpoint's radio frame is as
+// long as its encoding, so the length is part of the model: without the
+// block, cloud_storm's p99 latency moves and every soak mode's outcomes
+// change. It goes when a re-baseline sets out to move checkpoint frame
+// lengths.
+const ckptReserved = 137
 
 // Decoder sanity caps: a checkpoint exceeding these is rejected as
 // corrupt. They sit far above anything a simulated cloud produces.
@@ -162,7 +163,7 @@ const (
 	wireAddr        = 8
 	wireString      = 2
 	wireHeader      = 4 + 5*8 + 1 + 3*8 + wireConfig + 6*4 // magic … epoch, the config, six collection counts
-	wireConfig      = 4*8 + 1 + 1 + 2*8 + 1 + 1            // the controller config, its policy's presence byte last
+	wireConfig      = 3*8 + 1 + 2*8 + 1 + 1                // the controller config, its policy's presence byte last
 	wirePolicy      = 8 + 8 + 8 + 8 + 8 + 8 + 1            // behind a presence byte
 	wireMember      = 8 + 8 + 8 + 2
 	wireTask        = 8 + 8 + 8 + 8 + 8 + 2 + 1 + 1 + 1
@@ -470,8 +471,6 @@ func EncodeCheckpoint(ck Checkpoint) []byte {
 	w.i64(int64(cfg.AdvPeriod))
 	w.i64(int64(cfg.MemberTTL))
 	w.f64(cfg.DwellMargin)
-	w.i64(int64(cfg.RetryLimit))
-	w.bool(cfg.Handover)
 	w.bool(cfg.Failover)
 	w.i64(int64(cfg.CheckpointPeriod))
 	w.i64(int64(cfg.FailoverTTL))
@@ -552,8 +551,6 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 	ck.Cfg.AdvPeriod = sim.Time(r.i64())
 	ck.Cfg.MemberTTL = sim.Time(r.i64())
 	ck.Cfg.DwellMargin = r.f64()
-	ck.Cfg.RetryLimit = int(r.i64())
-	ck.Cfg.Handover = r.bool()
 	ck.Cfg.Failover = r.bool()
 	ck.Cfg.CheckpointPeriod = sim.Time(r.i64())
 	ck.Cfg.FailoverTTL = sim.Time(r.i64())

@@ -3,7 +3,11 @@ package vcloud_test
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,8 +32,6 @@ func fixtureCheckpoint() vcloud.Checkpoint {
 			AdvPeriod:        time.Second,
 			MemberTTL:        3 * time.Second,
 			DwellMargin:      1.5,
-			RetryLimit:       4,
-			Handover:         true,
 			Failover:         true,
 			CheckpointPeriod: 2 * time.Second,
 			FailoverTTL:      4 * time.Second,
@@ -181,6 +183,42 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	})
 }
 
+// TestFuzzSeedsPassTheMagic: every committed FuzzDecodeCheckpoint seed
+// is a finding the decoder must refuse for its content. A seed left at
+// an older format version is refused by the magic check instead and no
+// longer reaches the field check it was committed for, so each seed
+// must be rejected, and not for its magic.
+func TestFuzzSeedsPassTheMagic(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecodeCheckpoint", "*"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed seeds (err %v)", err)
+	}
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if len(lines) != 2 || lines[0] != "go test fuzz v1" ||
+			!strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+			t.Fatalf("%s: not a one-[]byte corpus file", p)
+		}
+		data, err := strconv.Unquote(lines[1][len("[]byte(") : len(lines[1])-1])
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		_, err = vcloud.DecodeCheckpoint([]byte(data))
+		switch {
+		case err == nil:
+			t.Errorf("%s: decoded without error", p)
+		case strings.Contains(err.Error(), "magic"):
+			t.Errorf("%s: rejected at the magic check: %v", p, err)
+		default:
+			t.Logf("%s: %v", filepath.Base(p), err)
+		}
+	}
+}
+
 // busyCheckpoint is fixtureCheckpoint grown to a busy controller's size:
 // a hundred members, sixty tasks in flight, a long applied ledger and
 // parked outcomes.
@@ -226,8 +264,10 @@ func BenchmarkCheckpointCodec(b *testing.B) {
 
 // TestReservedBlockHoldsTheWireLength: the encoding ends in a block of
 // zero bytes that keeps a checkpoint's frame as long as it was before the
-// price and estimate fields went (the length is part of the radio model),
-// and the decoder accepts nothing but zeros there.
+// price, estimate, retry-limit and handover fields went (the length is
+// part of the radio model), and the decoder accepts nothing but zeros
+// there. The wanted lengths are those of format version 3, whose
+// encodings carried all four fields.
 func TestReservedBlockHoldsTheWireLength(t *testing.T) {
 	for name, tc := range map[string]struct {
 		ck   vcloud.Checkpoint
@@ -237,14 +277,15 @@ func TestReservedBlockHoldsTheWireLength(t *testing.T) {
 			t.Errorf("%s: encoded %d bytes, want %d", name, got, tc.want)
 		}
 	}
+	const reserved = 137
 	data := vcloud.EncodeCheckpoint(fixtureCheckpoint())
-	tail := data[len(data)-128:]
-	if !bytes.Equal(tail, make([]byte, 128)) {
+	tail := data[len(data)-reserved:]
+	if !bytes.Equal(tail, make([]byte, reserved)) {
 		t.Fatalf("reserved block is not zero: %x", tail)
 	}
-	for _, at := range []int{0, 64, 127} {
+	for _, at := range []int{0, 64, reserved - 1} {
 		bad := append([]byte(nil), data...)
-		bad[len(bad)-128+at] = 1
+		bad[len(bad)-reserved+at] = 1
 		if _, err := vcloud.DecodeCheckpoint(bad); err == nil {
 			t.Errorf("non-zero reserved byte %d accepted", at)
 		}

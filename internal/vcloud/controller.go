@@ -51,9 +51,8 @@ type taskMsg struct {
 	// (== Task.Ops on first assignment).
 	RemainingOps float64
 	Attempt      int
-	// Replica indexes the redundant copy under a dependability policy
-	// (-1 on the plain single-copy path); the member echoes it back so
-	// the controller can match votes to slots.
+	// Replica indexes the task's copy (its replica slot); the member
+	// echoes it back so the controller can match votes to slots.
 	Replica int
 	// Epoch fences the dispatch: members reject a task from an epoch
 	// below the highest they have witnessed (zero when unfenced).
@@ -173,11 +172,6 @@ type ControllerConfig struct {
 	// DwellMargin multiplies the estimated runtime when testing dwell
 	// sufficiency. Default 1.2.
 	DwellMargin float64
-	// RetryLimit bounds reassignments per task. Default 3.
-	RetryLimit int
-	// Handover enables partial-work transfer; when false, a departing
-	// member's work is simply lost (drop-and-resubmit baseline).
-	Handover bool
 	// AcceptJoin, when non-nil, gates membership: joins from members for
 	// which it returns false are ignored. Secure clouds wire this to the
 	// authenticator's verified-peer set (§V.A).
@@ -194,10 +188,10 @@ type ControllerConfig struct {
 	// FailoverTTL is how long the standby tolerates advertisement silence
 	// before promoting itself. Default 4×AdvPeriod.
 	FailoverTTL sim.Time
-	// Depend, when non-nil, applies a dependability policy (redundant
-	// replicas, voting, backoff retries) to every task that does not
-	// carry its own Task.Depend override. Nil keeps the plain
-	// single-copy path.
+	// Depend is the dependability policy (redundant replicas, voting,
+	// backoff retries) of every task that does not carry its own
+	// Task.Depend override. Nil means the default policy: one copy,
+	// three retries, 500 ms jittered backoff.
 	Depend *DependabilityPolicy
 	// Fencing enables split-brain-safe leadership: the controller
 	// carries a monotonically increasing epoch on every advertisement,
@@ -239,19 +233,18 @@ type memberInfo struct {
 }
 
 type taskState struct {
-	task         Task
-	client       vnet.Addr
+	task   Task
+	client vnet.Addr
+	// remainingOps is what a new copy is dispatched with: Task.Ops, or
+	// the remainder a handover returned when no member could take it.
 	remainingOps float64
-	assignee     vnet.Addr
 	attempt      int
 	handovers    int
 	retries      int
 	submitted    sim.Time
-	timeout      sim.EventID
 	done         func(TaskResult)
 
-	// Dependable-execution state (policy non-nil switches the task onto
-	// the replicated path; see depend.go).
+	// Dependable-execution state (see depend.go); policy is never nil.
 	policy       *DependabilityPolicy
 	replicas     []*replicaSlot
 	round        int
@@ -322,9 +315,6 @@ func NewController(node *vnet.Node, cfg ControllerConfig, stats *Stats) (*Contro
 	if cfg.DwellMargin <= 0 {
 		cfg.DwellMargin = 1.2
 	}
-	if cfg.RetryLimit <= 0 {
-		cfg.RetryLimit = 3
-	}
 	if cfg.CheckpointPeriod <= 0 {
 		cfg.CheckpointPeriod = 2 * cfg.AdvPeriod
 	}
@@ -380,12 +370,7 @@ func (c *Controller) Stop() {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		ts := c.tasks[id]
-		c.node.Kernel().Cancel(ts.timeout)
-		for _, slot := range ts.replicas {
-			c.node.Kernel().Cancel(slot.timeout)
-		}
-		c.finish(id, ts, false, ReasonControllerStopped)
+		c.finish(c.tasks[id], false, ReasonControllerStopped, 0)
 	}
 	c.failAllJobs(ReasonControllerStopped)
 }
@@ -401,7 +386,6 @@ func (c *Controller) Crash() {
 	}
 	c.halt()
 	for _, ts := range c.tasks {
-		c.node.Kernel().Cancel(ts.timeout)
 		for _, slot := range ts.replicas {
 			c.node.Kernel().Cancel(slot.timeout)
 		}
@@ -496,52 +480,23 @@ func (c *Controller) advertise() {
 	c.node.BroadcastLocal(adv)
 }
 
-// reassignOrphans moves every task actively assigned to the vanished
-// member back into scheduling. Tasks waiting in the no-member retry loop
-// are skipped (their pending After callback re-runs assign itself).
+// reassignOrphans fails every replica the vanished member held and lets
+// the vote (or a retry round) take it from there.
 func (c *Controller) reassignOrphans(gone vnet.Addr) {
-	// Dependable tasks: fail the vanished member's replicas and let the
-	// vote (or a retry round) take it from there.
-	var depIDs []TaskID
+	var ids []TaskID
 	for id, ts := range c.tasks {
-		if ts.policy == nil {
-			continue
-		}
 		for _, slot := range ts.replicas {
 			if slot.assignee == gone && !slot.resolved() {
-				depIDs = append(depIDs, id)
+				ids = append(ids, id)
 				break
 			}
 		}
 	}
-	sort.Slice(depIDs, func(i, j int) bool { return depIDs[i] < depIDs[j] })
-	for _, id := range depIDs {
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
 		if ts, live := c.tasks[id]; live {
 			c.expireReplicas(ts, gone)
 		}
-	}
-
-	var ids []TaskID
-	for id, ts := range c.tasks {
-		if ts.policy == nil && ts.assignee == gone && ts.timeout.Pending() {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		ts := c.tasks[id]
-		c.node.Kernel().Cancel(ts.timeout)
-		// The member vanished silently: its partial work is lost.
-		c.stats.WastedOps += ts.remainingOps
-		c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
-			"task %d orphaned by expired member %d, reassigning", id, gone)
-		if ts.retries >= c.cfg.RetryLimit {
-			c.finish(id, ts, false, ReasonRetriesExhausted)
-			continue
-		}
-		ts.retries++
-		c.stats.Retries.Inc()
-		c.assign(ts)
 	}
 }
 
@@ -610,115 +565,16 @@ func (c *Controller) SubmitFor(client vnet.Addr, task Task, done func(TaskResult
 		id := task.ID
 		c.node.Kernel().After(0, func() {
 			if ts, live := c.tasks[id]; live {
-				c.finish(id, ts, false, ReasonDeadline)
+				c.finish(ts, false, ReasonDeadline, 0)
 			}
 		})
 		return task.ID, nil
 	}
-	c.launch(ts)
+	c.dispatchReplicas(ts, ts.policy.Replicas)
 	return task.ID, nil
 }
 
-// pickMember chooses a worker for ts: among fresh members with the
-// needed sensor, prefer those whose estimated dwell covers the estimated
-// completion time (runtime + queue) with margin; break ties by earliest
-// completion. Returns false when no member exists at all.
-func (c *Controller) pickMember(ts *taskState) (vnet.Addr, bool) {
-	now := c.node.Kernel().Now()
-	var p placement
-	for a, m := range c.members {
-		if now-m.lastSeen > c.cfg.MemberTTL {
-			continue
-		}
-		if m.res.CPU <= 0 || !m.res.HasSensor(ts.task.NeedsSensor) {
-			continue
-		}
-		if a == ts.assignee && ts.attempt > 0 {
-			// Don't immediately re-pick the worker that just failed or
-			// handed the task back.
-			continue
-		}
-		runtime := (m.queuedOps + ts.remainingOps) / m.res.CPU
-		// Edge servers are fixed infrastructure: dwell always suffices.
-		hasDwell := true
-		if c.cfg.Dwell != nil && !m.edge {
-			hasDwell = c.cfg.Dwell(a) >= runtime*c.cfg.DwellMargin
-		}
-		p.offer(placeCand{addr: a, finish: runtime + m.delay.Seconds()}, hasDwell)
-	}
-	return p.pick()
-}
-
-func (c *Controller) assign(ts *taskState) {
-	addr, found := c.pickMember(ts)
-	if !found {
-		// No members: retry shortly rather than failing outright (the
-		// cloud may still be forming).
-		if ts.retries >= c.cfg.RetryLimit {
-			c.finish(ts.task.ID, ts, false, ReasonNoEligibleMember)
-			return
-		}
-		ts.retries++
-		c.stats.Retries.Inc()
-		ts.roundPending = true
-		c.node.Kernel().After(time.Second, func() {
-			ts.roundPending = false
-			if _, live := c.tasks[ts.task.ID]; live && !c.stopped {
-				c.assign(ts)
-			}
-		})
-		return
-	}
-	ts.assignee = addr
-	ts.attempt++
-	c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
-		"task %d assign -> %d (attempt %d, %.0f ops left)", ts.task.ID, addr, ts.attempt, ts.remainingOps)
-	m := c.members[addr]
-	m.queuedOps += ts.remainingOps
-	c.stats.OpsDispatched += ts.remainingOps
-	msg := c.node.NewMessage(addr, kindTask, 64+ts.task.InputBytes, 1, taskMsg{
-		Task:         ts.task,
-		RemainingOps: ts.remainingOps,
-		Attempt:      ts.attempt,
-		Replica:      -1,
-		Epoch:        c.epoch,
-	})
-	c.node.SendTo(addr, msg)
-
-	// Timeout: generous multiple of the expected completion time.
-	expect := (m.queuedOps)/m.res.CPU + 2.0
-	deadline := sim.Time(expect*3*float64(time.Second)) + 2*time.Second
-	attempt := ts.attempt
-	ts.timeout = c.node.Kernel().After(deadline, func() {
-		cur, live := c.tasks[ts.task.ID]
-		if !live || cur != ts || ts.attempt != attempt || c.stopped {
-			return
-		}
-		// The assignment died silently (member left range, frames lost):
-		// all remaining work must be redone — this is the waste the
-		// paper's §III.A argument quantifies.
-		c.stats.WastedOps += ts.remainingOps
-		c.releaseQueue(ts)
-		if ts.retries >= c.cfg.RetryLimit {
-			c.finish(ts.task.ID, ts, false, ReasonRetriesExhausted)
-			return
-		}
-		ts.retries++
-		c.stats.Retries.Inc()
-		c.assign(ts)
-	})
-}
-
-// releaseQueue removes the task's load from its assignee's book-keeping.
-func (c *Controller) releaseQueue(ts *taskState) {
-	if m, ok := c.members[ts.assignee]; ok {
-		m.queuedOps -= ts.remainingOps
-		if m.queuedOps < 0 {
-			m.queuedOps = 0
-		}
-	}
-}
-
+// onResult takes one replica's vote.
 func (c *Controller) onResult(msg vnet.Message, _ vnet.Addr) {
 	if c.stopped {
 		return
@@ -728,27 +584,23 @@ func (c *Controller) onResult(msg vnet.Message, _ vnet.Addr) {
 		return
 	}
 	ts, live := c.tasks[rm.ID]
-	if !live {
+	if !live || rm.Replica < 0 || rm.Replica >= len(ts.replicas) {
 		return
 	}
-	if ts.policy != nil {
-		c.onReplicaResult(ts, rm, msg.Origin)
-		return
+	slot := ts.replicas[rm.Replica]
+	if slot.resolved() || rm.Attempt != slot.attempt || msg.Origin != slot.assignee {
+		return // stale echo from a superseded attempt
 	}
-	if rm.Attempt != ts.attempt || msg.Origin != ts.assignee {
-		return // stale result from a superseded attempt
-	}
-	c.node.Kernel().Cancel(ts.timeout)
-	c.releaseQueue(ts)
-	ts.value = rm.Value
-	ts.voters = []vnet.Addr{msg.Origin}
-	if ts.task.Deadline > 0 && c.node.Kernel().Now() > ts.task.Deadline {
-		c.finish(rm.ID, ts, false, ReasonDeadline)
-		return
-	}
-	c.finish(rm.ID, ts, true, "")
+	c.node.Kernel().Cancel(slot.timeout)
+	c.releaseSlot(slot)
+	slot.voted = true
+	slot.value = rm.Value
+	c.maybeDecide(ts)
 }
 
+// onHandover moves one replica's remaining work to a fresh member when
+// its worker announces departure. With no member to take it, the
+// remainder stays with the task, and the next round dispatches only it.
 func (c *Controller) onHandover(msg vnet.Message, _ vnet.Addr) {
 	if c.stopped {
 		return
@@ -758,41 +610,48 @@ func (c *Controller) onHandover(msg vnet.Message, _ vnet.Addr) {
 		return
 	}
 	ts, live := c.tasks[hm.ID]
-	if !live {
+	if !live || hm.Replica < 0 || hm.Replica >= len(ts.replicas) {
 		return
 	}
-	if ts.policy != nil {
-		c.onReplicaHandover(ts, hm, msg.Origin)
+	slot := ts.replicas[hm.Replica]
+	if slot.resolved() || hm.Attempt != slot.attempt || msg.Origin != slot.assignee {
 		return
 	}
-	if hm.Attempt != ts.attempt || msg.Origin != ts.assignee {
-		return
-	}
-	c.node.Kernel().Cancel(ts.timeout)
-	c.releaseQueue(ts)
-	ts.remainingOps = hm.RemainingOps
+	c.node.Kernel().Cancel(slot.timeout)
+	c.releaseSlot(slot)
+	slot.failed = true // the old slot closes; the remainder goes on elsewhere
 	ts.handovers++
 	c.stats.Handovers.Inc()
 	c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
 		"task %d handover from %d (%.0f ops left)", hm.ID, msg.Origin, hm.RemainingOps)
-	c.assign(ts)
+	// Re-place the remainder on a member not already holding a copy.
+	exclude := ts.liveAssignees()
+	exclude[msg.Origin] = true
+	addr, found := c.pickReplicaMember(ts, exclude, hm.RemainingOps)
+	if !found {
+		ts.remainingOps = hm.RemainingOps
+		c.maybeDecide(ts)
+		return
+	}
+	c.dispatchOneReplica(ts, addr, hm.RemainingOps)
 }
 
-func (c *Controller) finish(id TaskID, ts *taskState, ok bool, reason FailReason) {
+// finish settles ts on value: it releases every replica the task still
+// holds and applies (or parks) the outcome.
+func (c *Controller) finish(ts *taskState, ok bool, reason FailReason, value uint64) {
+	id := ts.task.ID
 	if _, live := c.tasks[id]; !live {
 		// Tripwire for the "no task both completed and failed" invariant:
 		// a second finish means two code paths both claimed the task.
 		c.violations = append(c.violations, fmt.Sprintf("task %d finished twice (ok=%v reason=%q)", id, ok, reason))
 		return
 	}
+	c.releaseReplicas(ts)
+	ts.value = value
 	delete(c.tasks, id)
 	now := c.node.Kernel().Now()
 	c.cfg.Trace.Emit(now, trace.CatCloud, int32(c.node.Addr()),
 		"task %d finish ok=%v reason=%q latency=%v", id, ok, reason, now-ts.submitted)
-	replicas := len(ts.replicas)
-	if ts.policy == nil && ts.attempt > 0 {
-		replicas = 1
-	}
 	e := &parkedEntry{
 		po: ParkedOutcome{
 			Task:      ts.task,
@@ -806,7 +665,7 @@ func (c *Controller) finish(id TaskID, ts *taskState, ok bool, reason FailReason
 			Submitted: ts.submitted,
 		},
 		done:     ts.done,
-		replicas: replicas,
+		replicas: len(ts.replicas),
 	}
 	// Apply-after-ack (fenced failover only): while any standby holds an
 	// unacknowledged checkpoint copy of our state, applying immediately

@@ -438,21 +438,7 @@ func (c *Controller) cancelTask(id TaskID) {
 	if !live {
 		return
 	}
-	if ts.policy == nil && ts.timeout.Pending() {
-		c.releaseQueue(ts)
-	}
-	c.node.Kernel().Cancel(ts.timeout)
-	for _, slot := range ts.replicas {
-		if !slot.resolved() && slot.timeout.Pending() {
-			if m, ok := c.members[slot.assignee]; ok {
-				m.queuedOps -= slot.remaining
-				if m.queuedOps < 0 {
-					m.queuedOps = 0
-				}
-			}
-		}
-		c.node.Kernel().Cancel(slot.timeout)
-	}
+	c.releaseReplicas(ts)
 	delete(c.tasks, id)
 }
 

@@ -1,5 +1,6 @@
 // Dependable task execution: the data-plane counterpart of the PR-1
-// control-plane failover. The paper's §III/Fig. 3 dependability argument
+// control-plane failover, and the one lifecycle every task runs
+// (dispatch, lose or hand over, retry, decide; a single copy is K = 1). The paper's §III/Fig. 3 dependability argument
 // is that a vehicular cloud must keep producing *correct* results while
 // its members are unreliable (churn, radio loss) or outright malicious
 // (wrong results). The mechanism here is classical redundant execution:
@@ -109,16 +110,15 @@ func (p DependabilityPolicy) withDefaults() DependabilityPolicy {
 }
 
 // effectivePolicy resolves the policy for a task: the task's own
-// override, else the controller default, else nil (plain path).
+// override, else the controller default, else the default policy.
 func (c *Controller) effectivePolicy(t Task) *DependabilityPolicy {
-	src := t.Depend
-	if src == nil {
-		src = c.cfg.Depend
+	var p DependabilityPolicy
+	if t.Depend != nil {
+		p = *t.Depend
+	} else if c.cfg.Depend != nil {
+		p = *c.cfg.Depend
 	}
-	if src == nil {
-		return nil
-	}
-	p := src.withDefaults()
+	p = p.withDefaults()
 	return &p
 }
 
@@ -193,14 +193,14 @@ func (p *placement) pick() (vnet.Addr, bool) {
 // pickReplicaMember chooses a worker for one replica: fresh, sensor-
 // capable, above the trust threshold, and not in the exclude set
 // (members already holding a copy of this task — disjointness). Among
-// the eligible it prefers dwell-sufficient members and earliest finish,
-// like the plain scheduler. Returns false when nobody qualifies.
+// the eligible it prefers dwell-sufficient members and earliest finish.
+// Returns false when nobody qualifies.
 //
 //vcloudlint:hotpath once per replica of every task and DAG stage; keeps a running pick instead of building candidate pools
 func (c *Controller) pickReplicaMember(ts *taskState, exclude map[vnet.Addr]bool, remaining float64) (vnet.Addr, bool) {
 	now := c.node.Kernel().Now()
 	// DAG stage placement layers two reliability weights on top of the
-	// plain finish-time ranking (tentpole: stages placed "weighted by
+	// finish-time ranking (tentpole: stages placed "weighted by
 	// predicted residual dwell time and trust score"): the finish
 	// estimate is divided by the worker's Beta-reputation weight, and
 	// finish ties break toward the higher dwell tier before the address.
@@ -237,16 +237,6 @@ func (c *Controller) pickReplicaMember(ts *taskState, exclude map[vnet.Addr]bool
 	return p.pick()
 }
 
-// launch routes a freshly submitted (or restored) task into either the
-// plain single-copy path or the dependable replicated path.
-func (c *Controller) launch(ts *taskState) {
-	if ts.policy == nil {
-		c.assign(ts)
-		return
-	}
-	c.dispatchReplicas(ts, ts.policy.Replicas)
-}
-
 // liveAssignees returns the members currently holding an unresolved
 // copy of ts (the disjointness exclusion set).
 func (ts *taskState) liveAssignees() map[vnet.Addr]bool {
@@ -259,11 +249,11 @@ func (ts *taskState) liveAssignees() map[vnet.Addr]bool {
 	return out
 }
 
-// dispatchReplicas places up to need new copies of ts on disjoint
-// members. Placement first excludes every member that ever held a copy;
-// when that exhausts the pool it falls back to excluding only members
-// holding a live copy (a worker that timed out may be retried — radio
-// loss is transient). Dispatching fewer than need copies is fine: the
+// dispatchReplicas places up to need new copies of ts, each carrying
+// ts.remainingOps, on disjoint members. Placement first excludes every
+// member that ever held a copy; when that exhausts the pool it falls
+// back to excluding only members holding a live copy (a worker that
+// timed out may be retried — radio loss is transient). Dispatching fewer than need copies is fine: the
 // vote decides over whatever reports, and maybeDecide tops the pool up
 // on the retry path when no quorum forms.
 func (c *Controller) dispatchReplicas(ts *taskState, need int) {
@@ -273,21 +263,20 @@ func (c *Controller) dispatchReplicas(ts *taskState, need int) {
 	}
 	placed := 0
 	for i := 0; i < need; i++ {
-		addr, found := c.pickReplicaMember(ts, everUsed, ts.task.Ops)
+		addr, found := c.pickReplicaMember(ts, everUsed, ts.remainingOps)
 		if !found {
-			addr, found = c.pickReplicaMember(ts, ts.liveAssignees(), ts.task.Ops)
+			addr, found = c.pickReplicaMember(ts, ts.liveAssignees(), ts.remainingOps)
 		}
 		if !found {
 			break
 		}
 		everUsed[addr] = true
-		c.dispatchOneReplica(ts, addr, ts.task.Ops)
+		c.dispatchOneReplica(ts, addr, ts.remainingOps)
 		placed++
 	}
 	if placed == 0 {
 		// Nobody eligible right now (cloud still forming, or the trust
-		// gate emptied the pool): treat like the plain path's no-member
-		// case and come back after a backoff round.
+		// gate emptied the pool): come back after a backoff round.
 		c.scheduleRetryRound(ts, ReasonNoEligibleMember)
 	}
 }
@@ -336,12 +325,7 @@ func (c *Controller) failReplica(ts *taskState, slot *replicaSlot, badWeight flo
 	slot.failed = true
 	c.node.Kernel().Cancel(slot.timeout)
 	c.stats.WastedOps += slot.remaining
-	if m, ok := c.members[slot.assignee]; ok {
-		m.queuedOps -= slot.remaining
-		if m.queuedOps < 0 {
-			m.queuedOps = 0
-		}
-	}
+	c.releaseSlot(slot)
 	if c.cfg.Workers != nil {
 		c.cfg.Workers.Bad(slot.assignee, badWeight)
 	}
@@ -355,11 +339,11 @@ func (c *Controller) scheduleRetryRound(ts *taskState, failReason FailReason) {
 		return
 	}
 	if ts.task.Deadline > 0 && c.node.Kernel().Now() > ts.task.Deadline {
-		c.finishDepend(ts, false, ReasonDeadline, 0)
+		c.finish(ts, false, ReasonDeadline, 0)
 		return
 	}
 	if ts.retries >= ts.policy.MaxRetries {
-		c.finishDepend(ts, false, failReason, 0)
+		c.finish(ts, false, failReason, 0)
 		return
 	}
 	ts.retries++
@@ -394,66 +378,14 @@ func (c *Controller) scheduleRetryRound(ts *taskState, failReason FailReason) {
 	})
 }
 
-// onReplicaResult handles a vote from one replica.
-func (c *Controller) onReplicaResult(ts *taskState, rm resultMsg, origin vnet.Addr) {
-	if rm.Replica < 0 || rm.Replica >= len(ts.replicas) {
-		return
-	}
-	slot := ts.replicas[rm.Replica]
-	if slot.resolved() || rm.Attempt != slot.attempt || origin != slot.assignee {
-		return // stale echo from a superseded attempt
-	}
-	c.node.Kernel().Cancel(slot.timeout)
-	if m, ok := c.members[slot.assignee]; ok {
-		m.queuedOps -= slot.remaining
-		if m.queuedOps < 0 {
-			m.queuedOps = 0
-		}
-	}
-	slot.voted = true
-	slot.value = rm.Value
-	c.maybeDecide(ts)
-}
-
-// onReplicaHandover moves one replica's remaining work to a fresh
-// member when its worker announces departure.
-func (c *Controller) onReplicaHandover(ts *taskState, hm handoverMsg, origin vnet.Addr) {
-	if hm.Replica < 0 || hm.Replica >= len(ts.replicas) {
-		return
-	}
-	slot := ts.replicas[hm.Replica]
-	if slot.resolved() || hm.Attempt != slot.attempt || origin != slot.assignee {
-		return
-	}
-	c.node.Kernel().Cancel(slot.timeout)
-	if m, ok := c.members[slot.assignee]; ok {
-		m.queuedOps -= slot.remaining
-		if m.queuedOps < 0 {
-			m.queuedOps = 0
-		}
-	}
-	ts.handovers++
-	c.stats.Handovers.Inc()
-	// Re-place the remainder on a member not already holding a copy.
-	exclude := ts.liveAssignees()
-	exclude[origin] = true
-	addr, found := c.pickReplicaMember(ts, exclude, hm.RemainingOps)
-	if !found {
-		slot.failed = true
-		c.stats.WastedOps += hm.RemainingOps
-		c.maybeDecide(ts)
-		return
-	}
-	slot.failed = true // old slot closed; remainder continues in a new one
-	c.dispatchOneReplica(ts, addr, hm.RemainingOps)
-}
-
 // expireReplicas fails every unresolved replica held by a vanished
 // member and re-evaluates the vote. Called from the membership sweep.
 func (c *Controller) expireReplicas(ts *taskState, gone vnet.Addr) {
 	touched := false
-	for _, slot := range ts.replicas {
+	for i, slot := range ts.replicas {
 		if slot.assignee == gone && !slot.resolved() {
+			c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
+				"task %d replica %d lost with expired member %d", ts.task.ID, i, gone)
 			c.failReplica(ts, slot, 0.5)
 			touched = true
 		}
@@ -557,7 +489,7 @@ func (c *Controller) maybeDecide(ts *taskState) {
 // voter roster.
 func (c *Controller) decideVote(ts *taskState, winner uint64) {
 	if ts.task.Deadline > 0 && c.node.Kernel().Now() > ts.task.Deadline {
-		c.finishDepend(ts, false, ReasonDeadline, 0)
+		c.finish(ts, false, ReasonDeadline, 0)
 		return
 	}
 	seen := make(map[vnet.Addr]bool, len(ts.replicas))
@@ -579,25 +511,28 @@ func (c *Controller) decideVote(ts *taskState, winner uint64) {
 			}
 		}
 	}
-	c.finishDepend(ts, true, "", winner)
+	c.finish(ts, true, "", winner)
 }
 
-// finishDepend releases everything the replicated task still holds and
-// completes it through the common finish path.
-func (c *Controller) finishDepend(ts *taskState, ok bool, reason FailReason, value uint64) {
+// releaseReplicas cancels every unresolved replica of ts and takes its
+// work off its member's queue: the task is finished or superseded.
+func (c *Controller) releaseReplicas(ts *taskState) {
 	for _, slot := range ts.replicas {
 		if !slot.resolved() {
 			c.node.Kernel().Cancel(slot.timeout)
-			if m, live := c.members[slot.assignee]; live {
-				m.queuedOps -= slot.remaining
-				if m.queuedOps < 0 {
-					m.queuedOps = 0
-				}
-			}
+			c.releaseSlot(slot)
 		}
 	}
-	ts.value = value
-	c.finish(ts.task.ID, ts, ok, reason)
+}
+
+// releaseSlot takes one replica's work off its member's queue.
+func (c *Controller) releaseSlot(slot *replicaSlot) {
+	if m, ok := c.members[slot.assignee]; ok {
+		m.queuedOps -= slot.remaining
+		if m.queuedOps < 0 {
+			m.queuedOps = 0
+		}
+	}
 }
 
 // failFastDeadline reports whether the task's deadline is already
@@ -639,13 +574,13 @@ func (c *Controller) InvariantViolations() []string {
 }
 
 // auditOrphans scans for tasks that can never make progress again — no
-// pending timeout, no pending retry round, no unresolved replica with a
-// live timer — the observable form of the "no orphaned running task
-// after member expiry" invariant. A task parked on a vanished member is
-// fine as long as a timer will eventually reclaim it; a task nothing
-// will ever touch again is a controller bug. Sound only between kernel
-// events (mid-event a task may transiently hold no timer), which is
-// when the chaos soak's checker runs.
+// pending retry round, no unresolved replica with a live timer — the
+// observable form of the "no orphaned running task after member expiry"
+// invariant. A task parked on a vanished member is fine as long as a
+// timer will eventually reclaim it; a task nothing will ever touch again
+// is a controller bug. Sound only between kernel events (mid-event a
+// task may transiently hold no timer), which is when the chaos soak's
+// checker runs.
 func (c *Controller) auditOrphans() []string {
 	var out []string
 	ids := make([]TaskID, 0, len(c.tasks))
@@ -657,12 +592,6 @@ func (c *Controller) auditOrphans() []string {
 		ts := c.tasks[id]
 		if ts.roundPending {
 			continue // a retry round will re-dispatch it
-		}
-		if ts.policy == nil {
-			if !ts.timeout.Pending() {
-				out = append(out, fmt.Sprintf("task %d stuck: no pending timeout or retry", id))
-			}
-			continue
 		}
 		stuck := true
 		for _, slot := range ts.replicas {

@@ -297,7 +297,7 @@ func RestoreController(node *vnet.Node, ckpt Checkpoint, stats *Stats) (*Control
 		}
 		c.tasks[tc.Task.ID] = ts
 		stats.Resumed.Inc()
-		c.launch(ts)
+		c.dispatchReplicas(ts, ts.policy.Replicas)
 	}
 	// Stages whose tasks died with the predecessor (or were applied on
 	// its side) go back to waiting and re-dispatch under the new epoch.

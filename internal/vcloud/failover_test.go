@@ -368,12 +368,12 @@ func TestTaskTimeoutReassigns(t *testing.T) {
 
 // TestTaskTimeoutExhaustsRetries pins the failure end of the timeout
 // path: when every member silently swallows its dispatch, the task times
-// out RetryLimit times and fails.
+// out until its policy's MaxRetries rounds are spent and fails.
 func TestTaskTimeoutExhaustsRetries(t *testing.T) {
 	s := parkingScenario(t, 3)
 	stats := &vcloud.Stats{}
 	d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{
-		Controller: vcloud.ControllerConfig{RetryLimit: 2},
+		Controller: vcloud.ControllerConfig{Depend: &vcloud.DependabilityPolicy{MaxRetries: 2}},
 	}, stats)
 	if err != nil {
 		t.Fatal(err)

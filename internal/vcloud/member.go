@@ -51,7 +51,7 @@ type MemberConfig struct {
 type runningTask struct {
 	task       Task
 	attempt    int
-	replica    int // redundant-copy index (-1 on the plain path)
+	replica    int // the task's replica slot, echoed back to the controller
 	controller vnet.Addr
 	epoch      Epoch // dispatching controller's epoch, echoed in the result
 	startedAt  sim.Time

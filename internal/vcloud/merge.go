@@ -439,7 +439,7 @@ func (c *Controller) onMerge(msg vnet.Message, _ vnet.Addr) {
 		c.tasks[id] = ts
 		c.stats.Adopted.Inc()
 		adopted++
-		c.launch(ts)
+		c.dispatchReplicas(ts, ts.policy.Replicas)
 	}
 	for _, po := range mm.Parked {
 		id := po.Task.ID
@@ -451,11 +451,7 @@ func (c *Controller) onMerge(msg vnet.Message, _ vnet.Addr) {
 		// (the submitter callback could not cross the wire). If we run
 		// our own copy of the task, retire it — its outcome is decided.
 		if ts, live := c.tasks[id]; live {
-			c.node.Kernel().Cancel(ts.timeout)
-			for _, slot := range ts.replicas {
-				c.node.Kernel().Cancel(slot.timeout)
-			}
-			c.releaseQueue(ts)
+			c.releaseReplicas(ts)
 			delete(c.tasks, id)
 		}
 		e := &parkedEntry{po: po, replicas: len(po.Voters)}

@@ -163,17 +163,17 @@ type TaskResult struct {
 	OK        bool
 	Latency   sim.Time
 	Handovers int
-	// Retries counts re-dispatches across the task's lifetime (both the
-	// plain retry loop and replica replacements under a dependability
-	// policy); it is populated on every completion path.
+	// Retries counts the retry rounds the task's dependability policy
+	// spent; it is populated on every completion path.
 	Retries int
 	Reason  FailReason
 	// Value is the computed result: the winning value of the replica
-	// vote under a dependability policy, or the single worker's value
-	// otherwise. Compare against TaskValue to check correctness.
+	// vote (with one copy, that copy's value). Compare against TaskValue
+	// to check correctness.
 	Value uint64
-	// Replicas is how many redundant copies were dispatched in total
-	// (1 for the plain path, 0 when the task never reached a worker).
+	// Replicas is how many copies were dispatched in total, handover
+	// continuations and retry rounds included (0 when the task never
+	// reached a worker).
 	Replicas int
 	// Voters lists the workers whose results were counted in the
 	// deciding vote, in dispatch order (nil when the task failed before

@@ -411,7 +411,7 @@ func TestHandoverBeatsDropUnderChurn(t *testing.T) {
 			Handover:  handover,
 			DwellMode: mobility.DwellRouteAware,
 			Controller: vcloud.ControllerConfig{
-				RetryLimit: 5,
+				Depend: &vcloud.DependabilityPolicy{MaxRetries: 5},
 			},
 		}, stats)
 		if err != nil {
@@ -449,8 +449,9 @@ func TestHandoverBeatsDropUnderChurn(t *testing.T) {
 func TestTaskDeadlineMissedFails(t *testing.T) {
 	// A deadline that looks feasible at submit (the fast member could
 	// make it) but is missed mid-flight: the fast member dies silently,
-	// the task reassigns to a slow member, and the late result fails
-	// with "deadline missed" — distinct from the submit-time fail-fast.
+	// and by the time it expires the deadline has passed, so the task
+	// fails with "deadline missed" instead of a doomed reassignment to
+	// the slow member — distinct from the submit-time fail-fast.
 	s := parkingScenario(t, 2)
 	stats := &vcloud.Stats{}
 	n := 0
@@ -483,8 +484,7 @@ func TestTaskDeadlineMissedFails(t *testing.T) {
 	if err := d.SubmitAnywhere(task, func(r vcloud.TaskResult) { res = r }); err != nil {
 		t.Fatal(err)
 	}
-	// Kill the fast member silently: it expires, the task reassigns to
-	// the slow member, whose result lands past the deadline.
+	// Kill the fast member silently: it expires after the deadline.
 	ids := s.VehicleIDs()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	d.Members[ids[0]].Stop()
@@ -497,8 +497,8 @@ func TestTaskDeadlineMissedFails(t *testing.T) {
 	if stats.Failed.Value() != 1 {
 		t.Errorf("failed = %d", stats.Failed.Value())
 	}
-	if res.Retries < 1 {
-		t.Errorf("retries = %d, want >= 1 (reassignment happened)", res.Retries)
+	if res.Retries != 0 {
+		t.Errorf("retries = %d, want 0 (no reassignment past the deadline)", res.Retries)
 	}
 }
 
@@ -567,7 +567,7 @@ func TestSubmitWithNoMembersRetriesThenFails(t *testing.T) {
 	s := parkingScenario(t, 1)
 	stats := &vcloud.Stats{}
 	d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{
-		Controller: vcloud.ControllerConfig{RetryLimit: 2},
+		Controller: vcloud.ControllerConfig{Depend: &vcloud.DependabilityPolicy{MaxRetries: 2}},
 	}, stats)
 	if err != nil {
 		t.Fatal(err)
