@@ -38,6 +38,13 @@ type Frame struct {
 // Handler receives frames addressed to (or overheard by) a node.
 type Handler func(Frame)
 
+// Inbox takes a beacon reception (see Medium.Beacon) as data rather than
+// as an event: the payload, the instant at which it arrives and the kernel
+// Mark the reception was decided at. The receiver applies it once
+// sim.Kernel.Reached(at, mark) holds, the next time it touches the state
+// the beacon feeds, so the reception costs the kernel nothing.
+type Inbox func(payload any, at sim.Time, mark uint64)
+
 // Params configures the medium.
 type Params struct {
 	// RangeMax is the hard reception cutoff in meters.
@@ -94,7 +101,7 @@ func (p Params) validate() error {
 // Stats aggregates medium counters.
 type Stats struct {
 	Sent       uint64 // frames transmitted
-	Delivered  uint64 // frame receptions (one broadcast may deliver many)
+	Delivered  uint64 // frame receptions that have arrived (one broadcast may deliver many)
 	LostRange  uint64 // receptions lost to distance fade
 	LostLoad   uint64 // receptions lost to collisions
 	BytesOnAir uint64
@@ -108,10 +115,17 @@ type Medium struct {
 	params Params
 	index  *geo.GridIndex
 	// handlers is a two-level table: handlers[id>>pageBits] is the page
-	// holding id's handler, nil until an id on it registers. Ids are
+	// holding id's endpoint, nil until an id on it registers. Ids are
 	// sparse but clustered (vehicles from 0, RSUs from 1<<20), so a few
 	// pages cover them where one dense slice would span the gap.
 	handlers []*handlerPage
+	// flight holds the arrival of every beacon reception handed to an
+	// inbox whose arrival the kernel may not have reached, in the order
+	// they were decided; flight[:landed] are counted in stats.Delivered
+	// already. Stats counts the reached rest, so Delivered moves exactly
+	// when the receptions would have fired as events.
+	flight []arrival
+	landed int
 	// airtime is the decaying load accumulator, in seconds of channel
 	// time; lastDecay is when it was last aged.
 	airtime   float64
@@ -141,7 +155,21 @@ type Medium struct {
 // pageBits sizes a handler page: 1<<pageBits consecutive ids.
 const pageBits = 10
 
-type handlerPage [1 << pageBits]Handler
+type handlerPage [1 << pageBits]endpoint
+
+// endpoint is a registered node: the handler its frames run, and the
+// inbox that takes its beacon receptions instead, if it keeps one.
+type endpoint struct {
+	h  Handler
+	in Inbox
+}
+
+// arrival is when a reception handed to an inbox arrives: its instant
+// and the kernel Mark it was decided at.
+type arrival struct {
+	at   sim.Time
+	mark uint64
+}
 
 type spy struct {
 	id NodeID
@@ -278,7 +306,7 @@ func (m *Medium) SetPromiscuous(id NodeID, h Handler) {
 // delivered to it. The table costs 8 bytes per 1024 ids below the largest
 // one registered, so ids are expected in a few dense runs.
 func (m *Medium) Register(id NodeID, h Handler) {
-	if id < 0 || (h == nil && m.handler(id) == nil) {
+	if id < 0 || (h == nil && m.endpoint(id).h == nil) {
 		return // not an endpoint, or nothing to remove
 	}
 	p := int(id >> pageBits)
@@ -288,17 +316,29 @@ func (m *Medium) Register(id NodeID, h Handler) {
 	if m.handlers[p] == nil {
 		m.handlers[p] = new(handlerPage)
 	}
-	m.handlers[p][id&(1<<pageBits-1)] = h
+	ep := &m.handlers[p][id&(1<<pageBits-1)]
+	if ep.h = h; h == nil {
+		ep.in = nil
+	}
 }
 
-// handler returns id's registered handler, or nil. A negative id maps
-// past the end of any directory Register can have built.
+// SetInbox hands the beacons that reach a registered node to in instead
+// of its handler, or, with a nil in, to the handler again. It is a no-op
+// for a node with no handler, and Register(id, nil) drops the inbox too.
+func (m *Medium) SetInbox(id NodeID, in Inbox) {
+	if m.endpoint(id).h != nil {
+		m.handlers[id>>pageBits][id&(1<<pageBits-1)].in = in
+	}
+}
+
+// endpoint returns id's registration, zero when it has none. A negative
+// id maps past the end of any directory Register can have built.
 //
 //vcloudlint:hotpath looked up once per reception candidate
-func (m *Medium) handler(id NodeID) Handler {
+func (m *Medium) endpoint(id NodeID) endpoint {
 	p := uint32(id) >> pageBits
 	if int(p) >= len(m.handlers) || m.handlers[p] == nil {
-		return nil
+		return endpoint{}
 	}
 	return m.handlers[p][id&(1<<pageBits-1)]
 }
@@ -320,8 +360,37 @@ func (m *Medium) Position(id NodeID) (geo.Point, bool) {
 	return m.index.Position(int32(id))
 }
 
-// Stats returns a copy of the medium counters.
-func (m *Medium) Stats() Stats { return m.stats }
+// Stats returns a copy of the medium counters. A beacon reception handed
+// to an inbox counts as Delivered once the kernel has reached its arrival.
+func (m *Medium) Stats() Stats {
+	m.land()
+	s := m.stats
+	for _, a := range m.flight[m.landed:] {
+		if m.kernel.Reached(a.at, a.mark) {
+			s.Delivered++
+		}
+	}
+	return s
+}
+
+// land counts the oldest inbox receptions into Delivered as far as the
+// kernel has reached them, and drops the landed prefix of the flight list
+// once it is the longer part, so the list stays within twice what is in
+// flight and each entry moves at most once per landing of as many.
+//
+//vcloudlint:hotpath once per beacon frame
+func (m *Medium) land() {
+	i := m.landed
+	for i < len(m.flight) && m.kernel.Reached(m.flight[i].at, m.flight[i].mark) {
+		i++
+	}
+	m.stats.Delivered += uint64(i - m.landed)
+	if rest := len(m.flight) - i; rest <= i {
+		copy(m.flight, m.flight[i:])
+		m.flight, i = m.flight[:rest], 0
+	}
+	m.landed = i
+}
 
 // Params returns the medium configuration.
 func (m *Medium) Params() Params { return m.params }
@@ -371,17 +440,18 @@ func (p Params) ReceptionProb(d float64) float64 {
 }
 
 // deliver runs the reception decision for one destination at dstPos and,
-// on success, collects the reception for Send to schedule. Shared by the
-// unicast and broadcast arms of Send; broadcasts pass retries == 0 (no
-// ARQ on a real MAC). tx is the frame's on-air time; faulty says whether
-// Send took the sender's side of an installed fault table.
-func (m *Medium) deliver(dst NodeID, src, dstPos geo.Point, tx sim.Time, retries int, pCollide float64, faulty bool) {
+// on success, returns the receiver's endpoint and the reception's delay.
+// Shared by the unicast and broadcast arms of send; broadcasts pass
+// retries == 0 (no ARQ on a real MAC). tx is the frame's on-air time;
+// faulty says whether send took the sender's side of an installed fault
+// table.
+func (m *Medium) deliver(dst NodeID, src, dstPos geo.Point, tx sim.Time, retries int, pCollide float64, faulty bool) (endpoint, sim.Time, bool) {
 	if faulty && m.faults.drops(dst, dstPos) {
-		return
+		return endpoint{}, 0, false
 	}
-	h := m.handler(dst)
-	if h == nil {
-		return
+	ep := m.endpoint(dst)
+	if ep.h == nil {
+		return endpoint{}, 0, false
 	}
 	d := src.Dist(dstPos)
 	pRecv := m.receptionProb(d)
@@ -405,19 +475,19 @@ func (m *Medium) deliver(dst NodeID, src, dstPos geo.Point, tx sim.Time, retries
 	}
 	if !ok {
 		*lossKind++
-		return
+		return endpoint{}, 0, false
 	}
 	// Transmission delay (per attempt) plus a small MAC access jitter.
 	jitter := sim.Time(m.rng.Int63n(int64(500 * time.Microsecond)))
-	m.rx = append(m.rx, reception{sim.Time(attempts)*tx + jitter, h, true})
+	return ep, sim.Time(attempts)*tx + jitter, true
 }
 
-// scheduleReceptions sorts the frame's receptions by delay into a frame
-// run and schedules it as one kernel series. They were decided — and drew
-// from the radio stream — in receiver order; the stable sort keeps each
-// equal-delay group in that order, and the series takes one contiguous
-// block of kernel seq, so the (at, seq) order every trace follows is
-// exactly what scheduling each reception on the spot gave.
+// scheduleReceptions sorts the frame's event receptions by delay into a
+// frame run and schedules it as one kernel series. They were decided —
+// and drew from the radio stream — in receiver order; the stable sort
+// keeps each equal-delay group in that order, and the series takes one
+// contiguous block of kernel seq, so the (at, seq) order every trace
+// follows is exactly what scheduling each reception on the spot gave.
 //
 //vcloudlint:hotpath once per transmitted frame; the schedule behind every reception
 func (m *Medium) scheduleReceptions(f Frame) {
@@ -489,9 +559,25 @@ func (m *Medium) sortReceptions(dst []reception) []reception {
 // Send transmits a frame. to == Broadcast delivers to every node in range;
 // otherwise only the addressed node (if in range) receives it. Send never
 // fails: lost frames are simply not delivered, as on a real channel.
+func (m *Medium) Send(from, to NodeID, size int, payload any) {
+	m.send(from, to, size, payload, false)
+}
+
+// Beacon broadcasts a beacon: a frame whose receptions are state, not
+// events. Its receptions are decided exactly as Send decides a
+// broadcast's. A receiver with an inbox (SetInbox) is handed its reception
+// on the spot, with the instant it arrives; every other receiver's runs
+// through its handler as an event, as a Send reception does. The inbox
+// receptions of a frame take their place in the kernel's (time, seq) order
+// just ahead of the frame's event receptions.
+func (m *Medium) Beacon(from NodeID, size int, payload any) {
+	m.send(from, Broadcast, size, payload, true)
+}
+
+// send transmits a frame for Send and Beacon.
 //
 //vcloudlint:hotpath runs once per transmitted frame, the innermost loop of every radio-heavy scenario
-func (m *Medium) Send(from, to NodeID, size int, payload any) {
+func (m *Medium) send(from, to NodeID, size int, payload any, beacon bool) {
 	src, ok := m.index.Position(int32(from))
 	if !ok {
 		return
@@ -526,15 +612,32 @@ func (m *Medium) Send(from, to NodeID, size int, payload any) {
 		// no per-broadcast sort, no per-neighbor position re-lookup.
 		m.scratchIDs, m.scratchPos = m.index.WithinRangePos(
 			m.scratchIDs[:0], m.scratchPos[:0], src, m.params.RangeMax, int32(from))
+		// Every inbox reception of the frame carries the same mark, the
+		// seq its event reception series would start at.
+		now, mark := m.kernel.Now(), m.kernel.Mark()
+		if beacon {
+			m.land()
+		}
 		for i, raw := range m.scratchIDs {
-			m.deliver(NodeID(raw), src, m.scratchPos[i], tx, 0, pCollide, faulty)
+			ep, delay, ok := m.deliver(NodeID(raw), src, m.scratchPos[i], tx, 0, pCollide, faulty)
+			switch {
+			case !ok:
+			case beacon && ep.in != nil:
+				m.flight = append(m.flight, arrival{now + delay, mark})
+				//vcloudlint:allow hotalloc the receiver's inbox (vnet.Node.arrive); TestBroadcastAllocs holds a warm beacon, its receivers' applies and a Stats read at zero
+				ep.in(payload, now+delay, mark)
+			default:
+				m.rx = append(m.rx, reception{delay, ep.h, true})
+			}
 		}
 	} else if p, ok := m.index.Position(int32(to)); ok {
 		retries := m.params.UnicastRetries
 		if retries < 0 {
 			retries = 0
 		}
-		m.deliver(to, src, p, tx, retries, pCollide, faulty)
+		if ep, delay, ok := m.deliver(to, src, p, tx, retries, pCollide, faulty); ok {
+			m.rx = append(m.rx, reception{delay, ep.h, true})
+		}
 	}
 
 	// Eavesdroppers overhear whatever their radio can demodulate,

@@ -228,7 +228,7 @@ func TestHandlerTableMatchesMapModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		model := make(map[NodeID]int)
 		hit := 0
-		for op := 0; op < 4000; op++ {
+		for op := 0; op < 6000; op++ {
 			var id NodeID
 			switch rng.Intn(8) {
 			case 0:
@@ -255,12 +255,12 @@ func TestHandlerTableMatchesMapModel(t *testing.T) {
 				}
 				delete(model, id)
 			case 3:
-				h, want := m.handler(id), model[id]
+				h, want := m.endpoint(id).h, model[id]
 				if hit = 0; h != nil {
 					h(Frame{})
 				}
 				if hit != want {
-					t.Fatalf("seed %d op %d: handler(%d) is registration %d, model %d (0 = none)", seed, op, id, hit, want)
+					t.Fatalf("seed %d op %d: endpoint(%d) runs registration %d, model %d (0 = none)", seed, op, id, hit, want)
 				}
 			}
 		}
@@ -558,15 +558,24 @@ func TestUplinkLoss(t *testing.T) {
 // TestBroadcastAllocs guards the zero-allocation broadcast path: once the
 // medium's scratch buffers and frame-run pool are warm, a broadcast to N
 // registered neighbors must not allocate at all, with or without faults
-// installed.
+// installed; nor must a warm beacon to neighbors that keep an inbox, with
+// each receiver applying what has arrived the way vnet.Node does, or a
+// Stats read while the beacon is in flight.
 func TestBroadcastAllocs(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := newTestMedium(t, k)
+	inboxes := make([]testInbox, 10)
 	for i := 0; i < 20; i++ {
 		id := NodeID(i)
 		m.UpdatePosition(id, geo.Point{X: float64(1000 + i*10), Y: 1000})
 		m.Register(id, func(Frame) {})
+		if i >= 10 {
+			in := &inboxes[i-10]
+			in.k = k
+			m.SetInbox(id, in.arrive)
+		}
 	}
+	payload := &msg{}
 	for faults := range 2 {
 		if faults == 1 {
 			ft := m.Faults()
@@ -590,7 +599,59 @@ func TestBroadcastAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("faults %v: warm broadcast allocated %.1f times per Send+Run, want 0", faults == 1, allocs)
 		}
+		for i := 0; i < 10; i++ {
+			m.Beacon(0, 300, payload)
+			if err := k.Run(k.Now() + time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(200, func() {
+			m.Beacon(0, 300, payload)
+			_ = m.Stats()
+			k.Run(k.Now() + time.Millisecond)
+			for i := range inboxes {
+				inboxes[i].apply()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("faults %v: warm beacon allocated %.1f times per Beacon+Run+apply, want 0", faults == 1, allocs)
+		}
 	}
+	applied := 0
+	for _, in := range inboxes {
+		applied += in.applied
+	}
+	if applied == 0 {
+		t.Error("no inbox applied a beacon")
+	}
+}
+
+// testInbox keeps a receiver's beacons in flight and applies the reached
+// ones on every hand-over and every apply, as vnet.Node's inbox does.
+type testInbox struct {
+	k       *sim.Kernel
+	flight  []sim.Time
+	marks   []uint64
+	applied int
+}
+
+func (in *testInbox) arrive(_ any, at sim.Time, mark uint64) {
+	in.apply()
+	in.flight = append(in.flight, at)
+	in.marks = append(in.marks, mark)
+}
+
+func (in *testInbox) apply() {
+	live := 0
+	for i, at := range in.flight {
+		if in.k.Reached(at, in.marks[i]) {
+			in.applied++
+			continue
+		}
+		in.flight[live], in.marks[live] = at, in.marks[i]
+		live++
+	}
+	in.flight, in.marks = in.flight[:live], in.marks[:live]
 }
 
 // TestRunsPoolBySize: a unicast after a broadcast takes a small run, not
@@ -635,7 +696,7 @@ func BenchmarkDeliverLookup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkHandler = m.handler(ids[i%len(ids)])
+		sinkHandler = m.endpoint(ids[i%len(ids)]).h
 	}
 }
 
@@ -677,11 +738,14 @@ func BenchmarkBroadcast100Nodes(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // Reference model: Medium.Send as it was before a frame's receptions were
-// queued as one kernel series and before the fault verdicts were taken
-// per frame — each reception its own kernel event, scheduled the moment it
-// is decided, in receiver order, the spies' after them, and every
-// (sender, receiver) pair judged by the per-pair fault filter the fault
-// injector used to install, positions looked up for both ends.
+// queued as one kernel series, before the fault verdicts were taken per
+// frame and before beacon receptions at an inbox became data — each
+// reception its own kernel event, scheduled the moment it is decided, in
+// receiver order, the spies' after them, and every (sender, receiver) pair
+// judged by the per-pair fault filter the fault injector used to install,
+// positions looked up for both ends. A beacon's inbox receptions are
+// scheduled as decided and its other receptions after them: the place
+// Medium.Beacon gives them in the (time, seq) order.
 // TestSendMatchesPerReceiverModel drives it and Send from one seed and
 // requires the same observable history.
 
@@ -721,7 +785,9 @@ func refBlocked(m *Medium, from, to NodeID) bool {
 	return false
 }
 
-func refSend(m *Medium, from, to NodeID, size int, payload any) {
+// refSend sends a frame; inbox, when not nil, makes it a beacon and
+// returns the handler that stands for a receiver's inbox.
+func refSend(m *Medium, from, to NodeID, size int, payload any, inbox func(NodeID) Handler) {
 	src, ok := m.index.Position(int32(from))
 	if !ok {
 		return
@@ -746,10 +812,19 @@ func refSend(m *Medium, from, to NodeID, size int, payload any) {
 		}
 		m.rx = m.rx[:0]
 	}
+	var later []reception
 	decide := func(dst NodeID, p geo.Point, retries int) {
-		if !refBlocked(m, from, dst) {
-			m.deliver(dst, src, p, m.txDelay(size), retries, pCollide, false)
+		if refBlocked(m, from, dst) {
+			return
+		}
+		ep, delay, ok := m.deliver(dst, src, p, m.txDelay(size), retries, pCollide, false)
+		switch {
+		case !ok:
+		case inbox != nil && ep.in != nil:
+			m.rx = append(m.rx, reception{delay, inbox(dst), true})
 			scheduleNow()
+		default:
+			later = append(later, reception{delay, ep.h, true})
 		}
 	}
 	if to == Broadcast {
@@ -760,6 +835,10 @@ func refSend(m *Medium, from, to NodeID, size int, payload any) {
 		}
 	} else if p, ok := m.index.Position(int32(to)); ok {
 		decide(to, p, max(m.params.UnicastRetries, 0))
+	}
+	for _, r := range later {
+		m.rx = append(m.rx, r)
+		scheduleNow()
 	}
 	for _, sp := range m.spies {
 		if sp.id == from || sp.id == to {
@@ -777,11 +856,14 @@ func refSend(m *Medium, from, to NodeID, size int, payload any) {
 	}
 }
 
-// heard is one handler invocation as an observer sees it.
+// heard is one reception as an observer sees it: a handler invocation, or
+// an inbox reception once the kernel has reached its arrival, which shows
+// only the payload. Delivered is Stats().Delivered counting it.
 type heard struct {
-	At sim.Time
-	Rx NodeID
-	F  Frame
+	At        sim.Time
+	Rx        NodeID
+	F         Frame
+	Delivered uint64
 }
 
 // msg is the payload the differential's nodes exchange; Hop bounds how
@@ -789,12 +871,67 @@ type heard struct {
 type msg struct{ Op, Hop int }
 
 // radioSide is one medium under the differential program, with the send
-// function it is driven through.
+// and beacon functions it is driven through. The medium's side keeps its
+// inbox receptions in flight and logs them, in (at, mark, hand-over)
+// order, when an event finds them reached; the model's logs each as its
+// own event.
 type radioSide struct {
-	k    *sim.Kernel
-	m    *Medium
-	send func(from, to NodeID, size int, payload any)
-	log  []heard
+	k        *sim.Kernel
+	m        *Medium
+	send     func(from, to NodeID, size int, payload any)
+	beacon   func(from NodeID, size int, payload any)
+	inFlight []inboxRx
+	handed   int // inbox receptions handed over
+	log      []heard
+}
+
+// inboxRx is one reception handed to an inbox.
+type inboxRx struct {
+	at   sim.Time
+	mark uint64
+	rx   NodeID
+	p    any
+}
+
+// inbox returns id's radio.Inbox, which queues the reception in flight.
+func (s *radioSide) inbox(id NodeID) Inbox {
+	return func(p any, at sim.Time, mark uint64) {
+		s.inFlight = append(s.inFlight, inboxRx{at, mark, id, p})
+		s.handed++
+	}
+}
+
+// inboxLog is the model's stand-in for id's inbox: it logs the reception
+// when its event fires.
+func (s *radioSide) inboxLog(id NodeID) Handler {
+	return func(f Frame) {
+		s.log = append(s.log, heard{s.k.Now(), id, Frame{Payload: f.Payload}, s.m.Stats().Delivered})
+	}
+}
+
+// land logs the inbox receptions the kernel has reached, in arrival
+// order, each with the Delivered count it brought Stats() to; it runs
+// first in every event, so they precede it in the log as their events
+// precede it in the model. self is what the event calling it has added to
+// Delivered already: 1 in a counted reception, else 0.
+func (s *radioSide) land(self uint64) {
+	slices.SortStableFunc(s.inFlight, func(a, b inboxRx) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.mark, b.mark))
+	})
+	n := 0
+	for n < len(s.inFlight) && s.k.Reached(s.inFlight[n].at, s.inFlight[n].mark) {
+		n++
+	}
+	for _, r := range s.inFlight[n:] {
+		if s.k.Reached(r.at, r.mark) {
+			panic("reached arrivals are not a prefix of the arrival order")
+		}
+	}
+	d := s.m.Stats().Delivered - self - uint64(n)
+	for i, r := range s.inFlight[:n] {
+		s.log = append(s.log, heard{r.at, r.rx, Frame{Payload: r.p}, d + uint64(i) + 1})
+	}
+	s.inFlight = slices.Delete(s.inFlight, 0, n)
 }
 
 const diffNodes = 40
@@ -804,7 +941,8 @@ const diffNodes = 40
 // a broadcast's delivery.
 func (s *radioSide) handler(id NodeID) Handler {
 	return func(f Frame) {
-		s.log = append(s.log, heard{s.k.Now(), id, f})
+		s.land(1)
+		s.log = append(s.log, heard{s.k.Now(), id, f, s.m.Stats().Delivered})
 		p, ok := f.Payload.(msg)
 		if !ok || p.Hop >= 2 {
 			return
@@ -822,20 +960,28 @@ func (s *radioSide) handler(id NodeID) Handler {
 
 // spy logs an overheard frame under the spy's id, negated.
 func (s *radioSide) spy(id NodeID) Handler {
-	return func(f Frame) { s.log = append(s.log, heard{s.k.Now(), -id, f}) }
+	return func(f Frame) {
+		s.land(0)
+		s.log = append(s.log, heard{s.k.Now(), -id, f, s.m.Stats().Delivered})
+	}
 }
 
 // run replays the program seed generates: a dense neighbourhood with
-// some nodes in the fade zone, three spies, and a fault table with two
-// crashed nodes, one isolation, two partitions and loss; then timed
-// broadcasts and unicasts, moves, re-registrations, crashes, recoveries,
-// heals and loss changes.
+// some nodes in the fade zone, every odd-numbered registered node keeping
+// an inbox, three spies, and a fault table with two crashed nodes, one
+// isolation, two partitions and loss; then timed broadcasts, beacons and
+// unicasts, moves, re-registrations (an unregistered inbox node comes
+// back without one unless it sets one again), crashes, recoveries, heals
+// and loss changes.
 func (s *radioSide) run(t *testing.T, seed int64) {
 	prog := rand.New(rand.NewSource(seed))
 	for id := NodeID(0); id < diffNodes; id++ {
 		s.m.UpdatePosition(id, geo.Point{X: 1000 + prog.Float64()*500, Y: 1000 + prog.Float64()*150})
 		if id%7 != 6 {
 			s.m.Register(id, s.handler(id))
+		}
+		if id%2 == 1 {
+			s.m.SetInbox(id, s.inbox(id))
 		}
 	}
 	for _, id := range []NodeID{3, 11, 29} {
@@ -848,22 +994,28 @@ func (s *radioSide) run(t *testing.T, seed int64) {
 	healA := ft.Partition(geo.Point{X: 1150, Y: 1050}, 70)
 	ft.Partition(geo.Point{X: 1400, Y: 1100}, 50)
 	ft.SetLoss(0.1)
-	for op := 0; op < 300; op++ {
+	for op := 0; op < 600; op++ {
 		at := sim.Time(prog.Intn(3000)) * time.Millisecond
 		from := NodeID(prog.Intn(diffNodes))
-		kind, arg := prog.Intn(10), prog.Intn(diffNodes)
+		kind, arg := prog.Intn(12), prog.Intn(diffNodes)
 		size := 50 + prog.Intn(1500)
 		s.k.At(at, func() {
+			s.land(0)
 			switch kind {
-			case 0, 1, 2, 3:
+			case 0, 1:
 				s.send(from, Broadcast, size, msg{op, 0})
-			case 4, 5, 6:
+			case 2, 3, 4, 5:
+				s.beacon(from, 300, msg{op, 0})
+			case 6, 7, 8:
 				s.send(from, NodeID(arg), size, msg{op, 0})
-			case 7:
-				s.m.UpdatePosition(from, geo.Point{X: 1000 + float64(arg)*15, Y: 1100})
-			case 8:
-				s.m.Register(from, s.handler(from))
 			case 9:
+				s.m.UpdatePosition(from, geo.Point{X: 1000 + float64(arg)*15, Y: 1100})
+			case 10:
+				s.m.Register(from, s.handler(from))
+				if from%2 == 1 && op%2 == 0 {
+					s.m.SetInbox(from, s.inbox(from))
+				}
+			case 11:
 				switch op % 5 {
 				case 0:
 					ft.Crash(NodeID(arg))
@@ -879,8 +1031,14 @@ func (s *radioSide) run(t *testing.T, seed int64) {
 			}
 		})
 	}
-	if err := s.k.Run(0); err != nil {
+	// A horizon past the last reception rather than a drain: the medium's
+	// queue empties before its last inbox arrivals, the model's after.
+	if err := s.k.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
+	}
+	s.land(0)
+	if len(s.inFlight) > 0 {
+		t.Fatalf("%d inbox receptions still in flight at the horizon", len(s.inFlight))
 	}
 }
 
@@ -892,23 +1050,29 @@ func (s *radioSide) run(t *testing.T, seed int64) {
 // same next radio- and faults-stream values — through broadcasts,
 // unicasts with ARQ in the fade zone and under load, spies overhearing at
 // one shared instant, faults installed and healed, and handlers that
-// transmit or unregister other nodes mid-broadcast.
+// transmit or unregister other nodes mid-broadcast. Beacons reach inbox
+// receivers as data, which the log records when the next event finds it
+// reached, with Stats().Delivered counting exactly the receptions the
+// model has fired.
 func TestSendMatchesPerReceiverModel(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		sides := [2]*radioSide{}
 		for i := range sides {
 			k := sim.NewKernel(seed)
 			s := &radioSide{k: k, m: newTestMedium(t, k)}
-			s.send = s.m.Send
+			s.send, s.beacon = s.m.Send, s.m.Beacon
 			if i == 1 {
-				s.send = func(from, to NodeID, size int, payload any) { refSend(s.m, from, to, size, payload) }
+				s.send = func(from, to NodeID, size int, payload any) { refSend(s.m, from, to, size, payload, nil) }
+				s.beacon = func(from NodeID, size int, payload any) {
+					refSend(s.m, from, Broadcast, size, payload, s.inboxLog)
+				}
 			}
 			s.run(t, seed)
 			sides[i] = s
 		}
 		got, want := sides[0], sides[1]
-		if len(got.log) < 1000 {
-			t.Fatalf("seed %d: only %d receptions; the program is too sparse to compare", seed, len(got.log))
+		if len(got.log) < 1000 || got.handed < 100 {
+			t.Fatalf("seed %d: only %d receptions, %d of them at inboxes; the program is too sparse to compare", seed, len(got.log), got.handed)
 		}
 		if !reflect.DeepEqual(got.log, want.log) {
 			for i := range got.log {

@@ -362,9 +362,7 @@ func (sk *ShardedKernel) Run(horizon Time) error {
 // past it).
 func (sk *ShardedKernel) advanceTo(horizon Time) {
 	for _, k := range sk.shards {
-		if k.now != horizon {
-			k.now = horizon
-		}
+		k.settle(horizon)
 	}
 	sk.now = horizon
 }

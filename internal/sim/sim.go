@@ -163,6 +163,13 @@ type Kernel struct {
 	tailAt  Time     // when tail's last member fires: its own time, or a series' last member's
 	pending int      // scheduled events, chained ones and series members included
 	free    []*event // recycled events; bounds allocation to peak concurrency
+	// cut bounds the arrivals Reached counts at Now: those marked below
+	// it. Firing an event sets it past that event's seq; a Run that
+	// returns sets it past every seq handed out, since everything
+	// scheduled for Now or earlier has fired (see settle); a RunBefore
+	// that moves the clock up to its limit sets it to 0, since nothing at
+	// the limit has.
+	cut     uint64
 	rng     *rand.Rand
 	seed    int64
 	stopped bool
@@ -183,6 +190,34 @@ func NewKernel(seed int64) *Kernel {
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
+
+// Mark returns the seq the next scheduled event will take. A model that
+// keeps an arrival as data rather than as an event stamps it with the
+// instant it is due and the Mark at the moment it is decided; Reached then
+// says whether an event scheduled right there would have fired already.
+func (k *Kernel) Mark() uint64 { return k.seq }
+
+// Reached reports whether an arrival due at at and marked mark (see Mark)
+// lies behind the kernel: an event scheduled at at when mark was taken
+// would have fired before the current point — before the event now
+// firing, or, between dispatches, before the last Run, RunBefore or Step
+// returned. Earlier instants are reached; at Now, only what was marked
+// before the event now firing was scheduled, or before a Run returned.
+//
+//vcloudlint:hotpath asked once per deferred arrival and per table touch
+func (k *Kernel) Reached(at Time, mark uint64) bool {
+	return at < k.now || at == k.now && mark < k.cut
+}
+
+// settle puts the clock at t with everything scheduled or marked so far
+// for t or earlier behind it: the state a Run leaves. It spends a seq, so
+// an arrival marked from here on, which the Run did not reach, lies ahead
+// at t like an event scheduled now would.
+func (k *Kernel) settle(t Time) {
+	k.now = t
+	k.seq++
+	k.cut = k.seq
+}
 
 // Processed returns the number of events dispatched so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
@@ -481,6 +516,7 @@ func (k *Kernel) Stop() { k.stopped = true }
 // follow-up events.
 func (k *Kernel) fire(ev *event) {
 	k.now = ev.at
+	k.cut = ev.seq + 1
 	k.processed++
 	fn, argFn, arg := ev.fn, ev.argFn, ev.arg
 	k.recycle(ev)
@@ -506,6 +542,7 @@ func (k *Kernel) dispatch() {
 	s := ev.arg.(*Series)
 	i := s.next
 	k.now = ev.at
+	k.cut = ev.seq + 1
 	k.processed++
 	fn, arg := s.Fn, s.Arg
 	if s.next = i + 1; s.next < len(s.At) {
@@ -533,14 +570,12 @@ func (k *Kernel) Run(horizon Time) error {
 		}
 		next := k.queue[0]
 		if horizon > 0 && next.at > horizon {
-			k.now = horizon
+			k.settle(horizon)
 			return nil
 		}
 		k.dispatch()
 	}
-	if horizon > 0 && k.now < horizon {
-		k.now = horizon
-	}
+	k.settle(max(k.now, horizon))
 	return nil
 }
 
@@ -566,6 +601,7 @@ func (k *Kernel) RunBefore(limit Time) error {
 	}
 	if k.now < limit {
 		k.now = limit
+		k.cut = 0
 	}
 	return nil
 }

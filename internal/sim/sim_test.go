@@ -876,9 +876,17 @@ func BenchmarkKernelSeries(b *testing.B) {
 // ---------------------------------------------------------------------
 // Oracle: the heap-only queue this package used before same-instant runs,
 // kept as the reference model. Every event enters the heap; schedule,
-// Cancel and the run loops are the old ones, minus wall-clock telemetry,
-// Stop and the RNG. TestRunQueueMatchesHeapModel and FuzzKernelOrder drive
-// it and Kernel with one program and require the same observable history.
+// Cancel, Stop and the run loops are the old ones, minus wall-clock
+// telemetry and the RNG. TestRunQueueMatchesHeapModel and FuzzKernelOrder
+// drive it and Kernel with one program and require the same observable
+// history.
+//
+// Shadows model what Mark and Reached stand for: an arrival kept as data
+// is an event that was never scheduled. The model does schedule it, in a
+// heap of its own that shares the seq counter, and pops it exactly where
+// the event would have fired — before every later event, and at each
+// boundary: through the horizon when Run returns, short of the limit when
+// RunBefore does, nowhere when Stop cuts a run short.
 
 type heapEvent struct {
 	at    Time
@@ -972,7 +980,26 @@ type heapKernel struct {
 	queue     heapQueue
 	free      []*heapEvent
 	processed uint64
+	stopped   bool
+	shadows   heapQueue // arg is the shadow's index into popped
+	popped    []bool
 }
+
+// Shadow records a shadow due at at (clamped to Now, as schedule clamps).
+func (k *heapKernel) Shadow(at Time) {
+	k.shadows.push(&heapEvent{at: max(at, k.now), seq: k.seq, arg: len(k.popped)})
+	k.seq++
+	k.popped = append(k.popped, false)
+}
+
+// popShadows pops every shadow that precedes (at, seq).
+func (k *heapKernel) popShadows(at Time, seq uint64) {
+	for len(k.shadows) > 0 && k.shadows[0].before(&heapEvent{at: at, seq: seq}) {
+		k.popped[k.shadows.remove(0).arg.(int)] = true
+	}
+}
+
+func (k *heapKernel) Stop() { k.stopped = true }
 
 func (k *heapKernel) Now() Time         { return k.now }
 func (k *heapKernel) Processed() uint64 { return k.processed }
@@ -1090,6 +1117,7 @@ func (k *heapKernel) Cancel(id heapEventID) bool {
 }
 
 func (k *heapKernel) fire(ev *heapEvent) {
+	k.popShadows(ev.at, ev.seq)
 	k.now = ev.at
 	k.processed++
 	fn, argFn, arg := ev.fn, ev.argFn, ev.arg
@@ -1102,10 +1130,15 @@ func (k *heapKernel) fire(ev *heapEvent) {
 }
 
 func (k *heapKernel) Run(horizon Time) error {
+	k.stopped = false
 	for len(k.queue) > 0 {
+		if k.stopped {
+			return ErrStopped
+		}
 		next := k.queue[0]
 		if horizon > 0 && next.at > horizon {
 			k.now = horizon
+			k.popShadows(horizon, k.seq)
 			return nil
 		}
 		k.queue.remove(0)
@@ -1114,11 +1147,16 @@ func (k *heapKernel) Run(horizon Time) error {
 	if horizon > 0 && k.now < horizon {
 		k.now = horizon
 	}
+	k.popShadows(k.now, k.seq)
 	return nil
 }
 
 func (k *heapKernel) RunBefore(limit Time) error {
+	k.stopped = false
 	for len(k.queue) > 0 {
+		if k.stopped {
+			return ErrStopped
+		}
 		next := k.queue[0]
 		if next.at >= limit {
 			break
@@ -1129,6 +1167,7 @@ func (k *heapKernel) RunBefore(limit Time) error {
 	if k.now < limit {
 		k.now = limit
 	}
+	k.popShadows(limit, 0)
 	return nil
 }
 
@@ -1155,6 +1194,7 @@ type orderedKernel[ID any] interface {
 	AtSeries(*Series)
 	After(Time, func()) ID
 	Cancel(ID) bool
+	Stop()
 	Step() bool
 	Run(Time) error
 	RunBefore(Time) error
@@ -1176,11 +1216,19 @@ type side[ID interface{ Pending() bool }] struct {
 	stops  []func() // one per ticker
 	log    []int    // labels in firing order; Cancel and Step results as negatives
 	labels int
+	// shadow records a shadow due at the given time; reached says whether
+	// shadow i is behind the kernel: Reached on its (at, Mark) for Kernel,
+	// popped for the model. seen is what reach last logged of each.
+	shadow  func(at Time)
+	reached func(i int) bool
+	seen    []bool
+	reach   []int // per checkpoint, the shadows newly reached (^i: no longer reached), then -1
 }
 
 // history is what one side has let an observer see so far.
 type history struct {
 	Log        []int
+	Reach      []int
 	Now, Next  Time
 	HasNext    bool
 	Pending    int
@@ -1189,7 +1237,8 @@ type history struct {
 }
 
 func (s *side[ID]) history() history {
-	h := history{Log: s.log, Now: s.k.Now(), Pending: s.k.Pending(), Processed: s.k.Processed()}
+	s.checkpoint()
+	h := history{Log: s.log, Reach: s.reach, Now: s.k.Now(), Pending: s.k.Pending(), Processed: s.k.Processed()}
 	h.Next, h.HasNext = s.k.NextEventTime()
 	for _, id := range s.ids {
 		h.IDsPending = append(h.IDsPending, id.Pending())
@@ -1204,6 +1253,46 @@ var nearInstants = [3]Time{0, time.Millisecond, 3 * time.Millisecond}
 const maxOracleTickers = 6
 
 func callArg(a any) { a.(func())() }
+
+// checkpoint logs the shadows whose reached state changed since the last
+// one. It runs as every event fires and after every instruction, so the
+// two sides' logs agree only if Reached equals "popped" at each of them.
+func (s *side[ID]) checkpoint() {
+	for i := range s.seen {
+		if r := s.reached(i); r != s.seen[i] {
+			s.seen[i] = r
+			if r {
+				s.reach = append(s.reach, i)
+			} else {
+				s.reach = append(s.reach, ^i)
+			}
+		}
+	}
+	s.reach = append(s.reach, -1)
+}
+
+// record takes a shadow at at.
+func (s *side[ID]) record(at Time) {
+	s.shadow(at)
+	s.seen = append(s.seen, false)
+}
+
+// at, atArg and after record a shadow for the event and schedule it: the
+// shadow of an arrival decided just before the event was scheduled.
+func (s *side[ID]) at(t Time, fn func()) {
+	s.record(t)
+	s.ids = append(s.ids, s.k.At(t, fn))
+}
+
+func (s *side[ID]) atArg(t Time, fn func(any), arg any) {
+	s.record(t)
+	s.ids = append(s.ids, s.k.AtArg(t, fn, arg))
+}
+
+func (s *side[ID]) after(d Time, fn func()) {
+	s.record(s.k.Now() + d)
+	s.ids = append(s.ids, s.k.After(d, fn))
+}
 
 func (s *side[ID]) logBool(code int, ok bool) {
 	if ok {
@@ -1227,6 +1316,7 @@ func (s *side[ID]) handler(b byte, depth int) func() {
 	label := s.labels
 	s.labels++
 	return func() {
+		s.checkpoint()
 		s.log = append(s.log, label)
 		if depth == 2 {
 			return
@@ -1234,18 +1324,22 @@ func (s *side[ID]) handler(b byte, depth int) func() {
 		now, arg := s.k.Now(), int(b>>3)
 		switch b % 8 {
 		case 0: // at now: extends the draining run or starts a later one
-			s.ids = append(s.ids, s.k.At(now, s.handler(b>>3, depth+1)))
+			s.at(now, s.handler(b>>3, depth+1))
 		case 1:
-			s.ids = append(s.ids, s.k.After(nearInstants[arg%3], s.handler(b>>3, depth+1)))
+			s.after(nearInstants[arg%3], s.handler(b>>3, depth+1))
 		case 2: // in the past: clamps to now
-			s.ids = append(s.ids, s.k.At(now-time.Millisecond, s.handler(b>>3, depth+1)))
+			s.at(now-time.Millisecond, s.handler(b>>3, depth+1))
 		case 3: // two back to back, the arg form
-			s.ids = append(s.ids, s.k.AtArg(now, callArg, s.handler(b>>3, depth+1)))
-			s.ids = append(s.ids, s.k.AtArg(now, callArg, s.handler(b>>4, depth+1)))
+			s.atArg(now, callArg, s.handler(b>>3, depth+1))
+			s.atArg(now, callArg, s.handler(b>>4, depth+1))
 		case 4:
 			s.cancel(arg % 8)
 		case 5:
 			s.cancel(arg * 11)
+		case 6: // a shadow alone, at now or near it: no event shares its mark
+			s.record(now + nearInstants[arg%3])
+		case 7: // cut the Run or RunBefore dispatching this event short
+			s.k.Stop()
 		}
 	}
 }
@@ -1257,9 +1351,9 @@ func (s *side[ID]) burst(start, step Time, k int, b byte) {
 	for j := 0; j < k; j++ {
 		at := start + Time(j)*step
 		if j%2 == 0 {
-			s.ids = append(s.ids, s.k.At(at, s.handler(b>>j, 0)))
+			s.at(at, s.handler(b>>j, 0))
 		} else {
-			s.ids = append(s.ids, s.k.AtArg(at, callArg, s.handler(b>>j, 0)))
+			s.atArg(at, callArg, s.handler(b>>j, 0))
 		}
 	}
 }
@@ -1271,13 +1365,13 @@ func (s *side[ID]) apply(op, a, b byte) {
 	wide := Time(int(a)<<8|int(b)) * time.Microsecond
 	switch op % 16 {
 	case 0, 1:
-		s.ids = append(s.ids, s.k.At(now+near, s.handler(b, 0)))
+		s.at(now+near, s.handler(b, 0))
 	case 2:
-		s.ids = append(s.ids, s.k.At(now+wide, s.handler(b, 0)))
+		s.at(now+wide, s.handler(b, 0))
 	case 3:
-		s.ids = append(s.ids, s.k.AtArg(now+near, callArg, s.handler(b, 0)))
+		s.atArg(now+near, callArg, s.handler(b, 0))
 	case 4:
-		s.ids = append(s.ids, s.k.After(near, s.handler(b, 0)))
+		s.after(near, s.handler(b, 0))
 	case 5: // a ticker that stops itself from inside its own tick after 1-4 ticks, or (b%5 == 4) never
 		if len(s.stops) == maxOracleTickers {
 			return
@@ -1286,6 +1380,7 @@ func (s *side[ID]) apply(op, a, b byte) {
 		s.labels++
 		s.stops = append(s.stops, nil)
 		s.stops[i] = s.every(near+time.Millisecond, func() {
+			s.checkpoint()
 			s.log = append(s.log, label)
 			if ticks++; ticks == int(b%5)+1 && b%5 != 4 {
 				s.stops[i]()
@@ -1321,7 +1416,7 @@ func (s *side[ID]) apply(op, a, b byte) {
 		k, step := 1+int(a)%6, Time(b%4)*100*time.Microsecond
 		last := s.series(now+near, step, k, b)
 		if a%2 == 1 {
-			s.ids = append(s.ids, s.k.At(last, s.handler(b>>1, 0)))
+			s.at(last, s.handler(b>>1, 0))
 		}
 	case 15: // a series at Now(), for odd b starting in the past and clamped
 		start := now
@@ -1333,26 +1428,28 @@ func (s *side[ID]) apply(op, a, b byte) {
 }
 
 // series schedules k members j·step after start as one Series, each a
-// labelled handler with its own follow-up, and returns the last member's
-// time.
+// labelled handler with its own follow-up and each with a shadow taken
+// before the series, and returns the last member's time.
 func (s *side[ID]) series(start, step Time, k int, b byte) Time {
 	sr := &Series{At: make([]Time, k), Fn: func(a any, i int) { a.([]func())[i]() }}
 	fns := make([]func(), k)
 	for j := range sr.At {
 		sr.At[j] = start + Time(j)*step
 		fns[j] = s.handler(b>>j, 0)
+		s.record(sr.At[j])
 	}
 	sr.Arg = fns
 	s.k.AtSeries(sr)
 	return sr.At[k-1]
 }
 
-// drain stops every ticker and runs the queue dry.
+// drain stops every ticker and runs the queue dry, through any Stop.
 func (s *side[ID]) drain() {
 	for _, stop := range s.stops {
 		stop()
 	}
-	_ = s.k.Run(0)
+	for s.k.Run(0) == ErrStopped {
+	}
 }
 
 // checkProgram runs prog on a Kernel and on the heap model and fails on
@@ -1360,14 +1457,25 @@ func (s *side[ID]) drain() {
 // queue breaks a structural invariant.
 func checkProgram(t testing.TB, prog []byte) {
 	k, hk := NewKernel(1), &heapKernel{}
+	type arrival struct {
+		at   Time
+		mark uint64
+	}
+	var arrivals []arrival
 	got := &side[EventID]{k: k, every: func(p Time, fn func()) func() {
 		tk, err := k.Every(p, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tk.Stop
-	}}
-	want := &side[heapEventID]{k: hk, every: func(p Time, fn func()) func() { return hk.Every(p, fn).Stop }}
+	},
+		shadow:  func(at Time) { arrivals = append(arrivals, arrival{max(at, k.Now()), k.Mark()}) },
+		reached: func(i int) bool { return k.Reached(arrivals[i].at, arrivals[i].mark) },
+	}
+	want := &side[heapEventID]{k: hk, every: func(p Time, fn func()) func() { return hk.Every(p, fn).Stop },
+		shadow:  hk.Shadow,
+		reached: func(i int) bool { return hk.popped[i] },
+	}
 	check := func(step string) {
 		t.Helper()
 		if g, w := got.history(), want.history(); !reflect.DeepEqual(g, w) {
@@ -1398,9 +1506,11 @@ func checkProgram(t testing.TB, prog []byte) {
 // queue series (at Now(), clamped from the past, chained behind the tail
 // or with events chained behind them, their members scheduling at their
 // own instant), cancel heads, mid-run members, tails, fired and recycled
-// ids, stop
-// tickers from inside their own tick, and interleave Step, Run and
-// RunBefore.
+// ids, stop tickers from inside their own tick, Stop the run from inside
+// an event, and interleave Step, Run and RunBefore. Every scheduled event,
+// series member and some lone instants also take a shadow (at, Mark), and
+// Reached must say of each what the model's shadow heap says — popped or
+// not — as every event fires and after every instruction.
 func TestRunQueueMatchesHeapModel(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -262,10 +262,10 @@ func TestBeaconsAreNotSharedAcrossTransmissions(t *testing.T) {
 		}
 	}
 	send()
-	if len(a.rows) != 1 {
-		t.Fatalf("a holds %d rows after the first beacon, want 1", len(a.rows))
+	if got := a.NumNeighbors(); got != 1 {
+		t.Fatalf("a holds %d rows after the first beacon, want 1", got)
 	}
-	first := Neighbor{Addr: 9, Pos: pos, Ext: 1, LastSeen: a.rows[0].LastSeen}
+	first := Neighbor{Addr: 9, Pos: pos, Ext: 1, LastSeen: a.Rows()[0].LastSeen}
 	if got, ok := a.Neighbor(9); !ok || got != first {
 		t.Fatalf("a after the first beacon: %+v, %v; want %+v", got, ok, first)
 	}

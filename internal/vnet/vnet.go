@@ -115,8 +115,16 @@ type Node struct {
 	// read must walk, copy out and re-sort; the search touches only the
 	// packed 4-byte keys. Rows past NeighborTTL linger until a read, or an
 	// insert that would otherwise grow the table, compacts them away.
-	keys     []Addr
-	rows     []Row
+	keys []Addr
+	rows []Row
+	// inbox holds the beacons the medium has handed over (radio.Inbox)
+	// whose arrival the kernel may not have reached yet, sorted by arrival
+	// (at, then mark, then hand-over order). Every table read, and every
+	// hand-over, first applies the reached prefix, so a read sees exactly
+	// the rows per-reception events would have written and the inbox
+	// holds no more than is in flight. A node with beacon observers takes
+	// its beacons as events instead, and its inbox stays empty.
+	inbox    []arrival
 	handlers map[string]Handler
 	onBeacon []BeaconFunc
 	// beaconExt is called to fill Beacon.Ext on each transmission.
@@ -139,6 +147,14 @@ type Node struct {
 type dedupKey struct {
 	origin Addr
 	seq    uint32
+}
+
+// arrival is a beacon in flight to this node: when it arrives and the
+// kernel Mark its reception was decided at.
+type arrival struct {
+	at   sim.Time
+	mark uint64
+	b    *Beacon
 }
 
 // NewNode creates a node on the medium. stateFn supplies the node's
@@ -169,6 +185,7 @@ func NewNode(kernel *sim.Kernel, medium *radio.Medium, addr Addr, cfg Config, st
 		stateFn:  stateFn,
 	}
 	medium.Register(addr, n.receive)
+	medium.SetInbox(addr, n.arrive)
 	return n, nil
 }
 
@@ -196,6 +213,10 @@ func (n *Node) Stop() {
 	if n.stopped {
 		return
 	}
+	// What has arrived stays in the table; what has not never will.
+	n.apply()
+	clear(n.inbox)
+	n.inbox = n.inbox[:0]
 	n.stopped = true
 	if n.ticker != nil {
 		n.ticker.Stop()
@@ -206,11 +227,26 @@ func (n *Node) Stop() {
 // SetBeaconExt installs a function that supplies Beacon.Ext.
 func (n *Node) SetBeaconExt(fn func() any) { n.beaconExt = fn }
 
-// OnBeacon registers an observer for received beacons.
+// OnBeacon registers an observer for received beacons. The node then
+// takes its beacons as events, which observers need: each runs at its
+// reception, and may transmit. Beacons already in flight to the node are
+// requeued as events at their arrival instants.
 func (n *Node) OnBeacon(fn BeaconFunc) {
-	if fn != nil {
-		n.onBeacon = append(n.onBeacon, fn)
+	if fn == nil {
+		return
 	}
+	n.onBeacon = append(n.onBeacon, fn)
+	if len(n.onBeacon) > 1 {
+		return
+	}
+	n.medium.SetInbox(n.addr, nil)
+	n.apply()
+	for _, a := range n.inbox {
+		b := a.b
+		n.kernel.At(a.at, func() { n.receive(radio.Frame{From: b.From, To: radio.Broadcast, Size: BeaconSize, Payload: b}) })
+	}
+	clear(n.inbox)
+	n.inbox = n.inbox[:0]
 }
 
 // Handle registers the handler for a message kind, replacing any previous
@@ -233,7 +269,7 @@ func (n *Node) sendBeacon() {
 	if n.beaconExt != nil {
 		b.Ext = n.beaconExt()
 	}
-	n.medium.Send(n.addr, radio.Broadcast, BeaconSize, b)
+	n.medium.Beacon(n.addr, BeaconSize, b)
 }
 
 // NewMessage builds a fresh message originated here.
@@ -307,7 +343,7 @@ func (n *Node) receive(f radio.Frame) {
 	}
 	switch p := f.Payload.(type) {
 	case *Beacon:
-		n.hear(p)
+		n.hear(p, n.kernel.Now())
 		for _, fn := range n.onBeacon {
 			fn(*p)
 		}
@@ -334,17 +370,57 @@ func (n *Node) find(addr Addr) (int, bool) {
 	return lo, lo < len(n.keys) && n.keys[lo] == addr
 }
 
-// hear records a received beacon: a known sender's row is overwritten in
-// place, a first-seen sender's row is inserted at its sorted position.
+// arrive is the node's radio.Inbox: it queues a beacon in flight to the
+// node at its arrival position, after applying whatever has arrived.
 //
-//vcloudlint:hotpath runs once per beacon reception, the most frequent event of every beaconing scenario
-func (n *Node) hear(b *Beacon) {
+//vcloudlint:hotpath once per beacon reception at a node without beacon observers
+func (n *Node) arrive(payload any, at sim.Time, mark uint64) {
+	b, ok := payload.(*Beacon)
+	if !ok {
+		return
+	}
+	n.apply()
+	// The growing append: receiver-owned, amortized over receptions.
+	n.inbox = append(n.inbox, arrival{})
+	i := len(n.inbox) - 1
+	for ; i > 0; i-- {
+		if p := n.inbox[i-1]; p.at < at || p.at == at && p.mark <= mark {
+			break
+		}
+		n.inbox[i] = n.inbox[i-1]
+	}
+	n.inbox[i] = arrival{at, mark, b}
+}
+
+// apply writes every inbox beacon the kernel has reached into the table,
+// in arrival order, each heard at its own arrival instant. Reached is
+// monotone in (at, mark), so the reached ones are a prefix of the inbox.
+//
+//vcloudlint:hotpath every table read and every beacon hand-over starts here
+func (n *Node) apply() {
+	i := 0
+	for ; i < len(n.inbox) && n.kernel.Reached(n.inbox[i].at, n.inbox[i].mark); i++ {
+		n.hear(n.inbox[i].b, n.inbox[i].at)
+	}
+	if i > 0 {
+		rest := copy(n.inbox, n.inbox[i:])
+		clear(n.inbox[rest:])
+		n.inbox = n.inbox[:rest]
+	}
+}
+
+// hear records a beacon received at now: a known sender's row is
+// overwritten in place, a first-seen sender's row is inserted at its
+// sorted position.
+//
+//vcloudlint:hotpath runs once per beacon reception, the most frequent write of every beaconing scenario
+func (n *Node) hear(b *Beacon, now sim.Time) {
 	i, known := n.find(b.From)
 	if !known {
 		if len(n.rows) == cap(n.rows) {
 			// Compact before growing, so a table nobody reads stays within
 			// twice its live rows instead of keeping every sender ever heard.
-			n.expire()
+			n.expire(now)
 			i, _ = n.find(b.From)
 		}
 		// The growing appends: receiver-owned, amortized over receptions.
@@ -354,14 +430,13 @@ func (n *Node) hear(b *Beacon) {
 		n.rows = append(n.rows, Row{})
 		copy(n.rows[i+1:], n.rows[i:])
 	}
-	n.rows[i] = Row{LastSeen: n.kernel.Now(), Beacon: b}
+	n.rows[i] = Row{LastSeen: now, Beacon: b}
 }
 
-// expire compacts rows older than NeighborTTL out of the table in place,
-// keeping its order, and clears the vacated tail so dropped beacons are
-// not pinned.
-func (n *Node) expire() {
-	now := n.kernel.Now()
+// expire compacts rows older than NeighborTTL at now out of the table in
+// place, keeping its order, and clears the vacated tail so dropped beacons
+// are not pinned.
+func (n *Node) expire(now sim.Time) {
 	live := 0
 	for i := range n.rows {
 		if now-n.rows[i].LastSeen > n.cfg.NeighborTTL {
@@ -385,7 +460,8 @@ func (n *Node) expire() {
 //
 //vcloudlint:hotpath read on every cluster decision and every routed hop
 func (n *Node) Rows() []Row {
-	n.expire()
+	n.apply()
+	n.expire(n.kernel.Now())
 	return n.rows
 }
 
@@ -408,6 +484,7 @@ func (n *Node) Neighbors(dst []Neighbor) []Neighbor {
 //
 //vcloudlint:hotpath per-hop liveness check in the routing protocols
 func (n *Node) Neighbor(addr Addr) (Neighbor, bool) {
+	n.apply()
 	i, ok := n.find(addr)
 	if !ok || n.kernel.Now()-n.rows[i].LastSeen > n.cfg.NeighborTTL {
 		return Neighbor{}, false
@@ -419,7 +496,8 @@ func (n *Node) Neighbor(addr Addr) (Neighbor, bool) {
 //
 //vcloudlint:hotpath sampled per node by density probes; must not materialise the table
 func (n *Node) NumNeighbors() int {
-	n.expire()
+	n.apply()
+	n.expire(n.kernel.Now())
 	return len(n.rows)
 }
 
