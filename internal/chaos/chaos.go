@@ -346,8 +346,8 @@ func Soak(cfg SoakConfig) (*Report, error) {
 		Controller: vcloud.ControllerConfig{Depend: &soakPolicy},
 	}
 	if cfg.SplitBrain {
-		dcfg.Fencing = true
-		dcfg.OnApply = sk.onApply
+		dcfg.Controller.Fencing = true
+		dcfg.Controller.OnApply = sk.onApply
 		dcfg.OnAccept = sk.onAccept
 	}
 	if cfg.Storage != "" {

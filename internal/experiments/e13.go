@@ -62,12 +62,14 @@ func E13SplitBrain(cfg Config) (*Result, error) {
 			RSUs: []geo.Point{world.Gate},
 			Cloud: &world.Cloud{Arch: vcloud.Stationary, Config: vcloud.DeployConfig{
 				Failover: true,
-				Fencing:  a.fencing,
-				OnApply: func(id vcloud.TaskID, epoch uint64, ok bool) {
-					applies[id]++
-					if applies[id] > 1 {
-						duplicates++
-					}
+				Controller: vcloud.ControllerConfig{
+					Fencing: a.fencing,
+					OnApply: func(id vcloud.TaskID, epoch uint64, ok bool) {
+						applies[id]++
+						if applies[id] > 1 {
+							duplicates++
+						}
+					},
 				},
 			}},
 		})

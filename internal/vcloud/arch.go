@@ -55,7 +55,11 @@ type Deployment struct {
 
 // DeployConfig tunes a deployment.
 type DeployConfig struct {
-	// Controller is applied to every controller created.
+	// Controller is applied to every controller created. Its hooks
+	// (OnApply, Trace) are re-installed on promoted successors, which
+	// restore from hook-free checkpoints. With Controller.Fencing on, a
+	// controller that abdicates is removed from Controllers and its
+	// vehicle node rejoins as a member.
 	Controller ControllerConfig
 	// MemberResources maps a vehicle's mobility profile to pool
 	// resources; nil derives CPU/Storage/Sensors from the profile.
@@ -65,23 +69,10 @@ type DeployConfig struct {
 	// DwellMode selects the estimator members' dwell predictions use.
 	// Zero disables dwell awareness.
 	DwellMode mobility.DwellMode
-	// ClusterAlgo is the clustering algorithm for Dynamic deployments;
-	// nil means cluster.MobilitySimilarity{}.
-	ClusterAlgo cluster.Algorithm
 	// Failover enables controller checkpoint replication and standby
 	// self-promotion on every controller, and tracks promoted successors
 	// in Controllers so SubmitAnywhere finds them.
 	Failover bool
-	// Fencing enables split-brain-safe leadership on every controller:
-	// epoch-fenced dispatches, apply-after-ack outcomes, abdication and
-	// merge reconciliation (see merge.go). A controller that abdicates
-	// is removed from Controllers and its vehicle node rejoins as a
-	// member.
-	Fencing bool
-	// OnApply observes every applied task outcome across all controllers
-	// (including promoted successors, whose checkpoints strip hooks) —
-	// the chaos harness's "no outcome applied twice" probe.
-	OnApply func(id TaskID, epoch uint64, ok bool)
 	// OnAccept observes every fenced advertisement members accept — the
 	// chaos harness's "at most one controller per epoch" probe.
 	OnAccept func(controller vnet.Addr, e Epoch)
@@ -155,15 +146,6 @@ func (d *Deployment) dwellFor(ctlNode *vnet.Node) DwellEstimator {
 	}
 }
 
-// applyHook returns the effective outcome-apply observer (an explicit
-// controller-level hook wins over the deployment-level one).
-func (d *Deployment) applyHook() func(TaskID, uint64, bool) {
-	if d.cfg.Controller.OnApply != nil {
-		return d.cfg.Controller.OnApply
-	}
-	return d.cfg.OnApply
-}
-
 // onAbdicate removes an abdicated controller from the deployment and —
 // when it ran on a vehicle — re-attaches a member agent on the node, so
 // the ex-leader's resources return to the pool it just handed over.
@@ -182,10 +164,6 @@ func (d *Deployment) onAbdicate(c *Controller) {
 func (d *Deployment) newController(node *vnet.Node) (*Controller, error) {
 	cc := d.cfg.Controller
 	cc.Failover = cc.Failover || d.cfg.Failover
-	cc.Fencing = cc.Fencing || d.cfg.Fencing
-	if cc.OnApply == nil {
-		cc.OnApply = d.cfg.OnApply
-	}
 	if cc.Fencing && cc.OnAbdicate == nil {
 		cc.OnAbdicate = d.onAbdicate
 	}
@@ -222,10 +200,10 @@ func (d *Deployment) attachMember(id mobility.VehicleID) error {
 		if d.emergency {
 			c.SetEmergency(true)
 		}
-		// Checkpoints strip function hooks; re-install the deployment's
-		// so promoted successors keep reporting applies, abdications and
-		// trace events.
-		c.cfg.OnApply = d.applyHook()
+		// Checkpoints carry no function hooks; re-install the
+		// deployment's so promoted successors keep reporting applies,
+		// abdications and trace events.
+		c.cfg.OnApply = d.cfg.Controller.OnApply
 		c.cfg.Trace = d.cfg.Controller.Trace
 		if c.cfg.Fencing {
 			c.cfg.OnAbdicate = d.onAbdicate
@@ -322,10 +300,6 @@ func (d *Deployment) deployFixed() error {
 }
 
 func (d *Deployment) deployDynamic() error {
-	algo := d.cfg.ClusterAlgo
-	if algo == nil {
-		algo = cluster.MobilitySimilarity{}
-	}
 	ids := d.s.VehicleIDs()
 	sortIDs(ids)
 	for _, id := range ids {
@@ -333,7 +307,7 @@ func (d *Deployment) deployDynamic() error {
 			return err
 		}
 		node, _ := d.s.Node(id)
-		r, err := cluster.NewRunner(node, algo, time.Second, nil)
+		r, err := cluster.NewRunner(node, cluster.MobilitySimilarity{}, time.Second, nil)
 		if err != nil {
 			return err
 		}
@@ -395,32 +369,26 @@ func (d *Deployment) ActiveControllers() []*Controller {
 // lease expired rejects new work rather than risking double dispatch.
 // It fails when no controller exists or all of them refuse.
 func (d *Deployment) SubmitAnywhere(task Task, done func(TaskResult)) error {
-	cands := d.ActiveControllers()
-	if len(cands) == 0 {
-		return fmt.Errorf("vcloud: no active controller (cloud not formed)")
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].NumMembers() != cands[j].NumMembers() {
-			return cands[i].NumMembers() > cands[j].NumMembers()
-		}
-		return cands[i].Addr() < cands[j].Addr()
+	return d.broker(func(c *Controller) error {
+		_, err := c.Submit(task, done)
+		return err
 	})
-	var lastErr error
-	for _, c := range cands {
-		if _, err := c.Submit(task, done); err == nil {
-			return nil
-		} else {
-			lastErr = err
-		}
-	}
-	return lastErr
 }
 
 // SubmitJobAnywhere submits a DAG job through the same client-side
-// broker as SubmitAnywhere: the live controller with the most members
-// first, falling back on refusal. The callback does not survive a
-// controller failover (the job itself does — it rides checkpoints).
+// broker as SubmitAnywhere. The callback does not survive a controller
+// failover (the job itself does — it rides checkpoints).
 func (d *Deployment) SubmitJobAnywhere(spec JobSpec, done func(JobResult)) error {
+	return d.broker(func(c *Controller) error {
+		_, err := c.SubmitJob(spec, done)
+		return err
+	})
+}
+
+// broker offers a submission to the live controllers, most members
+// first (address breaks ties), until one accepts; it returns the last
+// refusal when none does.
+func (d *Deployment) broker(submit func(*Controller) error) error {
 	cands := d.ActiveControllers()
 	if len(cands) == 0 {
 		return fmt.Errorf("vcloud: no active controller (cloud not formed)")
@@ -431,15 +399,13 @@ func (d *Deployment) SubmitJobAnywhere(spec JobSpec, done func(JobResult)) error
 		}
 		return cands[i].Addr() < cands[j].Addr()
 	})
-	var lastErr error
+	var err error
 	for _, c := range cands {
-		if _, err := c.SubmitJob(spec, done); err == nil {
+		if err = submit(c); err == nil {
 			return nil
-		} else {
-			lastErr = err
 		}
 	}
-	return lastErr
+	return err
 }
 
 // SetEmergency flips emergency mode on every current controller and on

@@ -19,17 +19,19 @@ import (
 
 // ckptMagic identifies encoded checkpoints; the trailing byte is the
 // format version.
-var ckptMagic = [4]byte{'V', 'C', 'P', 5}
+var ckptMagic = [4]byte{'V', 'C', 'P', 6}
 
 // ckptReserved is the length of the zero block that ends every encoding.
-// It keeps the place of four deleted fields: a task price (8 bytes), a
+// It keeps the place of deleted fields: a task price (8 bytes), a
 // per-tier estimate table (120), the controller's retry limit (8) and
-// its never-read handover flag (1). A checkpoint's radio frame is as
-// long as its encoding, so the length is part of the model: without the
-// block, cloud_storm's p99 latency moves and every soak mode's outcomes
-// change. It goes when a re-baseline sets out to move checkpoint frame
-// lengths.
-const ckptReserved = 137
+// its never-read handover flag (1), then the controller configuration a
+// checkpoint no longer carries (50) — the standby's failover timeout
+// (8), the five controller timings (40) and the failover and fencing
+// flags (2). A checkpoint's radio frame is as long as its encoding, so
+// the length is part of the model: without the block, cloud_storm's p99
+// latency moves and every soak mode's outcomes change. It goes when a
+// re-baseline sets out to move checkpoint frame lengths.
+const ckptReserved = 187
 
 // Decoder sanity caps: a checkpoint exceeding these is rejected as
 // corrupt. They sit far above anything a simulated cloud produces.
@@ -141,8 +143,8 @@ func (r *ckptReader) str() string {
 	return string(b)
 }
 
-// quantity reports whether v can stand for an amount — a margin, a
-// capacity, wasted work: neither NaN, nor infinite, nor negative.
+// quantity reports whether v can stand for an amount — a capacity,
+// wasted work: neither NaN, nor infinite, nor negative.
 func quantity(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // count reads a u32 collection length and bounds it.
@@ -162,9 +164,8 @@ func (r *ckptReader) count(what string, max int) int {
 const (
 	wireAddr        = 8
 	wireString      = 2
-	wireHeader      = 4 + 5*8 + 1 + 3*8 + wireConfig + 6*4 // magic … epoch, the config, six collection counts
-	wireConfig      = 3*8 + 1 + 2*8 + 1 + 1                // the controller config, its policy's presence byte last
-	wirePolicy      = 8 + 8 + 8 + 8 + 8 + 8 + 1            // behind a presence byte
+	wireHeader      = 4 + 5*8 + 1 + 2*8 + 1 + 6*4 // magic … epoch, the policy's presence byte, six collection counts
+	wirePolicy      = 8 + 8 + 8 + 8 + 8 + 8 + 1   // behind a presence byte
 	wireMember      = 8 + 8 + 8 + 2
 	wireTask        = 8 + 8 + 8 + 8 + 8 + 2 + 1 + 1 + 1
 	wireStage       = 8 + 8 + 8 + 4 // a task's stage binding, behind a presence byte
@@ -182,7 +183,7 @@ const (
 // allocates its buffer once; TestEncodedSizeIsExact and the fuzz round
 // trip hold it to the writer.
 func encodedSize(ck *Checkpoint) int {
-	n := wireHeader + policySize(ck.Cfg.Depend) + ckptReserved
+	n := wireHeader + policySize(ck.Depend) + ckptReserved
 	for _, m := range ck.Members {
 		n += wireMember
 		for _, s := range m.Res.Sensors {
@@ -463,19 +464,9 @@ func EncodeCheckpoint(ck Checkpoint) []byte {
 	w.u64(uint64(ck.NextID))
 	w.u64(uint64(ck.NextJobID))
 	w.bool(ck.Emergency)
-	w.i64(int64(ck.FailoverTTL))
 	w.u64(ck.Epoch.Counter)
 	w.addr(ck.Epoch.Claimant)
-
-	cfg := ck.Cfg
-	w.i64(int64(cfg.AdvPeriod))
-	w.i64(int64(cfg.MemberTTL))
-	w.f64(cfg.DwellMargin)
-	w.bool(cfg.Failover)
-	w.i64(int64(cfg.CheckpointPeriod))
-	w.i64(int64(cfg.FailoverTTL))
-	w.bool(cfg.Fencing)
-	writePolicy(w, cfg.Depend)
+	writePolicy(w, ck.Depend)
 
 	w.u32(uint32(len(ck.Members)))
 	for _, m := range ck.Members {
@@ -544,21 +535,9 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 	ck.NextID = TaskID(r.u64())
 	ck.NextJobID = TaskID(r.u64())
 	ck.Emergency = r.bool()
-	ck.FailoverTTL = sim.Time(r.i64())
 	ck.Epoch.Counter = r.u64()
 	ck.Epoch.Claimant = r.addr()
-
-	ck.Cfg.AdvPeriod = sim.Time(r.i64())
-	ck.Cfg.MemberTTL = sim.Time(r.i64())
-	ck.Cfg.DwellMargin = r.f64()
-	ck.Cfg.Failover = r.bool()
-	ck.Cfg.CheckpointPeriod = sim.Time(r.i64())
-	ck.Cfg.FailoverTTL = sim.Time(r.i64())
-	ck.Cfg.Fencing = r.bool()
-	if r.err == nil && !quantity(ck.Cfg.DwellMargin) {
-		r.fail("dwell margin %v", ck.Cfg.DwellMargin)
-	}
-	ck.Cfg.Depend = readPolicy(r)
+	ck.Depend = readPolicy(r)
 
 	n := r.count("member", ckptMaxMembers)
 	ck.Members = presize[MemberSnapshot](r, n, wireMember)

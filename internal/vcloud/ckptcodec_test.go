@@ -16,28 +16,18 @@ import (
 )
 
 // fixtureCheckpoint exercises every field the codec carries: membership
-// with sensors, fenced epoch, a dependability policy both in the config
-// and per-task, an applied ledger, parked outcomes with voters,
+// with sensors, fenced epoch, a dependability policy both as the
+// controller's default and per-task, an applied ledger, parked outcomes with voters,
 // outstanding arming obligations and a DAG job part-way through.
 func fixtureCheckpoint() vcloud.Checkpoint {
 	pol := &vcloud.DependabilityPolicy{Replicas: 3, MaxRetries: 2, RetryBackoff: time.Second}
 	return vcloud.Checkpoint{
-		Controller:  7,
-		Standby:     3,
-		Seq:         42,
-		NextID:      9001,
-		Emergency:   true,
-		FailoverTTL: 4 * time.Second,
-		Cfg: vcloud.ControllerConfig{
-			AdvPeriod:        time.Second,
-			MemberTTL:        3 * time.Second,
-			DwellMargin:      1.5,
-			Failover:         true,
-			CheckpointPeriod: 2 * time.Second,
-			FailoverTTL:      4 * time.Second,
-			Fencing:          true,
-			Depend:           pol,
-		},
+		Controller: 7,
+		Standby:    3,
+		Seq:        42,
+		NextID:     9001,
+		Emergency:  true,
+		Depend:     pol,
 		Members: []vcloud.MemberSnapshot{
 			{Addr: 3, Res: vcloud.Resources{CPU: 1000, Storage: 4096, Sensors: []string{"lidar", "cam"}}},
 			{Addr: 5, Res: vcloud.Resources{CPU: 500, Storage: 1024}},
@@ -131,14 +121,14 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 			t.Error("empty input accepted")
 		}
 	})
-	// A float the decoder takes as an amount must be one: a NaN dwell
-	// margin would make every dwell test false, so a promoted standby
-	// would ignore dwell altogether.
+	// A float the decoder takes as an amount must be one: a NaN remaining
+	// op count would give a resumed task a NaN runtime, so every finish
+	// estimate and timeout of a promoted standby would go wrong with it.
 	for _, tc := range []struct {
 		name string
 		set  func(*vcloud.Checkpoint)
 	}{
-		{"NaN dwell margin", func(ck *vcloud.Checkpoint) { ck.Cfg.DwellMargin = math.NaN() }},
+		{"NaN remaining ops", func(ck *vcloud.Checkpoint) { ck.Tasks[0].RemainingOps = math.NaN() }},
 		{"infinite member CPU", func(ck *vcloud.Checkpoint) { ck.Members[1].Res.CPU = math.Inf(1) }},
 		{"negative member storage", func(ck *vcloud.Checkpoint) { ck.Members[0].Res.Storage = -1 }},
 		{"minus-infinite job wasted ops", func(ck *vcloud.Checkpoint) { ck.Jobs[0].Wasted = math.Inf(-1) }},
@@ -264,10 +254,10 @@ func BenchmarkCheckpointCodec(b *testing.B) {
 
 // TestReservedBlockHoldsTheWireLength: the encoding ends in a block of
 // zero bytes that keeps a checkpoint's frame as long as it was before the
-// price, estimate, retry-limit and handover fields went (the length is
-// part of the radio model), and the decoder accepts nothing but zeros
-// there. The wanted lengths are those of format version 3, whose
-// encodings carried all four fields.
+// price, estimate, retry-limit and handover fields went, and then the
+// controller configuration (the length is part of the radio model), and
+// the decoder accepts nothing but zeros there. The wanted lengths are
+// those of format version 3, whose encodings carried all of them.
 func TestReservedBlockHoldsTheWireLength(t *testing.T) {
 	for name, tc := range map[string]struct {
 		ck   vcloud.Checkpoint
@@ -277,7 +267,7 @@ func TestReservedBlockHoldsTheWireLength(t *testing.T) {
 			t.Errorf("%s: encoded %d bytes, want %d", name, got, tc.want)
 		}
 	}
-	const reserved = 137
+	const reserved = 187
 	data := vcloud.EncodeCheckpoint(fixtureCheckpoint())
 	tail := data[len(data)-reserved:]
 	if !bytes.Equal(tail, make([]byte, reserved)) {

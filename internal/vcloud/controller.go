@@ -160,18 +160,20 @@ func (s *Stats) CompletionRate() float64 {
 // by the cloud (see mobility.EstimateDwell). Infinity means "parked".
 type DwellEstimator func(member vnet.Addr) float64
 
+// Controller timings. Every deployment runs the same ones, so a
+// checkpoint need not carry them.
+const (
+	// advPeriod is the advertisement broadcast interval.
+	advPeriod = time.Second
+	// memberTTL expires silent members.
+	memberTTL = 3 * advPeriod
+)
+
 // ControllerConfig tunes a cloud controller.
 type ControllerConfig struct {
-	// AdvPeriod is the advertisement broadcast interval. Default 1 s.
-	AdvPeriod sim.Time
-	// MemberTTL expires silent members. Default 3×AdvPeriod.
-	MemberTTL sim.Time
 	// Dwell is the scheduler's dwell-time signal; nil means "assume
 	// everyone stays forever" (the naive baseline E7 ablates).
 	Dwell DwellEstimator
-	// DwellMargin multiplies the estimated runtime when testing dwell
-	// sufficiency. Default 1.2.
-	DwellMargin float64
 	// AcceptJoin, when non-nil, gates membership: joins from members for
 	// which it returns false are ignored. Secure clouds wire this to the
 	// authenticator's verified-peer set (§V.A).
@@ -183,11 +185,6 @@ type ControllerConfig struct {
 	// standby's self-promotion when this controller goes silent — the
 	// dependability mechanism E11 measures. Off by default.
 	Failover bool
-	// CheckpointPeriod is the replication interval. Default 2×AdvPeriod.
-	CheckpointPeriod sim.Time
-	// FailoverTTL is how long the standby tolerates advertisement silence
-	// before promoting itself. Default 4×AdvPeriod.
-	FailoverTTL sim.Time
 	// Depend is the dependability policy (redundant replicas, voting,
 	// backoff retries) of every task that does not carry its own
 	// Task.Depend override. Nil means the default policy: one copy,
@@ -200,22 +197,23 @@ type ControllerConfig struct {
 	// state for merge reconciliation; and finished outcomes are applied
 	// only after the armed standby acknowledges a checkpoint carrying
 	// them (see merge.go). Off by default — zero epochs keep every
-	// legacy code path bit-for-bit identical.
+	// legacy code path bit-for-bit identical. A checkpoint is fenced
+	// exactly when its epoch is non-zero, so the flag never rides one.
 	Fencing bool
 	// OnApply, when non-nil, observes every applied task outcome with
 	// the applying controller's epoch counter — the hook the chaos
 	// harness uses to assert "no task outcome applied twice across
-	// epochs". Stripped from checkpoints.
+	// epochs". A deployment re-installs it on promoted successors.
 	OnApply func(id TaskID, epoch uint64, ok bool)
 	// OnAbdicate, when non-nil, is called after this controller stands
 	// down in favor of a superseding rival; the deployment wires this to
-	// re-attach a member agent on the node. Stripped from checkpoints.
+	// re-attach a member agent on the node.
 	OnAbdicate func(c *Controller)
 	// Workers, when non-nil, is the execution-trust engine: replica
 	// placement excludes workers scoring below the policy's
 	// TrustThreshold, votes may be trust-weighted, and vote outcomes
 	// feed evidence back (the Fig. 3 loop). It holds a clock closure,
-	// so it is stripped from checkpoints — a failover successor starts
+	// so it does not ride checkpoints — a failover successor starts
 	// with a fresh trust view.
 	Workers *trust.WorkerSet
 }
@@ -287,7 +285,7 @@ type Controller struct {
 	// token; armed tracks every standby ever sent a checkpoint (it can
 	// promote from its copy, so outcomes park until it acks or disarms)
 	// with its highest acknowledged sequence and last-heard time — any
-	// single armed standby going silent past FailoverTTL expires the
+	// single armed standby going silent past failoverTTL expires the
 	// leadership lease; parked holds finished outcomes awaiting
 	// acknowledgement, in checkpoint-seq order; applied/appliedOrder is
 	// the capped (task, epoch) ledger enforcing exactly-once application.
@@ -305,21 +303,6 @@ type Controller struct {
 func NewController(node *vnet.Node, cfg ControllerConfig, stats *Stats) (*Controller, error) {
 	if node == nil || stats == nil {
 		return nil, fmt.Errorf("vcloud: node and stats must not be nil")
-	}
-	if cfg.AdvPeriod <= 0 {
-		cfg.AdvPeriod = time.Second
-	}
-	if cfg.MemberTTL <= 0 {
-		cfg.MemberTTL = 3 * cfg.AdvPeriod
-	}
-	if cfg.DwellMargin <= 0 {
-		cfg.DwellMargin = 1.2
-	}
-	if cfg.CheckpointPeriod <= 0 {
-		cfg.CheckpointPeriod = 2 * cfg.AdvPeriod
-	}
-	if cfg.FailoverTTL <= 0 {
-		cfg.FailoverTTL = 4 * cfg.AdvPeriod
 	}
 	if cfg.Depend != nil {
 		if err := cfg.Depend.Validate(); err != nil {
@@ -349,7 +332,7 @@ func NewController(node *vnet.Node, cfg ControllerConfig, stats *Stats) (*Contro
 		node.Handle(kindCkptAck, c.onCkptAck)
 		node.Handle(kindCkpt, c.onRivalCkpt)
 	}
-	t, err := node.Kernel().Every(cfg.AdvPeriod, c.tick)
+	t, err := node.Kernel().Every(advPeriod, c.tick)
 	if err != nil {
 		return nil, err
 	}
@@ -442,7 +425,7 @@ func (c *Controller) tick() {
 	now := c.node.Kernel().Now()
 	var expired []vnet.Addr
 	for a, m := range c.members {
-		if now-m.lastSeen > c.cfg.MemberTTL {
+		if now-m.lastSeen > memberTTL {
 			expired = append(expired, a)
 		}
 	}
@@ -464,7 +447,7 @@ func (c *Controller) tick() {
 		c.refreshStandby(now)
 	}
 	c.advertise()
-	if c.cfg.Failover && c.standby >= 0 && now-c.lastCkpt >= c.cfg.CheckpointPeriod {
+	if c.cfg.Failover && c.standby >= 0 && now-c.lastCkpt >= checkpointPeriod {
 		c.sendCheckpoint(now)
 	}
 }
@@ -538,7 +521,7 @@ func (c *Controller) SubmitFor(client vnet.Addr, task Task, done func(TaskResult
 		return 0, err
 	}
 	// Lease expiry: an armed standby has not acknowledged a checkpoint
-	// within FailoverTTL, so it may already have promoted on the far
+	// within failoverTTL, so it may already have promoted on the far
 	// side of a partition. Refuse new work rather than double-dispatch
 	// it — safety over availability until the partition resolves.
 	if c.leaseExpired(c.node.Kernel().Now()) {

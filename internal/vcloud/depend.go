@@ -190,6 +190,10 @@ func (p *placement) pick() (vnet.Addr, bool) {
 	return p.bestShort.addr, p.foundShort
 }
 
+// dwellMargin multiplies a candidate's estimated runtime when testing
+// whether its dwell suffices.
+const dwellMargin = 1.2
+
 // pickReplicaMember chooses a worker for one replica: fresh, sensor-
 // capable, above the trust threshold, and not in the exclude set
 // (members already holding a copy of this task — disjointness). Among
@@ -208,7 +212,7 @@ func (c *Controller) pickReplicaMember(ts *taskState, exclude map[vnet.Addr]bool
 	stage := ts.task.Stage != nil
 	var p placement
 	for a, m := range c.members {
-		if exclude[a] || now-m.lastSeen > c.cfg.MemberTTL {
+		if exclude[a] || now-m.lastSeen > memberTTL {
 			continue
 		}
 		if m.res.CPU <= 0 || !m.res.HasSensor(ts.task.NeedsSensor) {
@@ -224,7 +228,7 @@ func (c *Controller) pickReplicaMember(ts *taskState, exclude map[vnet.Addr]bool
 		if c.cfg.Dwell != nil && !m.edge {
 			//vcloudlint:allow hotalloc the deployment's estimator hook (arch.go wires mobility.EstimateDwell); TestPickReplicaAllocs holds the path at zero
 			dwell = c.cfg.Dwell(a)
-			hasDwell = dwell >= runtime*c.cfg.DwellMargin
+			hasDwell = dwell >= runtime*dwellMargin
 		}
 		if stage {
 			cd.tier = mobility.DwellTier(dwell)
@@ -552,7 +556,7 @@ func (c *Controller) failFastDeadline(task Task) bool {
 	seen := false
 	bestFinish := math.Inf(1)
 	for _, m := range c.members {
-		if now-m.lastSeen > c.cfg.MemberTTL || m.res.CPU <= 0 || !m.res.HasSensor(task.NeedsSensor) {
+		if now-m.lastSeen > memberTTL || m.res.CPU <= 0 || !m.res.HasSensor(task.NeedsSensor) {
 			continue
 		}
 		seen = true

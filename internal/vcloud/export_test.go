@@ -17,7 +17,7 @@ func (c *Controller) PendingJobs() int { return len(c.jobs) }
 
 // StorageView returns the controller's cluster view for a storage
 // backend: members are the live membership table, online means heard
-// from within MemberTTL, dwell comes from the scheduler's estimator,
+// from within memberTTL, dwell comes from the scheduler's estimator,
 // and the epoch is the controller's fencing counter.
 func (c *Controller) StorageView() store.View {
 	return store.FuncView{
@@ -27,7 +27,7 @@ func (c *Controller) StorageView() store.View {
 			if !ok {
 				return false
 			}
-			return c.node.Kernel().Now()-m.lastSeen <= c.cfg.MemberTTL
+			return c.node.Kernel().Now()-m.lastSeen <= memberTTL
 		},
 		DwellFn: func(a vnet.Addr) float64 {
 			if c.cfg.Dwell == nil {
@@ -86,6 +86,10 @@ func (d *Deployment) MemberNode(id mobility.VehicleID) (*vnet.Node, bool) {
 
 // Running returns the number of tasks executing locally.
 func (m *Member) Running() int { return len(m.current) }
+
+// HandleTask hands a dispatch to the member's task handler, for tests
+// that take over the node's task messages.
+func (m *Member) HandleTask(msg vnet.Message, from vnet.Addr) { m.onTask(msg, from) }
 
 // Standby reports whether this member currently holds a checkpoint as
 // the designated failover successor.

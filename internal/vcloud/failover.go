@@ -3,16 +3,18 @@
 // must outlive any single node). The running controller periodically
 // replicates a checkpoint — its membership snapshot plus the in-flight
 // task table — to a designated standby member; when the controller's
-// advertisements go silent past FailoverTTL, the standby promotes itself
+// advertisements go silent past failoverTTL, the standby promotes itself
 // to controller, re-advertises, and resumes every checkpointed task from
 // its last known RemainingOps instead of losing it.
 //
-// Closures cannot cross the (simulated) wire, so a restored task loses
-// its submitter callback and the config's function hooks (dwell
-// estimator, join gate, ledger, trace); completions still count in the
-// shared Stats, which is what the E11 experiment measures. Work executed
-// by the old assignee after the last checkpoint is re-executed — the
-// cost of checkpoint staleness, bounded by CheckpointPeriod.
+// A checkpoint carries leadership state, not controller configuration:
+// closures cannot cross the (simulated) wire, so a restored task loses
+// its submitter callback and the successor runs without the config's
+// hooks (dwell estimator, join gate, trust engine, trace) until its
+// deployment re-installs them; completions still count in the shared
+// Stats, which is what the E11 experiment measures. Work executed by the
+// old assignee after the last checkpoint is re-executed — the cost of
+// checkpoint staleness, bounded by checkpointPeriod.
 package vcloud
 
 import (
@@ -22,6 +24,16 @@ import (
 	"vcloud/internal/sim"
 	"vcloud/internal/trace"
 	"vcloud/internal/vnet"
+)
+
+// Failover timings, fixed like the controller's own (see advPeriod).
+const (
+	// checkpointPeriod is the replication interval.
+	checkpointPeriod = 2 * advPeriod
+	// failoverTTL is how long a standby tolerates advertisement silence
+	// before promoting itself, and how long a fenced controller tolerates
+	// an armed standby's silence before its leadership lease expires.
+	failoverTTL = 4 * advPeriod
 )
 
 // MemberSnapshot is one membership row inside a checkpoint.
@@ -55,9 +67,9 @@ type StageCheckpoint struct {
 	Holders []vnet.Addr
 }
 
-// JobCheckpoint is one in-flight DAG job inside a checkpoint or merge
-// message: the spec plus per-stage progress, so a successor resumes the
-// job from its completed stages instead of restarting it.
+// JobCheckpoint is one in-flight DAG job inside a checkpoint: the spec
+// plus per-stage progress, so a successor resumes the job from its
+// completed stages instead of restarting it.
 type JobCheckpoint struct {
 	ID        JobID
 	Client    vnet.Addr
@@ -71,7 +83,9 @@ type JobCheckpoint struct {
 // Checkpoint is the replicated controller state — the Snapshot()
 // membership view extended with the in-flight task table and the
 // counters a successor needs (§V.A "recover the snapshot of the
-// topology", made crash-proof).
+// topology", made crash-proof). It is pure data: the standby promotes
+// from it, and an abdicating controller ships it whole to the rival it
+// merges into (see merge.go).
 type Checkpoint struct {
 	// Controller is the checkpointing controller's address.
 	Controller vnet.Addr
@@ -85,19 +99,16 @@ type Checkpoint struct {
 	NextJobID TaskID
 	// Emergency carries the management-plane flag across failover.
 	Emergency bool
-	// FailoverTTL is how long the standby tolerates advertisement silence
-	// before promoting itself.
-	FailoverTTL sim.Time
-	// Cfg is the controller configuration with function hooks stripped
-	// (closures do not survive replication).
-	Cfg ControllerConfig
+	// Depend is the controller's default dependability policy (nil: the
+	// built-in default), so restored tasks stay replicated.
+	Depend *DependabilityPolicy
 	// Members is the membership snapshot in ascending address order.
 	Members []MemberSnapshot
 	// Tasks is the in-flight task table in ascending task-ID order.
 	Tasks []TaskCheckpoint
-	// Epoch is the checkpointing controller's fencing token (zero when
-	// unfenced); a successor promotes itself at a strictly higher
-	// counter.
+	// Epoch is the checkpointing controller's fencing token. It is zero
+	// exactly when the controller is unfenced; a fenced successor
+	// promotes itself at a strictly higher counter.
 	Epoch Epoch
 	// Applied is the (task, epoch) ledger of already-applied outcomes;
 	// a successor seeds its own ledger from it so no outcome is applied
@@ -130,32 +141,19 @@ type ckptMsg struct {
 
 // Checkpoint builds the controller's current replicable state.
 func (c *Controller) Checkpoint() Checkpoint {
-	cfg := c.cfg
-	// Function hooks and local pointers cannot cross the wire; the
-	// successor runs without them. Workers holds a clock closure and
-	// accumulated evidence, so the successor starts with a fresh trust
-	// view (its own vote outcomes rebuild it); the Depend policy is pure
-	// data and survives, so restored tasks stay replicated.
-	cfg.Dwell = nil
-	cfg.AcceptJoin = nil
-	cfg.Trace = nil
-	cfg.Workers = nil
-	cfg.OnApply = nil
-	cfg.OnAbdicate = nil
 	ck := Checkpoint{
-		Controller:  c.node.Addr(),
-		Standby:     c.standby,
-		Seq:         c.ckptSeq,
-		NextID:      c.nextID,
-		NextJobID:   c.nextJobID,
-		Emergency:   c.emergency,
-		FailoverTTL: c.cfg.FailoverTTL,
-		Cfg:         cfg,
-		Epoch:       c.epoch,
-		Applied:     c.exportLedger(),
-		Parked:      c.exportParked(),
-		Armed:       c.exportArmed(),
-		Jobs:        c.exportJobs(),
+		Controller: c.node.Addr(),
+		Standby:    c.standby,
+		Seq:        c.ckptSeq,
+		NextID:     c.nextID,
+		NextJobID:  c.nextJobID,
+		Emergency:  c.emergency,
+		Depend:     c.cfg.Depend,
+		Epoch:      c.epoch,
+		Applied:    c.exportLedger(),
+		Parked:     c.exportParked(),
+		Armed:      c.exportArmed(),
+		Jobs:       c.exportJobs(),
 	}
 	for _, a := range c.Members() {
 		ck.Members = append(ck.Members, MemberSnapshot{Addr: a, Res: c.members[a].res})
@@ -188,7 +186,7 @@ func (c *Controller) Checkpoint() Checkpoint {
 func (c *Controller) refreshStandby(now sim.Time) bool {
 	best := vnet.Addr(-1)
 	for a, m := range c.members {
-		if now-m.lastSeen > c.cfg.MemberTTL {
+		if now-m.lastSeen > memberTTL {
 			continue
 		}
 		if best < 0 || a < best {
@@ -227,15 +225,16 @@ func (c *Controller) sendCheckpoint(now sim.Time) {
 // RestoreController promotes node into a controller seeded from the
 // checkpoint: membership is restored as-if freshly heard, the task-ID
 // sequence continues, and every checkpointed task is reassigned from its
-// last known RemainingOps. The new controller advertises immediately so
-// members reattach without waiting out an advertisement period.
+// last known RemainingOps. The successor always keeps replicating to a
+// standby of its own, and is fenced exactly when the checkpoint is. The
+// new controller advertises immediately so members reattach without
+// waiting out an advertisement period.
 func RestoreController(node *vnet.Node, ckpt Checkpoint, stats *Stats) (*Controller, error) {
 	if node == nil {
 		return nil, fmt.Errorf("vcloud: node must not be nil")
 	}
-	cfg := ckpt.Cfg
-	cfg.Failover = true // the successor keeps replicating to its own standby
-	c, err := NewController(node, cfg, stats)
+	fenced := !ckpt.Epoch.Zero()
+	c, err := NewController(node, ControllerConfig{Failover: true, Fencing: fenced, Depend: ckpt.Depend}, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -246,18 +245,18 @@ func RestoreController(node *vnet.Node, ckpt Checkpoint, stats *Stats) (*Control
 			continue // the promoted node and the dead coordinator are not workers
 		}
 		// Checkpointed membership is not live contact: seed each member at
-		// the very edge of MemberTTL so resumed tasks can dispatch to it
+		// the very edge of memberTTL so resumed tasks can dispatch to it
 		// right away, but only members that answer the promotion
 		// advertisement (the immediate advertise below triggers a re-join)
 		// stay past the first tick. Members behind a partition age out
 		// instead of being chosen as the armed standby — arming an
 		// unreachable standby would park every outcome forever.
-		c.members[ms.Addr] = &memberInfo{res: ms.Res, lastSeen: now - c.cfg.MemberTTL}
+		c.members[ms.Addr] = &memberInfo{res: ms.Res, lastSeen: now - memberTTL}
 	}
 	c.nextID = ckpt.NextID
 	c.nextJobID = ckpt.NextJobID
 	c.emergency = ckpt.Emergency
-	if cfg.Fencing {
+	if fenced {
 		// Promote at a strictly higher counter than any epoch this node
 		// has witnessed, so the predecessor's dispatches are fenced off.
 		c.epoch = NextEpoch(ckpt.Epoch.Counter, self)
@@ -286,22 +285,29 @@ func RestoreController(node *vnet.Node, ckpt Checkpoint, stats *Stats) (*Control
 		stats.JobsResumed.Inc()
 	}
 	for _, tc := range ckpt.Tasks {
-		ts := &taskState{
-			task:         tc.Task,
-			client:       tc.Client,
-			remainingOps: tc.RemainingOps,
-			retries:      tc.Retries,
-			handovers:    tc.Handovers,
-			submitted:    tc.Submitted,
-			policy:       c.effectivePolicy(tc.Task),
-		}
-		c.tasks[tc.Task.ID] = ts
 		stats.Resumed.Inc()
-		c.dispatchReplicas(ts, ts.policy.Replicas)
+		c.resume(tc)
 	}
 	// Stages whose tasks died with the predecessor (or were applied on
 	// its side) go back to waiting and re-dispatch under the new epoch.
 	c.dagResume()
 	c.advertise()
 	return c, nil
+}
+
+// resume re-enters a checkpointed task into the task table and
+// dispatches it afresh from its last known progress — on promotion and
+// when a merge adopts a rival's orphan alike.
+func (c *Controller) resume(tc TaskCheckpoint) {
+	ts := &taskState{
+		task:         tc.Task,
+		client:       tc.Client,
+		remainingOps: tc.RemainingOps,
+		retries:      tc.Retries,
+		handovers:    tc.Handovers,
+		submitted:    tc.Submitted,
+		policy:       c.effectivePolicy(tc.Task),
+	}
+	c.tasks[tc.Task.ID] = ts
+	c.dispatchReplicas(ts, ts.policy.Replicas)
 }

@@ -1,6 +1,8 @@
 package vcloud_test
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,8 +14,7 @@ import (
 )
 
 // TestCheckpointContents checks the replicated state: membership and the
-// in-flight task table travel, function hooks (which cannot cross the
-// wire) are stripped.
+// in-flight task table travel.
 func TestCheckpointContents(t *testing.T) {
 	s := parkingScenario(t, 5)
 	stats := &vcloud.Stats{}
@@ -56,11 +57,36 @@ func TestCheckpointContents(t *testing.T) {
 	if tk.RemainingOps <= 0 || tk.RemainingOps > 50_000 {
 		t.Errorf("checkpointed RemainingOps = %v", tk.RemainingOps)
 	}
-	if ck.Cfg.Dwell != nil || ck.Cfg.AcceptJoin != nil || ck.Cfg.Trace != nil {
-		t.Error("checkpoint carries function hooks; closures cannot cross the wire")
+}
+
+// TestCheckpointIsData walks Checkpoint's type graph: no field anywhere
+// in it may be a func, chan, map or interface, so no hook, closure or
+// local handle can ride a replicated checkpoint or a merge.
+func TestCheckpointIsData(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Func, reflect.Chan, reflect.Map, reflect.Interface, reflect.UnsafePointer:
+			t.Errorf("%s is a %s (%v): a checkpoint must be plain data", path, ty.Kind(), ty)
+		case reflect.Pointer:
+			walk(path, ty.Elem())
+		case reflect.Slice, reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				f := ty.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
 	}
-	if ck.FailoverTTL <= 0 {
-		t.Errorf("checkpoint FailoverTTL = %v", ck.FailoverTTL)
+	walk("Checkpoint", reflect.TypeOf(vcloud.Checkpoint{}))
+	if len(seen) < 10 {
+		t.Errorf("walk reached only %d types; it is not following the fields", len(seen))
 	}
 }
 
@@ -327,16 +353,39 @@ func stopRunning(t *testing.T, d *vcloud.Deployment) {
 }
 
 // TestTaskTimeoutReassigns covers the per-task timeout path that remains
-// after the expiry bugfix: the assignee stays a fresh member (long TTL)
-// but vanishes mid-task, so only the timeout can recover the work.
+// after the expiry bugfix: the assignee stays a fresh member — it keeps
+// hearing advertisements and re-joining — but never answers its
+// dispatch, so only the attempt timeout can recover the work.
 func TestTaskTimeoutReassigns(t *testing.T) {
 	s := parkingScenario(t, 3)
 	stats := &vcloud.Stats{}
-	d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{
-		Controller: vcloud.ControllerConfig{MemberTTL: 10 * time.Minute},
-	}, stats)
+	d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{}, stats)
 	if err != nil {
 		t.Fatal(err)
+	}
+	gate := d.Controllers[0]
+	// The first member dispatched to swallows every task it is sent; the
+	// others run theirs. At the retry's arrival the stalled member must
+	// still be in the controller's table: recovery came from the
+	// timeout, not from member expiry.
+	stalled := vnet.Addr(-1)
+	retried, stalledKept := false, false
+	for id, m := range d.Members {
+		node, _ := d.MemberNode(id)
+		addr, m := node.Addr(), m
+		node.Handle("vc.task", func(msg vnet.Message, from vnet.Addr) {
+			if stalled < 0 {
+				stalled = addr
+			}
+			if addr == stalled {
+				return
+			}
+			if !retried {
+				retried = true
+				stalledKept = slices.Contains(gate.Members(), stalled)
+			}
+			m.HandleTask(msg, from)
+		})
 	}
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
@@ -348,18 +397,17 @@ func TestTaskTimeoutReassigns(t *testing.T) {
 	if err := d.SubmitAnywhere(vcloud.Task{Ops: 2000}, func(r vcloud.TaskResult) { res = r }); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunFor(500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	stopRunning(t, d)
 	if err := s.RunFor(2 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if !res.OK {
 		t.Fatalf("task did not recover through the timeout path: %+v", res)
 	}
-	if res.Retries < 1 {
+	if res.Retries < 1 || !retried {
 		t.Error("no retry recorded: timeout path not exercised")
+	}
+	if !stalledKept {
+		t.Errorf("stalled member %d had left the member table when the retry dispatched: expiry, not the timeout, recovered the work", stalled)
 	}
 	if stats.WastedOps == 0 {
 		t.Error("timed-out attempt's work not counted as waste")

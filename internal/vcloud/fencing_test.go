@@ -88,12 +88,14 @@ func TestSplitBrainAbdicationAndMerge(t *testing.T) {
 	stats := &vcloud.Stats{}
 	d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{
 		Failover: true,
-		Fencing:  true,
-		OnApply: func(id vcloud.TaskID, epoch uint64, ok bool) {
-			applies[id]++
-			if applies[id] > 1 {
-				duplicates++
-			}
+		Controller: vcloud.ControllerConfig{
+			Fencing: true,
+			OnApply: func(id vcloud.TaskID, epoch uint64, ok bool) {
+				applies[id]++
+				if applies[id] > 1 {
+					duplicates++
+				}
+			},
 		},
 		OnAccept: func(ctl vnet.Addr, e vcloud.Epoch) {
 			if e.Round() > maxRound {
@@ -251,8 +253,8 @@ func TestRestoreReplacesTasksBehindPartition(t *testing.T) {
 	s := parkingScenario(t, 8)
 	stats := &vcloud.Stats{}
 	d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{
-		Failover: true,
-		Fencing:  true,
+		Failover:   true,
+		Controller: vcloud.ControllerConfig{Fencing: true},
 	}, stats)
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +276,7 @@ func TestRestoreReplacesTasksBehindPartition(t *testing.T) {
 		}
 	}
 	// Let a checkpoint round replicate the in-flight table (period
-	// 2×AdvPeriod) before the crash; the 8 s tasks are still running.
+	// 2 s) before the crash; the 8 s tasks are still running.
 	if err := s.RunFor(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestMergeRetirementReleasesReplicaQueues(t *testing.T) {
 			t.Fatalf("copy %d placed on member %d, want %d", i, r.assignee, i)
 		}
 	}
-	c.onMerge(vnet.Message{Origin: 50, Payload: mergeMsg{
+	c.onMerge(vnet.Message{Origin: 50, Payload: Checkpoint{
 		Epoch:  NextEpoch(0, 50),
 		Parked: []ParkedOutcome{{Task: voted.task, Client: 100, OK: true, Value: 7, Voters: []vnet.Addr{5, 6}}},
 	}}, 50)

@@ -254,7 +254,7 @@ func (m *Member) disarm(ctls ...vnet.Addr) {
 	ck := m.standbyCkpt
 	m.standbyCkpt = nil
 	m.standbyFrom = -1
-	if ck == nil || !ck.Cfg.Fencing {
+	if ck == nil || ck.Epoch.Zero() {
 		return
 	}
 	sent := map[vnet.Addr]bool{}
@@ -263,13 +263,26 @@ func (m *Member) disarm(ctls ...vnet.Addr) {
 			continue
 		}
 		sent[ctl] = true
-		ack := m.node.NewMessage(ctl, kindCkptAck, 64, 1, ackMsg{
-			Seq:    ck.Seq,
-			Disarm: true,
-			Known:  m.highestEpoch,
-		})
-		m.node.SendTo(ctl, ack)
+		sendAck(m.node, ctl, ck.Seq, true, m.highestEpoch)
 	}
+}
+
+// witness admits a message stamped with epoch e. A message from a
+// generation below the highest this member has witnessed is stale: it
+// is counted and refused (false). Otherwise the watermark rises to e;
+// zero (unfenced) epochs pass untouched.
+func (m *Member) witness(e Epoch) bool {
+	if e.Zero() {
+		return true
+	}
+	if m.highestEpoch.Supersedes(e) {
+		m.stats.StaleRejected.Inc()
+		return false
+	}
+	if e.Supersedes(m.highestEpoch) {
+		m.highestEpoch = e
+	}
+	return true
 }
 
 func (m *Member) join() {
@@ -332,15 +345,9 @@ func (m *Member) onTask(msg vnet.Message, _ vnet.Addr) {
 	}
 	// Fencing: refuse dispatches from a leadership generation below the
 	// highest we have witnessed — the sender was superseded and may not
-	// know it yet (the split-brain double-dispatch this PR eliminates).
-	if !tm.Epoch.Zero() {
-		if m.highestEpoch.Supersedes(tm.Epoch) {
-			m.stats.StaleRejected.Inc()
-			return
-		}
-		if tm.Epoch.Supersedes(m.highestEpoch) {
-			m.highestEpoch = tm.Epoch
-		}
+	// know it yet (the split-brain double-dispatch fencing eliminates).
+	if !m.witness(tm.Epoch) {
+		return
 	}
 	// Queue behind current work: start when all current tasks finish.
 	// The controller's load view approximates the same queue.
@@ -435,52 +442,37 @@ func (m *Member) onCkpt(msg vnet.Message, _ vnet.Addr) {
 	// not make us its standby — refuse the role with a disarm-ack so the
 	// stale controller's parked outcomes do not stall forever (the Known
 	// epoch also tells it it was deposed).
-	if !ck.Epoch.Zero() {
-		if m.highestEpoch.Supersedes(ck.Epoch) {
-			m.stats.StaleRejected.Inc()
-			// The disarm must be truthful: drop any checkpoint this (now
-			// superseded) controller armed us with earlier, or we could
-			// later promote from it and replay a task table whose
-			// outcomes the controller applied once we disarmed it.
-			if m.standbyFrom == msg.Origin {
-				m.standbyCkpt = nil
-				m.standbyFrom = -1
-			}
-			ack := m.node.NewMessage(msg.Origin, kindCkptAck, 64, 1, ackMsg{
-				Seq:    ck.Seq,
-				Disarm: true,
-				Known:  m.highestEpoch,
-			})
-			m.node.SendTo(msg.Origin, ack)
-			return
+	if !m.witness(ck.Epoch) {
+		// The disarm must be truthful: drop any checkpoint this (now
+		// superseded) controller armed us with earlier, or we could
+		// later promote from it and replay a task table whose
+		// outcomes the controller applied once we disarmed it.
+		if m.standbyFrom == msg.Origin {
+			m.standbyCkpt = nil
+			m.standbyFrom = -1
 		}
-		if ck.Epoch.Supersedes(m.highestEpoch) {
-			m.highestEpoch = ck.Epoch
-		}
+		sendAck(m.node, msg.Origin, ck.Seq, true, m.highestEpoch)
+		return
 	}
 	m.standbyCkpt = &ck
 	m.standbyFrom = msg.Origin
 	if m.controller == msg.Origin {
 		m.controllerAt = m.node.Kernel().Now()
 	}
-	if ck.Cfg.Fencing {
-		ack := m.node.NewMessage(msg.Origin, kindCkptAck, 64, 1, ackMsg{
-			Seq:   ck.Seq,
-			Known: m.highestEpoch,
-		})
-		m.node.SendTo(msg.Origin, ack)
+	if !ck.Epoch.Zero() {
+		sendAck(m.node, msg.Origin, ck.Seq, false, m.highestEpoch)
 	}
 }
 
 // maybePromote checks the failover condition — we hold a checkpoint and
-// the controller that sent it has been silent past its FailoverTTL —
+// the controller that sent it has been silent past failoverTTL —
 // and promotes this member to controller when it holds. Reports whether
 // a promotion happened (the member is stopped afterwards).
 func (m *Member) maybePromote() bool {
 	if m.standbyCkpt == nil || m.controller != m.standbyFrom {
 		return false
 	}
-	if m.node.Kernel().Now()-m.controllerAt <= m.standbyCkpt.FailoverTTL {
+	if m.node.Kernel().Now()-m.controllerAt <= failoverTTL {
 		return false
 	}
 	m.promote()
@@ -498,7 +490,7 @@ func (m *Member) promote() {
 	// Promote past every epoch this member has witnessed, not just the
 	// checkpoint's: a higher-epoch controller may have lived (and
 	// applied outcomes) since the checkpoint was cut.
-	if ckpt.Cfg.Fencing && m.highestEpoch.Counter > ckpt.Epoch.Counter {
+	if !ckpt.Epoch.Zero() && m.highestEpoch.Counter > ckpt.Epoch.Counter {
 		ckpt.Epoch.Counter = m.highestEpoch.Counter
 	}
 	node, stats, onPromote := m.node, m.stats, m.cfg.OnPromote

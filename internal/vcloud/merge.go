@@ -19,7 +19,7 @@
 //     be applied on neither (at-most-once — the safe direction for the
 //     "no outcome applied twice" invariant).
 //
-//   - On partition heal the abdicating controller ships its whole state
+//   - On partition heal the abdicating controller ships its Checkpoint
 //     in a merge message: the survivor unions membership, merges the
 //     (task, epoch) applied ledger, re-adopts orphaned in-flight tasks,
 //     applies still-unapplied parked outcomes (deduped against the
@@ -27,7 +27,7 @@
 //     so members re-accept under a fresh counter.
 //
 // Liveness tradeoff: an armed standby that dies without disarming
-// stalls parked applies and (after FailoverTTL without an ack) makes
+// stalls parked applies and (after failoverTTL without an ack) makes
 // the controller refuse new submissions — safety over availability, the
 // CP side of the partition tradeoff. The stall clears when the standby
 // recovers (it either disarm-acks or promotes and the epoch battle
@@ -60,7 +60,7 @@ type ackMsg struct {
 }
 
 // ParkedOutcome is a finished-but-unapplied task outcome riding in a
-// checkpoint (and offered in a merge): everything needed to apply the
+// checkpoint (replicated or merged): everything needed to apply the
 // outcome except the submitter callback, which cannot cross the wire.
 // Seq is the checkpoint sequence that first carries it — the outcome is
 // applied once the armed standbys have acked that sequence.
@@ -75,23 +75,6 @@ type ParkedOutcome struct {
 	Handovers int
 	Submitted sim.Time
 	Seq       uint64
-}
-
-// mergeMsg is the abdicating controller's parting gift: its full state,
-// shipped to the superseding rival for anti-entropy reconciliation.
-type mergeMsg struct {
-	Epoch   Epoch
-	Members []MemberSnapshot
-	Tasks   []TaskCheckpoint
-	Applied []AppliedRecord
-	Parked  []ParkedOutcome
-	// Armed is the abdicator's outstanding arming obligations: standbys
-	// that hold its replicated state and could still promote from it.
-	// The survivor inherits them (see inheritArmed).
-	Armed []vnet.Addr
-	// Jobs are the abdicator's in-flight DAG jobs; the survivor adopts
-	// any it does not already run and resumes their pending stages.
-	Jobs []JobCheckpoint
 }
 
 // parkedEntry is a parked outcome plus the local-only context needed to
@@ -117,7 +100,7 @@ type armedStandby struct {
 }
 
 // leaseExpired reports whether any armed standby has gone silent for
-// longer than FailoverTTL — the point at which that standby may already
+// longer than failoverTTL — the point at which that standby may already
 // have promoted from its checkpoint copy, so accepting new work could
 // double-dispatch it. Every armed standby must stay in contact: a
 // controller that re-designates a reachable standby mid-partition is
@@ -127,7 +110,7 @@ func (c *Controller) leaseExpired(now sim.Time) bool {
 		return false
 	}
 	for _, as := range c.armed {
-		if now-as.at > c.cfg.FailoverTTL {
+		if now-as.at > failoverTTL {
 			return true
 		}
 	}
@@ -175,7 +158,7 @@ func (c *Controller) exportArmed() []vnet.Addr {
 // every listed standby (except this node) may hold replicated state of
 // the same task lineage and promote a sibling successor, so outcomes
 // must park until it disarms. The lease clock restarts at adoption —
-// the sibling gets FailoverTTL to hear our advertisement and disarm.
+// the sibling gets failoverTTL to hear our advertisement and disarm.
 func (c *Controller) inheritArmed(armed []vnet.Addr, now sim.Time) {
 	for _, a := range armed {
 		if a == c.node.Addr() {
@@ -328,50 +311,26 @@ func (c *Controller) onRivalCkpt(msg vnet.Message, _ vnet.Addr) {
 		c.stats.CkptRejected.Inc()
 		return
 	}
-	ack := c.node.NewMessage(msg.Origin, kindCkptAck, 64, 1, ackMsg{
-		Seq:    ck.Seq,
-		Disarm: true,
-		Known:  c.epoch,
-	})
-	c.node.SendTo(msg.Origin, ack)
+	sendAck(c.node, msg.Origin, ck.Seq, true, c.epoch)
+}
+
+// sendAck acknowledges checkpoint seq to ctl, carrying the highest epoch
+// the sender knows; disarm refuses (or gives up) the standby role.
+func sendAck(node *vnet.Node, ctl vnet.Addr, seq uint64, disarm bool, known Epoch) {
+	node.SendTo(ctl, node.NewMessage(ctl, kindCkptAck, 64, 1, ackMsg{Seq: seq, Disarm: disarm, Known: known}))
 }
 
 // abdicateTo stands the controller down in favor of a superseding
-// rival: ship full state in a merge message for anti-entropy, then halt.
-// The OnAbdicate hook lets the deployment re-attach a member agent on
-// this node — leadership returns to the rival deterministically.
+// rival: ship its checkpoint in a merge message for anti-entropy, then
+// halt. The OnAbdicate hook lets the deployment re-attach a member agent
+// on this node — leadership returns to the rival deterministically.
 func (c *Controller) abdicateTo(target vnet.Addr, rival Epoch) {
 	c.stats.Abdications.Inc()
 	c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
 		"abdicating %v to rival %v at %d", c.epoch, rival, target)
-	mm := mergeMsg{
-		Epoch:   c.epoch,
-		Applied: c.exportLedger(),
-		Parked:  c.exportParked(),
-		Armed:   c.exportArmed(),
-		Jobs:    c.exportJobs(),
-	}
-	for _, a := range c.Members() {
-		mm.Members = append(mm.Members, MemberSnapshot{Addr: a, Res: c.members[a].res})
-	}
-	ids := make([]TaskID, 0, len(c.tasks))
-	for id := range c.tasks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		ts := c.tasks[id]
-		mm.Tasks = append(mm.Tasks, TaskCheckpoint{
-			Task:         ts.task,
-			Client:       ts.client,
-			RemainingOps: ts.remainingOps,
-			Retries:      ts.retries,
-			Handovers:    ts.handovers,
-			Submitted:    ts.submitted,
-		})
-	}
-	size := 128 + 24*len(mm.Members) + 96*len(mm.Tasks) + 16*len(mm.Applied) + 96*len(mm.Parked) + 160*len(mm.Jobs)
-	msg := c.node.NewMessage(target, kindMerge, size, 1, mm)
+	ck := c.Checkpoint()
+	size := 128 + 24*len(ck.Members) + 96*len(ck.Tasks) + 16*len(ck.Applied) + 96*len(ck.Parked) + 160*len(ck.Jobs)
+	msg := c.node.NewMessage(target, kindMerge, size, 1, ck)
 	c.node.SendTo(target, msg)
 	onAbdicate := c.cfg.OnAbdicate
 	c.Crash() // silent halt: pending task state was shipped in the merge
@@ -388,7 +347,7 @@ func (c *Controller) onMerge(msg vnet.Message, _ vnet.Addr) {
 	if c.stopped {
 		return
 	}
-	mm, ok := msg.Payload.(mergeMsg)
+	mm, ok := msg.Payload.(Checkpoint)
 	if !ok {
 		return
 	}
@@ -427,19 +386,9 @@ func (c *Controller) onMerge(msg vnet.Message, _ vnet.Addr) {
 		if _, live := c.tasks[id]; live {
 			continue // we already run our own copy (shared checkpoint lineage)
 		}
-		ts := &taskState{
-			task:         tc.Task,
-			client:       tc.Client,
-			remainingOps: tc.RemainingOps,
-			retries:      tc.Retries,
-			handovers:    tc.Handovers,
-			submitted:    tc.Submitted,
-			policy:       c.effectivePolicy(tc.Task),
-		}
-		c.tasks[id] = ts
 		c.stats.Adopted.Inc()
 		adopted++
-		c.dispatchReplicas(ts, ts.policy.Replicas)
+		c.resume(tc)
 	}
 	for _, po := range mm.Parked {
 		id := po.Task.ID

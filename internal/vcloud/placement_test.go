@@ -30,7 +30,7 @@ func poolPick(c *Controller, ts *taskState, exclude map[vnet.Addr]bool, remainin
 	}
 	var ok, short []cand
 	for a, m := range c.members {
-		if exclude[a] || now-m.lastSeen > c.cfg.MemberTTL {
+		if exclude[a] || now-m.lastSeen > memberTTL {
 			continue
 		}
 		if m.res.CPU <= 0 || !m.res.HasSensor(ts.task.NeedsSensor) {
@@ -44,7 +44,7 @@ func poolPick(c *Controller, ts *taskState, exclude map[vnet.Addr]bool, remainin
 		dwell := math.Inf(1)
 		if c.cfg.Dwell != nil && !m.edge {
 			dwell = c.cfg.Dwell(a)
-			cd.hasDwell = dwell >= runtime*c.cfg.DwellMargin
+			cd.hasDwell = dwell >= runtime*dwellMargin
 		} else {
 			cd.hasDwell = true
 		}
@@ -142,7 +142,7 @@ func TestPickReplicaMemberMatchesPoolModel(t *testing.T) {
 				a := vnet.Addr(rng.Intn(60))
 				mi := &memberInfo{
 					res:       Resources{CPU: pickF(0, 500, 1000, 1000, 2000)},
-					lastSeen:  now - sim.Time(rng.Int63n(int64(4*c.cfg.MemberTTL/3))),
+					lastSeen:  now - sim.Time(rng.Int63n(int64(4*memberTTL/3))),
 					queuedOps: pickF(0, 0, 1000, 3000),
 				}
 				if rng.Intn(3) > 0 {

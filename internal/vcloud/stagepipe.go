@@ -260,14 +260,8 @@ func (m *Member) onStagePull(msg vnet.Message, _ vnet.Addr) {
 	}
 	// Fencing: a pull minted under a superseded generation is as stale
 	// as a dispatch from it.
-	if !pm.Epoch.Zero() {
-		if m.highestEpoch.Supersedes(pm.Epoch) {
-			m.stats.StaleRejected.Inc()
-			return
-		}
-		if pm.Epoch.Supersedes(m.highestEpoch) {
-			m.highestEpoch = pm.Epoch
-		}
+	if !m.witness(pm.Epoch) {
+		return
 	}
 	e, hit := m.cache.get(stageKey{job: pm.Job, stage: pm.Stage})
 	size := 64

@@ -6,7 +6,7 @@
 // their own membership source (store.FuncView); the repair driver lives
 // here: AttachStorage registers a
 // backend for churn-driven repair, where member expiry (silent past
-// MemberTTL) triggers a repair pass and a partition-heal merge (the PR 3
+// memberTTL) triggers a repair pass and a partition-heal merge (the PR 3
 // anti-entropy path) repairs under the merged epoch — the moment two
 // clusters reunite is exactly when placements are most skewed.
 //

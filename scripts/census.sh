@@ -56,6 +56,9 @@ for mode in "" "-splitbrain" "-store replicated" "-store ec" "-dag" "-saturate" 
 	# shellcheck disable=SC2086 # $mode is zero, one or two words
 	keep vcloudsim -soak $mode -seed 7 -vehicles 14 -duration 300
 done
+# The one soak that merges fenced controllers carrying DAG jobs and
+# storage: it pins what an abdication ships to the survivor.
+keep vcloudsim -soak -splitbrain -dag -store replicated -seed 11 -vehicles 18 -duration 300
 plan='20s crash 3; 25s recover 3; 30s rsu-down 0; 40s rsu-up 0; 45s partition 1500,0 400 20s; 50s isolate 4 10s; 60s loss 0.3 10s; 70s kill-controller 0; 80s kill-member 5'
 for scen in highway city parkinglot; do
 	for arch in stationary infrastructure dynamic; do
