@@ -2,10 +2,14 @@ package vcloud_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -124,20 +128,31 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	// A float the decoder takes as an amount must be one: a NaN remaining
 	// op count would give a resumed task a NaN runtime, so every finish
 	// estimate and timeout of a promoted standby would go wrong with it.
+	// Every other decoder check has a row too, with the error it words.
 	for _, tc := range []struct {
 		name string
 		set  func(*vcloud.Checkpoint)
+		want string
 	}{
-		{"NaN remaining ops", func(ck *vcloud.Checkpoint) { ck.Tasks[0].RemainingOps = math.NaN() }},
-		{"infinite member CPU", func(ck *vcloud.Checkpoint) { ck.Members[1].Res.CPU = math.Inf(1) }},
-		{"negative member storage", func(ck *vcloud.Checkpoint) { ck.Members[0].Res.Storage = -1 }},
-		{"minus-infinite job wasted ops", func(ck *vcloud.Checkpoint) { ck.Jobs[0].Wasted = math.Inf(-1) }},
+		{"NaN remaining ops", func(ck *vcloud.Checkpoint) { ck.Tasks[0].RemainingOps = math.NaN() }, "task 11 remaining ops NaN"},
+		{"infinite member CPU", func(ck *vcloud.Checkpoint) { ck.Members[1].Res.CPU = math.Inf(1) }, "member 5 resources (cpu +Inf, storage 1024)"},
+		{"negative member storage", func(ck *vcloud.Checkpoint) { ck.Members[0].Res.Storage = -1 }, "member 3 resources (cpu 1000, storage -1)"},
+		{"minus-infinite job wasted ops", func(ck *vcloud.Checkpoint) { ck.Jobs[0].Wasted = math.Inf(-1) }, "job 4 wasted ops -Inf"},
+		{"negative policy replicas", func(ck *vcloud.Checkpoint) { ck.Depend = &vcloud.DependabilityPolicy{Replicas: -1} },
+			"invalid policy: vcloud: policy replicas must be >= 0, got -1"},
+		{"zero task ops", func(ck *vcloud.Checkpoint) { ck.Tasks[0].Task.Ops = 0 }, "invalid task 11: vcloud: task ops must be positive, got 0"},
+		{"stage depending on itself", func(ck *vcloud.Checkpoint) { ck.Jobs[0].Spec.Stages[0].Deps = []int{0} }, "invalid job 4 spec: "},
+		{"stage status out of range", func(ck *vcloud.Checkpoint) { ck.Jobs[0].Stages[0].Status = 9 }, "job 4 stage 0: bad status 9"},
+		{"over-long sensor name", func(ck *vcloud.Checkpoint) { ck.Members[0].Res.Sensors[0] = strings.Repeat("s", 1025) }, "string length 1025 exceeds cap"},
+		{"too many sensors", func(ck *vcloud.Checkpoint) { ck.Members[0].Res.Sensors = make([]string, 65) }, "sensor count 65 exceeds cap"},
+		{"too many voters", func(ck *vcloud.Checkpoint) { ck.Parked[0].Voters = make([]vnet.Addr, 4097) }, "voter count 4097 exceeds cap 4096"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ck := fixtureCheckpoint()
 			tc.set(&ck)
-			if _, err := vcloud.DecodeCheckpoint(vcloud.EncodeCheckpoint(ck)); err == nil {
-				t.Error("accepted")
+			_, err := vcloud.DecodeCheckpoint(vcloud.EncodeCheckpoint(ck))
+			if want := "vcloud: corrupt checkpoint: " + tc.want; err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("got %v, want %q", err, want)
 			}
 		})
 	}
@@ -286,15 +301,83 @@ func TestReservedBlockHoldsTheWireLength(t *testing.T) {
 // buffer it returns must be full — for the fixture, for the busy
 // checkpoint and for the empty one.
 func TestEncodedSizeIsExact(t *testing.T) {
-	staged := fixtureCheckpoint()
-	staged.Tasks[0].Task.Stage = &vcloud.StageBinding{Job: 4, Stage: 1, OutputBytes: 8,
-		Inputs: []vcloud.StageInput{{Stage: 0, Bytes: 64, Sources: []vnet.Addr{3, 5}}, {Stage: 2}}}
-	staged.Parked[0].Reason = "timeout"
-	staged.Jobs[0].Spec.Stages[0].Deps = []int{0}
-	staged.Jobs[0].Spec.Stages[0].NeedsSensor = "cam"
-	for name, ck := range map[string]vcloud.Checkpoint{"fixture": fixtureCheckpoint(), "busy": busyCheckpoint(), "staged": staged, "empty": {}} {
+	for name, ck := range map[string]vcloud.Checkpoint{"fixture": fixtureCheckpoint(), "busy": busyCheckpoint(), "staged": stagedCheckpoint(), "empty": {}} {
 		if data := vcloud.EncodeCheckpoint(ck); len(data) != cap(data) {
 			t.Errorf("%s: encoded %d bytes into a buffer sized %d", name, len(data), cap(data))
 		}
+	}
+}
+
+// stagedCheckpoint is fixtureCheckpoint with every optional part of the
+// layout filled in: a stage binding with inputs and sources, a parked
+// failure reason, and a stage with dependencies and a sensor.
+func stagedCheckpoint() vcloud.Checkpoint {
+	ck := fixtureCheckpoint()
+	ck.Tasks[0].Task.Stage = &vcloud.StageBinding{Job: 4, Stage: 1, OutputBytes: 8,
+		Inputs: []vcloud.StageInput{{Stage: 0, Bytes: 64, Sources: []vnet.Addr{3, 5}}, {Stage: 2}}}
+	ck.Parked[0].Reason = "timeout"
+	ck.Jobs[0].Spec.Stages[0].Deps = []int{0}
+	ck.Jobs[0].Spec.Stages[0].NeedsSensor = "cam"
+	return ck
+}
+
+// TestEncodingIsPinned: the wire layout is part of the model (a
+// checkpoint's frame is as long as its encoding) and of the committed
+// fuzz seeds, so every byte of it is pinned, not only the lengths.
+func TestEncodingIsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ck   vcloud.Checkpoint
+		len  int
+		hash string
+	}{
+		{"fixture", fixtureCheckpoint(), 871, "dac864c1c160ffb58f29f348a4fe4ad8c67b2b71096591d0adb5fc47a90396fe"},
+		{"busy", busyCheckpoint(), 15271, "da39c1a80949df43a950285e71b2bcefd49cde12bc6d7dd049763e6b59be5231"},
+		{"staged", stagedCheckpoint(), 973, "e42d8a5f27b2a51f3c70a4c2895be2725008784a97243e488d1c45ebd1c3bcc2"},
+		{"empty", vcloud.Checkpoint{}, 273, "904b028d4c2e20804384c596da4557acb6695cf4911e6e2a3c05e22911eebe9b"},
+	} {
+		data := vcloud.EncodeCheckpoint(tc.ck)
+		if sum := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != tc.len || sum != tc.hash {
+			t.Errorf("%s: encoded %d bytes with sha256 %s, want %d bytes with %s", tc.name, len(data), sum, tc.len, tc.hash)
+		}
+	}
+}
+
+// TestHostileCountIsCheap: decoding presizes a collection by its count
+// only as far as the bytes left could hold its records. An empty
+// checkpoint's 70 header bytes, their task count set to 65,536, and then
+// 16 KiB of zeros must be refused for a few KiB per call, not the
+// megabytes a presize trusting the count (or one record per byte left)
+// would take.
+func TestHostileCountIsCheap(t *testing.T) {
+	data := append([]byte(nil), vcloud.EncodeCheckpoint(vcloud.Checkpoint{})[:70]...)
+	binary.BigEndian.PutUint32(data[66:], 1<<16)
+	data = append(data, make([]byte, 16<<10)...)
+	const calls = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := vcloud.DecodeCheckpoint(data); err == nil {
+			t.Fatal("hostile count accepted")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 64<<10 {
+		t.Errorf("decoding a hostile count allocated %d B per call, want under 64 KiB", per)
+	}
+}
+
+// TestCheckpointCodecAllocs: encoding the busy checkpoint allocates its
+// buffer and the walk, and decoding allocates what the decoded value
+// holds — its slices, strings and policies — and the walk, not a heap
+// copy of each record.
+func TestCheckpointCodecAllocs(t *testing.T) {
+	ck := busyCheckpoint()
+	data := vcloud.EncodeCheckpoint(ck)
+	if n := testing.AllocsPerRun(20, func() { vcloud.EncodeCheckpoint(ck) }); n > 3 {
+		t.Errorf("encode: %v allocations, want at most 3", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _ = vcloud.DecodeCheckpoint(data) }); n > 160 {
+		t.Errorf("decode: %v allocations, want at most 160", n)
 	}
 }

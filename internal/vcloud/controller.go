@@ -84,14 +84,13 @@ type handoverMsg struct {
 
 // Stats aggregates cloud outcomes for the experiments.
 type Stats struct {
-	Submitted  metrics.Counter
-	Completed  metrics.Counter
-	Failed     metrics.Counter
-	Retries    metrics.Counter
-	Handovers  metrics.Counter
-	WastedOps  float64 // ops executed and then lost
-	Latency    metrics.Histogram
-	JoinEvents metrics.Counter
+	Submitted metrics.Counter
+	Completed metrics.Counter
+	Failed    metrics.Counter
+	Retries   metrics.Counter
+	Handovers metrics.Counter
+	WastedOps float64 // ops executed and then lost
+	Latency   metrics.Histogram
 	// Failovers counts standby self-promotions; Resumed counts in-flight
 	// tasks a promoted controller restored from a checkpoint.
 	Failovers metrics.Counter
@@ -123,28 +122,25 @@ type Stats struct {
 	// DAG job engine counters (PR 7). StageRelays counts controller-
 	// mediated input handoffs (the fallback path); StageHandoffs counts
 	// member-to-member pulls served without a controller round-trip.
-	JobsSubmitted    metrics.Counter
-	JobsCompleted    metrics.Counter
-	JobsPartial      metrics.Counter
-	JobsFailed       metrics.Counter
-	JobsResumed      metrics.Counter
-	JobRestarts      metrics.Counter
-	StagesDispatched metrics.Counter
-	StagesCompleted  metrics.Counter
-	StagesAbandoned  metrics.Counter
-	StageRetries     metrics.Counter
-	StageRelays      metrics.Counter
-	StageHandoffs    metrics.Counter
+	JobsSubmitted   metrics.Counter
+	JobsCompleted   metrics.Counter
+	JobsPartial     metrics.Counter
+	JobsFailed      metrics.Counter
+	JobsResumed     metrics.Counter
+	JobRestarts     metrics.Counter
+	StagesAbandoned metrics.Counter
+	StageRetries    metrics.Counter
+	StageRelays     metrics.Counter
+	StageHandoffs   metrics.Counter
 	// OpsDispatched accumulates every op handed to a worker (first
 	// dispatches, retries, redundant replicas, handover re-dispatches) —
 	// the denominator of E15's wasted-work accounting.
 	OpsDispatched float64
-	// Congestion-aware placement counters (PR 8). Admitted /
-	// AdmissionRejects split governor admission decisions; Backpressured
-	// counts submissions bounced off full tier queues; Shed counts
-	// optional work dropped under overload; TierSwitches counts the
-	// governor changing its preferred tier (hysteresis keeps this low).
-	Admitted         metrics.Counter
+	// Congestion-aware placement counters (PR 8). AdmissionRejects counts
+	// governor admission refusals; Backpressured counts submissions
+	// bounced off full tier queues; Shed counts optional work dropped
+	// under overload; TierSwitches counts the governor changing its
+	// preferred tier (hysteresis keeps this low).
 	AdmissionRejects metrics.Counter
 	Backpressured    metrics.Counter
 	Shed             metrics.Counter
@@ -498,7 +494,6 @@ func (c *Controller) onJoin(msg vnet.Message, _ vnet.Addr) {
 	if !exists {
 		m = &memberInfo{}
 		c.members[msg.Origin] = m
-		c.stats.JoinEvents.Inc()
 	}
 	m.res = jm.Resources
 	m.edge = jm.Edge

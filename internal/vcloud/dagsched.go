@@ -189,7 +189,6 @@ func (c *Controller) launchStage(j *jobState, i int) {
 		c.onStageFailed(j, i, ReasonNoEligibleMember)
 		return
 	}
-	c.stats.StagesDispatched.Inc()
 	// SubmitFor never applies an outcome before returning (the fail-fast
 	// deadline path defers by a tick), so the binding is always recorded
 	// before the outcome can route back here.
@@ -224,7 +223,6 @@ func (c *Controller) onStageApplied(po ParkedOutcome) {
 		st.status = StageDone
 		st.value = po.Value
 		st.holders = append([]vnet.Addr(nil), po.Voters...)
-		c.stats.StagesCompleted.Inc()
 		c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
 			"job %d stage %d done on %v", b.Job, b.Stage, st.holders)
 		c.dispatchReady(j)

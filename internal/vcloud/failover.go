@@ -131,10 +131,10 @@ type Checkpoint struct {
 	Jobs []JobCheckpoint
 }
 
-// ckptMsg replicates a checkpoint to the standby as encoded bytes: the
-// standby decodes and validates before accepting the standby role, so a
-// truncated or corrupted checkpoint is rejected with an error instead
-// of promoting garbage.
+// ckptMsg carries an encoded checkpoint, to a standby or, in a merge, to
+// the rival an abdicating controller defers to: the receiver decodes and
+// validates before it acts on it, so a truncated or corrupted checkpoint
+// is rejected with an error instead of promoting or merging garbage.
 type ckptMsg struct {
 	Data []byte
 }

@@ -279,7 +279,6 @@ func (g *Governor) Submit(task Task, done func(TaskResult)) error {
 		}
 		g.preferred = choice
 	}
-	g.stats.Admitted.Inc()
 	ct.placed++
 	ct.outstanding++
 	ct.outstandingOps += task.Ops

@@ -64,10 +64,10 @@ func TestMergeRetirementReleasesReplicaQueues(t *testing.T) {
 			t.Fatalf("copy %d placed on member %d, want %d", i, r.assignee, i)
 		}
 	}
-	c.onMerge(vnet.Message{Origin: 50, Payload: Checkpoint{
+	c.onMerge(vnet.Message{Origin: 50, Payload: ckptMsg{Data: EncodeCheckpoint(Checkpoint{
 		Epoch:  NextEpoch(0, 50),
 		Parked: []ParkedOutcome{{Task: voted.task, Client: 100, OK: true, Value: 7, Voters: []vnet.Addr{5, 6}}},
-	}}, 50)
+	})}}, 50)
 	if _, live := c.tasks[voted.task.ID]; live {
 		t.Fatal("merged outcome did not retire the live copy")
 	}

@@ -321,16 +321,19 @@ func sendAck(node *vnet.Node, ctl vnet.Addr, seq uint64, disarm bool, known Epoc
 }
 
 // abdicateTo stands the controller down in favor of a superseding
-// rival: ship its checkpoint in a merge message for anti-entropy, then
-// halt. The OnAbdicate hook lets the deployment re-attach a member agent
-// on this node — leadership returns to the rival deterministically.
+// rival: ship its encoded checkpoint in a merge message for
+// anti-entropy, then halt. The OnAbdicate hook lets the deployment
+// re-attach a member agent on this node — leadership returns to the
+// rival deterministically.
 func (c *Controller) abdicateTo(target vnet.Addr, rival Epoch) {
 	c.stats.Abdications.Inc()
 	c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
 		"abdicating %v to rival %v at %d", c.epoch, rival, target)
 	ck := c.Checkpoint()
+	// The frame keeps this estimate, not the encoding's length: frame
+	// lengths are part of the radio model, and fenced runs move with it.
 	size := 128 + 24*len(ck.Members) + 96*len(ck.Tasks) + 16*len(ck.Applied) + 96*len(ck.Parked) + 160*len(ck.Jobs)
-	msg := c.node.NewMessage(target, kindMerge, size, 1, ck)
+	msg := c.node.NewMessage(target, kindMerge, size, 1, ckptMsg{Data: EncodeCheckpoint(ck)})
 	c.node.SendTo(target, msg)
 	onAbdicate := c.cfg.OnAbdicate
 	c.Crash() // silent halt: pending task state was shipped in the merge
@@ -342,13 +345,20 @@ func (c *Controller) abdicateTo(target vnet.Addr, rival Epoch) {
 // onMerge reconciles an abdicated rival's state into this controller:
 // membership union, ledger merge, orphaned-task adoption, parked-outcome
 // application (deduped to exactly-once), then an epoch bump past both
-// generations so members re-accept leadership under a fresh counter.
+// generations so members re-accept leadership under a fresh counter. A
+// payload that does not decode is counted in CkptRejected and changes
+// nothing.
 func (c *Controller) onMerge(msg vnet.Message, _ vnet.Addr) {
 	if c.stopped {
 		return
 	}
-	mm, ok := msg.Payload.(Checkpoint)
+	cm, ok := msg.Payload.(ckptMsg)
 	if !ok {
+		return
+	}
+	mm, err := DecodeCheckpoint(cm.Data)
+	if err != nil {
+		c.stats.CkptRejected.Inc()
 		return
 	}
 	c.stats.Merges.Inc()
