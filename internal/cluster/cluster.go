@@ -25,6 +25,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"vcloud/internal/geo"
 	"vcloud/internal/sim"
@@ -94,8 +95,9 @@ type Algorithm interface {
 	// Name identifies the algorithm in experiment output.
 	Name() string
 	// Decide returns the node's new state given its own view, its live
-	// neighbors, and its current state. neighbors is the Runner's
-	// scratch, overwritten on its next tick: Decide must not retain it.
+	// neighbors, and its current state. neighbors is the kernel's
+	// decision scratch, overwritten by the next decision of any Runner
+	// on the same kernel: Decide must not retain it.
 	Decide(self NodeView, neighbors []NeighborView, cur State) State
 }
 
@@ -106,7 +108,8 @@ type Algorithm interface {
 func mobilityScore(self NodeView, neighbors []NeighborView) float64 {
 	var total float64
 	n := 0
-	for _, nb := range neighbors {
+	for i := range neighbors {
+		nb := &neighbors[i]
 		if !sameDirection(self.Heading, nb.Heading) {
 			// Opposing traffic is transient by construction; counting it
 			// would make every score fluctuate as vehicles stream past
@@ -142,9 +145,9 @@ func (LowestID) Name() string { return "lowest-id" }
 // Decide implements Algorithm.
 func (LowestID) Decide(self NodeView, neighbors []NeighborView, cur State) State {
 	lowest := self.Addr
-	for _, nb := range neighbors {
-		if nb.Addr < lowest {
-			lowest = nb.Addr
+	for i := range neighbors {
+		if a := neighbors[i].Addr; a < lowest {
+			lowest = a
 		}
 	}
 	if lowest == self.Addr {
@@ -225,7 +228,8 @@ func (a MobilitySimilarity) Decide(self NodeView, neighbors []NeighborView, cur 
 	}
 
 	// Rule 4: head emergence.
-	for _, nb := range neighbors {
+	for i := range neighbors {
+		nb := &neighbors[i]
 		if !nb.HasState {
 			continue
 		}
@@ -272,7 +276,8 @@ func (a PassiveMultiHop) Decide(self NodeView, neighbors []NeighborView, cur Sta
 	bestHead := vnet.Addr(-1)
 	bestHops := maxHops + 1
 	bestScore := math.Inf(1)
-	for _, nb := range neighbors {
+	for i := range neighbors {
+		nb := &neighbors[i]
 		if !nb.HasState || nb.State.Role == Undecided || nb.State.Head < 0 || nb.State.Head == self.Addr {
 			continue
 		}
@@ -291,7 +296,8 @@ func (a PassiveMultiHop) Decide(self NodeView, neighbors []NeighborView, cur Sta
 	// Sticky: keep the current affiliation while a route to that head is
 	// still advertised by some neighbor.
 	if cur.Role == Member && cur.Head >= 0 {
-		for _, nb := range neighbors {
+		for i := range neighbors {
+			nb := &neighbors[i]
 			if !nb.HasState || nb.State.Head != cur.Head || nb.Addr == self.Addr {
 				continue
 			}
@@ -315,7 +321,8 @@ func (a PassiveMultiHop) Decide(self NodeView, neighbors []NeighborView, cur Sta
 
 	// Passive head emergence: become head only if no neighbor has a
 	// better score (the "most stable node" rule).
-	for _, nb := range neighbors {
+	for i := range neighbors {
+		nb := &neighbors[i]
 		if !nb.HasState {
 			continue
 		}
@@ -336,10 +343,15 @@ type Runner struct {
 	ticker  *sim.Ticker
 	// onChange observers run after each state change.
 	onChange []func(old, new State)
-	// views is tick's scratch, reused so a steady-state re-decision does
-	// not allocate.
-	views []NeighborView
 }
+
+// viewsKey keys the kernel's decision scratch (sim.Kernel.Scratch): one
+// *[]NeighborView that every Runner on the kernel fills and hands to
+// Decide within its tick, so a fleet holds one neighbourhood's views,
+// not one per vehicle, and a steady-state re-decision allocates nothing.
+type viewsKey struct{}
+
+func newViews() any { return new([]NeighborView) }
 
 // NewRunner wires algo onto node. tracker may be nil.
 func NewRunner(node *vnet.Node, algo Algorithm, period sim.Time, tracker *Tracker) (*Runner, error) {
@@ -364,8 +376,13 @@ func NewRunner(node *vnet.Node, algo Algorithm, period sim.Time, tracker *Tracke
 	return r, nil
 }
 
-// Stop halts periodic re-decision.
-func (r *Runner) Stop() { r.ticker.Stop() }
+// Stop halts periodic re-decision and withdraws the node's cluster
+// extension, so neighbours stop seeing a frozen state (a stopped head
+// would otherwise keep its members through sticky membership).
+func (r *Runner) Stop() {
+	r.ticker.Stop()
+	r.node.SetBeaconExt(nil)
+}
 
 // State returns the current cluster state.
 func (r *Runner) State() State { return r.state }
@@ -384,19 +401,17 @@ func (r *Runner) tick() {
 		Speed:   r.node.Speed(),
 		Heading: r.node.Heading(),
 	}
-	r.views = r.views[:0]
-	for _, row := range r.node.Rows() {
-		nb := row.Beacon
-		v := NeighborView{
-			NodeView: NodeView{Addr: nb.From, Pos: nb.Pos, Speed: nb.Speed, Heading: nb.Heading},
-		}
-		if ext, ok := nb.Ext.(Ext); ok {
-			v.State = ext.State
-			v.HasState = true
-		}
-		r.views = append(r.views, v)
+	buf := r.node.Kernel().Scratch(viewsKey{}, newViews).(*[]NeighborView)
+	rows := r.node.Rows()
+	views := slices.Grow((*buf)[:0], len(rows))[:len(rows)]
+	*buf = views
+	for i := range rows {
+		nb, v := rows[i].Beacon, &views[i]
+		v.NodeView = NodeView{Addr: nb.From, Pos: nb.Pos, Speed: nb.Speed, Heading: nb.Heading}
+		ext, ok := nb.Ext.(Ext)
+		v.State, v.HasState = ext.State, ok
 	}
-	next := r.algo.Decide(self, r.views, r.state)
+	next := r.algo.Decide(self, views, r.state)
 	if next != r.state {
 		old := r.state
 		r.state = next

@@ -252,33 +252,70 @@ func TestTrackerEmptyMean(t *testing.T) {
 	}
 }
 
-// TestRunnerTickAllocFree: a steady-state re-decision fills its views
-// straight from the neighbor table's rows into the runner's own scratch
-// and allocates nothing.
-func TestRunnerTickAllocFree(t *testing.T) {
-	k := sim.NewKernel(1)
-	m, err := radio.NewMedium(k, geo.NewRect(geo.Point{X: -100, Y: -100}, geo.Point{X: 400, Y: 100}), radio.DefaultParams())
+// spy is MobilitySimilarity that keeps the neighbours of its last
+// decision.
+type spy struct {
+	MobilitySimilarity
+	last []NeighborView
+}
+
+func (s *spy) Decide(self NodeView, neighbors []NeighborView, cur State) State {
+	s.last = neighbors
+	return s.MobilitySimilarity.Decide(self, neighbors, cur)
+}
+
+const testBeaconPeriod = 200 * time.Millisecond
+
+// fleet starts one beaconing node per position on k, each with a Runner
+// of algo(i) re-deciding every second.
+func fleet(tb testing.TB, k *sim.Kernel, pos []geo.Point, algo func(i int) Algorithm) []*Runner {
+	tb.Helper()
+	m, err := radio.NewMedium(k, geo.NewRect(geo.Point{X: -500, Y: -500}, geo.Point{X: 500, Y: 500}), radio.DefaultParams())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	var runners []*Runner
-	for i := 0; i < 6; i++ {
-		addr, pos := vnet.Addr(i), geo.Point{X: float64(i) * 40}
-		m.UpdatePosition(addr, pos)
-		node, err := vnet.NewNode(k, m, addr, vnet.Config{BeaconPeriod: 200 * time.Millisecond},
-			func() (geo.Point, float64, float64) { return pos, 10, 0 })
+	runners := make([]*Runner, len(pos))
+	for i, p := range pos {
+		addr := vnet.Addr(i)
+		m.UpdatePosition(addr, p)
+		node, err := vnet.NewNode(k, m, addr, vnet.Config{BeaconPeriod: testBeaconPeriod},
+			func() (geo.Point, float64, float64) { return p, 10, 0 })
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		r, err := NewRunner(node, MobilitySimilarity{}, time.Second, nil)
-		if err != nil {
-			t.Fatal(err)
+		if runners[i], err = NewRunner(node, algo(i), time.Second, nil); err != nil {
+			tb.Fatal(err)
 		}
 		if err := node.Start(); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		runners = append(runners, r)
 	}
+	return runners
+}
+
+// line is n positions 40 m apart along the x axis.
+func line(n int) []geo.Point {
+	pos := make([]geo.Point, n)
+	for i := range pos {
+		pos[i] = geo.Point{X: float64(i) * 40}
+	}
+	return pos
+}
+
+func mobility(int) Algorithm { return MobilitySimilarity{} }
+
+// TestRunnerTickAllocFree: a steady-state re-decision fills its views
+// straight from the neighbor table's rows into the kernel's scratch and
+// allocates nothing.
+func TestRunnerTickAllocFree(t *testing.T) {
+	k := sim.NewKernel(1)
+	s := &spy{}
+	runners := fleet(t, k, line(6), func(i int) Algorithm {
+		if i == 3 {
+			return s
+		}
+		return MobilitySimilarity{}
+	})
 	if err := k.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +327,100 @@ func TestRunnerTickAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, r.tick); allocs != 0 {
 		t.Errorf("steady-state tick: %v allocs/op, want 0", allocs)
 	}
-	if r.state != settled || len(r.views) != 5 || !r.views[0].HasState {
-		t.Errorf("tick read %d views (state %+v, was %+v), want 5 with advertised state", len(r.views), r.state, settled)
+	if r.state != settled || len(s.last) != 5 || !s.last[0].HasState {
+		t.Errorf("tick read %d views (state %+v, was %+v), want 5 with advertised state", len(s.last), r.state, settled)
+	}
+}
+
+// TestRunnersShareKernelScratch: every runner on a kernel hands Decide
+// the same backing array, the kernel's; a runner on another kernel
+// hands its own.
+func TestRunnersShareKernelScratch(t *testing.T) {
+	k1, k2 := sim.NewKernel(1), sim.NewKernel(1)
+	spies := []*spy{{}, {}, {}}
+	on1 := fleet(t, k1, line(3), func(i int) Algorithm {
+		if i < 2 {
+			return spies[i]
+		}
+		return MobilitySimilarity{}
+	})
+	on2 := fleet(t, k2, line(2), func(i int) Algorithm {
+		if i == 0 {
+			return spies[2]
+		}
+		return MobilitySimilarity{}
+	})
+	for _, k := range []*sim.Kernel{k1, k2} {
+		if err := k.Run(3 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := make([]*NeighborView, len(spies))
+	for i, r := range []*Runner{on1[0], on1[1], on2[0]} {
+		r.tick()
+		if len(spies[i].last) == 0 {
+			t.Fatalf("runner %d decided with no neighbours", i)
+		}
+		base[i] = &spies[i].last[0]
+	}
+	if base[0] != base[1] {
+		t.Errorf("runners on one kernel decide on %p and %p, want one shared buffer", base[0], base[1])
+	}
+	if base[2] == base[0] {
+		t.Errorf("runners on two kernels share buffer %p", base[0])
+	}
+}
+
+// TestStopWithdrawsExt: one beacon period after Stop, a neighbour's row
+// for the stopped node carries no cluster state, so a stopped head
+// cannot hold its members through sticky membership.
+func TestStopWithdrawsExt(t *testing.T) {
+	k := sim.NewKernel(1)
+	runners := fleet(t, k, line(2), mobility)
+	if err := k.Run(3 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ext := func() any {
+		for _, row := range runners[1].node.Rows() {
+			if row.Beacon.From == 0 {
+				return row.Beacon.Ext
+			}
+		}
+		t.Fatal("node 1 has no row for node 0")
+		return nil
+	}
+	if _, ok := ext().(Ext); !ok {
+		t.Fatal("before Stop: node 0's beacons carry no cluster extension")
+	}
+	runners[0].Stop()
+	// One period, plus the frame's time on air.
+	if err := k.Run(k.Now() + testBeaconPeriod + 10*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if e := ext(); e != nil {
+		t.Errorf("after Stop node 0 still advertises %+v", e)
+	}
+}
+
+// BenchmarkRunnerTick re-decides round-robin over 100 runners that all
+// hear each other (a 10 × 10 grid 10 m apart), tables settled.
+func BenchmarkRunnerTick(b *testing.B) {
+	k := sim.NewKernel(1)
+	pos := make([]geo.Point, 100)
+	for i := range pos {
+		pos[i] = geo.Point{X: float64(i%10) * 10, Y: float64(i/10) * 10}
+	}
+	runners := fleet(b, k, pos, mobility)
+	if err := k.Run(3 * time.Second); err != nil {
+		b.Fatal(err)
+	}
+	// Channel load drops a few beacons, so not every row is fresh.
+	if n := runners[0].node.NumNeighbors(); n < 90 {
+		b.Fatalf("runner hears %d neighbours, want about 99", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runners[i%len(runners)].tick()
 	}
 }

@@ -178,6 +178,8 @@ type Kernel struct {
 	// runWall accumulates real time spent inside Run/Step; the sharded
 	// kernel reads it per window for its busy and critical-path walls.
 	runWall time.Duration
+	// scratch holds Scratch's values, made on first use.
+	scratch map[any]any
 }
 
 // NewKernel creates a kernel whose random streams derive from seed.
@@ -228,6 +230,27 @@ func (k *Kernel) Pending() int { return k.pending }
 // WallTime returns the cumulative real time spent dispatching events
 // inside Run and Step.
 func (k *Kernel) WallTime() time.Duration { return k.runWall }
+
+// Scratch returns the value the kernel keeps under key, calling mk to
+// make it the first time key is asked for. It is for data an event fills
+// and drains before it returns — a decision's working buffer — which
+// every model on the kernel can then share: events fire one at a time on
+// one goroutine, so no two of them hold the value at once, and each
+// kernel (each shard's included) has its own. Nothing may be kept in it
+// across events. Key it like a context value, with a package's own
+// unexported type, so packages cannot collide. A hit is one map lookup
+// and allocates nothing.
+func (k *Kernel) Scratch(key any, mk func() any) any {
+	if v, ok := k.scratch[key]; ok {
+		return v
+	}
+	if k.scratch == nil {
+		k.scratch = make(map[any]any)
+	}
+	v := mk()
+	k.scratch[key] = v
+	return v
+}
 
 // NewStream returns an independent random stream labelled by name. Distinct
 // names yield decorrelated streams that are stable across runs with the

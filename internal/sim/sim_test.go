@@ -1533,3 +1533,26 @@ func FuzzKernelOrder(f *testing.F) {
 		checkProgram(t, prog)
 	})
 }
+
+// TestScratchPerKernel: one key on one kernel is one value, made once;
+// another kernel makes its own; a hit allocates nothing.
+func TestScratchPerKernel(t *testing.T) {
+	type key struct{}
+	made := 0
+	mk := func() any { made++; return new([]int) }
+	k1, k2 := NewKernel(1), NewKernel(1)
+	a := k1.Scratch(key{}, mk).(*[]int)
+	if b := k1.Scratch(key{}, mk).(*[]int); b != a || made != 1 {
+		t.Fatalf("same key, same kernel: got %p then %p, made %d times, want one value made once", a, b, made)
+	}
+	if c := k2.Scratch(key{}, mk).(*[]int); c == a || made != 2 {
+		t.Fatalf("second kernel shares %p (made %d times), want its own value", c, made)
+	}
+	type other struct{}
+	if d := k1.Scratch(other{}, mk).(*[]int); d == a {
+		t.Fatal("distinct keys share one value")
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { _ = k1.Scratch(key{}, mk) }); allocs != 0 {
+		t.Errorf("Scratch hit: %v allocs/op, want 0", allocs)
+	}
+}
