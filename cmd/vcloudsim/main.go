@@ -306,6 +306,8 @@ func runSoak(o options) error {
 	fmt.Println()
 	fmt.Printf("tasks: submitted=%d completed=%d failed=%d refused=%d correct=%d wrong=%d unchecked=%d\n",
 		rep.Submitted, rep.Completed, rep.Failed, rep.Refused, rep.Correct, rep.Wrong, rep.Unchecked)
+	fmt.Printf("availability: completed=%d/%d refused=%d longest-refused-streak=%d at=%s length=%s\n",
+		rep.Completed, rep.Submitted, rep.Refused, rep.RefusedStreak, rep.RefusedFrom, rep.RefusedFor)
 	fmt.Printf("storm: %d fault(s) injected, %d failover(s), %d invariant sweep(s)\n",
 		rep.FaultsInjected, rep.Failovers, rep.Checks)
 	if o.split {

@@ -169,6 +169,13 @@ type Report struct {
 	// active controller would take (cloud headless mid-failover).
 	Submitted int
 	Refused   int
+	// RefusedStreak is the longest run of consecutive refused
+	// submissions; it began at RefusedFrom and, one submission per
+	// soakTaskEvery, lasted RefusedFor of virtual time. It is measured
+	// outside the checksummed event log.
+	RefusedStreak int
+	RefusedFrom   sim.Time
+	RefusedFor    sim.Time
 	// Completed/Failed count callback outcomes. Tasks resumed by a
 	// failover successor lose their callbacks, so these can undercount
 	// the controller's own totals — the reconciliation the invariant
@@ -292,6 +299,10 @@ type soak struct {
 	tasks      []*soakTask
 	report     *Report
 	violations map[string]bool
+	// refused counts the current run of refused submissions, which
+	// began at refusedFrom.
+	refused     int
+	refusedFrom sim.Time
 	// lastKill gates controller kills: a fresh promotee needs time to
 	// gather members and replicate a checkpoint before it can be killed
 	// survivably, so kills are spaced by killSpacing. lastSplit gates
@@ -482,8 +493,16 @@ func (sk *soak) submitOne() {
 	if err != nil {
 		sk.report.Refused++
 		sk.event("task %d refused at %s", seq, sk.s.Kernel.Now())
+		if sk.refused == 0 {
+			sk.refusedFrom = st.submitted
+		}
+		sk.refused++
+		if sk.refused > sk.report.RefusedStreak {
+			sk.report.RefusedStreak, sk.report.RefusedFrom = sk.refused, sk.refusedFrom
+		}
 		return
 	}
+	sk.refused = 0
 	sk.report.Submitted++
 }
 
@@ -760,6 +779,7 @@ func (sk *soak) event(format string, args ...interface{}) {
 // finalize computes the checksum and closing counters.
 func (sk *soak) finalize() {
 	sk.report.Failovers = sk.w.Stats.Failovers.Value()
+	sk.report.RefusedFor = sim.Time(sk.report.RefusedStreak) * soakTaskEvery
 	sk.report.Abdications = sk.w.Stats.Abdications.Value()
 	sk.report.Merges = sk.w.Stats.Merges.Value()
 	sk.report.Adopted = sk.w.Stats.Adopted.Value()

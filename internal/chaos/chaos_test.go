@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -152,6 +153,42 @@ func TestSplitBrainSoakShort(t *testing.T) {
 	t.Logf("submitted=%d completed=%d failed=%d splits=%d epochs=%d abdications=%d merges=%d adopted=%d deduped=%d stale=%d checksum=%x",
 		rep.Submitted, rep.Completed, rep.Failed, rep.SplitBrains, rep.Epochs,
 		rep.Abdications, rep.Merges, rep.Adopted, rep.Deduped, rep.StaleRejected, rep.Checksum)
+}
+
+// TestRefusedStreakMatchesEventLog: the availability measurement agrees
+// with the checksummed event log, where each refusal is one line. The
+// longest run of consecutive refused submission numbers, the time of its
+// first refusal, and its length on the submission beat must all match.
+func TestRefusedStreakMatchesEventLog(t *testing.T) {
+	rep, err := Soak(splitCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, run, prev := 0, 0, -2
+	var from, bestFrom string
+	for _, ev := range rep.Events {
+		var seq int
+		var at string
+		if n, _ := fmt.Sscanf(ev, "task %d refused at %s", &seq, &at); n != 2 {
+			continue
+		}
+		if seq == prev+1 {
+			run++
+		} else {
+			run, from = 1, at
+		}
+		prev = seq
+		if run > best {
+			best, bestFrom = run, from
+		}
+	}
+	if rep.Refused == 0 {
+		t.Fatal("no submission refused: the seed no longer exercises the measurement")
+	}
+	if rep.RefusedStreak != best || rep.RefusedFrom.String() != bestFrom || rep.RefusedFor != time.Duration(best)*soakTaskEvery {
+		t.Errorf("streak %d from %v for %v; the event log says %d from %s for %v",
+			rep.RefusedStreak, rep.RefusedFrom, rep.RefusedFor, best, bestFrom, time.Duration(best)*soakTaskEvery)
+	}
 }
 
 // TestSplitBrainSoakSeeds is the acceptance sweep: five seeds of

@@ -2,6 +2,7 @@ package vcloud
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -163,8 +164,7 @@ func (d *Deployment) onAbdicate(c *Controller) {
 
 func (d *Deployment) newController(node *vnet.Node) (*Controller, error) {
 	cc := d.cfg.Controller
-	cc.Failover = cc.Failover || d.cfg.Failover
-	if cc.Fencing && cc.OnAbdicate == nil {
+	if cc.OnAbdicate == nil {
 		cc.OnAbdicate = d.onAbdicate
 	}
 	if cc.Dwell == nil {
@@ -173,7 +173,7 @@ func (d *Deployment) newController(node *vnet.Node) (*Controller, error) {
 	if d.cfg.acceptJoinFor != nil {
 		cc.AcceptJoin = d.cfg.acceptJoinFor(node.Addr())
 	}
-	c, err := NewController(node, cc, d.Stats)
+	c, err := newController(node, cc, d.Stats, d.cfg.leaderMode())
 	if err != nil {
 		return nil, err
 	}
@@ -205,9 +205,7 @@ func (d *Deployment) attachMember(id mobility.VehicleID) error {
 		// abdications and trace events.
 		c.cfg.OnApply = d.cfg.Controller.OnApply
 		c.cfg.Trace = d.cfg.Controller.Trace
-		if c.cfg.Fencing {
-			c.cfg.OnAbdicate = d.onAbdicate
-		}
+		c.cfg.OnAbdicate = d.onAbdicate
 		c.AttachStorage(d.cfg.Storage)
 		d.Controllers = append(d.Controllers, c)
 	}
@@ -251,7 +249,7 @@ func (d *Deployment) deployFixed() error {
 		ctlNode = d.s.RSUs[0]
 	}
 	ids := d.s.VehicleIDs()
-	sortIDs(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		if err := d.attachMember(id); err != nil {
 			return err
@@ -301,7 +299,7 @@ func (d *Deployment) deployFixed() error {
 
 func (d *Deployment) deployDynamic() error {
 	ids := d.s.VehicleIDs()
-	sortIDs(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		if err := d.attachMember(id); err != nil {
 			return err
@@ -414,13 +412,5 @@ func (d *Deployment) SetEmergency(on bool) {
 	d.emergency = on
 	for _, c := range d.Controllers {
 		c.SetEmergency(on)
-	}
-}
-
-func sortIDs(ids []mobility.VehicleID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
 	}
 }

@@ -1,8 +1,10 @@
 package vcloud
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -177,24 +179,21 @@ type ControllerConfig struct {
 	// Trace, when non-nil, records task lifecycle events for post-run
 	// debugging (nil-safe; see internal/trace).
 	Trace *trace.Recorder
-	// Failover enables checkpoint replication to a standby member and the
-	// standby's self-promotion when this controller goes silent — the
-	// dependability mechanism E11 measures. Off by default.
-	Failover bool
 	// Depend is the dependability policy (redundant replicas, voting,
 	// backoff retries) of every task that does not carry its own
 	// Task.Depend override. Nil means the default policy: one copy,
 	// three retries, 500 ms jittered backoff.
 	Depend *DependabilityPolicy
-	// Fencing enables split-brain-safe leadership: the controller
-	// carries a monotonically increasing epoch on every advertisement,
-	// checkpoint, dispatch and result; members reject stale epochs; a
-	// controller that hears a superseding rival abdicates and ships its
-	// state for merge reconciliation; and finished outcomes are applied
-	// only after the armed standby acknowledges a checkpoint carrying
-	// them (see merge.go). Off by default — zero epochs keep every
-	// legacy code path bit-for-bit identical. A checkpoint is fenced
-	// exactly when its epoch is non-zero, so the flag never rides one.
+	// Fencing enables split-brain-safe leadership, and with it failover
+	// (DeployConfig.Failover): the controller carries a monotonically
+	// increasing epoch on every advertisement, checkpoint, dispatch and
+	// result; members reject stale epochs; a controller that hears a
+	// superseding rival abdicates and ships its state for merge
+	// reconciliation; and finished outcomes are applied only after the
+	// armed standby acknowledges a checkpoint carrying them (see
+	// leadership.go). Off by default — zero epochs keep every legacy code
+	// path bit-for-bit identical. A checkpoint is fenced exactly when its
+	// epoch is non-zero, so the flag never rides one.
 	Fencing bool
 	// OnApply, when non-nil, observes every applied task outcome with
 	// the applying controller's epoch counter — the hook the chaos
@@ -272,31 +271,18 @@ type Controller struct {
 	// storage.go for the churn-driven repair wiring.
 	storage storageBackend
 
-	// standby is the designated failover successor (-1 when none).
-	standby  vnet.Addr
-	ckptSeq  uint64
-	lastCkpt sim.Time
-
-	// Fencing state (see merge.go). epoch is this controller's fencing
-	// token; armed tracks every standby ever sent a checkpoint (it can
-	// promote from its copy, so outcomes park until it acks or disarms)
-	// with its highest acknowledged sequence and last-heard time — any
-	// single armed standby going silent past failoverTTL expires the
-	// leadership lease; parked holds finished outcomes awaiting
-	// acknowledgement, in checkpoint-seq order; applied/appliedOrder is
-	// the capped (task, epoch) ledger enforcing exactly-once application.
-	epoch        Epoch
-	armed        map[vnet.Addr]armedStandby
-	parked       []*parkedEntry
-	applied      map[TaskID]uint64
-	appliedOrder []TaskID
+	// lead is the controller side of the leadership core: standby,
+	// checkpoint cadence, epoch, lease and the applied ledger (see
+	// leadership.go).
+	lead leader
 
 	emergency bool
 	stopped   bool
 }
 
-// NewController creates and starts a controller on node.
-func NewController(node *vnet.Node, cfg ControllerConfig, stats *Stats) (*Controller, error) {
+// newController creates and starts a controller on node in the given
+// leadership mode (see modeOf).
+func newController(node *vnet.Node, cfg ControllerConfig, stats *Stats, mode leaderMode) (*Controller, error) {
 	if node == nil || stats == nil {
 		return nil, fmt.Errorf("vcloud: node and stats must not be nil")
 	}
@@ -312,22 +298,10 @@ func NewController(node *vnet.Node, cfg ControllerConfig, stats *Stats) (*Contro
 		members: make(map[vnet.Addr]*memberInfo),
 		tasks:   make(map[TaskID]*taskState),
 		jobs:    make(map[JobID]*jobState),
-		standby: -1,
 		rng:     node.Kernel().NewStream(fmt.Sprintf("vcloud.depend.%d", node.Addr())),
+		lead:    newLeader(node.Addr(), mode),
 	}
-	node.Handle(kindJoin, c.onJoin)
-	node.Handle(kindResult, c.onResult)
-	node.Handle(kindHandover, c.onHandover)
-	node.Handle(kindStageRelay, c.onStageRelay)
-	if cfg.Fencing {
-		c.epoch = NextEpoch(0, node.Addr())
-		c.armed = make(map[vnet.Addr]armedStandby)
-		c.applied = make(map[TaskID]uint64)
-		node.Handle(kindAdv, c.onRivalAdv)
-		node.Handle(kindMerge, c.onMerge)
-		node.Handle(kindCkptAck, c.onCkptAck)
-		node.Handle(kindCkpt, c.onRivalCkpt)
-	}
+	c.handle(true)
 	t, err := node.Kernel().Every(advPeriod, c.tick)
 	if err != nil {
 		return nil, err
@@ -343,12 +317,7 @@ func (c *Controller) Stop() {
 		return
 	}
 	c.halt()
-	ids := make([]TaskID, 0, len(c.tasks))
-	for id := range c.tasks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range sortedKeys(c.tasks) {
 		c.finish(c.tasks[id], false, ReasonControllerStopped, 0)
 	}
 	c.failAllJobs(ReasonControllerStopped)
@@ -375,15 +344,24 @@ func (c *Controller) Crash() {
 func (c *Controller) halt() {
 	c.stopped = true
 	c.ticker.Stop()
-	c.node.Handle(kindJoin, nil)
-	c.node.Handle(kindResult, nil)
-	c.node.Handle(kindHandover, nil)
-	c.node.Handle(kindStageRelay, nil)
-	if c.cfg.Fencing {
-		c.node.Handle(kindAdv, nil)
-		c.node.Handle(kindMerge, nil)
-		c.node.Handle(kindCkptAck, nil)
-		c.node.Handle(kindCkpt, nil)
+	c.handle(false)
+}
+
+// handle attaches (on) or detaches every message handler the controller
+// serves; a fenced one also hears rival advertisements, checkpoints,
+// acks and merges. A halted controller hears nothing, so no handler
+// checks stopped.
+func (c *Controller) handle(on bool) {
+	kinds := []string{kindJoin, kindResult, kindHandover, kindStageRelay, kindAdv, kindMerge, kindCkptAck, kindCkpt}
+	fns := []vnet.Handler{c.onJoin, c.onResult, c.onHandover, c.onStageRelay, c.onRivalAdv, c.onMerge, c.onCkptAck, c.onRivalCkpt}
+	if !c.lead.fenced() {
+		kinds = kinds[:4]
+	}
+	for i, kind := range kinds {
+		if !on {
+			fns[i] = nil
+		}
+		c.node.Handle(kind, fns[i])
 	}
 }
 
@@ -398,12 +376,18 @@ func (c *Controller) NumMembers() int { return len(c.members) }
 
 // Members returns the live member addresses, sorted.
 func (c *Controller) Members() []vnet.Addr {
-	out := make([]vnet.Addr, 0, len(c.members))
-	for a := range c.members {
-		out = append(out, a)
+	return sortedKeys(c.members)
+}
+
+// sortedKeys lists m's keys in ascending order: map order must never
+// leak into what the controller sends or applies.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(keys)
+	return keys
 }
 
 // SetEmergency flips emergency mode; the flag propagates to members in
@@ -439,12 +423,17 @@ func (c *Controller) tick() {
 	}
 	// (Re)designate the standby before advertising so the advertisement
 	// carries the current designation.
-	if c.cfg.Failover {
-		c.refreshStandby(now)
+	lost, ckpt := c.lead.tick(now, c.standbyCandidate(now))
+	if lost {
+		// The cloud is now one controller crash away from losing its task
+		// table: surface that instead of silently no-oping.
+		c.stats.StandbyLost.Inc()
+		c.cfg.Trace.Emit(now, trace.CatCloud, int32(c.node.Addr()),
+			"standby lost: no eligible member to replicate checkpoints to")
 	}
 	c.advertise()
-	if c.cfg.Failover && c.standby >= 0 && now-c.lastCkpt >= checkpointPeriod {
-		c.sendCheckpoint(now)
+	if ckpt {
+		c.sendCheckpoint()
 	}
 }
 
@@ -453,8 +442,8 @@ func (c *Controller) advertise() {
 	adv := c.node.NewMessage(vnet.BroadcastAddr, kindAdv, 64, 1, advMsg{
 		Controller: c.node.Addr(),
 		Emergency:  c.emergency,
-		Standby:    c.standby,
-		Epoch:      c.epoch,
+		Standby:    c.lead.standby,
+		Epoch:      c.lead.epoch,
 	})
 	c.node.BroadcastLocal(adv)
 }
@@ -480,9 +469,6 @@ func (c *Controller) reassignOrphans(gone vnet.Addr) {
 }
 
 func (c *Controller) onJoin(msg vnet.Message, _ vnet.Addr) {
-	if c.stopped {
-		return
-	}
 	jm, ok := msg.Payload.(joinMsg)
 	if !ok {
 		return
@@ -515,15 +501,11 @@ func (c *Controller) SubmitFor(client vnet.Addr, task Task, done func(TaskResult
 	if err := task.Validate(); err != nil {
 		return 0, err
 	}
-	// Lease expiry: an armed standby has not acknowledged a checkpoint
-	// within failoverTTL, so it may already have promoted on the far
-	// side of a partition. Refuse new work rather than double-dispatch
-	// it — safety over availability until the partition resolves.
-	if c.leaseExpired(c.node.Kernel().Now()) {
-		return 0, fmt.Errorf("vcloud: leadership lease expired (standby unreachable)")
+	if err := c.lead.lease(c.node.Kernel().Now()); err != nil {
+		return 0, err
 	}
 	c.nextID++
-	task.ID = epochTaskID(c.epoch.Counter, c.nextID)
+	task.ID = epochTaskID(c.lead.epoch.Counter, c.nextID)
 	ts := &taskState{
 		task:         task,
 		client:       client,
@@ -554,9 +536,6 @@ func (c *Controller) SubmitFor(client vnet.Addr, task Task, done func(TaskResult
 
 // onResult takes one replica's vote.
 func (c *Controller) onResult(msg vnet.Message, _ vnet.Addr) {
-	if c.stopped {
-		return
-	}
 	rm, ok := msg.Payload.(resultMsg)
 	if !ok {
 		return
@@ -580,9 +559,6 @@ func (c *Controller) onResult(msg vnet.Message, _ vnet.Addr) {
 // its worker announces departure. With no member to take it, the
 // remainder stays with the task, and the next round dispatches only it.
 func (c *Controller) onHandover(msg vnet.Message, _ vnet.Addr) {
-	if c.stopped {
-		return
-	}
 	hm, ok := msg.Payload.(handoverMsg)
 	if !ok {
 		return
@@ -645,19 +621,19 @@ func (c *Controller) finish(ts *taskState, ok bool, reason FailReason, value uin
 		done:     ts.done,
 		replicas: len(ts.replicas),
 	}
-	// Apply-after-ack (fenced failover only): while any standby holds an
-	// unacknowledged checkpoint copy of our state, applying immediately
-	// could duplicate the outcome — the standby might promote from a
-	// checkpoint that still lists this task as in flight. Park the
-	// outcome until the next checkpoint carrying it is acknowledged;
-	// with no standby armed nobody can promote a stale copy, so apply
-	// directly (likewise when stopping — the flush machinery is dead).
-	if c.cfg.Fencing && c.cfg.Failover && !c.stopped && len(c.armed) > 0 {
-		e.po.Seq = c.ckptSeq + 1
-		c.parked = append(c.parked, e)
+	if c.settle(e) {
 		c.cfg.Trace.Emit(now, trace.CatCloud, int32(c.node.Addr()),
 			"task %d outcome parked until ckpt %d acked", id, e.po.Seq)
-		return
+	}
+}
+
+// settle parks a finished outcome until the standbys ack it (see
+// leader.park), or applies it; a stopping controller applies at once,
+// since the flush machinery dies with it. Reports whether e parked.
+func (c *Controller) settle(e *parkedEntry) bool {
+	if !c.stopped && c.lead.park(e) {
+		return true
 	}
 	c.applyEntry(e)
+	return false
 }

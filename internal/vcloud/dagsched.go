@@ -12,7 +12,6 @@ package vcloud
 
 import (
 	"fmt"
-	"sort"
 
 	"vcloud/internal/sim"
 	"vcloud/internal/trace"
@@ -72,11 +71,11 @@ func (c *Controller) SubmitJobFor(client vnet.Addr, spec JobSpec, done func(JobR
 	if err := spec.Validate(); err != nil {
 		return 0, err
 	}
-	if c.leaseExpired(c.node.Kernel().Now()) {
-		return 0, fmt.Errorf("vcloud: leadership lease expired (standby unreachable)")
+	if err := c.lead.lease(c.node.Kernel().Now()); err != nil {
+		return 0, err
 	}
 	c.nextJobID++
-	id := JobID(epochTaskID(c.epoch.Counter, c.nextJobID))
+	id := JobID(epochTaskID(c.lead.epoch.Counter, c.nextJobID))
 	j := c.buildJob(id, spec, client, c.node.Kernel().Now(), done)
 	c.jobs[id] = j
 	c.stats.JobsSubmitted.Inc()
@@ -442,12 +441,7 @@ func (c *Controller) cancelTask(id TaskID) {
 
 // failAllJobs fails every in-flight job (controller Stop).
 func (c *Controller) failAllJobs(reason FailReason) {
-	ids := make([]JobID, 0, len(c.jobs))
-	for id := range c.jobs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range sortedKeys(c.jobs) {
 		if j, live := c.jobs[id]; live {
 			c.failJob(j, reason)
 		}
@@ -460,11 +454,7 @@ func (c *Controller) exportJobs() []JobCheckpoint {
 	if len(c.jobs) == 0 {
 		return nil
 	}
-	ids := make([]JobID, 0, len(c.jobs))
-	for id := range c.jobs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := sortedKeys(c.jobs)
 	out := make([]JobCheckpoint, 0, len(ids))
 	for _, id := range ids {
 		j := c.jobs[id]
@@ -493,7 +483,7 @@ func (c *Controller) exportJobs() []JobCheckpoint {
 
 // restoreJob rebuilds job state from a checkpoint row (no callback —
 // closures do not survive replication).
-func (c *Controller) restoreJob(jc JobCheckpoint) *jobState {
+func (c *Controller) restoreJob(jc JobCheckpoint) {
 	j := c.buildJob(jc.ID, jc.Spec, jc.Client, jc.Submitted, nil)
 	j.restarts = jc.Restarts
 	j.wasted = jc.Wasted
@@ -510,7 +500,6 @@ func (c *Controller) restoreJob(jc JobCheckpoint) *jobState {
 		st.holders = append([]vnet.Addr(nil), sc.Holders...)
 	}
 	c.jobs[jc.ID] = j
-	return j
 }
 
 // dagResume reconciles restored/merged job state against the live task
@@ -520,12 +509,7 @@ func (c *Controller) restoreJob(jc JobCheckpoint) *jobState {
 // stage is safe — outcomes of superseded attempts are ignored by
 // taskID match and values are deterministic digests.
 func (c *Controller) dagResume() {
-	ids := make([]JobID, 0, len(c.jobs))
-	for id := range c.jobs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range sortedKeys(c.jobs) {
 		j, live := c.jobs[id]
 		if !live {
 			continue

@@ -30,7 +30,6 @@ package vcloud
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"vcloud/internal/mobility"
@@ -302,7 +301,7 @@ func (c *Controller) dispatchOneReplica(ts *taskState, addr vnet.Addr, remaining
 		RemainingOps: remaining,
 		Attempt:      slot.attempt,
 		Replica:      idx,
-		Epoch:        c.epoch,
+		Epoch:        c.lead.epoch,
 	})
 	c.node.SendTo(addr, msg)
 
@@ -587,12 +586,7 @@ func (c *Controller) InvariantViolations() []string {
 // checker runs.
 func (c *Controller) auditOrphans() []string {
 	var out []string
-	ids := make([]TaskID, 0, len(c.tasks))
-	for id := range c.tasks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range sortedKeys(c.tasks) {
 		ts := c.tasks[id]
 		if ts.roundPending {
 			continue // a retry round will re-dispatch it

@@ -12,6 +12,12 @@ import (
 // Accessors only the tests read. The execution census keeps the
 // program to what a run executes; these stay here for the tests.
 
+// NewController starts a controller on node outside any deployment: a
+// plain one, or a fenced one (which fails over) under cfg.Fencing.
+func NewController(node *vnet.Node, cfg ControllerConfig, stats *Stats) (*Controller, error) {
+	return newController(node, cfg, stats, modeOf(cfg, false))
+}
+
 // PendingJobs returns how many DAG jobs are in flight.
 func (c *Controller) PendingJobs() int { return len(c.jobs) }
 
@@ -35,16 +41,16 @@ func (c *Controller) StorageView() store.View {
 			}
 			return c.cfg.Dwell(a)
 		},
-		EpochFn: func() uint64 { return c.epoch.Counter },
+		EpochFn: func() uint64 { return c.lead.epoch.Counter },
 	}
 }
 
 // CurrentEpoch returns the controller's epoch (zero when unfenced).
-func (c *Controller) CurrentEpoch() Epoch { return c.epoch }
+func (c *Controller) CurrentEpoch() Epoch { return c.lead.epoch }
 
 // ParkedOutcomes returns how many finished outcomes await standby
 // acknowledgement before applying.
-func (c *Controller) ParkedOutcomes() int { return len(c.parked) }
+func (c *Controller) ParkedOutcomes() int { return len(c.lead.parked) }
 
 // JobCompletionRate returns completed/submitted for DAG jobs.
 func (s *Stats) JobCompletionRate() float64 {
@@ -93,7 +99,7 @@ func (m *Member) HandleTask(msg vnet.Message, from vnet.Addr) { m.onTask(msg, fr
 
 // Standby reports whether this member currently holds a checkpoint as
 // the designated failover successor.
-func (m *Member) Standby() bool { return m.standbyCkpt != nil }
+func (m *Member) Standby() bool { return m.lead.standbyCkpt != nil }
 
 // VehicularBackend adapts a Controller to the Backend interface.
 type VehicularBackend struct {

@@ -19,7 +19,6 @@ package vcloud
 
 import (
 	"fmt"
-	"sort"
 
 	"vcloud/internal/sim"
 	"vcloud/internal/trace"
@@ -141,29 +140,16 @@ type ckptMsg struct {
 
 // Checkpoint builds the controller's current replicable state.
 func (c *Controller) Checkpoint() Checkpoint {
-	ck := Checkpoint{
-		Controller: c.node.Addr(),
-		Standby:    c.standby,
-		Seq:        c.ckptSeq,
-		NextID:     c.nextID,
-		NextJobID:  c.nextJobID,
-		Emergency:  c.emergency,
-		Depend:     c.cfg.Depend,
-		Epoch:      c.epoch,
-		Applied:    c.exportLedger(),
-		Parked:     c.exportParked(),
-		Armed:      c.exportArmed(),
-		Jobs:       c.exportJobs(),
-	}
+	ck := c.lead.snapshot()
+	ck.Controller = c.node.Addr()
+	ck.NextID, ck.NextJobID = c.nextID, c.nextJobID
+	ck.Emergency = c.emergency
+	ck.Depend = c.cfg.Depend
+	ck.Jobs = c.exportJobs()
 	for _, a := range c.Members() {
 		ck.Members = append(ck.Members, MemberSnapshot{Addr: a, Res: c.members[a].res})
 	}
-	ids := make([]TaskID, 0, len(c.tasks))
-	for id := range c.tasks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range sortedKeys(c.tasks) {
 		ts := c.tasks[id]
 		ck.Tasks = append(ck.Tasks, TaskCheckpoint{
 			Task:         ts.task,
@@ -177,49 +163,24 @@ func (c *Controller) Checkpoint() Checkpoint {
 	return ck
 }
 
-// refreshStandby (re)designates the checkpoint target: the lowest-address
-// fresh member, chosen deterministically so equal seeds replay equal
-// failovers. Returns true when a standby exists. Losing the last
-// eligible member leaves the cloud standby-less — one controller crash
-// away from losing the task table — so that transition is surfaced via
-// Stats.StandbyLost and a trace event instead of silently no-oping.
-func (c *Controller) refreshStandby(now sim.Time) bool {
+// standbyCandidate is the checkpoint target the controller proposes:
+// the lowest-address fresh member (-1 when none), chosen
+// deterministically so equal seeds replay equal failovers.
+func (c *Controller) standbyCandidate(now sim.Time) vnet.Addr {
 	best := vnet.Addr(-1)
 	for a, m := range c.members {
-		if now-m.lastSeen > memberTTL {
-			continue
-		}
-		if best < 0 || a < best {
+		if now-m.lastSeen <= memberTTL && (best < 0 || a < best) {
 			best = a
 		}
 	}
-	if best < 0 && c.standby >= 0 {
-		c.stats.StandbyLost.Inc()
-		c.cfg.Trace.Emit(now, trace.CatCloud, int32(c.node.Addr()),
-			"standby lost: no eligible member to replicate checkpoints to")
-	}
-	c.standby = best
-	return best >= 0
+	return best
 }
 
-// sendCheckpoint replicates current state to the standby. Under fencing
-// the standby becomes "armed" from the first checkpoint it is sent: it
-// holds state it could promote from, so finished outcomes park until it
-// acknowledges (see merge.go).
-func (c *Controller) sendCheckpoint(now sim.Time) {
-	c.ckptSeq++
-	c.lastCkpt = now
-	if c.cfg.Fencing {
-		if _, armed := c.armed[c.standby]; !armed {
-			// The lease grace period for this standby starts at arming.
-			// Arm before building the checkpoint so its Armed list names
-			// the recipient too (a third sibling must learn of it).
-			c.armed[c.standby] = armedStandby{at: now}
-		}
-	}
+// sendCheckpoint replicates current state to the standby.
+func (c *Controller) sendCheckpoint() {
 	data := EncodeCheckpoint(c.Checkpoint())
-	msg := c.node.NewMessage(c.standby, kindCkpt, len(data), 1, ckptMsg{Data: data})
-	c.node.SendTo(c.standby, msg)
+	to := c.lead.standby
+	c.node.SendTo(to, c.node.NewMessage(to, kindCkpt, len(data), 1, ckptMsg{Data: data}))
 }
 
 // RestoreController promotes node into a controller seeded from the
@@ -233,51 +194,30 @@ func RestoreController(node *vnet.Node, ckpt Checkpoint, stats *Stats) (*Control
 	if node == nil {
 		return nil, fmt.Errorf("vcloud: node must not be nil")
 	}
-	fenced := !ckpt.Epoch.Zero()
-	c, err := NewController(node, ControllerConfig{Failover: true, Fencing: fenced, Depend: ckpt.Depend}, stats)
+	cfg := ControllerConfig{Fencing: !ckpt.Epoch.Zero(), Depend: ckpt.Depend}
+	c, err := newController(node, cfg, stats, modeOf(cfg, true))
 	if err != nil {
 		return nil, err
 	}
 	now := node.Kernel().Now()
-	self := node.Addr()
-	for _, ms := range ckpt.Members {
-		if ms.Addr == self || ms.Addr == ckpt.Controller {
-			continue // the promoted node and the dead coordinator are not workers
-		}
-		// Checkpointed membership is not live contact: seed each member at
-		// the very edge of memberTTL so resumed tasks can dispatch to it
-		// right away, but only members that answer the promotion
-		// advertisement (the immediate advertise below triggers a re-join)
-		// stay past the first tick. Members behind a partition age out
-		// instead of being chosen as the armed standby — arming an
-		// unreachable standby would park every outcome forever.
-		c.members[ms.Addr] = &memberInfo{res: ms.Res, lastSeen: now - memberTTL}
-	}
+	// Checkpointed membership is not live contact: seed each member at
+	// the very edge of memberTTL so resumed tasks can dispatch to it right
+	// away, but only members that answer the promotion advertisement (the
+	// immediate advertise below triggers a re-join) stay past the first
+	// tick. Members behind a partition age out instead of being chosen as
+	// the armed standby — arming an unreachable standby would park every
+	// outcome forever.
+	c.adoptMembers(&ckpt, now-memberTTL)
 	c.nextID = ckpt.NextID
 	c.nextJobID = ckpt.NextJobID
 	c.emergency = ckpt.Emergency
-	if fenced {
-		// Promote at a strictly higher counter than any epoch this node
-		// has witnessed, so the predecessor's dispatches are fenced off.
-		c.epoch = NextEpoch(ckpt.Epoch.Counter, self)
-		// Seed the exactly-once ledger: outcomes the predecessor applied,
-		// plus the parked outcomes this (acknowledged) checkpoint
-		// licensed it to apply — resuming those would risk applying them
-		// twice, so they count as applied (at-most-once under partition).
-		for _, ar := range ckpt.Applied {
-			c.recordApplied(ar.ID, ar.Epoch)
-		}
-		for _, po := range ckpt.Parked {
-			c.recordApplied(po.Task.ID, ckpt.Epoch.Counter)
-		}
-		// Sibling standbys of the dead predecessor hold this same task
-		// lineage; until each disarms (or promotes and loses the epoch
-		// battle), our outcomes must park like the predecessor's did.
-		c.inheritArmed(ckpt.Armed, now)
-	}
-	c.cfg.Trace.Emit(now, trace.CatCloud, int32(self),
+	// The exactly-once ledger and the sibling standbys' arming carry
+	// over, and the successor promotes past the predecessor's epoch.
+	c.lead.seed(now, &ckpt, true)
+	c.lead.mintPast(ckpt.Epoch)
+	c.cfg.Trace.Emit(now, trace.CatCloud, int32(node.Addr()),
 		"promoted to controller (ckpt seq %d from %d: %d members, %d tasks, %d jobs, epoch %v)",
-		ckpt.Seq, ckpt.Controller, len(ckpt.Members), len(ckpt.Tasks), len(ckpt.Jobs), c.epoch)
+		ckpt.Seq, ckpt.Controller, len(ckpt.Members), len(ckpt.Tasks), len(ckpt.Jobs), c.lead.epoch)
 	// Restore jobs before relaunching tasks: a relaunched stage task can
 	// finish synchronously and must find its job row to route into.
 	for _, jc := range ckpt.Jobs {
@@ -293,6 +233,32 @@ func RestoreController(node *vnet.Node, ckpt Checkpoint, stats *Stats) (*Control
 	c.dagResume()
 	c.advertise()
 	return c, nil
+}
+
+// decodeCkpt decodes a checkpoint message; a corrupt one is counted in
+// CkptRejected and dropped.
+func decodeCkpt(msg vnet.Message, stats *Stats) (Checkpoint, bool) {
+	cm, ok := msg.Payload.(ckptMsg)
+	if !ok {
+		return Checkpoint{}, false
+	}
+	ck, err := DecodeCheckpoint(cm.Data)
+	if err != nil {
+		stats.CkptRejected.Inc()
+		return Checkpoint{}, false
+	}
+	return ck, true
+}
+
+// adoptMembers enters a checkpoint's workers as last heard at seen. This
+// node and the checkpointing controller are not workers, and a member
+// already in the table keeps its row.
+func (c *Controller) adoptMembers(ck *Checkpoint, seen sim.Time) {
+	for _, ms := range ck.Members {
+		if _, known := c.members[ms.Addr]; !known && ms.Addr != c.node.Addr() && ms.Addr != ck.Controller {
+			c.members[ms.Addr] = &memberInfo{res: ms.Res, lastSeen: seen}
+		}
+	}
 }
 
 // resume re-enters a checkpointed task into the task table and

@@ -84,18 +84,12 @@ type Member struct {
 	// authz tracks per-controller authorization: absent = not attempted,
 	// false = pending or denied, true = authorized.
 	authz map[vnet.Addr]bool
-	// standbyCkpt is the latest replicated checkpoint when this member is
-	// the designated failover standby; standbyFrom is the controller that
-	// sent it (-1 when not a standby).
-	standbyCkpt *Checkpoint
-	standbyFrom vnet.Addr
+	// lead is the member side of the leadership core: the epoch
+	// watermark and the standby checkpoint (see leadership.go).
+	lead follower
 	// tamper, when non-nil, rewrites the computed result value before it
 	// is sent — the Byzantine-worker hook (internal/attack.Byzantify).
 	tamper func(Task, uint64) uint64
-	// highestEpoch is the highest fencing token this member has
-	// witnessed; advertisements, dispatches and checkpoints from a lower
-	// counter are stale and rejected.
-	highestEpoch Epoch
 	// cache holds stage outputs this member computed or pulled, served
 	// to downstream stage workers (see stagepipe.go).
 	cache *stageCache
@@ -112,15 +106,15 @@ func NewMember(node *vnet.Node, cfg MemberConfig, stats *Stats) (*Member, error)
 		return nil, fmt.Errorf("vcloud: member CPU must be positive, got %v", cfg.Resources.CPU)
 	}
 	m := &Member{
-		node:        node,
-		cfg:         cfg,
-		stats:       stats,
-		current:     make(map[TaskID]*runningTask),
-		controller:  -1,
-		authz:       make(map[vnet.Addr]bool),
-		standbyFrom: -1,
-		cache:       newStageCache(),
-		fetches:     make(map[TaskID]*stageFetch),
+		node:       node,
+		cfg:        cfg,
+		stats:      stats,
+		current:    make(map[TaskID]*runningTask),
+		controller: -1,
+		authz:      make(map[vnet.Addr]bool),
+		lead:       newFollower(),
+		cache:      newStageCache(),
+		fetches:    make(map[TaskID]*stageFetch),
 	}
 	node.Handle(kindAdv, m.onAdv)
 	node.Handle(kindTask, m.onTask)
@@ -136,6 +130,7 @@ func NewMember(node *vnet.Node, cfg MemberConfig, stats *Stats) (*Member, error)
 }
 
 // Stop halts the member; running work is abandoned (counted as waste).
+// It detaches every handler, so none checks stopped.
 func (m *Member) Stop() {
 	if m.stopped {
 		return
@@ -193,96 +188,36 @@ func (m *Member) Controller() vnet.Addr { return m.controller }
 func (m *Member) Emergency() bool { return m.emergencyMode }
 
 func (m *Member) onAdv(msg vnet.Message, _ vnet.Addr) {
-	if m.stopped {
-		return
-	}
 	adv, ok := msg.Payload.(advMsg)
 	if !ok {
 		return
 	}
-	// Deposed as standby: a fresher advertisement names someone else.
-	if m.standbyFrom == adv.Controller && adv.Standby != m.node.Addr() {
-		m.disarm(adv.Controller)
-	}
-	m.emergencyMode = adv.Emergency
 	now := m.node.Kernel().Now()
-	// Follow the first controller heard; switch only after silence.
+	// Follow the first controller heard; switch only after silence —
+	// unless the core says a newer leadership generation preempts.
 	follow := m.controller < 0 || m.controller == adv.Controller || now-m.controllerAt > 5*time.Second
-	e := adv.Epoch
-	switch {
-	case e.Supersedes(m.highestEpoch):
-		// A newer leadership generation preempts whoever we currently
-		// follow — immediately, not after silence: its predecessor is
-		// fenced off the moment we witness the higher counter.
-		m.highestEpoch = e
-		// A standby checkpoint from the superseded generation is now a
-		// replay hazard: its task table may list work the new generation
-		// already applied, so promoting from it later would re-execute
-		// and double-apply those outcomes. Drop it; the disarm-ack also
-		// unsticks the deposed controller's parked outcomes (and carries
-		// the epoch that deposed it).
-		if m.standbyCkpt != nil && e.Supersedes(m.standbyCkpt.Epoch) {
-			m.disarm(m.standbyFrom, adv.Controller)
-		}
-		follow = true
-	case !e.Zero() && m.highestEpoch.Supersedes(e):
-		// Stale generation. Follow it only if our controller has gone
-		// silent — the higher-epoch controller may be gone for good, and
-		// a stale-but-alive coordinator beats none (liveness). Lowering
-		// the watermark re-admits its dispatches.
-		if !follow {
-			return
-		}
-		m.highestEpoch = e
-	}
-	if follow {
-		m.controller = adv.Controller
-		m.controllerAt = now
-		if !e.Zero() && m.cfg.OnAccept != nil {
-			m.cfg.OnAccept(adv.Controller, e)
-		}
-		m.join()
-	}
-}
-
-// disarm discards the standby checkpoint; when the checkpoint came from
-// a fenced controller, a disarm-ack releases each named controller's
-// apply-after-ack hold (the armer may be parking outcomes on our
-// account, and a successor may have inherited that obligation — both
-// need to hear we can no longer promote).
-func (m *Member) disarm(ctls ...vnet.Addr) {
-	ck := m.standbyCkpt
-	m.standbyCkpt = nil
-	m.standbyFrom = -1
-	if ck == nil || ck.Epoch.Zero() {
+	follow, acks := m.lead.onAdv(m.node.Addr(), adv, follow)
+	sendAcks(m.node, acks...)
+	m.emergencyMode = adv.Emergency
+	if !follow {
 		return
 	}
-	sent := map[vnet.Addr]bool{}
-	for _, ctl := range ctls {
-		if ctl < 0 || sent[ctl] {
-			continue
-		}
-		sent[ctl] = true
-		sendAck(m.node, ctl, ck.Seq, true, m.highestEpoch)
+	m.controller = adv.Controller
+	m.controllerAt = now
+	if !adv.Epoch.Zero() && m.cfg.OnAccept != nil {
+		m.cfg.OnAccept(adv.Controller, adv.Epoch)
 	}
+	m.join()
 }
 
-// witness admits a message stamped with epoch e. A message from a
-// generation below the highest this member has witnessed is stale: it
-// is counted and refused (false). Otherwise the watermark rises to e;
-// zero (unfenced) epochs pass untouched.
+// witness admits a message stamped with epoch e, counting and refusing
+// (false) one from a generation below the member's watermark.
 func (m *Member) witness(e Epoch) bool {
-	if e.Zero() {
+	if m.lead.admit(e) {
 		return true
 	}
-	if m.highestEpoch.Supersedes(e) {
-		m.stats.StaleRejected.Inc()
-		return false
-	}
-	if e.Supersedes(m.highestEpoch) {
-		m.highestEpoch = e
-	}
-	return true
+	m.stats.StaleRejected.Inc()
+	return false
 }
 
 func (m *Member) join() {
@@ -336,9 +271,6 @@ func (m *Member) executedOps(rt *runningTask) float64 {
 }
 
 func (m *Member) onTask(msg vnet.Message, _ vnet.Addr) {
-	if m.stopped {
-		return
-	}
 	tm, ok := msg.Payload.(taskMsg)
 	if !ok {
 		return
@@ -419,80 +351,27 @@ func (m *Member) SetResultTamper(f func(Task, uint64) uint64) { m.tamper = f }
 // Addr returns the member's network address.
 func (m *Member) Addr() vnet.Addr { return m.node.Addr() }
 
-// onCkpt decodes a replicated checkpoint: accepting one designates this
-// member as the controller's failover standby. A corrupt checkpoint is
-// rejected with a counter bump — this member will never promote itself
-// into a garbage state. A valid checkpoint also proves the controller
-// is alive, refreshing the silence clock, and (under fencing) is
-// acknowledged so the controller may apply the outcomes it carries.
+// onCkpt hands a replicated checkpoint to the core (a corrupt one is
+// counted and dropped); a valid one also proves its controller alive.
 func (m *Member) onCkpt(msg vnet.Message, _ vnet.Addr) {
-	if m.stopped {
-		return
-	}
-	cm, ok := msg.Payload.(ckptMsg)
+	ck, ok := decodeCkpt(msg, m.stats)
 	if !ok {
 		return
 	}
-	ck, err := DecodeCheckpoint(cm.Data)
-	if err != nil {
-		m.stats.CkptRejected.Inc()
-		return
-	}
-	// Fencing: a checkpoint from a superseded leadership generation must
-	// not make us its standby — refuse the role with a disarm-ack so the
-	// stale controller's parked outcomes do not stall forever (the Known
-	// epoch also tells it it was deposed).
-	if !m.witness(ck.Epoch) {
-		// The disarm must be truthful: drop any checkpoint this (now
-		// superseded) controller armed us with earlier, or we could
-		// later promote from it and replay a task table whose
-		// outcomes the controller applied once we disarmed it.
-		if m.standbyFrom == msg.Origin {
-			m.standbyCkpt = nil
-			m.standbyFrom = -1
-		}
-		sendAck(m.node, msg.Origin, ck.Seq, true, m.highestEpoch)
-		return
-	}
-	m.standbyCkpt = &ck
-	m.standbyFrom = msg.Origin
-	if m.controller == msg.Origin {
+	isStale, acks := m.lead.onCkpt(msg.Origin, ck)
+	if isStale {
+		m.stats.StaleRejected.Inc()
+	} else if m.controller == msg.Origin {
 		m.controllerAt = m.node.Kernel().Now()
 	}
-	if !ck.Epoch.Zero() {
-		sendAck(m.node, msg.Origin, ck.Seq, false, m.highestEpoch)
-	}
-}
-
-// maybePromote checks the failover condition — we hold a checkpoint and
-// the controller that sent it has been silent past failoverTTL —
-// and promotes this member to controller when it holds. Reports whether
-// a promotion happened (the member is stopped afterwards).
-func (m *Member) maybePromote() bool {
-	if m.standbyCkpt == nil || m.controller != m.standbyFrom {
-		return false
-	}
-	if m.node.Kernel().Now()-m.controllerAt <= failoverTTL {
-		return false
-	}
-	m.promote()
-	return true
+	sendAcks(m.node, acks...)
 }
 
 // promote turns this member into the cloud's controller: the member
 // agent stops (abandoning local work as waste, like any departure) and a
 // controller seeded from the replicated checkpoint starts on the same
 // node, resuming the in-flight task table.
-func (m *Member) promote() {
-	ckpt := *m.standbyCkpt
-	m.standbyCkpt = nil
-	m.standbyFrom = -1
-	// Promote past every epoch this member has witnessed, not just the
-	// checkpoint's: a higher-epoch controller may have lived (and
-	// applied outcomes) since the checkpoint was cut.
-	if !ckpt.Epoch.Zero() && m.highestEpoch.Counter > ckpt.Epoch.Counter {
-		ckpt.Epoch.Counter = m.highestEpoch.Counter
-	}
+func (m *Member) promote(ckpt Checkpoint) {
 	node, stats, onPromote := m.node, m.stats, m.cfg.OnPromote
 	m.Stop()
 	c, err := RestoreController(node, ckpt, stats)
@@ -512,7 +391,8 @@ func (m *Member) tick() {
 	if m.stopped {
 		return
 	}
-	if m.maybePromote() {
+	if ckpt, ok := m.lead.promote(m.controller, m.node.Kernel().Now()-m.controllerAt); ok {
+		m.promote(ckpt)
 		return
 	}
 	if !m.cfg.Handover || m.cfg.DepartureWarning == nil || len(m.current) == 0 {

@@ -220,9 +220,6 @@ func (m *Member) finishStageFetch(f *stageFetch) {
 
 // onStageData routes a pull/relay answer into the waiting fetch.
 func (m *Member) onStageData(msg vnet.Message, _ vnet.Addr) {
-	if m.stopped {
-		return
-	}
 	dm, ok := msg.Payload.(stageDataMsg)
 	if !ok {
 		return
@@ -251,9 +248,6 @@ func (m *Member) onStageData(msg vnet.Message, _ vnet.Addr) {
 
 // onStagePull serves this member's cached stage outputs to peers.
 func (m *Member) onStagePull(msg vnet.Message, _ vnet.Addr) {
-	if m.stopped {
-		return
-	}
 	pm, ok := msg.Payload.(pullMsg)
 	if !ok {
 		return
@@ -274,7 +268,7 @@ func (m *Member) onStagePull(msg vnet.Message, _ vnet.Addr) {
 		Stage: pm.Stage,
 		OK:    hit,
 		Value: e.value,
-		Epoch: m.highestEpoch,
+		Epoch: m.lead.watermark(),
 	}))
 }
 
@@ -283,14 +277,11 @@ func (m *Member) onStagePull(msg vnet.Message, _ vnet.Addr) {
 // finished, stage undecided) stays silent — the worker's relay timeout
 // drives its retry/give-up ladder.
 func (c *Controller) onStageRelay(msg vnet.Message, _ vnet.Addr) {
-	if c.stopped {
-		return
-	}
 	rm, ok := msg.Payload.(relayMsg)
 	if !ok {
 		return
 	}
-	if !rm.Epoch.Zero() && c.epoch.Supersedes(rm.Epoch) {
+	if stale(c.lead.epoch, rm.Epoch) {
 		c.stats.StaleRejected.Inc()
 		return
 	}
@@ -308,6 +299,6 @@ func (c *Controller) onStageRelay(msg vnet.Message, _ vnet.Addr) {
 		Stage: rm.Stage,
 		OK:    true,
 		Value: st.value,
-		Epoch: c.epoch,
+		Epoch: c.lead.epoch,
 	}))
 }

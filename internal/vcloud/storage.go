@@ -32,5 +32,5 @@ func (c *Controller) repairStorage() {
 	if c.storage == nil {
 		return
 	}
-	c.storage.Repair(store.RepairReq{Epoch: c.epoch.Counter})
+	c.storage.Repair(store.RepairReq{Epoch: c.lead.epoch.Counter})
 }
