@@ -36,7 +36,8 @@ func (a Architecture) String() string {
 	}
 }
 
-// Deployment is an assembled vehicular cloud over a scenario.
+// Deployment is an assembled vehicular cloud over a scenario, and the
+// one owner of the controllers and member agents it runs.
 type Deployment struct {
 	Arch        Architecture
 	Stats       *Stats
@@ -47,8 +48,6 @@ type Deployment struct {
 
 	s   *scenario.Scenario
 	cfg DeployConfig
-	// dynamic controllers keyed by vehicle.
-	dynCtl map[mobility.VehicleID]*Controller
 	// emergency records the management-plane flag so controllers elected
 	// after SetEmergency inherit it.
 	emergency bool
@@ -56,11 +55,10 @@ type Deployment struct {
 
 // DeployConfig tunes a deployment.
 type DeployConfig struct {
-	// Controller is applied to every controller created. Its hooks
-	// (OnApply, Trace) are re-installed on promoted successors, which
-	// restore from hook-free checkpoints. With Controller.Fencing on, a
-	// controller that abdicates is removed from Controllers and its
-	// vehicle node rejoins as a member.
+	// Controller configures every controller the deployment starts —
+	// at deploy, on election and on failover promotion alike. With
+	// Controller.Fencing on, a controller that abdicates is removed from
+	// Controllers and its vehicle node rejoins as a member.
 	Controller ControllerConfig
 	// MemberResources maps a vehicle's mobility profile to pool
 	// resources; nil derives CPU/Storage/Sensors from the profile.
@@ -79,15 +77,14 @@ type DeployConfig struct {
 	OnAccept func(controller vnet.Addr, e Epoch)
 	// Storage, when non-nil, is the vehicular data-storage backend every
 	// controller drives (see storage.go): membership churn and
-	// partition-heal merges trigger fenced repair passes, and promoted
-	// failover successors re-attach it so the service keeps repairing
-	// across controller generations.
+	// partition-heal merges trigger fenced repair passes, and failover
+	// successors drive it too, so the service keeps repairing across
+	// controller generations.
 	Storage storageBackend
 
-	// Unexported wiring installed by DeploySecure.
-	memberAuthorize func(id mobility.VehicleID) func(vnet.Addr, func(bool))
-	acceptJoinFor   func(ctl vnet.Addr) func(vnet.Addr) bool
-	attachAuth      func(node *vnet.Node, identity string) error
+	// sec is the secure deployment DeploySecure wraps around this one
+	// (nil when joins are not authenticated).
+	sec *SecureDeployment
 }
 
 func defaultResources(p mobility.Profile) Resources {
@@ -104,6 +101,9 @@ func Deploy(s *scenario.Scenario, arch Architecture, cfg DeployConfig, stats *St
 	if s == nil || stats == nil {
 		return nil, fmt.Errorf("vcloud: scenario and stats must not be nil")
 	}
+	if arch < Stationary || arch > Dynamic {
+		return nil, fmt.Errorf("vcloud: unknown architecture %d", arch)
+	}
 	if cfg.MemberResources == nil {
 		cfg.MemberResources = defaultResources
 	}
@@ -114,22 +114,94 @@ func Deploy(s *scenario.Scenario, arch Architecture, cfg DeployConfig, stats *St
 		Runners: make(map[mobility.VehicleID]*cluster.Runner),
 		s:       s,
 		cfg:     cfg,
-		dynCtl:  make(map[mobility.VehicleID]*Controller),
 	}
-
+	ids := s.VehicleIDs()
+	slices.Sort(ids)
+	// A stationary cloud without a gate RSU is coordinated by its
+	// lowest-address vehicle, which therefore runs no member agent.
+	vehicleLeads := arch == Stationary && len(s.RSUs) == 0
+	for i, id := range ids {
+		node, ok := s.Node(id)
+		if !ok {
+			return nil, fmt.Errorf("vcloud: vehicle %d has no node", id)
+		}
+		if err := d.enroll(node, fmt.Sprintf("veh-%d", id)); err != nil {
+			return nil, err
+		}
+		if vehicleLeads && i == 0 {
+			continue
+		}
+		if err := d.startMember(id); err != nil {
+			return nil, err
+		}
+		if arch == Dynamic {
+			r, err := cluster.NewRunner(node, cluster.MobilitySimilarity{}, time.Second, nil)
+			if err != nil {
+				return nil, err
+			}
+			d.Runners[id] = r
+			vid := id
+			r.OnChange(func(old, new cluster.State) { d.onRoleChange(vid, old, new) })
+		}
+	}
 	switch arch {
-	case Stationary, Infrastructure:
-		if err := d.deployFixed(); err != nil {
+	case Infrastructure:
+		if len(s.RSUs) == 0 {
+			return nil, fmt.Errorf("vcloud: infrastructure architecture needs at least one RSU")
+		}
+		for i, rsu := range s.RSUs {
+			if err := d.enroll(rsu, fmt.Sprintf("rsu-%d", i)); err != nil {
+				return nil, err
+			}
+			if err := d.startController(rsu, nil); err != nil {
+				return nil, err
+			}
+		}
+	case Stationary:
+		var node *vnet.Node
+		switch {
+		case !vehicleLeads:
+			node = s.RSUs[0]
+			if err := d.enroll(node, "rsu-gate"); err != nil {
+				return nil, err
+			}
+		case len(ids) > 0:
+			node, _ = s.Node(ids[0])
+		default:
+			return nil, fmt.Errorf("vcloud: stationary cloud needs vehicles or an RSU")
+		}
+		if err := d.startController(node, nil); err != nil {
 			return nil, err
 		}
-	case Dynamic:
-		if err := d.deployDynamic(); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("vcloud: unknown architecture %d", arch)
+	case Dynamic: // heads start controllers as they are elected
 	}
 	return d, nil
+}
+
+// enroll is a node's one-time setup: in a secure deployment, its TA
+// enrollment and authenticator.
+func (d *Deployment) enroll(node *vnet.Node, identity string) error {
+	if d.cfg.sec == nil {
+		return nil
+	}
+	return d.cfg.sec.attachAuth(node, identity)
+}
+
+// secure is the deployment's authentication layer, nil when joins are
+// not authenticated or the agent asking runs outside any deployment.
+func (d *Deployment) secure() *SecureDeployment {
+	if d == nil {
+		return nil
+	}
+	return d.cfg.sec
+}
+
+// admits reports whether the controller at ctl may take member's join:
+// in a secure deployment only once ctl verified the member's credentials
+// as responder during its handshake (§V.A).
+func (d *Deployment) admits(ctl, member vnet.Addr) bool {
+	sec := d.secure()
+	return sec == nil || sec.verified[ctl][member]
 }
 
 // dwellFor builds the controller-side dwell estimator centered on the
@@ -147,204 +219,151 @@ func (d *Deployment) dwellFor(ctlNode *vnet.Node) DwellEstimator {
 	}
 }
 
-// onAbdicate removes an abdicated controller from the deployment and —
-// when it ran on a vehicle — re-attaches a member agent on the node, so
-// the ex-leader's resources return to the pool it just handed over.
-func (d *Deployment) onAbdicate(c *Controller) {
-	for i, cc := range d.Controllers {
-		if cc == c {
-			d.Controllers = append(d.Controllers[:i], d.Controllers[i+1:]...)
-			break
-		}
+// contactLeft predicts m's seconds of contact left with the controller
+// it follows: its dwell within radio range of the controller's
+// beacon-known position. ok is false without dwell awareness.
+func (d *Deployment) contactLeft(m *Member) (window float64, ok bool) {
+	if d == nil || d.cfg.DwellMode == 0 {
+		return 0, false
 	}
-	if addr := c.Addr(); !scenario.IsRSU(addr) {
-		_ = d.attachMember(mobility.VehicleID(addr))
+	if m.Controller() < 0 {
+		return 1e9, true
 	}
+	ctlPos, known := d.s.Medium.Position(m.Controller())
+	if !known {
+		return 0, true
+	}
+	return d.s.Mobility.EstimateDwell(mobility.VehicleID(m.Addr()), ctlPos, d.s.Medium.Params().RangeMax, d.cfg.DwellMode), true
 }
 
-func (d *Deployment) newController(node *vnet.Node) (*Controller, error) {
+// startController is the one constructor of the deployment's
+// controllers — fixed or infrastructure at deploy, an elected dynamic
+// head, or, with ckpt non-nil, a failover successor seeded from the
+// checkpoint once its hooks are in place. Each gets the same hook set:
+// the ControllerConfig, a dwell estimator centered on node, the join
+// gate, storage and the emergency flag.
+func (d *Deployment) startController(node *vnet.Node, ckpt *Checkpoint) error {
 	cc := d.cfg.Controller
-	if cc.OnAbdicate == nil {
-		cc.OnAbdicate = d.onAbdicate
-	}
 	if cc.Dwell == nil {
 		cc.Dwell = d.dwellFor(node)
 	}
-	if d.cfg.acceptJoinFor != nil {
-		cc.AcceptJoin = d.cfg.acceptJoinFor(node.Addr())
+	mode := d.cfg.leaderMode()
+	if ckpt != nil {
+		// A successor is fenced exactly when its checkpoint is.
+		mode = modeOf(ControllerConfig{Fencing: !ckpt.Epoch.Zero()}, true)
 	}
-	c, err := newController(node, cc, d.Stats, d.cfg.leaderMode())
+	c, err := newController(node, cc, d.Stats, mode)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	c.d = d
 	c.AttachStorage(d.cfg.Storage)
-	return c, nil
-}
-
-func (d *Deployment) attachMember(id mobility.VehicleID) error {
-	node, ok := d.s.Node(id)
-	if !ok {
-		return fmt.Errorf("vcloud: vehicle %d has no node", id)
-	}
-	profile, _ := d.s.Mobility.Profile(id)
-	mc := MemberConfig{
-		Resources: d.cfg.MemberResources(profile),
-		Handover:  d.cfg.Handover,
-	}
-	vid := id
-	mc.OnAccept = d.cfg.OnAccept
-	mc.OnPromote = func(c *Controller) {
-		// The promoted node stopped being a worker; track its controller
-		// so SubmitAnywhere and ActiveControllers see the successor.
-		delete(d.Members, vid)
-		if d.emergency {
-			c.SetEmergency(true)
-		}
-		// Checkpoints carry no function hooks; re-install the
-		// deployment's so promoted successors keep reporting applies,
-		// abdications and trace events.
-		c.cfg.OnApply = d.cfg.Controller.OnApply
-		c.cfg.Trace = d.cfg.Controller.Trace
-		c.cfg.OnAbdicate = d.onAbdicate
-		c.AttachStorage(d.cfg.Storage)
-		d.Controllers = append(d.Controllers, c)
-	}
-	if d.cfg.attachAuth != nil {
-		if err := d.cfg.attachAuth(node, fmt.Sprintf("veh-%d", id)); err != nil {
-			return err
-		}
-	}
-	if d.cfg.memberAuthorize != nil {
-		mc.Authorize = d.cfg.memberAuthorize(id)
-	}
-	if d.cfg.Handover && d.cfg.DwellMode != 0 {
-		radius := d.s.Medium.Params().RangeMax
-		mob := d.s.Mobility
-		vid := id
-		mc.DepartureWarning = func() float64 {
-			// Remaining contact with the current controller: dwell within
-			// radio range of its (beacon-known) position.
-			m := d.Members[vid]
-			if m == nil || m.Controller() < 0 {
-				return 1e9
-			}
-			ctlPos, ok := d.s.Medium.Position(m.Controller())
-			if !ok {
-				return 0
-			}
-			return mob.EstimateDwell(vid, ctlPos, radius, d.cfg.DwellMode)
-		}
-	}
-	m, err := NewMember(node, mc, d.Stats)
-	if err != nil {
-		return err
-	}
-	d.Members[id] = m
-	return nil
-}
-
-func (d *Deployment) deployFixed() error {
-	var ctlNode *vnet.Node
-	if len(d.s.RSUs) > 0 {
-		ctlNode = d.s.RSUs[0]
-	}
-	ids := d.s.VehicleIDs()
-	slices.Sort(ids)
-	for _, id := range ids {
-		if err := d.attachMember(id); err != nil {
-			return err
-		}
-	}
-	if d.Arch == Infrastructure {
-		if len(d.s.RSUs) == 0 {
-			return fmt.Errorf("vcloud: infrastructure architecture needs at least one RSU")
-		}
-		for i, rsu := range d.s.RSUs {
-			if d.cfg.attachAuth != nil {
-				if err := d.cfg.attachAuth(rsu, fmt.Sprintf("rsu-%d", i)); err != nil {
-					return err
-				}
-			}
-			c, err := d.newController(rsu)
-			if err != nil {
-				return err
-			}
-			d.Controllers = append(d.Controllers, c)
-		}
-		return nil
-	}
-	// Stationary: gate RSU if present, else the lowest-address vehicle
-	// coordinates (losing its member role).
-	if ctlNode != nil && d.cfg.attachAuth != nil {
-		if err := d.cfg.attachAuth(ctlNode, "rsu-gate"); err != nil {
-			return err
-		}
-	}
-	if ctlNode == nil {
-		if len(ids) == 0 {
-			return fmt.Errorf("vcloud: stationary cloud needs vehicles or an RSU")
-		}
-		first := ids[0]
-		d.Members[first].Stop()
-		delete(d.Members, first)
-		ctlNode, _ = d.s.Node(first)
-	}
-	c, err := d.newController(ctlNode)
-	if err != nil {
-		return err
+	c.emergency = d.emergency
+	if ckpt != nil {
+		c.restore(ckpt)
 	}
 	d.Controllers = append(d.Controllers, c)
 	return nil
 }
 
-func (d *Deployment) deployDynamic() error {
-	ids := d.s.VehicleIDs()
-	slices.Sort(ids)
-	for _, id := range ids {
-		if err := d.attachMember(id); err != nil {
-			return err
+// promote starts the failover successor a member on node promotes to,
+// seeded from its standby checkpoint; the member agent has stopped, and
+// the vehicle now coordinates instead of working. A node runs one
+// controller: the agent of a dynamic head that promotes stops the head's
+// own, whose handlers the successor's take over.
+func (d *Deployment) promote(node *vnet.Node, ckpt *Checkpoint) {
+	delete(d.Members, mobility.VehicleID(node.Addr()))
+	if c := d.controllerOn(node.Addr()); c != nil && !c.Stopped() {
+		c.Stop()
+		d.untrack(c)
+	}
+	if d.startController(node, ckpt) == nil {
+		d.Stats.Failovers.Inc()
+	}
+}
+
+// startMember starts vehicle id's member agent in place of any the
+// deployment still tracks there. It does not enroll the node again:
+// its credentials outlive its agents.
+func (d *Deployment) startMember(id mobility.VehicleID) error {
+	node, ok := d.s.Node(id)
+	if !ok {
+		return fmt.Errorf("vcloud: vehicle %d has no node", id)
+	}
+	if old := d.Members[id]; old != nil {
+		old.Stop()
+	}
+	profile, _ := d.s.Mobility.Profile(id)
+	m, err := NewMember(node, MemberConfig{Resources: d.cfg.MemberResources(profile), Handover: d.cfg.Handover}, d.Stats)
+	if err != nil {
+		return err
+	}
+	m.d = d
+	d.Members[id] = m
+	return nil
+}
+
+// Rejoin starts a wiped member agent on vehicle id, configured like
+// every other agent of the deployment — a killed member coming back.
+func (d *Deployment) Rejoin(id mobility.VehicleID) error { return d.startMember(id) }
+
+// retire takes a controller that stopped leading (head loss or
+// abdication) out of Controllers and leaves its vehicle exactly one
+// member agent: the one it had, its handlers (which the controller's
+// took over) attached again, or a fresh one.
+func (d *Deployment) retire(c *Controller) {
+	d.untrack(c)
+	if scenario.IsRSU(c.Addr()) {
+		return
+	}
+	id := mobility.VehicleID(c.Addr())
+	if m := d.Members[id]; m != nil {
+		m.handle(true)
+		return
+	}
+	// A vehicle whose profile no agent can run on (no CPU) stays
+	// without one, as it was at deploy.
+	_ = d.startMember(id)
+}
+
+// untrack removes c from Controllers.
+func (d *Deployment) untrack(c *Controller) {
+	if i := slices.Index(d.Controllers, c); i >= 0 {
+		d.Controllers = slices.Delete(d.Controllers, i, i+1)
+	}
+}
+
+// controllerOn returns the newest controller the deployment tracks on
+// addr (nil when none).
+func (d *Deployment) controllerOn(addr vnet.Addr) *Controller {
+	for i := len(d.Controllers) - 1; i >= 0; i-- {
+		if c := d.Controllers[i]; c.Addr() == addr {
+			return c
 		}
-		node, _ := d.s.Node(id)
-		r, err := cluster.NewRunner(node, cluster.MobilitySimilarity{}, time.Second, nil)
-		if err != nil {
-			return err
-		}
-		d.Runners[id] = r
-		vid := id
-		r.OnChange(func(old, new cluster.State) { d.onRoleChange(vid, old, new) })
 	}
 	return nil
 }
 
 // onRoleChange starts a controller when a vehicle becomes a cluster head
-// and stops it when it loses headship — the paper's "dynamic role
-// assignment" (§III.A).
+// and retires it when the vehicle loses headship — the paper's "dynamic
+// role assignment" (§III.A). A node runs at most one controller: one
+// still leading there (a failover successor) serves as the head's.
 func (d *Deployment) onRoleChange(id mobility.VehicleID, old, new cluster.State) {
 	wasHead := old.Role == cluster.Head
 	isHead := new.Role == cluster.Head
 	switch {
 	case !wasHead && isHead:
 		node, ok := d.s.Node(id)
-		if !ok {
+		if c := d.controllerOn(vnet.Addr(id)); !ok || (c != nil && !c.Stopped()) {
 			return
 		}
-		c, err := d.newController(node)
-		if err != nil {
-			return
-		}
-		c.SetEmergency(d.emergency)
-		d.dynCtl[id] = c
-		d.Controllers = append(d.Controllers, c)
+		// An error leaves the vehicle without a controller; the next
+		// election tries again.
+		_ = d.startController(node, nil)
 	case wasHead && !isHead:
-		if c, ok := d.dynCtl[id]; ok {
+		if c := d.controllerOn(vnet.Addr(id)); c != nil {
 			c.Stop()
-			delete(d.dynCtl, id)
-			for i, cc := range d.Controllers {
-				if cc == c {
-					d.Controllers = append(d.Controllers[:i], d.Controllers[i+1:]...)
-					break
-				}
-			}
+			d.retire(c)
 		}
 	}
 }

@@ -172,10 +172,6 @@ type ControllerConfig struct {
 	// Dwell is the scheduler's dwell-time signal; nil means "assume
 	// everyone stays forever" (the naive baseline E7 ablates).
 	Dwell DwellEstimator
-	// AcceptJoin, when non-nil, gates membership: joins from members for
-	// which it returns false are ignored. Secure clouds wire this to the
-	// authenticator's verified-peer set (§V.A).
-	AcceptJoin func(member vnet.Addr) bool
 	// Trace, when non-nil, records task lifecycle events for post-run
 	// debugging (nil-safe; see internal/trace).
 	Trace *trace.Recorder
@@ -198,18 +194,15 @@ type ControllerConfig struct {
 	// OnApply, when non-nil, observes every applied task outcome with
 	// the applying controller's epoch counter — the hook the chaos
 	// harness uses to assert "no task outcome applied twice across
-	// epochs". A deployment re-installs it on promoted successors.
+	// epochs".
 	OnApply func(id TaskID, epoch uint64, ok bool)
-	// OnAbdicate, when non-nil, is called after this controller stands
-	// down in favor of a superseding rival; the deployment wires this to
-	// re-attach a member agent on the node.
-	OnAbdicate func(c *Controller)
 	// Workers, when non-nil, is the execution-trust engine: replica
 	// placement excludes workers scoring below the policy's
 	// TrustThreshold, votes may be trust-weighted, and vote outcomes
 	// feed evidence back (the Fig. 3 loop). It holds a clock closure,
-	// so it does not ride checkpoints — a failover successor starts
-	// with a fresh trust view.
+	// so it does not ride checkpoints; a deployment's failover successor
+	// shares the deployment's engine, and with it the trust view its
+	// predecessor built.
 	Workers *trust.WorkerSet
 }
 
@@ -270,6 +263,9 @@ type Controller struct {
 	// storage is the attached data-service backend (nil when none); see
 	// storage.go for the churn-driven repair wiring.
 	storage storageBackend
+	// d is the deployment that started the controller (nil for a
+	// standalone one).
+	d *Deployment
 
 	// lead is the controller side of the leadership core: standby,
 	// checkpoint cadence, epoch, lease and the applied ledger (see
@@ -473,7 +469,7 @@ func (c *Controller) onJoin(msg vnet.Message, _ vnet.Addr) {
 	if !ok {
 		return
 	}
-	if c.cfg.AcceptJoin != nil && !c.cfg.AcceptJoin(msg.Origin) {
+	if !c.d.admits(c.node.Addr(), msg.Origin) {
 		return
 	}
 	m, exists := c.members[msg.Origin]

@@ -11,7 +11,7 @@ import (
 )
 
 // sortedMembers returns the deployment's members lowest vehicle ID
-// first, the order attachMember configured them in.
+// first, the order the deployment started them in.
 func sortedMembers(d *vcloud.Deployment) []*vcloud.Member {
 	ids := make([]mobility.VehicleID, 0, len(d.Members))
 	for id := range d.Members {

@@ -1,10 +1,13 @@
 package vcloud
 
 import (
+	"fmt"
 	"math"
+	"time"
 
 	"vcloud/internal/metrics"
 	"vcloud/internal/mobility"
+	"vcloud/internal/scenario"
 	"vcloud/internal/store"
 	"vcloud/internal/vnet"
 )
@@ -113,4 +116,43 @@ func (v VehicularBackend) Name() string { return "vehicular" }
 func (v VehicularBackend) Submit(task Task, done func(TaskResult)) error {
 	_, err := v.C.Submit(task, done)
 	return err
+}
+
+// Stopped reports whether the member agent has stopped.
+func (m *Member) Stopped() bool { return m.stopped }
+
+// ghost is an address no node has: probes below name it as a rival
+// controller, so whatever an agent sends it in reply is lost.
+const ghost = vnet.Addr(scenario.RSUBase - 1)
+
+// ServesLeadership reports whether vehicle id's member agent hears
+// advertisements (adv) and checkpoints (ckpt): its node sends itself an
+// advertisement from a generation above every other and a checkpoint
+// that does not decode, and the kernel runs the millisecond it takes
+// both to land (a 64-byte frame is on the air for under 0.1 ms per
+// attempt). The probe leaves the agent following the ghost controller.
+func (d *Deployment) ServesLeadership(id mobility.VehicleID) (adv, ckpt bool, err error) {
+	m := d.Members[id]
+	if m == nil {
+		return false, false, fmt.Errorf("vehicle %d runs no member agent", id)
+	}
+	node, self := m.node, m.node.Addr()
+	rejected := d.Stats.CkptRejected.Value()
+	node.SendTo(self, node.NewMessage(self, kindAdv, 64, 1, advMsg{Controller: ghost, Standby: -1, Epoch: NextEpoch(1<<40, ghost)}))
+	node.SendTo(self, node.NewMessage(self, kindCkpt, 64, 1, ckptMsg{Data: []byte("not a checkpoint")}))
+	if err := node.Kernel().Run(node.Kernel().Now() + time.Millisecond); err != nil {
+		return false, false, err
+	}
+	if m.stopped {
+		return false, false, fmt.Errorf("vehicle %d's agent stopped during the probe", id)
+	}
+	return m.Controller() == ghost, d.Stats.CkptRejected.Value() > rejected, nil
+}
+
+// Depose hands the controller a rival advertisement from a generation
+// above its own, as a healed partition would: a fenced controller
+// abdicates to the ghost.
+func (c *Controller) Depose() {
+	adv := advMsg{Controller: ghost, Standby: -1, Epoch: NextEpoch(c.lead.epoch.Counter, ghost)}
+	c.onRivalAdv(vnet.Message{Origin: ghost, Kind: kindAdv, Payload: adv}, ghost)
 }

@@ -9,17 +9,15 @@
 //
 // A checkpoint carries leadership state, not controller configuration:
 // closures cannot cross the (simulated) wire, so a restored task loses
-// its submitter callback and the successor runs without the config's
-// hooks (dwell estimator, join gate, trust engine, trace) until its
-// deployment re-installs them; completions still count in the shared
-// Stats, which is what the E11 experiment measures. Work executed by the
-// old assignee after the last checkpoint is re-executed — the cost of
-// checkpoint staleness, bounded by checkpointPeriod.
+// its submitter callback; completions still count in the shared Stats,
+// which is what the E11 experiment measures. The successor's
+// configuration comes from its deployment (Deployment.startController).
+// Work executed by the old assignee after the last checkpoint is
+// re-executed — the cost of checkpoint staleness, bounded by
+// checkpointPeriod.
 package vcloud
 
 import (
-	"fmt"
-
 	"vcloud/internal/sim"
 	"vcloud/internal/trace"
 	"vcloud/internal/vnet"
@@ -99,7 +97,8 @@ type Checkpoint struct {
 	// Emergency carries the management-plane flag across failover.
 	Emergency bool
 	// Depend is the controller's default dependability policy (nil: the
-	// built-in default), so restored tasks stay replicated.
+	// built-in default). No restore reads it, but its bytes are part of
+	// the checkpoint's wire length, which the radio model charges.
 	Depend *DependabilityPolicy
 	// Members is the membership snapshot in ascending address order.
 	Members []MemberSnapshot
@@ -183,23 +182,15 @@ func (c *Controller) sendCheckpoint() {
 	c.node.SendTo(to, c.node.NewMessage(to, kindCkpt, len(data), 1, ckptMsg{Data: data}))
 }
 
-// RestoreController promotes node into a controller seeded from the
+// restore seeds a just-started failover successor from the standby's
 // checkpoint: membership is restored as-if freshly heard, the task-ID
 // sequence continues, and every checkpointed task is reassigned from its
-// last known RemainingOps. The successor always keeps replicating to a
-// standby of its own, and is fenced exactly when the checkpoint is. The
-// new controller advertises immediately so members reattach without
+// last known RemainingOps. The successor keeps replicating to a standby
+// of its own (its deployment started it fenced exactly when the
+// checkpoint is), and advertises immediately so members reattach without
 // waiting out an advertisement period.
-func RestoreController(node *vnet.Node, ckpt Checkpoint, stats *Stats) (*Controller, error) {
-	if node == nil {
-		return nil, fmt.Errorf("vcloud: node must not be nil")
-	}
-	cfg := ControllerConfig{Fencing: !ckpt.Epoch.Zero(), Depend: ckpt.Depend}
-	c, err := newController(node, cfg, stats, modeOf(cfg, true))
-	if err != nil {
-		return nil, err
-	}
-	now := node.Kernel().Now()
+func (c *Controller) restore(ckpt *Checkpoint) {
+	now := c.node.Kernel().Now()
 	// Checkpointed membership is not live contact: seed each member at
 	// the very edge of memberTTL so resumed tasks can dispatch to it right
 	// away, but only members that answer the promotion advertisement (the
@@ -207,32 +198,31 @@ func RestoreController(node *vnet.Node, ckpt Checkpoint, stats *Stats) (*Control
 	// tick. Members behind a partition age out instead of being chosen as
 	// the armed standby — arming an unreachable standby would park every
 	// outcome forever.
-	c.adoptMembers(&ckpt, now-memberTTL)
+	c.adoptMembers(ckpt, now-memberTTL)
 	c.nextID = ckpt.NextID
 	c.nextJobID = ckpt.NextJobID
-	c.emergency = ckpt.Emergency
+	c.emergency = c.emergency || ckpt.Emergency
 	// The exactly-once ledger and the sibling standbys' arming carry
 	// over, and the successor promotes past the predecessor's epoch.
-	c.lead.seed(now, &ckpt, true)
+	c.lead.seed(now, ckpt, true)
 	c.lead.mintPast(ckpt.Epoch)
-	c.cfg.Trace.Emit(now, trace.CatCloud, int32(node.Addr()),
+	c.cfg.Trace.Emit(now, trace.CatCloud, int32(c.node.Addr()),
 		"promoted to controller (ckpt seq %d from %d: %d members, %d tasks, %d jobs, epoch %v)",
 		ckpt.Seq, ckpt.Controller, len(ckpt.Members), len(ckpt.Tasks), len(ckpt.Jobs), c.lead.epoch)
 	// Restore jobs before relaunching tasks: a relaunched stage task can
 	// finish synchronously and must find its job row to route into.
 	for _, jc := range ckpt.Jobs {
 		c.restoreJob(jc)
-		stats.JobsResumed.Inc()
+		c.stats.JobsResumed.Inc()
 	}
 	for _, tc := range ckpt.Tasks {
-		stats.Resumed.Inc()
+		c.stats.Resumed.Inc()
 		c.resume(tc)
 	}
 	// Stages whose tasks died with the predecessor (or were applied on
 	// its side) go back to waiting and re-dispatch under the new epoch.
 	c.dagResume()
 	c.advertise()
-	return c, nil
 }
 
 // decodeCkpt decodes a checkpoint message; a corrupt one is counted in

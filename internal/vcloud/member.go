@@ -19,24 +19,6 @@ type MemberConfig struct {
 	// Handover, when true, lets the member hand unfinished work back
 	// before losing contact instead of silently dropping it.
 	Handover bool
-	// DepartureWarning predicts how many seconds of controller contact
-	// remain; the member hands work over when this drops below the time
-	// needed to finish. Nil disables proactive handover (the member then
-	// only reacts to total controller loss).
-	DepartureWarning func() float64
-	// Authorize, when non-nil, gates joining a new controller: the
-	// member calls it once per controller and only sends its join after
-	// done(true) — secure v-cloud initialization (§V.A), typically a
-	// mutual authentication handshake.
-	Authorize func(controller vnet.Addr, done func(ok bool))
-	// OnPromote, when non-nil, is called after this member promotes
-	// itself to controller from a replicated checkpoint (failover). The
-	// deployment wires this to track the successor controller.
-	OnPromote func(c *Controller)
-	// OnAccept, when non-nil, observes every fenced advertisement this
-	// member accepts leadership from — the hook the chaos harness uses
-	// to assert "at most one controller accepted per epoch".
-	OnAccept func(controller vnet.Addr, e Epoch)
 	// EdgeTier marks this member as a roadside edge server (ETSI-MEC
 	// style RSU): always in range, so the controller's dwell gate does
 	// not apply to it. See edge.go.
@@ -95,6 +77,9 @@ type Member struct {
 	cache *stageCache
 	// fetches tracks stage tasks still gathering their inputs.
 	fetches map[TaskID]*stageFetch
+	// d is the deployment that started the agent (nil for a standalone
+	// one, such as an edge server).
+	d *Deployment
 }
 
 // NewMember creates and starts a member agent on node.
@@ -116,11 +101,7 @@ func NewMember(node *vnet.Node, cfg MemberConfig, stats *Stats) (*Member, error)
 		cache:      newStageCache(),
 		fetches:    make(map[TaskID]*stageFetch),
 	}
-	node.Handle(kindAdv, m.onAdv)
-	node.Handle(kindTask, m.onTask)
-	node.Handle(kindCkpt, m.onCkpt)
-	node.Handle(kindStagePull, m.onStagePull)
-	node.Handle(kindStageData, m.onStageData)
+	m.handle(true)
 	t, err := node.Kernel().Every(checkPeriod, m.tick)
 	if err != nil {
 		return nil, err
@@ -137,11 +118,7 @@ func (m *Member) Stop() {
 	}
 	m.stopped = true
 	m.ticker.Stop()
-	m.node.Handle(kindAdv, nil)
-	m.node.Handle(kindTask, nil)
-	m.node.Handle(kindCkpt, nil)
-	m.node.Handle(kindStagePull, nil)
-	m.node.Handle(kindStageData, nil)
+	m.handle(false)
 	for _, f := range m.fetches {
 		m.node.Kernel().Cancel(f.timeout)
 	}
@@ -152,6 +129,19 @@ func (m *Member) Stop() {
 		m.stats.WastedOps += m.executedOps(rt)
 	}
 	m.current = make(map[TaskID]*runningTask)
+}
+
+// handle attaches (on) or detaches every message handler the member
+// serves, like Controller.handle.
+func (m *Member) handle(on bool) {
+	kinds := [...]string{kindAdv, kindTask, kindCkpt, kindStagePull, kindStageData}
+	fns := [...]vnet.Handler{m.onAdv, m.onTask, m.onCkpt, m.onStagePull, m.onStageData}
+	for i, kind := range kinds {
+		if !on {
+			fns[i] = nil
+		}
+		m.node.Handle(kind, fns[i])
+	}
 }
 
 // sortedIDs lists the running tasks in ascending ID order, in a buffer
@@ -204,8 +194,8 @@ func (m *Member) onAdv(msg vnet.Message, _ vnet.Addr) {
 	}
 	m.controller = adv.Controller
 	m.controllerAt = now
-	if !adv.Epoch.Zero() && m.cfg.OnAccept != nil {
-		m.cfg.OnAccept(adv.Controller, adv.Epoch)
+	if d := m.d; d != nil && !adv.Epoch.Zero() && d.cfg.OnAccept != nil {
+		d.cfg.OnAccept(adv.Controller, adv.Epoch)
 	}
 	m.join()
 }
@@ -222,11 +212,11 @@ func (m *Member) witness(e Epoch) bool {
 
 func (m *Member) join() {
 	ctl := m.controller
-	if m.cfg.Authorize != nil {
+	if sec := m.d.secure(); sec != nil {
 		authorized, attempted := m.authz[ctl]
 		if !attempted {
 			m.authz[ctl] = false // pending
-			m.cfg.Authorize(ctl, func(ok bool) {
+			sec.authorize(m.node.Addr(), ctl, func(ok bool) {
 				if m.stopped {
 					return
 				}
@@ -368,20 +358,18 @@ func (m *Member) onCkpt(msg vnet.Message, _ vnet.Addr) {
 }
 
 // promote turns this member into the cloud's controller: the member
-// agent stops (abandoning local work as waste, like any departure) and a
-// controller seeded from the replicated checkpoint starts on the same
-// node, resuming the in-flight task table.
+// agent stops (abandoning local work as waste, like any departure) and
+// its deployment starts a controller seeded from the replicated
+// checkpoint on the same node, resuming the in-flight task table. A
+// standalone agent's successor runs under an empty deployment: default
+// configuration, no hooks, and tracked nowhere.
 func (m *Member) promote(ckpt Checkpoint) {
-	node, stats, onPromote := m.node, m.stats, m.cfg.OnPromote
 	m.Stop()
-	c, err := RestoreController(node, ckpt, stats)
-	if err != nil {
-		return
+	d := m.d
+	if d == nil {
+		d = &Deployment{Stats: m.stats}
 	}
-	stats.Failovers.Inc()
-	if onPromote != nil {
-		onPromote(c)
-	}
+	d.promote(m.node, &ckpt)
 }
 
 // tick checks the failover condition first, then for imminent departure,
@@ -395,10 +383,13 @@ func (m *Member) tick() {
 		m.promote(ckpt)
 		return
 	}
-	if !m.cfg.Handover || m.cfg.DepartureWarning == nil || len(m.current) == 0 {
+	if !m.cfg.Handover || len(m.current) == 0 {
 		return
 	}
-	window := m.cfg.DepartureWarning()
+	window, ok := m.d.contactLeft(m)
+	if !ok {
+		return
+	}
 	// Iterate in task-ID order: handover message order must not depend
 	// on map iteration, or runs stop reproducing.
 	for _, id := range m.sortedIDs() {

@@ -155,9 +155,9 @@ func sendAcks(node *vnet.Node, acks ...ackTo) {
 
 // abdicateTo stands the controller down in favor of a superseding
 // rival: ship its encoded checkpoint in a merge message for
-// anti-entropy, then halt. The OnAbdicate hook lets the deployment
-// re-attach a member agent on this node — leadership returns to the
-// rival deterministically.
+// anti-entropy, then halt, and hand the node back to its deployment
+// (see Deployment.retire) — leadership returns to the rival
+// deterministically.
 func (c *Controller) abdicateTo(target vnet.Addr, rival Epoch) {
 	c.stats.Abdications.Inc()
 	c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
@@ -168,10 +168,9 @@ func (c *Controller) abdicateTo(target vnet.Addr, rival Epoch) {
 	size := 128 + 24*len(ck.Members) + 96*len(ck.Tasks) + 16*len(ck.Applied) + 96*len(ck.Parked) + 160*len(ck.Jobs)
 	msg := c.node.NewMessage(target, kindMerge, size, 1, ckptMsg{Data: EncodeCheckpoint(ck)})
 	c.node.SendTo(target, msg)
-	onAbdicate := c.cfg.OnAbdicate
 	c.Crash() // silent halt: pending task state was shipped in the merge
-	if onAbdicate != nil {
-		onAbdicate(c)
+	if c.d != nil {
+		c.d.retire(c)
 	}
 }
 

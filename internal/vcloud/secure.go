@@ -75,37 +75,26 @@ func DeploySecure(s *scenario.Scenario, arch Architecture, cfg DeployConfig, sec
 		verified:       make(map[vnet.Addr]map[vnet.Addr]bool),
 	}
 
-	// Authorize hook: the member runs a handshake with the controller
-	// before its first join.
-	cfg.memberAuthorize = func(id mobility.VehicleID) func(vnet.Addr, func(bool)) {
-		return func(controller vnet.Addr, done func(bool)) {
-			a, ok := sd.Authenticators[id]
-			if !ok {
-				done(false)
-				return
-			}
-			if err := a.Authenticate(controller, func(r auth.Result) { done(r.OK) }); err != nil {
-				done(false)
-			}
-		}
-	}
-	// AcceptJoin hook: each controller admits only members whose
-	// credentials it verified as responder during the member's handshake.
-	cfg.acceptJoinFor = func(ctl vnet.Addr) func(vnet.Addr) bool {
-		return func(member vnet.Addr) bool {
-			return sd.verified[ctl][member]
-		}
-	}
-	// Every node (vehicle or RSU) gets an authenticator wired below via
-	// attachAuth.
-	cfg.attachAuth = sd.attachAuth
-
+	cfg.sec = sd
 	d, err := Deploy(s, arch, cfg, stats)
 	if err != nil {
 		return nil, err
 	}
 	sd.Deployment = d
 	return sd, nil
+}
+
+// authorize runs member's mutual-authentication handshake with
+// controller before its first join and reports the outcome to done.
+func (sd *SecureDeployment) authorize(member, controller vnet.Addr, done func(ok bool)) {
+	a, ok := sd.Authenticators[mobility.VehicleID(member)]
+	if !ok {
+		done(false)
+		return
+	}
+	if err := a.Authenticate(controller, func(r auth.Result) { done(r.OK) }); err != nil {
+		done(false)
+	}
 }
 
 // anchors builds the verifier trust state from the TA, with cached
@@ -133,7 +122,8 @@ func (sd *SecureDeployment) anchors() auth.Anchors {
 	}
 }
 
-// attachAuth enrolls a node and attaches its authenticator; responder
+// attachAuth enrolls a node and attaches its authenticator, once per
+// node at deploy: its credentials outlive the agents it runs. Responder
 // verifications populate the node's verified-peer set.
 func (sd *SecureDeployment) attachAuth(node *vnet.Node, identity string) error {
 	enr, err := sd.sec.TA.Enroll(pki.VehicleIdentity(identity))

@@ -10,8 +10,9 @@
 // anti-entropy path) repairs under the merged epoch — the moment two
 // clusters reunite is exactly when placements are most skewed.
 //
-// The deployment (DeployConfig.Storage) re-attaches the backend on
-// standby promotion, so the service keeps repairing across failovers.
+// Every controller a deployment starts drives DeployConfig.Storage,
+// failover successors included, so the service keeps repairing across
+// failovers.
 package vcloud
 
 import (

@@ -6,7 +6,6 @@ import (
 	"vcloud/internal/mobility"
 	"vcloud/internal/sim"
 	"vcloud/internal/store"
-	"vcloud/internal/vcloud"
 	"vcloud/internal/vnet"
 )
 
@@ -91,8 +90,8 @@ func (d *Departures) Step(rng *rand.Rand, b store.Backend) (revived, departed vn
 // KillMember is the member-kill drill: unless the cloud is down to half
 // the fleet, it kills one member drawn by rng in ascending ID order —
 // radio silence plus the member-kill hook, its running work dies with
-// it. With rejoinAfter > 0 the radio recovers that much later and a
-// wiped agent, configured from the cloud's DeployConfig, rejoins.
+// it. With rejoinAfter > 0 the radio recovers that much later and the
+// cloud starts a wiped agent on the vehicle (Deployment.Rejoin).
 func (w *World) KillMember(rng *rand.Rand, rejoinAfter sim.Time) (mobility.VehicleID, bool) {
 	ids := w.memberIDs()
 	if len(ids) <= w.Spec.Vehicles/2 {
@@ -103,16 +102,9 @@ func (w *World) KillMember(rng *rand.Rand, rejoinAfter sim.Time) (mobility.Vehic
 	if rejoinAfter > 0 {
 		w.Scenario.Kernel.After(rejoinAfter, func() {
 			w.Injector.RecoverNode(vnet.Addr(id))
-			node, _ := w.Scenario.Node(id)
-			prof, _ := w.Scenario.Mobility.Profile(id)
-			res := vcloud.Resources{CPU: prof.CPU, Storage: prof.Storage, Sensors: prof.Sensors}
-			if w.cloudCfg.MemberResources != nil {
-				res = w.cloudCfg.MemberResources(prof)
-			}
-			cfg := vcloud.MemberConfig{Resources: res, Handover: w.cloudCfg.Handover, OnAccept: w.cloudCfg.OnAccept}
-			if m, err := vcloud.NewMember(node, cfg, w.Stats); err == nil {
-				w.Cloud.Members[id] = m
-			}
+			// The vehicle ran an agent of this deployment before its
+			// kill, so starting another cannot fail.
+			_ = w.Cloud.Rejoin(id)
 		})
 	}
 	return id, true

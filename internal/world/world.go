@@ -167,8 +167,6 @@ type World struct {
 	Stats     *vcloud.Stats
 	Injector  *faults.Injector
 	Byzantine map[vnet.Addr]*attack.ByzantineWorker
-
-	cloudCfg vcloud.DeployConfig
 }
 
 // Build validates the spec and composes its world: scenario, RSUs,
@@ -245,7 +243,6 @@ func (w *World) Deploy(c Cloud) error {
 	if err != nil {
 		return err
 	}
-	w.cloudCfg = c.Config
 	ids := w.memberIDs()
 	for _, id := range ids[:int(math.Round(w.Spec.Byzantine*float64(len(ids))))] {
 		m := w.Cloud.Members[id]
