@@ -354,6 +354,45 @@ func TestContextRuleIsSigned(t *testing.T) {
 	}
 }
 
+// TestSignedBytesAreCanonical: the owner signature binds where each field
+// ends, not just the bytes in order. Each forgery keeps the concatenation
+// of the signed fields and changes what the package says.
+func TestSignedBytesAreCanonical(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		forge func(p *Package)
+		means func(p *Package) bool // the forgery changed the package's meaning
+	}{
+		{
+			"cipher byte moved onto the resource",
+			func(p *Package) { p.Resource, p.Cipher = p.Resource+string(p.Cipher[:1]), p.Cipher[1:] },
+			func(p *Package) bool { return p.Resource != "road-conditions" },
+		},
+		{
+			"write rule folded into a read clause",
+			func(p *Package) {
+				read, write := p.Policy.Rules[0], p.Policy.Rules[1]
+				folded := string(write.Action) + string(write.Context.appendSigned(nil)) + clauseKey(write.AnyOf[0])
+				read.AnyOf = append(read.AnyOf[:len(read.AnyOf):len(read.AnyOf)], Clause{AttributeID(folded)})
+				p.Policy.Rules = []Rule{read}
+			},
+			func(p *Package) bool { return !Evaluate(&p.Policy, AttrSet{attrHead: 0}, Write, Context{}).Allowed },
+		},
+	} {
+		r := newSealRig(t)
+		if b := r.pkg.signedBytes(); len(b) != cap(b) {
+			t.Errorf("signed bytes: len %d in a buffer of %d", len(b), cap(b))
+		}
+		tc.forge(r.pkg)
+		if !tc.means(r.pkg) {
+			t.Fatalf("%s: the forgery changed nothing", tc.name)
+		}
+		if err := r.pkg.VerifyIntegrity(); err == nil {
+			t.Errorf("%s: VerifyIntegrity passes on the forged package", tc.name)
+		}
+	}
+}
+
 // The keyring remembers a package it has verified; that must not carry
 // over to different bytes under the same signature.
 func TestTamperAfterOpenIsCaught(t *testing.T) {

@@ -1,7 +1,7 @@
 package access
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -89,19 +89,67 @@ func Seal(resource string, data []byte, policy Policy, nonceSeed uint64, owner c
 	return p, nil
 }
 
+// signedBytes is the encoding the owner signs. Every variable-length field
+// carries its length and every list its count, so no two packages encode
+// alike: bytes cannot slide between the resource and the ciphertext, nor a
+// rule fold into another rule's clauses. The walk runs twice, once to size
+// the buffer and once to fill it.
 func (p *Package) signedBytes() []byte {
-	var buf bytes.Buffer
-	buf.WriteString(p.Resource)
-	buf.Write(p.Cipher)
-	for _, r := range p.Policy.Rules {
-		buf.WriteString(string(r.Action))
-		buf.Write(r.Context.appendSigned(buf.AvailableBuffer()))
+	var e sigEncoder
+	p.walkSigned(&e)
+	e.buf = make([]byte, 0, e.size)
+	p.walkSigned(&e)
+	return e.buf
+}
+
+func (p *Package) walkSigned(e *sigEncoder) {
+	putField(e, p.Resource)
+	putField(e, p.Cipher)
+	e.putCount(len(p.Policy.Rules))
+	for i := range p.Policy.Rules {
+		r := &p.Policy.Rules[i]
+		putField(e, r.Action)
+		e.putContext(r.Context)
+		e.putCount(len(r.AnyOf))
 		for _, c := range r.AnyOf {
-			buf.WriteString(clauseKey(c))
-			buf.WriteByte(';')
+			e.putCount(len(c))
+			for _, a := range c {
+				putField(e, a)
+			}
 		}
 	}
-	return buf.Bytes()
+}
+
+// sigEncoder only counts bytes while buf is nil, and appends to buf after.
+type sigEncoder struct {
+	size int
+	buf  []byte
+}
+
+func (e *sigEncoder) putCount(n int) {
+	if e.buf == nil {
+		e.size += 4
+		return
+	}
+	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(n))
+}
+
+func putField[T ~string | ~[]byte](e *sigEncoder, v T) {
+	e.putCount(len(v))
+	if e.buf == nil {
+		e.size += len(v)
+		return
+	}
+	e.buf = append(e.buf, v...)
+}
+
+func (e *sigEncoder) putContext(r ContextRule) {
+	if e.buf == nil {
+		var scratch [64]byte
+		e.size += len(r.appendSigned(scratch[:0]))
+		return
+	}
+	e.buf = r.appendSigned(e.buf)
 }
 
 // verify is VerifyIntegrity through the relying party's memo (nil: none).

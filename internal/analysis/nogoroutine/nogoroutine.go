@@ -5,8 +5,8 @@
 // world either races the event loop or silently reorders it — both break
 // determinism.
 //
-// Sanctioned concurrency sites (the experiment harness's bounded worker
-// pool, the sharded kernel's shard workers) carry a //vcloudlint:allow
+// Sanctioned concurrency sites (fanout.Each's bounded worker pool, the
+// sharded kernel's shard workers) carry a //vcloudlint:allow
 // directive with the reasoning at the site, so a rename or refactor can
 // never silently widen an exemption.
 package nogoroutine

@@ -1,6 +1,6 @@
 // Package allowdir regression-tests //vcloudlint:allow suppression for
-// nogoroutine: pool mirrors experiments.forEachPar, the sanctioned
-// fan-out/fan-in harness that runs whole kernels in parallel and carries
+// nogoroutine: pool mirrors fanout.Each, the sanctioned fan-out/fan-in
+// pool that runs independent units in parallel and carries
 // reasoned directives at each concurrency site. spawnElse has no directive
 // and stays flagged.
 package allowdir

@@ -1,7 +1,11 @@
 package cryptoprim
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -9,6 +13,27 @@ import (
 
 // detRand returns a deterministic randomness source for tests.
 func detRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// issuePseudonyms draws n pseudonyms from rand and has ca issue them.
+func issuePseudonyms(tb testing.TB, ca *CA, n int, rand io.Reader) (*PseudonymPool, []Serial) {
+	tb.Helper()
+	draws := make([]KeyDraw, n)
+	for i := range draws {
+		var err error
+		if draws[i], err = DrawPseudonym(rand); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	entries, err := ca.IssueAll(draws, time.Hour)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pool, serials, err := NewPseudonymPool(entries)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pool, serials
+}
 
 func TestSignVerifyRoundTrip(t *testing.T) {
 	k, err := GenerateKey(detRand(1))
@@ -281,10 +306,7 @@ func TestGroupValidation(t *testing.T) {
 
 func TestPseudonymPool(t *testing.T) {
 	ca, _ := NewCA("TA", detRand(1))
-	pool, serials, err := IssuePseudonyms(ca, 5, time.Hour, detRand(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool, serials := issuePseudonyms(t, ca, 5, detRand(2))
 	if pool.Size() != 5 || len(serials) != 5 {
 		t.Fatalf("size = %d serials = %d", pool.Size(), len(serials))
 	}
@@ -309,8 +331,68 @@ func TestPseudonymPool(t *testing.T) {
 	if first != serials[0] {
 		t.Error("pool did not wrap to the first pseudonym")
 	}
-	if _, _, err := IssuePseudonyms(ca, 0, time.Hour, detRand(3)); err == nil {
+	if _, _, err := NewPseudonymPool(nil); err == nil {
 		t.Error("zero pool size should error")
+	}
+}
+
+// TestIssueAllMatchesSerialIssue: drawing every key seed and subject
+// first and certifying them on any number of cores yields what drawing
+// and issuing one pseudonym at a time did — the same keys, certificates
+// and serials — and leaves the reader at the same place.
+func TestIssueAllMatchesSerialIssue(t *testing.T) {
+	const n = 21
+	ca, _ := NewCA("TA", detRand(1))
+
+	ref := detRand(2)
+	want := make([]PseudonymEntry, n)
+	for i := range want {
+		key, err := GenerateKey(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subject := make([]byte, 16)
+		if _, err := io.ReadFull(ref, subject); err != nil {
+			t.Fatal(err)
+		}
+		if want[i].Cert, err = ca.Issue(subject, key.Public, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		want[i].Key = key
+	}
+	wantNext := make([]byte, 64)
+	ref.Read(wantNext)
+
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		r := detRand(2)
+		draws := make([]KeyDraw, n)
+		for i := range draws {
+			var err error
+			if draws[i], err = DrawPseudonym(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := ca.IssueAll(draws, time.Hour)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS %d: issued entries differ from serial issue", procs)
+		}
+		next := make([]byte, 64)
+		r.Read(next)
+		if !bytes.Equal(next, wantNext) {
+			t.Errorf("GOMAXPROCS %d: reader left at a different place", procs)
+		}
+	}
+	empty, err := DrawKey(nil, detRand(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ca.IssueAll([]KeyDraw{empty}, time.Hour); err == nil {
+		t.Error("empty subject should error")
 	}
 }
 

@@ -1,9 +1,13 @@
 package cryptoprim
 
 import (
+	"crypto/ed25519"
 	"fmt"
 	"io"
+	"runtime"
 	"time"
+
+	"vcloud/internal/fanout"
 )
 
 // PseudonymPool holds a vehicle's batch of pre-issued pseudonym
@@ -17,38 +21,75 @@ type PseudonymPool struct {
 	used    int
 }
 
-// PseudonymEntry is one pseudonym certificate plus its key pair.
+// PseudonymEntry is one pseudonym certificate plus its key pair. CA.IssueAll
+// returns a vehicle's long-term certificate in the same shape.
 type PseudonymEntry struct {
 	Cert Certificate
 	Key  KeyPair
 }
 
-// IssuePseudonyms has the CA mint n pseudonym certificates with random
-// subjects. The caller (the TA in internal/pki) records the
+// KeyDraw is the randomness one certificate consumes: the seed of its key
+// pair and the subject it is issued to. Drawing is the only step that
+// reads a reader; deriving the key and certifying it (CA.IssueAll) is a
+// pure function of these bytes and the CA key.
+type KeyDraw struct {
+	seed    [ed25519.SeedSize]byte
+	subject []byte
+}
+
+// DrawKey reads the seed of a key pair certified to subject: the bytes
+// GenerateKey would read.
+func DrawKey(subject []byte, rand io.Reader) (KeyDraw, error) {
+	d := KeyDraw{subject: subject}
+	if _, err := io.ReadFull(rand, d.seed[:]); err != nil {
+		return KeyDraw{}, fmt.Errorf("cryptoprim: generating key: %w", err)
+	}
+	return d, nil
+}
+
+// DrawPseudonym reads a pseudonym's key seed and then its random 16-byte
+// subject.
+func DrawPseudonym(rand io.Reader) (KeyDraw, error) {
+	d, err := DrawKey(make([]byte, 16), rand)
+	if err != nil {
+		return KeyDraw{}, err
+	}
+	if _, err := io.ReadFull(rand, d.subject); err != nil {
+		return KeyDraw{}, fmt.Errorf("cryptoprim: generating pseudonym subject: %w", err)
+	}
+	return d, nil
+}
+
+// IssueAll derives every draw's key pair and has the CA certify it, on up
+// to GOMAXPROCS goroutines. Entry i belongs to draw i, and each entry is a
+// pure function of its draw, so the result is the same at any core count.
+func (ca *CA) IssueAll(draws []KeyDraw, notAfter time.Duration) ([]PseudonymEntry, error) {
+	out := make([]PseudonymEntry, len(draws))
+	err := fanout.Each(runtime.GOMAXPROCS(0), len(draws), func(i int) error {
+		priv := ed25519.NewKeyFromSeed(draws[i].seed[:])
+		key := KeyPair{Public: priv.Public().(ed25519.PublicKey), private: priv}
+		cert, err := ca.Issue(draws[i].subject, key.Public, notAfter)
+		out[i] = PseudonymEntry{Cert: cert, Key: key}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// NewPseudonymPool makes a pool of issued pseudonyms and lists their
+// serials, in pool order. The caller (the TA in internal/pki) records the
 // pseudonym→vehicle mapping for conditional traceability.
-func IssuePseudonyms(ca *CA, n int, notAfter time.Duration, rand io.Reader) (*PseudonymPool, []Serial, error) {
-	if n < 1 {
-		return nil, nil, fmt.Errorf("cryptoprim: pool size must be >= 1, got %d", n)
+func NewPseudonymPool(entries []PseudonymEntry) (*PseudonymPool, []Serial, error) {
+	if len(entries) == 0 {
+		return nil, nil, fmt.Errorf("cryptoprim: pool size must be >= 1, got 0")
 	}
-	pool := &PseudonymPool{entries: make([]PseudonymEntry, 0, n)}
-	serials := make([]Serial, 0, n)
-	for i := 0; i < n; i++ {
-		key, err := GenerateKey(rand)
-		if err != nil {
-			return nil, nil, err
-		}
-		subject := make([]byte, 16)
-		if _, err := io.ReadFull(rand, subject); err != nil {
-			return nil, nil, fmt.Errorf("cryptoprim: generating pseudonym subject: %w", err)
-		}
-		cert, err := ca.Issue(subject, key.Public, notAfter)
-		if err != nil {
-			return nil, nil, err
-		}
-		pool.entries = append(pool.entries, PseudonymEntry{Cert: cert, Key: key})
-		serials = append(serials, cert.SerialOf())
+	serials := make([]Serial, len(entries))
+	for i := range entries {
+		serials[i] = entries[i].Cert.SerialOf()
 	}
-	return pool, serials, nil
+	return &PseudonymPool{entries: entries}, serials, nil
 }
 
 // Current returns the active pseudonym.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vcloud/internal/attack"
+	"vcloud/internal/fanout"
 	"vcloud/internal/geo"
 	"vcloud/internal/metrics"
 	"vcloud/internal/radio"
@@ -301,7 +302,7 @@ func E10Attacks(cfg Config) (*Result, error) {
 		func() float64 { return sybil(true) },
 	}
 	res := make([]float64, len(jobs))
-	if err := forEachPar(cfg, len(jobs), func(i int) error {
+	if err := fanout.Each(cfg.Parallel, len(jobs), func(i int) error {
 		res[i] = jobs[i]()
 		return nil
 	}); err != nil {

@@ -13,9 +13,8 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"vcloud/internal/fanout"
 	"vcloud/internal/metrics"
 )
 
@@ -63,63 +62,6 @@ func (p *point) set(key string, v float64) {
 	p.values[key] = v
 }
 
-// forEachPar runs fn(0..n-1), spreading the calls over up to cfg.Parallel
-// worker goroutines. With Parallel <= 1 it degenerates to a plain serial
-// loop. The first error stops new work and is returned after all workers
-// join; indices already started still run to completion.
-func forEachPar(cfg Config, n int, fn func(i int) error) error {
-	workers := cfg.Parallel
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		//vcloudlint:allow nogoroutine work-stealing counter for the fan-out pool; no kernel code runs on this goroutine
-		next atomic.Int64
-		//vcloudlint:allow nogoroutine pool join barrier; results are folded serially after Wait
-		wg sync.WaitGroup
-		//vcloudlint:allow nogoroutine guards firstErr across pool workers, never kernel state
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//vcloudlint:allow nogoroutine bounded worker pool running independent kernels; fan-in is serial
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				mu.Lock()
-				stop := firstErr != nil
-				mu.Unlock()
-				if stop {
-					return
-				}
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
 // assemble is the deterministic fan-out/fan-in at the heart of every
 // experiment: run n independent sweep points (in parallel when configured),
 // then fold their buffered rows and values into the table and value map
@@ -128,7 +70,7 @@ func forEachPar(cfg Config, n int, fn func(i int) error) error {
 // parallelism.
 func assemble(cfg Config, table *metrics.Table, values map[string]float64, n int, run func(i int, p *point) error) error {
 	pts := make([]point, n)
-	if err := forEachPar(cfg, n, func(i int) error { return run(i, &pts[i]) }); err != nil {
+	if err := fanout.Each(cfg.Parallel, n, func(i int) error { return run(i, &pts[i]) }); err != nil {
 		return err
 	}
 	for i := range pts {

@@ -44,22 +44,3 @@ func TestParallelTablesMatchSerial(t *testing.T) {
 		})
 	}
 }
-
-// TestForEachParCoversAllIndices exercises the pool with more items than
-// workers and checks every index runs exactly once.
-func TestForEachParCoversAllIndices(t *testing.T) {
-	const n = 100
-	hits := make([]int, n)
-	err := forEachPar(Config{Parallel: 7}, n, func(i int) error {
-		hits[i]++ // distinct element per call: race-free by construction
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range hits {
-		if h != 1 {
-			t.Errorf("index %d ran %d times", i, h)
-		}
-	}
-}

@@ -117,22 +117,21 @@ func (t *TA) Enroll(id VehicleIdentity) (*Enrollment, error) {
 	if _, ok := t.vehicleSerials[id]; ok {
 		return nil, fmt.Errorf("pki: vehicle %q already enrolled", id)
 	}
-	longKey, err := cryptoprim.GenerateKey(t.rand)
-	if err != nil {
+	// Every byte the enrolment consumes is drawn first, in one fixed
+	// order: the long-term key seed, each pseudonym's key seed and
+	// subject, the group secret, the chain seed. Deriving the key pairs
+	// and certificates from those bytes is pure, so IssueAll spreads it
+	// over every core and the enrolment is the same at any core count.
+	draws := make([]cryptoprim.KeyDraw, 1+t.cfg.PoolSize)
+	var err error
+	if draws[0], err = cryptoprim.DrawKey([]byte(id), t.rand); err != nil {
 		return nil, err
 	}
-	longCert, err := t.ca.Issue([]byte(id), longKey.Public, certLifetime)
-	if err != nil {
-		return nil, err
+	for i := 1; i < len(draws); i++ {
+		if draws[i], err = cryptoprim.DrawPseudonym(t.rand); err != nil {
+			return nil, err
+		}
 	}
-	pool, serials, err := cryptoprim.IssuePseudonyms(t.ca, t.cfg.PoolSize, certLifetime, t.rand)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range serials {
-		t.pseudonymOwner[s] = id
-	}
-	t.vehicleSerials[id] = serials
 	groupCred, err := t.group.Enroll(string(id), t.rand)
 	if err != nil {
 		return nil, err
@@ -141,11 +140,23 @@ func (t *TA) Enroll(id VehicleIdentity) (*Enrollment, error) {
 	if err != nil {
 		return nil, err
 	}
+	issued, err := t.ca.IssueAll(draws, certLifetime)
+	if err != nil {
+		return nil, err
+	}
+	pool, serials, err := cryptoprim.NewPseudonymPool(issued[1:])
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range serials {
+		t.pseudonymOwner[s] = id
+	}
+	t.vehicleSerials[id] = serials
 	t.chainSeeds[id] = chain.Seed()
 	return &Enrollment{
 		Identity:   id,
-		LongTerm:   longCert,
-		LongKey:    longKey,
+		LongTerm:   issued[0].Cert,
+		LongKey:    issued[0].Key,
 		Pseudonyms: pool,
 		Group:      groupCred,
 		Chain:      chain,

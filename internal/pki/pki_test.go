@@ -1,7 +1,13 @@
 package pki
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -231,5 +237,96 @@ func TestTraceabilityPaths(t *testing.T) {
 	who, ok := ta.TraceGroupSig(enrs[1].Group.Sign([]byte("m"), 42))
 	if !ok || who != "veh-1" {
 		t.Errorf("TraceGroupSig = %q, %v", who, ok)
+	}
+}
+
+// enrollmentDigest hashes what an enrolment hands out and what the TA
+// escrows for it, through the exported API: every certificate field, a
+// signature by every key (ed25519 signing is deterministic, so equal
+// signatures mean equal keys), the escrowed serials, a group signature
+// (its tag is an HMAC under the member secret), the chain seed, and the
+// bytes the reader yields next. It rotates the pseudonym pool once round.
+func enrollmentDigest(ta *TA, e *Enrollment, poolSize int, next []byte) string {
+	h := sha256.New()
+	field := func(b []byte) {
+		h.Write(binary.BigEndian.AppendUint32(nil, uint32(len(b))))
+		h.Write(b)
+	}
+	msg := []byte("enrolment digest")
+	pair := func(c *cryptoprim.Certificate, k cryptoprim.KeyPair) {
+		for _, b := range [][]byte{c.Subject, c.PubKey, c.Issuer, c.Signature, k.Public, k.Sign(msg)} {
+			field(b)
+		}
+		h.Write(binary.BigEndian.AppendUint64(nil, uint64(c.NotAfter)))
+	}
+	pair(&e.LongTerm, e.LongKey)
+	for i := 0; i < poolSize; i++ {
+		p := e.Pseudonyms.Current()
+		pair(&p.Cert, p.Key)
+		e.Pseudonyms.Rotate()
+	}
+	for _, s := range ta.vehicleSerials[e.Identity] {
+		h.Write(s[:])
+	}
+	sig := e.Group.Sign(msg, 7)
+	field([]byte(sig.GroupID))
+	field([]byte(e.Group.MemberID))
+	h.Write(sig.Tag[:])
+	field(sig.Sig)
+	seed := e.Chain.Seed()
+	h.Write(seed[:])
+	field(next)
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestEnrollIdenticalAtAnyParallelism: the TA derives an enrolment's key
+// pairs and certificates on every core, yet what it hands out, what it
+// escrows and where it leaves its reader are the same byte for byte at
+// GOMAXPROCS 1 and 4 — and the same as the serial enrolment this
+// replaced, whose digest is pinned.
+func TestEnrollIdenticalAtAnyParallelism(t *testing.T) {
+	ids := []VehicleIdentity{"veh-1", "veh-2", "veh-3"}
+	type run struct {
+		ta   *TA
+		enrs []*Enrollment
+		next []byte
+	}
+	enrollAll := func(procs int) run {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		r := rand.New(rand.NewSource(1))
+		ta, err := New("TA", r, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := run{ta: ta, next: make([]byte, 64)}
+		for _, id := range ids {
+			e, err := ta.Enroll(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.enrs = append(out.enrs, e)
+		}
+		r.Read(out.next)
+		return out
+	}
+	one, four := enrollAll(1), enrollAll(4)
+	for i, id := range ids {
+		if !reflect.DeepEqual(one.enrs[i], four.enrs[i]) {
+			t.Errorf("%s: enrolment differs between GOMAXPROCS 1 and 4", id)
+		}
+	}
+	escrow := func(ta *TA) []any {
+		return []any{ta.pseudonymOwner, ta.vehicleSerials, ta.chainSeeds, ta.group}
+	}
+	if !reflect.DeepEqual(escrow(one.ta), escrow(four.ta)) {
+		t.Error("TA escrow differs between GOMAXPROCS 1 and 4")
+	}
+	if !bytes.Equal(one.next, four.next) {
+		t.Error("reader left at a different place")
+	}
+	const pinned = "5532928f30a4b1edae1d996351c88e6a16b7abc04c0fb965e9666394fac2dbdb"
+	if got := enrollmentDigest(one.ta, one.enrs[1], 20, one.next); got != pinned {
+		t.Errorf("enrolment digest = %s, want %s", got, pinned)
 	}
 }

@@ -19,7 +19,7 @@
 // internal/shardworld for the construction).
 //
 // The shard workers are the one sanctioned goroutine site inside the
-// kernel layer, mirroring experiments.forEachPar one level up: each worker
+// kernel layer, mirroring fanout.Each one level up: each worker
 // owns its shard's kernel exclusively during a window, all shared state is
 // touched only by the coordinator between windows, and the start/done
 // channels provide the happens-before edges. With one shard no goroutine
