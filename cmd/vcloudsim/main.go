@@ -196,6 +196,9 @@ func parseFlags(args []string) (options, world.Spec, error) {
 	if o.retries < 0 {
 		return o, world.Spec{}, fmt.Errorf("-retries must be non-negative, got %d", o.retries)
 	}
+	if o.traceN < 0 {
+		return o, world.Spec{}, fmt.Errorf("-trace must be non-negative, got %d", o.traceN)
+	}
 	spec, err := runSpec(o)
 	if err != nil {
 		return o, world.Spec{}, err

@@ -26,6 +26,7 @@ func TestValidateFlags(t *testing.T) {
 		{"+Inf duration", "-duration +Inf", "-duration"},
 		{"negative replicas", "-replicas -1", "replicas"},
 		{"negative retries", "-retries -1", "-retries"},
+		{"negative trace", "-trace -1", "-trace"},
 		{"byz above one", "-soak -byz 1.5", "Byzantine"},
 		{"negative byz", "-soak -byz -0.1", "Byzantine"},
 		{"NaN byz", "-soak -byz NaN", "Byzantine"},

@@ -23,7 +23,7 @@ func TestFragTableMatchesMapModel(t *testing.T) {
 	keys := []Key{"a", "b", "c"}
 	model := map[Key]map[vnet.Addr][]frag{}
 	for _, k := range keys {
-		e.objects[k] = &ecobj{}
+		e.objects[k] = &object{}
 		model[k] = map[vnet.Addr][]frag{}
 	}
 	rng := rand.New(rand.NewSource(7))
@@ -184,7 +184,7 @@ func TestBestVersionMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := &ecobj{}
+		o := &object{}
 		for a := vnet.Addr(0); a < 10; a++ {
 			if rng.Intn(4) == 0 {
 				v.offline[a] = true

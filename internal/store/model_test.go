@@ -96,7 +96,7 @@ func (e modelEC) Write(req WriteReq) WriteAck {
 	}
 	o := e.objects[req.Key]
 	if o == nil {
-		o = &ecobj{}
+		o = &object{}
 		e.objects[req.Key] = o
 	}
 	if !e.acceptKey(o, req.Epoch, false) {
@@ -383,4 +383,452 @@ func testStaleRowsHoldNoBytes(t *testing.T) {
 			t.Fatalf("only %d rows linger for %d keys: the schedule no longer leaves stale rows behind", rows, nKeys)
 		}
 	}
+}
+
+// The map model: the whole-copy quorum backend as it was before it moved
+// onto the shared holder table — one map of copies per key, re-sorted by
+// holdersOf wherever order matters, and its own copy of both epoch
+// fences, so FuzzReplicatedMatchesMapModel checks the shared fence
+// instead of calling it. Nothing outside this file uses it.
+
+type mapCopy struct {
+	version Version
+	data    []byte
+}
+
+type mapObj struct {
+	size    int
+	version Version
+	acked   Version
+	epoch   uint64
+	copies  map[vnet.Addr]mapCopy
+	placed  []vnet.Addr
+}
+
+type mapReplicated struct {
+	cfg   Config
+	view  View
+	stats *Stats
+
+	objects   map[Key]*mapObj
+	sess      sessions
+	highWater uint64
+	load      map[vnet.Addr]int
+
+	rankScratch   []rankEntry
+	keyScratch    []Key
+	holderScratch []vnet.Addr
+	placeScratch  []vnet.Addr
+	rttScratch    []float64
+}
+
+func newMapReplicated(cfg Config, view View, stats *Stats) (*mapReplicated, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return &mapReplicated{
+		cfg:     cfg,
+		view:    view,
+		stats:   stats,
+		objects: make(map[Key]*mapObj),
+		sess:    make(sessions),
+		load:    make(map[vnet.Addr]int),
+	}, nil
+}
+
+func (r *mapReplicated) accept(epoch uint64) bool {
+	if epoch == 0 {
+		return true
+	}
+	if epoch < r.highWater {
+		r.stats.StaleWrites.Inc()
+		return false
+	}
+	r.highWater = epoch
+	return true
+}
+
+func (r *mapReplicated) acceptKey(o *mapObj, epoch uint64, read bool) bool {
+	if r.cfg.Consistency != Linearizable || epoch == 0 {
+		return true
+	}
+	if epoch < o.epoch {
+		if read {
+			r.stats.StaleReads.Inc()
+		} else {
+			r.stats.StaleWrites.Inc()
+		}
+		return false
+	}
+	o.epoch = epoch
+	return true
+}
+
+func (r *mapReplicated) Write(req WriteReq) WriteAck {
+	r.stats.Writes.Inc()
+	if !r.accept(req.Epoch) {
+		return WriteAck{}
+	}
+	o := r.objects[req.Key]
+	if o == nil {
+		o = &mapObj{copies: make(map[vnet.Addr]mapCopy)}
+		r.objects[req.Key] = o
+	}
+	if !r.acceptKey(o, req.Epoch, false) {
+		return WriteAck{}
+	}
+	size := req.Size
+	if size == 0 {
+		size = len(req.Data)
+	}
+	o.size = size
+	o.version++
+	placed := r.placeScratch[:0]
+	for _, a := range r.holdersOf(o) {
+		if len(placed) >= r.cfg.N {
+			break
+		}
+		if r.view.Online(a) {
+			placed = append(placed, a)
+		}
+	}
+	if len(placed) < r.cfg.N {
+		held := make(map[vnet.Addr]bool, len(o.copies))
+		for _, a := range placed {
+			held[a] = true
+		}
+		for _, e := range rankOnline(&r.rankScratch, r.view, r.load, func(a vnet.Addr) bool { return held[a] }) {
+			if len(placed) >= r.cfg.N {
+				break
+			}
+			placed = append(placed, e.addr)
+		}
+	}
+	r.placeScratch = placed
+	for _, a := range placed {
+		if _, had := o.copies[a]; !had {
+			r.load[a]++
+		}
+		o.copies[a] = mapCopy{version: o.version, data: req.Data}
+		r.stats.BytesMoved.Add(size)
+	}
+	out := make([]vnet.Addr, len(placed))
+	copy(out, placed)
+	slices.Sort(out)
+	o.placed = append(o.placed[:0], out...)
+	ack := WriteAck{Version: o.version, Placed: out, Acked: len(out) >= r.cfg.W}
+	if ack.Acked {
+		o.acked = o.version
+		r.stats.WriteAcks.Inc()
+		r.sess.advance(req.Client, req.Key, o.version)
+	}
+	return ack
+}
+
+func (r *mapReplicated) Read(req ReadReq) (ReadResult, bool) {
+	r.stats.Reads.Inc()
+	o := r.objects[req.Key]
+	if o == nil {
+		return ReadResult{}, false
+	}
+	if !r.acceptKey(o, req.Epoch, true) {
+		return ReadResult{}, false
+	}
+	best := Version(0)
+	var data []byte
+	rtts := r.rttScratch[:0]
+	for _, a := range r.holdersOf(o) {
+		if !r.view.Online(a) {
+			continue
+		}
+		cp := o.copies[a]
+		if cp.version > best {
+			best, data = cp.version, cp.data
+		}
+		rtts = append(rtts, r.cfg.RTT(a, o.size))
+	}
+	r.rttScratch = rtts
+	if len(rtts) < r.cfg.R {
+		return ReadResult{}, false
+	}
+	quorum := 0
+	for _, a := range o.placed {
+		if _, has := o.copies[a]; has && r.view.Online(a) {
+			quorum++
+		}
+	}
+	if quorum < r.cfg.R {
+		r.stats.QuorumStale.Inc()
+		return ReadResult{}, false
+	}
+	if r.cfg.Consistency >= Session && best < r.sess.watermark(req.Client, req.Key) {
+		r.stats.SessionStale.Inc()
+		return ReadResult{}, false
+	}
+	r.stats.ReadsOK.Inc()
+	r.sess.advance(req.Client, req.Key, best)
+	return ReadResult{
+		Data:    data,
+		Version: best,
+		Latency: quantile(rtts, r.cfg.R),
+		Replies: len(rtts),
+	}, true
+}
+
+func (r *mapReplicated) Repair(req RepairReq) int {
+	if !r.accept(req.Epoch) {
+		return 0
+	}
+	created := 0
+	for _, k := range r.sortedKeys() {
+		o := r.objects[k]
+		live := 0
+		maxLive := Version(0)
+		for _, a := range r.holdersOf(o) {
+			if r.view.Online(a) {
+				live++
+				if cp := o.copies[a]; cp.version > maxLive {
+					maxLive = cp.version
+				}
+			} else if !r.cfg.RetainOffline {
+				r.dropCopy(o, a)
+			}
+		}
+		if live == 0 {
+			continue
+		}
+		if live < r.cfg.N {
+			var src []byte
+			for _, a := range r.holdersOf(o) {
+				if r.view.Online(a) && o.copies[a].version == maxLive {
+					src = o.copies[a].data
+					break
+				}
+			}
+			held := o.copies
+			for _, e := range rankOnline(&r.rankScratch, r.view, r.load, func(a vnet.Addr) bool { _, has := held[a]; return has }) {
+				if live >= r.cfg.N {
+					break
+				}
+				o.copies[e.addr] = mapCopy{version: maxLive, data: src}
+				r.load[e.addr]++
+				live++
+				created++
+				r.stats.ReReplicas.Inc()
+				r.stats.BytesMoved.Add(o.size)
+			}
+		}
+		if maxLive >= o.acked {
+			r.rebuildPlaced(o, maxLive)
+		}
+	}
+	return created
+}
+
+func (r *mapReplicated) rebuildPlaced(o *mapObj, v Version) {
+	np := make([]vnet.Addr, 0, r.cfg.N)
+	for pass := 0; pass < 2; pass++ {
+		for _, a := range r.holdersOf(o) {
+			if len(np) >= r.cfg.N {
+				break
+			}
+			if o.copies[a].version != v {
+				continue
+			}
+			on := r.view.Online(a)
+			if pass == 0 && on {
+				np = append(np, a)
+			}
+			if pass == 1 && !on && slices.Contains(o.placed, a) && !slices.Contains(np, a) {
+				np = append(np, a)
+			}
+		}
+	}
+	slices.Sort(np)
+	o.placed = np
+}
+
+func (r *mapReplicated) Forget(a vnet.Addr) int {
+	dropped := 0
+	for _, k := range r.sortedKeys() {
+		o := r.objects[k]
+		if _, has := o.copies[a]; has {
+			r.dropCopy(o, a)
+			dropped++
+		}
+	}
+	return dropped
+}
+
+func (r *mapReplicated) Holders(k Key) []vnet.Addr {
+	o := r.objects[k]
+	if o == nil {
+		return nil
+	}
+	return slices.Clone(r.holdersOf(o))
+}
+
+func (r *mapReplicated) Durable(k Key) (Version, bool) {
+	o := r.objects[k]
+	if o == nil || len(o.copies) == 0 {
+		return 0, false
+	}
+	best := Version(0)
+	for _, cp := range o.copies {
+		if cp.version > best {
+			best = cp.version
+		}
+	}
+	return best, true
+}
+
+func (r *mapReplicated) dropCopy(o *mapObj, a vnet.Addr) {
+	delete(o.copies, a)
+	if r.load[a] > 0 {
+		r.load[a]--
+	}
+}
+
+func (r *mapReplicated) holdersOf(o *mapObj) []vnet.Addr {
+	hs := r.holderScratch[:0]
+	for a := range o.copies {
+		hs = append(hs, a)
+	}
+	slices.Sort(hs)
+	r.holderScratch = hs
+	return hs
+}
+
+func (r *mapReplicated) sortedKeys() []Key {
+	ks := r.keyScratch[:0]
+	for k := range r.objects {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	r.keyScratch = ks
+	return ks
+}
+
+// FuzzReplicatedMatchesMapModel runs a byte program against Replicated
+// and the map model over one view. Three header bytes pick the quorums
+// (any N <= 5 with W+R > N), the consistency level, RetainOffline and a
+// fleet of 1 to 10 members; then each pair of bytes is one op — a data
+// or sized write, a session or anonymous read, a repair, a departure, a
+// member going dark or coming back, or a new controller epoch — on one
+// of three keys, at the current epoch or, when the op byte's top bit is
+// set, at the superseded one. After every op the acks, the read results
+// (down to the backing array of the bytes served), Holders, Durable,
+// Stats and every member's load must agree.
+func FuzzReplicatedMatchesMapModel(f *testing.F) {
+	f.Add([]byte{2, 8, 0, 0, 7, 24, 7, 2, 16, 6, 0, 6, 1, 3, 0, 4, 0, 3, 0})
+	f.Add([]byte{4, 0, 70, 7, 0, 0, 1, 8, 2, 6, 2, 6, 3, 0, 1, 130, 2, 2, 17, 4, 0, 5, 1, 3, 0})
+	// Longer random programs over every consistency level, with and
+	// without retention, at four quorum shapes each.
+	rng := rand.New(rand.NewSource(40))
+	for c := byte(0); c < 3; c++ {
+		for _, retain := range []byte{0, 4} {
+			for shape := 0; shape < 4; shape++ {
+				prog := []byte{byte(rng.Intn(5)), byte(rng.Intn(256)), c | retain | byte(rng.Intn(32))<<3}
+				for i := 0; i < 400; i++ {
+					prog = append(prog, byte(rng.Intn(256)))
+				}
+				f.Add(prog)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) < 3 {
+			return
+		}
+		n := 1 + int(prog[0])%5
+		w := 1 + int(prog[1])%n
+		cfg := Config{
+			N:             n,
+			W:             w,
+			R:             n - w + 1 + int(prog[1]>>3)%w,
+			Consistency:   Consistency(prog[2] % 3),
+			RetainOffline: prog[2]&4 != 0,
+		}
+		view := newTestView(1 + int(prog[2]>>3)%10)
+		var gotStats, wantStats Stats
+		r, err := NewReplicated(cfg, view, &gotStats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, err := newMapReplicated(cfg, view, &wantStats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := []Key{"a", "b", "c"}
+		clients := []ClientID{"x", "y"}
+		sameBytes := func(a, b []byte) bool {
+			return len(a) == len(b) && (a == nil) == (b == nil) && (len(a) == 0 || &a[0] == &b[0])
+		}
+		for pc := 3; pc+1 < len(prog); pc += 2 {
+			op, arg := prog[pc], prog[pc+1]
+			key := keys[int(op>>3)%len(keys)]
+			member := view.members[int(arg)%len(view.members)]
+			epoch := view.epoch
+			if op&0x80 != 0 && epoch > 0 {
+				epoch-- // a request from a superseded controller
+			}
+			what := func(s string) string {
+				return fmt.Sprintf("N=%d W=%d R=%d %v retain=%v fleet=%d op %d (%s %s)",
+					cfg.N, cfg.W, cfg.R, cfg.Consistency, cfg.RetainOffline, len(view.members), pc, s, key)
+			}
+			switch op & 7 {
+			case 0, 1: // data or sized write
+				req := WriteReq{Client: clients[arg>>7], Key: key, Epoch: epoch}
+				if op&7 == 0 {
+					req.Data = testPayload(1 + int(arg)%40)
+				} else {
+					req.Size = 1 + int(arg)*16
+				}
+				got, want := r.Write(req), model.Write(req)
+				if got.Version != want.Version || got.Acked != want.Acked || !slices.Equal(got.Placed, want.Placed) {
+					t.Fatalf("%s: ack %+v, model %+v", what("write"), got, want)
+				}
+			case 2, 3: // session or anonymous read
+				req := ReadReq{Key: key, Epoch: epoch}
+				if op&7 == 2 {
+					req.Client = clients[arg>>7]
+				}
+				got, gotOK := r.Read(req)
+				want, wantOK := model.Read(req)
+				if gotOK != wantOK || got.Version != want.Version || got.Latency != want.Latency ||
+					got.Replies != want.Replies || !sameBytes(got.Data, want.Data) {
+					t.Fatalf("%s: ok=%v %+v, model ok=%v %+v", what("read"), gotOK, got, wantOK, want)
+				}
+			case 4: // repair
+				req := RepairReq{Epoch: epoch}
+				if got, want := r.Repair(req), model.Repair(req); got != want {
+					t.Fatalf("%s: created %d, model %d", what("repair"), got, want)
+				}
+			case 5: // the member departs for good (and may return wiped)
+				if got, want := r.Forget(member), model.Forget(member); got != want {
+					t.Fatalf("%s: dropped %d, model %d", what("forget"), got, want)
+				}
+			case 6: // a member goes dark or comes back
+				view.offline[member] = !view.offline[member]
+			default: // a new controller takes over
+				view.epoch++
+			}
+			for _, k := range keys {
+				gv, gok := r.Durable(k)
+				wv, wok := model.Durable(k)
+				if gv != wv || gok != wok || !slices.Equal(r.Holders(k), model.Holders(k)) {
+					t.Fatalf("%s: key %s durable v%d %v holders %v, model v%d %v holders %v",
+						what("audit"), k, gv, gok, r.Holders(k), wv, wok, model.Holders(k))
+				}
+			}
+			if gotStats != wantStats {
+				t.Fatalf("%s: stats %+v, model %+v", what("stats"), gotStats, wantStats)
+			}
+			for _, a := range view.members {
+				if r.load[a] != model.load[a] {
+					t.Fatalf("%s: load[%d] = %d, model %d", what("load"), a, r.load[a], model.load[a])
+				}
+			}
+		}
+	})
 }

@@ -219,9 +219,6 @@ type Backend interface {
 	// member departed for good and its storage is gone. It returns how
 	// many copies were dropped.
 	Forget(a vnet.Addr) int
-	// Holders returns the members holding a copy or fragment of the
-	// key, ascending (regardless of liveness).
-	Holders(k Key) []vnet.Addr
 	// Durable returns the highest version of the key that could still
 	// be reconstructed from the surviving (non-forgotten) copies, and
 	// whether any version survives at all. Liveness is ignored: a

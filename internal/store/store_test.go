@@ -141,9 +141,9 @@ func TestSessionMonotonicReads(t *testing.T) {
 	// (no quorum), so bring back one stale holder scenario instead:
 	// manually regress the object to test the watermark path.
 	o := r.objects["k"]
-	for _, a := range r.Holders("k") {
-		v.offline[a] = false
-		o.copies[a] = rcopy{version: 1, data: []byte("v1")}
+	for i, h := range o.holders {
+		v.offline[h.addr] = false
+		o.holders[i].frags[0] = frag{version: 1, data: []byte("v1")}
 	}
 	if _, ok := Get(r, "c1", "k"); ok {
 		t.Fatal("session client read went backwards")
@@ -156,37 +156,74 @@ func TestSessionMonotonicReads(t *testing.T) {
 	}
 }
 
+// fencedBackend is what the fencing tests drive: either backend, with
+// the shared store-wide fence and holder table in reach.
+type fencedBackend interface {
+	Backend
+	accept(epoch uint64) bool
+	Holders(k Key) []vnet.Addr
+}
+
+// fenceRow is one backend a fencing test runs against.
+type fenceRow struct {
+	name string
+	mk   func(View, *Stats) (fencedBackend, error)
+}
+
+// fenceRows builds one row per backend. cfg sets the replicated quorums
+// and the consistency level; the erasure row runs cfg with a (k, m) code
+// instead, chosen so it places as many members as the quorum store
+// copies.
+func fenceRows(cfg Config, k, m int) []fenceRow {
+	ec := cfg
+	ec.K, ec.M = k, m
+	return []fenceRow{
+		{"replicated", func(v View, st *Stats) (fencedBackend, error) { return NewReplicated(cfg, v, st) }},
+		{"erasure", func(v View, st *Stats) (fencedBackend, error) { return NewErasureCoded(ec, v, st) }},
+	}
+}
+
+// TestLinearizableEpochFencing pins the per-key fence of both backends:
+// a superseded epoch may neither write nor read a key a newer epoch has
+// touched, and a read at a newer epoch fences the key's writers too.
 func TestLinearizableEpochFencing(t *testing.T) {
-	v := newTestView(5)
-	st := &Stats{}
-	r, _ := NewReplicated(Config{N: 3, W: 2, R: 2, Consistency: Linearizable}, v, st)
-	if ack := r.Write(WriteReq{Key: "k", Data: []byte("a"), Epoch: 5}); !ack.Acked {
-		t.Fatalf("epoch-5 write refused: %+v", ack)
-	}
-	// A superseded controller (epoch 3) must not write or read.
-	if ack := r.Write(WriteReq{Key: "k", Data: []byte("b"), Epoch: 3}); ack.Acked {
-		t.Fatal("stale-epoch write accepted")
-	}
-	if st.StaleWrites.Value() != 1 {
-		t.Errorf("StaleWrites = %d, want 1", st.StaleWrites.Value())
-	}
-	if _, ok := r.Read(ReadReq{Key: "k", Epoch: 6}); !ok {
-		t.Fatal("fresh-epoch read refused")
-	}
-	// The epoch-6 read fences the key: an epoch-5 write is now stale.
-	if ack := r.Write(WriteReq{Key: "k", Data: []byte("c"), Epoch: 5}); ack.Acked {
-		t.Fatal("write below the key's read fence accepted")
-	}
-	if _, ok := r.Read(ReadReq{Key: "k", Epoch: 4}); ok {
-		t.Fatal("stale-epoch read served")
-	}
-	if st.StaleReads.Value() == 0 {
-		t.Error("StaleReads not counted")
-	}
-	// Repair from a stale epoch is refused outright.
-	v.offline[vnet.Addr(0)] = true
-	if n := r.Repair(RepairReq{Epoch: 2}); n != 0 {
-		t.Fatalf("stale-epoch repair created %d copies", n)
+	for _, row := range fenceRows(Config{N: 3, W: 2, R: 2, Consistency: Linearizable}, 2, 1) {
+		t.Run(row.name, func(t *testing.T) {
+			v := newTestView(5)
+			st := &Stats{}
+			r, err := row.mk(v, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ack := r.Write(WriteReq{Key: "k", Data: []byte("a"), Epoch: 5}); !ack.Acked {
+				t.Fatalf("epoch-5 write refused: %+v", ack)
+			}
+			// A superseded controller (epoch 3) must not write or read.
+			if ack := r.Write(WriteReq{Key: "k", Data: []byte("b"), Epoch: 3}); ack.Acked {
+				t.Fatal("stale-epoch write accepted")
+			}
+			if st.StaleWrites.Value() != 1 {
+				t.Errorf("StaleWrites = %d, want 1", st.StaleWrites.Value())
+			}
+			if _, ok := r.Read(ReadReq{Key: "k", Epoch: 6}); !ok {
+				t.Fatal("fresh-epoch read refused")
+			}
+			// The epoch-6 read fences the key: an epoch-5 write is now stale.
+			if ack := r.Write(WriteReq{Key: "k", Data: []byte("c"), Epoch: 5}); ack.Acked {
+				t.Fatal("write below the key's read fence accepted")
+			}
+			if _, ok := r.Read(ReadReq{Key: "k", Epoch: 4}); ok {
+				t.Fatal("stale-epoch read served")
+			}
+			if st.StaleReads.Value() == 0 {
+				t.Error("StaleReads not counted")
+			}
+			// Repair from a stale epoch is refused outright.
+			v.offline[vnet.Addr(0)] = true
+			if n := r.Repair(RepairReq{Epoch: 2}); n != 0 {
+				t.Fatalf("stale-epoch repair created %d copies", n)
+			}
+		})
 	}
 }
 
@@ -352,8 +389,8 @@ func TestReplicatedEventualAllowsBackwardReads(t *testing.T) {
 	Put(r, "c", "k", []byte("v1"))
 	Put(r, "c", "k", []byte("v2"))
 	o := r.objects["k"]
-	for _, a := range r.Holders("k") {
-		o.copies[a] = rcopy{version: 1, data: []byte("v1")}
+	for i := range o.holders {
+		o.holders[i].frags[0] = frag{version: 1, data: []byte("v1")}
 	}
 	if res, ok := Get(r, "c", "k"); !ok || res.Version != 1 {
 		t.Fatalf("eventual read should serve the stale version: %+v ok=%v", res, ok)
@@ -444,40 +481,44 @@ func TestReplicatedWriteAllReadOne(t *testing.T) {
 }
 
 // TestReplicatedEpochFence pins the store-wide write fence every
-// consistency level has: a superseded controller's writes and repairs
-// are refused and counted, epoch zero is never fenced.
+// consistency level of both backends has: a superseded controller's
+// writes and repairs are refused and counted, epoch zero is never fenced.
 func TestReplicatedEpochFence(t *testing.T) {
-	st := &Stats{}
-	r, err := NewReplicated(Config{N: 2, W: 2, R: 1}, newTestView(3), st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Accept(0) {
-		t.Error("epoch zero must always be accepted")
-	}
-	if ack := r.Write(WriteReq{Key: "f1", Size: 100, Epoch: 2}); len(ack.Placed) != 2 {
-		t.Fatalf("write at the high watermark placed %v, want 2 copies", ack.Placed)
-	}
-	if ack := r.Write(WriteReq{Key: "f2", Size: 100, Epoch: 1}); ack.Version != 0 || len(ack.Placed) != 0 {
-		t.Errorf("stale-epoch write went through: %+v", ack)
-	}
-	if n := r.Repair(RepairReq{Epoch: 1}); n != 0 {
-		t.Errorf("stale-epoch repair created %d copies", n)
-	}
-	if got := st.StaleWrites.Value(); got != 2 {
-		t.Errorf("StaleWrites = %d, want 2", got)
-	}
-	if len(r.Holders("f2")) != 0 {
-		t.Error("refused write still created placements")
-	}
-	if !r.Accept(0) {
-		t.Error("epoch zero refused after fenced writes raised the watermark")
-	}
-	if ack := r.Write(WriteReq{Key: "f3", Size: 100, Epoch: 3}); len(ack.Placed) != 2 {
-		t.Errorf("superseding-epoch write placed %v, want 2 copies", ack.Placed)
-	}
-	if r.Accept(2) {
-		t.Error("previous high watermark still accepted after supersession")
+	for _, row := range fenceRows(Config{N: 2, W: 2, R: 1}, 1, 1) {
+		t.Run(row.name, func(t *testing.T) {
+			st := &Stats{}
+			r, err := row.mk(newTestView(3), st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.accept(0) {
+				t.Error("epoch zero must always be accepted")
+			}
+			if ack := r.Write(WriteReq{Key: "f1", Size: 100, Epoch: 2}); len(ack.Placed) != 2 {
+				t.Fatalf("write at the high watermark placed %v, want 2 copies", ack.Placed)
+			}
+			if ack := r.Write(WriteReq{Key: "f2", Size: 100, Epoch: 1}); ack.Version != 0 || len(ack.Placed) != 0 {
+				t.Errorf("stale-epoch write went through: %+v", ack)
+			}
+			if n := r.Repair(RepairReq{Epoch: 1}); n != 0 {
+				t.Errorf("stale-epoch repair created %d copies", n)
+			}
+			if got := st.StaleWrites.Value(); got != 2 {
+				t.Errorf("StaleWrites = %d, want 2", got)
+			}
+			if len(r.Holders("f2")) != 0 {
+				t.Error("refused write still created placements")
+			}
+			if !r.accept(0) {
+				t.Error("epoch zero refused after fenced writes raised the watermark")
+			}
+			if ack := r.Write(WriteReq{Key: "f3", Size: 100, Epoch: 3}); len(ack.Placed) != 2 {
+				t.Errorf("superseding-epoch write placed %v, want 2 copies", ack.Placed)
+			}
+			if r.accept(2) {
+				t.Error("previous high watermark still accepted after supersession")
+			}
+		})
 	}
 }
 
@@ -500,11 +541,11 @@ func TestReplicatedDepartureInvariantProperty(t *testing.T) {
 		for _, fl := range flips {
 			v.offline[vnet.Addr(fl%10)] = fl%2 != 0
 			Fix(r)
-			if len(o.copies) > k {
+			if len(o.holders) > k {
 				return false
 			}
 			want := slices.ContainsFunc(o.placed, func(a vnet.Addr) bool {
-				_, has := o.copies[a]
+				_, has := o.find(a)
 				return has && v.Online(a)
 			})
 			if _, got := Get(r, "", "f"); got != want {
