@@ -14,8 +14,8 @@ import (
 // detRand returns a deterministic randomness source for tests.
 func detRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// issuePseudonyms draws n pseudonyms from rand and has ca issue them.
-func issuePseudonyms(tb testing.TB, ca *CA, n int, rand io.Reader) (*PseudonymPool, []Serial) {
+// drawPseudonyms draws n pseudonyms from rand.
+func drawPseudonyms(tb testing.TB, n int, rand io.Reader) []KeyDraw {
 	tb.Helper()
 	draws := make([]KeyDraw, n)
 	for i := range draws {
@@ -24,15 +24,19 @@ func issuePseudonyms(tb testing.TB, ca *CA, n int, rand io.Reader) (*PseudonymPo
 			tb.Fatal(err)
 		}
 	}
-	entries, err := ca.IssueAll(draws, time.Hour)
+	return draws
+}
+
+// issuePseudonyms draws n pseudonyms from rand into a pool ca certifies,
+// and lists their serials.
+func issuePseudonyms(tb testing.TB, ca *CA, n int, rand io.Reader) (*PseudonymPool, []Serial) {
+	tb.Helper()
+	draws := drawPseudonyms(tb, n, rand)
+	pool, err := NewPseudonymPool(ca, draws, time.Hour)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pool, serials, err := NewPseudonymPool(entries)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return pool, serials
+	return pool, ca.Serials(draws, time.Hour)
 }
 
 func TestSignVerifyRoundTrip(t *testing.T) {
@@ -263,6 +267,28 @@ func TestGroupSignVerifyOpen(t *testing.T) {
 	}
 }
 
+// TestGroupSigBindsFieldBoundaries: the signed digest frames the message
+// and the group ID, so moving bytes from one to the other breaks the
+// signature.
+func TestGroupSigBindsFieldBoundaries(t *testing.T) {
+	gm, _ := NewGroupManager("TA-group", detRand(1))
+	alice, _ := gm.Enroll("alice", detRand(2))
+	msg := []byte("brake ahead")
+	sig := alice.Sign(msg, 1)
+	shifted := sig
+	shifted.GroupID = "A-group"
+	if VerifyGroupSig(gm.PublicKey(), append(msg[:len(msg):len(msg)], 'T'), shifted) {
+		t.Error(`signature over (m, "TA-group") verified over (m‖"T", "A-group")`)
+	}
+	shifted.GroupID = "dTA-group"
+	if VerifyGroupSig(gm.PublicKey(), msg[:len(msg)-1], shifted) {
+		t.Error(`signature over ("brake ahead", "TA-group") verified over ("brake ahea", "dTA-group")`)
+	}
+	if !VerifyGroupSig(gm.PublicKey(), msg, sig) {
+		t.Error("valid group signature rejected")
+	}
+}
+
 func TestGroupSignaturesUnlinkableTags(t *testing.T) {
 	gm, _ := NewGroupManager("g", detRand(1))
 	alice, _ := gm.Enroll("alice", detRand(2))
@@ -331,68 +357,125 @@ func TestPseudonymPool(t *testing.T) {
 	if first != serials[0] {
 		t.Error("pool did not wrap to the first pseudonym")
 	}
-	if _, _, err := NewPseudonymPool(nil); err == nil {
+	if _, err := NewPseudonymPool(ca, nil, time.Hour); err == nil {
 		t.Error("zero pool size should error")
 	}
 }
 
-// TestIssueAllMatchesSerialIssue: drawing every key seed and subject
-// first and certifying them on any number of cores yields what drawing
-// and issuing one pseudonym at a time did — the same keys, certificates
-// and serials — and leaves the reader at the same place.
-func TestIssueAllMatchesSerialIssue(t *testing.T) {
-	const n = 21
-	ca, _ := NewCA("TA", detRand(1))
-
-	ref := detRand(2)
-	want := make([]PseudonymEntry, n)
-	for i := range want {
-		key, err := GenerateKey(ref)
+// serialIssue draws and issues n pseudonyms one at a time from rand: the
+// eager reference the lazy pool and CA.Serials are held to.
+func serialIssue(t *testing.T, ca *CA, n int, rand io.Reader) []PseudonymEntry {
+	t.Helper()
+	out := make([]PseudonymEntry, n)
+	for i := range out {
+		key, err := GenerateKey(rand)
 		if err != nil {
 			t.Fatal(err)
 		}
 		subject := make([]byte, 16)
-		if _, err := io.ReadFull(ref, subject); err != nil {
+		if _, err := io.ReadFull(rand, subject); err != nil {
 			t.Fatal(err)
 		}
-		if want[i].Cert, err = ca.Issue(subject, key.Public, time.Hour); err != nil {
+		if out[i].Cert, err = ca.Issue(subject, key.Public, time.Hour); err != nil {
 			t.Fatal(err)
 		}
-		want[i].Key = key
+		out[i].Key = key
 	}
+	return out
+}
+
+// TestCurrentMatchesIssue: a pool that issues each pseudonym on its first
+// read hands out, across a wrap, what drawing and issuing one pseudonym
+// at a time gives — the same keys and certificates byte for byte — and its
+// draws leave the reader at the same place.
+func TestCurrentMatchesIssue(t *testing.T) {
+	const n = 21
+	ca, _ := NewCA("TA", detRand(1))
+	ref := detRand(2)
+	want := serialIssue(t, ca, n, ref)
 	wantNext := make([]byte, 64)
 	ref.Read(wantNext)
 
-	for _, procs := range []int{1, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		r := detRand(2)
-		draws := make([]KeyDraw, n)
-		for i := range draws {
-			var err error
-			if draws[i], err = DrawPseudonym(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := ca.IssueAll(draws, time.Hour)
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("GOMAXPROCS %d: issued entries differ from serial issue", procs)
-		}
-		next := make([]byte, 64)
-		r.Read(next)
-		if !bytes.Equal(next, wantNext) {
-			t.Errorf("GOMAXPROCS %d: reader left at a different place", procs)
-		}
-	}
-	empty, err := DrawKey(nil, detRand(3))
+	r := detRand(2)
+	pool, err := NewPseudonymPool(ca, drawPseudonyms(t, n, r), time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ca.IssueAll([]KeyDraw{empty}, time.Hour); err == nil {
-		t.Error("empty subject should error")
+	next := make([]byte, 64)
+	r.Read(next)
+	if !bytes.Equal(next, wantNext) {
+		t.Error("draws left the reader at a different place")
+	}
+	for i := 0; i < 2*n+3; i++ {
+		if got := pool.Current(); !reflect.DeepEqual(*got, want[i%n]) {
+			t.Fatalf("presentation %d: entry differs from serial issue", i)
+		}
+		pool.Rotate()
+	}
+}
+
+// TestSerialsMatchSerialOf: the serials CA.Serials derives without
+// signing are the serials of the issued certificates, in draw order, at
+// any core count.
+func TestSerialsMatchSerialOf(t *testing.T) {
+	const n = 21
+	ca, _ := NewCA("TA", detRand(1))
+	want := make([]Serial, n)
+	for i, e := range serialIssue(t, ca, n, detRand(2)) {
+		want[i] = e.Cert.SerialOf()
+	}
+	draws := drawPseudonyms(t, n, detRand(2))
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := ca.Serials(draws, time.Hour)
+		runtime.GOMAXPROCS(prev)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS %d: serials differ from the issued certificates'", procs)
+		}
+	}
+}
+
+// TestPoolIssuesOnFirstPresentation: a new pool has issued nothing; each
+// pseudonym is issued the first time it is read and never again, so after
+// k distinct presentations exactly k are issued.
+func TestPoolIssuesOnFirstPresentation(t *testing.T) {
+	const n = 5
+	ca, _ := NewCA("TA", detRand(1))
+	pool, _ := issuePseudonyms(t, ca, n, detRand(2))
+	if got := pool.Issued(); got != 0 {
+		t.Fatalf("new pool issued %d, want 0", got)
+	}
+	sigs := make([]*byte, n)
+	for k := 1; k <= 2*n; k++ { // round the pool twice
+		pool.Current()
+		sig := &pool.Current().Cert.Signature[0]
+		if want := min(k, n); pool.Issued() != want {
+			t.Fatalf("presentation %d: issued %d, want %d", k, pool.Issued(), want)
+		}
+		if i := (k - 1) % n; sigs[i] == nil {
+			sigs[i] = sig
+		} else if sigs[i] != sig {
+			t.Fatalf("presentation %d: pseudonym %d issued again after the wrap", k, i)
+		}
+		pool.Rotate()
+	}
+}
+
+// TestDrawRejectsEmptySubject: an empty subject fails at draw time, before
+// the reader is touched, so certifying a draw on first presentation has
+// nothing left to reject.
+func TestDrawRejectsEmptySubject(t *testing.T) {
+	for _, subject := range [][]byte{nil, {}} {
+		r := detRand(3)
+		if _, err := DrawKey(subject, r); err == nil {
+			t.Errorf("DrawKey(%q) accepted an empty subject", subject)
+		}
+		if got, want := r.Int63(), detRand(3).Int63(); got != want {
+			t.Error("a rejected draw read from the reader")
+		}
+	}
+	if _, err := DrawKey([]byte("v"), detRand(3)); err != nil {
+		t.Errorf("DrawKey with a subject: %v", err)
 	}
 }
 

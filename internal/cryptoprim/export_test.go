@@ -27,6 +27,17 @@ func (k KeyPair) CanSign() bool { return len(k.private) == ed25519.PrivateKeySiz
 // Size returns the pool size.
 func (p *PseudonymPool) Size() int { return len(p.entries) }
 
+// Issued returns how many of the pool's pseudonyms have been issued.
+func (p *PseudonymPool) Issued() int {
+	n := 0
+	for i := range p.entries {
+		if p.entries[i].Cert.Signature != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // UsedCount returns how many rotations have occurred.
 func (p *PseudonymPool) UsedCount() int { return p.used }
 

@@ -58,7 +58,7 @@ type GroupSig struct {
 	GroupID string
 	Nonce   uint64
 	Tag     [32]byte // opening tag: HMAC(memberSecret, nonce)
-	Sig     []byte   // ed25519 over (msg || groupID || nonce || tag)
+	Sig     []byte   // ed25519 over groupSigned(msg, groupID, nonce, tag)
 }
 
 // GroupSigWireSize approximates the on-air bytes of a group signature
@@ -131,7 +131,7 @@ func (gm *GroupManager) IsRevoked(memberID string) bool {
 // distinct nonces make tags unlinkable to outsiders.
 func (c *GroupCred) Sign(msg []byte, nonce uint64) GroupSig {
 	tag := openingTag(&c.secret, nonce)
-	signed := Digest(msg, []byte(c.GroupID), uint64Bytes(nonce), tag[:])
+	signed := groupSigned(msg, c.GroupID, nonce, &tag)
 	return GroupSig{
 		GroupID: c.GroupID,
 		Nonce:   nonce,
@@ -143,8 +143,18 @@ func (c *GroupCred) Sign(msg []byte, nonce uint64) GroupSig {
 // VerifyGroupSig checks a group signature against the group public key.
 // It does not identify the signer.
 func VerifyGroupSig(groupPub []byte, msg []byte, sig GroupSig) bool {
-	signed := Digest(msg, []byte(sig.GroupID), uint64Bytes(sig.Nonce), sig.Tag[:])
+	signed := groupSigned(msg, sig.GroupID, sig.Nonce, &sig.Tag)
 	return Verify(groupPub, signed[:], sig.Sig)
+}
+
+// groupSigned is the digest the group key signs: msg and the group ID,
+// each behind its length, then the fixed-width nonce and opening tag.
+// Without the lengths a signature over (m, "TA-group") would also verify
+// over (m‖"T", "A-group").
+func groupSigned(msg []byte, groupID string, nonce uint64, tag *[32]byte) [32]byte {
+	return Digest(uint64Bytes(uint64(len(msg))), msg,
+		uint64Bytes(uint64(len(groupID))), []byte(groupID),
+		uint64Bytes(nonce), tag[:])
 }
 
 // openingTag is HMAC-SHA256(secret, nonce) (RFC 2104) specialised to the

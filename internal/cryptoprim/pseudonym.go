@@ -10,19 +10,29 @@ import (
 	"vcloud/internal/fanout"
 )
 
-// PseudonymPool holds a vehicle's batch of pre-issued pseudonym
+// PseudonymPool holds a vehicle's batch of pre-assigned pseudonym
 // certificates with their signing keys (§IV.B.1: "a huge pool of
 // pre-assigned certificates to be used for different rounds of
 // communication"). The pool rotates: each Rotate advances to the next
 // pseudonym, bounding how long an eavesdropper can link transmissions.
+//
+// The pool keeps each pseudonym's draw and the CA that certifies it, and
+// issues a pseudonym the first time Current reads it. Deriving the key
+// and signing the certificate are deterministic (ed25519), so the entry
+// is the byte string issuing it up front would give; a pseudonym no run
+// presents costs no key derivation and no signature.
 type PseudonymPool struct {
-	entries []PseudonymEntry
-	current int
-	used    int
+	ca       *CA
+	notAfter time.Duration
+	draws    []KeyDraw
+	entries  []PseudonymEntry // entries[i] is issued once its Signature is set
+	current  int
+	used     int
 }
 
-// PseudonymEntry is one pseudonym certificate plus its key pair. CA.IssueAll
-// returns a vehicle's long-term certificate in the same shape.
+// PseudonymEntry is one pseudonym certificate plus its key pair. A
+// vehicle's long-term certificate comes in the same shape, from a pool
+// of one.
 type PseudonymEntry struct {
 	Cert Certificate
 	Key  KeyPair
@@ -30,16 +40,21 @@ type PseudonymEntry struct {
 
 // KeyDraw is the randomness one certificate consumes: the seed of its key
 // pair and the subject it is issued to. Drawing is the only step that
-// reads a reader; deriving the key and certifying it (CA.IssueAll) is a
-// pure function of these bytes and the CA key.
+// reads a reader; deriving the key and certifying it is a pure function
+// of these bytes and the CA key, done when the certificate is first
+// presented (PseudonymPool.Current) or its serial is needed (CA.Serials).
 type KeyDraw struct {
 	seed    [ed25519.SeedSize]byte
 	subject []byte
 }
 
 // DrawKey reads the seed of a key pair certified to subject: the bytes
-// GenerateKey would read.
+// GenerateKey would read. It rejects an empty subject before reading, so
+// certifying the draw later cannot fail.
 func DrawKey(subject []byte, rand io.Reader) (KeyDraw, error) {
+	if len(subject) == 0 {
+		return KeyDraw{}, fmt.Errorf("cryptoprim: certificate subject must not be empty")
+	}
 	d := KeyDraw{subject: subject}
 	if _, err := io.ReadFull(rand, d.seed[:]); err != nil {
 		return KeyDraw{}, fmt.Errorf("cryptoprim: generating key: %w", err)
@@ -60,41 +75,63 @@ func DrawPseudonym(rand io.Reader) (KeyDraw, error) {
 	return d, nil
 }
 
-// IssueAll derives every draw's key pair and has the CA certify it, on up
-// to GOMAXPROCS goroutines. Entry i belongs to draw i, and each entry is a
-// pure function of its draw, so the result is the same at any core count.
-func (ca *CA) IssueAll(draws []KeyDraw, notAfter time.Duration) ([]PseudonymEntry, error) {
-	out := make([]PseudonymEntry, len(draws))
-	err := fanout.Each(runtime.GOMAXPROCS(0), len(draws), func(i int) error {
-		priv := ed25519.NewKeyFromSeed(draws[i].seed[:])
-		key := KeyPair{Public: priv.Public().(ed25519.PublicKey), private: priv}
-		cert, err := ca.Issue(draws[i].subject, key.Public, notAfter)
-		out[i] = PseudonymEntry{Cert: cert, Key: key}
-		return err
+// key derives the draw's key pair from its seed.
+func (d *KeyDraw) key() KeyPair {
+	priv := ed25519.NewKeyFromSeed(d.seed[:])
+	return KeyPair{Public: priv.Public().(ed25519.PublicKey), private: priv}
+}
+
+// Serials returns the revocation serial of every draw's certificate, in
+// draw order, on up to GOMAXPROCS goroutines. A serial hashes the
+// to-be-signed bytes, so this derives each public key but signs nothing;
+// serial i is a pure function of draw i, the same at any core count.
+func (ca *CA) Serials(draws []KeyDraw, notAfter time.Duration) []Serial {
+	out := make([]Serial, len(draws))
+	issuer := []byte(ca.name)
+	// No unit fails, so Each has no error to return.
+	_ = fanout.Each(runtime.GOMAXPROCS(0), len(draws), func(i int) error {
+		c := Certificate{
+			Subject:  draws[i].subject,
+			PubKey:   draws[i].key().Public,
+			Issuer:   issuer,
+			NotAfter: notAfter,
+		}
+		out[i] = c.SerialOf()
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out
 }
 
-// NewPseudonymPool makes a pool of issued pseudonyms and lists their
-// serials, in pool order. The caller (the TA in internal/pki) records the
-// pseudonym→vehicle mapping for conditional traceability.
-func NewPseudonymPool(entries []PseudonymEntry) (*PseudonymPool, []Serial, error) {
-	if len(entries) == 0 {
-		return nil, nil, fmt.Errorf("cryptoprim: pool size must be >= 1, got 0")
+// NewPseudonymPool makes a pool over draws that ca certifies, valid until
+// notAfter, on first presentation. The pool reads draws and never writes
+// them, so the caller (the TA in internal/pki) may keep them as its
+// escrow for revocation and conditional traceability.
+func NewPseudonymPool(ca *CA, draws []KeyDraw, notAfter time.Duration) (*PseudonymPool, error) {
+	if len(draws) == 0 {
+		return nil, fmt.Errorf("cryptoprim: pool size must be >= 1, got 0")
 	}
-	serials := make([]Serial, len(entries))
-	for i := range entries {
-		serials[i] = entries[i].Cert.SerialOf()
-	}
-	return &PseudonymPool{entries: entries}, serials, nil
+	return &PseudonymPool{
+		ca:       ca,
+		notAfter: notAfter,
+		draws:    draws,
+		entries:  make([]PseudonymEntry, len(draws)),
+	}, nil
 }
 
-// Current returns the active pseudonym.
+// Current returns the active pseudonym, issuing it on its first read.
 func (p *PseudonymPool) Current() *PseudonymEntry {
-	return &p.entries[p.current]
+	e := &p.entries[p.current]
+	if e.Cert.Signature == nil {
+		d := &p.draws[p.current]
+		e.Key = d.key()
+		var err error
+		// The draw's subject is non-empty (DrawKey) and the key is a
+		// derived ed25519 key, so Issue has nothing to reject.
+		if e.Cert, err = p.ca.Issue(d.subject, e.Key.Public, p.notAfter); err != nil {
+			panic(err)
+		}
+	}
+	return e
 }
 
 // Rotate advances to the next pseudonym, wrapping around when the pool is

@@ -1,8 +1,8 @@
 // Package fanout runs independent units of work on a bounded set of
 // goroutines and joins them before returning. It is the one goroutine
 // site outside the sharded kernel: the experiment harness spreads whole
-// kernels over it, and the trusted authority derives an enrolment's key
-// pairs and certificates on it.
+// kernels over it, and the trusted authority derives a revoked vehicle's
+// certificate serials on it.
 //
 // Determinism is the caller's half of the contract: unit i may write only
 // to slot i of state the caller owns and reads after Each returns, and

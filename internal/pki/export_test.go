@@ -1,6 +1,8 @@
 package pki
 
 import (
+	"slices"
+
 	"vcloud/internal/cryptoprim"
 )
 
@@ -8,7 +10,11 @@ import (
 // program to what a run executes; these stay here for the tests.
 
 // NumEnrolled returns the number of registered vehicles.
-func (t *TA) NumEnrolled() int { return len(t.vehicleSerials) }
+func (t *TA) NumEnrolled() int { return len(t.draws) }
+
+// LongTerm returns the vehicle's real-identity certificate and key pair,
+// issuing them on the first read.
+func (e *Enrollment) LongTerm() *cryptoprim.PseudonymEntry { return e.longTerm.Current() }
 
 // IsRevoked reports whether the vehicle has been revoked.
 func (t *TA) IsRevoked(id VehicleIdentity) bool {
@@ -19,10 +25,15 @@ func (t *TA) IsRevoked(id VehicleIdentity) bool {
 // TracePseudonym reveals the owner of a pseudonym certificate — the
 // conditional-privacy escape hatch available only to the authority
 // (§V.A "the authority should be able to reveal vehicles' real
-// identities").
+// identities"). It derives every enrolled vehicle's pseudonym serials
+// from the escrowed draws.
 func (t *TA) TracePseudonym(serial cryptoprim.Serial) (VehicleIdentity, bool) {
-	id, ok := t.pseudonymOwner[serial]
-	return id, ok
+	for id, draws := range t.draws {
+		if slices.Contains(t.ca.Serials(draws[1:], certLifetime), serial) {
+			return id, true
+		}
+	}
+	return "", false
 }
 
 // TraceGroupSig opens a group signature to the member's real identity.

@@ -24,11 +24,12 @@ type VehicleIdentity string
 // Enrollment is everything a vehicle walks away from registration with.
 type Enrollment struct {
 	Identity VehicleIdentity
-	// LongTerm is the real-identity certificate (never sent on air in
-	// privacy-preserving protocols).
-	LongTerm cryptoprim.Certificate
-	LongKey  cryptoprim.KeyPair
-	// Pseudonyms is the pre-issued pseudonym pool.
+	// longTerm holds the real-identity certificate and its key, issued
+	// on first read like a pseudonym. It is never sent on air in
+	// privacy-preserving protocols, so only the tests read it.
+	longTerm *cryptoprim.PseudonymPool
+	// Pseudonyms is the pre-assigned pseudonym pool, each certificate
+	// issued on first presentation.
 	Pseudonyms *cryptoprim.PseudonymPool
 	// Group is the credential for group-based authentication.
 	Group cryptoprim.GroupCred
@@ -53,13 +54,12 @@ type TA struct {
 	cfg   Config
 	rand  io.Reader
 
-	// pseudonymOwner maps pseudonym serials to real identities — the
-	// escrow that makes pseudonym privacy *conditional* (Fig. 5: "the
-	// identity issuer can easily track a vehicle").
-	pseudonymOwner map[cryptoprim.Serial]VehicleIdentity
-	// vehicleSerials lists each vehicle's pseudonym serials for
-	// revocation.
-	vehicleSerials map[VehicleIdentity][]cryptoprim.Serial
+	// draws escrows each vehicle's key draws, the long-term one first
+	// and then its pseudonyms in pool order: the TA derives a revoked
+	// vehicle's serials from them, and a pseudonym's owner — the escrow
+	// that makes pseudonym privacy *conditional* (Fig. 5: "the identity
+	// issuer can easily track a vehicle").
+	draws          map[VehicleIdentity][]cryptoprim.KeyDraw
 	chainSeeds     map[VehicleIdentity][32]byte
 	revokedVehicle map[VehicleIdentity]struct{}
 	revVersion     uint64
@@ -87,8 +87,7 @@ func New(name string, rand io.Reader, cfg Config) (*TA, error) {
 		crl:            cryptoprim.NewCRL(4096),
 		cfg:            cfg,
 		rand:           rand,
-		pseudonymOwner: make(map[cryptoprim.Serial]VehicleIdentity),
-		vehicleSerials: make(map[VehicleIdentity][]cryptoprim.Serial),
+		draws:          make(map[VehicleIdentity][]cryptoprim.KeyDraw),
 		chainSeeds:     make(map[VehicleIdentity][32]byte),
 		revokedVehicle: make(map[VehicleIdentity]struct{}),
 	}, nil
@@ -109,19 +108,20 @@ func (t *TA) GroupManager() *cryptoprim.GroupManager { return t.group }
 func (t *TA) CRL() *cryptoprim.CRL { return t.crl }
 
 // Enroll registers a vehicle: long-term certificate, pseudonym pool with
-// escrowed mapping, group credential, and ID chain with escrowed seed.
+// escrowed draws, group credential, and ID chain with escrowed seed.
 func (t *TA) Enroll(id VehicleIdentity) (*Enrollment, error) {
 	if id == "" {
 		return nil, fmt.Errorf("pki: vehicle identity must not be empty")
 	}
-	if _, ok := t.vehicleSerials[id]; ok {
+	if _, ok := t.draws[id]; ok {
 		return nil, fmt.Errorf("pki: vehicle %q already enrolled", id)
 	}
-	// Every byte the enrolment consumes is drawn first, in one fixed
+	// Every byte the enrolment consumes is drawn here, in one fixed
 	// order: the long-term key seed, each pseudonym's key seed and
-	// subject, the group secret, the chain seed. Deriving the key pairs
-	// and certificates from those bytes is pure, so IssueAll spreads it
-	// over every core and the enrolment is the same at any core count.
+	// subject, the group secret, the chain seed. Deriving a key pair and
+	// certifying it is a pure function of those bytes, so it waits until
+	// the certificate is first presented and never runs for one that is
+	// not.
 	draws := make([]cryptoprim.KeyDraw, 1+t.cfg.PoolSize)
 	var err error
 	if draws[0], err = cryptoprim.DrawKey([]byte(id), t.rand); err != nil {
@@ -140,23 +140,19 @@ func (t *TA) Enroll(id VehicleIdentity) (*Enrollment, error) {
 	if err != nil {
 		return nil, err
 	}
-	issued, err := t.ca.IssueAll(draws, certLifetime)
+	longTerm, err := cryptoprim.NewPseudonymPool(t.ca, draws[:1], certLifetime)
 	if err != nil {
 		return nil, err
 	}
-	pool, serials, err := cryptoprim.NewPseudonymPool(issued[1:])
+	pool, err := cryptoprim.NewPseudonymPool(t.ca, draws[1:], certLifetime)
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range serials {
-		t.pseudonymOwner[s] = id
-	}
-	t.vehicleSerials[id] = serials
+	t.draws[id] = draws
 	t.chainSeeds[id] = chain.Seed()
 	return &Enrollment{
 		Identity:   id,
-		LongTerm:   issued[0].Cert,
-		LongKey:    issued[0].Key,
+		longTerm:   longTerm,
 		Pseudonyms: pool,
 		Group:      groupCred,
 		Chain:      chain,
@@ -165,9 +161,10 @@ func (t *TA) Enroll(id VehicleIdentity) (*Enrollment, error) {
 
 // RevokeVehicle revokes a vehicle: every one of its pseudonym serials
 // joins the CRL (the pool-size multiplication that makes pseudonym CRLs
-// huge), and its group membership is revoked.
+// huge), and its group membership is revoked. The serials are derived
+// from the escrowed draws; a serial needs no signature, so none is made.
 func (t *TA) RevokeVehicle(id VehicleIdentity) error {
-	serials, ok := t.vehicleSerials[id]
+	draws, ok := t.draws[id]
 	if !ok {
 		return fmt.Errorf("pki: vehicle %q not enrolled", id)
 	}
@@ -176,7 +173,7 @@ func (t *TA) RevokeVehicle(id VehicleIdentity) error {
 	}
 	t.revokedVehicle[id] = struct{}{}
 	t.revVersion++
-	for _, s := range serials {
+	for _, s := range t.ca.Serials(draws[1:], certLifetime) {
 		t.crl.Add(s)
 	}
 	t.group.Revoke(string(id))

@@ -42,7 +42,7 @@ func TestEnrollProducesWorkingCredentials(t *testing.T) {
 		t.Errorf("NumEnrolled = %d", ta.NumEnrolled())
 	}
 	// Long-term cert verifies under the root.
-	if err := (*cryptoprim.VerifyMemo)(nil).CheckCert(&e.LongTerm, ta.RootKey(), 0); err != nil {
+	if err := (*cryptoprim.VerifyMemo)(nil).CheckCert(&e.LongTerm().Cert, ta.RootKey(), 0); err != nil {
 		t.Errorf("long-term cert invalid: %v", err)
 	}
 	// Pseudonyms verify and the TA can trace them.
@@ -100,8 +100,8 @@ func TestDefaultsApplied(t *testing.T) {
 	if n := ta.CRL().Len(); n != 20 {
 		t.Errorf("default pool size = %d, want 20", n)
 	}
-	if e.LongTerm.NotAfter != 24*time.Hour {
-		t.Errorf("default lifetime = %v", e.LongTerm.NotAfter)
+	if lt := e.LongTerm(); lt.Cert.NotAfter != 24*time.Hour {
+		t.Errorf("default lifetime = %v", lt.Cert.NotAfter)
 	}
 }
 
@@ -259,13 +259,14 @@ func enrollmentDigest(ta *TA, e *Enrollment, poolSize int, next []byte) string {
 		}
 		h.Write(binary.BigEndian.AppendUint64(nil, uint64(c.NotAfter)))
 	}
-	pair(&e.LongTerm, e.LongKey)
+	lt := e.LongTerm()
+	pair(&lt.Cert, lt.Key)
 	for i := 0; i < poolSize; i++ {
 		p := e.Pseudonyms.Current()
 		pair(&p.Cert, p.Key)
 		e.Pseudonyms.Rotate()
 	}
-	for _, s := range ta.vehicleSerials[e.Identity] {
+	for _, s := range ta.ca.Serials(ta.draws[e.Identity][1:], certLifetime) {
 		h.Write(s[:])
 	}
 	sig := e.Group.Sign(msg, 7)
@@ -279,11 +280,12 @@ func enrollmentDigest(ta *TA, e *Enrollment, poolSize int, next []byte) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestEnrollIdenticalAtAnyParallelism: the TA derives an enrolment's key
-// pairs and certificates on every core, yet what it hands out, what it
-// escrows and where it leaves its reader are the same byte for byte at
-// GOMAXPROCS 1 and 4 — and the same as the serial enrolment this
-// replaced, whose digest is pinned.
+// TestEnrollIdenticalAtAnyParallelism: the TA derives a revoked vehicle's
+// serials on every core and issues each certificate on its first read,
+// yet what an enrolment hands out, what the TA escrows, the CRL and where
+// it leaves its reader are the same byte for byte at GOMAXPROCS 1 and 4 —
+// and the same as eager serial issuance, whose digest (with group
+// signatures over length-framed fields) is pinned.
 func TestEnrollIdenticalAtAnyParallelism(t *testing.T) {
 	ids := []VehicleIdentity{"veh-1", "veh-2", "veh-3"}
 	type run struct {
@@ -308,6 +310,9 @@ func TestEnrollIdenticalAtAnyParallelism(t *testing.T) {
 			out.enrs = append(out.enrs, e)
 		}
 		r.Read(out.next)
+		if err := ta.RevokeVehicle(ids[2]); err != nil {
+			t.Fatal(err)
+		}
 		return out
 	}
 	one, four := enrollAll(1), enrollAll(4)
@@ -317,15 +322,15 @@ func TestEnrollIdenticalAtAnyParallelism(t *testing.T) {
 		}
 	}
 	escrow := func(ta *TA) []any {
-		return []any{ta.pseudonymOwner, ta.vehicleSerials, ta.chainSeeds, ta.group}
+		return []any{ta.draws, ta.chainSeeds, ta.group, ta.crl}
 	}
 	if !reflect.DeepEqual(escrow(one.ta), escrow(four.ta)) {
-		t.Error("TA escrow differs between GOMAXPROCS 1 and 4")
+		t.Error("TA escrow or CRL differs between GOMAXPROCS 1 and 4")
 	}
 	if !bytes.Equal(one.next, four.next) {
 		t.Error("reader left at a different place")
 	}
-	const pinned = "5532928f30a4b1edae1d996351c88e6a16b7abc04c0fb965e9666394fac2dbdb"
+	const pinned = "e729643bb8eb046c35cd16b9441d489e87e1b1e720f1da6a1b91a7b2979cf039"
 	if got := enrollmentDigest(one.ta, one.enrs[1], 20, one.next); got != pinned {
 		t.Errorf("enrolment digest = %s, want %s", got, pinned)
 	}
