@@ -36,6 +36,7 @@ func TestValidateFlags(t *testing.T) {
 		{"bad storage backend", "-soak -store tape", "storage"},
 		{"one shard", "-soak -shards 1", "shards"},
 		{"shard soak too small", "-soak -vehicles 1 -duration 30 -shards 2", "too small"},
+		{"shard cells under the halo", "-soak -shards 1000000007", "halo"},
 		{"positional argument", "-soak extra", "positional"},
 		{"byz without soak", "-byz 0.3", "-byz requires -soak"},
 		{"splitbrain without soak", "-splitbrain", "-splitbrain requires -soak"},

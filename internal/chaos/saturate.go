@@ -89,7 +89,7 @@ func (sk *soak) setupSaturate() error {
 		return err
 	}
 	sender := up.NewSender(radio.BWEConfig{})
-	cloud, err := vcloud.NewRemoteCloudSender("soak-cloud", k, sender, satCloudCPU, sk.w.Stats)
+	cloud, err := vcloud.NewRemoteCloud("soak-cloud", k, sender, satCloudCPU, sk.w.Stats)
 	if err != nil {
 		return err
 	}

@@ -77,7 +77,8 @@ func (c *ShardSoakConfig) defaults() {
 }
 
 // Validate checks the config with its defaults applied: a sharded arm
-// to compare, and storms big enough to cross shard borders.
+// to compare, storms big enough to cross shard borders, and a shard grid
+// the storm world can hold.
 func (c ShardSoakConfig) Validate() error {
 	c.defaults()
 	if c.Shards < 2 {
@@ -86,6 +87,9 @@ func (c ShardSoakConfig) Validate() error {
 	if c.Episodes < 1 || c.Vehicles < 8 || c.Ticks < 8 {
 		return fmt.Errorf("chaos: shard soak config too small: episodes=%d vehicles=%d ticks=%d",
 			c.Episodes, c.Vehicles, c.Ticks)
+	}
+	if err := shardworld.DefaultConfig(c.Seed, c.Shards).Validate(); err != nil {
+		return fmt.Errorf("chaos: shard soak: %w", err)
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package chaos
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // shardSoakCfg is the CI-sized sharded storm soak: three episodes of
 // churn plus a roaming outage, each checked sharded-vs-serial. It runs
@@ -63,5 +66,10 @@ func TestShardSoakRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := RunShardSoak(ShardSoakConfig{Shards: 2, Vehicles: 4}); err == nil {
 		t.Error("tiny fleet accepted")
+	}
+	// A count far past what the storm world's cells can hold is refused
+	// by Validate, before any kernel or worker is built for it.
+	if err := (ShardSoakConfig{Shards: 1 << 40}).Validate(); err == nil || !strings.Contains(err.Error(), "halo") {
+		t.Errorf("2^40 shards: Validate() = %v, want a refusal naming the ghost halo", err)
 	}
 }

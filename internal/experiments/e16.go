@@ -88,7 +88,7 @@ func E16CongestionPlacement(cfg Config) (*Result, error) {
 		// pinned at the floor still prices the channel as bad, without
 		// modeling transfer times no real channel would produce.
 		sender := cloudUp.NewSender(radio.BWEConfig{MinBps: cloudMbps * 1e6 / 20})
-		cloud, err := vcloud.NewRemoteCloudSender("cloud", s.Kernel, sender, 50_000, stats)
+		cloud, err := vcloud.NewRemoteCloud("cloud", s.Kernel, sender, 50_000, stats)
 		if err != nil {
 			return err
 		}
@@ -103,7 +103,7 @@ func E16CongestionPlacement(cfg Config) (*Result, error) {
 			return err
 		}
 		edgeSender := edgeUp.NewSender(radio.BWEConfig{MinBps: edgeMbps * 1e6 / 20})
-		edge, err := vcloud.NewRemoteCloudSender("rsu-edge", s.Kernel, edgeSender, 20_000, stats)
+		edge, err := vcloud.NewRemoteCloud("rsu-edge", s.Kernel, edgeSender, 20_000, stats)
 		if err != nil {
 			return err
 		}

@@ -60,7 +60,7 @@ func E1CloudComparison(cfg Config) (*Result, error) {
 			if uplink, err = radio.NewUplink(s.Kernel, *a.up); err != nil {
 				return err
 			}
-			if backend, err = vcloud.NewRemoteCloud(a.name, s.Kernel, uplink, a.cpu, stats); err != nil {
+			if backend, err = vcloud.NewRemoteCloud(a.name, s.Kernel, uplink.NewSender(radio.BWEConfig{}), a.cpu, stats); err != nil {
 				return err
 			}
 		}

@@ -58,3 +58,9 @@ func (m *Medium) Neighbors(dst []NodeID, id NodeID) []NodeID {
 
 // Params returns the channel configuration.
 func (c *ShardChannel) Params() Params { return c.params }
+
+// RoundTrip is a Sender's round trip from a source that keeps no
+// estimate of its own.
+func (u *Uplink) RoundTrip(reqBytes, respBytes int, fn func()) bool {
+	return u.NewSender(BWEConfig{}).RoundTrip(reqBytes, respBytes, fn)
+}

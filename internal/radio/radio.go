@@ -140,15 +140,13 @@ type Medium struct {
 	// Send never sorts them.
 	spies []spy
 	// scratchIDs/scratchPos are the per-medium neighbor-query buffers
-	// reused across Send calls, rx collects one frame's receptions in
-	// receiver order until they are sorted into a frame run, and rxCount
-	// is sortReceptions' scratch; together with the frame-run freelists
-	// they make a broadcast to N neighbors cost O(N) work with O(1)
-	// steady-state allocations.
+	// reused across Send calls, and rx collects one frame's receptions in
+	// decision order until they move into a frame run; together with the
+	// frame-run freelists they make a broadcast to N neighbors cost O(N)
+	// work with O(1) steady-state allocations.
 	scratchIDs []int32
 	scratchPos []geo.Point
 	rx         []reception
-	rxCount    []int
 	freeRuns   [2][]*frameRun // small runs, then large ones (see smallRun)
 }
 
@@ -177,23 +175,26 @@ type spy struct {
 }
 
 // reception is one decided frame reception: its delay from the frame's
-// transmission, the handler it runs and whether it counts as Delivered
-// (promiscuous overhears do not).
+// transmission, the handler it runs, whether it counts as Delivered
+// (promiscuous overhears do not) and, once scheduled, the run that holds
+// its frame.
 type reception struct {
 	delay sim.Time
 	h     Handler
 	count bool
+	run   *frameRun
 }
 
 // frameRun is one transmitted frame in flight: the frame once, and its
-// receptions sorted by delay, scheduled as one kernel series whose member
-// times parallel rx. Runs are pooled on the medium, so a frame costs no
-// event or closure allocation once the pool is warm.
+// receptions in decision order, each scheduled as its own kernel event
+// with a pointer to its slot in rx as the argument; left counts those
+// still to fire. Runs are pooled on the medium, so a frame costs no event
+// or closure allocation once the pool is warm.
 type frameRun struct {
-	m  *Medium
-	f  Frame
-	rx []reception
-	s  sim.Series
+	m    *Medium
+	f    Frame
+	rx   []reception
+	left int
 }
 
 // smallRun bounds a small frame: a unicast's reception and a few
@@ -212,16 +213,17 @@ func runClass(c int) int {
 	return 0
 }
 
-// fireReception is the series callback behind every reception. The
-// member's fields are copied out first, and the last member recycles the
-// run before its handler runs, so a handler that transmits reuses it.
-func fireReception(a any, i int) {
-	r := a.(*frameRun)
-	m, f, rx := r.m, r.f, r.rx[i]
-	if i == len(r.rx)-1 {
+// fireReception is the event callback behind every reception. The
+// reception and its frame are copied out first, and whichever reception
+// of the run fires last recycles the run before its handler runs, so a
+// handler that transmits reuses it.
+func fireReception(a any) {
+	rx := *a.(*reception)
+	r := rx.run
+	m, f := r.m, r.f
+	if r.left--; r.left == 0 {
 		clear(r.rx)
 		r.rx = r.rx[:0]
-		r.s.At = r.s.At[:0]
 		r.f = Frame{}
 		free := &m.freeRuns[runClass(cap(r.rx))]
 		*free = append(*free, r)
@@ -245,16 +247,16 @@ func (m *Medium) getRun(n int) *frameRun {
 		return r
 	}
 	//vcloudlint:allow hotalloc frame-run pool cold start; recycled by its last reception so steady state is allocation-free
-	r := &frameRun{m: m}
-	r.s.Fn, r.s.Arg = fireReception, r
-	return r
+	return &frameRun{m: m}
 }
 
-// stamp gives every sorted reception its series member time, now plus its
-// delay.
-func (r *frameRun) stamp(now sim.Time) {
-	for _, rx := range r.rx {
-		r.s.At = append(r.s.At, now+rx.delay)
+// take moves the frame's decided receptions into the run, each pointing
+// back at it.
+func (r *frameRun) take(rx []reception) {
+	r.rx = append(r.rx, rx...)
+	r.left = len(r.rx)
+	for i := range r.rx {
+		r.rx[i].run = r
 	}
 }
 
@@ -482,12 +484,11 @@ func (m *Medium) deliver(dst NodeID, src, dstPos geo.Point, tx sim.Time, retries
 	return ep, sim.Time(attempts)*tx + jitter, true
 }
 
-// scheduleReceptions sorts the frame's event receptions by delay into a
-// frame run and schedules it as one kernel series. They were decided —
-// and drew from the radio stream — in receiver order; the stable sort
-// keeps each equal-delay group in that order, and the series takes one
-// contiguous block of kernel seq, so the (at, seq) order every trace
-// follows is exactly what scheduling each reception on the spot gave.
+// scheduleReceptions moves the frame's event receptions into a frame run
+// and schedules each as its own kernel event, in the order they were
+// decided and drew from the radio stream. They take one contiguous block
+// of kernel seq, so the (at, seq) order every trace follows is exactly
+// what scheduling each reception on the spot gave.
 //
 //vcloudlint:hotpath once per transmitted frame; the schedule behind every reception
 func (m *Medium) scheduleReceptions(f Frame) {
@@ -496,64 +497,14 @@ func (m *Medium) scheduleReceptions(f Frame) {
 	}
 	r := m.getRun(len(m.rx))
 	r.f = f
-	r.rx = m.sortReceptions(r.rx)
-	r.stamp(m.kernel.Now())
-	m.kernel.AtSeries(&r.s)
+	r.take(m.rx)
+	now := m.kernel.Now()
+	for i := range r.rx {
+		m.kernel.AtArg(now+r.rx[i].delay, fireReception, &r.rx[i])
+	}
 	// The run holds the handlers now; the scratch must not pin them.
 	clear(m.rx)
 	m.rx = m.rx[:0]
-}
-
-// sortReceptions appends the frame's receptions to dst, stably sorted by
-// delay, and returns it. A counting pass deals them, in order, into
-// len(rx) equal-width buckets over the frame's delay span, and an
-// insertion pass finishes inside each bucket. The MAC jitter is uniform
-// over that span, so a bucket holds O(1) receptions and a frame sorts in
-// expected linear time, where a plain insertion sort is quadratic and a
-// convoy frame reaches a hundred receivers (slices.SortStableFunc is
-// slower than either at that size).
-func (m *Medium) sortReceptions(dst []reception) []reception {
-	rx := m.rx
-	n := len(rx)
-	if n < 2 {
-		return append(dst, rx...)
-	}
-	lo, hi := rx[0].delay, rx[0].delay
-	for _, r := range rx[1:] {
-		lo, hi = min(lo, r.delay), max(hi, r.delay)
-	}
-	// The bucket of delay d is (d-lo)·n/(hi-lo+1) in 32.32 fixed point,
-	// always below n.
-	scale := uint64(n) << 32 / uint64(hi-lo+1)
-	for len(m.rxCount) <= n {
-		m.rxCount = append(m.rxCount, 0)
-	}
-	base := len(dst)
-	for len(dst) < base+n {
-		dst = append(dst, reception{})
-	}
-	count, out := m.rxCount[:n+1], dst[base:]
-	clear(count)
-	for _, r := range rx {
-		count[uint64(r.delay-lo)*scale>>32+1]++
-	}
-	for b, sum := 0, 0; b < n; b++ {
-		sum += count[b]
-		count[b] = sum
-	}
-	for _, r := range rx {
-		b := uint64(r.delay-lo) * scale >> 32
-		out[count[b]] = r
-		count[b]++
-	}
-	for i := 1; i < n; i++ {
-		r, j := out[i], i
-		for ; j > 0 && out[j-1].delay > r.delay; j-- {
-			out[j] = out[j-1]
-		}
-		out[j] = r
-	}
-	return dst
 }
 
 // Send transmits a frame. to == Broadcast delivers to every node in range;
@@ -613,7 +564,7 @@ func (m *Medium) send(from, to NodeID, size int, payload any, beacon bool) {
 		m.scratchIDs, m.scratchPos = m.index.WithinRangePos(
 			m.scratchIDs[:0], m.scratchPos[:0], src, m.params.RangeMax, int32(from))
 		// Every inbox reception of the frame carries the same mark, the
-		// seq its event reception series would start at.
+		// seq its first event reception will take.
 		now, mark := m.kernel.Now(), m.kernel.Mark()
 		if beacon {
 			m.land()
@@ -627,7 +578,7 @@ func (m *Medium) send(from, to NodeID, size int, payload any, beacon bool) {
 				//vcloudlint:allow hotalloc the receiver's inbox (vnet.Node.arrive); TestBroadcastAllocs holds a warm beacon, its receivers' applies and a Stats read at zero
 				ep.in(payload, now+delay, mark)
 			default:
-				m.rx = append(m.rx, reception{delay, ep.h, true})
+				m.rx = append(m.rx, reception{delay: delay, h: ep.h, count: true})
 			}
 		}
 	} else if p, ok := m.index.Position(int32(to)); ok {
@@ -636,7 +587,7 @@ func (m *Medium) send(from, to NodeID, size int, payload any, beacon bool) {
 			retries = 0
 		}
 		if ep, delay, ok := m.deliver(to, src, p, tx, retries, pCollide, faulty); ok {
-			m.rx = append(m.rx, reception{delay, ep.h, true})
+			m.rx = append(m.rx, reception{delay: delay, h: ep.h, count: true})
 		}
 	}
 
@@ -655,7 +606,7 @@ func (m *Medium) send(from, to NodeID, size int, payload any, beacon bool) {
 		if m.rng.Float64() >= m.receptionProb(d) {
 			continue
 		}
-		m.rx = append(m.rx, reception{tx, sp.h, false})
+		m.rx = append(m.rx, reception{delay: tx, h: sp.h})
 	}
 	m.scheduleReceptions(Frame{From: from, To: to, Size: size, Payload: payload, SentAt: m.kernel.Now()})
 }

@@ -678,6 +678,69 @@ func TestRunsPoolBySize(t *testing.T) {
 	}
 }
 
+// TestLastReceptionRecyclesItsRun: whichever reception of a frame fires
+// last hands the frame's run back to its pool before its handler runs and
+// still shows that handler its own frame; a handler that transmits from
+// there reuses the run, and every reception of the new frame arrives
+// whole.
+func TestLastReceptionRecyclesItsRun(t *testing.T) {
+	k := sim.NewKernel(1)
+	p := DefaultParams()
+	p.CollisionFactor = 0
+	m, err := NewMedium(k, testBounds(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 7 // a sender and six receivers: a large run
+	type delivery struct {
+		to NodeID
+		f  Frame
+	}
+	var log []delivery
+	relay, sentB := NodeID(-1), sim.Time(0)
+	for i := 0; i < n; i++ {
+		id := NodeID(i)
+		m.UpdatePosition(id, geo.Point{X: float64(1000 + 10*i), Y: 1000})
+		m.Register(id, func(f Frame) {
+			log = append(log, delivery{id, f})
+			if f.Payload != "A" || len(log) != n-1 {
+				return
+			}
+			free := m.freeRuns[runClass(n-1)]
+			if len(free) != 1 {
+				t.Fatalf("last reception of A: %d runs pooled, want A's", len(free))
+			}
+			run := free[0]
+			relay, sentB = id, k.Now()
+			m.Send(id, Broadcast, 200, "B")
+			if len(m.freeRuns[runClass(n-1)]) != 0 || run.f.Payload != "B" {
+				t.Errorf("B did not take A's pooled run (it holds %v)", run.f.Payload)
+			}
+		})
+	}
+	m.Send(0, Broadcast, 300, "A")
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != 2*(n-1) || relay < 0 {
+		t.Fatalf("%d receptions (relay %d), want %d of A then %d of B", len(log), relay, n-1, n-1)
+	}
+	heard := make(map[delivery]bool)
+	for i, d := range log {
+		want := Frame{From: 0, To: Broadcast, Size: 300, Payload: "A"}
+		if i >= n-1 {
+			want = Frame{From: relay, To: Broadcast, Size: 200, Payload: "B", SentAt: sentB}
+		}
+		if d.f != want || d.to == want.From || heard[d] {
+			t.Errorf("reception %d at node %d: %+v, want %+v once at every other node", i, d.to, d.f, want)
+		}
+		heard[d] = true
+	}
+	if s := m.Stats(); s.Delivered != 2*(n-1) {
+		t.Errorf("Delivered = %d, want %d", s.Delivered, 2*(n-1))
+	}
+}
+
 var sinkHandler Handler
 
 // BenchmarkDeliverLookup is deliver's handler lookup alone, over the id
@@ -697,23 +760,6 @@ func BenchmarkDeliverLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkHandler = m.endpoint(ids[i%len(ids)]).h
-	}
-}
-
-// BenchmarkSortReceptions sorts a convoy frame's 100 receptions, their
-// delays one transmission time plus uniform MAC jitter.
-func BenchmarkSortReceptions(b *testing.B) {
-	m := newTestMedium(b, sim.NewKernel(1))
-	rng := rand.New(rand.NewSource(1))
-	h := func(Frame) {}
-	for i := 0; i < 100; i++ {
-		m.rx = append(m.rx, reception{m.txDelay(300) + sim.Time(rng.Int63n(int64(500*time.Microsecond))), h, true})
-	}
-	var dst []reception
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = m.sortReceptions(dst[:0])
 	}
 }
 
@@ -738,7 +784,7 @@ func BenchmarkBroadcast100Nodes(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // Reference model: Medium.Send as it was before a frame's receptions were
-// queued as one kernel series, before the fault verdicts were taken per
+// pooled in one frame run, before the fault verdicts were taken per
 // frame and before beacon receptions at an inbox became data — each
 // reception its own kernel event, scheduled the moment it is decided, in
 // receiver order, the spies' after them, and every (sender, receiver) pair
@@ -821,10 +867,10 @@ func refSend(m *Medium, from, to NodeID, size int, payload any, inbox func(NodeI
 		switch {
 		case !ok:
 		case inbox != nil && ep.in != nil:
-			m.rx = append(m.rx, reception{delay, inbox(dst), true})
+			m.rx = append(m.rx, reception{delay: delay, h: inbox(dst), count: true})
 			scheduleNow()
 		default:
-			later = append(later, reception{delay, ep.h, true})
+			later = append(later, reception{delay: delay, h: ep.h, count: true})
 		}
 	}
 	if to == Broadcast {
@@ -851,7 +897,7 @@ func refSend(m *Medium, from, to NodeID, size int, payload any, inbox func(NodeI
 		if m.rng.Float64() >= m.receptionProb(src.Dist(p)) {
 			continue
 		}
-		m.rx = append(m.rx, reception{m.txDelay(size), sp.h, false})
+		m.rx = append(m.rx, reception{delay: m.txDelay(size), h: sp.h, count: false})
 		scheduleNow()
 	}
 }
@@ -1043,8 +1089,8 @@ func (s *radioSide) run(t *testing.T, seed int64) {
 }
 
 // TestSendMatchesPerReceiverModel: Send, which takes the sender's fault
-// verdicts once per frame and queues the frame's receptions as one sorted
-// kernel series, must be indistinguishable from judging every pair and
+// verdicts once per frame and schedules the frame's receptions from one
+// pooled frame run, must be indistinguishable from judging every pair and
 // scheduling each reception as it is decided — the same (Now, receiver,
 // frame) handler sequence, the same Stats(), the same drop count and the
 // same next radio- and faults-stream values — through broadcasts,
@@ -1093,45 +1139,6 @@ func TestSendMatchesPerReceiverModel(t *testing.T) {
 		}
 		if g, w := got.m.faults.rng.Int63(), want.m.faults.rng.Int63(); g != w {
 			t.Errorf("seed %d: next faults-stream value %d, model %d", seed, g, w)
-		}
-	}
-}
-
-// TestSortReceptionsIsStableSort: the bucket sort must equal a stable
-// sort by delay — ties among receivers kept in collection order — over
-// frame sizes from empty to larger than any convoy, delay spans from all
-// equal to far wider than the MAC jitter, and a destination left over
-// from larger frames.
-func TestSortReceptionsIsStableSort(t *testing.T) {
-	m := newTestMedium(t, sim.NewKernel(1))
-	rng := rand.New(rand.NewSource(1))
-	tags := make([]Handler, 400)
-	hit := -1
-	for i := range tags {
-		tags[i] = func(Frame) { hit = i }
-	}
-	tag := func(r reception) int {
-		r.h(Frame{})
-		return hit
-	}
-	var dst []reception
-	for trial := 0; trial < 500; trial++ {
-		n := rng.Intn(len(tags))
-		span := []int64{1, 3, 50, int64(500 * time.Microsecond), int64(time.Hour)}[rng.Intn(5)]
-		m.rx = m.rx[:0]
-		for i := 0; i < n; i++ {
-			m.rx = append(m.rx, reception{sim.Time(rng.Int63n(span)), tags[i], i%3 == 0})
-		}
-		want := slices.Clone(m.rx)
-		slices.SortStableFunc(want, func(a, b reception) int { return cmp.Compare(a.delay, b.delay) })
-		dst = m.sortReceptions(dst[:0])
-		if len(dst) != n {
-			t.Fatalf("trial %d: sorted %d receptions, want %d", trial, len(dst), n)
-		}
-		for i := range want {
-			if g, w := dst[i], want[i]; g.delay != w.delay || g.count != w.count || tag(g) != tag(w) {
-				t.Fatalf("trial %d (n %d, span %d): position %d is not the stable sort by delay", trial, n, span, i)
-			}
 		}
 	}
 }

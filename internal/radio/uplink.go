@@ -145,20 +145,35 @@ func (u *Uplink) QueueDelay() sim.Time {
 	return 0
 }
 
+// Sender is one traffic source's handle on a shared uplink: exchanges
+// routed through it feed a GCC-style bandwidth estimator with per-message
+// arrival-time and loss feedback, so the source can observe congestion
+// and adapt (see gcc.go and the vcloud placement governor).
+type Sender struct {
+	u   *Uplink
+	est *BWEstimator
+}
+
+// NewSender attaches an estimator-backed sender to the uplink. A zero
+// cfg takes defaults, with the rate ceiling defaulting to the channel's
+// configured capacity — the estimator can never report more bandwidth
+// than the link physically has.
+func (u *Uplink) NewSender(cfg BWEConfig) *Sender {
+	if cfg.MaxBps == 0 {
+		cfg.MaxBps = u.params.BandwidthMbps * 1e6
+	}
+	return &Sender{u: u, est: NewBWEstimator(cfg)}
+}
+
 // RoundTrip schedules fn after a full request/response exchange of the
 // given sizes, or drops it (fn never runs) on loss, outage, or — on a
 // contended link — a FIFO tail drop. It reports whether the exchange was
-// initiated (false = uplink down).
-func (u *Uplink) RoundTrip(reqBytes, respBytes int, fn func()) bool {
-	return u.transfer(reqBytes, respBytes, fn, nil)
-}
-
-// transfer is the shared exchange path; s, when non-nil, receives
-// congestion feedback (sends, arrival times, losses) for its estimator.
-// The RNG draw order — loss first, jitter second — is load-bearing: the
-// legacy uncontended path must replay historical experiment streams
-// bit-for-bit.
-func (u *Uplink) transfer(reqBytes, respBytes int, fn func(), s *Sender) bool {
+// initiated (false = uplink down). The exchange's send time, arrival time
+// and size, or its loss, feed this sender's estimator. The RNG draw order
+// — loss first, jitter second — is load-bearing: the legacy uncontended
+// path must replay historical experiment streams bit-for-bit.
+func (s *Sender) RoundTrip(reqBytes, respBytes int, fn func()) bool {
+	u := s.u
 	if !u.available {
 		return false
 	}
@@ -166,9 +181,7 @@ func (u *Uplink) transfer(reqBytes, respBytes int, fn func(), s *Sender) bool {
 	now := u.kernel.Now()
 	if u.rng.Float64() < u.params.LossProb {
 		u.lost++
-		if s != nil {
-			s.est.OnLost(now)
-		}
+		s.est.OnLost(now)
 		return true
 	}
 	if reqBytes < 0 {
@@ -193,63 +206,28 @@ func (u *Uplink) transfer(reqBytes, respBytes int, fn func(), s *Sender) bool {
 			// is indistinguishable from congestion loss — which is exactly
 			// the signal its loss-based controller wants.
 			u.dropped++
-			if s != nil {
-				s.est.OnLost(now)
-			}
+			s.est.OnLost(now)
 			return true
 		}
 		u.busyUntil = now + wait + sim.Time(transfer*float64(time.Second))
 	}
 	mark := u.outages
-	if s != nil {
-		s.est.OnSent(now, bytes)
-	}
+	s.est.OnSent(now, bytes)
 	u.kernel.After(wait+sim.Time(lat), func() {
 		if !u.available || u.outages != mark {
 			// The flight overlapped an outage window (possibly one that
 			// already healed): the exchange died with it.
 			u.dropped++
-			if s != nil {
-				s.est.OnLost(u.kernel.Now())
-			}
+			s.est.OnLost(u.kernel.Now())
 			return
 		}
 		u.delivered++
-		if s != nil {
-			s.est.OnAck(now, u.kernel.Now(), bytes)
-		}
+		s.est.OnAck(now, u.kernel.Now(), bytes)
 		if fn != nil {
 			fn()
 		}
 	})
 	return true
-}
-
-// Sender is one traffic source's handle on a shared uplink: exchanges
-// routed through it feed a GCC-style bandwidth estimator with per-message
-// arrival-time and loss feedback, so the source can observe congestion
-// and adapt (see gcc.go and the vcloud placement governor).
-type Sender struct {
-	u   *Uplink
-	est *BWEstimator
-}
-
-// NewSender attaches an estimator-backed sender to the uplink. A zero
-// cfg takes defaults, with the rate ceiling defaulting to the channel's
-// configured capacity — the estimator can never report more bandwidth
-// than the link physically has.
-func (u *Uplink) NewSender(cfg BWEConfig) *Sender {
-	if cfg.MaxBps == 0 {
-		cfg.MaxBps = u.params.BandwidthMbps * 1e6
-	}
-	return &Sender{u: u, est: NewBWEstimator(cfg)}
-}
-
-// RoundTrip is Uplink.RoundTrip with congestion feedback: the exchange's
-// send time, arrival time and size (or its loss) feed this sender's
-// estimator.
-func (s *Sender) RoundTrip(reqBytes, respBytes int, fn func()) bool {
-	return s.u.transfer(reqBytes, respBytes, fn, s)
 }
 
 // EstimateBps returns the current smoothed bandwidth estimate.
@@ -265,6 +243,3 @@ func (s *Sender) QueueDelay() sim.Time { return s.u.QueueDelay() }
 // LastFeedback returns when this sender's estimator last heard from the
 // channel (zero before any feedback).
 func (s *Sender) LastFeedback() sim.Time { return s.est.LastFeedback() }
-
-// Uplink returns the shared channel this sender transmits on.
-func (s *Sender) Uplink() *Uplink { return s.u }

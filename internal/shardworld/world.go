@@ -128,8 +128,33 @@ func (cfg *Config) normalize() error {
 	if cfg.ChurnFrac < 0 || cfg.ChurnFrac > 1 {
 		return fmt.Errorf("shardworld: churn fraction must be in [0, 1], got %v", cfg.ChurnFrac)
 	}
+	if cfg.Shards > 1 {
+		// A shard cell must be at least the ghost halo across. A count
+		// above (WorldSize/halo)² cannot fit and is refused before it is
+		// factored, so a huge one costs nothing.
+		halo := cfg.halo()
+		perAxis := cfg.WorldSize / halo
+		fits := float64(cfg.Shards) <= perAxis*perAxis
+		if fits {
+			nx, _ := geo.FactorShards(cfg.Shards)
+			fits = cfg.WorldSize/float64(nx) >= halo
+		}
+		if !fits {
+			return fmt.Errorf("shardworld: %d shards cut the %.0f m world into cells narrower than the %.0f m ghost halo",
+				cfg.Shards, cfg.WorldSize, halo)
+		}
+	}
 	return nil
 }
+
+// halo is how far beyond its cell a shard must see: a radio range plus
+// the farthest a vehicle moves in one tick.
+func (cfg *Config) halo() float64 {
+	return cfg.Radio.RangeMax + mobility.MaxStep(speedMax, cfg.TickEvery.Seconds())
+}
+
+// Validate checks cfg as Run would, building nothing.
+func (cfg Config) Validate() error { return cfg.normalize() }
 
 // SampleRow is one fleet-wide sample: integer counters only, so per-shard
 // subtotals sum exactly to the serial values. Beacons through Suppressed
@@ -383,7 +408,7 @@ func newWorld(cfg Config) (*world, error) {
 		owner:     make([]int32, cfg.Vehicles),
 		tx:        make([]sender, cfg.Vehicles),
 	}
-	w.halo = cfg.Radio.RangeMax + mobility.MaxStep(speedMax, w.dt)
+	w.halo = cfg.halo()
 
 	nx, ny := geo.FactorShards(cfg.Shards)
 	var err error

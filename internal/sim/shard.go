@@ -27,10 +27,8 @@
 package sim
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -100,7 +98,6 @@ type ShardedKernel struct {
 	// outbox[src] collects cross events emitted by shard src during the
 	// current window; each worker appends only to its own slot.
 	outbox [][]crossEvent
-	merged []crossEvent // barrier scratch for the global merge sort
 
 	// Persistent workers, spawned lazily on the first multi-shard window.
 	started bool
@@ -179,9 +176,9 @@ func (sk *ShardedKernel) CrossEvents() uint64 { return sk.crossSent }
 
 // Inject schedules a cross-shard event: fn(arg) runs on shard dst at
 // virtual time at. The event is parked in shard src's outbox and merged at
-// the next barrier in (time, source shard, sequence) order, so injection
-// order — and therefore the destination's dispatch order — is independent
-// of goroutine timing. Inject panics if the event violates the
+// the next barrier in (source shard, sequence) order, so the destination
+// dispatches it in (time, source shard, sequence) order, independent of
+// goroutine timing. Inject panics if the event violates the
 // conservative contract by landing before the current window ends: that is
 // a model bug (its cross-shard latency is shorter than the lookahead it
 // declared), and proceeding would silently break determinism.
@@ -200,36 +197,22 @@ func (sk *ShardedKernel) Inject(src, dst int, at Time, fn func(any), arg any) {
 }
 
 // mergeCross drains every outbox and schedules the events on their
-// destination kernels in the fixed (time, source shard, sequence) order.
+// destination kernels in the fixed (source shard, sequence) order: among
+// events for one instant that is their seq order, so each destination
+// dispatches them in (time, source shard, sequence) order.
 func (sk *ShardedKernel) mergeCross() {
-	sk.merged = sk.merged[:0]
-	for src := range sk.outbox {
-		sk.merged = append(sk.merged, sk.outbox[src]...)
-		// Zero the drained slots so recycled outbox capacity never pins
-		// model state for the GC.
-		box := sk.outbox[src]
+	for src, box := range sk.outbox {
 		for i := range box {
-			box[i].fn = nil
-			box[i].arg = nil
+			ce := &box[i]
+			sk.shards[ce.dst].AtArg(ce.at, ce.fn, ce.arg)
+			// Zero the drained slot so recycled outbox capacity never
+			// pins model state for the GC.
+			ce.fn = nil
+			ce.arg = nil
 		}
+		sk.crossSent += uint64(len(box))
 		sk.outbox[src] = box[:0]
 	}
-	if len(sk.merged) == 0 {
-		return
-	}
-	// merged is concatenated in source-shard order and each outbox is in
-	// emission order, so a stable sort on time alone is the (source shard,
-	// sequence) tie-break. Each destination therefore receives its events
-	// in rising time, which lets it queue them as one sorted run (a matter
-	// of speed only: its pop order is (at, seq) however they arrive).
-	slices.SortStableFunc(sk.merged, func(a, b crossEvent) int { return cmp.Compare(a.at, b.at) })
-	for i := range sk.merged {
-		ce := &sk.merged[i]
-		sk.shards[ce.dst].AtArg(ce.at, ce.fn, ce.arg)
-		ce.fn = nil
-		ce.arg = nil
-	}
-	sk.crossSent += uint64(len(sk.merged))
 }
 
 // earliest returns the minimum next-event time across shards.

@@ -3,8 +3,6 @@
 // clock and a priority queue of scheduled events; entities schedule
 // callbacks at future virtual times and the kernel dispatches them in
 // (time, sequence) order, so a run with a fixed seed is fully reproducible.
-// A Series queues many members — a radio frame's receptions — as one
-// event that fires each of them in turn at its own (time, sequence).
 //
 // The kernel is intentionally single-goroutine: all model code executes in
 // the caller's goroutine and no locking is required inside models. This is
@@ -34,18 +32,14 @@ type event struct {
 	seq   uint64 // tie-breaker: FIFO among equal timestamps
 	fn    func()
 	argFn func(any) // alternative callback form (AtArg); nil when fn is set
-	arg   any       // argFn's argument; the *Series of a series event, which has neither callback
-	next  *event    // the event scheduled right after this one, if it joined this run
-	index int32     // heap slot of a run's head, or one of the sentinels below
+	arg   any       // argFn's argument
+	index int32     // heap slot, or unqueued
 	gen   uint32    // incremented every time the event leaves the schedule
 }
 
-// Values of event.index for an event that is not at the head of a run.
-const (
-	unqueued  int32 = -1 // fired, cancelled or never scheduled
-	chained   int32 = -2 // scheduled, linked behind the head of its run
-	tombstone int32 = -3 // cancelled while chained; recycled when its run reaches it
-)
+// unqueued is event.index for an event that is fired, cancelled or never
+// scheduled.
+const unqueued int32 = -1
 
 // EventID identifies a scheduled event so it can be cancelled. The
 // generation tag makes IDs safe to hold indefinitely: once the event fires
@@ -74,15 +68,12 @@ func (ev *event) before(o *event) bool {
 	return ev.seq < o.seq
 }
 
-// eventQueue is a binary min-heap of sorted runs, ordered by their heads
-// under before, with each head's position kept in its index field so
-// Cancel can remove from the middle. A run is a chain (event.next) of
-// events scheduled back to back in non-decreasing time; Kernel.schedule
-// grows it and Kernel.unlink drains it, so only heads are ever sifted. The
-// heap is typed on *event rather than built on container/heap: the queue
-// sits under every scheduled and fired event, and the interface dispatch
-// and any-boxing of heap.Interface cost more there than the sifting
-// itself. Sifts move a hole instead of swapping.
+// eventQueue is a binary min-heap of events ordered by before, with each
+// event's position kept in its index field so Cancel can remove from the
+// middle. The heap is typed on *event rather than built on container/heap:
+// the queue sits under every scheduled and fired event, and the interface
+// dispatch and any-boxing of heap.Interface cost more there than the
+// sifting itself. Sifts move a hole instead of swapping.
 type eventQueue []*event
 
 // up places ev at hole i or above, shifting later ancestors down.
@@ -121,19 +112,22 @@ func (q eventQueue) down(i int, ev *event) {
 	ev.index = int32(i)
 }
 
-// push adds ev to the queue as the head of a new run.
+// push adds ev to the queue.
 //
-//vcloudlint:hotpath once per scheduled run; growth of the backing array is amortized by the receiver-owned slice
+//vcloudlint:hotpath once per scheduled event; growth of the backing array is amortized by the receiver-owned slice
 func (q *eventQueue) push(ev *event) {
 	*q = append(*q, ev)
 	q.up(len(*q)-1, ev)
 }
 
-// remove closes heap slot i (i == 0 is the earliest), whose run has ended.
+// remove takes the event in heap slot i (i == 0 is the earliest) off the
+// queue and returns it.
 //
-//vcloudlint:hotpath once per fired or cancelled run
-func (q *eventQueue) remove(i int) {
+//vcloudlint:hotpath once per fired or cancelled event
+func (q *eventQueue) remove(i int) *event {
 	h := *q
+	ev := h[i]
+	ev.index = unqueued
 	n := len(h) - 1
 	last := h[n]
 	h[n] = nil
@@ -148,6 +142,7 @@ func (q *eventQueue) remove(i int) {
 			h.down(i, last)
 		}
 	}
+	return ev
 }
 
 // ErrStopped is returned by Run when the simulation was stopped explicitly
@@ -156,13 +151,10 @@ var ErrStopped = errors.New("sim: stopped")
 
 // Kernel is the discrete-event simulation engine.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	queue   eventQueue
-	tail    *event   // the most recently scheduled event while it is still queued: the one run that can grow
-	tailAt  Time     // when tail's last member fires: its own time, or a series' last member's
-	pending int      // scheduled events, chained ones and series members included
-	free    []*event // recycled events; bounds allocation to peak concurrency
+	now   Time
+	seq   uint64
+	queue eventQueue
+	free  []*event // recycled events; bounds allocation to peak concurrency
 	// cut bounds the arrivals Reached counts at Now: those marked below
 	// it. Firing an event sets it past that event's seq; a Run that
 	// returns sets it past every seq handed out, since everything
@@ -225,7 +217,7 @@ func (k *Kernel) settle(t Time) {
 func (k *Kernel) Processed() uint64 { return k.processed }
 
 // Pending returns the number of events currently scheduled.
-func (k *Kernel) Pending() int { return k.pending }
+func (k *Kernel) Pending() int { return len(k.queue) }
 
 // WallTime returns the cumulative real time spent dispatching events
 // inside Run and Step.
@@ -303,118 +295,27 @@ func (k *Kernel) alloc(t Time, fn func(), argFn func(any), arg any) *event {
 	return ev
 }
 
-// retire ends ev's incarnation. Bumping gen invalidates every EventID
-// issued for it; clearing the callback fields drops references so retired
-// events never pin model state for the GC.
-func (ev *event) retire() {
+// recycle returns a fired or cancelled event to the freelist. Bumping gen
+// invalidates every EventID issued for it; clearing the callback fields
+// drops references so recycled events never pin model state for the GC.
+//
+//vcloudlint:hotpath runs once per fired event; feeds the freelist that keeps alloc allocation-free
+func (k *Kernel) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.argFn = nil
 	ev.arg = nil
-}
-
-// recycle returns a fired or cancelled event to the freelist.
-//
-//vcloudlint:hotpath runs once per fired event; feeds the freelist that keeps alloc allocation-free
-func (k *Kernel) recycle(ev *event) {
-	ev.retire()
 	k.free = append(k.free, ev)
 }
 
-// schedule queues one event. An event for the instant of the most
-// recently scheduled, still-queued event (tail) or later is linked behind
-// it and never enters the heap. seq rises with every call, so each run is
-// strictly increasing in (at, seq) and the heap of run heads is an exact
-// k-way merge: pop order is (at, seq) whatever the runs look like. A
-// schedule sequence in rising time — a pre-generated op stream, a tick's
-// deliveries — is one run and one heap slot. One remembered event is the
-// whole lookup: no per-instant map, no bucket array.
+// schedule queues one event at t, clamped to Now.
 func (k *Kernel) schedule(t Time, fn func(), argFn func(any), arg any) EventID {
 	if t < k.now {
 		t = k.now
 	}
 	ev := k.alloc(t, fn, argFn, arg)
-	k.enqueue(ev, t)
-	k.pending++
+	k.queue.push(ev)
 	return EventID{ev: ev, owner: k, gen: ev.gen}
-}
-
-// enqueue links ev behind the tail when its time is at or after the
-// tail's last member, or pushes it as the head of a new run, and makes it
-// the tail; last is when ev's own last member fires.
-func (k *Kernel) enqueue(ev *event, last Time) {
-	if k.tail != nil && k.tailAt <= ev.at {
-		k.tail.next = ev
-		ev.index = chained
-	} else {
-		k.queue.push(ev)
-	}
-	k.tail = ev
-	k.tailAt = last
-}
-
-// Series is a caller-owned schedule of members that AtSeries queues as one
-// event: member i fires Fn(Arg, i) at At[i], in index order. The kernel
-// reads At as the members come due, so the caller must leave the Series
-// untouched until its last member has started — from then on it is the
-// caller's again, and the last member's own callback may reuse it.
-type Series struct {
-	At   []Time // member times, non-decreasing
-	Fn   func(arg any, i int)
-	Arg  any
-	next int // the member that fires next
-}
-
-// AtSeries schedules the members of s. The series takes len(s.At)
-// consecutive seqs, so members pop exactly where as many AtArg calls in
-// index order would have put them — times before Now clamp to Now the
-// same way — while the queue holds one event: after a member fires the
-// event takes the next member's time and seq and sifts down from the
-// root, and only the last member leaves the queue. Pending and Processed
-// count members. A series cannot be cancelled.
-//
-//vcloudlint:hotpath one call schedules every reception of a radio frame
-func (k *Kernel) AtSeries(s *Series) {
-	n := len(s.At)
-	if n == 0 || s.Fn == nil {
-		return
-	}
-	s.next = 0
-	ev := k.alloc(max(s.At[0], k.now), nil, nil, s)
-	k.seq += uint64(n - 1)
-	k.enqueue(ev, max(s.At[n-1], ev.at))
-	k.pending += n
-}
-
-// unlink takes the run head in heap slot i off the schedule and returns
-// it. The next live member of its run inherits the slot and sifts down
-// from it — it follows the head in (at, seq), so it can only belong
-// lower; tombstones passed on the way are recycled; a run that has ended
-// gives the slot back to the heap.
-//
-//vcloudlint:hotpath once per fired event and per cancelled head; the path every run drains through
-func (k *Kernel) unlink(i int) *event {
-	ev := k.queue[i]
-	succ := ev.next
-	for succ != nil && succ.index == tombstone {
-		dead := succ
-		succ = dead.next
-		dead.next = nil
-		dead.index = unqueued
-		k.free = append(k.free, dead)
-	}
-	if succ != nil {
-		k.queue.down(i, succ)
-	} else {
-		k.queue.remove(i)
-	}
-	ev.next = nil
-	ev.index = unqueued
-	if ev == k.tail {
-		k.tail = nil
-	}
-	k.pending--
-	return ev
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -513,31 +414,19 @@ func (k *Kernel) Cancel(id EventID) bool {
 	if id.owner != k || !id.Pending() {
 		return false
 	}
-	ev := id.ev
-	if ev.index >= 0 {
-		k.recycle(k.unlink(int(ev.index)))
-		return true
-	}
-	// Mid-run: the chain is singly linked, so the event stays in place as
-	// a tombstone for unlink to skip. It is held no longer than its
-	// predecessors in the run, and they all fire before its own time.
-	ev.retire()
-	ev.index = tombstone
-	if ev == k.tail {
-		k.tail = nil
-	}
-	k.pending--
+	k.recycle(k.queue.remove(int(id.ev.index)))
 	return true
 }
 
 // Stop makes Run return ErrStopped after the current event completes.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// fire dispatches one popped event. The event is recycled before its
-// callback runs — it is already off the queue, the callback is copied out,
-// and recycling first keeps the freelist hot when callbacks schedule
-// follow-up events.
-func (k *Kernel) fire(ev *event) {
+// dispatch pops the earliest scheduled event and fires it. The event is
+// recycled before its callback runs — it is already off the queue, the
+// callback is copied out, and recycling first keeps the freelist hot when
+// callbacks schedule follow-up events.
+func (k *Kernel) dispatch() {
+	ev := k.queue.remove(0)
 	k.now = ev.at
 	k.cut = ev.seq + 1
 	k.processed++
@@ -548,35 +437,6 @@ func (k *Kernel) fire(ev *event) {
 	} else {
 		fn()
 	}
-}
-
-// dispatch fires the earliest scheduled event, or the due member of the
-// earliest series. A series event carries neither callback form — At and
-// AtArg refuse nil callbacks — and its *Series in arg. Before the member
-// runs, the event either takes the next member's time and seq, which
-// follow the fired member's and so can only sift down from the root, or,
-// after the last member, leaves the queue like any other event.
-func (k *Kernel) dispatch() {
-	ev := k.queue[0]
-	if ev.fn != nil || ev.argFn != nil {
-		k.fire(k.unlink(0))
-		return
-	}
-	s := ev.arg.(*Series)
-	i := s.next
-	k.now = ev.at
-	k.cut = ev.seq + 1
-	k.processed++
-	fn, arg := s.Fn, s.Arg
-	if s.next = i + 1; s.next < len(s.At) {
-		ev.at = max(s.At[s.next], ev.at)
-		ev.seq++
-		k.queue.down(0, ev)
-		k.pending--
-	} else {
-		k.recycle(k.unlink(0))
-	}
-	fn(arg, i)
 }
 
 // Run dispatches events until the queue is empty or the horizon is reached.

@@ -300,80 +300,28 @@ func TestNewStreamStableAndDecorrelated(t *testing.T) {
 	}
 }
 
-// liveEvents walks k's queue the way the kernel does — heap slots, then
-// each head's chain — and returns every scheduled event it reaches, or an
-// error if the structure breaks an invariant: heads hold their heap slot
-// and obey heap order, a run's members rise strictly in (at, seq) with
-// only chained events and tombstones behind a live head, no event is
-// reachable twice, Pending() counts exactly the live ones, and tail (if
-// set) is the live end of a run.
+// liveEvents walks k's heap and returns every scheduled event in it, or
+// an error if the heap breaks an invariant: each event holds its heap slot
+// and obeys heap order, no event sits in two slots, and Pending() counts
+// exactly the queued ones.
 func liveEvents(k *Kernel) (map[*event]bool, error) {
 	live := make(map[*event]bool)
-	seen := make(map[*event]bool)
-	members := 0
-	for i, head := range k.queue {
-		if head.index != int32(i) {
-			return nil, fmt.Errorf("head in slot %d has index %d", i, head.index)
+	for i, ev := range k.queue {
+		if ev.index != int32(i) {
+			return nil, fmt.Errorf("event in slot %d has index %d", i, ev.index)
 		}
-		if i > 0 && head.before(k.queue[(i-1)/2]) {
+		if i > 0 && ev.before(k.queue[(i-1)/2]) {
 			return nil, fmt.Errorf("slot %d precedes its parent", i)
 		}
-		for prev, ev := (*event)(nil), head; ev != nil; prev, ev = ev, ev.next {
-			if seen[ev] {
-				return nil, fmt.Errorf("event seq %d reachable twice", ev.seq)
-			}
-			seen[ev] = true
-			if prev != nil {
-				if at, seq := lastKey(prev); at > ev.at || (at == ev.at && seq >= ev.seq) {
-					return nil, fmt.Errorf("run in slot %d out of order: (%v, %d) behind (%v, %d)", i, ev.at, ev.seq, at, seq)
-				}
-				if ev.index != chained && ev.index != tombstone {
-					return nil, fmt.Errorf("chained event seq %d has index %d", ev.seq, ev.index)
-				}
-			}
-			if ev.index != tombstone {
-				live[ev] = true
-				members += memberCount(ev)
-			}
+		if live[ev] {
+			return nil, fmt.Errorf("event seq %d in two slots", ev.seq)
 		}
+		live[ev] = true
 	}
-	if members != k.Pending() {
-		return nil, fmt.Errorf("Pending() = %d, %d live members reachable", k.Pending(), members)
-	}
-	if tl := k.tail; tl != nil && (!live[tl] || tl.next != nil) {
-		return nil, fmt.Errorf("tail (seq %d) is not the live end of a run", tl.seq)
-	}
-	if tl := k.tail; tl != nil {
-		if at, _ := lastKey(tl); at != k.tailAt {
-			return nil, fmt.Errorf("tailAt %v, tail's last member at %v", k.tailAt, at)
-		}
+	if len(live) != k.Pending() {
+		return nil, fmt.Errorf("Pending() = %d, %d events queued", k.Pending(), len(live))
 	}
 	return live, nil
-}
-
-// seriesOf returns the Series behind a series event, or nil.
-func seriesOf(ev *event) *Series {
-	if ev.fn != nil || ev.argFn != nil {
-		return nil
-	}
-	s, _ := ev.arg.(*Series)
-	return s
-}
-
-// memberCount is how many members a queued event still has to fire.
-func memberCount(ev *event) int {
-	if s := seriesOf(ev); s != nil {
-		return len(s.At) - s.next
-	}
-	return 1
-}
-
-// lastKey is the (at, seq) of ev's last member: its own, or a series'.
-func lastKey(ev *event) (Time, uint64) {
-	if s := seriesOf(ev); s != nil {
-		return max(s.At[len(s.At)-1], ev.at), ev.seq + uint64(len(s.At)-1-s.next)
-	}
-	return ev.at, ev.seq
 }
 
 // checkQueue asserts liveEvents' invariants plus: an EventID reports
@@ -535,7 +483,7 @@ func TestCancelForeignID(t *testing.T) {
 		{"foreign head", twoKernels, func(b *Kernel, fired *int) EventID {
 			return b.At(time.Second, func() { *fired++ })
 		}, true, 1},
-		{"foreign mid-run member", twoKernels, func(b *Kernel, fired *int) EventID {
+		{"foreign mid-heap event", twoKernels, func(b *Kernel, fired *int) EventID {
 			b.At(time.Second, func() { *fired++ })
 			mid := b.At(time.Second, func() { *fired++ })
 			b.At(time.Second, func() { *fired++ })
@@ -650,8 +598,8 @@ func TestScheduleFireCancelAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("schedule/fire/cancel allocated %.1f times per run, want 0", allocs)
 	}
-	// The same for a same-instant run: chain three, cancel the middle one
-	// (a tombstone the drain must recycle), fire the rest.
+	// The same for three events at one instant: cancel the middle one
+	// out of the heap, fire the rest.
 	allocs = testing.AllocsPerRun(1000, func() {
 		k.After(time.Millisecond, fn)
 		mid := k.AfterArg(time.Millisecond, argFn, nil)
@@ -661,21 +609,7 @@ func TestScheduleFireCancelAllocFree(t *testing.T) {
 		k.Step()
 	})
 	if allocs != 0 || k.Pending() != 0 {
-		t.Errorf("chained schedule/cancel/fire allocated %.1f times per run with %d left pending, want 0 and 0", allocs, k.Pending())
-	}
-	// And a warm series: eight members over three instants, scheduled as
-	// one event and drained member by member.
-	sr := &Series{At: make([]Time, 8), Fn: func(any, int) {}}
-	allocs = testing.AllocsPerRun(1000, func() {
-		for i := range sr.At {
-			sr.At[i] = k.Now() + Time(i/3)*time.Microsecond
-		}
-		k.AtSeries(sr)
-		for k.Step() {
-		}
-	})
-	if allocs != 0 || k.Pending() != 0 {
-		t.Errorf("series schedule/drain allocated %.1f times per run with %d left pending, want 0 and 0", allocs, k.Pending())
+		t.Errorf("same-instant schedule/cancel/fire allocated %.1f times per run with %d left pending, want 0 and 0", allocs, k.Pending())
 	}
 }
 
@@ -736,7 +670,7 @@ func BenchmarkKernelHotLoop(b *testing.B) {
 
 // BenchmarkKernelSameInstant is the other extreme from the hold model: N
 // events scheduled back to back for one instant and then drained, the
-// shape of a sharded tick's deliveries — one op is one whole run.
+// shape of a sharded tick's deliveries — one op is one whole batch.
 func BenchmarkKernelSameInstant(b *testing.B) {
 	const n = 10_000
 	k := NewKernel(1)
@@ -788,8 +722,8 @@ func BenchmarkKernelHold(b *testing.B) {
 // BenchmarkKernelFrameBursts is cloud_storm's shape: ~3 600 far-future
 // events held (the workload's pre-scheduled ops and timers) while radio
 // frames arrive, each a burst of 37 receptions at distinct instants inside
-// a 500 µs jitter window, scheduled in rising time the way radio.Medium
-// schedules a frame and fired to drain. One op is one frame.
+// a 500 µs jitter window, each scheduled as its own event and fired to
+// drain. One op is one frame.
 func BenchmarkKernelFrameBursts(b *testing.B) {
 	const (
 		held   = 3600
@@ -829,56 +763,12 @@ func BenchmarkKernelFrameBursts(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelSeries is BenchmarkKernelFrameBursts with each frame's
-// receptions queued as one series, the way radio.Medium schedules them:
-// one heap entry per frame instead of one event per reception.
-func BenchmarkKernelSeries(b *testing.B) {
-	const (
-		held   = 3600
-		burst  = 37
-		window = 500 * time.Microsecond
-	)
-	k := NewKernel(1)
-	rng := k.NewStream("bursts")
-	fn := func(any) {}
-	for i := 0; i < held; i++ {
-		k.AtArg(100*time.Hour+Time(rng.Int63n(int64(time.Hour))), fn, nil)
-	}
-	var offsets [64][burst]Time
-	for i := range offsets {
-		for j := range offsets[i] {
-			offsets[i][j] = 1 + Time(rng.Int63n(int64(window)))
-		}
-		slices.Sort(offsets[i][:])
-	}
-	s := &Series{At: make([]Time, burst), Fn: func(any, int) {}}
-	frame := func(i int) {
-		now := k.Now()
-		for j, d := range offsets[i%len(offsets)] {
-			s.At[j] = now + d
-		}
-		k.AtSeries(s)
-		if err := k.Run(now + window); err != nil {
-			b.Fatal(err)
-		}
-	}
-	frame(0) // fill the freelist
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame(i)
-	}
-	if k.Pending() != held {
-		b.Fatalf("Pending() = %d after the frames drained, want the %d held events", k.Pending(), held)
-	}
-}
-
 // ---------------------------------------------------------------------
-// Oracle: the heap-only queue this package used before same-instant runs,
-// kept as the reference model. Every event enters the heap; schedule,
-// Cancel, Stop and the run loops are the old ones, minus wall-clock
-// telemetry and the RNG. TestRunQueueMatchesHeapModel and FuzzKernelOrder
-// drive it and Kernel with one program and require the same observable
+// Oracle: a plain (at, seq) heap kernel kept as the reference model.
+// Every event enters the heap; schedule, Cancel, Stop and the run loops
+// are Kernel's, minus wall-clock telemetry, the RNG and the cut that
+// backs Reached. TestRunQueueMatchesHeapModel and FuzzKernelOrder drive
+// it and Kernel with one program and require the same observable
 // history.
 //
 // Shadows model what Mark and Reached stand for: an arrival kept as data
@@ -1054,17 +944,6 @@ func (k *heapKernel) AtArg(t Time, fn func(any), arg any) heapEventID {
 	return k.schedule(t, nil, fn, arg)
 }
 
-// AtSeries is the series as the model knows it: each member its own
-// event, scheduled by AtArg in index order.
-func (k *heapKernel) AtSeries(s *Series) {
-	if s.Fn == nil {
-		return
-	}
-	for i, at := range s.At {
-		k.AtArg(at, func(a any) { s.Fn(a, i) }, s.Arg)
-	}
-}
-
 func (k *heapKernel) After(d Time, fn func()) heapEventID { return k.At(k.now+d, fn) }
 
 func (k *heapKernel) AfterArg(d Time, fn func(any), arg any) heapEventID {
@@ -1191,7 +1070,6 @@ func (k *heapKernel) Step() bool {
 type orderedKernel[ID any] interface {
 	At(Time, func()) ID
 	AtArg(Time, func(any), any) ID
-	AtSeries(*Series)
 	After(Time, func()) ID
 	Cancel(ID) bool
 	Stop()
@@ -1246,8 +1124,8 @@ func (s *side[ID]) history() history {
 	return h
 }
 
-// nearInstants keeps most of a program on a few instants, so long runs
-// form, get cancelled into and are extended while they drain.
+// nearInstants keeps most of a program on a few instants, so many events
+// share an instant, get cancelled among and are added to while it drains.
 var nearInstants = [3]Time{0, time.Millisecond, 3 * time.Millisecond}
 
 const maxOracleTickers = 6
@@ -1302,7 +1180,7 @@ func (s *side[ID]) logBool(code int, ok bool) {
 }
 
 // cancel cancels the back-th most recently issued id: small values of
-// back find run tails and mid-run members, large ones fired, cancelled and
+// back find recent and mid-heap events, large ones fired, cancelled and
 // recycled events.
 func (s *side[ID]) cancel(back int) {
 	if n := len(s.ids); n > 0 {
@@ -1323,7 +1201,7 @@ func (s *side[ID]) handler(b byte, depth int) func() {
 		}
 		now, arg := s.k.Now(), int(b>>3)
 		switch b % 8 {
-		case 0: // at now: extends the draining run or starts a later one
+		case 0: // at now: joins the draining instant, behind everything queued for it
 			s.at(now, s.handler(b>>3, depth+1))
 		case 1:
 			s.after(nearInstants[arg%3], s.handler(b>>3, depth+1))
@@ -1345,8 +1223,7 @@ func (s *side[ID]) handler(b byte, depth int) func() {
 }
 
 // burst schedules k events in ascending time, j·step after start, through
-// both callback forms: the shape of a frame's sorted receptions, one
-// multi-instant run when it extends the newest one or starts its own.
+// both callback forms: the shape of a frame's receptions.
 func (s *side[ID]) burst(start, step Time, k int, b byte) {
 	for j := 0; j < k; j++ {
 		at := start + Time(j)*step
@@ -1363,7 +1240,7 @@ func (s *side[ID]) apply(op, a, b byte) {
 	now := s.k.Now()
 	near := nearInstants[a%3]
 	wide := Time(int(a)<<8|int(b)) * time.Microsecond
-	switch op % 16 {
+	switch op % 14 {
 	case 0, 1:
 		s.at(now+near, s.handler(b, 0))
 	case 2:
@@ -1412,35 +1289,7 @@ func (s *side[ID]) apply(op, a, b byte) {
 		if b%2 == 1 {
 			s.cancel(k - 1)
 		}
-	case 14: // a series 0-300 µs apart, for odd a an event chained at its last member's instant
-		k, step := 1+int(a)%6, Time(b%4)*100*time.Microsecond
-		last := s.series(now+near, step, k, b)
-		if a%2 == 1 {
-			s.at(last, s.handler(b>>1, 0))
-		}
-	case 15: // a series at Now(), for odd b starting in the past and clamped
-		start := now
-		if b%2 == 1 {
-			start -= time.Millisecond
-		}
-		s.series(start, Time(a%3)*time.Millisecond, 1+int(a)%5, b)
 	}
-}
-
-// series schedules k members j·step after start as one Series, each a
-// labelled handler with its own follow-up and each with a shadow taken
-// before the series, and returns the last member's time.
-func (s *side[ID]) series(start, step Time, k int, b byte) Time {
-	sr := &Series{At: make([]Time, k), Fn: func(a any, i int) { a.([]func())[i]() }}
-	fns := make([]func(), k)
-	for j := range sr.At {
-		sr.At[j] = start + Time(j)*step
-		fns[j] = s.handler(b>>j, 0)
-		s.record(sr.At[j])
-	}
-	sr.Arg = fns
-	s.k.AtSeries(sr)
-	return sr.At[k-1]
 }
 
 // drain stops every ticker and runs the queue dry, through any Stop.
@@ -1479,7 +1328,7 @@ func checkProgram(t testing.TB, prog []byte) {
 	check := func(step string) {
 		t.Helper()
 		if g, w := got.history(), want.history(); !reflect.DeepEqual(g, w) {
-			t.Fatalf("%s: run queue and heap model diverge\n got %+v\nwant %+v", step, g, w)
+			t.Fatalf("%s: kernel and heap model diverge\n got %+v\nwant %+v", step, g, w)
 		}
 		if err := checkQueue(k, got.ids); err != nil {
 			t.Fatalf("%s: %v", step, err)
@@ -1488,7 +1337,7 @@ func checkProgram(t testing.TB, prog []byte) {
 	for i := 0; i+2 < len(prog); i += 3 {
 		got.apply(prog[i], prog[i+1], prog[i+2])
 		want.apply(prog[i], prog[i+1], prog[i+2])
-		check(fmt.Sprintf("instruction %d (%d %d %d)", i/3, prog[i]%16, prog[i+1], prog[i+2]))
+		check(fmt.Sprintf("instruction %d (%d %d %d)", i/3, prog[i]%14, prog[i+1], prog[i+2]))
 	}
 	got.drain()
 	want.drain()
@@ -1498,19 +1347,17 @@ func checkProgram(t testing.TB, prog []byte) {
 	}
 }
 
-// TestRunQueueMatchesHeapModel: the kernel's heap of sorted runs must be
-// indistinguishable from the plain heap it replaced — same firing order,
-// clock, counts, next-event time and id liveness after every operation of
-// seeded random programs that schedule through every entry point, mostly
-// onto three near instants or in ascending bursts across distinct ones,
-// queue series (at Now(), clamped from the past, chained behind the tail
-// or with events chained behind them, their members scheduling at their
-// own instant), cancel heads, mid-run members, tails, fired and recycled
-// ids, stop tickers from inside their own tick, Stop the run from inside
-// an event, and interleave Step, Run and RunBefore. Every scheduled event,
-// series member and some lone instants also take a shadow (at, Mark), and
-// Reached must say of each what the model's shadow heap says — popped or
-// not — as every event fires and after every instruction.
+// TestRunQueueMatchesHeapModel: the kernel must be indistinguishable from
+// the heap model — same firing order, clock, counts, next-event time and
+// id liveness after every operation of seeded random programs that
+// schedule through every entry point, mostly onto three near instants or
+// in ascending bursts across distinct ones, cancel the earliest, mid-heap,
+// newest, fired and recycled ids, stop tickers from inside their own tick,
+// Stop the run from inside an event, and interleave Step, Run and
+// RunBefore. Every scheduled event and some lone instants also take a
+// shadow (at, Mark), and Reached must say of each what the model's shadow
+// heap says — popped or not — as every event fires and after every
+// instruction.
 func TestRunQueueMatchesHeapModel(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -1525,7 +1372,7 @@ func FuzzKernelOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 1, 3, 0, 1, 4, 6, 1, 0, 9, 1, 0})
 	f.Add([]byte{5, 0, 1, 3, 0, 24, 3, 0, 2, 8, 0, 0, 10, 2, 0, 7, 0, 3})
 	f.Add([]byte{12, 4, 9, 13, 6, 3, 13, 1, 6, 8, 0, 0, 6, 2, 0, 10, 1, 0, 12, 5, 2, 9, 0, 0})
-	f.Add([]byte{12, 3, 1, 14, 5, 0, 14, 3, 2, 0, 2, 0, 15, 1, 3, 15, 4, 8, 8, 0, 0, 9, 1, 0, 14, 7, 6, 10, 2, 0})
+	f.Add([]byte{12, 3, 1, 13, 5, 3, 2, 0, 2, 3, 1, 3, 13, 4, 8, 8, 0, 0, 9, 1, 0, 6, 7, 6, 10, 2, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 3*400 {
 			prog = prog[:3*400]

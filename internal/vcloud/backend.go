@@ -23,14 +23,12 @@ type Backend interface {
 // RemoteCloud models the conventional (or mobile) cloud: tasks cross a
 // cellular uplink to a datacenter with the given aggregate compute.
 // Mobile clouds are the same structure with less compute and a slower
-// link (Fig. 2's middle column).
+// link (Fig. 2's middle column). Its exchanges ride an estimator-backed
+// uplink sender, so the backend's own traffic feeds congestion feedback
+// (see radio.Sender and the placement governor).
 type RemoteCloud struct {
 	name   string
 	kernel *sim.Kernel
-	uplink *radio.Uplink
-	// sender, when non-nil, routes exchanges through an estimator-backed
-	// uplink sender so this backend's own traffic feeds congestion
-	// feedback (see radio.Sender and the placement governor).
 	sender *radio.Sender
 	// cpu is the datacenter's effective per-task compute rate (ops/s).
 	cpu   float64
@@ -38,33 +36,20 @@ type RemoteCloud struct {
 	next  TaskID
 }
 
-// NewRemoteCloud creates a remote backend over the given uplink.
-func NewRemoteCloud(name string, kernel *sim.Kernel, uplink *radio.Uplink, cpu float64, stats *Stats) (*RemoteCloud, error) {
+// NewRemoteCloud creates a remote backend whose traffic rides sender:
+// every exchange feeds the sender's bandwidth estimator, so the backend
+// observes the congestion it causes.
+func NewRemoteCloud(name string, kernel *sim.Kernel, sender *radio.Sender, cpu float64, stats *Stats) (*RemoteCloud, error) {
 	if name == "" {
 		return nil, fmt.Errorf("vcloud: backend name must not be empty")
 	}
-	if kernel == nil || uplink == nil || stats == nil {
-		return nil, fmt.Errorf("vcloud: kernel, uplink and stats must not be nil")
+	if kernel == nil || sender == nil || stats == nil {
+		return nil, fmt.Errorf("vcloud: kernel, sender and stats must not be nil")
 	}
 	if cpu <= 0 {
 		return nil, fmt.Errorf("vcloud: datacenter cpu must be positive, got %v", cpu)
 	}
-	return &RemoteCloud{name: name, kernel: kernel, uplink: uplink, cpu: cpu, stats: stats}, nil
-}
-
-// NewRemoteCloudSender creates a remote backend whose traffic rides an
-// estimator-backed sender: every exchange feeds the sender's bandwidth
-// estimator, so the backend observes the congestion it causes.
-func NewRemoteCloudSender(name string, kernel *sim.Kernel, sender *radio.Sender, cpu float64, stats *Stats) (*RemoteCloud, error) {
-	if sender == nil {
-		return nil, fmt.Errorf("vcloud: sender must not be nil")
-	}
-	rc, err := NewRemoteCloud(name, kernel, sender.Uplink(), cpu, stats)
-	if err != nil {
-		return nil, err
-	}
-	rc.sender = sender
-	return rc, nil
+	return &RemoteCloud{name: name, kernel: kernel, sender: sender, cpu: cpu, stats: stats}, nil
 }
 
 // Name implements Backend.
@@ -80,11 +65,7 @@ func (r *RemoteCloud) Submit(task Task, done func(TaskResult)) error {
 	r.stats.Submitted.Inc()
 	start := r.kernel.Now()
 	compute := sim.Time(task.Ops / r.cpu * float64(time.Second))
-	roundTrip := r.uplink.RoundTrip
-	if r.sender != nil {
-		roundTrip = r.sender.RoundTrip
-	}
-	sent := roundTrip(task.InputBytes, task.OutputBytes, func() {
+	sent := r.sender.RoundTrip(task.InputBytes, task.OutputBytes, func() {
 		// The round trip models transfer; add datacenter compute.
 		r.kernel.After(compute, func() {
 			lat := r.kernel.Now() - start

@@ -77,7 +77,7 @@ func TestGovernorAdaptsToCongestion(t *testing.T) {
 	}
 	// Congestion: a 10 MB transfer ahead in the FIFO holds the channel
 	// for 2 s against 0.2 s locally, far past any hysteresis band.
-	up.RoundTrip(10_000_000, 0, nil)
+	up.NewSender(radio.BWEConfig{}).RoundTrip(10_000_000, 0, nil)
 	if err := g.Submit(task, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -339,7 +339,7 @@ func TestRemoteCloudBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := &vcloud.Stats{}
-	rc, err := vcloud.NewRemoteCloud("conventional", k, up, 1e6, stats)
+	rc, err := vcloud.NewRemoteCloud("conventional", k, up.NewSender(radio.BWEConfig{}), 1e6, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,20 +379,21 @@ func TestRemoteCloudBackend(t *testing.T) {
 func TestRemoteCloudValidation(t *testing.T) {
 	k := sim.NewKernel(1)
 	up, _ := radio.NewUplink(k, radio.DefaultUplinkParams())
+	tx := up.NewSender(radio.BWEConfig{})
 	stats := &vcloud.Stats{}
-	if _, err := vcloud.NewRemoteCloud("", k, up, 1, stats); err == nil {
+	if _, err := vcloud.NewRemoteCloud("", k, tx, 1, stats); err == nil {
 		t.Error("empty name")
 	}
-	if _, err := vcloud.NewRemoteCloud("x", nil, up, 1, stats); err == nil {
+	if _, err := vcloud.NewRemoteCloud("x", nil, tx, 1, stats); err == nil {
 		t.Error("nil kernel")
 	}
 	if _, err := vcloud.NewRemoteCloud("x", k, nil, 1, stats); err == nil {
-		t.Error("nil uplink")
+		t.Error("nil sender")
 	}
-	if _, err := vcloud.NewRemoteCloud("x", k, up, 0, stats); err == nil {
+	if _, err := vcloud.NewRemoteCloud("x", k, tx, 0, stats); err == nil {
 		t.Error("zero cpu")
 	}
-	if _, err := vcloud.NewRemoteCloud("x", k, up, 1, nil); err == nil {
+	if _, err := vcloud.NewRemoteCloud("x", k, tx, 1, nil); err == nil {
 		t.Error("nil stats")
 	}
 }

@@ -195,7 +195,7 @@ func NewGovernor(s *Scenario, cfg GovernorConfig, stats *CloudStats) (*Governor,
 // exchanges ride an estimator-backed UplinkSender, feeding the
 // governor's live view of the channel.
 func NewRemoteCloudSender(name string, s *Scenario, sender *UplinkSender, cpu float64, stats *CloudStats) (*RemoteCloud, error) {
-	return vcloud.NewRemoteCloudSender(name, s.Kernel, sender, cpu, stats)
+	return vcloud.NewRemoteCloud(name, s.Kernel, sender, cpu, stats)
 }
 
 // Security types (the §V.A secure v-cloud architecture).
