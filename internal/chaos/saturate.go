@@ -83,7 +83,6 @@ func (sk *soak) setupSaturate() error {
 		BandwidthMbps: satUplinkMbps,
 		LossProb:      0.02,
 		JitterFrac:    0.1,
-		Contended:     true,
 	})
 	if err != nil {
 		return err

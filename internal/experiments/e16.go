@@ -75,11 +75,11 @@ func E16CongestionPlacement(cfg Config) (*Result, error) {
 		}
 		s, stats, dep := w.Scenario, w.Stats, w.Cloud
 
-		// The shared cloud uplink: contended, so concurrent transfers
-		// queue and tail-drop — the channel the estimator instruments.
+		// The shared cloud uplink: concurrent transfers queue and
+		// tail-drop — the channel the estimator instruments.
 		cloudUp, err := radio.NewUplink(s.Kernel, radio.UplinkParams{
 			BaseRTT: 60 * time.Millisecond, BandwidthMbps: cloudMbps,
-			LossProb: 0.02, JitterFrac: 0.1, Contended: true,
+			LossProb: 0.02, JitterFrac: 0.1,
 		})
 		if err != nil {
 			return err
@@ -97,7 +97,7 @@ func E16CongestionPlacement(cfg Config) (*Result, error) {
 		// second datacenter.
 		edgeUp, err := radio.NewUplink(s.Kernel, radio.UplinkParams{
 			BaseRTT: 10 * time.Millisecond, BandwidthMbps: edgeMbps,
-			LossProb: 0.005, JitterFrac: 0.1, Contended: true,
+			LossProb: 0.005, JitterFrac: 0.1,
 		})
 		if err != nil {
 			return err

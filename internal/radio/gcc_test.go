@@ -88,7 +88,6 @@ func TestEstimateTraceDeterminism(t *testing.T) {
 	trace := func() []float64 {
 		k := sim.NewKernel(99)
 		p := DefaultUplinkParams()
-		p.Contended = true
 		p.BandwidthMbps = 2
 		p.LossProb = 0.05
 		u, err := NewUplink(k, p)
@@ -123,13 +122,12 @@ func TestEstimateTraceDeterminism(t *testing.T) {
 	}
 }
 
-// A contended uplink serializes concurrent transfers: the second of two
+// An uplink serializes concurrent transfers: the second of two
 // simultaneous exchanges waits for the first's serialization time, and a
 // backlog beyond MaxQueueDelay tail-drops into the Dropped counter.
 func TestUplinkContention(t *testing.T) {
 	k := sim.NewKernel(1)
 	p := DefaultUplinkParams()
-	p.Contended = true
 	p.LossProb = 0
 	p.JitterFrac = 0
 	p.BandwidthMbps = 1 // 125 kB/s: big transfers make queueing visible

@@ -1,8 +1,8 @@
 // Package radio models the shared wireless medium that V2V and V2I
 // communication crosses: a DSRC-like broadcast channel with
 // distance-dependent reception probability, load-dependent collision
-// loss, and transmission delay, plus a cellular/Internet uplink model for
-// the conventional-cloud baseline (E1).
+// loss, and transmission delay, plus the shared FIFO cellular/Internet
+// uplink every remote cloud sits behind (E1, E16).
 //
 // The model is deliberately at the "packet-level abstraction" fidelity of
 // vehicular-networking simulators: no per-bit PHY, but the three effects
@@ -40,9 +40,10 @@ type Handler func(Frame)
 
 // Inbox takes a beacon reception (see Medium.Beacon) as data rather than
 // as an event: the payload, the instant at which it arrives and the kernel
-// Mark the reception was decided at. The receiver applies it once
-// sim.Kernel.Reached(at, mark) holds, the next time it touches the state
-// the beacon feeds, so the reception costs the kernel nothing.
+// Mark the reception was decided at. The receiver, which hands its inbox
+// to Register, applies it once sim.Kernel.Reached(at, mark) holds, the
+// next time it touches the state the beacon feeds, so the reception costs
+// the kernel nothing.
 type Inbox func(payload any, at sim.Time, mark uint64)
 
 // Params configures the medium.
@@ -156,7 +157,7 @@ const pageBits = 10
 type handlerPage [1 << pageBits]endpoint
 
 // endpoint is a registered node: the handler its frames run, and the
-// inbox that takes its beacon receptions instead, if it keeps one.
+// inbox that takes its beacon receptions, if it keeps one.
 type endpoint struct {
 	h  Handler
 	in Inbox
@@ -302,12 +303,17 @@ func (m *Medium) SetPromiscuous(id NodeID, h Handler) {
 	}
 }
 
-// Register attaches a node's receive handler. Re-registering replaces the
-// handler; a nil handler removes it. Negative ids (Broadcast among them)
-// are not endpoints: registering one is a no-op and nothing is ever
-// delivered to it. The table costs 8 bytes per 1024 ids below the largest
-// one registered, so ids are expected in a few dense runs.
-func (m *Medium) Register(id NodeID, h Handler) {
+// Register attaches a node: h runs the frames Send delivers to it, and
+// the inbox, if one is passed, takes the beacons that reach it (see
+// Beacon). A node registered without an inbox hears no beacons; the
+// inbox is optional only so that such Send-only endpoints (the
+// benchmark's radio probe) keep a two-argument call, and any past the
+// first is ignored. Re-registering replaces both; a nil handler removes
+// the node. Negative ids (Broadcast
+// among them) are not endpoints: registering one is a no-op and nothing
+// is ever delivered to it. The table costs 8 bytes per 1024 ids below the
+// largest one registered, so ids are expected in a few dense runs.
+func (m *Medium) Register(id NodeID, h Handler, in ...Inbox) {
 	if id < 0 || (h == nil && m.endpoint(id).h == nil) {
 		return // not an endpoint, or nothing to remove
 	}
@@ -318,19 +324,11 @@ func (m *Medium) Register(id NodeID, h Handler) {
 	if m.handlers[p] == nil {
 		m.handlers[p] = new(handlerPage)
 	}
-	ep := &m.handlers[p][id&(1<<pageBits-1)]
-	if ep.h = h; h == nil {
-		ep.in = nil
+	ep := endpoint{h: h}
+	if h != nil && len(in) > 0 {
+		ep.in = in[0]
 	}
-}
-
-// SetInbox hands the beacons that reach a registered node to in instead
-// of its handler, or, with a nil in, to the handler again. It is a no-op
-// for a node with no handler, and Register(id, nil) drops the inbox too.
-func (m *Medium) SetInbox(id NodeID, in Inbox) {
-	if m.endpoint(id).h != nil {
-		m.handlers[id>>pageBits][id&(1<<pageBits-1)].in = in
-	}
+	m.handlers[p][id&(1<<pageBits-1)] = ep
 }
 
 // endpoint returns id's registration, zero when it has none. A negative
@@ -446,13 +444,15 @@ func (p Params) ReceptionProb(d float64) float64 {
 // Shared by the unicast and broadcast arms of send; broadcasts pass
 // retries == 0 (no ARQ on a real MAC). tx is the frame's on-air time;
 // faulty says whether send took the sender's side of an installed fault
-// table.
-func (m *Medium) deliver(dst NodeID, src, dstPos geo.Point, tx sim.Time, retries int, pCollide float64, faulty bool) (endpoint, sim.Time, bool) {
+// table. A beacon's candidates are the endpoints with an inbox, any
+// other frame's those with a handler; the rest are passed over before
+// any radio draw.
+func (m *Medium) deliver(dst NodeID, src, dstPos geo.Point, tx sim.Time, retries int, pCollide float64, faulty, beacon bool) (endpoint, sim.Time, bool) {
 	if faulty && m.faults.drops(dst, dstPos) {
 		return endpoint{}, 0, false
 	}
 	ep := m.endpoint(dst)
-	if ep.h == nil {
+	if ep.h == nil || beacon && ep.in == nil {
 		return endpoint{}, 0, false
 	}
 	d := src.Dist(dstPos)
@@ -516,11 +516,11 @@ func (m *Medium) Send(from, to NodeID, size int, payload any) {
 
 // Beacon broadcasts a beacon: a frame whose receptions are state, not
 // events. Its receptions are decided exactly as Send decides a
-// broadcast's. A receiver with an inbox (SetInbox) is handed its reception
-// on the spot, with the instant it arrives; every other receiver's runs
-// through its handler as an event, as a Send reception does. The inbox
-// receptions of a frame take their place in the kernel's (time, seq) order
-// just ahead of the frame's event receptions.
+// broadcast's, over the receivers that registered an inbox, and each is
+// handed to its receiver's inbox on the spot, with the instant it arrives:
+// a beacon schedules no kernel event but a spy's overhearing. Its inbox
+// receptions take their place in the kernel's (time, seq) order just
+// ahead of those spy events.
 func (m *Medium) Beacon(from NodeID, size int, payload any) {
 	m.send(from, Broadcast, size, payload, true)
 }
@@ -564,16 +564,16 @@ func (m *Medium) send(from, to NodeID, size int, payload any, beacon bool) {
 		m.scratchIDs, m.scratchPos = m.index.WithinRangePos(
 			m.scratchIDs[:0], m.scratchPos[:0], src, m.params.RangeMax, int32(from))
 		// Every inbox reception of the frame carries the same mark, the
-		// seq its first event reception will take.
+		// seq its first event reception (a spy's) would take.
 		now, mark := m.kernel.Now(), m.kernel.Mark()
 		if beacon {
 			m.land()
 		}
 		for i, raw := range m.scratchIDs {
-			ep, delay, ok := m.deliver(NodeID(raw), src, m.scratchPos[i], tx, 0, pCollide, faulty)
+			ep, delay, ok := m.deliver(NodeID(raw), src, m.scratchPos[i], tx, 0, pCollide, faulty, beacon)
 			switch {
 			case !ok:
-			case beacon && ep.in != nil:
+			case beacon:
 				m.flight = append(m.flight, arrival{now + delay, mark})
 				//vcloudlint:allow hotalloc the receiver's inbox (vnet.Node.arrive); TestBroadcastAllocs holds a warm beacon, its receivers' applies and a Stats read at zero
 				ep.in(payload, now+delay, mark)
@@ -586,7 +586,7 @@ func (m *Medium) send(from, to NodeID, size int, payload any, beacon bool) {
 		if retries < 0 {
 			retries = 0
 		}
-		if ep, delay, ok := m.deliver(to, src, p, tx, retries, pCollide, faulty); ok {
+		if ep, delay, ok := m.deliver(to, src, p, tx, retries, pCollide, faulty, false); ok {
 			m.rx = append(m.rx, reception{delay: delay, h: ep.h, count: true})
 		}
 	}

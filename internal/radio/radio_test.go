@@ -339,6 +339,85 @@ func TestNoHandlerNoDraw(t *testing.T) {
 	}
 }
 
+// TestBeaconSchedulesNoEvent: a beacon's receptions are state. Handed to
+// N inbox receivers it puts nothing on the kernel's queue; a receiver
+// registered without an inbox hears no beacon and costs no radio draw; a
+// spy still overhears it as an event.
+func TestBeaconSchedulesNoEvent(t *testing.T) {
+	k := sim.NewKernel(1)
+	p := DefaultParams()
+	p.CollisionFactor = 0
+	m, err := NewMedium(k, testBounds(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	inboxes := make([]testInbox, n)
+	handled := 0
+	for i := range n + 1 {
+		id := NodeID(i)
+		m.UpdatePosition(id, geo.Point{X: float64(1000 + 10*i), Y: 1000})
+		if i == 0 {
+			m.Register(id, func(Frame) {})
+			continue
+		}
+		inboxes[i-1].k = k
+		m.Register(id, func(Frame) { handled++ }, inboxes[i-1].arrive)
+	}
+	// Handler-only and positioned: in range, yet no beacon candidate.
+	m.UpdatePosition(50, geo.Point{X: 1005, Y: 1000})
+	m.Register(50, func(Frame) { handled++ })
+
+	before := k.Pending()
+	m.Beacon(0, 300, "b1")
+	if got := k.Pending(); got != before {
+		t.Errorf("a beacon to %d inbox receivers left %d events pending, want %d", n, got, before)
+	}
+	if err := k.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := range inboxes {
+		inboxes[i].apply()
+		if inboxes[i].applied != 1 {
+			t.Errorf("inbox %d applied %d beacons, want 1", i+1, inboxes[i].applied)
+		}
+	}
+	if st := m.Stats(); handled != 0 || st.Delivered != n || st.LostRange+st.LostLoad != 0 {
+		t.Errorf("handlers ran %d times, stats %+v; want no handler and %d deliveries", handled, st, n)
+	}
+	if next, want := m.rng.Int63(), radioStreamAfter(n); next != want {
+		t.Errorf("radio stream: next value %d, want %d (draws for the %d inbox receivers only)", next, want, n)
+	}
+
+	var overheard []Frame
+	m.UpdatePosition(60, geo.Point{X: 1000, Y: 1010})
+	m.SetPromiscuous(60, func(f Frame) { overheard = append(overheard, f) })
+	before = k.Pending()
+	m.Beacon(0, 300, "b2")
+	if got := k.Pending(); got != before+1 {
+		t.Errorf("a beacon with one spy in range left %d events pending, want %d", got, before+1)
+	}
+	if err := k.Run(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(overheard) != 1 || overheard[0].Payload != "b2" || overheard[0].To != Broadcast {
+		t.Errorf("the spy overheard %+v, want the beacon once", overheard)
+	}
+}
+
+// radioStreamAfter returns the value a fresh seed-1 radio stream yields
+// after n certain, collision-free receptions: a fade draw, a collision
+// draw and a jitter draw each.
+func radioStreamAfter(n int) int64 {
+	rng := sim.NewKernel(1).NewStream("radio")
+	for range n {
+		rng.Float64()
+		rng.Float64()
+		rng.Int63n(int64(500 * time.Microsecond))
+	}
+	return rng.Int63()
+}
+
 func TestHighLoadCausesCollisionLoss(t *testing.T) {
 	k := sim.NewKernel(3)
 	m := newTestMedium(t, k)
@@ -568,12 +647,13 @@ func TestBroadcastAllocs(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		id := NodeID(i)
 		m.UpdatePosition(id, geo.Point{X: float64(1000 + i*10), Y: 1000})
-		m.Register(id, func(Frame) {})
-		if i >= 10 {
-			in := &inboxes[i-10]
-			in.k = k
-			m.SetInbox(id, in.arrive)
+		if i < 10 {
+			m.Register(id, func(Frame) {})
+			continue
 		}
+		in := &inboxes[i-10]
+		in.k = k
+		m.Register(id, func(Frame) {}, in.arrive)
 	}
 	payload := &msg{}
 	for faults := range 2 {
@@ -789,9 +869,9 @@ func BenchmarkBroadcast100Nodes(b *testing.B) {
 // reception its own kernel event, scheduled the moment it is decided, in
 // receiver order, the spies' after them, and every (sender, receiver) pair
 // judged by the per-pair fault filter the fault injector used to install,
-// positions looked up for both ends. A beacon's inbox receptions are
-// scheduled as decided and its other receptions after them: the place
-// Medium.Beacon gives them in the (time, seq) order.
+// positions looked up for both ends. A beacon reaches only the receivers
+// that keep an inbox, each reception scheduled as decided and the spies'
+// after them: the place Medium.Beacon gives them in the (time, seq) order.
 // TestSendMatchesPerReceiverModel drives it and Send from one seed and
 // requires the same observable history.
 
@@ -858,20 +938,20 @@ func refSend(m *Medium, from, to NodeID, size int, payload any, inbox func(NodeI
 		}
 		m.rx = m.rx[:0]
 	}
-	var later []reception
 	decide := func(dst NodeID, p geo.Point, retries int) {
-		if refBlocked(m, from, dst) {
+		if refBlocked(m, from, dst) || inbox != nil && m.endpoint(dst).in == nil {
 			return
 		}
-		ep, delay, ok := m.deliver(dst, src, p, m.txDelay(size), retries, pCollide, false)
-		switch {
-		case !ok:
-		case inbox != nil && ep.in != nil:
-			m.rx = append(m.rx, reception{delay: delay, h: inbox(dst), count: true})
-			scheduleNow()
-		default:
-			later = append(later, reception{delay: delay, h: ep.h, count: true})
+		ep, delay, ok := m.deliver(dst, src, p, m.txDelay(size), retries, pCollide, false, false)
+		if !ok {
+			return
 		}
+		h := ep.h
+		if inbox != nil {
+			h = inbox(dst)
+		}
+		m.rx = append(m.rx, reception{delay: delay, h: h, count: true})
+		scheduleNow()
 	}
 	if to == Broadcast {
 		m.scratchIDs, m.scratchPos = m.index.WithinRangePos(
@@ -881,10 +961,6 @@ func refSend(m *Medium, from, to NodeID, size int, payload any, inbox func(NodeI
 		}
 	} else if p, ok := m.index.Position(int32(to)); ok {
 		decide(to, p, max(m.params.UnicastRetries, 0))
-	}
-	for _, r := range later {
-		m.rx = append(m.rx, r)
-		scheduleNow()
 	}
 	for _, sp := range m.spies {
 		if sp.id == from || sp.id == to {
@@ -1016,18 +1092,19 @@ func (s *radioSide) spy(id NodeID) Handler {
 // some nodes in the fade zone, every odd-numbered registered node keeping
 // an inbox, three spies, and a fault table with two crashed nodes, one
 // isolation, two partitions and loss; then timed broadcasts, beacons and
-// unicasts, moves, re-registrations (an unregistered inbox node comes
-// back without one unless it sets one again), crashes, recoveries, heals
-// and loss changes.
+// unicasts, moves, re-registrations (which replace the inbox too: an odd
+// node passes one on every other re-registration), crashes, recoveries,
+// heals and loss changes.
 func (s *radioSide) run(t *testing.T, seed int64) {
 	prog := rand.New(rand.NewSource(seed))
 	for id := NodeID(0); id < diffNodes; id++ {
 		s.m.UpdatePosition(id, geo.Point{X: 1000 + prog.Float64()*500, Y: 1000 + prog.Float64()*150})
-		if id%7 != 6 {
+		switch {
+		case id%7 == 6:
+		case id%2 == 1:
+			s.m.Register(id, s.handler(id), s.inbox(id))
+		default:
 			s.m.Register(id, s.handler(id))
-		}
-		if id%2 == 1 {
-			s.m.SetInbox(id, s.inbox(id))
 		}
 	}
 	for _, id := range []NodeID{3, 11, 29} {
@@ -1057,9 +1134,10 @@ func (s *radioSide) run(t *testing.T, seed int64) {
 			case 9:
 				s.m.UpdatePosition(from, geo.Point{X: 1000 + float64(arg)*15, Y: 1100})
 			case 10:
-				s.m.Register(from, s.handler(from))
 				if from%2 == 1 && op%2 == 0 {
-					s.m.SetInbox(from, s.inbox(from))
+					s.m.Register(from, s.handler(from), s.inbox(from))
+				} else {
+					s.m.Register(from, s.handler(from))
 				}
 			case 11:
 				switch op % 5 {

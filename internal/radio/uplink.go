@@ -8,17 +8,13 @@ import (
 	"vcloud/internal/sim"
 )
 
-// Uplink models the cellular/Internet path a conventional cloud depends
-// on: fixed base latency, bandwidth-limited transfer time, a loss
-// probability, and an availability switch the disaster experiments (E1,
-// E2) flip off. The paper's Fig. 2 "infrastructure reliance" row is about
+// UplinkParams configures the cellular/Internet path a remote cloud
+// depends on: fixed base latency, bandwidth-limited transfer time, a loss
+// probability, and an availability switch the outage experiment (E1)
+// flips off. The paper's Fig. 2 "infrastructure reliance" row is about
 // exactly this dependency.
 //
-// Two channel models share this type. The legacy model (Contended off)
-// is an infinite-capacity pipe: concurrent transfers never interact, and
-// each pays only its own serialization time — the configuration E1/E2
-// were calibrated against, preserved bit-for-bit. The contended model
-// (Contended on) is a FIFO shared channel: transfers serialize at
+// The link is a FIFO shared channel: transfers serialize at
 // BandwidthMbps, queue behind the channel's backlog, and tail-drop when
 // the queue wait would exceed MaxQueueDelay — which is what lets a
 // congestion controller *observe* load (see Sender and gcc.go).
@@ -31,13 +27,13 @@ type UplinkParams struct {
 	LossProb float64
 	// JitterFrac adds uniform ±frac jitter to latency.
 	JitterFrac float64
-	// Contended switches the link from an infinite-capacity pipe to a
-	// FIFO shared channel where concurrent transfers contend for
-	// BandwidthMbps.
+	// Contended is ignored: every uplink is the FIFO shared channel. The
+	// field stays only because benchmark/wl_parked.go spells it (ROADMAP
+	// item 3(ii)).
 	Contended bool
-	// MaxQueueDelay bounds the FIFO queue (Contended only): a transfer
-	// whose queue wait would exceed it is dropped at the tail instead of
-	// buffering without limit. Default 2 s.
+	// MaxQueueDelay bounds the FIFO queue: a transfer whose queue wait
+	// would exceed it is dropped at the tail instead of buffering without
+	// limit. Default 2 s.
 	MaxQueueDelay sim.Time
 }
 
@@ -62,8 +58,8 @@ type Uplink struct {
 	// overlapped an outage window — even one that has already healed —
 	// and the exchange died with it.
 	outages uint64
-	// busyUntil is when the FIFO channel finishes its current backlog
-	// (Contended only); a new transfer queues behind it.
+	// busyUntil is when the FIFO channel finishes its current backlog; a
+	// new transfer queues behind it.
 	busyUntil sim.Time
 
 	sent, delivered, lost, dropped uint64
@@ -86,7 +82,7 @@ func NewUplink(kernel *sim.Kernel, params UplinkParams) (*Uplink, error) {
 	if params.MaxQueueDelay < 0 {
 		return nil, fmt.Errorf("radio: MaxQueueDelay must be non-negative, got %v", params.MaxQueueDelay)
 	}
-	if params.Contended && params.MaxQueueDelay == 0 {
+	if params.MaxQueueDelay == 0 {
 		params.MaxQueueDelay = 2 * time.Second
 	}
 	return &Uplink{
@@ -134,11 +130,8 @@ func (u *Uplink) Counters() (sent, delivered, lost, dropped uint64) {
 }
 
 // QueueDelay reports how long a transfer launched now would wait behind
-// the FIFO backlog (zero on an uncontended link).
+// the FIFO backlog.
 func (u *Uplink) QueueDelay() sim.Time {
-	if !u.params.Contended {
-		return 0
-	}
 	if now := u.kernel.Now(); u.busyUntil > now {
 		return u.busyUntil - now
 	}
@@ -166,12 +159,12 @@ func (u *Uplink) NewSender(cfg BWEConfig) *Sender {
 }
 
 // RoundTrip schedules fn after a full request/response exchange of the
-// given sizes, or drops it (fn never runs) on loss, outage, or — on a
-// contended link — a FIFO tail drop. It reports whether the exchange was
-// initiated (false = uplink down). The exchange's send time, arrival time
-// and size, or its loss, feed this sender's estimator. The RNG draw order
-// — loss first, jitter second — is load-bearing: the legacy uncontended
-// path must replay historical experiment streams bit-for-bit.
+// given sizes, or drops it (fn never runs) on loss, outage, or a FIFO
+// tail drop. It reports whether the exchange was initiated (false =
+// uplink down). The exchange's send time, arrival time and size, or its
+// loss, feed this sender's estimator. The RNG draw order — loss first,
+// jitter second — is load-bearing: changing it moves every digest and
+// table an uplink feeds.
 func (s *Sender) RoundTrip(reqBytes, respBytes int, fn func()) bool {
 	u := s.u
 	if !u.available {
@@ -196,21 +189,16 @@ func (s *Sender) RoundTrip(reqBytes, respBytes int, fn func()) bool {
 	if u.params.JitterFrac > 0 {
 		lat *= 1 + (u.rng.Float64()*2-1)*u.params.JitterFrac
 	}
-	var wait sim.Time
-	if u.params.Contended {
-		if u.busyUntil > now {
-			wait = u.busyUntil - now
-		}
-		if wait > u.params.MaxQueueDelay {
-			// Tail drop: the bounded queue is full. For the estimator this
-			// is indistinguishable from congestion loss — which is exactly
-			// the signal its loss-based controller wants.
-			u.dropped++
-			s.est.OnLost(now)
-			return true
-		}
-		u.busyUntil = now + wait + sim.Time(transfer*float64(time.Second))
+	wait := u.QueueDelay()
+	if wait > u.params.MaxQueueDelay {
+		// Tail drop: the bounded queue is full. For the estimator this is
+		// indistinguishable from congestion loss — which is exactly the
+		// signal its loss-based controller wants.
+		u.dropped++
+		s.est.OnLost(now)
+		return true
 	}
+	u.busyUntil = now + wait + sim.Time(transfer*float64(time.Second))
 	mark := u.outages
 	s.est.OnSent(now, bytes)
 	u.kernel.After(wait+sim.Time(lat), func() {

@@ -1,9 +1,11 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"vcloud/internal/sim"
@@ -18,10 +20,10 @@ const (
 	epidemicLifetime = 30 * time.Second
 	// epidemicBuffer caps the per-node store.
 	epidemicBuffer = 64
-	// contactWindow: a beacon from a node not heard within this window
-	// counts as a new contact and triggers a buffer exchange.
+	// contactWindow: a neighbour silent this long before its latest
+	// beacon is a new contact, and triggers a buffer exchange.
 	contactWindow = 10 * time.Second
-	// flushMinGap rate-limits buffer flushes.
+	// flushMinGap is the contact scan's period: at most one flush per gap.
 	flushMinGap = time.Second
 )
 
@@ -34,11 +36,13 @@ type Epidemic struct {
 	common
 	rng    *rand.Rand
 	buffer map[bufferKey]bufferedMsg
-	// contacts tracks when each neighbor was last heard, to detect new
-	// encounters.
-	contacts  map[vnet.Addr]sim.Time
-	lastFlush sim.Time
-	stopped   bool
+	// contacts holds when each neighbour was last heard, as of the last
+	// scan, to tell a new encounter from an ongoing one. The scan drops
+	// entries older than contactWindow: a neighbour heard again after
+	// that is a new encounter whether it is remembered or not.
+	contacts map[vnet.Addr]sim.Time
+	scan     *sim.Ticker
+	stopped  bool
 }
 
 type bufferKey struct {
@@ -51,8 +55,14 @@ type bufferedMsg struct {
 	expires sim.Time
 }
 
-// NewEpidemic creates an epidemic router on node. The node must beacon
-// (scenario default) for contact detection to trigger exchanges.
+// keyOrder orders buffered copies by (origin, seq).
+func keyOrder(a, b bufferKey) int {
+	return cmp.Or(cmp.Compare(a.origin, b.origin), cmp.Compare(a.seq, b.seq))
+}
+
+// NewEpidemic creates an epidemic router on node. Contacts are found in
+// the node's neighbour table, so its neighbours must beacon (scenario
+// default) for exchanges to trigger.
 func NewEpidemic(node *vnet.Node, stats *Stats, deliver DeliverFunc) (*Epidemic, error) {
 	c, err := newCommon(node, stats, deliver)
 	if err != nil {
@@ -64,8 +74,10 @@ func NewEpidemic(node *vnet.Node, stats *Stats, deliver DeliverFunc) (*Epidemic,
 		buffer:   make(map[bufferKey]bufferedMsg),
 		contacts: make(map[vnet.Addr]sim.Time),
 	}
+	if e.scan, err = node.Kernel().Every(flushMinGap, e.scanContacts); err != nil {
+		return nil, err
+	}
 	node.Handle(epidemicKind, e.onMessage)
-	node.OnBeacon(e.onBeacon)
 	return e, nil
 }
 
@@ -78,6 +90,7 @@ func (e *Epidemic) Stop() {
 		return
 	}
 	e.stopped = true
+	e.scan.Stop()
 	e.node.Handle(epidemicKind, nil)
 }
 
@@ -102,16 +115,11 @@ func (e *Epidemic) store(msg vnet.Message) {
 		// Evict the entry closest to expiry; break timestamp ties by key
 		// so eviction never depends on map iteration order.
 		var oldest bufferKey
-		var oldestAt sim.Time = 1 << 62
+		var oldestAt sim.Time
 		first := true
 		for k, b := range e.buffer {
-			switch {
-			case first || b.expires < oldestAt:
+			if first || b.expires < oldestAt || b.expires == oldestAt && keyOrder(k, oldest) < 0 {
 				oldest, oldestAt, first = k, b.expires, false
-			case b.expires == oldestAt:
-				if k.origin < oldest.origin || (k.origin == oldest.origin && k.seq < oldest.seq) {
-					oldest = k
-				}
 			}
 		}
 		delete(e.buffer, oldest)
@@ -163,38 +171,29 @@ func (e *Epidemic) onMessage(msg vnet.Message, _ vnet.Addr) {
 	e.transmit(msg, sim.Time(e.rng.Int63n(int64(20*time.Millisecond))))
 }
 
-// onBeacon detects new contacts and re-offers the buffer — the
-// store–carry–forward exchange that bridges network partitions.
-func (e *Epidemic) onBeacon(b vnet.Beacon) {
-	if e.stopped {
-		return
-	}
+// scanContacts reads the neighbour table every flushMinGap and, when it
+// finds a new contact, re-offers the buffer — the store–carry–forward
+// exchange that bridges network partitions.
+func (e *Epidemic) scanContacts() {
 	now := e.node.Kernel().Now()
-	last, known := e.contacts[b.From]
-	e.contacts[b.From] = now
-	if known && now-last < contactWindow {
-		return // ongoing contact, not a new encounter
+	met := false
+	for _, r := range e.node.Rows() {
+		last, known := e.contacts[r.Beacon.From]
+		met = met || !known || r.LastSeen-last >= contactWindow
+		e.contacts[r.Beacon.From] = r.LastSeen
 	}
-	if now-e.lastFlush < flushMinGap {
+	maps.DeleteFunc(e.contacts, func(_ vnet.Addr, last sim.Time) bool { return now-last >= contactWindow })
+	if !met {
 		return
 	}
-	e.lastFlush = now
 	// Drop expired copies, re-offer the rest in canonical order (map
 	// iteration must not leak into transmission order).
+	maps.DeleteFunc(e.buffer, func(_ bufferKey, b bufferedMsg) bool { return now > b.expires })
 	keys := make([]bufferKey, 0, len(e.buffer))
-	for k, buf := range e.buffer {
-		if now > buf.expires {
-			delete(e.buffer, k)
-			continue
-		}
+	for k := range e.buffer {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].origin != keys[j].origin {
-			return keys[i].origin < keys[j].origin
-		}
-		return keys[i].seq < keys[j].seq
-	})
+	slices.SortFunc(keys, keyOrder)
 	for i, k := range keys {
 		e.transmit(e.buffer[k].msg, sim.Time(e.rng.Int63n(int64(50*time.Millisecond)))+sim.Time(i)*time.Millisecond)
 	}

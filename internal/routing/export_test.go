@@ -9,3 +9,6 @@ func (g *Greedy) BufferLen() int { return len(g.buffer) }
 
 // BufferLen reports the number of stored copies.
 func (e *Epidemic) BufferLen() int { return len(e.buffer) }
+
+// ContactsLen reports how many neighbours the contact scan remembers.
+func (e *Epidemic) ContactsLen() int { return len(e.contacts) }

@@ -305,6 +305,90 @@ func TestJobFailoverResumesMidDAG(t *testing.T) {
 	}
 }
 
+// TestControllerStopFailsInFlightJob: Stop with a DAG job mid-flight
+// fails the job exactly once, with ReasonControllerStopped. The stopping
+// controller fails the running stage's task too, but that failure is not
+// applied to the job as a stage outcome — no stage retry is charged and
+// no stage is left running — and nothing lands after Stop.
+func TestControllerStopFailsInFlightJob(t *testing.T) {
+	s := parkingScenario(t, 6)
+	stats := &vcloud.Stats{}
+	d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{}, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunFor(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	gate := d.Controllers[0]
+	spec := vcloud.JobSpec{
+		Stages: []vcloud.StageSpec{
+			{Ops: 5000, OutputBytes: 300},
+			{Ops: 5000, OutputBytes: 300, Deps: []int{0}},
+			{Ops: 5000, OutputBytes: 200, Deps: []int{1}},
+		},
+		StageRetries: 3,
+	}
+	var results []vcloud.JobResult
+	if _, err := gate.SubmitJob(spec, func(r vcloud.JobResult) { results = append(results, r) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunFor(3 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 0 || gate.PendingJobs() != 1 {
+		t.Fatalf("job settled before Stop (%d results, %d pending): nothing in flight to stop", len(results), gate.PendingJobs())
+	}
+	retries, tasksDone := stats.StageRetries.Value(), stats.Completed.Value()
+
+	gate.Stop()
+	if len(results) != 1 {
+		t.Fatalf("Stop fired the job callback %d times, want 1", len(results))
+	}
+	res := results[0]
+	if res.OK || res.Reason != vcloud.ReasonControllerStopped {
+		t.Errorf("job: ok=%v reason=%q, want a %q failure", res.OK, res.Reason, vcloud.ReasonControllerStopped)
+	}
+	done := 0
+	for i, st := range res.Stages {
+		if st.Status == vcloud.StageRunning || st.Status == vcloud.StageFailed {
+			t.Errorf("stage %d reported %s after Stop: the stopping failure reached the job", i, st.Status)
+		}
+		if st.Status == vcloud.StageDone {
+			done++
+		}
+	}
+	if done == len(res.Stages) {
+		t.Error("every stage reported done: the job was not in flight")
+	}
+	if got := stats.StageRetries.Value(); got != retries {
+		t.Errorf("StageRetries moved %d -> %d across Stop", retries, got)
+	}
+
+	if err := s.RunFor(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 {
+		t.Errorf("job callback fired %d times by the end, want 1", len(results))
+	}
+	if got := stats.StageRetries.Value(); got != retries {
+		t.Errorf("StageRetries moved %d -> %d after Stop", retries, got)
+	}
+	if got := stats.Completed.Value(); got != tasksDone {
+		t.Errorf("tasks completed moved %d -> %d after Stop", tasksDone, got)
+	}
+	if stats.JobsFailed.Value() != 1 || stats.JobsCompleted.Value() != 0 || gate.PendingJobs() != 0 {
+		t.Errorf("jobs failed %d, completed %d, pending %d; want 1, 0, 0",
+			stats.JobsFailed.Value(), stats.JobsCompleted.Value(), gate.PendingJobs())
+	}
+	for _, v := range gate.InvariantViolations() {
+		t.Errorf("invariant violation: %s", v)
+	}
+}
+
 // TestStageRelayFallback: when the sole holder of a stage output dies
 // before its successor can pull, the worker falls back to the
 // controller relay and the job still completes.

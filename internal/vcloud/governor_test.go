@@ -57,7 +57,7 @@ func TestGovernorAdaptsToCongestion(t *testing.T) {
 	stats := &vcloud.Stats{}
 	cloud := &fakeBackend{name: "cloud", kernel: k, latency: 50 * time.Millisecond}
 	veh := &fakeBackend{name: "vehicle", kernel: k, latency: 200 * time.Millisecond}
-	up, err := radio.NewUplink(k, radio.UplinkParams{BaseRTT: 60 * time.Millisecond, BandwidthMbps: 40, Contended: true})
+	up, err := radio.NewUplink(k, radio.UplinkParams{BaseRTT: 60 * time.Millisecond, BandwidthMbps: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

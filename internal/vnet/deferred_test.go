@@ -7,14 +7,13 @@ import (
 	"time"
 
 	"vcloud/internal/geo"
-	"vcloud/internal/radio"
 	"vcloud/internal/sim"
 )
 
 // beaconProgram sizes one run of the deferred-beacon differential: nodes
 // static nodes, node 0 beaconing every fast for its first 5 ms — less than
-// a beacon's frame delay, so its beacons overlap in flight — node 1
-// observing beacons, and every table holding rows for ttl.
+// a beacon's frame delay, so its beacons overlap in flight — and every
+// table holding rows for ttl.
 type beaconProgram struct {
 	seed  int64
 	nodes int
@@ -89,17 +88,8 @@ func (p beaconProgram) run(t testing.TB, preReads []sim.Time) ([]sim.Time, arriv
 		model[i][b.From] = Neighbor{Addr: b.From, Pos: b.Pos, Speed: b.Speed, Heading: b.Heading, Ext: b.Ext, LastSeen: k.Now()}
 	}
 
-	// Node 1 observes its beacons, so it takes them as events; its table
-	// must agree with the model all the same. evDelivered counts its
-	// receptions, fired the model's inbox receptions: together they are
-	// what Delivered must read.
-	var evDelivered, fired uint64
-	obs := nodes[1]
-	obs.OnBeacon(func(b Beacon) { heard(1, b) })
-	m.Register(obs.addr, func(f radio.Frame) {
-		evDelivered++
-		obs.receive(f)
-	})
+	// fired counts the model's receptions: what Delivered must read.
+	var fired uint64
 
 	read := func() {
 		cov.reads++
@@ -156,7 +146,7 @@ func (p beaconProgram) run(t testing.TB, preReads []sim.Time) ([]sim.Time, arriv
 				}
 			}
 		}
-		if got, want := m.Stats().Delivered, evDelivered+fired; got != want {
+		if got, want := m.Stats().Delivered, fired; got != want {
 			t.Fatalf("seed %d at %v: Stats().Delivered = %d, model %d", p.seed, now, got, want)
 		}
 	}
@@ -173,10 +163,7 @@ func (p beaconProgram) run(t testing.TB, preReads []sim.Time) ([]sim.Time, arriv
 	}
 	var arrivals []sim.Time
 	for i, n := range nodes {
-		if i == 1 {
-			continue
-		}
-		m.SetInbox(n.addr, func(payload any, at sim.Time, mark uint64) {
+		m.Register(n.addr, n.receive, func(payload any, at sim.Time, mark uint64) {
 			b := payload.(*Beacon)
 			n.arrive(payload, at, mark)
 			for _, a := range n.inbox {
@@ -235,8 +222,8 @@ func (p beaconProgram) run(t testing.TB, preReads []sim.Time) ([]sim.Time, arriv
 // Stats().Delivered must count exactly the receptions those events would
 // have fired, including reads at an arrival's own instant on either side
 // of the send in seq order, receivers stopped while beacons are in flight
-// to them, two beacons of one sender in flight at once and arriving out of
-// order, and an observer node taking its beacons as events beside them.
+// to them, and two beacons of one sender in flight at once and arriving
+// out of order.
 func TestDeferredBeaconsMatchEventModel(t *testing.T) {
 	var cov arrivalCoverage
 	for seed := int64(1); seed <= 12; seed++ {
@@ -301,33 +288,5 @@ func TestBeaconRoundAllocs(t *testing.T) {
 		if nb, ok := n.Neighbor(100); !ok || nb.LastSeen >= r.k.Now() {
 			t.Errorf("node %d: Neighbor(100) = %+v, %v after the rounds", i, nb, ok)
 		}
-	}
-}
-
-// TestObserverAddedMidFlight: a node that takes an observer while a beacon
-// is in flight to it sees that beacon at its arrival instant, as it would
-// have had the reception been an event all along, and in its table.
-func TestObserverAddedMidFlight(t *testing.T) {
-	r := newRig(t, 1)
-	s := r.staticNode(t, 9, geo.Point{X: 1000, Y: 1000}, Config{})
-	n := r.staticNode(t, 1, geo.Point{X: 1050, Y: 1000}, Config{})
-	s.sendBeacon()
-	if len(n.inbox) != 1 {
-		t.Fatalf("%d beacons in flight to n, want 1", len(n.inbox))
-	}
-	at := n.inbox[0].at
-	var seen []sim.Time
-	n.OnBeacon(func(b Beacon) { seen = append(seen, r.k.Now()) })
-	if err := r.k.Run(r.k.Now() + time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 1 || seen[0] != at {
-		t.Errorf("observer saw beacons at %v, want once at %v", seen, at)
-	}
-	if nb, ok := n.Neighbor(9); !ok || nb.LastSeen != at {
-		t.Errorf("Neighbor(9) = %+v, %v; want heard at %v", nb, ok, at)
-	}
-	if len(n.inbox) != 0 {
-		t.Errorf("%d beacons left in the inbox of a node with an observer", len(n.inbox))
 	}
 }

@@ -81,11 +81,11 @@ func TestNeighborTableNeverReturnsExpiredProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Inject beacons directly through the receive path at varied times.
+	// Write beacons straight into the table at varied times.
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		from := Addr(rng.Intn(20) + 100)
-		n.receive(radio.Frame{From: radio.NodeID(from), Payload: &Beacon{From: from}})
+		n.hear(&Beacon{From: from}, k.Now())
 		k.After(sim.Time(rng.Intn(500))*time.Millisecond, func() {})
 		k.Run(k.Now() + sim.Time(rng.Intn(500))*time.Millisecond)
 		for _, nb := range n.Neighbors(nil) {
@@ -136,7 +136,7 @@ func TestNeighborTableMatchesMapModel(t *testing.T) {
 				if rng.Intn(3) > 0 {
 					b.Ext = rng.Intn(1000)
 				}
-				n.receive(radio.Frame{From: b.From, Payload: &b})
+				n.hear(&b, k.Now())
 				model[b.From] = Neighbor{Addr: b.From, Pos: b.Pos, Speed: b.Speed,
 					Heading: b.Heading, Ext: b.Ext, LastSeen: k.Now()}
 			case 3:
@@ -206,7 +206,7 @@ func TestUnreadTableStaysBounded(t *testing.T) {
 		// keeps refreshing its row.
 		for _, from := range []Addr{Addr(100 + rng.Intn(1<<20)), 7} {
 			b := &Beacon{From: from, Pos: geo.Point{X: float64(i)}, Ext: i}
-			n.receive(radio.Frame{From: from, Payload: b})
+			n.hear(b, r.k.Now())
 			model[from] = Neighbor{Addr: from, Pos: b.Pos, Ext: i, LastSeen: r.k.Now()}
 		}
 		if len(n.rows) > 24 || len(n.keys) != len(n.rows) {
@@ -239,8 +239,9 @@ func TestUnreadTableStaysBounded(t *testing.T) {
 
 // TestBeaconsAreNotSharedAcrossTransmissions: tables point into the
 // beacon that went on air, so each transmission must carry its own — a
-// receiver that missed the second still holds the first — and the copying
-// reads must hand out nothing that aliases it.
+// receiver that missed the second still holds the first, and a receiver
+// that heard both points at two different beacons — and the copying reads
+// must hand out nothing that aliases it.
 func TestBeaconsAreNotSharedAcrossTransmissions(t *testing.T) {
 	r := newRig(t, 1)
 	pos, ext := geo.Point{X: 1000, Y: 1000}, 1
@@ -252,13 +253,15 @@ func TestBeaconsAreNotSharedAcrossTransmissions(t *testing.T) {
 	s.SetBeaconExt(func() any { return ext })
 	a := r.staticNode(t, 1, geo.Point{X: 1050, Y: 1000}, Config{})
 	b := r.staticNode(t, 2, geo.Point{X: 1000, Y: 1050}, Config{})
-	var observed []Beacon
-	b.OnBeacon(func(bc Beacon) { observed = append(observed, bc) })
+	var held []*Beacon // the beacon b's row points at after each send
 	send := func() {
 		t.Helper()
 		s.sendBeacon()
 		if err := r.k.Run(r.k.Now() + 100*time.Millisecond); err != nil {
 			t.Fatal(err)
+		}
+		if rows := b.Rows(); len(rows) == 1 {
+			held = append(held, rows[0].Beacon)
 		}
 	}
 	send()
@@ -279,8 +282,8 @@ func TestBeaconsAreNotSharedAcrossTransmissions(t *testing.T) {
 	if got, _ := b.Neighbor(9); got.Pos != pos || got.Ext != 2 {
 		t.Errorf("b heard the second beacon yet reports %+v", got)
 	}
-	if len(observed) != 2 || observed[0].Pos == observed[1].Pos || observed[1].Ext != 2 {
-		t.Errorf("b's observer saw %+v", observed)
+	if len(held) != 2 || held[0] == held[1] || held[0].Pos == held[1].Pos || held[0].Ext != 1 || held[1].Ext != 2 {
+		t.Errorf("b's row pointed at %+v across the two sends", held)
 	}
 
 	b.Neighbors(nil)[0].Pos.X = -1
@@ -312,18 +315,18 @@ func TestSeenEvictsZeroKey(t *testing.T) {
 }
 
 // tableRig returns a node whose table holds live rows from addresses
-// 100..100+neighbors-1, and a frame carrying a fresh beacon from one of
-// them. The node beacons nothing itself and the clock stands still, so
-// every row stays live.
-func tableRig(t testing.TB, neighbors int) (*Node, radio.Frame) {
+// 100..100+neighbors-1, and a fresh beacon from one of them. The node
+// beacons nothing itself and the clock stands still, so every row stays
+// live.
+func tableRig(t testing.TB, neighbors int) (*Node, *Beacon) {
 	r := newRig(t, 1)
 	n := r.staticNode(t, 1, geo.Point{X: 1000, Y: 1000}, Config{})
 	for i := 0; i < neighbors; i++ {
 		from := Addr(100 + i)
-		n.receive(radio.Frame{From: from, Payload: &Beacon{From: from, Pos: geo.Point{X: float64(i)}, Ext: i}})
+		n.hear(&Beacon{From: from, Pos: geo.Point{X: float64(i)}, Ext: i}, 0)
 	}
 	from := Addr(100 + neighbors/2)
-	return n, radio.Frame{From: from, Payload: &Beacon{From: from, Speed: 3, Ext: 7}}
+	return n, &Beacon{From: from, Speed: 3, Ext: 7}
 }
 
 // TestNeighborTableAllocFree pins the zero-allocation contract of the
@@ -335,11 +338,11 @@ func TestNeighborTableAllocFree(t *testing.T) {
 	var rows, inPlace, count int
 	var found bool
 	for name, fn := range map[string]func(){
-		"receive known neighbor": func() { n.receive(known) },
-		"Neighbors(scratch)":     func() { scratch = n.Neighbors(scratch[:0]); rows = len(scratch) },
-		"Rows":                   func() { inPlace = len(n.Rows()) },
-		"NumNeighbors":           func() { count = n.NumNeighbors() },
-		"Neighbor":               func() { _, found = n.Neighbor(known.From) },
+		"hear known neighbor": func() { n.hear(known, 0) },
+		"Neighbors(scratch)":  func() { scratch = n.Neighbors(scratch[:0]); rows = len(scratch) },
+		"Rows":                func() { inPlace = len(n.Rows()) },
+		"NumNeighbors":        func() { count = n.NumNeighbors() },
+		"Neighbor":            func() { _, found = n.Neighbor(known.From) },
 	} {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
@@ -357,7 +360,7 @@ func BenchmarkReceiveBeacon(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.receive(known)
+		n.hear(known, 0)
 	}
 }
 
@@ -368,21 +371,20 @@ func BenchmarkReceiveBeacon(b *testing.B) {
 func BenchmarkReceiveBeaconColdTables(b *testing.B) {
 	r := newRig(b, 1)
 	nodes := make([]*Node, 1000)
-	frames := make([]radio.Frame, 50)
-	for i := range frames {
-		from := Addr(5000 + i)
-		frames[i] = radio.Frame{From: from, Payload: &Beacon{From: from, Pos: geo.Point{X: float64(i)}, Ext: i}}
+	beacons := make([]*Beacon, 50)
+	for i := range beacons {
+		beacons[i] = &Beacon{From: Addr(5000 + i), Pos: geo.Point{X: float64(i)}, Ext: i}
 	}
 	for i := range nodes {
 		nodes[i] = r.staticNode(b, Addr(i), geo.Point{}, Config{})
-		for _, f := range frames {
-			nodes[i].receive(f)
+		for _, bc := range beacons {
+			nodes[i].hear(bc, 0)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nodes[i%len(nodes)].receive(frames[i/len(nodes)%len(frames)])
+		nodes[i%len(nodes)].hear(beacons[i/len(nodes)%len(beacons)], 0)
 	}
 }
 

@@ -86,9 +86,6 @@ type Message struct {
 // frame physically arrived from (== Origin on the first hop).
 type Handler func(msg Message, relayer Addr)
 
-// BeaconFunc observes a received beacon.
-type BeaconFunc func(b Beacon)
-
 // Config configures a node.
 type Config struct {
 	// BeaconPeriod is the hello interval; 0 disables beaconing.
@@ -122,11 +119,10 @@ type Node struct {
 	// (at, then mark, then hand-over order). Every table read, and every
 	// hand-over, first applies the reached prefix, so a read sees exactly
 	// the rows per-reception events would have written and the inbox
-	// holds no more than is in flight. A node with beacon observers takes
-	// its beacons as events instead, and its inbox stays empty.
+	// holds no more than is in flight. Beacons reach a node only this way:
+	// a protocol that reacts to neighbours reads the table.
 	inbox    []arrival
 	handlers map[string]Handler
-	onBeacon []BeaconFunc
 	// beaconExt is called to fill Beacon.Ext on each transmission.
 	beaconExt func() any
 	// stateFn supplies this node's own kinematics for beacons.
@@ -184,8 +180,7 @@ func NewNode(kernel *sim.Kernel, medium *radio.Medium, addr Addr, cfg Config, st
 		handlers: make(map[string]Handler),
 		stateFn:  stateFn,
 	}
-	medium.Register(addr, n.receive)
-	medium.SetInbox(addr, n.arrive)
+	medium.Register(addr, n.receive, n.arrive)
 	return n, nil
 }
 
@@ -226,28 +221,6 @@ func (n *Node) Stop() {
 
 // SetBeaconExt installs a function that supplies Beacon.Ext.
 func (n *Node) SetBeaconExt(fn func() any) { n.beaconExt = fn }
-
-// OnBeacon registers an observer for received beacons. The node then
-// takes its beacons as events, which observers need: each runs at its
-// reception, and may transmit. Beacons already in flight to the node are
-// requeued as events at their arrival instants.
-func (n *Node) OnBeacon(fn BeaconFunc) {
-	if fn == nil {
-		return
-	}
-	n.onBeacon = append(n.onBeacon, fn)
-	if len(n.onBeacon) > 1 {
-		return
-	}
-	n.medium.SetInbox(n.addr, nil)
-	n.apply()
-	for _, a := range n.inbox {
-		b := a.b
-		n.kernel.At(a.at, func() { n.receive(radio.Frame{From: b.From, To: radio.Broadcast, Size: BeaconSize, Payload: b}) })
-	}
-	clear(n.inbox)
-	n.inbox = n.inbox[:0]
-}
 
 // Handle registers the handler for a message kind, replacing any previous
 // one. A nil handler unregisters.
@@ -341,13 +314,7 @@ func (n *Node) receive(f radio.Frame) {
 	if n.stopped {
 		return
 	}
-	switch p := f.Payload.(type) {
-	case *Beacon:
-		n.hear(p, n.kernel.Now())
-		for _, fn := range n.onBeacon {
-			fn(*p)
-		}
-	case Message:
+	if p, ok := f.Payload.(Message); ok {
 		if h, ok := n.handlers[p.Kind]; ok {
 			h(p, f.From)
 		}
@@ -373,7 +340,7 @@ func (n *Node) find(addr Addr) (int, bool) {
 // arrive is the node's radio.Inbox: it queues a beacon in flight to the
 // node at its arrival position, after applying whatever has arrived.
 //
-//vcloudlint:hotpath once per beacon reception at a node without beacon observers
+//vcloudlint:hotpath once per beacon reception
 func (n *Node) arrive(payload any, at sim.Time, mark uint64) {
 	b, ok := payload.(*Beacon)
 	if !ok {

@@ -118,22 +118,27 @@ func TestBeaconExtPropagates(t *testing.T) {
 	cfg := Config{BeaconPeriod: 100 * time.Millisecond}
 	a := r.staticNode(t, 1, geo.Point{X: 1000, Y: 1000}, cfg)
 	b := r.staticNode(t, 2, geo.Point{X: 1100, Y: 1000}, cfg)
-	a.SetBeaconExt(func() any { return "cluster-7" })
-	var observed any
-	b.OnBeacon(func(bc Beacon) { observed = bc.Ext })
-	b.OnBeacon(nil) // ignored
+	ext := 0
+	a.SetBeaconExt(func() any { ext++; return ext })
 	if err := a.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.k.Run(time.Second); err != nil {
+	// Every beacon carries the extension its transmission asked for, and
+	// b's row holds the latest one it heard: read halfway between beacons.
+	if err := r.k.Run(50 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if observed != "cluster-7" {
-		t.Errorf("beacon ext = %v", observed)
-	}
-	nb, ok := b.Neighbor(1)
-	if !ok || nb.Ext != "cluster-7" {
-		t.Errorf("neighbor ext = %v, ok=%v", nb.Ext, ok)
+	for range 5 {
+		if err := r.k.Run(r.k.Now() + 100*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		rows := b.Rows()
+		if len(rows) != 1 || rows[0].Beacon.Ext != ext {
+			t.Fatalf("after beacon %d: b's rows %+v, want one carrying Ext %d", ext, rows, ext)
+		}
+		if nb, ok := b.Neighbor(1); !ok || nb.Ext != ext {
+			t.Errorf("after beacon %d: neighbor ext = %v, ok=%v", ext, nb.Ext, ok)
+		}
 	}
 }
 

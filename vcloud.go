@@ -130,9 +130,9 @@ func NewEdgeServer(node *Node, cfg EdgeConfig, stats *CloudStats) (*EdgeServer, 
 // placement governor instruments; see internal/radio).
 type (
 	// Uplink is the point-to-cloud link shared by all vehicles under
-	// coverage: with Contended set, transfers serialize at the link's
-	// bandwidth, queue FIFO behind its backlog and tail-drop past
-	// MaxQueueDelay — the channel a congestion controller can observe.
+	// coverage: transfers serialize at the link's bandwidth, queue FIFO
+	// behind its backlog and tail-drop past MaxQueueDelay — the channel a
+	// congestion controller can observe.
 	Uplink = radio.Uplink
 	// UplinkParams configures an uplink.
 	UplinkParams = radio.UplinkParams
