@@ -68,14 +68,21 @@ func E1CloudComparison(cfg Config) (*Result, error) {
 			return err
 		}
 
+		// submit spreads n tasks over the first half of the coming phase,
+		// one every phase/(2n), as kernel events: handed over at one
+		// instant, a task's latency would mostly be its place in the
+		// uplink queue or the cloud's backlog, not the backend's.
 		submit := func(n int) {
+			gap := phase / sim.Time(2*n)
 			for i := 0; i < n; i++ {
-				task := vcloud.Task{Ops: 2000, InputBytes: 4000, OutputBytes: 2000}
-				if backend != nil {
-					_ = backend.Submit(task, nil)
-				} else {
-					_ = dep.SubmitAnywhere(task, nil)
-				}
+				s.Kernel.After(sim.Time(i)*gap, func() {
+					task := vcloud.Task{Ops: 2000, InputBytes: 4000, OutputBytes: 2000}
+					if backend != nil {
+						_ = backend.Submit(task, nil)
+					} else {
+						_ = dep.SubmitAnywhere(task, nil)
+					}
+				})
 			}
 		}
 

@@ -59,11 +59,17 @@ func NewWorkerSet(now func() sim.Time, halflife sim.Time) (*WorkerSet, error) {
 func (ws *WorkerSet) rec(a vnet.Addr) *workerRec {
 	r, ok := ws.recs[a]
 	if !ok {
-		//vcloudlint:allow hotalloc one record per worker, created the first time it is scored; every later read finds it
 		r = &workerRec{last: ws.now()}
 		ws.recs[a] = r
 		return r
 	}
+	ws.decay(r)
+	return r
+}
+
+// decay brings r's evidence forward to the current instant and writes
+// the result back.
+func (ws *WorkerSet) decay(r *workerRec) {
 	if ws.halflife > 0 {
 		now := ws.now()
 		if dt := now - r.last; dt > 0 {
@@ -71,9 +77,8 @@ func (ws *WorkerSet) rec(a vnet.Addr) *workerRec {
 			r.good *= f
 			r.bad *= f
 		}
-		r.last = ws.now()
+		r.last = now
 	}
-	return r
 }
 
 // Good adds positive evidence with the given weight (a worker's result
@@ -95,11 +100,18 @@ func (ws *WorkerSet) Bad(a vnet.Addr, weight float64) {
 }
 
 // Score returns the worker's trust in [0,1]; unknown workers score 0.5.
+// A read writes its decay back into the record, so it is not free of
+// effects: a second read at the same virtual instant finds nothing left
+// to decay and returns the same bits, but reads at different instants
+// compound Exp2 rounding. One-pass replica placement relies on the
+// first property — it reads each candidate once where K successive
+// picks read it K times, all at one instant.
 func (ws *WorkerSet) Score(a vnet.Addr) float64 {
-	if _, ok := ws.recs[a]; !ok {
+	r, ok := ws.recs[a]
+	if !ok {
 		return 0.5
 	}
-	r := ws.rec(a)
+	ws.decay(r)
 	return (r.good + 1) / (r.good + r.bad + 2)
 }
 

@@ -207,6 +207,7 @@ type ControllerConfig struct {
 }
 
 type memberInfo struct {
+	addr     vnet.Addr
 	res      Resources
 	lastSeen sim.Time
 	// queuedOps is the controller's view of outstanding work.
@@ -216,6 +217,46 @@ type memberInfo struct {
 	// per-task processing delay added to its finish estimate.
 	edge  bool
 	delay sim.Time
+}
+
+// roster is the controller's member table: one row per member in
+// ascending address order, so every walk over it is deterministic
+// without a sort and a lookup is a binary search. Addresses are sparse
+// (RSUs start at scenario.RSUBase), which rules out a dense table.
+type roster []*memberInfo
+
+// search returns where a's row is, or would be inserted, and whether it
+// is there.
+func (r roster) search(a vnet.Addr) (int, bool) {
+	lo, hi := 0, len(r)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if r[h].addr < a {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(r) && r[lo].addr == a
+}
+
+// get returns a's row, or nil when a is no member.
+func (r roster) get(a vnet.Addr) *memberInfo {
+	if i, ok := r.search(a); ok {
+		return r[i]
+	}
+	return nil
+}
+
+// add returns a's row, inserting a blank one in order when a is new.
+func (r *roster) add(a vnet.Addr) (m *memberInfo, added bool) {
+	i, ok := r.search(a)
+	if ok {
+		return (*r)[i], false
+	}
+	m = &memberInfo{addr: a}
+	*r = slices.Insert(*r, i, m)
+	return m, true
 }
 
 type taskState struct {
@@ -247,7 +288,7 @@ type Controller struct {
 	node    *vnet.Node
 	cfg     ControllerConfig
 	stats   *Stats
-	members map[vnet.Addr]*memberInfo
+	members roster
 	tasks   map[TaskID]*taskState
 	nextID  TaskID
 	// DAG job engine state (see dagsched.go).
@@ -266,6 +307,11 @@ type Controller struct {
 	// d is the deployment that started the controller (nil for a
 	// standalone one).
 	d *Deployment
+
+	// picks and skip are placeReplicas' scratch: its running picks and
+	// the members a dispatch passes over (see depend.go).
+	picks []placeCand
+	skip  []vnet.Addr
 
 	// lead is the controller side of the leadership core: standby,
 	// checkpoint cadence, epoch, lease and the applied ledger (see
@@ -288,14 +334,13 @@ func newController(node *vnet.Node, cfg ControllerConfig, stats *Stats, mode lea
 		}
 	}
 	c := &Controller{
-		node:    node,
-		cfg:     cfg,
-		stats:   stats,
-		members: make(map[vnet.Addr]*memberInfo),
-		tasks:   make(map[TaskID]*taskState),
-		jobs:    make(map[JobID]*jobState),
-		rng:     node.Kernel().NewStream(fmt.Sprintf("vcloud.depend.%d", node.Addr())),
-		lead:    newLeader(node.Addr(), mode),
+		node:  node,
+		cfg:   cfg,
+		stats: stats,
+		tasks: make(map[TaskID]*taskState),
+		jobs:  make(map[JobID]*jobState),
+		rng:   node.Kernel().NewStream(fmt.Sprintf("vcloud.depend.%d", node.Addr())),
+		lead:  newLeader(node.Addr(), mode),
 	}
 	c.handle(true)
 	t, err := node.Kernel().Every(advPeriod, c.tick)
@@ -372,7 +417,11 @@ func (c *Controller) NumMembers() int { return len(c.members) }
 
 // Members returns the live member addresses, sorted.
 func (c *Controller) Members() []vnet.Addr {
-	return sortedKeys(c.members)
+	out := make([]vnet.Addr, len(c.members))
+	for i, m := range c.members {
+		out[i] = m.addr
+	}
+	return out
 }
 
 // sortedKeys lists m's keys in ascending order: map order must never
@@ -399,16 +448,18 @@ func (c *Controller) tick() {
 	// work — waiting out the generous per-task timeout would leave tasks
 	// parked on a vanished vehicle for tens of seconds (§III.A waste).
 	now := c.node.Kernel().Now()
+	// Compacting the roster in place and in order lists expired ascending.
 	var expired []vnet.Addr
-	for a, m := range c.members {
+	kept := c.members[:0]
+	for _, m := range c.members {
 		if now-m.lastSeen > memberTTL {
-			expired = append(expired, a)
+			expired = append(expired, m.addr)
+		} else {
+			kept = append(kept, m)
 		}
 	}
-	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-	for _, a := range expired {
-		delete(c.members, a)
-	}
+	clear(c.members[len(kept):])
+	c.members = kept
 	for _, a := range expired {
 		c.reassignOrphans(a)
 	}
@@ -472,11 +523,7 @@ func (c *Controller) onJoin(msg vnet.Message, _ vnet.Addr) {
 	if !c.d.admits(c.node.Addr(), msg.Origin) {
 		return
 	}
-	m, exists := c.members[msg.Origin]
-	if !exists {
-		m = &memberInfo{}
-		c.members[msg.Origin] = m
-	}
+	m, _ := c.members.add(msg.Origin)
 	m.res = jm.Resources
 	m.edge = jm.Edge
 	m.delay = jm.Delay
@@ -575,15 +622,14 @@ func (c *Controller) onHandover(msg vnet.Message, _ vnet.Addr) {
 	c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
 		"task %d handover from %d (%.0f ops left)", hm.ID, msg.Origin, hm.RemainingOps)
 	// Re-place the remainder on a member not already holding a copy.
-	exclude := ts.liveAssignees()
-	exclude[msg.Origin] = true
-	addr, found := c.pickReplicaMember(ts, exclude, hm.RemainingOps)
-	if !found {
+	c.skip = insertAddr(ts.assignees(c.skip[:0], true), msg.Origin)
+	picks := c.placeReplicas(ts, 1, hm.RemainingOps, c.skip, false)
+	if len(picks) == 0 {
 		ts.remainingOps = hm.RemainingOps
 		c.maybeDecide(ts)
 		return
 	}
-	c.dispatchOneReplica(ts, addr, hm.RemainingOps)
+	c.dispatchOneReplica(ts, picks[0].addr, hm.RemainingOps)
 }
 
 // finish settles ts on value: it releases every replica the task still

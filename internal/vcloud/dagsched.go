@@ -2,7 +2,7 @@
 // topological dispatch of dependent stages onto the existing dependable
 // task machinery. Each stage runs as a regular Task carrying a
 // StageBinding, so placement (dwell + trust weighted, see
-// pickReplicaMember), K-redundant voting, retries, epoch fencing and
+// placeReplicas), K-redundant voting, retries, epoch fencing and
 // checkpointing all come from the layers below; this file owns the
 // job-level state machine: wave dispatch, stage retry/backoff driven by
 // the structured FailReason, whole-job restart (the naive baseline),

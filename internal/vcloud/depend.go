@@ -30,6 +30,7 @@ package vcloud
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"vcloud/internal/mobility"
@@ -147,14 +148,20 @@ func (c *Controller) trustEligible(p *DependabilityPolicy, addr vnet.Addr) bool 
 // placeCand is one member weighed for a task or replica.
 type placeCand struct {
 	addr   vnet.Addr
+	short  bool    // its dwell does not cover the run
 	finish float64 // seconds until it would finish the work
 	tier   int     // dwell tier; 0 outside DAG stage placement
 }
 
-// betterThan is the placement order: earliest finish, then the higher
-// dwell tier, then the lower address. It is total, so the pick does not
-// depend on the order members are visited in.
+// betterThan is the placement order: members whose dwell covers the run
+// before the dwell-short ones (best effort, when nobody's suffices),
+// then earliest finish, then the higher dwell tier, then the lower
+// address. It is total, so the picks do not depend on the order members
+// are visited in.
 func (a placeCand) betterThan(b placeCand) bool {
+	if a.short != b.short {
+		return !a.short
+	}
 	if a.finish != b.finish {
 		return a.finish < b.finish
 	}
@@ -164,120 +171,140 @@ func (a placeCand) betterThan(b placeCand) bool {
 	return a.addr < b.addr
 }
 
-// placement is the running pick of both schedulers: the best candidate
-// offered so far among members whose dwell covers the run and, apart,
-// among the dwell-short ones, who are picked only when nobody's dwell
-// suffices (best effort).
-type placement struct {
-	best, bestShort   placeCand
-	found, foundShort bool
-}
-
-func (p *placement) offer(cd placeCand, hasDwell bool) {
-	switch {
-	case hasDwell && (!p.found || cd.betterThan(p.best)):
-		p.best, p.found = cd, true
-	case !hasDwell && (!p.foundShort || cd.betterThan(p.bestShort)):
-		p.bestShort, p.foundShort = cd, true
-	}
-}
-
-func (p *placement) pick() (vnet.Addr, bool) {
-	if p.found {
-		return p.best.addr, true
-	}
-	return p.bestShort.addr, p.foundShort
-}
-
 // dwellMargin multiplies a candidate's estimated runtime when testing
 // whether its dwell suffices.
 const dwellMargin = 1.2
 
-// pickReplicaMember chooses a worker for one replica: fresh, sensor-
-// capable, above the trust threshold, and not in the exclude set
-// (members already holding a copy of this task — disjointness). Among
-// the eligible it prefers dwell-sufficient members and earliest finish.
-// Returns false when nobody qualifies.
+// placeReplicas picks up to need members for new copies of ts, each
+// carrying remaining ops, best first, from one pass over the roster. A
+// member qualifies when it is fresh, sensor-capable, above the trust
+// threshold and not in skip (ascending: the members this placement must
+// keep disjoint from). With fallback, the slots that pass leaves empty
+// go to the skipped members holding no live copy of ts (a worker that
+// timed out may be retried — radio loss is transient). The result is the
+// controller's scratch, valid until the next call.
 //
-//vcloudlint:hotpath once per replica of every task and DAG stage; keeps a running pick instead of building candidate pools
-func (c *Controller) pickReplicaMember(ts *taskState, exclude map[vnet.Addr]bool, remaining float64) (vnet.Addr, bool) {
+// The picks equal need successive single best picks, each excluding the
+// members picked before it: a pick changes no other member's finish or
+// eligibility, and the trust reads it repeats are idempotent within one
+// virtual instant (trust.WorkerSet.Score), so the scan reads and decays
+// exactly the records the successive picks would.
+//
+//vcloudlint:hotpath once per dispatch round of every task and DAG stage and per handover; keeps a running top-need instead of building candidate pools
+func (c *Controller) placeReplicas(ts *taskState, need int, remaining float64, skip []vnet.Addr, fallback bool) []placeCand {
 	now := c.node.Kernel().Now()
-	// DAG stage placement layers two reliability weights on top of the
-	// finish-time ranking (tentpole: stages placed "weighted by
-	// predicted residual dwell time and trust score"): the finish
-	// estimate is divided by the worker's Beta-reputation weight, and
-	// finish ties break toward the higher dwell tier before the address.
-	// Non-stage tasks keep the exact legacy ordering.
-	stage := ts.task.Stage != nil
-	var p placement
-	for a, m := range c.members {
-		if exclude[a] || now-m.lastSeen > memberTTL {
+	c.picks = c.picks[:0]
+	j := 0
+	for _, m := range c.members {
+		for j < len(skip) && skip[j] < m.addr {
+			j++
+		}
+		if j < len(skip) && skip[j] == m.addr {
 			continue
 		}
-		if m.res.CPU <= 0 || !m.res.HasSensor(ts.task.NeedsSensor) {
-			continue
-		}
-		if !c.trustEligible(ts.policy, a) {
-			continue
-		}
-		runtime := (m.queuedOps + remaining) / m.res.CPU
-		cd := placeCand{addr: a, finish: runtime + m.delay.Seconds()}
-		// Edge servers are fixed infrastructure: dwell always suffices.
-		dwell, hasDwell := math.Inf(1), true
-		if c.cfg.Dwell != nil && !m.edge {
-			//vcloudlint:allow hotalloc the deployment's estimator hook (arch.go wires mobility.EstimateDwell); TestPickReplicaAllocs holds the path at zero
-			dwell = c.cfg.Dwell(a)
-			hasDwell = dwell >= runtime*dwellMargin
-		}
-		if stage {
-			cd.tier = mobility.DwellTier(dwell)
-			if c.cfg.Workers != nil {
-				cd.finish /= c.cfg.Workers.Weight(a)
+		c.offer(ts, m, remaining, now, 0, need)
+	}
+	if n := len(c.picks); fallback && n < need {
+		// The first pass took every qualifying unskipped member, so only
+		// skipped ones can fill the rest.
+		for _, a := range skip {
+			if m := c.members.get(a); m != nil && !ts.holdsLive(a) {
+				c.offer(ts, m, remaining, now, n, need-n)
 			}
 		}
-		p.offer(cd, hasDwell)
 	}
-	return p.pick()
+	return c.picks
 }
 
-// liveAssignees returns the members currently holding an unresolved
-// copy of ts (the disjointness exclusion set).
-func (ts *taskState) liveAssignees() map[vnet.Addr]bool {
-	out := make(map[vnet.Addr]bool)
-	for _, r := range ts.replicas {
-		if !r.resolved() {
-			out[r.assignee] = true
+// offer weighs m for a copy of ts and, when it qualifies, enters it into
+// the running picks c.picks[from:], kept best first and at most n long.
+func (c *Controller) offer(ts *taskState, m *memberInfo, remaining float64, now sim.Time, from, n int) {
+	if now-m.lastSeen > memberTTL || m.res.CPU <= 0 || !m.res.HasSensor(ts.task.NeedsSensor) {
+		return
+	}
+	if !c.trustEligible(ts.policy, m.addr) {
+		return
+	}
+	runtime := (m.queuedOps + remaining) / m.res.CPU
+	cd := placeCand{addr: m.addr, finish: runtime + m.delay.Seconds()}
+	// Edge servers are fixed infrastructure: dwell always suffices.
+	dwell := math.Inf(1)
+	if c.cfg.Dwell != nil && !m.edge {
+		//vcloudlint:allow hotalloc the deployment's estimator hook (arch.go wires mobility.EstimateDwell); TestPickReplicaAllocs holds the path at zero
+		dwell = c.cfg.Dwell(m.addr)
+		cd.short = !(dwell >= runtime*dwellMargin)
+	}
+	// DAG stage placement layers two reliability weights on top of the
+	// finish-time ranking (stages are placed "weighted by predicted
+	// residual dwell time and trust score"): the finish estimate is
+	// divided by the worker's Beta-reputation weight, and finish ties
+	// break toward the higher dwell tier before the address. Non-stage
+	// tasks keep the plain ordering.
+	if ts.task.Stage != nil {
+		cd.tier = mobility.DwellTier(dwell)
+		if c.cfg.Workers != nil {
+			cd.finish /= c.cfg.Workers.Weight(m.addr)
 		}
 	}
-	return out
+	last := len(c.picks)
+	if last-from == n {
+		if !cd.betterThan(c.picks[last-1]) {
+			return
+		}
+		last--
+	}
+	c.picks = append(c.picks[:last], cd)
+	i := last
+	for ; i > from && cd.betterThan(c.picks[i-1]); i-- {
+		c.picks[i] = c.picks[i-1]
+	}
+	c.picks[i] = cd
+}
+
+// holdsLive reports whether a holds an unresolved copy of ts.
+func (ts *taskState) holdsLive(a vnet.Addr) bool {
+	for _, r := range ts.replicas {
+		if r.assignee == a && !r.resolved() {
+			return true
+		}
+	}
+	return false
+}
+
+// assignees appends to dst, ascending and once each, the members that
+// hold a copy of ts: every one that ever did, or with live only those
+// whose copy is unresolved.
+func (ts *taskState) assignees(dst []vnet.Addr, live bool) []vnet.Addr {
+	for _, r := range ts.replicas {
+		if !live || !r.resolved() {
+			dst = insertAddr(dst, r.assignee)
+		}
+	}
+	return dst
+}
+
+// insertAddr adds a to the ascending list s unless it is there already.
+func insertAddr(s []vnet.Addr, a vnet.Addr) []vnet.Addr {
+	i, found := slices.BinarySearch(s, a)
+	if found {
+		return s
+	}
+	return slices.Insert(s, i, a)
 }
 
 // dispatchReplicas places up to need new copies of ts, each carrying
-// ts.remainingOps, on disjoint members. Placement first excludes every
-// member that ever held a copy; when that exhausts the pool it falls
-// back to excluding only members holding a live copy (a worker that
-// timed out may be retried — radio loss is transient). Dispatching fewer than need copies is fine: the
-// vote decides over whatever reports, and maybeDecide tops the pool up
-// on the retry path when no quorum forms.
+// ts.remainingOps, on disjoint members. Placement first passes over every
+// member that ever held a copy and falls back to excluding only members
+// holding a live copy (see placeReplicas). Dispatching fewer than need
+// copies is fine: the vote decides over whatever reports, and
+// maybeDecide tops the pool up on the retry path when no quorum forms.
 func (c *Controller) dispatchReplicas(ts *taskState, need int) {
-	everUsed := make(map[vnet.Addr]bool)
-	for _, r := range ts.replicas {
-		everUsed[r.assignee] = true
+	c.skip = ts.assignees(c.skip[:0], false)
+	picks := c.placeReplicas(ts, need, ts.remainingOps, c.skip, true)
+	for _, cd := range picks {
+		c.dispatchOneReplica(ts, cd.addr, ts.remainingOps)
 	}
-	placed := 0
-	for i := 0; i < need; i++ {
-		addr, found := c.pickReplicaMember(ts, everUsed, ts.remainingOps)
-		if !found {
-			addr, found = c.pickReplicaMember(ts, ts.liveAssignees(), ts.remainingOps)
-		}
-		if !found {
-			break
-		}
-		everUsed[addr] = true
-		c.dispatchOneReplica(ts, addr, ts.remainingOps)
-		placed++
-	}
-	if placed == 0 {
+	if len(picks) == 0 {
 		// Nobody eligible right now (cloud still forming, or the trust
 		// gate emptied the pool): come back after a backoff round.
 		c.scheduleRetryRound(ts, ReasonNoEligibleMember)
@@ -293,7 +320,7 @@ func (c *Controller) dispatchOneReplica(ts *taskState, addr vnet.Addr, remaining
 	c.stats.ReplicaDispatches.Inc()
 	c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
 		"task %d replica %d -> %d (attempt %d, %.0f ops)", ts.task.ID, idx, addr, slot.attempt, remaining)
-	m := c.members[addr]
+	m := c.members.get(addr)
 	m.queuedOps += remaining
 	c.stats.OpsDispatched += remaining
 	msg := c.node.NewMessage(addr, kindTask, 64+ts.task.InputBytes, 1, taskMsg{
@@ -530,7 +557,7 @@ func (c *Controller) releaseReplicas(ts *taskState) {
 
 // releaseSlot takes one replica's work off its member's queue.
 func (c *Controller) releaseSlot(slot *replicaSlot) {
-	if m, ok := c.members[slot.assignee]; ok {
+	if m := c.members.get(slot.assignee); m != nil {
 		m.queuedOps -= slot.remaining
 		if m.queuedOps < 0 {
 			m.queuedOps = 0

@@ -32,8 +32,8 @@ func (c *Controller) StorageView() store.View {
 	return store.FuncView{
 		MembersFn: c.Members,
 		OnlineFn: func(a vnet.Addr) bool {
-			m, ok := c.members[a]
-			if !ok {
+			m := c.members.get(a)
+			if m == nil {
 				return false
 			}
 			return c.node.Kernel().Now()-m.lastSeen <= memberTTL
@@ -67,8 +67,8 @@ func (c *Controller) Emergency() bool { return c.emergency }
 // "recover the snapshot of the topology" management operation.
 func (c *Controller) Snapshot() map[vnet.Addr]Resources {
 	out := make(map[vnet.Addr]Resources, len(c.members))
-	for a, m := range c.members {
-		out[a] = m.res
+	for _, m := range c.members {
+		out[m.addr] = m.res
 	}
 	return out
 }

@@ -145,8 +145,8 @@ func (c *Controller) Checkpoint() Checkpoint {
 	ck.Emergency = c.emergency
 	ck.Depend = c.cfg.Depend
 	ck.Jobs = c.exportJobs()
-	for _, a := range c.Members() {
-		ck.Members = append(ck.Members, MemberSnapshot{Addr: a, Res: c.members[a].res})
+	for _, m := range c.members {
+		ck.Members = append(ck.Members, MemberSnapshot{Addr: m.addr, Res: m.res})
 	}
 	for _, id := range sortedKeys(c.tasks) {
 		ts := c.tasks[id]
@@ -166,13 +166,12 @@ func (c *Controller) Checkpoint() Checkpoint {
 // the lowest-address fresh member (-1 when none), chosen
 // deterministically so equal seeds replay equal failovers.
 func (c *Controller) standbyCandidate(now sim.Time) vnet.Addr {
-	best := vnet.Addr(-1)
-	for a, m := range c.members {
-		if now-m.lastSeen <= memberTTL && (best < 0 || a < best) {
-			best = a
+	for _, m := range c.members {
+		if now-m.lastSeen <= memberTTL {
+			return m.addr
 		}
 	}
-	return best
+	return -1
 }
 
 // sendCheckpoint replicates current state to the standby.
@@ -245,8 +244,11 @@ func decodeCkpt(msg vnet.Message, stats *Stats) (Checkpoint, bool) {
 // already in the table keeps its row.
 func (c *Controller) adoptMembers(ck *Checkpoint, seen sim.Time) {
 	for _, ms := range ck.Members {
-		if _, known := c.members[ms.Addr]; !known && ms.Addr != c.node.Addr() && ms.Addr != ck.Controller {
-			c.members[ms.Addr] = &memberInfo{res: ms.Res, lastSeen: seen}
+		if ms.Addr == c.node.Addr() || ms.Addr == ck.Controller {
+			continue
+		}
+		if m, added := c.members.add(ms.Addr); added {
+			m.res, m.lastSeen = ms.Res, seen
 		}
 	}
 }

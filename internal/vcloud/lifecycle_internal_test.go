@@ -1,6 +1,7 @@
 package vcloud
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -37,7 +38,8 @@ func bareController(t *testing.T, cfg ControllerConfig, members ...vnet.Addr) (*
 
 // addMember writes a fresh 1000 ops/s member into c's table.
 func addMember(c *Controller, a vnet.Addr) {
-	c.members[a] = &memberInfo{res: Resources{CPU: 1000}, lastSeen: c.node.Kernel().Now()}
+	m, _ := c.members.add(a)
+	m.res, m.lastSeen = Resources{CPU: 1000}, c.node.Kernel().Now()
 }
 
 func submit(t *testing.T, c *Controller, task Task) *taskState {
@@ -73,7 +75,7 @@ func TestMergeRetirementReleasesReplicaQueues(t *testing.T) {
 	}
 	want := map[vnet.Addr]float64{0: 1000, 1: 0, 2: 0, 3: 0, 4: 0}
 	for a, q := range want {
-		if got := c.members[a].queuedOps; got != q {
+		if got := c.members.get(a).queuedOps; got != q {
 			t.Errorf("member %d queuedOps = %v, want %v", a, got, q)
 		}
 	}
@@ -115,7 +117,8 @@ func TestHandoverWithNoTakerKeepsTheRemainder(t *testing.T) {
 		}
 		// The departing holder leaves and fresh members arrive in time
 		// for the round.
-		delete(c.members, first.assignee)
+		i, _ := c.members.search(first.assignee)
+		c.members = slices.Delete(c.members, i, i+1)
 		for a := vnet.Addr(10); a < vnet.Addr(10+k); a++ {
 			addMember(c, a)
 		}
