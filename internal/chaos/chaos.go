@@ -51,8 +51,8 @@ import (
 	"sort"
 	"time"
 
+	"vcloud/internal/faults"
 	"vcloud/internal/geo"
-	"vcloud/internal/radio"
 	"vcloud/internal/scenario"
 	"vcloud/internal/sim"
 	"vcloud/internal/vcloud"
@@ -333,6 +333,15 @@ const killSpacing = 20 * time.Second
 // Soak runs one full soak and returns its report. The report's
 // Violations being empty is the pass criterion.
 func Soak(cfg SoakConfig) (*Report, error) {
+	sk, err := runSoak(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sk.report, nil
+}
+
+// runSoak runs one full soak and returns it, world included.
+func runSoak(cfg SoakConfig) (*soak, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -435,7 +444,7 @@ func Soak(cfg SoakConfig) (*Report, error) {
 	checkT.Stop()
 	sk.check()
 	sk.finalize()
-	return sk.report, nil
+	return sk, nil
 }
 
 // byzAddrs lists the Byzantine workers' addresses in ascending order.
@@ -586,9 +595,7 @@ func (sk *soak) injectFault() {
 		}
 		id := ids[sk.rng.Intn(len(ids))]
 		dur := sim.Time(5+sk.rng.Float64()*15) * time.Second
-		sk.w.Injector.CrashNode(vnet.Addr(id))
-		sk.s.Kernel.After(dur, func() { sk.w.Injector.RecoverNode(vnet.Addr(id)) })
-		sk.fault("%s crash vehicle %d for %s", now, id, dur)
+		sk.inject(faults.Event{Kind: faults.Crash, Target: int(id), Dur: dur})
 	case roll < 0.55:
 		// Partition a circular region for 5–15 s.
 		b := sk.s.Network.Bounds()
@@ -598,16 +605,12 @@ func (sk *soak) injectFault() {
 		}
 		radius := 50 + sk.rng.Float64()*150
 		dur := sim.Time(5+sk.rng.Float64()*10) * time.Second
-		heal := sk.w.Injector.StartPartition(c, radius)
-		sk.s.Kernel.After(dur, heal)
-		sk.fault("%s partition r=%.0fm at %.0f,%.0f for %s", now, radius, c.X, c.Y, dur)
+		sk.inject(faults.Event{Kind: faults.Partition, Center: c, Radius: radius, Dur: dur})
 	case roll < 0.75:
 		// Loss burst 10–40% for 3–10 s.
 		p := 0.1 + sk.rng.Float64()*0.3
 		dur := sim.Time(3+sk.rng.Float64()*7) * time.Second
-		sk.w.Injector.SetLoss(p)
-		sk.s.Kernel.After(dur, func() { sk.w.Injector.SetLoss(0) })
-		sk.fault("%s loss p=%.2f for %s", now, p, dur)
+		sk.inject(faults.Event{Kind: faults.Loss, Prob: p, Dur: dur})
 	case roll < 0.85:
 		// Kill the busiest controller; failover must take over. Keep a
 		// kill budget so a long storm cannot consume the whole fleet
@@ -618,8 +621,7 @@ func (sk *soak) injectFault() {
 			return
 		}
 		sk.lastKill = now
-		ctls[sk.rng.Intn(len(ctls))].Crash()
-		sk.fault("%s kill-controller", now)
+		sk.inject(faults.Event{Kind: faults.KillController, Target: sk.rng.Intn(len(ctls))})
 	default:
 		// Flip a random Byzantine worker honest, or back.
 		addrs := sk.byzAddrs()
@@ -651,10 +653,10 @@ func (sk *soak) splitBrain(now sim.Time) {
 	if !c.Fenced() || standby < 0 {
 		return // no standby: isolation would only make the cloud headless
 	}
-	var pool []radio.NodeID
+	var pool []int
 	for _, a := range c.Members() {
 		if a != standby && a != c.Addr() {
-			pool = append(pool, radio.NodeID(a))
+			pool = append(pool, int(a))
 		}
 	}
 	sk.rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
@@ -663,11 +665,9 @@ func (sk *soak) splitBrain(now sim.Time) {
 		n = sk.rng.Intn(len(pool)/2 + 1)
 	}
 	dur := sim.Time(10+sk.rng.Float64()*10) * time.Second
-	heal := sk.w.Injector.StartIsolation(radio.NodeID(c.Addr()), pool[:n])
-	sk.s.Kernel.After(dur, heal)
 	sk.lastSplit = now
 	sk.report.SplitBrains++
-	sk.fault("%s split-brain isolate controller %d with %d kept members for %s", now, c.Addr(), n, dur)
+	sk.inject(faults.Event{Kind: faults.Isolate, Target: int(c.Addr()), Keep: pool[:n], Dur: dur})
 }
 
 // onAccept is the member-side fencing probe: every fenced follow
@@ -769,6 +769,14 @@ func (sk *soak) fault(format string, args ...interface{}) {
 	sk.report.FaultsInjected++
 	sk.report.FaultLog = append(sk.report.FaultLog, line)
 	sk.event("fault %s", line)
+}
+
+// inject applies one radio fault through the world's injector, which
+// heals it after its Dur, and logs it to the storm as its plan line.
+func (sk *soak) inject(e faults.Event) {
+	e.At = sk.s.Kernel.Now()
+	sk.w.Injector.Apply(e)
+	sk.fault("%s", e)
 }
 
 // event appends one line to the canonical (checksummed) event log.

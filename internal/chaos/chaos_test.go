@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"vcloud/internal/faults"
 )
 
 // shortCfg is the CI-sized soak: 60 simulated seconds of storm.
@@ -334,5 +336,65 @@ func TestStorageSoakReproducible(t *testing.T) {
 	}
 	if a.StorageAcked != b.StorageAcked || a.StorageLost != b.StorageLost || a.Departures != b.Departures {
 		t.Errorf("same seed, different storage counts: %+v vs %+v", a, b)
+	}
+}
+
+// TestSoakFaultLogIsAPlan runs a short soak in every mode and reads the
+// injector's log back with faults.Parse: the events render line for line
+// to the log's event lines, every heal comment names an event applied
+// before it, and the storm's radio faults appear in it in the storm's
+// order (byz-flip, uplink and departure lines are the soak's own).
+func TestSoakFaultLogIsAPlan(t *testing.T) {
+	for _, mode := range []func(*SoakConfig){
+		func(*SoakConfig) {},
+		func(c *SoakConfig) { c.SplitBrain = true },
+		func(c *SoakConfig) { c.Storage = "replicated" },
+		func(c *SoakConfig) { c.Storage = "ec" },
+		func(c *SoakConfig) { c.DAG = true },
+		func(c *SoakConfig) { c.Saturate = true },
+	} {
+		cfg := shortCfg(7)
+		mode(&cfg)
+		sk, err := runSoak(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := sk.w.Injector.Log()
+		plan, err := faults.Parse(strings.Join(log, "\n"))
+		if err != nil {
+			t.Fatalf("%+v: log does not parse: %v", cfg, err)
+		}
+		var lines []string
+		applied := map[string]bool{}
+		for _, l := range log {
+			if ev, heal := strings.CutPrefix(l, "#"); heal {
+				if _, ev, _ := strings.Cut(ev, "healed: "); !applied[ev] {
+					t.Errorf("%+v: %q heals no applied event", cfg, l)
+				}
+				continue
+			}
+			lines = append(lines, l)
+			applied[l] = true
+		}
+		if got, want := plan.String(), strings.Join(lines, "\n"); got != want {
+			t.Errorf("%+v: log reads back as\n%s\nwant\n%s", cfg, got, want)
+		}
+		i, storm := 0, 0
+		for _, l := range sk.report.FaultLog {
+			if _, err := faults.Parse(l); err != nil {
+				continue
+			}
+			storm++
+			for i < len(lines) && lines[i] != l {
+				i++
+			}
+			if i == len(lines) {
+				t.Fatalf("%+v: storm fault %q missing from the injector's log, or out of order", cfg, l)
+			}
+			i++
+		}
+		if storm == 0 {
+			t.Errorf("%+v: the storm applied no radio fault", cfg)
+		}
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"vcloud/internal/faults"
 	"vcloud/internal/sim"
 	"vcloud/internal/vcloud"
 )
@@ -190,5 +191,5 @@ func (sk *soak) killMember(now sim.Time) {
 	}
 	sk.dg.kills++
 	sk.report.MemberKills++
-	sk.fault("%s kill-member vehicle %d", now, id)
+	sk.fault("%s", faults.Event{At: now, Kind: faults.KillMember, Target: int(id)})
 }

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"vcloud/internal/faults"
 	"vcloud/internal/geo"
 	"vcloud/internal/metrics"
-	"vcloud/internal/radio"
 	"vcloud/internal/sim"
 	"vcloud/internal/vcloud"
 	"vcloud/internal/world"
@@ -88,17 +88,15 @@ func E13SplitBrain(cfg Config) (*Result, error) {
 				return
 			}
 			c := ctls[0]
-			keep := make([]radio.NodeID, 0, 3)
+			keep := make([]int, 0, 3)
 			for _, m := range c.Members() {
 				if m != c.StandbyAddr() && len(keep) < 3 {
-					keep = append(keep, radio.NodeID(m))
+					keep = append(keep, int(m))
 				}
 			}
-			heal := inj.StartIsolation(radio.NodeID(c.Addr()), keep)
-			s.Kernel.After(isolateFor, func() {
-				heal()
-				healAt = s.Kernel.Now()
-			})
+			// The injector's heal runs first: it was scheduled first.
+			inj.Apply(faults.Event{Kind: faults.Isolate, Target: int(c.Addr()), Keep: keep, Dur: isolateFor})
+			s.Kernel.After(isolateFor, func() { healAt = s.Kernel.Now() })
 		})
 
 		// Probes: split-brain exposure is the sampled time with two or

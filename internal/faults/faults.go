@@ -32,7 +32,8 @@ type Kind string
 // Fault kinds.
 const (
 	// Crash makes a vehicle radio-silent (process + radio failure): every
-	// frame from or to it is dropped until Recover.
+	// frame from or to it is dropped until Recover, or until it heals
+	// after Dur.
 	Crash Kind = "crash"
 	// Recover undoes Crash for a vehicle.
 	Recover Kind = "recover"
@@ -86,10 +87,13 @@ type Event struct {
 	// Keep lists node addresses isolated together with Target (Isolate
 	// only): they stay reachable from Target but are cut from the rest.
 	Keep []int
-	// Dur auto-heals Partition, Loss and Isolate events; zero means
-	// "until the end of the run".
+	// Dur auto-heals Crash, Partition, Loss and Isolate events; zero
+	// means "until the end of the run". Other kinds take none.
 	Dur sim.Time
 }
+
+// heals reports whether the kind takes a duration.
+func (k Kind) heals() bool { return k == Crash || k == Partition || k == Loss || k == Isolate }
 
 // String renders the event in the plan language (parseable by Parse).
 func (e Event) String() string {
@@ -153,6 +157,9 @@ func (e Event) Validate() error {
 	if e.Dur < 0 {
 		return fmt.Errorf("faults: duration must be >= 0, got %v", e.Dur)
 	}
+	if e.Dur > 0 && !e.Kind.heals() {
+		return fmt.Errorf("faults: %s takes no duration, got %v", e.Kind, e.Dur)
+	}
 	return nil
 }
 
@@ -183,15 +190,15 @@ func (p Plan) String() string {
 
 // Stats reports what the injector did.
 type Stats struct {
-	// Applied counts fault events that fired (including auto-heals).
+	// Applied counts fault events that fired and the heals that ended them.
 	Applied int
 	// DroppedFrames counts frames the active faults suppressed.
 	DroppedFrames uint64
 }
 
-// Injector binds fault plans to a scenario: it writes the radio medium's
-// fault table and schedules plan events on the kernel. One injector
-// serves any number of Schedule calls.
+// Injector applies fault events to a scenario: it writes the radio
+// medium's fault table, heals timed faults and logs both. Every fault
+// goes through Apply, now or, by Schedule, at its event's time.
 type Injector struct {
 	s     *scenario.Scenario
 	table *radio.FaultTable
@@ -230,14 +237,16 @@ func (in *Injector) Stats() Stats {
 	return Stats{Applied: in.applied, DroppedFrames: in.table.Dropped()}
 }
 
-// Log returns the applied-fault log, one line per fired event.
+// Log returns the applied-fault log: each applied event as its plan
+// line, each heal as a '#' comment line. Parse reads it back to exactly
+// the events that were applied, in order.
 func (in *Injector) Log() []string {
 	out := make([]string, len(in.log))
 	copy(out, in.log)
 	return out
 }
 
-// Schedule validates the plan and schedules every event on the kernel.
+// Schedule validates the plan and applies every event at its time.
 // KillController events require a hook (OnControllerKill) to be
 // installed first.
 func (in *Injector) Schedule(p Plan) error {
@@ -250,142 +259,91 @@ func (in *Injector) Schedule(p Plan) error {
 		}
 	}
 	for _, e := range p {
-		e := e
-		in.s.Kernel.At(e.At, func() { in.apply(e) })
+		in.s.Kernel.At(e.At, func() { in.Apply(e) })
 	}
 	return nil
 }
 
-func (in *Injector) apply(e Event) {
+// Apply applies e now, whatever its At, and logs it at the current time.
+// A timed fault (Dur > 0) heals itself after Dur. The returned heal ends
+// the fault sooner; only its first call acts, and it does nothing for a
+// kind that takes no duration. Apply panics on an event Validate rejects.
+func (in *Injector) Apply(e Event) (heal func()) {
+	if err := e.Validate(); err != nil {
+		panic(err)
+	}
+	e.At = in.s.Kernel.Now()
 	in.applied++
-	in.log = append(in.log, fmt.Sprintf("%s %s", in.s.Kernel.Now(), e.describe()))
+	in.log = append(in.log, e.String())
+	undo := in.apply(e)
+	if undo == nil {
+		return func() {}
+	}
+	healed := false
+	heal = func() {
+		if healed {
+			return
+		}
+		healed = true
+		in.applied++
+		in.log = append(in.log, fmt.Sprintf("# %s healed: %s", in.s.Kernel.Now(), e))
+		undo()
+	}
+	if e.Dur > 0 {
+		in.s.Kernel.After(e.Dur, heal)
+	}
+	return heal
+}
+
+// apply writes e into the fault table and returns what undoes it, or nil
+// for a kind that takes no duration.
+func (in *Injector) apply(e Event) (undo func()) {
+	addr := radio.NodeID(e.Target)
 	switch e.Kind {
 	case Crash:
-		in.CrashNode(radio.NodeID(e.Target))
+		in.table.Crash(addr)
+		return func() { in.table.Recover(addr) }
 	case Recover:
-		in.RecoverNode(radio.NodeID(e.Target))
-	case RSUDown:
-		if addr, ok := in.rsuAddr(e.Target); ok {
-			in.CrashNode(addr)
+		in.table.Recover(addr)
+	case RSUDown, RSUUp:
+		// An out-of-range index is logged and applies as a no-op.
+		if e.Target >= len(in.s.RSUs) {
+			return nil
 		}
-	case RSUUp:
-		if addr, ok := in.rsuAddr(e.Target); ok {
-			in.RecoverNode(addr)
+		if rsu := in.s.RSUs[e.Target].Addr(); e.Kind == RSUDown {
+			in.table.Crash(rsu)
+		} else {
+			in.table.Recover(rsu)
 		}
 	case Partition:
-		heal := in.StartPartition(e.Center, e.Radius)
-		if e.Dur > 0 {
-			in.s.Kernel.After(e.Dur, func() {
-				in.applied++
-				in.log = append(in.log, fmt.Sprintf("%s partition healed at %g,%g", in.s.Kernel.Now(), e.Center.X, e.Center.Y))
-				heal()
-			})
-		}
+		return in.table.Partition(e.Center, e.Radius)
 	case Isolate:
-		keep := make([]radio.NodeID, 0, len(e.Keep))
+		set := map[radio.NodeID]bool{addr: true}
 		for _, k := range e.Keep {
-			keep = append(keep, radio.NodeID(k))
+			set[radio.NodeID(k)] = true
 		}
-		heal := in.StartIsolation(radio.NodeID(e.Target), keep)
-		if e.Dur > 0 {
-			in.s.Kernel.After(e.Dur, func() {
-				in.applied++
-				in.log = append(in.log, fmt.Sprintf("%s isolation healed around %d", in.s.Kernel.Now(), e.Target))
-				heal()
-			})
-		}
+		return in.table.Isolate(set)
 	case Loss:
-		in.SetLoss(e.Prob)
-		if e.Dur > 0 {
-			in.s.Kernel.After(e.Dur, func() {
-				in.applied++
-				in.log = append(in.log, fmt.Sprintf("%s loss burst ended", in.s.Kernel.Now()))
-				in.SetLoss(0)
-			})
-		}
+		in.table.SetLoss(e.Prob)
+		return func() { in.table.SetLoss(0) }
 	case KillController:
 		if in.killCtl != nil {
 			in.killCtl(e.Target)
 		}
 	case KillMember:
-		in.CrashNode(radio.NodeID(e.Target))
+		in.table.Crash(addr)
 		if in.killMem != nil {
 			in.killMem(e.Target)
 		}
 	}
+	return nil
 }
 
-func (e Event) describe() string {
-	switch e.Kind {
-	case Isolate:
-		d := "until end"
-		if e.Dur > 0 {
-			d = fmt.Sprintf("for %s", e.Dur)
-		}
-		return fmt.Sprintf("isolate %d with %d kept peers (%s)", e.Target, len(e.Keep), d)
-	case Partition:
-		d := "until end"
-		if e.Dur > 0 {
-			d = fmt.Sprintf("for %s", e.Dur)
-		}
-		return fmt.Sprintf("partition r=%gm at %g,%g (%s)", e.Radius, e.Center.X, e.Center.Y, d)
-	case Loss:
-		d := "until end"
-		if e.Dur > 0 {
-			d = fmt.Sprintf("for %s", e.Dur)
-		}
-		return fmt.Sprintf("loss p=%g (%s)", e.Prob, d)
-	default:
-		return fmt.Sprintf("%s %d", e.Kind, e.Target)
-	}
-}
-
-// rsuAddr resolves an RSU creation index to its address.
-func (in *Injector) rsuAddr(idx int) (radio.NodeID, bool) {
-	if idx < 0 || idx >= len(in.s.RSUs) {
-		return 0, false
-	}
-	return in.s.RSUs[idx].Addr(), true
-}
-
-// CrashNode silences a node immediately (programmatic form of Crash /
-// RSUDown).
+// CrashNode silences a node immediately, outside the log.
 func (in *Injector) CrashNode(addr radio.NodeID) { in.table.Crash(addr) }
 
-// KillMember kills a vehicle's member process immediately (programmatic
-// form of the KillMember event): radio silence plus the member-kill
-// hook, so the cloud layer stops the member agent and its running work
-// dies with it.
-func (in *Injector) KillMember(id int) {
-	in.CrashNode(radio.NodeID(id))
-	if in.killMem != nil {
-		in.killMem(id)
-	}
-}
-
-// RecoverNode restores a silenced node.
+// RecoverNode restores a silenced node, outside the log.
 func (in *Injector) RecoverNode(addr radio.NodeID) { in.table.Recover(addr) }
-
-// SetLoss sets the global frame-drop probability (0 disables).
-func (in *Injector) SetLoss(p float64) { in.table.SetLoss(p) }
-
-// StartPartition isolates a circular region immediately and returns a
-// heal function (programmatic form of Partition).
-func (in *Injector) StartPartition(center geo.Point, radius float64) (heal func()) {
-	return in.table.Partition(center, radius)
-}
-
-// StartIsolation cuts the node set {center} ∪ keep off from every other
-// node immediately and returns a heal function (programmatic form of
-// Isolate). Traffic inside the set, and among the outsiders, still
-// flows — the targeted split-brain cut.
-func (in *Injector) StartIsolation(center radio.NodeID, keep []radio.NodeID) (heal func()) {
-	set := map[radio.NodeID]bool{center: true}
-	for _, k := range keep {
-		set[k] = true
-	}
-	return in.table.Isolate(set)
-}
 
 // Cut reports whether frames between from and to are currently severed
 // by a deterministic fault — a crash on either end, an isolation or a

@@ -90,7 +90,8 @@ func TestParseErrors(t *testing.T) {
 		"banana crash 5",      // unparseable time
 		"10s melt 3",          // unknown kind
 		"10s crash",           // missing target
-		"10s crash 1 2",       // too many args
+		"10s crash 1 2s 3s",   // too many args
+		"10s recover 1 2s",    // a duration on a kind with no heal
 		"10s crash -4",        // negative target
 		"10s loss 1.5",        // probability out of range
 		"10s partition 3 4",   // malformed point
@@ -99,6 +100,29 @@ func TestParseErrors(t *testing.T) {
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted, want error", bad)
+		}
+	}
+}
+
+// TestValidateDurations: crash, partition, loss and isolate heal after
+// their duration; every other kind takes none.
+func TestValidateDurations(t *testing.T) {
+	for _, c := range []struct {
+		e  Event
+		ok bool
+	}{
+		{Event{Kind: Crash, Target: 5, Dur: 8 * time.Second}, true},
+		{Event{Kind: Partition, Radius: 10, Dur: time.Second}, true},
+		{Event{Kind: Loss, Prob: 0.3, Dur: time.Second}, true},
+		{Event{Kind: Isolate, Target: 2, Dur: time.Second}, true},
+		{Event{Kind: KillController, Target: 0, Dur: 5 * time.Second}, false},
+		{Event{Kind: KillMember, Target: 3, Dur: time.Second}, false},
+		{Event{Kind: Recover, Target: 5, Dur: time.Second}, false},
+		{Event{Kind: RSUDown, Target: 0, Dur: time.Second}, false},
+		{Event{Kind: RSUUp, Target: 0, Dur: time.Second}, false},
+	} {
+		if err := c.e.Validate(); (err == nil) != c.ok {
+			t.Errorf("Validate(%s) = %v, want ok=%v", c.e, err, c.ok)
 		}
 	}
 }
@@ -205,7 +229,7 @@ func TestPartitionCutsBoundaryOnly(t *testing.T) {
 
 	// Isolate a tight region around a: only a is inside, so a↔b crosses
 	// the boundary while b↔c is wholly outside.
-	heal := in.StartPartition(a.Position(), 1)
+	heal := in.Apply(Event{Kind: Partition, Center: a.Position(), Radius: 1})
 	if got := pingCount(t, s, a, b, 5); got != 0 {
 		t.Errorf("boundary-crossing traffic delivered %d, want 0", got)
 	}
@@ -273,9 +297,9 @@ func TestCloseDisarms(t *testing.T) {
 	a, _ := s.Node(ids[0])
 	b, _ := s.Node(ids[1])
 	in.CrashNode(b.Addr())
-	in.StartIsolation(a.Addr(), nil)
-	in.StartPartition(a.Position(), 1)
-	in.SetLoss(1)
+	in.Apply(Event{Kind: Isolate, Target: int(a.Addr())})
+	in.Apply(Event{Kind: Partition, Center: a.Position(), Radius: 1})
+	in.Apply(Event{Kind: Loss, Prob: 1})
 	if got := pingCount(t, s, a, b, 2); got != 0 {
 		t.Fatalf("armed injector delivered %d frames", got)
 	}
@@ -322,7 +346,7 @@ func TestCutTracksDeterministicFaults(t *testing.T) {
 		t.Error("recovered pair still cut")
 	}
 
-	healIso := in.StartIsolation(a.Addr(), nil)
+	healIso := in.Apply(Event{Kind: Isolate, Target: int(a.Addr())})
 	if !in.Cut(a.Addr(), b.Addr()) {
 		t.Error("isolation boundary not cut")
 	}
@@ -335,7 +359,7 @@ func TestCutTracksDeterministicFaults(t *testing.T) {
 	}
 
 	// A tight partition around a cuts only boundary crossings.
-	healPart := in.StartPartition(a.Position(), 1)
+	healPart := in.Apply(Event{Kind: Partition, Center: a.Position(), Radius: 1})
 	if !in.Cut(a.Addr(), b.Addr()) {
 		t.Error("partition boundary not cut")
 	}
@@ -349,7 +373,7 @@ func TestCutTracksDeterministicFaults(t *testing.T) {
 
 	// Certain loss drops every frame, but Cut is about deterministic
 	// faults only: reachability probes must not see — or perturb — it.
-	in.SetLoss(1.0)
+	in.Apply(Event{Kind: Loss, Prob: 1.0})
 	if in.Cut(a.Addr(), b.Addr()) {
 		t.Error("loss burst reported as cut")
 	}
@@ -365,7 +389,7 @@ func TestCutDoesNotPerturbLossStream(t *testing.T) {
 		if err != nil {
 			t.Fatalf("injector: %v", err)
 		}
-		in.SetLoss(0.5)
+		in.Apply(Event{Kind: Loss, Prob: 0.5})
 		seq := make([]bool, 0, 64)
 		for i := 0; i < 64; i++ {
 			if probe {
@@ -391,11 +415,11 @@ func TestCutAllocFree(t *testing.T) {
 		t.Fatalf("injector: %v", err)
 	}
 	in.CrashNode(2)
-	in.StartIsolation(2, []vnet.Addr{3})
-	in.StartIsolation(4, nil)
-	in.StartPartition(geo.Point{X: 30, Y: 10}, 0.5)
-	in.StartPartition(geo.Point{X: 1e6, Y: 1e6}, 1)
-	in.SetLoss(0.5)
+	in.Apply(Event{Kind: Isolate, Target: 2, Keep: []int{3}})
+	in.Apply(Event{Kind: Isolate, Target: 4})
+	in.Apply(Event{Kind: Partition, Center: geo.Point{X: 30, Y: 10}, Radius: 0.5})
+	in.Apply(Event{Kind: Partition, Center: geo.Point{X: 1e6, Y: 1e6}, Radius: 1})
+	in.Apply(Event{Kind: Loss, Prob: 0.5})
 	// 0–1 crosses no boundary, so both walk every check to the end.
 	if in.Cut(0, 1) {
 		t.Fatal("uninvolved pair reported cut")
@@ -438,16 +462,16 @@ func TestInstallHealInterleaving(t *testing.T) {
 		case op == 0:
 			center := addrs[rng.Intn(len(addrs))]
 			set := map[vnet.Addr]bool{center: true}
-			var keep []vnet.Addr
+			var keep []int
 			for i := rng.Intn(3); i > 0; i-- {
 				k := addrs[rng.Intn(len(addrs))]
-				keep = append(keep, k)
+				keep = append(keep, int(k))
 				set[k] = true
 			}
-			active = append(active, model{iso: set, heal: in.StartIsolation(center, keep)})
+			active = append(active, model{iso: set, heal: in.Apply(Event{Kind: Isolate, Target: int(center), Keep: keep})})
 		case op == 1:
 			r := disc{center: pos[addrs[rng.Intn(len(addrs))]], radius: 1 + 40*rng.Float64()}
-			active = append(active, model{part: &r, heal: in.StartPartition(r.center, r.radius)})
+			active = append(active, model{part: &r, heal: in.Apply(Event{Kind: Partition, Center: r.center, Radius: r.radius})})
 		case op == 2 && len(healed) > 0:
 			healed[rng.Intn(len(healed))]() // a second heal must be a no-op
 		case len(active) > 0:

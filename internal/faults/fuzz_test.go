@@ -17,6 +17,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("40s kill-controller 0")
 	f.Add("12s kill-member 7")
 	f.Add("30s crash 5\n50s recover 5")
+	f.Add("30s crash 5 8s")
 	f.Add("1s partition -1500,-20 400")
 	f.Add("0s loss 1")
 	f.Add("# comment only\n\n;;")
@@ -57,7 +58,7 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("round-trip length %d != %d\nrendered: %q", len(again), len(plan), plan.String())
 		}
 		for i := range plan {
-			if plan[i].Kind != again[i].Kind || plan[i].At != again[i].At || plan[i].Target != again[i].Target {
+			if plan[i].Kind != again[i].Kind || plan[i].At != again[i].At || plan[i].Target != again[i].Target || plan[i].Dur != again[i].Dur {
 				t.Fatalf("round-trip event %d differs: %+v vs %+v", i, plan[i], again[i])
 			}
 		}

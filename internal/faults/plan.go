@@ -18,6 +18,7 @@ import (
 //
 //	30s  crash 5              # vehicle 5 radio-dead
 //	50s  recover 5
+//	35s  crash 7 8s           # vehicle 7 radio-dead for 8s
 //	30s  rsu-down 0           # RSU by creation index
 //	60s  rsu-up 0
 //	40s  partition 1500,0 400 20s   # isolate r=400m around (1500,0) for 20s
@@ -26,9 +27,9 @@ import (
 //	55s  loss 0.3 10s               # drop 30% of frames for 10s
 //	70s  kill-controller 0          # via the injector's kill hook
 //
-// The trailing duration on partition, loss and isolate is optional
-// (omitted = until the end of the run). Plan order is preserved:
-// same-time events apply in the order written.
+// The trailing duration on crash, partition, loss and isolate is
+// optional (omitted = until the end of the run). Plan order is
+// preserved: same-time events apply in the order written.
 func Parse(text string) (Plan, error) {
 	var plan Plan
 	entries := strings.FieldsFunc(text, func(r rune) bool { return r == '\n' || r == ';' })
@@ -64,7 +65,10 @@ func parseEvent(fields []string) (Event, error) {
 	args := fields[2:]
 	switch e.Kind {
 	case Crash, Recover, RSUDown, RSUUp, KillController, KillMember:
-		if len(args) != 1 {
+		if e.Kind == Crash && len(args) != 1 && len(args) != 2 {
+			return Event{}, fmt.Errorf("crash wants \"<target> [dur]\"")
+		}
+		if e.Kind != Crash && len(args) != 1 {
 			return Event{}, fmt.Errorf("%s wants one target argument", e.Kind)
 		}
 		t, err := strconv.Atoi(args[0])
@@ -72,6 +76,11 @@ func parseEvent(fields []string) (Event, error) {
 			return Event{}, fmt.Errorf("bad target %q: %w", args[0], err)
 		}
 		e.Target = t
+		if len(args) == 2 {
+			if e.Dur, err = parseDur(args[1]); err != nil {
+				return Event{}, err
+			}
+		}
 	case Partition:
 		if len(args) != 2 && len(args) != 3 {
 			return Event{}, fmt.Errorf("partition wants \"<x>,<y> <radius> [dur]\"")

@@ -111,21 +111,17 @@ func checkVerdicts(t *testing.T, seed int64, c verdictCase) {
 	}
 	for _, set := range c.isolations {
 		members := map[radio.NodeID]bool{}
-		var keep []radio.NodeID
-		for i, id := range set {
+		for _, id := range set {
 			members[radio.NodeID(id)] = true
-			if i > 0 {
-				keep = append(keep, radio.NodeID(id))
-			}
 		}
-		in.StartIsolation(radio.NodeID(set[0]), keep)
+		in.Apply(Event{Kind: Isolate, Target: set[0], Keep: set[1:]})
 		model.isolations = append(model.isolations, members)
 	}
 	for _, d := range c.partitions {
-		in.StartPartition(d.center, d.radius)
+		in.Apply(Event{Kind: Partition, Center: d.center, Radius: d.radius})
 		model.partitions = append(model.partitions, d)
 	}
-	in.SetLoss(c.loss)
+	in.Apply(Event{Kind: Loss, Prob: c.loss})
 	model.loss = c.loss
 
 	n := radio.NodeID(len(c.pos))
@@ -148,7 +144,7 @@ func checkVerdicts(t *testing.T, seed int64, c verdictCase) {
 	}
 	// The loss streams must stand at the same place: certain-coin frames
 	// between two nodes nothing cuts would diverge within a few draws.
-	in.SetLoss(0.5)
+	in.Apply(Event{Kind: Loss, Prob: 0.5})
 	model.loss = 0.5
 	free := [2]radio.NodeID{n, n + 1}
 	s.Medium.UpdatePosition(free[0], geo.Point{X: 90, Y: 90})
@@ -160,7 +156,7 @@ func checkVerdicts(t *testing.T, seed int64, c verdictCase) {
 			}
 		}
 	}
-	in.SetLoss(0)
+	in.Apply(Event{Kind: Loss, Prob: 0})
 	model.loss = 0
 	pairs(func(from, to radio.NodeID) {
 		cut, frame, want := in.Cut(from, to), frameDropped(s, in, from, to), model.cut(from, to)

@@ -110,18 +110,18 @@ func runQuorumSchedules(t *testing.T, s *scenario.Scenario, inj *faults.Injector
 					return false
 				}
 			case 4: // crash / recover toggles one member
+				kind := faults.Crash
 				if crashed[member] {
-					inj.RecoverNode(member)
-				} else {
-					inj.CrashNode(member)
+					kind = faults.Recover
 				}
+				inj.Apply(faults.Event{Kind: kind, Target: int(member)})
 				crashed[member] = !crashed[member]
 			case 5: // geometric partition around a pseudo-random point
 				c := geo.Point{
 					X: bounds.Min.X + bounds.Width()*float64(op%97)/97,
 					Y: bounds.Min.Y + bounds.Height()*float64(op%89)/89,
 				}
-				heals = append(heals, inj.StartPartition(c, 40+float64(op%50)))
+				heals = append(heals, inj.Apply(faults.Event{Kind: faults.Partition, Center: c, Radius: 40 + float64(op%50)}))
 			case 6: // heal the oldest open partition
 				if len(heals) > 0 {
 					heals[0]()

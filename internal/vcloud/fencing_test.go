@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"vcloud/internal/faults"
-	"vcloud/internal/radio"
 	"vcloud/internal/vcloud"
 	"vcloud/internal/vnet"
 )
@@ -63,16 +62,16 @@ func TestEpochAlgebra(t *testing.T) {
 // heals the cut.
 func isolateController(t *testing.T, inj *faults.Injector, c *vcloud.Controller, keepN int) func() {
 	t.Helper()
-	keep := make([]radio.NodeID, 0, keepN)
+	keep := make([]int, 0, keepN)
 	for _, m := range c.Members() {
 		if m != c.StandbyAddr() && len(keep) < keepN {
-			keep = append(keep, radio.NodeID(m))
+			keep = append(keep, int(m))
 		}
 	}
 	if len(keep) < keepN {
 		t.Fatalf("only %d members available to keep, want %d", len(keep), keepN)
 	}
-	return inj.StartIsolation(radio.NodeID(c.Addr()), keep)
+	return inj.Apply(faults.Event{Kind: faults.Isolate, Target: int(c.Addr()), Keep: keep})
 }
 
 // TestSplitBrainAbdicationAndMerge is the tentpole end-to-end: isolating
@@ -283,16 +282,16 @@ func TestRestoreReplacesTasksBehindPartition(t *testing.T) {
 	// Cut every worker currently running a task — except the standby,
 	// which must stay reachable to promote — off from the cloud; the
 	// partition stays open for the whole test.
-	var behind []radio.NodeID
+	var behind []int
 	for _, m := range d.Members {
 		if m.Running() > 0 && m.Addr() != gate.StandbyAddr() {
-			behind = append(behind, radio.NodeID(m.Addr()))
+			behind = append(behind, int(m.Addr()))
 		}
 	}
 	if len(behind) == 0 {
 		t.Skip("only the standby was running tasks in this seeding")
 	}
-	_ = inj.StartIsolation(behind[0], behind[1:])
+	inj.Apply(faults.Event{Kind: faults.Isolate, Target: behind[0], Keep: behind[1:]})
 	gate.Crash()
 	if err := s.RunFor(60 * time.Second); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package world
 import (
 	"math/rand"
 
+	"vcloud/internal/faults"
 	"vcloud/internal/mobility"
 	"vcloud/internal/sim"
 	"vcloud/internal/store"
@@ -69,7 +70,7 @@ func (d *Departures) Step(rng *rand.Rand, b store.Backend) (revived, departed vn
 			}
 		}
 		delete(d.departed, revived)
-		d.w.Injector.RecoverNode(revived)
+		d.w.Injector.Apply(faults.Event{Kind: faults.Recover, Target: int(revived)})
 	}
 	ctl := make(map[vnet.Addr]bool)
 	if d.w.Cloud != nil {
@@ -83,7 +84,7 @@ func (d *Departures) Step(rng *rand.Rand, b store.Backend) (revived, departed vn
 	}
 	departed = pool[rng.Intn(len(pool))]
 	d.departed[departed] = d.w.Scenario.Kernel.Now()
-	d.w.Injector.CrashNode(departed)
+	d.w.Injector.Apply(faults.Event{Kind: faults.Crash, Target: int(departed)})
 	return revived, departed, b.Forget(departed)
 }
 
@@ -98,10 +99,10 @@ func (w *World) KillMember(rng *rand.Rand, rejoinAfter sim.Time) (mobility.Vehic
 		return 0, false
 	}
 	id := ids[rng.Intn(len(ids))]
-	w.Injector.KillMember(int(id))
+	w.Injector.Apply(faults.Event{Kind: faults.KillMember, Target: int(id)})
 	if rejoinAfter > 0 {
 		w.Scenario.Kernel.After(rejoinAfter, func() {
-			w.Injector.RecoverNode(vnet.Addr(id))
+			w.Injector.Apply(faults.Event{Kind: faults.Recover, Target: int(id)})
 			// The vehicle ran an agent of this deployment before its
 			// kill, so starting another cannot fail.
 			_ = w.Cloud.Rejoin(id)

@@ -3,6 +3,7 @@ package world
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -163,6 +164,36 @@ func TestFaultPlanKillHooks(t *testing.T) {
 	}
 	if n := len(w.Cloud.ActiveControllers()); n != 0 {
 		t.Errorf("%d controllers live after the kill, want 0 (no failover)", n)
+	}
+}
+
+// TestFaultLogReplays: a world's fault log, read back with faults.Parse,
+// is the plan the world was built with — every kind, in plan order, the
+// heals of its timed faults only as comments.
+func TestFaultLogReplays(t *testing.T) {
+	plan, err := faults.Parse("1s crash 3; 2s recover 3; 2s rsu-down 0; 3s rsu-up 0; 3s partition 0,0 40 2s; " +
+		"4s isolate 4,5 1s; 4s loss 0.3 2s; 5s crash 6 1500ms; 7s kill-controller 0; 8s kill-member 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := build(t, Spec{Seed: 5, Road: ParkingLot(150), Vehicles: 8, RSUs: []geo.Point{Gate},
+		Cloud: &Cloud{Arch: vcloud.Stationary}, Faults: plan})
+	if err := w.Scenario.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Scenario.RunFor(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	log := w.Injector.Log()
+	again, err := faults.Parse(strings.Join(log, "\n"))
+	if err != nil {
+		t.Fatalf("log does not parse: %v\n%s", err, strings.Join(log, "\n"))
+	}
+	if !reflect.DeepEqual(again, plan) {
+		t.Errorf("log reads back as\n%s\nwant the plan\n%s", again, plan)
+	}
+	if heals := len(log) - len(plan); heals != 4 {
+		t.Errorf("%d heal lines, want one per timed fault (4):\n%s", heals, strings.Join(log, "\n"))
 	}
 }
 
