@@ -646,8 +646,10 @@ func (c *Controller) finish(ts *taskState, ok bool, reason FailReason, value uin
 	ts.value = value
 	delete(c.tasks, id)
 	now := c.node.Kernel().Now()
-	c.cfg.Trace.Emit(now, trace.CatCloud, int32(c.node.Addr()),
-		"task %d finish ok=%v reason=%q latency=%v", id, ok, reason, now-ts.submitted)
+	if c.cfg.Trace.Enabled() { // boxing the arguments allocates
+		c.cfg.Trace.Emit(now, trace.CatCloud, int32(c.node.Addr()),
+			"task %d finish ok=%v reason=%q latency=%v", id, ok, reason, now-ts.submitted)
+	}
 	e := &parkedEntry{
 		po: ParkedOutcome{
 			Task:      ts.task,

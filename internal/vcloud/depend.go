@@ -318,8 +318,10 @@ func (c *Controller) dispatchOneReplica(ts *taskState, addr vnet.Addr, remaining
 	ts.replicas = append(ts.replicas, slot)
 	idx := len(ts.replicas) - 1
 	c.stats.ReplicaDispatches.Inc()
-	c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
-		"task %d replica %d -> %d (attempt %d, %.0f ops)", ts.task.ID, idx, addr, slot.attempt, remaining)
+	if c.cfg.Trace.Enabled() { // boxing the arguments allocates
+		c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
+			"task %d replica %d -> %d (attempt %d, %.0f ops)", ts.task.ID, idx, addr, slot.attempt, remaining)
+	}
 	m := c.members.get(addr)
 	m.queuedOps += remaining
 	c.stats.OpsDispatched += remaining

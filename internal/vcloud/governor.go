@@ -71,18 +71,19 @@ type GovernorTier struct {
 	QueueLimit int
 }
 
+const (
+	// hysteresis is the improvement factor a rival tier must beat the
+	// currently preferred tier's estimate by before placement switches.
+	hysteresis = 1.25
+	// shedUtilization is the queue-occupancy fraction of the chosen tier
+	// at or above which optional work is shed to protect required work.
+	shedUtilization = 0.8
+)
+
 // GovernorConfig tunes the placement governor.
 type GovernorConfig struct {
 	// Tiers lists the destinations in preference order for ties.
 	Tiers []GovernorTier
-	// Hysteresis is the improvement factor a rival tier must beat the
-	// currently preferred tier's estimate by before placement switches.
-	// Default 1.25.
-	Hysteresis float64
-	// ShedUtilization is the queue-occupancy fraction of the chosen tier
-	// at or above which optional work is shed to protect required work.
-	// Default 0.8.
-	ShedUtilization float64
 	// Blind disables congestion feedback: estimates are computed from
 	// nameplate figures with empty queues, as a congestion-oblivious
 	// scheduler would. Admission, backpressure and shedding still apply
@@ -131,12 +132,6 @@ func NewGovernor(kernel *sim.Kernel, cfg GovernorConfig, stats *Stats) (*Governo
 	}
 	if len(cfg.Tiers) == 0 {
 		return nil, fmt.Errorf("vcloud: governor needs at least one tier")
-	}
-	if cfg.Hysteresis <= 1 {
-		cfg.Hysteresis = 1.25
-	}
-	if cfg.ShedUtilization <= 0 || cfg.ShedUtilization > 1 {
-		cfg.ShedUtilization = 0.8
 	}
 	g := &Governor{kernel: kernel, cfg: cfg, stats: stats, preferred: -1}
 	for i := range cfg.Tiers {
@@ -233,7 +228,7 @@ func (g *Governor) Submit(task Task, done func(TaskResult)) error {
 	if g.preferred >= 0 && g.preferred != best {
 		p := g.tiers[g.preferred]
 		if p.outstanding < p.cfg.QueueLimit &&
-			float64(etas[g.preferred]) < g.cfg.Hysteresis*float64(etas[best]) {
+			float64(etas[g.preferred]) < hysteresis*float64(etas[best]) {
 			choice = g.preferred
 		}
 	}
@@ -248,7 +243,7 @@ func (g *Governor) Submit(task Task, done func(TaskResult)) error {
 	// Load shedding: optional work is dropped once the chosen tier runs
 	// hot, keeping the remaining headroom for required work.
 	ct := g.tiers[choice]
-	if task.Optional && float64(ct.outstanding) >= g.cfg.ShedUtilization*float64(ct.cfg.QueueLimit) {
+	if task.Optional && float64(ct.outstanding) >= shedUtilization*float64(ct.cfg.QueueLimit) {
 		return g.reject(task, done, ReasonShed)
 	}
 

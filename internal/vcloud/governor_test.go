@@ -98,7 +98,6 @@ func TestGovernorHysteresis(t *testing.T) {
 	b := &fakeBackend{name: "b", kernel: k, latency: time.Millisecond}
 	// Tier B is always slightly (but < 25%) faster than A.
 	g := newGovernor(t, k, stats, vcloud.GovernorConfig{
-		Hysteresis: 1.25,
 		Tiers: []vcloud.GovernorTier{
 			{Tier: vcloud.TierVehicle, Backend: a, CPU: 1000},
 			{Tier: vcloud.TierEdge, Backend: b, CPU: 1100},
@@ -155,8 +154,7 @@ func TestGovernorBackpressureAndShedding(t *testing.T) {
 	stats := &vcloud.Stats{}
 	hole := &blackHoleBackend{}
 	g := newGovernor(t, k, stats, vcloud.GovernorConfig{
-		ShedUtilization: 0.8,
-		Tiers:           []vcloud.GovernorTier{{Tier: vcloud.TierVehicle, Backend: hole, CPU: 1e6, QueueLimit: 10}},
+		Tiers: []vcloud.GovernorTier{{Tier: vcloud.TierVehicle, Backend: hole, CPU: 1e6, QueueLimit: 10}},
 	})
 	task := vcloud.Task{Ops: 100}
 	reasons := map[vcloud.FailReason]int{}
