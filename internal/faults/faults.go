@@ -100,9 +100,7 @@ func (e Event) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s %s", e.At, e.Kind)
 	switch e.Kind {
-	case Crash, Recover, RSUDown, RSUUp, KillController, KillMember:
-		fmt.Fprintf(&b, " %d", e.Target)
-	case Isolate:
+	case Crash, Recover, RSUDown, RSUUp, KillController, KillMember, Isolate:
 		fmt.Fprintf(&b, " %d", e.Target)
 		for _, k := range e.Keep {
 			fmt.Fprintf(&b, ",%d", k)
@@ -124,13 +122,12 @@ func (e Event) Validate() error {
 		return fmt.Errorf("faults: event time must be >= 0, got %v", e.At)
 	}
 	switch e.Kind {
-	case Crash, Recover, RSUDown, RSUUp, KillController, KillMember:
+	case Crash, Recover, RSUDown, RSUUp, KillController, KillMember, Isolate:
 		if e.Target < 0 {
 			return fmt.Errorf("faults: %s target must be >= 0, got %d", e.Kind, e.Target)
 		}
-	case Isolate:
-		if e.Target < 0 {
-			return fmt.Errorf("faults: %s target must be >= 0, got %d", e.Kind, e.Target)
+		if len(e.Keep) > 0 && e.Kind != Isolate {
+			return fmt.Errorf("faults: %s keeps no peers, got %v", e.Kind, e.Keep)
 		}
 		for _, k := range e.Keep {
 			if k < 0 {

@@ -53,6 +53,19 @@ func Parse(text string) (Plan, error) {
 	return plan, nil
 }
 
+// usage is each kind's argument list.
+var usage = map[Kind]string{
+	Crash:          "<vehicle> [dur]",
+	Recover:        "<vehicle>",
+	RSUDown:        "<rsu>",
+	RSUUp:          "<rsu>",
+	Partition:      "<x>,<y> <radius> [dur]",
+	Isolate:        "<target>[,<keep>...] [dur]",
+	Loss:           "<prob> [dur]",
+	KillController: "<controller>",
+	KillMember:     "<vehicle>",
+}
+
 func parseEvent(fields []string) (Event, error) {
 	if len(fields) < 2 {
 		return Event{}, fmt.Errorf("want \"<time> <kind> <args...>\"")
@@ -63,47 +76,35 @@ func parseEvent(fields []string) (Event, error) {
 	}
 	e := Event{At: at, Kind: Kind(fields[1])}
 	args := fields[2:]
-	switch e.Kind {
-	case Crash, Recover, RSUDown, RSUUp, KillController, KillMember:
-		if e.Kind == Crash && len(args) != 1 && len(args) != 2 {
-			return Event{}, fmt.Errorf("crash wants \"<target> [dur]\"")
-		}
-		if e.Kind != Crash && len(args) != 1 {
-			return Event{}, fmt.Errorf("%s wants one target argument", e.Kind)
-		}
-		t, err := strconv.Atoi(args[0])
-		if err != nil {
-			return Event{}, fmt.Errorf("bad target %q: %w", args[0], err)
-		}
-		e.Target = t
-		if len(args) == 2 {
-			if e.Dur, err = parseDur(args[1]); err != nil {
-				return Event{}, err
-			}
-		}
-	case Partition:
-		if len(args) != 2 && len(args) != 3 {
-			return Event{}, fmt.Errorf("partition wants \"<x>,<y> <radius> [dur]\"")
-		}
-		c, err := parsePoint(args[0])
-		if err != nil {
+	u, known := usage[e.Kind]
+	if !known {
+		return Event{}, fmt.Errorf("unknown kind %q", fields[1])
+	}
+	n := 1 // arguments before the optional duration
+	if e.Kind == Partition {
+		n = 2
+	}
+	if len(args) != n && (!e.Kind.heals() || len(args) != n+1) {
+		return Event{}, fmt.Errorf("%s wants %q", e.Kind, u)
+	}
+	if len(args) > n {
+		if e.Dur, err = parseDur(args[n]); err != nil {
 			return Event{}, err
 		}
-		e.Center = c
-		r, err := strconv.ParseFloat(args[1], 64)
-		if err != nil {
+	}
+	switch e.Kind {
+	case Crash, Recover, RSUDown, RSUUp, KillController, KillMember:
+		if e.Target, err = strconv.Atoi(args[0]); err != nil {
+			return Event{}, fmt.Errorf("bad target %q: %w", args[0], err)
+		}
+	case Partition:
+		if e.Center, err = parsePoint(args[0]); err != nil {
+			return Event{}, err
+		}
+		if e.Radius, err = strconv.ParseFloat(args[1], 64); err != nil {
 			return Event{}, fmt.Errorf("bad radius %q: %w", args[1], err)
 		}
-		e.Radius = r
-		if len(args) == 3 {
-			if e.Dur, err = parseDur(args[2]); err != nil {
-				return Event{}, err
-			}
-		}
 	case Isolate:
-		if len(args) != 1 && len(args) != 2 {
-			return Event{}, fmt.Errorf("isolate wants \"<target>[,<keep>...] [dur]\"")
-		}
 		for i, f := range strings.Split(args[0], ",") {
 			t, err := strconv.Atoi(f)
 			if err != nil {
@@ -115,27 +116,10 @@ func parseEvent(fields []string) (Event, error) {
 				e.Keep = append(e.Keep, t)
 			}
 		}
-		if len(args) == 2 {
-			if e.Dur, err = parseDur(args[1]); err != nil {
-				return Event{}, err
-			}
-		}
 	case Loss:
-		if len(args) != 1 && len(args) != 2 {
-			return Event{}, fmt.Errorf("loss wants \"<prob> [dur]\"")
-		}
-		p, err := strconv.ParseFloat(args[0], 64)
-		if err != nil {
+		if e.Prob, err = strconv.ParseFloat(args[0], 64); err != nil {
 			return Event{}, fmt.Errorf("bad probability %q: %w", args[0], err)
 		}
-		e.Prob = p
-		if len(args) == 2 {
-			if e.Dur, err = parseDur(args[1]); err != nil {
-				return Event{}, err
-			}
-		}
-	default:
-		return Event{}, fmt.Errorf("unknown kind %q", fields[1])
 	}
 	return e, nil
 }
