@@ -18,6 +18,7 @@ package faults
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"vcloud/internal/geo"
@@ -204,6 +205,12 @@ type Injector struct {
 	killMem func(id int)
 	log     []string
 	applied int
+
+	// bursts holds the active loss bursts, oldest first: the table's loss
+	// is the newest one's probability. holds counts each node's active
+	// timed crashes.
+	bursts []*Event
+	holds  map[radio.NodeID]int
 }
 
 // NewInjector creates an injector over the scenario's medium. The fault
@@ -212,7 +219,7 @@ func NewInjector(s *scenario.Scenario) (*Injector, error) {
 	if s == nil {
 		return nil, fmt.Errorf("faults: scenario must not be nil")
 	}
-	return &Injector{s: s, table: s.Medium.Faults()}, nil
+	return &Injector{s: s, table: s.Medium.Faults(), holds: make(map[radio.NodeID]int)}, nil
 }
 
 // OnControllerKill installs the hook KillController events invoke. The
@@ -227,7 +234,11 @@ func (in *Injector) OnControllerKill(fn func(idx int)) { in.killCtl = fn }
 func (in *Injector) OnMemberKill(fn func(id int)) { in.killMem = fn }
 
 // Close clears the medium's fault table; active faults stop applying.
-func (in *Injector) Close() { in.table.Reset() }
+func (in *Injector) Close() {
+	in.table.Reset()
+	in.bursts = nil
+	clear(in.holds)
+}
 
 // Stats returns a copy of the injector counters.
 func (in *Injector) Stats() Stats {
@@ -293,13 +304,26 @@ func (in *Injector) Apply(e Event) (heal func()) {
 }
 
 // apply writes e into the fault table and returns what undoes it, or nil
-// for a kind that takes no duration.
+// for a kind that takes no duration. An undo ends only its own fault: a
+// crash's recovers the node once no timed crash of it is active, and a
+// loss burst's hands the table the newest burst still active, if any.
 func (in *Injector) apply(e Event) (undo func()) {
 	addr := radio.NodeID(e.Target)
 	switch e.Kind {
 	case Crash:
+		timed := e.Dur > 0
+		if timed {
+			in.holds[addr]++
+		}
 		in.table.Crash(addr)
-		return func() { in.table.Recover(addr) }
+		return func() {
+			if timed {
+				in.holds[addr]--
+			}
+			if in.holds[addr] == 0 {
+				in.table.Recover(addr)
+			}
+		}
 	case Recover:
 		in.table.Recover(addr)
 	case RSUDown, RSUUp:
@@ -321,8 +345,17 @@ func (in *Injector) apply(e Event) (undo func()) {
 		}
 		return in.table.Isolate(set)
 	case Loss:
+		burst := &e // this application's own entry
+		in.bursts = append(in.bursts, burst)
 		in.table.SetLoss(e.Prob)
-		return func() { in.table.SetLoss(0) }
+		return func() {
+			in.bursts = slices.DeleteFunc(in.bursts, func(b *Event) bool { return b == burst })
+			p := 0.0
+			if n := len(in.bursts); n > 0 {
+				p = in.bursts[n-1].Prob
+			}
+			in.table.SetLoss(p)
+		}
 	case KillController:
 		if in.killCtl != nil {
 			in.killCtl(e.Target)

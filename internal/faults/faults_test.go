@@ -127,6 +127,53 @@ func TestValidateDurations(t *testing.T) {
 	}
 }
 
+// TestHealEndsOnlyItsOwnFault: when faults of one kind overlap, each
+// heal ends only its own. The table's loss is the newest burst still
+// active, and a timed crash's heal leaves its vehicle down while another
+// timed crash of it is active.
+func TestHealEndsOnlyItsOwnFault(t *testing.T) {
+	s := bareScenario(t, 15, []geo.Point{{X: 10, Y: 10}, {X: 20, Y: 10}, {X: 30, Y: 10}})
+	in, err := NewInjector(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Parse(`
+		1s  loss 1 7s    # ends at 8s, inside the next burst
+		5s  loss 1 5s
+		12s loss 1 10s
+		14s loss 0 2s    # the newest burst: frames pass until it ends at 16s
+		1s  crash 1 7s   # ends at 8s, inside the next crash of vehicle 1
+		5s  crash 1 5s
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Schedule(plan); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		at         time.Duration
+		lost, down bool
+	}{
+		{3 * time.Second, true, true},
+		{9 * time.Second, true, true},
+		{11 * time.Second, false, false},
+		{15 * time.Second, false, false},
+		{17 * time.Second, true, false},
+		{23 * time.Second, false, false},
+	} {
+		if err := s.Kernel.Run(c.at); err != nil {
+			t.Fatal(err)
+		}
+		if got := frameDropped(s, in, 0, 2); got != c.lost {
+			t.Errorf("at %s: frame lost %v, want %v", c.at, got, c.lost)
+		}
+		if got := in.Crashed(1); got != c.down {
+			t.Errorf("at %s: vehicle 1 down %v, want %v", c.at, got, c.down)
+		}
+	}
+}
+
 func TestScheduleRequiresKillHook(t *testing.T) {
 	s := testScenario(t, 1, 4)
 	in, err := NewInjector(s)
