@@ -3,7 +3,8 @@
 // outages, region-scoped radio partitions, message-loss bursts and
 // controller kills — against the discrete-event kernel, from a
 // programmatic Plan or the textual plan language cmd/vcloudsim accepts
-// via -faults.
+// via -faults. Every fault, planned or drawn during a run, is an Event
+// applied by Injector.Apply, whose log is itself a plan.
 //
 // The paper's dependability argument (§III, §V.A) is that a vehicular
 // cloud must keep operating when the infrastructure it leans on fails

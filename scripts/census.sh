@@ -9,7 +9,8 @@
 #   scripts/census.sh -check   # also diff it against census.txt and the
 #                              # run set's stdout against runset_output.txt;
 #                              # exit 1 on a missing, stale or unreasoned
-#                              # line or on any byte of drift
+#                              # line or on any byte of drift, naming the
+#                              # "### <command>" blocks that moved
 #
 # Run it from the repository root. CENSUS_DIR keeps the binaries, the
 # merged profile and runset.txt, the stdout of every soak, scenario and
@@ -96,6 +97,14 @@ fail=0
 if ! diff runset_output.txt "$runset" > "$dir/runset.diff"; then
 	echo "runset_output.txt: the run set's stdout drifted (see $dir/runset.diff):" >&2
 	head -40 "$dir/runset.diff" >&2
+	# Name every run whose stdout moved: prefix each line with the
+	# "### <command>" header of its block, diff, keep each header once.
+	tag() { awk '/^### / { id = $0 } { print id "\t" $0 }' "$1"; }
+	tag runset_output.txt > "$dir/want.tagged"
+	tag "$runset" > "$dir/got.tagged"
+	echo "moved blocks:" >&2
+	diff "$dir/want.tagged" "$dir/got.tagged" |
+		awk -F '\t' '/^[<>] / && !seen[substr($1, 3)]++ { print "  " substr($1, 3) }' >&2
 	fail=1
 fi
 reasons='fmt.Stringer or interface method|Stop of a type whose start runs|named by the frozen benchmark|pinned by the checkpoint wire length|CLI/profiling plumbing|read by tests in another package'
