@@ -333,15 +333,6 @@ const killSpacing = 20 * time.Second
 // Soak runs one full soak and returns its report. The report's
 // Violations being empty is the pass criterion.
 func Soak(cfg SoakConfig) (*Report, error) {
-	sk, err := runSoak(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sk.report, nil
-}
-
-// runSoak runs one full soak and returns it, world included.
-func runSoak(cfg SoakConfig) (*soak, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -444,7 +435,7 @@ func runSoak(cfg SoakConfig) (*soak, error) {
 	checkT.Stop()
 	sk.check()
 	sk.finalize()
-	return sk, nil
+	return sk.report, nil
 }
 
 // byzAddrs lists the Byzantine workers' addresses in ascending order.

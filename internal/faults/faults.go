@@ -207,11 +207,12 @@ type Injector struct {
 	log     []string
 	applied int
 
-	// bursts holds the active loss bursts, oldest first: the table's loss
-	// is the newest one's probability. holds counts each node's active
-	// timed crashes.
-	bursts []*Event
-	holds  map[radio.NodeID]int
+	// crashes lists each node's active timed crashes; held marks the
+	// nodes an untimed down (crash, rsu-down, kill-member, CrashNode)
+	// keeps down. An up (recover, rsu-up, RecoverNode) clears both, so
+	// a timed crash's heal revives its node only when neither holds it.
+	crashes map[radio.NodeID][]*Event
+	held    map[radio.NodeID]bool
 }
 
 // NewInjector creates an injector over the scenario's medium. The fault
@@ -220,7 +221,12 @@ func NewInjector(s *scenario.Scenario) (*Injector, error) {
 	if s == nil {
 		return nil, fmt.Errorf("faults: scenario must not be nil")
 	}
-	return &Injector{s: s, table: s.Medium.Faults(), holds: make(map[radio.NodeID]int)}, nil
+	return &Injector{
+		s:       s,
+		table:   s.Medium.Faults(),
+		crashes: make(map[radio.NodeID][]*Event),
+		held:    make(map[radio.NodeID]bool),
+	}, nil
 }
 
 // OnControllerKill installs the hook KillController events invoke. The
@@ -237,8 +243,8 @@ func (in *Injector) OnMemberKill(fn func(id int)) { in.killMem = fn }
 // Close clears the medium's fault table; active faults stop applying.
 func (in *Injector) Close() {
 	in.table.Reset()
-	in.bursts = nil
-	clear(in.holds)
+	clear(in.crashes)
+	clear(in.held)
 }
 
 // Stats returns a copy of the injector counters.
@@ -275,8 +281,9 @@ func (in *Injector) Schedule(p Plan) error {
 
 // Apply applies e now, whatever its At, and logs it at the current time.
 // A timed fault (Dur > 0) heals itself after Dur. The returned heal ends
-// the fault sooner; only its first call acts, and it does nothing for a
-// kind that takes no duration. Apply panics on an event Validate rejects.
+// the fault sooner; only its first call acts, and it does nothing for an
+// untimed crash (a recover ends that) or a kind that takes no duration.
+// Apply panics on an event Validate rejects.
 func (in *Injector) Apply(e Event) (heal func()) {
 	if err := e.Validate(); err != nil {
 		panic(err)
@@ -305,37 +312,44 @@ func (in *Injector) Apply(e Event) (heal func()) {
 }
 
 // apply writes e into the fault table and returns what undoes it, or nil
-// for a kind that takes no duration. An undo ends only its own fault: a
-// crash's recovers the node once no timed crash of it is active, and a
-// loss burst's hands the table the newest burst still active, if any.
+// for a kind that takes no duration. A timed crash's undo ends only its
+// own crash: the node recovers once no other timed crash of it is active
+// and no untimed down holds it.
 func (in *Injector) apply(e Event) (undo func()) {
 	addr := radio.NodeID(e.Target)
 	switch e.Kind {
 	case Crash:
-		timed := e.Dur > 0
-		if timed {
-			in.holds[addr]++
+		if e.Dur == 0 {
+			in.CrashNode(addr)
+			return nil
 		}
+		crash := &e // this application's own entry
+		in.crashes[addr] = append(in.crashes[addr], crash)
 		in.table.Crash(addr)
 		return func() {
-			if timed {
-				in.holds[addr]--
+			n := len(in.crashes[addr])
+			left := slices.DeleteFunc(in.crashes[addr], func(c *Event) bool { return c == crash })
+			if len(left) > 0 {
+				in.crashes[addr] = left
+				return
 			}
-			if in.holds[addr] == 0 {
+			delete(in.crashes, addr)
+			// A recover since this crash has already ended it.
+			if n == 1 && !in.held[addr] {
 				in.table.Recover(addr)
 			}
 		}
 	case Recover:
-		in.table.Recover(addr)
+		in.RecoverNode(addr)
 	case RSUDown, RSUUp:
 		// An out-of-range index is logged and applies as a no-op.
 		if e.Target >= len(in.s.RSUs) {
 			return nil
 		}
 		if rsu := in.s.RSUs[e.Target].Addr(); e.Kind == RSUDown {
-			in.table.Crash(rsu)
+			in.CrashNode(rsu)
 		} else {
-			in.table.Recover(rsu)
+			in.RecoverNode(rsu)
 		}
 	case Partition:
 		return in.table.Partition(e.Center, e.Radius)
@@ -346,23 +360,14 @@ func (in *Injector) apply(e Event) (undo func()) {
 		}
 		return in.table.Isolate(set)
 	case Loss:
-		burst := &e // this application's own entry
-		in.bursts = append(in.bursts, burst)
 		in.table.SetLoss(e.Prob)
-		return func() {
-			in.bursts = slices.DeleteFunc(in.bursts, func(b *Event) bool { return b == burst })
-			p := 0.0
-			if n := len(in.bursts); n > 0 {
-				p = in.bursts[n-1].Prob
-			}
-			in.table.SetLoss(p)
-		}
+		return func() { in.table.SetLoss(0) }
 	case KillController:
 		if in.killCtl != nil {
 			in.killCtl(e.Target)
 		}
 	case KillMember:
-		in.table.Crash(addr)
+		in.CrashNode(addr)
 		if in.killMem != nil {
 			in.killMem(e.Target)
 		}
@@ -370,11 +375,19 @@ func (in *Injector) apply(e Event) (undo func()) {
 	return nil
 }
 
-// CrashNode silences a node immediately, outside the log.
-func (in *Injector) CrashNode(addr radio.NodeID) { in.table.Crash(addr) }
+// CrashNode silences a node until its recover, outside the log.
+func (in *Injector) CrashNode(addr radio.NodeID) {
+	in.held[addr] = true
+	in.table.Crash(addr)
+}
 
-// RecoverNode restores a silenced node, outside the log.
-func (in *Injector) RecoverNode(addr radio.NodeID) { in.table.Recover(addr) }
+// RecoverNode restores a silenced node, outside the log. It ends every
+// down of the node, timed crashes included.
+func (in *Injector) RecoverNode(addr radio.NodeID) {
+	delete(in.crashes, addr)
+	delete(in.held, addr)
+	in.table.Recover(addr)
+}
 
 // Cut reports whether frames between from and to are currently severed
 // by a deterministic fault — a crash on either end, an isolation or a

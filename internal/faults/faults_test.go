@@ -127,49 +127,48 @@ func TestValidateDurations(t *testing.T) {
 	}
 }
 
-// TestHealEndsOnlyItsOwnFault: when faults of one kind overlap, each
-// heal ends only its own. The table's loss is the newest burst still
-// active, and a timed crash's heal leaves its vehicle down while another
-// timed crash of it is active.
-func TestHealEndsOnlyItsOwnFault(t *testing.T) {
-	s := bareScenario(t, 15, []geo.Point{{X: 10, Y: 10}, {X: 20, Y: 10}, {X: 30, Y: 10}})
-	in, err := NewInjector(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Parse(`
-		1s  loss 1 7s    # ends at 8s, inside the next burst
-		5s  loss 1 5s
-		12s loss 1 10s
-		14s loss 0 2s    # the newest burst: frames pass until it ends at 16s
-		1s  crash 1 7s   # ends at 8s, inside the next crash of vehicle 1
-		5s  crash 1 5s
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Schedule(plan); err != nil {
-		t.Fatal(err)
+// TestCrashHealEndsOnlyItsOwn: a timed crash's heal revives its vehicle
+// only when no other timed crash of it is active and no untimed down
+// (crash, kill-member) holds it; a recover ends every down at once, and
+// the heal of a crash it ended does nothing.
+func TestCrashHealEndsOnlyItsOwn(t *testing.T) {
+	type probe struct {
+		at   time.Duration // virtual time, in half-seconds
+		down bool
 	}
 	for _, c := range []struct {
-		at         time.Duration
-		lost, down bool
+		name, plan string
+		want       []probe
 	}{
-		{3 * time.Second, true, true},
-		{9 * time.Second, true, true},
-		{11 * time.Second, false, false},
-		{15 * time.Second, false, false},
-		{17 * time.Second, true, false},
-		{23 * time.Second, false, false},
+		{"overlapping timed crashes", "1s crash 1 7s; 5s crash 1 5s",
+			[]probe{{6, true}, {18, true}, {22, false}}},
+		{"recover inside a timed crash", "0s crash 1 10s; 3s recover 1; 5s crash 1 2s; 9s crash 1 5s",
+			[]probe{{1, true}, {8, false}, {12, true}, {16, false}, {19, true}, {22, true}, {29, false}}},
+		{"untimed crash under a timed heal", "1s crash 1 5s; 3s crash 1; 9s recover 1",
+			[]probe{{14, true}, {20, false}}},
+		{"member kill under a timed heal", "1s crash 1 5s; 3s kill-member 1; 9s recover 1",
+			[]probe{{14, true}, {20, false}}},
 	} {
-		if err := s.Kernel.Run(c.at); err != nil {
+		s := bareScenario(t, 15, []geo.Point{{X: 10, Y: 10}, {X: 20, Y: 10}})
+		in, err := NewInjector(s)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := frameDropped(s, in, 0, 2); got != c.lost {
-			t.Errorf("at %s: frame lost %v, want %v", c.at, got, c.lost)
+		plan, err := Parse(c.plan)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := in.Crashed(1); got != c.down {
-			t.Errorf("at %s: vehicle 1 down %v, want %v", c.at, got, c.down)
+		if err := in.Schedule(plan); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range c.want {
+			at := p.at * time.Second / 2
+			if err := s.Kernel.Run(at); err != nil {
+				t.Fatal(err)
+			}
+			if got := in.Crashed(1); got != p.down {
+				t.Errorf("%s: at %s vehicle 1 down %v, want %v", c.name, at, got, p.down)
+			}
 		}
 	}
 }
