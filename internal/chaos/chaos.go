@@ -18,20 +18,9 @@
 //     trust-weighted voting off, which is the configuration under which
 //     that bound is exact).
 //
-// In SplitBrain mode the storm additionally isolates the active
-// controller (standby always left outside) so the cloud splits into two
-// live controllers, and two fencing invariants arm:
-//
-//   - at most one controller is accepted by members per epoch counter;
-//   - no task outcome is applied twice across epochs — not by rival
-//     controllers, not by a promotee replaying its checkpoint, not by a
-//     later voting round.
-//
-// In Storage mode a replicated or erasure-coded data service soaks
-// alongside the task workload (see storage.go): the storm gains a
-// permanent-departure branch, and two storage invariants arm — no
-// acknowledged write is lost while a quorum of its placed replicas
-// survives, and a session client never reads backwards.
+// Each mode of SoakConfig — SplitBrain, Storage (storage.go), DAG
+// (dag.go), Saturate (saturate.go) — adds a workload or a storm branch
+// and arms its own invariants; the field docs say which.
 //
 // "Possibly Byzantine" is a deliberate over-approximation: a voter
 // counts as Byzantine for a task if any of its lying intervals
@@ -40,15 +29,20 @@
 //
 // Every random draw — fault mix, targets, timings, Byzantine flips —
 // comes from named kernel streams, so a soak is a pure function of its
-// config: the FNV-1a checksum over the canonical event log is
-// bit-for-bit reproducible under the same seed, and any violation
-// replays exactly.
+// config: the FNV-1a checksum over the canonical event log and the
+// storm's fault log is bit-for-bit reproducible under the same seed,
+// and any violation replays exactly. Every storm fault is a
+// faults.Event the world's injector applies, so the fault log is the
+// injector's log and reads back as a plan.
 package chaos
 
 import (
 	"fmt"
+	"hash/fnv"
+	"io"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"vcloud/internal/faults"
@@ -67,7 +61,7 @@ type SoakConfig struct {
 	// Vehicles is the parked fleet size.
 	Vehicles int
 	// ByzFraction of members lie about results (WrongProb 1 while
-	// active; "byz-flip" faults toggle them). Zero soaks honest workers.
+	// active; lie and honest faults flip them). Zero soaks honest workers.
 	ByzFraction float64
 	// Duration is the soaked horizon after warm-up.
 	Duration sim.Time
@@ -188,15 +182,18 @@ type Report struct {
 	Correct   int
 	Wrong     int
 	Unchecked int
-	// FaultsInjected counts storm events; FaultLog holds one line each.
+	// FaultLog is the injector's log (faults.Injector.Log): one plan
+	// line per storm event, one '#' line per heal. FaultsInjected counts
+	// its plan lines.
 	FaultsInjected int
 	FaultLog       []string
 	// Failovers is the controller promotions the run saw.
 	Failovers uint64
 	// Split-brain counters (meaningful when SplitBrain is on).
-	// SplitBrains counts controller-isolation storms injected; Epochs is
-	// the highest epoch round any member accepted; the rest mirror the
-	// fencing counters in vcloud.Stats at the end of the run.
+	// SplitBrains counts controller-isolation storms injected (the fault
+	// log's isolate lines); Epochs is the highest epoch round any member
+	// accepted; the rest mirror the fencing counters in vcloud.Stats at
+	// the end of the run.
 	SplitBrains   int
 	Epochs        uint64
 	Abdications   uint64
@@ -220,8 +217,8 @@ type Report struct {
 	// counts jobs a failover successor picked up from a checkpoint (their
 	// callbacks are lost, so completed+failed may undercount submitted by
 	// exactly the resumed jobs still finishing elsewhere). MemberKills
-	// counts kill-member storm events: process deaths, on top of the
-	// radio-only crash branch.
+	// counts the fault log's kill-member lines: process deaths, on top
+	// of the radio-only crash branch.
 	JobsSubmitted int
 	JobsRefused   int
 	JobsCompleted int
@@ -237,10 +234,11 @@ type Report struct {
 	// counts deadline-met completions of either kind. SatShed /
 	// SatAdmission / SatBackpressured are the governor's structured
 	// rejections; SatPlacedVehicle / SatPlacedCloud are where admitted
-	// work landed. The Uplink* quadruple is the shared channel's final
-	// counter state — Lost is stochastic channel loss, Dropped is
-	// outage windows, FIFO tail drops and shed flights (the split the
-	// vcloudsim summary prints).
+	// work landed. SatLossBursts / SatOutages count the fault log's
+	// uplink-loss / uplink-down lines. The Uplink* quadruple is the
+	// shared channel's final counter state — Lost is stochastic channel
+	// loss, Dropped is outage windows, FIFO tail drops and shed flights
+	// (the split the vcloudsim summary prints).
 	SatSubmitted     int
 	SatRequired      int
 	SatCompleted     int
@@ -262,10 +260,11 @@ type Report struct {
 	Violations []string
 	// Checks counts invariant sweeps performed.
 	Checks int
-	// Checksum is an FNV-1a digest over the canonical event log —
+	// Checksum is an FNV-1a digest over Events followed by FaultLog —
 	// bit-for-bit identical across runs with equal configs.
 	Checksum uint64
-	// Events is the canonical event log the checksum covers.
+	// Events is the canonical event log of the workload and the
+	// invariant sweeps.
 	Events []string
 }
 
@@ -292,8 +291,7 @@ type soak struct {
 	st *storageState
 	// dg is the DAG workload state (nil unless cfg.DAG is on).
 	dg *dagState
-	// sat is the congestion workload state (nil unless cfg.Saturate is
-	// on).
+	// sat is the congestion workload state (nil unless cfg.Saturate is on).
 	sat *satState
 
 	tasks      []*soakTask
@@ -403,7 +401,7 @@ func Soak(cfg SoakConfig) (*Report, error) {
 		{saturateEvery, sk.saturateTick, cfg.Saturate},
 		{storageEvery, sk.storageTick, cfg.Storage != ""},
 		{storageRepairEvery, sk.storageRepair, cfg.Storage != ""},
-		{storageDepartEvery, func() { sk.depart(s.Kernel.Now()) }, cfg.Storage != ""},
+		{storageDepartEvery, sk.depart, cfg.Storage != ""},
 	}
 	var storm []*sim.Ticker
 	var checkT *sim.Ticker
@@ -444,17 +442,18 @@ func (sk *soak) byzAddrs() []vnet.Addr {
 	for a := range sk.w.Byzantine {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	return addrs
 }
 
-// setByz flips a worker's lying state, closing or opening its window.
-func (sk *soak) setByz(a vnet.Addr, on bool) {
-	b := sk.w.Byzantine[a]
-	if b == nil || b.Active() == on {
-		return
+// flipByz turns a Byzantine worker lying or honest through the injector
+// and opens or closes its lying window.
+func (sk *soak) flipByz(a vnet.Addr, on bool) {
+	kind := faults.Honest
+	if on {
+		kind = faults.Lie
 	}
-	b.SetActive(on)
+	sk.w.Injector.Apply(faults.Event{Kind: kind, Target: int(a)})
 	now := sk.s.Kernel.Now()
 	ws := sk.byzWindows[a]
 	if on {
@@ -535,19 +534,17 @@ func (sk *soak) onOutcome(seq int, r vcloud.TaskResult) {
 			nByz++
 		}
 	}
-	if 2*nByz < len(r.Voters) {
-		if r.Value == correct {
-			sk.report.Correct++
-		} else {
-			sk.report.Wrong++
-			sk.violate("task seq %d decided wrong value with %d/%d possibly-byzantine voters", seq, nByz, len(r.Voters))
-		}
-	} else {
+	checked := 2*nByz < len(r.Voters)
+	if !checked {
 		sk.report.Unchecked++
-		if r.Value == correct {
-			sk.report.Correct++
-		} else {
-			sk.report.Wrong++ // majority-Byzantine voter set: no guarantee, count but don't flag
+	}
+	if r.Value == correct {
+		sk.report.Correct++
+	} else {
+		// A majority-Byzantine voter set has no guarantee: count, don't flag.
+		sk.report.Wrong++
+		if checked {
+			sk.violate("task seq %d decided wrong value with %d/%d possibly-byzantine voters", seq, nByz, len(r.Voters))
 		}
 	}
 	sk.event("task %d ok value=%d retries=%d replicas=%d voters=%d", seq, r.Value, r.Retries, r.Replicas, len(r.Voters))
@@ -565,16 +562,20 @@ func (sk *soak) injectFault() {
 	}
 	// The kill-member branch carves its slice out of the byz-flip range
 	// only when the DAG workload is on, so non-DAG soaks keep their exact
-	// storm sequence (and checksums).
+	// storm sequence. It is the world's member-kill drill: radio silence
+	// plus agent stop, so the member's running stage work and cached
+	// stage outputs die with it, no rejoin. The drill's half-fleet floor
+	// mirrors the controller-kill budget: a storm that consumes the whole
+	// fleet tests nothing.
 	if sk.cfg.DAG && roll >= 0.92 {
-		sk.killMember(now)
+		sk.w.KillMember(sk.rng, 0)
 		return
 	}
 	// The saturation branch likewise carves [0.85, 0.92) out of byz-flip
 	// only when the congestion workload is on: uplink loss bursts and
 	// brief outages that the bandwidth estimator must ride out.
 	if sk.cfg.Saturate && roll >= 0.85 && roll < 0.92 {
-		sk.saturateStorm(now)
+		sk.saturateStorm()
 		return
 	}
 	switch {
@@ -586,7 +587,7 @@ func (sk *soak) injectFault() {
 		}
 		id := ids[sk.rng.Intn(len(ids))]
 		dur := sim.Time(5+sk.rng.Float64()*15) * time.Second
-		sk.inject(faults.Event{Kind: faults.Crash, Target: int(id), Dur: dur})
+		sk.w.Injector.Apply(faults.Event{Kind: faults.Crash, Target: int(id), Dur: dur})
 	case roll < 0.55:
 		// Partition a circular region for 5–15 s.
 		b := sk.s.Network.Bounds()
@@ -596,12 +597,12 @@ func (sk *soak) injectFault() {
 		}
 		radius := 50 + sk.rng.Float64()*150
 		dur := sim.Time(5+sk.rng.Float64()*10) * time.Second
-		sk.inject(faults.Event{Kind: faults.Partition, Center: c, Radius: radius, Dur: dur})
+		sk.w.Injector.Apply(faults.Event{Kind: faults.Partition, Center: c, Radius: radius, Dur: dur})
 	case roll < 0.75:
 		// Loss burst 10–40% for 3–10 s.
 		p := 0.1 + sk.rng.Float64()*0.3
 		dur := sim.Time(3+sk.rng.Float64()*7) * time.Second
-		sk.inject(faults.Event{Kind: faults.Loss, Prob: p, Dur: dur})
+		sk.w.Injector.Apply(faults.Event{Kind: faults.Loss, Prob: p, Dur: dur})
 	case roll < 0.85:
 		// Kill the busiest controller; failover must take over. Keep a
 		// kill budget so a long storm cannot consume the whole fleet
@@ -612,7 +613,7 @@ func (sk *soak) injectFault() {
 			return
 		}
 		sk.lastKill = now
-		sk.inject(faults.Event{Kind: faults.KillController, Target: sk.rng.Intn(len(ctls))})
+		sk.w.Injector.Apply(faults.Event{Kind: faults.KillController, Target: sk.rng.Intn(len(ctls))})
 	default:
 		// Flip a random Byzantine worker honest, or back.
 		addrs := sk.byzAddrs()
@@ -620,9 +621,7 @@ func (sk *soak) injectFault() {
 			return
 		}
 		a := addrs[sk.rng.Intn(len(addrs))]
-		b := sk.w.Byzantine[a]
-		sk.setByz(a, !b.Active())
-		sk.fault("%s byz-flip worker %d -> %v", now, a, b.Active())
+		sk.flipByz(a, !sk.w.Byzantine[a].Active())
 	}
 }
 
@@ -657,8 +656,7 @@ func (sk *soak) splitBrain(now sim.Time) {
 	}
 	dur := sim.Time(10+sk.rng.Float64()*10) * time.Second
 	sk.lastSplit = now
-	sk.report.SplitBrains++
-	sk.inject(faults.Event{Kind: faults.Isolate, Target: int(c.Addr()), Keep: pool[:n], Dur: dur})
+	sk.w.Injector.Apply(faults.Event{Kind: faults.Isolate, Target: int(c.Addr()), Keep: pool[:n], Dur: dur})
 }
 
 // onAccept is the member-side fencing probe: every fenced follow
@@ -754,60 +752,42 @@ func (sk *soak) violate(format string, args ...interface{}) {
 	sk.event("VIOLATION %s", msg)
 }
 
-// fault logs one storm event to both the fault log and the event log.
-func (sk *soak) fault(format string, args ...interface{}) {
-	line := fmt.Sprintf(format, args...)
-	sk.report.FaultsInjected++
-	sk.report.FaultLog = append(sk.report.FaultLog, line)
-	sk.event("fault %s", line)
-}
-
-// inject applies one radio fault through the world's injector, which
-// heals it after its Dur, and logs it to the storm as its plan line.
-func (sk *soak) inject(e faults.Event) {
-	e.At = sk.s.Kernel.Now()
-	sk.w.Injector.Apply(e)
-	sk.fault("%s", e)
-}
-
 // event appends one line to the canonical (checksummed) event log.
 func (sk *soak) event(format string, args ...interface{}) {
 	sk.report.Events = append(sk.report.Events, fmt.Sprintf(format, args...))
 }
 
-// finalize computes the checksum and closing counters.
+// finalize computes the checksum and closing counters; the storm's
+// counters are read off the injector's log.
 func (sk *soak) finalize() {
-	sk.report.Failovers = sk.w.Stats.Failovers.Value()
-	sk.report.RefusedFor = sim.Time(sk.report.RefusedStreak) * soakTaskEvery
-	sk.report.Abdications = sk.w.Stats.Abdications.Value()
-	sk.report.Merges = sk.w.Stats.Merges.Value()
-	sk.report.Adopted = sk.w.Stats.Adopted.Value()
-	sk.report.Deduped = sk.w.Stats.Deduped.Value()
-	sk.report.StaleRejected = sk.w.Stats.StaleRejected.Value()
+	r := sk.report
+	r.FaultLog = sk.w.Injector.Log()
+	kinds := make(map[faults.Kind]int)
+	for _, line := range r.FaultLog {
+		if !strings.HasPrefix(line, "#") { // '#' lines are heals
+			r.FaultsInjected++
+			kinds[faults.Kind(strings.Fields(line)[1])]++
+		}
+	}
+	r.SplitBrains, r.MemberKills = kinds[faults.Isolate], kinds[faults.KillMember]
+	r.SatLossBursts, r.SatOutages = kinds[faults.UplinkLoss], kinds[faults.UplinkDown]
+	st := sk.w.Stats
+	r.Failovers, r.RefusedFor = st.Failovers.Value(), sim.Time(r.RefusedStreak)*soakTaskEvery
+	r.Abdications, r.Merges, r.Adopted = st.Abdications.Value(), st.Merges.Value(), st.Adopted.Value()
+	r.Deduped, r.StaleRejected = st.Deduped.Value(), st.StaleRejected.Value()
 	if sk.st != nil {
-		sk.report.StorageRepaired = sk.st.backend.Stats().ReReplicas.Value()
+		r.StorageRepaired = sk.st.backend.Stats().ReReplicas.Value()
 	}
 	if sk.dg != nil {
-		sk.report.JobsResumed = sk.w.Stats.JobsResumed.Value()
-		sk.report.StageRetries = sk.w.Stats.StageRetries.Value()
-		sk.report.StageRelays = sk.w.Stats.StageRelays.Value()
-		sk.report.StageHandoffs = sk.w.Stats.StageHandoffs.Value()
+		r.JobsResumed, r.StageRetries = st.JobsResumed.Value(), st.StageRetries.Value()
+		r.StageRelays, r.StageHandoffs = st.StageRelays.Value(), st.StageHandoffs.Value()
 	}
 	if sk.sat != nil {
 		sk.finalizeSaturate()
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, line := range sk.report.Events {
-		for i := 0; i < len(line); i++ {
-			h ^= uint64(line[i])
-			h *= prime64
-		}
-		h ^= '\n'
-		h *= prime64
+	h := fnv.New64a()
+	for _, line := range slices.Concat(r.Events, r.FaultLog) {
+		io.WriteString(h, line+"\n")
 	}
-	sk.report.Checksum = h
+	r.Checksum = h.Sum64()
 }

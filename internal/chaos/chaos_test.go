@@ -52,7 +52,7 @@ func TestSoakShortHoldsInvariants(t *testing.T) {
 
 // TestSoakHonestWorkers: a zero ByzFraction means zero liars — the
 // storm runs over honest workers, so nothing can be voted in wrong and
-// there is nobody for a byz-flip to toggle.
+// there is nobody for a lie or honest event to flip.
 func TestSoakHonestWorkers(t *testing.T) {
 	cfg := shortCfg(1)
 	cfg.ByzFraction = 0
@@ -67,8 +67,8 @@ func TestSoakHonestWorkers(t *testing.T) {
 		t.Errorf("completed=%d wrong=%d, want work done and none of it wrong", rep.Completed, rep.Wrong)
 	}
 	for _, line := range rep.FaultLog {
-		if strings.Contains(line, "byz-flip") {
-			t.Errorf("byz-flip fault with no Byzantine member: %s", line)
+		if f := strings.Fields(line); f[1] == string(faults.Lie) || f[1] == string(faults.Honest) {
+			t.Errorf("Byzantine flip with no Byzantine member: %s", line)
 		}
 	}
 }
@@ -266,6 +266,11 @@ func storageCfg(seed int64, mode string) SoakConfig {
 	}
 }
 
+// TestStorageSoakShort: both backends move real 1 KB payloads under the
+// storm. Besides durability and session order, a served read must return
+// exactly the bytes its version's write stored (aliased erasure writes,
+// join-free reads and released stale fragments all sit under it). CI runs
+// it under the race detector with the rest of the suite.
 func TestStorageSoakShort(t *testing.T) {
 	for _, mode := range []string{"replicated", "ec"} {
 		t.Run(mode, func(t *testing.T) {
@@ -340,10 +345,9 @@ func TestStorageSoakReproducible(t *testing.T) {
 }
 
 // TestSoakFaultLogIsAPlan runs a short soak in every mode and reads the
-// storm's fault log back with faults.Parse: every line but the soak's own
-// (byz-flip, the saturation storm's uplink faults and the storage drill's
-// departures) is a plan line, and together they parse to a plan that
-// renders back line for line.
+// storm's whole fault log back with faults.Parse, heal lines included:
+// its plan lines render back line for line, there are FaultsInjected of
+// them, and the per-kind counts are the report's storm counters.
 func TestSoakFaultLogIsAPlan(t *testing.T) {
 	for _, mode := range []func(*SoakConfig){
 		func(*SoakConfig) {},
@@ -359,23 +363,39 @@ func TestSoakFaultLogIsAPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var lines []string
-		own := map[string]bool{"byz-flip": true, "sat-loss-burst": true, "sat-outage": true, "revive": true, "departure": true}
-		for _, l := range rep.FaultLog {
-			if !own[strings.Fields(l)[1]] {
-				lines = append(lines, l)
-			}
-		}
-		if len(lines) == 0 {
-			t.Fatalf("%+v: the storm applied no radio fault", cfg)
-		}
-		want := strings.Join(lines, "\n")
-		plan, err := faults.Parse(want)
+		plan, err := faults.Parse(strings.Join(rep.FaultLog, "\n"))
 		if err != nil {
 			t.Fatalf("%+v: fault log does not parse: %v", cfg, err)
 		}
-		if got := plan.String(); got != want {
+		if len(plan) == 0 {
+			t.Fatalf("%+v: the storm applied no fault", cfg)
+		}
+		var lines []string
+		for _, l := range rep.FaultLog {
+			if !strings.HasPrefix(l, "#") {
+				lines = append(lines, l)
+			}
+		}
+		if got, want := plan.String(), strings.Join(lines, "\n"); got != want {
 			t.Errorf("%+v: fault log reads back as\n%s\nwant\n%s", cfg, got, want)
+		}
+		kinds := make(map[faults.Kind]int)
+		for _, e := range plan {
+			kinds[e.Kind]++
+		}
+		for _, c := range []struct {
+			name      string
+			got, want int
+		}{
+			{"FaultsInjected", rep.FaultsInjected, len(plan)},
+			{"SplitBrains", rep.SplitBrains, kinds[faults.Isolate]},
+			{"MemberKills", rep.MemberKills, kinds[faults.KillMember]},
+			{"SatLossBursts", rep.SatLossBursts, kinds[faults.UplinkLoss]},
+			{"SatOutages", rep.SatOutages, kinds[faults.UplinkDown]},
+		} {
+			if c.got != c.want {
+				t.Errorf("%+v: %s = %d, the fault log holds %d", cfg, c.name, c.got, c.want)
+			}
 		}
 	}
 }

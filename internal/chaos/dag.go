@@ -35,7 +35,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"vcloud/internal/faults"
 	"vcloud/internal/sim"
 	"vcloud/internal/vcloud"
 )
@@ -53,9 +52,6 @@ type dagState struct {
 	// so the DAG workload replays bit-for-bit per seed.
 	rng  *rand.Rand
 	jobs []*soakJob
-	// kills counts member-process kills injected (bounded by the same
-	// half-fleet budget as controller kills).
-	kills int
 }
 
 // randomSpec draws one random-but-seeded job shape: 3–5 required stages
@@ -79,10 +75,7 @@ func (dg *dagState) randomSpec() vcloud.JobSpec {
 		if i > 0 {
 			// 1–2 distinct dependencies among earlier stages, sorted so the
 			// spec is canonical.
-			k := 1 + dg.rng.Intn(2)
-			if k > i {
-				k = i
-			}
+			k := min(1+dg.rng.Intn(2), i)
 			perm := dg.rng.Perm(i)[:k]
 			sort.Ints(perm)
 			st.Deps = perm
@@ -176,20 +169,4 @@ func (sk *soak) onJobOutcome(seq int, r vcloud.JobResult) {
 			seq, r.Partial, abandoned)
 	}
 	sk.event("job %d ok partial=%v extra=%d stages=%d latency=%s", seq, r.Partial, r.ExtraReplicas, len(r.Stages), r.Latency)
-}
-
-// killMember is the DAG storm branch: the world's member-kill drill —
-// radio silence plus agent stop, so the member's running stage work and
-// cached stage outputs die with it (downstream pulls must fall back to
-// other holders or the controller relay), no rejoin. The drill's
-// half-fleet floor mirrors the controller-kill budget: a storm that
-// consumes the whole fleet tests nothing.
-func (sk *soak) killMember(now sim.Time) {
-	id, ok := sk.w.KillMember(sk.rng, 0)
-	if !ok {
-		return
-	}
-	sk.dg.kills++
-	sk.report.MemberKills++
-	sk.fault("%s", faults.Event{At: now, Kind: faults.KillMember, Target: int(id)})
 }

@@ -28,6 +28,7 @@ import (
 	"math/rand"
 	"time"
 
+	"vcloud/internal/faults"
 	"vcloud/internal/radio"
 	"vcloud/internal/sim"
 	"vcloud/internal/vcloud"
@@ -66,16 +67,11 @@ type satState struct {
 	sender *radio.Sender
 	gov    *vcloud.Governor
 	tasks  []*satTask
-	// baseLoss is the healthy loss probability storms restore to.
-	// lossToken / outageToken sequence the restores so an older storm's
-	// scheduled restore cannot clobber a newer storm's window.
-	baseLoss    float64
-	lossToken   uint64
-	outageToken uint64
 }
 
-// setupSaturate stands up the contended uplink, the estimator-backed
-// sender, the two-tier governor, and the workload state.
+// setupSaturate stands up the contended uplink (attached to the
+// injector for the storm), the estimator-backed sender, the two-tier
+// governor, and the workload state.
 func (sk *soak) setupSaturate() error {
 	k := sk.s.Kernel
 	up, err := radio.NewUplink(k, radio.UplinkParams{
@@ -87,6 +83,7 @@ func (sk *soak) setupSaturate() error {
 	if err != nil {
 		return err
 	}
+	sk.w.Injector.AttachUplink(up)
 	sender := up.NewSender(radio.BWEConfig{})
 	cloud, err := vcloud.NewRemoteCloud("soak-cloud", k, sender, satCloudCPU, sk.w.Stats)
 	if err != nil {
@@ -107,13 +104,7 @@ func (sk *soak) setupSaturate() error {
 	if err != nil {
 		return err
 	}
-	sk.sat = &satState{
-		rng:      k.NewStream("chaos.saturate"),
-		uplink:   up,
-		sender:   sender,
-		gov:      gov,
-		baseLoss: 0.02,
-	}
+	sk.sat = &satState{rng: k.NewStream("chaos.saturate"), uplink: up, sender: sender, gov: gov}
 	return nil
 }
 
@@ -124,13 +115,7 @@ func (sk *soak) setupSaturate() error {
 func (sk *soak) saturateTick() {
 	sat := sk.sat
 	now := sk.s.Kernel.Now()
-	progress := float64(now-soakWarmup) / float64(sk.cfg.Duration)
-	if progress < 0 {
-		progress = 0
-	}
-	if progress > 1 {
-		progress = 1
-	}
+	progress := min(max(float64(now-soakWarmup)/float64(sk.cfg.Duration), 0), 1)
 	batch := 1 + int(progress*float64(satMaxBatch-1))
 	for i := 0; i < batch; i++ {
 		seq := len(sat.tasks)
@@ -195,34 +180,16 @@ func (sk *soak) onSatOutcome(seq int, r vcloud.TaskResult) {
 // bursts (the uplink's loss probability spikes for a few seconds), half
 // are brief hard outages. Both are exactly the disturbances the
 // delay-gradient estimator exists to ride out.
-func (sk *soak) saturateStorm(now sim.Time) {
-	sat := sk.sat
-	if sat.rng.Float64() < 0.5 {
-		p := 0.2 + sat.rng.Float64()*0.4
-		dur := sim.Time((3 + sat.rng.Float64()*5) * float64(time.Second))
-		sat.lossToken++
-		token := sat.lossToken
-		sat.uplink.SetLossProb(p)
-		sk.s.Kernel.After(dur, func() {
-			if sat.lossToken == token {
-				sat.uplink.SetLossProb(sat.baseLoss)
-			}
-		})
-		sk.report.SatLossBursts++
-		sk.fault("%s sat-loss-burst p=%.2f dur=%s", now, p, dur)
+func (sk *soak) saturateStorm() {
+	rng := sk.sat.rng
+	if rng.Float64() < 0.5 {
+		p := 0.2 + rng.Float64()*0.4
+		dur := sim.Time((3 + rng.Float64()*5) * float64(time.Second))
+		sk.w.Injector.Apply(faults.Event{Kind: faults.UplinkLoss, Prob: p, Dur: dur})
 		return
 	}
-	dur := sim.Time((1 + sat.rng.Float64()*2) * float64(time.Second))
-	sat.outageToken++
-	token := sat.outageToken
-	sat.uplink.SetAvailable(false)
-	sk.s.Kernel.After(dur, func() {
-		if sat.outageToken == token {
-			sat.uplink.SetAvailable(true)
-		}
-	})
-	sk.report.SatOutages++
-	sk.fault("%s sat-outage dur=%s", now, dur)
+	dur := sim.Time((1 + rng.Float64()*2) * float64(time.Second))
+	sk.w.Injector.Apply(faults.Event{Kind: faults.UplinkDown, Dur: dur})
 }
 
 // checkSaturate audits the saturation invariants on every sweep.
@@ -252,12 +219,9 @@ func (sk *soak) checkSaturate() {
 // finalizeSaturate copies the congestion-workload counters into the
 // report.
 func (sk *soak) finalizeSaturate() {
-	sat := sk.sat
-	sk.report.SatShed = int(sk.w.Stats.Shed.Value())
-	sk.report.SatAdmission = int(sk.w.Stats.AdmissionRejects.Value())
-	sk.report.SatBackpressured = int(sk.w.Stats.Backpressured.Value())
-	sk.report.SatPlacedVehicle = sat.gov.Placed(0)
-	sk.report.SatPlacedCloud = sat.gov.Placed(1)
-	sk.report.TierSwitches = sk.w.Stats.TierSwitches.Value()
-	sk.report.UplinkSent, sk.report.UplinkDelivered, sk.report.UplinkLost, sk.report.UplinkDropped = sat.uplink.Counters()
+	r, st, sat := sk.report, sk.w.Stats, sk.sat
+	r.SatShed, r.SatAdmission = int(st.Shed.Value()), int(st.AdmissionRejects.Value())
+	r.SatBackpressured, r.TierSwitches = int(st.Backpressured.Value()), st.TierSwitches.Value()
+	r.SatPlacedVehicle, r.SatPlacedCloud = sat.gov.Placed(0), sat.gov.Placed(1)
+	r.UplinkSent, r.UplinkDelivered, r.UplinkLost, r.UplinkDropped = sat.uplink.Counters()
 }

@@ -6,14 +6,15 @@ import (
 )
 
 // shardSoakCfg is the CI-sized sharded storm soak: three episodes of
-// churn plus a roaming outage, each checked sharded-vs-serial. It runs
-// under -race in CI — the shard workers are the repo's one sanctioned
-// goroutine site, so this is the test that would catch a data race in
-// the cross-shard protocol.
+// churn plus a roaming outage, each checked sharded-vs-serial.
 func shardSoakCfg(seed int64) ShardSoakConfig {
 	return ShardSoakConfig{Seed: seed, Shards: 4, Episodes: 3, Vehicles: 96, Ticks: 48}
 }
 
+// TestShardSoakShort runs the sharded storm soak under the race detector
+// in CI's whole-suite race step. The shard workers are one of the two
+// sanctioned goroutine sites (fanout.Each is the other), so this is the
+// test that would catch a data race in the cross-shard protocol.
 func TestShardSoakShort(t *testing.T) {
 	rep, err := RunShardSoak(shardSoakCfg(1))
 	if err != nil {

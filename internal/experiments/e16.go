@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"vcloud/internal/faults"
 	"vcloud/internal/metrics"
 	"vcloud/internal/radio"
 	"vcloud/internal/sim"
@@ -140,14 +141,15 @@ func E16CongestionPlacement(cfg Config) (*Result, error) {
 		}
 
 		// Seeded loss bursts on the cloud uplink: every 8 s the loss
-		// probability spikes for a few seconds. The schedule derives from
-		// the "e16.loss" stream, so all three arms face identical weather.
+		// probability spikes for a few seconds, then heals to the built
+		// loss. The schedule derives from the "e16.loss" stream, so all
+		// three arms face identical weather.
+		w.Injector.AttachUplink(cloudUp)
 		lossRng := s.Kernel.NewStream("e16.loss")
 		burstT, err := s.Kernel.Every(8*time.Second, func() {
 			p := 0.55 + lossRng.Float64()*0.25
 			dur := sim.Time((3 + lossRng.Float64()*2) * float64(time.Second))
-			cloudUp.SetLossProb(p)
-			s.Kernel.After(dur, func() { cloudUp.SetLossProb(0.02) })
+			w.Injector.Apply(faults.Event{Kind: faults.UplinkLoss, Prob: p, Dur: dur})
 		})
 		if err != nil {
 			return err

@@ -1,7 +1,8 @@
 // Package faults is the deterministic fault-injection subsystem: it
 // schedules infrastructure failures — node crashes and recoveries, RSU
-// outages, region-scoped radio partitions, message-loss bursts and
-// controller kills — against the discrete-event kernel, from a
+// outages, region-scoped radio partitions, message-loss bursts,
+// controller and member kills, Byzantine flips and uplink loss bursts
+// and outages — against the discrete-event kernel, from a
 // programmatic Plan or the textual plan language cmd/vcloudsim accepts
 // via -faults. Every fault, planned or drawn during a run, is an Event
 // applied by Injector.Apply, whose log is itself a plan.
@@ -11,7 +12,7 @@
 // mid-run. Making that claim measurable requires failures that are (a)
 // scripted, so the same disaster replays exactly, and (b) seeded, so any
 // probabilistic element (loss bursts) draws from the kernel's
-// reproducible streams. Every fault here is an entry in the radio
+// reproducible streams. Every radio fault here is an entry in the radio
 // medium's fault table (radio.FaultTable), which the medium reads on
 // every frame, so a "crashed" node is radio-silent yet recoverable.
 package faults
@@ -70,6 +71,17 @@ const (
 	// off from its standby while both keep reachable neighbours. Heals
 	// after Dur, or never when Dur is zero.
 	Isolate Kind = "isolate"
+	// Lie turns the Byzantine worker at address Target lying, through
+	// the lie hook (OnLie); Honest turns it honest again.
+	Lie    Kind = "lie"
+	Honest Kind = "honest"
+	// UplinkLoss sets the attached uplink's (AttachUplink) per-message
+	// loss to Prob, in [0,1); UplinkDown takes it down. Each heals after
+	// Dur, or never when Dur is zero: the newest event of its kind
+	// restores the loss the uplink was attached with, or brings it back
+	// up, and an older one's heal does nothing once a newer has begun.
+	UplinkLoss Kind = "uplink-loss"
+	UplinkDown Kind = "uplink-down"
 )
 
 // Event is one scheduled fault.
@@ -78,38 +90,46 @@ type Event struct {
 	At sim.Time
 	// Kind selects the action.
 	Kind Kind
-	// Target is the vehicle ID (Crash/Recover), RSU index (RSUDown/RSUUp)
-	// or controller index (KillController).
+	// Target is the vehicle ID (Crash/Recover/KillMember), RSU index
+	// (RSUDown/RSUUp), controller index (KillController) or node address
+	// (Isolate/Lie/Honest); the other kinds take none.
 	Target int
 	// Center and Radius define the Partition region in meters.
 	Center geo.Point
 	Radius float64
-	// Prob is the Loss drop probability in [0,1].
+	// Prob is the Loss drop probability in [0,1], or the UplinkLoss one
+	// in [0,1).
 	Prob float64
 	// Keep lists node addresses isolated together with Target (Isolate
 	// only): they stay reachable from Target but are cut from the rest.
 	Keep []int
-	// Dur auto-heals Crash, Partition, Loss and Isolate events; zero
-	// means "until the end of the run". Other kinds take none.
+	// Dur auto-heals Crash, Partition, Loss, Isolate, UplinkLoss and
+	// UplinkDown events; zero means "until the end of the run". Other
+	// kinds take none.
 	Dur sim.Time
 }
 
 // heals reports whether the kind takes a duration.
-func (k Kind) heals() bool { return k == Crash || k == Partition || k == Loss || k == Isolate }
+func (k Kind) heals() bool { return strings.HasSuffix(usage[k], "[dur]") }
+
+// targeted reports whether the kind names a node, RSU or controller.
+func (k Kind) targeted() bool {
+	return k != Partition && k != Loss && k != UplinkLoss && k != UplinkDown
+}
 
 // String renders the event in the plan language (parseable by Parse).
 func (e Event) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s %s", e.At, e.Kind)
-	switch e.Kind {
-	case Crash, Recover, RSUDown, RSUUp, KillController, KillMember, Isolate:
+	switch {
+	case e.Kind.targeted():
 		fmt.Fprintf(&b, " %d", e.Target)
 		for _, k := range e.Keep {
 			fmt.Fprintf(&b, ",%d", k)
 		}
-	case Partition:
+	case e.Kind == Partition:
 		fmt.Fprintf(&b, " %g,%g %g", e.Center.X, e.Center.Y, e.Radius)
-	case Loss:
+	case e.Kind == Loss || e.Kind == UplinkLoss:
 		fmt.Fprintf(&b, " %g", e.Prob)
 	}
 	if e.Dur > 0 {
@@ -124,7 +144,7 @@ func (e Event) Validate() error {
 		return fmt.Errorf("faults: event time must be >= 0, got %v", e.At)
 	}
 	switch e.Kind {
-	case Crash, Recover, RSUDown, RSUUp, KillController, KillMember, Isolate:
+	case Crash, Recover, RSUDown, RSUUp, KillController, KillMember, Isolate, Lie, Honest:
 		if e.Target < 0 {
 			return fmt.Errorf("faults: %s target must be >= 0, got %d", e.Kind, e.Target)
 		}
@@ -150,8 +170,17 @@ func (e Event) Validate() error {
 		if !isFinite(e.Prob) || e.Prob < 0 || e.Prob > 1 {
 			return fmt.Errorf("faults: loss probability must be in [0,1], got %v", e.Prob)
 		}
+	case UplinkLoss:
+		// The uplink refuses a certain loss: NewUplink takes [0,1).
+		if !isFinite(e.Prob) || e.Prob < 0 || e.Prob >= 1 {
+			return fmt.Errorf("faults: uplink-loss probability must be in [0,1), got %v", e.Prob)
+		}
+	case UplinkDown:
 	default:
 		return fmt.Errorf("faults: unknown kind %q", e.Kind)
+	}
+	if !e.Kind.targeted() && (e.Target != 0 || len(e.Keep) > 0) {
+		return fmt.Errorf("faults: %s takes no target, got %d %v", e.Kind, e.Target, e.Keep)
 	}
 	if e.Dur < 0 {
 		return fmt.Errorf("faults: duration must be >= 0, got %v", e.Dur)
@@ -204,8 +233,15 @@ type Injector struct {
 
 	killCtl func(idx int)
 	killMem func(id int)
+	lie     func(addr int, on bool)
 	log     []string
-	applied int
+
+	// uplink is the link the uplink kinds drive, upLoss the loss it was
+	// attached with. upLossSeq and upDownSeq number the uplink-loss and
+	// uplink-down events applied: only the newest one's heal acts.
+	uplink               *radio.Uplink
+	upLoss               float64
+	upLossSeq, upDownSeq uint64
 
 	// crashes lists each node's active timed crashes; held marks the
 	// nodes an untimed down (crash, rsu-down, kill-member, CrashNode)
@@ -240,7 +276,20 @@ func (in *Injector) OnControllerKill(fn func(idx int)) { in.killCtl = fn }
 // member agent.
 func (in *Injector) OnMemberKill(fn func(id int)) { in.killMem = fn }
 
-// Close clears the medium's fault table; active faults stop applying.
+// OnLie installs the hook Lie and Honest events invoke with the node
+// address and whether it now lies. The world wires it to the Byzantine
+// worker's SetActive.
+func (in *Injector) OnLie(fn func(addr int, on bool)) { in.lie = fn }
+
+// AttachUplink hands the uplink kinds their link. Their heals restore
+// the loss u has now.
+func (in *Injector) AttachUplink(u *radio.Uplink) {
+	in.uplink, in.upLoss = u, u.Params().LossProb
+}
+
+// Close clears the medium's fault table; active radio faults stop
+// applying. An attached uplink and the Byzantine workers keep their
+// state.
 func (in *Injector) Close() {
 	in.table.Reset()
 	clear(in.crashes)
@@ -249,28 +298,23 @@ func (in *Injector) Close() {
 
 // Stats returns a copy of the injector counters.
 func (in *Injector) Stats() Stats {
-	return Stats{Applied: in.applied, DroppedFrames: in.table.Dropped()}
+	return Stats{Applied: len(in.log), DroppedFrames: in.table.Dropped()}
 }
 
 // Log returns the applied-fault log: each applied event as its plan
 // line, each heal as a '#' comment line. Parse reads it back to exactly
 // the events that were applied, in order.
-func (in *Injector) Log() []string {
-	out := make([]string, len(in.log))
-	copy(out, in.log)
-	return out
-}
+func (in *Injector) Log() []string { return slices.Clone(in.log) }
 
-// Schedule validates the plan and applies every event at its time.
-// KillController events require a hook (OnControllerKill) to be
-// installed first.
+// Schedule validates the plan and applies every event at its time. It
+// refuses a plan holding a kind whose hook or uplink is not installed.
 func (in *Injector) Schedule(p Plan) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	for _, e := range p {
-		if e.Kind == KillController && in.killCtl == nil {
-			return fmt.Errorf("faults: plan contains %s but no controller-kill hook is installed", KillController)
+		if err := in.ready(e.Kind); err != nil {
+			return err
 		}
 	}
 	for _, e := range p {
@@ -283,13 +327,16 @@ func (in *Injector) Schedule(p Plan) error {
 // A timed fault (Dur > 0) heals itself after Dur. The returned heal ends
 // the fault sooner; only its first call acts, and it does nothing for an
 // untimed crash (a recover ends that) or a kind that takes no duration.
-// Apply panics on an event Validate rejects.
+// Apply panics on an event Validate rejects or whose hook or uplink is
+// not installed.
 func (in *Injector) Apply(e Event) (heal func()) {
 	if err := e.Validate(); err != nil {
 		panic(err)
 	}
+	if err := in.ready(e.Kind); err != nil {
+		panic(err)
+	}
 	e.At = in.s.Kernel.Now()
-	in.applied++
 	in.log = append(in.log, e.String())
 	undo := in.apply(e)
 	if undo == nil {
@@ -301,7 +348,6 @@ func (in *Injector) Apply(e Event) (heal func()) {
 			return
 		}
 		healed = true
-		in.applied++
 		in.log = append(in.log, fmt.Sprintf("# %s healed: %s", in.s.Kernel.Now(), e))
 		undo()
 	}
@@ -309,6 +355,15 @@ func (in *Injector) Apply(e Event) (heal func()) {
 		in.s.Kernel.After(e.Dur, heal)
 	}
 	return heal
+}
+
+// ready reports whether the hook or uplink kind k drives is installed.
+func (in *Injector) ready(k Kind) error {
+	if k == KillController && in.killCtl == nil || k == KillMember && in.killMem == nil ||
+		(k == Lie || k == Honest) && in.lie == nil || (k == UplinkLoss || k == UplinkDown) && in.uplink == nil {
+		return fmt.Errorf("faults: %s needs a hook or an uplink the injector does not have", k)
+	}
+	return nil
 }
 
 // apply writes e into the fault table and returns what undoes it, or nil
@@ -363,16 +418,32 @@ func (in *Injector) apply(e Event) (undo func()) {
 		in.table.SetLoss(e.Prob)
 		return func() { in.table.SetLoss(0) }
 	case KillController:
-		if in.killCtl != nil {
-			in.killCtl(e.Target)
-		}
+		in.killCtl(e.Target)
 	case KillMember:
 		in.CrashNode(addr)
-		if in.killMem != nil {
-			in.killMem(e.Target)
-		}
+		in.killMem(e.Target)
+	case Lie, Honest:
+		in.lie(e.Target, e.Kind == Lie)
+	case UplinkLoss:
+		in.uplink.SetLossProb(e.Prob)
+		return newest(&in.upLossSeq, func() { in.uplink.SetLossProb(in.upLoss) })
+	case UplinkDown:
+		in.uplink.SetAvailable(false)
+		return newest(&in.upDownSeq, func() { in.uplink.SetAvailable(true) })
 	}
 	return nil
+}
+
+// newest numbers one more event of a kind in *seq and returns its undo,
+// which acts only while no newer event of the kind has begun.
+func newest(seq *uint64, undo func()) func() {
+	*seq++
+	mine := *seq
+	return func() {
+		if *seq == mine {
+			undo()
+		}
+	}
 }
 
 // CrashNode silences a node until its recover, outside the log.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"vcloud/internal/geo"
+	"vcloud/internal/radio"
 	"vcloud/internal/roadnet"
 	"vcloud/internal/scenario"
 	"vcloud/internal/vnet"
@@ -97,6 +98,17 @@ func TestParseErrors(t *testing.T) {
 		"10s partition 3 4",   // malformed point
 		"10s partition 0,0 0", // zero radius
 		"10s loss 0.2 -5s",    // negative duration
+		// A written zero duration would mean "forever": omit it instead.
+		"10s loss 0.9 0s",
+		"5s crash 5 0s",
+		"10s partition 0,0 50 0s",
+		"10s isolate 3 0s",
+		"10s uplink-down 0s",
+		"10s uplink-down 3",     // no target: "3" reads as a bad duration
+		"10s uplink-loss 1 2s",  // a certain uplink loss
+		"10s lie 3 5s",          // a duration on a kind with no heal
+		"10s honest",            // missing target
+		"10s uplink-loss 0.2 0", // zero duration without a unit
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted, want error", bad)
@@ -104,8 +116,9 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// TestValidateDurations: crash, partition, loss and isolate heal after
-// their duration; every other kind takes none.
+// TestValidateDurations: crash, partition, loss, isolate, uplink-loss
+// and uplink-down heal after their duration; every other kind takes
+// none. The uplink kinds take no target, and an uplink loss is below 1.
 func TestValidateDurations(t *testing.T) {
 	for _, c := range []struct {
 		e  Event
@@ -120,6 +133,13 @@ func TestValidateDurations(t *testing.T) {
 		{Event{Kind: Recover, Target: 5, Dur: time.Second}, false},
 		{Event{Kind: RSUDown, Target: 0, Dur: time.Second}, false},
 		{Event{Kind: RSUUp, Target: 0, Dur: time.Second}, false},
+		{Event{Kind: Lie, Target: 3}, true},
+		{Event{Kind: Honest, Target: 3, Dur: 5 * time.Second}, false},
+		{Event{Kind: UplinkDown, Dur: time.Second}, true},
+		{Event{Kind: UplinkDown, Target: 3, Dur: time.Second}, false},
+		{Event{Kind: UplinkLoss, Prob: 0.5, Dur: time.Second}, true},
+		{Event{Kind: UplinkLoss, Prob: 1, Dur: time.Second}, false},
+		{Event{Kind: UplinkLoss, Prob: 1.5}, false},
 	} {
 		if err := c.e.Validate(); (err == nil) != c.ok {
 			t.Errorf("Validate(%s) = %v, want ok=%v", c.e, err, c.ok)
@@ -154,6 +174,7 @@ func TestCrashHealEndsOnlyItsOwn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		in.OnMemberKill(func(int) {})
 		plan, err := Parse(c.plan)
 		if err != nil {
 			t.Fatal(err)
@@ -196,6 +217,113 @@ func TestScheduleRequiresKillHook(t *testing.T) {
 	}
 	if in.Stats().Applied != 1 {
 		t.Errorf("Applied = %d, want 1", in.Stats().Applied)
+	}
+}
+
+// TestScheduleRefusesMissingHooks: a plan holding a kind whose hook or
+// uplink is not installed is refused whole, before anything applies.
+func TestScheduleRefusesMissingHooks(t *testing.T) {
+	for _, text := range []string{
+		"1s crash 1; 2s kill-member 1",
+		"1s lie 3",
+		"1s honest 3",
+		"1s uplink-loss 0.5 2s",
+		"1s uplink-down",
+	} {
+		s := bareScenario(t, 1, []geo.Point{{X: 10, Y: 10}, {X: 20, Y: 10}})
+		in, err := NewInjector(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Schedule(plan); err == nil {
+			t.Errorf("Schedule(%q) accepted a kind with nothing to drive", text)
+		}
+		if err := s.Kernel.Run(3 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if log := in.Log(); len(log) != 0 {
+			t.Errorf("Schedule(%q) refused, yet the injector applied %q", text, log)
+		}
+	}
+}
+
+// TestLieReachesHook: lie and honest events call the lie hook with their
+// address, in plan order.
+func TestLieReachesHook(t *testing.T) {
+	s := bareScenario(t, 1, nil)
+	in, err := NewInjector(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type flip struct {
+		addr int
+		on   bool
+	}
+	var got []flip
+	in.OnLie(func(addr int, on bool) { got = append(got, flip{addr, on}) })
+	plan, err := Parse("1s lie 3; 2s honest 3; 2s lie 7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Schedule(plan); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Kernel.Run(3 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if want := []flip{{3, true}, {3, false}, {7, true}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("lie hook saw %v, want %v", got, want)
+	}
+}
+
+// TestUplinkHealEndsOnlyTheNewest: of two overlapping uplink-loss bursts
+// or uplink-down windows, the older one's heal leaves the newer in
+// force, and the newest one's heal restores the loss the uplink was
+// attached with, or brings it back up.
+func TestUplinkHealEndsOnlyTheNewest(t *testing.T) {
+	type probe struct {
+		at   time.Duration
+		loss float64
+		up   bool
+	}
+	for _, c := range []struct {
+		name, plan string
+		want       []probe
+	}{
+		{"overlapping loss bursts", "1s uplink-loss 0.5 4s; 3s uplink-loss 0.7 4s",
+			[]probe{{2, 0.5, true}, {4, 0.7, true}, {6, 0.7, true}, {8, 0.02, true}}},
+		{"overlapping outages", "1s uplink-down 4s; 3s uplink-down 4s",
+			[]probe{{2, 0.02, false}, {6, 0.02, false}, {8, 0.02, true}}},
+	} {
+		s := bareScenario(t, 1, nil)
+		in, err := NewInjector(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		up, err := radio.NewUplink(s.Kernel, radio.UplinkParams{BaseRTT: time.Millisecond, BandwidthMbps: 1, LossProb: 0.02})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.AttachUplink(up)
+		plan, err := Parse(c.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Schedule(plan); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range c.want {
+			if err := s.Kernel.Run(p.at * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if loss, upNow := up.Params().LossProb, up.Available(); loss != p.loss || upNow != p.up {
+				t.Errorf("%s: at %ds loss %v up %v, want %v %v", c.name, p.at, loss, upNow, p.loss, p.up)
+			}
+		}
 	}
 }
 

@@ -26,10 +26,16 @@ import (
 //	45s  isolate 3,7,9 12s          # cut {3,7,9} off from everyone else
 //	55s  loss 0.3 10s               # drop 30% of frames for 10s
 //	70s  kill-controller 0          # via the injector's kill hook
+//	75s  kill-member 4              # radio silence plus the member-kill hook
+//	80s  lie 3                      # Byzantine worker 3 lies (lie hook)
+//	90s  honest 3
+//	85s  uplink-loss 0.4 5s         # the attached uplink loses 40% for 5s
+//	95s  uplink-down 2s             # the attached uplink is down for 2s
 //
-// The trailing duration on crash, partition, loss and isolate is
-// optional (omitted = until the end of the run). Plan order is
-// preserved: same-time events apply in the order written.
+// The trailing duration on crash, partition, loss, isolate, uplink-loss
+// and uplink-down is optional (omitted = until the end of the run); a
+// written one must be positive. Plan order is preserved: same-time
+// events apply in the order written.
 func Parse(text string) (Plan, error) {
 	var plan Plan
 	entries := strings.FieldsFunc(text, func(r rune) bool { return r == '\n' || r == ';' })
@@ -64,6 +70,10 @@ var usage = map[Kind]string{
 	Loss:           "<prob> [dur]",
 	KillController: "<controller>",
 	KillMember:     "<vehicle>",
+	Lie:            "<addr>",
+	Honest:         "<addr>",
+	UplinkLoss:     "<prob> [dur]",
+	UplinkDown:     "[dur]",
 }
 
 func parseEvent(fields []string) (Event, error) {
@@ -80,9 +90,9 @@ func parseEvent(fields []string) (Event, error) {
 	if !known {
 		return Event{}, fmt.Errorf("unknown kind %q", fields[1])
 	}
-	n := 1 // arguments before the optional duration
-	if e.Kind == Partition {
-		n = 2
+	n := len(strings.Fields(u)) // arguments, then the optional duration
+	if e.Kind.heals() {
+		n--
 	}
 	if len(args) != n && (!e.Kind.heals() || len(args) != n+1) {
 		return Event{}, fmt.Errorf("%s wants %q", e.Kind, u)
@@ -92,23 +102,13 @@ func parseEvent(fields []string) (Event, error) {
 			return Event{}, err
 		}
 	}
-	switch e.Kind {
-	case Crash, Recover, RSUDown, RSUUp, KillController, KillMember:
-		if e.Target, err = strconv.Atoi(args[0]); err != nil {
-			return Event{}, fmt.Errorf("bad target %q: %w", args[0], err)
-		}
-	case Partition:
-		if e.Center, err = parsePoint(args[0]); err != nil {
-			return Event{}, err
-		}
-		if e.Radius, err = strconv.ParseFloat(args[1], 64); err != nil {
-			return Event{}, fmt.Errorf("bad radius %q: %w", args[1], err)
-		}
-	case Isolate:
+	switch {
+	case e.Kind.targeted():
+		// Only isolate keeps peers; Validate refuses them elsewhere.
 		for i, f := range strings.Split(args[0], ",") {
 			t, err := strconv.Atoi(f)
 			if err != nil {
-				return Event{}, fmt.Errorf("bad isolate address %q: %w", f, err)
+				return Event{}, fmt.Errorf("bad address %q: %w", f, err)
 			}
 			if i == 0 {
 				e.Target = t
@@ -116,7 +116,14 @@ func parseEvent(fields []string) (Event, error) {
 				e.Keep = append(e.Keep, t)
 			}
 		}
-	case Loss:
+	case e.Kind == Partition:
+		if e.Center, err = parsePoint(args[0]); err != nil {
+			return Event{}, err
+		}
+		if e.Radius, err = strconv.ParseFloat(args[1], 64); err != nil {
+			return Event{}, fmt.Errorf("bad radius %q: %w", args[1], err)
+		}
+	case e.Kind == Loss || e.Kind == UplinkLoss:
 		if e.Prob, err = strconv.ParseFloat(args[0], 64); err != nil {
 			return Event{}, fmt.Errorf("bad probability %q: %w", args[0], err)
 		}
@@ -144,6 +151,10 @@ func parseDur(s string) (sim.Time, error) {
 	d, err := time.ParseDuration(s)
 	if err != nil {
 		return 0, fmt.Errorf("bad duration %q: %w", s, err)
+	}
+	// Dur zero means "until the run ends": a written one must be positive.
+	if d <= 0 {
+		return 0, fmt.Errorf("duration %q must be > 0 (omit it to run until the end)", s)
 	}
 	return d, nil
 }

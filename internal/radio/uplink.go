@@ -106,18 +106,9 @@ func (u *Uplink) SetAvailable(ok bool) {
 // Available reports whether the uplink is up.
 func (u *Uplink) Available() bool { return u.available }
 
-// SetLossProb replaces the per-message loss probability — the loss-burst
-// injection point for saturation storms. Out-of-range values are
-// clamped into [0,1).
-func (u *Uplink) SetLossProb(p float64) {
-	if p < 0 {
-		p = 0
-	}
-	if p >= 1 {
-		p = 0.999
-	}
-	u.params.LossProb = p
-}
+// SetLossProb replaces the per-message loss probability, in [0,1) — the
+// injection point of faults.UplinkLoss events, which Validate checks.
+func (u *Uplink) SetLossProb(p float64) { u.params.LossProb = p }
 
 // Params returns the uplink's current parameters.
 func (u *Uplink) Params() UplinkParams { return u.params }

@@ -170,7 +170,7 @@ type World struct {
 }
 
 // Build validates the spec and composes its world: scenario, RSUs,
-// injector with its kill hooks, the cloud if set, and the fault plan.
+// injector with its kill and lie hooks, the cloud if set, and the fault plan.
 func Build(spec Spec) (*World, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -209,6 +209,12 @@ func Build(spec Spec) (*World, error) {
 		if m, ok := w.members()[mobility.VehicleID(id)]; ok {
 			m.Stop()
 			delete(w.members(), mobility.VehicleID(id))
+		}
+	})
+	// A lie or honest event flips a Byzantine worker; other nodes ignore it.
+	inj.OnLie(func(addr int, on bool) {
+		if b := w.Byzantine[vnet.Addr(addr)]; b != nil {
+			b.SetActive(on)
 		}
 	})
 	if spec.Cloud != nil {
