@@ -205,7 +205,8 @@ type Report struct {
 	// StorageLost counts acked writes that became unreconstructible
 	// below the survivor threshold — the regime the service is allowed
 	// to lose data in; a loss at or above the threshold is a violation
-	// instead. Departures counts permanent departures injected.
+	// instead. Departures counts the fault log's untimed crash lines:
+	// permanent departures.
 	StorageWrites   int
 	StorageAcked    int
 	StorageReads    int
@@ -766,7 +767,12 @@ func (sk *soak) finalize() {
 	for _, line := range r.FaultLog {
 		if !strings.HasPrefix(line, "#") { // '#' lines are heals
 			r.FaultsInjected++
-			kinds[faults.Kind(strings.Fields(line)[1])]++
+			f := strings.Fields(line) // at kind [target] [dur]
+			k := faults.Kind(f[1])
+			kinds[k]++
+			if k == faults.Crash && len(f) == 3 {
+				r.Departures++ // the departure drill's crashes are the only untimed ones
+			}
 		}
 	}
 	r.SplitBrains, r.MemberKills = kinds[faults.Isolate], kinds[faults.KillMember]

@@ -380,8 +380,12 @@ func TestSoakFaultLogIsAPlan(t *testing.T) {
 			t.Errorf("%+v: fault log reads back as\n%s\nwant\n%s", cfg, got, want)
 		}
 		kinds := make(map[faults.Kind]int)
+		departures := 0
 		for _, e := range plan {
 			kinds[e.Kind]++
+			if e.Kind == faults.Crash && e.Dur == 0 {
+				departures++
+			}
 		}
 		for _, c := range []struct {
 			name      string
@@ -392,6 +396,7 @@ func TestSoakFaultLogIsAPlan(t *testing.T) {
 			{"MemberKills", rep.MemberKills, kinds[faults.KillMember]},
 			{"SatLossBursts", rep.SatLossBursts, kinds[faults.UplinkLoss]},
 			{"SatOutages", rep.SatOutages, kinds[faults.UplinkDown]},
+			{"Departures", rep.Departures, departures},
 		} {
 			if c.got != c.want {
 				t.Errorf("%+v: %s = %d, the fault log holds %d", cfg, c.name, c.got, c.want)

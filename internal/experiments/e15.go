@@ -65,12 +65,12 @@ func E15DAGExecution(cfg Config) (*Result, error) {
 	// side branches unreplicated.
 	baseJob := vcloud.JobSpec{
 		Stages: []vcloud.StageSpec{
-			{Name: "sense", Ops: 1000, InputBytes: 600, OutputBytes: 400},
-			{Name: "heavy", Ops: 3000, OutputBytes: 400, Deps: []int{0}},
-			{Name: "feat-a", Ops: 1200, OutputBytes: 400, Deps: []int{0}},
-			{Name: "feat-b", Ops: 1200, OutputBytes: 400, Deps: []int{0}},
-			{Name: "fuse", Ops: 1500, OutputBytes: 300, Deps: []int{1, 2, 3}},
-			{Name: "report", Ops: 1500, OutputBytes: 200, Deps: []int{4}},
+			{Ops: 1000, InputBytes: 600, OutputBytes: 400},      // sense
+			{Ops: 3000, OutputBytes: 400, Deps: []int{0}},       // heavy
+			{Ops: 1200, OutputBytes: 400, Deps: []int{0}},       // feat-a
+			{Ops: 1200, OutputBytes: 400, Deps: []int{0}},       // feat-b
+			{Ops: 1500, OutputBytes: 300, Deps: []int{1, 2, 3}}, // fuse
+			{Ops: 1500, OutputBytes: 200, Deps: []int{4}},       // report
 		},
 		StageRetries: 3,
 	}

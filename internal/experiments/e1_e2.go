@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"vcloud/internal/faults"
 	"vcloud/internal/geo"
 	"vcloud/internal/metrics"
 	"vcloud/internal/radio"
@@ -60,6 +61,7 @@ func E1CloudComparison(cfg Config) (*Result, error) {
 			if uplink, err = radio.NewUplink(s.Kernel, *a.up); err != nil {
 				return err
 			}
+			w.Injector.AttachUplink(uplink)
 			if backend, err = vcloud.NewRemoteCloud(a.name, s.Kernel, uplink.NewSender(radio.BWEConfig{}), a.cpu, stats); err != nil {
 				return err
 			}
@@ -96,7 +98,7 @@ func E1CloudComparison(cfg Config) (*Result, error) {
 
 		// Phase 2: infrastructure outage.
 		if uplink != nil {
-			uplink.SetAvailable(false)
+			w.Injector.Apply(faults.Event{Kind: faults.UplinkDown})
 		}
 		before := stats.Completed.Value()
 		submit(tasks)

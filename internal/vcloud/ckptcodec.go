@@ -25,19 +25,7 @@ import (
 
 // ckptMagic identifies encoded checkpoints; the trailing byte is the
 // format version.
-var ckptMagic = [4]byte{'V', 'C', 'P', 6}
-
-// ckptReserved is the length of the zero block that ends every encoding.
-// It keeps the place of deleted fields: a task price (8 bytes), a
-// per-tier estimate table (120), the controller's retry limit (8) and
-// its never-read handover flag (1), then the controller configuration a
-// checkpoint no longer carries (50) — the standby's failover timeout
-// (8), the five controller timings (40) and the failover and fencing
-// flags (2). A checkpoint's radio frame is as long as its encoding, so
-// the length is part of the model: without the block, cloud_storm's p99
-// latency moves and every soak mode's outcomes change. It goes when a
-// re-baseline sets out to move checkpoint frame lengths.
-const ckptReserved = 187
+var ckptMagic = [4]byte{'V', 'C', 'P', 7}
 
 // Decoder sanity caps: a checkpoint exceeding these is rejected as
 // corrupt. They sit far above anything a simulated cloud produces.
@@ -244,35 +232,23 @@ func checkpoint(w *ckptWalk, ck *Checkpoint) {
 	magic := ckptMagic
 	w.raw(magic[:]) // DecodeCheckpoint checks it before the walk
 	num(w, &ck.Controller, 8)
-	num(w, &ck.Standby, 8)
 	num(w, &ck.Seq, 8)
 	num(w, &ck.NextID, 8)
 	num(w, &ck.NextJobID, 8)
 	w.flag(&ck.Emergency)
 	num(w, &ck.Epoch.Counter, 8)
 	num(w, &ck.Epoch.Claimant, 8)
-	optional(w, &ck.Depend, policy)
 	list(w, &ck.Members, memberRec, "member", ckptMaxMembers)
 	list(w, &ck.Tasks, taskCkptRec, "task", ckptMaxTasks)
 	list(w, &ck.Applied, appliedRec, "ledger", ckptMaxLedger)
 	list(w, &ck.Parked, parkedRec, "parked", ckptMaxLedger)
 	list(w, &ck.Armed, addrRec, "armed", ckptMaxMembers)
 	list(w, &ck.Jobs, jobRec, "job", ckptMaxJobs)
-	var reserved [ckptReserved]byte
-	w.raw(reserved[:])
-	for _, b := range reserved {
-		if b != 0 {
-			w.fail("non-zero reserved byte %#x", b)
-			break
-		}
-	}
 }
 
 func policy(w *ckptWalk, p *DependabilityPolicy) {
 	num(w, &p.Replicas, 8)
 	num(w, &p.MaxRetries, 8)
-	num(w, &p.RetryBackoff, 8)
-	w.f64(&p.BackoffJitter)
 	num(w, &p.AttemptTimeout, 8)
 	w.f64(&p.TrustThreshold)
 	w.flag(&p.TrustWeighted)
@@ -373,10 +349,8 @@ func job(w *ckptWalk, jc *JobCheckpoint) {
 	w.flag(&s.ReplicateAll)
 	num(w, &s.StageRetries, 8)
 	num(w, &s.TaskRetries, 8)
-	num(w, &s.RetryBackoff, 8)
 	num(w, &s.Deadline, 8)
 	w.flag(&s.WholeJobRestart)
-	num(w, &s.JobRestarts, 8)
 	if w.checking() {
 		if err := s.Validate(); err != nil {
 			w.fail("invalid job %d spec: %v", jc.ID, err)
@@ -391,7 +365,6 @@ func job(w *ckptWalk, jc *JobCheckpoint) {
 }
 
 func stageSpec(w *ckptWalk, st *StageSpec) {
-	str(w, &st.Name)
 	w.f64(&st.Ops)
 	num(w, &st.InputBytes, 8)
 	num(w, &st.OutputBytes, 8)

@@ -20,25 +20,22 @@ import (
 )
 
 // fixtureCheckpoint exercises every field the codec carries: membership
-// with sensors, fenced epoch, a dependability policy both as the
-// controller's default and per-task, an applied ledger, parked outcomes with voters,
-// outstanding arming obligations and a DAG job part-way through.
+// with sensors, fenced epoch, a per-task dependability policy, an
+// applied ledger, parked outcomes with voters, outstanding arming
+// obligations and a DAG job part-way through.
 func fixtureCheckpoint() vcloud.Checkpoint {
-	pol := &vcloud.DependabilityPolicy{Replicas: 3, MaxRetries: 2, RetryBackoff: time.Second}
 	return vcloud.Checkpoint{
 		Controller: 7,
-		Standby:    3,
 		Seq:        42,
 		NextID:     9001,
 		Emergency:  true,
-		Depend:     pol,
 		Members: []vcloud.MemberSnapshot{
 			{Addr: 3, Res: vcloud.Resources{CPU: 1000, Storage: 4096, Sensors: []string{"lidar", "cam"}}},
 			{Addr: 5, Res: vcloud.Resources{CPU: 500, Storage: 1024}},
 		},
 		Tasks: []vcloud.TaskCheckpoint{
 			{
-				Task:         vcloud.Task{ID: 11, Ops: 5000, InputBytes: 100, OutputBytes: 50, NeedsSensor: "lidar", Depend: pol, Optional: true},
+				Task:         vcloud.Task{ID: 11, Ops: 5000, InputBytes: 100, OutputBytes: 50, NeedsSensor: "lidar", Depend: &vcloud.DependabilityPolicy{Replicas: 3, MaxRetries: 2}, Optional: true},
 				Client:       5,
 				RemainingOps: 1234.5,
 				Retries:      1,
@@ -69,7 +66,7 @@ func fixtureCheckpoint() vcloud.Checkpoint {
 			Submitted: 8 * time.Second,
 			Restarts:  1,
 			Wasted:    2500,
-			Spec:      vcloud.JobSpec{Stages: []vcloud.StageSpec{{Name: "detect", Ops: 2500, OutputBytes: 64}}},
+			Spec:      vcloud.JobSpec{Stages: []vcloud.StageSpec{{Ops: 2500, OutputBytes: 64}}},
 			Stages:    []vcloud.StageCheckpoint{{Status: vcloud.StageDone, Value: 7, TaskID: 13, Holders: []vnet.Addr{3}}},
 		}},
 	}
@@ -138,9 +135,11 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 		{"infinite member CPU", func(ck *vcloud.Checkpoint) { ck.Members[1].Res.CPU = math.Inf(1) }, "member 5 resources (cpu +Inf, storage 1024)"},
 		{"negative member storage", func(ck *vcloud.Checkpoint) { ck.Members[0].Res.Storage = -1 }, "member 3 resources (cpu 1000, storage -1)"},
 		{"minus-infinite job wasted ops", func(ck *vcloud.Checkpoint) { ck.Jobs[0].Wasted = math.Inf(-1) }, "job 4 wasted ops -Inf"},
-		{"negative policy replicas", func(ck *vcloud.Checkpoint) { ck.Depend = &vcloud.DependabilityPolicy{Replicas: -1} },
+		{"negative policy replicas", func(ck *vcloud.Checkpoint) { ck.Tasks[0].Task.Depend = &vcloud.DependabilityPolicy{Replicas: -1} },
 			"invalid policy: vcloud: policy replicas must be >= 0, got -1"},
-		{"zero task ops", func(ck *vcloud.Checkpoint) { ck.Tasks[0].Task.Ops = 0 }, "invalid task 11: vcloud: task ops must be positive, got 0"},
+		{"zero task ops", func(ck *vcloud.Checkpoint) { ck.Tasks[0].Task.Ops = 0 }, "invalid task 11: vcloud: task ops must be positive and finite, got 0"},
+		{"NaN task ops", func(ck *vcloud.Checkpoint) { ck.Tasks[0].Task.Ops = math.NaN() }, "invalid task 11: vcloud: task ops must be positive and finite, got NaN"},
+		{"infinite task ops", func(ck *vcloud.Checkpoint) { ck.Parked[0].Task.Ops = math.Inf(1) }, "invalid task 12: vcloud: task ops must be positive and finite, got +Inf"},
 		{"stage depending on itself", func(ck *vcloud.Checkpoint) { ck.Jobs[0].Spec.Stages[0].Deps = []int{0} }, "invalid job 4 spec: "},
 		{"stage status out of range", func(ck *vcloud.Checkpoint) { ck.Jobs[0].Stages[0].Status = 9 }, "job 4 stage 0: bad status 9"},
 		{"over-long sensor name", func(ck *vcloud.Checkpoint) { ck.Members[0].Res.Sensors[0] = strings.Repeat("s", 1025) }, "string length 1025 exceeds cap"},
@@ -167,7 +166,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	valid := vcloud.EncodeCheckpoint(fixtureCheckpoint())
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	small := vcloud.EncodeCheckpoint(vcloud.Checkpoint{Controller: 1, Standby: -1})
+	small := vcloud.EncodeCheckpoint(vcloud.Checkpoint{Controller: 1})
 	f.Add(small)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := vcloud.DecodeCheckpoint(data)
@@ -267,36 +266,6 @@ func BenchmarkCheckpointCodec(b *testing.B) {
 	})
 }
 
-// TestReservedBlockHoldsTheWireLength: the encoding ends in a block of
-// zero bytes that keeps a checkpoint's frame as long as it was before the
-// price, estimate, retry-limit and handover fields went, and then the
-// controller configuration (the length is part of the radio model), and
-// the decoder accepts nothing but zeros there. The wanted lengths are
-// those of format version 3, whose encodings carried all of them.
-func TestReservedBlockHoldsTheWireLength(t *testing.T) {
-	for name, tc := range map[string]struct {
-		ck   vcloud.Checkpoint
-		want int
-	}{"fixture": {fixtureCheckpoint(), 871}, "empty": {vcloud.Checkpoint{}, 273}, "busy": {busyCheckpoint(), 15271}} {
-		if got := len(vcloud.EncodeCheckpoint(tc.ck)); got != tc.want {
-			t.Errorf("%s: encoded %d bytes, want %d", name, got, tc.want)
-		}
-	}
-	const reserved = 187
-	data := vcloud.EncodeCheckpoint(fixtureCheckpoint())
-	tail := data[len(data)-reserved:]
-	if !bytes.Equal(tail, make([]byte, reserved)) {
-		t.Fatalf("reserved block is not zero: %x", tail)
-	}
-	for _, at := range []int{0, 64, reserved - 1} {
-		bad := append([]byte(nil), data...)
-		bad[len(bad)-reserved+at] = 1
-		if _, err := vcloud.DecodeCheckpoint(bad); err == nil {
-			t.Errorf("non-zero reserved byte %d accepted", at)
-		}
-	}
-}
-
 // TestEncodedSizeIsExact: the encoder sizes its buffer once, so the
 // buffer it returns must be full — for the fixture, for the busy
 // checkpoint and for the empty one.
@@ -331,10 +300,10 @@ func TestEncodingIsPinned(t *testing.T) {
 		len  int
 		hash string
 	}{
-		{"fixture", fixtureCheckpoint(), 871, "dac864c1c160ffb58f29f348a4fe4ad8c67b2b71096591d0adb5fc47a90396fe"},
-		{"busy", busyCheckpoint(), 15271, "da39c1a80949df43a950285e71b2bcefd49cde12bc6d7dd049763e6b59be5231"},
-		{"staged", stagedCheckpoint(), 973, "e42d8a5f27b2a51f3c70a4c2895be2725008784a97243e488d1c45ebd1c3bcc2"},
-		{"empty", vcloud.Checkpoint{}, 273, "904b028d4c2e20804384c596da4557acb6695cf4911e6e2a3c05e22911eebe9b"},
+		{"fixture", fixtureCheckpoint(), 586, "be58bc0f839c0bd2c0c031c0f90d997cfbcefdde3be0cae24e0a83204b04d7ca"},
+		{"busy", busyCheckpoint(), 14026, "9cf57126ae78682fa4a6087a3d482df68d11c2bf40cbdb84d09328ccf2bbf01e"},
+		{"staged", stagedCheckpoint(), 688, "90859a9ca98f90ee52e602e85ba661b8a6fec617abd5004a2d56ed3bf098d240"},
+		{"empty", vcloud.Checkpoint{}, 77, "28d2fe20cbd0b54d24d38a6ad633222f248408243035eaf58f10a9cfe34c098e"},
 	} {
 		data := vcloud.EncodeCheckpoint(tc.ck)
 		if sum := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != tc.len || sum != tc.hash {
@@ -345,13 +314,13 @@ func TestEncodingIsPinned(t *testing.T) {
 
 // TestHostileCountIsCheap: decoding presizes a collection by its count
 // only as far as the bytes left could hold its records. An empty
-// checkpoint's 70 header bytes, their task count set to 65,536, and then
+// checkpoint's 61 header bytes, their task count set to 65,536, and then
 // 16 KiB of zeros must be refused for a few KiB per call, not the
 // megabytes a presize trusting the count (or one record per byte left)
 // would take.
 func TestHostileCountIsCheap(t *testing.T) {
-	data := append([]byte(nil), vcloud.EncodeCheckpoint(vcloud.Checkpoint{})[:70]...)
-	binary.BigEndian.PutUint32(data[66:], 1<<16)
+	data := append([]byte(nil), vcloud.EncodeCheckpoint(vcloud.Checkpoint{})[:61]...)
+	binary.BigEndian.PutUint32(data[57:], 1<<16)
 	data = append(data, make([]byte, 16<<10)...)
 	const calls = 50
 	var before, after runtime.MemStats

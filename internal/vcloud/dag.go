@@ -3,7 +3,6 @@ package vcloud
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"vcloud/internal/sim"
 	"vcloud/internal/vnet"
@@ -24,8 +23,6 @@ type JobID uint64
 
 // StageSpec describes one stage of a DAG job.
 type StageSpec struct {
-	// Name is an optional label used in traces and experiment rows.
-	Name string
 	// Ops is the stage's compute cost in abstract operations.
 	Ops float64
 	// InputBytes is external input delivered with the dispatch (root
@@ -69,32 +66,23 @@ type JobSpec struct {
 	// surface to the job layer quickly instead of stalling in task
 	// backoff.
 	TaskRetries int
-	// RetryBackoff is the base of the stage-level exponential backoff
-	// (default 500ms).
-	RetryBackoff sim.Time
 	// Deadline is the absolute virtual time by which the job must
 	// complete; zero means none.
 	Deadline sim.Time
 	// WholeJobRestart selects the naive recovery mode: any stage failure
-	// restarts the entire job from scratch (up to JobRestarts times),
+	// restarts the entire job from scratch (up to jobRestarts times),
 	// throwing away all completed stage work — the baseline arm of E15.
 	WholeJobRestart bool
-	// JobRestarts bounds whole-job restarts (only meaningful with
-	// WholeJobRestart; default 3).
-	JobRestarts int
 }
+
+// jobRestarts bounds a WholeJobRestart job's restarts.
+const jobRestarts = 3
 
 // dagDefaults fills zero-value knobs. Kept separate from Validate so
 // checkpointed specs round-trip unchanged.
 func (s JobSpec) withDefaults() JobSpec {
 	if s.TaskRetries == 0 {
 		s.TaskRetries = 1
-	}
-	if s.RetryBackoff == 0 {
-		s.RetryBackoff = 500 * time.Millisecond
-	}
-	if s.WholeJobRestart && s.JobRestarts == 0 {
-		s.JobRestarts = 3
 	}
 	return s
 }
@@ -110,11 +98,8 @@ func (s *JobSpec) Validate() error {
 	if s.ReplicaBudget < 0 {
 		return fmt.Errorf("vcloud: replica budget must be >= 0, got %d", s.ReplicaBudget)
 	}
-	if s.StageRetries < 0 || s.TaskRetries < 0 || s.JobRestarts < 0 {
+	if s.StageRetries < 0 || s.TaskRetries < 0 {
 		return fmt.Errorf("vcloud: retry budgets must be >= 0")
-	}
-	if s.RetryBackoff < 0 {
-		return fmt.Errorf("vcloud: retry backoff must be >= 0")
 	}
 	for i, st := range s.Stages {
 		if st.Ops <= 0 || math.IsNaN(st.Ops) || math.IsInf(st.Ops, 0) {

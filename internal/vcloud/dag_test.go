@@ -16,10 +16,10 @@ import (
 func diamondSpec() vcloud.JobSpec {
 	return vcloud.JobSpec{
 		Stages: []vcloud.StageSpec{
-			{Name: "ingest", Ops: 1000, InputBytes: 500, OutputBytes: 300},
-			{Name: "heavy", Ops: 2000, OutputBytes: 300, Deps: []int{0}},
-			{Name: "light", Ops: 800, OutputBytes: 300, Deps: []int{0}},
-			{Name: "join", Ops: 1000, OutputBytes: 200, Deps: []int{1, 2}},
+			{Ops: 1000, InputBytes: 500, OutputBytes: 300},   // ingest
+			{Ops: 2000, OutputBytes: 300, Deps: []int{0}},    // heavy
+			{Ops: 800, OutputBytes: 300, Deps: []int{0}},     // light
+			{Ops: 1000, OutputBytes: 200, Deps: []int{1, 2}}, // join
 		},
 		ReplicaBudget: 2,
 		StageRetries:  2,
@@ -166,7 +166,6 @@ func TestJobWholeJobRestartExhausts(t *testing.T) {
 			{Ops: 1000, OutputBytes: 200, Deps: []int{0}, NeedsSensor: "xray"},
 		},
 		WholeJobRestart: true,
-		JobRestarts:     2,
 	}
 	var res vcloud.JobResult
 	fired := 0
@@ -186,16 +185,16 @@ func TestJobWholeJobRestartExhausts(t *testing.T) {
 	if res.Reason != vcloud.ReasonStageFailed {
 		t.Errorf("reason = %q, want %q", res.Reason, vcloud.ReasonStageFailed)
 	}
-	if res.Restarts != 2 {
-		t.Errorf("restarts = %d, want the full budget of 2", res.Restarts)
+	if res.Restarts != 3 {
+		t.Errorf("restarts = %d, want the full budget of 3", res.Restarts)
 	}
-	// Stage 0 completed once per attempt (3 attempts) and every copy was
+	// Stage 0 completed once per attempt (4 attempts) and every copy was
 	// thrown away.
-	if res.WastedOps < 3000 {
-		t.Errorf("wasted ops = %.0f, want >= 3000 (three discarded stage-0 runs)", res.WastedOps)
+	if res.WastedOps < 4000 {
+		t.Errorf("wasted ops = %.0f, want >= 4000 (four discarded stage-0 runs)", res.WastedOps)
 	}
-	if got := stats.JobRestarts.Value(); got != 2 {
-		t.Errorf("JobRestarts = %d, want 2", got)
+	if got := stats.JobRestarts.Value(); got != 3 {
+		t.Errorf("JobRestarts = %d, want 3", got)
 	}
 	if got := stats.JobsFailed.Value(); got != 1 {
 		t.Errorf("JobsFailed = %d, want 1", got)

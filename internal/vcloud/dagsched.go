@@ -173,12 +173,8 @@ func (c *Controller) launchStage(j *jobState, i int) {
 		OutputBytes: 0, // workers return a digest; data flows member-to-member
 		Deadline:    j.spec.Deadline,
 		NeedsSensor: sp.NeedsSensor,
-		Depend: &DependabilityPolicy{
-			Replicas:     j.alloc[i],
-			MaxRetries:   j.spec.TaskRetries,
-			RetryBackoff: j.spec.RetryBackoff,
-		},
-		Stage: binding,
+		Depend:      &DependabilityPolicy{Replicas: j.alloc[i], MaxRetries: j.spec.TaskRetries},
+		Stage:       binding,
 	}
 	id, err := c.SubmitFor(j.client, task, nil)
 	if err != nil {
@@ -250,7 +246,7 @@ func (c *Controller) onStageFailed(j *jobState, i int, reason FailReason) {
 		return
 	}
 	if j.spec.WholeJobRestart {
-		if j.restarts < j.spec.JobRestarts {
+		if j.restarts < jobRestarts {
 			c.restartJob(j)
 		} else {
 			st.status = StageFailed
@@ -258,10 +254,10 @@ func (c *Controller) onStageFailed(j *jobState, i int, reason FailReason) {
 		}
 		return
 	}
-	delay := j.spec.RetryBackoff
+	delay := retryBackoff
 	if reason == ReasonNoEligibleMember && st.forming < formingRetryCap {
 		st.forming++
-		delay = 2 * j.spec.RetryBackoff
+		delay = 2 * retryBackoff
 	} else {
 		if st.retries >= j.spec.StageRetries {
 			if j.spec.Stages[i].Optional {
@@ -330,7 +326,7 @@ func (c *Controller) restartJob(j *jobState) {
 		st.gen++
 	}
 	c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
-		"job %d whole-job restart %d/%d", j.id, j.restarts, j.spec.JobRestarts)
+		"job %d whole-job restart %d/%d", j.id, j.restarts, jobRestarts)
 	c.dispatchReady(j)
 }
 

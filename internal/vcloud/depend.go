@@ -39,6 +39,15 @@ import (
 	"vcloud/internal/vnet"
 )
 
+// A re-dispatch round r waits retryBackoff · 2^(r-1), spread uniformly
+// over [1-backoffJitter, 1+backoffJitter] times that by the controller's
+// seeded stream, so runs reproduce bit-for-bit. A DAG stage's retries
+// back off from the same base (see onStageFailed).
+const (
+	retryBackoff  = 500 * time.Millisecond
+	backoffJitter = 0.5
+)
+
 // DependabilityPolicy tunes redundant execution for one task (Task.Depend)
 // or for every task a controller schedules (ControllerConfig.Depend). The
 // zero value of each field means "use the default".
@@ -50,13 +59,6 @@ type DependabilityPolicy struct {
 	// MaxRetries bounds re-dispatch rounds after replica loss or a vote
 	// that reaches no quorum. Default 3.
 	MaxRetries int
-	// RetryBackoff is the base delay before a re-dispatch round; round r
-	// waits RetryBackoff · 2^r, jittered. Default 500 ms.
-	RetryBackoff sim.Time
-	// BackoffJitter spreads each backoff uniformly over
-	// [1-j, 1+j] × delay, drawn from the controller's seeded stream so
-	// runs reproduce bit-for-bit. Default 0.5; negative disables.
-	BackoffJitter float64
 	// AttemptTimeout bounds one replica's execution; zero keeps the
 	// controller's generous load-derived timeout.
 	AttemptTimeout sim.Time
@@ -77,12 +79,6 @@ func (p *DependabilityPolicy) Validate() error {
 	if p.MaxRetries < 0 {
 		return fmt.Errorf("vcloud: policy max retries must be >= 0, got %d", p.MaxRetries)
 	}
-	if p.RetryBackoff < 0 {
-		return fmt.Errorf("vcloud: policy retry backoff must be >= 0, got %v", p.RetryBackoff)
-	}
-	if math.IsNaN(p.BackoffJitter) || p.BackoffJitter > 1 {
-		return fmt.Errorf("vcloud: policy backoff jitter must be <= 1, got %v", p.BackoffJitter)
-	}
 	if math.IsNaN(p.TrustThreshold) || p.TrustThreshold < 0 || p.TrustThreshold >= 1 {
 		return fmt.Errorf("vcloud: policy trust threshold must be in [0,1), got %v", p.TrustThreshold)
 	}
@@ -99,12 +95,6 @@ func (p DependabilityPolicy) withDefaults() DependabilityPolicy {
 	}
 	if p.MaxRetries == 0 {
 		p.MaxRetries = 3
-	}
-	if p.RetryBackoff == 0 {
-		p.RetryBackoff = 500 * time.Millisecond
-	}
-	if p.BackoffJitter == 0 {
-		p.BackoffJitter = 0.5
 	}
 	return p
 }
@@ -382,11 +372,8 @@ func (c *Controller) scheduleRetryRound(ts *taskState, failReason FailReason) {
 	ts.round++
 	round := ts.round
 	c.stats.Retries.Inc()
-	delay := ts.policy.RetryBackoff * sim.Time(1<<uint(ts.round-1))
-	if j := ts.policy.BackoffJitter; j > 0 {
-		f := 1 + j*(2*c.rng.Float64()-1)
-		delay = sim.Time(float64(delay) * f)
-	}
+	delay := retryBackoff * sim.Time(1<<uint(ts.round-1))
+	delay = sim.Time(float64(delay) * (1 + backoffJitter*(2*c.rng.Float64()-1)))
 	ts.roundPending = true
 	c.node.Kernel().After(delay, func() {
 		cur, live := c.tasks[ts.task.ID]

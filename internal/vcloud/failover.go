@@ -86,8 +86,6 @@ type JobCheckpoint struct {
 type Checkpoint struct {
 	// Controller is the checkpointing controller's address.
 	Controller vnet.Addr
-	// Standby is the member this checkpoint designates.
-	Standby vnet.Addr
 	// Seq increases with every checkpoint sent.
 	Seq uint64
 	// NextID continues the task-ID sequence without collisions.
@@ -96,10 +94,6 @@ type Checkpoint struct {
 	NextJobID TaskID
 	// Emergency carries the management-plane flag across failover.
 	Emergency bool
-	// Depend is the controller's default dependability policy (nil: the
-	// built-in default). No restore reads it, but its bytes are part of
-	// the checkpoint's wire length, which the radio model charges.
-	Depend *DependabilityPolicy
 	// Members is the membership snapshot in ascending address order.
 	Members []MemberSnapshot
 	// Tasks is the in-flight task table in ascending task-ID order.
@@ -143,7 +137,6 @@ func (c *Controller) Checkpoint() Checkpoint {
 	ck.Controller = c.node.Addr()
 	ck.NextID, ck.NextJobID = c.nextID, c.nextJobID
 	ck.Emergency = c.emergency
-	ck.Depend = c.cfg.Depend
 	ck.Jobs = c.exportJobs()
 	for _, m := range c.members {
 		ck.Members = append(ck.Members, MemberSnapshot{Addr: m.addr, Res: m.res})

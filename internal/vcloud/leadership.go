@@ -130,25 +130,32 @@ func newLeader(self vnet.Addr, mode leaderMode) leader {
 
 func (l *leader) fenced() bool { return l.mode == fencedLeader }
 
-// tick designates candidate (-1: none) as the standby and reports
-// whether that lost the last one and whether a checkpoint is due. A due
+// tick reports whether candidate (-1: none) loses the last standby and
+// whether a checkpoint is due. With no candidate the standby is gone at
+// once; otherwise the candidate becomes the standby only when a
+// checkpoint to it is due, so no advertisement deposes the standby
+// holding the last checkpoint before its successor is sent one. A due
 // checkpoint's recipient is armed before it is built, so its Armed list
 // names the recipient too (a third sibling must learn of it).
 func (l *leader) tick(now sim.Time, candidate vnet.Addr) (lost, ckpt bool) {
 	if l.mode == plainLeader {
 		return false, false
 	}
-	lost = candidate < 0 && l.standby >= 0
-	l.standby = candidate
-	if candidate < 0 || now-l.lastCkpt < checkpointPeriod {
+	if candidate < 0 {
+		lost = l.standby >= 0
+		l.standby = -1
 		return lost, false
 	}
+	if now-l.lastCkpt < checkpointPeriod {
+		return false, false
+	}
+	l.standby = candidate
 	l.ckptSeq++
 	l.lastCkpt = now
 	if _, armed := l.armed[candidate]; !armed && l.fenced() {
 		l.armed[candidate] = armedStandby{at: now} // the lease grace starts here
 	}
-	return lost, true
+	return false, true
 }
 
 // lease refuses new work once any armed standby has been silent for
@@ -244,7 +251,6 @@ func (l *leader) deposedBy(e Epoch) bool { return l.epoch.Defers(e) }
 // snapshot is a checkpoint holding the leadership state alone.
 func (l *leader) snapshot() Checkpoint {
 	ck := Checkpoint{
-		Standby: l.standby,
 		Seq:     l.ckptSeq,
 		Epoch:   l.epoch,
 		Applied: make([]AppliedRecord, 0, len(l.appliedOrder)),

@@ -312,6 +312,33 @@ func TestLeadership(t *testing.T) {
 	}
 }
 
+// TestStandbyMovesWithItsCheckpoint: a candidate proposed between
+// checkpoints is not designated, so no advertisement deposes the standby
+// holding the last checkpoint before its successor is sent one; at the
+// next due checkpoint it is. With no candidate the standby is lost at
+// once.
+func TestStandbyMovesWithItsCheckpoint(t *testing.T) {
+	l := newLeader(0, fencedLeader)
+	a, b := standbys[0], standbys[1]
+	for _, tc := range []struct {
+		at         sim.Time
+		cand, want vnet.Addr
+		lost, due  bool
+	}{
+		{1 * time.Second, a, -1, false, false},
+		{2 * time.Second, a, a, false, true},
+		{3 * time.Second, b, a, false, false},
+		{4 * time.Second, b, b, false, true},
+		{5 * time.Second, -1, -1, true, false},
+	} {
+		lost, due := l.tick(tc.at, tc.cand)
+		if l.standby != tc.want || lost != tc.lost || due != tc.due {
+			t.Errorf("at %v proposing %d: standby %d, lost %v, checkpoint due %v; want %d, %v, %v",
+				tc.at, tc.cand, l.standby, lost, due, tc.want, tc.lost, tc.due)
+		}
+	}
+}
+
 // TestLeaderDeposition: a controller defers to a higher counter, and on
 // a tied counter to the lower claimant; never to a lower counter, to
 // zero or to itself.

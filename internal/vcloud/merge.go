@@ -162,12 +162,8 @@ func (c *Controller) abdicateTo(target vnet.Addr, rival Epoch) {
 	c.stats.Abdications.Inc()
 	c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
 		"abdicating %v to rival %v at %d", c.lead.epoch, rival, target)
-	ck := c.Checkpoint()
-	// The frame keeps this estimate, not the encoding's length: frame
-	// lengths are part of the radio model, and fenced runs move with it.
-	size := 128 + 24*len(ck.Members) + 96*len(ck.Tasks) + 16*len(ck.Applied) + 96*len(ck.Parked) + 160*len(ck.Jobs)
-	msg := c.node.NewMessage(target, kindMerge, size, 1, ckptMsg{Data: EncodeCheckpoint(ck)})
-	c.node.SendTo(target, msg)
+	data := EncodeCheckpoint(c.Checkpoint())
+	c.node.SendTo(target, c.node.NewMessage(target, kindMerge, len(data), 1, ckptMsg{Data: data}))
 	c.Crash() // silent halt: pending task state was shipped in the merge
 	if c.d != nil {
 		c.d.retire(c)

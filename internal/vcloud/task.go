@@ -64,8 +64,8 @@ type Task struct {
 
 // Validate checks task sanity.
 func (t *Task) Validate() error {
-	if t.Ops <= 0 {
-		return fmt.Errorf("vcloud: task ops must be positive, got %v", t.Ops)
+	if t.Ops <= 0 || math.IsNaN(t.Ops) || math.IsInf(t.Ops, 0) {
+		return fmt.Errorf("vcloud: task ops must be positive and finite, got %v", t.Ops)
 	}
 	if t.InputBytes < 0 || t.OutputBytes < 0 {
 		return fmt.Errorf("vcloud: task byte sizes must be non-negative")

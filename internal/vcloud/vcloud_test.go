@@ -1,6 +1,7 @@
 package vcloud_test
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"time"
@@ -51,6 +52,8 @@ func TestTaskValidate(t *testing.T) {
 	bad := []vcloud.Task{
 		{Ops: 0},
 		{Ops: -5},
+		{Ops: math.NaN()},
+		{Ops: math.Inf(1)},
 		{Ops: 10, InputBytes: -1},
 		{Ops: 10, OutputBytes: -1},
 	}

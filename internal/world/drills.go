@@ -60,8 +60,8 @@ func (d *Departures) pool(skip map[vnet.Addr]bool) []vnet.Addr {
 // when more than a third of the fleet is out, then departs one drawn by
 // rng — never an active controller, the kill drills' business — and
 // makes b forget its disk. It reports the revived and departed addresses
-// (-1 for none) and the copies b dropped.
-func (d *Departures) Step(rng *rand.Rand, b store.Backend) (revived, departed vnet.Addr, dropped int) {
+// (-1 for none).
+func (d *Departures) Step(rng *rand.Rand, b store.Backend) (revived, departed vnet.Addr) {
 	revived = -1
 	if len(d.departed) > d.w.Spec.Vehicles/3 {
 		for _, a := range d.fleet {
@@ -80,12 +80,13 @@ func (d *Departures) Step(rng *rand.Rand, b store.Backend) (revived, departed vn
 	}
 	pool := d.pool(ctl)
 	if len(pool) == 0 {
-		return revived, -1, 0
+		return revived, -1
 	}
 	departed = pool[rng.Intn(len(pool))]
 	d.departed[departed] = d.w.Scenario.Kernel.Now()
 	d.w.Injector.Apply(faults.Event{Kind: faults.Crash, Target: int(departed)})
-	return revived, departed, b.Forget(departed)
+	b.Forget(departed)
+	return revived, departed
 }
 
 // KillMember is the member-kill drill: unless the cloud is down to half

@@ -243,7 +243,7 @@ func TestDeparturesReviveLongestGone(t *testing.T) {
 	var order []vnet.Addr
 	for step := 0; step < 4; step++ {
 		s.Kernel.At(sim.Time(step)*time.Second, func() {
-			revived, departed, _ := d.Step(rng, b)
+			revived, departed := d.Step(rng, b)
 			if revived >= 0 {
 				t.Errorf("step %d revived %d with only %d gone", step, revived, len(order))
 			}
@@ -256,7 +256,7 @@ func TestDeparturesReviveLongestGone(t *testing.T) {
 	if got := len(d.View().Members()); got != 5 {
 		t.Errorf("%d members in view, want 9-4", got)
 	}
-	revived, _, _ := d.Step(rng, b)
+	revived, _ := d.Step(rng, b)
 	if revived != order[0] {
 		t.Errorf("revived %d, want the longest gone %d", revived, order[0])
 	}

@@ -107,7 +107,7 @@ if ! diff runset_output.txt "$runset" > "$dir/runset.diff"; then
 		awk -F '\t' '/^[<>] / && !seen[substr($1, 3)]++ { print "  " substr($1, 3) }' >&2
 	fail=1
 fi
-reasons='fmt.Stringer or interface method|Stop of a type whose start runs|named by the frozen benchmark|pinned by the checkpoint wire length|CLI/profiling plumbing|read by tests in another package'
+reasons='fmt.Stringer or interface method|Stop of a type whose start runs|named by the frozen benchmark|CLI/profiling plumbing|read by tests in another package'
 grep -v '^#' census.txt | grep -v '^$' > "$dir/census.lines" || true
 if grep -vE "^[^ ]+ +# ($reasons)\$" "$dir/census.lines" > "$dir/bad.txt"; then
 	echo "census.txt: lines without a reason from the closed set:" >&2
