@@ -20,13 +20,12 @@
 // continuously; the exit code reports violations. -splitbrain adds epoch
 // fencing and controller isolations, -store replicated|ec the storage
 // service over permanent departures, -dag the DAG job workload with
-// member kills, -saturate the congestion workload over a contended
-// uplink, and -shards N the geo-sharded kernel storm soak, sharded
-// output checked against serial bit for bit:
+// member kills, and -saturate the congestion workload over a contended
+// uplink:
 //
 //	vcloudsim -soak -duration 600 -vehicles 20 -byz 0.25 -seed 7
 //	vcloudsim -soak -store ec -splitbrain -duration 300 -vehicles 16 -seed 7
-//	vcloudsim -soak -saturate -shards 4 -duration 300 -vehicles 16 -seed 7
+//	vcloudsim -soak -saturate -duration 300 -vehicles 16 -seed 7
 //
 // The whole command line is checked before anything simulates: a bad
 // value, or a flag the chosen mode would ignore, exits 2.
@@ -68,14 +67,13 @@ type options struct {
 	byz               float64
 	split, dag, sat   bool
 	store             string
-	shards            int
 	cpuprof           string
 }
 
 // Flags that only one mode reads: a flag given to the other mode would
 // be silently dropped, so it is rejected instead.
 var (
-	soakOnly = []string{"byz", "splitbrain", "dag", "store", "saturate", "shards"}
+	soakOnly = []string{"byz", "splitbrain", "dag", "store", "saturate"}
 	runOnly  = []string{"scenario", "arch", "tasks", "secure", "trace", "faults", "replicas", "retries"}
 )
 
@@ -158,7 +156,6 @@ func parseFlags(args []string) (options, world.Spec, error) {
 	fs.BoolVar(&o.dag, "dag", false, "with -soak: run the DAG job workload with kill-member storms and the DAG invariants")
 	fs.StringVar(&o.store, "store", "", "with -soak: run the storage workload on this backend (replicated | ec)")
 	fs.BoolVar(&o.sat, "saturate", false, "with -soak: run the congestion workload with saturation storms and the overload invariants")
-	fs.IntVar(&o.shards, "shards", 0, "with -soak: also storm-soak the geo-sharded kernel at this shard count (at least 2), checking sharded output == serial bit-for-bit")
 	fs.StringVar(&o.cpuprof, "cpuprofile", "", "write a CPU profile of the run to this file")
 	if err := fs.Parse(args); err != nil {
 		return o, world.Spec{}, err
@@ -177,13 +174,7 @@ func parseFlags(args []string) (options, world.Spec, error) {
 				return o, world.Spec{}, fmt.Errorf("-%s has no effect with -soak", name)
 			}
 		}
-		if err := soakConfig(o).Validate(); err != nil {
-			return o, world.Spec{}, err
-		}
-		if o.shards != 0 {
-			return o, world.Spec{}, shardSoakConfig(o).Validate()
-		}
-		return o, world.Spec{}, nil
+		return o, world.Spec{}, soakConfig(o).Validate()
 	}
 	for _, name := range soakOnly {
 		if set[name] {
@@ -274,23 +265,9 @@ func soakConfig(o options) chaos.SoakConfig {
 	}
 }
 
-// shardSoakConfig is the storm soak -shards adds: one episode per
-// simulated minute, at least two, at most eight, on six times the fleet.
-func shardSoakConfig(o options) chaos.ShardSoakConfig {
-	return chaos.ShardSoakConfig{
-		Seed:     o.seed,
-		Shards:   o.shards,
-		Episodes: min(max(int(o.duration/60), 2), 8),
-		Vehicles: o.vehicles * 6,
-	}
-}
-
 // runSoak executes the chaos soak harness and prints its report. A
 // non-empty violation list is a process failure: the soak is the
-// executable form of the dependability invariants. With -shards the
-// geo-sharded kernel storm soak runs after the main soak, and its
-// violations (sharded output diverging from serial) fail the process
-// the same way.
+// executable form of the dependability invariants.
 func runSoak(o options) error {
 	rep, err := chaos.Soak(soakConfig(o))
 	if err != nil {
@@ -311,29 +288,31 @@ func runSoak(o options) error {
 		rep.Submitted, rep.Completed, rep.Failed, rep.Refused, rep.Correct, rep.Wrong, rep.Unchecked)
 	fmt.Printf("availability: completed=%d/%d refused=%d longest-refused-streak=%d at=%s length=%s\n",
 		rep.Completed, rep.Submitted, rep.Refused, rep.RefusedStreak, rep.RefusedFrom, rep.RefusedFor)
+	cs := rep.Cloud
 	fmt.Printf("storm: %d fault(s) injected, %d failover(s), %d invariant sweep(s)\n",
-		rep.FaultsInjected, rep.Failovers, rep.Checks)
+		rep.FaultsInjected, cs.Failovers.Value(), rep.Checks)
 	if o.split {
 		fmt.Printf("fencing: %d split(s), highest epoch %d, %d abdication(s), %d merge(s), %d task(s) adopted, %d outcome(s) deduped, %d stale msg(s) rejected\n",
-			rep.SplitBrains, rep.Epochs, rep.Abdications, rep.Merges, rep.Adopted, rep.Deduped, rep.StaleRejected)
+			rep.SplitBrains, rep.Epochs, cs.Abdications.Value(), cs.Merges.Value(), cs.Adopted.Value(),
+			cs.Deduped.Value(), cs.StaleRejected.Value())
 	}
 	if o.store != "" {
-		fmt.Printf("storage: writes=%d acked=%d reads=%d served=%d lost=%d repaired=%d departures=%d\n",
+		fmt.Printf("storage: writes=%d acked=%d reads=%d served=%d lost=%d repaired=%d departures=%d/%d\n",
 			rep.StorageWrites, rep.StorageAcked, rep.StorageReads, rep.StorageReadsOK,
-			rep.StorageLost, rep.StorageRepaired, rep.Departures)
+			rep.StorageLost, rep.StorageRepaired, rep.Departures, rep.DepartBeats)
 	}
 	if o.dag {
 		fmt.Printf("jobs: submitted=%d completed=%d partial=%d failed=%d refused=%d resumed=%d\n",
-			rep.JobsSubmitted, rep.JobsCompleted, rep.JobsPartial, rep.JobsFailed, rep.JobsRefused, rep.JobsResumed)
+			rep.JobsSubmitted, rep.JobsCompleted, rep.JobsPartial, rep.JobsFailed, rep.JobsRefused, cs.JobsResumed.Value())
 		fmt.Printf("stages: retries=%d relays=%d handoffs=%d member-kills=%d\n",
-			rep.StageRetries, rep.StageRelays, rep.StageHandoffs, rep.MemberKills)
+			cs.StageRetries.Value(), cs.StageRelays.Value(), cs.StageHandoffs.Value(), rep.MemberKills)
 	}
 	if o.sat {
-		fmt.Printf("congestion: submitted=%d (required=%d) completed=%d failed=%d shed=%d admission=%d backpressured=%d\n",
-			rep.SatSubmitted, rep.SatRequired, rep.SatCompleted, rep.SatFailed,
+		fmt.Printf("congestion: submitted=%d (required=%d) refused=%d completed=%d failed=%d shed=%d admission=%d backpressured=%d\n",
+			rep.SatSubmitted, rep.SatRequired, rep.SatRefused, rep.SatCompleted, rep.SatFailed,
 			rep.SatShed, rep.SatAdmission, rep.SatBackpressured)
 		fmt.Printf("placement: vehicle=%d cloud=%d switches=%d, %d loss burst(s), %d uplink outage(s)\n",
-			rep.SatPlacedVehicle, rep.SatPlacedCloud, rep.TierSwitches,
+			rep.SatPlacedVehicle, rep.SatPlacedCloud, cs.TierSwitches.Value(),
 			rep.SatLossBursts, rep.SatOutages)
 		fmt.Printf("uplink: sent=%d delivered=%d lost=%d dropped=%d\n",
 			rep.UplinkSent, rep.UplinkDelivered, rep.UplinkLost, rep.UplinkDropped)
@@ -342,22 +321,11 @@ func runSoak(o options) error {
 		fmt.Printf("  %s\n", f)
 	}
 	fmt.Printf("checksum: %016x (same seed reproduces bit-for-bit)\n", rep.Checksum)
-	violations := rep.Violations
-	if o.shards != 0 {
-		srep, err := chaos.RunShardSoak(shardSoakConfig(o))
-		if err != nil {
-			return err
-		}
-		fmt.Printf("shard soak: shards=%d episodes=%d events=%d cross=%d handoffs=%d delivered=%d\n",
-			srep.Shards, srep.Episodes, srep.Events, srep.CrossEvents, srep.Handoffs, srep.Delivered)
-		fmt.Printf("shard checksum: %016x (sharded output == serial, bit-for-bit)\n", srep.Checksum)
-		violations = append(violations, srep.Violations...)
-	}
-	if len(violations) > 0 {
-		for _, v := range violations {
+	if len(rep.Violations) > 0 {
+		for _, v := range rep.Violations {
 			fmt.Printf("VIOLATION: %s\n", v)
 		}
-		return fmt.Errorf("%d invariant violation(s)", len(violations))
+		return fmt.Errorf("%d invariant violation(s)", len(rep.Violations))
 	}
 	fmt.Println("invariants: all held")
 	return nil

@@ -17,7 +17,7 @@ func TestValidateFlags(t *testing.T) {
 		{"policy and fleet at their bounds", "-vehicles 1 -tasks 0 -duration 0.5 -replicas 3 -retries 2", ""},
 		{"default single copy", "-replicas 0 -retries 1", ""},
 		{"census scenario run", "-scenario parkinglot -arch infrastructure -secure -replicas 3 -retries 2 -faults '20s crash 3; 70s kill-controller 0'", ""},
-		{"soak with its own flags", "-soak -byz 1 -splitbrain -store ec -dag -saturate -shards 4 -vehicles 14 -duration 300", ""},
+		{"soak with its own flags", "-soak -byz 1 -splitbrain -store ec -dag -saturate -vehicles 14 -duration 300", ""},
 		{"no vehicles", "-vehicles 0", "Vehicles"},
 		{"no soak vehicles", "-soak -vehicles 0", "Vehicles"},
 		{"negative tasks", "-tasks -1", "-tasks"},
@@ -34,16 +34,12 @@ func TestValidateFlags(t *testing.T) {
 		{"unknown architecture", "-arch cloud", "-arch"},
 		{"bad fault plan", "-faults '10s explode 3'", "explode"},
 		{"bad storage backend", "-soak -store tape", "storage"},
-		{"one shard", "-soak -shards 1", "shards"},
-		{"shard soak too small", "-soak -vehicles 1 -duration 30 -shards 2", "too small"},
-		{"shard cells under the halo", "-soak -shards 1000000007", "halo"},
 		{"positional argument", "-soak extra", "positional"},
 		{"byz without soak", "-byz 0.3", "-byz requires -soak"},
 		{"splitbrain without soak", "-splitbrain", "-splitbrain requires -soak"},
 		{"dag without soak", "-dag", "-dag requires -soak"},
 		{"store without soak", "-store ec", "-store requires -soak"},
 		{"saturate without soak", "-saturate", "-saturate requires -soak"},
-		{"shards without soak", "-shards 2", "-shards requires -soak"},
 		{"faults under soak", "-soak -faults '30s rsu-down 0'", "-faults has no effect with -soak"},
 		{"secure under soak", "-soak -secure", "-secure has no effect with -soak"},
 		{"replicas under soak", "-soak -replicas 3", "-replicas has no effect with -soak"},

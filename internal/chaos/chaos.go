@@ -88,9 +88,10 @@ type SoakConfig struct {
 	// contended uplink to a conventional cloud, a placement governor
 	// routing a ramping task stream between the vehicle tier and the
 	// cloud tier on live bandwidth estimates, a storm branch of uplink
-	// loss bursts and brief outages, and three saturation invariants —
-	// no tier queue grows past its bound, shed work is only ever
-	// optional, and the bandwidth estimate stays within the channel's
+	// loss bursts and brief outages, and the saturation invariants — no
+	// tier queue grows past its bound, a completion meets its deadline,
+	// shed work is only ever optional, outcomes never outnumber
+	// submissions, and the bandwidth estimate stays within the channel's
 	// configured capacity.
 	Saturate bool
 }
@@ -187,26 +188,22 @@ type Report struct {
 	// its plan lines.
 	FaultsInjected int
 	FaultLog       []string
-	// Failovers is the controller promotions the run saw.
-	Failovers uint64
+	// Cloud is the soaked cloud's own counters (failovers, fencing, DAG
+	// stages, tier switches), read where they are kept.
+	Cloud *vcloud.Stats
 	// Split-brain counters (meaningful when SplitBrain is on).
 	// SplitBrains counts controller-isolation storms injected (the fault
 	// log's isolate lines); Epochs is the highest epoch round any member
-	// accepted; the rest mirror the fencing counters in vcloud.Stats at
-	// the end of the run.
-	SplitBrains   int
-	Epochs        uint64
-	Abdications   uint64
-	Merges        uint64
-	Adopted       uint64
-	Deduped       uint64
-	StaleRejected uint64
+	// accepted.
+	SplitBrains int
+	Epochs      uint64
 	// Storage workload counters (meaningful when Storage is set).
 	// StorageLost counts acked writes that became unreconstructible
 	// below the survivor threshold — the regime the service is allowed
 	// to lose data in; a loss at or above the threshold is a violation
 	// instead. Departures counts the fault log's untimed crash lines:
-	// permanent departures.
+	// permanent departures, out of DepartBeats beats of the drill (a beat
+	// departs nobody when every present vehicle leads the cloud).
 	StorageWrites   int
 	StorageAcked    int
 	StorageReads    int
@@ -214,10 +211,11 @@ type Report struct {
 	StorageLost     int
 	StorageRepaired uint64
 	Departures      int
-	// DAG workload counters (meaningful when DAG is on). JobsResumed
-	// counts jobs a failover successor picked up from a checkpoint (their
-	// callbacks are lost, so completed+failed may undercount submitted by
-	// exactly the resumed jobs still finishing elsewhere). MemberKills
+	DepartBeats     int
+	// DAG workload counters (meaningful when DAG is on). Jobs a failover
+	// successor picks up from a checkpoint (Cloud.JobsResumed) lose
+	// their callbacks, so completed+failed may undercount submitted by
+	// exactly the resumed jobs still finishing elsewhere. MemberKills
 	// counts the fault log's kill-member lines: process deaths, on top
 	// of the radio-only crash branch.
 	JobsSubmitted int
@@ -225,23 +223,21 @@ type Report struct {
 	JobsCompleted int
 	JobsPartial   int
 	JobsFailed    int
-	JobsResumed   uint64
-	StageRetries  uint64
-	StageRelays   uint64
-	StageHandoffs uint64
 	MemberKills   int
 	// Congestion workload counters (meaningful when Saturate is on).
-	// SatSubmitted splits into SatRequired + optional; SatCompleted
-	// counts deadline-met completions of either kind. SatShed /
-	// SatAdmission / SatBackpressured are the governor's structured
-	// rejections; SatPlacedVehicle / SatPlacedCloud are where admitted
-	// work landed. SatLossBursts / SatOutages count the fault log's
-	// uplink-loss / uplink-down lines. The Uplink* quadruple is the
-	// shared channel's final counter state — Lost is stochastic channel
-	// loss, Dropped is outage windows, FIFO tail drops and shed flights
-	// (the split the vcloudsim summary prints).
+	// SatSubmitted splits into SatRequired + optional, and SatRefused
+	// counts what the governor refused at submit; SatCompleted counts
+	// deadline-met completions of either kind. SatShed / SatAdmission /
+	// SatBackpressured are the governor's structured rejections;
+	// SatPlacedVehicle / SatPlacedCloud are where admitted work landed.
+	// SatLossBursts / SatOutages count the fault log's uplink-loss /
+	// uplink-down lines. The Uplink* quadruple is the shared channel's
+	// final counter state — Lost is stochastic channel loss, Dropped is
+	// outage windows, FIFO tail drops and shed flights (the split the
+	// vcloudsim summary prints).
 	SatSubmitted     int
 	SatRequired      int
+	SatRefused       int
 	SatCompleted     int
 	SatFailed        int
 	SatShed          int
@@ -251,7 +247,6 @@ type Report struct {
 	SatOutages       int
 	SatPlacedVehicle uint64
 	SatPlacedCloud   uint64
-	TierSwitches     uint64
 	UplinkSent       uint64
 	UplinkDelivered  uint64
 	UplinkLost       uint64
@@ -346,7 +341,7 @@ func Soak(cfg SoakConfig) (*Report, error) {
 		s:          s,
 		rng:        s.Kernel.NewStream("chaos.plan"),
 		byzWindows: make(map[vnet.Addr][]byzWindow),
-		report:     &Report{},
+		report:     &Report{Cloud: w.Stats},
 		violations: make(map[string]bool),
 		epochClaim: make(map[uint64]vnet.Addr),
 		applies:    make(map[vcloud.TaskID]applyRecord),
@@ -735,6 +730,10 @@ func (sk *soak) check() {
 		sk.violate("accounting: jobs completed %d + failed %d > submitted %d",
 			sk.report.JobsCompleted, sk.report.JobsFailed, sk.report.JobsSubmitted)
 	}
+	if r := sk.report; sk.sat != nil && r.SatCompleted+r.SatFailed+r.SatShed+r.SatAdmission+r.SatBackpressured > r.SatSubmitted {
+		sk.violate("accounting: congestion completed %d + failed %d + shed %d + admission %d + backpressured %d > submitted %d",
+			r.SatCompleted, r.SatFailed, r.SatShed, r.SatAdmission, r.SatBackpressured, r.SatSubmitted)
+	}
 	if sub < sk.lastSubmitted || comp < sk.lastCompleted || fail < sk.lastFailed || fo < sk.lastFailovers {
 		sk.violate("monotonicity: counters went backwards (submitted %d<%d or completed %d<%d or failed %d<%d or failovers %d<%d)",
 			sub, sk.lastSubmitted, comp, sk.lastCompleted, fail, sk.lastFailed, fo, sk.lastFailovers)
@@ -777,19 +776,13 @@ func (sk *soak) finalize() {
 	}
 	r.SplitBrains, r.MemberKills = kinds[faults.Isolate], kinds[faults.KillMember]
 	r.SatLossBursts, r.SatOutages = kinds[faults.UplinkLoss], kinds[faults.UplinkDown]
-	st := sk.w.Stats
-	r.Failovers, r.RefusedFor = st.Failovers.Value(), sim.Time(r.RefusedStreak)*soakTaskEvery
-	r.Abdications, r.Merges, r.Adopted = st.Abdications.Value(), st.Merges.Value(), st.Adopted.Value()
-	r.Deduped, r.StaleRejected = st.Deduped.Value(), st.StaleRejected.Value()
+	r.RefusedFor = sim.Time(r.RefusedStreak) * soakTaskEvery
 	if sk.st != nil {
 		r.StorageRepaired = sk.st.backend.Stats().ReReplicas.Value()
 	}
-	if sk.dg != nil {
-		r.JobsResumed, r.StageRetries = st.JobsResumed.Value(), st.StageRetries.Value()
-		r.StageRelays, r.StageHandoffs = st.StageRelays.Value(), st.StageHandoffs.Value()
-	}
-	if sk.sat != nil {
-		sk.finalizeSaturate()
+	if sat := sk.sat; sat != nil {
+		r.SatPlacedVehicle, r.SatPlacedCloud = sat.gov.Placed(0), sat.gov.Placed(1)
+		r.UplinkSent, r.UplinkDelivered, r.UplinkLost, r.UplinkDropped = sat.uplink.Counters()
 	}
 	h := fnv.New64a()
 	for _, line := range slices.Concat(r.Events, r.FaultLog) {

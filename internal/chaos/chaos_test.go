@@ -47,7 +47,7 @@ func TestSoakShortHoldsInvariants(t *testing.T) {
 	}
 	t.Logf("submitted=%d completed=%d failed=%d refused=%d correct=%d unchecked=%d faults=%d failovers=%d checksum=%x",
 		rep.Submitted, rep.Completed, rep.Failed, rep.Refused, rep.Correct, rep.Unchecked,
-		rep.FaultsInjected, rep.Failovers, rep.Checksum)
+		rep.FaultsInjected, rep.Cloud.Failovers.Value(), rep.Checksum)
 }
 
 // TestSoakHonestWorkers: a zero ByzFraction means zero liars — the
@@ -154,7 +154,8 @@ func TestSplitBrainSoakShort(t *testing.T) {
 	}
 	t.Logf("submitted=%d completed=%d failed=%d splits=%d epochs=%d abdications=%d merges=%d adopted=%d deduped=%d stale=%d checksum=%x",
 		rep.Submitted, rep.Completed, rep.Failed, rep.SplitBrains, rep.Epochs,
-		rep.Abdications, rep.Merges, rep.Adopted, rep.Deduped, rep.StaleRejected, rep.Checksum)
+		rep.Cloud.Abdications.Value(), rep.Cloud.Merges.Value(), rep.Cloud.Adopted.Value(),
+		rep.Cloud.Deduped.Value(), rep.Cloud.StaleRejected.Value(), rep.Checksum)
 }
 
 // TestRefusedStreakMatchesEventLog: the availability measurement agrees
@@ -214,7 +215,8 @@ func TestSplitBrainSoakSeeds(t *testing.T) {
 			epochBumps++
 		}
 		t.Logf("seed %d: splits=%d epochs=%d abdications=%d merges=%d adopted=%d deduped=%d",
-			seed, rep.SplitBrains, rep.Epochs, rep.Abdications, rep.Merges, rep.Adopted, rep.Deduped)
+			seed, rep.SplitBrains, rep.Epochs, rep.Cloud.Abdications.Value(), rep.Cloud.Merges.Value(),
+			rep.Cloud.Adopted.Value(), rep.Cloud.Deduped.Value())
 	}
 	if splits == 0 {
 		t.Error("no seed injected a split-brain isolation")

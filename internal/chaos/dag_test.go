@@ -28,7 +28,7 @@ func TestDAGSoakShort(t *testing.T) {
 	if rep.JobsSubmitted == 0 {
 		t.Fatal("DAG workload idle: no job ever submitted")
 	}
-	if rep.JobsCompleted+int(rep.JobsResumed) == 0 {
+	if rep.JobsCompleted+int(rep.Cloud.JobsResumed.Value()) == 0 {
 		t.Error("no job completed or survived a failover: engine or storm broken")
 	}
 	if rep.JobsCompleted+rep.JobsFailed > rep.JobsSubmitted {
@@ -36,9 +36,10 @@ func TestDAGSoakShort(t *testing.T) {
 			rep.JobsCompleted, rep.JobsFailed, rep.JobsSubmitted)
 	}
 	t.Logf("jobs: submitted=%d completed=%d partial=%d failed=%d refused=%d resumed=%d", rep.JobsSubmitted,
-		rep.JobsCompleted, rep.JobsPartial, rep.JobsFailed, rep.JobsRefused, rep.JobsResumed)
+		rep.JobsCompleted, rep.JobsPartial, rep.JobsFailed, rep.JobsRefused, rep.Cloud.JobsResumed.Value())
 	t.Logf("stages: retries=%d relays=%d handoffs=%d member-kills=%d checksum=%x",
-		rep.StageRetries, rep.StageRelays, rep.StageHandoffs, rep.MemberKills, rep.Checksum)
+		rep.Cloud.StageRetries.Value(), rep.Cloud.StageRelays.Value(), rep.Cloud.StageHandoffs.Value(),
+		rep.MemberKills, rep.Checksum)
 }
 
 // TestDAGSoakSeeds is the acceptance sweep: five seeds of storm over
@@ -62,10 +63,10 @@ func TestDAGSoakSeeds(t *testing.T) {
 			t.Errorf("seed %d: no job submitted", seed)
 		}
 		kills += rep.MemberKills
-		handoffs += int(rep.StageHandoffs)
+		handoffs += int(rep.Cloud.StageHandoffs.Value())
 		t.Logf("seed %d: submitted=%d completed=%d failed=%d resumed=%d retries=%d relays=%d kills=%d",
-			seed, rep.JobsSubmitted, rep.JobsCompleted, rep.JobsFailed, rep.JobsResumed,
-			rep.StageRetries, rep.StageRelays, rep.MemberKills)
+			seed, rep.JobsSubmitted, rep.JobsCompleted, rep.JobsFailed, rep.Cloud.JobsResumed.Value(),
+			rep.Cloud.StageRetries.Value(), rep.Cloud.StageRelays.Value(), rep.MemberKills)
 	}
 	if kills == 0 {
 		t.Error("no seed killed a member: the kill-member storm branch never fired")
@@ -91,8 +92,9 @@ func TestDAGSoakReproducible(t *testing.T) {
 		t.Fatalf("same seed, different checksums: %x vs %x", a.Checksum, b.Checksum)
 	}
 	if a.JobsSubmitted != b.JobsSubmitted || a.JobsCompleted != b.JobsCompleted ||
-		a.JobsFailed != b.JobsFailed || a.JobsResumed != b.JobsResumed ||
-		a.StageRetries != b.StageRetries || a.StageRelays != b.StageRelays ||
+		a.JobsFailed != b.JobsFailed || a.Cloud.JobsResumed.Value() != b.Cloud.JobsResumed.Value() ||
+		a.Cloud.StageRetries.Value() != b.Cloud.StageRetries.Value() ||
+		a.Cloud.StageRelays.Value() != b.Cloud.StageRelays.Value() ||
 		a.MemberKills != b.MemberKills {
 		t.Errorf("same seed, different DAG counts:\n%+v\nvs\n%+v", a, b)
 	}

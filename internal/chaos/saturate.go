@@ -16,8 +16,15 @@
 //   - the channel's FIFO backlog stays bounded by the tail-drop policy
 //     (at most the queue cap plus one in-service transfer);
 //
+//   - a completion meets its deadline: an OK outcome delivered after
+//     it is a violation;
+//
 //   - shed work is only ever optional: a required task may be
 //     backpressured or admission-rejected, never load-shed;
+//
+//   - accounting: completed, failed, shed, admission-rejected and
+//     backpressured outcomes together never exceed the submissions the
+//     governor took (refusals at submit are counted apart);
 //
 //   - the bandwidth estimate stays within the channel's physical
 //     capacity — the estimator may be wrong, but never claims a rate
@@ -135,7 +142,7 @@ func (sk *soak) saturateTick() {
 			sk.onSatOutcome(seq, r)
 		})
 		if err != nil {
-			sk.report.SatFailed++
+			sk.report.SatRefused++
 			sk.event("sat %d refused at %s", seq, now)
 			continue
 		}
@@ -147,7 +154,8 @@ func (sk *soak) saturateTick() {
 }
 
 // onSatOutcome records a congestion-workload callback and checks the
-// shed contract: load-shedding may only ever hit optional work.
+// deadline and shed contracts: a completion meets its deadline, and
+// load-shedding may only ever hit optional work.
 func (sk *soak) onSatOutcome(seq int, r vcloud.TaskResult) {
 	st := sk.sat.tasks[seq]
 	st.fired++
@@ -157,6 +165,9 @@ func (sk *soak) onSatOutcome(seq int, r vcloud.TaskResult) {
 	}
 	if r.OK {
 		sk.report.SatCompleted++
+		if now := sk.s.Kernel.Now(); now > st.deadline {
+			sk.violate("sat seq %d completed at %s after its deadline %s", seq, now, st.deadline)
+		}
 		sk.event("sat %d ok latency=%s", seq, r.Latency)
 		return
 	}
@@ -214,14 +225,4 @@ func (sk *soak) checkSaturate() {
 		sk.violate("saturation: bandwidth estimate %.0f bps outside channel capacity (0, %.0f] (estimates must stay physical)",
 			est, capBps)
 	}
-}
-
-// finalizeSaturate copies the congestion-workload counters into the
-// report.
-func (sk *soak) finalizeSaturate() {
-	r, st, sat := sk.report, sk.w.Stats, sk.sat
-	r.SatShed, r.SatAdmission = int(st.Shed.Value()), int(st.AdmissionRejects.Value())
-	r.SatBackpressured, r.TierSwitches = int(st.Backpressured.Value()), st.TierSwitches.Value()
-	r.SatPlacedVehicle, r.SatPlacedCloud = sat.gov.Placed(0), sat.gov.Placed(1)
-	r.UplinkSent, r.UplinkDelivered, r.UplinkLost, r.UplinkDropped = sat.uplink.Counters()
 }

@@ -38,7 +38,7 @@ func TestSaturationSoakShort(t *testing.T) {
 		rep.SatSubmitted, rep.SatRequired, rep.SatCompleted, rep.SatFailed,
 		rep.SatShed, rep.SatAdmission, rep.SatBackpressured)
 	t.Logf("placement: vehicle=%d cloud=%d switches=%d bursts=%d outages=%d",
-		rep.SatPlacedVehicle, rep.SatPlacedCloud, rep.TierSwitches, rep.SatLossBursts, rep.SatOutages)
+		rep.SatPlacedVehicle, rep.SatPlacedCloud, rep.Cloud.TierSwitches.Value(), rep.SatLossBursts, rep.SatOutages)
 	t.Logf("uplink: sent=%d delivered=%d lost=%d dropped=%d checksum=%x",
 		rep.UplinkSent, rep.UplinkDelivered, rep.UplinkLost, rep.UplinkDropped, rep.Checksum)
 }

@@ -215,7 +215,10 @@ func (sk *soak) storageRepair() {
 
 // depart is one beat of the departure drill, whose crash and recover
 // events the injector logs.
-func (sk *soak) depart() { sk.st.deps.Step(sk.rng, sk.st.backend) }
+func (sk *soak) depart() {
+	sk.report.DepartBeats++
+	sk.st.deps.Step(sk.rng, sk.st.backend)
+}
 
 // checkStorage is the storage half of an invariant sweep: for every
 // key's latest acked write, count the placed members that have not

@@ -35,7 +35,7 @@ func NewShardMap(bounds Rect, nx, ny int) (*ShardMap, error) {
 }
 
 // FactorShards splits a total shard count into the most square nx×ny grid
-// (nx >= ny, nx*ny == n). Every caller that turns "-shards 8" into a
+// (nx >= ny, nx*ny == n). Every caller that turns a shard count into a
 // topology uses this one factorization so a shard count always means the
 // same grid.
 func FactorShards(n int) (nx, ny int) {

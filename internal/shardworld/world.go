@@ -153,9 +153,6 @@ func (cfg *Config) halo() float64 {
 	return cfg.Radio.RangeMax + mobility.MaxStep(speedMax, cfg.TickEvery.Seconds())
 }
 
-// Validate checks cfg as Run would, building nothing.
-func (cfg Config) Validate() error { return cfg.normalize() }
-
 // SampleRow is one fleet-wide sample: integer counters only, so per-shard
 // subtotals sum exactly to the serial values. Beacons through Suppressed
 // are cumulative since tick zero.

@@ -1,6 +1,7 @@
 package shardworld
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -20,9 +21,53 @@ func testConfig(seed int64, shards int) Config {
 	return cfg
 }
 
+// Storm-draw tags: one per independent episode parameter, so every
+// drawn episode's shape is a pure function of (seed, episode, tag).
+const (
+	drawFleet   = 0x11
+	drawTicks   = 0x23
+	drawChurn   = 0x37
+	drawOutageX = 0x41
+	drawOutageY = 0x43
+	drawOutageW = 0x47
+	drawOutageT = 0x53
+)
+
+// drawnEpisode draws storm episode ep of seed at 4 shards from named
+// hash streams: fleet and length grow on their bases by up to half,
+// churn lies in [0.1, 0.4), and a roaming outage a third of the world
+// across silences beacons for a stretch of the run. The stream names are
+// fixed labels: renaming one redraws every episode.
+func drawnEpisode(seed int64, ep, vehicles, ticks int) Config {
+	useed, e := uint64(sim.SubSeed(seed, "chaos/shardsoak")), uint64(ep)
+	cfg := DefaultConfig(sim.SubSeed(seed, fmt.Sprintf("chaos/shardsoak/%d", ep)), 4)
+	cfg.Vehicles = vehicles + int(sim.HashUnit(useed, drawFleet, e)*float64(vehicles)/2)
+	cfg.Ticks = ticks + int(sim.HashUnit(useed, drawTicks, e)*float64(ticks)/2)
+	cfg.SampleEvery = cfg.Ticks / 4
+	cfg.ChurnFrac = 0.1 + 0.3*sim.HashUnit(useed, drawChurn, e)
+
+	w := cfg.WorldSize
+	side := w / 3
+	ox := sim.HashUnit(useed, drawOutageX, e) * (w - side)
+	oy := sim.HashUnit(useed, drawOutageY, e) * (w - side)
+	from := 1 + int(sim.HashUnit(useed, drawOutageT, e)*float64(cfg.Ticks)/3)
+	span := cfg.Ticks/4 + int(sim.HashUnit(useed, drawOutageW, e)*float64(cfg.Ticks)/4)
+	cfg.Outage = &Outage{
+		Rect:     geo.NewRect(geo.Point{X: ox, Y: oy}, geo.Point{X: ox + side, Y: oy + side}),
+		FromTick: from,
+		ToTick:   from + span,
+	}
+	return cfg
+}
+
 // TestShardedMatchesSerial is the tentpole contract: the world's model
 // output is byte-for-byte identical at 1, 2, 4 and 8 shards, including
-// under churn and a beacon outage.
+// under churn and a beacon outage. The drawn family adds seeded storm
+// episodes, each at 4 shards against 1: seeds 1-3 three episodes each on
+// a 96-vehicle, 48-tick base, and seed 7 five on an 84-vehicle base.
+// Shard workers are one of the two goroutine sites (fanout.Each is the
+// other), so under -race this is the test that would catch a data race
+// in the cross-shard protocol.
 func TestShardedMatchesSerial(t *testing.T) {
 	variants := map[string]func(*Config){
 		"plain": func(*Config) {},
@@ -68,6 +113,38 @@ func TestShardedMatchesSerial(t *testing.T) {
 			}
 		})
 	}
+	t.Run("drawn", func(t *testing.T) {
+		var cross, delivered uint64
+		var handoffs int64
+		for _, fam := range []struct {
+			seed               int64
+			episodes, vehicles int
+		}{{1, 3, 96}, {2, 3, 96}, {3, 3, 96}, {7, 5, 84}} {
+			for ep := 0; ep < fam.episodes; ep++ {
+				cfg := drawnEpisode(fam.seed, ep, fam.vehicles, 48)
+				sharded, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("seed %d episode %d: sharded run: %v", fam.seed, ep, err)
+				}
+				cfg.Shards = 1
+				serial, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("seed %d episode %d: serial run: %v", fam.seed, ep, err)
+				}
+				if sharded.Comparable() != serial.Comparable() {
+					t.Errorf("seed %d episode %d: 4 shards diverged from serial (checksum %016x != %016x)",
+						fam.seed, ep, sharded.Checksum, serial.Checksum)
+				}
+				cross += sharded.CrossEvents
+				handoffs += sharded.Handoffs
+				delivered += sharded.Radio.Delivered
+			}
+		}
+		if cross == 0 || handoffs == 0 || delivered == 0 {
+			t.Errorf("drawn episodes: %d cross events, %d handoffs, %d deliveries; borders, crossings and beacons must each be exercised",
+				cross, handoffs, delivered)
+		}
+	})
 }
 
 // TestMidFlightHandoff checks vehicles actually migrate between shards at
@@ -181,20 +258,26 @@ func TestOutageSuppresses(t *testing.T) {
 	}
 }
 
-// TestConfigValidation checks the error paths.
+// TestConfigValidation checks the error paths. A shard count far past
+// what the world's cells can hold is refused before any kernel or worker
+// is built for it.
 func TestConfigValidation(t *testing.T) {
-	bad := []func(*Config){
-		func(c *Config) { c.Vehicles = 0 },
-		func(c *Config) { c.Ticks = 1 },
-		func(c *Config) { c.WorldSize = 0 },
-		func(c *Config) { c.ChurnFrac = 1.5 },
-		func(c *Config) { c.TickEvery = time.Duration(2) },
+	bad := []struct {
+		mutate func(*Config)
+		want   string // in the error
+	}{
+		{func(c *Config) { c.Vehicles = 0 }, "vehicle"},
+		{func(c *Config) { c.Ticks = 1 }, "ticks"},
+		{func(c *Config) { c.WorldSize = 0 }, "world size"},
+		{func(c *Config) { c.ChurnFrac = 1.5 }, "churn"},
+		{func(c *Config) { c.TickEvery = time.Duration(2) }, "tick period"},
+		{func(c *Config) { c.Shards = 1 << 40 }, "halo"},
 	}
-	for i, mutate := range bad {
+	for i, tc := range bad {
 		cfg := testConfig(1, 1)
-		mutate(&cfg)
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("bad config %d accepted", i)
+		tc.mutate(&cfg)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("bad config %d: Run() = %v, want an error naming %q", i, err, tc.want)
 		}
 	}
 }
@@ -306,7 +389,8 @@ func refBeaconPhase(t *testing.T, s *wshard, ch *radio.ShardChannel, perDst []in
 // borders, and holds every beaconPhase to refBeaconPhase run on the same
 // index state: per tick, equal channel Stats on every shard, equal
 // suppression counts, and equal deliveries landing on every destination
-// shard.
+// shard. Under -race it also carries the ghost, handoff and
+// delivery-batch slabs across window barriers.
 func TestBeaconPhaseMatchesPerSenderModel(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		cfg := testConfig(23, shards)
@@ -509,7 +593,8 @@ func TestEventBudget(t *testing.T) {
 // AllocsPerRun's integer mean reads as 0): messages ride in slabs, phases
 // are scheduled with AtArg, and every table is sized at setup. What is
 // left is amortized growth outside the tick's own code, a grid cell
-// reaching a new peak occupancy now and then.
+// reaching a new peak occupancy now and then. Under -race it carries the
+// same slabs across window barriers that the model test does.
 func TestWarmTickAllocFree(t *testing.T) {
 	cfg := testConfig(29, 2)
 	cfg.Ticks = 300

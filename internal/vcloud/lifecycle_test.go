@@ -41,7 +41,10 @@ func failOver(t *testing.T, s *scenario.Scenario, d *vcloud.Deployment) *vcloud.
 
 // TestSuccessorKeepsDeploymentHooks: a failover successor is started by
 // its deployment like any other controller, so it keeps the trust gate,
-// the dwell estimator and the join gate its predecessor ran with.
+// the dwell estimator and the join gate its predecessor ran with. It is
+// one of three tests, with TestDynamicFencedAgentLifecycle and
+// TestSecureAbdicationRejoinsAsMember, that hold under -race that the
+// deployment owns every controller and member agent.
 func TestSuccessorKeepsDeploymentHooks(t *testing.T) {
 	t.Run("trust gate", func(t *testing.T) {
 		s := parkingScenario(t, 8)

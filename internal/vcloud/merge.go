@@ -61,16 +61,22 @@ func (c *Controller) StandbyAddr() vnet.Addr { return c.lead.standby }
 
 // applyEntry makes an outcome permanent: ledger entry, stats, the
 // OnApply hook, and the submitter callback. Exactly-once
-// is enforced here — a duplicate id is counted and dropped.
+// is enforced here — a duplicate id is counted and dropped. A success
+// parked past its task's deadline is applied as the deadline failure a
+// late vote gets (decideVote), stage outcomes included.
 func (c *Controller) applyEntry(e *parkedEntry) {
 	id := e.po.Task.ID
+	now := c.node.Kernel().Now()
 	if !c.lead.record(id) {
 		c.stats.Deduped.Inc()
-		c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
+		c.cfg.Trace.Emit(now, trace.CatCloud, int32(c.node.Addr()),
 			"task %d outcome deduped (already applied)", id)
 		return
 	}
-	lat := c.node.Kernel().Now() - e.po.Submitted
+	if d := e.po.Task.Deadline; e.po.OK && d > 0 && now > d {
+		e.po.OK, e.po.Reason, e.po.Value, e.po.Voters = false, ReasonDeadline, 0, nil
+	}
+	lat := now - e.po.Submitted
 	if c.cfg.OnApply != nil {
 		c.cfg.OnApply(id, c.lead.epoch.Counter, e.po.OK)
 	}

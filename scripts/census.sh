@@ -53,7 +53,7 @@ run "$bin/vcloudbench"
 for e in $examples; do
 	keep "$e"
 done
-for mode in "" "-splitbrain" "-store replicated" "-store ec" "-dag" "-saturate" "-shards 4"; do
+for mode in "" "-splitbrain" "-store replicated" "-store ec" "-dag" "-saturate"; do
 	# shellcheck disable=SC2086 # $mode is zero, one or two words
 	keep vcloudsim -soak $mode -seed 7 -vehicles 14 -duration 300
 done
