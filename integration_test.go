@@ -81,8 +81,6 @@ func TestEndToEndSecureVehicularCloud(t *testing.T) {
 		len(ctls), totalMembers, met.Successes.Value())
 
 	// --- Workload.
-	client := s.VehicleIDs()[0]
-	clientAddr := vcloudAddr(client)
 	submitted := 0
 	for i := 0; i < 15; i++ {
 		var best *vcloud.Controller
@@ -94,7 +92,7 @@ func TestEndToEndSecureVehicularCloud(t *testing.T) {
 		if best == nil {
 			continue
 		}
-		if _, err := best.SubmitFor(clientAddr, vcloud.Task{Ops: 2000, InputBytes: 1000, OutputBytes: 500}, nil); err == nil {
+		if _, err := best.Submit(vcloud.Task{Ops: 2000, InputBytes: 1000, OutputBytes: 500}, nil); err == nil {
 			submitted++
 		}
 	}
@@ -131,6 +129,3 @@ func TestEndToEndSecureVehicularCloud(t *testing.T) {
 	}
 	t.Logf("post-revocation: %d handshake failures recorded", met.Failures.Value()-failsBefore)
 }
-
-// vcloudAddr maps a vehicle ID to its network address.
-func vcloudAddr(id mobility.VehicleID) radio.NodeID { return radio.NodeID(id) }

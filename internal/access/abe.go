@@ -21,7 +21,6 @@ import (
 // previously issued keys stop opening packages encrypted afterwards —
 // the attribute-revocation mechanism §IV.C highlights.
 type Authority struct {
-	name   string
 	master []byte
 	epochs map[AttributeID]uint64
 }
@@ -43,7 +42,7 @@ func NewAuthority(name string, rand io.Reader) (*Authority, error) {
 	if _, err := io.ReadFull(rand, master); err != nil {
 		return nil, fmt.Errorf("access: generating master secret: %w", err)
 	}
-	return &Authority{name: name, master: master, epochs: make(map[AttributeID]uint64)}, nil
+	return &Authority{master: master, epochs: make(map[AttributeID]uint64)}, nil
 }
 
 // secretAt derives the attribute secret at a given epoch.

@@ -136,9 +136,6 @@ func TestAuthorityGrantRevoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Name() != "traffic" {
-		t.Error("name wrong")
-	}
 	k1 := a.Grant(attrHead)
 	k2 := a.Grant(attrHead)
 	if k1 != k2 {

@@ -15,7 +15,3 @@ func (k *Keyring) Has(attr AttributeID) bool {
 // VerifyIntegrity checks the owner signature over resource, policy and
 // ciphertext. Relying parties call this before trusting the policy.
 func (p *Package) VerifyIntegrity() error { return p.verify(nil) }
-
-// Name returns the authority name. Attribute IDs issued here should be
-// prefixed "<name>/".
-func (a *Authority) Name() string { return a.name }

@@ -140,8 +140,9 @@ type Decision struct {
 	Allowed bool
 	// MatchedClause is the satisfied clause (nil when denied).
 	MatchedClause Clause
-	// ClausesChecked and AttrsChecked are the work counters E6 charges
-	// virtual time for.
+	// ClausesChecked counts the clauses tried (examples/contentshare
+	// prints it) and AttrsChecked the attribute lookups (only the tests
+	// read it). No experiment charges time for either.
 	ClausesChecked int
 	AttrsChecked   int
 }

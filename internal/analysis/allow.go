@@ -7,21 +7,15 @@ import (
 	"strings"
 )
 
-// AllowDirective is the parsed form of one
+// allowPrefix starts an allow directive, a comment of the form
 //
 //	//vcloudlint:allow <analyzer>[,<analyzer>...] <reason>
 //
-// comment. A directive suppresses diagnostics from the named analyzers on
-// its own line and on the line immediately below it, so it works both as a
+// A directive suppresses diagnostics from the named analyzers on its own
+// line and on the line immediately below it, so it works both as a
 // trailing comment and as a standalone comment above the offending
 // statement. The reason is mandatory: an allowlist entry without a
 // recorded justification is itself a lint error.
-type AllowDirective struct {
-	Pos       token.Pos
-	Analyzers []string
-	Reason    string
-}
-
 const allowPrefix = "//vcloudlint:allow"
 
 // allowEntry tracks one (directive, analyzer name) pair so the suite can

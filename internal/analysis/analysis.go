@@ -37,13 +37,11 @@ type Analyzer struct {
 // Pass carries one type-checked package through an analyzer run.
 type Pass struct {
 	Analyzer *Analyzer
-	Fset     *token.FileSet
 	// Files are the package's parsed source files (comments included, so
 	// allow directives survive into the pass).
 	Files []*ast.File
 	// Path is the package import path ("vcloud/internal/sim").
 	Path string
-	Pkg  *types.Package
 	Info *types.Info
 	// report receives every diagnostic; the driver wires it.
 	report func(Diagnostic)
@@ -69,8 +67,8 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 // NewPass assembles a Pass for one analyzer over one package, delivering
 // diagnostics to sink. Drivers construct passes; analyzers only consume
 // them.
-func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, path string, pkg *types.Package, info *types.Info, sink func(Diagnostic)) *Pass {
-	return &Pass{Analyzer: a, Fset: fset, Files: files, Path: path, Pkg: pkg, Info: info, report: sink}
+func NewPass(a *Analyzer, files []*ast.File, path string, info *types.Info, sink func(Diagnostic)) *Pass {
+	return &Pass{Analyzer: a, Files: files, Path: path, Info: info, report: sink}
 }
 
 // TreeUnit is one loaded package as seen by a tree (interprocedural)
@@ -79,7 +77,6 @@ func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, path string, p
 type TreeUnit struct {
 	Path  string
 	Files []*ast.File
-	Pkg   *types.Package
 	Info  *types.Info
 }
 

@@ -19,7 +19,7 @@ func parseOne(t *testing.T, src string) (*token.FileSet, *ast.File) {
 
 func passOver(fset *token.FileSet, f *ast.File) *Pass {
 	a := &Analyzer{Name: "test"}
-	return NewPass(a, fset, []*ast.File{f}, "p", nil, nil, func(Diagnostic) {})
+	return NewPass(a, []*ast.File{f}, "p", nil, func(Diagnostic) {})
 }
 
 // TestInspectWithStack checks that the callback sees each node with the

@@ -87,7 +87,7 @@ func RunTree(t *testing.T, a *analysis.Analyzer, testdata string, pkgs ...string
 			t.Fatalf("%s: type-checking: %v", pkg, err)
 		}
 		checked[pkg] = tp
-		units = append(units, &analysis.TreeUnit{Path: pkg, Files: files, Pkg: tp, Info: info})
+		units = append(units, &analysis.TreeUnit{Path: pkg, Files: files, Info: info})
 		all = append(all, files...)
 	}
 
@@ -131,13 +131,12 @@ func runPkg(t *testing.T, a *analysis.Analyzer, fset *token.FileSet, imp types.I
 	}
 	info := loader.NewInfo()
 	conf := types.Config{Importer: imp}
-	tp, err := conf.Check(pkg, fset, files, info)
-	if err != nil {
+	if _, err := conf.Check(pkg, fset, files, info); err != nil {
 		t.Fatalf("%s: type-checking: %v", pkg, err)
 	}
 
 	var diags []analysis.Diagnostic
-	pass := analysis.NewPass(a, fset, files, pkg, tp, info, func(d analysis.Diagnostic) {
+	pass := analysis.NewPass(a, files, pkg, info, func(d analysis.Diagnostic) {
 		diags = append(diags, d)
 	})
 	if err := a.Run(pass); err != nil {

@@ -128,7 +128,6 @@ type Node struct {
 	// Key names the function: "pkgpath.Func", "pkgpath.Recv.Method", or
 	// "enclosingKey·lit@file:line:col" for function literals.
 	Key string
-	Pos token.Pos
 	// Direct holds the effects of this function's own body; Summary adds
 	// everything reachable through its calls (fixed point over the graph).
 	Direct  Effect
@@ -162,7 +161,6 @@ type Root struct {
 // Tree is the interprocedural analysis result over one set of loaded
 // packages.
 type Tree struct {
-	Fset  *token.FileSet
 	Nodes map[string]*Node
 	// Keys is every node key in sorted order; iteration over it is the
 	// deterministic order every traversal uses.
@@ -234,7 +232,7 @@ type spanEntry struct {
 func Build(fset *token.FileSet, units []*analysis.TreeUnit) *Tree {
 	b := &builder{
 		fset:      fset,
-		tree:      &Tree{Fset: fset, Nodes: make(map[string]*Node)},
+		tree:      &Tree{Nodes: make(map[string]*Node)},
 		unitPaths: make(map[string]bool, len(units)),
 		litKeys:   make(map[*ast.FuncLit]string),
 		spans:     make(map[string][]spanEntry),
@@ -257,12 +255,11 @@ func Build(fset *token.FileSet, units []*analysis.TreeUnit) *Tree {
 	return b.tree
 }
 
-func (b *builder) node(key string, pos token.Pos) *Node {
+func (b *builder) node(key string) *Node {
 	n := b.tree.Nodes[key]
 	if n == nil {
 		n = &Node{
 			Key:   key,
-			Pos:   pos,
 			calls: make(map[string]token.Pos),
 			sites: make(map[Effect]Site),
 		}
@@ -315,7 +312,7 @@ func (b *builder) walkUnit(u *analysis.TreeUnit) {
 			switch n := an.(type) {
 			case *ast.FuncDecl:
 				key := analysis.FuncKey(u.Path, n)
-				nd := b.node(key, n.Name.Pos())
+				nd := b.node(key)
 				if n.Body != nil {
 					nd.bodyPos, nd.bodyEnd = n.Body.Pos(), n.Body.End()
 					b.recordSpan(n.Body.Pos(), n.Body.End(), key)
@@ -337,7 +334,7 @@ func (b *builder) walkUnit(u *analysis.TreeUnit) {
 					b.addDirect(encl, EffAllocClosure, n.Pos(), "func literal allocates a closure")
 					b.addEdge(encl, key, n.Pos())
 				}
-				nd := b.node(key, n.Pos())
+				nd := b.node(key)
 				nd.bodyPos, nd.bodyEnd = n.Body.Pos(), n.Body.End()
 				b.recordSpan(n.Body.Pos(), n.Body.End(), key)
 				b.litKeys[n] = key
@@ -568,7 +565,7 @@ func (b *builder) captureEffects(units []*analysis.TreeUnit) {
 	for _, u := range units {
 		for _, cap := range purityCaptures {
 			var diags []analysis.Diagnostic
-			pass := analysis.NewPass(cap.analyzer, b.fset, u.Files, u.Path, u.Pkg, u.Info, func(d analysis.Diagnostic) {
+			pass := analysis.NewPass(cap.analyzer, u.Files, u.Path, u.Info, func(d analysis.Diagnostic) {
 				diags = append(diags, d)
 			})
 			if err := cap.analyzer.Run(pass); err != nil {

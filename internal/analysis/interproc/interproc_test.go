@@ -41,7 +41,7 @@ func buildTree(t *testing.T, order []string, srcs map[string]string) *interproc.
 			t.Fatalf("check %s: %v", path, err)
 		}
 		checked[path] = tp
-		units = append(units, &analysis.TreeUnit{Path: path, Files: []*ast.File{f}, Pkg: tp, Info: info})
+		units = append(units, &analysis.TreeUnit{Path: path, Files: []*ast.File{f}, Info: info})
 	}
 	return interproc.Build(fset, units)
 }

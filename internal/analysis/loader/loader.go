@@ -29,7 +29,6 @@ import (
 // Package is one loaded module package.
 type Package struct {
 	Path  string // import path, e.g. vcloud/internal/sim
-	Dir   string
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
@@ -39,7 +38,6 @@ type Package struct {
 type listEntry struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
 	Imports    []string
 	Standard   bool
@@ -90,7 +88,7 @@ func Load(fset *token.FileSet, dir string, patterns ...string) ([]*Package, erro
 
 // goList shells out to the go tool for package metadata.
 func goList(dir string, patterns []string) ([]*listEntry, error) {
-	args := append([]string{"list", "-deps", "-json=ImportPath,Dir,Name,GoFiles,Imports,Standard"}, patterns...)
+	args := append([]string{"list", "-deps", "-json=ImportPath,Dir,GoFiles,Imports,Standard"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var out, errb bytes.Buffer
@@ -167,7 +165,7 @@ func check(fset *token.FileSet, e *listEntry, imp types.Importer) (*Package, err
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", e.ImportPath, err)
 	}
-	return &Package{Path: e.ImportPath, Dir: e.Dir, Files: files, Types: tp, Info: info}, nil
+	return &Package{Path: e.ImportPath, Files: files, Types: tp, Info: info}, nil
 }
 
 // NewInfo allocates the full set of type-information maps the analyzers

@@ -106,7 +106,7 @@ func runInMemory(t *testing.T, mSrc string) []analysis.Diagnostic {
 			t.Fatalf("check %s: %v", src.path, err)
 		}
 		checked[src.path] = tp
-		units = append(units, &analysis.TreeUnit{Path: src.path, Files: []*ast.File{f}, Pkg: tp, Info: info})
+		units = append(units, &analysis.TreeUnit{Path: src.path, Files: []*ast.File{f}, Info: info})
 	}
 	var diags []analysis.Diagnostic
 	pass := analysis.NewTreePass(shardpure.Analyzer, fset, units, func(d analysis.Diagnostic) {

@@ -95,7 +95,7 @@ func Run(fset *token.FileSet, pkgs []*loader.Package) ([]Finding, error) {
 	var allFiles []*ast.File
 	for _, pkg := range pkgs {
 		allFiles = append(allFiles, pkg.Files...)
-		units = append(units, &analysis.TreeUnit{Path: pkg.Path, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info})
+		units = append(units, &analysis.TreeUnit{Path: pkg.Path, Files: pkg.Files, Info: pkg.Info})
 	}
 	allows := analysis.ParseAllows(fset, allFiles)
 
@@ -119,7 +119,7 @@ func Run(fset *token.FileSet, pkgs []*loader.Package) ([]Finding, error) {
 				continue
 			}
 			var diags []analysis.Diagnostic
-			pass := analysis.NewPass(e.Analyzer, fset, pkg.Files, pkg.Path, pkg.Types, pkg.Info, func(d analysis.Diagnostic) {
+			pass := analysis.NewPass(e.Analyzer, pkg.Files, pkg.Path, pkg.Info, func(d analysis.Diagnostic) {
 				diags = append(diags, d)
 			})
 			if err := e.Analyzer.Run(pass); err != nil {

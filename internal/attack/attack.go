@@ -118,7 +118,6 @@ func (e *Eavesdropper) TrackingAccuracy(maxStep float64, maxGap sim.Time) (float
 // Flooder saturates the channel with junk traffic (DoS).
 type Flooder struct {
 	medium  *radio.Medium
-	kernel  *sim.Kernel
 	addr    radio.NodeID
 	ticker  *sim.Ticker
 	Sent    uint64
@@ -135,7 +134,7 @@ func NewFlooder(kernel *sim.Kernel, medium *radio.Medium, addr radio.NodeID, pos
 		return nil, fmt.Errorf("attack: flood rate must be positive, got %v", rate)
 	}
 	medium.UpdatePosition(addr, pos)
-	f := &Flooder{medium: medium, kernel: kernel, addr: addr}
+	f := &Flooder{medium: medium, addr: addr}
 	period := sim.Time(float64(time.Second) / rate)
 	if period <= 0 {
 		period = 1
@@ -171,7 +170,6 @@ func (f *Flooder) Stop() {
 // delays the rest.
 type Suppressor struct {
 	node     *vnet.Node
-	kind     string
 	dropProb float64
 	delay    sim.Time
 	inner    vnet.Handler
@@ -193,7 +191,7 @@ func InstallSuppressor(node *vnet.Node, kind string, inner vnet.Handler, dropPro
 	if rng == nil {
 		return nil, fmt.Errorf("attack: rng must not be nil")
 	}
-	s := &Suppressor{node: node, kind: kind, dropProb: dropProb, delay: delay, inner: inner, rng: rng}
+	s := &Suppressor{node: node, dropProb: dropProb, delay: delay, inner: inner, rng: rng}
 	node.Handle(kind, s.handle)
 	return s, nil
 }

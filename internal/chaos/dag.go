@@ -35,15 +35,13 @@ import (
 	"math/rand"
 	"sort"
 
-	"vcloud/internal/sim"
 	"vcloud/internal/vcloud"
 )
 
 // soakJob tracks one submitted DAG job by sequence number.
 type soakJob struct {
-	spec      vcloud.JobSpec
-	submitted sim.Time
-	fired     int
+	spec  vcloud.JobSpec
+	fired int
 }
 
 // dagState is the soak's DAG-workload bookkeeping.
@@ -97,7 +95,7 @@ func (dg *dagState) randomSpec() vcloud.JobSpec {
 func (sk *soak) dagTick() {
 	dg := sk.dg
 	seq := len(dg.jobs)
-	sj := &soakJob{spec: dg.randomSpec(), submitted: sk.s.Kernel.Now()}
+	sj := &soakJob{spec: dg.randomSpec()}
 	dg.jobs = append(dg.jobs, sj)
 	err := sk.w.Cloud.SubmitJobAnywhere(sj.spec, func(r vcloud.JobResult) {
 		sk.onJobOutcome(seq, r)

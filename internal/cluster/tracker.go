@@ -16,7 +16,6 @@ type Tracker struct {
 	lastHead     map[vnet.Addr]vnet.Addr
 	clusteredAt  map[vnet.Addr]sim.Time // when the node last became clustered
 	clusteredFor map[vnet.Addr]sim.Time // accumulated clustered duration
-	unclustered  map[vnet.Addr]bool
 }
 
 // NewTracker returns an empty tracker.
@@ -25,7 +24,6 @@ func NewTracker() *Tracker {
 		lastHead:     make(map[vnet.Addr]vnet.Addr),
 		clusteredAt:  make(map[vnet.Addr]sim.Time),
 		clusteredFor: make(map[vnet.Addr]sim.Time),
-		unclustered:  make(map[vnet.Addr]bool),
 	}
 }
 

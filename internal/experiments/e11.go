@@ -112,5 +112,5 @@ func E11Failover(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E11", Title: "controller failover", Table: table, Values: values}, nil
+	return &Result{ID: "E11", Table: table, Values: values}, nil
 }

@@ -146,5 +146,5 @@ func E12Dependability(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E12", Title: "dependable execution", Table: table, Values: values}, nil
+	return &Result{ID: "E12", Table: table, Values: values}, nil
 }

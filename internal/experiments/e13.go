@@ -172,5 +172,5 @@ func E13SplitBrain(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E13", Title: "split-brain fencing", Table: table, Values: values}, nil
+	return &Result{ID: "E13", Table: table, Values: values}, nil
 }

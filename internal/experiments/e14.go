@@ -191,7 +191,7 @@ func E14Storage(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E14", Title: "storage durability under churn", Table: table, Values: values}, nil
+	return &Result{ID: "E14", Table: table, Values: values}, nil
 }
 
 // sortedStoreKeys returns the map's keys in ascending order, so the

@@ -231,5 +231,5 @@ func E15DAGExecution(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E15", Title: "DAG execution under churn", Table: table, Values: values}, nil
+	return &Result{ID: "E15", Table: table, Values: values}, nil
 }

@@ -230,5 +230,5 @@ func E16CongestionPlacement(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E16", Title: "congestion-aware offload placement", Table: table, Values: values}, nil
+	return &Result{ID: "E16", Table: table, Values: values}, nil
 }

@@ -78,7 +78,7 @@ func E17ShardedKernel(cfg Config) (*Result, error) {
 	table.AddRow("all", "-", "-", "-", "-", verdict)
 	values["identical"] = identical
 
-	return &Result{ID: "E17", Title: "geo-sharded parallel kernel determinism", Table: table, Values: values}, nil
+	return &Result{ID: "E17", Table: table, Values: values}, nil
 }
 
 // outageRect is the world-center region the E17 outage silences.

@@ -122,7 +122,7 @@ func E1CloudComparison(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E1", Title: "cloud comparison", Table: table, Values: values}, nil
+	return &Result{ID: "E1", Table: table, Values: values}, nil
 }
 
 // E2Architectures reproduces Fig. 4: the three vehicular-cloud
@@ -216,5 +216,5 @@ func E2Architectures(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E2", Title: "architectures", Table: table, Values: values}, nil
+	return &Result{ID: "E2", Table: table, Values: values}, nil
 }

@@ -88,7 +88,7 @@ func E3ClusterStability(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E3", Title: "cluster stability", Table: table, Values: values}, nil
+	return &Result{ID: "E3", Table: table, Values: values}, nil
 }
 
 // E4Routing compares MoZo against greedy-geographic, AODV and epidemic
@@ -195,5 +195,5 @@ func E4Routing(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E4", Title: "routing", Table: table, Values: values}, nil
+	return &Result{ID: "E4", Table: table, Values: values}, nil
 }

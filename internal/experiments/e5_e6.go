@@ -144,7 +144,7 @@ func E5Authentication(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E5", Title: "authentication", Table: table, Values: values}, nil
+	return &Result{ID: "E5", Table: table, Values: values}, nil
 }
 
 // privacyRow returns the analytic privacy characteristics of a scheme:
@@ -279,5 +279,5 @@ func E6AccessControl(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E6", Title: "access control", Table: table, Values: values}, nil
+	return &Result{ID: "E6", Table: table, Values: values}, nil
 }

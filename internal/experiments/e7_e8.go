@@ -88,7 +88,7 @@ func E7TaskHandover(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E7", Title: "task handover", Table: table, Values: values}, nil
+	return &Result{ID: "E7", Table: table, Values: values}, nil
 }
 
 // E8Replication sweeps the replication factor against member churn and
@@ -190,5 +190,5 @@ func E8Replication(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E8", Title: "replication", Table: table, Values: values}, nil
+	return &Result{ID: "E8", Table: table, Values: values}, nil
 }

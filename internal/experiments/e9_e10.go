@@ -86,7 +86,7 @@ func E9Trust(cfg Config) (*Result, error) {
 			for e := 0; e < events; e++ {
 				eventReal := rng.Float64() < 0.5
 				eventPos := geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
-				g := &trust.Group{Event: trust.Event{Type: "hazard", Pos: eventPos}}
+				g := &trust.Group{Event: trust.Event{Pos: eventPos}}
 				tokenAt := func(i int) trust.Token {
 					if a.stableIDs {
 						return stableTokens[i]
@@ -150,7 +150,7 @@ func E9Trust(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: "E9", Title: "trust", Table: table, Values: values}, nil
+	return &Result{ID: "E9", Table: table, Values: values}, nil
 }
 
 // E10Attacks is the security drill: each §III network-layer attack runs
@@ -265,7 +265,7 @@ func E10Attacks(cfg Config) (*Result, error) {
 		for e := 0; e < events; e++ {
 			eventReal := rng.Float64() < 0.5
 			pos := geo.Point{X: 500, Y: 500}
-			g := &trust.Group{Event: trust.Event{Type: "hazard", Pos: pos}}
+			g := &trust.Group{Event: trust.Event{Pos: pos}}
 			for i := 0; i < 5; i++ { // honest
 				claim := eventReal
 				if rng.Float64() < 0.1 {
@@ -327,5 +327,5 @@ func E10Attacks(cfg Config) (*Result, error) {
 	values["sybil/voting"] = sybVote
 	values["sybil/diverse"] = sybDiverse
 
-	return &Result{ID: "E10", Title: "attacks", Table: table, Values: values}, nil
+	return &Result{ID: "E10", Table: table, Values: values}, nil
 }

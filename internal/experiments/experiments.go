@@ -36,7 +36,6 @@ type Config struct {
 // Result is one experiment's output.
 type Result struct {
 	ID     string
-	Title  string
 	Table  *metrics.Table
 	Values map[string]float64
 }

@@ -60,6 +60,18 @@ func (h *Histogram) Reset() {
 	h.sorted = false
 }
 
+// Summary is a point-in-time digest of a histogram, built only by the tests.
+type Summary struct {
+	Count          int
+	Mean, P50, P95 float64
+	P99, Min, Max  float64
+}
+
+// String implements fmt.Stringer.
+func (s Summary) String() string {
+	return fmt.Sprintf("n=%d mean=%.2f p50=%.2f p95=%.2f p99=%.2f", s.Count, s.Mean, s.P50, s.P95, s.P99)
+}
+
 // Summarize returns the digest of h.
 func (h *Histogram) Summarize() Summary {
 	return Summary{

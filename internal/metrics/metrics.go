@@ -8,7 +8,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -97,17 +96,4 @@ func (h *Histogram) ensureSorted() {
 		sort.Float64s(h.samples)
 		h.sorted = true
 	}
-}
-
-// Summary is a point-in-time digest of a histogram, convenient for
-// experiment reports.
-type Summary struct {
-	Count          int
-	Mean, P50, P95 float64
-	P99, Min, Max  float64
-}
-
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f p50=%.2f p95=%.2f p99=%.2f", s.Count, s.Mean, s.P50, s.P95, s.P99)
 }

@@ -31,9 +31,6 @@ func (m *Manager) Remove(id VehicleID) {
 	if i, ok := slices.BinarySearch(m.ids, id); ok {
 		m.ids = slices.Delete(m.ids, i, i+1)
 	}
-	for _, fn := range m.departures {
-		fn(id)
-	}
 }
 
 // RemainingRoute returns the edges the vehicle will traverse after its
@@ -46,12 +43,4 @@ func (m *Manager) RemainingRoute(id VehicleID) []roadnet.EdgeID {
 	out := make([]roadnet.EdgeID, len(v.route)-v.routeIdx)
 	copy(out, v.route[v.routeIdx:])
 	return out
-}
-
-// OnDeparture registers fn to be called when a vehicle leaves the
-// simulation.
-func (m *Manager) OnDeparture(fn func(VehicleID)) {
-	if fn != nil {
-		m.departures = append(m.departures, fn)
-	}
 }

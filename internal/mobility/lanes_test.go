@@ -12,7 +12,6 @@ type fleet interface {
 	AddVehicle(e roadnet.EdgeID, offset float64, profile Profile) (VehicleID, error)
 	AddParkedVehicle(e roadnet.EdgeID, offset float64, profile Profile) (VehicleID, error)
 	Remove(id VehicleID)
-	OnDeparture(fn func(VehicleID))
 	Step(dt float64)
 	IDs(dst []VehicleID) []VehicleID
 }
@@ -174,9 +173,6 @@ func TestStepMatchesScanModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			model := newScanManager(net, func(n int) int { modelDraws++; return modelTripRNG.Intn(n) })
-			var gone, modelGone []VehicleID
-			m.OnDeparture(func(id VehicleID) { gone = append(gone, id) })
-			model.OnDeparture(func(id VehicleID) { modelGone = append(modelGone, id) })
 			script := fx.script(t, m, net, rand.New(rand.NewSource(seed+100)))
 			modelScript := fx.script(t, model, net, rand.New(rand.NewSource(seed+100)))
 
@@ -211,14 +207,6 @@ func TestStepMatchesScanModel(t *testing.T) {
 					t.Fatalf("%s seed %d tick %d: %d randFn draws, model %d", name, seed, tick, draws, modelDraws)
 				}
 				checkLanes(t, m, tick)
-			}
-			if len(gone) != len(modelGone) {
-				t.Fatalf("%s seed %d: %d departure callbacks, model %d", name, seed, len(gone), len(modelGone))
-			}
-			for i := range gone {
-				if gone[i] != modelGone[i] {
-					t.Fatalf("%s seed %d: departure %d was vehicle %d, model %d", name, seed, i, gone[i], modelGone[i])
-				}
 			}
 			if name != "convoy" && draws == 0 {
 				t.Errorf("%s seed %d: no trip ended, so no randFn draw was compared", name, seed)

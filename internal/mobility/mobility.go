@@ -20,12 +20,10 @@ import (
 // VehicleID identifies a vehicle across all subsystems.
 type VehicleID int32
 
-// Profile captures per-vehicle driving and equipment characteristics. The
-// paper (Fig. 1) stresses heterogeneity: automation level, sensors and
-// compute differ per vehicle and matter for task allocation.
+// Profile captures per-vehicle driving characteristics and the compute a
+// vehicle lends the cloud. The paper (Fig. 1) stresses heterogeneity:
+// compute differs per vehicle and matters for task allocation.
 type Profile struct {
-	// AutomationLevel follows SAE J3016: 0 (none) .. 5 (full automation).
-	AutomationLevel int
 	// DesiredSpeedFactor scales the edge speed limit (e.g. 1.1 = drives
 	// 10% above the limit).
 	DesiredSpeedFactor float64
@@ -35,26 +33,20 @@ type Profile struct {
 	Headway float64
 	// MinGap is the IDM jam distance s0 in meters.
 	MinGap float64
-	// CPU is compute capacity in abstract ops/sec; Storage in MB. Used by
-	// the v-cloud resource pool.
-	CPU     float64
-	Storage float64
-	// Sensors lists equipped sensor kinds (e.g. "camera", "lidar").
-	Sensors []string
+	// CPU is compute capacity in abstract ops/sec, what the vehicle
+	// contributes to the v-cloud pool.
+	CPU float64
 }
 
 // DefaultProfile returns a mid-range vehicle profile.
 func DefaultProfile() Profile {
 	return Profile{
-		AutomationLevel:    3,
 		DesiredSpeedFactor: 1.0,
 		MaxAccel:           1.5,
 		ComfortDecel:       2.0,
 		Headway:            1.5,
 		MinGap:             2.0,
 		CPU:                1000,
-		Storage:            256,
-		Sensors:            []string{"camera", "gps"},
 	}
 }
 
@@ -87,7 +79,6 @@ type vehicle struct {
 
 	route    []roadnet.EdgeID // remaining edges after the current one
 	routeIdx int              // index into route of the next edge
-	dest     roadnet.NodeID
 	// laneCooldown throttles lane changes (seconds remaining).
 	laneCooldown float64
 }
@@ -193,9 +184,6 @@ type Manager struct {
 	// tripRNG drives random destination choice; injected so runs are
 	// deterministic.
 	randFn func(n int) int
-	// departures notifies subscribers when a vehicle leaves (parks off or
-	// exits the scenario); used by vcloud for churn accounting.
-	departures []func(VehicleID)
 }
 
 // NewManager creates a mobility manager on the given network. randFn
@@ -275,9 +263,6 @@ func normalizeProfile(p *Profile) {
 	}
 	if p.CPU <= 0 {
 		p.CPU = d.CPU
-	}
-	if p.Storage <= 0 {
-		p.Storage = d.Storage
 	}
 }
 
@@ -480,7 +465,6 @@ func (m *Manager) pickNewDestination(v *vehicle) {
 		}
 		v.route = path
 		v.routeIdx = 0
-		v.dest = dst
 		return
 	}
 	v.route = nil

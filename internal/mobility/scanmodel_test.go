@@ -15,12 +15,11 @@ import (
 // (minus the spatial index, which no dynamics read) as the reference
 // model for TestStepMatchesScanModel and the directed tie test.
 type scanManager struct {
-	net        *roadnet.Network
-	vehicles   map[VehicleID]*vehicle
-	perLane    map[roadnet.EdgeID][][]VehicleID
-	nextID     VehicleID
-	randFn     func(n int) int
-	departures []func(VehicleID)
+	net      *roadnet.Network
+	vehicles map[VehicleID]*vehicle
+	perLane  map[roadnet.EdgeID][][]VehicleID
+	nextID   VehicleID
+	randFn   func(n int) int
 }
 
 func newScanManager(net *roadnet.Network, randFn func(n int) int) *scanManager {
@@ -30,10 +29,6 @@ func newScanManager(net *roadnet.Network, randFn func(n int) int) *scanManager {
 		perLane:  make(map[roadnet.EdgeID][][]VehicleID),
 		randFn:   randFn,
 	}
-}
-
-func (m *scanManager) OnDeparture(fn func(VehicleID)) {
-	m.departures = append(m.departures, fn)
 }
 
 func (m *scanManager) AddVehicle(e roadnet.EdgeID, offset float64, profile Profile) (VehicleID, error) {
@@ -69,9 +64,6 @@ func (m *scanManager) Remove(id VehicleID) {
 	v.gone = true
 	m.removeFromLane(v)
 	delete(m.vehicles, id)
-	for _, fn := range m.departures {
-		fn(id)
-	}
 }
 
 func (m *scanManager) State(id VehicleID) (State, bool) {
@@ -232,7 +224,6 @@ func (m *scanManager) pickNewDestination(v *vehicle) {
 		}
 		v.route = path
 		v.routeIdx = 0
-		v.dest = dst
 		return
 	}
 	v.route = nil

@@ -34,10 +34,6 @@ type ShardVehicle struct {
 	// makes fleet-total distance an exact sum: per-shard subtotals add up
 	// to the serial total regardless of grouping.
 	OdoMM int64
-	// Hops counts shard border crossings (handoffs). It is zero in a
-	// one-shard world, so it is reported as sharding telemetry, never as
-	// part of determinism-compared model output.
-	Hops int32
 }
 
 // SpawnShardVehicle places vehicle id deterministically inside bounds with

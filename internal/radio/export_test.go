@@ -26,11 +26,6 @@ func (e *BWEstimator) State() string {
 	}
 }
 
-// Counters returns (sent, acked, lost) message totals.
-func (e *BWEstimator) Counters() (sent, acked, lost uint64) {
-	return e.sent, e.acked, e.lost
-}
-
 // BaseRTT returns the underlying link's healthy round-trip latency.
 func (s *Sender) BaseRTT() sim.Time { return s.u.params.BaseRTT }
 

@@ -159,8 +159,6 @@ type BWEstimator struct {
 	lastLossAt   sim.Time
 	haveRateTime bool
 	estimate     float64
-	sent, acked  uint64
-	lost         uint64
 	// lastFeedback is when the estimator last heard anything (ack or
 	// loss). A consumer can use its age to decay trust in the estimate:
 	// a source that stops sending stops learning, and its view of the
@@ -182,13 +180,9 @@ func NewBWEstimator(cfg BWEConfig) *BWEstimator {
 	}
 }
 
-// OnSent records a departing message.
-func (e *BWEstimator) OnSent(now sim.Time, bytes int) { e.sent++ }
-
 // OnLost records a lost or dropped message: it enters the loss window
 // and may trigger a loss-controller update.
 func (e *BWEstimator) OnLost(now sim.Time) {
-	e.lost++
 	e.lastFeedback = now
 	e.pushOutcome(false)
 	e.updateLoss(now)
@@ -199,7 +193,6 @@ func (e *BWEstimator) OnLost(now sim.Time) {
 // bookkeeping, arrival grouping, and — when a group closes — a trendline
 // update and a detector/rate-controller step.
 func (e *BWEstimator) OnAck(sendTime, arrival sim.Time, bytes int) {
-	e.acked++
 	e.lastFeedback = arrival
 	e.pushOutcome(true)
 	e.pushRate(arrival, bytes)

@@ -68,7 +68,6 @@ func TestEstimateWithinCapacity(t *testing.T) {
 		case 0, 1, 2:
 			e.OnLost(send)
 		default:
-			e.OnSent(send, 1500)
 			e.OnAck(send, arrival, 1500)
 		}
 		check(fmt.Sprintf("step %d", i))

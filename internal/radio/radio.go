@@ -29,8 +29,6 @@ const Broadcast NodeID = -1
 // Frame is a delivered radio frame.
 type Frame struct {
 	From    NodeID
-	To      NodeID // Broadcast or a specific node
-	Size    int    // bytes on air
 	Payload any
 	SentAt  sim.Time
 }
@@ -608,5 +606,5 @@ func (m *Medium) send(from, to NodeID, size int, payload any, beacon bool) {
 		}
 		m.rx = append(m.rx, reception{delay: tx, h: sp.h})
 	}
-	m.scheduleReceptions(Frame{From: from, To: to, Size: size, Payload: payload, SentAt: m.kernel.Now()})
+	m.scheduleReceptions(Frame{From: from, Payload: payload, SentAt: m.kernel.Now()})
 }

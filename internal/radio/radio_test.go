@@ -58,7 +58,7 @@ func TestUnicastWithinReliableRangeDelivers(t *testing.T) {
 		t.Fatalf("delivered %d frames, want 1", len(got))
 	}
 	f := got[0]
-	if f.From != 1 || f.To != 2 || f.Payload != "hello" || f.Size != 200 {
+	if f.From != 1 || f.Payload != "hello" {
 		t.Errorf("frame = %+v", f)
 	}
 	st := m.Stats()
@@ -400,7 +400,7 @@ func TestBeaconSchedulesNoEvent(t *testing.T) {
 	if err := k.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if len(overheard) != 1 || overheard[0].Payload != "b2" || overheard[0].To != Broadcast {
+	if len(overheard) != 1 || overheard[0].Payload != "b2" {
 		t.Errorf("the spy overheard %+v, want the beacon once", overheard)
 	}
 }
@@ -807,9 +807,9 @@ func TestLastReceptionRecyclesItsRun(t *testing.T) {
 	}
 	heard := make(map[delivery]bool)
 	for i, d := range log {
-		want := Frame{From: 0, To: Broadcast, Size: 300, Payload: "A"}
+		want := Frame{From: 0, Payload: "A"}
 		if i >= n-1 {
-			want = Frame{From: relay, To: Broadcast, Size: 200, Payload: "B", SentAt: sentB}
+			want = Frame{From: relay, Payload: "B", SentAt: sentB}
 		}
 		if d.f != want || d.to == want.From || heard[d] {
 			t.Errorf("reception %d at node %d: %+v, want %+v once at every other node", i, d.to, d.f, want)
@@ -929,7 +929,7 @@ func refSend(m *Medium, from, to NodeID, size int, payload any, inbox func(NodeI
 	if pCollide > m.params.MaxCollisionLoss {
 		pCollide = m.params.MaxCollisionLoss
 	}
-	f := Frame{From: from, To: to, Size: size, Payload: payload, SentAt: m.kernel.Now()}
+	f := Frame{From: from, Payload: payload, SentAt: m.kernel.Now()}
 	// scheduleNow schedules whatever deliver (with the faults already
 	// judged here) or a spy collected, one event per reception.
 	scheduleNow := func() {

@@ -191,7 +191,6 @@ func (s *Sender) RoundTrip(reqBytes, respBytes int, fn func()) bool {
 	}
 	u.busyUntil = now + wait + sim.Time(transfer*float64(time.Second))
 	mark := u.outages
-	s.est.OnSent(now, bytes)
 	u.kernel.After(wait+sim.Time(lat), func() {
 		if !u.available || u.outages != mark {
 			// The flight overlapped an outage window (possibly one that

@@ -22,7 +22,7 @@ func (n *Network) NearestNode(p geo.Point) NodeID {
 	bestD := math.Inf(1)
 	for i := range n.nodes {
 		if d := n.nodes[i].Pos.DistSq(p); d < bestD {
-			best, bestD = n.nodes[i].ID, d
+			best, bestD = NodeID(i), d
 		}
 	}
 	return best

@@ -26,7 +26,6 @@ type EdgeID int32
 
 // Node is an intersection or endpoint.
 type Node struct {
-	ID  NodeID
 	Pos geo.Point
 	// out holds IDs of edges leaving this node.
 	out []EdgeID
@@ -35,7 +34,6 @@ type Node struct {
 // Edge is a one-way road segment from From to To. Two-way roads are two
 // edges.
 type Edge struct {
-	ID         EdgeID
 	From, To   NodeID
 	Length     float64 // meters
 	SpeedLimit float64 // m/s
@@ -60,7 +58,7 @@ func NewBuilder() *Builder { return &Builder{} }
 // AddNode adds an intersection at pos and returns its ID.
 func (b *Builder) AddNode(pos geo.Point) NodeID {
 	id := NodeID(len(b.n.nodes))
-	b.n.nodes = append(b.n.nodes, Node{ID: id, Pos: pos})
+	b.n.nodes = append(b.n.nodes, Node{Pos: pos})
 	return id
 }
 
@@ -81,7 +79,6 @@ func (b *Builder) AddEdge(from, to NodeID, speedLimit float64, lanes int) (EdgeI
 	}
 	id := EdgeID(len(b.n.edges))
 	e := Edge{
-		ID:         id,
 		From:       from,
 		To:         to,
 		Length:     b.n.nodes[from].Pos.Dist(b.n.nodes[to].Pos),
@@ -157,17 +154,16 @@ func (n *Network) EdgeHeading(e EdgeID) float64 {
 
 // pathItem is a priority-queue entry for Dijkstra/A*.
 type pathItem struct {
-	node  NodeID
-	prio  float64
-	index int
+	node NodeID
+	prio float64
 }
 
 type pathQueue []*pathItem
 
 func (q pathQueue) Len() int           { return len(q) }
 func (q pathQueue) Less(i, j int) bool { return q[i].prio < q[j].prio }
-func (q pathQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i]; q[i].index = i; q[j].index = j }
-func (q *pathQueue) Push(x any)        { it := x.(*pathItem); it.index = len(*q); *q = append(*q, it) }
+func (q pathQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *pathQueue) Push(x any)        { *q = append(*q, x.(*pathItem)) }
 func (q *pathQueue) Pop() any {
 	old := *q
 	n := len(old)

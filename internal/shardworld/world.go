@@ -514,10 +514,8 @@ func (s *wshard) movePhase(tick int) {
 			// ahead; this shard keeps the fresh position as a ghost so its
 			// remaining locals still see the vehicle this tick.
 			s.hops++
-			cp := *v
-			cp.Hops++
 			s.k.AtArg(t+L, applyDemote, s.pushGhost(s, id, v.Pos))
-			s.handoffs = append(s.handoffs, handoffMsg{s: w.shards[dst], v: cp})
+			s.handoffs = append(s.handoffs, handoffMsg{s: w.shards[dst], v: *v})
 			w.sk.Inject(s.idx, dst, t+L, applyHandoff, &s.handoffs[len(s.handoffs)-1])
 		} else {
 			s.index.UpdateLocal(id, v.Pos)

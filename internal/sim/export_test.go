@@ -1,25 +1,13 @@
 package sim
 
-import (
-	"math/rand"
-)
-
 // Accessors only the tests read. The execution census keeps the
 // program to what a run executes; these stay here for the tests.
 
 // Seed returns the seed the kernel was created with.
 func (k *Kernel) Seed() int64 { return k.seed }
 
-// RNG returns the kernel's random source. Model code must draw all
-// randomness from here (or from streams derived via NewStream) so runs are
-// reproducible.
-func (k *Kernel) RNG() *rand.Rand { return k.rng }
-
 // NumShards returns the shard count.
 func (sk *ShardedKernel) NumShards() int { return len(sk.shards) }
-
-// Seed returns the coordinator seed.
-func (sk *ShardedKernel) Seed() int64 { return sk.seed }
 
 // Lookahead returns the conservative window length.
 func (sk *ShardedKernel) Lookahead() Time { return sk.lookahead }

@@ -85,7 +85,6 @@ type workerDone struct {
 // like Kernel, all driving happens from one goroutine (the workers it owns
 // internally are invisible to model code).
 type ShardedKernel struct {
-	seed      int64
 	lookahead Time
 	shards    []*Kernel
 	now       Time
@@ -106,12 +105,11 @@ type ShardedKernel struct {
 	done    chan workerDone
 
 	// Telemetry, accumulated by the coordinator between windows.
-	wall       time.Duration // coordinator wall time inside Run
-	busyWall   time.Duration // sum of per-shard dispatch time
-	critPath   time.Duration // sum over windows of the slowest shard's dispatch time
-	windows    uint64
-	crossSent  uint64
-	windowBusy []time.Duration // per-window scratch, indexed by shard
+	wall      time.Duration // coordinator wall time inside Run
+	busyWall  time.Duration // sum of per-shard dispatch time
+	critPath  time.Duration // sum over windows of the slowest shard's dispatch time
+	windows   uint64
+	crossSent uint64
 }
 
 // NewShardedKernel creates a coordinator over n shard kernels. Shard i's
@@ -128,11 +126,9 @@ func NewShardedKernel(seed int64, n int, lookahead Time) (*ShardedKernel, error)
 		return nil, fmt.Errorf("sim: lookahead must be positive, got %v", lookahead)
 	}
 	sk := &ShardedKernel{
-		seed:       seed,
-		lookahead:  lookahead,
-		shards:     make([]*Kernel, n),
-		outbox:     make([][]crossEvent, n),
-		windowBusy: make([]time.Duration, n),
+		lookahead: lookahead,
+		shards:    make([]*Kernel, n),
+		outbox:    make([][]crossEvent, n),
 	}
 	for i := range sk.shards {
 		sk.shards[i] = NewKernel(SubSeed(seed, fmt.Sprintf("shard/%d", i)))
@@ -279,7 +275,6 @@ func (sk *ShardedKernel) runWindow(we Time) error {
 	var maxBusy time.Duration
 	for i := 0; i < n; i++ {
 		d := <-sk.done
-		sk.windowBusy[d.idx] = d.busy
 		sk.busyWall += d.busy
 		if d.busy > maxBusy {
 			maxBusy = d.busy

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -218,7 +219,7 @@ func TestShardedRunAfterClose(t *testing.T) {
 func TestSubSeedMatchesNewStream(t *testing.T) {
 	k := NewKernel(123)
 	a := k.NewStream("shard/2").Int63()
-	b := NewKernel(SubSeed(123, "shard/2")).RNG().Int63()
+	b := rand.New(rand.NewSource(SubSeed(123, "shard/2"))).Int63()
 	if a != b {
 		t.Fatalf("SubSeed diverges from NewStream derivation: %d vs %d", a, b)
 	}

@@ -162,7 +162,6 @@ type Kernel struct {
 	// that moves the clock up to its limit sets it to 0, since nothing at
 	// the limit has.
 	cut     uint64
-	rng     *rand.Rand
 	seed    int64
 	stopped bool
 	// processed counts dispatched events, exposed for tests and reports.
@@ -176,10 +175,7 @@ type Kernel struct {
 
 // NewKernel creates a kernel whose random streams derive from seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{
-		rng:  rand.New(rand.NewSource(seed)),
-		seed: seed,
-	}
+	return &Kernel{seed: seed}
 }
 
 // Now returns the current virtual time.

@@ -240,12 +240,13 @@ func TestNilCallbackIgnored(t *testing.T) {
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func(seed int64) []int64 {
 		k := NewKernel(seed)
+		rng := k.NewStream("draws")
 		var draws []int64
 		var step func()
 		step = func() {
-			draws = append(draws, k.RNG().Int63())
+			draws = append(draws, rng.Int63())
 			if len(draws) < 50 {
-				k.After(Time(k.RNG().Intn(1000))*time.Millisecond, step)
+				k.After(Time(rng.Intn(1000))*time.Millisecond, step)
 			}
 		}
 		k.After(time.Millisecond, step)

@@ -21,7 +21,6 @@ import (
 	"math"
 
 	"vcloud/internal/geo"
-	"vcloud/internal/sim"
 )
 
 // Token anonymously identifies a reporter (pseudonym serial, chain ID).
@@ -36,15 +35,11 @@ type Report struct {
 	ReporterPos geo.Point
 	// PathID fingerprints the delivery route (hash of relay addresses).
 	PathID uint64
-	// At is when the report was received.
-	At sim.Time
 }
 
 // Event is a claimed real-world occurrence.
 type Event struct {
-	Type string
-	Pos  geo.Point
-	At   sim.Time
+	Pos geo.Point
 }
 
 // Group is a set of reports classified as referring to the same event.

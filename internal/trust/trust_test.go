@@ -16,7 +16,6 @@ func report(claim bool, x, y float64, path uint64, at sim.Time) Report {
 		Claim:       claim,
 		ReporterPos: geo.Point{X: x, Y: y},
 		PathID:      path,
-		At:          at,
 	}
 }
 

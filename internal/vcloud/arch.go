@@ -39,12 +39,9 @@ func (a Architecture) String() string {
 // Deployment is an assembled vehicular cloud over a scenario, and the
 // one owner of the controllers and member agents it runs.
 type Deployment struct {
-	Arch        Architecture
 	Stats       *Stats
 	Controllers []*Controller
 	Members     map[mobility.VehicleID]*Member
-	// Runners holds the cluster runners of a dynamic deployment.
-	Runners map[mobility.VehicleID]*cluster.Runner
 
 	s   *scenario.Scenario
 	cfg DeployConfig
@@ -60,9 +57,6 @@ type DeployConfig struct {
 	// Controller.Fencing on, a controller that abdicates is removed from
 	// Controllers and its vehicle node rejoins as a member.
 	Controller ControllerConfig
-	// MemberResources maps a vehicle's mobility profile to pool
-	// resources; nil derives CPU/Storage/Sensors from the profile.
-	MemberResources func(p mobility.Profile) Resources
 	// Handover enables member-side proactive handover.
 	Handover bool
 	// DwellMode selects the estimator members' dwell predictions use.
@@ -87,10 +81,6 @@ type DeployConfig struct {
 	sec *SecureDeployment
 }
 
-func defaultResources(p mobility.Profile) Resources {
-	return Resources{CPU: p.CPU, Storage: p.Storage, Sensors: p.Sensors}
-}
-
 // Deploy assembles a vehicular cloud of the given architecture over the
 // scenario. For Infrastructure, RSUs must already have been added to the
 // scenario; each becomes a controller. For Stationary, the scenario
@@ -104,14 +94,9 @@ func Deploy(s *scenario.Scenario, arch Architecture, cfg DeployConfig, stats *St
 	if arch < Stationary || arch > Dynamic {
 		return nil, fmt.Errorf("vcloud: unknown architecture %d", arch)
 	}
-	if cfg.MemberResources == nil {
-		cfg.MemberResources = defaultResources
-	}
 	d := &Deployment{
-		Arch:    arch,
 		Stats:   stats,
 		Members: make(map[mobility.VehicleID]*Member),
-		Runners: make(map[mobility.VehicleID]*cluster.Runner),
 		s:       s,
 		cfg:     cfg,
 	}
@@ -139,7 +124,6 @@ func Deploy(s *scenario.Scenario, arch Architecture, cfg DeployConfig, stats *St
 			if err != nil {
 				return nil, err
 			}
-			d.Runners[id] = r
 			vid := id
 			r.OnChange(func(old, new cluster.State) { d.onRoleChange(vid, old, new) })
 		}
@@ -294,7 +278,7 @@ func (d *Deployment) startMember(id mobility.VehicleID) error {
 		old.Stop()
 	}
 	profile, _ := d.s.Mobility.Profile(id)
-	m, err := NewMember(node, MemberConfig{Resources: d.cfg.MemberResources(profile), Handover: d.cfg.Handover}, d.Stats)
+	m, err := NewMember(node, MemberConfig{CPU: profile.CPU, Handover: d.cfg.Handover}, d.Stats)
 	if err != nil {
 		return err
 	}

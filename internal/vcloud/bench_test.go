@@ -40,7 +40,7 @@ func votedTaskRig(tb testing.TB) (runTask func()) {
 				Depend: &vcloud.DependabilityPolicy{Replicas: 3},
 			}, stats)
 		} else {
-			_, err = vcloud.NewMember(node, vcloud.MemberConfig{Resources: vcloud.Resources{CPU: 1000}}, stats)
+			_, err = vcloud.NewMember(node, vcloud.MemberConfig{CPU: 1000}, stats)
 		}
 		if err != nil {
 			tb.Fatal(err)

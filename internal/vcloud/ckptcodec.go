@@ -25,14 +25,13 @@ import (
 
 // ckptMagic identifies encoded checkpoints; the trailing byte is the
 // format version.
-var ckptMagic = [4]byte{'V', 'C', 'P', 7}
+var ckptMagic = [4]byte{'V', 'C', 'P', 8}
 
 // Decoder sanity caps: a checkpoint exceeding these is rejected as
 // corrupt. They sit far above anything a simulated cloud produces.
 const (
 	ckptMaxMembers = 1 << 14
 	ckptMaxTasks   = 1 << 16
-	ckptMaxSensors = 64
 	ckptMaxString  = 1 << 10
 	ckptMaxVoters  = 1 << 12
 	ckptMaxLedger  = 1 << 16
@@ -174,7 +173,6 @@ func newRecord[T any](walk func(*ckptWalk, *T)) record[T] {
 var (
 	addrRec       = newRecord(func(w *ckptWalk, a *vnet.Addr) { num(w, a, 8) })
 	depRec        = newRecord(func(w *ckptWalk, d *int) { num(w, d, 8) })
-	sensorRec     = newRecord(str[string])
 	memberRec     = newRecord(member)
 	taskCkptRec   = newRecord(taskCkpt)
 	appliedRec    = newRecord(applied)
@@ -186,25 +184,19 @@ var (
 )
 
 // list walks a collection behind a u32 count; reading, a count above max
-// is corrupt.
+// is corrupt. Reading, it presizes s to at most the bytes left over the
+// record's minimum size, so a hostile count cannot force a large
+// allocation, and an empty collection stays nil, as it was encoded.
 func list[T any](w *ckptWalk, s *[]T, rec record[T], what string, max int) {
 	n := int(w.word(uint64(len(*s)), 4))
-	if w.mode == reading && n > max {
-		w.fail("%s count %d exceeds cap %d", what, n, max)
-		return
-	}
-	elems(w, s, n, rec)
-}
-
-// elems walks the n records of s. Reading, it presizes s to at most the
-// bytes left over the record's minimum size, so a hostile count cannot
-// force a large allocation, and an empty collection stays nil, as it was
-// encoded.
-func elems[T any](w *ckptWalk, s *[]T, n int, rec record[T]) {
 	if w.mode != reading {
 		for i := range *s {
 			rec.walk(w, &(*s)[i])
 		}
+		return
+	}
+	if n > max {
+		w.fail("%s count %d exceeds cap %d", what, n, max)
 		return
 	}
 	if c := min(n, (len(w.buf)-w.off)/rec.min); c > 0 {
@@ -261,17 +253,10 @@ func policy(w *ckptWalk, p *DependabilityPolicy) {
 
 func member(w *ckptWalk, m *MemberSnapshot) {
 	num(w, &m.Addr, 8)
-	w.f64(&m.Res.CPU)
-	w.f64(&m.Res.Storage)
-	if w.checking() && (!quantity(m.Res.CPU) || !quantity(m.Res.Storage)) {
-		w.fail("member %d resources (cpu %v, storage %v)", m.Addr, m.Res.CPU, m.Res.Storage)
+	w.f64(&m.CPU)
+	if w.checking() && !quantity(m.CPU) {
+		w.fail("member %d cpu %v", m.Addr, m.CPU)
 	}
-	n := int(w.word(uint64(len(m.Res.Sensors)), 2))
-	if w.mode == reading && n > ckptMaxSensors {
-		w.fail("sensor count %d exceeds cap", n)
-		return
-	}
-	elems(w, &m.Res.Sensors, n, sensorRec)
 }
 
 func task(w *ckptWalk, t *Task) {
@@ -280,7 +265,6 @@ func task(w *ckptWalk, t *Task) {
 	num(w, &t.InputBytes, 8)
 	num(w, &t.OutputBytes, 8)
 	num(w, &t.Deadline, 8)
-	str(w, &t.NeedsSensor)
 	w.flag(&t.Optional)
 	optional(w, &t.Depend, policy)
 	optional(w, &t.Stage, stageBinding)
@@ -306,7 +290,6 @@ func stageInput(w *ckptWalk, in *StageInput) {
 
 func taskCkpt(w *ckptWalk, tc *TaskCheckpoint) {
 	task(w, &tc.Task)
-	num(w, &tc.Client, 8)
 	w.f64(&tc.RemainingOps)
 	num(w, &tc.Retries, 8)
 	num(w, &tc.Handovers, 8)
@@ -323,7 +306,6 @@ func applied(w *ckptWalk, a *AppliedRecord) {
 
 func parked(w *ckptWalk, p *ParkedOutcome) {
 	task(w, &p.Task)
-	num(w, &p.Client, 8)
 	w.flag(&p.OK)
 	str(w, &p.Reason)
 	num(w, &p.Value, 8)
@@ -336,7 +318,6 @@ func parked(w *ckptWalk, p *ParkedOutcome) {
 
 func job(w *ckptWalk, jc *JobCheckpoint) {
 	num(w, &jc.ID, 8)
-	num(w, &jc.Client, 8)
 	num(w, &jc.Submitted, 8)
 	num(w, &jc.Restarts, 8)
 	w.f64(&jc.Wasted)
@@ -368,7 +349,6 @@ func stageSpec(w *ckptWalk, st *StageSpec) {
 	w.f64(&st.Ops)
 	num(w, &st.InputBytes, 8)
 	num(w, &st.OutputBytes, 8)
-	str(w, &st.NeedsSensor)
 	list(w, &st.Deps, depRec, "stage dep", ckptMaxStages)
 	w.flag(&st.Optional)
 }

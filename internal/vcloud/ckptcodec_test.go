@@ -19,8 +19,8 @@ import (
 	"vcloud/internal/vnet"
 )
 
-// fixtureCheckpoint exercises every field the codec carries: membership
-// with sensors, fenced epoch, a per-task dependability policy, an
+// fixtureCheckpoint exercises every field the codec carries: membership,
+// fenced epoch, a per-task dependability policy, an
 // applied ledger, parked outcomes with voters, outstanding arming
 // obligations and a DAG job part-way through.
 func fixtureCheckpoint() vcloud.Checkpoint {
@@ -30,13 +30,12 @@ func fixtureCheckpoint() vcloud.Checkpoint {
 		NextID:     9001,
 		Emergency:  true,
 		Members: []vcloud.MemberSnapshot{
-			{Addr: 3, Res: vcloud.Resources{CPU: 1000, Storage: 4096, Sensors: []string{"lidar", "cam"}}},
-			{Addr: 5, Res: vcloud.Resources{CPU: 500, Storage: 1024}},
+			{Addr: 3, CPU: 1000},
+			{Addr: 5, CPU: 500},
 		},
 		Tasks: []vcloud.TaskCheckpoint{
 			{
-				Task:         vcloud.Task{ID: 11, Ops: 5000, InputBytes: 100, OutputBytes: 50, NeedsSensor: "lidar", Depend: &vcloud.DependabilityPolicy{Replicas: 3, MaxRetries: 2}, Optional: true},
-				Client:       5,
+				Task:         vcloud.Task{ID: 11, Ops: 5000, InputBytes: 100, OutputBytes: 50, Depend: &vcloud.DependabilityPolicy{Replicas: 3, MaxRetries: 2}, Optional: true},
 				RemainingOps: 1234.5,
 				Retries:      1,
 				Handovers:    2,
@@ -48,7 +47,6 @@ func fixtureCheckpoint() vcloud.Checkpoint {
 		Parked: []vcloud.ParkedOutcome{
 			{
 				Task:      vcloud.Task{ID: 12, Ops: 800},
-				Client:    5,
 				OK:        true,
 				Reason:    "",
 				Value:     0xfeed,
@@ -62,7 +60,6 @@ func fixtureCheckpoint() vcloud.Checkpoint {
 		Armed: []vnet.Addr{3, 9},
 		Jobs: []vcloud.JobCheckpoint{{
 			ID:        4,
-			Client:    5,
 			Submitted: 8 * time.Second,
 			Restarts:  1,
 			Wasted:    2500,
@@ -132,8 +129,8 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 		want string
 	}{
 		{"NaN remaining ops", func(ck *vcloud.Checkpoint) { ck.Tasks[0].RemainingOps = math.NaN() }, "task 11 remaining ops NaN"},
-		{"infinite member CPU", func(ck *vcloud.Checkpoint) { ck.Members[1].Res.CPU = math.Inf(1) }, "member 5 resources (cpu +Inf, storage 1024)"},
-		{"negative member storage", func(ck *vcloud.Checkpoint) { ck.Members[0].Res.Storage = -1 }, "member 3 resources (cpu 1000, storage -1)"},
+		{"infinite member CPU", func(ck *vcloud.Checkpoint) { ck.Members[1].CPU = math.Inf(1) }, "member 5 cpu +Inf"},
+		{"negative member CPU", func(ck *vcloud.Checkpoint) { ck.Members[0].CPU = -1 }, "member 3 cpu -1"},
 		{"minus-infinite job wasted ops", func(ck *vcloud.Checkpoint) { ck.Jobs[0].Wasted = math.Inf(-1) }, "job 4 wasted ops -Inf"},
 		{"negative policy replicas", func(ck *vcloud.Checkpoint) { ck.Tasks[0].Task.Depend = &vcloud.DependabilityPolicy{Replicas: -1} },
 			"invalid policy: vcloud: policy replicas must be >= 0, got -1"},
@@ -142,8 +139,7 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 		{"infinite task ops", func(ck *vcloud.Checkpoint) { ck.Parked[0].Task.Ops = math.Inf(1) }, "invalid task 12: vcloud: task ops must be positive and finite, got +Inf"},
 		{"stage depending on itself", func(ck *vcloud.Checkpoint) { ck.Jobs[0].Spec.Stages[0].Deps = []int{0} }, "invalid job 4 spec: "},
 		{"stage status out of range", func(ck *vcloud.Checkpoint) { ck.Jobs[0].Stages[0].Status = 9 }, "job 4 stage 0: bad status 9"},
-		{"over-long sensor name", func(ck *vcloud.Checkpoint) { ck.Members[0].Res.Sensors[0] = strings.Repeat("s", 1025) }, "string length 1025 exceeds cap"},
-		{"too many sensors", func(ck *vcloud.Checkpoint) { ck.Members[0].Res.Sensors = make([]string, 65) }, "sensor count 65 exceeds cap"},
+		{"over-long parked reason", func(ck *vcloud.Checkpoint) { ck.Parked[0].Reason = vcloud.FailReason(strings.Repeat("s", 1025)) }, "string length 1025 exceeds cap"},
 		{"too many voters", func(ck *vcloud.Checkpoint) { ck.Parked[0].Voters = make([]vnet.Addr, 4097) }, "voter count 4097 exceeds cap 4096"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -229,7 +225,7 @@ func TestFuzzSeedsPassTheMagic(t *testing.T) {
 func busyCheckpoint() vcloud.Checkpoint {
 	ck := fixtureCheckpoint()
 	for i := 0; i < 100; i++ {
-		ck.Members = append(ck.Members, vcloud.MemberSnapshot{Addr: vnet.Addr(100 + i), Res: vcloud.Resources{CPU: 800, Storage: 2048}})
+		ck.Members = append(ck.Members, vcloud.MemberSnapshot{Addr: vnet.Addr(100 + i), CPU: 800})
 		ck.Applied = append(ck.Applied, vcloud.AppliedRecord{ID: vcloud.TaskID(1000 + i), Epoch: 65543})
 	}
 	for i := 0; i < 60; i++ {
@@ -279,14 +275,13 @@ func TestEncodedSizeIsExact(t *testing.T) {
 
 // stagedCheckpoint is fixtureCheckpoint with every optional part of the
 // layout filled in: a stage binding with inputs and sources, a parked
-// failure reason, and a stage with dependencies and a sensor.
+// failure reason, and a stage with dependencies.
 func stagedCheckpoint() vcloud.Checkpoint {
 	ck := fixtureCheckpoint()
 	ck.Tasks[0].Task.Stage = &vcloud.StageBinding{Job: 4, Stage: 1, OutputBytes: 8,
 		Inputs: []vcloud.StageInput{{Stage: 0, Bytes: 64, Sources: []vnet.Addr{3, 5}}, {Stage: 2}}}
 	ck.Parked[0].Reason = "timeout"
 	ck.Jobs[0].Spec.Stages[0].Deps = []int{0}
-	ck.Jobs[0].Spec.Stages[0].NeedsSensor = "cam"
 	return ck
 }
 
@@ -300,10 +295,10 @@ func TestEncodingIsPinned(t *testing.T) {
 		len  int
 		hash string
 	}{
-		{"fixture", fixtureCheckpoint(), 586, "be58bc0f839c0bd2c0c031c0f90d997cfbcefdde3be0cae24e0a83204b04d7ca"},
-		{"busy", busyCheckpoint(), 14026, "9cf57126ae78682fa4a6087a3d482df68d11c2bf40cbdb84d09328ccf2bbf01e"},
-		{"staged", stagedCheckpoint(), 688, "90859a9ca98f90ee52e602e85ba661b8a6fec617abd5004a2d56ed3bf098d240"},
-		{"empty", vcloud.Checkpoint{}, 77, "28d2fe20cbd0b54d24d38a6ad633222f248408243035eaf58f10a9cfe34c098e"},
+		{"fixture", fixtureCheckpoint(), 519, "91001c98b564dbe8cb1cf3f0423c83e916f84ef5b3537e5bac0df567567c513b"},
+		{"busy", busyCheckpoint(), 11909, "f00f7ae30b56f730e426fb7175f9df8c26187d39d57af7e452ac3179201fef54"},
+		{"staged", stagedCheckpoint(), 618, "0e18813cbdb4748894bb0667843dc984e19c1bd121e67aef49ef39513e7c4bad"},
+		{"empty", vcloud.Checkpoint{}, 77, "3579a76ed79cdaa02ba3d859bb0fe7f62226e26f6e48db57e6c300b27a52ca8b"},
 	} {
 		data := vcloud.EncodeCheckpoint(tc.ck)
 		if sum := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != tc.len || sum != tc.hash {

@@ -32,7 +32,7 @@ func TestCheckpointReceivers(t *testing.T) {
 			return startController(t, node, fenced, stats).onRivalCkpt, nil
 		}, &ackMsg{Seq: 3, Disarm: true, Known: NextEpoch(0, self)}},
 		{"member", func(t *testing.T, node *vnet.Node, stats *Stats) (vnet.Handler, func() bool) {
-			m, err := NewMember(node, MemberConfig{Resources: Resources{CPU: 1000}}, stats)
+			m, err := NewMember(node, MemberConfig{CPU: 1000}, stats)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -36,14 +36,14 @@ type advMsg struct {
 	Epoch Epoch
 }
 
-// joinMsg announces a member and its resources. Edge and Delay mark an
+// joinMsg announces a member and its CPU. Edge and Delay mark an
 // RSU edge server (see edge.go); they ride every join, so the edge
 // capacity/latency model survives controller failover without touching
 // the checkpoint codec.
 type joinMsg struct {
-	Resources Resources
-	Edge      bool
-	Delay     sim.Time
+	CPU   float64
+	Edge  bool
+	Delay sim.Time
 }
 
 // taskMsg assigns (or re-assigns) work.
@@ -208,7 +208,7 @@ type ControllerConfig struct {
 
 type memberInfo struct {
 	addr     vnet.Addr
-	res      Resources
+	cpu      float64
 	lastSeen sim.Time
 	// queuedOps is the controller's view of outstanding work.
 	queuedOps float64
@@ -260,8 +260,7 @@ func (r *roster) add(a vnet.Addr) (m *memberInfo, added bool) {
 }
 
 type taskState struct {
-	task   Task
-	client vnet.Addr
+	task Task
 	// remainingOps is what a new copy is dispatched with: Task.Ops, or
 	// the remainder a handover returned when no member could take it.
 	remainingOps float64
@@ -524,20 +523,14 @@ func (c *Controller) onJoin(msg vnet.Message, _ vnet.Addr) {
 		return
 	}
 	m, _ := c.members.add(msg.Origin)
-	m.res = jm.Resources
+	m.cpu = jm.CPU
 	m.edge = jm.Edge
 	m.delay = jm.Delay
 	m.lastSeen = c.node.Kernel().Now()
 }
 
-// Submit enters a task into the cloud on the controller's own account.
-// done fires exactly once.
+// Submit enters a task into the cloud. done fires exactly once.
 func (c *Controller) Submit(task Task, done func(TaskResult)) (TaskID, error) {
-	return c.SubmitFor(c.node.Addr(), task, done)
-}
-
-// SubmitFor enters a task on behalf of the given client address.
-func (c *Controller) SubmitFor(client vnet.Addr, task Task, done func(TaskResult)) (TaskID, error) {
 	if c.stopped {
 		return 0, fmt.Errorf("vcloud: controller stopped")
 	}
@@ -551,7 +544,6 @@ func (c *Controller) SubmitFor(client vnet.Addr, task Task, done func(TaskResult
 	task.ID = epochTaskID(c.lead.epoch.Counter, c.nextID)
 	ts := &taskState{
 		task:         task,
-		client:       client,
 		remainingOps: task.Ops,
 		submitted:    c.node.Kernel().Now(),
 		done:         done,
@@ -561,9 +553,9 @@ func (c *Controller) SubmitFor(client vnet.Addr, task Task, done func(TaskResult
 	c.stats.Submitted.Inc()
 	// Deadline-aware fail-fast: a deadline no eligible member could meet
 	// is rejected immediately instead of burning a doomed timeout. The
-	// finish runs on the next kernel tick, not inside SubmitFor: callers
+	// finish runs on the next kernel tick, not inside Submit: callers
 	// (the DAG engine included) record the returned TaskID to route the
-	// outcome, so finishing before SubmitFor returns would strand it.
+	// outcome, so finishing before Submit returns would strand it.
 	if c.failFastDeadline(task) {
 		id := task.ID
 		c.node.Kernel().After(0, func() {
@@ -653,7 +645,6 @@ func (c *Controller) finish(ts *taskState, ok bool, reason FailReason, value uin
 	e := &parkedEntry{
 		po: ParkedOutcome{
 			Task:      ts.task,
-			Client:    ts.client,
 			OK:        ok,
 			Reason:    reason,
 			Value:     ts.value,

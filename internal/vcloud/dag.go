@@ -32,8 +32,6 @@ type StageSpec struct {
 	// OutputBytes is the size of this stage's output, pulled by every
 	// successor stage (and by the controller relay fallback).
 	OutputBytes int
-	// NeedsSensor restricts placement like Task.NeedsSensor.
-	NeedsSensor string
 	// Deps lists the indices of the stages whose outputs this stage
 	// consumes. The graph over Deps must be acyclic.
 	Deps []int
@@ -358,17 +356,12 @@ func (s StageStatus) String() string {
 // StageOutcome reports one stage's fate inside a JobResult.
 type StageOutcome struct {
 	Status  StageStatus
-	Value   uint64
-	Retries int
-	// Replicas is the replica count allocated to the stage (K).
-	Replicas int
-	Holders  []vnet.Addr
+	Holders []vnet.Addr
 }
 
 // JobResult reports a finished DAG job to its submitter.
 type JobResult struct {
-	Job JobID
-	OK  bool
+	OK bool
 	// Partial is set when the job completed but one or more optional
 	// branches were abandoned (graceful degradation).
 	Partial bool

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"vcloud/internal/geo"
-	"vcloud/internal/mobility"
 	"vcloud/internal/vcloud"
 )
 
@@ -86,9 +85,24 @@ func TestJobPipelineCompletes(t *testing.T) {
 	}
 }
 
-// TestJobOptionalBranchDegrades: an optional stage that can never be
-// placed (no member carries its sensor) exhausts its budget and is
-// abandoned; the job completes as a partial result instead of failing.
+// splitVote makes every member of d return its own value for stage
+// stage of any job, so that stage's copies never agree: it fails on
+// no-quorum every time it runs.
+func splitVote(d *vcloud.Deployment, stage int) {
+	for _, m := range sortedMembers(d) {
+		own := uint64(m.Addr()) + 1
+		m.SetResultTamper(func(t vcloud.Task, v uint64) uint64 {
+			if t.Stage != nil && t.Stage.Stage == stage {
+				return v + own
+			}
+			return v
+		})
+	}
+}
+
+// TestJobOptionalBranchDegrades: an optional stage whose copies never
+// agree exhausts its budget and is abandoned; the job completes as a
+// partial result instead of failing.
 func TestJobOptionalBranchDegrades(t *testing.T) {
 	s := parkingScenario(t, 5)
 	stats := &vcloud.Stats{}
@@ -106,10 +120,12 @@ func TestJobOptionalBranchDegrades(t *testing.T) {
 	spec := vcloud.JobSpec{
 		Stages: []vcloud.StageSpec{
 			{Ops: 1000, OutputBytes: 200},
-			{Ops: 1000, OutputBytes: 200, Deps: []int{0}, Optional: true, NeedsSensor: "xray"},
+			{Ops: 1000, OutputBytes: 200, Deps: []int{0}, Optional: true},
 			{Ops: 500, OutputBytes: 100, Deps: []int{1}, Optional: true},
 		},
+		ReplicaBudget: 2, // two copies each of stages 0 and 1
 	}
+	splitVote(d, 1)
 	var res vcloud.JobResult
 	fired := 0
 	if err := d.SubmitJobAnywhere(spec, func(r vcloud.JobResult) { res = r; fired++ }); err != nil {
@@ -143,7 +159,8 @@ func TestJobOptionalBranchDegrades(t *testing.T) {
 }
 
 // TestJobWholeJobRestartExhausts pins the naive E15 baseline and the
-// ReasonStageFailed regression: a required unplaceable stage forces
+// ReasonStageFailed regression: a required stage that never reaches a
+// quorum forces
 // whole-job restarts that throw completed work away, until the restart
 // budget runs out and the job fails.
 func TestJobWholeJobRestartExhausts(t *testing.T) {
@@ -163,10 +180,12 @@ func TestJobWholeJobRestartExhausts(t *testing.T) {
 	spec := vcloud.JobSpec{
 		Stages: []vcloud.StageSpec{
 			{Ops: 1000, OutputBytes: 200},
-			{Ops: 1000, OutputBytes: 200, Deps: []int{0}, NeedsSensor: "xray"},
+			{Ops: 1000, OutputBytes: 200, Deps: []int{0}},
 		},
+		ReplicaBudget:   2, // two copies each of stages 0 and 1
 		WholeJobRestart: true,
 	}
+	splitVote(d, 1)
 	var res vcloud.JobResult
 	fired := 0
 	if err := d.SubmitJobAnywhere(spec, func(r vcloud.JobResult) { res = r; fired++ }); err != nil {
@@ -180,7 +199,7 @@ func TestJobWholeJobRestartExhausts(t *testing.T) {
 		t.Fatalf("job callback fired %d times, want 1", fired)
 	}
 	if res.OK {
-		t.Fatal("job completed despite an unplaceable required stage")
+		t.Fatal("job completed despite a required stage that never reaches a quorum")
 	}
 	if res.Reason != vcloud.ReasonStageFailed {
 		t.Errorf("reason = %q, want %q", res.Reason, vcloud.ReasonStageFailed)
@@ -392,25 +411,16 @@ func TestControllerStopFailsInFlightJob(t *testing.T) {
 // before its successor can pull, the worker falls back to the
 // controller relay and the job still completes.
 func TestStageRelayFallback(t *testing.T) {
-	s := parkingScenario(t, 5)
+	// The first member is the fastest, so stage 0 runs (and its output
+	// lives) there only.
+	s := parkingFleet(t, 5, func(i int) float64 {
+		if i == 0 {
+			return 2000
+		}
+		return 1000
+	})
 	stats := &vcloud.Stats{}
-	n := 0
-	d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{
-		// Exactly one member carries each stage's sensor, so stage 0 runs
-		// (and its output lives) on the first member only, and stage 1 must
-		// run on the second.
-		MemberResources: func(p mobility.Profile) vcloud.Resources {
-			n++
-			r := vcloud.Resources{CPU: 1000, Storage: p.Storage}
-			switch n {
-			case 1:
-				r.Sensors = []string{"cam"}
-			case 2:
-				r.Sensors = []string{"gpu"}
-			}
-			return r
-		},
-	}, stats)
+	d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{}, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,8 +446,8 @@ func TestStageRelayFallback(t *testing.T) {
 
 	spec := vcloud.JobSpec{
 		Stages: []vcloud.StageSpec{
-			{Ops: 1000, OutputBytes: 400, NeedsSensor: "cam"},
-			{Ops: 1000, OutputBytes: 200, Deps: []int{0}, NeedsSensor: "gpu"},
+			{Ops: 1000, OutputBytes: 400},
+			{Ops: 1000, OutputBytes: 200, Deps: []int{0}},
 		},
 		StageRetries: 2,
 	}

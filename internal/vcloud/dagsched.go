@@ -46,7 +46,6 @@ type jobStage struct {
 type jobState struct {
 	id        JobID
 	spec      JobSpec
-	client    vnet.Addr
 	submitted sim.Time
 	order     []int
 	alloc     []int
@@ -56,15 +55,10 @@ type jobState struct {
 	done      func(JobResult)
 }
 
-// SubmitJob enters a DAG job on the controller's own account. done
-// fires at most once; like task callbacks it does not survive failover
-// (the job itself does — it rides checkpoints).
+// SubmitJob enters a DAG job. done fires at most once; like task
+// callbacks it does not survive failover (the job itself does — it rides
+// checkpoints).
 func (c *Controller) SubmitJob(spec JobSpec, done func(JobResult)) (JobID, error) {
-	return c.SubmitJobFor(c.node.Addr(), spec, done)
-}
-
-// SubmitJobFor enters a DAG job charged to the given client account.
-func (c *Controller) SubmitJobFor(client vnet.Addr, spec JobSpec, done func(JobResult)) (JobID, error) {
 	if c.stopped {
 		return 0, fmt.Errorf("vcloud: controller stopped")
 	}
@@ -76,7 +70,7 @@ func (c *Controller) SubmitJobFor(client vnet.Addr, spec JobSpec, done func(JobR
 	}
 	c.nextJobID++
 	id := JobID(epochTaskID(c.lead.epoch.Counter, c.nextJobID))
-	j := c.buildJob(id, spec, client, c.node.Kernel().Now(), done)
+	j := c.buildJob(id, spec, c.node.Kernel().Now(), done)
 	c.jobs[id] = j
 	c.stats.JobsSubmitted.Inc()
 	c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
@@ -88,7 +82,7 @@ func (c *Controller) SubmitJobFor(client vnet.Addr, spec JobSpec, done func(JobR
 // buildJob materializes job state from a validated spec. Topological
 // order and the replica allocation are pure functions of the spec, so
 // a failover successor reconstructs them identically.
-func (c *Controller) buildJob(id JobID, spec JobSpec, client vnet.Addr, submitted sim.Time, done func(JobResult)) *jobState {
+func (c *Controller) buildJob(id JobID, spec JobSpec, submitted sim.Time, done func(JobResult)) *jobState {
 	spec = spec.withDefaults()
 	order, _ := TopoOrder(&spec)
 	alloc := AllocateReplicas(&spec, order)
@@ -103,7 +97,6 @@ func (c *Controller) buildJob(id JobID, spec JobSpec, client vnet.Addr, submitte
 	j := &jobState{
 		id:        id,
 		spec:      spec,
-		client:    client,
 		submitted: submitted,
 		order:     order,
 		alloc:     alloc,
@@ -172,11 +165,10 @@ func (c *Controller) launchStage(j *jobState, i int) {
 		InputBytes:  sp.InputBytes,
 		OutputBytes: 0, // workers return a digest; data flows member-to-member
 		Deadline:    j.spec.Deadline,
-		NeedsSensor: sp.NeedsSensor,
 		Depend:      &DependabilityPolicy{Replicas: j.alloc[i], MaxRetries: j.spec.TaskRetries},
 		Stage:       binding,
 	}
-	id, err := c.SubmitFor(j.client, task, nil)
+	id, err := c.Submit(task, nil)
 	if err != nil {
 		// Submission refused (lease expired mid-job): treat like a
 		// no-eligible-member stage failure and let backoff decide.
@@ -184,7 +176,7 @@ func (c *Controller) launchStage(j *jobState, i int) {
 		c.onStageFailed(j, i, ReasonNoEligibleMember)
 		return
 	}
-	// SubmitFor never applies an outcome before returning (the fail-fast
+	// Submit never applies an outcome before returning (the fail-fast
 	// deadline path defers by a tick), so the binding is always recorded
 	// before the outcome can route back here.
 	st.taskID = id
@@ -378,7 +370,6 @@ func (c *Controller) checkJobDone(j *jobState) {
 // jobResult assembles the submitter-facing report.
 func (c *Controller) jobResult(j *jobState, ok, partial bool, reason FailReason) JobResult {
 	out := JobResult{
-		Job:       j.id,
 		OK:        ok,
 		Partial:   partial,
 		Reason:    reason,
@@ -397,11 +388,8 @@ func (c *Controller) jobResult(j *jobState, ok, partial bool, reason FailReason)
 		st := &j.stages[i]
 		out.ExtraReplicas += j.alloc[i] - 1
 		out.Stages = append(out.Stages, StageOutcome{
-			Status:   st.status,
-			Value:    st.value,
-			Retries:  st.retries,
-			Replicas: j.alloc[i],
-			Holders:  append([]vnet.Addr(nil), st.holders...),
+			Status:  st.status,
+			Holders: append([]vnet.Addr(nil), st.holders...),
 		})
 		if !hasSucc[i] && st.status == StageDone {
 			sinks = append(sinks, st.value)
@@ -456,7 +444,6 @@ func (c *Controller) exportJobs() []JobCheckpoint {
 		j := c.jobs[id]
 		jc := JobCheckpoint{
 			ID:        j.id,
-			Client:    j.client,
 			Submitted: j.submitted,
 			Restarts:  j.restarts,
 			Wasted:    j.wasted,
@@ -480,7 +467,7 @@ func (c *Controller) exportJobs() []JobCheckpoint {
 // restoreJob rebuilds job state from a checkpoint row (no callback —
 // closures do not survive replication).
 func (c *Controller) restoreJob(jc JobCheckpoint) {
-	j := c.buildJob(jc.ID, jc.Spec, jc.Client, jc.Submitted, nil)
+	j := c.buildJob(jc.ID, jc.Spec, jc.Submitted, nil)
 	j.restarts = jc.Restarts
 	j.wasted = jc.Wasted
 	for i := range jc.Stages {

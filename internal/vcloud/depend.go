@@ -209,13 +209,13 @@ func (c *Controller) placeReplicas(ts *taskState, need int, remaining float64, s
 // offer weighs m for a copy of ts and, when it qualifies, enters it into
 // the running picks c.picks[from:], kept best first and at most n long.
 func (c *Controller) offer(ts *taskState, m *memberInfo, remaining float64, now sim.Time, from, n int) {
-	if now-m.lastSeen > memberTTL || m.res.CPU <= 0 || !m.res.HasSensor(ts.task.NeedsSensor) {
+	if now-m.lastSeen > memberTTL || m.cpu <= 0 {
 		return
 	}
 	if !c.trustEligible(ts.policy, m.addr) {
 		return
 	}
-	runtime := (m.queuedOps + remaining) / m.res.CPU
+	runtime := (m.queuedOps + remaining) / m.cpu
 	cd := placeCand{addr: m.addr, finish: runtime + m.delay.Seconds()}
 	// Edge servers are fixed infrastructure: dwell always suffices.
 	dwell := math.Inf(1)
@@ -326,7 +326,7 @@ func (c *Controller) dispatchOneReplica(ts *taskState, addr vnet.Addr, remaining
 
 	timeout := ts.policy.AttemptTimeout
 	if timeout <= 0 {
-		expect := m.queuedOps/m.res.CPU + 2.0
+		expect := m.queuedOps/m.cpu + 2.0
 		timeout = sim.Time(expect*3*float64(time.Second)) + 2*time.Second
 	}
 	attempt := slot.attempt
@@ -571,11 +571,11 @@ func (c *Controller) failFastDeadline(task Task) bool {
 	seen := false
 	bestFinish := math.Inf(1)
 	for _, m := range c.members {
-		if now-m.lastSeen > memberTTL || m.res.CPU <= 0 || !m.res.HasSensor(task.NeedsSensor) {
+		if now-m.lastSeen > memberTTL || m.cpu <= 0 {
 			continue
 		}
 		seen = true
-		if f := (m.queuedOps + task.Ops) / m.res.CPU; f < bestFinish {
+		if f := (m.queuedOps + task.Ops) / m.cpu; f < bestFinish {
 			bestFinish = f
 		}
 	}

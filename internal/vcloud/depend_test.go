@@ -29,26 +29,22 @@ func TestVotingOutvotesByzantineWorker(t *testing.T) {
 	// K=3 replicas on exactly 3 members, one of which lies on every
 	// result: the two honest copies form a quorum, the lie loses the
 	// vote, and the trust engine records the outcome (Fig. 3 loop).
-	s := parkingScenario(t, 3)
+	// The liar (lowest-ID member) is the fastest worker, so its wrong
+	// vote arrives before the honest quorum forms — were it slower,
+	// early accept would settle the vote without it and there would be
+	// no lie on record to judge.
+	s := parkingFleet(t, 3, func(i int) float64 {
+		if i == 0 {
+			return 2000
+		}
+		return 1000
+	})
 	ws, err := trust.NewWorkerSet(s.Kernel.Now, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stats := &vcloud.Stats{}
-	n := 0
 	d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{
-		// The liar (lowest-ID member) is the fastest worker, so its wrong
-		// vote arrives before the honest quorum forms — were it slower,
-		// early accept would settle the vote without it and there would
-		// be no lie on record to judge.
-		MemberResources: func(p mobility.Profile) vcloud.Resources {
-			n++
-			cpu := 1000.0
-			if n == 1 {
-				cpu = 2000.0
-			}
-			return vcloud.Resources{CPU: cpu, Storage: p.Storage, Sensors: p.Sensors}
-		},
 		Controller: vcloud.ControllerConfig{
 			Depend:  &vcloud.DependabilityPolicy{Replicas: 3},
 			Workers: ws,
@@ -205,19 +201,15 @@ func TestRetryAfterWorkerDeathIsDeterministic(t *testing.T) {
 	// the controller's seeded stream, so two identical runs agree on the
 	// final latency bit-for-bit.
 	runOnce := func() vcloud.TaskResult {
-		s := parkingScenario(t, 2)
+		// First (lowest-ID) member is fast and wins placement.
+		s := parkingFleet(t, 2, func(i int) float64 {
+			if i == 0 {
+				return 2000
+			}
+			return 500
+		})
 		stats := &vcloud.Stats{}
-		n := 0
 		d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{
-			// First (lowest-ID) member is fast and wins placement.
-			MemberResources: func(p mobility.Profile) vcloud.Resources {
-				n++
-				cpu := 500.0
-				if n == 1 {
-					cpu = 2000.0
-				}
-				return vcloud.Resources{CPU: cpu, Storage: p.Storage, Sensors: p.Sensors}
-			},
 			Controller: vcloud.ControllerConfig{
 				Depend: &vcloud.DependabilityPolicy{Replicas: 1, MaxRetries: 3},
 			},

@@ -35,10 +35,10 @@ const edgeProcDelay = 20 * time.Millisecond
 type EdgeConfig struct {
 	// CPU is the edge server's compute rate in ops/sec.
 	CPU float64
-	// Storage is the edge server's storage capacity in MB.
+	// Storage is ignored: the cloud places work by CPU alone. The field
+	// stays only because benchmark/wl_storm.go spells it (ROADMAP item
+	// 3(ii)).
 	Storage float64
-	// Sensors the RSU contributes (roadside cameras, induction loops).
-	Sensors []string
 }
 
 // EdgeServer is an RSU-hosted member of the vehicular cloud.
@@ -52,7 +52,7 @@ func NewEdgeServer(node *vnet.Node, cfg EdgeConfig, stats *Stats) (*EdgeServer, 
 		return nil, fmt.Errorf("vcloud: edge CPU must be positive, got %v", cfg.CPU)
 	}
 	m, err := NewMember(node, MemberConfig{
-		Resources:  Resources{CPU: cfg.CPU, Storage: cfg.Storage, Sensors: cfg.Sensors},
+		CPU:        cfg.CPU,
 		EdgeTier:   true,
 		StartDelay: edgeProcDelay,
 	}, stats)

@@ -63,12 +63,13 @@ func (s *Stats) JobCompletionRate() float64 {
 // Emergency reports the management-plane emergency flag.
 func (c *Controller) Emergency() bool { return c.emergency }
 
-// Snapshot returns the controller's current membership view — the §V.A
-// "recover the snapshot of the topology" management operation.
-func (c *Controller) Snapshot() map[vnet.Addr]Resources {
-	out := make(map[vnet.Addr]Resources, len(c.members))
+// Snapshot returns the controller's current membership view, each
+// member's CPU by address — the §V.A "recover the snapshot of the
+// topology" management operation.
+func (c *Controller) Snapshot() map[vnet.Addr]float64 {
+	out := make(map[vnet.Addr]float64, len(c.members))
 	for _, m := range c.members {
-		out[m.addr] = m.res
+		out[m.addr] = m.cpu
 	}
 	return out
 }

@@ -36,14 +36,13 @@ const (
 // MemberSnapshot is one membership row inside a checkpoint.
 type MemberSnapshot struct {
 	Addr vnet.Addr
-	Res  Resources
+	CPU  float64
 }
 
 // TaskCheckpoint is one in-flight task inside a checkpoint: everything
 // the standby needs to resume the task from its last known progress.
 type TaskCheckpoint struct {
 	Task         Task
-	Client       vnet.Addr
 	RemainingOps float64
 	Retries      int
 	Handovers    int
@@ -69,7 +68,6 @@ type StageCheckpoint struct {
 // completed stages instead of restarting it.
 type JobCheckpoint struct {
 	ID        JobID
-	Client    vnet.Addr
 	Submitted sim.Time
 	Restarts  int
 	Wasted    float64
@@ -139,13 +137,12 @@ func (c *Controller) Checkpoint() Checkpoint {
 	ck.Emergency = c.emergency
 	ck.Jobs = c.exportJobs()
 	for _, m := range c.members {
-		ck.Members = append(ck.Members, MemberSnapshot{Addr: m.addr, Res: m.res})
+		ck.Members = append(ck.Members, MemberSnapshot{Addr: m.addr, CPU: m.cpu})
 	}
 	for _, id := range sortedKeys(c.tasks) {
 		ts := c.tasks[id]
 		ck.Tasks = append(ck.Tasks, TaskCheckpoint{
 			Task:         ts.task,
-			Client:       ts.client,
 			RemainingOps: ts.remainingOps,
 			Retries:      ts.retries,
 			Handovers:    ts.handovers,
@@ -241,7 +238,7 @@ func (c *Controller) adoptMembers(ck *Checkpoint, seen sim.Time) {
 			continue
 		}
 		if m, added := c.members.add(ms.Addr); added {
-			m.res, m.lastSeen = ms.Res, seen
+			m.cpu, m.lastSeen = ms.CPU, seen
 		}
 	}
 }
@@ -252,7 +249,6 @@ func (c *Controller) adoptMembers(ck *Checkpoint, seen sim.Time) {
 func (c *Controller) resume(tc TaskCheckpoint) {
 	ts := &taskState{
 		task:         tc.Task,
-		client:       tc.Client,
 		remainingOps: tc.RemainingOps,
 		retries:      tc.Retries,
 		handovers:    tc.Handovers,

@@ -265,16 +265,32 @@ func (g *Governor) Submit(task Task, done func(TaskResult)) error {
 			}
 			return g.reject(task, done, reason)
 		}
-		ct = g.tiers[choice]
 	}
 
-	if g.preferred != choice {
-		if g.preferred >= 0 {
-			g.stats.TierSwitches.Inc()
-		}
-		g.preferred = choice
+	// A tier whose backend refuses synchronously (a headless cloud mid-
+	// failover) hands the task to the next tier in estimate order that
+	// has queue room and can still make the deadline.
+	err := g.place(choice, task, etas[choice], done)
+	if err == nil {
+		return nil
 	}
-	ct.placed++
+	for _, i := range etaOrder(etas) {
+		t := g.tiers[i]
+		if i == choice || t.outstanding >= t.cfg.QueueLimit || (task.Deadline > 0 && now+etas[i] > task.Deadline) {
+			continue
+		}
+		if err = g.place(i, task, etas[i], done); err == nil {
+			return nil
+		}
+	}
+	return err
+}
+
+// place submits task to tier i, holding a queue slot until it finishes;
+// eta is the tier's estimate for it. A tier that accepts becomes the
+// preferred one.
+func (g *Governor) place(i int, task Task, eta sim.Time, done func(TaskResult)) error {
+	ct := g.tiers[i]
 	ct.outstanding++
 	ct.outstandingOps += task.Ops
 	ct.seq++
@@ -297,8 +313,7 @@ func (g *Governor) Submit(task Task, done func(TaskResult)) error {
 	// Lost submissions (outage, shed in flight) may never call back;
 	// a guard timeout frees the slot so one black hole cannot wedge the
 	// tier's queue forever. Idempotent with the done-path release.
-	guard := 3*etas[choice] + 5*time.Second
-	slot.timeout = g.kernel.After(guard, release)
+	slot.timeout = g.kernel.After(3*eta+5*time.Second, release)
 	err := ct.cfg.Backend.Submit(task, func(res TaskResult) {
 		release()
 		if done != nil {
@@ -306,11 +321,18 @@ func (g *Governor) Submit(task Task, done func(TaskResult)) error {
 		}
 	})
 	if err != nil {
-		// The backend refused synchronously (e.g. a headless cloud mid-
-		// failover): the slot was never really occupied.
+		// The refused slot was never really occupied.
 		release()
+		return err
 	}
-	return err
+	ct.placed++
+	if g.preferred != i {
+		if g.preferred >= 0 {
+			g.stats.TierSwitches.Inc()
+		}
+		g.preferred = i
+	}
+	return nil
 }
 
 // reject fails a submission with a structured reason. Rejections count

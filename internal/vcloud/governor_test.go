@@ -1,6 +1,7 @@
 package vcloud_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -38,6 +39,16 @@ func (b *blackHoleBackend) Name() string { return "hole" }
 func (b *blackHoleBackend) Submit(vcloud.Task, func(vcloud.TaskResult)) error {
 	b.taken++
 	return nil
+}
+
+// refusingBackend refuses every submission synchronously, as a vehicle
+// cloud with no active controller does.
+type refusingBackend struct{ tried int }
+
+func (r *refusingBackend) Name() string { return "headless" }
+func (r *refusingBackend) Submit(vcloud.Task, func(vcloud.TaskResult)) error {
+	r.tried++
+	return errors.New("no active controller")
 }
 
 func newGovernor(t *testing.T, k *sim.Kernel, stats *vcloud.Stats, cfg vcloud.GovernorConfig) *vcloud.Governor {
@@ -117,6 +128,44 @@ func TestGovernorHysteresis(t *testing.T) {
 	}
 	if b.taken != 10 || a.taken != 0 {
 		t.Errorf("placements a=%d b=%d, want all on b", a.taken, b.taken)
+	}
+}
+
+// A tier that refuses synchronously hands the task to the next tier in
+// estimate order: the headless vehicle cloud is the best estimate, but
+// the reachable cloud tier runs the task, and neither the refused slot
+// nor a tier switch lingers.
+func TestGovernorFallsThroughOnRefusal(t *testing.T) {
+	k := sim.NewKernel(1)
+	stats := &vcloud.Stats{}
+	veh := &refusingBackend{}
+	cloud := &fakeBackend{name: "cloud", kernel: k, latency: 50 * time.Millisecond}
+	g := newGovernor(t, k, stats, vcloud.GovernorConfig{
+		Tiers: []vcloud.GovernorTier{
+			{Tier: vcloud.TierVehicle, Backend: veh, CPU: 2000},
+			{Tier: vcloud.TierCloud, Backend: cloud, CPU: 1000, BaseRTT: 60 * time.Millisecond},
+		},
+	})
+	var got []vcloud.TaskResult
+	if err := g.Submit(vcloud.Task{Ops: 100, Deadline: 5 * time.Second}, func(r vcloud.TaskResult) { got = append(got, r) }); err != nil {
+		t.Fatalf("submit refused with a reachable tier left: %v", err)
+	}
+	k.Run(time.Second)
+	if veh.tried != 1 || cloud.taken != 1 {
+		t.Fatalf("vehicle tried %d, cloud took %d: want the refusal to fall through once", veh.tried, cloud.taken)
+	}
+	if len(got) != 1 || !got[0].OK {
+		t.Fatalf("results %+v, want one success", got)
+	}
+	if g.Placed(0) != 0 || g.Placed(1) != 1 || g.Outstanding(0) != 0 {
+		t.Errorf("placed %d/%d, vehicle outstanding %d: want 0/1 and 0", g.Placed(0), g.Placed(1), g.Outstanding(0))
+	}
+	// Every tier refusing returns the refusal.
+	g = newGovernor(t, k, stats, vcloud.GovernorConfig{
+		Tiers: []vcloud.GovernorTier{{Tier: vcloud.TierVehicle, Backend: veh, CPU: 2000}},
+	})
+	if err := g.Submit(vcloud.Task{Ops: 100}, nil); err == nil {
+		t.Error("submit accepted with every tier refusing")
 	}
 }
 

@@ -39,7 +39,7 @@ func bareController(t *testing.T, cfg ControllerConfig, members ...vnet.Addr) (*
 // addMember writes a fresh 1000 ops/s member into c's table.
 func addMember(c *Controller, a vnet.Addr) {
 	m, _ := c.members.add(a)
-	m.res, m.lastSeen = Resources{CPU: 1000}, c.node.Kernel().Now()
+	m.cpu, m.lastSeen = 1000, c.node.Kernel().Now()
 }
 
 func submit(t *testing.T, c *Controller, task Task) *taskState {
@@ -68,7 +68,7 @@ func TestMergeRetirementReleasesReplicaQueues(t *testing.T) {
 	}
 	c.onMerge(vnet.Message{Origin: 50, Payload: ckptMsg{Data: EncodeCheckpoint(Checkpoint{
 		Epoch:  NextEpoch(0, 50),
-		Parked: []ParkedOutcome{{Task: voted.task, Client: 100, OK: true, Value: 7, Voters: []vnet.Addr{5, 6}}},
+		Parked: []ParkedOutcome{{Task: voted.task, OK: true, Value: 7, Voters: []vnet.Addr{5, 6}}},
 	})}}, 50)
 	if _, live := c.tasks[voted.task.ID]; live {
 		t.Fatal("merged outcome did not retire the live copy")

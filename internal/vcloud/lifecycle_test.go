@@ -159,14 +159,9 @@ func TestDynamicFencedAgentLifecycle(t *testing.T) {
 func dynamicFencedLifecycle(t *testing.T, seed int64) {
 	s := highwayScenario(t, seed, 40)
 	stats := &vcloud.Stats{}
-	started := 0 // member agents the deployment built, one resource query each
 	d, err := vcloud.Deploy(s, vcloud.Dynamic, vcloud.DeployConfig{
 		Failover:   true,
 		Controller: vcloud.ControllerConfig{Fencing: true},
-		MemberResources: func(p mobility.Profile) vcloud.Resources {
-			started++
-			return vcloud.Resources{CPU: p.CPU, Storage: p.Storage, Sensors: p.Sensors}
-		},
 	}, stats)
 	if err != nil {
 		t.Fatal(err)
@@ -187,11 +182,23 @@ func dynamicFencedLifecycle(t *testing.T, seed int64) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// The deployment tracks every member agent it starts in d.Members
+	// from the event that starts it, so looking after every event sees
+	// each one.
+	started := map[*vcloud.Member]bool{}
+	look := func() {
+		for _, m := range d.Members {
+			started[m] = true
+		}
+	}
+	look()
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunFor(120 * time.Second); err != nil {
-		t.Fatal(err)
+	end := s.Kernel.Now() + 120*time.Second
+	for at, ok := s.Kernel.NextEventTime(); ok && at <= end; at, ok = s.Kernel.NextEventTime() {
+		s.Kernel.Step()
+		look()
 	}
 	if stats.Abdications.Value() == 0 {
 		t.Fatal("no controller abdicated: the run does not exercise retire")
@@ -201,9 +208,9 @@ func dynamicFencedLifecycle(t *testing.T, seed int64) {
 	}
 	// A promotion is the one way an agent stops here; every other agent
 	// started must be the one its vehicle is tracked with.
-	if live := started - int(stats.Failovers.Value()); live != len(d.Members) {
+	if live := len(started) - int(stats.Failovers.Value()); live != len(d.Members) {
 		t.Errorf("%d member agents started, %d stopped by promotion: %d live, but %d tracked",
-			started, stats.Failovers.Value(), live, len(d.Members))
+			len(started), stats.Failovers.Value(), live, len(d.Members))
 	}
 	leading := map[vnet.Addr]bool{}
 	for _, c := range d.ActiveControllers() {

@@ -14,8 +14,8 @@ const checkPeriod = time.Second
 
 // MemberConfig tunes a member agent.
 type MemberConfig struct {
-	// Resources contributed to the pool.
-	Resources Resources
+	// CPU is the capacity contributed to the pool, in ops/s.
+	CPU float64
 	// Handover, when true, lets the member hand unfinished work back
 	// before losing contact instead of silently dropping it.
 	Handover bool
@@ -87,8 +87,8 @@ func NewMember(node *vnet.Node, cfg MemberConfig, stats *Stats) (*Member, error)
 	if node == nil || stats == nil {
 		return nil, fmt.Errorf("vcloud: node and stats must not be nil")
 	}
-	if cfg.Resources.CPU <= 0 {
-		return nil, fmt.Errorf("vcloud: member CPU must be positive, got %v", cfg.Resources.CPU)
+	if cfg.CPU <= 0 {
+		return nil, fmt.Errorf("vcloud: member CPU must be positive, got %v", cfg.CPU)
 	}
 	m := &Member{
 		node:       node,
@@ -238,9 +238,9 @@ func (m *Member) join() {
 
 func (m *Member) sendJoin(ctl vnet.Addr) {
 	msg := m.node.NewMessage(ctl, kindJoin, 128, 1, joinMsg{
-		Resources: m.cfg.Resources,
-		Edge:      m.cfg.EdgeTier,
-		Delay:     m.cfg.StartDelay,
+		CPU:   m.cfg.CPU,
+		Edge:  m.cfg.EdgeTier,
+		Delay: m.cfg.StartDelay,
 	})
 	m.node.SendTo(ctl, msg)
 }
@@ -250,7 +250,7 @@ func (m *Member) executedOps(rt *runningTask) float64 {
 		return 0 // still gathering inputs: no compute spent yet
 	}
 	elapsed := (m.node.Kernel().Now() - rt.startedAt).Seconds()
-	done := elapsed * m.cfg.Resources.CPU
+	done := elapsed * m.cfg.CPU
 	if done > rt.ops {
 		done = rt.ops
 	}
@@ -289,9 +289,9 @@ func (m *Member) onTask(msg vnet.Message, _ vnet.Addr) {
 		m.startStageFetch(rt)
 		return
 	}
-	wait := m.cfg.StartDelay + sim.Time(queued/m.cfg.Resources.CPU*float64(time.Second))
+	wait := m.cfg.StartDelay + sim.Time(queued/m.cfg.CPU*float64(time.Second))
 	rt.startedAt = m.node.Kernel().Now() + wait
-	runFor := wait + sim.Time(tm.RemainingOps/m.cfg.Resources.CPU*float64(time.Second))
+	runFor := wait + sim.Time(tm.RemainingOps/m.cfg.CPU*float64(time.Second))
 	rt.doneEv = m.node.Kernel().After(runFor, func() { m.complete(rt) })
 }
 
@@ -400,7 +400,7 @@ func (m *Member) tick() {
 			continue
 		}
 		remaining := rt.ops - m.executedOps(rt)
-		needed := remaining / m.cfg.Resources.CPU
+		needed := remaining / m.cfg.CPU
 		if window > needed+1.0 {
 			continue // still time to finish
 		}

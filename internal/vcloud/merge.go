@@ -34,7 +34,6 @@ type ackMsg struct {
 // applied once the armed standbys have acked that sequence.
 type ParkedOutcome struct {
 	Task      Task
-	Client    vnet.Addr
 	OK        bool
 	Reason    FailReason
 	Value     uint64

@@ -37,13 +37,13 @@ func poolPick(c *Controller, ts *taskState, exclude map[vnet.Addr]bool, remainin
 		if exclude[a] || now-m.lastSeen > memberTTL {
 			continue
 		}
-		if m.res.CPU <= 0 || !m.res.HasSensor(ts.task.NeedsSensor) {
+		if m.cpu <= 0 {
 			continue
 		}
 		if !c.trustEligible(ts.policy, a) {
 			continue
 		}
-		runtime := (m.queuedOps + remaining) / m.res.CPU
+		runtime := (m.queuedOps + remaining) / m.cpu
 		cd := cand{addr: a, finish: runtime + m.delay.Seconds()}
 		dwell := math.Inf(1)
 		if c.cfg.Dwell != nil && !m.edge {
@@ -194,12 +194,9 @@ func drawTrial(t testing.TB, rng *rand.Rand, c *Controller) *placeTrial {
 	for i, n := 0, rng.Intn(30); i < n; i++ {
 		a := vnet.Addr(rng.Intn(60))
 		mi := memberInfo{
-			res:       Resources{CPU: pickF(0, 500, 1000, 1000, 2000)},
+			cpu:       pickF(0, 500, 1000, 1000, 2000),
 			lastSeen:  now - sim.Time(rng.Int63n(int64(4*memberTTL/3))),
 			queuedOps: pickF(0, 0, 1000, 3000),
-		}
-		if rng.Intn(3) > 0 {
-			mi.res.Sensors = []string{"camera", "lidar"}[:1+rng.Intn(2)]
 		}
 		if rng.Intn(8) == 0 {
 			a += scenario.RSUBase
@@ -234,9 +231,6 @@ func drawTrial(t testing.TB, rng *rand.Rand, c *Controller) *placeTrial {
 	ts.task.ID = TaskID(1 + rng.Int63n(1<<40))
 	if rng.Intn(2) == 0 {
 		ts.task.Stage = &StageBinding{}
-	}
-	if rng.Intn(3) == 0 {
-		ts.task.NeedsSensor = "lidar"
 	}
 	tr.remaining = pickF(500, 1000, 1000, 4000)
 	if allShort {
@@ -403,12 +397,9 @@ func TestPickReplicaMemberMatchesPoolModel(t *testing.T) {
 			for i, n := 0, rng.Intn(30); i < n; i++ {
 				a := vnet.Addr(rng.Intn(60))
 				mi := memberInfo{
-					res:       Resources{CPU: pickF(0, 500, 1000, 1000, 2000)},
+					cpu:       pickF(0, 500, 1000, 1000, 2000),
 					lastSeen:  now - sim.Time(rng.Int63n(int64(4*memberTTL/3))),
 					queuedOps: pickF(0, 0, 1000, 3000),
-				}
-				if rng.Intn(3) > 0 {
-					mi.res.Sensors = []string{"camera", "lidar"}[:1+rng.Intn(2)]
 				}
 				if rng.Intn(8) == 0 {
 					a += scenario.RSUBase
@@ -437,9 +428,6 @@ func TestPickReplicaMemberMatchesPoolModel(t *testing.T) {
 			ts := &taskState{policy: &DependabilityPolicy{TrustThreshold: pickF(0, 0.4, 0.6)}}
 			if rng.Intn(2) == 0 {
 				ts.task.Stage = &StageBinding{}
-			}
-			if rng.Intn(3) == 0 {
-				ts.task.NeedsSensor = "lidar"
 			}
 			remaining := pickF(500, 1000, 1000, 4000)
 			if allShort {
@@ -477,7 +465,7 @@ func steadyTable(t testing.TB, c *Controller, n int) (*taskState, []vnet.Addr) {
 	for i := range dwell {
 		a := vnet.Addr(i)
 		m, _ := c.members.add(a)
-		m.res = Resources{CPU: 1000}
+		m.cpu = 1000
 		m.lastSeen = c.node.Kernel().Now()
 		m.queuedOps = float64(rng.Intn(4)) * 1000
 		dwell[i] = float64(rng.Intn(1000))

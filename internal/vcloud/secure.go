@@ -46,8 +46,6 @@ type SecureDeployment struct {
 	*Deployment
 	// Authenticators maps vehicles to their auth endpoints.
 	Authenticators map[mobility.VehicleID]*auth.Authenticator
-	// Enrollments maps vehicles to their TA credentials.
-	Enrollments map[mobility.VehicleID]*pki.Enrollment
 
 	sec Security
 	// verified tracks, per node address, the set of peers whose
@@ -70,7 +68,6 @@ func DeploySecure(s *scenario.Scenario, arch Architecture, cfg DeployConfig, sec
 	}
 	sd := &SecureDeployment{
 		Authenticators: make(map[mobility.VehicleID]*auth.Authenticator),
-		Enrollments:    make(map[mobility.VehicleID]*pki.Enrollment),
 		sec:            sec,
 		verified:       make(map[vnet.Addr]map[vnet.Addr]bool),
 	}
@@ -146,7 +143,6 @@ func (sd *SecureDeployment) attachAuth(node *vnet.Node, identity string) error {
 	if !scenario.IsRSU(self) {
 		id := mobility.VehicleID(self)
 		sd.Authenticators[id] = a
-		sd.Enrollments[id] = enr
 	}
 	return nil
 }

@@ -59,7 +59,7 @@ func TestSecureControllerIgnoresForgedJoin(t *testing.T) {
 	forged := vnet.Message{
 		Origin: vnet.Addr(9999), Seq: 77, Dest: gate.Addr(),
 		Kind: kindJoin, TTL: 1, Size: 128,
-		Payload: joinMsg{Resources: Resources{CPU: 1e9}},
+		Payload: joinMsg{CPU: 1e9},
 	}
 	node.SendTo(gate.Addr(), forged)
 	if err := s.RunFor(5 * time.Second); err != nil {

@@ -212,9 +212,9 @@ func (m *Member) finishStageFetch(f *stageFetch) {
 	rt.fetching = false
 	queued := m.queuedOps(rt)
 	now := m.node.Kernel().Now()
-	wait := m.cfg.StartDelay + sim.Time(queued/m.cfg.Resources.CPU*float64(time.Second))
+	wait := m.cfg.StartDelay + sim.Time(queued/m.cfg.CPU*float64(time.Second))
 	rt.startedAt = now + wait
-	runFor := wait + sim.Time(rt.ops/m.cfg.Resources.CPU*float64(time.Second))
+	runFor := wait + sim.Time(rt.ops/m.cfg.CPU*float64(time.Second))
 	rt.doneEv = m.node.Kernel().After(runFor, func() { m.complete(rt) })
 }
 

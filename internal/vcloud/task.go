@@ -45,9 +45,6 @@ type Task struct {
 	// Deadline is the absolute virtual time by which the submitter needs
 	// the result; zero means none.
 	Deadline sim.Time
-	// NeedsSensor, when non-empty, restricts placement to vehicles
-	// carrying that sensor (Fig. 1 heterogeneity).
-	NeedsSensor string
 	// Depend, when non-nil, overrides the controller's default
 	// dependability policy for this task: redundant replicas, retry
 	// budget, voting (see DependabilityPolicy).
@@ -179,24 +176,4 @@ type TaskResult struct {
 	// deciding vote, in dispatch order (nil when the task failed before
 	// any result arrived).
 	Voters []vnet.Addr
-}
-
-// Resources describes what a member contributes to the pool.
-type Resources struct {
-	CPU     float64 // ops/sec
-	Storage float64 // MB
-	Sensors []string
-}
-
-// HasSensor reports whether the resources include the named sensor.
-func (r Resources) HasSensor(name string) bool {
-	if name == "" {
-		return true
-	}
-	for _, s := range r.Sensors {
-		if s == name {
-			return true
-		}
-	}
-	return false
 }

@@ -17,11 +17,26 @@ import (
 
 func parkingScenario(t testing.TB, vehicles int) *scenario.Scenario {
 	t.Helper()
+	return parkingFleet(t, vehicles, nil)
+}
+
+// parkingFleet is parkingScenario with vehicle i, the i-th lowest
+// address, lending cpu(i) ops/s to the cloud; nil keeps the default.
+func parkingFleet(t testing.TB, vehicles int, cpu func(i int) float64) *scenario.Scenario {
+	t.Helper()
 	net, err := roadnet.ParkingLot(roadnet.ParkingLotSpec{Aisles: 3, AisleLenM: 150, AisleGapM: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := scenario.New(scenario.Spec{Seed: 1, Network: net, NumVehicles: vehicles, Parked: true})
+	spec := scenario.Spec{Seed: 1, Network: net, NumVehicles: vehicles, Parked: true}
+	if cpu != nil {
+		spec.Profile = func(i int) mobility.Profile {
+			p := mobility.DefaultProfile()
+			p.CPU = cpu(i)
+			return p
+		}
+	}
+	s, err := scenario.New(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +90,6 @@ func TestEnumStrings(t *testing.T) {
 	if vcloud.Stationary.String() != "stationary" || vcloud.Infrastructure.String() != "infrastructure" ||
 		vcloud.Dynamic.String() != "dynamic" || vcloud.Architecture(0).String() != "unknown" {
 		t.Error("architecture strings")
-	}
-}
-
-func TestHasSensor(t *testing.T) {
-	r := vcloud.Resources{Sensors: []string{"camera", "lidar"}}
-	if !r.HasSensor("lidar") || !r.HasSensor("") || r.HasSensor("radar") {
-		t.Error("HasSensor wrong")
 	}
 }
 
@@ -170,62 +178,6 @@ func TestSubmitValidation(t *testing.T) {
 	c.Stop()
 	if _, err := c.Submit(vcloud.Task{Ops: 10}, nil); err == nil {
 		t.Error("submit to stopped controller accepted")
-	}
-}
-
-func TestSensorConstrainedPlacement(t *testing.T) {
-	net, err := roadnet.ParkingLot(roadnet.ParkingLotSpec{Aisles: 2, AisleLenM: 100, AisleGapM: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := scenario.New(scenario.Spec{
-		Seed: 1, Network: net, NumVehicles: 6, Parked: true,
-		Profile: func(i int) mobility.Profile {
-			p := mobility.DefaultProfile()
-			if i == 3 {
-				p.Sensors = []string{"lidar"}
-			} else {
-				p.Sensors = []string{"camera"}
-			}
-			return p
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddRSU(geo.Point{X: 0, Y: 0}); err != nil {
-		t.Fatal(err)
-	}
-	stats := &vcloud.Stats{}
-	d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{}, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunFor(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	var lidarOK, radarOK bool
-	if err := d.SubmitAnywhere(vcloud.Task{Ops: 100, NeedsSensor: "lidar"}, func(r vcloud.TaskResult) {
-		lidarOK = r.OK
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SubmitAnywhere(vcloud.Task{Ops: 100, NeedsSensor: "radar"}, func(r vcloud.TaskResult) {
-		radarOK = r.OK
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunFor(60 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !lidarOK {
-		t.Error("lidar task should complete on the lidar vehicle")
-	}
-	if radarOK {
-		t.Error("radar task should fail: nobody has a radar")
 	}
 }
 
@@ -322,8 +274,8 @@ func TestSnapshot(t *testing.T) {
 	if len(snap) == 0 {
 		t.Fatal("empty snapshot")
 	}
-	for addr, res := range snap {
-		if res.CPU <= 0 {
+	for addr, cpu := range snap {
+		if cpu <= 0 {
 			t.Errorf("member %d has no CPU in snapshot", addr)
 		}
 	}
@@ -456,21 +408,14 @@ func TestTaskDeadlineMissedFails(t *testing.T) {
 	// and by the time it expires the deadline has passed, so the task
 	// fails with "deadline missed" instead of a doomed reassignment to
 	// the slow member — distinct from the submit-time fail-fast.
-	s := parkingScenario(t, 2)
+	s := parkingFleet(t, 2, func(i int) float64 {
+		if i == 0 {
+			return 2000 // fast: the lowest-ID member
+		}
+		return 500 // slow
+	})
 	stats := &vcloud.Stats{}
-	n := 0
-	d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{
-		// attachMember iterates vehicles in ascending ID order, so the
-		// first call configures the lowest-ID member.
-		MemberResources: func(p mobility.Profile) vcloud.Resources {
-			n++
-			cpu := 500.0 // slow
-			if n == 1 {
-				cpu = 2000.0 // fast
-			}
-			return vcloud.Resources{CPU: cpu, Storage: p.Storage, Sensors: p.Sensors}
-		},
-	}, stats)
+	d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{}, stats)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,18 +6,21 @@
 # module prefix; the root package is "vcloud").
 #
 #   scripts/census.sh          # print the never-executed list
-#   scripts/census.sh -check   # also diff it against census.txt and the
-#                              # run set's stdout against runset_output.txt;
-#                              # exit 1 on a missing, stale or unreasoned
-#                              # line or on any byte of drift, naming the
-#                              # "### <command>" blocks that moved
+#   scripts/census.sh -check   # also diff it against census.txt, the
+#                              # run set's stdout against runset_output.txt
+#                              # and the full-size experiment tables against
+#                              # experiments_output.txt; exit 1 on a missing,
+#                              # stale or unreasoned line, on any byte of
+#                              # drift (naming the "### <command>" or "== En"
+#                              # blocks that moved) or on a DIVERGED row
 #
 # Run it from the repository root. CENSUS_DIR keeps the binaries, the
-# merged profile and runset.txt, the stdout of every soak, scenario and
-# example run under a "### <command>" header (vcloudbench has its own diff
-# against experiments_output.txt; the benchmark prints host time). Copying
-# runset.txt over runset_output.txt is a deliberate re-baseline. The run
-# set takes about two minutes on two cores.
+# merged profile, experiments.txt (the vcloudbench stdout) and runset.txt,
+# the stdout of every soak, scenario and example run under a
+# "### <command>" header (the benchmark prints host time, so its stdout is
+# not kept). Copying runset.txt over runset_output.txt, or experiments.txt
+# over experiments_output.txt, is a deliberate re-baseline. The run set
+# takes about two minutes on two cores.
 set -eu
 
 check=0
@@ -49,7 +52,8 @@ keep() {
 	"$bin/$name" "$@" >> "$runset" || { echo "census: run failed: $name $*" >&2; exit 1; }
 }
 
-run "$bin/vcloudbench"
+experiments=$dir/experiments.txt
+"$bin/vcloudbench" > "$experiments" || { echo "census: run failed: vcloudbench" >&2; exit 1; }
 for e in $examples; do
 	keep "$e"
 done
@@ -94,6 +98,18 @@ if [ $check -eq 0 ]; then
 fi
 
 fail=0
+# Every table is a pure function of the seed, so any byte of drift is a
+# behaviour change; E17 prints DIVERGED when a shard count's model output
+# differs from serial.
+if ! sh scripts/expdiff.sh "$experiments" experiments_output.txt > "$dir/experiments.diff"; then
+	echo "experiments_output.txt: the tables drifted (see $dir/experiments.diff):" >&2
+	head -40 "$dir/experiments.diff" >&2
+	fail=1
+fi
+if grep -q DIVERGED "$experiments"; then
+	echo "census: E17 printed DIVERGED: a sharded run differs from serial" >&2
+	fail=1
+fi
 if ! diff runset_output.txt "$runset" > "$dir/runset.diff"; then
 	echo "runset_output.txt: the run set's stdout drifted (see $dir/runset.diff):" >&2
 	head -40 "$dir/runset.diff" >&2
