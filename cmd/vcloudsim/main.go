@@ -227,13 +227,6 @@ func runSpec(o options) (world.Spec, error) {
 	if o.replicas != 0 || o.retries != 0 {
 		cloud.Config.Controller.Depend = &ivc.DependabilityPolicy{Replicas: o.replicas, MaxRetries: o.retries}
 	}
-	if o.traceN > 0 {
-		rec, err := trace.NewRecorder(o.traceN)
-		if err != nil {
-			return spec, err
-		}
-		cloud.Config.Controller.Trace = rec
-	}
 	if o.secure {
 		ta, err := root.NewTrustedAuthority("TA", o.seed)
 		if err != nil {
@@ -286,8 +279,9 @@ func runSoak(o options) error {
 	fmt.Println()
 	fmt.Printf("tasks: submitted=%d completed=%d failed=%d refused=%d correct=%d wrong=%d unchecked=%d\n",
 		rep.Submitted, rep.Completed, rep.Failed, rep.Refused, rep.Correct, rep.Wrong, rep.Unchecked)
-	fmt.Printf("availability: completed=%d/%d refused=%d longest-refused-streak=%d at=%s length=%s\n",
-		rep.Completed, rep.Submitted, rep.Refused, rep.RefusedStreak, rep.RefusedFrom, rep.RefusedFor)
+	fmt.Printf("availability: completed=%d/%d refused=%d longest-refused-streak=%d at=%s length=%s lost=%d memberless=%d\n",
+		rep.Completed, rep.Submitted, rep.Refused, rep.RefusedStreak, rep.RefusedFrom, rep.RefusedFor,
+		rep.Submitted-rep.Completed-rep.Failed, rep.Memberless)
 	cs := rep.Cloud
 	fmt.Printf("storm: %d fault(s) injected, %d failover(s), %d invariant sweep(s)\n",
 		rep.FaultsInjected, cs.Failovers.Value(), rep.Checks)
@@ -334,6 +328,14 @@ func runSoak(o options) error {
 // run builds the spec's world, warms it up, submits the task batch and
 // prints the summary.
 func run(o options, spec world.Spec) error {
+	var rec *trace.Recorder
+	if o.traceN > 0 {
+		var err error
+		if rec, err = trace.NewRecorder(o.traceN); err != nil {
+			return err
+		}
+		spec.Cloud.Config.Controller.Trace = rec.Record
+	}
 	w, err := world.Build(spec)
 	if err != nil {
 		return err
@@ -401,9 +403,9 @@ func run(o options, spec world.Spec) error {
 			fmt.Printf("  %s\n", line)
 		}
 	}
-	if rec := spec.Cloud.Config.Controller.Trace; rec != nil {
-		fmt.Printf("trace: %d events recorded (%s); tail follows\n", rec.Count(), rec.Summary())
-		if err := rec.Dump(os.Stdout, "", 0); err != nil {
+	if rec != nil {
+		fmt.Printf("trace: %d events recorded; tail follows\n", rec.Count())
+		if err := rec.Dump(os.Stdout); err != nil {
 			return err
 		}
 	}

@@ -49,6 +49,7 @@ import (
 	"vcloud/internal/geo"
 	"vcloud/internal/scenario"
 	"vcloud/internal/sim"
+	"vcloud/internal/trace"
 	"vcloud/internal/vcloud"
 	"vcloud/internal/vnet"
 	"vcloud/internal/world"
@@ -171,6 +172,9 @@ type Report struct {
 	RefusedStreak int
 	RefusedFrom   sim.Time
 	RefusedFor    sim.Time
+	// Memberless counts the live controllers left with no member at the
+	// end. Like the refused streak, it stays out of the event log.
+	Memberless int
 	// Completed/Failed count callback outcomes. Tasks resumed by a
 	// failover successor lose their callbacks, so these can undercount
 	// the controller's own totals — the reconciliation the invariant
@@ -305,14 +309,11 @@ type soak struct {
 	// before its next standby can promote survivably.
 	lastKill  sim.Time
 	lastSplit sim.Time
-	// Fencing invariant registries (SplitBrain mode). epochClaim maps an
-	// epoch counter to the controller members accepted it from; a second
-	// claimant at the same counter is a split-brain safety breach.
-	// applies counts outcome applications per task ID; two applications
-	// of one ID — across epochs, controllers, or voting rounds — is a
-	// duplicated outcome the fencing ledger should have deduplicated.
+	// The fencing probes' registries (SplitBrain mode, see observe):
+	// the controller members accepted each epoch counter from, and the
+	// epoch of each application of each task ID's outcome.
 	epochClaim map[uint64]vnet.Addr
-	applies    map[vcloud.TaskID]applyRecord
+	applies    map[vcloud.TaskID][]uint64
 	// monotonicity watermarks.
 	lastSubmitted, lastCompleted, lastFailed, lastFailovers uint64
 }
@@ -344,7 +345,7 @@ func Soak(cfg SoakConfig) (*Report, error) {
 		report:     &Report{Cloud: w.Stats},
 		violations: make(map[string]bool),
 		epochClaim: make(map[uint64]vnet.Addr),
-		applies:    make(map[vcloud.TaskID]applyRecord),
+		applies:    make(map[vcloud.TaskID][]uint64),
 	}
 	dcfg := vcloud.DeployConfig{
 		Failover:   true,
@@ -352,8 +353,7 @@ func Soak(cfg SoakConfig) (*Report, error) {
 	}
 	if cfg.SplitBrain {
 		dcfg.Controller.Fencing = true
-		dcfg.Controller.OnApply = sk.onApply
-		dcfg.OnAccept = sk.onAccept
+		dcfg.Controller.Trace = sk.observe
 	}
 	if cfg.Storage != "" {
 		if err := sk.setupStorage(); err != nil {
@@ -655,46 +655,35 @@ func (sk *soak) splitBrain(now sim.Time) {
 	sk.w.Injector.Apply(faults.Event{Kind: faults.Isolate, Target: int(c.Addr()), Keep: pool[:n], Dur: dur})
 }
 
-// onAccept is the member-side fencing probe: every fenced follow
-// reports (controller, epoch). Two distinct controllers accepted at the
-// same epoch counter is the split-brain safety breach fencing exists to
-// prevent.
-func (sk *soak) onAccept(ctl vnet.Addr, e vcloud.Epoch) {
-	if r := e.Round(); r > sk.report.Epochs {
-		sk.report.Epochs = r
+// observe is the split-brain soak's trace sink, and its two fencing
+// probes. Every fenced follow reports (controller, epoch): two distinct
+// controllers accepted at the same epoch counter is the split-brain
+// safety breach fencing exists to prevent. Every applied outcome
+// reports its task ID: a second application of one ID — on the same
+// controller, a rival, or a later epoch's voting round — is a duplicated
+// outcome the (task, epoch) ledger should have caught.
+func (sk *soak) observe(ev trace.Event) {
+	switch ev.Kind {
+	case trace.Accept:
+		ctl, e := vnet.Addr(ev.A), vcloud.Epoch{Counter: ev.Epoch, Claimant: vnet.Addr(ev.B)}
+		sk.report.Epochs = max(sk.report.Epochs, e.Round())
+		if prev, ok := sk.epochClaim[e.Counter]; ok && prev != ctl {
+			sk.violate("epoch %v accepted from two controllers (%d then %d): at most one controller may be accepted per epoch",
+				e, prev, ctl)
+		} else {
+			sk.epochClaim[e.Counter] = ctl
+		}
+	case trace.Apply:
+		id := vcloud.TaskID(ev.Task)
+		sk.applies[id] = append(sk.applies[id], ev.Epoch)
+		if n := len(sk.applies[id]); n > 1 {
+			// An epoch counter encodes its claimant's address in the low bits,
+			// so naming both epochs identifies both appliers.
+			sk.violate("task %d applied %d times (first epoch %d, now epoch %d): no task outcome may be applied twice across epochs",
+				id, n, sk.applies[id][0], ev.Epoch)
+		}
+	default: // no fencing invariant reads the other kinds
 	}
-	if prev, ok := sk.epochClaim[e.Counter]; ok && prev != ctl {
-		sk.violate("epoch %v accepted from two controllers (%d then %d): at most one controller may be accepted per epoch",
-			e, prev, ctl)
-		return
-	}
-	sk.epochClaim[e.Counter] = ctl
-}
-
-// onApply is the controller-side fencing probe: each application of a
-// task outcome reports its ID. A second application of the same ID —
-// on the same controller, a rival, or a later epoch's voting round —
-// is a duplicated outcome the (task, epoch) ledger should have caught.
-func (sk *soak) onApply(id vcloud.TaskID, epoch uint64, ok bool) {
-	ar := sk.applies[id]
-	ar.count++
-	if ar.count == 1 {
-		ar.epoch = epoch
-	}
-	sk.applies[id] = ar
-	if ar.count > 1 {
-		// An epoch counter encodes its claimant's address in the low bits,
-		// so naming both epochs identifies both appliers.
-		sk.violate("task %d applied %d times (first epoch %d, now epoch %d): no task outcome may be applied twice across epochs",
-			id, ar.count, ar.epoch, epoch)
-	}
-}
-
-// applyRecord remembers how often — and first under which epoch — a
-// task's outcome was applied.
-type applyRecord struct {
-	count int
-	epoch uint64
 }
 
 // check is one invariant sweep: controller self-audits plus counter
@@ -777,6 +766,11 @@ func (sk *soak) finalize() {
 	r.SplitBrains, r.MemberKills = kinds[faults.Isolate], kinds[faults.KillMember]
 	r.SatLossBursts, r.SatOutages = kinds[faults.UplinkLoss], kinds[faults.UplinkDown]
 	r.RefusedFor = sim.Time(r.RefusedStreak) * soakTaskEvery
+	for _, c := range sk.w.Cloud.ActiveControllers() {
+		if c.NumMembers() == 0 {
+			r.Memberless++
+		}
+	}
 	if sk.st != nil {
 		r.StorageRepaired = sk.st.backend.Stats().ReReplicas.Value()
 	}

@@ -8,6 +8,7 @@ import (
 	"vcloud/internal/geo"
 	"vcloud/internal/metrics"
 	"vcloud/internal/sim"
+	"vcloud/internal/trace"
 	"vcloud/internal/vcloud"
 	"vcloud/internal/world"
 )
@@ -55,7 +56,7 @@ func E13SplitBrain(cfg Config) (*Result, error) {
 		// the probe both arms share. Fenced IDs are epoch-prefixed and
 		// ledger-deduplicated, so a second application of any ID is the
 		// duplicated-effect defect this experiment quantifies.
-		applies := map[vcloud.TaskID]int{}
+		applies := map[uint64]int{}
 		duplicates := 0
 		w, err := world.Build(world.Spec{
 			Seed: cfg.Seed, Road: world.ParkingLot(150), Vehicles: vehicles,
@@ -64,10 +65,11 @@ func E13SplitBrain(cfg Config) (*Result, error) {
 				Failover: true,
 				Controller: vcloud.ControllerConfig{
 					Fencing: a.fencing,
-					OnApply: func(id vcloud.TaskID, epoch uint64, ok bool) {
-						applies[id]++
-						if applies[id] > 1 {
-							duplicates++
+					Trace: func(ev trace.Event) {
+						if ev.Kind == trace.Apply {
+							if applies[ev.Task]++; applies[ev.Task] > 1 {
+								duplicates++
+							}
 						}
 					},
 				},

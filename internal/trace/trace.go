@@ -1,50 +1,105 @@
-// Package trace provides a lightweight, bounded event recorder for
-// simulation debugging and post-run analysis: subsystems emit structured
-// events into a ring buffer; tools dump them filtered by category or
-// time window. Recording costs one append when enabled and nothing when
-// disabled, so instrumentation can stay in place permanently.
+// Package trace is the observation spine: every occurrence the cloud
+// reports is one fixed-shape Event handed to a Sink. The shape carries
+// numbers only, so emitting boxes nothing; a Sink that is nil costs the
+// emitting code one nil check. Recorder is the debugging Sink: a ring of
+// values it renders only when dumped.
 package trace
 
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 
 	"vcloud/internal/sim"
 )
 
-// Category classifies events for filtering.
-type Category string
+// Kind names what an Event records and which of its fields it sets.
+// Node is always the acting node and Epoch the acting controller's
+// epoch counter (zero when unfenced); A and B are the details below.
+type Kind uint8
 
-// Common categories used across the repository.
 const (
-	CatRadio   Category = "radio"
-	CatCluster Category = "cluster"
-	CatCloud   Category = "cloud"
-	CatAuth    Category = "auth"
-	CatTrust   Category = "trust"
-	CatAttack  Category = "attack"
+	Dispatch     Kind = iota + 1 // a copy of Task sent to member A as replica B
+	ReplicaLost                  // Task's replica B died with expired member A
+	Handover                     // member A handed Task back with B ops left
+	Finish                       // Task finished; A is 1 when OK, B its latency
+	Park                         // Task's outcome waits for checkpoint A's acks
+	Dedup                        // Task's outcome dropped: it was applied already
+	Apply                        // Task's outcome applied; A is 1 when OK
+	Accept                       // member Node followed controller A at Epoch, claimed by B
+	JobSubmit                    // Job accepted with A stages and replica budget B
+	StageDone                    // Job's Stage finished
+	StageAbandon                 // Job's optional Stage lost for good
+	JobRestart                   // Job restarted whole, the A-th time
+	JobFinish                    // Job finished; A is 1 when OK, B its latency
+	Promote                      // a standby took over from controller A at checkpoint seq B
+	Abdicate                     // the controller stood down to rival A at epoch B
+	Merge                        // the controller merged the state of rival A at epoch B
+	StandbyLost                  // no eligible member left to replicate checkpoints to
 )
 
-// Event is one recorded occurrence.
+// Event is one observed occurrence: 64 bytes of plain values, correlated
+// by task, job, stage and epoch.
 type Event struct {
-	At       sim.Time
-	Category Category
-	// Node is the acting entity's address (-1 for global events).
-	Node int32
-	// Message is the human-readable description.
-	Message string
+	At    sim.Time
+	Task  uint64
+	Job   uint64
+	Epoch uint64
+	A, B  int64
+	Node  int32
+	Stage int32
+	Kind  Kind
 }
 
-// Recorder is a bounded ring of events. The zero value is disabled;
-// create with NewRecorder to enable.
+// Sink receives every event of the code it is installed in.
+type Sink func(Event)
+
+// String renders the event's details in its kind's format. The switch
+// has no default, so a kind added without a format fails vcloudlint's
+// exhaustenum check.
+func (e Event) String() string {
+	switch e.Kind {
+	case Dispatch:
+		return fmt.Sprintf("task %d replica %d -> %d", e.Task, e.B, e.A)
+	case ReplicaLost:
+		return fmt.Sprintf("task %d replica %d lost with expired member %d", e.Task, e.B, e.A)
+	case Handover:
+		return fmt.Sprintf("task %d handover from %d (%d ops left)", e.Task, e.A, e.B)
+	case Finish:
+		return fmt.Sprintf("task %d finish ok=%v latency=%v", e.Task, e.A == 1, sim.Time(e.B))
+	case Park:
+		return fmt.Sprintf("task %d outcome parked until ckpt %d acked", e.Task, e.A)
+	case Dedup:
+		return fmt.Sprintf("task %d outcome deduped (already applied)", e.Task)
+	case Apply:
+		return fmt.Sprintf("task %d outcome applied ok=%v", e.Task, e.A == 1)
+	case Accept:
+		return fmt.Sprintf("followed controller %d (epoch claimed by %d)", e.A, e.B)
+	case JobSubmit:
+		return fmt.Sprintf("job %d submitted: %d stages, budget %d", e.Job, e.A, e.B)
+	case StageDone:
+		return fmt.Sprintf("job %d stage %d done", e.Job, e.Stage)
+	case StageAbandon:
+		return fmt.Sprintf("job %d stage %d abandoned (optional branch lost)", e.Job, e.Stage)
+	case JobRestart:
+		return fmt.Sprintf("job %d whole-job restart %d", e.Job, e.A)
+	case JobFinish:
+		return fmt.Sprintf("job %d finish ok=%v latency=%v", e.Job, e.A == 1, sim.Time(e.B))
+	case Promote:
+		return fmt.Sprintf("promoted to controller (ckpt seq %d from %d)", e.B, e.A)
+	case Abdicate:
+		return fmt.Sprintf("abdicating to rival %d at epoch %d", e.A, e.B)
+	case Merge:
+		return fmt.Sprintf("merged rival %d at epoch %d", e.A, e.B)
+	case StandbyLost:
+		return "standby lost: no eligible member to replicate checkpoints to"
+	}
+	return fmt.Sprintf("kind %d", e.Kind)
+}
+
+// Recorder keeps the most recent events in a ring of values.
 type Recorder struct {
 	events []Event
-	head   int
-	full   bool
-	// count is the total number of events ever recorded.
-	count uint64
+	count  uint64 // events ever recorded; the next one goes to count % cap
 }
 
 // NewRecorder creates a recorder keeping the most recent capacity events.
@@ -55,84 +110,25 @@ func NewRecorder(capacity int) (*Recorder, error) {
 	return &Recorder{events: make([]Event, capacity)}, nil
 }
 
-// Enabled reports whether the recorder accepts events.
-func (r *Recorder) Enabled() bool { return r != nil && len(r.events) > 0 }
-
-// Emit records an event. Safe to call on a nil recorder (no-op), so
-// instrumented code needs no conditionals.
-func (r *Recorder) Emit(at sim.Time, cat Category, node int32, format string, args ...any) {
-	if !r.Enabled() {
-		return
-	}
-	r.events[r.head] = Event{At: at, Category: cat, Node: node, Message: fmt.Sprintf(format, args...)}
-	r.head = (r.head + 1) % len(r.events)
-	if r.head == 0 {
-		r.full = true
-	}
+// Record is the recorder's Sink: it keeps e, overwriting the oldest
+// event once the ring is full.
+func (r *Recorder) Record(e Event) {
+	r.events[r.count%uint64(len(r.events))] = e
 	r.count++
 }
 
-// Count returns the total number of events ever emitted.
-func (r *Recorder) Count() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.count
-}
+// Count returns the total number of events ever recorded.
+func (r *Recorder) Count() uint64 { return r.count }
 
-// Events returns the retained events in chronological order, optionally
-// filtered by category (empty = all) and by minimum time.
-func (r *Recorder) Events(cat Category, since sim.Time) []Event {
-	if !r.Enabled() {
-		return nil
-	}
-	n := r.head
-	if r.full {
-		n = len(r.events)
-	}
-	out := make([]Event, 0, n)
-	start := 0
-	if r.full {
-		start = r.head
-	}
-	for i := 0; i < n; i++ {
-		e := r.events[(start+i)%len(r.events)]
-		if cat != "" && e.Category != cat {
-			continue
-		}
-		if e.At < since {
-			continue
-		}
-		out = append(out, e)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
-
-// Dump writes the retained events to w, one per line.
-func (r *Recorder) Dump(w io.Writer, cat Category, since sim.Time) error {
-	for _, e := range r.Events(cat, since) {
-		if _, err := fmt.Fprintf(w, "%12v %-8s node=%-6d %s\n", e.At, e.Category, e.Node, e.Message); err != nil {
+// Dump writes the retained events to w, oldest first, one per line: one
+// kernel emits in time order, so record order is time order.
+func (r *Recorder) Dump(w io.Writer) error {
+	n := uint64(len(r.events))
+	for i := r.count - min(r.count, n); i < r.count; i++ {
+		e := r.events[i%n]
+		if _, err := fmt.Fprintf(w, "%12v node=%-7d epoch=%-7d %v\n", e.At, e.Node, e.Epoch, e); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// Summary returns per-category retained-event counts as a compact string.
-func (r *Recorder) Summary() string {
-	counts := map[Category]int{}
-	for _, e := range r.Events("", 0) {
-		counts[e.Category]++
-	}
-	cats := make([]string, 0, len(counts))
-	for c := range counts {
-		cats = append(cats, string(c))
-	}
-	sort.Strings(cats)
-	parts := make([]string, 0, len(cats))
-	for _, c := range cats {
-		parts = append(parts, fmt.Sprintf("%s=%d", c, counts[Category(c)]))
-	}
-	return strings.Join(parts, " ")
 }

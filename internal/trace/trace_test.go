@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestRecorderValidation(t *testing.T) {
@@ -13,42 +15,42 @@ func TestRecorderValidation(t *testing.T) {
 	}
 }
 
-func TestNilRecorderIsSafe(t *testing.T) {
-	var r *Recorder
-	r.Emit(0, CatRadio, 1, "ignored")
-	if r.Count() != 0 || r.Events("", 0) != nil || r.Enabled() {
-		t.Error("nil recorder should be inert")
+// TestEventFitsACacheLine: an event is copied, never boxed, so its size
+// is the cost of every emit.
+func TestEventFitsACacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 64 {
+		t.Errorf("Event is %d bytes, want at most 64", n)
 	}
 }
 
-func TestEmitAndFilter(t *testing.T) {
+// dump returns r's dump, one string per line.
+func dump(t *testing.T, r *Recorder) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+}
+
+func TestRecordKeepsEmitOrder(t *testing.T) {
 	r, err := NewRecorder(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Emit(1*time.Second, CatRadio, 1, "frame %d", 1)
-	r.Emit(2*time.Second, CatCloud, 2, "task assigned")
-	r.Emit(3*time.Second, CatRadio, 3, "frame %d", 2)
+	r.Record(Event{At: time.Second, Kind: Dispatch, Task: 1, A: 4})
+	r.Record(Event{At: 2 * time.Second, Kind: Finish, Task: 1, A: 1, B: int64(time.Second)})
+	r.Record(Event{At: 3 * time.Second, Kind: Apply, Task: 1, A: 1, Epoch: 65543})
 	if r.Count() != 3 {
 		t.Errorf("Count = %d", r.Count())
 	}
-	all := r.Events("", 0)
-	if len(all) != 3 {
-		t.Fatalf("all events = %d", len(all))
+	want := []string{
+		"          1s node=0       epoch=0       task 1 replica 0 -> 4",
+		"          2s node=0       epoch=0       task 1 finish ok=true latency=1s",
+		"          3s node=0       epoch=65543   task 1 outcome applied ok=true",
 	}
-	radio := r.Events(CatRadio, 0)
-	if len(radio) != 2 || radio[0].Message != "frame 1" || radio[1].Message != "frame 2" {
-		t.Errorf("radio filter = %+v", radio)
-	}
-	late := r.Events("", 2*time.Second)
-	if len(late) != 2 {
-		t.Errorf("since filter = %d events", len(late))
-	}
-	// Chronological order.
-	for i := 1; i < len(all); i++ {
-		if all[i].At < all[i-1].At {
-			t.Error("events out of order")
-		}
+	if got := dump(t, r); !slices.Equal(got, want) {
+		t.Errorf("dump =\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
@@ -58,38 +60,29 @@ func TestRingOverwritesOldest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		r.Emit(time.Duration(i)*time.Second, CatCloud, int32(i), "e%d", i)
+		r.Record(Event{At: time.Duration(i) * time.Second, Kind: Dedup, Task: uint64(i)})
 	}
-	got := r.Events("", 0)
-	if len(got) != 4 {
-		t.Fatalf("retained = %d, want 4", len(got))
-	}
-	if got[0].Message != "e6" || got[3].Message != "e9" {
-		t.Errorf("retained window wrong: %v .. %v", got[0].Message, got[3].Message)
+	got := dump(t, r)
+	if len(got) != 4 || !strings.HasSuffix(got[0], "task 6 outcome deduped (already applied)") ||
+		!strings.HasSuffix(got[3], "task 9 outcome deduped (already applied)") {
+		t.Errorf("retained window wrong: %q", got)
 	}
 	if r.Count() != 10 {
 		t.Errorf("Count = %d", r.Count())
 	}
 }
 
-func TestDumpAndSummary(t *testing.T) {
-	r, err := NewRecorder(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Emit(time.Second, CatAuth, 7, "handshake ok")
-	r.Emit(2*time.Second, CatAuth, 8, "handshake failed")
-	r.Emit(3*time.Second, CatTrust, 9, "decision real")
-	var buf bytes.Buffer
-	if err := r.Dump(&buf, CatAuth, 0); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "handshake ok") || strings.Contains(out, "decision") {
-		t.Errorf("dump = %q", out)
-	}
-	sum := r.Summary()
-	if !strings.Contains(sum, "auth=2") || !strings.Contains(sum, "trust=1") {
-		t.Errorf("summary = %q", sum)
+// TestEveryKindHasAFormat: each kind renders in its own words.
+func TestEveryKindHasAFormat(t *testing.T) {
+	seen := map[string]Kind{}
+	for k := Dispatch; k <= StandbyLost; k++ {
+		s := Event{Kind: k, Task: 3, Job: 2, Stage: 1, A: 1, B: 2}.String()
+		if strings.HasPrefix(s, "kind ") {
+			t.Errorf("kind %d renders as %q: no format", k, s)
+		}
+		if prev, dup := seen[s]; dup {
+			t.Errorf("kinds %d and %d both render as %q", prev, k, s)
+		}
+		seen[s] = k
 	}
 }

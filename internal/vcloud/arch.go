@@ -66,9 +66,6 @@ type DeployConfig struct {
 	// self-promotion on every controller, and tracks promoted successors
 	// in Controllers so SubmitAnywhere finds them.
 	Failover bool
-	// OnAccept observes every fenced advertisement members accept — the
-	// chaos harness's "at most one controller per epoch" probe.
-	OnAccept func(controller vnet.Addr, e Epoch)
 	// Storage, when non-nil, is the vehicular data-storage backend every
 	// controller drives (see storage.go): membership churn and
 	// partition-heal merges trigger fenced repair passes, and failover

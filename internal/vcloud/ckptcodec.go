@@ -294,7 +294,7 @@ func taskCkpt(w *ckptWalk, tc *TaskCheckpoint) {
 	num(w, &tc.Retries, 8)
 	num(w, &tc.Handovers, 8)
 	num(w, &tc.Submitted, 8)
-	if w.checking() && (math.IsNaN(tc.RemainingOps) || tc.RemainingOps < 0) {
+	if w.checking() && !quantity(tc.RemainingOps) {
 		w.fail("task %d remaining ops %v", tc.Task.ID, tc.RemainingOps)
 	}
 }

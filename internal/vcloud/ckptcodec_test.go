@@ -153,6 +153,86 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestCheckpointRefusesNonFiniteFloats sets every float64 a checkpoint
+// can carry, in turn, to NaN, +Inf and -Inf, and requires the decoder to
+// refuse each. A +Inf remaining op count once decoded: a promoted
+// standby would have queued +Inf ops on a member for good and armed its
+// attempt timeout at sim.Time(+Inf). The fixture gains a parked task
+// policy, so that every float64 field the Checkpoint type reaches holds
+// a value the walk can set.
+func TestCheckpointRefusesNonFiniteFloats(t *testing.T) {
+	rich := func() vcloud.Checkpoint {
+		ck := fixtureCheckpoint()
+		ck.Parked[0].Task.Depend = &vcloud.DependabilityPolicy{TrustThreshold: 0.5}
+		return ck
+	}
+	ck := rich()
+	var fields []string
+	eachFloat(reflect.ValueOf(&ck).Elem(), func(field string, _ *float64) { fields = append(fields, field) })
+	byType := map[string]bool{}
+	floatFieldsOf(reflect.TypeOf(ck), byType)
+	for _, f := range fields {
+		delete(byType, f)
+	}
+	if len(byType) > 0 {
+		t.Fatalf("the fixture holds no value for the float fields %v", byType)
+	}
+	for i, field := range fields {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			ck, n := rich(), 0
+			eachFloat(reflect.ValueOf(&ck).Elem(), func(_ string, p *float64) {
+				if n == i {
+					*p = bad
+				}
+				n++
+			})
+			if _, err := vcloud.DecodeCheckpoint(vcloud.EncodeCheckpoint(ck)); err == nil {
+				t.Errorf("float %d (%s) = %v decoded", i, field, bad)
+			}
+		}
+	}
+}
+
+// eachFloat calls f, in walk order, on every float64 reachable from v
+// through structs, slices and non-nil pointers, naming it Type.Field.
+func eachFloat(v reflect.Value, f func(field string, p *float64)) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			eachFloat(v.Elem(), f)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			eachFloat(v.Index(i), f)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if fv := v.Field(i); fv.Kind() == reflect.Float64 {
+				f(v.Type().Name()+"."+v.Type().Field(i).Name, fv.Addr().Interface().(*float64))
+			} else {
+				eachFloat(fv, f)
+			}
+		}
+	}
+}
+
+// floatFieldsOf adds every float64 field type t reaches to out, as
+// Type.Field.
+func floatFieldsOf(t reflect.Type, out map[string]bool) {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice:
+		floatFieldsOf(t.Elem(), out)
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if ft := t.Field(i); ft.Type.Kind() == reflect.Float64 {
+				out[t.Name()+"."+ft.Name] = true
+			} else {
+				floatFieldsOf(ft.Type, out)
+			}
+		}
+	}
+}
+
 // FuzzDecodeCheckpoint asserts the decoder's contract on arbitrary
 // bytes: it never panics, and anything it does accept survives a
 // re-encode/re-decode round trip (no partially-filled garbage escapes —

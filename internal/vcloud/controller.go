@@ -172,9 +172,9 @@ type ControllerConfig struct {
 	// Dwell is the scheduler's dwell-time signal; nil means "assume
 	// everyone stays forever" (the naive baseline E7 ablates).
 	Dwell DwellEstimator
-	// Trace, when non-nil, records task lifecycle events for post-run
-	// debugging (nil-safe; see internal/trace).
-	Trace *trace.Recorder
+	// Trace, when non-nil, receives every trace event of the controllers
+	// the deployment starts, successors included, and of its members.
+	Trace trace.Sink
 	// Depend is the dependability policy (redundant replicas, voting,
 	// backoff retries) of every task that does not carry its own
 	// Task.Depend override. Nil means the default policy: one copy,
@@ -191,11 +191,6 @@ type ControllerConfig struct {
 	// path bit-for-bit identical. A checkpoint is fenced exactly when its
 	// epoch is non-zero, so the flag never rides one.
 	Fencing bool
-	// OnApply, when non-nil, observes every applied task outcome with
-	// the applying controller's epoch counter — the hook the chaos
-	// harness uses to assert "no task outcome applied twice across
-	// epochs".
-	OnApply func(id TaskID, epoch uint64, ok bool)
 	// Workers, when non-nil, is the execution-trust engine: replica
 	// placement excludes workers scoring below the policy's
 	// TrustThreshold, votes may be trust-weighted, and vote outcomes
@@ -474,8 +469,7 @@ func (c *Controller) tick() {
 		// The cloud is now one controller crash away from losing its task
 		// table: surface that instead of silently no-oping.
 		c.stats.StandbyLost.Inc()
-		c.cfg.Trace.Emit(now, trace.CatCloud, int32(c.node.Addr()),
-			"standby lost: no eligible member to replicate checkpoints to")
+		c.emit(trace.StandbyLost, 0, 0, 0)
 	}
 	c.advertise()
 	if ckpt {
@@ -611,8 +605,7 @@ func (c *Controller) onHandover(msg vnet.Message, _ vnet.Addr) {
 	slot.failed = true // the old slot closes; the remainder goes on elsewhere
 	ts.handovers++
 	c.stats.Handovers.Inc()
-	c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
-		"task %d handover from %d (%.0f ops left)", hm.ID, msg.Origin, hm.RemainingOps)
+	c.emit(trace.Handover, hm.ID, int64(msg.Origin), int64(hm.RemainingOps))
 	// Re-place the remainder on a member not already holding a copy.
 	c.skip = insertAddr(ts.assignees(c.skip[:0], true), msg.Origin)
 	picks := c.placeReplicas(ts, 1, hm.RemainingOps, c.skip, false)
@@ -638,10 +631,7 @@ func (c *Controller) finish(ts *taskState, ok bool, reason FailReason, value uin
 	ts.value = value
 	delete(c.tasks, id)
 	now := c.node.Kernel().Now()
-	if c.cfg.Trace.Enabled() { // boxing the arguments allocates
-		c.cfg.Trace.Emit(now, trace.CatCloud, int32(c.node.Addr()),
-			"task %d finish ok=%v reason=%q latency=%v", id, ok, reason, now-ts.submitted)
-	}
+	c.emit(trace.Finish, id, bit(ok), int64(now-ts.submitted))
 	e := &parkedEntry{
 		po: ParkedOutcome{
 			Task:      ts.task,
@@ -657,9 +647,39 @@ func (c *Controller) finish(ts *taskState, ok bool, reason FailReason, value uin
 		replicas: len(ts.replicas),
 	}
 	if c.settle(e) {
-		c.cfg.Trace.Emit(now, trace.CatCloud, int32(c.node.Addr()),
-			"task %d outcome parked until ckpt %d acked", id, e.po.Seq)
+		c.emit(trace.Park, id, int64(e.po.Seq), 0)
 	}
+}
+
+// emit hands a task event to the deployment's trace sink (task 0 for a
+// controller-wide one); with no sink it is a nil check, inlined at the
+// call site.
+func (c *Controller) emit(k trace.Kind, task TaskID, a, b int64) {
+	if c.cfg.Trace != nil {
+		c.stamp(k, task, 0, 0, a, b)
+	}
+}
+
+// emitJob is emit for an event of a job or one of its stages.
+func (c *Controller) emitJob(k trace.Kind, job JobID, stage int, a, b int64) {
+	if c.cfg.Trace != nil {
+		c.stamp(k, 0, job, stage, a, b)
+	}
+}
+
+// stamp hands the sink its event, stamped with the controller's clock,
+// address and epoch.
+func (c *Controller) stamp(k trace.Kind, task TaskID, job JobID, stage int, a, b int64) {
+	c.cfg.Trace(trace.Event{At: c.node.Kernel().Now(), Kind: k, Node: int32(c.node.Addr()),
+		Task: uint64(task), Job: uint64(job), Stage: int32(stage), Epoch: c.lead.epoch.Counter, A: a, B: b})
+}
+
+// bit is a trace event's encoding of a flag.
+func bit(ok bool) int64 {
+	if ok {
+		return 1
+	}
+	return 0
 }
 
 // settle parks a finished outcome until the standbys ack it (see

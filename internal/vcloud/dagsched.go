@@ -73,8 +73,7 @@ func (c *Controller) SubmitJob(spec JobSpec, done func(JobResult)) (JobID, error
 	j := c.buildJob(id, spec, c.node.Kernel().Now(), done)
 	c.jobs[id] = j
 	c.stats.JobsSubmitted.Inc()
-	c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
-		"job %d submitted: %d stages, budget %d, critical-path alloc %v", id, len(spec.Stages), spec.ReplicaBudget, j.alloc)
+	c.emitJob(trace.JobSubmit, id, 0, int64(len(spec.Stages)), int64(spec.ReplicaBudget))
 	c.dispatchReady(j)
 	return id, nil
 }
@@ -210,8 +209,7 @@ func (c *Controller) onStageApplied(po ParkedOutcome) {
 		st.status = StageDone
 		st.value = po.Value
 		st.holders = append([]vnet.Addr(nil), po.Voters...)
-		c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
-			"job %d stage %d done on %v", b.Job, b.Stage, st.holders)
+		c.emitJob(trace.StageDone, b.Job, b.Stage, 0, 0)
 		c.dispatchReady(j)
 		return
 	}
@@ -289,8 +287,7 @@ func (c *Controller) abandonStage(j *jobState, i int) {
 	st.gen++
 	st.backoff = false
 	c.stats.StagesAbandoned.Inc()
-	c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
-		"job %d stage %d abandoned (optional branch lost)", j.id, i)
+	c.emitJob(trace.StageAbandon, j.id, i, 0, 0)
 }
 
 // restartJob is the naive whole-job recovery: throw away every
@@ -317,8 +314,7 @@ func (c *Controller) restartJob(j *jobState) {
 		st.backoff = false
 		st.gen++
 	}
-	c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
-		"job %d whole-job restart %d/%d", j.id, j.restarts, jobRestarts)
+	c.emitJob(trace.JobRestart, j.id, 0, int64(j.restarts), 0)
 	c.dispatchReady(j)
 }
 
@@ -402,9 +398,7 @@ func (c *Controller) jobResult(j *jobState, ok, partial bool, reason FailReason)
 // finishJob retires the job and fires the submitter callback.
 func (c *Controller) finishJob(j *jobState, res JobResult) {
 	delete(c.jobs, j.id)
-	c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
-		"job %d finish ok=%v partial=%v reason=%q latency=%v restarts=%d",
-		j.id, res.OK, res.Partial, res.Reason, res.Latency, res.Restarts)
+	c.emitJob(trace.JobFinish, j.id, 0, bit(res.OK), int64(res.Latency))
 	if j.done != nil {
 		j.done(res)
 	}

@@ -308,10 +308,7 @@ func (c *Controller) dispatchOneReplica(ts *taskState, addr vnet.Addr, remaining
 	ts.replicas = append(ts.replicas, slot)
 	idx := len(ts.replicas) - 1
 	c.stats.ReplicaDispatches.Inc()
-	if c.cfg.Trace.Enabled() { // boxing the arguments allocates
-		c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
-			"task %d replica %d -> %d (attempt %d, %.0f ops)", ts.task.ID, idx, addr, slot.attempt, remaining)
-	}
+	c.emit(trace.Dispatch, ts.task.ID, int64(addr), int64(idx))
 	m := c.members.get(addr)
 	m.queuedOps += remaining
 	c.stats.OpsDispatched += remaining
@@ -403,8 +400,7 @@ func (c *Controller) expireReplicas(ts *taskState, gone vnet.Addr) {
 	touched := false
 	for i, slot := range ts.replicas {
 		if slot.assignee == gone && !slot.resolved() {
-			c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
-				"task %d replica %d lost with expired member %d", ts.task.ID, i, gone)
+			c.emit(trace.ReplicaLost, ts.task.ID, int64(gone), int64(i))
 			c.failReplica(ts, slot, 0.5)
 			touched = true
 		}

@@ -195,9 +195,7 @@ func (c *Controller) restore(ckpt *Checkpoint) {
 	// over, and the successor promotes past the predecessor's epoch.
 	c.lead.seed(now, ckpt, true)
 	c.lead.mintPast(ckpt.Epoch)
-	c.cfg.Trace.Emit(now, trace.CatCloud, int32(c.node.Addr()),
-		"promoted to controller (ckpt seq %d from %d: %d members, %d tasks, %d jobs, epoch %v)",
-		ckpt.Seq, ckpt.Controller, len(ckpt.Members), len(ckpt.Tasks), len(ckpt.Jobs), c.lead.epoch)
+	c.emit(trace.Promote, 0, int64(ckpt.Controller), int64(ckpt.Seq))
 	// Restore jobs before relaunching tasks: a relaunched stage task can
 	// finish synchronously and must find its job row to route into.
 	for _, jc := range ckpt.Jobs {

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"vcloud/internal/faults"
+	"vcloud/internal/trace"
 	"vcloud/internal/vcloud"
-	"vcloud/internal/vnet"
 )
 
 // TestEpochAlgebra pins the fencing-token semantics: monotone
@@ -89,17 +89,20 @@ func TestSplitBrainAbdicationAndMerge(t *testing.T) {
 		Failover: true,
 		Controller: vcloud.ControllerConfig{
 			Fencing: true,
-			OnApply: func(id vcloud.TaskID, epoch uint64, ok bool) {
-				applies[id]++
-				if applies[id] > 1 {
-					duplicates++
+			Trace: func(ev trace.Event) {
+				switch ev.Kind {
+				case trace.Apply:
+					applies[vcloud.TaskID(ev.Task)]++
+					if applies[vcloud.TaskID(ev.Task)] > 1 {
+						duplicates++
+					}
+				case trace.Accept:
+					if r := (vcloud.Epoch{Counter: ev.Epoch}).Round(); r > maxRound {
+						maxRound = r
+					}
+				default: // the split checks applies and accepts only
 				}
 			},
-		},
-		OnAccept: func(ctl vnet.Addr, e vcloud.Epoch) {
-			if e.Round() > maxRound {
-				maxRound = e.Round()
-			}
 		},
 	}, stats)
 	if err != nil {

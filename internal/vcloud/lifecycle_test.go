@@ -12,6 +12,7 @@ import (
 	"vcloud/internal/mobility"
 	"vcloud/internal/pki"
 	"vcloud/internal/scenario"
+	"vcloud/internal/trace"
 	"vcloud/internal/trust"
 	"vcloud/internal/vcloud"
 	"vcloud/internal/vnet"
@@ -41,7 +42,8 @@ func failOver(t *testing.T, s *scenario.Scenario, d *vcloud.Deployment) *vcloud.
 
 // TestSuccessorKeepsDeploymentHooks: a failover successor is started by
 // its deployment like any other controller, so it keeps the trust gate,
-// the dwell estimator and the join gate its predecessor ran with. It is
+// the trace sink, the dwell estimator and the join gate its predecessor
+// ran with. It is
 // one of three tests, with TestDynamicFencedAgentLifecycle and
 // TestSecureAbdicationRejoinsAsMember, that hold under -race that the
 // deployment owns every controller and member agent.
@@ -95,6 +97,31 @@ func TestSuccessorKeepsDeploymentHooks(t *testing.T) {
 			if score := ws.Score(a); score < threshold {
 				t.Errorf("successor placed a copy on member %d, trust %.2f below the %.2f gate", a, score, threshold)
 			}
+		}
+	})
+	t.Run("trace sink", func(t *testing.T) {
+		s := parkingScenario(t, 8)
+		applied := map[int32]int{} // outcomes applied, by controller node
+		d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{
+			Failover: true,
+			Controller: vcloud.ControllerConfig{Trace: func(ev trace.Event) {
+				if ev.Kind == trace.Apply {
+					applied[ev.Node]++
+				}
+			}},
+		}, &vcloud.Stats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		succ := failOver(t, s, d)
+		if _, err := succ.Submit(vcloud.Task{Ops: 500}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunFor(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if applied[int32(succ.Addr())] == 0 {
+			t.Errorf("the deployment's sink saw no outcome the successor applied (applies by node: %v)", applied)
 		}
 	})
 	t.Run("dwell", func(t *testing.T) {

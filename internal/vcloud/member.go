@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vcloud/internal/sim"
+	"vcloud/internal/trace"
 	"vcloud/internal/vnet"
 )
 
@@ -194,8 +195,9 @@ func (m *Member) onAdv(msg vnet.Message, _ vnet.Addr) {
 	}
 	m.controller = adv.Controller
 	m.controllerAt = now
-	if d := m.d; d != nil && !adv.Epoch.Zero() && d.cfg.OnAccept != nil {
-		d.cfg.OnAccept(adv.Controller, adv.Epoch)
+	if d := m.d; d != nil && !adv.Epoch.Zero() && d.cfg.Controller.Trace != nil {
+		d.cfg.Controller.Trace(trace.Event{At: now, Kind: trace.Accept, Node: int32(m.node.Addr()),
+			Epoch: adv.Epoch.Counter, A: int64(adv.Controller), B: int64(adv.Epoch.Claimant)})
 	}
 	m.join()
 }

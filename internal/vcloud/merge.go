@@ -59,7 +59,7 @@ func (c *Controller) Fenced() bool { return c.lead.fenced() }
 func (c *Controller) StandbyAddr() vnet.Addr { return c.lead.standby }
 
 // applyEntry makes an outcome permanent: ledger entry, stats, the
-// OnApply hook, and the submitter callback. Exactly-once
+// Apply trace event, and the submitter callback. Exactly-once
 // is enforced here — a duplicate id is counted and dropped. A success
 // parked past its task's deadline is applied as the deadline failure a
 // late vote gets (decideVote), stage outcomes included.
@@ -68,17 +68,14 @@ func (c *Controller) applyEntry(e *parkedEntry) {
 	now := c.node.Kernel().Now()
 	if !c.lead.record(id) {
 		c.stats.Deduped.Inc()
-		c.cfg.Trace.Emit(now, trace.CatCloud, int32(c.node.Addr()),
-			"task %d outcome deduped (already applied)", id)
+		c.emit(trace.Dedup, id, 0, 0)
 		return
 	}
 	if d := e.po.Task.Deadline; e.po.OK && d > 0 && now > d {
 		e.po.OK, e.po.Reason, e.po.Value, e.po.Voters = false, ReasonDeadline, 0, nil
 	}
 	lat := now - e.po.Submitted
-	if c.cfg.OnApply != nil {
-		c.cfg.OnApply(id, c.lead.epoch.Counter, e.po.OK)
-	}
+	c.emit(trace.Apply, id, bit(e.po.OK), 0)
 	if e.po.OK {
 		c.stats.Completed.Inc()
 		c.stats.Latency.ObserveDuration(lat)
@@ -165,8 +162,7 @@ func sendAcks(node *vnet.Node, acks ...ackTo) {
 // deterministically.
 func (c *Controller) abdicateTo(target vnet.Addr, rival Epoch) {
 	c.stats.Abdications.Inc()
-	c.cfg.Trace.Emit(c.node.Kernel().Now(), trace.CatCloud, int32(c.node.Addr()),
-		"abdicating %v to rival %v at %d", c.lead.epoch, rival, target)
+	c.emit(trace.Abdicate, 0, int64(target), int64(rival.Counter))
 	data := EncodeCheckpoint(c.Checkpoint())
 	c.node.SendTo(target, c.node.NewMessage(target, kindMerge, len(data), 1, ckptMsg{Data: data}))
 	c.Crash() // silent halt: pending task state was shipped in the merge
@@ -201,7 +197,6 @@ func (c *Controller) onMerge(msg vnet.Message, _ vnet.Addr) {
 		}
 		c.restoreJob(jc)
 	}
-	adopted := 0
 	for _, tc := range mm.Tasks {
 		id := tc.Task.ID
 		if c.lead.settled(id) {
@@ -211,7 +206,6 @@ func (c *Controller) onMerge(msg vnet.Message, _ vnet.Addr) {
 			continue // we already run our own copy (shared checkpoint lineage)
 		}
 		c.stats.Adopted.Inc()
-		adopted++
 		c.resume(tc)
 	}
 	for _, po := range mm.Parked {
@@ -231,9 +225,7 @@ func (c *Controller) onMerge(msg vnet.Message, _ vnet.Addr) {
 	c.dagResume()
 	// Bump past both generations, then re-advertise.
 	c.lead.mintPast(mm.Epoch)
-	c.cfg.Trace.Emit(now, trace.CatCloud, int32(c.node.Addr()),
-		"merged rival %v from %d: %d members, %d tasks adopted, now %v",
-		mm.Epoch, msg.Origin, len(mm.Members), adopted, c.lead.epoch)
+	c.emit(trace.Merge, 0, int64(msg.Origin), int64(mm.Epoch.Counter))
 	// Partition heal is when storage placements are most skewed: both
 	// sides churned independently. Repair under the merged epoch — the
 	// anti-entropy pass for data, mirroring the task-table merge above.
