@@ -1,7 +1,9 @@
 package vnet
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -237,6 +239,214 @@ func TestUnreadTableStaysBounded(t *testing.T) {
 	}
 }
 
+// findProgram is one run of the finger-search check: a universe of
+// sender addresses (vehicle ids with gaps and RSUs from 1<<20 up) and a
+// byte program of beacon cycles, first sightings, clock advances and
+// reads against one node's table.
+type findProgram struct {
+	seed int64
+	size uint8
+	prog []byte
+}
+
+// findCoverage counts where each reception's search started, so a test
+// can require that the programs reached every branch of find.
+type findCoverage struct {
+	hits, ahead, behind, wrapped   int // finger on, before and past the sender's row; finger off the end
+	insertAhead, insertBehind, rsu int // first-seen rows after and at-or-before the finger; RSU senders heard
+}
+
+// findSeeds are FuzzNeighborFind's seed corpus: a lossless convoy, a lossy
+// city, shuffled and descending periods, churn of first-seen senders and
+// expiry between them.
+var findSeeds = []findProgram{
+	{1, 120, []byte{0x00, 0x00, 0x00, 0x00}},
+	{2, 40, []byte{0xa0, 0xa0, 0x24, 0xa0, 0x3c, 0xa0, 0xa0}},
+	{3, 30, []byte{0x01, 0x01, 0x05, 0x00, 0x0e, 0x01}},
+	{4, 25, []byte{0x02, 0x00, 0x03, 0x43, 0x83, 0xc3, 0x00, 0x07, 0x26, 0x02}},
+	{5, 16, []byte{0x00, 0x03, 0x0b, 0x13, 0x1b, 0x00, 0xfc, 0x00, 0x33, 0x60, 0x06, 0x3d}},
+	{6, 3, []byte{0x00, 0x04, 0x03, 0x00, 0x01, 0x05, 0x02}},
+}
+
+// check runs p against sort.Search over the node's keys: the search each
+// reception makes, and after every operation a probe at each key, next to
+// it and at both ends of the address space. It also holds the rows to a
+// map model of the last sighting, so that reads and compactions between
+// receptions are checked too.
+func (p findProgram) check(t testing.TB) findCoverage {
+	t.Helper()
+	const ttl = 3 * time.Second
+	r := newRig(t, p.seed)
+	k, n := r.k, r.staticNode(t, 1<<21, geo.Point{}, Config{NeighborTTL: ttl})
+	rng := rand.New(rand.NewSource(p.seed))
+	var cov findCoverage
+
+	var universe []Addr
+	for a := Addr(rng.Intn(4)); len(universe) < 1+int(p.size)%160; a++ {
+		if rng.Intn(3) == 0 {
+			a += Addr(rng.Intn(50)) // the ids of vehicles that left
+		}
+		universe = append(universe, a)
+	}
+	for j := rng.Intn(4); j > 0; j-- {
+		universe = append(universe, Addr(1<<20+rng.Intn(64)))
+	}
+	slices.Sort(universe)
+	universe = slices.Compact(universe)
+	seen := make(map[Addr]sim.Time)
+
+	probe := func(addr Addr) {
+		t.Helper()
+		want := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= addr })
+		got, ok := n.find(addr)
+		if got != want || ok != (want < len(n.keys) && n.keys[want] == addr) {
+			t.Fatalf("seed %d: find(%d) = %d, %v with finger %d over keys %v; want %d", p.seed, addr, got, ok, n.finger, n.keys, want)
+		}
+	}
+	hear := func(addr Addr) {
+		t.Helper()
+		probe(addr)
+		at, known := n.find(addr)
+		switch f := n.finger; {
+		case len(n.keys) == 0:
+		case f >= len(n.keys):
+			cov.wrapped++
+		case n.keys[f] == addr:
+			cov.hits++
+		case n.keys[f] < addr:
+			cov.ahead++
+		default:
+			cov.behind++
+		}
+		if !known && at > n.finger {
+			cov.insertAhead++
+		} else if !known {
+			cov.insertBehind++
+		}
+		if addr >= 1<<20 {
+			cov.rsu++
+		}
+		n.hear(&Beacon{From: addr}, k.Now())
+		seen[addr] = k.Now()
+		if i, ok := slices.BinarySearch(n.keys, addr); !ok || n.finger != i+1 {
+			t.Fatalf("seed %d: after hearing %d the finger is %d over keys %v", p.seed, addr, n.finger, n.keys)
+		}
+	}
+	advance := func(d sim.Time) {
+		t.Helper()
+		if err := k.Run(k.Now() + d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// cycle is one beacon period: every sender of order transmits once,
+	// evenly spread, and each reception is lost with probability loss.
+	cycle := func(order []Addr, loss float64) {
+		step := ttl / 3 / sim.Time(len(order))
+		for _, a := range order {
+			if rng.Float64() >= loss {
+				hear(a)
+			}
+			advance(step)
+		}
+	}
+
+	for _, b := range p.prog {
+		op, x, finger := b&7, int(b>>3), n.finger
+		switch op {
+		case 0: // ascending phase order, x/32 of receptions lost
+			cycle(universe, float64(x)/32)
+		case 1: // a fresh random order: the finger's worst case
+			order := slices.Clone(universe)
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			cycle(order, float64(x)/32)
+		case 2: // descending: every search lands behind the finger
+			order := slices.Clone(universe)
+			slices.Reverse(order)
+			cycle(order, float64(x)/32)
+		case 3: // a sender heard for the first time, in or beside the universe
+			if x%2 == 0 {
+				hear(Addr(rng.Intn(int(universe[len(universe)-1]) + 2)))
+			} else {
+				hear(Addr(1<<20 + rng.Intn(64)))
+			}
+		case 4: // the clock moves on, possibly past every row's TTL
+			advance(sim.Time(x) * ttl / 8)
+		case 5: // the compacting read; no read moves the finger
+			rows := n.Rows()
+			for i, row := range rows {
+				if row.Beacon.From != n.keys[i] || k.Now()-seen[n.keys[i]] > ttl || row.LastSeen != seen[n.keys[i]] {
+					t.Fatalf("seed %d: Rows()[%d] = %+v, key %d, last heard %v", p.seed, i, row, n.keys[i], seen[n.keys[i]])
+				}
+			}
+		case 6: // the point read
+			addr := universe[x%len(universe)]
+			at, heard := seen[addr]
+			live := heard && k.Now()-at <= ttl
+			if nb, ok := n.Neighbor(addr); ok != live || ok && nb.LastSeen != at {
+				t.Fatalf("seed %d: Neighbor(%d) = %+v, %v; last heard %v, live %v", p.seed, addr, nb, ok, at, live)
+			}
+		case 7: // the counting read
+			live := 0
+			for _, at := range seen {
+				if k.Now()-at <= ttl {
+					live++
+				}
+			}
+			if got := n.NumNeighbors(); got != live {
+				t.Fatalf("seed %d: NumNeighbors = %d, %d senders live", p.seed, got, live)
+			}
+		}
+		if op >= 5 && n.finger != finger {
+			t.Fatalf("seed %d: a read moved the finger from %d to %d", p.seed, finger, n.finger)
+		}
+		for i, key := range n.keys {
+			if i > 0 && n.keys[i-1] >= key {
+				t.Fatalf("seed %d: keys out of order: %v", p.seed, n.keys)
+			}
+			probe(key)
+			probe(key - 1)
+			probe(key + 1)
+		}
+		probe(math.MinInt32)
+		probe(math.MaxInt32)
+	}
+	return cov
+}
+
+// TestNeighborFindCoversTheCases: the seed corpus reaches every branch of
+// the finger search, so the fuzz target's plain run checks each of them.
+func TestNeighborFindCoversTheCases(t *testing.T) {
+	var cov findCoverage
+	for _, p := range findSeeds {
+		c := p.check(t)
+		cov.hits += c.hits
+		cov.ahead += c.ahead
+		cov.behind += c.behind
+		cov.wrapped += c.wrapped
+		cov.insertAhead += c.insertAhead
+		cov.insertBehind += c.insertBehind
+		cov.rsu += c.rsu
+	}
+	if cov.hits == 0 || cov.ahead == 0 || cov.behind == 0 || cov.wrapped == 0 || cov.insertAhead == 0 || cov.insertBehind == 0 || cov.rsu == 0 {
+		t.Errorf("the seed programs missed a case: %+v", cov)
+	}
+}
+
+// FuzzNeighborFind: whatever order beacons arrive in, and whatever reads,
+// expiries and first sightings come between them, the finger search
+// returns exactly the lower bound a binary search of the keys would.
+func FuzzNeighborFind(f *testing.F) {
+	for _, p := range findSeeds {
+		f.Add(p.seed, p.size, p.prog)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, prog []byte) {
+		if len(prog) > 64 {
+			prog = prog[:64]
+		}
+		findProgram{seed, size, prog}.check(t)
+	})
+}
+
 // TestBeaconsAreNotSharedAcrossTransmissions: tables point into the
 // beacon that went on air, so each transmission must carry its own — a
 // receiver that missed the second still holds the first, and a receiver
@@ -386,6 +596,76 @@ func BenchmarkReceiveBeaconColdTables(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		nodes[i%len(nodes)].hear(beacons[i/len(nodes)%len(beacons)], 0)
 	}
+}
+
+// benchReceiveCycles measures receptions in a convoy of 120 vehicles
+// that all beacon, each in range of the 70 places ahead of and behind it:
+// 99 neighbours a table on average, as cloud_storm's tables hold about
+// 100, so no two tables are alike. Each period the senders transmit in
+// the order order leaves them in, each to every vehicle in range, and
+// each reception is lost with probability loss. The tables start full and
+// the clock stands still, so no row expires.
+func benchReceiveCycles(b *testing.B, loss float64, order func(rng *rand.Rand, senders []int)) {
+	const fleet, reach, periods = 120, 70, 8
+	r := newRig(b, 1)
+	rng := rand.New(rand.NewSource(1))
+	nodes := make([]*Node, fleet)
+	beacons := make([]*Beacon, fleet)
+	senders := make([]int, fleet)
+	for i := range nodes {
+		nodes[i] = r.staticNode(b, Addr(i), geo.Point{}, Config{})
+		beacons[i] = &Beacon{From: Addr(i), Pos: geo.Point{X: float64(i)}, Ext: i}
+		senders[i] = i
+	}
+	inRange := func(i, j int) bool { return i != j && i-j <= reach && j-i <= reach }
+	for i, n := range nodes {
+		for j, bc := range beacons {
+			if inRange(i, j) {
+				n.hear(bc, 0)
+			}
+		}
+	}
+	type rx struct {
+		n *Node
+		b *Beacon
+	}
+	var rxs []rx
+	for range periods {
+		order(rng, senders)
+		for _, s := range senders {
+			for i, n := range nodes {
+				if inRange(i, s) && rng.Float64() >= loss {
+					rxs = append(rxs, rx{n, beacons[s]})
+				}
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x := rxs[i%len(rxs)]
+		x.n.hear(x.b, 0)
+	}
+}
+
+// BenchmarkReceiveBeaconConvoy: every sender heard every period, in
+// ascending phase order: each search is a finger hit.
+func BenchmarkReceiveBeaconConvoy(b *testing.B) {
+	benchReceiveCycles(b, 0, func(*rand.Rand, []int) {})
+}
+
+// BenchmarkReceiveBeaconLossy: the convoy with 60 % of receptions lost,
+// the city's delivery ratio: each search gallops over the rows it missed.
+func BenchmarkReceiveBeaconLossy(b *testing.B) {
+	benchReceiveCycles(b, 0.6, func(*rand.Rand, []int) {})
+}
+
+// BenchmarkReceiveBeaconShuffled: a fresh random sender order every
+// period, the finger's worst case.
+func BenchmarkReceiveBeaconShuffled(b *testing.B) {
+	benchReceiveCycles(b, 0, func(rng *rand.Rand, s []int) {
+		rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+	})
 }
 
 func BenchmarkNeighborsScratch(b *testing.B) {

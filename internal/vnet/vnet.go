@@ -108,12 +108,19 @@ type Node struct {
 	// keys and rows are the neighbor table: one row per address heard
 	// from, sorted by address, rows[i] belonging to keys[i]. It is written
 	// once per received beacon and changes membership rarely, so a sorted
-	// array (binary search, overwrite in place) beats a map that every
-	// read must walk, copy out and re-sort; the search touches only the
-	// packed 4-byte keys. Rows past NeighborTTL linger until a read, or an
-	// insert that would otherwise grow the table, compacts them away.
+	// array (overwrite in place) beats a map that every read must walk,
+	// copy out and re-sort. Rows past NeighborTTL linger until a read, or
+	// an insert that would otherwise grow the table, compacts them away.
 	keys []Addr
 	rows []Row
+	// finger is the index just after the row the last hear wrote, where
+	// find looks first. Beacon tickers keep fixed phases, so a node hears
+	// its neighbours in the same order every period; when that order is
+	// ascending in address the next sender's row sits at the finger, or a
+	// few rows past it for each frame lost in between. Only hear moves it;
+	// it is a guess that find checks against the keys, never trusted, so
+	// inserts and compactions may leave it anywhere.
+	finger int
 	// inbox holds the beacons the medium has handed over (radio.Inbox)
 	// whose arrival the kernel may not have reached yet, sorted by arrival
 	// (at, then mark, then hand-over order). Every table read, and every
@@ -323,18 +330,42 @@ func (n *Node) receive(f radio.Frame) {
 
 // find returns the table position of addr: the index of its row when
 // present, else the index a new row must be inserted at to keep the
-// table sorted.
+// table sorted. It starts at the finger: a hit costs one compare, a
+// sender gap rows ahead of it O(log gap) by galloping forward, and one
+// behind it a binary search of the rows before it. A finger past the end
+// starts over at row 0, where the next period begins.
 func (n *Node) find(addr Addr) (int, bool) {
-	lo, hi := 0, len(n.keys)
+	keys := n.keys
+	f := n.finger
+	if f >= len(keys) {
+		if len(keys) == 0 {
+			return 0, false
+		}
+		f = 0
+	}
+	lo, hi := 0, f
+	if k := keys[f]; k == addr {
+		return f, true
+	} else if k < addr {
+		// Gallop: probe f+1, f+2, f+4, ... until a key reaches addr.
+		lo, hi = f+1, len(keys)
+		for step := 1; f+step < len(keys); step <<= 1 {
+			if keys[f+step] >= addr {
+				hi = f + step
+				break
+			}
+			lo = f + step + 1
+		}
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if n.keys[mid] < addr {
+		if keys[mid] < addr {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(n.keys) && n.keys[lo] == addr
+	return lo, lo < len(keys) && keys[lo] == addr
 }
 
 // arrive is the node's radio.Inbox: it queues a beacon in flight to the
@@ -346,7 +377,9 @@ func (n *Node) arrive(payload any, at sim.Time, mark uint64) {
 	if !ok {
 		return
 	}
-	n.apply()
+	if len(n.inbox) > 0 && n.kernel.Reached(n.inbox[0].at, n.inbox[0].mark) {
+		n.apply()
+	}
 	// The growing append: receiver-owned, amortized over receptions.
 	n.inbox = append(n.inbox, arrival{})
 	i := len(n.inbox) - 1
@@ -362,6 +395,9 @@ func (n *Node) arrive(payload any, at sim.Time, mark uint64) {
 // apply writes every inbox beacon the kernel has reached into the table,
 // in arrival order, each heard at its own arrival instant. Reached is
 // monotone in (at, mark), so the reached ones are a prefix of the inbox.
+// The vacated tail is not cleared: nearly every beacon left there is one
+// a row or the queue still holds, and the rest stay pinned only until
+// later hand-overs overwrite their slots (Stop clears them).
 //
 //vcloudlint:hotpath every table read and every beacon hand-over starts here
 func (n *Node) apply() {
@@ -370,15 +406,13 @@ func (n *Node) apply() {
 		n.hear(n.inbox[i].b, n.inbox[i].at)
 	}
 	if i > 0 {
-		rest := copy(n.inbox, n.inbox[i:])
-		clear(n.inbox[rest:])
-		n.inbox = n.inbox[:rest]
+		n.inbox = n.inbox[:copy(n.inbox, n.inbox[i:])]
 	}
 }
 
 // hear records a beacon received at now: a known sender's row is
 // overwritten in place, a first-seen sender's row is inserted at its
-// sorted position.
+// sorted position. Either way the finger moves to just after that row.
 //
 //vcloudlint:hotpath runs once per beacon reception, the most frequent write of every beaconing scenario
 func (n *Node) hear(b *Beacon, now sim.Time) {
@@ -398,6 +432,7 @@ func (n *Node) hear(b *Beacon, now sim.Time) {
 		copy(n.rows[i+1:], n.rows[i:])
 	}
 	n.rows[i] = Row{LastSeen: now, Beacon: b}
+	n.finger = i + 1
 }
 
 // expire compacts rows older than NeighborTTL at now out of the table in

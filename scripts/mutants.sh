@@ -1,0 +1,94 @@
+#!/bin/sh
+# Mutation check: are the oracles sharp enough to catch the bugs they were
+# written against? Each entry of the list at the bottom names a file, one
+# line of Go source in it, the line that replaces it (the mutant) and the
+# test that must then fail. Every entry runs on its own temporary copy of
+# the tree.
+#
+#   sh scripts/mutants.sh
+#
+# Run it from the repository root. It first runs every listed test on the
+# unmutated copy, and stops if one fails there: a test that fails anyway
+# kills every mutant and proves nothing. Then it applies each mutant in
+# turn and prints "killed" (with the killing test's first complaint) or
+# "SURVIVED" for it. It exits 1 when a mutant survives or does not
+# compile, or when an entry's source line does not occur exactly once in
+# its file (the code moved: mend the entry). The three entries take about
+# ten seconds on two cores from a cold build cache.
+set -eu
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+tree=$tmp/tree
+mkdir "$tree"
+git ls-files -z --cached --others --exclude-standard | xargs -0 tar -cf - | tar -xf - -C "$tree"
+
+failed=0
+# gotest runs the tests of one package in the copy that match a pattern,
+# quietly.
+gotest() {
+	(cd "$tree" && go test -count=1 -run "$2" "$1" > "$tmp/log" 2>&1)
+}
+
+# mutant FILE FROM TO PKG TEST [clean]: with "clean", run TEST on the
+# unmutated copy and stop if it fails; otherwise turn FROM, which must be
+# on exactly one line of FILE, into TO, run TEST and restore FILE.
+mutant() {
+	file=$1 pkg=$4 test=$5
+	if [ "${6:-}" = clean ]; then
+		gotest "$pkg" "$test" || {
+			cat "$tmp/log" >&2
+			echo "mutants: $test fails on the unmutated tree" >&2
+			exit 1
+		}
+		return
+	fi
+	n=$(FROM=$2 awk 'index($0, ENVIRON["FROM"]) { n++ } END { print n + 0 }' "$tree/$file")
+	if [ "$n" != 1 ]; then
+		echo "STALE     $file: the mutated source occurs $n times, want 1: $2"
+		failed=1
+		return
+	fi
+	cp "$tree/$file" "$tmp/orig"
+	FROM=$2 TO=$3 awk '{
+		if (i = index($0, ENVIRON["FROM"]))
+			$0 = substr($0, 1, i - 1) ENVIRON["TO"] substr($0, i + length(ENVIRON["FROM"]))
+		print
+	}' "$tmp/orig" > "$tree/$file"
+	if ! gotest "$pkg" '^$'; then
+		# A mutant that does not compile kills nothing.
+		echo "UNBUILT   $file: $2 -> $3"
+		failed=1
+	elif gotest "$pkg" "$test"; then
+		echo "SURVIVED  $file: $2 -> $3 ($test)"
+		failed=1
+	else
+		echo "killed    $file: $2 -> $3 ($test)"
+		grep -m1 '_test.go:[0-9]*:' "$tmp/log" || true
+	fi
+	cp "$tmp/orig" "$tree/$file"
+}
+
+# list runs every entry with the mode given ("clean" or nothing).
+list() {
+	# The neighbour table's finger trusted without comparing its key:
+	# every reception overwrites the row after the last one written.
+	mutant internal/vnet/vnet.go \
+		'if k := keys[f]; k == addr {' \
+		'if k := keys[f]; true {' \
+		./internal/vnet/ '^FuzzNeighborFind$' "$@"
+	# A linearizable store that no longer refuses a superseded epoch.
+	mutant internal/store/keyspace.go \
+		'if epoch < o.epoch {' \
+		'if false {' \
+		./internal/store/ '^TestLinearizableEpochFencing$' "$@"
+	# fanout.Each that keeps starting units after one has failed.
+	mutant internal/fanout/fanout.go \
+		'next.Store(int64(n))' \
+		'_ = n' \
+		./internal/fanout/ '^TestEachStopsAfterAnError$' "$@"
+}
+
+list clean
+list
+exit $failed
