@@ -298,8 +298,7 @@ func runSoak(o options) error {
 	if o.dag {
 		fmt.Printf("jobs: submitted=%d completed=%d partial=%d failed=%d refused=%d resumed=%d\n",
 			rep.JobsSubmitted, rep.JobsCompleted, rep.JobsPartial, rep.JobsFailed, rep.JobsRefused, cs.JobsResumed.Value())
-		fmt.Printf("stages: retries=%d relays=%d handoffs=%d member-kills=%d\n",
-			cs.StageRetries.Value(), cs.StageRelays.Value(), cs.StageHandoffs.Value(), rep.MemberKills)
+		fmt.Printf("stages: retries=%d member-kills=%d\n", cs.StageRetries.Value(), rep.MemberKills)
 	}
 	if o.sat {
 		fmt.Printf("congestion: submitted=%d (required=%d) refused=%d completed=%d failed=%d shed=%d admission=%d backpressured=%d\n",

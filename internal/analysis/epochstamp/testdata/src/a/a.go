@@ -41,31 +41,6 @@ type repairReq struct {
 	Epoch uint64
 }
 
-// The DAG stage-handoff protocol (internal/vcloud/stagepipe.go) fences
-// its pull/data/relay messages with the named Epoch type; these
-// stand-ins pin that the analyzer covers the pipelining tier too.
-type pullReq struct {
-	For   int
-	Job   int
-	Stage int
-	Epoch Epoch
-}
-
-type stageData struct {
-	For   int
-	Stage int
-	OK    bool
-	Value uint64
-	Epoch Epoch
-}
-
-type relayReq struct {
-	For   int
-	Job   int
-	Stage int
-	Epoch Epoch
-}
-
 func violations() []any {
 	return []any{
 		taskMsg{ID: 1, Replica: -1}, // want `composite literal of fenced type taskMsg does not set Epoch`
@@ -78,45 +53,6 @@ func storageViolations() []any {
 	return []any{
 		writeReq{Client: "c", Key: "k", Size: 64}, // want `composite literal of fenced type writeReq does not set Epoch`
 		&readReq{Client: "c", Key: "k"},           // want `composite literal of fenced type readReq does not set Epoch`
-	}
-}
-
-func stageHandoffViolations() []any {
-	return []any{
-		pullReq{For: 1, Job: 2, Stage: 0},      // want `composite literal of fenced type pullReq does not set Epoch`
-		&stageData{For: 1, Stage: 0, OK: true}, // want `composite literal of fenced type stageData does not set Epoch`
-		relayReq{For: 1, Job: 2, Stage: 1},     // want `composite literal of fenced type relayReq does not set Epoch`
-		stageData{For: 1, Stage: 0, OK: false}, // want `composite literal of fenced type stageData does not set Epoch`
-	}
-}
-
-func stageHandoffFine(e Epoch) []any {
-	return []any{
-		pullReq{For: 1, Job: 2, Stage: 0, Epoch: e},
-		stageData{For: 1, Stage: 0, OK: true, Value: 7, Epoch: e},
-		relayReq{For: 1, Job: 2, Stage: 1, Epoch: e},
-		stageData{}, // deliberate zero value (codec error returns)
-	}
-}
-
-func nested() []taskMsg {
-	return []taskMsg{
-		{ID: 1, Epoch: 4},
-		{ID: 2}, // want `composite literal of fenced type taskMsg does not set Epoch`
-	}
-}
-
-func fine(e Epoch) []any {
-	return []any{
-		taskMsg{ID: 1, Replica: -1, Epoch: e}, // keyed, stamped
-		taskMsg{},                             // deliberate zero value (codec error returns)
-		taskMsg{7, -1, e},                     // positional literals are exhaustive by construction
-		checkpoint{Epoch: e},
-		plain{A: 1},
-		writeReq{Client: "c", Key: "k", Epoch: 7}, // keyed, stamped
-		readReq{Client: "c", Key: "k", Epoch: 7},
-		repairReq{Epoch: 7},
-		repairReq{}, // deliberate zero value: the unfenced repair path
 	}
 }
 

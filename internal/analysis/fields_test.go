@@ -59,12 +59,8 @@ var unreadFields = map[string]string{
 	"internal/vcloud.EdgeConfig.Storage":      frozen,
 	"internal/vcloud.EdgeServer.Member":       whole,
 	"internal/vcloud.JobResult.WastedOps":     result,
-	"internal/vcloud.StageOutcome.Holders":    result,
 	"internal/vcloud.handoverMsg.Epoch":       fence,
 	"internal/vcloud.resultMsg.Epoch":         fence,
-	"internal/vcloud.stageDataMsg.Epoch":      fence,
-	"internal/vcloud.stageKey.job":            whole,
-	"internal/vcloud.stageKey.stage":          whole,
 	"internal/vnet.Neighbor.LastSeen":         result,
 	"internal/vnet.dedupKey.origin":           whole,
 	"internal/vnet.dedupKey.seq":              whole,

@@ -559,10 +559,10 @@ func (sk *soak) injectFault() {
 	// The kill-member branch carves its slice out of the byz-flip range
 	// only when the DAG workload is on, so non-DAG soaks keep their exact
 	// storm sequence. It is the world's member-kill drill: radio silence
-	// plus agent stop, so the member's running stage work and cached
-	// stage outputs die with it, no rejoin. The drill's half-fleet floor
-	// mirrors the controller-kill budget: a storm that consumes the whole
-	// fleet tests nothing.
+	// plus agent stop, so the member's running stage work dies with it,
+	// no rejoin; decided stage values live on the controller. The
+	// drill's half-fleet floor mirrors the controller-kill budget: a
+	// storm that consumes the whole fleet tests nothing.
 	if sk.cfg.DAG && roll >= 0.92 {
 		sk.w.KillMember(sk.rng, 0)
 		return

@@ -16,9 +16,10 @@ import (
 // member churn only if recovery is stage-granular and redundancy is
 // spent where it matters. Four recovery strategies run the identical
 // seeded DAG stream over the identical churn schedule (a member's
-// process dies every churn period — its running stages and cached stage
-// outputs die with it — and a wiped replacement rejoins a few seconds
-// later):
+// process dies every churn period — its running stages die with it;
+// decided stage values live on the controller, which hands them to
+// each successor's dispatch — and a wiped replacement rejoins a few
+// seconds later):
 //
 //   - naive restart: any stage failure restarts the whole job from
 //     scratch, up to 3 times — the classic cloud answer, which throws
@@ -174,8 +175,8 @@ func E15DAGExecution(cfg Config) (*Result, error) {
 		}
 		defer jobT.Stop()
 
-		// Churn clock: every period a burst of member kills (running stages
-		// and cached outputs die too), wiped replacements rejoining
+		// Churn clock: every period a burst of member kills (their running
+		// stages die too), wiped replacements rejoining
 		// reviveAfter later; the schedule replays via the named stream.
 		if churn.period > 0 {
 			rng := s.Kernel.NewStream("e15.churn")

@@ -25,7 +25,7 @@ import (
 
 // ckptMagic identifies encoded checkpoints; the trailing byte is the
 // format version.
-var ckptMagic = [4]byte{'V', 'C', 'P', 8}
+var ckptMagic = [4]byte{'V', 'C', 'P', 9}
 
 // Decoder sanity caps: a checkpoint exceeding these is rejected as
 // corrupt. They sit far above anything a simulated cloud produces.
@@ -171,16 +171,16 @@ func newRecord[T any](walk func(*ckptWalk, *T)) record[T] {
 }
 
 var (
-	addrRec       = newRecord(func(w *ckptWalk, a *vnet.Addr) { num(w, a, 8) })
-	depRec        = newRecord(func(w *ckptWalk, d *int) { num(w, d, 8) })
-	memberRec     = newRecord(member)
-	taskCkptRec   = newRecord(taskCkpt)
-	appliedRec    = newRecord(applied)
-	parkedRec     = newRecord(parked)
-	jobRec        = newRecord(job)
-	stageInputRec = newRecord(stageInput)
-	stageSpecRec  = newRecord(stageSpec)
-	stageRowRec   = newRecord(stageRow)
+	addrRec      = newRecord(func(w *ckptWalk, a *vnet.Addr) { num(w, a, 8) })
+	depRec       = newRecord(func(w *ckptWalk, d *int) { num(w, d, 8) })
+	memberRec    = newRecord(member)
+	taskCkptRec  = newRecord(taskCkpt)
+	appliedRec   = newRecord(applied)
+	parkedRec    = newRecord(parked)
+	jobRec       = newRecord(job)
+	valueRec     = newRecord(func(w *ckptWalk, v *uint64) { num(w, v, 8) })
+	stageSpecRec = newRecord(stageSpec)
+	stageRowRec  = newRecord(stageRow)
 )
 
 // list walks a collection behind a u32 count; reading, a count above max
@@ -278,14 +278,7 @@ func task(w *ckptWalk, t *Task) {
 func stageBinding(w *ckptWalk, b *StageBinding) {
 	num(w, &b.Job, 8)
 	num(w, &b.Stage, 8)
-	num(w, &b.OutputBytes, 8)
-	list(w, &b.Inputs, stageInputRec, "stage input", ckptMaxStages)
-}
-
-func stageInput(w *ckptWalk, in *StageInput) {
-	num(w, &in.Stage, 8)
-	num(w, &in.Bytes, 8)
-	list(w, &in.Sources, addrRec, "input source", ckptMaxVoters)
+	list(w, &b.Inputs, valueRec, "stage input", ckptMaxStages)
 }
 
 func taskCkpt(w *ckptWalk, tc *TaskCheckpoint) {
@@ -364,9 +357,7 @@ func stageRow(w *ckptWalk, sc *StageCheckpoint) {
 	num(w, &sc.TaskID, 8)
 	if w.checking() && (sc.Status < StageWaiting || sc.Status > StageFailed) {
 		w.err = errBadStatus
-		return
 	}
-	list(w, &sc.Holders, addrRec, "holder", ckptMaxVoters)
 }
 
 // EncodeCheckpoint serializes a checkpoint for replication. The

@@ -64,7 +64,7 @@ func fixtureCheckpoint() vcloud.Checkpoint {
 			Restarts:  1,
 			Wasted:    2500,
 			Spec:      vcloud.JobSpec{Stages: []vcloud.StageSpec{{Ops: 2500, OutputBytes: 64}}},
-			Stages:    []vcloud.StageCheckpoint{{Status: vcloud.StageDone, Value: 7, TaskID: 13, Holders: []vnet.Addr{3}}},
+			Stages:    []vcloud.StageCheckpoint{{Status: vcloud.StageDone, Value: 7, TaskID: 13}},
 		}},
 	}
 }
@@ -100,6 +100,15 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 		data[3]++
 		if _, err := vcloud.DecodeCheckpoint(data); err == nil {
 			t.Error("bumped version accepted")
+		}
+	})
+	// Format v8 still carried stage holders and input sources; its rows
+	// do not parse as v9, so its magic must stop it.
+	t.Run("v8 encoding", func(t *testing.T) {
+		data := append([]byte(nil), valid...)
+		data[3] = 8
+		if _, err := vcloud.DecodeCheckpoint(data); err == nil || !strings.Contains(err.Error(), "magic") {
+			t.Errorf("v8 encoding: got %v, want a magic/version refusal", err)
 		}
 	})
 	t.Run("truncation", func(t *testing.T) {
@@ -354,12 +363,11 @@ func TestEncodedSizeIsExact(t *testing.T) {
 }
 
 // stagedCheckpoint is fixtureCheckpoint with every optional part of the
-// layout filled in: a stage binding with inputs and sources, a parked
-// failure reason, and a stage with dependencies.
+// layout filled in: a stage binding with input values, a parked failure
+// reason, and a stage with dependencies.
 func stagedCheckpoint() vcloud.Checkpoint {
 	ck := fixtureCheckpoint()
-	ck.Tasks[0].Task.Stage = &vcloud.StageBinding{Job: 4, Stage: 1, OutputBytes: 8,
-		Inputs: []vcloud.StageInput{{Stage: 0, Bytes: 64, Sources: []vnet.Addr{3, 5}}, {Stage: 2}}}
+	ck.Tasks[0].Task.Stage = &vcloud.StageBinding{Job: 4, Stage: 1, Inputs: []uint64{0xfeed, 0}}
 	ck.Parked[0].Reason = "timeout"
 	ck.Jobs[0].Spec.Stages[0].Deps = []int{0}
 	return ck
@@ -375,10 +383,10 @@ func TestEncodingIsPinned(t *testing.T) {
 		len  int
 		hash string
 	}{
-		{"fixture", fixtureCheckpoint(), 519, "91001c98b564dbe8cb1cf3f0423c83e916f84ef5b3537e5bac0df567567c513b"},
-		{"busy", busyCheckpoint(), 11909, "f00f7ae30b56f730e426fb7175f9df8c26187d39d57af7e452ac3179201fef54"},
-		{"staged", stagedCheckpoint(), 618, "0e18813cbdb4748894bb0667843dc984e19c1bd121e67aef49ef39513e7c4bad"},
-		{"empty", vcloud.Checkpoint{}, 77, "3579a76ed79cdaa02ba3d859bb0fe7f62226e26f6e48db57e6c300b27a52ca8b"},
+		{"fixture", fixtureCheckpoint(), 507, "814c144ed31e09a63563e6138b9eef271d10c69c301768e0e970a9af00e0e95d"},
+		{"busy", busyCheckpoint(), 11897, "2044e85254e7cc5c18988bed06f780a6c36e0d09e1c247286f9dff9c4b375f7a"},
+		{"staged", stagedCheckpoint(), 558, "49d87897a550f2845383b311d84e5607f930f5a7f4f61a6411c45218caaa338f"},
+		{"empty", vcloud.Checkpoint{}, 77, "2bcacf6b4785a9d6df879e47f7071578857d0c7e264a3b732cef59fccfa8abb9"},
 	} {
 		data := vcloud.EncodeCheckpoint(tc.ck)
 		if sum := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != tc.len || sum != tc.hash {

@@ -121,9 +121,7 @@ type Stats struct {
 	StaleRejected metrics.Counter
 	CkptRejected  metrics.Counter
 	StandbyLost   metrics.Counter
-	// DAG job engine counters (PR 7). StageRelays counts controller-
-	// mediated input handoffs (the fallback path); StageHandoffs counts
-	// member-to-member pulls served without a controller round-trip.
+	// DAG job engine counters (PR 7).
 	JobsSubmitted   metrics.Counter
 	JobsCompleted   metrics.Counter
 	JobsPartial     metrics.Counter
@@ -132,8 +130,6 @@ type Stats struct {
 	JobRestarts     metrics.Counter
 	StagesAbandoned metrics.Counter
 	StageRetries    metrics.Counter
-	StageRelays     metrics.Counter
-	StageHandoffs   metrics.Counter
 	// OpsDispatched accumulates every op handed to a worker (first
 	// dispatches, retries, redundant replicas, handover re-dispatches) —
 	// the denominator of E15's wasted-work accounting.
@@ -387,10 +383,10 @@ func (c *Controller) halt() {
 // acks and merges. A halted controller hears nothing, so no handler
 // checks stopped.
 func (c *Controller) handle(on bool) {
-	kinds := []string{kindJoin, kindResult, kindHandover, kindStageRelay, kindAdv, kindMerge, kindCkptAck, kindCkpt}
-	fns := []vnet.Handler{c.onJoin, c.onResult, c.onHandover, c.onStageRelay, c.onRivalAdv, c.onMerge, c.onCkptAck, c.onRivalCkpt}
+	kinds := []string{kindJoin, kindResult, kindHandover, kindAdv, kindMerge, kindCkptAck, kindCkpt}
+	fns := []vnet.Handler{c.onJoin, c.onResult, c.onHandover, c.onRivalAdv, c.onMerge, c.onCkptAck, c.onRivalCkpt}
 	if !c.lead.fenced() {
-		kinds = kinds[:4]
+		kinds = kinds[:3]
 	}
 	for i, kind := range kinds {
 		if !on {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"vcloud/internal/sim"
-	"vcloud/internal/vnet"
 )
 
 // This file is the data layer of dependable DAG execution
@@ -13,8 +12,7 @@ import (
 // Analysis", PAPERS.md): job/stage specs, deterministic topological
 // ordering, per-stage criticality, and reliability-aware allocation of a
 // job's replica budget to the stages whose failure would restart the
-// critical path. The controller-side engine lives in dagsched.go, the
-// member-side data pipeline in stagepipe.go.
+// critical path. The controller-side engine lives in dagsched.go.
 
 // JobID identifies a submitted DAG job. Like TaskID it is epoch-stamped
 // (high bits carry the controller epoch counter) so IDs never collide
@@ -25,12 +23,13 @@ type JobID uint64
 type StageSpec struct {
 	// Ops is the stage's compute cost in abstract operations.
 	Ops float64
-	// InputBytes is external input delivered with the dispatch (root
-	// stages); predecessor outputs are pulled separately and sized by the
-	// predecessors' OutputBytes.
+	// InputBytes is external input delivered with the dispatch; the
+	// dispatch also carries every predecessor's output, sized by its
+	// OutputBytes.
 	InputBytes int
-	// OutputBytes is the size of this stage's output, pulled by every
-	// successor stage (and by the controller relay fallback).
+	// OutputBytes is the size of this stage's output: the result frame
+	// carries it to the controller, and every successor's dispatch
+	// carries it on.
 	OutputBytes int
 	// Deps lists the indices of the stages whose outputs this stage
 	// consumes. The graph over Deps must be acyclic.
@@ -272,37 +271,21 @@ func AllocateReplicas(spec *JobSpec, order []int) []int {
 	return alloc
 }
 
-// StageBinding marks a Task as one stage of a DAG job and tells the
-// worker which predecessor outputs to pull before compute starts.
+// StageBinding marks a Task as one stage of a DAG job and carries the
+// decided values of its predecessors, so the worker computes at once.
 type StageBinding struct {
 	Job   JobID
 	Stage int
-	// OutputBytes is the size of this stage's own output, cached by the
-	// worker to serve downstream pulls.
-	OutputBytes int
-	// Inputs lists the predecessor outputs to fetch, in stage-index
-	// order.
-	Inputs []StageInput
-}
-
-// StageInput names one predecessor output: its size and the members
-// holding it (the predecessor's deciding voters, in dispatch order). A
-// worker tries holders first — rotated by its replica index so
-// redundant copies diversify their sources — and falls back to a
-// controller relay when every holder times out.
-type StageInput struct {
-	Stage   int
-	Bytes   int
-	Sources []vnet.Addr
+	// Inputs are the predecessors' decided values, in Deps order.
+	Inputs []uint64
 }
 
 // StageDigest is the canonical result of executing a stage: a
-// deterministic digest of the job, stage, compute cost and the pulled
-// input values, so honest workers agree and replica voting stays
-// decidable. A Byzantine holder that serves a tampered input skews the
-// digest of everyone who pulled from it — which is precisely what
-// downstream voting (with source rotation across replicas) exists to
-// catch.
+// deterministic digest of the job, stage, compute cost and the input
+// values the dispatch carried, so honest workers agree and replica
+// voting stays decidable. The inputs are values the controller decided
+// by vote, so a lie costs one wrong vote on the stage it was told in
+// and never reaches a successor.
 func StageDigest(job JobID, stage int, ops float64, inputs []uint64) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -355,8 +338,7 @@ func (s StageStatus) String() string {
 
 // StageOutcome reports one stage's fate inside a JobResult.
 type StageOutcome struct {
-	Status  StageStatus
-	Holders []vnet.Addr
+	Status StageStatus
 }
 
 // JobResult reports a finished DAG job to its submitter.

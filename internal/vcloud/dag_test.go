@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vcloud/internal/geo"
+	"vcloud/internal/trace"
 	"vcloud/internal/vcloud"
 )
 
@@ -25,9 +26,9 @@ func diamondSpec() vcloud.JobSpec {
 	}
 }
 
-// TestJobPipelineCompletes is the tentpole happy path: a diamond DAG
-// flows stage outputs member-to-member, the critical path absorbs the
-// replica budget, and the job completes with every stage done.
+// TestJobPipelineCompletes is the happy path: a diamond DAG runs each
+// stage on the values its dispatch carries, the critical path absorbs
+// the replica budget, and the job completes with every stage done.
 func TestJobPipelineCompletes(t *testing.T) {
 	s := parkingScenario(t, 6)
 	stats := &vcloud.Stats{}
@@ -61,9 +62,6 @@ func TestJobPipelineCompletes(t *testing.T) {
 		if st.Status != vcloud.StageDone {
 			t.Errorf("stage %d status = %s, want done", i, st.Status)
 		}
-		if st.Status == vcloud.StageDone && len(st.Holders) == 0 {
-			t.Errorf("stage %d done with no holders", i)
-		}
 	}
 	if res.ExtraReplicas != 2 {
 		t.Errorf("extra replicas = %d, want the full budget of 2 on the critical path", res.ExtraReplicas)
@@ -77,12 +75,86 @@ func TestJobPipelineCompletes(t *testing.T) {
 	if got := stats.JobsCompleted.Value(); got != 1 {
 		t.Errorf("JobsCompleted = %d, want 1", got)
 	}
-	if stats.StageHandoffs.Value() == 0 {
-		t.Error("no stage handoffs recorded: outputs did not flow member-to-member")
-	}
 	if got := d.ActiveControllers()[0].PendingJobs(); got != 0 {
 		t.Errorf("pending jobs after completion = %d, want 0", got)
 	}
+}
+
+// TestStageLieCostsOneWrongVote: a member that lies on stage 0 of a
+// three-stage chain, three copies per stage, costs the job exactly the
+// one wrong vote it cast there. Successors compute on the value the
+// controller decided, never on the lie, so the job's value is the
+// digest chain over the honest stage values. Fleets of 4 to 7 vehicles
+// run with each member in turn as the liar; the wrong votes are read
+// when stage 0 is decided and again when the job finishes.
+func TestStageLieCostsOneWrongVote(t *testing.T) {
+	spec := vcloud.JobSpec{
+		Stages: []vcloud.StageSpec{
+			{Ops: 1000, InputBytes: 400, OutputBytes: 300},
+			{Ops: 1000, OutputBytes: 300, Deps: []int{0}},
+			{Ops: 1000, OutputBytes: 200, Deps: []int{1}},
+		},
+		ReplicaBudget: 6, // three copies of every stage
+	}
+	counted := 0
+	for vehicles := 4; vehicles <= 7; vehicles++ {
+		for liar := 0; liar < vehicles; liar++ {
+			s := parkingScenario(t, vehicles)
+			stats := &vcloud.Stats{}
+			atStage0 := ^uint64(0)
+			cfg := vcloud.DeployConfig{Controller: vcloud.ControllerConfig{Trace: func(e trace.Event) {
+				if e.Kind == trace.StageDone && e.Stage == 0 {
+					atStage0 = stats.WrongVotes.Value()
+				}
+			}}}
+			d, err := vcloud.Deploy(s, vcloud.Stationary, cfg, stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sortedMembers(d)[liar].SetResultTamper(func(task vcloud.Task, v uint64) uint64 {
+				if task.Stage != nil && task.Stage.Stage == 0 {
+					return v ^ 1
+				}
+				return v
+			})
+			if err := s.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.RunFor(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			var res vcloud.JobResult
+			id, err := d.Controllers[0].SubmitJob(spec, func(r vcloud.JobResult) { res = r })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.RunFor(time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			if !res.OK {
+				t.Fatalf("%d vehicles, liar %d: job failed (%q)", vehicles, liar, res.Reason)
+			}
+			wrong := stats.WrongVotes.Value()
+			if atStage0 > 1 || wrong != atStage0 {
+				t.Errorf("%d vehicles, liar %d: %d wrong votes when stage 0 was decided, %d at the end; want the liar's one vote at most, and nothing after",
+					vehicles, liar, atStage0, wrong)
+			}
+			if atStage0 == 1 {
+				counted++
+			}
+			var in []uint64
+			for i, st := range spec.Stages {
+				in = []uint64{vcloud.StageDigest(id, i, st.Ops, in)}
+			}
+			if want := vcloud.StageDigest(id, -1, 0, in); res.Value != want {
+				t.Errorf("%d vehicles, liar %d: job value %x, want the honest chain's %x", vehicles, liar, res.Value, want)
+			}
+		}
+	}
+	if counted == 0 {
+		t.Error("the liar's vote never counted on stage 0: no run tested a lie")
+	}
+	t.Logf("the liar's stage-0 vote counted in %d runs", counted)
 }
 
 // splitVote makes every member of d return its own value for stage
@@ -407,68 +479,6 @@ func TestControllerStopFailsInFlightJob(t *testing.T) {
 	}
 }
 
-// TestStageRelayFallback: when the sole holder of a stage output dies
-// before its successor can pull, the worker falls back to the
-// controller relay and the job still completes.
-func TestStageRelayFallback(t *testing.T) {
-	// The first member is the fastest, so stage 0 runs (and its output
-	// lives) there only.
-	s := parkingFleet(t, 5, func(i int) float64 {
-		if i == 0 {
-			return 2000
-		}
-		return 1000
-	})
-	stats := &vcloud.Stats{}
-	d, err := vcloud.Deploy(s, vcloud.Stationary, vcloud.DeployConfig{}, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	holder := sortedMembers(d)[0]
-	// The tamper hook doubles as a completion probe: it fires on the
-	// holder exactly when stage 0's result is produced (value unchanged),
-	// and schedules the holder's death for the next instant — after its
-	// result ships, before any successor can pull from it.
-	holder.SetResultTamper(func(_ vcloud.Task, v uint64) uint64 {
-		// Delay zero: the stop runs at this same instant, after the result
-		// message is handed to the radio but before any network delivery —
-		// so the vote still lands while the follow-up pull finds a corpse.
-		s.Kernel.After(0, holder.Stop)
-		return v
-	})
-
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunFor(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	spec := vcloud.JobSpec{
-		Stages: []vcloud.StageSpec{
-			{Ops: 1000, OutputBytes: 400},
-			{Ops: 1000, OutputBytes: 200, Deps: []int{0}},
-		},
-		StageRetries: 2,
-	}
-	var res vcloud.JobResult
-	fired := 0
-	if err := d.SubmitJobAnywhere(spec, func(r vcloud.JobResult) { res = r; fired++ }); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunFor(2 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-
-	if fired != 1 || !res.OK {
-		t.Fatalf("job: fired=%d ok=%v reason=%q, want one clean completion", fired, res.OK, res.Reason)
-	}
-	if stats.StageRelays.Value() == 0 {
-		t.Errorf("no controller relay served: the fallback path was not exercised (handoffs=%d stage0holders=%v latency=%v)",
-			stats.StageHandoffs.Value(), res.Stages[0].Holders, res.Latency)
-	}
-}
-
 // TestEdgeServerTakesCriticalStages: an RSU edge server joins the cloud
 // as a first-class placement target; with more compute than any vehicle
 // it wins the job's stages despite its per-task offload delay, and its
@@ -497,6 +507,15 @@ func TestEdgeServerTakesCriticalStages(t *testing.T) {
 	if edge.Controller() < 0 {
 		t.Fatal("edge server never joined a controller")
 	}
+	// The tamper hook, value unchanged, counts the stages the edge
+	// server computes.
+	onEdge := 0
+	edge.SetResultTamper(func(task vcloud.Task, v uint64) uint64 {
+		if task.Stage != nil {
+			onEdge++
+		}
+		return v
+	})
 
 	var res vcloud.JobResult
 	if err := d.SubmitJobAnywhere(diamondSpec(), func(r vcloud.JobResult) { res = r }); err != nil {
@@ -507,14 +526,6 @@ func TestEdgeServerTakesCriticalStages(t *testing.T) {
 	}
 	if !res.OK {
 		t.Fatalf("job failed: reason=%q", res.Reason)
-	}
-	onEdge := 0
-	for _, st := range res.Stages {
-		for _, h := range st.Holders {
-			if h == edge.Addr() {
-				onEdge++
-			}
-		}
 	}
 	if onEdge == 0 {
 		t.Error("no stage placed on the edge server despite 20x vehicle compute")

@@ -15,7 +15,6 @@ import (
 
 	"vcloud/internal/sim"
 	"vcloud/internal/trace"
-	"vcloud/internal/vnet"
 )
 
 // formingRetryCap bounds how many no-eligible-member stage rounds are
@@ -26,9 +25,8 @@ const formingRetryCap = 8
 
 // jobStage is the engine's per-stage state.
 type jobStage struct {
-	status  StageStatus
-	value   uint64
-	holders []vnet.Addr
+	status StageStatus
+	value  uint64
 	// taskID is the live underlying task (0 when none).
 	taskID TaskID
 	// appliedTask is the last task whose outcome was applied to this
@@ -143,26 +141,25 @@ func (c *Controller) dispatchReady(j *jobState) {
 	c.checkJobDone(j)
 }
 
-// launchStage submits stage i as a dependable task. The binding tells
-// the worker which predecessor outputs to pull (from the deciding
-// voters of each dependency, member-to-member) before compute starts.
+// launchStage submits stage i as a dependable task. The dispatch
+// carries the decided value of every predecessor, and its frame pays
+// for their outputs' bytes; the result frame carries the stage's own
+// output back, for the controller to forward.
 func (c *Controller) launchStage(j *jobState, i int) {
 	sp := &j.spec.Stages[i]
 	st := &j.stages[i]
 	st.status = StageRunning
 	st.backoff = false
-	binding := &StageBinding{Job: j.id, Stage: i, OutputBytes: sp.OutputBytes}
+	binding := &StageBinding{Job: j.id, Stage: i}
+	in := sp.InputBytes
 	for _, d := range sp.Deps {
-		binding.Inputs = append(binding.Inputs, StageInput{
-			Stage:   d,
-			Bytes:   j.spec.Stages[d].OutputBytes,
-			Sources: append([]vnet.Addr(nil), j.stages[d].holders...),
-		})
+		binding.Inputs = append(binding.Inputs, j.stages[d].value)
+		in += j.spec.Stages[d].OutputBytes
 	}
 	task := Task{
 		Ops:         sp.Ops,
-		InputBytes:  sp.InputBytes,
-		OutputBytes: 0, // workers return a digest; data flows member-to-member
+		InputBytes:  in,
+		OutputBytes: sp.OutputBytes,
 		Deadline:    j.spec.Deadline,
 		Depend:      &DependabilityPolicy{Replicas: j.alloc[i], MaxRetries: j.spec.TaskRetries},
 		Stage:       binding,
@@ -208,7 +205,6 @@ func (c *Controller) onStageApplied(po ParkedOutcome) {
 	if po.OK {
 		st.status = StageDone
 		st.value = po.Value
-		st.holders = append([]vnet.Addr(nil), po.Voters...)
 		c.emitJob(trace.StageDone, b.Job, b.Stage, 0, 0)
 		c.dispatchReady(j)
 		return
@@ -307,7 +303,6 @@ func (c *Controller) restartJob(j *jobState) {
 		}
 		st.status = StageWaiting
 		st.value = 0
-		st.holders = nil
 		st.taskID = 0
 		st.retries = 0
 		st.forming = 0
@@ -383,10 +378,7 @@ func (c *Controller) jobResult(j *jobState, ok, partial bool, reason FailReason)
 	for i := range j.stages {
 		st := &j.stages[i]
 		out.ExtraReplicas += j.alloc[i] - 1
-		out.Stages = append(out.Stages, StageOutcome{
-			Status:  st.status,
-			Holders: append([]vnet.Addr(nil), st.holders...),
-		})
+		out.Stages = append(out.Stages, StageOutcome{Status: st.status})
 		if !hasSucc[i] && st.status == StageDone {
 			sinks = append(sinks, st.value)
 		}
@@ -450,7 +442,6 @@ func (c *Controller) exportJobs() []JobCheckpoint {
 				Value:   st.value,
 				Retries: st.retries,
 				TaskID:  st.taskID,
-				Holders: append([]vnet.Addr(nil), st.holders...),
 			})
 		}
 		out = append(out, jc)
@@ -474,7 +465,6 @@ func (c *Controller) restoreJob(jc JobCheckpoint) {
 		st.value = sc.Value
 		st.retries = sc.Retries
 		st.taskID = sc.TaskID
-		st.holders = append([]vnet.Addr(nil), sc.Holders...)
 	}
 	c.jobs[jc.ID] = j
 }

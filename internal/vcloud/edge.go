@@ -15,7 +15,7 @@
 //     nearby vehicle still wins short tasks;
 //   - its own CPU/storage capacity, typically larger than a vehicle's.
 //
-// Everything else — joins, dispatch, voting, stage handoff — is
+// Everything else — joins, dispatch, voting, stage inputs — is
 // inherited unchanged, so edge
 // placement composes with replication, fencing and failover for free.
 package vcloud

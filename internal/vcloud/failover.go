@@ -59,8 +59,7 @@ type StageCheckpoint struct {
 	// TaskID names the live underlying task of a running stage; a
 	// successor whose task table lacks it resets the stage to waiting
 	// and re-dispatches (see dagResume).
-	TaskID  TaskID
-	Holders []vnet.Addr
+	TaskID TaskID
 }
 
 // JobCheckpoint is one in-flight DAG job inside a checkpoint: the spec

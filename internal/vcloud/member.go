@@ -40,11 +40,6 @@ type runningTask struct {
 	startedAt  sim.Time
 	ops        float64 // ops this attempt started with
 	doneEv     sim.EventID
-	// fetching marks a stage task still gathering predecessor outputs
-	// (no compute started yet, so it contributes no executed ops).
-	fetching bool
-	// stageInputs are the pulled predecessor values, in Deps order.
-	stageInputs []uint64
 }
 
 // Member is the worker-side agent of a vehicular cloud: it joins
@@ -73,11 +68,6 @@ type Member struct {
 	// tamper, when non-nil, rewrites the computed result value before it
 	// is sent — the Byzantine-worker hook (internal/attack.Byzantify).
 	tamper func(Task, uint64) uint64
-	// cache holds stage outputs this member computed or pulled, served
-	// to downstream stage workers (see stagepipe.go).
-	cache *stageCache
-	// fetches tracks stage tasks still gathering their inputs.
-	fetches map[TaskID]*stageFetch
 	// d is the deployment that started the agent (nil for a standalone
 	// one, such as an edge server).
 	d *Deployment
@@ -99,8 +89,6 @@ func NewMember(node *vnet.Node, cfg MemberConfig, stats *Stats) (*Member, error)
 		controller: -1,
 		authz:      make(map[vnet.Addr]bool),
 		lead:       newFollower(),
-		cache:      newStageCache(),
-		fetches:    make(map[TaskID]*stageFetch),
 	}
 	m.handle(true)
 	t, err := node.Kernel().Every(checkPeriod, m.tick)
@@ -120,10 +108,6 @@ func (m *Member) Stop() {
 	m.stopped = true
 	m.ticker.Stop()
 	m.handle(false)
-	for _, f := range m.fetches {
-		m.node.Kernel().Cancel(f.timeout)
-	}
-	m.fetches = make(map[TaskID]*stageFetch)
 	for _, id := range m.sortedIDs() {
 		rt := m.current[id]
 		m.node.Kernel().Cancel(rt.doneEv)
@@ -135,8 +119,8 @@ func (m *Member) Stop() {
 // handle attaches (on) or detaches every message handler the member
 // serves, like Controller.handle.
 func (m *Member) handle(on bool) {
-	kinds := [...]string{kindAdv, kindTask, kindCkpt, kindStagePull, kindStageData}
-	fns := [...]vnet.Handler{m.onAdv, m.onTask, m.onCkpt, m.onStagePull, m.onStageData}
+	kinds := [...]string{kindAdv, kindTask, kindCkpt}
+	fns := [...]vnet.Handler{m.onAdv, m.onTask, m.onCkpt}
 	for i, kind := range kinds {
 		if !on {
 			fns[i] = nil
@@ -248,9 +232,6 @@ func (m *Member) sendJoin(ctl vnet.Addr) {
 }
 
 func (m *Member) executedOps(rt *runningTask) float64 {
-	if rt.fetching {
-		return 0 // still gathering inputs: no compute spent yet
-	}
 	elapsed := (m.node.Kernel().Now() - rt.startedAt).Seconds()
 	done := elapsed * m.cfg.CPU
 	if done > rt.ops {
@@ -285,12 +266,6 @@ func (m *Member) onTask(msg vnet.Message, _ vnet.Addr) {
 		ops:        tm.RemainingOps,
 	}
 	m.current[tm.Task.ID] = rt
-	// A stage task with predecessor inputs gathers them first (see
-	// stagepipe.go); compute is scheduled when the last input lands.
-	if b := tm.Task.Stage; b != nil && len(b.Inputs) > 0 {
-		m.startStageFetch(rt)
-		return
-	}
 	wait := m.cfg.StartDelay + sim.Time(queued/m.cfg.CPU*float64(time.Second))
 	rt.startedAt = m.node.Kernel().Now() + wait
 	runFor := wait + sim.Time(tm.RemainingOps/m.cfg.CPU*float64(time.Second))
@@ -310,20 +285,14 @@ func (m *Member) complete(rt *runningTask) {
 	delete(m.current, rt.task.ID)
 	var value uint64
 	if b := rt.task.Stage; b != nil {
-		// Stage result: digest of the stage identity and pulled inputs,
-		// cached so downstream stage workers can pull it from here.
-		value = StageDigest(b.Job, b.Stage, rt.task.Ops, rt.stageInputs)
+		// Stage result: digest of the stage identity and the inputs the
+		// dispatch carried.
+		value = StageDigest(b.Job, b.Stage, rt.task.Ops, b.Inputs)
 	} else {
 		value = TaskValue(rt.task)
 	}
 	if m.tamper != nil {
 		value = m.tamper(rt.task, value)
-	}
-	if b := rt.task.Stage; b != nil {
-		// Cache the (possibly tampered) value: a Byzantine member serves
-		// downstream exactly what it voted, so provenance rotation plus
-		// voting can catch it.
-		m.cache.put(stageKey{job: b.Job, stage: b.Stage}, stageEntry{value: value, bytes: b.OutputBytes})
 	}
 	msg := m.node.NewMessage(rt.controller, kindResult, 64+rt.task.OutputBytes, 1, resultMsg{
 		ID:      rt.task.ID,
@@ -396,11 +365,6 @@ func (m *Member) tick() {
 	// on map iteration, or runs stop reproducing.
 	for _, id := range m.sortedIDs() {
 		rt := m.current[id]
-		if rt.fetching {
-			// No compute spent yet: let the controller's attempt timeout
-			// reassign instead of handing over an unstarted stage.
-			continue
-		}
 		remaining := rt.ops - m.executedOps(rt)
 		needed := remaining / m.cfg.CPU
 		if window > needed+1.0 {

@@ -50,8 +50,9 @@ type Task struct {
 	// budget, voting (see DependabilityPolicy).
 	Depend *DependabilityPolicy
 	// Stage, when non-nil, marks this task as one stage of a DAG job:
-	// the worker must pull the listed predecessor outputs before compute
-	// and the controller routes the outcome to the job engine (dag.go).
+	// it carries the predecessors' decided values the worker computes
+	// on, and the controller routes the outcome to the job engine
+	// (dag.go).
 	Stage *StageBinding
 	// Optional marks low-criticality work the placement governor may
 	// shed first under overload (governor.go); it does not enter

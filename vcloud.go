@@ -18,8 +18,8 @@
 //     control with sticky data–policy packages, and real-time message
 //     trustworthiness validation;
 //   - reliability-aware multi-stage DAG jobs: criticality-driven
-//     selective replication, stage-output pipelining with fenced
-//     handoff, an ETSI-MEC RSU edge tier and graceful degradation;
+//     selective replication, stage inputs carried by the dispatch,
+//     an ETSI-MEC RSU edge tier and graceful degradation;
 //   - congestion-aware offloading: a delay-gradient (GCC-style)
 //     bandwidth estimator over a contended FIFO uplink, and a placement
 //     governor with deadline admission control, bounded queues,
