@@ -56,6 +56,27 @@ func storageViolations() []any {
 	}
 }
 
+func nested() []taskMsg {
+	return []taskMsg{
+		{ID: 1, Epoch: 4},
+		{ID: 2}, // want `composite literal of fenced type taskMsg does not set Epoch`
+	}
+}
+
+func fine(e Epoch) []any {
+	return []any{
+		taskMsg{ID: 1, Replica: -1, Epoch: e}, // keyed, stamped
+		taskMsg{},                             // deliberate zero value (codec error returns)
+		taskMsg{7, -1, e},                     // positional literals are exhaustive by construction
+		checkpoint{Epoch: e},
+		plain{A: 1},
+		writeReq{Client: "c", Key: "k", Epoch: 7}, // keyed, stamped
+		readReq{Client: "c", Key: "k", Epoch: 7},
+		repairReq{Epoch: 7},
+		repairReq{}, // deliberate zero value: the unfenced repair path
+	}
+}
+
 // A per-tier capacity report published as a fenced cluster message;
 // these stand-ins pin that the analyzer covers such reports too.
 type estimateMsg struct {
