@@ -689,11 +689,10 @@ func typeNamed(t types.Type, name string) bool {
 // schedulers are the Kernel methods that register a callback for later
 // dispatch.
 var schedulers = map[string]bool{
-	"At":       true,
-	"AtArg":    true,
-	"After":    true,
-	"AfterArg": true,
-	"Every":    true,
+	"At":    true,
+	"AtArg": true,
+	"After": true,
+	"Every": true,
 }
 
 // collectShardRoots finds every function registered as a sharded-kernel

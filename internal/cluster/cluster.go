@@ -110,14 +110,14 @@ func mobilityScore(self NodeView, neighbors []NeighborView) float64 {
 	n := 0
 	for i := range neighbors {
 		nb := &neighbors[i]
-		if !sameDirection(self.Heading, nb.Heading) {
+		dh := geo.AngleDiff(self.Heading, nb.Heading)
+		if !(dh < math.Pi/2) { // !sameDirection, a NaN heading included
 			// Opposing traffic is transient by construction; counting it
 			// would make every score fluctuate as vehicles stream past
 			// (the flaw the paper attributes to naive clustering).
 			continue
 		}
 		dv := math.Abs(self.Speed - nb.Speed)
-		dh := geo.AngleDiff(self.Heading, nb.Heading)
 		dd := self.Pos.Dist(nb.Pos)
 		total += dv + 10*dh + dd/100
 		n++

@@ -68,7 +68,12 @@ func HeadingVector(h float64) Vector {
 // [0, π]. It is used by mobility-similarity clustering to compare vehicle
 // directions.
 func AngleDiff(a, b float64) float64 {
-	d := math.Mod(math.Abs(a-b), 2*math.Pi)
+	// Mod returns a dividend smaller than its divisor unchanged, so only
+	// a difference of a whole turn or more needs it.
+	d := math.Abs(a - b)
+	if d >= 2*math.Pi {
+		d = math.Mod(d, 2*math.Pi)
+	}
 	if d > math.Pi {
 		d = 2*math.Pi - d
 	}

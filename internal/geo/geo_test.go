@@ -124,15 +124,41 @@ func TestAngleDiff(t *testing.T) {
 	}
 }
 
+// modAngleDiff is AngleDiff as it was first written, with Mod on every
+// call: AngleDiff must return its bits.
+func modAngleDiff(a, b float64) float64 {
+	d := math.Mod(math.Abs(a-b), 2*math.Pi)
+	if d > math.Pi {
+		d = 2*math.Pi - d
+	}
+	return d
+}
+
+// sameBits reports whether x and y are one float64, any NaN matching any
+// other.
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y)
+}
+
 func TestAngleDiffBounds(t *testing.T) {
 	f := func(a, b float64) bool {
 		a = math.Mod(a, 1000) // huge angles lose all precision in Mod
 		b = math.Mod(b, 1000)
 		d := AngleDiff(a, b)
-		return d >= 0 && d <= math.Pi+1e-9
+		return d >= 0 && d <= math.Pi+1e-9 && sameBits(d, modAngleDiff(a, b))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	special := []float64{0, math.Copysign(0, -1), math.Pi, -math.Pi, 2 * math.Pi, -2 * math.Pi,
+		math.Pi / 2, math.Nextafter(2*math.Pi, 0), math.Nextafter(2*math.Pi, 7), 1e300, -1e300,
+		math.NaN(), math.Inf(1), math.Inf(-1), 5e-324}
+	for _, a := range special {
+		for _, b := range special {
+			if got, want := AngleDiff(a, b), modAngleDiff(a, b); !sameBits(got, want) {
+				t.Errorf("AngleDiff(%v, %v) = %v, the Mod form gives %v", a, b, got, want)
+			}
+		}
 	}
 }
 

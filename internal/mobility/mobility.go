@@ -353,7 +353,12 @@ func idmAccel(p Profile, speed, desired, gap, leaderSpeed float64, hasLeader boo
 	if desired <= 0 {
 		desired = 0.1
 	}
-	free := 1 - math.Pow(speed/desired, 4)
+	// Squaring by hand is math.Pow's own method for these integer
+	// powers (repeated squaring) without its special-case checks, and
+	// gives the same bits (TestIDMAccelMatchesPow).
+	r := speed / desired
+	r2 := r * r
+	free := 1 - r2*r2
 	if !hasLeader {
 		return p.MaxAccel * free
 	}
@@ -362,7 +367,8 @@ func idmAccel(p Profile, speed, desired, gap, leaderSpeed float64, hasLeader boo
 	if gap < 0.1 {
 		gap = 0.1
 	}
-	inter := math.Pow(sStar/gap, 2)
+	q := sStar / gap
+	inter := q * q
 	return p.MaxAccel * (free - inter)
 }
 

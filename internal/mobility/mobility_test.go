@@ -528,3 +528,50 @@ func TestSingleLaneNeverChanges(t *testing.T) {
 		}
 	}
 }
+
+// powIDMAccel is idmAccel as it was first written, with math.Pow for both
+// powers: idmAccel must return its bits.
+func powIDMAccel(p Profile, speed, desired, gap, leaderSpeed float64, hasLeader bool) float64 {
+	if desired <= 0 {
+		desired = 0.1
+	}
+	free := 1 - math.Pow(speed/desired, 4)
+	if !hasLeader {
+		return p.MaxAccel * free
+	}
+	dv := speed - leaderSpeed
+	sStar := p.MinGap + math.Max(0, speed*p.Headway+speed*dv/(2*math.Sqrt(p.MaxAccel*p.ComfortDecel)))
+	if gap < 0.1 {
+		gap = 0.1
+	}
+	inter := math.Pow(sStar/gap, 2)
+	return p.MaxAccel * (free - inter)
+}
+
+// TestIDMAccelMatchesPow sweeps speeds, desired speeds, gaps and leader
+// speeds — zeros, tiny values, the 0.1 clamps and either side of them,
+// the road's range and far beyond it — through both forms.
+func TestIDMAccelMatchesPow(t *testing.T) {
+	p := DefaultProfile()
+	values := []float64{0, 5e-324, 1e-300, 1e-80, 1e-9, 0.05, math.Nextafter(0.1, 0), 0.1, math.Nextafter(0.1, 1),
+		0.3, 1, 2.5, 7, 13.9, 19.44, 30, 33.3, 55, 120, 1e6, 1e150, 1e300}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		values = append(values, rng.Float64()*40, math.Ldexp(rng.Float64(), -rng.Intn(1100)))
+	}
+	for _, speed := range values {
+		for _, desired := range []float64{-1, 0, 0.05, 0.1, 1e-9, 8.3, 13.9, 30, 1e300} {
+			for _, gap := range []float64{0, 1e-300, 0.05, 0.1, 2, 25, 80, 1e6} {
+				for _, leader := range []float64{0, speed, speed / 2, 30} {
+					for _, has := range []bool{false, true} {
+						got, want := idmAccel(p, speed, desired, gap, leader, has), powIDMAccel(p, speed, desired, gap, leader, has)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("idmAccel(speed %v, desired %v, gap %v, leader %v, %v) = %v, the Pow form gives %v",
+								speed, desired, gap, leader, has, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -934,7 +934,7 @@ func refSend(m *Medium, from, to NodeID, size int, payload any, inbox func(NodeI
 	// judged here) or a spy collected, one event per reception.
 	scheduleNow := func() {
 		for _, r := range m.rx {
-			m.kernel.AfterArg(r.delay, refFire, &refReception{m, r.h, f, r.count})
+			m.kernel.AtArg(m.kernel.Now()+r.delay, refFire, &refReception{m, r.h, f, r.count})
 		}
 		m.rx = m.rx[:0]
 	}

@@ -8,8 +8,10 @@
 // the caller's goroutine and no locking is required inside models. This is
 // the standard architecture for network simulators (ns-3, OMNeT++) and
 // keeps the hot path allocation-light: fired and cancelled events are
-// recycled through a freelist, and the AtArg/AfterArg variants let callers
-// schedule pooled callback state without allocating a closure per event.
+// recycled through a freelist, the AtArg variant lets callers schedule
+// pooled callback state without allocating a closure per event,
+// and periodic tickers wait in one FIFO per period behind a single heap
+// slot rather than as events of their own.
 package sim
 
 import (
@@ -33,6 +35,7 @@ type event struct {
 	fn    func()
 	argFn func(any) // alternative callback form (AtArg); nil when fn is set
 	arg   any       // argFn's argument
+	lane  *lane     // the lane whose head this slot stands for; nil for a plain event
 	index int32     // heap slot, or unqueued
 	gen   uint32    // incremented every time the event leaves the schedule
 }
@@ -171,6 +174,13 @@ type Kernel struct {
 	runWall time.Duration
 	// scratch holds Scratch's values, made on first use.
 	scratch map[any]any
+	// lanes holds one lane per ticker period, made by the first Every of
+	// that period and kept. tickers counts the live tickers queued in
+	// them and laneSlots the heap slots they hold, so Pending can count
+	// tickers instead of slots.
+	lanes     map[Time]*lane
+	tickers   int
+	laneSlots int
 }
 
 // NewKernel creates a kernel whose random streams derive from seed.
@@ -212,8 +222,9 @@ func (k *Kernel) settle(t Time) {
 // Processed returns the number of events dispatched so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
 
-// Pending returns the number of events currently scheduled.
-func (k *Kernel) Pending() int { return len(k.queue) }
+// Pending returns the number of events currently scheduled, each queued
+// ticker counted as one.
+func (k *Kernel) Pending() int { return len(k.queue) - k.laneSlots + k.tickers }
 
 // WallTime returns the cumulative real time spent dispatching events
 // inside Run and Step.
@@ -346,13 +357,6 @@ func (k *Kernel) After(d Time, fn func()) EventID {
 	return k.At(k.now+d, fn)
 }
 
-// AfterArg schedules fn(arg) to run d from now (see AtArg).
-//
-//vcloudlint:hotpath per-frame delivery scheduling in radio rides on this form
-func (k *Kernel) AfterArg(d Time, fn func(any), arg any) EventID {
-	return k.AtArg(k.now+d, fn, arg)
-}
-
 // Every schedules fn to run every period, starting after the first period.
 // It returns a Ticker that can be stopped. period must be positive.
 func (k *Kernel) Every(period Time, fn func()) (*Ticker, error) {
@@ -362,45 +366,149 @@ func (k *Kernel) Every(period Time, fn func()) (*Ticker, error) {
 	if fn == nil {
 		return nil, errors.New("sim: ticker callback must not be nil")
 	}
-	t := &Ticker{k: k, period: period, fn: fn}
-	t.schedule()
+	l := k.lanes[period]
+	if l == nil {
+		if k.lanes == nil {
+			k.lanes = make(map[Time]*lane)
+		}
+		l = &lane{k: k, period: period}
+		l.slot.lane = l
+		l.slot.index = unqueued
+		k.lanes[period] = l
+	}
+	t := &Ticker{lane: l, fn: fn}
+	l.enqueue(t)
 	return t, nil
 }
 
 // Ticker repeats a callback at a fixed virtual period until stopped.
+// queued is false while its callback runs and once it is stopped.
 type Ticker struct {
-	k       *Kernel
-	period  Time
+	lane    *lane
 	fn      func()
-	pending EventID
+	queued  bool
 	stopped bool
 }
 
-// tickerFire is the shared arg-carrying tick callback: scheduling via
-// AfterArg with the *Ticker as the argument keeps a steady-state ticker
-// allocation-free (a closure per tick would defeat the event freelist).
-func tickerFire(a any) {
-	t := a.(*Ticker)
-	if t.stopped {
-		return
-	}
-	t.fn()
-	if !t.stopped {
-		t.schedule()
-	}
-}
-
-func (t *Ticker) schedule() {
-	t.pending = t.k.AfterArg(t.period, tickerFire, t)
-}
-
-// Stop halts the ticker. It is safe to call multiple times.
+// Stop halts the ticker. It is safe to call multiple times, from inside
+// any callback, its own tick's included.
 func (t *Ticker) Stop() {
 	if t.stopped {
 		return
 	}
 	t.stopped = true
-	t.k.Cancel(t.pending)
+	if t.queued {
+		t.queued = false
+		t.lane.drop(t)
+	}
+}
+
+// laneEntry is one queued tick: when it is due, the seq it took when it
+// was queued, and whose it is. An entry whose ticker is stopped is a
+// tombstone.
+type laneEntry struct {
+	at  Time
+	seq uint64
+	t   *Ticker
+}
+
+// lane is the queue of every ticker of one period: a FIFO of entries
+// behind a single heap slot keyed by its head, so a tick moves one slot
+// on instead of popping and pushing an event.
+//
+// The FIFO is sorted by (at, seq) by construction. An entry queued at
+// Now is (Now+period, a fresh seq); every entry already queued was
+// queued at a time no later than Now, so its at is at most Now+period,
+// and its seq is smaller. Appending therefore keeps the order, and the
+// head is the lane's earliest tick.
+//
+// Stop leaves a tombstone in place, except at the head: the lane never
+// rests on a tombstone, so its slot always carries a live ticker's key
+// and the lane holds a slot exactly while it holds a live ticker.
+type lane struct {
+	k      *Kernel
+	period Time
+	slot   event // in the heap while live > 0; at and seq are the head's
+	buf    []laneEntry
+	head   int // buf[head:] is the FIFO
+	live   int // entries whose ticker is not stopped
+}
+
+// enqueue queues t's next tick one period from Now. It takes its seq
+// where scheduling an event would, so ticks interleave with events as
+// if each were one.
+func (l *lane) enqueue(t *Ticker) {
+	k := l.k
+	e := laneEntry{at: k.now + l.period, seq: k.seq, t: t}
+	k.seq++
+	if len(l.buf) == cap(l.buf) && 2*l.head >= len(l.buf) {
+		n := copy(l.buf, l.buf[l.head:])
+		clear(l.buf[n:])
+		l.buf, l.head = l.buf[:n], 0
+	}
+	l.buf = append(l.buf, e)
+	t.queued = true
+	l.live++
+	k.tickers++
+	if l.live == 1 {
+		l.slot.at, l.slot.seq = e.at, e.seq
+		k.queue.push(&l.slot)
+		k.laneSlots++
+	}
+}
+
+// drop accounts for a queued ticker that was just stopped: its entry
+// stays as a tombstone, and if it is the head the slot moves on at once.
+func (l *lane) drop(t *Ticker) {
+	l.live--
+	l.k.tickers--
+	if l.buf[l.head].t == t {
+		l.rekey()
+	}
+}
+
+// rekey skips the tombstones at the head and keys the slot by the next
+// live entry, or takes the slot off the heap when none is left. Keys only
+// grow, so the slot sifts down from where it is.
+func (l *lane) rekey() {
+	k := l.k
+	if l.live == 0 {
+		clear(l.buf)
+		l.buf, l.head = l.buf[:0], 0
+		k.queue.remove(int(l.slot.index))
+		k.laneSlots--
+		return
+	}
+	for l.buf[l.head].t.stopped {
+		l.buf[l.head] = laneEntry{}
+		l.head++
+	}
+	h := l.buf[l.head]
+	l.slot.at, l.slot.seq = h.at, h.seq
+	k.queue.down(int(l.slot.index), &l.slot)
+}
+
+// fire dispatches the lane's head tick. The slot moves on to the next
+// head before the callback runs, so Pending, NextEventTime and Mark see
+// the queue a popped event would leave; the ticker queues its next tick
+// after the callback, as a rescheduling event would.
+func (l *lane) fire() {
+	k := l.k
+	e := l.buf[l.head]
+	l.buf[l.head] = laneEntry{}
+	l.head++
+	k.now = e.at
+	k.cut = e.seq + 1
+	k.processed++
+	t := e.t
+	t.queued = false
+	l.live--
+	k.tickers--
+	l.rekey()
+	t.fn()
+	if !t.stopped {
+		l.enqueue(t)
+	}
 }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
@@ -417,11 +525,16 @@ func (k *Kernel) Cancel(id EventID) bool {
 // Stop makes Run return ErrStopped after the current event completes.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// dispatch pops the earliest scheduled event and fires it. The event is
-// recycled before its callback runs — it is already off the queue, the
-// callback is copied out, and recycling first keeps the freelist hot when
-// callbacks schedule follow-up events.
+// dispatch fires the earliest scheduled event: a lane's head tick, or a
+// plain event popped off the queue. A plain event is recycled before its
+// callback runs — it is already off the queue, the callback is copied out,
+// and recycling first keeps the freelist hot when callbacks schedule
+// follow-up events.
 func (k *Kernel) dispatch() {
+	if l := k.queue[0].lane; l != nil {
+		l.fire()
+		return
+	}
 	ev := k.queue.remove(0)
 	k.now = ev.at
 	k.cut = ev.seq + 1

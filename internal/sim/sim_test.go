@@ -301,12 +301,15 @@ func TestNewStreamStableAndDecorrelated(t *testing.T) {
 	}
 }
 
-// liveEvents walks k's heap and returns every scheduled event in it, or
-// an error if the heap breaks an invariant: each event holds its heap slot
-// and obeys heap order, no event sits in two slots, and Pending() counts
-// exactly the queued ones.
+// liveEvents walks k's heap and returns every plain event in it, or an
+// error if the queue breaks an invariant: each event holds its heap slot
+// and obeys heap order, no event sits in two slots, each lane is sorted,
+// rests on a live head that keys its slot and holds a slot exactly while
+// it counts a live ticker, and Pending() counts the plain events plus
+// the live queued tickers.
 func liveEvents(k *Kernel) (map[*event]bool, error) {
 	live := make(map[*event]bool)
+	tickers := 0
 	for i, ev := range k.queue {
 		if ev.index != int32(i) {
 			return nil, fmt.Errorf("event in slot %d has index %d", i, ev.index)
@@ -319,8 +322,35 @@ func liveEvents(k *Kernel) (map[*event]bool, error) {
 		}
 		live[ev] = true
 	}
-	if len(live) != k.Pending() {
-		return nil, fmt.Errorf("Pending() = %d, %d events queued", k.Pending(), len(live))
+	for period, l := range k.lanes {
+		n, fifo := 0, l.buf[l.head:]
+		for j, e := range fifo {
+			if !e.t.stopped {
+				n++
+				if !e.t.queued || e.t.lane != l {
+					return nil, fmt.Errorf("lane %v: live entry %d not marked queued in it", period, j)
+				}
+			}
+			if j > 0 && !(&event{at: fifo[j-1].at, seq: fifo[j-1].seq}).before(&event{at: e.at, seq: e.seq}) {
+				return nil, fmt.Errorf("lane %v: entry %d out of order", period, j)
+			}
+		}
+		if n != l.live {
+			return nil, fmt.Errorf("lane %v counts %d live tickers, holds %d", period, l.live, n)
+		}
+		if inHeap := live[&l.slot]; inHeap != (n > 0) || len(fifo) > 0 != (n > 0) {
+			return nil, fmt.Errorf("lane %v: slot queued %v with %d entries, %d live", period, inHeap, len(fifo), n)
+		}
+		if n > 0 {
+			if h := fifo[0]; h.t.stopped || l.slot.at != h.at || l.slot.seq != h.seq {
+				return nil, fmt.Errorf("lane %v: slot keyed (%v, %d), head (%v, %d) stopped %v", period, l.slot.at, l.slot.seq, h.at, h.seq, h.t.stopped)
+			}
+			delete(live, &l.slot)
+			tickers += n
+		}
+	}
+	if len(live)+tickers != k.Pending() {
+		return nil, fmt.Errorf("Pending() = %d, %d events and %d tickers queued", k.Pending(), len(live), tickers)
 	}
 	return live, nil
 }
@@ -544,7 +574,7 @@ func TestAtArgDispatchesWithArgument(t *testing.T) {
 	record := func(a any) { got = append(got, a.(int)) }
 	k.AtArg(2*time.Second, record, 2)
 	k.AtArg(1*time.Second, record, 1)
-	k.AfterArg(3*time.Second, record, 3)
+	k.AtArg(3*time.Second, record, 3)
 	if k.AtArg(time.Second, nil, 9).Pending() {
 		t.Error("nil argFn should not schedule")
 	}
@@ -577,8 +607,8 @@ func TestAtArgOrderingSharedWithAt(t *testing.T) {
 }
 
 // TestScheduleFireCancelAllocFree is the perf regression guard for the
-// freelist: once warm, scheduling, firing and cancelling events must not
-// allocate at all.
+// freelist and the ticker lanes: once warm, scheduling, firing and
+// cancelling events and firing ticks must not allocate at all.
 func TestScheduleFireCancelAllocFree(t *testing.T) {
 	k := NewKernel(1)
 	fn := func() {}
@@ -592,7 +622,7 @@ func TestScheduleFireCancelAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		k.Cancel(k.After(time.Millisecond, fn))
 		k.After(time.Millisecond, fn)
-		k.AfterArg(time.Millisecond, argFn, nil)
+		k.AtArg(k.Now()+time.Millisecond, argFn, nil)
 		k.Step()
 		k.Step()
 	})
@@ -603,7 +633,7 @@ func TestScheduleFireCancelAllocFree(t *testing.T) {
 	// out of the heap, fire the rest.
 	allocs = testing.AllocsPerRun(1000, func() {
 		k.After(time.Millisecond, fn)
-		mid := k.AfterArg(time.Millisecond, argFn, nil)
+		mid := k.AtArg(k.Now()+time.Millisecond, argFn, nil)
 		k.After(time.Millisecond, fn)
 		k.Cancel(mid)
 		k.Step()
@@ -611,6 +641,19 @@ func TestScheduleFireCancelAllocFree(t *testing.T) {
 	})
 	if allocs != 0 || k.Pending() != 0 {
 		t.Errorf("same-instant schedule/cancel/fire allocated %.1f times per run with %d left pending, want 0 and 0", allocs, k.Pending())
+	}
+	// A steady lane: each Step fires one tick and queues the next, once
+	// the lane's FIFO has grown to its working size.
+	for i := 0; i < 3; i++ {
+		if _, err := k.Every(time.Millisecond, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		k.Step()
+	}
+	if allocs = testing.AllocsPerRun(1000, func() { k.Step() }); allocs != 0 {
+		t.Errorf("a tick allocated %.1f times, want 0", allocs)
 	}
 }
 
@@ -708,15 +751,51 @@ func BenchmarkKernelHold(b *testing.B) {
 			k.Stop()
 			return
 		}
-		k.AfterArg(Time(1+rng.Intn(1_000_000))*time.Microsecond, hold, nil)
+		k.AtArg(k.Now()+Time(1+rng.Intn(1_000_000))*time.Microsecond, hold, nil)
 	}
 	for i := 0; i < pending; i++ {
-		k.AfterArg(Time(1+rng.Intn(1_000_000))*time.Microsecond, hold, nil)
+		k.AtArg(k.Now()+Time(1+rng.Intn(1_000_000))*time.Microsecond, hold, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := k.Run(0); !errors.Is(err, ErrStopped) {
 		b.Fatalf("Run = %v, want ErrStopped after b.N fires", err)
+	}
+}
+
+// BenchmarkKernelTickers is a beaconing fleet's shape: n tickers spread
+// over three periods, each started at a random phase within its period,
+// ticking an empty callback. One op is one tick.
+func BenchmarkKernelTickers(b *testing.B) {
+	periods := [3]Time{100 * time.Millisecond, 500 * time.Millisecond, time.Second}
+	for _, n := range []int{2_000, 20_000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			k := NewKernel(1)
+			rng := k.NewStream("tickers")
+			ticks, limit := 0, -1 // no limit while the tickers start
+			tick := func() {
+				if ticks++; ticks == limit {
+					k.Stop()
+				}
+			}
+			for i := 0; i < n; i++ {
+				p := periods[i%len(periods)]
+				k.At(Time(rng.Int63n(int64(p))), func() {
+					if _, err := k.Every(p, tick); err != nil {
+						b.Fatal(err)
+					}
+				})
+			}
+			if err := k.Run(periods[len(periods)-1]); err != nil {
+				b.Fatal(err)
+			}
+			ticks, limit = 0, b.N
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := k.Run(0); !errors.Is(err, ErrStopped) {
+				b.Fatalf("Run = %v, want ErrStopped after b.N ticks", err)
+			}
+		})
 	}
 }
 
@@ -1095,6 +1174,9 @@ type side[ID interface{ Pending() bool }] struct {
 	stops  []func() // one per ticker
 	log    []int    // labels in firing order; Cancel and Step results as negatives
 	labels int
+	// inside is what each callback saw of the queue as it ran: Pending,
+	// then NextEventTime's instant, or -1 for none.
+	inside []Time
 	// shadow records a shadow due at the given time; reached says whether
 	// shadow i is behind the kernel: Reached on its (at, Mark) for Kernel,
 	// popped for the model. seen is what reach last logged of each.
@@ -1107,6 +1189,7 @@ type side[ID interface{ Pending() bool }] struct {
 // history is what one side has let an observer see so far.
 type history struct {
 	Log        []int
+	Inside     []Time
 	Reach      []int
 	Now, Next  Time
 	HasNext    bool
@@ -1117,7 +1200,7 @@ type history struct {
 
 func (s *side[ID]) history() history {
 	s.checkpoint()
-	h := history{Log: s.log, Reach: s.reach, Now: s.k.Now(), Pending: s.k.Pending(), Processed: s.k.Processed()}
+	h := history{Log: s.log, Inside: s.inside, Reach: s.reach, Now: s.k.Now(), Pending: s.k.Pending(), Processed: s.k.Processed()}
 	h.Next, h.HasNext = s.k.NextEventTime()
 	for _, id := range s.ids {
 		h.IDsPending = append(h.IDsPending, id.Pending())
@@ -1129,7 +1212,7 @@ func (s *side[ID]) history() history {
 // share an instant, get cancelled among and are added to while it drains.
 var nearInstants = [3]Time{0, time.Millisecond, 3 * time.Millisecond}
 
-const maxOracleTickers = 6
+const maxOracleTickers = 10
 
 func callArg(a any) { a.(func())() }
 
@@ -1148,6 +1231,42 @@ func (s *side[ID]) checkpoint() {
 		}
 	}
 	s.reach = append(s.reach, -1)
+}
+
+// enter logs a callback's label and what it sees of the queue.
+func (s *side[ID]) enter(label int) {
+	s.checkpoint()
+	s.log = append(s.log, label)
+	next, ok := s.k.NextEventTime()
+	if !ok {
+		next = -1
+	}
+	s.inside = append(s.inside, Time(s.k.Pending()), next)
+}
+
+// ticker starts a labelled ticker of period p whose tick, after enter,
+// runs tick (if not nil) with the ticker's index into stops and its count
+// of ticks so far. It starts nothing once maxOracleTickers are started.
+func (s *side[ID]) ticker(p Time, tick func(i, n int)) {
+	if len(s.stops) == maxOracleTickers {
+		return
+	}
+	label, ticks, i := s.labels, 0, len(s.stops)
+	s.labels++
+	s.stops = append(s.stops, nil)
+	s.stops[i] = s.every(p, func() {
+		s.enter(label)
+		if ticks++; tick != nil {
+			tick(i, ticks)
+		}
+	})
+}
+
+// stop stops ticker i if it was started.
+func (s *side[ID]) stop(i int) {
+	if i < len(s.stops) {
+		s.stops[i]()
+	}
 }
 
 // record takes a shadow at at.
@@ -1195,8 +1314,7 @@ func (s *side[ID]) handler(b byte, depth int) func() {
 	label := s.labels
 	s.labels++
 	return func() {
-		s.checkpoint()
-		s.log = append(s.log, label)
+		s.enter(label)
 		if depth == 2 {
 			return
 		}
@@ -1241,7 +1359,7 @@ func (s *side[ID]) apply(op, a, b byte) {
 	now := s.k.Now()
 	near := nearInstants[a%3]
 	wide := Time(int(a)<<8|int(b)) * time.Microsecond
-	switch op % 14 {
+	switch op % 15 {
 	case 0, 1:
 		s.at(now+near, s.handler(b, 0))
 	case 2:
@@ -1251,17 +1369,9 @@ func (s *side[ID]) apply(op, a, b byte) {
 	case 4:
 		s.after(near, s.handler(b, 0))
 	case 5: // a ticker that stops itself from inside its own tick after 1-4 ticks, or (b%5 == 4) never
-		if len(s.stops) == maxOracleTickers {
-			return
-		}
-		label, ticks, i := s.labels, 0, len(s.stops)
-		s.labels++
-		s.stops = append(s.stops, nil)
-		s.stops[i] = s.every(near+time.Millisecond, func() {
-			s.checkpoint()
-			s.log = append(s.log, label)
-			if ticks++; ticks == int(b%5)+1 && b%5 != 4 {
-				s.stops[i]()
+		s.ticker(near+time.Millisecond, func(i, n int) {
+			if n == int(b%5)+1 && b%5 != 4 {
+				s.stop(i)
 			}
 		})
 	case 6:
@@ -1279,7 +1389,7 @@ func (s *side[ID]) apply(op, a, b byte) {
 		_ = s.k.RunBefore(now + near)
 	case 11:
 		if n := len(s.stops); n > 0 {
-			s.stops[int(a)%n]()
+			s.stop(int(a) % n)
 		}
 	case 12: // an ascending burst at distinct instants 100-400 µs apart
 		s.burst(now+near, Time(1+b%4)*100*time.Microsecond, 2+int(a)%7, b)
@@ -1290,6 +1400,30 @@ func (s *side[ID]) apply(op, a, b byte) {
 		if b%2 == 1 {
 			s.cancel(k - 1)
 		}
+	case 14: // three tickers of one period and phase, queued back to back in one lane; the first acts on its (b>>2%3+1)-th tick
+		if len(s.stops)+3 > maxOracleTickers {
+			return
+		}
+		p := near + time.Millisecond
+		s.ticker(p, func(i, n int) {
+			if n != int(b>>2%3)+1 {
+				return
+			}
+			switch b % 4 {
+			case 0: // stop the second, the lane's head while the first ticks
+				s.stop(i + 1)
+			case 1: // stop the third, mid-lane behind the second
+				s.stop(i + 2)
+			case 2: // start another of the period, queued ahead of this one's next tick
+				s.ticker(p, nil)
+			case 3: // stop both others, emptying a lane of only these, then start another
+				s.stop(i + 1)
+				s.stop(i + 2)
+				s.ticker(p, nil)
+			}
+		})
+		s.ticker(p, nil)
+		s.ticker(p, nil)
 	}
 }
 
@@ -1338,7 +1472,7 @@ func checkProgram(t testing.TB, prog []byte) {
 	for i := 0; i+2 < len(prog); i += 3 {
 		got.apply(prog[i], prog[i+1], prog[i+2])
 		want.apply(prog[i], prog[i+1], prog[i+2])
-		check(fmt.Sprintf("instruction %d (%d %d %d)", i/3, prog[i]%14, prog[i+1], prog[i+2]))
+		check(fmt.Sprintf("instruction %d (%d %d %d)", i/3, prog[i]%15, prog[i+1], prog[i+2]))
 	}
 	got.drain()
 	want.drain()
@@ -1353,12 +1487,14 @@ func checkProgram(t testing.TB, prog []byte) {
 // id liveness after every operation of seeded random programs that
 // schedule through every entry point, mostly onto three near instants or
 // in ascending bursts across distinct ones, cancel the earliest, mid-heap,
-// newest, fired and recycled ids, stop tickers from inside their own tick,
-// Stop the run from inside an event, and interleave Step, Run and
-// RunBefore. Every scheduled event and some lone instants also take a
-// shadow (at, Mark), and Reached must say of each what the model's shadow
-// heap says — popped or not — as every event fires and after every
-// instruction.
+// newest, fired and recycled ids, start tickers of equal period and phase,
+// stop tickers from inside their own tick and from a tick of their lane
+// (its head and mid-lane), start tickers from inside a tick of their
+// period, Stop the run from inside an event, and interleave Step, Run and
+// RunBefore. Every callback logs Pending and NextEventTime as it runs.
+// Every scheduled event and some lone instants also take a shadow (at,
+// Mark), and Reached must say of each what the model's shadow heap says —
+// popped or not — as every event fires and after every instruction.
 func TestRunQueueMatchesHeapModel(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -1374,6 +1510,7 @@ func FuzzKernelOrder(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 3, 0, 24, 3, 0, 2, 8, 0, 0, 10, 2, 0, 7, 0, 3})
 	f.Add([]byte{12, 4, 9, 13, 6, 3, 13, 1, 6, 8, 0, 0, 6, 2, 0, 10, 1, 0, 12, 5, 2, 9, 0, 0})
 	f.Add([]byte{12, 3, 1, 13, 5, 3, 2, 0, 2, 3, 1, 3, 13, 4, 8, 8, 0, 0, 9, 1, 0, 6, 7, 6, 10, 2, 0})
+	f.Add([]byte{14, 0, 0, 14, 0, 1, 9, 1, 1, 14, 1, 2, 14, 0, 3, 9, 2, 1, 11, 4, 0, 9, 0, 1})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 3*400 {
 			prog = prog[:3*400]

@@ -13,8 +13,8 @@
 # turn and prints "killed" (with the killing test's first complaint) or
 # "SURVIVED" for it. It exits 1 when a mutant survives or does not
 # compile, or when an entry's source line does not occur exactly once in
-# its file (the code moved: mend the entry). The six entries take about
-# thirteen seconds on two cores from a cold build cache.
+# its file (the code moved: mend the entry). The nine entries take about
+# thirty-five seconds on two cores from a cold build cache.
 set -eu
 
 tmp=$(mktemp -d)
@@ -101,6 +101,24 @@ list() {
 		'if now-l.lastCkpt < checkpointPeriod {' \
 		'l.standby = candidate; if now-l.lastCkpt < checkpointPeriod {' \
 		./internal/vcloud/ '^TestStandbyMovesWithItsCheckpoint$' "$@"
+	# A ticker that queues its next tick, taking its seq, before its
+	# callback runs rather than after it.
+	mutant internal/sim/sim.go \
+		't.fn()' \
+		'l.enqueue(t); t.fn(); return' \
+		./internal/sim/ '^TestRunQueueMatchesHeapModel$' "$@"
+	# A stopped lane head left in place: the lane's slot keeps the
+	# tombstone's key and the lane fires it.
+	mutant internal/sim/sim.go \
+		'if l.buf[l.head].t == t {' \
+		'if false && l.buf[l.head].t == t {' \
+		./internal/sim/ '^TestRunQueueMatchesHeapModel$' "$@"
+	# A ledger that never dedupes: a merge applies an outcome the
+	# controller already applied.
+	mutant internal/vcloud/leadership.go \
+		'if _, dup := l.applied[id]; dup {' \
+		'if _, dup := l.applied[id]; false && dup {' \
+		./internal/vcloud/ '^TestLeadership$' "$@"
 	# movePhase pushing ghosts only to shards within half the halo.
 	mutant internal/shardworld/world.go \
 		's.near = w.smap.ShardsNear(s.near[:0], v.Pos, w.halo)' \
