@@ -167,63 +167,63 @@ func E10Attacks(cfg Config) (*Result, error) {
 	values := map[string]float64{}
 
 	// --- Eavesdropping / tracking: beacon rate is the defense knob.
-	track := func(beaconPeriod sim.Time) float64 {
+	track := func(beaconPeriod sim.Time) (float64, error) {
 		w, err := world.Build(world.Spec{
 			Seed: cfg.Seed, Road: world.Highway(2000, 25),
 			Vehicles: pick(cfg, 15, 30), BeaconPeriod: beaconPeriod,
 		})
 		if err != nil {
-			return -1
+			return 0, err
 		}
 		s := w.Scenario
 		spy, err := attack.NewEavesdropper(s.Medium, radio.NodeID(1<<24), geo.Point{X: 1000, Y: 15})
 		if err != nil {
-			return -1
+			return 0, err
 		}
 		if err := w.Start(sim.Time(pick(cfg, 30, 90)) * time.Second); err != nil {
-			return -1
+			return 0, err
 		}
 		acc, links := spy.TrackingAccuracy(30, 3*time.Second)
 		if links == 0 {
-			return 0
+			return 0, nil
 		}
-		return acc
+		return acc, nil
 	}
 
 	// --- DoS flood: channel delivery share with and without the flood.
-	dos := func(flood bool) float64 {
+	dos := func(flood bool) (float64, error) {
 		w, err := world.Build(world.Spec{Seed: cfg.Seed, Road: world.Highway(2000, 25), Vehicles: pick(cfg, 15, 30)})
 		if err != nil {
-			return -1
+			return 0, err
 		}
 		s := w.Scenario
 		if flood {
 			if _, err := attack.NewFlooder(s.Kernel, s.Medium, radio.NodeID(1<<24), geo.Point{X: 1000, Y: 15}, 2000, 1500); err != nil {
-				return -1
+				return 0, err
 			}
 		}
 		if err := w.Start(sim.Time(pick(cfg, 20, 60)) * time.Second); err != nil {
-			return -1
+			return 0, err
 		}
 		st := s.Medium.Stats()
 		total := st.Delivered + st.LostLoad
 		if total == 0 {
-			return 0
+			return 0, nil
 		}
-		return float64(st.Delivered) / float64(total)
+		return float64(st.Delivered) / float64(total), nil
 	}
 
 	// --- Suppression: delivery through an honest vs compromised relay.
-	supp := func(compromised bool) float64 {
+	supp := func(compromised bool) (float64, error) {
 		k := sim.NewKernel(cfg.Seed)
 		bounds := geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 1000, Y: 1000})
 		m, err := radio.NewMedium(k, bounds, radio.DefaultParams())
 		if err != nil {
-			return -1
+			return 0, err
 		}
 		nodes, err := chainNodes(k, m, 3, 140)
 		if err != nil {
-			return -1
+			return 0, err
 		}
 		got := 0
 		final := func(msg vnet.Message, relayer vnet.Addr) { got++ }
@@ -234,7 +234,7 @@ func E10Attacks(cfg Config) (*Result, error) {
 		if compromised {
 			rng := rand.New(rand.NewSource(cfg.Seed))
 			if _, err := attack.InstallSuppressor(nodes[1], "data", relay, 0.6, 0, rng.Float64); err != nil {
-				return -1
+				return 0, err
 			}
 		} else {
 			nodes[1].Handle("data", relay)
@@ -247,9 +247,9 @@ func E10Attacks(cfg Config) (*Result, error) {
 			})
 		}
 		if err := k.Run(time.Minute); err != nil {
-			return -1
+			return 0, err
 		}
-		return float64(got) / n
+		return float64(got) / n, nil
 	}
 
 	// --- Sybil amplification vs path-diverse trust (analytic replay of
@@ -291,20 +291,20 @@ func E10Attacks(cfg Config) (*Result, error) {
 	}
 
 	// Eight independent runs, indexed in drill order.
-	jobs := []func() float64{
-		func() float64 { return track(200 * time.Millisecond) }, // aggressive beaconing
-		func() float64 { return track(2 * time.Second) },        // sparse beaconing (defense)
-		func() float64 { return dos(false) },
-		func() float64 { return dos(true) },
-		func() float64 { return supp(false) },
-		func() float64 { return supp(true) },
-		func() float64 { return sybil(false) },
-		func() float64 { return sybil(true) },
+	jobs := []func() (float64, error){
+		func() (float64, error) { return track(200 * time.Millisecond) }, // aggressive beaconing
+		func() (float64, error) { return track(2 * time.Second) },        // sparse beaconing (defense)
+		func() (float64, error) { return dos(false) },
+		func() (float64, error) { return dos(true) },
+		func() (float64, error) { return supp(false) },
+		func() (float64, error) { return supp(true) },
+		func() (float64, error) { return sybil(false), nil },
+		func() (float64, error) { return sybil(true), nil },
 	}
 	res := make([]float64, len(jobs))
-	if err := fanout.Each(cfg.Parallel, len(jobs), func(i int) error {
-		res[i] = jobs[i]()
-		return nil
+	if err := fanout.Each(cfg.Parallel, len(jobs), func(i int) (err error) {
+		res[i], err = jobs[i]()
+		return err
 	}); err != nil {
 		return nil, err
 	}

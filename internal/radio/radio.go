@@ -37,12 +37,10 @@ type Frame struct {
 type Handler func(Frame)
 
 // Inbox takes a beacon reception (see Medium.Beacon) as data rather than
-// as an event: the payload, the instant at which it arrives and the kernel
-// Mark the reception was decided at. The receiver, which hands its inbox
-// to Register, applies it once sim.Kernel.Reached(at, mark) holds, the
-// next time it touches the state the beacon feeds, so the reception costs
-// the kernel nothing.
-type Inbox func(payload any, at sim.Time, mark uint64)
+// as an event: the payload and the instant at which it arrives. The
+// medium calls it the moment the reception is decided, so the reception
+// costs the kernel nothing and the receiver holds it from then on.
+type Inbox func(payload any, at sim.Time)
 
 // Params configures the medium.
 type Params struct {
@@ -100,7 +98,7 @@ func (p Params) validate() error {
 // Stats aggregates medium counters.
 type Stats struct {
 	Sent       uint64 // frames transmitted
-	Delivered  uint64 // frame receptions that have arrived (one broadcast may deliver many)
+	Delivered  uint64 // frame receptions that have arrived, or that were handed to an inbox (one broadcast may deliver many)
 	LostRange  uint64 // receptions lost to distance fade
 	LostLoad   uint64 // receptions lost to collisions
 	BytesOnAir uint64
@@ -118,13 +116,6 @@ type Medium struct {
 	// sparse but clustered (vehicles from 0, RSUs from 1<<20), so a few
 	// pages cover them where one dense slice would span the gap.
 	handlers []*handlerPage
-	// flight holds the arrival of every beacon reception handed to an
-	// inbox whose arrival the kernel may not have reached, in the order
-	// they were decided; flight[:landed] are counted in stats.Delivered
-	// already. Stats counts the reached rest, so Delivered moves exactly
-	// when the receptions would have fired as events.
-	flight []arrival
-	landed int
 	// airtime is the decaying load accumulator, in seconds of channel
 	// time; lastDecay is when it was last aged.
 	airtime   float64
@@ -159,13 +150,6 @@ type handlerPage [1 << pageBits]endpoint
 type endpoint struct {
 	h  Handler
 	in Inbox
-}
-
-// arrival is when a reception handed to an inbox arrives: its instant
-// and the kernel Mark it was decided at.
-type arrival struct {
-	at   sim.Time
-	mark uint64
 }
 
 type spy struct {
@@ -358,37 +342,9 @@ func (m *Medium) Position(id NodeID) (geo.Point, bool) {
 	return m.index.Position(int32(id))
 }
 
-// Stats returns a copy of the medium counters. A beacon reception handed
-// to an inbox counts as Delivered once the kernel has reached its arrival.
-func (m *Medium) Stats() Stats {
-	m.land()
-	s := m.stats
-	for _, a := range m.flight[m.landed:] {
-		if m.kernel.Reached(a.at, a.mark) {
-			s.Delivered++
-		}
-	}
-	return s
-}
-
-// land counts the oldest inbox receptions into Delivered as far as the
-// kernel has reached them, and drops the landed prefix of the flight list
-// once it is the longer part, so the list stays within twice what is in
-// flight and each entry moves at most once per landing of as many.
-//
-//vcloudlint:hotpath once per beacon frame
-func (m *Medium) land() {
-	i := m.landed
-	for i < len(m.flight) && m.kernel.Reached(m.flight[i].at, m.flight[i].mark) {
-		i++
-	}
-	m.stats.Delivered += uint64(i - m.landed)
-	if rest := len(m.flight) - i; rest <= i {
-		copy(m.flight, m.flight[i:])
-		m.flight, i = m.flight[:rest], 0
-	}
-	m.landed = i
-}
+// Stats returns a copy of the medium counters. A beacon reception counts
+// as Delivered when it is handed to its inbox.
+func (m *Medium) Stats() Stats { return m.stats }
 
 // Params returns the medium configuration.
 func (m *Medium) Params() Params { return m.params }
@@ -515,10 +471,9 @@ func (m *Medium) Send(from, to NodeID, size int, payload any) {
 // Beacon broadcasts a beacon: a frame whose receptions are state, not
 // events. Its receptions are decided exactly as Send decides a
 // broadcast's, over the receivers that registered an inbox, and each is
-// handed to its receiver's inbox on the spot, with the instant it arrives:
-// a beacon schedules no kernel event but a spy's overhearing. Its inbox
-// receptions take their place in the kernel's (time, seq) order just
-// ahead of those spy events.
+// handed to its receiver's inbox on the spot, in decision order, with the
+// instant it arrives: a beacon schedules no kernel event but a spy's
+// overhearing.
 func (m *Medium) Beacon(from NodeID, size int, payload any) {
 	m.send(from, Broadcast, size, payload, true)
 }
@@ -561,20 +516,15 @@ func (m *Medium) send(from, to NodeID, size int, payload any, beacon bool) {
 		// no per-broadcast sort, no per-neighbor position re-lookup.
 		m.scratchIDs, m.scratchPos = m.index.WithinRangePos(
 			m.scratchIDs[:0], m.scratchPos[:0], src, m.params.RangeMax, int32(from))
-		// Every inbox reception of the frame carries the same mark, the
-		// seq its first event reception (a spy's) would take.
-		now, mark := m.kernel.Now(), m.kernel.Mark()
-		if beacon {
-			m.land()
-		}
+		now := m.kernel.Now()
 		for i, raw := range m.scratchIDs {
 			ep, delay, ok := m.deliver(NodeID(raw), src, m.scratchPos[i], tx, 0, pCollide, faulty, beacon)
 			switch {
 			case !ok:
 			case beacon:
-				m.flight = append(m.flight, arrival{now + delay, mark})
-				//vcloudlint:allow hotalloc the receiver's inbox (vnet.Node.arrive); TestBroadcastAllocs holds a warm beacon, its receivers' applies and a Stats read at zero
-				ep.in(payload, now+delay, mark)
+				m.stats.Delivered++
+				//vcloudlint:allow hotalloc the receiver's inbox (vnet.Node.arrive); TestBroadcastAllocs holds a warm beacon to inbox receivers at zero
+				ep.in(payload, now+delay)
 			default:
 				m.rx = append(m.rx, reception{delay: delay, h: ep.h, count: true})
 			}

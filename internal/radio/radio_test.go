@@ -1,7 +1,6 @@
 package radio
 
 import (
-	"cmp"
 	"math"
 	"math/rand"
 	"reflect"
@@ -361,7 +360,6 @@ func TestBeaconSchedulesNoEvent(t *testing.T) {
 			m.Register(id, func(Frame) {})
 			continue
 		}
-		inboxes[i-1].k = k
 		m.Register(id, func(Frame) { handled++ }, inboxes[i-1].arrive)
 	}
 	// Handler-only and positioned: in range, yet no beacon candidate.
@@ -373,13 +371,9 @@ func TestBeaconSchedulesNoEvent(t *testing.T) {
 	if got := k.Pending(); got != before {
 		t.Errorf("a beacon to %d inbox receivers left %d events pending, want %d", n, got, before)
 	}
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	for i := range inboxes {
-		inboxes[i].apply()
-		if inboxes[i].applied != 1 {
-			t.Errorf("inbox %d applied %d beacons, want 1", i+1, inboxes[i].applied)
+	for i, in := range inboxes {
+		if len(in.at) != 1 || in.at[0] <= k.Now() || in.at[0] > k.Now()+time.Millisecond {
+			t.Errorf("inbox %d was handed arrivals %v at %v, want one within the frame's delay", i+1, in.at, k.Now())
 		}
 	}
 	if st := m.Stats(); handled != 0 || st.Delivered != n || st.LostRange+st.LostLoad != 0 {
@@ -637,9 +631,7 @@ func TestUplinkLoss(t *testing.T) {
 // TestBroadcastAllocs guards the zero-allocation broadcast path: once the
 // medium's scratch buffers and frame-run pool are warm, a broadcast to N
 // registered neighbors must not allocate at all, with or without faults
-// installed; nor must a warm beacon to neighbors that keep an inbox, with
-// each receiver applying what has arrived the way vnet.Node does, or a
-// Stats read while the beacon is in flight.
+// installed; nor must a warm beacon to neighbors that keep an inbox.
 func TestBroadcastAllocs(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := newTestMedium(t, k)
@@ -651,11 +643,10 @@ func TestBroadcastAllocs(t *testing.T) {
 			m.Register(id, func(Frame) {})
 			continue
 		}
-		in := &inboxes[i-10]
-		in.k = k
-		m.Register(id, func(Frame) {}, in.arrive)
+		m.Register(id, func(Frame) {}, inboxes[i-10].arrive)
 	}
 	payload := &msg{}
+	heard := 0
 	for faults := range 2 {
 		if faults == 1 {
 			ft := m.Faults()
@@ -686,53 +677,28 @@ func TestBroadcastAllocs(t *testing.T) {
 			}
 		}
 		allocs = testing.AllocsPerRun(200, func() {
-			m.Beacon(0, 300, payload)
-			_ = m.Stats()
-			k.Run(k.Now() + time.Millisecond)
 			for i := range inboxes {
-				inboxes[i].apply()
+				inboxes[i].at = inboxes[i].at[:0]
 			}
+			m.Beacon(0, 300, payload)
+			k.Run(k.Now() + time.Millisecond)
 		})
 		if allocs != 0 {
-			t.Errorf("faults %v: warm beacon allocated %.1f times per Beacon+Run+apply, want 0", faults == 1, allocs)
+			t.Errorf("faults %v: warm beacon allocated %.1f times per Beacon+Run, want 0", faults == 1, allocs)
+		}
+		for _, in := range inboxes {
+			heard += len(in.at)
 		}
 	}
-	applied := 0
-	for _, in := range inboxes {
-		applied += in.applied
-	}
-	if applied == 0 {
-		t.Error("no inbox applied a beacon")
+	if heard == 0 {
+		t.Error("no inbox was handed a beacon")
 	}
 }
 
-// testInbox keeps a receiver's beacons in flight and applies the reached
-// ones on every hand-over and every apply, as vnet.Node's inbox does.
-type testInbox struct {
-	k       *sim.Kernel
-	flight  []sim.Time
-	marks   []uint64
-	applied int
-}
+// testInbox keeps the arrival instant of every beacon handed to it.
+type testInbox struct{ at []sim.Time }
 
-func (in *testInbox) arrive(_ any, at sim.Time, mark uint64) {
-	in.apply()
-	in.flight = append(in.flight, at)
-	in.marks = append(in.marks, mark)
-}
-
-func (in *testInbox) apply() {
-	live := 0
-	for i, at := range in.flight {
-		if in.k.Reached(at, in.marks[i]) {
-			in.applied++
-			continue
-		}
-		in.flight[live], in.marks[live] = at, in.marks[i]
-		live++
-	}
-	in.flight, in.marks = in.flight[:live], in.marks[:live]
-}
+func (in *testInbox) arrive(_ any, at sim.Time) { in.at = append(in.at, at) }
 
 // TestRunsPoolBySize: a unicast after a broadcast takes a small run, not
 // the broadcast's, and each class's runs go back to their own pool.
@@ -870,8 +836,8 @@ func BenchmarkBroadcast100Nodes(b *testing.B) {
 // receiver order, the spies' after them, and every (sender, receiver) pair
 // judged by the per-pair fault filter the fault injector used to install,
 // positions looked up for both ends. A beacon reaches only the receivers
-// that keep an inbox, each reception scheduled as decided and the spies'
-// after them: the place Medium.Beacon gives them in the (time, seq) order.
+// that keep an inbox, each handed its reception as it is decided and
+// counted as Delivered then; the spies' overhearing is scheduled after.
 // TestSendMatchesPerReceiverModel drives it and Send from one seed and
 // requires the same observable history.
 
@@ -911,9 +877,8 @@ func refBlocked(m *Medium, from, to NodeID) bool {
 	return false
 }
 
-// refSend sends a frame; inbox, when not nil, makes it a beacon and
-// returns the handler that stands for a receiver's inbox.
-func refSend(m *Medium, from, to NodeID, size int, payload any, inbox func(NodeID) Handler) {
+// refSend sends a frame, a beacon if beacon is set.
+func refSend(m *Medium, from, to NodeID, size int, payload any, beacon bool) {
 	src, ok := m.index.Position(int32(from))
 	if !ok {
 		return
@@ -929,28 +894,30 @@ func refSend(m *Medium, from, to NodeID, size int, payload any, inbox func(NodeI
 	if pCollide > m.params.MaxCollisionLoss {
 		pCollide = m.params.MaxCollisionLoss
 	}
-	f := Frame{From: from, Payload: payload, SentAt: m.kernel.Now()}
+	now := m.kernel.Now()
+	f := Frame{From: from, Payload: payload, SentAt: now}
 	// scheduleNow schedules whatever deliver (with the faults already
 	// judged here) or a spy collected, one event per reception.
 	scheduleNow := func() {
 		for _, r := range m.rx {
-			m.kernel.AtArg(m.kernel.Now()+r.delay, refFire, &refReception{m, r.h, f, r.count})
+			m.kernel.AtArg(now+r.delay, refFire, &refReception{m, r.h, f, r.count})
 		}
 		m.rx = m.rx[:0]
 	}
 	decide := func(dst NodeID, p geo.Point, retries int) {
-		if refBlocked(m, from, dst) || inbox != nil && m.endpoint(dst).in == nil {
+		if refBlocked(m, from, dst) || beacon && m.endpoint(dst).in == nil {
 			return
 		}
 		ep, delay, ok := m.deliver(dst, src, p, m.txDelay(size), retries, pCollide, false, false)
 		if !ok {
 			return
 		}
-		h := ep.h
-		if inbox != nil {
-			h = inbox(dst)
+		if beacon {
+			m.stats.Delivered++
+			ep.in(payload, now+delay)
+			return
 		}
-		m.rx = append(m.rx, reception{delay: delay, h: h, count: true})
+		m.rx = append(m.rx, reception{delay: delay, h: ep.h, count: true})
 		scheduleNow()
 	}
 	if to == Broadcast {
@@ -979,8 +946,8 @@ func refSend(m *Medium, from, to NodeID, size int, payload any, inbox func(NodeI
 }
 
 // heard is one reception as an observer sees it: a handler invocation, or
-// an inbox reception once the kernel has reached its arrival, which shows
-// only the payload. Delivered is Stats().Delivered counting it.
+// an inbox hand-over, which shows only the payload and the arrival
+// instant. Delivered is Stats().Delivered counting it.
 type heard struct {
 	At        sim.Time
 	Rx        NodeID
@@ -993,67 +960,23 @@ type heard struct {
 type msg struct{ Op, Hop int }
 
 // radioSide is one medium under the differential program, with the send
-// and beacon functions it is driven through. The medium's side keeps its
-// inbox receptions in flight and logs them, in (at, mark, hand-over)
-// order, when an event finds them reached; the model's logs each as its
-// own event.
+// and beacon functions it is driven through.
 type radioSide struct {
-	k        *sim.Kernel
-	m        *Medium
-	send     func(from, to NodeID, size int, payload any)
-	beacon   func(from NodeID, size int, payload any)
-	inFlight []inboxRx
-	handed   int // inbox receptions handed over
-	log      []heard
+	k      *sim.Kernel
+	m      *Medium
+	send   func(from, to NodeID, size int, payload any)
+	beacon func(from NodeID, size int, payload any)
+	handed int // inbox receptions handed over
+	log    []heard
 }
 
-// inboxRx is one reception handed to an inbox.
-type inboxRx struct {
-	at   sim.Time
-	mark uint64
-	rx   NodeID
-	p    any
-}
-
-// inbox returns id's radio.Inbox, which queues the reception in flight.
+// inbox returns id's radio.Inbox, which logs the reception as it is
+// handed over.
 func (s *radioSide) inbox(id NodeID) Inbox {
-	return func(p any, at sim.Time, mark uint64) {
-		s.inFlight = append(s.inFlight, inboxRx{at, mark, id, p})
+	return func(p any, at sim.Time) {
+		s.log = append(s.log, heard{at, id, Frame{Payload: p}, s.m.Stats().Delivered})
 		s.handed++
 	}
-}
-
-// inboxLog is the model's stand-in for id's inbox: it logs the reception
-// when its event fires.
-func (s *radioSide) inboxLog(id NodeID) Handler {
-	return func(f Frame) {
-		s.log = append(s.log, heard{s.k.Now(), id, Frame{Payload: f.Payload}, s.m.Stats().Delivered})
-	}
-}
-
-// land logs the inbox receptions the kernel has reached, in arrival
-// order, each with the Delivered count it brought Stats() to; it runs
-// first in every event, so they precede it in the log as their events
-// precede it in the model. self is what the event calling it has added to
-// Delivered already: 1 in a counted reception, else 0.
-func (s *radioSide) land(self uint64) {
-	slices.SortStableFunc(s.inFlight, func(a, b inboxRx) int {
-		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.mark, b.mark))
-	})
-	n := 0
-	for n < len(s.inFlight) && s.k.Reached(s.inFlight[n].at, s.inFlight[n].mark) {
-		n++
-	}
-	for _, r := range s.inFlight[n:] {
-		if s.k.Reached(r.at, r.mark) {
-			panic("reached arrivals are not a prefix of the arrival order")
-		}
-	}
-	d := s.m.Stats().Delivered - self - uint64(n)
-	for i, r := range s.inFlight[:n] {
-		s.log = append(s.log, heard{r.at, r.rx, Frame{Payload: r.p}, d + uint64(i) + 1})
-	}
-	s.inFlight = slices.Delete(s.inFlight, 0, n)
 }
 
 const diffNodes = 40
@@ -1063,7 +986,6 @@ const diffNodes = 40
 // a broadcast's delivery.
 func (s *radioSide) handler(id NodeID) Handler {
 	return func(f Frame) {
-		s.land(1)
 		s.log = append(s.log, heard{s.k.Now(), id, f, s.m.Stats().Delivered})
 		p, ok := f.Payload.(msg)
 		if !ok || p.Hop >= 2 {
@@ -1083,7 +1005,6 @@ func (s *radioSide) handler(id NodeID) Handler {
 // spy logs an overheard frame under the spy's id, negated.
 func (s *radioSide) spy(id NodeID) Handler {
 	return func(f Frame) {
-		s.land(0)
 		s.log = append(s.log, heard{s.k.Now(), -id, f, s.m.Stats().Delivered})
 	}
 }
@@ -1123,7 +1044,6 @@ func (s *radioSide) run(t *testing.T, seed int64) {
 		kind, arg := prog.Intn(12), prog.Intn(diffNodes)
 		size := 50 + prog.Intn(1500)
 		s.k.At(at, func() {
-			s.land(0)
 			switch kind {
 			case 0, 1:
 				s.send(from, Broadcast, size, msg{op, 0})
@@ -1155,14 +1075,8 @@ func (s *radioSide) run(t *testing.T, seed int64) {
 			}
 		})
 	}
-	// A horizon past the last reception rather than a drain: the medium's
-	// queue empties before its last inbox arrivals, the model's after.
-	if err := s.k.Run(10 * time.Second); err != nil {
+	if err := s.k.Run(0); err != nil {
 		t.Fatal(err)
-	}
-	s.land(0)
-	if len(s.inFlight) > 0 {
-		t.Fatalf("%d inbox receptions still in flight at the horizon", len(s.inFlight))
 	}
 }
 
@@ -1175,9 +1089,8 @@ func (s *radioSide) run(t *testing.T, seed int64) {
 // unicasts with ARQ in the fade zone and under load, spies overhearing at
 // one shared instant, faults installed and healed, and handlers that
 // transmit or unregister other nodes mid-broadcast. Beacons reach inbox
-// receivers as data, which the log records when the next event finds it
-// reached, with Stats().Delivered counting exactly the receptions the
-// model has fired.
+// receivers as data, handed over and counted in Stats().Delivered as each
+// reception is decided.
 func TestSendMatchesPerReceiverModel(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		sides := [2]*radioSide{}
@@ -1186,10 +1099,8 @@ func TestSendMatchesPerReceiverModel(t *testing.T) {
 			s := &radioSide{k: k, m: newTestMedium(t, k)}
 			s.send, s.beacon = s.m.Send, s.m.Beacon
 			if i == 1 {
-				s.send = func(from, to NodeID, size int, payload any) { refSend(s.m, from, to, size, payload, nil) }
-				s.beacon = func(from NodeID, size int, payload any) {
-					refSend(s.m, from, Broadcast, size, payload, s.inboxLog)
-				}
+				s.send = func(from, to NodeID, size int, payload any) { refSend(s.m, from, to, size, payload, false) }
+				s.beacon = func(from NodeID, size int, payload any) { refSend(s.m, from, Broadcast, size, payload, true) }
 			}
 			s.run(t, seed)
 			sides[i] = s

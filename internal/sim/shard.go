@@ -340,7 +340,7 @@ func (sk *ShardedKernel) Run(horizon Time) error {
 // past it).
 func (sk *ShardedKernel) advanceTo(horizon Time) {
 	for _, k := range sk.shards {
-		k.settle(horizon)
+		k.now = horizon
 	}
 	sk.now = horizon
 }

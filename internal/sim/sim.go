@@ -154,17 +154,10 @@ var ErrStopped = errors.New("sim: stopped")
 
 // Kernel is the discrete-event simulation engine.
 type Kernel struct {
-	now   Time
-	seq   uint64
-	queue eventQueue
-	free  []*event // recycled events; bounds allocation to peak concurrency
-	// cut bounds the arrivals Reached counts at Now: those marked below
-	// it. Firing an event sets it past that event's seq; a Run that
-	// returns sets it past every seq handed out, since everything
-	// scheduled for Now or earlier has fired (see settle); a RunBefore
-	// that moves the clock up to its limit sets it to 0, since nothing at
-	// the limit has.
-	cut     uint64
+	now     Time
+	seq     uint64
+	queue   eventQueue
+	free    []*event // recycled events; bounds allocation to peak concurrency
 	seed    int64
 	stopped bool
 	// processed counts dispatched events, exposed for tests and reports.
@@ -190,34 +183,6 @@ func NewKernel(seed int64) *Kernel {
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
-
-// Mark returns the seq the next scheduled event will take. A model that
-// keeps an arrival as data rather than as an event stamps it with the
-// instant it is due and the Mark at the moment it is decided; Reached then
-// says whether an event scheduled right there would have fired already.
-func (k *Kernel) Mark() uint64 { return k.seq }
-
-// Reached reports whether an arrival due at at and marked mark (see Mark)
-// lies behind the kernel: an event scheduled at at when mark was taken
-// would have fired before the current point — before the event now
-// firing, or, between dispatches, before the last Run, RunBefore or Step
-// returned. Earlier instants are reached; at Now, only what was marked
-// before the event now firing was scheduled, or before a Run returned.
-//
-//vcloudlint:hotpath asked once per deferred arrival and per table touch
-func (k *Kernel) Reached(at Time, mark uint64) bool {
-	return at < k.now || at == k.now && mark < k.cut
-}
-
-// settle puts the clock at t with everything scheduled or marked so far
-// for t or earlier behind it: the state a Run leaves. It spends a seq, so
-// an arrival marked from here on, which the Run did not reach, lies ahead
-// at t like an event scheduled now would.
-func (k *Kernel) settle(t Time) {
-	k.now = t
-	k.seq++
-	k.cut = k.seq
-}
 
 // Processed returns the number of events dispatched so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
@@ -489,8 +454,8 @@ func (l *lane) rekey() {
 }
 
 // fire dispatches the lane's head tick. The slot moves on to the next
-// head before the callback runs, so Pending, NextEventTime and Mark see
-// the queue a popped event would leave; the ticker queues its next tick
+// head before the callback runs, so Pending and NextEventTime see the
+// queue a popped event would leave; the ticker queues its next tick
 // after the callback, as a rescheduling event would.
 func (l *lane) fire() {
 	k := l.k
@@ -498,7 +463,6 @@ func (l *lane) fire() {
 	l.buf[l.head] = laneEntry{}
 	l.head++
 	k.now = e.at
-	k.cut = e.seq + 1
 	k.processed++
 	t := e.t
 	t.queued = false
@@ -537,7 +501,6 @@ func (k *Kernel) dispatch() {
 	}
 	ev := k.queue.remove(0)
 	k.now = ev.at
-	k.cut = ev.seq + 1
 	k.processed++
 	fn, argFn, arg := ev.fn, ev.argFn, ev.arg
 	k.recycle(ev)
@@ -562,12 +525,12 @@ func (k *Kernel) Run(horizon Time) error {
 		}
 		next := k.queue[0]
 		if horizon > 0 && next.at > horizon {
-			k.settle(horizon)
+			k.now = horizon
 			return nil
 		}
 		k.dispatch()
 	}
-	k.settle(max(k.now, horizon))
+	k.now = max(k.now, horizon)
 	return nil
 }
 
@@ -593,7 +556,6 @@ func (k *Kernel) RunBefore(limit Time) error {
 	}
 	if k.now < limit {
 		k.now = limit
-		k.cut = 0
 	}
 	return nil
 }

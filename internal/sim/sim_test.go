@@ -846,17 +846,9 @@ func BenchmarkKernelFrameBursts(b *testing.B) {
 // ---------------------------------------------------------------------
 // Oracle: a plain (at, seq) heap kernel kept as the reference model.
 // Every event enters the heap; schedule, Cancel, Stop and the run loops
-// are Kernel's, minus wall-clock telemetry, the RNG and the cut that
-// backs Reached. TestRunQueueMatchesHeapModel and FuzzKernelOrder drive
-// it and Kernel with one program and require the same observable
-// history.
-//
-// Shadows model what Mark and Reached stand for: an arrival kept as data
-// is an event that was never scheduled. The model does schedule it, in a
-// heap of its own that shares the seq counter, and pops it exactly where
-// the event would have fired — before every later event, and at each
-// boundary: through the horizon when Run returns, short of the limit when
-// RunBefore does, nowhere when Stop cuts a run short.
+// are Kernel's, minus wall-clock telemetry and the RNG.
+// TestRunQueueMatchesHeapModel and FuzzKernelOrder drive it and Kernel
+// with one program and require the same observable history.
 
 type heapEvent struct {
 	at    Time
@@ -951,22 +943,6 @@ type heapKernel struct {
 	free      []*heapEvent
 	processed uint64
 	stopped   bool
-	shadows   heapQueue // arg is the shadow's index into popped
-	popped    []bool
-}
-
-// Shadow records a shadow due at at (clamped to Now, as schedule clamps).
-func (k *heapKernel) Shadow(at Time) {
-	k.shadows.push(&heapEvent{at: max(at, k.now), seq: k.seq, arg: len(k.popped)})
-	k.seq++
-	k.popped = append(k.popped, false)
-}
-
-// popShadows pops every shadow that precedes (at, seq).
-func (k *heapKernel) popShadows(at Time, seq uint64) {
-	for len(k.shadows) > 0 && k.shadows[0].before(&heapEvent{at: at, seq: seq}) {
-		k.popped[k.shadows.remove(0).arg.(int)] = true
-	}
 }
 
 func (k *heapKernel) Stop() { k.stopped = true }
@@ -1076,7 +1052,6 @@ func (k *heapKernel) Cancel(id heapEventID) bool {
 }
 
 func (k *heapKernel) fire(ev *heapEvent) {
-	k.popShadows(ev.at, ev.seq)
 	k.now = ev.at
 	k.processed++
 	fn, argFn, arg := ev.fn, ev.argFn, ev.arg
@@ -1097,7 +1072,6 @@ func (k *heapKernel) Run(horizon Time) error {
 		next := k.queue[0]
 		if horizon > 0 && next.at > horizon {
 			k.now = horizon
-			k.popShadows(horizon, k.seq)
 			return nil
 		}
 		k.queue.remove(0)
@@ -1106,7 +1080,6 @@ func (k *heapKernel) Run(horizon Time) error {
 	if horizon > 0 && k.now < horizon {
 		k.now = horizon
 	}
-	k.popShadows(k.now, k.seq)
 	return nil
 }
 
@@ -1126,7 +1099,6 @@ func (k *heapKernel) RunBefore(limit Time) error {
 	if k.now < limit {
 		k.now = limit
 	}
-	k.popShadows(limit, 0)
 	return nil
 }
 
@@ -1177,20 +1149,12 @@ type side[ID interface{ Pending() bool }] struct {
 	// inside is what each callback saw of the queue as it ran: Pending,
 	// then NextEventTime's instant, or -1 for none.
 	inside []Time
-	// shadow records a shadow due at the given time; reached says whether
-	// shadow i is behind the kernel: Reached on its (at, Mark) for Kernel,
-	// popped for the model. seen is what reach last logged of each.
-	shadow  func(at Time)
-	reached func(i int) bool
-	seen    []bool
-	reach   []int // per checkpoint, the shadows newly reached (^i: no longer reached), then -1
 }
 
 // history is what one side has let an observer see so far.
 type history struct {
 	Log        []int
 	Inside     []Time
-	Reach      []int
 	Now, Next  Time
 	HasNext    bool
 	Pending    int
@@ -1199,8 +1163,7 @@ type history struct {
 }
 
 func (s *side[ID]) history() history {
-	s.checkpoint()
-	h := history{Log: s.log, Inside: s.inside, Reach: s.reach, Now: s.k.Now(), Pending: s.k.Pending(), Processed: s.k.Processed()}
+	h := history{Log: s.log, Inside: s.inside, Now: s.k.Now(), Pending: s.k.Pending(), Processed: s.k.Processed()}
 	h.Next, h.HasNext = s.k.NextEventTime()
 	for _, id := range s.ids {
 		h.IDsPending = append(h.IDsPending, id.Pending())
@@ -1216,26 +1179,8 @@ const maxOracleTickers = 10
 
 func callArg(a any) { a.(func())() }
 
-// checkpoint logs the shadows whose reached state changed since the last
-// one. It runs as every event fires and after every instruction, so the
-// two sides' logs agree only if Reached equals "popped" at each of them.
-func (s *side[ID]) checkpoint() {
-	for i := range s.seen {
-		if r := s.reached(i); r != s.seen[i] {
-			s.seen[i] = r
-			if r {
-				s.reach = append(s.reach, i)
-			} else {
-				s.reach = append(s.reach, ^i)
-			}
-		}
-	}
-	s.reach = append(s.reach, -1)
-}
-
 // enter logs a callback's label and what it sees of the queue.
 func (s *side[ID]) enter(label int) {
-	s.checkpoint()
 	s.log = append(s.log, label)
 	next, ok := s.k.NextEventTime()
 	if !ok {
@@ -1269,26 +1214,16 @@ func (s *side[ID]) stop(i int) {
 	}
 }
 
-// record takes a shadow at at.
-func (s *side[ID]) record(at Time) {
-	s.shadow(at)
-	s.seen = append(s.seen, false)
-}
-
-// at, atArg and after record a shadow for the event and schedule it: the
-// shadow of an arrival decided just before the event was scheduled.
+// at, atArg and after schedule an event and keep its id.
 func (s *side[ID]) at(t Time, fn func()) {
-	s.record(t)
 	s.ids = append(s.ids, s.k.At(t, fn))
 }
 
 func (s *side[ID]) atArg(t Time, fn func(any), arg any) {
-	s.record(t)
 	s.ids = append(s.ids, s.k.AtArg(t, fn, arg))
 }
 
 func (s *side[ID]) after(d Time, fn func()) {
-	s.record(s.k.Now() + d)
 	s.ids = append(s.ids, s.k.After(d, fn))
 }
 
@@ -1333,8 +1268,8 @@ func (s *side[ID]) handler(b byte, depth int) func() {
 			s.cancel(arg % 8)
 		case 5:
 			s.cancel(arg * 11)
-		case 6: // a shadow alone, at now or near it: no event shares its mark
-			s.record(now + nearInstants[arg%3])
+		case 6: // one ticker period on: the instant a ticker started now would tick
+			s.after(nearInstants[arg%3]+time.Millisecond, s.handler(b>>3, depth+1))
 		case 7: // cut the Run or RunBefore dispatching this event short
 			s.k.Stop()
 		}
@@ -1441,25 +1376,14 @@ func (s *side[ID]) drain() {
 // queue breaks a structural invariant.
 func checkProgram(t testing.TB, prog []byte) {
 	k, hk := NewKernel(1), &heapKernel{}
-	type arrival struct {
-		at   Time
-		mark uint64
-	}
-	var arrivals []arrival
 	got := &side[EventID]{k: k, every: func(p Time, fn func()) func() {
 		tk, err := k.Every(p, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tk.Stop
-	},
-		shadow:  func(at Time) { arrivals = append(arrivals, arrival{max(at, k.Now()), k.Mark()}) },
-		reached: func(i int) bool { return k.Reached(arrivals[i].at, arrivals[i].mark) },
-	}
-	want := &side[heapEventID]{k: hk, every: func(p Time, fn func()) func() { return hk.Every(p, fn).Stop },
-		shadow:  hk.Shadow,
-		reached: func(i int) bool { return hk.popped[i] },
-	}
+	}}
+	want := &side[heapEventID]{k: hk, every: func(p Time, fn func()) func() { return hk.Every(p, fn).Stop }}
 	check := func(step string) {
 		t.Helper()
 		if g, w := got.history(), want.history(); !reflect.DeepEqual(g, w) {
@@ -1492,9 +1416,6 @@ func checkProgram(t testing.TB, prog []byte) {
 // (its head and mid-lane), start tickers from inside a tick of their
 // period, Stop the run from inside an event, and interleave Step, Run and
 // RunBefore. Every callback logs Pending and NextEventTime as it runs.
-// Every scheduled event and some lone instants also take a shadow (at,
-// Mark), and Reached must say of each what the model's shadow heap says —
-// popped or not — as every event fires and after every instruction.
 func TestRunQueueMatchesHeapModel(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))

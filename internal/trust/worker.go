@@ -55,7 +55,9 @@ func NewWorkerSet(now func() sim.Time, halflife sim.Time) (*WorkerSet, error) {
 	}, nil
 }
 
-// rec returns the (decayed) record for a worker, creating it on demand.
+// rec returns the record for a worker, its evidence brought forward to
+// the current instant, creating it on demand. Only Good and Bad call it:
+// the record's last evidence time moves only with new evidence.
 func (ws *WorkerSet) rec(a vnet.Addr) *workerRec {
 	r, ok := ws.recs[a]
 	if !ok {
@@ -63,22 +65,20 @@ func (ws *WorkerSet) rec(a vnet.Addr) *workerRec {
 		ws.recs[a] = r
 		return r
 	}
-	ws.decay(r)
+	f := ws.decay(r)
+	r.good *= f
+	r.bad *= f
+	r.last = ws.now()
 	return r
 }
 
-// decay brings r's evidence forward to the current instant and writes
-// the result back.
-func (ws *WorkerSet) decay(r *workerRec) {
-	if ws.halflife > 0 {
-		now := ws.now()
-		if dt := now - r.last; dt > 0 {
-			f := math.Exp2(-float64(dt) / float64(ws.halflife))
-			r.good *= f
-			r.bad *= f
-		}
-		r.last = now
+// decay returns the factor r's evidence has decayed by since its last
+// evidence time: 1 with decay disabled or no time passed.
+func (ws *WorkerSet) decay(r *workerRec) float64 {
+	if dt := ws.now() - r.last; ws.halflife > 0 && dt > 0 {
+		return math.Exp2(-float64(dt) / float64(ws.halflife))
 	}
+	return 1
 }
 
 // Good adds positive evidence with the given weight (a worker's result
@@ -100,19 +100,17 @@ func (ws *WorkerSet) Bad(a vnet.Addr, weight float64) {
 }
 
 // Score returns the worker's trust in [0,1]; unknown workers score 0.5.
-// A read writes its decay back into the record, so it is not free of
-// effects: a second read at the same virtual instant finds nothing left
-// to decay and returns the same bits, but reads at different instants
-// compound Exp2 rounding. One-pass replica placement relies on the
-// first property — it reads each candidate once where K successive
-// picks read it K times, all at one instant.
+// It is a pure read: the evidence decays from the record's last evidence
+// time and nothing is written back, so how often trust is read never
+// changes its value.
 func (ws *WorkerSet) Score(a vnet.Addr) float64 {
 	r, ok := ws.recs[a]
 	if !ok {
 		return 0.5
 	}
-	ws.decay(r)
-	return (r.good + 1) / (r.good + r.bad + 2)
+	f := ws.decay(r)
+	good, bad := r.good*f, r.bad*f
+	return (good + 1) / (good + bad + 2)
 }
 
 // Weight maps a worker's Beta-reputation score into a multiplicative

@@ -2,10 +2,12 @@ package trust
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
 	"vcloud/internal/sim"
+	"vcloud/internal/vnet"
 )
 
 func TestWorkerSetScores(t *testing.T) {
@@ -57,45 +59,44 @@ func TestWorkerSetDecayRedeems(t *testing.T) {
 	}
 }
 
-// TestScoreIdempotentWithinInstant pins the read contract one-pass
-// replica placement relies on: a Score read writes its decay back, a
-// second read at the same instant returns the same bits and leaves the
-// record as it was, and a read at a later instant decays it exactly once.
-func TestScoreIdempotentWithinInstant(t *testing.T) {
+// TestScoreIsAPureRead: trust read between evidence at other instants
+// leaves every later score bit-identical to a set nobody read. Two sets
+// take the same evidence at the same instants; one is also read at
+// instants in between, the other only where both are compared.
+func TestScoreIsAPureRead(t *testing.T) {
 	const halflife = 10 * time.Second
 	var now sim.Time
-	ws, err := NewWorkerSet(func() sim.Time { return now }, halflife)
+	quiet, err := NewWorkerSet(func() sim.Time { return now }, halflife)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws.Good(1, 3)
-	ws.Bad(1, 2)
-	now = 7300 * time.Millisecond
-	first := ws.Score(1)
-	rec := *ws.recs[1]
-	if rec.last != now {
-		t.Fatalf("a read at %v left the record stamped %v: the decay was not written back", now, rec.last)
+	read, err := NewWorkerSet(func() sim.Time { return now }, halflife)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if again := ws.Score(1); math.Float64bits(again) != math.Float64bits(first) {
-			t.Fatalf("read %d at one instant = %v, the first read %v", i+2, again, first)
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 200; step++ {
+		now += sim.Time(1+rng.Intn(3000)) * time.Millisecond
+		a := vnet.Addr(rng.Intn(4))
+		switch w := rng.Float64() * 3; rng.Intn(3) {
+		case 0:
+			quiet.Good(a, w)
+			read.Good(a, w)
+		case 1:
+			quiet.Bad(a, w)
+			read.Bad(a, w)
+		case 2:
+			for b := vnet.Addr(0); b < 4; b++ {
+				if g, r := quiet.Score(b), read.Score(b); math.Float64bits(g) != math.Float64bits(r) {
+					t.Fatalf("step %d at %v: worker %d scores %v, %v after reads in between", step, now, b, r, g)
+				}
+			}
 		}
-		if *ws.recs[1] != rec {
-			t.Fatalf("read %d at one instant changed the record %+v to %+v", i+2, rec, *ws.recs[1])
+		// The extra reads, at instants only the read set sees.
+		now += sim.Time(rng.Intn(700)) * time.Millisecond
+		for range rng.Intn(3) {
+			read.Score(vnet.Addr(rng.Intn(4)))
 		}
-	}
-	now += 4100 * time.Millisecond
-	f := math.Exp2(-float64(4100*time.Millisecond) / float64(halflife))
-	want := workerRec{good: rec.good * f, bad: rec.bad * f, last: now}
-	later := ws.Score(1)
-	if *ws.recs[1] != want {
-		t.Fatalf("a later read left %+v, want one decay step to %+v", *ws.recs[1], want)
-	}
-	if w := (want.good + 1) / (want.good + want.bad + 2); math.Float64bits(later) != math.Float64bits(w) {
-		t.Errorf("later read = %v, want %v", later, w)
-	}
-	if again := ws.Score(1); math.Float64bits(again) != math.Float64bits(later) || *ws.recs[1] != want {
-		t.Errorf("a second read at the later instant moved the score to %v or the record to %+v", again, *ws.recs[1])
 	}
 }
 

@@ -187,7 +187,7 @@ func (d *Deployment) admits(ctl, member vnet.Addr) bool {
 
 // dwellFor builds the controller-side dwell estimator centered on the
 // controller node.
-func (d *Deployment) dwellFor(ctlNode *vnet.Node) DwellEstimator {
+func (d *Deployment) dwellFor(ctlNode *vnet.Node) dwellEstimator {
 	if d.cfg.DwellMode == 0 {
 		return nil
 	}
@@ -224,20 +224,17 @@ func (d *Deployment) contactLeft(m *Member) (window float64, ok bool) {
 // the ControllerConfig, a dwell estimator centered on node, the join
 // gate, storage and the emergency flag.
 func (d *Deployment) startController(node *vnet.Node, ckpt *Checkpoint) error {
-	cc := d.cfg.Controller
-	if cc.Dwell == nil {
-		cc.Dwell = d.dwellFor(node)
-	}
 	mode := d.cfg.leaderMode()
 	if ckpt != nil {
 		// A successor is fenced exactly when its checkpoint is.
 		mode = modeOf(ControllerConfig{Fencing: !ckpt.Epoch.Zero()}, true)
 	}
-	c, err := newController(node, cc, d.Stats, mode)
+	c, err := newController(node, d.cfg.Controller, d.Stats, mode)
 	if err != nil {
 		return err
 	}
 	c.d = d
+	c.dwell = d.dwellFor(node)
 	c.AttachStorage(d.cfg.Storage)
 	c.emergency = d.emergency
 	if ckpt != nil {

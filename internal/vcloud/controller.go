@@ -150,9 +150,9 @@ func (s *Stats) CompletionRate() float64 {
 	return metrics.Ratio(s.Completed.Value(), s.Submitted.Value())
 }
 
-// DwellEstimator predicts how many seconds a member will remain usable
+// dwellEstimator predicts how many seconds a member will remain usable
 // by the cloud (see mobility.EstimateDwell). Infinity means "parked".
-type DwellEstimator func(member vnet.Addr) float64
+type dwellEstimator func(member vnet.Addr) float64
 
 // Controller timings. Every deployment runs the same ones, so a
 // checkpoint need not carry them.
@@ -165,9 +165,6 @@ const (
 
 // ControllerConfig tunes a cloud controller.
 type ControllerConfig struct {
-	// Dwell is the scheduler's dwell-time signal; nil means "assume
-	// everyone stays forever" (the naive baseline E7 ablates).
-	Dwell DwellEstimator
 	// Trace, when non-nil, receives every trace event of the controllers
 	// the deployment starts, successors included, and of its members.
 	Trace trace.Sink
@@ -297,6 +294,11 @@ type Controller struct {
 	// d is the deployment that started the controller (nil for a
 	// standalone one).
 	d *Deployment
+	// dwell is the scheduler's dwell-time signal, centered on the
+	// controller's node, which the deployment fills in (see
+	// Deployment.dwellFor); nil means "assume everyone stays forever"
+	// (the naive baseline E7 ablates).
+	dwell dwellEstimator
 
 	// picks and skip are placeReplicas' scratch: its running picks and
 	// the members a dispatch passes over (see depend.go).

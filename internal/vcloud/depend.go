@@ -176,9 +176,7 @@ const dwellMargin = 1.2
 //
 // The picks equal need successive single best picks, each excluding the
 // members picked before it: a pick changes no other member's finish or
-// eligibility, and the trust reads it repeats are idempotent within one
-// virtual instant (trust.WorkerSet.Score), so the scan reads and decays
-// exactly the records the successive picks would.
+// eligibility, and a trust read (trust.WorkerSet.Score) writes nothing.
 //
 //vcloudlint:hotpath once per dispatch round of every task and DAG stage and per handover; keeps a running top-need instead of building candidate pools
 func (c *Controller) placeReplicas(ts *taskState, need int, remaining float64, skip []vnet.Addr, fallback bool) []placeCand {
@@ -219,9 +217,9 @@ func (c *Controller) offer(ts *taskState, m *memberInfo, remaining float64, now 
 	cd := placeCand{addr: m.addr, finish: runtime + m.delay.Seconds()}
 	// Edge servers are fixed infrastructure: dwell always suffices.
 	dwell := math.Inf(1)
-	if c.cfg.Dwell != nil && !m.edge {
+	if c.dwell != nil && !m.edge {
 		//vcloudlint:allow hotalloc the deployment's estimator hook (arch.go wires mobility.EstimateDwell); TestPickReplicaAllocs holds the path at zero
-		dwell = c.cfg.Dwell(m.addr)
+		dwell = c.dwell(m.addr)
 		cd.short = !(dwell >= runtime*dwellMargin)
 	}
 	// DAG stage placement layers two reliability weights on top of the

@@ -39,10 +39,10 @@ func (c *Controller) StorageView() store.View {
 			return c.node.Kernel().Now()-m.lastSeen <= memberTTL
 		},
 		DwellFn: func(a vnet.Addr) float64 {
-			if c.cfg.Dwell == nil {
+			if c.dwell == nil {
 				return math.Inf(1)
 			}
-			return c.cfg.Dwell(a)
+			return c.dwell(a)
 		},
 		EpochFn: func() uint64 { return c.lead.epoch.Counter },
 	}

@@ -46,8 +46,8 @@ func poolPick(c *Controller, ts *taskState, exclude map[vnet.Addr]bool, remainin
 		runtime := (m.queuedOps + remaining) / m.cpu
 		cd := cand{addr: a, finish: runtime + m.delay.Seconds()}
 		dwell := math.Inf(1)
-		if c.cfg.Dwell != nil && !m.edge {
-			dwell = c.cfg.Dwell(a)
+		if c.dwell != nil && !m.edge {
+			dwell = c.dwell(a)
 			cd.hasDwell = dwell >= runtime*dwellMargin
 		} else {
 			cd.hasDwell = true
@@ -221,9 +221,9 @@ func drawTrial(t testing.TB, rng *rand.Rand, c *Controller) *placeTrial {
 	}
 	tr.clock = now
 	c.cfg.Workers = nil
-	c.cfg.Dwell = nil
+	c.dwell = nil
 	if rng.Intn(5) > 0 {
-		c.cfg.Dwell = func(a vnet.Addr) float64 { return dwell[a] }
+		c.dwell = func(a vnet.Addr) float64 { return dwell[a] }
 	}
 	// roundPending keeps a placement that finds nobody from arming a
 	// retry round: the trial ends at the placement.
@@ -421,9 +421,9 @@ func TestPickReplicaMemberMatchesPoolModel(t *testing.T) {
 					skip = insertAddr(skip, a)
 				}
 			}
-			c.cfg.Dwell = nil
+			c.dwell = nil
 			if rng.Intn(5) > 0 {
-				c.cfg.Dwell = func(a vnet.Addr) float64 { return dwell[a] }
+				c.dwell = func(a vnet.Addr) float64 { return dwell[a] }
 			}
 			ts := &taskState{policy: &DependabilityPolicy{TrustThreshold: pickF(0, 0.4, 0.6)}}
 			if rng.Intn(2) == 0 {
@@ -473,7 +473,7 @@ func steadyTable(t testing.TB, c *Controller, n int) (*taskState, []vnet.Addr) {
 		ws.Bad(a, float64(rng.Intn(3)))
 	}
 	c.cfg.Workers = ws
-	c.cfg.Dwell = func(a vnet.Addr) float64 { return dwell[a] }
+	c.dwell = func(a vnet.Addr) float64 { return dwell[a] }
 	ts := &taskState{policy: &DependabilityPolicy{TrustThreshold: 0.3}}
 	ts.task.Stage = &StageBinding{}
 	return ts, []vnet.Addr{3}

@@ -120,15 +120,7 @@ type Node struct {
 	// few rows past it for each frame lost in between. Only hear moves it;
 	// it is a guess that find checks against the keys, never trusted, so
 	// inserts and compactions may leave it anywhere.
-	finger int
-	// inbox holds the beacons the medium has handed over (radio.Inbox)
-	// whose arrival the kernel may not have reached yet, sorted by arrival
-	// (at, then mark, then hand-over order). Every table read, and every
-	// hand-over, first applies the reached prefix, so a read sees exactly
-	// the rows per-reception events would have written and the inbox
-	// holds no more than is in flight. Beacons reach a node only this way:
-	// a protocol that reacts to neighbours reads the table.
-	inbox    []arrival
+	finger   int
 	handlers map[string]Handler
 	// beaconExt is called to fill Beacon.Ext on each transmission.
 	beaconExt func() any
@@ -150,14 +142,6 @@ type Node struct {
 type dedupKey struct {
 	origin Addr
 	seq    uint32
-}
-
-// arrival is a beacon in flight to this node: when it arrives and the
-// kernel Mark its reception was decided at.
-type arrival struct {
-	at   sim.Time
-	mark uint64
-	b    *Beacon
 }
 
 // NewNode creates a node on the medium. stateFn supplies the node's
@@ -215,10 +199,6 @@ func (n *Node) Stop() {
 	if n.stopped {
 		return
 	}
-	// What has arrived stays in the table; what has not never will.
-	n.apply()
-	clear(n.inbox)
-	n.inbox = n.inbox[:0]
 	n.stopped = true
 	if n.ticker != nil {
 		n.ticker.Stop()
@@ -368,60 +348,32 @@ func (n *Node) find(addr Addr) (int, bool) {
 	return lo, lo < len(keys) && keys[lo] == addr
 }
 
-// arrive is the node's radio.Inbox: it queues a beacon in flight to the
-// node at its arrival position, after applying whatever has arrived.
+// arrive is the node's radio.Inbox: a beacon is heard the moment the
+// medium decides its reception, its row stamped with the instant it
+// arrives. Beacons reach a node only this way: a protocol that reacts to
+// neighbours reads the table.
 //
 //vcloudlint:hotpath once per beacon reception
-func (n *Node) arrive(payload any, at sim.Time, mark uint64) {
-	b, ok := payload.(*Beacon)
-	if !ok {
-		return
-	}
-	if len(n.inbox) > 0 && n.kernel.Reached(n.inbox[0].at, n.inbox[0].mark) {
-		n.apply()
-	}
-	// The growing append: receiver-owned, amortized over receptions.
-	n.inbox = append(n.inbox, arrival{})
-	i := len(n.inbox) - 1
-	for ; i > 0; i-- {
-		if p := n.inbox[i-1]; p.at < at || p.at == at && p.mark <= mark {
-			break
-		}
-		n.inbox[i] = n.inbox[i-1]
-	}
-	n.inbox[i] = arrival{at, mark, b}
-}
-
-// apply writes every inbox beacon the kernel has reached into the table,
-// in arrival order, each heard at its own arrival instant. Reached is
-// monotone in (at, mark), so the reached ones are a prefix of the inbox.
-// The vacated tail is not cleared: nearly every beacon left there is one
-// a row or the queue still holds, and the rest stay pinned only until
-// later hand-overs overwrite their slots (Stop clears them).
-//
-//vcloudlint:hotpath every table read and every beacon hand-over starts here
-func (n *Node) apply() {
-	i := 0
-	for ; i < len(n.inbox) && n.kernel.Reached(n.inbox[i].at, n.inbox[i].mark); i++ {
-		n.hear(n.inbox[i].b, n.inbox[i].at)
-	}
-	if i > 0 {
-		n.inbox = n.inbox[:copy(n.inbox, n.inbox[i:])]
+func (n *Node) arrive(payload any, at sim.Time) {
+	if b, ok := payload.(*Beacon); ok {
+		n.hear(b, at)
 	}
 }
 
-// hear records a beacon received at now: a known sender's row is
+// hear records a beacon that arrives at at: a known sender's row is
 // overwritten in place, a first-seen sender's row is inserted at its
 // sorted position. Either way the finger moves to just after that row.
 //
 //vcloudlint:hotpath runs once per beacon reception, the most frequent write of every beaconing scenario
-func (n *Node) hear(b *Beacon, now sim.Time) {
+func (n *Node) hear(b *Beacon, at sim.Time) {
 	i, known := n.find(b.From)
 	if !known {
 		if len(n.rows) == cap(n.rows) {
 			// Compact before growing, so a table nobody reads stays within
 			// twice its live rows instead of keeping every sender ever heard.
-			n.expire(now)
+			// Rows expire by the clock, not by at, so no row a read now
+			// would still see goes.
+			n.expire(n.kernel.Now())
 			i, _ = n.find(b.From)
 		}
 		// The growing appends: receiver-owned, amortized over receptions.
@@ -431,7 +383,7 @@ func (n *Node) hear(b *Beacon, now sim.Time) {
 		n.rows = append(n.rows, Row{})
 		copy(n.rows[i+1:], n.rows[i:])
 	}
-	n.rows[i] = Row{LastSeen: now, Beacon: b}
+	n.rows[i] = Row{LastSeen: at, Beacon: b}
 	n.finger = i + 1
 }
 
@@ -462,7 +414,6 @@ func (n *Node) expire(now sim.Time) {
 //
 //vcloudlint:hotpath read on every cluster decision and every routed hop
 func (n *Node) Rows() []Row {
-	n.apply()
 	n.expire(n.kernel.Now())
 	return n.rows
 }
@@ -486,7 +437,6 @@ func (n *Node) Neighbors(dst []Neighbor) []Neighbor {
 //
 //vcloudlint:hotpath per-hop liveness check in the routing protocols
 func (n *Node) Neighbor(addr Addr) (Neighbor, bool) {
-	n.apply()
 	i, ok := n.find(addr)
 	if !ok || n.kernel.Now()-n.rows[i].LastSeen > n.cfg.NeighborTTL {
 		return Neighbor{}, false
@@ -498,7 +448,6 @@ func (n *Node) Neighbor(addr Addr) (Neighbor, bool) {
 //
 //vcloudlint:hotpath sampled per node by density probes; must not materialise the table
 func (n *Node) NumNeighbors() int {
-	n.apply()
 	n.expire(n.kernel.Now())
 	return len(n.rows)
 }

@@ -352,3 +352,113 @@ func TestMultiHopLatencyAccounted(t *testing.T) {
 		t.Errorf("3-hop latency = %v, want >= 6ms", arrival)
 	}
 }
+
+// TestBeaconHeardWhenDecided: a beacon is heard the moment the medium
+// decides its reception. A read in the sending event already sees the
+// row, stamped with the instant the medium says the beacon arrives, and
+// Stats().Delivered counts it. Two beacons of one sender sent back to back
+// are written in the order they were decided, so the second one's row
+// stands even when jitter makes it arrive first. A stopped node hears
+// nothing.
+func TestBeaconHeardWhenDecided(t *testing.T) {
+	r := newRig(t, 1)
+	p := radio.DefaultParams()
+	p.CollisionFactor = 0 // every reception certain: the rounds count on it
+	m, err := radio.NewMedium(r.k, geo.NewRect(geo.Point{}, geo.Point{X: 5000, Y: 5000}), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.m = m
+	s := r.staticNode(t, 100, geo.Point{X: 1000, Y: 1000}, Config{})
+	var rx []*Node
+	arrivals := map[Addr][]sim.Time{}
+	for i := range 4 {
+		n := r.staticNode(t, Addr(i), geo.Point{X: 1020 + float64(i)*20, Y: 1000}, Config{})
+		r.m.Register(n.addr, n.receive, func(p any, at sim.Time) {
+			arrivals[n.addr] = append(arrivals[n.addr], at)
+			n.arrive(p, at)
+		})
+		rx = append(rx, n)
+	}
+	reordered := 0
+	for round := range 40 {
+		if round == 30 {
+			rx[3].Stop()
+		}
+		r.k.After(100*time.Millisecond, func() {
+			clear(arrivals)
+			delivered := r.m.Stats().Delivered
+			s.sendBeacon()
+			s.sendBeacon()
+			now := r.k.Now()
+			heard := 0
+			for _, n := range rx {
+				ats := arrivals[n.addr]
+				nb, ok := n.Neighbor(s.addr)
+				if n.stopped {
+					if len(ats) != 0 || ok && nb.LastSeen > now-90*time.Millisecond {
+						t.Fatalf("round %d: stopped node %d heard %v, row %+v", round, n.addr, ats, nb)
+					}
+					continue
+				}
+				if len(ats) != 2 {
+					t.Fatalf("round %d: node %d was handed %d beacons, want 2", round, n.addr, len(ats))
+				}
+				heard += 2
+				if ats[0] <= now || ats[1] <= now || ats[0] > now+time.Millisecond || ats[1] > now+time.Millisecond {
+					t.Fatalf("round %d: node %d arrivals %v lie outside (%v, %v+1ms]", round, n.addr, ats, now, now)
+				}
+				if ats[1] < ats[0] {
+					reordered++
+				}
+				if !ok || nb.LastSeen != ats[1] {
+					t.Fatalf("round %d at %v: node %d reads %+v, %v; want the second beacon's row, stamped %v", round, now, n.addr, nb, ok, ats[1])
+				}
+				if rows := n.Rows(); len(rows) != 1 || rows[0].LastSeen != ats[1] || n.NumNeighbors() != 1 {
+					t.Fatalf("round %d: node %d rows %+v, want one stamped %v", round, n.addr, rows, ats[1])
+				}
+			}
+			if got := r.m.Stats().Delivered - delivered; got != uint64(heard) {
+				t.Fatalf("round %d: Delivered moved by %d in the sending event, want %d", round, got, heard)
+			}
+		})
+		if err := r.k.Run(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reordered == 0 {
+		t.Error("no second beacon arrived before the first: the rounds never tested decision order")
+	}
+}
+
+// TestBeaconRoundAllocs: with tables warm, a beacon to ten receivers, the
+// run past its arrivals and a read of every table allocate the beacon and
+// nothing else.
+func TestBeaconRoundAllocs(t *testing.T) {
+	r := newRig(t, 1)
+	s := r.staticNode(t, 100, geo.Point{X: 1000, Y: 1000}, Config{})
+	var nodes []*Node
+	for i := range 10 {
+		nodes = append(nodes, r.staticNode(t, Addr(i), geo.Point{X: 1010 + float64(i)*10, Y: 1000}, Config{}))
+	}
+	round := func() {
+		s.sendBeacon()
+		if err := r.k.Run(r.k.Now() + time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range nodes {
+			n.NumNeighbors()
+		}
+	}
+	for range 10 {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 1 {
+		t.Errorf("a warm beacon round allocated %v times, want 1 (the *Beacon)", allocs)
+	}
+	for i, n := range nodes {
+		if nb, ok := n.Neighbor(100); !ok || nb.LastSeen >= r.k.Now() {
+			t.Errorf("node %d: Neighbor(100) = %+v, %v after the rounds", i, nb, ok)
+		}
+	}
+}

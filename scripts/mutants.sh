@@ -13,7 +13,7 @@
 # turn and prints "killed" (with the killing test's first complaint) or
 # "SURVIVED" for it. It exits 1 when a mutant survives or does not
 # compile, or when an entry's source line does not occur exactly once in
-# its file (the code moved: mend the entry). The nine entries take about
+# its file (the code moved: mend the entry). The ten entries take about
 # thirty-five seconds on two cores from a cold build cache.
 set -eu
 
@@ -77,6 +77,12 @@ list() {
 		'if k := keys[f]; k == addr {' \
 		'if k := keys[f]; true {' \
 		./internal/vnet/ '^FuzzNeighborFind$' "$@"
+	# A beacon row stamped with the instant its reception is decided
+	# rather than the instant it arrives.
+	mutant internal/vnet/vnet.go \
+		'n.hear(b, at)' \
+		'n.hear(b, n.kernel.Now())' \
+		./internal/vnet/ '^TestBeaconHeardWhenDecided$' "$@"
 	# A linearizable store that no longer refuses a superseded epoch.
 	mutant internal/store/keyspace.go \
 		'if epoch < o.epoch {' \
