@@ -79,20 +79,20 @@ func NewGridIndex(bounds Rect, cellSize float64) (*GridIndex, error) {
 	}, nil
 }
 
+// Cell returns the column and row of the cell holding p (a point outside
+// the bounds is held by the nearest border cell) and the grid's columns
+// and rows; the cell's key in a row-major table is cy*cols+cx.
+func (g *GridIndex) Cell(p Point) (cx, cy, cols, rows int) {
+	cx = int((p.X - g.bounds.Min.X) / g.cellSize)
+	cy = int((p.Y - g.bounds.Min.Y) / g.cellSize)
+	cx, _ = clampRange(cx, cx, g.cols)
+	cy, _ = clampRange(cy, cy, g.rows)
+	return cx, cy, g.cols, g.rows
+}
+
 func (g *GridIndex) cellKey(p Point) int32 {
-	cx := int((p.X - g.bounds.Min.X) / g.cellSize)
-	cy := int((p.Y - g.bounds.Min.Y) / g.cellSize)
-	if cx < 0 {
-		cx = 0
-	} else if cx >= g.cols {
-		cx = g.cols - 1
-	}
-	if cy < 0 {
-		cy = 0
-	} else if cy >= g.rows {
-		cy = g.rows - 1
-	}
-	return int32(cy*g.cols + cx)
+	cx, cy, cols, _ := g.Cell(p)
+	return int32(cy*cols + cx)
 }
 
 // Update inserts id at p, or moves it there if already present. A

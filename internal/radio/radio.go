@@ -52,11 +52,11 @@ type Params struct {
 	RangeReliable float64
 	// BitrateMbps is the channel bitrate used for transmission delay.
 	BitrateMbps float64
-	// LoadWindow is the sliding window over which channel airtime is
-	// accumulated for the collision model.
+	// LoadWindow is the time constant over which the airtime near a
+	// sender decays for the collision model (see CollisionProb).
 	LoadWindow sim.Time
-	// CollisionFactor scales how aggressively load translates into loss:
-	// pLoss = min(MaxCollisionLoss, CollisionFactor × airtimeFraction).
+	// CollisionFactor scales how aggressively load translates into loss
+	// (see CollisionProb).
 	CollisionFactor float64
 	// MaxCollisionLoss caps the load-induced loss probability.
 	MaxCollisionLoss float64
@@ -116,11 +116,10 @@ type Medium struct {
 	// sparse but clustered (vehicles from 0, RSUs from 1<<20), so a few
 	// pages cover them where one dense slice would span the gap.
 	handlers []*handlerPage
-	// airtime is the decaying load accumulator, in seconds of channel
-	// time; lastDecay is when it was last aged.
-	airtime   float64
-	lastDecay sim.Time
-	stats     Stats
+	// load holds one decaying airtime accumulator per cell of index, in
+	// the index's row-major cell order (see busyNear).
+	load  []cellLoad
+	stats Stats
 	// faults holds the crashes, isolations, partitions and loss the fault
 	// injector installs; Send judges every reception against it.
 	faults FaultTable
@@ -150,6 +149,13 @@ type handlerPage [1 << pageBits]endpoint
 type endpoint struct {
 	h  Handler
 	in Inbox
+}
+
+// cellLoad is the airtime transmitted from one grid cell, in seconds of
+// channel time, as of last, when it was last aged.
+type cellLoad struct {
+	airtime float64
+	last    sim.Time
 }
 
 type spy struct {
@@ -255,11 +261,13 @@ func NewMedium(kernel *sim.Kernel, bounds geo.Rect, params Params) (*Medium, err
 	if err != nil {
 		return nil, fmt.Errorf("radio: %w", err)
 	}
+	_, _, cols, rows := idx.Cell(bounds.Min)
 	return &Medium{
 		kernel: kernel,
 		rng:    kernel.NewStream("radio"),
 		params: params,
 		index:  idx,
+		load:   make([]cellLoad, cols*rows),
 		faults: FaultTable{rng: kernel.NewStream("faults")},
 	}, nil
 }
@@ -349,33 +357,45 @@ func (m *Medium) Stats() Stats { return m.stats }
 // Params returns the medium configuration.
 func (m *Medium) Params() Params { return m.params }
 
-// txDelay returns the on-air time of size bytes.
-func (m *Medium) txDelay(size int) sim.Time {
+// Airtime returns the on-air time of size bytes.
+func (p Params) Airtime(size int) sim.Time {
 	bits := float64(size * 8)
-	sec := bits / (m.params.BitrateMbps * 1e6)
+	sec := bits / (p.BitrateMbps * 1e6)
 	return sim.Time(sec * float64(time.Second))
 }
 
-// loadFraction ages the airtime accumulator and returns the fraction of
-// the window the channel was busy.
-func (m *Medium) loadFraction() float64 {
-	now := m.kernel.Now()
-	if now > m.lastDecay {
-		elapsed := float64(now-m.lastDecay) / float64(m.params.LoadWindow)
-		m.airtime *= math.Exp(-elapsed)
-		m.lastDecay = now
-	}
-	window := float64(m.params.LoadWindow) / float64(time.Second)
-	f := m.airtime / window
-	if f > 1 {
-		f = 1
-	}
-	return f
+// CollisionProb returns the load-dependent loss probability of a frame
+// whose sender's air was busy for the share busy of the load window:
+// min(MaxCollisionLoss, CollisionFactor × min(busy, 1)). It is the one
+// collision verdict, shared by the stream-RNG Medium and the counter-hash
+// ShardChannel as ReceptionProb is for fade.
+func (p Params) CollisionProb(busy float64) float64 {
+	return min(p.MaxCollisionLoss, p.CollisionFactor*min(busy, 1))
 }
 
-// receptionProb returns the distance-fade success probability.
-func (m *Medium) receptionProb(d float64) float64 {
-	return m.params.ReceptionProb(d)
+// busyNear ages the accumulators of the 3×3 cells around the sender's
+// cell, which cover its disk of radius RangeMax, and returns the share of
+// the load window their air was busy, and the sender's own cell.
+//
+//vcloudlint:hotpath once per transmitted frame
+func (m *Medium) busyNear(src geo.Point) (busy float64, own *cellLoad) {
+	cx, cy, cols, rows := m.index.Cell(src)
+	now := m.kernel.Now()
+	var airtime float64
+	x0, x1, y0, y1 := max(cx-1, 0), min(cx+1, cols-1), max(cy-1, 0), min(cy+1, rows-1)
+	for y := y0; y <= y1; y++ {
+		for x := x0; x <= x1; x++ {
+			c := &m.load[y*cols+x]
+			if now > c.last {
+				if c.airtime > 0 { // most cells of a block are empty: skip their Exp
+					c.airtime *= math.Exp(-float64(now-c.last) / float64(m.params.LoadWindow))
+				}
+				c.last = now
+			}
+			airtime += c.airtime
+		}
+	}
+	return airtime / (float64(m.params.LoadWindow) / float64(time.Second)), &m.load[cy*cols+cx]
 }
 
 // ReceptionProb returns the distance-fade success probability at distance
@@ -410,7 +430,7 @@ func (m *Medium) deliver(dst NodeID, src, dstPos geo.Point, tx sim.Time, retries
 		return endpoint{}, 0, false
 	}
 	d := src.Dist(dstPos)
-	pRecv := m.receptionProb(d)
+	pRecv := m.params.ReceptionProb(d)
 	// Link-layer ARQ: unicast frames get retries+1 attempts; each
 	// failed attempt costs one extra transmission slot of delay.
 	attempts := 0
@@ -492,15 +512,12 @@ func (m *Medium) send(from, to NodeID, size int, payload any, beacon bool) {
 	m.stats.Sent++
 	m.stats.BytesOnAir += uint64(size)
 
-	// Account airtime for the collision model.
-	load := m.loadFraction()
-	tx := m.txDelay(size)
-	m.airtime += float64(tx) / float64(time.Second)
-
-	pCollide := m.params.CollisionFactor * load
-	if pCollide > m.params.MaxCollisionLoss {
-		pCollide = m.params.MaxCollisionLoss
-	}
+	// The frame is judged against the air near its sender, then charges
+	// its own airtime to the sender's cell.
+	busy, own := m.busyNear(src)
+	tx := m.params.Airtime(size)
+	own.airtime += float64(tx) / float64(time.Second)
+	pCollide := m.params.CollisionProb(busy)
 
 	// The sender's side of every installed fault is taken once per frame;
 	// deliver then judges each receiver at the position the range query
@@ -551,7 +568,7 @@ func (m *Medium) send(from, to NodeID, size int, payload any, beacon bool) {
 			continue
 		}
 		d := src.Dist(p)
-		if m.rng.Float64() >= m.receptionProb(d) {
+		if m.rng.Float64() >= m.params.ReceptionProb(d) {
 			continue
 		}
 		m.rx = append(m.rx, reception{delay: tx, h: sp.h})

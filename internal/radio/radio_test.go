@@ -456,6 +456,137 @@ func TestLightLoadDeliversNearlyAll(t *testing.T) {
 	}
 }
 
+// TestStormLeavesDistantClusterAlone: a beacon storm in one loaded
+// cluster leaves the collision losses of another, more than three cells
+// away, exactly as they were without it. The storm's beacons reach no
+// inbox, so they take no radio draw, and the stream behind the other
+// cluster's verdicts runs the same with and without them.
+func TestStormLeavesDistantClusterAlone(t *testing.T) {
+	const n = 2000
+	run := func(storm bool) Stats {
+		k := sim.NewKernel(9)
+		m := newTestMedium(t, k)
+		in := func(any, sim.Time) {}
+		for i := 0; i < 20; i++ {
+			quiet, loud := NodeID(i), NodeID(100+i)
+			m.UpdatePosition(quiet, geo.Point{X: 4000 + float64(i)*5, Y: 4000}) // cell (13, 13)
+			m.Register(quiet, func(Frame) {}, in)
+			m.UpdatePosition(loud, geo.Point{X: 500 + float64(i)*5, Y: 500}) // cell (1, 1)
+			m.Register(loud, func(Frame) {})
+		}
+		for i := 0; i < n; i++ {
+			at := sim.Time(i) * time.Millisecond
+			k.At(at, func() { m.Beacon(NodeID(i%20), 300, nil) })
+			if storm {
+				k.At(at, func() { m.Beacon(NodeID(100+i%20), 1500, nil) })
+			}
+		}
+		if err := k.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		return m.Stats()
+	}
+	calm, stormy := run(false), run(true)
+	if calm.LostLoad == 0 || calm.Delivered == 0 {
+		t.Fatalf("the quiet cluster is not loaded: %+v", calm)
+	}
+	if stormy.Sent != calm.Sent+n {
+		t.Fatalf("%d frames sent with the storm, %d without: the storm did not run", stormy.Sent, calm.Sent)
+	}
+	if stormy.LostLoad != calm.LostLoad || stormy.Delivered != calm.Delivered || stormy.LostRange != calm.LostRange {
+		t.Errorf("a storm 3.5 km away moved the quiet cluster: %+v, without it %+v", stormy, calm)
+	}
+}
+
+// TestFlooderLoadsOnlyItsBlock: a flooder raises the collision losses of
+// a frame only when the frame's sender sits in one of the 3×3 cells
+// around the flooder's. Each sender probes on a medium of its own, with
+// and without the flooder; the flood's beacons reach no inbox and take no
+// radio draw.
+func TestFlooderLoadsOnlyItsBlock(t *testing.T) {
+	flooder := geo.Point{X: 1650, Y: 1650} // cell (5, 5) of the 300 m grid
+	for _, tc := range []struct {
+		at   geo.Point
+		near bool
+	}{
+		{geo.Point{X: 1700, Y: 1600}, true},  // (5, 5), the flooder's own cell
+		{geo.Point{X: 1400, Y: 1650}, true},  // (4, 5)
+		{geo.Point{X: 1950, Y: 1950}, true},  // (6, 6)
+		{geo.Point{X: 1100, Y: 1650}, false}, // (3, 5)
+		{geo.Point{X: 1650, Y: 2200}, false}, // (5, 7)
+		{geo.Point{X: 2250, Y: 1250}, false}, // (7, 4)
+	} {
+		lost := func(flood bool) uint64 {
+			k := sim.NewKernel(4)
+			m := newTestMedium(t, k)
+			m.UpdatePosition(0, tc.at)
+			m.UpdatePosition(1, geo.Point{X: tc.at.X, Y: tc.at.Y + 20})
+			m.Register(1, func(Frame) {})
+			m.UpdatePosition(2, flooder)
+			for i := 0; i < 500; i++ {
+				at := sim.Time(i) * time.Millisecond
+				if flood {
+					k.At(at, func() { m.Beacon(2, 1500, nil) })
+				}
+				k.At(at, func() { m.Send(0, 1, 300, nil) })
+			}
+			if err := k.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			return m.Stats().LostLoad
+		}
+		quiet, flooded := lost(false), lost(true)
+		if tc.near && flooded <= quiet {
+			t.Errorf("sender at %v, in the flooder's block: %d frames lost to load with the flood, %d without", tc.at, flooded, quiet)
+		}
+		if !tc.near && flooded != quiet {
+			t.Errorf("sender at %v, outside the flooder's block: %d frames lost to load with the flood, %d without", tc.at, flooded, quiet)
+		}
+	}
+}
+
+// TestLoadLossHoldsAtFixedDensity: on a line of nodes 30 m apart, each
+// beaconing 300 B every 500 ms from a phase of its own, the share of
+// receptions lost to load follows the density, which is fixed, and not
+// the size of the fleet.
+func TestLoadLossHoldsAtFixedDensity(t *testing.T) {
+	share := func(n int) float64 {
+		k := sim.NewKernel(5)
+		m, err := NewMedium(k, geo.NewRect(geo.Point{}, geo.Point{X: 30 * float64(n), Y: 300}), DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		phase := rand.New(rand.NewSource(5))
+		in := func(any, sim.Time) {}
+		const period = 500 * time.Millisecond
+		for i := 0; i < n; i++ {
+			id := NodeID(i)
+			m.UpdatePosition(id, geo.Point{X: 15 + 30*float64(i), Y: 150})
+			m.Register(id, func(Frame) {}, in)
+			k.At(sim.Time(phase.Int63n(int64(period))), func() {
+				m.Beacon(id, 300, nil)
+				if _, err := k.Every(period, func() { m.Beacon(id, 300, nil) }); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		if err := k.Run(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		st := m.Stats()
+		return float64(st.LostLoad) / float64(st.Delivered+st.LostRange+st.LostLoad)
+	}
+	base := share(400)
+	if base == 0 {
+		t.Fatal("no reception lost to load at 400 nodes: the comparison proves nothing")
+	}
+	for _, n := range []int{1600, 3200} {
+		if got := share(n); math.Abs(got-base) > 0.2*base {
+			t.Errorf("%d nodes: %.4f of receptions lost to load, %.4f at 400 nodes", n, got, base)
+		}
+	}
+}
+
 func TestBlockedFilter(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := newTestMedium(t, k)
@@ -888,13 +1019,27 @@ func refSend(m *Medium, from, to NodeID, size int, payload any, beacon bool) {
 	}
 	m.stats.Sent++
 	m.stats.BytesOnAir += uint64(size)
-	load := m.loadFraction()
-	m.airtime += float64(m.txDelay(size)) / float64(time.Second)
-	pCollide := m.params.CollisionFactor * load
-	if pCollide > m.params.MaxCollisionLoss {
-		pCollide = m.params.MaxCollisionLoss
-	}
+	// The load: every cell at most one column and one row from the
+	// sender's, each aged to now, summed in row-major order; then the
+	// frame's airtime charged to the sender's own cell.
 	now := m.kernel.Now()
+	cx, cy, cols, _ := m.index.Cell(src)
+	var airtime float64
+	for key := range m.load {
+		x, y := key%cols, key/cols
+		if x < cx-1 || x > cx+1 || y < cy-1 || y > cy+1 {
+			continue
+		}
+		c := &m.load[key]
+		if now > c.last {
+			c.airtime *= math.Exp(-float64(now-c.last) / float64(m.params.LoadWindow))
+			c.last = now
+		}
+		airtime += c.airtime
+	}
+	m.load[cy*cols+cx].airtime += float64(m.params.Airtime(size)) / float64(time.Second)
+	busy := airtime / (float64(m.params.LoadWindow) / float64(time.Second))
+	pCollide := min(m.params.MaxCollisionLoss, m.params.CollisionFactor*min(busy, 1))
 	f := Frame{From: from, Payload: payload, SentAt: now}
 	// scheduleNow schedules whatever deliver (with the faults already
 	// judged here) or a spy collected, one event per reception.
@@ -908,7 +1053,7 @@ func refSend(m *Medium, from, to NodeID, size int, payload any, beacon bool) {
 		if refBlocked(m, from, dst) || beacon && m.endpoint(dst).in == nil {
 			return
 		}
-		ep, delay, ok := m.deliver(dst, src, p, m.txDelay(size), retries, pCollide, false, false)
+		ep, delay, ok := m.deliver(dst, src, p, m.params.Airtime(size), retries, pCollide, false, false)
 		if !ok {
 			return
 		}
@@ -937,10 +1082,10 @@ func refSend(m *Medium, from, to NodeID, size int, payload any, beacon bool) {
 		if !ok {
 			continue
 		}
-		if m.rng.Float64() >= m.receptionProb(src.Dist(p)) {
+		if m.rng.Float64() >= m.params.ReceptionProb(src.Dist(p)) {
 			continue
 		}
-		m.rx = append(m.rx, reception{delay: m.txDelay(size), h: sp.h, count: false})
+		m.rx = append(m.rx, reception{delay: m.params.Airtime(size), h: sp.h, count: false})
 		scheduleNow()
 	}
 }

@@ -1,10 +1,6 @@
 package radio
 
-import (
-	"fmt"
-
-	"vcloud/internal/sim"
-)
+import "vcloud/internal/sim"
 
 // Hash draw domains for the shard channel; distinct tags decorrelate the
 // fade and collision draws for the same (tick, from, to) reception.
@@ -22,37 +18,23 @@ const (
 // any order and on any core, and produce bit-for-bit the outcome a serial
 // run would.
 //
-// Contention is modeled from the sender's neighbor density (receivers per
-// beacon), which the halo-complete shard indexes reproduce exactly; each
+// Contention is judged by Params.CollisionProb, as on the Medium, from
+// the busy share of the air near the sender, which the caller derives
+// from what the halo-complete shard indexes reproduce exactly; each
 // reception is evaluated by exactly one shard (the sender's owner), so
 // the integer counters sum across shards to the serial totals.
 type ShardChannel struct {
 	seed   uint64
 	params Params
-	// DensityHalf is the neighbor count at which collision loss reaches
-	// half of MaxCollisionLoss: pCollide = Max × d/(d+DensityHalf).
-	densityHalf float64
-	stats       Stats
+	stats  Stats
 }
 
-// NewShardChannel creates a channel with the given hash seed. densityHalf
-// sets the neighbor count at which collision loss reaches half its cap;
-// it must be positive.
-func NewShardChannel(seed uint64, params Params, densityHalf float64) (*ShardChannel, error) {
+// NewShardChannel creates a channel with the given hash seed.
+func NewShardChannel(seed uint64, params Params) (*ShardChannel, error) {
 	if err := params.validate(); err != nil {
 		return nil, err
 	}
-	if densityHalf <= 0 {
-		return nil, fmt.Errorf("radio: densityHalf must be positive, got %v", densityHalf)
-	}
-	return &ShardChannel{seed: seed, params: params, densityHalf: densityHalf}, nil
-}
-
-// CollisionProb returns the load-dependent loss probability for a sender
-// with the given neighbor density.
-func (c *ShardChannel) CollisionProb(density int) float64 {
-	d := float64(density)
-	return c.params.MaxCollisionLoss * d / (d + c.densityHalf)
+	return &ShardChannel{seed: seed, params: params}, nil
 }
 
 // NoteSent accounts one transmitted beacon of size bytes. The sender's
@@ -63,7 +45,7 @@ func (c *ShardChannel) NoteSent(size int) {
 }
 
 // Beacon is one transmission's share of the reception verdict: everything
-// that depends on (tick, sender, density) but not on the receiver, computed
+// that depends on (tick, sender, busy) but not on the receiver, computed
 // once so each candidate receiver costs one hash round per draw.
 type Beacon struct {
 	c *ShardChannel
@@ -74,14 +56,14 @@ type Beacon struct {
 }
 
 // Beacon prepares the verdicts for the beacon transmitted at tick by from,
-// with the sender seeing `density` neighbors.
-func (c *ShardChannel) Beacon(tick uint64, from NodeID, density int) Beacon {
+// whose air was busy for the share busy of the load window.
+func (c *ShardChannel) Beacon(tick uint64, from NodeID, busy float64) Beacon {
 	uf := uint64(uint32(from))
 	return Beacon{
 		c:        c,
 		fade:     sim.Hash(c.seed, drawFade, tick, uf),
 		collide:  sim.Hash(c.seed, drawCollide, tick, uf),
-		pCollide: c.CollisionProb(density),
+		pCollide: c.params.CollisionProb(busy),
 	}
 }
 

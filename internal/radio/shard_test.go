@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"math"
 	"testing"
 
 	"vcloud/internal/sim"
@@ -8,7 +9,7 @@ import (
 
 func newTestChannel(t *testing.T, seed uint64) *ShardChannel {
 	t.Helper()
-	c, err := NewShardChannel(seed, DefaultParams(), 20)
+	c, err := NewShardChannel(seed, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,21 +17,21 @@ func newTestChannel(t *testing.T, seed uint64) *ShardChannel {
 }
 
 // reaches is one whole verdict through the per-beacon API.
-func reaches(c *ShardChannel, tick uint64, from, to NodeID, dist float64, density int) bool {
-	return c.Beacon(tick, from, density).Reaches(to, c.params.ReceptionProb(dist))
+func reaches(c *ShardChannel, tick uint64, from, to NodeID, dist, busy float64) bool {
+	return c.Beacon(tick, from, busy).Reaches(to, c.params.ReceptionProb(dist))
 }
 
 // receiveModel is ShardChannel.Receive as it stood before Beacon/Reaches
 // replaced it, kept verbatim as the reference: two full five-round hash
 // chains per candidate, the fade draw always made.
-func receiveModel(c *ShardChannel, tick uint64, from, to NodeID, dist float64, density int) bool {
+func receiveModel(c *ShardChannel, tick uint64, from, to NodeID, dist, busy float64) bool {
 	uf, ut := uint64(uint32(from)), uint64(uint32(to))
 	pRecv := c.params.ReceptionProb(dist)
 	if sim.HashUnit(c.seed, drawFade, tick, uf, ut) >= pRecv {
 		c.stats.LostRange++
 		return false
 	}
-	if sim.HashUnit(c.seed, drawCollide, tick, uf, ut) < c.CollisionProb(density) {
+	if sim.HashUnit(c.seed, drawCollide, tick, uf, ut) < c.params.CollisionProb(busy) {
 		c.stats.LostLoad++
 		return false
 	}
@@ -53,9 +54,9 @@ func TestBeaconMatchesReceiveModel(t *testing.T) {
 			p.RangeMax, p.RangeMax + 1}
 		froms := []NodeID{0, 1, 4999, 1 << 20, 1<<20 + 7, -1}
 		for tick := uint64(0); tick < 40; tick++ {
-			for _, density := range []int{0, 1, 5, 20, 50, 200} {
+			for _, busy := range []float64{0, 0.01, 0.1, 0.5, 0.95, 3} {
 				for _, from := range froms {
-					b := got.Beacon(tick*7919, from, density)
+					b := got.Beacon(tick*7919, from, busy)
 					for i := 0; i < 12; i++ {
 						to := NodeID(i*37 + int(tick))
 						if i%4 == 3 {
@@ -63,10 +64,10 @@ func TestBeaconMatchesReceiveModel(t *testing.T) {
 						}
 						dist := dists[(i+int(tick))%len(dists)]
 						g := b.Reaches(to, p.ReceptionProb(dist))
-						w := receiveModel(want, tick*7919, from, to, dist, density)
+						w := receiveModel(want, tick*7919, from, to, dist, busy)
 						if g != w {
-							t.Fatalf("seed %d tick %d from %d to %d dist %v density %d: Reaches = %v, Receive model = %v",
-								seed, tick*7919, from, to, dist, density, g, w)
+							t.Fatalf("seed %d tick %d from %d to %d dist %v busy %v: Reaches = %v, Receive model = %v",
+								seed, tick*7919, from, to, dist, busy, g, w)
 						}
 					}
 				}
@@ -83,7 +84,7 @@ func TestBeaconMatchesReceiveModel(t *testing.T) {
 }
 
 // TestShardChannelPure checks the reception verdict is a pure function of
-// (seed, tick, from, to, dist, density): two independent channel
+// (seed, tick, from, to, dist, busy): two independent channel
 // instances agree on every decision.
 func TestShardChannelPure(t *testing.T) {
 	a := newTestChannel(t, 77)
@@ -91,7 +92,8 @@ func TestShardChannelPure(t *testing.T) {
 	for tick := uint64(0); tick < 300; tick++ {
 		from, to := NodeID(tick%17), NodeID(tick%23+17)
 		dist := float64(tick%350) + 0.5
-		if reaches(a, tick, from, to, dist, int(tick%40)) != reaches(b, tick, from, to, dist, int(tick%40)) {
+		busy := float64(tick%40) / 40
+		if reaches(a, tick, from, to, dist, busy) != reaches(b, tick, from, to, dist, busy) {
 			t.Fatalf("verdict diverged at tick %d", tick)
 		}
 	}
@@ -102,7 +104,7 @@ func TestShardChannelPure(t *testing.T) {
 	diff := 0
 	for tick := uint64(0); tick < 300; tick++ {
 		dist := 200.0
-		if reaches(a, tick, 1, 2, dist, 10) != reaches(c, tick, 1, 2, dist, 10) {
+		if reaches(a, tick, 1, 2, dist, 0.25) != reaches(c, tick, 1, 2, dist, 0.25) {
 			diff++
 		}
 	}
@@ -130,29 +132,40 @@ func TestShardChannelDistanceCutoff(t *testing.T) {
 	}
 }
 
-// TestShardChannelLoadLoss checks collision loss grows with sender
-// density and stays under the configured cap.
+// TestShardChannelLoadLoss checks the shared verdict, min(MaxCollisionLoss,
+// CollisionFactor × min(busy, 1)), and that the channel loses beacons to
+// load at that rate: none on an idle air, more as the air near the sender
+// gets busier, and never more than the cap once it is saturated.
 func TestShardChannelLoadLoss(t *testing.T) {
-	c := newTestChannel(t, 6)
-	if c.CollisionProb(0) != 0 {
-		t.Fatalf("CollisionProb(0) = %v", c.CollisionProb(0))
-	}
-	if got, cap := c.CollisionProb(20), c.Params().MaxCollisionLoss/2; got != cap {
-		t.Fatalf("CollisionProb(densityHalf) = %v, want %v", got, cap)
-	}
-	lossAt := func(density int) int {
-		ch := newTestChannel(t, 6)
-		for tick := uint64(0); tick < 2000; tick++ {
-			reaches(ch, tick, 1, 2, 50, density)
+	p := DefaultParams()
+	p.CollisionFactor = 0.5
+	for _, tc := range []struct{ busy, want float64 }{
+		{0, 0}, {0.4, 0.2}, {1, 0.5}, {7, 0.5},
+	} {
+		if got := p.CollisionProb(tc.busy); got != tc.want {
+			t.Errorf("CollisionFactor 0.5: CollisionProb(%v) = %v, want %v", tc.busy, got, tc.want)
 		}
-		return int(ch.Stats().LostLoad)
 	}
-	low, high := lossAt(2), lossAt(200)
-	if low >= high {
-		t.Fatalf("collision loss not increasing with density: %d at d=2 vs %d at d=200", low, high)
+	p.CollisionFactor = 4
+	if got := p.CollisionProb(0.5); got != p.MaxCollisionLoss {
+		t.Errorf("CollisionFactor 4: CollisionProb(0.5) = %v, want the cap %v", got, p.MaxCollisionLoss)
 	}
-	if frac := float64(high) / 2000; frac > c.Params().MaxCollisionLoss {
-		t.Fatalf("loss fraction %v exceeds cap %v", frac, c.Params().MaxCollisionLoss)
+	const n = 4000
+	lossAt := func(busy float64) float64 {
+		ch := newTestChannel(t, 6)
+		for tick := uint64(0); tick < n; tick++ {
+			reaches(ch, tick, 1, 2, 50, busy)
+		}
+		return float64(ch.Stats().LostLoad) / n
+	}
+	c := newTestChannel(t, 6)
+	prev := -1.0
+	for _, busy := range []float64{0, 0.05, 0.3, 0.7, 1, 5} {
+		got, want := lossAt(busy), c.Params().CollisionProb(busy)
+		if math.Abs(got-want) > 0.03 || got < prev || got > c.Params().MaxCollisionLoss {
+			t.Fatalf("busy %v: load-loss share %v, verdict %v (previous share %v, cap %v)", busy, got, want, prev, c.Params().MaxCollisionLoss)
+		}
+		prev = got
 	}
 }
 

@@ -45,10 +45,7 @@ import (
 // Fixed scenario parameters.
 const (
 	speedMin, speedMax = 5.0, 30.0 // vehicle speed range, m/s
-	// densityHalf is the sender neighbor count at which collision loss
-	// reaches half its cap (see radio.ShardChannel).
-	densityHalf = 20.0
-	beaconBytes = 300
+	beaconBytes        = 300
 )
 
 // Hash draw domains for the churn schedule.
@@ -265,7 +262,7 @@ type world struct {
 
 // sender is one local vehicle's beacon in the tick in flight.
 type sender struct {
-	deg   int32 // in-range neighbours swept so far: the collision density once final
+	deg   int32 // in-range neighbours swept so far: once final, the air busy near the sender
 	muted bool  // inside the outage: no beacon this tick
 	built bool  // b holds this tick's verdict prefix
 	b     radio.Beacon
@@ -430,7 +427,7 @@ func newWorld(cfg Config) (*world, error) {
 		// Every shard's channel carries the same seed: reception verdicts
 		// are pure in (tick, from, to), so the deciding shard is
 		// irrelevant by construction.
-		if s.channel, err = radio.NewShardChannel(radioSeed, cfg.Radio, densityHalf); err != nil {
+		if s.channel, err = radio.NewShardChannel(radioSeed, cfg.Radio); err != nil {
 			return nil, err
 		}
 		if s.index, err = geo.NewShardedIndex(w.bounds, cfg.Radio.RangeMax); err != nil {
@@ -552,8 +549,8 @@ func (s *wshard) pushGhost(to *wshard, id int32, pos geo.Point) *ghostMsg {
 //
 // One half-shell sweep over the halo-complete index (locals and ghosts)
 // emits each in-range pair once, row by row. A pair adds to the degree of
-// its local endpoints, and a local's degree is the density its beacon is
-// judged under. The segment emitted at row cy pairs entries of row cy
+// its local endpoints, and a local's degree sets the busy air its beacon
+// is judged under. The segment emitted at row cy pairs entries of row cy
 // with entries of rows up to cy+span, and an entry of row y has all its
 // pairs once row y has been swept. So when row cy+span is done, both
 // endpoints of every pair of segment cy are final, and the pair is decided
@@ -635,7 +632,10 @@ func (s *wshard) decide(seg []geo.Pair) {
 func (s *wshard) send(from, to, toOwner int32, pRecv float64) {
 	tx := &s.w.tx[from]
 	if !tx.built {
-		tx.b = s.channel.Beacon(uint64(s.tick), radio.NodeID(from), int(tx.deg))
+		// Every neighbour beacons once a tick: deg beacons' airtime per tick
+		// is the busy share the medium's per-cell airtime reads in steady state.
+		busy := float64(tx.deg) * float64(s.w.cfg.Radio.Airtime(beaconBytes)) / float64(s.w.cfg.TickEvery)
+		tx.b = s.channel.Beacon(uint64(s.tick), radio.NodeID(from), busy)
 		tx.built = true
 	}
 	if tx.b.Reaches(radio.NodeID(to), pRecv) {

@@ -374,7 +374,8 @@ func refBeaconPhase(t *testing.T, s *wshard, ch *radio.ShardChannel, perDst []in
 		}
 		ch.NoteSent(beaconBytes)
 		nids, npos = mirror.WithinRangePos(nids[:0], npos[:0], v.Pos, cfg.Radio.RangeMax, id)
-		b := ch.Beacon(uint64(tick), radio.NodeID(id), len(nids))
+		busy := float64(len(nids)) * float64(cfg.Radio.Airtime(beaconBytes)) / float64(cfg.TickEvery)
+		b := ch.Beacon(uint64(tick), radio.NodeID(id), busy)
 		for j, nid := range nids {
 			if b.Reaches(radio.NodeID(nid), cfg.Radio.ReceptionProb(v.Pos.Dist(npos[j]))) {
 				perDst[w.smap.ShardOf(npos[j])]++
@@ -409,7 +410,7 @@ func TestBeaconPhaseMatchesPerSenderModel(t *testing.T) {
 		seed := uint64(sim.SubSeed(cfg.Seed, "shardworld/radio"))
 		refs := make([]*radio.ShardChannel, shards)
 		for i := range refs {
-			if refs[i], err = radio.NewShardChannel(seed, cfg.Radio, densityHalf); err != nil {
+			if refs[i], err = radio.NewShardChannel(seed, cfg.Radio); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -239,19 +239,17 @@ func dynamicFencedLifecycle(t *testing.T, seed int64) {
 		t.Errorf("%d member agents started, %d stopped by promotion: %d live, but %d tracked",
 			len(started), stats.Failovers.Value(), live, len(d.Members))
 	}
-	leading := map[vnet.Addr]bool{}
-	for _, c := range d.ActiveControllers() {
-		leading[c.Addr()] = true
-	}
 	for _, id := range s.VehicleIDs() {
-		if m := d.Members[id]; (m == nil || m.Stopped()) && !leading[vnet.Addr(id)] {
+		if m := d.Members[id]; (m == nil || m.Stopped()) && !leads(d, vnet.Addr(id)) {
 			t.Errorf("vehicle %d runs neither a live member agent nor a controller", id)
 		}
 	}
 	exHeads := 0
 	for _, id := range s.VehicleIDs() {
+		// Each probe runs the kernel on, and a standby may promote
+		// meanwhile, so leadership is read afresh before each one.
 		a := vnet.Addr(id)
-		if !heads[a] || leading[a] {
+		if !heads[a] || leads(d, a) {
 			continue
 		}
 		exHeads++
@@ -266,6 +264,16 @@ func dynamicFencedLifecycle(t *testing.T, seed int64) {
 	if exHeads == 0 {
 		t.Fatal("no vehicle stopped leading: the run does not exercise retire")
 	}
+}
+
+// leads reports whether a live controller of d runs on node a.
+func leads(d *vcloud.Deployment, a vnet.Addr) bool {
+	for _, c := range d.ActiveControllers() {
+		if c.Addr() == a {
+			return true
+		}
+	}
+	return false
 }
 
 // TestSecureAbdicationRejoinsAsMember: a vehicle controller of a secure,

@@ -13,8 +13,8 @@
 # turn and prints "killed" (with the killing test's first complaint) or
 # "SURVIVED" for it. It exits 1 when a mutant survives or does not
 # compile, or when an entry's source line does not occur exactly once in
-# its file (the code moved: mend the entry). The ten entries take about
-# thirty-five seconds on two cores from a cold build cache.
+# its file (the code moved: mend the entry). The twelve entries take
+# about forty seconds on two cores from a cold build cache.
 set -eu
 
 tmp=$(mktemp -d)
@@ -125,6 +125,18 @@ list() {
 		'if _, dup := l.applied[id]; dup {' \
 		'if _, dup := l.applied[id]; false && dup {' \
 		./internal/vcloud/ '^TestLeadership$' "$@"
+	# A medium that judges a frame by the airtime of every cell on the
+	# map rather than the 3×3 block around its sender's: the old
+	# map-wide contention.
+	mutant internal/radio/radio.go \
+		'x0, x1, y0, y1 := max(cx-1, 0), min(cx+1, cols-1), max(cy-1, 0), min(cy+1, rows-1)' \
+		'x0, x1, y0, y1 := 0, cols-1, 0, rows-1' \
+		./internal/radio/ '^TestStormLeavesDistantClusterAlone$' "$@"
+	# A shard channel that judges every beacon as if the air were idle.
+	mutant internal/radio/shard.go \
+		'pCollide: c.params.CollisionProb(busy),' \
+		'pCollide: c.params.CollisionProb(0),' \
+		./internal/radio/ '^TestShardChannelLoadLoss$' "$@"
 	# movePhase pushing ghosts only to shards within half the halo.
 	mutant internal/shardworld/world.go \
 		's.near = w.smap.ShardsNear(s.near[:0], v.Pos, w.halo)' \
